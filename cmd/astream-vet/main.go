@@ -13,11 +13,11 @@
 // Package arguments filter by import-path suffix; "./..." (or no
 // argument) means the whole module.
 //
-// -run selects a subset of analyzers by name (default all; -only is the
-// deprecated spelling). -format json emits the stable machine-readable
-// schema (see internal/lint.Report): analyzer, repo-relative file,
-// line/col, message, the witness call chain for interprocedural findings,
-// and the //lint:ignore-suppressed findings with their stated reasons.
+// -run selects a subset of analyzers by name (default all). -format json
+// emits the stable machine-readable schema (see internal/lint.Report):
+// analyzer, repo-relative file, line/col, message, the witness call chain
+// for interprocedural findings, and the //lint:ignore-suppressed findings
+// with their stated reasons.
 // -baseline subtracts a committed findings file so CI fails only on new
 // findings (matched by analyzer+file+message, line-insensitive);
 // -write-baseline records the current findings as that file (suppressions
@@ -39,7 +39,6 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	run := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	only := flag.String("only", "", "deprecated alias for -run")
 	format := flag.String("format", "text", "output format: text or json")
 	baseline := flag.String("baseline", "", "baseline findings file to subtract (fail only on new findings)")
 	writeBaseline := flag.String("write-baseline", "", "write current findings to this baseline file and exit")
@@ -63,14 +62,7 @@ func main() {
 		}
 		return
 	}
-	sel := *run
-	if sel == "" {
-		sel = *only
-	} else if *only != "" && *only != *run {
-		fmt.Fprintln(os.Stderr, "astream-vet: -run and -only disagree; use -run")
-		os.Exit(2)
-	}
-	if sel != "" {
+	if sel := *run; sel != "" {
 		keep := map[string]bool{}
 		for _, n := range strings.Split(sel, ",") {
 			keep[strings.TrimSpace(n)] = true

@@ -37,7 +37,6 @@ type Config struct {
 	Nodes          int
 	Lateness       event.Time
 	WatermarkEvery event.Time
-	ChannelCap     int
 	NowNanos       func() int64
 }
 
@@ -53,9 +52,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.WatermarkEvery <= 0 {
 		c.WatermarkEvery = 10
-	}
-	if c.ChannelCap <= 0 {
-		c.ChannelCap = spe.DefaultChannelCap
 	}
 	if c.NowNanos == nil {
 		c.NowNanos = func() int64 { return time.Now().UnixNano() }
@@ -86,6 +82,10 @@ type Engine struct {
 	records []core.DeployRecord
 
 	maxHorizon int64
+
+	// forked counts tuple copies pushed into per-query topologies: the
+	// baseline's per-tuple work, deterministic for a fixed input.
+	forked atomic.Uint64
 }
 
 // queryJob is one deployed per-query topology.
@@ -156,6 +156,22 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	return e, nil
 }
+
+// InstanceCount returns the operator instances deployed across all query
+// topologies; it grows with every query, where core.Engine's stays fixed.
+func (e *Engine) InstanceCount() int {
+	e.world.RLock()
+	defer e.world.RUnlock()
+	n := 0
+	for _, jb := range e.jobs {
+		n += jb.instances
+	}
+	return n
+}
+
+// Forked returns how many tuple copies Ingest has pushed into per-query
+// topologies so far — one source-and-filter invocation each.
+func (e *Engine) Forked() uint64 { return e.forked.Load() }
 
 // ActiveQueries returns the number of deployed queries.
 func (e *Engine) ActiveQueries() int {
@@ -304,10 +320,12 @@ func (e *Engine) Ingest(stream int, t event.Tuple) error {
 	// The fork: one copy per query (this is the Kafka-fan-out setup the
 	// paper describes as today's best practice, and the reason baseline
 	// per-tuple cost is O(queries)).
+	forked := uint64(0)
 	for _, jb := range e.jobs {
 		if stream >= jb.q.Arity {
 			continue
 		}
+		forked++
 		//lint:ignore lockheld-send read lock only orders against redeploys; topology workers drain these channels without taking e.world
 		jb.scs[stream].EmitTuple(t)
 		if t.Time > jb.lastTime[stream] {
@@ -320,6 +338,7 @@ func (e *Engine) Ingest(stream int, t event.Tuple) error {
 			jb.lastWM[stream] = wm
 		}
 	}
+	e.forked.Add(forked)
 	return nil
 }
 

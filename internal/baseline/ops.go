@@ -6,6 +6,7 @@ import (
 	"astream/internal/spe"
 	"astream/internal/sqlstream"
 	"astream/internal/window"
+	"astream/internal/wire"
 )
 
 // deployQuery builds and deploys the per-query topology:
@@ -17,8 +18,6 @@ import (
 // reports watermark progress for savepoint drains.
 func (e *Engine) deployQuery(q *core.Query, sink core.Sink) (*queryJob, error) {
 	topo := spe.NewTopology()
-	topo.SetChannelCap(e.cfg.ChannelCap)
-	topo.SetNowNanos(e.cfg.NowNanos)
 	P := e.cfg.Parallelism
 	wrap := newSinkWrapper(sink)
 
@@ -417,14 +416,13 @@ func (l *joinLogic) OnTuple(port int, t event.Tuple, _ *spe.Emitter) {
 // OnBarrier serializes the join's buffered window state — the savepoint
 // work a stop-the-world deployment pays (its size grows with backlog).
 func (l *joinLogic) OnBarrier(_ uint64, _ *spe.Emitter) []byte {
-	codec := spe.BinaryCodec{}
 	var buf []byte
 	for _, wbuf := range l.wins {
 		for i := range wbuf.left {
-			buf = append(buf, codec.Encode(event.NewTuple(wbuf.left[i]))...)
+			buf = wire.AppendTuple(buf, &wbuf.left[i])
 		}
 		for i := range wbuf.right {
-			buf = append(buf, codec.Encode(event.NewTuple(wbuf.right[i]))...)
+			buf = wire.AppendTuple(buf, &wbuf.right[i])
 		}
 	}
 	return buf

@@ -66,6 +66,7 @@ func FromWords(words []uint64) Bits {
 		}
 		return Bits{small: w}
 	}
+	//lint:ignore hotalloc wide sets only: a set beyond 64 slots owns a spilled backing by design
 	b := Bits{spill: make([]uint64, n)}
 	copy(b.spill, words)
 	return b

@@ -65,6 +65,13 @@ type Changelog struct {
 	Active bitset.Bits
 }
 
+// MaxSlots bounds the slot numbers snapshot decoders accept. A slot is a bit
+// position in every tuple's query-set, so an engine anywhere near this many
+// slots (128 KiB of query-set per tuple) stopped being operable long before;
+// a snapshot naming a higher slot is corrupt, and restore would size mask
+// bitsets and predicate-index nodes from it.
+const MaxSlots = 1 << 20
+
 // Assignment binds a query ID to its slot.
 type Assignment struct {
 	Query int

@@ -1,220 +1,121 @@
 package changelog
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"astream/internal/bitset"
 	"astream/internal/event"
+	"astream/internal/wire"
 )
 
 // This file implements binary snapshots of the changelog data model for
 // checkpoint recovery (paper §3.3): a recovered operator must resume with
 // the exact slot table, changelog-set table, and sequence counters it held
 // at the barrier, or replayed changelogs would hit the runtime's gap check.
-//
-// The format mirrors internal/checkpoint's log encoding: little-endian
-// fixed-width integers, length-prefixed sequences, no framing. Snapshots
-// are written and read by the same build, so no cross-version migration is
-// attempted; a leading version byte still guards accidental misuse.
+// Layouts are compositions of internal/wire (DESIGN.md "Wire format").
 
-const snapshotVersion = 1
+const snapshotVersion = 2
 
-func appendU8(b []byte, v uint8) []byte { return append(b, v) }
+// changelogMinSize is a changelog with no assignments and empty sets.
+const changelogMinSize = 8 + 8 + 4 + 4 + 4 + 4 + 4
 
-func appendU32(b []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(b, v)
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(b, v)
-}
-
-func appendI64(b []byte, v int64) []byte {
-	return binary.LittleEndian.AppendUint64(b, uint64(v))
-}
-
-func appendBits(b []byte, bits bitset.Bits) []byte {
-	words := bits.Words()
-	b = appendU32(b, uint32(len(words)))
-	for _, w := range words {
-		b = appendU64(b, w)
+func appendAssignments(b []byte, as []Assignment) []byte {
+	b = wire.AppendCount(b, len(as))
+	for _, a := range as {
+		b = wire.AppendI64(b, int64(a.Query))
+		b = wire.AppendU32(b, uint32(a.Slot))
 	}
 	return b
 }
 
-// snapReader decodes the snapshot format, accumulating the first error so
-// call sites stay linear (same idiom as checkpoint.byteReader).
-type snapReader struct {
-	b   []byte
-	err error
+func readAssignments(r *wire.Reader, what string) []Assignment {
+	var as []Assignment
+	n := r.Count(what, 12)
+	for i := 0; i < n; i++ {
+		as = append(as, Assignment{Query: int(r.I64(what)), Slot: int(r.U32(what))})
+	}
+	return as
 }
 
-func (r *snapReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("changelog: snapshot truncated reading %s", what)
-	}
+func appendChangelog(b []byte, cl *Changelog) []byte {
+	b = wire.AppendU64(b, cl.Seq)
+	b = wire.AppendI64(b, int64(cl.Time))
+	b = wire.AppendU32(b, uint32(cl.Slots))
+	b = appendAssignments(b, cl.Created)
+	b = appendAssignments(b, cl.Deleted)
+	b = wire.AppendBits(b, cl.Set)
+	return wire.AppendBits(b, cl.Active)
 }
 
-func (r *snapReader) u8(what string) uint8 {
-	if r.err != nil || len(r.b) < 1 {
-		r.fail(what)
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *snapReader) u32(what string) uint32 {
-	if r.err != nil || len(r.b) < 4 {
-		r.fail(what)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
-}
-
-func (r *snapReader) u64(what string) uint64 {
-	if r.err != nil || len(r.b) < 8 {
-		r.fail(what)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *snapReader) i64(what string) int64 { return int64(r.u64(what)) }
-
-func (r *snapReader) bits(what string) bitset.Bits {
-	n := r.u32(what)
-	if r.err != nil || n > uint32(len(r.b)/8) {
-		r.fail(what)
-		return bitset.Bits{}
-	}
-	if n == 0 {
-		return bitset.Bits{}
-	}
-	words := make([]uint64, n)
-	for i := range words {
-		words[i] = r.u64(what)
-	}
-	return bitset.FromWords(words)
-}
-
-// AppendChangelog serializes one changelog onto b.
-func AppendChangelog(b []byte, cl *Changelog) []byte {
-	b = appendU64(b, cl.Seq)
-	b = appendI64(b, int64(cl.Time))
-	b = appendU32(b, uint32(cl.Slots))
-	b = appendU32(b, uint32(len(cl.Created)))
-	for _, a := range cl.Created {
-		b = appendI64(b, int64(a.Query))
-		b = appendU32(b, uint32(a.Slot))
-	}
-	b = appendU32(b, uint32(len(cl.Deleted)))
-	for _, a := range cl.Deleted {
-		b = appendI64(b, int64(a.Query))
-		b = appendU32(b, uint32(a.Slot))
-	}
-	b = appendBits(b, cl.Set)
-	b = appendBits(b, cl.Active)
-	return b
-}
-
-func readChangelog(r *snapReader) *Changelog {
+func readChangelog(r *wire.Reader) *Changelog {
 	cl := &Changelog{
-		Seq:   r.u64("changelog seq"),
-		Time:  event.Time(r.i64("changelog time")),
-		Slots: int(r.u32("changelog slots")),
+		Seq:     r.U64("changelog seq"),
+		Time:    event.Time(r.I64("changelog time")),
+		Slots:   int(r.U32("changelog slots")),
+		Created: readAssignments(r, "changelog created"),
+		Deleted: readAssignments(r, "changelog deleted"),
+		Set:     r.Bits("changelog set"),
+		Active:  r.Bits("changelog active"),
 	}
-	nc := r.u32("created count")
-	if r.err != nil || nc > uint32(len(r.b)) {
-		r.fail("created count")
-		return cl
+	// Every slot is either unchanged (in Set) or named by an assignment
+	// (Registry.Apply). A count the rest of the changelog cannot account
+	// for is corruption, and the table would size a row from it.
+	if accounted := cl.Set.Count() + len(cl.Created) + len(cl.Deleted); cl.Slots > accounted {
+		r.Fail(fmt.Errorf("changelog: changelog %d claims %d slots but accounts for %d", cl.Seq, cl.Slots, accounted))
 	}
-	for i := uint32(0); i < nc; i++ {
-		cl.Created = append(cl.Created, Assignment{
-			Query: int(r.i64("created query")),
-			Slot:  int(r.u32("created slot")),
-		})
-	}
-	nd := r.u32("deleted count")
-	if r.err != nil || nd > uint32(len(r.b)) {
-		r.fail("deleted count")
-		return cl
-	}
-	for i := uint32(0); i < nd; i++ {
-		cl.Deleted = append(cl.Deleted, Assignment{
-			Query: int(r.i64("deleted query")),
-			Slot:  int(r.u32("deleted slot")),
-		})
-	}
-	cl.Set = r.bits("changelog set")
-	cl.Active = r.bits("changelog active")
 	return cl
 }
 
-// UnmarshalChangelog decodes one changelog produced by AppendChangelog and
-// returns the remaining bytes.
-func UnmarshalChangelog(b []byte) (*Changelog, []byte, error) {
-	r := &snapReader{b: b}
-	cl := readChangelog(r)
-	if r.err != nil {
-		return nil, nil, r.err
+// addChangelogs reads n changelogs into t through Add, which rebuilds the
+// derived rows and re-verifies seq continuity.
+func (t *Table) addChangelogs(r *wire.Reader, n int) {
+	for i := 0; i < n; i++ {
+		cl := readChangelog(r)
+		if r.Err() != nil {
+			return
+		}
+		if err := t.Add(cl); err != nil {
+			r.Fail(err)
+		}
 	}
-	return cl, r.b, nil
 }
 
-// Snapshot serializes the table. Only the root row and the retained
+// Snapshot serializes the table. Only the root row (all slots of the base
+// epoch, which also carries that epoch's slot count) and the retained
 // changelogs are written: the remaining rows are a pure function of those
 // (Equation 1's recurrence), so TableFromSnapshot rebuilds them with Add,
 // which also re-verifies seq continuity.
-func (t *Table) Snapshot() []byte {
-	b := appendU8(nil, snapshotVersion)
-	b = appendU64(b, t.base)
-	b = appendU32(b, uint32(t.slots[0]))
-	b = appendU32(b, uint32(len(t.logs)))
+func (t *Table) Snapshot() []byte { return t.appendSnapshot(nil) }
+
+func (t *Table) appendSnapshot(b []byte) []byte {
+	b = wire.AppendU8(b, snapshotVersion)
+	b = wire.AppendU64(b, t.base)
+	b = wire.AppendBits(b, t.rows[0][0])
+	b = wire.AppendCount(b, len(t.logs))
 	for _, cl := range t.logs {
-		b = AppendChangelog(b, cl)
+		b = appendChangelog(b, cl)
 	}
 	return b
 }
 
 // TableFromSnapshot reconstructs a table from Snapshot output.
 func TableFromSnapshot(b []byte) (*Table, error) {
-	r := &snapReader{b: b}
-	if v := r.u8("table version"); r.err == nil && v != snapshotVersion {
-		return nil, fmt.Errorf("changelog: table snapshot version %d, want %d", v, snapshotVersion)
-	}
-	base := r.u64("table base")
-	rootSlots := int(r.u32("table root slots"))
-	n := r.u32("table log count")
-	if r.err != nil || n > uint32(len(r.b)) {
-		r.fail("table log count")
-		return nil, r.err
-	}
-	t := &Table{base: base}
-	t.rows = append(t.rows, []bitset.Bits{bitset.AllUpTo(rootSlots)})
-	t.slots = append(t.slots, rootSlots)
-	for i := uint32(0); i < n; i++ {
-		cl := readChangelog(r)
-		if r.err != nil {
-			return nil, r.err
-		}
-		if err := t.Add(cl); err != nil {
-			return nil, err
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("changelog: table snapshot has %d trailing bytes (version skew?)", len(r.b))
+	r := wire.NewReader(b)
+	t := readTable(r)
+	if err := r.Finish("changelog table snapshot"); err != nil {
+		return nil, err
 	}
 	return t, nil
+}
+
+func readTable(r *wire.Reader) *Table {
+	r.Version("changelog table snapshot version", snapshotVersion)
+	t := &Table{base: r.U64("table base")}
+	root := r.Bits("table root row")
+	t.rows = append(t.rows, []bitset.Bits{root})
+	t.slots = append(t.slots, root.Len())
+	t.addChangelogs(r, r.Count("table log count", changelogMinSize))
+	return t
 }
 
 // Table delta modes. A delta is normally incremental — the changelogs the
@@ -232,16 +133,15 @@ const (
 // restored at exactly that epoch reproduces this table bit-for-bit.
 func (t *Table) AppendDelta(b []byte, sinceLatest uint64) []byte {
 	if sinceLatest < t.base || sinceLatest > t.Latest() {
-		b = appendU8(b, tableDeltaFull)
-		return append(b, t.Snapshot()...)
+		return t.appendSnapshot(wire.AppendU8(b, tableDeltaFull))
 	}
-	b = appendU8(b, tableDeltaIncremental)
-	b = appendU64(b, sinceLatest)
-	b = appendU64(b, t.base)
-	b = appendU32(b, uint32(t.Latest()-sinceLatest))
+	b = wire.AppendU8(b, tableDeltaIncremental)
+	b = wire.AppendU64(b, sinceLatest)
+	b = wire.AppendU64(b, t.base)
+	b = wire.AppendCount(b, int(t.Latest()-sinceLatest))
 	for _, cl := range t.logs {
 		if cl.Seq > sinceLatest {
-			b = AppendChangelog(b, cl)
+			b = appendChangelog(b, cl)
 		}
 	}
 	return b
@@ -252,42 +152,25 @@ func (t *Table) AppendDelta(b []byte, sinceLatest uint64) []byte {
 // compaction point is replayed. The table must be at exactly the epoch the
 // delta was encoded against; chains therefore apply strictly in order.
 func (t *Table) ApplyDelta(b []byte) error {
-	r := &snapReader{b: b}
-	switch mode := r.u8("table delta mode"); {
-	case r.err != nil:
-		return r.err
-	case mode == tableDeltaFull:
-		nt, err := TableFromSnapshot(r.b)
-		if err != nil {
+	r := wire.NewReader(b)
+	switch mode := r.U8("table delta mode"); mode {
+	case tableDeltaFull:
+		nt := readTable(r)
+		if err := r.Finish("changelog table delta"); err != nil {
 			return err
 		}
 		*t = *nt
 		return nil
-	case mode == tableDeltaIncremental:
-		since := r.u64("table delta since")
-		newBase := r.u64("table delta base")
-		n := r.u32("table delta log count")
-		if r.err == nil && t.Latest() != since {
+	case tableDeltaIncremental:
+		since := r.U64("table delta since")
+		newBase := r.U64("table delta base")
+		n := r.Count("table delta log count", changelogMinSize)
+		if r.Err() == nil && t.Latest() != since {
 			return fmt.Errorf("changelog: table delta encoded against epoch %d, table is at %d (chain applied out of order?)", since, t.Latest())
 		}
-		if r.err != nil || n > uint32(len(r.b)) {
-			r.fail("table delta log count")
-			return r.err
-		}
-		for i := uint32(0); i < n; i++ {
-			cl := readChangelog(r)
-			if r.err != nil {
-				return r.err
-			}
-			if err := t.Add(cl); err != nil {
-				return err
-			}
-		}
-		if r.err != nil {
-			return r.err
-		}
-		if len(r.b) != 0 {
-			return fmt.Errorf("changelog: table delta has %d trailing bytes (version skew?)", len(r.b))
+		t.addChangelogs(r, n)
+		if err := r.Finish("changelog table delta"); err != nil {
+			return err
 		}
 		t.Compact(newBase)
 		return nil
@@ -299,64 +182,54 @@ func (t *Table) ApplyDelta(b []byte) error {
 // Snapshot serializes the registry: mode, counters, the full slot table,
 // and the free-slot stack. The query→slot index is rebuilt on restore.
 func (r *Registry) Snapshot() []byte {
-	b := appendU8(nil, snapshotVersion)
-	b = appendU8(b, uint8(r.mode))
-	b = appendU64(b, r.seq)
-	b = appendI64(b, int64(r.lastAt))
-	started := uint8(0)
-	if r.started {
-		started = 1
-	}
-	b = appendU8(b, started)
-	b = appendU32(b, uint32(len(r.slots)))
+	b := wire.AppendU8(nil, snapshotVersion)
+	b = wire.AppendU8(b, uint8(r.mode))
+	b = wire.AppendU64(b, r.seq)
+	b = wire.AppendI64(b, int64(r.lastAt))
+	b = wire.AppendBool(b, r.started)
+	b = wire.AppendCount(b, len(r.slots))
 	for _, q := range r.slots {
-		b = appendI64(b, int64(q))
+		b = wire.AppendI64(b, int64(q))
 	}
-	b = appendU32(b, uint32(len(r.free)))
+	b = wire.AppendCount(b, len(r.free))
 	for _, s := range r.free {
-		b = appendU32(b, uint32(s))
+		b = wire.AppendU32(b, uint32(s))
 	}
 	return b
 }
 
 // RegistryFromSnapshot reconstructs a registry from Snapshot output.
 func RegistryFromSnapshot(b []byte) (*Registry, error) {
-	rd := &snapReader{b: b}
-	if v := rd.u8("registry version"); rd.err == nil && v != snapshotVersion {
-		return nil, fmt.Errorf("changelog: registry snapshot version %d, want %d", v, snapshotVersion)
-	}
+	rd := wire.NewReader(b)
+	rd.Version("registry snapshot version", snapshotVersion)
 	reg := &Registry{
-		mode:   Mode(rd.u8("registry mode")),
-		seq:    rd.u64("registry seq"),
-		lastAt: event.Time(rd.i64("registry lastAt")),
-		slotOf: make(map[int]int),
+		mode:    Mode(rd.U8("registry mode")),
+		seq:     rd.U64("registry seq"),
+		lastAt:  event.Time(rd.I64("registry lastAt")),
+		started: rd.Bool("registry started"),
+		slotOf:  make(map[int]int),
 	}
-	reg.started = rd.u8("registry started") == 1
-	ns := rd.u32("registry slot count")
-	if rd.err != nil || ns > uint32(len(rd.b)) {
-		rd.fail("registry slot count")
-		return nil, rd.err
-	}
-	for i := uint32(0); i < ns; i++ {
-		q := int(rd.i64("registry slot"))
+	ns := rd.Count("registry slot count", 8)
+	for i := 0; i < ns; i++ {
+		q := int(rd.I64("registry slot"))
 		reg.slots = append(reg.slots, q)
 		if q != NoQuery {
-			reg.slotOf[q] = int(i)
+			reg.slotOf[q] = i
 		}
 	}
-	nf := rd.u32("registry free count")
-	if rd.err != nil || nf > uint32(len(rd.b)) {
-		rd.fail("registry free count")
-		return nil, rd.err
+	nf := rd.Count("registry free count", 4)
+	for i := 0; i < nf; i++ {
+		s := int(rd.U32("registry free slot"))
+		if s >= ns || reg.slots[s] != NoQuery {
+			// Apply would index the slot table with it, or hand an occupied
+			// slot to the next query.
+			rd.Fail(fmt.Errorf("changelog: registry snapshot lists slot %d as free; it is occupied or beyond the %d slots", s, ns))
+			break
+		}
+		reg.free = append(reg.free, s)
 	}
-	for i := uint32(0); i < nf; i++ {
-		reg.free = append(reg.free, int(rd.u32("registry free slot")))
-	}
-	if rd.err != nil {
-		return nil, rd.err
-	}
-	if len(rd.b) != 0 {
-		return nil, fmt.Errorf("changelog: registry snapshot has %d trailing bytes (version skew?)", len(rd.b))
+	if err := rd.Finish("registry snapshot"); err != nil {
+		return nil, err
 	}
 	return reg, nil
 }

@@ -24,11 +24,13 @@ import (
 type Table struct {
 	base uint64       // epoch of rows[0]
 	logs []*Changelog // logs[i] transitioned epoch base+i -> base+i+1
-	//lint:ephemeral derived Equation-1 recurrence over logs, rebuilt by TableFromSnapshot via Add
-	rows [][]bitset.Bits // rows[i][j] = Rel(base+i+? ...) see index()
 	// rows[i] corresponds to epoch e_i = base+i; rows[i][j] = Rel(e_i, base+j)
-	// for j <= i. rows[i][i] is the all-unchanged set of epoch e_i.
-	slots []int // slots[i] = slot-count at epoch base+i
+	// for j <= i. rows[i][i] is the all-unchanged set of epoch e_i. Snapshots
+	// carry rows[0][0] only; the rest is Equation 1's recurrence over logs,
+	// rebuilt by TableFromSnapshot via Add.
+	rows [][]bitset.Bits
+	//lint:ephemeral derived slots[i] = slot-count at epoch base+i: the root row's length, then each log's Slots; rebuilt by TableFromSnapshot via Add
+	slots []int
 }
 
 // NewTable creates a table rooted at epoch 0 (empty workload, zero slots).

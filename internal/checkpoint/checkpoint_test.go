@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"astream/internal/core"
@@ -24,35 +25,6 @@ func testQuery(kind core.Kind) *core.Query {
 		return &core.Query{Kind: core.KindAggregation, Arity: 1,
 			Predicates: []expr.Predicate{expr.True().And(expr.Comparison{Field: 0, Op: expr.GT, Value: 20})},
 			Window:     window.TumblingSpec(10), Agg: sqlstream.AggSum, AggField: 1}
-	}
-}
-
-func TestQueryCodecRoundTrip(t *testing.T) {
-	queries := []*core.Query{
-		testQuery(core.KindAggregation),
-		testQuery(core.KindJoin),
-		{Kind: core.KindComplex, Arity: 3,
-			Predicates: []expr.Predicate{expr.True(), expr.True().And(expr.Comparison{Field: 4, Op: expr.LE, Value: -3}), expr.True()},
-			Window:     window.TumblingSpec(6), AggWindow: window.TumblingSpec(12),
-			Agg: sqlstream.AggCount, AggField: -1},
-		{Kind: core.KindSelection, Arity: 1,
-			Predicates: []expr.Predicate{expr.True().And(expr.Comparison{Field: expr.KeyField, Op: expr.EQ, Value: 5})},
-			AggField:   -1},
-		{Kind: core.KindAggregation, Arity: 1,
-			Predicates: []expr.Predicate{expr.True()},
-			Window:     window.SessionSpec(7), Agg: sqlstream.AggAvg, AggField: 2},
-	}
-	for i, q := range queries {
-		got, err := UnmarshalQuery(MarshalQuery(q))
-		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(q, got) {
-			t.Fatalf("query %d round trip mismatch:\n%+v\n%+v", i, q, got)
-		}
-	}
-	if _, err := UnmarshalQuery([]byte{1, 2}); err == nil {
-		t.Fatal("truncated query must fail")
 	}
 }
 
@@ -86,6 +58,43 @@ func TestLogMarshalRoundTrip(t *testing.T) {
 	}
 	if _, err := UnmarshalLog(l.Marshal()[:9]); err == nil {
 		t.Fatal("truncated log must fail")
+	}
+}
+
+// TestLogDecodersRejectTrailingBytes: a record, a whole log and a control
+// blob each decode only when every byte is accounted for. All three used to
+// stop at the last field they knew and ignore the rest.
+func TestLogDecodersRejectTrailingBytes(t *testing.T) {
+	for _, rec := range []Record{
+		{Kind: RecSubmit, Query: testQuery(core.KindJoin)},
+		{Kind: RecTuple, Stream: 1, Tuple: event.Tuple{Key: 3, Time: 17}},
+		{Kind: RecStop, Ordinal: 1},
+	} {
+		enc := AppendRecord(nil, &rec)
+		if _, err := DecodeRecord(enc); err != nil {
+			t.Fatalf("record kind %d: %v", rec.Kind, err)
+		}
+		if _, err := DecodeRecord(append(enc, 0xEE)); err == nil || !strings.Contains(err.Error(), "trailing") {
+			t.Fatalf("record kind %d with a trailing byte: %v", rec.Kind, err)
+		}
+	}
+	l := &Log{}
+	l.Append(Record{Kind: RecStop, Ordinal: 1})
+	if _, err := UnmarshalLog(append(l.Marshal(), 0xEE)); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Fatalf("log with a trailing byte: %v", err)
+	}
+
+	r, err := NewRunner(core.Config{Streams: 1, Parallelism: 1}, &Log{}, NewTxSink())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Finish()
+	blob := r.controlBlob()
+	if _, eng, err := splitControlBlob(blob); err != nil || len(eng) == 0 {
+		t.Fatalf("control blob: engine part %d bytes, err %v", len(eng), err)
+	}
+	if _, _, err := splitControlBlob(append(blob, 0xEE)); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Fatalf("control blob with a trailing byte: %v", err)
 	}
 }
 

@@ -23,16 +23,12 @@
 package checkpoint
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 
 	"astream/internal/core"
 	"astream/internal/event"
-	"astream/internal/expr"
-	"astream/internal/spe"
-	"astream/internal/sqlstream"
-	"astream/internal/window"
+	"astream/internal/wire"
 )
 
 // RecordKind discriminates log records.
@@ -95,79 +91,46 @@ func (l *Log) Slice(from, to int) []Record {
 	return out
 }
 
-// AppendRecord serializes one record onto b, in the same per-record framing
-// Marshal uses for whole logs. The durable backend's write-ahead log encodes
-// each record individually through this helper, so both log representations
-// stay byte-compatible by construction.
+// AppendRecord serializes one record onto b, in the same per-record layout
+// Marshal uses for whole logs (DESIGN.md "Wire format"). The durable
+// backend's write-ahead log frames each record individually through this
+// helper, so both log representations stay byte-compatible by construction.
 func AppendRecord(b []byte, r *Record) []byte {
-	b = append(b, byte(r.Kind))
+	b = wire.AppendU8(b, uint8(r.Kind))
 	switch r.Kind {
 	case RecTuple:
-		b = binary.LittleEndian.AppendUint32(b, uint32(r.Stream))
-		enc := (spe.BinaryCodec{}).Encode(event.NewTuple(r.Tuple))
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(enc)))
-		b = append(b, enc...)
+		b = wire.AppendU32(b, uint32(r.Stream))
+		b = wire.AppendTuple(b, &r.Tuple)
 	case RecSubmit:
-		enc := MarshalQuery(r.Query)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(enc)))
-		b = append(b, enc...)
+		b = core.AppendQuery(b, r.Query)
 	case RecStop:
-		b = binary.LittleEndian.AppendUint32(b, uint32(r.Ordinal))
+		b = wire.AppendU32(b, uint32(r.Ordinal))
 	}
 	return b
 }
 
-// DecodeRecord decodes one record produced by AppendRecord and returns the
-// remaining bytes.
-func DecodeRecord(b []byte) (Record, []byte, error) {
-	var r Record
-	if len(b) < 1 {
-		return r, nil, fmt.Errorf("checkpoint: truncated record kind")
-	}
-	r.Kind = RecordKind(b[0])
-	b = b[1:]
-	switch r.Kind {
+func readRecord(r *wire.Reader) Record {
+	rec := Record{Kind: RecordKind(r.U8("record kind"))}
+	switch rec.Kind {
 	case RecTuple:
-		if len(b) < 8 {
-			return r, nil, fmt.Errorf("checkpoint: truncated tuple header")
-		}
-		r.Stream = int(binary.LittleEndian.Uint32(b))
-		sz := int(binary.LittleEndian.Uint32(b[4:]))
-		b = b[8:]
-		if sz < 0 || len(b) < sz {
-			return r, nil, fmt.Errorf("checkpoint: truncated tuple body")
-		}
-		el, err := (spe.BinaryCodec{}).Decode(b[:sz])
-		if err != nil {
-			return r, nil, err
-		}
-		r.Tuple = el.Tuple
-		b = b[sz:]
+		rec.Stream = int(r.U32("record stream"))
+		rec.Tuple = wire.ReadTuple(r)
 	case RecSubmit:
-		if len(b) < 4 {
-			return r, nil, fmt.Errorf("checkpoint: truncated query header")
-		}
-		sz := int(binary.LittleEndian.Uint32(b))
-		b = b[4:]
-		if sz < 0 || len(b) < sz {
-			return r, nil, fmt.Errorf("checkpoint: truncated query body")
-		}
-		q, err := UnmarshalQuery(b[:sz])
-		if err != nil {
-			return r, nil, err
-		}
-		r.Query = q
-		b = b[sz:]
+		rec.Query = core.ReadQuery(r)
 	case RecStop:
-		if len(b) < 4 {
-			return r, nil, fmt.Errorf("checkpoint: truncated stop record")
-		}
-		r.Ordinal = int(binary.LittleEndian.Uint32(b))
-		b = b[4:]
+		rec.Ordinal = int(r.U32("record stop ordinal"))
 	default:
-		return r, nil, fmt.Errorf("checkpoint: unknown record kind %d", r.Kind)
+		r.Fail(fmt.Errorf("checkpoint: unknown record kind %d", rec.Kind))
 	}
-	return r, b, nil
+	return rec
+}
+
+// DecodeRecord decodes exactly one record produced by AppendRecord; bytes
+// left over are an error.
+func DecodeRecord(b []byte) (Record, error) {
+	r := wire.NewReader(b)
+	rec := readRecord(r)
+	return rec, r.Finish("log record")
 }
 
 // Marshal serializes the whole log (durability simulation: what would be on
@@ -175,8 +138,7 @@ func DecodeRecord(b []byte) (Record, []byte, error) {
 func (l *Log) Marshal() []byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var buf []byte
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(l.recs)))
+	buf := wire.AppendCount(nil, len(l.recs))
 	for i := range l.recs {
 		buf = AppendRecord(buf, &l.recs[i])
 	}
@@ -185,131 +147,14 @@ func (l *Log) Marshal() []byte {
 
 // UnmarshalLog reconstructs a log from Marshal's output.
 func UnmarshalLog(b []byte) (*Log, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("checkpoint: short log")
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
+	r := wire.NewReader(b)
+	n := r.Count("log record count", 5)
 	l := &Log{recs: make([]Record, 0, n)}
-	for i := 0; i < n; i++ {
-		r, rest, err := DecodeRecord(b)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: log record %d: %w", i, err)
-		}
-		l.recs = append(l.recs, r)
-		b = rest
+	for i := 0; i < n && r.Err() == nil; i++ {
+		l.recs = append(l.recs, readRecord(r))
+	}
+	if err := r.Finish("log"); err != nil {
+		return nil, fmt.Errorf("checkpoint: log, %d of %d records in: %w", len(l.recs), n, err)
 	}
 	return l, nil
-}
-
-// MarshalQuery serializes a compiled query.
-func MarshalQuery(q *core.Query) []byte {
-	var b []byte
-	b = append(b, byte(q.Kind))
-	b = binary.LittleEndian.AppendUint32(b, uint32(q.Arity))
-	for _, p := range q.Predicates {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(p.Conj)))
-		for _, c := range p.Conj {
-			b = binary.LittleEndian.AppendUint64(b, uint64(int64(c.Field)))
-			b = append(b, byte(c.Op))
-			b = binary.LittleEndian.AppendUint64(b, uint64(c.Value))
-		}
-	}
-	b = appendSpec(b, q.Window)
-	b = appendSpec(b, q.AggWindow)
-	b = append(b, byte(q.Agg))
-	b = binary.LittleEndian.AppendUint64(b, uint64(int64(q.AggField)))
-	return b
-}
-
-func appendSpec(b []byte, s window.Spec) []byte {
-	b = append(b, byte(s.Kind))
-	b = binary.LittleEndian.AppendUint64(b, uint64(s.Length))
-	b = binary.LittleEndian.AppendUint64(b, uint64(s.Slide))
-	b = binary.LittleEndian.AppendUint64(b, uint64(s.Gap))
-	return b
-}
-
-// UnmarshalQuery reverses MarshalQuery.
-func UnmarshalQuery(b []byte) (*core.Query, error) {
-	r := &byteReader{b: b}
-	q := &core.Query{}
-	q.Kind = core.Kind(r.u8())
-	q.Arity = int(r.u32())
-	if r.err == nil && (q.Arity < 0 || q.Arity > 16) {
-		return nil, fmt.Errorf("checkpoint: bad arity %d", q.Arity)
-	}
-	q.Predicates = make([]expr.Predicate, q.Arity)
-	for i := 0; i < q.Arity && r.err == nil; i++ {
-		n := int(r.u32())
-		if r.err == nil && (n < 0 || n > 64) {
-			return nil, fmt.Errorf("checkpoint: bad predicate size %d", n)
-		}
-		for j := 0; j < n; j++ {
-			c := expr.Comparison{
-				Field: int(int64(r.u64())),
-				Op:    expr.Op(r.u8()),
-				Value: int64(r.u64()),
-			}
-			q.Predicates[i] = q.Predicates[i].And(c)
-		}
-	}
-	q.Window = readSpec(r)
-	q.AggWindow = readSpec(r)
-	q.Agg = sqlstream.AggFunc(r.u8())
-	q.AggField = int(int64(r.u64()))
-	if r.err != nil {
-		return nil, r.err
-	}
-	return q, nil
-}
-
-func readSpec(r *byteReader) window.Spec {
-	return window.Spec{
-		Kind:   window.Kind(r.u8()),
-		Length: event.Time(r.u64()),
-		Slide:  event.Time(r.u64()),
-		Gap:    event.Time(r.u64()),
-	}
-}
-
-type byteReader struct {
-	b   []byte
-	err error
-}
-
-func (r *byteReader) u8() uint8 {
-	if r.err != nil || len(r.b) < 1 {
-		r.fail()
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *byteReader) u32() uint32 {
-	if r.err != nil || len(r.b) < 4 {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
-}
-
-func (r *byteReader) u64() uint64 {
-	if r.err != nil || len(r.b) < 8 {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *byteReader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("checkpoint: truncated query encoding")
-	}
 }

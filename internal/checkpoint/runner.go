@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -9,6 +8,7 @@ import (
 	"astream/internal/core"
 	"astream/internal/event"
 	"astream/internal/spe"
+	"astream/internal/wire"
 )
 
 // Manifest records where checkpoints cut the log: Offsets[i] is the number
@@ -187,32 +187,32 @@ func (r *Runner) Checkpoint() (uint64, error) {
 	return id, nil
 }
 
+const controlBlobVersion = 2
+
 // controlBlob is the runner's per-checkpoint control record: its own
 // ordinal table followed by the engine's control snapshot.
 func (r *Runner) controlBlob() []byte {
-	b := []byte{1} // version
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(r.ordinals)))
+	b := wire.AppendU8(nil, controlBlobVersion)
+	b = wire.AppendCount(b, len(r.ordinals))
 	for _, id := range r.ordinals {
-		b = binary.LittleEndian.AppendUint64(b, uint64(int64(id)))
+		b = wire.AppendI64(b, int64(id))
 	}
-	return append(b, r.eng.ControlSnapshot()...)
+	return wire.AppendBytes(b, r.eng.ControlSnapshot())
 }
 
 // splitControlBlob undoes controlBlob.
 func splitControlBlob(b []byte) (ordinals []int, engine []byte, err error) {
-	if len(b) < 5 || b[0] != 1 {
-		return nil, nil, fmt.Errorf("checkpoint: bad control blob header")
-	}
-	n := int(binary.LittleEndian.Uint32(b[1:5]))
-	b = b[5:]
-	if n < 0 || len(b) < 8*n {
-		return nil, nil, fmt.Errorf("checkpoint: truncated control blob")
-	}
-	ordinals = make([]int, n)
+	r := wire.NewReader(b)
+	r.Version("control blob version", controlBlobVersion)
+	ordinals = make([]int, r.Count("control blob ordinal count", 8))
 	for i := range ordinals {
-		ordinals[i] = int(int64(binary.LittleEndian.Uint64(b[8*i:])))
+		ordinals[i] = int(r.I64("control blob ordinal"))
 	}
-	return ordinals, b[8*n:], nil
+	engine = r.Bytes("control blob engine snapshot")
+	if err := r.Finish("control blob"); err != nil {
+		return nil, nil, err
+	}
+	return ordinals, engine, nil
 }
 
 // Crash abandons the engine, simulating a process failure: buffered,

@@ -36,17 +36,6 @@ type Config struct {
 	Lateness event.Time
 	// WatermarkEvery controls watermark cadence in event-time units.
 	WatermarkEvery event.Time
-	// ChannelCap bounds exchange channels (backpressure).
-	ChannelCap int
-	// ExchangeBatch is the per-edge exchange batch size ceiling (tuples per
-	// channel operation); 1 disables batching, 0 picks the SPE default. Each
-	// edge adapts its actual batch threshold to downstream queue occupancy.
-	ExchangeBatch int
-	// ExchangeFlush bounds how long a partial exchange batch may sit before
-	// a time-based flush ships it, independent of the watermark cadence.
-	// 0 picks the default (1ms); negative disables the time-based flush
-	// (instances still flush whenever their inbox runs dry).
-	ExchangeFlush time.Duration
 	// GroupedThreshold is the active-query count above which the shared
 	// session sends the §3.2.3 marker switching join slice stores from
 	// query-set grouping to flat lists (the paper's heuristic: beyond ~10
@@ -100,23 +89,6 @@ func (c *Config) setDefaults() {
 	if c.WatermarkEvery <= 0 {
 		c.WatermarkEvery = 10
 	}
-	if c.ExchangeBatch <= 0 {
-		c.ExchangeBatch = spe.DefaultExchangeBatch
-	}
-	if c.ExchangeFlush == 0 {
-		c.ExchangeFlush = time.Millisecond
-	}
-	if c.ChannelCap <= 0 {
-		// A channel slot carries a whole batch, so keep the default
-		// in-flight buffering measured in *tuples* (cap × batch) close to
-		// the unbatched configuration — otherwise batching multiplies
-		// queued work by the batch size and event-time latency under
-		// closed-loop saturation balloons with it.
-		c.ChannelCap = spe.DefaultChannelCap / c.ExchangeBatch
-		if c.ChannelCap < 16 {
-			c.ChannelCap = 16
-		}
-	}
 	if c.GroupedThreshold <= 0 {
 		c.GroupedThreshold = 10
 	}
@@ -127,6 +99,13 @@ func (c *Config) setDefaults() {
 		c.NowNanos = func() int64 { return time.Now().UnixNano() }
 	}
 }
+
+// exchangeChannelCap is the inbox capacity of every shared-operator
+// instance. A channel slot carries a whole exchange batch, so in-flight
+// buffering measured in tuples is cap × spe.DefaultExchangeBatch (16 × 64);
+// a larger cap multiplies queued work and, under closed-loop saturation,
+// event-time latency with it.
+const exchangeChannelCap = 16
 
 // Engine is AStream: one deployed shared topology executing every ad-hoc
 // query. Queries are created and deleted at runtime without touching the
@@ -204,9 +183,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	eng.session = newSession(eng, cfg.BatchSize, cfg.BatchTimeout)
 
 	topo := spe.NewTopology()
-	topo.SetChannelCap(cfg.ChannelCap)
-	topo.SetExchangeBatch(cfg.ExchangeBatch)
-	topo.SetFlushInterval(int64(cfg.ExchangeFlush))
+	topo.SetChannelCap(exchangeChannelCap)
 	topo.SetNowNanos(cfg.NowNanos)
 	eng.topo = topo
 

@@ -1,8 +1,34 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 )
+
+// TestKernelRegistryNames pins the kernel registry's exact name set, in
+// order. TestKernelAllocs, the CI benchmark smoke and BENCH_kernels.json all
+// iterate the registry, so a kernel renamed or dropped from it would stop
+// being guarded without any of them noticing; here it fails go test.
+func TestKernelRegistryNames(t *testing.T) {
+	want := []string{
+		"join-kernel-512x512-64q",
+		"selection-ontuple-64q",
+		"selection-512q-overlap",
+		"agg-ontuple-64q",
+		"windowfire-64q-slide8",
+		"chain-sel-agg-64q",
+		"snapshot-delta-encode-64q",
+		"bitset-and-into-128bit",
+		"router-deliver",
+	}
+	var got []string
+	for _, kb := range KernelBenchmarks() {
+		got = append(got, kb.Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("kernel registry changed:\n got %q\nwant %q\n(update this list and BENCH_kernels.json together)", got, want)
+	}
+}
 
 // TestKernelAllocs pins steady-state tuple processing in the shared
 // operators to zero allocations per operation: the ISSUE-2 contract that the

@@ -12,6 +12,7 @@ import (
 	"astream/internal/expr"
 	"astream/internal/sqlstream"
 	"astream/internal/window"
+	"astream/internal/wire"
 )
 
 // Kind classifies a query by which shared operators produce its results.
@@ -192,4 +193,42 @@ func CompileSQL(sq *sqlstream.Query) (*Query, error) {
 		}
 	}
 	return q, nil
+}
+
+// queryMinSize is the encoded size of a query with no predicates.
+const queryMinSize = 8 + 1 + 4 + 4 + 2*wire.SpecSize + 1 + 8
+
+// AppendQuery serializes a compiled query, ID included. This is the one
+// query codec: the input log and the operator/control snapshots share it
+// (log replay re-assigns the ID it reads; snapshots restore the binding).
+func AppendQuery(b []byte, q *Query) []byte {
+	b = wire.AppendI64(b, int64(q.ID))
+	b = wire.AppendU8(b, uint8(q.Kind))
+	b = wire.AppendU32(b, uint32(q.Arity))
+	b = wire.AppendCount(b, len(q.Predicates))
+	for _, p := range q.Predicates {
+		b = wire.AppendPredicate(b, p)
+	}
+	b = wire.AppendSpec(b, q.Window)
+	b = wire.AppendSpec(b, q.AggWindow)
+	b = wire.AppendU8(b, uint8(q.Agg))
+	return wire.AppendI64(b, int64(q.AggField))
+}
+
+// ReadQuery decodes one AppendQuery encoding.
+func ReadQuery(r *wire.Reader) *Query {
+	q := &Query{
+		ID:    int(r.I64("query id")),
+		Kind:  Kind(r.U8("query kind")),
+		Arity: int(r.U32("query arity")),
+	}
+	n := r.Count("query predicate count", 4)
+	for i := 0; i < n; i++ {
+		q.Predicates = append(q.Predicates, wire.ReadPredicate(r))
+	}
+	q.Window = wire.ReadSpec(r)
+	q.AggWindow = wire.ReadSpec(r)
+	q.Agg = sqlstream.AggFunc(r.U8("query agg"))
+	q.AggField = int(r.I64("query agg field"))
+	return q
 }

@@ -8,6 +8,7 @@ import (
 	"astream/internal/changelog"
 	"astream/internal/event"
 	"astream/internal/spe"
+	"astream/internal/wire"
 )
 
 // This file is the engine's failure and recovery surface: recording
@@ -98,25 +99,25 @@ func (e *Engine) ActiveQueryIDs() []int {
 // after every instance snapshot for the barrier has been collected (the
 // checkpoint runner's await), so all of this state is stable.
 func (e *Engine) ControlSnapshot() []byte {
-	b := snapU8(nil, opSnapshotVersion)
-	b = snapBytes(b, e.registry.Snapshot())
-	b = snapU32(b, uint32(len(e.ingress)))
+	b := wire.AppendU8(nil, opSnapshotVersion)
+	b = wire.AppendBytes(b, e.registry.Snapshot())
+	b = wire.AppendU32(b, uint32(len(e.ingress)))
 	e.clTimes.mu.Lock()
 	highs := append([]event.Time(nil), e.clTimes.highs...)
 	e.clTimes.mu.Unlock()
 	for i, ing := range e.ingress {
-		b = snapI64(b, int64(highs[i]))
-		b = snapI64(b, int64(ing.lastTime))
-		b = snapI64(b, int64(ing.lastWM))
+		b = wire.AppendI64(b, int64(highs[i]))
+		b = wire.AppendI64(b, int64(ing.lastTime))
+		b = wire.AppendI64(b, int64(ing.lastWM))
 	}
-	b = snapI64(b, atomic.LoadInt64(&e.nextID))
-	b = snapI64(b, atomic.LoadInt64(&e.maxHorizon))
-	b = snapI64(b, int64(atomic.LoadInt32(&e.storeHint)))
+	b = wire.AppendI64(b, atomic.LoadInt64(&e.nextID))
+	b = wire.AppendI64(b, atomic.LoadInt64(&e.maxHorizon))
+	b = wire.AppendI64(b, int64(atomic.LoadInt32(&e.storeHint)))
 	ids := e.ActiveQueryIDs()
-	b = snapU32(b, uint32(len(ids)))
+	b = wire.AppendCount(b, len(ids))
 	e.defsMu.RLock()
 	for _, id := range ids {
-		b = snapQuery(b, e.defs[id])
+		b = AppendQuery(b, e.defs[id])
 	}
 	e.defsMu.RUnlock()
 	return b
@@ -127,41 +128,37 @@ func (e *Engine) ControlSnapshot() []byte {
 // input is pushed; it also primes every instance's changelog counter so
 // replayed changelogs resume at the restored registry's sequence.
 func (e *Engine) RestoreControl(snapshot []byte) error {
-	r := &snapR{b: snapshot}
-	if v := r.u8("control version"); r.err == nil && v != opSnapshotVersion {
-		return fmt.Errorf("core: control snapshot version %d, want %d", v, opSnapshotVersion)
-	}
-	regBytes := r.bytes("control registry")
-	if r.err != nil {
-		return r.err
+	r := wire.NewReader(snapshot)
+	r.Version("control snapshot version", opSnapshotVersion)
+	regBytes := r.Bytes("control registry")
+	if err := r.Err(); err != nil {
+		return err
 	}
 	reg, err := changelog.RegistryFromSnapshot(regBytes)
 	if err != nil {
 		return err
 	}
-	if n := int(r.u32("control stream count")); r.err == nil && n != len(e.ingress) {
+	if n := int(r.U32("control stream count")); r.Err() == nil && n != len(e.ingress) {
 		return fmt.Errorf("core: control snapshot has %d streams, engine has %d", n, len(e.ingress))
 	}
 	highs := make([]event.Time, len(e.ingress))
 	lastTimes := make([]event.Time, len(e.ingress))
 	lastWMs := make([]event.Time, len(e.ingress))
 	for i := range e.ingress {
-		highs[i] = event.Time(r.i64("control high"))
-		lastTimes[i] = event.Time(r.i64("control lastTime"))
-		lastWMs[i] = event.Time(r.i64("control lastWM"))
+		highs[i] = event.Time(r.I64("control high"))
+		lastTimes[i] = event.Time(r.I64("control lastTime"))
+		lastWMs[i] = event.Time(r.I64("control lastWM"))
 	}
-	nextID := r.i64("control nextID")
-	maxHorizon := r.i64("control maxHorizon")
-	storeHint := r.i64("control storeHint")
-	nq := r.count("control query count", 1)
+	nextID := r.I64("control nextID")
+	maxHorizon := r.I64("control maxHorizon")
+	storeHint := r.I64("control storeHint")
+	nq := r.Count("control query count", queryMinSize)
 	defs := make(map[int]*Query, nq)
-	for i := 0; i < nq && r.err == nil; i++ {
-		q := readSnapQuery(r)
-		if r.err == nil {
-			defs[q.ID] = q
-		}
+	for i := 0; i < nq && r.Err() == nil; i++ {
+		q := ReadQuery(r)
+		defs[q.ID] = q
 	}
-	if err := r.finish("control"); err != nil {
+	if err := r.Finish("control snapshot"); err != nil {
 		return err
 	}
 

@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 
-	"astream/internal/bitset"
-	"astream/internal/event"
 	"astream/internal/spe"
-	"astream/internal/window"
+	"astream/internal/wire"
 )
 
 // This file implements incremental snapshots for the shared aggregation —
@@ -58,65 +56,30 @@ func (a *SharedAggregation) noteSnapshot(full bool) {
 	a.snapTableSeq = a.table.Latest()
 }
 
-// appendDelta serializes the incremental snapshot. The slicer ring is walked
-// in full — slice identity, extent, and epoch are a handful of words each —
-// but a slice's aggregate index is re-encoded only when its fold counter
-// moved since the last snapshot (folds is bumped on every fold, and the only
-// other aggregate mutation is eviction, which removes the slice from the
-// ring entirely). Extents are always re-encoded because epoch transitions
-// may truncate the newest slice in place without folding anything.
+// appendDelta serializes the incremental snapshot: the full-snapshot layout
+// with the changelog table replaced by its delta and every slice's aggregate
+// index preceded by a dirty flag. The slicer ring is walked in full — slice
+// identity, extent, and epoch are a handful of words each — but a slice's
+// aggregate index is re-encoded only when its fold counter moved since the
+// last snapshot (folds is bumped on every fold, and the only other aggregate
+// mutation is eviction, which removes the slice from the ring entirely).
+// Extents are always re-encoded because epoch transitions may truncate the
+// newest slice in place without folding anything.
 func (a *SharedAggregation) appendDelta(b []byte) []byte {
-	b = snapU8(b, spe.DeltaSnapshotMagic)
-	b = snapU32(b, uint32(a.ports))
-	b = snapI64(b, int64(a.lastWM))
-	b = snapI64(b, int64(a.evictedThru))
+	b = wire.AppendU8(b, spe.DeltaSnapshotMagic)
+	b = a.appendClock(b)
 	a.tblScratch = a.table.AppendDelta(a.tblScratch[:0], a.snapTableSeq)
-	b = snapBytes(b, a.tblScratch)
-	b = snapU64(b, a.sl.nextID)
-	b = snapU64(b, a.sl.stride)
-	b = snapU32(b, uint32(len(a.sl.epochs)))
-	for i := range a.sl.epochs {
-		ep := &a.sl.epochs[i]
-		b = snapI64(b, int64(ep.from))
-		b = snapU64(b, ep.seq)
-		b = snapU32(b, uint32(len(ep.specs)))
-		for _, sp := range ep.specs {
-			b = snapSpec(b, sp)
-		}
-	}
-	b = snapU32(b, uint32(len(a.sl.slices)))
-	for _, sl := range a.sl.slices {
-		b = snapU64(b, sl.id)
-		b = snapI64(b, int64(sl.ext.Start))
-		b = snapI64(b, int64(sl.ext.End))
-		b = snapU64(b, sl.epoch)
+	b = wire.AppendBytes(b, a.tblScratch)
+	b = snapSlicer(b, a.sl, func(b []byte, sl *slice) []byte {
 		old, ok := a.snapFolds[sl.id]
 		dirty := !ok || old != sl.folds
-		b = snapBool(b, dirty)
+		b = wire.AppendBool(b, dirty)
 		if dirty {
 			b = snapAggIndex(b, sl.aggs)
 		}
-	}
-	b = snapU32(b, uint32(len(a.maskVersions)))
-	for i := range a.maskVersions {
-		mv := &a.maskVersions[i]
-		b = snapI64(b, int64(mv.from))
-		b = snapU32(b, uint32(len(mv.portMasks)))
-		for _, pm := range mv.portMasks {
-			b = snapBits(b, pm)
-		}
-		b = snapBits(b, mv.selMask)
-		b = snapBits(b, mv.sessMask)
-	}
-	b = snapU32(b, uint32(len(a.activeOrdered)))
-	for _, aq := range a.activeOrdered {
-		b = snapAggQuery(b, aq, true)
-	}
-	b = snapU32(b, uint32(len(a.selOrdered)))
-	for _, sq := range a.selOrdered {
-		b = snapAggQuery(b, sq, false)
-	}
-	return b
+		return b
+	})
+	return a.appendWorkload(b)
 }
 
 // RestoreDelta implements spe.DeltaRestorable: advance a restored instance
@@ -125,18 +88,12 @@ func (a *SharedAggregation) appendDelta(b []byte) []byte {
 // fresh one. Applying a delta to anything other than the exact state it was
 // encoded against is a chain-integrity error and fails loudly.
 func (a *SharedAggregation) RestoreDelta(snapshot []byte) error {
-	r := &snapR{b: snapshot}
-	if m := r.u8("agg delta magic"); r.err == nil && m != spe.DeltaSnapshotMagic {
-		return fmt.Errorf("core: aggregation delta magic %#x, want %#x", m, spe.DeltaSnapshotMagic)
-	}
-	if ports := int(r.u32("agg delta ports")); r.err == nil && ports != a.ports {
-		return fmt.Errorf("core: aggregation delta has %d ports, instance has %d", ports, a.ports)
-	}
-	a.lastWM = event.Time(r.i64("agg delta lastWM"))
-	a.evictedThru = event.Time(r.i64("agg delta evictedThru"))
-	tdelta := r.bytes("agg delta table")
-	if r.err != nil {
-		return r.err
+	r := wire.NewReader(snapshot)
+	r.Version("aggregation delta magic", spe.DeltaSnapshotMagic)
+	a.readClock(r)
+	tdelta := r.Bytes("agg delta table")
+	if err := r.Err(); err != nil {
+		return err
 	}
 	if a.table == nil {
 		return fmt.Errorf("core: aggregation delta applied before a restored base")
@@ -148,84 +105,15 @@ func (a *SharedAggregation) RestoreDelta(snapshot []byte) error {
 	for _, sl := range a.sl.slices {
 		prev[sl.id] = sl.aggs
 	}
-	a.sl.nextID = r.u64("agg delta slicer nextID")
-	a.sl.stride = r.u64("agg delta slicer stride")
-	ne := r.count("agg delta epoch count", 16)
-	a.sl.epochs = a.sl.epochs[:0]
-	for i := 0; i < ne && r.err == nil; i++ {
-		ep := epochInfo{
-			from: event.Time(r.i64("agg delta epoch from")),
-			seq:  r.u64("agg delta epoch seq"),
-		}
-		ns := r.count("agg delta epoch spec count", 25)
-		for j := 0; j < ns && r.err == nil; j++ {
-			ep.specs = append(ep.specs, readSnapSpec(r))
-		}
-		a.sl.epochs = append(a.sl.epochs, ep)
-	}
-	nsl := r.count("agg delta slice count", 29)
-	a.sl.slices = a.sl.slices[:0]
-	for i := 0; i < nsl && r.err == nil; i++ {
-		sl := &slice{
-			id: r.u64("agg delta slice id"),
-			ext: window.Extent{
-				Start: event.Time(r.i64("agg delta slice start")),
-				End:   event.Time(r.i64("agg delta slice end")),
-			},
-			epoch: r.u64("agg delta slice epoch"),
-		}
-		if r.boolean("agg delta slice dirty") {
+	restoreSlicer(r, a.sl, func(r *wire.Reader, sl *slice) {
+		if r.Bool("agg delta slice dirty") {
 			sl.aggs = readAggIndex(r)
-		} else if r.err == nil {
-			aggs, ok := prev[sl.id]
-			if !ok {
-				return fmt.Errorf("core: aggregation delta carries forward slice %d absent from the restored chain", sl.id)
-			}
+		} else if aggs, ok := prev[sl.id]; ok {
 			sl.aggs = aggs
+		} else if r.Err() == nil {
+			r.Fail(fmt.Errorf("core: aggregation delta carries forward slice %d absent from the restored chain", sl.id))
 		}
-		if r.err == nil {
-			a.sl.slices = append(a.sl.slices, sl)
-		}
-	}
-	nmv := r.count("agg delta mask version count", 20)
-	a.maskVersions = a.maskVersions[:0]
-	for i := 0; i < nmv && r.err == nil; i++ {
-		mv := maskVersion{from: event.Time(r.i64("agg delta mask from"))}
-		np := r.count("agg delta port mask count", 4)
-		mv.portMasks = make([]bitset.Bits, 0, np)
-		for p := 0; p < np && r.err == nil; p++ {
-			mv.portMasks = append(mv.portMasks, r.bits("agg delta port mask"))
-		}
-		mv.selMask = r.bits("agg delta sel mask")
-		mv.sessMask = r.bits("agg delta sess mask")
-		a.maskVersions = append(a.maskVersions, mv)
-	}
-	na := r.count("agg delta active count", 32)
-	a.active = make(map[int]*aggQuery, na)
-	a.activeOrdered = a.activeOrdered[:0]
-	for i := 0; i < na && r.err == nil; i++ {
-		aq := readAggQuery(r, true)
-		if r.err == nil {
-			a.active[aq.q.ID] = aq
-			a.activeOrdered = insertBySlot(a.activeOrdered, aq)
-		}
-	}
-	ns := r.count("agg delta selection count", 32)
-	a.selection = make(map[int]*aggQuery, ns)
-	a.selOrdered = a.selOrdered[:0]
-	for i := 0; i < ns && r.err == nil; i++ {
-		sq := readAggQuery(r, false)
-		if r.err == nil {
-			a.selection[sq.q.ID] = sq
-			a.selOrdered = insertBySlot(a.selOrdered, sq)
-		}
-	}
-	if err := r.finish("aggregation delta"); err != nil {
-		return err
-	}
-	if len(a.maskVersions) == 0 {
-		a.maskVersions = []maskVersion{{from: event.MinTime, portMasks: make([]bitset.Bits, a.ports)}}
-	}
-	a.rebuildMergeTree()
-	return nil
+	})
+	a.readWorkload(r)
+	return r.Finish("aggregation delta")
 }

@@ -11,6 +11,7 @@ import (
 	"astream/internal/spe"
 	"astream/internal/sqlstream"
 	"astream/internal/window"
+	"astream/internal/wire"
 )
 
 // These tests pin the incremental-snapshot contract of the shared
@@ -163,38 +164,22 @@ func TestAggregationDeltaOmitsCleanSlices(t *testing.T) {
 // restore path uses.
 func countDeltaSlices(t *testing.T, delta []byte) (dirty, clean int) {
 	t.Helper()
-	r := &snapR{b: delta}
-	r.u8("magic")
-	r.u32("ports")
-	r.i64("lastWM")
-	r.i64("evictedThru")
-	r.bytes("table delta")
-	r.u64("nextID")
-	r.u64("stride")
-	ne := r.count("epochs", 16)
-	for i := 0; i < ne && r.err == nil; i++ {
-		r.i64("from")
-		r.u64("seq")
-		ns := r.count("specs", 25)
-		for j := 0; j < ns; j++ {
-			readSnapSpec(r)
-		}
-	}
-	n := r.count("slices", 29)
-	for i := 0; i < n && r.err == nil; i++ {
-		r.u64("id")
-		r.i64("start")
-		r.i64("end")
-		r.u64("epoch")
-		if r.boolean("dirty") {
+	r := wire.NewReader(delta)
+	r.Version("magic", spe.DeltaSnapshotMagic)
+	r.U32("ports")
+	r.I64("lastWM")
+	r.I64("evictedThru")
+	r.Bytes("table delta")
+	restoreSlicer(r, &slicer{}, func(r *wire.Reader, _ *slice) {
+		if r.Bool("dirty") {
 			dirty++
 			readAggIndex(r)
 		} else {
 			clean++
 		}
-	}
-	if r.err != nil {
-		t.Fatalf("delta decode: %v", r.err)
+	})
+	if r.Err() != nil {
+		t.Fatalf("delta decode: %v", r.Err())
 	}
 	return dirty, clean
 }

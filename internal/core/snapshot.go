@@ -1,16 +1,14 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"astream/internal/bitset"
 	"astream/internal/changelog"
 	"astream/internal/event"
-	"astream/internal/expr"
 	"astream/internal/spe"
-	"astream/internal/sqlstream"
 	"astream/internal/window"
+	"astream/internal/wire"
 )
 
 // This file implements Snapshot/Restore for the shared operators: each
@@ -21,232 +19,22 @@ import (
 // suffix replay (paper §3.3's determinism makes the two equivalent; the
 // snapshot only bounds the replay length).
 //
-// Format discipline matches internal/checkpoint's log encoding:
-// little-endian fixed-width integers, length-prefixed sequences, one
+// Everything is written with internal/wire (DESIGN.md "Wire format"), one
 // leading version byte per operator snapshot. Everything serialized is a
 // deterministic function of the operator's event-time input, so two
 // instances that processed the same prefix produce byte-identical
 // snapshots.
 
-const opSnapshotVersion = 1
+const opSnapshotVersion = 2
 
-func snapU8(b []byte, v uint8) []byte   { return append(b, v) }
-func snapU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func snapU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-func snapI64(b []byte, v int64) []byte  { return binary.LittleEndian.AppendUint64(b, uint64(v)) }
-
-func snapBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
+// readSlot reads a query slot, rejecting numbers no engine could have
+// assigned (changelog.MaxSlots) before anything is sized from them.
+func readSlot(r *wire.Reader, what string) int {
+	slot := int(r.U32(what))
+	if slot >= changelog.MaxSlots {
+		r.Fail(fmt.Errorf("core: %s %d is beyond the %d slots an engine can hold", what, slot, changelog.MaxSlots))
 	}
-	return append(b, 0)
-}
-
-func snapBits(b []byte, bits bitset.Bits) []byte {
-	n := bits.WordCount()
-	b = snapU32(b, uint32(n))
-	for i := 0; i < n; i++ {
-		b = snapU64(b, bits.Word(i))
-	}
-	return b
-}
-
-func snapBytes(b, p []byte) []byte {
-	b = snapU32(b, uint32(len(p)))
-	return append(b, p...)
-}
-
-// snapR decodes operator snapshots, accumulating the first error (the
-// byteReader idiom used across the checkpoint encodings).
-type snapR struct {
-	b   []byte
-	err error
-}
-
-func (r *snapR) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("core: snapshot truncated reading %s", what)
-	}
-}
-
-func (r *snapR) u8(what string) uint8 {
-	if r.err != nil || len(r.b) < 1 {
-		r.fail(what)
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *snapR) u32(what string) uint32 {
-	if r.err != nil || len(r.b) < 4 {
-		r.fail(what)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
-}
-
-func (r *snapR) u64(what string) uint64 {
-	if r.err != nil || len(r.b) < 8 {
-		r.fail(what)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *snapR) i64(what string) int64 { return int64(r.u64(what)) }
-
-func (r *snapR) boolean(what string) bool { return r.u8(what) == 1 }
-
-// count reads a length prefix and sanity-checks it against the remaining
-// bytes (each element needs at least `unit` bytes), so corrupt input fails
-// instead of allocating unboundedly.
-func (r *snapR) count(what string, unit int) int {
-	n := int(r.u32(what))
-	if r.err == nil && (n < 0 || (unit > 0 && n > len(r.b)/unit+1)) {
-		r.fail(what)
-		return 0
-	}
-	return n
-}
-
-func (r *snapR) bits(what string) bitset.Bits {
-	n := r.count(what, 8)
-	if r.err != nil || n == 0 {
-		return bitset.Bits{}
-	}
-	words := make([]uint64, n)
-	for i := range words {
-		words[i] = r.u64(what)
-	}
-	return bitset.FromWords(words)
-}
-
-func (r *snapR) bytes(what string) []byte {
-	n := r.count(what, 1)
-	if r.err != nil {
-		return nil
-	}
-	if n > len(r.b) {
-		r.fail(what)
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-// finish reports the first decode error, or rejects trailing input. Unread
-// bytes after a complete decode mean the snapshot was written by an encoder
-// this build does not understand (a newer schema appended fields); ignoring
-// them would silently drop state, so restores must fail loudly instead.
-func (r *snapR) finish(what string) error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("core: %s snapshot has %d trailing bytes (version skew?)", what, len(r.b))
-	}
-	return nil
-}
-
-// --- shared value codecs ---
-
-func snapTuple(b []byte, t *event.Tuple) []byte {
-	b = snapI64(b, t.Key)
-	for _, f := range t.Fields {
-		b = snapI64(b, f)
-	}
-	b = snapI64(b, int64(t.Time))
-	b = snapI64(b, t.IngestNanos)
-	b = snapU8(b, t.Stream)
-	b = snapBits(b, t.QuerySet)
-	return b
-}
-
-func readTuple(r *snapR) event.Tuple {
-	var t event.Tuple
-	t.Key = r.i64("tuple key")
-	for i := range t.Fields {
-		t.Fields[i] = r.i64("tuple field")
-	}
-	t.Time = event.Time(r.i64("tuple time"))
-	t.IngestNanos = r.i64("tuple ingest")
-	t.Stream = r.u8("tuple stream")
-	t.QuerySet = r.bits("tuple query-set")
-	return t
-}
-
-func snapSpec(b []byte, s window.Spec) []byte {
-	b = snapU8(b, uint8(s.Kind))
-	b = snapI64(b, int64(s.Length))
-	b = snapI64(b, int64(s.Slide))
-	b = snapI64(b, int64(s.Gap))
-	return b
-}
-
-func readSnapSpec(r *snapR) window.Spec {
-	return window.Spec{
-		Kind:   window.Kind(r.u8("spec kind")),
-		Length: event.Time(r.i64("spec length")),
-		Slide:  event.Time(r.i64("spec slide")),
-		Gap:    event.Time(r.i64("spec gap")),
-	}
-}
-
-// snapQuery serializes a compiled query including its engine-assigned ID
-// (checkpoint.MarshalQuery deliberately omits the ID because the replay
-// path re-assigns it; a snapshot must restore the exact binding).
-func snapQuery(b []byte, q *Query) []byte {
-	b = snapI64(b, int64(q.ID))
-	b = snapU8(b, uint8(q.Kind))
-	b = snapU32(b, uint32(q.Arity))
-	for _, p := range q.Predicates {
-		b = snapU32(b, uint32(len(p.Conj)))
-		for _, c := range p.Conj {
-			b = snapI64(b, int64(c.Field))
-			b = snapU8(b, uint8(c.Op))
-			b = snapI64(b, c.Value)
-		}
-	}
-	b = snapSpec(b, q.Window)
-	b = snapSpec(b, q.AggWindow)
-	b = snapU8(b, uint8(q.Agg))
-	b = snapI64(b, int64(q.AggField))
-	return b
-}
-
-func readSnapQuery(r *snapR) *Query {
-	q := &Query{}
-	q.ID = int(r.i64("query id"))
-	q.Kind = Kind(r.u8("query kind"))
-	q.Arity = int(r.u32("query arity"))
-	if r.err == nil && (q.Arity < 0 || q.Arity > 16) {
-		r.fail("query arity")
-		return q
-	}
-	q.Predicates = make([]expr.Predicate, q.Arity)
-	for i := 0; i < q.Arity && r.err == nil; i++ {
-		n := r.count("predicate size", 17)
-		for j := 0; j < n; j++ {
-			c := expr.Comparison{
-				Field: int(r.i64("comparison field")),
-				Op:    expr.Op(r.u8("comparison op")),
-				Value: r.i64("comparison value"),
-			}
-			q.Predicates[i] = q.Predicates[i].And(c)
-		}
-	}
-	q.Window = readSnapSpec(r)
-	q.AggWindow = readSnapSpec(r)
-	q.Agg = sqlstream.AggFunc(r.u8("query agg"))
-	q.AggField = int(r.i64("query agg field"))
-	return q
+	return slot
 }
 
 // --- slice store ---
@@ -258,126 +46,129 @@ func readSnapQuery(r *snapR) *Query {
 // byte-for-byte for replay determinism.
 func snapSliceStore(b []byte, s *sliceStore) []byte {
 	if s == nil {
-		return snapBool(b, false)
+		return wire.AppendBool(b, false)
 	}
-	b = snapBool(b, true)
-	b = snapU8(b, uint8(s.mode))
-	b = snapBool(b, s.grouped)
-	b = snapU32(b, uint32(s.count))
+	b = wire.AppendBool(b, true)
+	b = wire.AppendU8(b, uint8(s.mode))
+	b = wire.AppendBool(b, s.grouped)
+	b = wire.AppendU32(b, uint32(s.count))
 	if s.grouped {
-		b = snapU32(b, uint32(s.groups.len()))
+		b = wire.AppendCount(b, s.groups.len())
 		for _, g := range s.groups.order {
-			b = snapBits(b, g.qs)
-			b = snapU32(b, uint32(len(g.tuples)))
+			b = wire.AppendBits(b, g.qs)
+			b = wire.AppendCount(b, len(g.tuples))
 			for i := range g.tuples {
-				b = snapTuple(b, &g.tuples[i])
+				b = wire.AppendTuple(b, &g.tuples[i])
 			}
 		}
 		return b
 	}
-	b = snapU32(b, uint32(len(s.list)))
+	b = wire.AppendCount(b, len(s.list))
 	for i := range s.list {
-		b = snapTuple(b, &s.list[i])
+		b = wire.AppendTuple(b, &s.list[i])
 	}
 	return b
 }
 
-func readSliceStore(r *snapR) *sliceStore {
-	if !r.boolean("store present") {
+func readSliceStore(r *wire.Reader) *sliceStore {
+	if !r.Bool("store present") {
 		return nil
 	}
 	s := &sliceStore{
-		mode:    StoreMode(r.u8("store mode")),
-		grouped: r.boolean("store grouped"),
-		count:   int(r.u32("store count")),
+		mode:    StoreMode(r.U8("store mode")),
+		grouped: r.Bool("store grouped"),
+		count:   int(r.U32("store count")),
 	}
 	if s.grouped {
 		s.groups = newQSIndex[tupleGroup]()
-		ng := r.count("store group count", 8)
-		for gi := 0; gi < ng && r.err == nil; gi++ {
-			g := &tupleGroup{qs: r.bits("group query-set")}
-			nt := r.count("group tuple count", 8)
-			for ti := 0; ti < nt && r.err == nil; ti++ {
-				g.tuples = append(g.tuples, readTuple(r))
+		ng := r.Count("store group count", 8)
+		for gi := 0; gi < ng && r.Err() == nil; gi++ {
+			g := &tupleGroup{qs: r.Bits("group query-set")}
+			nt := r.Count("group tuple count", wire.TupleMinSize)
+			for ti := 0; ti < nt && r.Err() == nil; ti++ {
+				g.tuples = append(g.tuples, wire.ReadTuple(r))
 			}
-			if r.err == nil {
+			if r.Err() == nil {
 				s.groups.put(g.qs, g)
 			}
 		}
 		return s
 	}
-	nt := r.count("store tuple count", 8)
-	for ti := 0; ti < nt && r.err == nil; ti++ {
-		s.list = append(s.list, readTuple(r))
+	nt := r.Count("store tuple count", wire.TupleMinSize)
+	for ti := 0; ti < nt && r.Err() == nil; ti++ {
+		s.list = append(s.list, wire.ReadTuple(r))
 	}
 	return s
 }
 
 // --- aggregation slice payload ---
 
+// aggValSize is the fixed encoded size of one partial aggregate.
+const aggValSize = 8 * (2 + 3*event.NumFields)
+
 func snapAggVal(b []byte, v *aggVal) []byte {
-	b = snapI64(b, v.Count)
+	b = wire.AppendI64(b, v.Count)
 	for i := 0; i < event.NumFields; i++ {
-		b = snapI64(b, v.Sum[i])
+		b = wire.AppendI64(b, v.Sum[i])
 	}
 	for i := 0; i < event.NumFields; i++ {
-		b = snapI64(b, v.Min[i])
+		b = wire.AppendI64(b, v.Min[i])
 	}
 	for i := 0; i < event.NumFields; i++ {
-		b = snapI64(b, v.Max[i])
+		b = wire.AppendI64(b, v.Max[i])
 	}
-	b = snapI64(b, v.IngestNanos)
+	b = wire.AppendI64(b, v.IngestNanos)
 	return b
 }
 
-func readAggVal(r *snapR) *aggVal {
+func readAggVal(r *wire.Reader) *aggVal {
 	v := &aggVal{}
-	v.Count = r.i64("aggval count")
+	v.Count = r.I64("aggval count")
 	for i := 0; i < event.NumFields; i++ {
-		v.Sum[i] = r.i64("aggval sum")
+		v.Sum[i] = r.I64("aggval sum")
 	}
 	for i := 0; i < event.NumFields; i++ {
-		v.Min[i] = r.i64("aggval min")
+		v.Min[i] = r.I64("aggval min")
 	}
 	for i := 0; i < event.NumFields; i++ {
-		v.Max[i] = r.i64("aggval max")
+		v.Max[i] = r.I64("aggval max")
 	}
-	v.IngestNanos = r.i64("aggval ingest")
+	v.IngestNanos = r.I64("aggval ingest")
 	return v
 }
 
 func snapAggIndex(b []byte, x *qsIndex[aggGroup]) []byte {
 	if x == nil {
-		return snapBool(b, false)
+		return wire.AppendBool(b, false)
 	}
-	b = snapBool(b, true)
-	b = snapU32(b, uint32(x.len()))
+	b = wire.AppendBool(b, true)
+	b = wire.AppendCount(b, x.len())
 	for _, g := range x.order {
-		b = snapBits(b, g.qs)
-		b = snapU32(b, uint32(len(g.keys)))
+		b = wire.AppendBits(b, g.qs)
+		b = wire.AppendCount(b, len(g.keys))
 		for _, key := range g.keys {
-			b = snapI64(b, key)
+			b = wire.AppendI64(b, key)
 			b = snapAggVal(b, g.byKey[key])
 		}
 	}
 	return b
 }
 
-func readAggIndex(r *snapR) *qsIndex[aggGroup] {
-	if !r.boolean("aggs present") {
+func readAggIndex(r *wire.Reader) *qsIndex[aggGroup] {
+	if !r.Bool("aggs present") {
 		return nil
 	}
 	x := newQSIndex[aggGroup]()
-	ng := r.count("agg group count", 8)
-	for gi := 0; gi < ng && r.err == nil; gi++ {
-		g := &aggGroup{qs: r.bits("agg group query-set"), byKey: make(map[int64]*aggVal)}
-		nk := r.count("agg key count", 8)
-		for ki := 0; ki < nk && r.err == nil; ki++ {
-			key := r.i64("agg key")
+	ng := r.Count("agg group count", 8)
+	for gi := 0; gi < ng && r.Err() == nil; gi++ {
+		g := &aggGroup{qs: r.Bits("agg group query-set"), byKey: make(map[int64]*aggVal)}
+		nk := r.Count("agg key count", 8+aggValSize)
+		for ki := 0; ki < nk && r.Err() == nil; ki++ {
+			key := r.I64("agg key")
 			g.byKey[key] = readAggVal(r)
 			g.keys = append(g.keys, key)
 		}
-		if r.err == nil {
+		if r.Err() == nil {
 			x.put(g.qs, g)
 		}
 	}
@@ -387,58 +178,58 @@ func readAggIndex(r *snapR) *qsIndex[aggGroup] {
 // --- slicer ---
 
 func snapSlicer(b []byte, s *slicer, payload func([]byte, *slice) []byte) []byte {
-	b = snapU64(b, s.nextID)
-	b = snapU64(b, s.stride)
-	b = snapU32(b, uint32(len(s.epochs)))
+	b = wire.AppendU64(b, s.nextID)
+	b = wire.AppendU64(b, s.stride)
+	b = wire.AppendCount(b, len(s.epochs))
 	for i := range s.epochs {
 		ep := &s.epochs[i]
-		b = snapI64(b, int64(ep.from))
-		b = snapU64(b, ep.seq)
-		b = snapU32(b, uint32(len(ep.specs)))
+		b = wire.AppendI64(b, int64(ep.from))
+		b = wire.AppendU64(b, ep.seq)
+		b = wire.AppendCount(b, len(ep.specs))
 		for _, sp := range ep.specs {
-			b = snapSpec(b, sp)
+			b = wire.AppendSpec(b, sp)
 		}
 	}
-	b = snapU32(b, uint32(len(s.slices)))
+	b = wire.AppendCount(b, len(s.slices))
 	for _, sl := range s.slices {
-		b = snapU64(b, sl.id)
-		b = snapI64(b, int64(sl.ext.Start))
-		b = snapI64(b, int64(sl.ext.End))
-		b = snapU64(b, sl.epoch)
+		b = wire.AppendU64(b, sl.id)
+		b = wire.AppendI64(b, int64(sl.ext.Start))
+		b = wire.AppendI64(b, int64(sl.ext.End))
+		b = wire.AppendU64(b, sl.epoch)
 		b = payload(b, sl)
 	}
 	return b
 }
 
-func restoreSlicer(r *snapR, s *slicer, payload func(*snapR, *slice)) {
-	s.nextID = r.u64("slicer nextID")
-	s.stride = r.u64("slicer stride")
-	ne := r.count("slicer epoch count", 16)
+func restoreSlicer(r *wire.Reader, s *slicer, payload func(*wire.Reader, *slice)) {
+	s.nextID = r.U64("slicer nextID")
+	s.stride = r.U64("slicer stride")
+	ne := r.Count("slicer epoch count", 20)
 	s.epochs = s.epochs[:0]
-	for i := 0; i < ne && r.err == nil; i++ {
+	for i := 0; i < ne && r.Err() == nil; i++ {
 		ep := epochInfo{
-			from: event.Time(r.i64("epoch from")),
-			seq:  r.u64("epoch seq"),
+			from: event.Time(r.I64("epoch from")),
+			seq:  r.U64("epoch seq"),
 		}
-		ns := r.count("epoch spec count", 25)
-		for j := 0; j < ns && r.err == nil; j++ {
-			ep.specs = append(ep.specs, readSnapSpec(r))
+		ns := r.Count("epoch spec count", wire.SpecSize)
+		for j := 0; j < ns && r.Err() == nil; j++ {
+			ep.specs = append(ep.specs, wire.ReadSpec(r))
 		}
 		s.epochs = append(s.epochs, ep)
 	}
-	nsl := r.count("slicer slice count", 32)
+	nsl := r.Count("slicer slice count", 33)
 	s.slices = s.slices[:0]
-	for i := 0; i < nsl && r.err == nil; i++ {
+	for i := 0; i < nsl && r.Err() == nil; i++ {
 		sl := &slice{
-			id: r.u64("slice id"),
+			id: r.U64("slice id"),
 			ext: window.Extent{
-				Start: event.Time(r.i64("slice start")),
-				End:   event.Time(r.i64("slice end")),
+				Start: event.Time(r.I64("slice start")),
+				End:   event.Time(r.I64("slice end")),
 			},
-			epoch: r.u64("slice epoch"),
+			epoch: r.U64("slice epoch"),
 		}
 		payload(r, sl)
-		if r.err == nil {
+		if r.Err() == nil {
 			s.slices = append(s.slices, sl)
 		}
 	}
@@ -447,19 +238,17 @@ func restoreSlicer(r *snapR, s *slicer, payload func(*snapR, *slice)) {
 // --- changelog table (length-prefixed passthrough) ---
 
 func snapTable(b []byte, t *changelog.Table) []byte {
-	return snapBytes(b, t.Snapshot())
+	return wire.AppendBytes(b, t.Snapshot())
 }
 
-func readSnapTable(r *snapR) *changelog.Table {
-	enc := r.bytes("changelog table")
-	if r.err != nil {
+func readSnapTable(r *wire.Reader) *changelog.Table {
+	enc := r.Bytes("changelog table")
+	if r.Err() != nil {
 		return nil
 	}
 	t, err := changelog.TableFromSnapshot(enc)
 	if err != nil {
-		if r.err == nil {
-			r.err = err
-		}
+		r.Fail(err)
 		return nil
 	}
 	return t
@@ -469,22 +258,17 @@ func readSnapTable(r *snapR) *changelog.Table {
 
 // OnBarrier implements spe.Logic: serialize the versioned predicate table.
 func (s *SharedSelection) OnBarrier(uint64, *spe.Emitter) []byte {
-	b := snapU8(nil, opSnapshotVersion)
-	b = snapI64(b, int64(s.wm))
-	b = snapU32(b, uint32(len(s.versions)))
+	b := wire.AppendU8(nil, opSnapshotVersion)
+	b = wire.AppendI64(b, int64(s.wm))
+	b = wire.AppendCount(b, len(s.versions))
 	for i := range s.versions {
 		v := &s.versions[i]
-		b = snapI64(b, int64(v.from))
-		b = snapU32(b, uint32(len(v.entries)))
+		b = wire.AppendI64(b, int64(v.from))
+		b = wire.AppendCount(b, len(v.entries))
 		for _, e := range v.entries {
-			b = snapU32(b, uint32(e.slot))
-			b = snapI64(b, int64(e.id))
-			b = snapU32(b, uint32(len(e.pred.Conj)))
-			for _, c := range e.pred.Conj {
-				b = snapI64(b, int64(c.Field))
-				b = snapU8(b, uint8(c.Op))
-				b = snapI64(b, c.Value)
-			}
+			b = wire.AppendU32(b, uint32(e.slot))
+			b = wire.AppendI64(b, int64(e.id))
+			b = wire.AppendPredicate(b, e.pred)
 		}
 	}
 	return b
@@ -492,35 +276,24 @@ func (s *SharedSelection) OnBarrier(uint64, *spe.Emitter) []byte {
 
 // Restore implements spe.Restorable.
 func (s *SharedSelection) Restore(snapshot []byte) error {
-	r := &snapR{b: snapshot}
-	if v := r.u8("selection version"); r.err == nil && v != opSnapshotVersion {
-		return fmt.Errorf("core: selection snapshot version %d, want %d", v, opSnapshotVersion)
-	}
-	wm := event.Time(r.i64("selection wm"))
-	nv := r.count("selection version count", 12)
+	r := wire.NewReader(snapshot)
+	r.Version("selection snapshot version", opSnapshotVersion)
+	wm := event.Time(r.I64("selection wm"))
+	nv := r.Count("selection version count", 12)
 	versions := make([]selVersion, 0, nv)
-	for i := 0; i < nv && r.err == nil; i++ {
-		v := selVersion{from: event.Time(r.i64("version from"))}
-		ne := r.count("version entry count", 16)
-		for j := 0; j < ne && r.err == nil; j++ {
-			e := selEntry{
-				slot: int(r.u32("entry slot")),
-				id:   int(r.i64("entry id")),
-			}
-			nc := r.count("entry conj count", 17)
-			for k := 0; k < nc && r.err == nil; k++ {
-				c := expr.Comparison{
-					Field: int(r.i64("conj field")),
-					Op:    expr.Op(r.u8("conj op")),
-					Value: r.i64("conj value"),
-				}
-				e.pred = e.pred.And(c)
-			}
-			v.entries = append(v.entries, e)
+	for i := 0; i < nv && r.Err() == nil; i++ {
+		v := selVersion{from: event.Time(r.I64("version from"))}
+		ne := r.Count("version entry count", 16)
+		for j := 0; j < ne && r.Err() == nil; j++ {
+			v.entries = append(v.entries, selEntry{
+				slot: readSlot(r, "entry slot"),
+				id:   int(r.I64("entry id")),
+				pred: wire.ReadPredicate(r),
+			})
 		}
 		versions = append(versions, v)
 	}
-	if err := r.finish("selection"); err != nil {
+	if err := r.Finish("selection"); err != nil {
 		return err
 	}
 	if len(versions) == 0 {
@@ -539,63 +312,61 @@ func (s *SharedSelection) Restore(snapshot []byte) error {
 // pair cache is deliberately excluded — it is a pure memoization over slice
 // contents and rebuilds on demand.
 func (j *SharedJoin) OnBarrier(uint64, *spe.Emitter) []byte {
-	b := snapU8(nil, opSnapshotVersion)
-	b = snapU8(b, uint8(j.storeMode))
-	b = snapI64(b, int64(j.lastWM))
-	b = snapI64(b, int64(j.evictedThru[0]))
-	b = snapI64(b, int64(j.evictedThru[1]))
+	b := wire.AppendU8(nil, opSnapshotVersion)
+	b = wire.AppendU8(b, uint8(j.storeMode))
+	b = wire.AppendI64(b, int64(j.lastWM))
+	b = wire.AppendI64(b, int64(j.evictedThru[0]))
+	b = wire.AppendI64(b, int64(j.evictedThru[1]))
 	b = snapTable(b, j.table)
 	for _, side := range j.sides {
 		b = snapSlicer(b, side, func(b []byte, sl *slice) []byte {
 			return snapSliceStore(b, sl.store)
 		})
 	}
-	b = snapU32(b, uint32(len(j.activeOrdered)))
+	b = wire.AppendCount(b, len(j.activeOrdered))
 	for _, aq := range j.activeOrdered {
-		b = snapQuery(b, aq.q)
-		b = snapU32(b, uint32(aq.slot))
-		b = snapBool(b, aq.terminal)
-		b = snapI64(b, int64(aq.since))
-		b = snapI64(b, int64(aq.until))
-		b = snapU64(b, aq.endEpoch)
+		b = AppendQuery(b, aq.q)
+		b = wire.AppendU32(b, uint32(aq.slot))
+		b = wire.AppendBool(b, aq.terminal)
+		b = wire.AppendI64(b, int64(aq.since))
+		b = wire.AppendI64(b, int64(aq.until))
+		b = wire.AppendU64(b, aq.endEpoch)
 	}
 	return b
 }
 
 // Restore implements spe.Restorable.
 func (j *SharedJoin) Restore(snapshot []byte) error {
-	r := &snapR{b: snapshot}
-	if v := r.u8("join version"); r.err == nil && v != opSnapshotVersion {
-		return fmt.Errorf("core: join snapshot version %d, want %d", v, opSnapshotVersion)
-	}
-	j.storeMode = StoreMode(r.u8("join store mode"))
-	j.lastWM = event.Time(r.i64("join lastWM"))
-	j.evictedThru[0] = event.Time(r.i64("join evictedThru[0]"))
-	j.evictedThru[1] = event.Time(r.i64("join evictedThru[1]"))
+	r := wire.NewReader(snapshot)
+	r.Version("join snapshot version", opSnapshotVersion)
+	j.storeMode = StoreMode(r.U8("join store mode"))
+	j.lastWM = event.Time(r.I64("join lastWM"))
+	j.evictedThru[0] = event.Time(r.I64("join evictedThru[0]"))
+	j.evictedThru[1] = event.Time(r.I64("join evictedThru[1]"))
 	j.table = readSnapTable(r)
 	for _, side := range j.sides {
-		restoreSlicer(r, side, func(r *snapR, sl *slice) {
+		restoreSlicer(r, side, func(r *wire.Reader, sl *slice) {
 			sl.store = readSliceStore(r)
 		})
 	}
-	nq := r.count("join query count", 32)
+	nq := r.Count("join query count", queryMinSize)
 	j.active = make(map[int]*joinQuery, nq)
 	j.activeOrdered = j.activeOrdered[:0]
-	for i := 0; i < nq && r.err == nil; i++ {
+	for i := 0; i < nq && r.Err() == nil; i++ {
 		aq := &joinQuery{
-			q:        readSnapQuery(r),
-			slot:     int(r.u32("join query slot")),
-			terminal: r.boolean("join query terminal"),
-			since:    event.Time(r.i64("join query since")),
-			until:    event.Time(r.i64("join query until")),
-			endEpoch: r.u64("join query endEpoch"),
+			q:        ReadQuery(r),
+			slot:     readSlot(r, "join query slot"),
+			terminal: r.Bool("join query terminal"),
+			since:    event.Time(r.I64("join query since")),
+			until:    event.Time(r.I64("join query until")),
+			endEpoch: r.U64("join query endEpoch"),
 		}
-		if r.err == nil {
+		if r.Err() == nil {
 			j.active[aq.q.ID] = aq
 			j.insertOrdered(aq)
 		}
 	}
-	if err := r.finish("join"); err != nil {
+	if err := r.Finish("join"); err != nil {
 		return err
 	}
 	j.pairCache = make(map[uint64][]event.JoinedTuple)
@@ -609,30 +380,41 @@ func (j *SharedJoin) Restore(snapshot []byte) error {
 // partials), the changelog-set table, the versioned masks, and both query
 // tables including open session windows.
 func (a *SharedAggregation) OnBarrier(uint64, *spe.Emitter) []byte {
-	b := snapU8(nil, opSnapshotVersion)
-	b = snapU32(b, uint32(a.ports))
-	b = snapI64(b, int64(a.lastWM))
-	b = snapI64(b, int64(a.evictedThru))
+	b := wire.AppendU8(nil, opSnapshotVersion)
+	b = a.appendClock(b)
 	b = snapTable(b, a.table)
 	b = snapSlicer(b, a.sl, func(b []byte, sl *slice) []byte {
 		return snapAggIndex(b, sl.aggs)
 	})
-	b = snapU32(b, uint32(len(a.maskVersions)))
+	return a.appendWorkload(b)
+}
+
+// appendClock and appendWorkload write the parts full and delta snapshots
+// (snapdelta.go) share verbatim: the port count and event-time marks ahead
+// of the slice state, the versioned masks and both query tables after it.
+func (a *SharedAggregation) appendClock(b []byte) []byte {
+	b = wire.AppendU32(b, uint32(a.ports))
+	b = wire.AppendI64(b, int64(a.lastWM))
+	return wire.AppendI64(b, int64(a.evictedThru))
+}
+
+func (a *SharedAggregation) appendWorkload(b []byte) []byte {
+	b = wire.AppendCount(b, len(a.maskVersions))
 	for i := range a.maskVersions {
 		mv := &a.maskVersions[i]
-		b = snapI64(b, int64(mv.from))
-		b = snapU32(b, uint32(len(mv.portMasks)))
+		b = wire.AppendI64(b, int64(mv.from))
+		b = wire.AppendCount(b, len(mv.portMasks))
 		for _, pm := range mv.portMasks {
-			b = snapBits(b, pm)
+			b = wire.AppendBits(b, pm)
 		}
-		b = snapBits(b, mv.selMask)
-		b = snapBits(b, mv.sessMask)
+		b = wire.AppendBits(b, mv.selMask)
+		b = wire.AppendBits(b, mv.sessMask)
 	}
-	b = snapU32(b, uint32(len(a.activeOrdered)))
+	b = wire.AppendCount(b, len(a.activeOrdered))
 	for _, aq := range a.activeOrdered {
 		b = snapAggQuery(b, aq, true)
 	}
-	b = snapU32(b, uint32(len(a.selOrdered)))
+	b = wire.AppendCount(b, len(a.selOrdered))
 	for _, sq := range a.selOrdered {
 		b = snapAggQuery(b, sq, false)
 	}
@@ -640,64 +422,64 @@ func (a *SharedAggregation) OnBarrier(uint64, *spe.Emitter) []byte {
 }
 
 func snapAggQuery(b []byte, aq *aggQuery, withSessions bool) []byte {
-	b = snapQuery(b, aq.q)
-	b = snapU32(b, uint32(aq.slot))
-	b = snapU32(b, uint32(aq.port))
-	b = snapI64(b, int64(aq.since))
-	b = snapI64(b, int64(aq.until))
-	b = snapU64(b, aq.endEpoch)
+	b = AppendQuery(b, aq.q)
+	b = wire.AppendU32(b, uint32(aq.slot))
+	b = wire.AppendU32(b, uint32(aq.port))
+	b = wire.AppendI64(b, int64(aq.since))
+	b = wire.AppendI64(b, int64(aq.until))
+	b = wire.AppendU64(b, aq.endEpoch)
 	if !withSessions {
 		return b
 	}
 	if aq.sessions == nil {
-		return snapBool(b, false)
+		return wire.AppendBool(b, false)
 	}
-	b = snapBool(b, true)
-	b = snapU32(b, uint32(len(aq.sessKeys)))
+	b = wire.AppendBool(b, true)
+	b = wire.AppendCount(b, len(aq.sessKeys))
 	for _, key := range aq.sessKeys {
-		b = snapI64(b, key)
+		b = wire.AppendI64(b, key)
 		open := aq.sessions[key].OpenSessions()
-		b = snapU32(b, uint32(len(open)))
+		b = wire.AppendCount(b, len(open))
 		for _, w := range open {
-			b = snapI64(b, int64(w.Start))
-			b = snapI64(b, int64(w.End))
-			b = snapI64(b, w.Sum)
-			b = snapI64(b, w.Count)
+			b = wire.AppendI64(b, int64(w.Start))
+			b = wire.AppendI64(b, int64(w.End))
+			b = wire.AppendI64(b, w.Sum)
+			b = wire.AppendI64(b, w.Count)
 		}
 	}
 	return b
 }
 
-func readAggQuery(r *snapR, withSessions bool) *aggQuery {
+func readAggQuery(r *wire.Reader, withSessions bool) *aggQuery {
 	aq := &aggQuery{
-		q:        readSnapQuery(r),
-		slot:     int(r.u32("agg query slot")),
-		port:     int(r.u32("agg query port")),
-		since:    event.Time(r.i64("agg query since")),
-		until:    event.Time(r.i64("agg query until")),
-		endEpoch: r.u64("agg query endEpoch"),
+		q:        ReadQuery(r),
+		slot:     readSlot(r, "agg query slot"),
+		port:     int(r.U32("agg query port")),
+		since:    event.Time(r.I64("agg query since")),
+		until:    event.Time(r.I64("agg query until")),
+		endEpoch: r.U64("agg query endEpoch"),
 	}
 	if !withSessions {
 		return aq
 	}
-	if !r.boolean("agg query sessions present") {
+	if !r.Bool("agg query sessions present") {
 		return aq
 	}
 	aq.sessions = make(map[int64]*window.SessionState)
-	nk := r.count("session key count", 12)
-	for ki := 0; ki < nk && r.err == nil; ki++ {
-		key := r.i64("session key")
-		nw := r.count("open session count", 32)
+	nk := r.Count("session key count", 12)
+	for ki := 0; ki < nk && r.Err() == nil; ki++ {
+		key := r.I64("session key")
+		nw := r.Count("open session count", 32)
 		open := make([]window.OpenSession, 0, nw)
-		for wi := 0; wi < nw && r.err == nil; wi++ {
+		for wi := 0; wi < nw && r.Err() == nil; wi++ {
 			open = append(open, window.OpenSession{
-				Start: event.Time(r.i64("session start")),
-				End:   event.Time(r.i64("session end")),
-				Sum:   r.i64("session sum"),
-				Count: r.i64("session count"),
+				Start: event.Time(r.I64("session start")),
+				End:   event.Time(r.I64("session end")),
+				Sum:   r.I64("session sum"),
+				Count: r.I64("session count"),
 			})
 		}
-		if r.err == nil {
+		if r.Err() == nil {
 			aq.sessions[key] = window.RestoreSessionState(aq.spec().Gap, open)
 			aq.sessKeys = append(aq.sessKeys, key) // serialized in sorted order
 		}
@@ -707,54 +489,65 @@ func readAggQuery(r *snapR, withSessions bool) *aggQuery {
 
 // Restore implements spe.Restorable.
 func (a *SharedAggregation) Restore(snapshot []byte) error {
-	r := &snapR{b: snapshot}
-	if v := r.u8("agg version"); r.err == nil && v != opSnapshotVersion {
-		return fmt.Errorf("core: aggregation snapshot version %d, want %d", v, opSnapshotVersion)
-	}
-	if ports := int(r.u32("agg ports")); r.err == nil && ports != a.ports {
-		return fmt.Errorf("core: aggregation snapshot has %d ports, instance has %d", ports, a.ports)
-	}
-	a.lastWM = event.Time(r.i64("agg lastWM"))
-	a.evictedThru = event.Time(r.i64("agg evictedThru"))
+	r := wire.NewReader(snapshot)
+	r.Version("aggregation snapshot version", opSnapshotVersion)
+	a.readClock(r)
 	a.table = readSnapTable(r)
-	restoreSlicer(r, a.sl, func(r *snapR, sl *slice) {
+	restoreSlicer(r, a.sl, func(r *wire.Reader, sl *slice) {
 		sl.aggs = readAggIndex(r)
 	})
-	nmv := r.count("mask version count", 20)
+	a.readWorkload(r)
+	return r.Finish("aggregation snapshot")
+}
+
+func (a *SharedAggregation) readClock(r *wire.Reader) {
+	if ports := int(r.U32("agg ports")); r.Err() == nil && ports != a.ports {
+		r.Fail(fmt.Errorf("core: aggregation snapshot has %d ports, instance has %d", ports, a.ports))
+	}
+	a.lastWM = event.Time(r.I64("agg lastWM"))
+	a.evictedThru = event.Time(r.I64("agg evictedThru"))
+}
+
+// readWorkload decodes appendWorkload and rebuilds what derives from it.
+func (a *SharedAggregation) readWorkload(r *wire.Reader) {
+	nmv := r.Count("mask version count", 20)
 	a.maskVersions = a.maskVersions[:0]
-	for i := 0; i < nmv && r.err == nil; i++ {
-		mv := maskVersion{from: event.Time(r.i64("mask from"))}
-		np := r.count("port mask count", 4)
+	for i := 0; i < nmv && r.Err() == nil; i++ {
+		mv := maskVersion{from: event.Time(r.I64("mask from"))}
+		np := r.Count("port mask count", 4)
 		mv.portMasks = make([]bitset.Bits, 0, np)
-		for p := 0; p < np && r.err == nil; p++ {
-			mv.portMasks = append(mv.portMasks, r.bits("port mask"))
+		for p := 0; p < np && r.Err() == nil; p++ {
+			mv.portMasks = append(mv.portMasks, r.Bits("port mask"))
 		}
-		mv.selMask = r.bits("sel mask")
-		mv.sessMask = r.bits("sess mask")
+		mv.selMask = r.Bits("sel mask")
+		mv.sessMask = r.Bits("sess mask")
 		a.maskVersions = append(a.maskVersions, mv)
 	}
-	na := r.count("agg active count", 32)
+	na := r.Count("agg active count", queryMinSize)
 	a.active = make(map[int]*aggQuery, na)
 	a.activeOrdered = a.activeOrdered[:0]
-	for i := 0; i < na && r.err == nil; i++ {
+	for i := 0; i < na && r.Err() == nil; i++ {
 		aq := readAggQuery(r, true)
-		if r.err == nil {
+		if r.Err() == nil && aq.port >= a.ports {
+			r.Fail(fmt.Errorf("core: aggregation snapshot binds query %d to port %d of %d", aq.q.ID, aq.port, a.ports))
+		}
+		if r.Err() == nil {
 			a.active[aq.q.ID] = aq
 			a.activeOrdered = insertBySlot(a.activeOrdered, aq)
 		}
 	}
-	ns := r.count("agg selection count", 32)
+	ns := r.Count("agg selection count", queryMinSize)
 	a.selection = make(map[int]*aggQuery, ns)
 	a.selOrdered = a.selOrdered[:0]
-	for i := 0; i < ns && r.err == nil; i++ {
+	for i := 0; i < ns && r.Err() == nil; i++ {
 		sq := readAggQuery(r, false)
-		if r.err == nil {
+		if r.Err() == nil {
 			a.selection[sq.q.ID] = sq
 			a.selOrdered = insertBySlot(a.selOrdered, sq)
 		}
 	}
-	if err := r.finish("aggregation"); err != nil {
-		return err
+	if r.Err() != nil {
+		return
 	}
 	if len(a.maskVersions) == 0 {
 		a.maskVersions = []maskVersion{{from: event.MinTime, portMasks: make([]bitset.Bits, a.ports)}}
@@ -762,5 +555,4 @@ func (a *SharedAggregation) Restore(snapshot []byte) error {
 	// The merge tree is derived from the slice ring; a fresh instance
 	// re-anchors on the next fire batch.
 	a.rebuildMergeTree()
-	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"astream/internal/spe"
 	"astream/internal/sqlstream"
 	"astream/internal/window"
+	"astream/internal/wire"
 )
 
 // These tests pin the per-operator Snapshot/Restore contract the recovery
@@ -33,7 +34,7 @@ func newCLBuilder() *clBuilder {
 	return &clBuilder{reg: changelog.NewRegistry(changelog.SlotReuse), defs: map[int]*Query{}}
 }
 
-func (b *clBuilder) create(t *testing.T, at event.Time, qs ...*Query) *ChangelogMsg {
+func (b *clBuilder) create(t testing.TB, at event.Time, qs ...*Query) *ChangelogMsg {
 	t.Helper()
 	ids := make([]int, 0, len(qs))
 	for _, q := range qs {
@@ -49,7 +50,7 @@ func (b *clBuilder) create(t *testing.T, at event.Time, qs ...*Query) *Changelog
 	return &ChangelogMsg{CL: cl, Defs: b.defs}
 }
 
-func (b *clBuilder) remove(t *testing.T, at event.Time, ids ...int) *ChangelogMsg {
+func (b *clBuilder) remove(t testing.TB, at event.Time, ids ...int) *ChangelogMsg {
 	t.Helper()
 	cl, err := b.reg.Apply(at, nil, ids)
 	if err != nil {
@@ -304,10 +305,10 @@ func TestSliceStoreSnapshotRoundTrip(t *testing.T) {
 				s.Add(mkTuple(int64(i%5), event.Time(i), i%4))
 			}
 			enc := snapSliceStore(nil, s)
-			r := &snapR{b: enc}
+			r := wire.NewReader(enc)
 			back := readSliceStore(r)
-			if r.err != nil {
-				t.Fatal(r.err)
+			if err := r.Finish("store"); err != nil {
+				t.Fatal(err)
 			}
 			if back.Grouped() != s.Grouped() || back.Len() != s.Len() {
 				t.Fatalf("restored store: grouped=%v len=%d, want grouped=%v len=%d",
@@ -320,9 +321,9 @@ func TestSliceStoreSnapshotRoundTrip(t *testing.T) {
 	}
 	t.Run("nil", func(t *testing.T) {
 		enc := snapSliceStore(nil, nil)
-		r := &snapR{b: enc}
-		if back := readSliceStore(r); back != nil || r.err != nil {
-			t.Fatalf("nil store round-trip: %v, %v", back, r.err)
+		r := wire.NewReader(enc)
+		if back := readSliceStore(r); back != nil || r.Finish("store") != nil {
+			t.Fatalf("nil store round-trip: %v, %v", back, r.Err())
 		}
 	})
 }

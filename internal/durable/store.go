@@ -26,6 +26,12 @@ const (
 // snapshot deposit therefore becomes real exactly when a manifest referencing
 // it is published; files a crashed incarnation wrote for a checkpoint that
 // never completed are unreferenced and swept as orphans on recovery.
+// manifestVersion names the layout of everything the manifest references —
+// snapshot deposits, control blobs and WAL records, all internal/wire
+// compositions — so a state directory written by a build with other layouts
+// fails at open instead of at the first record that happens not to decode.
+const manifestVersion = 2
+
 type manifestData struct {
 	Version int
 	// Latest is the newest completed barrier; 0 means none.
@@ -151,7 +157,7 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 func loadManifest(path string) (manifestData, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return manifestData{Version: 1}, nil
+		return manifestData{Version: manifestVersion}, nil
 	}
 	if err != nil {
 		return manifestData{}, err
@@ -162,8 +168,8 @@ func loadManifest(path string) (manifestData, error) {
 		// means the medium rotted underneath us, not a torn write.
 		return manifestData{}, fmt.Errorf("durable: manifest corrupt: %w", err)
 	}
-	if m.Version != 1 {
-		return manifestData{}, fmt.Errorf("durable: manifest version %d, want 1", m.Version)
+	if m.Version != manifestVersion {
+		return manifestData{}, fmt.Errorf("durable: manifest version %d, want %d (state directory written by another build)", m.Version, manifestVersion)
 	}
 	return m, nil
 }
@@ -344,7 +350,7 @@ func (s *Store) MarkComplete(barrier uint64) error {
 	}
 	byBarrier[barrier] = nb
 
-	m := manifestData{Version: 1, Latest: barrier, Offsets: append([]int(nil), s.offsets[:barrier]...)}
+	m := manifestData{Version: manifestVersion, Latest: barrier, Offsets: append([]int(nil), s.offsets[:barrier]...)}
 	for b := retainFrom(byBarrier, barrier); b <= barrier; b++ {
 		if mb, ok := byBarrier[b]; ok {
 			m.Barriers = append(m.Barriers, mb)
@@ -570,7 +576,7 @@ func (s *Store) InvalidateLatest() error {
 	if err := s.validateCoverage(next); err != nil {
 		return err
 	}
-	m := manifestData{Version: 1, Latest: next, Offsets: append([]int(nil), s.man.Offsets...)}
+	m := manifestData{Version: manifestVersion, Latest: next, Offsets: append([]int(nil), s.man.Offsets...)}
 	for _, mb := range s.man.Barriers {
 		if mb.Barrier != old {
 			m.Barriers = append(m.Barriers, mb)

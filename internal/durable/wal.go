@@ -19,7 +19,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 const (
 	segPrefix   = "wal-"
 	segSuffix   = ".seg"
-	frameHeader = 8       // u32 payload length | u32 CRC32C(payload)
+	frameHeader = 8 // u32 payload length | u32 CRC32C(payload)
 	frameMax    = 16 << 20
 
 	// DefaultSegmentBytes is the roll threshold when Options.SegmentBytes is
@@ -166,10 +166,7 @@ func decodeSegment(data []byte, tolerateTail bool) (int, []checkpoint.Record, er
 				if crc32.Checksum(payload, castagnoli) != sum {
 					bad = true
 				} else {
-					rec, leftover, err := checkpoint.DecodeRecord(payload)
-					if err == nil && len(leftover) != 0 {
-						err = fmt.Errorf("%d trailing bytes", len(leftover))
-					}
+					rec, err := checkpoint.DecodeRecord(payload)
 					if err != nil {
 						return good, recs, fmt.Errorf("frame at byte %d passed CRC but did not decode: %w", good, err)
 					}

@@ -65,7 +65,9 @@ type Tuple struct {
 type Kind uint8
 
 const (
-	// KindTuple carries a data tuple.
+	// KindTuple is a data tuple. Tuples travel between operators in
+	// batches, never inside an Element; the kind remains as the zero value
+	// and for telling data from control in diagnostics.
 	KindTuple Kind = iota
 	// KindWatermark asserts that no tuple with Time <= Watermark will
 	// arrive on this channel afterwards.
@@ -97,12 +99,12 @@ func (k Kind) String() string {
 	}
 }
 
-// Element is the envelope traveling through operator channels. Exactly one
-// payload is meaningful, selected by Kind. It is passed by value: small, no
-// interior pointers except the query-set words and the changelog pointer.
+// Element is the envelope control elements — watermarks, changelog markers,
+// barriers, EOS — travel in through operator channels. Exactly one payload
+// is meaningful, selected by Kind. It is passed by value: small, no interior
+// pointers except the changelog pointer.
 type Element struct {
 	Kind      Kind
-	Tuple     Tuple
 	Watermark Time
 	// Changelog is an opaque payload owned by package changelog; typed as
 	// interface-free pointer to avoid an import cycle.
@@ -110,9 +112,6 @@ type Element struct {
 	// Barrier identifies the checkpoint this barrier belongs to.
 	Barrier uint64
 }
-
-// NewTuple wraps a tuple in an element.
-func NewTuple(t Tuple) Element { return Element{Kind: KindTuple, Tuple: t} }
 
 // NewWatermark makes a watermark element.
 func NewWatermark(t Time) Element { return Element{Kind: KindWatermark, Watermark: t} }

@@ -40,9 +40,8 @@ func TestTimeHelpers(t *testing.T) {
 }
 
 func TestElementConstructors(t *testing.T) {
-	tu := Tuple{Key: 1, Time: 5}
-	if e := NewTuple(tu); e.Kind != KindTuple || e.Tuple.Key != 1 {
-		t.Fatal("NewTuple")
+	if (Element{}).Kind != KindTuple {
+		t.Fatal("the zero element must not read as a control element")
 	}
 	if e := NewWatermark(9); e.Kind != KindWatermark || e.Watermark != 9 {
 		t.Fatal("NewWatermark")

@@ -30,6 +30,23 @@ func loadFixture(t *testing.T, name string) *Package {
 	return p
 }
 
+// fixtureImports names the sibling fixture packages a fixture imports. They
+// are loaded first (the loader resolves imports against what it has already
+// checked) and analyzed together with the fixture, so interprocedural
+// analyzers see the imported bodies.
+var fixtureImports = map[string][]string{"snapsym": {"wirefix"}}
+
+// loadFixtureModule loads a fixture and the fixtures it imports, the fixture
+// itself last.
+func loadFixtureModule(t *testing.T, name string) []*Package {
+	t.Helper()
+	var pkgs []*Package
+	for _, dep := range fixtureImports[name] {
+		pkgs = append(pkgs, loadFixture(t, dep))
+	}
+	return append(pkgs, loadFixture(t, name))
+}
+
 // want is one expected diagnostic, parsed from a fixture comment of the
 // form `// want "regex"` (or the block form `/* want "regex" */` where a
 // line comment would collide with a lint directive). The diagnostic must
@@ -81,9 +98,9 @@ func collectWants(t *testing.T, p *Package) []*want {
 // be hit.
 func checkFixture(t *testing.T, fixture string, analyzers []*Analyzer) []Diagnostic {
 	t.Helper()
-	p := loadFixture(t, fixture)
-	wants := collectWants(t, p)
-	diags := Run([]*Package{p}, analyzers)
+	pkgs := loadFixtureModule(t, fixture)
+	wants := collectWants(t, pkgs[len(pkgs)-1])
+	diags := Run(pkgs, analyzers)
 	for _, d := range diags {
 		hit := false
 		for _, w := range wants {
@@ -160,8 +177,7 @@ func TestStateScope(t *testing.T) {
 		"errsink":   NewErrSink,
 		"snapsym":   NewSnapSymmetry,
 	} {
-		p := loadFixture(t, fixture)
-		diags := Run([]*Package{p}, []*Analyzer{mk(otherScope)})
+		diags := Run(loadFixtureModule(t, fixture), []*Analyzer{mk(otherScope)})
 		if len(diags) != 0 {
 			t.Errorf("%s: out-of-scope package produced %d diagnostics: %v", fixture, len(diags), diags)
 		}

@@ -29,6 +29,11 @@ import (
 //     fixed-width read, anything else variable-length; functions and
 //     methods taking the reader are inlined.
 //
+// Inlining follows calls into any package of the load, each body resolved
+// against its own package's type information, so the module's shared
+// writer/reader (internal/wire) is learned from its source like any local
+// helper — no package is special-cased.
+//
 // Loops become repeated groups compared structurally (counts are runtime
 // values). An `if` becomes a conditional group, with any reads in its
 // init/cond emitted first; a branch that returns after emitting exactly
@@ -44,17 +49,11 @@ func NewSnapSymmetry(scope []string) *Analyzer {
 	}
 	a.RunModule = func(m *Module) []Diagnostic {
 		var diags []Diagnostic
-		declIdx := map[*Package]map[types.Object]*ast.FuncDecl{}
-		idx := func(p *Package) map[types.Object]*ast.FuncDecl {
-			if declIdx[p] == nil {
-				declIdx[p] = funcDecls(p)
-			}
-			return declIdx[p]
-		}
+		decls := funcDecls(m.Pkgs)
 		for _, pair := range findStatePairs(m, scope) {
-			encB := &shapeBuilder{p: pair.enc.Pkg, decls: idx(pair.enc.Pkg), stack: map[ast.Node]bool{}}
+			encB := &shapeBuilder{p: pair.enc.Pkg, decls: decls, stack: map[ast.Node]bool{}}
 			enc := encB.blockShape(pair.enc.Body.List, nil)
-			decB := &shapeBuilder{p: pair.dec.Pkg, decls: idx(pair.dec.Pkg), decode: true, stack: map[ast.Node]bool{}}
+			decB := &shapeBuilder{p: pair.dec.Pkg, decls: decls, decode: true, stack: map[ast.Node]bool{}}
 			dec := decB.blockShape(pair.dec.Body.List, nil)
 			d := diffShapes(enc, dec)
 			if d == nil {
@@ -98,24 +97,41 @@ type shapeNode struct {
 	pos      token.Pos
 }
 
-// shapeBuilder reduces one side of a pair, inlining the package's helpers.
+// shapeBuilder reduces one side of a pair, inlining the helpers it calls.
 type shapeBuilder struct {
+	// p is the package whose type information resolves the code being
+	// walked; inline switches it to the callee's package for the callee's
+	// body.
 	p      *Package
-	decls  map[types.Object]*ast.FuncDecl
+	decls  map[types.Object]inlineBody
 	decode bool
 	// stack guards against recursive helpers: re-entry reduces to opaque.
 	stack map[ast.Node]bool
 }
 
-// funcDecls indexes a package's function and method declarations by their
-// type-checker object, for body lookup when inlining.
-func funcDecls(p *Package) map[types.Object]*ast.FuncDecl {
-	out := map[types.Object]*ast.FuncDecl{}
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				if obj := p.Info.Defs[fd.Name]; obj != nil {
-					out[obj] = fd
+// inlineBody is a function declaration or literal that can be spliced into
+// a caller's shape, together with the package that declares it.
+type inlineBody struct {
+	p     *Package
+	key   ast.Node // the declaration or literal, for the recursion guard
+	ftype *ast.FuncType
+	body  *ast.BlockStmt
+}
+
+// bindings maps function-typed parameters to the literals bound to them.
+type bindings map[types.Object]inlineBody
+
+// funcDecls indexes every function and method declaration of the load by
+// its type-checker object, for body lookup when inlining.
+func funcDecls(pkgs []*Package) map[types.Object]inlineBody {
+	out := map[types.Object]inlineBody{}
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+					if obj := p.Info.Defs[fd.Name]; obj != nil {
+						out[obj] = inlineBody{p: p, key: fd, ftype: fd.Type, body: fd.Body}
+					}
 				}
 			}
 		}
@@ -123,7 +139,7 @@ func funcDecls(p *Package) map[types.Object]*ast.FuncDecl {
 	return out
 }
 
-func (sb *shapeBuilder) blockShape(stmts []ast.Stmt, bind map[types.Object]*ast.FuncLit) []*shapeNode {
+func (sb *shapeBuilder) blockShape(stmts []ast.Stmt, bind bindings) []*shapeNode {
 	var out []*shapeNode
 	for _, s := range stmts {
 		sb.stmtShape(s, bind, &out)
@@ -131,7 +147,7 @@ func (sb *shapeBuilder) blockShape(stmts []ast.Stmt, bind map[types.Object]*ast.
 	return normalizeShapes(out)
 }
 
-func (sb *shapeBuilder) stmtShape(s ast.Stmt, bind map[types.Object]*ast.FuncLit, out *[]*shapeNode) {
+func (sb *shapeBuilder) stmtShape(s ast.Stmt, bind bindings, out *[]*shapeNode) {
 	switch x := s.(type) {
 	case *ast.AssignStmt:
 		for _, r := range x.Rhs {
@@ -206,7 +222,7 @@ func (sb *shapeBuilder) stmtShape(s ast.Stmt, bind map[types.Object]*ast.FuncLit
 
 // exprShape walks an expression in evaluation order, emitting shape nodes
 // for the byte-moving calls it contains.
-func (sb *shapeBuilder) exprShape(e ast.Expr, bind map[types.Object]*ast.FuncLit, out *[]*shapeNode) {
+func (sb *shapeBuilder) exprShape(e ast.Expr, bind bindings, out *[]*shapeNode) {
 	switch x := e.(type) {
 	case nil:
 	case *ast.CallExpr:
@@ -243,7 +259,7 @@ func (sb *shapeBuilder) exprShape(e ast.Expr, bind map[types.Object]*ast.FuncLit
 	}
 }
 
-func (sb *shapeBuilder) callShape(call *ast.CallExpr, bind map[types.Object]*ast.FuncLit, out *[]*shapeNode) {
+func (sb *shapeBuilder) callShape(call *ast.CallExpr, bind bindings, out *[]*shapeNode) {
 	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
 		sb.exprShape(sel.X, bind, out)
 	}
@@ -277,12 +293,12 @@ func (sb *shapeBuilder) callShape(call *ast.CallExpr, bind map[types.Object]*ast
 	}
 	switch o := obj.(type) {
 	case *types.Func:
-		if decl := sb.decls[o]; decl != nil && sb.inlinable(o) {
-			sb.inline(decl, decl.Type, decl.Body, call, bind, out)
+		if decl, ok := sb.decls[o]; ok && sb.inlinable(o) {
+			sb.inline(decl, call, bind, out)
 		}
 	case *types.Var:
-		if lit := bind[o]; lit != nil {
-			sb.inline(lit, lit.Type, lit.Body, call, bind, out)
+		if lit, ok := bind[o]; ok {
+			sb.inline(lit, call, bind, out)
 		} else if sig, ok := o.Type().Underlying().(*types.Signature); ok && sb.threadsState(sig) {
 			// A call through an unbound function value could move the
 			// cursor arbitrarily; refuse to guess.
@@ -325,39 +341,51 @@ func (sb *shapeBuilder) threadsState(sig *types.Signature) bool {
 }
 
 // inline splices a callee's shape into the caller, binding any function
-// literals (or already-bound parameters) the call passes along.
-func (sb *shapeBuilder) inline(key ast.Node, ftype *ast.FuncType, body *ast.BlockStmt, call *ast.CallExpr, bind map[types.Object]*ast.FuncLit, out *[]*shapeNode) {
-	if sb.stack[key] {
+// literals (or already-bound parameters) the call passes along. The call's
+// arguments belong to the caller's package, the callee's parameters and
+// body to its own.
+func (sb *shapeBuilder) inline(fn inlineBody, call *ast.CallExpr, bind bindings, out *[]*shapeNode) {
+	if sb.stack[fn.key] {
 		*out = append(*out, &shapeNode{kind: shapeOpaque, pos: call.Pos()})
 		return
 	}
-	inner := map[types.Object]*ast.FuncLit{}
+	inner := bindings{}
 	i := 0
-	for _, fld := range ftype.Params.List {
+	for _, fld := range fn.ftype.Params.List {
 		for _, name := range fld.Names {
 			if i < len(call.Args) {
 				switch arg := unparen(call.Args[i]).(type) {
 				case *ast.FuncLit:
-					inner[sb.p.Info.Defs[name]] = arg
+					inner[fn.p.Info.Defs[name]] = inlineBody{p: sb.p, key: arg, ftype: arg.Type, body: arg.Body}
 				case *ast.Ident:
-					if lit := bind[sb.p.Info.Uses[arg]]; lit != nil {
-						inner[sb.p.Info.Defs[name]] = lit
+					if lit, ok := bind[sb.p.Info.Uses[arg]]; ok {
+						inner[fn.p.Info.Defs[name]] = lit
 					}
 				}
 			}
 			i++
 		}
 	}
-	sb.stack[key] = true
-	kids := sb.blockShape(body.List, inner)
-	delete(sb.stack, key)
+	caller := sb.p
+	sb.p = fn.p
+	sb.stack[fn.key] = true
+	kids := sb.blockShape(fn.body.List, inner)
+	delete(sb.stack, fn.key)
+	sb.p = caller
 	// Anchor spliced nodes at the call site: a mismatch against `r.u32()`
 	// should point at the Restore line that called it, not at the shared
 	// reader helper's interior.
-	for _, k := range kids {
-		k.pos = call.Pos()
-	}
+	anchorShapes(kids, call.Pos())
 	*out = append(*out, kids...)
+}
+
+// anchorShapes moves a spliced shape, nested groups included, to pos: the
+// callee's interior may belong to another package's files.
+func anchorShapes(list []*shapeNode, pos token.Pos) {
+	for _, n := range list {
+		n.pos = pos
+		anchorShapes(n.kids, pos)
+	}
 }
 
 // advanceShape recognizes the reader's cursor movement: `r.b = r.b[K:]`.

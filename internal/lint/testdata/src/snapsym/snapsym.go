@@ -1,52 +1,12 @@
 // Package snapsym is a lint fixture: Restore must consume snapshot bytes
-// in the exact shape Snapshot produces them. The package carries its own
-// miniature byte-reader (the `b []byte` + `err error` idiom the analyzer
-// recognizes) and append helpers, mirroring the module's framing style.
+// in the exact shape Snapshot produces them. The byte-reader (the
+// `b []byte` + `err error` idiom the analyzer recognizes) and the append
+// helpers live in the sibling fixture package wirefix, mirroring how the
+// module's operators frame their state through internal/wire: every shape
+// below is only visible by inlining across the package boundary.
 package snapsym
 
-import "errors"
-
-var errShort = errors.New("short")
-
-// rd is the byte-reader idiom: remaining input plus a sticky error.
-type rd struct {
-	b   []byte
-	err error
-}
-
-func (r *rd) u8() byte {
-	if r.err != nil || len(r.b) < 1 {
-		r.err = errShort
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *rd) u32() uint32 {
-	if r.err != nil || len(r.b) < 4 {
-		r.err = errShort
-		return 0
-	}
-	v := uint32(r.b[0]) | uint32(r.b[1])<<8 | uint32(r.b[2])<<16 | uint32(r.b[3])<<24
-	r.b = r.b[4:]
-	return v
-}
-
-func (r *rd) take(n int) []byte {
-	if r.err != nil || len(r.b) < n {
-		r.err = errShort
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
+import "fixture/wirefix"
 
 // Good frames symmetrically: byte, length-prefixed payload, uint32.
 type Good struct {
@@ -57,19 +17,19 @@ type Good struct {
 
 func (g *Good) Snapshot() []byte {
 	b := append([]byte(nil), g.id)
-	b = appendU32(b, uint32(len(g.pay)))
+	b = wirefix.AppendU32(b, uint32(len(g.pay)))
 	b = append(b, g.pay...)
-	b = appendU32(b, g.n)
+	b = wirefix.AppendU32(b, g.n)
 	return b
 }
 
 func (g *Good) Restore(data []byte) error {
-	r := &rd{b: data}
-	g.id = r.u8()
-	n := r.u32()
-	g.pay = r.take(int(n))
-	g.n = r.u32()
-	return r.err
+	r := wirefix.NewReader(data)
+	g.id = r.U8()
+	n := r.U32()
+	g.pay = r.Take(int(n))
+	g.n = r.U32()
+	return r.Err()
 }
 
 // Opt uses the presence-flag idiom on both sides; the terminal branch
@@ -84,18 +44,18 @@ func (o *Opt) Snapshot() []byte {
 		return append([]byte(nil), 0)
 	}
 	b := append([]byte(nil), 1)
-	return appendU32(b, o.v)
+	return wirefix.AppendU32(b, o.v)
 }
 
 func (o *Opt) Restore(data []byte) error {
-	r := &rd{b: data}
-	if r.u8() == 0 {
+	r := wirefix.NewReader(data)
+	if r.U8() == 0 {
 		o.set = false
-		return r.err
+		return r.Err()
 	}
 	o.set = true
-	o.v = r.u32()
-	return r.err
+	o.v = r.U32()
+	return r.Err()
 }
 
 // Swapped decodes its fields in the opposite order from the encoder.
@@ -106,14 +66,14 @@ type Swapped struct {
 
 func (s *Swapped) Snapshot() []byte {
 	b := append([]byte(nil), s.id)
-	return appendU32(b, s.n)
+	return wirefix.AppendU32(b, s.n)
 }
 
 func (s *Swapped) Restore(data []byte) error {
-	r := &rd{b: data}
-	s.n = uint32(r.u32()) // want "Restore decodes a 4-byte field where Snapshot encodes a 1-byte field .* asymmetric for Swapped"
-	s.id = r.u8()
-	return r.err
+	r := wirefix.NewReader(data)
+	s.n = uint32(r.U32()) // want "Restore decodes a 4-byte field where Snapshot encodes a 1-byte field .* asymmetric for Swapped"
+	s.id = r.U8()
+	return r.Err()
 }
 
 // Missing decodes one field fewer than the encoder wrote.
@@ -124,13 +84,13 @@ type Missing struct {
 
 func (m *Missing) Snapshot() []byte {
 	b := append([]byte(nil), m.a)
-	return appendU32(b, m.z)
+	return wirefix.AppendU32(b, m.z)
 }
 
 func (m *Missing) Restore(data []byte) error { // want "Restore decodes nothing \(the shape ends\) where Snapshot encodes a 4-byte field .* asymmetric for Missing"
-	r := &rd{b: data}
-	m.a = r.u8()
-	return r.err
+	r := wirefix.NewReader(data)
+	m.a = r.U8()
+	return r.Err()
 }
 
 // Looped reads a narrower element inside the repeated group than the
@@ -140,19 +100,41 @@ type Looped struct {
 }
 
 func (l *Looped) Snapshot() []byte {
-	b := appendU32(nil, uint32(len(l.vals)))
+	b := wirefix.AppendU32(nil, uint32(len(l.vals)))
 	for _, v := range l.vals {
-		b = appendU32(b, v)
+		b = wirefix.AppendU32(b, v)
 	}
 	return b
 }
 
 func (l *Looped) Restore(data []byte) error {
-	r := &rd{b: data}
-	n := int(r.u32())
+	r := wirefix.NewReader(data)
+	n := int(r.U32())
 	l.vals = l.vals[:0]
 	for i := 0; i < n; i++ {
-		l.vals = append(l.vals, uint32(r.u8())) // want "Restore decodes a 1-byte field where Snapshot encodes a 4-byte field .* asymmetric for Looped"
+		l.vals = append(l.vals, uint32(r.U8())) // want "Restore decodes a 1-byte field where Snapshot encodes a 4-byte field .* asymmetric for Looped"
 	}
-	return r.err
+	return r.Err()
+}
+
+// Each passes payload literals from this package through wirefix's loop
+// helpers; the literal bodies resolve against this package while the loop
+// resolves against wirefix. The decoder reads a narrower payload.
+type Each struct {
+	vals []uint32
+}
+
+func (e *Each) Snapshot() []byte {
+	return wirefix.AppendEach(nil, len(e.vals), func(b []byte, i int) []byte {
+		return wirefix.AppendU32(b, e.vals[i])
+	})
+}
+
+func (e *Each) Restore(data []byte) error {
+	r := wirefix.NewReader(data)
+	e.vals = e.vals[:0]
+	wirefix.ReadEach(r, func(r *wirefix.Reader, _ int) { // want "Restore decodes a 1-byte field where Snapshot encodes a 4-byte field .* asymmetric for Each"
+		e.vals = append(e.vals, uint32(r.U8()))
+	})
+	return r.Err()
 }

@@ -1,13 +1,16 @@
 package spe
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"astream/internal/bitset"
 	"astream/internal/event"
+	"astream/internal/wire/wiretest"
 )
 
 // orderLog records every callback as one string in arrival order, so tests
@@ -50,7 +53,7 @@ func (l *orderLog) OnEOS(*Emitter) { l.add("eos") }
 // but never reorder an edge.
 func TestBatchingPreservesEdgeOrder(t *testing.T) {
 	topo := NewTopology()
-	topo.SetExchangeBatch(8)
+	topo.exchangeBatch = 8
 	src := topo.AddSource("src", 1)
 	lg := &orderLog{}
 	topo.AddOperator("sink", 1, func(int) Logic { return lg }, KeyedInput(src))
@@ -104,7 +107,6 @@ func TestBatchingPreservesEdgeOrder(t *testing.T) {
 // broadcast flushes every pending edge vector first.
 func TestBatchingEOSFlushesPartialBatch(t *testing.T) {
 	topo := NewTopology()
-	topo.SetExchangeBatch(64)
 	src := topo.AddSource("src", 1)
 	lg := &orderLog{}
 	topo.AddOperator("sink", 1, func(int) Logic { return lg }, KeyedInput(src))
@@ -132,7 +134,7 @@ func TestBatchingEOSFlushesPartialBatch(t *testing.T) {
 // buffered as such) replay only after alignment completes.
 func TestBatchingBarrierAlignmentBuffersBatches(t *testing.T) {
 	topo := NewTopology()
-	topo.SetExchangeBatch(8)
+	topo.exchangeBatch = 8
 	src := topo.AddSource("src", 2)
 	lg := &orderLog{}
 	topo.AddOperator("sink", 1, func(int) Logic { return lg }, GlobalInput(src))
@@ -178,7 +180,7 @@ func TestBatchingBarrierAlignmentBuffersBatches(t *testing.T) {
 // after all of them.
 func TestBatchingThroughOperatorChain(t *testing.T) {
 	topo := NewTopology()
-	topo.SetExchangeBatch(8)
+	topo.exchangeBatch = 8
 	src := topo.AddSource("src", 1)
 	mid := topo.AddOperator("double", 2, NewMapLogic(func(tu *event.Tuple) bool {
 		tu.Fields[0] *= 2
@@ -270,13 +272,16 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 // buffer to the exchange pool instead of leaking it.
 func TestDecodeBatchErrorReturnsBufferToPool(t *testing.T) {
 	var c BinaryCodec
-	enc := c.EncodeBatch([]event.Tuple{{Key: 1, Time: 2}})
+	// The wide first tuple leaves room for the header's count check to pass
+	// when the tail is cut, so every case fails after the buffer was
+	// acquired, not before.
+	enc := c.EncodeBatch([]event.Tuple{{Key: 1, QuerySet: bitset.FromIndexes(1, 70)}, {Key: 3, Time: 4}})
 
-	// The encoded tuple carries no query-set, so its word count is the
-	// final u32 of the encoding; patching it past maxQSWords drives the
-	// oversized-query-set error path.
+	// The last tuple carries no query-set, so its word count is the final
+	// u32 of the encoding; patching it to a count the remaining bytes cannot
+	// hold drives the bad-count path.
 	oversized := append([]byte(nil), enc...)
-	binary.LittleEndian.PutUint32(oversized[len(oversized)-4:], maxQSWords+1)
+	binary.LittleEndian.PutUint32(oversized[len(oversized)-4:], 1)
 
 	cases := []struct {
 		name string
@@ -284,6 +289,7 @@ func TestDecodeBatchErrorReturnsBufferToPool(t *testing.T) {
 	}{
 		{"truncated body", enc[:len(enc)-2]},
 		{"oversized query-set", oversized},
+		{"trailing byte", append(append([]byte(nil), enc...), 0xEE)},
 	}
 	for _, tc := range cases {
 		// Under the race detector sync.Pool randomly discards Puts, so a
@@ -305,4 +311,99 @@ func TestDecodeBatchErrorReturnsBufferToPool(t *testing.T) {
 			t.Errorf("%s: failed decode leaked the pooled batch buffer", tc.name)
 		}
 	}
+}
+
+// TestDecodeBatchBoundsCountByInput: the tuple count in a batch header is
+// checked against the bytes that follow before any buffer is sized from it.
+// A 5-byte frame claiming 65 536 tuples used to reach getBatch(65536) — a
+// 6.8 MB allocation per corrupt frame — and only then fail on the missing
+// body.
+func TestDecodeBatchBoundsCountByInput(t *testing.T) {
+	frame := binary.LittleEndian.AppendUint32([]byte{codecVersion}, 1<<16)
+	for tupleBatchPool.Get() != nil {
+		// Drain: a pooled buffer would hide the allocation.
+	}
+	wiretest.Bounded(t, frame, func() {
+		if _, err := (BinaryCodec{}).DecodeBatch(frame); err == nil {
+			t.Fatal("header-only frame claiming 65536 tuples must error")
+		}
+	})
+}
+
+// TestCodecRejectsTrailingBytes: bytes left over after a complete decode
+// mean the frame is not what this build wrote; both decoders used to ignore
+// them.
+func TestCodecRejectsTrailingBytes(t *testing.T) {
+	var c BinaryCodec
+	batch := append(c.EncodeBatch([]event.Tuple{{Key: 1}}), 0xEE)
+	if _, err := c.DecodeBatch(batch); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Fatalf("batch with a trailing byte: %v", err)
+	}
+	ctl := append(c.EncodeControl(event.NewWatermark(7)), 0xEE)
+	if _, err := c.DecodeControl(ctl); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Fatalf("control element with a trailing byte: %v", err)
+	}
+}
+
+func fuzzBatch() []event.Tuple {
+	return []event.Tuple{
+		{Key: -4, Time: 1000, IngestNanos: 7, Stream: 1, QuerySet: bitset.FromIndexes(3, 70, 300)},
+		{Key: 9, Fields: [event.NumFields]int64{1, -2, 3, -4, 5}},
+	}
+}
+
+// FuzzDecodeBatch: arbitrary frames yield an error or a batch that
+// re-encodes to the same bytes — never a panic or an allocation out of
+// proportion to the frame.
+func FuzzDecodeBatch(f *testing.F) {
+	var c BinaryCodec
+	enc := c.EncodeBatch(fuzzBatch())
+	f.Add(enc)
+	f.Add(enc[:3])
+	f.Add(enc[:len(enc)-2])
+	f.Add(append(append([]byte(nil), enc...), 0xEE))
+	f.Add(binary.LittleEndian.AppendUint32([]byte{codecVersion}, 1<<16))
+	f.Add([]byte{99, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		wiretest.Bounded(t, in, func() {
+			ts, err := c.DecodeBatch(in)
+			if err != nil {
+				return
+			}
+			if back := c.EncodeBatch(ts); !bytes.Equal(back, in) {
+				// Only a non-canonical query-set (trailing zero words) may
+				// re-encode shorter.
+				if len(back) >= len(in) {
+					t.Fatalf("accepted frame re-encodes differently:\n in %x\nout %x", in, back)
+				}
+			}
+			putBatch(ts)
+		})
+	})
+}
+
+// FuzzDecodeControl: same property for the control-element codec.
+func FuzzDecodeControl(f *testing.F) {
+	var c BinaryCodec
+	for _, el := range []event.Element{event.NewWatermark(777), event.NewBarrier(3), event.EOS(), event.NewChangelog(nil, 55)} {
+		enc := c.EncodeControl(el)
+		f.Add(enc)
+		f.Add(enc[:len(enc)-1])
+		f.Add(append(enc, 0xEE))
+	}
+	f.Add([]byte{codecVersion, byte(event.KindTuple)})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		wiretest.Bounded(t, in, func() {
+			el, err := c.DecodeControl(in)
+			if err != nil {
+				return
+			}
+			if el.Kind == event.KindTuple {
+				t.Fatal("a tuple decoded as a control element")
+			}
+			if back := c.EncodeControl(el); !bytes.Equal(back, in) {
+				t.Fatalf("accepted element re-encodes differently:\n in %x\nout %x", in, back)
+			}
+		})
+	})
 }

@@ -265,68 +265,14 @@ func TestChainBarrierSnapshotsPerMember(t *testing.T) {
 	}
 }
 
-// TestAdaptiveBatchResizing unit-tests the occupancy heuristic: backlog
-// doubles the threshold toward the ceiling, a sustained empty queue halves
-// it toward the floor, and intermediate occupancy resets the idle run.
-func TestAdaptiveBatchResizing(t *testing.T) {
-	e := &Emitter{batchSize: 64}
-	tg := &target{ch: make(chan message, 16), size: adaptiveMinBatch}
-
-	// Backlogged queue: ≥ half full doubles, clamped at the ceiling.
-	for i := 0; i < 8; i++ {
-		tg.ch <- message{}
-	}
-	for _, want := range []int{16, 32, 64, 64} {
-		e.adapt(tg)
-		if tg.size != want {
-			t.Fatalf("grow: size = %d, want %d", tg.size, want)
-		}
-	}
-	// Draining to a non-empty, below-half queue holds the size steady.
-	for i := 0; i < 7; i++ {
-		<-tg.ch
-	}
-	tg.idle = idleShrinkAfter - 1
-	e.adapt(tg)
-	if tg.size != 64 || tg.idle != 0 {
-		t.Fatalf("mid occupancy must hold size and reset idle: size=%d idle=%d", tg.size, tg.idle)
-	}
-	// A sustained empty queue shrinks, stopping at the floor.
-	<-tg.ch
-	for _, want := range []int{32, 16, 8, 8} {
-		for i := 0; i < idleShrinkAfter; i++ {
-			e.adapt(tg)
-		}
-		if tg.size != want {
-			t.Fatalf("shrink: size = %d, want %d", tg.size, want)
-		}
-	}
-}
-
-// TestAdaptiveBatchGrowsEndToEnd drives a real emitter against a backlogged
-// channel and checks the edge threshold climbs to the configured ceiling.
-func TestAdaptiveBatchGrowsEndToEnd(t *testing.T) {
-	e := &Emitter{batchSize: 64}
-	e.consumers = []consumer{{mode: Global, targets: []target{{ch: make(chan message, 256)}}}}
-	for i := 0; i < 4096; i++ {
-		e.EmitTuple(tupleAt(int64(i), event.Time(i)))
-	}
-	tg := &e.consumers[0].targets[0]
-	if tg.size != 64 {
-		t.Fatalf("edge threshold = %d after sustained backlog, want 64", tg.size)
-	}
-}
-
-// TestTimeFlushShipsStalePartialBatch: with an injected clock and a flush
-// interval, a partial batch stuck behind an edge that stopped filling is
-// shipped once the deadline passes — no watermark or EOS needed.
+// TestTimeFlushShipsStalePartialBatch: with an injected clock, a partial
+// batch stuck behind an edge that stopped filling is shipped once
+// exchangeFlushNanos pass — no watermark or EOS needed.
 func TestTimeFlushShipsStalePartialBatch(t *testing.T) {
 	var clock atomic.Int64
 	clock.Store(1) // 0 is the emitter's "no pending deadline" sentinel
 	topo := NewTopology()
-	topo.SetExchangeBatch(64)
 	topo.SetNowNanos(func() int64 { return clock.Load() })
-	topo.SetFlushInterval(int64(time.Millisecond))
 	src := topo.AddSource("src", 1)
 	var mu sync.Mutex
 	seen := map[int64]int{}
@@ -342,15 +288,15 @@ func TestTimeFlushShipsStalePartialBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc, _ := job.SourceContext(src, 0)
-	// Phase 1: 20 tuples on one key → two full batches of 8 ship, 4 sit
-	// pending on that edge.
+	// Phase 1: 20 tuples on one key sit pending on that edge, short of the
+	// batch size.
 	for i := 0; i < 20; i++ {
 		sc.EmitTuple(tupleAt(1, event.Time(i)))
 	}
 	// Phase 2: the deadline passes, and traffic on a *different* key keeps
 	// the emitter's deadline checks running. The stuck key-1 batch must ship
 	// even though its own edge sees no new tuples.
-	clock.Add(int64(2 * time.Millisecond))
+	clock.Add(2 * exchangeFlushNanos)
 	for i := 0; i < 64; i++ {
 		sc.EmitTuple(tupleAt(2, event.Time(20+i)))
 	}
@@ -375,7 +321,6 @@ func TestTimeFlushShipsStalePartialBatch(t *testing.T) {
 // not stuck behind the batch size even without a clock.
 func TestFlushOnIdleShipsPartialBatch(t *testing.T) {
 	topo := NewTopology()
-	topo.SetExchangeBatch(64)
 	src := topo.AddSource("src", 1)
 	mid := topo.AddOperator("mid", 1, NewMapLogic(passThrough), KeyedInput(src))
 	var col collector
@@ -385,9 +330,8 @@ func TestFlushOnIdleShipsPartialBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc, _ := job.SourceContext(src, 0)
-	// 3 tuples: fewer than any batch threshold. src→mid is unbatched per
-	// tuple only after mid's own idle flush; mid→sink holds a partial batch
-	// that only the idle flush can ship (no watermark, no EOS, no clock).
+	// 3 tuples: far short of a batch. mid→sink holds a partial batch that
+	// only the idle flush can ship (no watermark, no EOS, no clock).
 	for i := int64(0); i < 3; i++ {
 		sc.EmitTuple(tupleAt(i, event.Time(i)))
 	}

@@ -1,239 +1,95 @@
 package spe
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"astream/internal/bitset"
 	"astream/internal/event"
+	"astream/internal/wire"
 )
 
-// BinaryCodec is a compact, allocation-light binary encoding for stream
-// elements. It serves two purposes: the cluster simulation applies it to
-// inter-node edges so shuffled data pays a realistic serialization cost, and
-// the checkpoint log uses it to persist replayable input.
+// BinaryCodec is the edge codec the cluster simulation applies to inter-node
+// edges so shuffled data pays a realistic serialization cost. Tuples travel
+// as batch frames (EncodeBatch/DecodeBatch, tuples in wire.AppendTuple
+// layout); control elements — watermarks, barriers, changelog envelopes, EOS
+// — as single elements (EncodeControl/DecodeControl).
 //
 // Changelog payloads are NOT encoded (they are control-plane metadata whose
 // identity must be preserved for deduplication); cross-node changelog
 // delivery passes the pointer through after paying the envelope cost.
 type BinaryCodec struct{}
 
-const (
-	codecVersion = 1
-	maxQSWords   = 1 << 16
-)
+const codecVersion = 2
 
-// Encode serializes an element.
-func (BinaryCodec) Encode(e event.Element) []byte {
-	buf := make([]byte, 0, 96)
-	buf = append(buf, codecVersion, byte(e.Kind))
+// EncodeControl serializes a control element. Tuples are not control
+// elements: they cross edges only inside batch frames.
+func (BinaryCodec) EncodeControl(e event.Element) []byte {
+	//lint:ignore hotalloc one small frame per control element per coded edge: the serialization cost the codec exists to charge
+	buf := make([]byte, 0, 10)
+	buf = wire.AppendU8(buf, codecVersion)
+	buf = wire.AppendU8(buf, uint8(e.Kind))
 	switch e.Kind {
-	case event.KindTuple:
-		t := &e.Tuple
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(t.Key))
-		for _, f := range t.Fields {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(f))
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(t.Time))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(t.IngestNanos))
-		buf = append(buf, t.Stream)
-		words := t.QuerySet.Words()
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(words)))
-		for _, w := range words {
-			buf = binary.LittleEndian.AppendUint64(buf, w)
-		}
-	case event.KindWatermark:
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Watermark))
+	case event.KindWatermark, event.KindChangelog:
+		// A changelog travels as its event-time envelope only.
+		buf = wire.AppendI64(buf, int64(e.Watermark))
 	case event.KindBarrier:
-		buf = binary.LittleEndian.AppendUint64(buf, e.Barrier)
-	case event.KindEOS:
-		// no payload
-	case event.KindChangelog:
-		// Envelope only: event-time. Payload pointer travels alongside.
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Watermark))
+		buf = wire.AppendU64(buf, e.Barrier)
 	}
 	return buf
 }
 
-// Decode deserializes an element previously produced by Encode. Changelog
-// payloads cannot be reconstructed from bytes; DecodeWithPayload supplies
-// them.
-func (c BinaryCodec) Decode(b []byte) (event.Element, error) {
-	return c.decode(b, nil)
-}
-
-// DecodeWithPayload decodes, reattaching the given changelog payload for
-// KindChangelog elements.
-func (c BinaryCodec) DecodeWithPayload(b []byte, payload any) (event.Element, error) {
-	return c.decode(b, payload)
-}
-
-func (BinaryCodec) decode(b []byte, payload any) (event.Element, error) {
-	if len(b) < 2 {
-		return event.Element{}, fmt.Errorf("spe: short element encoding (%d bytes)", len(b))
-	}
-	if b[0] != codecVersion {
-		return event.Element{}, fmt.Errorf("spe: unknown codec version %d", b[0])
-	}
-	kind := event.Kind(b[1])
-	r := reader{b: b[2:]}
-	var e event.Element
-	e.Kind = kind
-	switch kind {
-	case event.KindTuple:
-		t := &e.Tuple
-		t.Key = int64(r.u64())
-		for i := range t.Fields {
-			t.Fields[i] = int64(r.u64())
-		}
-		t.Time = event.Time(r.u64())
-		t.IngestNanos = int64(r.u64())
-		t.Stream = r.u8()
-		n := r.u32()
-		if n > maxQSWords {
-			return event.Element{}, fmt.Errorf("spe: query-set too large (%d words)", n)
-		}
-		if n > 0 {
-			words := make([]uint64, n)
-			for i := range words {
-				words[i] = r.u64()
-			}
-			t.QuerySet = bitset.FromWords(words)
-		}
-	case event.KindWatermark:
-		e.Watermark = event.Time(r.u64())
+// DecodeControl deserializes an EncodeControl encoding. A changelog decodes
+// without its payload; the sender reattaches it.
+func (BinaryCodec) DecodeControl(b []byte) (event.Element, error) {
+	r := wire.NewReader(b)
+	r.Version("element codec version", codecVersion)
+	e := event.Element{Kind: event.Kind(r.U8("element kind"))}
+	switch e.Kind {
+	case event.KindWatermark, event.KindChangelog:
+		e.Watermark = event.Time(r.I64("element time"))
 	case event.KindBarrier:
-		e.Barrier = r.u64()
+		e.Barrier = r.U64("element barrier")
 	case event.KindEOS:
-	case event.KindChangelog:
-		e.Watermark = event.Time(r.u64())
-		e.Changelog = payload
 	default:
-		return event.Element{}, fmt.Errorf("spe: unknown element kind %d", kind)
+		//lint:ignore hotalloc cold: formats once, when a corrupt frame has already doomed the instance
+		r.Fail(fmt.Errorf("spe: element kind %d is not a control element", e.Kind))
 	}
-	if r.err != nil {
-		return event.Element{}, r.err
+	if err := r.Finish("element"); err != nil {
+		return event.Element{}, err
 	}
 	return e, nil
 }
 
-// BatchCodec is the optional batch extension of EdgeCodec: a whole exchange
-// batch is serialized in one pass, amortizing the envelope over the vector.
-// Implementations must round-trip tuples exactly.
-type BatchCodec interface {
-	EncodeBatch(ts []event.Tuple) []byte
-	DecodeBatch(b []byte) ([]event.Tuple, error)
-}
-
-// tupleFixedSize is the per-tuple fixed portion of the batch encoding.
-const tupleFixedSize = 8 + 8*event.NumFields + 8 + 8 + 1 + 4
-
-// EncodeBatch serializes a vector of tuples: header (version, count) then
-// each tuple in the same layout Encode uses.
+// EncodeBatch serializes a vector of tuples in one pass, amortizing the
+// envelope over the vector: version, count, then each tuple.
 func (BinaryCodec) EncodeBatch(ts []event.Tuple) []byte {
-	buf := make([]byte, 0, 8+len(ts)*(tupleFixedSize+16))
-	buf = append(buf, codecVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ts)))
+	//lint:ignore hotalloc one frame per cross-node batch: the serialization cost the codec exists to charge
+	buf := make([]byte, 0, 5+len(ts)*(wire.TupleMinSize+16))
+	buf = wire.AppendU8(buf, codecVersion)
+	buf = wire.AppendCount(buf, len(ts))
 	for i := range ts {
-		t := &ts[i]
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(t.Key))
-		for _, f := range t.Fields {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(f))
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(t.Time))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(t.IngestNanos))
-		buf = append(buf, t.Stream)
-		words := t.QuerySet.Words()
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(words)))
-		for _, w := range words {
-			buf = binary.LittleEndian.AppendUint64(buf, w)
-		}
+		buf = wire.AppendTuple(buf, &ts[i])
 	}
 	return buf
 }
 
 // DecodeBatch deserializes a vector produced by EncodeBatch. The returned
-// slice comes from the exchange batch pool.
+// slice comes from the exchange batch pool; on error it has already gone
+// back there.
 func (BinaryCodec) DecodeBatch(b []byte) ([]event.Tuple, error) {
-	if len(b) < 5 {
-		return nil, fmt.Errorf("spe: short batch encoding (%d bytes)", len(b))
+	r := wire.NewReader(b)
+	r.Version("batch codec version", codecVersion)
+	n := r.Count("batch tuple count", wire.TupleMinSize)
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	if b[0] != codecVersion {
-		return nil, fmt.Errorf("spe: unknown codec version %d", b[0])
+	out := getBatch(n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		//lint:ignore hotalloc appends into a pooled buffer; grows at most to the largest batch seen
+		out = append(out, wire.ReadTuple(r))
 	}
-	r := reader{b: b[1:]}
-	n := r.u32()
-	if n > maxQSWords {
-		return nil, fmt.Errorf("spe: batch too large (%d tuples)", n)
-	}
-	out := getBatch(int(n))
-	for i := uint32(0); i < n; i++ {
-		var t event.Tuple
-		t.Key = int64(r.u64())
-		for fi := range t.Fields {
-			t.Fields[fi] = int64(r.u64())
-		}
-		t.Time = event.Time(r.u64())
-		t.IngestNanos = int64(r.u64())
-		t.Stream = r.u8()
-		nw := r.u32()
-		if nw > maxQSWords {
-			putBatch(out)
-			return nil, fmt.Errorf("spe: query-set too large (%d words)", nw)
-		}
-		if nw > 0 {
-			words := make([]uint64, nw)
-			for wi := range words {
-				words[wi] = r.u64()
-			}
-			t.QuerySet = bitset.FromWords(words)
-		}
-		if r.err != nil {
-			putBatch(out)
-			return nil, r.err
-		}
-		out = append(out, t)
+	if err := r.Finish("batch"); err != nil {
+		putBatch(out)
+		return nil, err
 	}
 	return out, nil
-}
-
-type reader struct {
-	b   []byte
-	err error
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || len(r.b) < 8 {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || len(r.b) < 4 {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
-}
-
-func (r *reader) u8() uint8 {
-	if r.err != nil || len(r.b) < 1 {
-		r.fail()
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("spe: truncated element encoding")
-	}
 }

@@ -23,17 +23,18 @@ type Job struct {
 type DeployOption func(*deployConfig)
 
 type deployConfig struct {
-	codec      EdgeCodec
+	codec      bool
 	snapSink   SnapshotSink
 	failSink   FailureSink
 	hook       FaultHook
 	deltaEvery int
 }
 
-// WithEdgeCodec installs a codec applied to every element crossing cluster
-// node boundaries (see Node.AssignNodes).
-func WithEdgeCodec(c EdgeCodec) DeployOption {
-	return func(d *deployConfig) { d.codec = c }
+// WithEdgeCodec charges the codec on every batch and control element that
+// crosses cluster node boundaries (see Node.AssignNodes): encode then
+// decode, the serialization a networked deployment pays.
+func WithEdgeCodec(BinaryCodec) DeployOption {
+	return func(d *deployConfig) { d.codec = true }
 }
 
 // WithSnapshotSink installs the receiver for checkpoint snapshots.
@@ -178,13 +179,11 @@ func Deploy(t *Topology, opts ...DeployOption) (*Job, error) {
 	// upstream of a fused edge (that upstream is inside a chain).
 	emitterFor := func(u *Node, ui int) *Emitter {
 		em := &Emitter{
-			codec:      cfg.codec,
-			batchSize:  t.exchangeBatch,
-			nowNanos:   t.nowNanos,
-			flushNanos: t.flushNanos,
-			opName:     u.name,
-			instance:   ui,
-			hook:       cfg.hook,
+			batchSize: t.exchangeBatch,
+			nowNanos:  t.nowNanos,
+			opName:    u.name,
+			instance:  ui,
+			hook:      cfg.hook,
 		}
 		for _, d := range t.nodes {
 			for pi, in := range d.inputs {
@@ -194,10 +193,10 @@ func Deploy(t *Topology, opts ...DeployOption) (*Job, error) {
 				c := consumer{mode: in.mode, self: ui}
 				for di := 0; di < d.parallelism; di++ {
 					c.targets = append(c.targets, target{
-						ch:        j.insts[d][di].inbox,
-						sender:    senderBase[d][pi] + ui,
-						port:      pi,
-						crossNode: u.nodeFor(ui) != d.nodeFor(di),
+						ch:     j.insts[d][di].inbox,
+						sender: senderBase[d][pi] + ui,
+						port:   pi,
+						coded:  cfg.codec && u.nodeFor(ui) != d.nodeFor(di),
 					})
 				}
 				em.consumers = append(em.consumers, c)

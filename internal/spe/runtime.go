@@ -22,20 +22,13 @@ type SnapshotSink interface {
 
 // target is one downstream inbox reachable from an emitter. buf is the
 // pending exchange batch for this edge; it is owned by the emitting
-// goroutine and flushed on size or on any control broadcast. size is the
-// edge's adaptive batch threshold: it grows toward the configured maximum
-// while the downstream queue is backlogged (the channel operation is the
-// contended resource, so amortize more tuples per send) and shrinks after
-// idleShrinkAfter consecutive flushes that found the queue empty (the
-// consumer keeps up, so smaller batches cut latency for free).
+// goroutine and flushed on size or on any control broadcast.
 type target struct {
-	ch        chan message
-	sender    int
-	port      int // which input port of the receiver this edge feeds
-	crossNode bool
-	buf       []event.Tuple
-	size      int // adaptive threshold in [adaptiveMinBatch, Emitter.batchSize]
-	idle      int // consecutive flushes that saw an empty downstream queue
+	ch     chan message
+	sender int
+	port   int  // which input port of the receiver this edge feeds
+	coded  bool // crosses cluster nodes under an installed edge codec
+	buf    []event.Tuple
 }
 
 // consumer groups the targets for one downstream operator. self is the
@@ -46,17 +39,17 @@ type consumer struct {
 	targets []target
 }
 
-// Adaptive exchange tuning. Edges start at adaptiveMinBatch and double on
-// observed backlog, so a quiet edge never pays full-batch staleness and a
-// saturated edge reaches the configured ceiling within a few flushes.
 const (
-	adaptiveMinBatch = 8  // floor and starting point of the per-edge threshold
-	idleShrinkAfter  = 16 // empty-queue flushes before the threshold halves
-	flushCheckEvery  = 16 // elements between time-based flush deadline checks
+	// exchangeFlushNanos bounds how long a partial exchange batch may sit
+	// before the time-based flush ships it (1 ms).
+	exchangeFlushNanos = 1_000_000
+	// flushCheckEvery is the number of elements between deadline checks.
+	flushCheckEvery = 16
 )
 
 // tupleBatchPool recycles exchange batch buffers between emitting and
 // receiving goroutines.
+//
 //lint:pooled pool recycled exchange batch backings
 var tupleBatchPool sync.Pool
 
@@ -91,25 +84,24 @@ func putBatch(b []event.Tuple) {
 // invokes the next chained logic's OnTuple directly — no channel, no batch
 // buffer, no codec — and carries no consumers of its own.
 //
-// With batchSize > 1, tuples accumulate in per-edge vectors and travel as
-// one channel operation per batch (Flink's network-buffer model). Every
-// control broadcast — watermark, changelog, barrier, EOS — flushes all
-// pending batches first, so control elements can never overtake data on any
-// edge and per-sender FIFO order is preserved exactly. Partial batches are
-// additionally flushed when the owning instance goes idle (its inbox is
-// empty) and, when a clock is injected, after flushNanos of sitting pending
-// — so staleness no longer depends on the watermark cadence.
+// On an exchange, tuples accumulate in per-edge vectors of batchSize and
+// travel as one channel operation per batch (Flink's network-buffer model);
+// there is no per-tuple transport. Every control broadcast — watermark,
+// changelog, barrier, EOS — flushes all pending batches first, so control
+// elements can never overtake data on any edge and per-sender FIFO order is
+// preserved exactly. Partial batches are additionally flushed when the
+// owning instance goes idle (its inbox is empty) and, when a clock is
+// injected, after exchangeFlushNanos of sitting pending — so staleness
+// depends neither on batch fill nor on the watermark cadence.
 type Emitter struct {
 	consumers []consumer
-	codec     EdgeCodec
-	batchSize int         // ≤1 sends tuples unbatched; else the adaptive ceiling
+	batchSize int         // tuples per exchange batch
 	direct    *directLink // fused-edge fast path; nil for exchange emitters
 
-	pending      int // targets currently holding a partial batch
-	nowNanos     func() int64
-	flushNanos   int64 // ≤0 disables time-based flushing
-	pendingSince int64 // first deadline check that observed pending batches
-	sinceCheck   int   // elements since the last deadline check
+	pending      int          // targets currently holding a partial batch
+	nowNanos     func() int64 // nil disables the time-based flush
+	pendingSince int64        // first deadline check that observed pending batches
+	sinceCheck   int          // elements since the last deadline check
 
 	// Failure surface: the first edge fault (codec round-trip failure,
 	// injected drop) sticks here; the owning instance checks Err after each
@@ -155,66 +147,39 @@ func (e *Emitter) EmitTuple(t event.Tuple) {
 		e.direct.logic.OnTuple(0, t, e.direct.out)
 		return
 	}
-	if e.batchSize > 1 {
-		for ci := range e.consumers {
-			c := &e.consumers[ci]
-			switch c.mode {
-			case Keyed:
-				e.append(&c.targets[hashKey(t.Key, len(c.targets))], t)
-			case Global:
-				e.append(&c.targets[0], t)
-			case Forward:
-				e.append(&c.targets[c.self], t)
-			case Broadcast:
-				for ti := range c.targets {
-					e.append(&c.targets[ti], t)
-				}
-			}
-		}
-		return
-	}
-	el := event.NewTuple(t)
 	for ci := range e.consumers {
 		c := &e.consumers[ci]
 		switch c.mode {
 		case Keyed:
-			tg := &c.targets[hashKey(t.Key, len(c.targets))]
-			e.send(tg, el)
+			e.append(&c.targets[hashKey(t.Key, len(c.targets))], t)
 		case Global:
-			e.send(&c.targets[0], el)
+			e.append(&c.targets[0], t)
 		case Forward:
-			e.send(&c.targets[c.self], el)
+			e.append(&c.targets[c.self], t)
 		case Broadcast:
 			for ti := range c.targets {
-				e.send(&c.targets[ti], el)
+				e.append(&c.targets[ti], t)
 			}
 		}
 	}
 }
 
-// append adds a tuple to one edge's pending batch, flushing at the edge's
-// adaptive threshold.
+// append adds a tuple to one edge's pending batch, flushing when it fills.
 func (e *Emitter) append(tg *target, t event.Tuple) {
 	if tg.buf == nil {
-		if tg.size == 0 {
-			tg.size = adaptiveMinBatch
-			if tg.size > e.batchSize {
-				tg.size = e.batchSize
-			}
-		}
-		tg.buf = getBatch(tg.size)
+		tg.buf = getBatch(e.batchSize)
 		e.pending++
 	}
 	//lint:ignore hotalloc appends within the batch buffer's pooled capacity; flushed before it would grow
 	tg.buf = append(tg.buf, t)
-	if len(tg.buf) >= tg.size {
+	if len(tg.buf) >= e.batchSize {
 		e.flushTarget(tg)
 	}
 }
 
-// flushTarget ships one edge's pending batch downstream. Cross-node edges
-// pay the serialization cost batch-wise when the codec supports it,
-// amortizing the envelope over the whole vector.
+// flushTarget ships one edge's pending batch downstream. Coded edges pay
+// the serialization cost batch-wise, amortizing the envelope over the whole
+// vector.
 func (e *Emitter) flushTarget(tg *target) {
 	if len(tg.buf) == 0 {
 		return
@@ -225,92 +190,43 @@ func (e *Emitter) flushTarget(tg *target) {
 	if e.pending == 0 {
 		e.pendingSince = 0
 	}
-	e.adapt(tg)
-	if tg.crossNode && e.codec != nil {
-		if bc, ok := e.codec.(BatchCodec); ok {
-			enc := bc.EncodeBatch(batch)
-			if e.hook != nil {
-				var bf BatchFault
-				enc, bf = e.hook.OnBatch(e.opName, e.instance, enc)
-				switch bf {
-				case BatchDrop:
-					// A dropped batch is lost data: fail the instance so the
-					// barrier gate (completeBarrier) keeps the lossy epoch
-					// from ever committing, and recovery re-delivers from
-					// the log.
-					putBatch(batch)
-					//lint:ignore hotalloc cold failure path: the boxing happens once, when an injected link fault has already doomed the epoch
-					e.fail(fmt.Errorf("spe: %s[%d] exchange batch dropped (injected link failure)", e.opName, e.instance))
-					return
-				case BatchDelay:
-					// Hold the batch one flush round. Per-edge order is
-					// preserved: broadcast re-flushes before sending any
-					// control element on this edge.
-					tg.buf = batch
-					e.pending++
-					return
-				}
-			}
-			dec, err := bc.DecodeBatch(enc)
-			if err != nil {
-				// Ship the still-intact original so downstream stays
-				// consistent; the sticky error fails this instance and the
-				// job manager decides between recovery and teardown.
-				e.fail(fmt.Errorf("spe: edge codec batch round-trip failed: %v", err))
-			} else {
+	if tg.coded {
+		enc := BinaryCodec{}.EncodeBatch(batch)
+		if e.hook != nil {
+			var bf BatchFault
+			enc, bf = e.hook.OnBatch(e.opName, e.instance, enc)
+			switch bf {
+			case BatchDrop:
+				// A dropped batch is lost data: fail the instance so the
+				// barrier gate (completeBarrier) keeps the lossy epoch
+				// from ever committing, and recovery re-delivers from
+				// the log.
 				putBatch(batch)
-				batch = dec
+				//lint:ignore hotalloc cold failure path: the boxing happens once, when an injected link fault has already doomed the epoch
+				e.fail(fmt.Errorf("spe: %s[%d] exchange batch dropped (injected link failure)", e.opName, e.instance))
+				return
+			case BatchDelay:
+				// Hold the batch one flush round. Per-edge order is
+				// preserved: broadcast re-flushes before sending any
+				// control element on this edge.
+				tg.buf = batch
+				e.pending++
+				return
 			}
+		}
+		dec, err := BinaryCodec{}.DecodeBatch(enc)
+		if err != nil {
+			// Ship the still-intact original so downstream stays
+			// consistent; the sticky error fails this instance and the
+			// job manager decides between recovery and teardown.
+			//lint:ignore hotalloc cold failure path: formats once, when a corrupt frame has already doomed the epoch
+			e.fail(fmt.Errorf("spe: edge codec batch round-trip failed: %v", err))
 		} else {
-			dec := getBatch(len(batch))
-			ok := true
-			for i := range batch {
-				el, err := e.codec.Decode(e.codec.Encode(event.NewTuple(batch[i])))
-				if err != nil {
-					e.fail(fmt.Errorf("spe: edge codec round-trip failed: %v", err))
-					ok = false
-					break
-				}
-				//lint:ignore hotalloc cross-node codec path appends into a pooled buffer sized to the batch
-				dec = append(dec, el.Tuple)
-			}
-			if ok {
-				putBatch(batch)
-				batch = dec
-			} else {
-				putBatch(dec)
-			}
+			putBatch(batch)
+			batch = dec
 		}
 	}
 	tg.ch <- message{sender: tg.sender, port: tg.port, batch: batch}
-}
-
-// adapt resizes one edge's batch threshold from the downstream queue's
-// occupancy, observed at flush time. A backlogged channel (≥ half full)
-// doubles the threshold toward the configured ceiling; a queue found empty
-// idleShrinkAfter flushes in a row halves it toward adaptiveMinBatch.
-// Occupancy in between leaves the threshold alone and resets the idle run.
-func (e *Emitter) adapt(tg *target) {
-	q, c := len(tg.ch), cap(tg.ch)
-	switch {
-	case 2*q >= c && c > 0:
-		tg.idle = 0
-		if n := tg.size * 2; n <= e.batchSize {
-			tg.size = n
-		} else {
-			tg.size = e.batchSize
-		}
-	case q == 0:
-		tg.idle++
-		if tg.idle >= idleShrinkAfter {
-			tg.idle = 0
-			if n := tg.size / 2; n >= adaptiveMinBatch {
-				tg.size = n
-			}
-		}
-	default:
-		tg.idle = 0
-	}
 }
 
 // flushAll ships every pending batch, in fixed edge order (deterministic).
@@ -325,14 +241,14 @@ func (e *Emitter) flushAll() {
 	}
 }
 
-// maybeTimeFlush flushes pending batches once they have sat for flushNanos,
-// bounding staleness on low-rate edges independently of the watermark
-// cadence. The clock is only consulted every flushCheckEvery elements, so
-// the hot path pays an integer increment; the realized bound is therefore
-// flushNanos plus up to two check intervals, which is what "low-rate edge"
-// makes negligible. No-op without an injected clock.
+// maybeTimeFlush flushes pending batches once they have sat for
+// exchangeFlushNanos, bounding staleness on low-rate edges independently of
+// the watermark cadence. The clock is only consulted every flushCheckEvery
+// elements, so the hot path pays an integer increment; the realized bound is
+// therefore that interval plus up to two check intervals, which is what
+// "low-rate edge" makes negligible. No-op without an injected clock.
 func (e *Emitter) maybeTimeFlush() {
-	if e.pending == 0 || e.flushNanos <= 0 || e.nowNanos == nil {
+	if e.pending == 0 || e.nowNanos == nil {
 		return
 	}
 	e.sinceCheck++
@@ -345,7 +261,7 @@ func (e *Emitter) maybeTimeFlush() {
 		e.pendingSince = now
 		return
 	}
-	if now-e.pendingSince >= e.flushNanos {
+	if now-e.pendingSince >= exchangeFlushNanos {
 		e.flushAll()
 	}
 }
@@ -397,12 +313,12 @@ func (e *Emitter) discardPending() {
 	e.pending = 0
 }
 
+// send delivers one control element on one edge.
 func (e *Emitter) send(tg *target, el event.Element) {
-	if tg.crossNode && e.codec != nil {
+	if tg.coded {
 		// Pay the serialization cost a networked edge would: encode and
 		// decode the element (the decoded copy is what travels on).
-		payload := el.Changelog
-		dec, err := e.codec.Decode(e.codec.Encode(el))
+		dec, err := BinaryCodec{}.DecodeControl(BinaryCodec{}.EncodeControl(el))
 		if err != nil {
 			// Deliver the intact original so control flow is never lost;
 			// the sticky error still fails the instance.
@@ -410,9 +326,7 @@ func (e *Emitter) send(tg *target, el event.Element) {
 		} else {
 			// Changelog payloads are control-plane pointers; reattach after
 			// paying the envelope cost (the codec cannot reconstruct them).
-			if dec.Kind == event.KindChangelog {
-				dec.Changelog = payload
-			}
+			dec.Changelog = el.Changelog
 			el = dec
 		}
 	}
@@ -439,12 +353,12 @@ type chainMember struct {
 // during a control callback reach member j+1's OnTuple before j+1's own
 // callback runs — exactly the order an unfused deployment delivers.
 type instanceRT struct {
-	op       *Node // chain head (names the instance in diagnostics)
-	instance int
-	members  []chainMember
-	inbox    chan message // nil for chains embedded in a source (see SourceContext)
-	senders  int
-	emitter  *Emitter // the chain tail's exchange emitter
+	op         *Node // chain head (names the instance in diagnostics)
+	instance   int
+	members    []chainMember
+	inbox      chan message // nil for chains embedded in a source (see SourceContext)
+	senders    int
+	emitter    *Emitter // the chain tail's exchange emitter
 	snapSink   SnapshotSink
 	failSink   FailureSink // nil: failures re-panic (bare deployments stay fail-fast)
 	hook       FaultHook   // nil in production
@@ -600,12 +514,6 @@ func (rt *instanceRT) handle(msg message) error {
 		return nil
 	}
 	switch msg.elem.Kind {
-	case event.KindTuple:
-		if rt.hook != nil {
-			rt.hook.BeforeTuple(rt.op.name, rt.instance)
-		}
-		head := &rt.members[0]
-		head.logic.OnTuple(msg.port, msg.elem.Tuple, head.out)
 	case event.KindWatermark:
 		rt.onWatermark(msg.sender, msg.elem.Watermark)
 	case event.KindChangelog:

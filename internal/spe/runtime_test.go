@@ -83,8 +83,8 @@ func TestRuntimeBarrierBuffersBlockedSender(t *testing.T) {
 	rt := newBareRT(2, rec)
 	rt.handle(message{sender: 0, elem: event.NewBarrier(1)})
 	// Tuples from the barriered sender buffer; the other flows.
-	rt.handle(message{sender: 0, elem: event.NewTuple(event.Tuple{})})
-	rt.handle(message{sender: 1, elem: event.NewTuple(event.Tuple{})})
+	rt.handle(message{sender: 0, batch: []event.Tuple{{}}})
+	rt.handle(message{sender: 1, batch: []event.Tuple{{}}})
 	if rec.tuples != 1 {
 		t.Fatalf("tuples processed during alignment = %d, want 1", rec.tuples)
 	}

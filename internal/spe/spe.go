@@ -56,15 +56,15 @@ func (m PartitionMode) String() string {
 	}
 }
 
-// message is the wire format between instances: the element plus the sender's
-// identity within the receiving inbox (for per-sender watermark bookkeeping)
-// and the input port it arrives on. When batch is non-nil the message carries
-// a vector of data tuples instead of elem (exchange batching): one channel
-// operation moves up to a full network buffer's worth of tuples, Flink-style.
+// message is what travels between instances: either a batch of data tuples
+// (batch non-nil — the only tuple transport; one channel operation moves up
+// to a full network buffer's worth of tuples, Flink-style) or one control
+// element in elem, plus the sender's identity within the receiving inbox (for
+// per-sender watermark bookkeeping) and the input port it arrives on.
 type message struct {
 	sender int
 	port   int
-	elem   event.Element
+	elem   event.Element // control elements only; never KindTuple
 	batch  []event.Tuple
 }
 

@@ -465,52 +465,39 @@ func TestSourceContextErrors(t *testing.T) {
 	job.Stop()
 }
 
-func TestCodecRoundTrip(t *testing.T) {
+// TestControlCodecRoundTrip covers the element codec, which carries control
+// elements only (tuples cross edges in batch frames: TestBatchCodecRoundTrip;
+// their byte layout round-trips in internal/wire).
+func TestControlCodecRoundTrip(t *testing.T) {
 	c := BinaryCodec{}
-	qs := bitset.FromIndexes(0, 7, 130)
 	els := []event.Element{
-		event.NewTuple(event.Tuple{Key: -5, Fields: [event.NumFields]int64{1, -2, 3, 4, 5}, Time: 42, QuerySet: qs, IngestNanos: 9999, Stream: 1}),
-		event.NewTuple(event.Tuple{Key: 0, Time: 0}),
 		event.NewWatermark(777),
 		event.NewBarrier(3),
 		event.EOS(),
+		event.NewChangelog(nil, 55), // the envelope only; send reattaches the payload
 	}
 	for _, el := range els {
-		got, err := c.Decode(c.Encode(el))
+		got, err := c.DecodeControl(c.EncodeControl(el))
 		if err != nil {
 			t.Fatalf("decode(%v): %v", el.Kind, err)
 		}
 		if got.Kind != el.Kind || got.Watermark != el.Watermark || got.Barrier != el.Barrier {
 			t.Fatalf("round trip changed control fields: %+v vs %+v", got, el)
 		}
-		if el.Kind == event.KindTuple {
-			a, b := el.Tuple, got.Tuple
-			if a.Key != b.Key || a.Fields != b.Fields || a.Time != b.Time ||
-				a.IngestNanos != b.IngestNanos || a.Stream != b.Stream || !a.QuerySet.Equal(b.QuerySet) {
-				t.Fatalf("tuple round trip mismatch:\n%+v\n%+v", a, b)
-			}
-		}
-	}
-	// Changelog: payload reattached via DecodeWithPayload.
-	cl := &testChangelog{seq: 9}
-	el := event.NewChangelog(cl, 55)
-	enc := c.Encode(el)
-	got, err := c.DecodeWithPayload(enc, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Changelog != any(cl) || got.Watermark != 55 {
-		t.Fatalf("changelog round trip lost payload: %+v", got)
 	}
 	// Corrupt inputs.
-	if _, err := c.Decode(nil); err == nil {
+	enc := c.EncodeControl(event.NewWatermark(777))
+	if _, err := c.DecodeControl(nil); err == nil {
 		t.Fatal("nil input must fail")
 	}
-	if _, err := c.Decode([]byte{99, 0}); err == nil {
+	if _, err := c.DecodeControl([]byte{99, byte(event.KindEOS)}); err == nil {
 		t.Fatal("bad version must fail")
 	}
-	if _, err := c.Decode(enc[:3]); err == nil {
+	if _, err := c.DecodeControl(enc[:3]); err == nil {
 		t.Fatal("truncation must fail")
+	}
+	if _, err := c.DecodeControl([]byte{codecVersion, byte(event.KindTuple)}); err == nil {
+		t.Fatal("a tuple is not a control element")
 	}
 }
 

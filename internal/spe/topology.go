@@ -3,8 +3,6 @@ package spe
 import (
 	"fmt"
 	"strings"
-
-	"astream/internal/event"
 )
 
 // DefaultChannelCap is the bounded capacity of exchange channels; bounded
@@ -12,20 +10,17 @@ import (
 // measurement) real.
 const DefaultChannelCap = 256
 
-// DefaultExchangeBatch is the default per-edge exchange batch size: tuples
+// DefaultExchangeBatch is the per-edge exchange batch size: tuples
 // accumulate in per-edge vectors of this many entries before one channel
-// operation ships them (see Emitter). 1 disables batching.
+// operation ships them (see Emitter).
 const DefaultExchangeBatch = 64
 
 // Topology is a DAG of operators under construction. Build it, then Deploy.
 type Topology struct {
 	nodes         []*Node
 	channelCap    int
-	exchangeBatch int
-	// flushNanos bounds how long a partially filled exchange batch may sit
-	// before a time-based flush ships it (0 disables). Requires nowNanos.
-	flushNanos int64
-	nowNanos   func() int64
+	exchangeBatch int // DefaultExchangeBatch; in-package tests shrink it
+	nowNanos      func() int64
 }
 
 // NewTopology creates an empty topology.
@@ -41,34 +36,10 @@ func (t *Topology) SetChannelCap(n int) {
 	t.channelCap = n
 }
 
-// SetExchangeBatch overrides the per-edge exchange batch size (1 disables
-// batching; values < 1 are clamped to 1). Control elements — watermarks,
-// changelogs, barriers, EOS — always flush pending batches first, so
-// batching never reorders an edge. The configured value is a ceiling: each
-// edge adapts its actual batch threshold to downstream queue occupancy
-// (see Emitter).
-func (t *Topology) SetExchangeBatch(n int) {
-	if n < 1 {
-		n = 1
-	}
-	t.exchangeBatch = n
-}
-
-// SetFlushInterval bounds how long a partially filled exchange batch may sit
-// before it is flushed regardless of size, making output staleness on
-// low-rate edges independent of the watermark cadence. d ≤ 0 disables the
-// time-based flush. The deadline is checked opportunistically between
-// elements via the clock injected with SetNowNanos; without a clock the
-// interval is ignored.
-func (t *Topology) SetFlushInterval(nanos int64) {
-	if nanos < 0 {
-		nanos = 0
-	}
-	t.flushNanos = nanos
-}
-
-// SetNowNanos injects the monotonic clock used for time-based batch flushes.
-// The spe package never reads the wall clock itself (DESIGN.md §8).
+// SetNowNanos injects the monotonic clock that arms the time-based flush of
+// partial exchange batches (see Emitter); without one, partial batches ship
+// on control broadcasts and idle flushes only. The spe package never reads
+// the wall clock itself (DESIGN.md §8).
 func (t *Topology) SetNowNanos(now func() int64) {
 	t.nowNanos = now
 }
@@ -155,8 +126,8 @@ func GlobalInput(from *Node) Input { return Input{From: from, Mode: Global} }
 func ForwardInput(from *Node) Input { return Input{From: from, Mode: Forward} }
 
 // AssignNodes places instances of an operator onto cluster nodes round-robin
-// over nodeCount nodes. Inter-node edges pay the codec cost at deploy time
-// when the job is created with a non-nil EdgeCodec.
+// over nodeCount nodes. Inter-node edges pay the codec cost when the job is
+// deployed WithEdgeCodec.
 func (n *Node) AssignNodes(nodeCount int) {
 	if nodeCount < 1 {
 		nodeCount = 1
@@ -276,14 +247,6 @@ func (t *Topology) Chains() [][]string {
 		chains = append(chains, names)
 	}
 	return chains
-}
-
-// EdgeCodec, when installed on a Job, is applied to every element crossing
-// cluster-node boundaries: Encode then Decode, simulating the serialization
-// a networked deployment pays. It must round-trip elements exactly.
-type EdgeCodec interface {
-	Encode(e event.Element) []byte
-	Decode(b []byte) (event.Element, error)
 }
 
 // Dot renders the topology as a Graphviz digraph (operators as nodes,
