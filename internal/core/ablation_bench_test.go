@@ -158,23 +158,19 @@ func BenchmarkAblationSelectionIndex(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationWindowFire contrasts the shared window-fire engine
-// (DESIGN.md §15: merge tree + class dedup + fingerprint fan-out) against
-// the per-slice re-merge arm it replaced, across window/slide ratios (how
-// many slices one window spans) and query counts (how much combine work the
-// classes dedup). The re-merge arm is forced by disabling the tree, exactly
-// the mechanism fault injection uses. Each iteration folds one fresh tuple
-// and fires one full-length window, mirroring the windowfire kernel.
+// BenchmarkAblationWindowFire contrasts the window-fire path (DESIGN.md §15:
+// one trigger per extent, equivalence blocks) against the test suite's
+// reference, which fires every query on its own, across window/slide ratios
+// (how many slices one window spans) and query counts (how much merge work
+// the blocks share). Each iteration folds one fresh tuple and fires one
+// full-length window, mirroring the windowfire kernel.
 func BenchmarkAblationWindowFire(b *testing.B) {
 	for _, ratio := range []int{8, 32, 128} {
 		for _, queries := range []int{16, 64, 256} {
-			for _, mode := range []string{"remerge", "tree"} {
+			for _, mode := range []string{"reference", "engine"} {
 				b.Run(fmt.Sprintf("ratio%d/%dq/%s", ratio, queries, mode), func(b *testing.B) {
 					length := event.Time(ratio * 100)
 					agg := benchAggWindow(queries, window.SlidingSpec(length, 100))
-					if mode == "remerge" {
-						agg.disableMergeTree()
-					}
 					qs := bitset.AllUpTo(queries)
 					em := &spe.Emitter{}
 					// ~16 tuples per slice over 32 keys.
@@ -182,12 +178,20 @@ func BenchmarkAblationWindowFire(b *testing.B) {
 						agg.OnTuple(0, benchTuple(i, qs, event.Time(i)*100/16%length), em)
 					}
 					ext := window.Extent{Start: 0, End: length}
-					agg.fireBench(ext)
+					fire := func() { agg.fireBench(ext) }
+					if mode == "reference" {
+						fire = func() {
+							for _, aq := range agg.activeOrdered {
+								agg.fireWindowScan(ext, aq, agg.table.Latest())
+							}
+						}
+					}
+					fire()
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						agg.OnTuple(0, benchTuple(i, qs, length-1), em)
-						agg.fireBench(ext)
+						fire()
 					}
 				})
 			}

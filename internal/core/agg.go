@@ -27,13 +27,6 @@ type aggVal struct {
 	IngestNanos int64 // freshest contributor
 }
 
-func newAggVal() *aggVal {
-	//lint:ignore hotalloc cold: runs once per first-seen (group, key) pair; steady state reuses pooled values
-	v := &aggVal{}
-	v.reset()
-	return v
-}
-
 func (v *aggVal) reset() {
 	v.Count = 0
 	v.IngestNanos = 0
@@ -213,66 +206,36 @@ type SharedAggregation struct {
 	tblScratch []byte //lint:pooled scratch table-delta encode buffer recycled across barriers
 
 	// Steady-state scratch (owned by the instance goroutine): query-set
-	// intersection temporaries, the trigger and cap grouping, per-trigger
-	// accumulators, and the aggVal freelist.
+	// intersection temporaries, the watermark's triggers, and the fire
+	// path's cap groups, equivalence blocks and partial-aggregate storage.
 	//lint:ephemeral per-tuple scratch
 	qsTmp bitset.Bits //lint:pooled scratch per-tuple query-set intersection scratch
-	//lint:ephemeral per-trigger scratch
-	effTmp bitset.Bits //lint:pooled scratch per-trigger effective-query scratch
-	//lint:ephemeral per-trigger scratch
-	trigTmp []*aggTrigger //lint:pooled scratch per-trigger grouping scratch
+	//lint:ephemeral per-watermark scratch
+	trig triggerList[*aggQuery] //lint:pooled scratch per-watermark trigger scratch
 	//lint:ephemeral per-trigger scratch
 	capTmp []*aggCapGroup //lint:pooled scratch per-trigger cap-grouping scratch
 	//lint:ephemeral per-trigger scratch
-	accums []*slotAccum //lint:pooled scratch per-trigger accumulator scratch
+	capMask bitset.Bits //lint:pooled scratch per-cap-group slot mask scratch
+	//lint:ephemeral per-trigger scratch
+	relTmp bitset.Bits //lint:pooled scratch per-slice masked epoch relation scratch
+	//lint:ephemeral per-trigger scratch
+	effTmp bitset.Bits //lint:pooled scratch per-(slice, group) effective-membership scratch
+	//lint:ephemeral per-trigger scratch
+	slotQ []int32 //lint:pooled scratch slot → trigger query index of the cap group being fired
+	//lint:ephemeral per-trigger scratch
+	blkOf []int32 //lint:pooled scratch trigger query index → equivalence block
+	//lint:ephemeral per-trigger scratch
+	blocks []fireBlock //lint:pooled scratch per-trigger equivalence blocks and their accumulators
+	//lint:ephemeral per-trigger scratch
+	cutTmp []int32 //lint:pooled scratch blocks met by one refinement round
+	//lint:ephemeral fire-path round counter, bumped per (slice, group) visit: a block took part in the current round iff its stamp equals it
+	round uint64
 	//lint:ephemeral freelist, refills through steady-state recycling
 	valPool []*aggVal //lint:pooled freelist recycled aggVal backings
-	//lint:ephemeral per-trigger scratch
-	specsTmp []window.Spec //lint:pooled scratch per-trigger window-spec scratch
-
-	// Shared window-fire engine (DESIGN.md §15): the merge tree memoizes
-	// slice partials, classes dedup combine work across queries, and
-	// fingerprints fan one finalized accumulator out to every query with
-	// identical class membership.
-	//lint:ephemeral derived merge tree over the live slice ring, rebuilt by rebuildMergeTree on Restore
-	tree *mergeTree
-	//lint:ephemeral constructor wiring (fault injection forces the scan arm)
-	treeOff bool
-	//lint:ephemeral per-trigger scratch
-	nodeTmp []int32 //lint:pooled scratch per-trigger merge-tree node scratch
-	//lint:ephemeral per-trigger scratch
-	classTmp []*fireClass //lint:pooled scratch per-trigger combine-class scratch
-	//lint:ephemeral per-trigger scratch
-	fpTmp []*fireFP //lint:pooled scratch per-trigger fingerprint scratch
-	//lint:ephemeral per-trigger scratch
-	fpIdx []int32 //lint:pooled scratch per-trigger fingerprint index scratch
-	//lint:ephemeral per-trigger scratch
-	qmaskTmp bitset.Bits //lint:pooled scratch per-trigger query-mask scratch
-	//lint:ephemeral per-trigger scratch
-	relqTmp bitset.Bits //lint:pooled scratch per-trigger relevant-query scratch
-	// shareMinQueries/shareMinRun gate the shared arm per trigger: below
-	// both bounds the direct scan fires instead — a one-query trigger over
-	// a short slice run has nothing to share, and the class/fingerprint
-	// bookkeeping is pure overhead (randomized ad-hoc windows rarely
-	// coincide, so such triggers dominate churn-heavy workloads).
-	//lint:ephemeral constructor wiring (fire-dispatch threshold)
-	shareMinQueries int
-	//lint:ephemeral constructor wiring (fire-dispatch threshold)
-	shareMinRun int
-}
-
-// Shared-arm dispatch defaults: triggers with at least this many queries
-// (combine dedup pays off) or covering at least this many slices (the
-// O(log n) tree cover pays off) fire through the shared engine.
-const (
-	sharedFireMinQueries = 4
-	sharedFireMinRun     = 16
-)
-
-// aggTrigger collects the queries fired by one window extent.
-type aggTrigger struct {
-	ext     window.Extent
-	queries []*aggQuery
+	//lint:ephemeral unissued tail of the newest aggVal slab; getVal carves from it when the freelist is empty
+	valSlab []aggVal //lint:pooled freelist slab chunk fresh partials are carved from; they recycle through valPool
+	//lint:ephemeral per-watermark scratch
+	specsTmp []window.Spec //lint:pooled scratch per-watermark window-spec scratch
 }
 
 // aggCapGroup batches a trigger's queries (by index) sharing one
@@ -282,34 +245,18 @@ type aggCapGroup struct {
 	idxs []int
 }
 
-// slotAccum accumulates one query's window result across slices. keys
-// collects byKey's keys in arrival order; emission sorts once per window
-// (the old per-insert binary shift was O(k²) across a window's keys).
-type slotAccum struct {
-	aq    *aggQuery
-	byKey map[int64]*aggVal
-	keys  []int64
-}
-
-// fireClass is one deduplicated combine accumulator within a fire: all
-// queries of one cap group whose effective membership (eff = node group
-// query-set ∩ Rel(epoch, cap) ∩ the cap group's slot mask) coincides share
-// the merge work that fireWindowScan would redo per query.
-type fireClass struct {
-	eff   bitset.Bits
-	byKey map[int64]*aggVal
-	keys  []int64
-}
-
-// fireFP fans class combinations out to queries: queries whose class
-// membership fingerprint — the (extent, cap, membership) key of DESIGN.md
-// §15 with extent and cap fixed by position — matches share one combined
-// accumulator. A single-class fingerprint aliases the class (cls != nil)
-// instead of copying it.
-type fireFP struct {
-	mask  uint64 // class bitmask, local to one cap group's class range
-	base  int    // first class index of that range
-	cls   *fireClass
+// fireBlock is one query-equivalence block of a fire: the queries of one cap
+// group whose effective membership (group query-set ∧ Rel(slice epoch, cap) ∧
+// the cap group's slot mask) coincides on every (slice, group) of the
+// trigger's slice run. Their window results are built from the same
+// partials, so the block merges each of them once into one accumulator that
+// every member finalizes from. keys collects byKey's keys in arrival order;
+// emission sorts them once per block.
+type fireBlock struct {
+	size  int32  // member queries
+	hits  int32  // members met by refinement round `round`
+	split int32  // block those members move to in that round, -1 while whole
+	round uint64 // last round (refine or merge) that touched the block
 	byKey map[int64]*aggVal
 	keys  []int64
 }
@@ -324,7 +271,7 @@ type maskVersion struct {
 
 // NewSharedAggregation constructs the logic for one instance.
 func NewSharedAggregation(ports int, lateness event.Time, router *Router, m *OpMetrics) *SharedAggregation {
-	a := &SharedAggregation{
+	return &SharedAggregation{
 		ports:        ports,
 		sl:           newSlicer(),
 		table:        changelog.NewTable(),
@@ -336,31 +283,7 @@ func NewSharedAggregation(ports int, lateness event.Time, router *Router, m *OpM
 		lateness:     lateness,
 		lastWM:       event.MinTime,
 		evictedThru:  event.MinTime,
-
-		shareMinQueries: sharedFireMinQueries,
-		shareMinRun:     sharedFireMinRun,
 	}
-	a.rebuildMergeTree()
-	return a
-}
-
-// rebuildMergeTree (re)derives the shared window-fire tree, at construction
-// and after Restore. The tree itself carries no state worth keeping — it
-// re-anchors from the restored slice ring on the next sync.
-func (a *SharedAggregation) rebuildMergeTree() {
-	if a.treeOff {
-		a.tree = nil
-		return
-	}
-	a.tree = &mergeTree{owner: a}
-}
-
-// disableMergeTree forces the per-slice re-merge fire path, mirroring how
-// fault hooks disable the selection's predicate index: injected faults (and
-// the ablation baseline) demand the plain per-slice evaluation order.
-func (a *SharedAggregation) disableMergeTree() {
-	a.treeOff = true
-	a.tree = nil
 }
 
 // insertBySlot adds aq to the (slot, ID)-ordered list by binary insert
@@ -481,15 +404,30 @@ func (a *SharedAggregation) OnChangelog(payload any, at event.Time, _ *spe.Emitt
 	}
 }
 
-// getVal pops a pooled partial (reset) or allocates one.
+// aggSlabLen is the number of partials in one slab chunk: 240 × 136 B fills
+// the 32 KiB size class to within 128 B.
+const aggSlabLen = 240
+
+// getVal pops a recycled partial or carves a fresh one from the newest slab.
+// Partials are never freed individually — they cycle between slices,
+// accumulators and the freelist — so slabs cost nothing in lifetime and save
+// the per-object size-class rounding and GC bookkeeping of ~100 k separate
+// pointer-free objects.
 func (a *SharedAggregation) getVal() *aggVal {
+	var v *aggVal
 	if n := len(a.valPool); n > 0 {
-		v := a.valPool[n-1]
+		v = a.valPool[n-1]
 		a.valPool = a.valPool[:n-1]
-		v.reset()
-		return v
+	} else {
+		if len(a.valSlab) == 0 {
+			//lint:ignore hotalloc amortized: one chunk per aggSlabLen first-seen (group, key) pairs; steady state reuses pooled values
+			a.valSlab = make([]aggVal, aggSlabLen)
+		}
+		v = &a.valSlab[0]
+		a.valSlab = a.valSlab[1:]
 	}
-	return newAggVal()
+	v.reset()
+	return v
 }
 
 func (a *SharedAggregation) putVal(v *aggVal) {
@@ -577,47 +515,23 @@ func (a *SharedAggregation) valueOf(aq *aggQuery, t *event.Tuple) int64 {
 	return t.Fields[aq.q.AggField]
 }
 
-// triggerFor returns the trigger for ext, keeping trigTmp sorted by
-// (End, Start) via binary insert instead of a per-watermark sort.
-func (a *SharedAggregation) triggerFor(ext window.Extent) *aggTrigger {
-	//lint:ignore hotalloc sort.Search does not retain its predicate; the closure is stack-allocated
-	i := sort.Search(len(a.trigTmp), func(i int) bool {
-		t := a.trigTmp[i]
-		if t.ext.End != ext.End {
-			return t.ext.End > ext.End
-		}
-		return t.ext.Start > ext.Start
-	})
-	if i < len(a.trigTmp) && a.trigTmp[i].ext == ext {
-		return a.trigTmp[i]
-	}
-	var tr *aggTrigger
-	if n := len(a.trigTmp); n < cap(a.trigTmp) {
-		// Reuse the spare trigger parked past the length by an earlier
-		// truncation, before the shift below overwrites its slot.
-		a.trigTmp = a.trigTmp[:n+1]
-		tr = a.trigTmp[n]
-	} else {
-		//lint:ignore hotalloc amortized: trigger list grows to the per-watermark extent count once
-		a.trigTmp = append(a.trigTmp, nil)
-	}
-	if tr == nil {
-		//lint:ignore hotalloc cold: trigger objects are recycled across watermarks once allocated
-		tr = &aggTrigger{}
-	}
-	copy(a.trigTmp[i+1:], a.trigTmp[i:])
-	tr.ext = ext
-	tr.queries = tr.queries[:0]
-	a.trigTmp[i] = tr
-	return tr
-}
-
 // OnWatermark triggers windows ending in (lastWM, wm], harvests closed
 // sessions, and evicts expired slices.
 func (a *SharedAggregation) OnWatermark(wm event.Time, _ *spe.Emitter) {
 	if wm <= a.lastWM {
 		return
 	}
+	a.collectTriggers(wm)
+	cur := a.table.Latest()
+	for _, tr := range a.trig.list {
+		a.fireWindow(tr.ext, tr.queries, cur)
+	}
+	a.retire(wm)
+}
+
+// collectTriggers fills a.trig with the time-window extents ending in
+// (lastWM, wm], each carrying its queries in (slot, ID) order.
+func (a *SharedAggregation) collectTriggers(wm event.Time) {
 	// Clamp the trigger range to where data exists (see SharedJoin).
 	lo := a.lastWM
 	if lo == event.MinTime {
@@ -627,10 +541,7 @@ func (a *SharedAggregation) OnWatermark(wm event.Time, _ *spe.Emitter) {
 			lo = wm
 		}
 	}
-
-	// Group triggered time-window queries by extent; activeOrdered keeps
-	// the per-trigger query lists in (slot, ID) order.
-	a.trigTmp = a.trigTmp[:0]
+	a.trig.reset()
 	for _, aq := range a.activeOrdered {
 		sp := aq.spec()
 		if !sp.IsTimeBased() {
@@ -641,23 +552,17 @@ func (a *SharedAggregation) OnWatermark(wm event.Time, _ *spe.Emitter) {
 			qlo = aq.since
 		}
 		for _, ext := range sp.WindowsEndingIn(qlo, wm) {
-			if ext.End > aq.until {
-				continue
+			if ext.End <= aq.until {
+				a.trig.add(ext, aq)
 			}
-			tr := a.triggerFor(ext)
-			tr.queries = append(tr.queries, aq)
 		}
 	}
-	cur := a.table.Latest()
-	// One sync serves the whole batch: overlapping extents triggered
-	// together share refreshed tree nodes across fires.
-	if a.tree != nil && len(a.trigTmp) > 0 {
-		a.tree.sync()
-	}
-	for _, tr := range a.trigTmp {
-		a.fireWindow(tr.ext, tr.queries, cur)
-	}
+}
 
+// retire finishes a watermark once its windows have fired: session harvest,
+// purge of queries whose deletion time has passed, slice eviction and history
+// compaction.
+func (a *SharedAggregation) retire(wm event.Time) {
 	// Session harvest, in (slot, key) order for deterministic emission;
 	// sessKeys is maintained sorted so no per-watermark key sort.
 	for _, aq := range a.activeOrdered {
@@ -762,24 +667,6 @@ func (a *SharedAggregation) OnWatermark(wm event.Time, _ *spe.Emitter) {
 	a.lastWM = wm
 }
 
-// fireWindow combines slice partials for one window extent and emits one row
-// per (query, key). Triggers with enough queries to dedup or a slice run
-// long enough for the tree cover to pay fire through the shared engine;
-// small lone triggers (and fault-injected instances, which carry no tree)
-// take the direct per-slice scan. Both arms emit byte-identical streams
-// (TestMergeTreeFireAgreesWithScan), so the dispatch is a pure cost choice.
-func (a *SharedAggregation) fireWindow(ext window.Extent, queries []*aggQuery, curEpoch uint64) {
-	lo, hi := a.sl.overlappingRange(ext)
-	if lo == hi {
-		return
-	}
-	if a.tree != nil && (len(queries) >= a.shareMinQueries || hi-lo >= a.shareMinRun) {
-		a.fireWindowShared(ext, queries, curEpoch, lo, hi)
-		return
-	}
-	a.fireWindowScan(ext, queries, curEpoch, lo, hi)
-}
-
 // buildCapGroups groups a trigger's queries (by index) into capTmp by their
 // changelog-set cap: running queries mask to the current epoch,
 // pending-deleted ones to the epoch before deletion. Caps per trigger are
@@ -837,332 +724,201 @@ func (a *SharedAggregation) emitAccum(aq *aggQuery, ext window.Extent, keys []in
 	}
 }
 
-// fireWindowScan is the per-slice re-merge arm: every query's accumulator
-// re-merges every overlapping slice's groups — O(slices × groups × keys)
-// per query. Kept as the fault-injection fallback and the ablation baseline.
-// After warm-up it allocates only for new distinct keys: cap groups,
-// accumulators, and partials are all reused.
-func (a *SharedAggregation) fireWindowScan(ext window.Extent, queries []*aggQuery, curEpoch uint64, lo, hi int) {
+// fireWindow combines slice partials for one window extent and emits one row
+// per (query, key) in (slot, ID, key) order; queries arrive in (slot, ID)
+// order. Per cap group it runs two passes over the extent's (slice, group)
+// pairs (DESIGN.md §15): the first partitions the group's queries into
+// equivalence blocks by exact refinement over the effective memberships, the
+// second merges every pair once into each block it covers. Work and
+// accumulator memory scale with blocks, not queries; a lone query is a lone
+// block and the fire is the plain per-slice scan.
+func (a *SharedAggregation) fireWindow(ext window.Extent, queries []*aggQuery, curEpoch uint64) {
+	lo, hi := a.sl.overlappingRange(ext)
+	if lo == hi {
+		return
+	}
 	groups := a.buildCapGroups(queries, curEpoch)
-
-	// One accumulator per query, parallel to queries — which arrive in
-	// (slot, ID) order from activeOrdered, so emission below is ordered
-	// without an accumulator sort.
-	for len(a.accums) < len(queries) {
-		//lint:ignore hotalloc cold: accumulators are recycled across triggers once allocated
-		a.accums = append(a.accums, &slotAccum{byKey: make(map[int64]*aggVal)})
-	}
-	accums := a.accums[:len(queries)]
-	for i, aq := range queries {
-		accums[i].aq = aq
-	}
-
-	tick := a.metrics.start()
-	for si := lo; si < hi; si++ {
-		sl := a.sl.slices[si]
-		if sl.aggs == nil {
-			continue
-		}
-		for _, cg := range groups {
-			if cg.cap < a.table.Base() {
-				continue
-			}
-			relNow, err := a.table.Rel(sl.epoch, cg.cap)
-			if err != nil {
-				panic(fmt.Sprintf("core: agg relNow: %v", err))
-			}
-			if relNow.IsEmpty() {
-				continue
-			}
-			for _, g := range sl.aggs.order {
-				g.qs.AndInto(relNow, &a.effTmp)
-				if a.effTmp.IsEmpty() {
-					continue
-				}
-				for _, qi := range cg.idxs {
-					aq := queries[qi]
-					if !a.effTmp.Test(aq.slot) {
-						continue
-					}
-					sa := accums[qi]
-					for _, key := range g.keys {
-						acc := sa.byKey[key]
-						if acc == nil {
-							acc = a.getVal()
-							sa.byKey[key] = acc
-							//lint:ignore hotalloc amortized: accumulator key slices grow to the window's key count once
-							sa.keys = append(sa.keys, key)
-						}
-						acc.merge(g.byKey[key])
-					}
-				}
-			}
-		}
-	}
-	a.metrics.BitsetOps.observe(tick, a.metrics)
-	// Emit in (slot, key) order — keys sort once per accumulator — then
-	// release the accumulators.
-	for _, sa := range accums {
-		slices.Sort(sa.keys)
-		a.emitAccum(sa.aq, ext, sa.keys, sa.byKey)
-		for _, key := range sa.keys {
-			a.putVal(sa.byKey[key])
-			delete(sa.byKey, key)
-		}
-		sa.keys = sa.keys[:0]
-		sa.aq = nil
-	}
-}
-
-// fireWindowShared is the shared window-fire engine (DESIGN.md §15). The
-// extent's slice run is covered by O(log n) merge-tree nodes whose partials
-// are memoized across fires; per cap group, node groups collapse into
-// effective-membership classes (one merge each, however many queries share
-// it); and queries with identical class fingerprints share one combined
-// accumulator, finalized per query at emission.
-func (a *SharedAggregation) fireWindowShared(ext window.Extent, queries []*aggQuery, curEpoch uint64, lo, hi int) {
-	t := a.tree
-	a.nodeTmp = t.cover(t.lo+lo, t.lo+hi-1, a.nodeTmp[:0])
-	groups := a.buildCapGroups(queries, curEpoch)
-
-	a.classTmp = a.classTmp[:0]
-	a.fpTmp = a.fpTmp[:0]
-	a.fpIdx = a.fpIdx[:0]
+	a.blocks = a.blocks[:0]
+	a.blkOf = a.blkOf[:0]
 	for range queries {
-		//lint:ignore hotalloc amortized: fingerprint index grows to the trigger's query count once
-		a.fpIdx = append(a.fpIdx, -1)
+		//lint:ignore hotalloc amortized: block index grows to the trigger's query count once
+		a.blkOf = append(a.blkOf, -1)
 	}
 
 	tick := a.metrics.start()
 	for _, cg := range groups {
 		if cg.cap < a.table.Base() {
+			// Every slice as old as this cap is gone: nothing left to emit.
 			continue
 		}
-		clo := len(a.classTmp)
-		// Classes only need the bits queries of this cap group test.
-		a.qmaskTmp.Reset()
+		// All of the cap group's queries start in one block. Slots are
+		// unique within a cap group (a slot's previous tenant was deleted
+		// under an older cap), so slotQ resolves every bit of an effective
+		// membership, which is masked to these slots.
+		blk := a.newBlock(int32(len(cg.idxs)))
+		a.capMask.Reset()
 		for _, qi := range cg.idxs {
-			a.qmaskTmp.Set(queries[qi].slot)
+			slot := queries[qi].slot
+			a.capMask.Set(slot)
+			for len(a.slotQ) <= slot {
+				//lint:ignore hotalloc amortized: slot table grows to the widest slot once
+				a.slotQ = append(a.slotQ, 0)
+			}
+			a.slotQ[slot] = int32(qi)
+			a.blkOf[qi] = blk
 		}
-		for _, ni := range a.nodeTmp {
-			n := t.refresh(int(ni))
-			if !n.has {
-				continue
-			}
-			view, epoch := t.nodeView(int(ni))
-			rel, err := a.table.Rel(epoch, cg.cap)
-			if err != nil {
-				panic(fmt.Sprintf("core: agg rel: %v", err))
-			}
-			// Premask the epoch relation with the cap group's slot mask
-			// once per node; the group loop then ANDs a single mask.
-			rel.AndInto(a.qmaskTmp, &a.relqTmp)
-			if a.relqTmp.IsEmpty() {
-				continue
-			}
-			for _, g := range view {
-				g.qs.AndInto(a.relqTmp, &a.effTmp)
-				if a.effTmp.IsEmpty() {
+		for _, merge := range [2]bool{false, true} {
+			for _, sl := range a.sl.slices[lo:hi] {
+				if sl.aggs == nil {
 					continue
 				}
-				c := a.classFor(clo)
-				for _, key := range g.keys {
-					v := c.byKey[key]
-					if v == nil {
-						v = a.getVal()
-						c.byKey[key] = v
-						//lint:ignore hotalloc amortized: class key slices grow to the window's key count once
-						c.keys = append(c.keys, key)
-					}
-					v.merge(g.byKey[key])
+				rel, err := a.table.Rel(sl.epoch, cg.cap)
+				if err != nil {
+					panic(fmt.Sprintf("core: agg rel: %v", err))
 				}
-			}
-		}
-		chi := len(a.classTmp)
-		if chi == clo {
-			continue
-		}
-		// Fingerprint each query's class membership; identical
-		// fingerprints share one combined accumulator.
-		if chi-clo <= 64 {
-			for _, qi := range cg.idxs {
-				slot := queries[qi].slot
-				var m uint64
-				for ci := clo; ci < chi; ci++ {
-					if a.classTmp[ci].eff.Test(slot) {
-						m |= 1 << uint(ci-clo)
-					}
-				}
-				if m == 0 {
+				rel.AndInto(a.capMask, &a.relTmp)
+				if a.relTmp.IsEmpty() {
 					continue
 				}
-				fi := -1
-				for k, f := range a.fpTmp {
-					if f.mask == m && f.base == clo {
-						fi = k
-						break
-					}
-				}
-				if fi < 0 {
-					fi = a.newFP(m, clo)
-				}
-				a.fpIdx[qi] = int32(fi)
-			}
-		} else {
-			// Degenerate width (>64 classes under one cap): skip the
-			// dedup, one private accumulator per query.
-			for _, qi := range cg.idxs {
-				slot := queries[qi].slot
-				fi := -1
-				for ci := clo; ci < chi; ci++ {
-					if !a.classTmp[ci].eff.Test(slot) {
+				for _, g := range sl.aggs.order {
+					g.qs.AndInto(a.relTmp, &a.effTmp)
+					if a.effTmp.IsEmpty() {
 						continue
 					}
-					if fi < 0 {
-						fi = len(a.fpTmp)
-						a.acquireFP(0, clo)
+					a.round++
+					if merge {
+						a.mergeGroup(g)
+					} else {
+						a.refineBlocks()
 					}
-					a.mergeClassIntoFP(a.fpTmp[fi], a.classTmp[ci])
-				}
-				if fi >= 0 {
-					a.fpIdx[qi] = int32(fi)
 				}
 			}
 		}
 	}
 	a.metrics.BitsetOps.observe(tick, a.metrics)
 
-	// Sort every emitting key list once (scan-arm order contract), emit in
-	// query order, then drain classes and fingerprints back to the pools.
-	for _, c := range a.classTmp {
-		slices.Sort(c.keys)
-	}
-	for _, f := range a.fpTmp {
-		if f.cls == nil {
-			slices.Sort(f.keys)
-		}
+	for i := range a.blocks {
+		slices.Sort(a.blocks[i].keys)
 	}
 	for qi, aq := range queries {
-		fi := a.fpIdx[qi]
-		if fi < 0 {
-			continue
-		}
-		f := a.fpTmp[fi]
-		if f.cls != nil {
-			a.emitAccum(aq, ext, f.cls.keys, f.cls.byKey)
-		} else {
-			a.emitAccum(aq, ext, f.keys, f.byKey)
+		if b := a.blkOf[qi]; b >= 0 {
+			a.emitAccum(aq, ext, a.blocks[b].keys, a.blocks[b].byKey)
 		}
 	}
-	for _, c := range a.classTmp {
-		for _, key := range c.keys {
-			a.putVal(c.byKey[key])
-			delete(c.byKey, key)
+	for i := range a.blocks {
+		blk := &a.blocks[i]
+		for _, key := range blk.keys {
+			a.putVal(blk.byKey[key])
 		}
-		c.keys = c.keys[:0]
+		clear(blk.byKey)
+		blk.keys = blk.keys[:0]
 	}
-	for _, f := range a.fpTmp {
-		if f.cls == nil {
-			for _, key := range f.keys {
-				a.putVal(f.byKey[key])
-				delete(f.byKey, key)
+}
+
+// newBlock appends an empty block of size members from recycled storage.
+func (a *SharedAggregation) newBlock(size int32) int32 {
+	n := len(a.blocks)
+	if n < cap(a.blocks) {
+		a.blocks = a.blocks[:n+1]
+	} else {
+		//lint:ignore hotalloc amortized: block list grows to the widest trigger's block count once
+		a.blocks = append(a.blocks, fireBlock{})
+	}
+	blk := &a.blocks[n]
+	if blk.byKey == nil {
+		//lint:ignore hotalloc cold: block accumulators are recycled across fires once allocated
+		blk.byKey = make(map[int64]*aggVal)
+	}
+	blk.size = size
+	return int32(n)
+}
+
+// refineBlocks is one round of partition refinement: every block that effTmp
+// cuts — some members inside, some outside — splits, the inside members
+// moving to a new block. Two walks over effTmp's set bits: count each met
+// block's inside members, then move them where the count fell short of the
+// block's size. Queries end up in one block exactly when no membership of
+// the run tells them apart.
+func (a *SharedAggregation) refineBlocks() {
+	a.cutTmp = a.cutTmp[:0]
+	for wi, nw := 0, a.effTmp.WordCount(); wi < nw; wi++ {
+		for w := a.effTmp.Word(wi); w != 0; w &= w - 1 {
+			b := a.blkOf[a.slotQ[wi*64+bits.TrailingZeros64(w)]]
+			blk := &a.blocks[b]
+			if blk.round != a.round {
+				blk.round, blk.hits = a.round, 0
+				//lint:ignore hotalloc amortized: met-block scratch grows to the widest trigger's block count once
+				a.cutTmp = append(a.cutTmp, b)
 			}
-			f.keys = f.keys[:0]
-		}
-		f.cls = nil
-	}
-}
-
-// classFor returns the class in classTmp[from:] whose membership equals
-// effTmp, appending (from recycled storage) when new.
-func (a *SharedAggregation) classFor(from int) *fireClass {
-	for _, c := range a.classTmp[from:] {
-		if c.eff.Equal(a.effTmp) {
-			return c
+			blk.hits++
 		}
 	}
-	if n := len(a.classTmp); n < cap(a.classTmp) {
-		a.classTmp = a.classTmp[:n+1]
-	} else {
-		//lint:ignore hotalloc amortized: class list grows to the trigger's class count once
-		a.classTmp = append(a.classTmp, nil)
-	}
-	c := a.classTmp[len(a.classTmp)-1]
-	if c == nil {
-		//lint:ignore hotalloc cold: class objects are recycled across fires once allocated
-		c = &fireClass{byKey: make(map[int64]*aggVal)}
-		a.classTmp[len(a.classTmp)-1] = c
-	}
-	c.eff.CopyFrom(a.effTmp)
-	return c
-}
-
-// acquireFP appends a fingerprint accumulator from recycled storage.
-func (a *SharedAggregation) acquireFP(m uint64, base int) *fireFP {
-	if n := len(a.fpTmp); n < cap(a.fpTmp) {
-		a.fpTmp = a.fpTmp[:n+1]
-	} else {
-		//lint:ignore hotalloc amortized: fingerprint list grows to the trigger's fingerprint count once
-		a.fpTmp = append(a.fpTmp, nil)
-	}
-	f := a.fpTmp[len(a.fpTmp)-1]
-	if f == nil {
-		//lint:ignore hotalloc cold: fingerprint objects are recycled across fires once allocated
-		f = &fireFP{byKey: make(map[int64]*aggVal)}
-		a.fpTmp[len(a.fpTmp)-1] = f
-	}
-	f.mask, f.base, f.cls = m, base, nil
-	f.keys = f.keys[:0]
-	return f
-}
-
-// newFP materializes the accumulator for fingerprint m over the class range
-// starting at base: a single-class fingerprint aliases that class, wider
-// ones merge their classes once for every query that shares them.
-func (a *SharedAggregation) newFP(m uint64, base int) int {
-	f := a.acquireFP(m, base)
-	if m&(m-1) == 0 {
-		f.cls = a.classTmp[base+bits.TrailingZeros64(m)]
-		return len(a.fpTmp) - 1
-	}
-	for b := m; b != 0; b &= b - 1 {
-		a.mergeClassIntoFP(f, a.classTmp[base+bits.TrailingZeros64(b)])
-	}
-	return len(a.fpTmp) - 1
-}
-
-// mergeClassIntoFP merges one class accumulator into a fingerprint's.
-func (a *SharedAggregation) mergeClassIntoFP(f *fireFP, c *fireClass) {
-	for _, key := range c.keys {
-		v := f.byKey[key]
-		if v == nil {
-			v = a.getVal()
-			f.byKey[key] = v
-			//lint:ignore hotalloc amortized: fingerprint key slices grow to the window's key count once
-			f.keys = append(f.keys, key)
+	cut := false
+	for _, b := range a.cutTmp {
+		hits := a.blocks[b].hits
+		a.blocks[b].split = -1
+		if hits < a.blocks[b].size {
+			nb := a.newBlock(hits) // may move a.blocks
+			a.blocks[b].size -= hits
+			a.blocks[b].split = nb
+			cut = true
 		}
-		v.merge(c.byKey[key])
+	}
+	if !cut {
+		return
+	}
+	for wi, nw := 0, a.effTmp.WordCount(); wi < nw; wi++ {
+		for w := a.effTmp.Word(wi); w != 0; w &= w - 1 {
+			qi := a.slotQ[wi*64+bits.TrailingZeros64(w)]
+			if nb := a.blocks[a.blkOf[qi]].split; nb >= 0 {
+				a.blkOf[qi] = nb
+			}
+		}
 	}
 }
 
-// fireBench drives one window fire for the benchmark harness: tree sync plus
-// the fire itself, without OnWatermark's harvest/purge/evict bookkeeping, so
-// per-op cost is the fire engine. Fires all registered time-window queries.
+// mergeGroup merges g's partials once into every block with a member in
+// effTmp. After refinement a block lies wholly inside or wholly outside any
+// membership of the run, so meeting one member decides for the block; the
+// round stamp keeps the block's other members from merging again.
+func (a *SharedAggregation) mergeGroup(g *aggGroup) {
+	for wi, nw := 0, a.effTmp.WordCount(); wi < nw; wi++ {
+		for w := a.effTmp.Word(wi); w != 0; w &= w - 1 {
+			blk := &a.blocks[a.blkOf[a.slotQ[wi*64+bits.TrailingZeros64(w)]]]
+			if blk.round == a.round {
+				continue
+			}
+			blk.round = a.round
+			for _, key := range g.keys {
+				acc := blk.byKey[key]
+				if acc == nil {
+					acc = a.getVal()
+					blk.byKey[key] = acc
+					//lint:ignore hotalloc amortized: accumulator key slices grow to the window's key count once
+					blk.keys = append(blk.keys, key)
+				}
+				acc.merge(g.byKey[key])
+			}
+		}
+	}
+}
+
+// fireBench drives one window fire for the benchmark harness: trigger
+// collection plus the fire itself, without OnWatermark's harvest/purge/evict
+// bookkeeping, so per-op cost is the fire path. Fires all registered
+// time-window queries.
 //
-//lint:hotpath shared window-fire kernel steady state
+//lint:hotpath window-fire kernel steady state
 func (a *SharedAggregation) fireBench(ext window.Extent) {
-	a.trigTmp = a.trigTmp[:0]
-	tr := a.triggerFor(ext)
+	a.trig.reset()
 	for _, aq := range a.activeOrdered {
 		if aq.spec().IsTimeBased() && ext.End <= aq.until {
-			//lint:ignore hotalloc amortized: trigger query list grows to the active query count once
-			tr.queries = append(tr.queries, aq)
+			a.trig.add(ext, aq)
 		}
 	}
-	if a.tree != nil {
-		a.tree.sync()
+	for _, tr := range a.trig.list {
+		a.fireWindow(tr.ext, tr.queries, a.table.Latest())
 	}
-	a.fireWindow(ext, tr.queries, a.table.Latest())
 }
 
 // ActiveQueries reports registered aggregation queries (tests/metrics).

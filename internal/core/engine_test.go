@@ -279,7 +279,8 @@ func refAgg(rows []event.Tuple, q *Query, sp window.Spec, td event.Time) []Resul
 			}
 			v := acc[t.Key]
 			if v == nil {
-				v = newAggVal()
+				v = &aggVal{}
+				v.reset()
 				acc[t.Key] = v
 			}
 			v.fold(&t)

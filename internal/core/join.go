@@ -75,8 +75,8 @@ type SharedJoin struct {
 	// per-trigger grouping, and the query-set intersection temporaries.
 	//lint:ephemeral per-trigger scratch
 	scratch joinScratch //lint:pooled scratch slice-join kernel scratch arena
-	//lint:ephemeral per-trigger scratch
-	trigTmp []*joinTrigger //lint:pooled scratch per-trigger grouping scratch
+	//lint:ephemeral per-watermark scratch
+	trig triggerList[*joinQuery] //lint:pooled scratch per-watermark trigger scratch
 	//lint:ephemeral per-trigger scratch
 	capTmp []*capGroup //lint:pooled scratch per-trigger cap-grouping scratch
 	//lint:ephemeral per-trigger scratch
@@ -239,33 +239,6 @@ func (j *SharedJoin) OnTuple(port int, t event.Tuple, _ *spe.Emitter) {
 	sl.store.Add(t)
 }
 
-// joinTrigger collects the queries fired by one window extent.
-type joinTrigger struct {
-	ext     window.Extent
-	queries []*joinQuery
-}
-
-// triggerFor returns the trigger for ext, creating it in (End, Start) order.
-// The trigger list is kept sorted by binary insertion instead of sorted per
-// watermark.
-func (j *SharedJoin) triggerFor(ext window.Extent) *joinTrigger {
-	i := sort.Search(len(j.trigTmp), func(i int) bool {
-		t := j.trigTmp[i]
-		if t.ext.End != ext.End {
-			return t.ext.End > ext.End
-		}
-		return t.ext.Start > ext.Start
-	})
-	if i < len(j.trigTmp) && j.trigTmp[i].ext == ext {
-		return j.trigTmp[i]
-	}
-	tr := &joinTrigger{ext: ext}
-	j.trigTmp = append(j.trigTmp, nil)
-	copy(j.trigTmp[i+1:], j.trigTmp[i:])
-	j.trigTmp[i] = tr
-	return tr
-}
-
 // OnWatermark triggers every query window ending in (lastWM, wm], joining
 // slice pairs at most once and reusing cached pair results across queries
 // and windows, then evicts slices no active window can still need.
@@ -273,6 +246,18 @@ func (j *SharedJoin) OnWatermark(wm event.Time, out *spe.Emitter) {
 	if wm <= j.lastWM {
 		return
 	}
+	j.collectTriggers(wm)
+	cur := j.table.Latest()
+	for _, tr := range j.trig.list {
+		j.fireWindow(tr.ext, tr.queries, cur, out)
+	}
+	j.retire(wm)
+}
+
+// collectTriggers fills j.trig with the window extents ending in
+// (lastWM, wm], so each extent is processed once however many queries share
+// it; activeOrdered keeps every trigger's queries in (slot, ID) order.
+func (j *SharedJoin) collectTriggers(wm event.Time) {
 	// Clamp the trigger range to where data exists: before the first
 	// watermark lastWM is MinTime, and windows before the oldest slice are
 	// empty by construction.
@@ -291,29 +276,23 @@ func (j *SharedJoin) OnWatermark(wm event.Time, out *spe.Emitter) {
 			lo = first
 		}
 	}
-
-	// Group triggered queries by window extent so each extent is processed
-	// once even when many queries share it. activeOrdered keeps the
-	// per-trigger query lists deterministic.
-	j.trigTmp = j.trigTmp[:0]
+	j.trig.reset()
 	for _, aq := range j.activeOrdered {
 		qlo := lo
 		if aq.since > qlo {
 			qlo = aq.since // pre-activation windows are empty for aq
 		}
 		for _, ext := range aq.q.Window.WindowsEndingIn(qlo, wm) {
-			if ext.End > aq.until {
-				continue // window closes after the query's deletion
+			if ext.End <= aq.until { // later windows close after the query's deletion
+				j.trig.add(ext, aq)
 			}
-			tr := j.triggerFor(ext)
-			tr.queries = append(tr.queries, aq)
 		}
 	}
+}
 
-	cur := j.table.Latest()
-	for _, tr := range j.trigTmp {
-		j.fireWindow(tr.ext, tr.queries, cur, out)
-	}
+// retire finishes a watermark once its windows have fired: purge, slice
+// eviction and changelog compaction.
+func (j *SharedJoin) retire(wm event.Time) {
 	// Purge queries whose deletion time the watermark has passed: every
 	// window they could still fire has fired.
 	purged := false

@@ -132,13 +132,12 @@ func KernelBenchmarks() []KernelBench {
 			},
 		},
 		{
-			// The shared window-fire engine (DESIGN.md §15) at the sliding
-			// regime the merge tree exists for: 64 SUM queries over an
-			// 800/100 sliding window (slide ratio 8), fired once per
-			// iteration after folding one fresh tuple. The scan arm would
-			// re-merge all 8 slices per query; the tree path re-merges the
-			// one dirtied root path, covers the extent in O(log n) nodes,
-			// and collapses all 64 queries into one combine class.
+			// The window-fire path (DESIGN.md §15) in a sliding regime: 64
+			// SUM queries over an 800/100 sliding window (slide ratio 8),
+			// fired once per iteration after folding one fresh tuple. All
+			// 64 queries coalesce into one trigger and, sharing every
+			// group, into one equivalence block: 8 slices merge once, not
+			// once per query.
 			Name: "windowfire-64q-slide8",
 			New: func() func(int) {
 				agg := benchAggWindow(64, window.SlidingSpec(800, 100))
@@ -148,7 +147,7 @@ func KernelBenchmarks() []KernelBench {
 					agg.OnTuple(0, benchTuple(i, qs, event.Time(i%800)), em)
 				}
 				ext := window.Extent{Start: 0, End: 800}
-				// Warm the tree, classes, and accumulator pools once.
+				// Warm the trigger, block, and accumulator pools once.
 				agg.fireBench(ext)
 				//lint:hotpath window-fire kernel steady state
 				return func(iters int) {

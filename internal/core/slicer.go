@@ -37,11 +37,11 @@ type slice struct {
 	// Payloads: a join side uses store; the aggregation uses aggs.
 	store *sliceStore
 	aggs  *qsIndex[aggGroup] // by canonical query-set key
-	// folds counts aggregation folds absorbed by this slice; the merge
-	// tree compares it against its last-synced value to detect stale
-	// partials without hashing payloads. Derived activity counter: it is
-	// not snapshotted and restarts at zero after Restore, which is exactly
-	// when the tree re-anchors anyway.
+	// folds counts aggregation folds absorbed by this slice; incremental
+	// snapshots compare it against the value at the previous barrier to
+	// re-encode only slices that changed (snapdelta.go). Derived activity
+	// counter: it is not snapshotted and restarts at zero after Restore,
+	// whose first delta-mode snapshot is always full.
 	folds uint64
 }
 

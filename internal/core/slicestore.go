@@ -95,17 +95,6 @@ func (x *qsIndex[G]) put(qs bitset.Bits, g *G) {
 	x.order[i] = g
 }
 
-// clear empties the index in place, keeping map buckets and slice capacity
-// so a rebuilt payload (merge-tree nodes) re-fills without allocating. Wide
-// (>64-slot) sets re-pay their string key on the next put; the inline-word
-// path stays allocation-free.
-func (x *qsIndex[G]) clear() {
-	clear(x.byWord)
-	clear(x.byStr)
-	x.order = x.order[:0]
-	x.keys = x.keys[:0]
-}
-
 // tupleGroup is one query-set group inside a grouped slice store. Grouping
 // lets the join skip whole groups whose query-sets cannot intersect.
 type tupleGroup struct {

@@ -107,7 +107,7 @@ func (a *SharedAggregation) RestoreDelta(snapshot []byte) error {
 	}
 	restoreSlicer(r, a.sl, func(r *wire.Reader, sl *slice) {
 		if r.Bool("agg delta slice dirty") {
-			sl.aggs = readAggIndex(r)
+			sl.aggs = a.readAggIndex(r)
 		} else if aggs, ok := prev[sl.id]; ok {
 			sl.aggs = aggs
 		} else if r.Err() == nil {

@@ -173,7 +173,7 @@ func countDeltaSlices(t *testing.T, delta []byte) (dirty, clean int) {
 	restoreSlicer(r, &slicer{}, func(r *wire.Reader, _ *slice) {
 		if r.Bool("dirty") {
 			dirty++
-			readAggIndex(r)
+			(&SharedAggregation{}).readAggIndex(r)
 		} else {
 			clean++
 		}

@@ -121,8 +121,10 @@ func snapAggVal(b []byte, v *aggVal) []byte {
 	return b
 }
 
-func readAggVal(r *wire.Reader) *aggVal {
-	v := &aggVal{}
+// readAggVal decodes one partial into storage from the instance's freelist
+// and slabs, so restored state recycles exactly like folded state.
+func (a *SharedAggregation) readAggVal(r *wire.Reader) *aggVal {
+	v := a.getVal()
 	v.Count = r.I64("aggval count")
 	for i := 0; i < event.NumFields; i++ {
 		v.Sum[i] = r.I64("aggval sum")
@@ -154,7 +156,7 @@ func snapAggIndex(b []byte, x *qsIndex[aggGroup]) []byte {
 	return b
 }
 
-func readAggIndex(r *wire.Reader) *qsIndex[aggGroup] {
+func (a *SharedAggregation) readAggIndex(r *wire.Reader) *qsIndex[aggGroup] {
 	if !r.Bool("aggs present") {
 		return nil
 	}
@@ -165,7 +167,7 @@ func readAggIndex(r *wire.Reader) *qsIndex[aggGroup] {
 		nk := r.Count("agg key count", 8+aggValSize)
 		for ki := 0; ki < nk && r.Err() == nil; ki++ {
 			key := r.I64("agg key")
-			g.byKey[key] = readAggVal(r)
+			g.byKey[key] = a.readAggVal(r)
 			g.keys = append(g.keys, key)
 		}
 		if r.Err() == nil {
@@ -494,7 +496,7 @@ func (a *SharedAggregation) Restore(snapshot []byte) error {
 	a.readClock(r)
 	a.table = readSnapTable(r)
 	restoreSlicer(r, a.sl, func(r *wire.Reader, sl *slice) {
-		sl.aggs = readAggIndex(r)
+		sl.aggs = a.readAggIndex(r)
 	})
 	a.readWorkload(r)
 	return r.Finish("aggregation snapshot")
@@ -552,7 +554,4 @@ func (a *SharedAggregation) readWorkload(r *wire.Reader) {
 	if len(a.maskVersions) == 0 {
 		a.maskVersions = []maskVersion{{from: event.MinTime, portMasks: make([]bitset.Bits, a.ports)}}
 	}
-	// The merge tree is derived from the slice ring; a fresh instance
-	// re-anchors on the next fire batch.
-	a.rebuildMergeTree()
 }

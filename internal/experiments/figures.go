@@ -87,9 +87,9 @@ func Fig9QuerySweep(sc Scale, nodes int, counts []int) []Measurement {
 // FigSlideSweep measures aggregation throughput against the window/slide
 // ratio (how many slices one window extent spans) at a fixed SC1 churn point.
 // Every query gets the same pinned window — length = ratio × 25 ms, slide =
-// 25 ms — so the ratio axis isolates the shared window-fire engine
-// (DESIGN.md §15): the per-slice re-merge arm degrades linearly in the ratio
-// while the merge tree's cover stays O(log ratio).
+// 25 ms — so the ratio axis isolates the window-fire path (DESIGN.md §15),
+// whose per-fire merge work is linear in the ratio and, all queries sharing
+// one pinned window, paid once per equivalence block instead of per query.
 func FigSlideSweep(sc Scale, nodes int, ratios []int) []Measurement {
 	const slide = 25 // event-time ms
 	var out []Measurement
