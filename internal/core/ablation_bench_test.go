@@ -101,30 +101,55 @@ func BenchmarkAblationChangelogDP(b *testing.B) {
 // BenchmarkAblationSelectionIndex contrasts the compiled predicate index
 // (DESIGN.md §14) against the naive per-query scan it replaced, on the
 // shared selection's OnTuple path at the paper's high-query-count regime
-// (Fig. 9's query-count axis). Two workloads: "overlap" is the templated
+// (Fig. 9's query-count axis). Three workloads: "overlap" is the templated
 // 512q kernel population (few templates, many subscribers — the index's
 // best case), "random" mirrors the §4.2.2 generator (uniform field/op/
 // constant with the 0.2-selectivity floor — little dedup, mostly one-sided
-// ranges on the stabbing index). The scan arm is forced by installing a
-// no-op fault hook, exactly the mechanism fault injection uses to demand
-// per-entry evaluation.
+// ranges on the stabbing index), "conj" is all two-field conjunctions: even
+// slots a key equality ∧ range (the ledger's churn512 shape), odd slots
+// range ∧ range from the same generator with two comparisons — dispatched on
+// one constraint, verified on the other. The scan arm is forced by
+// installing a no-op fault hook, exactly the mechanism fault injection uses
+// to demand per-entry evaluation.
 func BenchmarkAblationSelectionIndex(b *testing.B) {
+	// genPred draws a conjunction of ncmp comparisons like the §4.2.2
+	// generator, redrawing until it clears the 0.2-selectivity floor.
+	genPred := func(r *rand.Rand, ops []expr.Op, ncmp int) expr.Predicate {
+		for {
+			p := expr.True()
+			for c := 0; c < ncmp; c++ {
+				p = p.And(expr.Comparison{
+					Field: r.Intn(event.NumFields),
+					Op:    ops[r.Intn(len(ops))],
+					Value: r.Int63n(1000),
+				})
+			}
+			if p.Selectivity(1000) >= 0.2 {
+				return p
+			}
+		}
+	}
 	genEntries := func(n int) []selEntry {
 		r := rand.New(rand.NewSource(int64(n)))
 		ops := []expr.Op{expr.LT, expr.GT, expr.EQ, expr.LE, expr.GE}
 		entries := make([]selEntry, n)
 		for s := range entries {
-			var p expr.Predicate
-			for {
-				c := expr.Comparison{
-					Field: r.Intn(event.NumFields),
-					Op:    ops[r.Intn(len(ops))],
-					Value: r.Int63n(1000),
-				}
-				p = expr.True().And(c)
-				if p.Selectivity(1000) >= 0.2 {
-					break
-				}
+			entries[s] = selEntry{slot: s, id: s + 1, pred: genPred(r, ops, 1)}
+		}
+		return entries
+	}
+	conjEntries := func(n int) []selEntry {
+		r := rand.New(rand.NewSource(int64(n)))
+		ranges := []expr.Op{expr.LT, expr.GT, expr.LE, expr.GE}
+		entries := make([]selEntry, n)
+		for s := range entries {
+			p := genPred(r, ranges, 2)
+			if s%2 == 0 {
+				// benchTuple keys are 0–31: fold the keyed half onto them so
+				// buckets are hit and residuals run.
+				p = expr.True().
+					And(expr.Comparison{Field: expr.KeyField, Op: expr.EQ, Value: keyedKey(s) % 32}).
+					And(expr.Comparison{Field: s % 5, Op: expr.LT, Value: int64(200 + (37*s)%700)})
 			}
 			entries[s] = selEntry{slot: s, id: s + 1, pred: p}
 		}
@@ -136,6 +161,7 @@ func BenchmarkAblationSelectionIndex(b *testing.B) {
 	}{
 		{"overlap", overlapEntries},
 		{"random", genEntries},
+		{"conj", conjEntries},
 	}
 	for _, wl := range workloads {
 		for _, n := range []int{64, 128, 256, 512} {

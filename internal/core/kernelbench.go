@@ -115,6 +115,28 @@ func KernelBenchmarks() []KernelBench {
 			},
 		},
 		{
+			// The ad-hoc regime of the ledger's churn512: 512 queries each
+			// pinned to its own key, every second one with a residual range.
+			// A tuple reaches the one node in its key's bucket and verifies
+			// at most one residual, whatever the query count. Bench tuples
+			// cycle through the keys of slots 0–63 so the emitted query-set
+			// stays on the inline (allocation-free) path.
+			Name: "selection-512q-keyed",
+			New: func() func(int) {
+				sel := NewSharedSelection(0, 0, NewOpMetrics(nil))
+				sel.installTable(keyedEntries(512))
+				em := &spe.Emitter{}
+				//lint:hotpath selection index kernel steady state
+				return func(iters int) {
+					for i := 0; i < iters; i++ {
+						t := benchTuple(i, bitset.Bits{}, 50)
+						t.Key = keyedKey(i % 64)
+						sel.OnTuple(0, t, em)
+					}
+				}
+			},
+		},
+		{
 			Name: "agg-ontuple-64q",
 			New: func() func(int) {
 				agg := benchAgg(64)
@@ -251,8 +273,8 @@ func KernelBenchmarks() []KernelBench {
 // single index node). The rest never match a bench tuple but must be
 // proven non-matching cheaply: a point-template group on the hash
 // dispatch, a one-sided-range group on the stabbing index, and a
-// multi-field chain P₀ ⊇ P₁ ⊇ … ⊇ P₇ whose containment lattice collapses
-// the whole group to one failing root evaluation.
+// two-field chain P₀ ⊇ P₁ ⊇ … ⊇ P₇ whose links all dispatch on the same
+// F3 interval, which no bench tuple stabs.
 func overlapEntries(n int) []selEntry {
 	entries := make([]selEntry, n)
 	for s := range entries {
@@ -271,6 +293,25 @@ func overlapEntries(n int) []selEntry {
 				And(expr.Comparison{Field: 4, Op: expr.GE, Value: 1500 + 10*d})
 		}
 		entries[s] = selEntry{slot: s, id: s + 1, pred: p}
+	}
+	return entries
+}
+
+// keyedKey is the key the i-th keyed predicate is pinned to; distinct for
+// i < 1000 (7919 and 1000 are coprime).
+func keyedKey(i int) int64 { return int64(7919*i) % 1000 }
+
+// keyedEntries builds n predicates in the shape of the ledger's churn512
+// population: KEY = keyedKey(i), every odd i ANDed with a one-sided range on
+// one payload field.
+func keyedEntries(n int) []selEntry {
+	entries := make([]selEntry, n)
+	for i := range entries {
+		p := expr.True().And(expr.Comparison{Field: expr.KeyField, Op: expr.EQ, Value: keyedKey(i)})
+		if i%2 == 1 {
+			p = p.And(expr.Comparison{Field: i % 5, Op: expr.LT, Value: int64(200 + (37*i)%700)})
+		}
+		entries[i] = selEntry{slot: i, id: i + 1, pred: p}
 	}
 	return entries
 }

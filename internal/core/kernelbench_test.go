@@ -14,6 +14,7 @@ func TestKernelRegistryNames(t *testing.T) {
 		"join-kernel-512x512-64q",
 		"selection-ontuple-64q",
 		"selection-512q-overlap",
+		"selection-512q-keyed",
 		"agg-ontuple-64q",
 		"windowfire-64q-slide8",
 		"chain-sel-agg-64q",

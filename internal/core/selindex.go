@@ -13,27 +13,27 @@ import (
 // SharedSelection.OnTuple while producing bit-identical query-sets. One
 // index is compiled per query-table version at OnChangelog/Restore time
 // (control path, allocation allowed); classification (hot path) then runs
-// in four layers:
+// in three steps:
 //
 //  1. always-true predicates are a precomputed bitset OR — zero evaluation;
-//  2. structurally equal predicates (canonical-form dedup) evaluate once
-//     and fan their result into every subscriber slot via a per-node
-//     bitset OR;
-//  3. single-field predicates dispatch on the tuple's field value: exact
-//     points through a hash map, intervals through a sorted stabbing index,
-//     so a tuple touches O(log n + matches) entries instead of all n;
-//  4. remaining (multi-field / holed) predicates evaluate through a
-//     containment lattice: when a weaker predicate fails, every predicate
-//     it contains is pruned without evaluation.
+//  2. structurally equal predicates (canonical-form dedup) share one node
+//     that fans its result into every subscriber slot via a bitset OR, and
+//     every node is dispatched on the tuple's value of its access
+//     constraint — its equality if it has one, else its narrowest interval:
+//     exact points through a hash map, intervals through a sorted stabbing
+//     index. A node whose access constraint is not its whole predicate
+//     verifies the residual on a hit, so a tuple touches the nodes pinned
+//     to its own values instead of a list that grows with the query count;
+//  3. entries whose predicates cannot be canonicalized (out-of-range field —
+//     the only way a predicate can panic data-dependently) stay on the
+//     guarded per-entry path so panic isolation and quarantine attribution
+//     are preserved exactly.
 //
-// Entries whose predicates cannot be canonicalized (out-of-range field — the
-// only way a predicate can panic data-dependently) stay on the guarded
-// per-entry path so panic isolation and quarantine attribution are preserved
-// exactly. Always-false predicates are excluded from evaluation entirely.
+// Always-false predicates are excluded from evaluation entirely.
 
 // SelIndexStats summarizes one compiled index's composition (tests, QoS,
 // benchmarks). Entries = AlwaysTrue + AlwaysFalse + Deduped + Fallback +
-// Nodes, and Nodes = EqDispatch + RangeDispatch + Lattice.
+// Nodes, and Nodes = EqDispatch + RangeDispatch.
 type SelIndexStats struct {
 	Entries       int // live predicate entries in the version
 	Nodes         int // deduplicated canonical predicates
@@ -42,9 +42,12 @@ type SelIndexStats struct {
 	Deduped       int // entries folded into an existing node's fan-out
 	EqDispatch    int // nodes served by the per-field point hash
 	RangeDispatch int // nodes served by the interval-stabbing index
-	Lattice       int // nodes evaluated through the containment lattice
-	LatticeRoots  int // lattice roots (weakest predicates, tried first)
-	Fallback      int // entries kept on the guarded per-entry path
+	Verified      int // dispatched nodes that check a residual on a hit
+	// Lattice is 0 for every index this code can build: every node is
+	// dispatched. The field remains only because cmd/ledger reports it as
+	// selection.index_lattice; a benchmark-only PR retires both together.
+	Lattice  int
+	Fallback int // entries kept on the guarded per-entry path
 }
 
 // Add accumulates o into s (per-stream aggregation).
@@ -56,8 +59,8 @@ func (s *SelIndexStats) Add(o SelIndexStats) {
 	s.Deduped += o.Deduped
 	s.EqDispatch += o.EqDispatch
 	s.RangeDispatch += o.RangeDispatch
+	s.Verified += o.Verified
 	s.Lattice += o.Lattice
-	s.LatticeRoots += o.LatticeRoots
 	s.Fallback += o.Fallback
 }
 
@@ -66,13 +69,10 @@ func (s *SelIndexStats) Add(o SelIndexStats) {
 type selNode struct {
 	canon expr.Canonical
 	bits  bitset.Bits
-	// kids are lattice children: nodes whose canonical form is contained in
-	// this one (they can only match when this node matches). Empty for
-	// dispatched nodes.
-	kids []int32
-	// sel is the build-time selectivity estimate ordering lattice siblings
-	// weakest-first.
-	sel float64
+	// verify marks a node whose access constraint is not its whole
+	// predicate (further constraints, or holes): a dispatch hit fans the
+	// bits only if canon.Match confirms the rest.
+	verify bool
 }
 
 // ivIndex is a static interval-stabbing index: intervals sorted by Lo with
@@ -87,9 +87,10 @@ type ivIndex struct {
 	node  []int32
 }
 
-// fieldDispatch routes one tuple column to its matching single-field nodes.
+// fieldDispatch routes one tuple column to the nodes whose access constraint
+// is on that column.
 type fieldDispatch struct {
-	// eq maps an exact constraint point to the nodes pinned to it.
+	// eq maps an exact access point to the nodes pinned to it.
 	eq map[int64][]int32
 	iv ivIndex
 }
@@ -101,18 +102,35 @@ type selIndex struct {
 	nodes  []selNode
 	// dispatch[0] serves the tuple key, dispatch[f+1] payload field f.
 	dispatch [event.NumFields + 1]fieldDispatch
-	// roots are the containment-lattice roots among general nodes.
-	roots []int32
 	// fallback indexes (into the version's entry table) the entries that
 	// must evaluate through the guarded per-entry path.
 	fallback []int32
 	stats    SelIndexStats
 }
 
-// latticeFieldMax is the uniform-domain assumption for ordering lattice
-// siblings by estimated selectivity; it matches the workload generator's
-// default field domain. Only evaluation order depends on it, never results.
-const latticeFieldMax = 1000
+// accessFieldMax is the uniform-domain assumption for estimating which of a
+// node's interval constraints accepts the fewest tuples; it matches the
+// workload generator's default field domain. Only the node's placement
+// depends on it, never results.
+const accessFieldMax = 1000
+
+// accessConstraint picks the constraint a node is dispatched on: an equality
+// if it has one, else the interval with the smallest estimated accepted
+// fraction. Constraints are sorted by field, so ties go to the lowest field
+// and the build is deterministic.
+func accessConstraint(c *expr.Canonical) *expr.FieldConstraint {
+	best, bestSel := &c.Constraints[0], 2.0
+	for i := range c.Constraints {
+		fc := &c.Constraints[i]
+		if fc.Iv.Lo == fc.Iv.Hi {
+			return fc
+		}
+		if sel := fc.Selectivity(accessFieldMax); sel < bestSel {
+			best, bestSel = fc, sel
+		}
+	}
+	return best
+}
 
 // buildSelIndex compiles a version's entry table into an index. Control
 // path: runs at changelog/restore time, never per tuple.
@@ -150,77 +168,38 @@ func buildSelIndex(entries []selEntry) *selIndex {
 		ni := int32(len(ix.nodes))
 		var bits bitset.Bits
 		bits.Set(e.slot)
-		ix.nodes = append(ix.nodes, selNode{
-			canon: canon,
-			bits:  bits,
-			sel:   canon.Selectivity(latticeFieldMax),
-		})
+		ix.nodes = append(ix.nodes, selNode{canon: canon, bits: bits})
 		byKey[string(keyBuf)] = ni
 	}
 	ix.stats.Nodes = len(ix.nodes)
 
-	// Partition nodes: single-field hole-free constraints dispatch on the
-	// field value; everything else goes through the containment lattice.
-	var general []int32
+	// Register every node under its access constraint's field. Every node
+	// has at least one constraint (always-true forms were taken above).
 	for ni := range ix.nodes {
 		n := &ix.nodes[ni]
-		if len(n.canon.Constraints) == 1 && len(n.canon.Constraints[0].Holes) == 0 {
-			fc := &n.canon.Constraints[0]
-			d := &ix.dispatch[fc.Field+1]
-			if fc.Iv.Lo == fc.Iv.Hi {
-				if d.eq == nil {
-					d.eq = make(map[int64][]int32)
-				}
-				d.eq[fc.Iv.Lo] = append(d.eq[fc.Iv.Lo], int32(ni))
-				ix.stats.EqDispatch++
-			} else {
-				d.iv.lo = append(d.iv.lo, fc.Iv.Lo)
-				d.iv.hi = append(d.iv.hi, fc.Iv.Hi)
-				d.iv.node = append(d.iv.node, int32(ni))
-				ix.stats.RangeDispatch++
-			}
-			continue
+		fc := accessConstraint(&n.canon)
+		if len(n.canon.Constraints) > 1 || len(fc.Holes) > 0 {
+			n.verify = true
+			ix.stats.Verified++
 		}
-		general = append(general, int32(ni))
+		d := &ix.dispatch[fc.Field+1]
+		if fc.Iv.Lo == fc.Iv.Hi {
+			if d.eq == nil {
+				d.eq = make(map[int64][]int32)
+			}
+			d.eq[fc.Iv.Lo] = append(d.eq[fc.Iv.Lo], int32(ni))
+			ix.stats.EqDispatch++
+		} else {
+			d.iv.lo = append(d.iv.lo, fc.Iv.Lo)
+			d.iv.hi = append(d.iv.hi, fc.Iv.Hi)
+			d.iv.node = append(d.iv.node, int32(ni))
+			ix.stats.RangeDispatch++
+		}
 	}
 	for f := range ix.dispatch {
 		ix.dispatch[f].iv.build()
 	}
-	ix.buildLattice(general)
-	ix.stats.Lattice = len(general)
-	ix.stats.LatticeRoots = len(ix.roots)
 	return ix
-}
-
-// buildLattice arranges the general nodes into a containment forest:
-// weakest predicates become roots, each node hangs under the first existing
-// node whose canonical form contains it. Insertion order (selectivity
-// descending, creation order on ties) guarantees containers are placed
-// before their containees, and makes the forest deterministic.
-func (ix *selIndex) buildLattice(general []int32) {
-	sort.SliceStable(general, func(i, j int) bool {
-		si, sj := ix.nodes[general[i]].sel, ix.nodes[general[j]].sel
-		if si != sj {
-			return si > sj
-		}
-		return general[i] < general[j]
-	})
-	for _, ni := range general {
-		n := &ix.nodes[ni]
-		level := &ix.roots
-	descend:
-		for {
-			for _, ci := range *level {
-				c := &ix.nodes[ci]
-				if c.canon.Contains(&n.canon) {
-					level = &c.kids
-					continue descend
-				}
-			}
-			break
-		}
-		*level = append(*level, ni)
-	}
 }
 
 // build finalizes the stabbing index: co-sorts the interval arrays by
@@ -292,15 +271,14 @@ func (ix *selIndex) classify(s *SharedSelection, v *selVersion, t *event.Tuple, 
 		}
 		if d.eq != nil {
 			for _, ni := range d.eq[val] {
-				qs.OrInPlace(ix.nodes[ni].bits)
+				if n := &ix.nodes[ni]; !n.verify || n.canon.Match(t) {
+					qs.OrInPlace(n.bits)
+				}
 			}
 		}
 		if len(d.iv.node) > 0 {
-			d.iv.stab(ix.nodes, 0, len(d.iv.node)-1, val, qs)
+			d.iv.stab(ix.nodes, 0, len(d.iv.node)-1, val, t, qs)
 		}
-	}
-	if len(ix.roots) > 0 {
-		ix.walkLattice(ix.roots, t, qs)
 	}
 	for _, ei := range ix.fallback {
 		e := &v.entries[ei]
@@ -310,43 +288,29 @@ func (ix *selIndex) classify(s *SharedSelection, v *selVersion, t *event.Tuple, 
 	}
 }
 
-// walkLattice evaluates a sibling list: a matching node fans its bits and
-// descends to the predicates it contains; a failing node prunes its entire
-// contained subtree.
+// stab fans the bits of every node whose access interval contains v (and
+// whose residual, if any, accepts t) within the subtree [l, r] of the
+// midpoint decomposition. The subtree-max prunes regions whose every
+// interval ends below v; the Lo sort order prunes a subtree whose first
+// interval starts above v, and right subtrees once Lo exceeds v.
 //
 //lint:hotpath
-func (ix *selIndex) walkLattice(list []int32, t *event.Tuple, qs *bitset.Bits) {
-	for _, ni := range list {
-		n := &ix.nodes[ni]
-		if n.canon.Match(t) {
-			qs.OrInPlace(n.bits)
-			if len(n.kids) > 0 {
-				ix.walkLattice(n.kids, t, qs)
-			}
-		}
-	}
-}
-
-// stab fans the bits of every interval containing v within the subtree
-// [l, r] of the midpoint decomposition. The subtree-max prunes regions
-// whose every interval ends below v; the Lo sort order prunes right
-// subtrees once Lo exceeds v.
-//
-//lint:hotpath
-func (iv *ivIndex) stab(nodes []selNode, l, r int, v int64, qs *bitset.Bits) {
-	for l <= r {
+func (iv *ivIndex) stab(nodes []selNode, l, r int, v int64, t *event.Tuple, qs *bitset.Bits) {
+	for l <= r && iv.lo[l] <= v {
 		m := int(uint(l+r) >> 1)
 		if iv.maxHi[m] < v {
 			return
 		}
 		if m > l {
-			iv.stab(nodes, l, m-1, v, qs)
+			iv.stab(nodes, l, m-1, v, t, qs)
 		}
 		if iv.lo[m] > v {
 			return
 		}
 		if iv.hi[m] >= v {
-			qs.OrInPlace(nodes[iv.node[m]].bits)
+			if n := &nodes[iv.node[m]]; !n.verify || n.canon.Match(t) {
+				qs.OrInPlace(n.bits)
+			}
 		}
 		l = m + 1
 	}

@@ -24,11 +24,15 @@ func (nopHook) BeforePredicate(int, int) {}
 
 // randIndexPred draws predicates the way adversarial ad-hoc workloads look:
 // duplicated templates, contained intervals, contradictions, multi-field
-// conjunctions, NE holes, key-field constraints, and invalid-field
-// predicates that panic data-dependently under naive evaluation.
+// conjunctions, NE holes, key-field constraints, invalid-field predicates
+// that panic data-dependently under naive evaluation, and the conjunction
+// shapes of randConjunction.
 func randIndexPred(r *rand.Rand, templates []expr.Predicate) expr.Predicate {
 	if len(templates) > 0 && r.Intn(100) < 30 {
 		return templates[r.Intn(len(templates))] // duplicate an earlier predicate
+	}
+	if r.Intn(100) < 35 {
+		return randConjunction(r)
 	}
 	p := expr.True()
 	n := r.Intn(4)
@@ -46,6 +50,55 @@ func randIndexPred(r *rand.Rand, templates []expr.Predicate) expr.Predicate {
 	return p
 }
 
+// randConjunction draws the shapes that dispatch on one constraint and
+// verify the rest: an access point or interval plus a residual, with holes
+// on either side, and equality buckets shared by different residuals.
+func randConjunction(r *rand.Rand) expr.Predicate {
+	cmp := func(field int, op expr.Op, v int) expr.Comparison {
+		return expr.Comparison{Field: field, Op: op, Value: int64(v)}
+	}
+	f, g := r.Intn(event.NumFields), r.Intn(event.NumFields)
+	v := r.Intn(30)
+	rangeOps := []expr.Op{expr.LT, expr.LE, expr.GT, expr.GE}
+	rangeOp := rangeOps[r.Intn(len(rangeOps))]
+	switch r.Intn(5) {
+	case 0: // key equality ∧ range
+		return expr.True().And(cmp(expr.KeyField, expr.EQ, r.Intn(30))).And(cmp(f, rangeOp, v))
+	case 1: // few keys, so one eq bucket holds nodes with different residuals
+		return expr.True().And(cmp(expr.KeyField, expr.EQ, r.Intn(3))).And(cmp(f, rangeOp, v))
+	case 2: // hole on the access field: a narrow holed interval ∧ a wide range
+		return expr.True().
+			And(cmp(f, expr.GE, v)).And(cmp(f, expr.LE, v+4)).And(cmp(f, expr.NE, v+1+r.Intn(3))).
+			And(cmp((f+1)%event.NumFields, expr.LT, 25))
+	case 3: // hole on a residual field
+		return expr.True().And(cmp(expr.KeyField, expr.EQ, r.Intn(30))).
+			And(cmp(g, expr.LT, 10+v)).And(cmp(g, expr.NE, r.Intn(10+v)))
+	default: // equality on a payload field ∧ key range
+		return expr.True().And(cmp(f, expr.EQ, v)).And(cmp(expr.KeyField, rangeOp, r.Intn(30)))
+	}
+}
+
+// verifyCoverage reports whether ix holds an eq bucket with two verified
+// nodes, and a verified node on a stabbing index.
+func verifyCoverage(ix *selIndex) (sharedBucket, verifiedRange bool) {
+	for f := range ix.dispatch {
+		d := &ix.dispatch[f]
+		for _, bucket := range d.eq {
+			verified := 0
+			for _, ni := range bucket {
+				if ix.nodes[ni].verify {
+					verified++
+				}
+			}
+			sharedBucket = sharedBucket || verified >= 2
+		}
+		for _, ni := range d.iv.node {
+			verifiedRange = verifiedRange || ix.nodes[ni].verify
+		}
+	}
+	return sharedBucket, verifiedRange
+}
+
 func randIndexTuple(r *rand.Rand, tmax int) event.Tuple {
 	t := event.Tuple{
 		Key:  int64(r.Intn(30)),
@@ -61,7 +114,9 @@ func randIndexTuple(r *rand.Rand, tmax int) event.Tuple {
 // a scan-forced instance through identical changelog/tuple/watermark
 // sequences and requires bit-identical query-sets plus identical panic
 // attribution on every tuple, including out-of-order tuples that classify
-// against older table versions.
+// against older table versions. Seed 0 swaps the indexed instance for one
+// restored from its own snapshot mid-stream, so the indexes rebuildIndexes
+// compiles are held to the same bits.
 func TestIndexedClassificationAgreesWithScan(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		seed := seed
@@ -72,13 +127,17 @@ func TestIndexedClassificationAgreesWithScan(t *testing.T) {
 			scan := NewSharedSelection(0, 50, NewOpMetrics(nil))
 			scan.faultHook = nopHook{}
 			var idxPanics, scanPanics []int
-			idx.onPredPanic = func(id int, _ any) { idxPanics = append(idxPanics, id) }
+			onIdxPanic := func(id int, _ any) { idxPanics = append(idxPanics, id) }
+			idx.onPredPanic = onIdxPanic
 			scan.onPredPanic = func(id int, _ any) { scanPanics = append(scanPanics, id) }
 
 			b := newCLBuilder()
 			var templates []expr.Predicate
 			var active []int
 			em := &spe.Emitter{}
+			// Non-vacuity: the run must build an eq bucket shared by two
+			// residuals and a residual behind the stabbing index.
+			var sharedBucket, verifiedRange bool
 
 			apply := func(msg *ChangelogMsg, at event.Time) {
 				idx.OnChangelog(msg, at, nil)
@@ -86,6 +145,14 @@ func TestIndexedClassificationAgreesWithScan(t *testing.T) {
 			}
 			for step := 0; step < 40; step++ {
 				at := event.Time(step * 100)
+				if seed == 0 && step == 20 {
+					restored := NewSharedSelection(0, 50, NewOpMetrics(nil))
+					if err := restored.Restore(idx.OnBarrier(1, nil)); err != nil {
+						t.Fatal(err)
+					}
+					restored.onPredPanic = onIdxPanic
+					idx = restored
+				}
 				// Mutate the workload: mostly creations, sometimes deletions
 				// (occasionally enough of them to exercise the map-based path).
 				if len(active) > 4 && r.Intn(100) < 35 {
@@ -116,6 +183,8 @@ func TestIndexedClassificationAgreesWithScan(t *testing.T) {
 				if len(idx.versions) != len(idx.indexes) {
 					t.Fatalf("step %d: %d versions but %d indexes", step, len(idx.versions), len(idx.indexes))
 				}
+				shared, ranged := verifyCoverage(idx.indexes[len(idx.indexes)-1])
+				sharedBucket, verifiedRange = sharedBucket || shared, verifiedRange || ranged
 
 				// Tuples spanning every live version, including times far
 				// behind the newest changelog.
@@ -149,6 +218,10 @@ func TestIndexedClassificationAgreesWithScan(t *testing.T) {
 						scan.OnWatermark(wm, nil)
 					}
 				}
+			}
+			if !sharedBucket || !verifiedRange {
+				t.Fatalf("generator never exercised residual verify: shared eq bucket %v, verified range %v",
+					sharedBucket, verifiedRange)
 			}
 		})
 	}
@@ -200,8 +273,8 @@ func TestIndexSurvivesSnapshotRestore(t *testing.T) {
 }
 
 // TestOverlapIndexComposition pins how the 512-query overlap workload
-// compiles: heavy dedup, every dispatch layer populated, and the chained
-// containment group collapsed under a single lattice root.
+// compiles: heavy dedup, both dispatch structures populated, and the
+// two-field chain registered on the stabbing index behind a verify.
 func TestOverlapIndexComposition(t *testing.T) {
 	sel := NewSharedSelection(0, 0, NewOpMetrics(nil))
 	sel.installTable(overlapEntries(512))
@@ -211,9 +284,8 @@ func TestOverlapIndexComposition(t *testing.T) {
 		Nodes:         57, // 1 wide template + 32 points + 16 ranges + 8 chain links
 		Deduped:       455,
 		EqDispatch:    32,
-		RangeDispatch: 17, // the wide template + the 16 one-sided ranges
-		Lattice:       8,
-		LatticeRoots:  1, // P₀ contains the whole chain
+		RangeDispatch: 25, // the wide template + the 16 one-sided ranges + the chain
+		Verified:      8,  // the chain links check F4 once F3 is stabbed
 	}
 	if st != want {
 		t.Fatalf("overlap index stats = %+v, want %+v", st, want)
@@ -230,6 +302,59 @@ func TestOverlapIndexComposition(t *testing.T) {
 		scan.OnTuple(0, tu, em)
 		if !sel.qsTmp.Equal(scan.qsTmp) {
 			t.Fatalf("tuple %d: indexed %v scan %v", i, sel.qsTmp.Words(), scan.qsTmp.Words())
+		}
+	}
+}
+
+// TestConjunctionDispatchWork pins the work bound of conjunction dispatch on
+// the churn-shaped table (512 queries, each pinned to its own key, every
+// second one with a residual range): every node sits alone in its key's
+// bucket, so a tuple examines at most one candidate however many queries are
+// live, and classification stays bit-identical to the scan.
+func TestConjunctionDispatchWork(t *testing.T) {
+	sel := NewSharedSelection(0, 0, NewOpMetrics(nil))
+	sel.installTable(keyedEntries(512))
+	ix := sel.indexes[0]
+	if st := ix.stats; st.EqDispatch != 512 || st.RangeDispatch != 0 || st.Lattice != 0 || st.Verified != 256 {
+		t.Fatalf("keyed index stats = %+v, want 512 eq-dispatched nodes, 256 of them verified", st)
+	}
+	for key, bucket := range ix.dispatch[0].eq {
+		if len(bucket) != 1 {
+			t.Fatalf("key %d bucket holds %d nodes, want 1", key, len(bucket))
+		}
+	}
+
+	r := rand.New(rand.NewSource(1))
+	v := &sel.versions[0]
+	var got, want bitset.Bits
+	for i := 0; i < 10000; i++ {
+		tu := event.Tuple{Key: int64(r.Intn(1000))}
+		for f := range tu.Fields {
+			tu.Fields[f] = int64(r.Intn(1000))
+		}
+		candidates := 0
+		for f := range ix.dispatch {
+			d := &ix.dispatch[f]
+			val := tu.Key
+			if f > 0 {
+				val = tu.Fields[f-1]
+			}
+			candidates += len(d.eq[val])
+			for m := range d.iv.node {
+				if d.iv.lo[m] <= val && val <= d.iv.hi[m] {
+					candidates++
+				}
+			}
+		}
+		if candidates > 1 {
+			t.Fatalf("tuple %+v examines %d candidates, want at most 1", tu, candidates)
+		}
+		got.Reset()
+		want.Reset()
+		ix.classify(sel, v, &tu, &got)
+		sel.scanEntries(v, &tu, &want)
+		if !got.Equal(want) {
+			t.Fatalf("tuple %+v: indexed %v scan %v", tu, got.Words(), want.Words())
 		}
 	}
 }

@@ -11,14 +11,13 @@ import (
 // This file lowers predicates (conjunctions of comparisons) into a canonical
 // per-field interval form. The canonical form is what makes multi-query
 // optimization of the shared selection possible: structurally equal
-// predicates become byte-equal keys (dedup), implication between predicates
-// becomes interval containment (the pruning lattice), and single-field
-// predicates become dispatchable intervals (hash/stab indexes). The integer
-// field domain means every comparison is an interval: f < v is f ∈
-// [MinInt64, v-1], f == v is f ∈ [v, v], and so on; a conjunction intersects
-// the per-field intervals. NE comparisons become "holes" — excluded points
-// strictly inside the interval (holes touching an endpoint tighten the
-// endpoint instead, so the representation is unique).
+// predicates become byte-equal keys (dedup), and every conjunction becomes
+// dispatchable on one of its per-field intervals (hash/stab indexes) with the
+// rest checked by Match. The integer field domain means every comparison is
+// an interval: f < v is f ∈ [MinInt64, v-1], f == v is f ∈ [v, v], and so on;
+// a conjunction intersects the per-field intervals. NE comparisons become
+// "holes" — excluded points strictly inside the interval (holes touching an
+// endpoint tighten the endpoint instead, so the representation is unique).
 
 // Interval is a closed integer interval [Lo, Hi]. Lo > Hi never occurs in a
 // canonical constraint (such predicates canonicalize to False).
@@ -239,61 +238,6 @@ func (c *Canonical) Match(t *event.Tuple) bool {
 	return true
 }
 
-// Contains reports whether every tuple accepted by o is accepted by c
-// (canon(o) ⊆ canon(c), i.e. o implies c). This is the containment relation
-// of the pruning lattice: when the weaker c fails on a tuple, every
-// predicate it contains fails too and the whole subtree is skipped. The
-// check is exact, not an approximation: accepted sets are per-field
-// products, both are non-empty when not False, so set containment reduces
-// to per-field interval-minus-holes containment.
-func (c *Canonical) Contains(o *Canonical) bool {
-	if o.False {
-		return true
-	}
-	if c.False {
-		return false
-	}
-	oi := 0
-	for i := range c.Constraints {
-		cc := &c.Constraints[i]
-		for oi < len(o.Constraints) && o.Constraints[oi].Field < cc.Field {
-			oi++
-		}
-		if oi >= len(o.Constraints) || o.Constraints[oi].Field != cc.Field {
-			// c constrains a field o leaves free: o accepts values outside
-			// cc (cc is never the full domain — those are dropped).
-			return false
-		}
-		oc := &o.Constraints[oi]
-		if oc.Iv.Lo < cc.Iv.Lo || oc.Iv.Hi > cc.Iv.Hi {
-			return false
-		}
-		// Every point c excludes inside o's interval must be excluded by o
-		// too; c's holes outside o's interval are already unreachable.
-		for _, h := range cc.Holes {
-			if h < oc.Iv.Lo || h > oc.Iv.Hi {
-				continue
-			}
-			if !hasHole(oc.Holes, h) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func hasHole(holes []int64, v int64) bool {
-	for _, h := range holes {
-		if h == v {
-			return true
-		}
-		if h > v {
-			return false
-		}
-	}
-	return false
-}
-
 // AppendKey appends a canonical byte encoding to dst and returns it. Two
 // predicates have equal keys iff their canonical forms are structurally
 // equal, so string(c.AppendKey(nil)) is the dedup map key. The encoding is
@@ -324,40 +268,27 @@ func appendI64(dst []byte, v int64) []byte {
 		byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
 }
 
-// Selectivity estimates the accepted fraction of tuples whose fields are
-// uniform over [0, fieldMax), mirroring Predicate.Selectivity but computed
-// from the canonical intervals (so deduplicated nodes don't need the
-// original predicate). The pruning lattice orders siblings weakest-first by
-// this estimate.
-func (c *Canonical) Selectivity(fieldMax int64) float64 {
-	if c.False {
+// Selectivity estimates the fraction of values uniform over [0, fieldMax)
+// that the constraint accepts. The shared-selection index dispatches a
+// conjunction on the constraint with the smallest estimate.
+func (fc *FieldConstraint) Selectivity(fieldMax int64) float64 {
+	lo, hi := fc.Iv.Lo, fc.Iv.Hi
+	if lo < 0 {
+		lo = 0
+	}
+	if hi > fieldMax-1 {
+		hi = fieldMax - 1
+	}
+	if lo > hi {
 		return 0
 	}
-	if fieldMax <= 0 {
-		return 1
+	width := float64(hi - lo + 1)
+	for _, h := range fc.Holes {
+		if h >= lo && h <= hi {
+			width--
+		}
 	}
-	sel := 1.0
-	for i := range c.Constraints {
-		fc := &c.Constraints[i]
-		lo, hi := fc.Iv.Lo, fc.Iv.Hi
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > fieldMax-1 {
-			hi = fieldMax - 1
-		}
-		if lo > hi {
-			return 0
-		}
-		width := float64(hi-lo+1)
-		for _, h := range fc.Holes {
-			if h >= lo && h <= hi {
-				width--
-			}
-		}
-		sel *= width / float64(fieldMax)
-	}
-	return sel
+	return width / float64(fieldMax)
 }
 
 func (c Canonical) String() string {

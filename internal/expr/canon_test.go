@@ -194,76 +194,25 @@ func TestAppendKeyEquivalence(t *testing.T) {
 	}
 }
 
-// TestContainsSoundness: Contains must never claim containment that random
-// sampling can falsify (that would make the lattice prune live predicates),
-// and must detect the constructed containments the lattice relies on.
-func TestContainsSoundness(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	checked, held := 0, 0
-	for trial := 0; trial < 4000; trial++ {
-		cp := mustCanon(t, randPredicate(r))
-		op := mustCanon(t, randPredicate(r))
-		if !cp.Contains(&op) {
-			continue
-		}
-		held++
-		for i := 0; i < 60; i++ {
-			tu := randTuple(r)
-			if op.Match(&tu) && !cp.Match(&tu) {
-				t.Fatalf("Contains claimed %v ⊇ %v but tuple %+v matches only the contained",
-					cp, op, tu)
-			}
-			checked++
-		}
+// TestConstraintSelectivity sanity-checks the estimate the index picks a
+// conjunction's access constraint by.
+func TestConstraintSelectivity(t *testing.T) {
+	sel := func(p Predicate) float64 {
+		c := mustCanon(t, p)
+		return c.Constraints[0].Selectivity(1000)
 	}
-	if held == 0 {
-		t.Fatalf("no containment pairs sampled; property vacuous (checked %d)", checked)
+	wide := sel(True().And(Comparison{Field: 0, Op: LT, Value: 900}))
+	narrow := sel(True().And(Comparison{Field: 0, Op: LT, Value: 100}))
+	if wide != 0.9 || narrow != 0.1 {
+		t.Fatalf("F0<900 estimates %v, F0<100 estimates %v; want 0.9, 0.1", wide, narrow)
 	}
-	// Constructed cases the lattice depends on.
-	wide := mustCanon(t, True().And(Comparison{Field: 0, Op: GE, Value: 10}))
-	narrow := mustCanon(t, True().
-		And(Comparison{Field: 0, Op: GE, Value: 10}).
-		And(Comparison{Field: 1, Op: LT, Value: 5}))
-	if !wide.Contains(&narrow) {
-		t.Fatalf("adding a conjunct must stay contained")
+	if got := sel(True().And(Comparison{Field: 1, Op: GE, Value: 2000})); got != 0 {
+		t.Fatalf("interval outside the domain estimates %v, want 0", got)
 	}
-	if narrow.Contains(&wide) {
-		t.Fatalf("containment direction reversed")
-	}
-	falseC := mustCanon(t, True().
-		And(Comparison{Field: 0, Op: GT, Value: 5}).
-		And(Comparison{Field: 0, Op: LT, Value: 3}))
-	if !wide.Contains(&falseC) {
-		t.Fatalf("everything contains False")
-	}
-	if falseC.Contains(&wide) {
-		t.Fatalf("False contains nothing non-empty")
-	}
-	holey := mustCanon(t, True().And(Comparison{Field: 0, Op: NE, Value: 7}))
-	any := mustCanon(t, True())
-	if !any.Contains(&holey) {
-		t.Fatalf("TRUE contains everything")
-	}
-	if holey.Contains(&any) {
-		t.Fatalf("A!=7 must not contain TRUE")
-	}
-}
-
-// TestCanonicalSelectivity sanity-checks the lattice ordering estimate.
-func TestCanonicalSelectivity(t *testing.T) {
-	wide := mustCanon(t, True().And(Comparison{Field: 0, Op: LT, Value: 900}))
-	narrow := mustCanon(t, True().And(Comparison{Field: 0, Op: LT, Value: 100}))
-	if wide.Selectivity(1000) <= narrow.Selectivity(1000) {
-		t.Fatalf("wider interval must estimate higher selectivity")
-	}
-	tr := mustCanon(t, True())
-	if got := tr.Selectivity(1000); got != 1 {
-		t.Fatalf("TRUE selectivity = %v, want 1", got)
-	}
-	f := mustCanon(t, True().
-		And(Comparison{Field: 0, Op: GT, Value: 5}).
-		And(Comparison{Field: 0, Op: LT, Value: 3}))
-	if got := f.Selectivity(1000); got != 0 {
-		t.Fatalf("False selectivity = %v, want 0", got)
+	holed := sel(True().
+		And(Comparison{Field: 0, Op: LT, Value: 100}).
+		And(Comparison{Field: 0, Op: NE, Value: 50}))
+	if holed != 0.099 {
+		t.Fatalf("F0<100 minus one hole estimates %v, want 0.099", holed)
 	}
 }
