@@ -207,8 +207,8 @@ func BenchmarkAblationWindowFire(b *testing.B) {
 					fire := func() { agg.fireBench(ext) }
 					if mode == "reference" {
 						fire = func() {
-							for _, aq := range agg.activeOrdered {
-								agg.fireWindowScan(ext, aq, agg.table.Latest())
+							for _, aq := range agg.win.queries.ordered {
+								agg.fireWindowScan(ext, aq, agg.win.table.Latest())
 							}
 						}
 					}

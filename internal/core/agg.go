@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"astream/internal/bitset"
-	"astream/internal/changelog"
 	"astream/internal/event"
 	"astream/internal/spe"
 	"astream/internal/sqlstream"
@@ -113,30 +112,13 @@ type aggGroup struct {
 	keys  []int64
 }
 
-// aggQuery is one active query served by the aggregation operator.
-type aggQuery struct {
-	q    *Query
-	slot int
-	port int // which input port feeds this query's aggregation
-	// sessions is per-key session state for session-window queries;
-	// sessKeys mirrors its keys in ascending order (maintained on
-	// creation/expiry) so harvest iterates deterministically without a
-	// per-watermark sort.
-	sessions map[int64]*window.SessionState
-	sessKeys []int64
-	// since/until/endEpoch implement event-time query lifetime, exactly as
-	// in the shared join: windows ending in (since, until] fire, masked by
-	// changelog-sets capped at endEpoch.
-	since    event.Time
-	until    event.Time
-	endEpoch uint64
-}
-
-func (a *aggQuery) spec() window.Spec {
-	if a.q.Kind == KindComplex {
-		return a.q.AggWindow
+// aggWindow is the window the aggregation fires for q: a complex query
+// aggregates its join's output over its second window.
+func aggWindow(q *Query) window.Spec {
+	if q.Kind == KindComplex {
+		return q.AggWindow
 	}
-	return a.q.Window
+	return q.Window
 }
 
 // insertSortedInt64 inserts v into ascending s, keeping it sorted (no-op if
@@ -162,18 +144,11 @@ func insertSortedInt64(s []int64, v int64) []int64 {
 type SharedAggregation struct {
 	spe.BaseLogic
 	ports int
-	sl    *slicer
-	table *changelog.Table
-	//lint:ephemeral derived index over the serialized activeOrdered list
-	active map[int]*aggQuery // by query ID
-	//lint:ephemeral derived index over the serialized selOrdered list
-	selection map[int]*aggQuery // selection queries (terminal at port 0)
-	// activeOrdered/selOrdered mirror the maps sorted by (slot, query ID),
-	// maintained incrementally on changelog and purge: the per-tuple and
-	// watermark paths iterate them so delivery order is deterministic
-	// (replay determinism, §3.3) without per-emission sorts or map ranges.
-	activeOrdered []*aggQuery
-	selOrdered    []*aggQuery
+	// win drives the slice ring (per-slice partials in slice.aggs) and the
+	// windowed queries; selection holds the selection queries, terminal at
+	// port 0, which need a lifetime but no window.
+	win       windowOp
+	selection queryTable
 	// maskVersions holds the per-port/selection/session slot masks,
 	// versioned by event-time. Slot reuse makes a bare slot ambiguous (the
 	// same bit can mean "aggregation input" in one epoch and "join input
@@ -185,10 +160,6 @@ type SharedAggregation struct {
 	router *Router
 	//lint:ephemeral constructor wiring (metrics sink)
 	metrics *OpMetrics
-	//lint:ephemeral constructor wiring (allowed-lateness config)
-	lateness    event.Time
-	lastWM      event.Time
-	evictedThru event.Time
 
 	// Incremental-snapshot bookkeeping (OnBarrierDelta): per-slice fold
 	// counts captured at the last snapshot, the changelog epoch that
@@ -206,14 +177,10 @@ type SharedAggregation struct {
 	tblScratch []byte //lint:pooled scratch table-delta encode buffer recycled across barriers
 
 	// Steady-state scratch (owned by the instance goroutine): query-set
-	// intersection temporaries, the watermark's triggers, and the fire
-	// path's cap groups, equivalence blocks and partial-aggregate storage.
+	// intersection temporaries and the fire path's equivalence blocks and
+	// partial-aggregate storage.
 	//lint:ephemeral per-tuple scratch
 	qsTmp bitset.Bits //lint:pooled scratch per-tuple query-set intersection scratch
-	//lint:ephemeral per-watermark scratch
-	trig triggerList[*aggQuery] //lint:pooled scratch per-watermark trigger scratch
-	//lint:ephemeral per-trigger scratch
-	capTmp []*aggCapGroup //lint:pooled scratch per-trigger cap-grouping scratch
 	//lint:ephemeral per-trigger scratch
 	capMask bitset.Bits //lint:pooled scratch per-cap-group slot mask scratch
 	//lint:ephemeral per-trigger scratch
@@ -234,15 +201,6 @@ type SharedAggregation struct {
 	valPool []*aggVal //lint:pooled freelist recycled aggVal backings
 	//lint:ephemeral unissued tail of the newest aggVal slab; getVal carves from it when the freelist is empty
 	valSlab []aggVal //lint:pooled freelist slab chunk fresh partials are carved from; they recycle through valPool
-	//lint:ephemeral per-watermark scratch
-	specsTmp []window.Spec //lint:pooled scratch per-watermark window-spec scratch
-}
-
-// aggCapGroup batches a trigger's queries (by index) sharing one
-// changelog-set cap.
-type aggCapGroup struct {
-	cap  uint64
-	idxs []int
 }
 
 // fireBlock is one query-equivalence block of a fire: the queries of one cap
@@ -273,47 +231,12 @@ type maskVersion struct {
 func NewSharedAggregation(ports int, lateness event.Time, router *Router, m *OpMetrics) *SharedAggregation {
 	return &SharedAggregation{
 		ports:        ports,
-		sl:           newSlicer(),
-		table:        changelog.NewTable(),
-		active:       make(map[int]*aggQuery),
-		selection:    make(map[int]*aggQuery),
+		win:          newWindowOp(lateness, aggWindow, newSlicer()),
+		selection:    newQueryTable(aggWindow),
 		maskVersions: []maskVersion{{from: event.MinTime, portMasks: make([]bitset.Bits, ports)}},
 		router:       router,
 		metrics:      m,
-		lateness:     lateness,
-		lastWM:       event.MinTime,
-		evictedThru:  event.MinTime,
 	}
-}
-
-// insertBySlot adds aq to the (slot, ID)-ordered list by binary insert
-// (changelog path — cold).
-func insertBySlot(list []*aggQuery, aq *aggQuery) []*aggQuery {
-	i := sort.Search(len(list), func(i int) bool {
-		o := list[i]
-		if o.slot != aq.slot {
-			return o.slot > aq.slot
-		}
-		return o.q.ID > aq.q.ID
-	})
-	list = append(list, nil)
-	copy(list[i+1:], list[i:])
-	list[i] = aq
-	return list
-}
-
-// filterOrdered drops entries matching gone, in place.
-func filterOrdered(list []*aggQuery, gone func(*aggQuery) bool) []*aggQuery {
-	kept := list[:0]
-	for _, aq := range list {
-		if !gone(aq) {
-			kept = append(kept, aq)
-		}
-	}
-	for i := len(kept); i < len(list); i++ {
-		list[i] = nil
-	}
-	return kept
 }
 
 // masksAt returns the mask table in effect at event-time t.
@@ -342,66 +265,44 @@ func aggPortOf(q *Query) int {
 // OnChangelog updates active queries, port masks, epochs, and the table.
 func (a *SharedAggregation) OnChangelog(payload any, at event.Time, _ *spe.Emitter) {
 	msg := payload.(*ChangelogMsg)
-	for _, d := range msg.CL.Deleted {
-		if aq, ok := a.active[d.Query]; ok {
-			aq.until = at
-			aq.endEpoch = msg.CL.Seq - 1
-		}
-		if sq, ok := a.selection[d.Query]; ok {
-			sq.until = at
-			sq.endEpoch = msg.CL.Seq - 1
-		}
-	}
+	a.win.queries.markDeleted(msg.CL, at)
+	a.selection.markDeleted(msg.CL, at)
 	for _, c := range msg.CL.Created {
 		q := msg.Defs[c.Query]
 		if q == nil {
 			continue
 		}
-		switch {
+		switch port := aggPortOf(q); {
 		case q.Kind == KindSelection:
-			sq := &aggQuery{q: q, slot: c.Slot, port: 0, since: at, until: event.MaxTime, endEpoch: ^uint64(0)}
-			a.selection[c.Query] = sq
-			a.selOrdered = insertBySlot(a.selOrdered, sq)
-		case aggPortOf(q) >= 0 && aggPortOf(q) < a.ports:
-			aq := &aggQuery{q: q, slot: c.Slot, port: aggPortOf(q), since: at, until: event.MaxTime, endEpoch: ^uint64(0)}
-			if aq.spec().Kind == window.Session {
-				aq.sessions = make(map[int64]*window.SessionState)
+			a.selection.admit(q, c.Slot, at)
+		case port >= 0 && port < a.ports:
+			lq := a.win.queries.admit(q, c.Slot, at)
+			lq.port = port
+			if lq.spec.Kind == window.Session {
+				lq.sessions = make(map[int64]*window.SessionState)
 			}
-			a.active[c.Query] = aq
-			a.activeOrdered = insertBySlot(a.activeOrdered, aq)
 		}
 	}
 	// Append a new mask version effective from this changelog's time,
 	// built from the queries running after it (pending-deleted queries
 	// keep their bits in OLDER versions, where in-flight pre-deletion
-	// tuples resolve). Epoch specs likewise come from running queries.
-	// Specs are stored by the slicer's epoch history, so they must be a
-	// fresh slice, not scratch.
+	// tuples resolve).
 	mv := maskVersion{from: at, portMasks: make([]bitset.Bits, a.ports)}
-	specs := make([]window.Spec, 0, len(a.activeOrdered))
-	for _, aq := range a.activeOrdered {
-		if aq.until == event.MaxTime {
-			mv.portMasks[aq.port].Set(aq.slot)
-			if aq.sessions != nil {
-				mv.sessMask.Set(aq.slot)
+	for _, lq := range a.win.queries.ordered {
+		if lq.until == event.MaxTime {
+			mv.portMasks[lq.port].Set(lq.slot)
+			if lq.sessions != nil {
+				mv.sessMask.Set(lq.slot)
 			}
 		}
-		if sp := aq.spec(); sp.IsTimeBased() && aq.until == event.MaxTime {
-			specs = append(specs, sp)
-		}
 	}
-	for _, sq := range a.selOrdered {
+	for _, sq := range a.selection.ordered {
 		if sq.until == event.MaxTime {
 			mv.selMask.Set(sq.slot)
 		}
 	}
 	a.maskVersions = append(a.maskVersions, mv)
-	if err := a.sl.addEpoch(at, msg.CL.Seq, specs); err != nil {
-		panic(fmt.Sprintf("core: agg epoch: %v", err))
-	}
-	if err := a.table.Add(msg.CL); err != nil {
-		panic(fmt.Sprintf("core: agg table: %v", err))
-	}
+	a.win.addEpoch(msg.CL, at)
 }
 
 // aggSlabLen is the number of partials in one slab chunk: 240 × 136 B fills
@@ -445,7 +346,7 @@ func (a *SharedAggregation) OnTuple(port int, t event.Tuple, _ *spe.Emitter) {
 	mv := a.masksAt(t.Time)
 	// Selection queries: terminal, stateless, port 0 only.
 	if port == 0 && t.QuerySet.Intersects(mv.selMask) {
-		for _, sq := range a.selOrdered {
+		for _, sq := range a.selection.ordered {
 			if t.QuerySet.Test(sq.slot) && t.Time >= sq.since && t.Time < sq.until {
 				a.router.Deliver(Result{
 					QueryID:     sq.q.ID,
@@ -464,19 +365,19 @@ func (a *SharedAggregation) OnTuple(port int, t event.Tuple, _ *spe.Emitter) {
 	if a.qsTmp.IsEmpty() {
 		return
 	}
-	if t.Time < a.evictedThru {
+	if t.Time < a.win.evictedThru[0] {
 		atomic.AddUint64(&a.metrics.Late, 1)
 		return
 	}
 	// Session-window queries keep per-key data-driven state.
 	if a.qsTmp.Intersects(mv.sessMask) {
-		for _, aq := range a.activeOrdered {
+		for _, aq := range a.win.queries.ordered {
 			if aq.sessions == nil || !a.qsTmp.Test(aq.slot) || t.Time < aq.since || t.Time >= aq.until {
 				continue
 			}
 			ss := aq.sessions[t.Key]
 			if ss == nil {
-				ss = window.NewSessionState(aq.spec().Gap)
+				ss = window.NewSessionState(aq.spec.Gap)
 				aq.sessions[t.Key] = ss
 				aq.sessKeys = insertSortedInt64(aq.sessKeys, t.Key)
 			}
@@ -487,7 +388,7 @@ func (a *SharedAggregation) OnTuple(port int, t event.Tuple, _ *spe.Emitter) {
 			return
 		}
 	}
-	sl := a.sl.sliceFor(t.Time)
+	sl := a.win.sides[0].sliceFor(t.Time)
 	if sl.aggs == nil {
 		sl.aggs = newQSIndex[aggGroup]()
 	}
@@ -508,7 +409,7 @@ func (a *SharedAggregation) OnTuple(port int, t event.Tuple, _ *spe.Emitter) {
 	sl.folds++
 }
 
-func (a *SharedAggregation) valueOf(aq *aggQuery, t *event.Tuple) int64 {
+func (a *SharedAggregation) valueOf(aq *liveQuery, t *event.Tuple) int64 {
 	if aq.q.Agg == sqlstream.AggCount || aq.q.AggField < 0 {
 		return 1
 	}
@@ -518,54 +419,22 @@ func (a *SharedAggregation) valueOf(aq *aggQuery, t *event.Tuple) int64 {
 // OnWatermark triggers windows ending in (lastWM, wm], harvests closed
 // sessions, and evicts expired slices.
 func (a *SharedAggregation) OnWatermark(wm event.Time, _ *spe.Emitter) {
-	if wm <= a.lastWM {
+	if wm <= a.win.lastWM {
 		return
 	}
-	a.collectTriggers(wm)
-	cur := a.table.Latest()
-	for _, tr := range a.trig.list {
-		a.fireWindow(tr.ext, tr.queries, cur)
+	a.win.collectTriggers(wm)
+	for _, tr := range a.win.trig.list {
+		a.fireWindow(tr.ext, tr.queries)
 	}
 	a.retire(wm)
 }
 
-// collectTriggers fills a.trig with the time-window extents ending in
-// (lastWM, wm], each carrying its queries in (slot, ID) order.
-func (a *SharedAggregation) collectTriggers(wm event.Time) {
-	// Clamp the trigger range to where data exists (see SharedJoin).
-	lo := a.lastWM
-	if lo == event.MinTime {
-		if f, ok := a.sl.firstSliceStart(); ok {
-			lo = f
-		} else {
-			lo = wm
-		}
-	}
-	a.trig.reset()
-	for _, aq := range a.activeOrdered {
-		sp := aq.spec()
-		if !sp.IsTimeBased() {
-			continue
-		}
-		qlo := lo
-		if aq.since > qlo {
-			qlo = aq.since
-		}
-		for _, ext := range sp.WindowsEndingIn(qlo, wm) {
-			if ext.End <= aq.until {
-				a.trig.add(ext, aq)
-			}
-		}
-	}
-}
-
 // retire finishes a watermark once its windows have fired: session harvest,
-// purge of queries whose deletion time has passed, slice eviction and history
-// compaction.
+// then the driver's purge, eviction and compaction.
 func (a *SharedAggregation) retire(wm event.Time) {
 	// Session harvest, in (slot, key) order for deterministic emission;
 	// sessKeys is maintained sorted so no per-watermark key sort.
-	for _, aq := range a.activeOrdered {
+	for _, aq := range a.win.queries.ordered {
 		if aq.sessions == nil {
 			continue
 		}
@@ -597,52 +466,8 @@ func (a *SharedAggregation) retire(wm event.Time) {
 		aq.sessKeys = kept
 	}
 
-	// Purge queries whose deletion time has passed; their last windows
-	// have fired above.
-	purged := false
-	for id, aq := range a.active {
-		if aq.until <= wm {
-			delete(a.active, id)
-			purged = true
-		}
-	}
-	if purged {
-		a.activeOrdered = filterOrdered(a.activeOrdered, func(aq *aggQuery) bool { return aq.until <= wm })
-	}
-	selPurged := false
-	for id, sq := range a.selection {
-		if sq.until <= wm {
-			delete(a.selection, id)
-			selPurged = true
-		}
-	}
-	if selPurged {
-		a.selOrdered = filterOrdered(a.selOrdered, func(sq *aggQuery) bool { return sq.until <= wm })
-	}
-
-	// Eviction and history compaction. Retention includes pending-deleted
-	// queries (purge already removed the expired ones). Evicted slices
-	// return their partials to the freelist.
-	specs := a.specsTmp[:0]
-	for _, aq := range a.activeOrdered {
-		if sp := aq.spec(); sp.IsTimeBased() {
-			specs = append(specs, sp)
-		}
-	}
-	a.specsTmp = specs
-	retain := func(sl *slice) event.Time {
-		r := sl.ext.End
-		for _, sp := range specs {
-			if e := sp.LastWindowEndCovering(sl.ext.Start); e > r {
-				r = e
-			}
-		}
-		return r
-	}
-	a.sl.evict(wm, retain, func(sl *slice) {
-		if sl.ext.End > a.evictedThru {
-			a.evictedThru = sl.ext.End
-		}
+	// Evicted slices return their partials to the freelist.
+	a.win.retire(wm, func(sl *slice) {
 		if sl.aggs != nil {
 			for _, g := range sl.aggs.order {
 				for _, key := range g.keys {
@@ -652,63 +477,17 @@ func (a *SharedAggregation) retire(wm event.Time) {
 			sl.aggs = nil
 		}
 	})
-	a.sl.pruneEpochs(wm - a.lateness)
+	a.selection.purge(wm)
 	// Prune mask versions no in-flight tuple can reference.
-	horizon := wm - a.lateness
+	horizon := wm - a.win.lateness
 	i := sort.Search(len(a.maskVersions), func(i int) bool { return a.maskVersions[i].from > horizon }) - 1
 	if i > 0 {
 		a.maskVersions = append(a.maskVersions[:0], a.maskVersions[i:]...)
 	}
-	oldest := a.sl.oldestEpochInUse()
-	if o := a.sl.minFutureEpoch(wm - a.lateness); o < oldest {
-		oldest = o
-	}
-	a.table.Compact(oldest)
-	a.lastWM = wm
-}
-
-// buildCapGroups groups a trigger's queries (by index) into capTmp by their
-// changelog-set cap: running queries mask to the current epoch,
-// pending-deleted ones to the epoch before deletion. Caps per trigger are
-// few: linear scan into the reused capTmp.
-func (a *SharedAggregation) buildCapGroups(queries []*aggQuery, curEpoch uint64) []*aggCapGroup {
-	groups := a.capTmp[:0]
-	for qi, aq := range queries {
-		capTo := curEpoch
-		if aq.endEpoch < capTo {
-			capTo = aq.endEpoch
-		}
-		var g *aggCapGroup
-		for _, cg := range groups {
-			if cg.cap == capTo {
-				g = cg
-				break
-			}
-		}
-		if g == nil {
-			if len(groups) < cap(groups) {
-				groups = groups[:len(groups)+1]
-				if groups[len(groups)-1] == nil {
-					//lint:ignore hotalloc cold: cap-group objects are recycled across triggers once allocated
-					groups[len(groups)-1] = &aggCapGroup{}
-				}
-			} else {
-				//lint:ignore hotalloc amortized: cap-group list grows to the trigger's distinct cap count once
-				groups = append(groups, &aggCapGroup{})
-			}
-			g = groups[len(groups)-1]
-			g.cap = capTo
-			g.idxs = g.idxs[:0]
-		}
-		//lint:ignore hotalloc amortized: cap-group index slices grow to the trigger's query count once
-		g.idxs = append(g.idxs, qi)
-	}
-	a.capTmp = groups
-	return groups
 }
 
 // emitAccum delivers one query's window rows from a sorted key list.
-func (a *SharedAggregation) emitAccum(aq *aggQuery, ext window.Extent, keys []int64, byKey map[int64]*aggVal) {
+func (a *SharedAggregation) emitAccum(aq *liveQuery, ext window.Extent, keys []int64, byKey map[int64]*aggVal) {
 	for _, key := range keys {
 		v := byKey[key]
 		atomic.AddUint64(&a.metrics.AggOut, 1)
@@ -732,12 +511,13 @@ func (a *SharedAggregation) emitAccum(aq *aggQuery, ext window.Extent, keys []in
 // second merges every pair once into each block it covers. Work and
 // accumulator memory scale with blocks, not queries; a lone query is a lone
 // block and the fire is the plain per-slice scan.
-func (a *SharedAggregation) fireWindow(ext window.Extent, queries []*aggQuery, curEpoch uint64) {
-	lo, hi := a.sl.overlappingRange(ext)
+func (a *SharedAggregation) fireWindow(ext window.Extent, queries []*liveQuery) {
+	ring := a.win.sides[0]
+	lo, hi := ring.overlappingRange(ext)
 	if lo == hi {
 		return
 	}
-	groups := a.buildCapGroups(queries, curEpoch)
+	groups := a.win.capGroups(queries)
 	a.blocks = a.blocks[:0]
 	a.blkOf = a.blkOf[:0]
 	for range queries {
@@ -747,7 +527,7 @@ func (a *SharedAggregation) fireWindow(ext window.Extent, queries []*aggQuery, c
 
 	tick := a.metrics.start()
 	for _, cg := range groups {
-		if cg.cap < a.table.Base() {
+		if cg.cap < a.win.table.Base() {
 			// Every slice as old as this cap is gone: nothing left to emit.
 			continue
 		}
@@ -768,11 +548,11 @@ func (a *SharedAggregation) fireWindow(ext window.Extent, queries []*aggQuery, c
 			a.blkOf[qi] = blk
 		}
 		for _, merge := range [2]bool{false, true} {
-			for _, sl := range a.sl.slices[lo:hi] {
+			for _, sl := range ring.slices[lo:hi] {
 				if sl.aggs == nil {
 					continue
 				}
-				rel, err := a.table.Rel(sl.epoch, cg.cap)
+				rel, err := a.win.table.Rel(sl.epoch, cg.cap)
 				if err != nil {
 					panic(fmt.Sprintf("core: agg rel: %v", err))
 				}
@@ -910,19 +690,19 @@ func (a *SharedAggregation) mergeGroup(g *aggGroup) {
 //
 //lint:hotpath window-fire kernel steady state
 func (a *SharedAggregation) fireBench(ext window.Extent) {
-	a.trig.reset()
-	for _, aq := range a.activeOrdered {
-		if aq.spec().IsTimeBased() && ext.End <= aq.until {
-			a.trig.add(ext, aq)
+	a.win.trig.reset()
+	for _, aq := range a.win.queries.ordered {
+		if aq.spec.IsTimeBased() && ext.End <= aq.until {
+			a.win.trig.add(ext, aq)
 		}
 	}
-	for _, tr := range a.trig.list {
-		a.fireWindow(tr.ext, tr.queries, a.table.Latest())
+	for _, tr := range a.win.trig.list {
+		a.fireWindow(tr.ext, tr.queries)
 	}
 }
 
 // ActiveQueries reports registered aggregation queries (tests/metrics).
-func (a *SharedAggregation) ActiveQueries() int { return len(a.active) }
+func (a *SharedAggregation) ActiveQueries() int { return len(a.win.queries.ordered) }
 
 // LiveSlices reports the live slice count (tests/metrics).
-func (a *SharedAggregation) LiveSlices() int { return a.sl.liveSlices() }
+func (a *SharedAggregation) LiveSlices() int { return a.win.sides[0].liveSlices() }

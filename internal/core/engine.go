@@ -42,9 +42,6 @@ type Config struct {
 	// concurrent queries most groups hold a single tuple). Only applies
 	// when StoreMode is StoreAdaptive.
 	GroupedThreshold int
-	// SlotMode selects query-set slot assignment (reuse vs append-only,
-	// Figure 3); AppendOnly exists for the ablation.
-	SlotMode changelog.Mode
 	// NowNanos is the wall clock (injectable for tests).
 	NowNanos func() int64
 	// SnapshotSink, when set, receives operator snapshots on checkpoints.
@@ -172,7 +169,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	eng := &Engine{
 		cfg:         cfg,
-		registry:    changelog.NewRegistry(cfg.SlotMode),
+		registry:    changelog.NewRegistry(changelog.SlotReuse),
 		metrics:     NewOpMetrics(cfg.NowNanos),
 		clTimes:     newChangelogTimes(cfg.Streams),
 		defs:        make(map[int]*Query),

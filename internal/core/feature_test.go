@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"astream/internal/changelog"
 	"astream/internal/event"
 	"astream/internal/expr"
 	"astream/internal/sqlstream"
@@ -254,45 +253,6 @@ func TestEngineLateTupleDropped(t *testing.T) {
 	}
 	if eng.Metrics().Late == 0 {
 		t.Fatal("late tuple not counted")
-	}
-}
-
-// TestEngineAppendOnlySlotMode runs the ablation configuration (Figure 3b:
-// no slot reuse) through the reference harness: correctness must be
-// identical, only the bitsets grow wider.
-func TestEngineAppendOnlySlotMode(t *testing.T) {
-	eng, err := NewEngine(Config{
-		Streams: 1, Parallelism: 1, BatchSize: 1, BatchTimeout: time.Hour,
-		WatermarkEvery: 1, SlotMode: changelog.AppendOnly,
-		NowNanos: func() int64 { return 1 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &harness{
-		t: t, eng: eng,
-		inputs: make([][]event.Tuple, 1),
-		sinks:  map[int]*collectSink{},
-		ta:     map[int]event.Time{},
-		td:     map[int]event.Time{},
-		defs:   map[int]*Query{},
-	}
-	var ids []int
-	now := 0
-	for round := 0; round < 6; round++ {
-		ids = append(ids, h.submit(aggQ(window.TumblingSpec(10), sqlstream.AggSum, 0, expr.True())))
-		if round >= 2 {
-			h.stop(ids[round-2])
-		}
-		for i := 0; i < 15; i++ {
-			now++
-			h.ingest(0, int64(now%3), event.Time(now), int64(now))
-		}
-	}
-	h.finish()
-	// Append-only: slots never reused → width equals total creations.
-	if got := eng.registry.NumSlots(); got != 6 {
-		t.Fatalf("append-only slot width = %d, want 6", got)
 	}
 }
 

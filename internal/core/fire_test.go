@@ -28,20 +28,21 @@ import (
 // queries, no cap groups, no blocks, no pooled partials — only the slice
 // ring and the changelog table it reads. (Until PR 14 a pooled variant of
 // this loop was the production scan arm.)
-func (a *SharedAggregation) fireWindowScan(ext window.Extent, aq *aggQuery, curEpoch uint64) {
+func (a *SharedAggregation) fireWindowScan(ext window.Extent, aq *liveQuery, curEpoch uint64) {
 	capTo := curEpoch
 	if aq.endEpoch < capTo {
 		capTo = aq.endEpoch
 	}
-	if capTo < a.table.Base() {
+	if capTo < a.win.table.Base() {
 		return
 	}
 	acc := map[int64]*aggVal{}
-	for _, sl := range a.sl.overlapping(ext) {
+	lo, hi := a.win.sides[0].overlappingRange(ext)
+	for _, sl := range a.win.sides[0].slices[lo:hi] {
 		if sl.aggs == nil {
 			continue
 		}
-		rel, err := a.table.Rel(sl.epoch, capTo)
+		rel, err := a.win.table.Rel(sl.epoch, capTo)
 		if err != nil {
 			panic(fmt.Sprintf("reference rel: %v", err))
 		}
@@ -70,12 +71,12 @@ func (a *SharedAggregation) fireWindowScan(ext window.Extent, aq *aggQuery, curE
 // firing every (extent, query) on its own: extents in (End, Start) order,
 // queries in (slot, ID) order within an extent — the uncoalesced order.
 func refWatermark(a *SharedAggregation, wm event.Time) {
-	if wm <= a.lastWM {
+	if wm <= a.win.lastWM {
 		return
 	}
-	a.collectTriggers(wm)
-	cur := a.table.Latest()
-	for _, tr := range a.trig.list {
+	a.win.collectTriggers(wm)
+	cur := a.win.table.Latest()
+	for _, tr := range a.win.trig.list {
 		for _, aq := range tr.queries {
 			a.fireWindowScan(tr.ext, aq, cur)
 		}
@@ -239,7 +240,7 @@ func TestFireAgreesWithReference(t *testing.T) {
 				if next := at - event.Time(r.Intn(200)); r.Intn(100) < 70 && next > wm {
 					wm = next
 					fired += p.watermark(t, fmt.Sprintf("step %d wm=%v", step, wm), wm)
-					for _, tr := range p.eng.trig.list {
+					for _, tr := range p.eng.win.trig.list {
 						shared = shared || len(tr.queries) > 1
 					}
 				}
@@ -252,13 +253,13 @@ func TestFireAgreesWithReference(t *testing.T) {
 }
 
 // deploy creates qs at event-time at on every instance and returns their
-// aggQuery entries on the engine and the reference instance, in qs order.
-func (p *firePair) deploy(t *testing.T, b *clBuilder, at event.Time, qs ...*Query) (eng, ref []*aggQuery) {
+// table entries on the engine and the reference instance, in qs order.
+func (p *firePair) deploy(t *testing.T, b *clBuilder, at event.Time, qs ...*Query) (eng, ref []*liveQuery) {
 	t.Helper()
 	p.changelog(b.create(t, at, qs...), at)
 	for _, q := range qs {
-		eng = append(eng, p.eng.active[q.ID])
-		ref = append(ref, p.ref.active[q.ID])
+		eng = append(eng, p.eng.win.queries.byID[q.ID])
+		ref = append(ref, p.ref.win.queries.byID[q.ID])
 	}
 	return eng, ref
 }
@@ -291,9 +292,9 @@ func TestFireCoincidentExtents(t *testing.T) {
 		p.tuple(tu)
 	}
 
-	p.eng.collectTriggers(2000)
+	p.eng.win.collectTriggers(2000)
 	var got []string
-	for _, tr := range p.eng.trig.list {
+	for _, tr := range p.eng.win.trig.list {
 		ids := make([]int, len(tr.queries))
 		for i, aq := range tr.queries {
 			ids[i] = aq.q.ID
@@ -343,17 +344,17 @@ func TestFireTwoCapGroupsOneSlot(t *testing.T) {
 	feed(120, 200, 0, 1)
 
 	ext := window.Extent{Start: 0, End: 200}
-	cur := p.eng.table.Latest()
-	p.eng.fireWindow(ext, []*aggQuery{eng[0], e3[0], eng[1]}, cur) // (slot, ID) order
-	for _, aq := range []*aggQuery{ref[0], r3[0], ref[1]} {
+	cur := p.eng.win.table.Latest()
+	p.eng.fireWindow(ext, []*liveQuery{eng[0], e3[0], eng[1]}) // (slot, ID) order
+	for _, aq := range []*liveQuery{ref[0], r3[0], ref[1]} {
 		p.ref.fireWindowScan(ext, aq, cur)
 	}
 	assertSameStrings(t, "rows", p.engOut, p.refOut)
 	if len(p.engOut) != 12 {
 		t.Fatalf("%d rows, want 4 keys for each of 3 queries", len(p.engOut))
 	}
-	if len(p.eng.capTmp) != 2 {
-		t.Fatalf("%d cap groups, want 2", len(p.eng.capTmp))
+	if len(p.eng.win.caps) != 2 {
+		t.Fatalf("%d cap groups, want 2", len(p.eng.win.caps))
 	}
 	// Key 0 holds times ≡ 0 mod 12: the deleted tenant sees [0,100), its
 	// successor [120,200), the bystander everything.
@@ -412,7 +413,7 @@ func TestFireBlocksAreExact(t *testing.T) {
 		if odd {
 			p.tuple(event.Tuple{Key: 1, Time: 70, QuerySet: bitset.FromIndexes(0)})
 		}
-		p.eng.fireWindow(window.Extent{Start: 0, End: 100}, eng, p.eng.table.Latest())
+		p.eng.fireWindow(window.Extent{Start: 0, End: 100}, eng)
 		blk := p.eng.blkOf
 		if blk[2] == blk[0] || blk[2] == blk[1] {
 			t.Fatalf("odd=%v: query 3 shares a block: %v", odd, blk)

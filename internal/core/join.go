@@ -2,40 +2,13 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"astream/internal/bitset"
-	"astream/internal/changelog"
 	"astream/internal/event"
 	"astream/internal/spe"
 	"astream/internal/window"
 )
-
-// joinQuery is one query active at a join stage.
-type joinQuery struct {
-	q    *Query
-	slot int
-	// terminal: this stage produces the query's final join results, routed
-	// to the query's sink. Otherwise results flow downstream (next join
-	// stage or the shared aggregation for complex queries).
-	terminal bool
-	// since is the query's activation event-time: windows ending at or
-	// before it hold nothing for the query and are skipped. Skipping them
-	// is also what keeps the pair cache sound: it guarantees every slice
-	// overlapping a fired window is already complete (its end is behind
-	// the watermark), so cached pair results are never computed from a
-	// half-filled slice.
-	since event.Time
-	// until is the query's deletion event-time (MaxTime while running).
-	// Deletion is deferred: windows ending at or before until still fire,
-	// so results depend only on event times — the determinism the paper's
-	// §3.3 replayability requires — never on cross-sender arrival races.
-	until event.Time
-	// endEpoch caps changelog-set masking for a deleted query: its slot is
-	// only meaningful up to the epoch before its deletion changelog.
-	endEpoch uint64
-}
 
 // SharedJoin is the shared windowed equi-join operator (paper §3.1.4). One
 // instance holds the slices of both input sides for its key partition, joins
@@ -47,45 +20,35 @@ type SharedJoin struct {
 	//lint:ephemeral topology constant fixed at construction
 	stage     int // 0 joins streams 0⋈1; stage k joins (stage k-1)⋈(stream k+1)
 	storeMode StoreMode
-	sides     [2]*slicer
-	table     *changelog.Table
-	//lint:ephemeral derived index over the serialized activeOrdered list
-	active map[int]*joinQuery // by query ID
-	// activeOrdered mirrors active sorted by (slot, query ID): the
-	// watermark-path iteration order is maintained incrementally on
-	// changelog/purge instead of sorted per emission (replay determinism
-	// without hot-path sorts).
-	activeOrdered []*joinQuery
+	// win drives both sides' slice rings (tuples in slice.store) and the
+	// queries active at this stage.
+	win windowOp
 	//lint:ephemeral constructor wiring (result router)
 	router *Router
 	//lint:ephemeral constructor wiring (metrics sink)
 	metrics *OpMetrics
-	//lint:ephemeral constructor wiring (allowed-lateness config)
-	lateness event.Time
-	lastWM   event.Time
 
 	//lint:ephemeral derived memoization over slice contents, reset by Restore and refilled on demand
 	pairCache map[uint64][]event.JoinedTuple
 	//lint:ephemeral derived eviction index for pairCache, reset alongside it
 	pairsBySlice map[uint64][]uint64 // slice id -> pair keys to drop on evict
-	evictedThru  [2]event.Time
 
 	// Steady-state scratch (owned by the instance goroutine, §3.2.2's
 	// no-allocation discipline): the slice ⋈ slice kernel index, the
-	// per-trigger grouping, and the query-set intersection temporaries.
+	// per-trigger pass-through masks, and the query-set intersection
+	// temporaries.
 	//lint:ephemeral per-trigger scratch
 	scratch joinScratch //lint:pooled scratch slice-join kernel scratch arena
-	//lint:ephemeral per-watermark scratch
-	trig triggerList[*joinQuery] //lint:pooled scratch per-watermark trigger scratch
 	//lint:ephemeral per-trigger scratch
-	capTmp []*capGroup //lint:pooled scratch per-trigger cap-grouping scratch
+	passTmp []bitset.Bits //lint:pooled scratch per-cap-group slots of the trigger's pass-through queries
 	//lint:ephemeral per-trigger scratch
 	effTmp bitset.Bits //lint:pooled scratch per-trigger effective-query scratch
 	//lint:ephemeral per-trigger scratch
 	pmTmp bitset.Bits //lint:pooled scratch per-trigger port-mask scratch
-	//lint:ephemeral per-trigger scratch
-	specsTmp []window.Spec //lint:pooled scratch per-trigger window-spec scratch
 }
+
+// joinWindow is the window a join stage fires for q.
+func joinWindow(q *Query) window.Spec { return q.Window }
 
 // NewSharedJoin constructs the logic for one join-stage instance.
 func NewSharedJoin(stage int, storeMode StoreMode, lateness event.Time, router *Router, m *OpMetrics) *SharedJoin {
@@ -94,16 +57,11 @@ func NewSharedJoin(stage int, storeMode StoreMode, lateness event.Time, router *
 		storeMode: storeMode,
 		// Slice IDs are namespaced per side (even/odd) so the pair cache
 		// and eviction index never confuse a left slice with a right one.
-		sides:        [2]*slicer{newSlicerWithIDs(0, 2), newSlicerWithIDs(1, 2)},
-		table:        changelog.NewTable(),
-		active:       make(map[int]*joinQuery),
+		win:          newWindowOp(lateness, joinWindow, newSlicerWithIDs(0, 2), newSlicerWithIDs(1, 2)),
 		router:       router,
 		metrics:      m,
-		lateness:     lateness,
-		lastWM:       event.MinTime,
 		pairCache:    make(map[uint64][]event.JoinedTuple),
 		pairsBySlice: make(map[uint64][]uint64),
-		evictedThru:  [2]event.Time{event.MinTime, event.MinTime},
 	}
 }
 
@@ -120,68 +78,21 @@ func queryAtStage(q *Query, stage int) (participates, terminal bool) {
 	return true, stage == lastStage && q.Kind == KindJoin
 }
 
-// insertOrdered adds aq to the slot-ordered active list (binary insert; the
-// changelog path is cold).
-func (j *SharedJoin) insertOrdered(aq *joinQuery) {
-	i := sort.Search(len(j.activeOrdered), func(i int) bool {
-		o := j.activeOrdered[i]
-		if o.slot != aq.slot {
-			return o.slot > aq.slot
-		}
-		return o.q.ID > aq.q.ID
-	})
-	j.activeOrdered = append(j.activeOrdered, nil)
-	copy(j.activeOrdered[i+1:], j.activeOrdered[i:])
-	j.activeOrdered[i] = aq
-}
-
-// removeOrdered drops purged queries from the ordered list in place.
-func (j *SharedJoin) removeOrdered(gone func(*joinQuery) bool) {
-	kept := j.activeOrdered[:0]
-	for _, aq := range j.activeOrdered {
-		if !gone(aq) {
-			kept = append(kept, aq)
-		}
-	}
-	for i := len(kept); i < len(j.activeOrdered); i++ {
-		j.activeOrdered[i] = nil
-	}
-	j.activeOrdered = kept
-}
-
 // OnChangelog updates the active query set, registers the new epoch with
 // both side slicers, and extends the changelog-set table (Equation 1).
 func (j *SharedJoin) OnChangelog(payload any, at event.Time, _ *spe.Emitter) {
 	msg := payload.(*ChangelogMsg)
-	for _, d := range msg.CL.Deleted {
-		if aq, ok := j.active[d.Query]; ok {
-			aq.until = at
-			aq.endEpoch = msg.CL.Seq - 1
-		}
-	}
+	j.win.queries.markDeleted(msg.CL, at)
 	for _, c := range msg.CL.Created {
 		q := msg.Defs[c.Query]
 		if q == nil {
 			continue
 		}
 		if part, term := queryAtStage(q, j.stage); part {
-			aq := &joinQuery{
-				q: q, slot: c.Slot, terminal: term,
-				since: at, until: event.MaxTime, endEpoch: ^uint64(0),
-			}
-			j.active[c.Query] = aq
-			j.insertOrdered(aq)
+			j.win.queries.admit(q, c.Slot, at).terminal = term
 		}
 	}
-	specs := j.activeSpecs()
-	for _, side := range j.sides {
-		if err := side.addEpoch(at, msg.CL.Seq, specs); err != nil {
-			panic(fmt.Sprintf("core: join epoch: %v", err))
-		}
-	}
-	if err := j.table.Add(msg.CL); err != nil {
-		panic(fmt.Sprintf("core: join table: %v", err))
-	}
+	j.win.addEpoch(msg.CL, at)
 	// §3.2.3: the session's store marker switches every slice's data
 	// structure at once, and new slices follow suit.
 	switch msg.Switch {
@@ -192,7 +103,7 @@ func (j *SharedJoin) OnChangelog(payload any, at event.Time, _ *spe.Emitter) {
 	default:
 		return
 	}
-	for _, side := range j.sides {
+	for _, side := range j.win.sides {
 		for _, sl := range side.slices {
 			if sl.store != nil {
 				sl.store.setMode(j.storeMode)
@@ -201,38 +112,14 @@ func (j *SharedJoin) OnChangelog(payload any, at event.Time, _ *spe.Emitter) {
 	}
 }
 
-// activeSpecs returns the window specs that shape slicing going forward:
-// only queries that are still running contribute boundaries. The result is
-// stored by the slicers' epoch history, so it must be a fresh slice.
-func (j *SharedJoin) activeSpecs() []window.Spec {
-	specs := make([]window.Spec, 0, len(j.activeOrdered))
-	for _, aq := range j.activeOrdered {
-		if aq.until == event.MaxTime {
-			specs = append(specs, aq.q.Window)
-		}
-	}
-	return specs
-}
-
-// retentionSpecs additionally includes pending-deleted queries, whose final
-// windows may still need old slices.
-func (j *SharedJoin) retentionSpecs() []window.Spec {
-	specs := j.specsTmp[:0]
-	for _, aq := range j.activeOrdered {
-		specs = append(specs, aq.q.Window)
-	}
-	j.specsTmp = specs
-	return specs
-}
-
 // OnTuple stores the tuple in its side's slice. Tuples are saved exactly
 // once per slice (paper §3.2.2: no data copy inside shared operators).
 func (j *SharedJoin) OnTuple(port int, t event.Tuple, _ *spe.Emitter) {
-	if t.Time < j.evictedThru[port] {
+	if t.Time < j.win.evictedThru[port] {
 		atomic.AddUint64(&j.metrics.Late, 1)
 		return
 	}
-	sl := j.sides[port].sliceFor(t.Time)
+	sl := j.win.sides[port].sliceFor(t.Time)
 	if sl.store == nil {
 		sl.store = newSliceStore(j.storeMode)
 	}
@@ -243,179 +130,57 @@ func (j *SharedJoin) OnTuple(port int, t event.Tuple, _ *spe.Emitter) {
 // slice pairs at most once and reusing cached pair results across queries
 // and windows, then evicts slices no active window can still need.
 func (j *SharedJoin) OnWatermark(wm event.Time, out *spe.Emitter) {
-	if wm <= j.lastWM {
+	if wm <= j.win.lastWM {
 		return
 	}
-	j.collectTriggers(wm)
-	cur := j.table.Latest()
-	for _, tr := range j.trig.list {
-		j.fireWindow(tr.ext, tr.queries, cur, out)
+	j.win.collectTriggers(wm)
+	for _, tr := range j.win.trig.list {
+		j.fireWindow(tr.ext, tr.queries, out)
 	}
 	j.retire(wm)
 }
 
-// collectTriggers fills j.trig with the window extents ending in
-// (lastWM, wm], so each extent is processed once however many queries share
-// it; activeOrdered keeps every trigger's queries in (slot, ID) order.
-func (j *SharedJoin) collectTriggers(wm event.Time) {
-	// Clamp the trigger range to where data exists: before the first
-	// watermark lastWM is MinTime, and windows before the oldest slice are
-	// empty by construction.
-	lo := j.lastWM
-	if lo == event.MinTime {
-		first := event.MaxTime
-		for _, s := range j.sides {
-			if f, ok := s.firstSliceStart(); ok && f < first {
-				first = f
-			}
-		}
-		if first == event.MaxTime {
-			// No data at all yet: nothing can fire.
-			lo = wm
-		} else {
-			lo = first
-		}
-	}
-	j.trig.reset()
-	for _, aq := range j.activeOrdered {
-		qlo := lo
-		if aq.since > qlo {
-			qlo = aq.since // pre-activation windows are empty for aq
-		}
-		for _, ext := range aq.q.Window.WindowsEndingIn(qlo, wm) {
-			if ext.End <= aq.until { // later windows close after the query's deletion
-				j.trig.add(ext, aq)
-			}
-		}
-	}
-}
-
-// retire finishes a watermark once its windows have fired: purge, slice
-// eviction and changelog compaction.
+// retire finishes a watermark once its windows have fired; an evicted slice
+// takes its cached pairs with it.
 func (j *SharedJoin) retire(wm event.Time) {
-	// Purge queries whose deletion time the watermark has passed: every
-	// window they could still fire has fired.
-	purged := false
-	for id, aq := range j.active {
-		if aq.until <= wm {
-			delete(j.active, id)
-			purged = true
+	j.win.retire(wm, func(sl *slice) {
+		for _, pk := range j.pairsBySlice[sl.id] {
+			delete(j.pairCache, pk)
 		}
-	}
-	if purged {
-		j.removeOrdered(func(aq *joinQuery) bool { return aq.until <= wm })
-	}
-
-	// Evict slices whose last covering window of any active query has
-	// closed, drop their cached pairs, and compact changelog history.
-	// Retention considers pending-deleted queries too: their final windows
-	// (ending ≤ until) may not have fired yet.
-	specs := j.retentionSpecs()
-	retain := func(sl *slice) event.Time {
-		r := sl.ext.End
-		for _, sp := range specs {
-			if e := sp.LastWindowEndCovering(sl.ext.Start); e > r {
-				r = e
-			}
-		}
-		return r
-	}
-	for side, s := range j.sides {
-		s.evict(wm, retain, func(sl *slice) {
-			if sl.ext.End > j.evictedThru[side] {
-				j.evictedThru[side] = sl.ext.End
-			}
-			for _, pk := range j.pairsBySlice[sl.id] {
-				delete(j.pairCache, pk)
-			}
-			delete(j.pairsBySlice, sl.id)
-		})
-		s.pruneEpochs(wm - j.lateness)
-	}
-	// Compact changelog rows older than every live slice AND every epoch a
-	// not-yet-late tuple could still be assigned to.
-	oldest := j.sides[0].oldestEpochInUse()
-	for _, s := range j.sides {
-		if o := s.oldestEpochInUse(); o < oldest {
-			oldest = o
-		}
-		if o := s.minFutureEpoch(wm - j.lateness); o < oldest {
-			oldest = o
-		}
-	}
-	j.table.Compact(oldest)
-	j.lastWM = wm
-}
-
-// capGroup batches the queries of one trigger by their changelog-set cap:
-// running queries mask up to the current epoch; deleted-but-unpurged ones
-// mask only up to the epoch before their deletion.
-type capGroup struct {
-	cap       uint64
-	terminals []*joinQuery
-	passBits  bitset.Bits
-	anyPass   bool
-}
-
-// groupByCap buckets the trigger's queries by cap into the reused capTmp
-// slice (caps per trigger are few: a linear scan beats a map and allocates
-// nothing in steady state).
-func (j *SharedJoin) groupByCap(queries []*joinQuery, curEpoch uint64) []*capGroup {
-	groups := j.capTmp[:0]
-	for _, aq := range queries {
-		capTo := curEpoch
-		if aq.endEpoch < capTo {
-			capTo = aq.endEpoch
-		}
-		var g *capGroup
-		for _, cg := range groups {
-			if cg.cap == capTo {
-				g = cg
-				break
-			}
-		}
-		if g == nil {
-			if len(groups) < cap(groups) {
-				// Reuse a retired capGroup (and its slices) if one exists.
-				groups = groups[:len(groups)+1]
-				if groups[len(groups)-1] == nil {
-					groups[len(groups)-1] = &capGroup{}
-				}
-			} else {
-				groups = append(groups, &capGroup{})
-			}
-			g = groups[len(groups)-1]
-			g.cap = capTo
-			g.terminals = g.terminals[:0]
-			g.passBits.Reset()
-			g.anyPass = false
-		}
-		if aq.terminal {
-			g.terminals = append(g.terminals, aq)
-		} else {
-			g.passBits.Set(aq.slot)
-			g.anyPass = true
-		}
-	}
-	j.capTmp = groups
-	return groups
+		delete(j.pairsBySlice, sl.id)
+	})
 }
 
 // fireWindow emits results for one window extent on behalf of the queries
-// listed.
-func (j *SharedJoin) fireWindow(ext window.Extent, queries []*joinQuery, curEpoch uint64, out *spe.Emitter) {
-	left := j.sides[0].overlapping(ext)
-	right := j.sides[1].overlapping(ext)
-	if len(left) == 0 || len(right) == 0 {
+// listed: every result of every overlapping slice pair goes, per cap group,
+// to the sinks of the terminal queries it is effective for, in (slot, ID)
+// order, and once downstream carrying the slots of the others.
+func (j *SharedJoin) fireWindow(ext window.Extent, queries []*liveQuery, out *spe.Emitter) {
+	left, right := j.win.sides[0], j.win.sides[1]
+	llo, lhi := left.overlappingRange(ext)
+	rlo, rhi := right.overlappingRange(ext)
+	if llo == lhi || rlo == rhi {
 		return
 	}
-	groups := j.groupByCap(queries, curEpoch)
+	groups := j.win.capGroups(queries)
+	for len(j.passTmp) < len(groups) {
+		j.passTmp = append(j.passTmp, bitset.Bits{})
+	}
+	for gi, g := range groups {
+		pass := &j.passTmp[gi]
+		pass.Reset()
+		for _, qi := range g.idxs {
+			if !queries[qi].terminal {
+				pass.Set(queries[qi].slot)
+			}
+		}
+	}
 
-	for _, sa := range left {
+	for _, sa := range left.slices[llo:lhi] {
 		if sa.store == nil || sa.store.Len() == 0 {
 			continue
 		}
-		for _, sb := range right {
+		for _, sb := range right.slices[rlo:rhi] {
 			if sb.store == nil || sb.store.Len() == 0 {
 				continue
 			}
@@ -423,24 +188,23 @@ func (j *SharedJoin) fireWindow(ext window.Extent, queries []*joinQuery, curEpoc
 			if len(results) == 0 {
 				continue
 			}
-			newer := sa.epoch
-			if sb.epoch > newer {
-				newer = sb.epoch
-			}
+			newer := max(sa.epoch, sb.epoch)
 			tick := j.metrics.start()
-			for _, g := range groups {
-				if g.cap < j.table.Base() {
+			for gi, g := range groups {
+				if g.cap < j.win.table.Base() {
 					// Every slice as old as this cap is gone: the group's
 					// queries have no data left anywhere.
 					continue
 				}
-				relNow, err := j.table.Rel(newer, g.cap)
+				relNow, err := j.win.table.Rel(newer, g.cap)
 				if err != nil {
 					panic(fmt.Sprintf("core: join relNow: %v", err))
 				}
 				if relNow.IsEmpty() {
 					continue
 				}
+				pass := j.passTmp[gi]
+				anyPass := !pass.IsEmpty()
 				for i := range results {
 					jt := &results[i]
 					// eff = jt.QuerySet ∩ relNow in scratch: nothing
@@ -449,8 +213,8 @@ func (j *SharedJoin) fireWindow(ext window.Extent, queries []*joinQuery, curEpoc
 					if j.effTmp.IsEmpty() {
 						continue
 					}
-					for _, aq := range g.terminals {
-						if j.effTmp.Test(aq.slot) {
+					for _, qi := range g.idxs {
+						if aq := queries[qi]; aq.terminal && j.effTmp.Test(aq.slot) {
 							atomic.AddUint64(&j.metrics.JoinedOut, 1)
 							j.router.Deliver(Result{
 								QueryID:     aq.q.ID,
@@ -462,8 +226,8 @@ func (j *SharedJoin) fireWindow(ext window.Extent, queries []*joinQuery, curEpoc
 							})
 						}
 					}
-					if g.anyPass {
-						j.effTmp.AndInto(g.passBits, &j.pmTmp)
+					if anyPass {
+						j.effTmp.AndInto(pass, &j.pmTmp)
 						if !j.pmTmp.IsEmpty() {
 							t := jt.AsTuple()
 							t.QuerySet = j.pmTmp.Clone()
@@ -491,7 +255,7 @@ func (j *SharedJoin) pairResults(sa, sb *slice) []event.JoinedTuple {
 		atomic.AddUint64(&j.metrics.PairsReuse, 1)
 		return res
 	}
-	rel, err := j.table.Rel(sa.epoch, sb.epoch)
+	rel, err := j.win.table.Rel(sa.epoch, sb.epoch)
 	if err != nil {
 		panic(fmt.Sprintf("core: join rel: %v", err))
 	}
@@ -507,12 +271,9 @@ func (j *SharedJoin) pairResults(sa, sb *slice) []event.JoinedTuple {
 }
 
 // ActiveQueries reports the number of queries registered at this stage.
-func (j *SharedJoin) ActiveQueries() int { return len(j.active) }
+func (j *SharedJoin) ActiveQueries() int { return len(j.win.queries.ordered) }
 
 // LiveSlices reports live slice counts per side (tests/metrics).
 func (j *SharedJoin) LiveSlices() (int, int) {
-	return j.sides[0].liveSlices(), j.sides[1].liveSlices()
+	return j.win.sides[0].liveSlices(), j.win.sides[1].liveSlices()
 }
-
-// CachedPairs reports the pair-cache size (tests/metrics).
-func (j *SharedJoin) CachedPairs() int { return len(j.pairCache) }

@@ -149,19 +149,9 @@ func (s *slicer) sliceFor(t event.Time) *slice {
 	return sl
 }
 
-// overlapping returns the live slices overlapping [ext.Start, ext.End).
-func (s *slicer) overlapping(ext window.Extent) []*slice {
-	lo := sort.Search(len(s.slices), func(i int) bool { return s.slices[i].ext.End > ext.Start })
-	var out []*slice
-	for i := lo; i < len(s.slices) && s.slices[i].ext.Start < ext.End; i++ {
-		out = append(out, s.slices[i])
-	}
-	return out
-}
-
 // overlappingRange returns the index range [lo, hi) of live slices
-// overlapping [ext.Start, ext.End). Unlike overlapping it allocates nothing,
-// which the window-fire paths rely on.
+// overlapping [ext.Start, ext.End). It allocates nothing, which the
+// window-fire paths rely on.
 func (s *slicer) overlappingRange(ext window.Extent) (int, int) {
 	//lint:ignore hotalloc sort.Search does not retain its predicate; the closure is stack-allocated
 	lo := sort.Search(len(s.slices), func(i int) bool { return s.slices[i].ext.End > ext.Start })
@@ -216,20 +206,5 @@ func (s *slicer) pruneEpochs(horizon event.Time) {
 	}
 }
 
-// minFutureEpoch returns the epoch a tuple at or after horizon would be
-// assigned; changelog-table rows older than both this and every live slice's
-// epoch are safe to compact.
-func (s *slicer) minFutureEpoch(horizon event.Time) uint64 {
-	return s.epochAt(horizon).seq
-}
-
 // liveSlices returns the number of live slices (for tests and metrics).
 func (s *slicer) liveSlices() int { return len(s.slices) }
-
-// firstSliceStart returns the oldest live slice's start, if any.
-func (s *slicer) firstSliceStart() (event.Time, bool) {
-	if len(s.slices) == 0 {
-		return 0, false
-	}
-	return s.slices[0].ext.Start, true
-}

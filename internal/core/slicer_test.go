@@ -100,12 +100,12 @@ func TestSlicerOverlapping(t *testing.T) {
 	for _, tm := range []event.Time{5, 15, 25, 35} {
 		s.sliceFor(tm)
 	}
-	got := s.overlapping(window.Extent{Start: 10, End: 30})
-	if len(got) != 2 || got[0].ext.Start != 10 || got[1].ext.Start != 20 {
+	lo, hi := s.overlappingRange(window.Extent{Start: 10, End: 30})
+	if got := s.slices[lo:hi]; len(got) != 2 || got[0].ext.Start != 10 || got[1].ext.Start != 20 {
 		t.Fatalf("overlapping = %v", got)
 	}
-	if n := len(s.overlapping(window.Extent{Start: 100, End: 200})); n != 0 {
-		t.Fatalf("overlapping empty range = %d", n)
+	if lo, hi := s.overlappingRange(window.Extent{Start: 100, End: 200}); lo != hi {
+		t.Fatalf("overlapping empty range = [%d,%d)", lo, hi)
 	}
 }
 

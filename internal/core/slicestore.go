@@ -54,7 +54,7 @@ type qsIndex[G any] struct {
 	byStr  map[string]*G
 	order  []*G
 	keys   []bitset.Key // parallel to order, ascending by Key.Less
-	keyBuf []byte //lint:pooled scratch reused key-encoding scratch buffer
+	keyBuf []byte       //lint:pooled scratch reused key-encoding scratch buffer
 }
 
 func newQSIndex[G any]() *qsIndex[G] {
@@ -209,32 +209,6 @@ func (s *sliceStore) GroupCount() int {
 	return s.groups.len()
 }
 
-// ForEachGroup visits tuples group-wise in canonical key order. In list mode
-// it visits one pseudo group per tuple whose query-set is the tuple's own.
-func (s *sliceStore) ForEachGroup(fn func(qs bitset.Bits, tuples []event.Tuple)) {
-	if s.grouped {
-		for _, g := range s.groups.order {
-			fn(g.qs, g.tuples)
-		}
-		return
-	}
-	for i := range s.list {
-		fn(s.list[i].QuerySet, s.list[i:i+1])
-	}
-}
-
-// All returns every stored tuple (grouped stores flatten in key order).
-func (s *sliceStore) All() []event.Tuple {
-	if !s.grouped {
-		return s.list
-	}
-	out := make([]event.Tuple, 0, s.count)
-	for _, g := range s.groups.order {
-		out = append(out, g.tuples...)
-	}
-	return out
-}
-
 // joinEntry is one build-side tuple in the kernel's hash index. qs points at
 // the owning group's query-set (stable for the duration of the kernel) so no
 // bitset is copied during the build.
@@ -251,8 +225,8 @@ type joinEntry struct {
 // computed in a scratch bitset.
 type joinScratch struct {
 	heads   map[int64]int32 //lint:pooled scratch cleared hash-index scratch
-	entries []joinEntry //lint:pooled scratch truncated entry-arena scratch
-	qsTmp   bitset.Bits //lint:pooled scratch query-set intersection scratch
+	entries []joinEntry     //lint:pooled scratch truncated entry-arena scratch
+	qsTmp   bitset.Bits     //lint:pooled scratch query-set intersection scratch
 }
 
 // join produces joined tuples for every key-equal pair whose query-sets
@@ -372,17 +346,5 @@ func (js *joinScratch) probeOne(pt *event.Tuple, pqs bitset.Bits, mask bitset.Bi
 		}
 		//lint:ignore hotalloc appends into the caller's reused output slice; grows only to the high-water mark
 		*out = append(*out, jt)
-	}
-}
-
-// joinStores is the callback form of the kernel, used by tests and
-// benchmarks; the shared join itself calls joinScratch.join with a reused
-// scratch.
-func joinStores(a, b *sliceStore, mask bitset.Bits, emit func(event.JoinedTuple)) {
-	var js joinScratch
-	var out []event.JoinedTuple
-	js.join(a, b, mask, &out)
-	for i := range out {
-		emit(out[i])
 	}
 }

@@ -165,3 +165,26 @@ func TestStoreModeString(t *testing.T) {
 		t.Fatal("StoreMode strings")
 	}
 }
+
+// All returns every stored tuple (grouped stores flatten in key order).
+func (s *sliceStore) All() []event.Tuple {
+	if !s.grouped {
+		return s.list
+	}
+	out := make([]event.Tuple, 0, s.count)
+	for _, g := range s.groups.order {
+		out = append(out, g.tuples...)
+	}
+	return out
+}
+
+// joinStores is the callback form of the kernel for tests and benchmarks;
+// the shared join itself calls joinScratch.join with a reused scratch.
+func joinStores(a, b *sliceStore, mask bitset.Bits, emit func(event.JoinedTuple)) {
+	var js joinScratch
+	var out []event.JoinedTuple
+	js.join(a, b, mask, &out)
+	for i := range out {
+		emit(out[i])
+	}
+}

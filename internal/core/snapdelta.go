@@ -46,14 +46,14 @@ func (a *SharedAggregation) noteSnapshot(full bool) {
 		a.sinceFull++
 	}
 	if a.snapFolds == nil {
-		a.snapFolds = make(map[uint64]uint64, len(a.sl.slices))
+		a.snapFolds = make(map[uint64]uint64, len(a.win.sides[0].slices))
 	} else {
 		clear(a.snapFolds)
 	}
-	for _, sl := range a.sl.slices {
+	for _, sl := range a.win.sides[0].slices {
 		a.snapFolds[sl.id] = sl.folds
 	}
-	a.snapTableSeq = a.table.Latest()
+	a.snapTableSeq = a.win.table.Latest()
 }
 
 // appendDelta serializes the incremental snapshot: the full-snapshot layout
@@ -68,9 +68,9 @@ func (a *SharedAggregation) noteSnapshot(full bool) {
 func (a *SharedAggregation) appendDelta(b []byte) []byte {
 	b = wire.AppendU8(b, spe.DeltaSnapshotMagic)
 	b = a.appendClock(b)
-	a.tblScratch = a.table.AppendDelta(a.tblScratch[:0], a.snapTableSeq)
+	a.tblScratch = a.win.table.AppendDelta(a.tblScratch[:0], a.snapTableSeq)
 	b = wire.AppendBytes(b, a.tblScratch)
-	b = snapSlicer(b, a.sl, func(b []byte, sl *slice) []byte {
+	b = a.win.appendSlices(b, func(b []byte, sl *slice) []byte {
 		old, ok := a.snapFolds[sl.id]
 		dirty := !ok || old != sl.folds
 		b = wire.AppendBool(b, dirty)
@@ -95,17 +95,17 @@ func (a *SharedAggregation) RestoreDelta(snapshot []byte) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if a.table == nil {
+	if a.win.table == nil {
 		return fmt.Errorf("core: aggregation delta applied before a restored base")
 	}
-	if err := a.table.ApplyDelta(tdelta); err != nil {
+	if err := a.win.table.ApplyDelta(tdelta); err != nil {
 		return err
 	}
-	prev := make(map[uint64]*qsIndex[aggGroup], len(a.sl.slices))
-	for _, sl := range a.sl.slices {
+	prev := make(map[uint64]*qsIndex[aggGroup], len(a.win.sides[0].slices))
+	for _, sl := range a.win.sides[0].slices {
 		prev[sl.id] = sl.aggs
 	}
-	restoreSlicer(r, a.sl, func(r *wire.Reader, sl *slice) {
+	a.win.readSlices(r, func(r *wire.Reader, sl *slice) {
 		if r.Bool("agg delta slice dirty") {
 			sl.aggs = a.readAggIndex(r)
 		} else if aggs, ok := prev[sl.id]; ok {

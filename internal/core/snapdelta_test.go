@@ -127,7 +127,7 @@ func TestAggregationDeltaOmitsCleanSlices(t *testing.T) {
 	if full[0] != opSnapshotVersion {
 		t.Fatalf("first snapshot should be full, leading byte %#x", full[0])
 	}
-	nslices := len(agg.sl.slices)
+	nslices := len(agg.win.sides[0].slices)
 	if nslices < 30 {
 		t.Fatalf("ring has %d slices; too few to make the bound meaningful", nslices)
 	}

@@ -25,7 +25,7 @@ import (
 // instances that processed the same prefix produce byte-identical
 // snapshots.
 
-const opSnapshotVersion = 2
+const opSnapshotVersion = 3
 
 // readSlot reads a query slot, rejecting numbers no engine could have
 // assigned (changelog.MaxSlots) before anything is sized from them.
@@ -316,25 +316,12 @@ func (s *SharedSelection) Restore(snapshot []byte) error {
 func (j *SharedJoin) OnBarrier(uint64, *spe.Emitter) []byte {
 	b := wire.AppendU8(nil, opSnapshotVersion)
 	b = wire.AppendU8(b, uint8(j.storeMode))
-	b = wire.AppendI64(b, int64(j.lastWM))
-	b = wire.AppendI64(b, int64(j.evictedThru[0]))
-	b = wire.AppendI64(b, int64(j.evictedThru[1]))
-	b = snapTable(b, j.table)
-	for _, side := range j.sides {
-		b = snapSlicer(b, side, func(b []byte, sl *slice) []byte {
-			return snapSliceStore(b, sl.store)
-		})
-	}
-	b = wire.AppendCount(b, len(j.activeOrdered))
-	for _, aq := range j.activeOrdered {
-		b = AppendQuery(b, aq.q)
-		b = wire.AppendU32(b, uint32(aq.slot))
-		b = wire.AppendBool(b, aq.terminal)
-		b = wire.AppendI64(b, int64(aq.since))
-		b = wire.AppendI64(b, int64(aq.until))
-		b = wire.AppendU64(b, aq.endEpoch)
-	}
-	return b
+	b = j.win.appendClock(b)
+	b = snapTable(b, j.win.table)
+	b = j.win.appendSlices(b, func(b []byte, sl *slice) []byte {
+		return snapSliceStore(b, sl.store)
+	})
+	return j.win.queries.appendTo(b)
 }
 
 // Restore implements spe.Restorable.
@@ -342,32 +329,12 @@ func (j *SharedJoin) Restore(snapshot []byte) error {
 	r := wire.NewReader(snapshot)
 	r.Version("join snapshot version", opSnapshotVersion)
 	j.storeMode = StoreMode(r.U8("join store mode"))
-	j.lastWM = event.Time(r.I64("join lastWM"))
-	j.evictedThru[0] = event.Time(r.I64("join evictedThru[0]"))
-	j.evictedThru[1] = event.Time(r.I64("join evictedThru[1]"))
-	j.table = readSnapTable(r)
-	for _, side := range j.sides {
-		restoreSlicer(r, side, func(r *wire.Reader, sl *slice) {
-			sl.store = readSliceStore(r)
-		})
-	}
-	nq := r.Count("join query count", queryMinSize)
-	j.active = make(map[int]*joinQuery, nq)
-	j.activeOrdered = j.activeOrdered[:0]
-	for i := 0; i < nq && r.Err() == nil; i++ {
-		aq := &joinQuery{
-			q:        ReadQuery(r),
-			slot:     readSlot(r, "join query slot"),
-			terminal: r.Bool("join query terminal"),
-			since:    event.Time(r.I64("join query since")),
-			until:    event.Time(r.I64("join query until")),
-			endEpoch: r.U64("join query endEpoch"),
-		}
-		if r.Err() == nil {
-			j.active[aq.q.ID] = aq
-			j.insertOrdered(aq)
-		}
-	}
+	j.win.readClock(r)
+	j.win.table = readSnapTable(r)
+	j.win.readSlices(r, func(r *wire.Reader, sl *slice) {
+		sl.store = readSliceStore(r)
+	})
+	j.win.queries.readFrom(r, 1)
 	if err := r.Finish("join"); err != nil {
 		return err
 	}
@@ -384,8 +351,8 @@ func (j *SharedJoin) Restore(snapshot []byte) error {
 func (a *SharedAggregation) OnBarrier(uint64, *spe.Emitter) []byte {
 	b := wire.AppendU8(nil, opSnapshotVersion)
 	b = a.appendClock(b)
-	b = snapTable(b, a.table)
-	b = snapSlicer(b, a.sl, func(b []byte, sl *slice) []byte {
+	b = snapTable(b, a.win.table)
+	b = a.win.appendSlices(b, func(b []byte, sl *slice) []byte {
 		return snapAggIndex(b, sl.aggs)
 	})
 	return a.appendWorkload(b)
@@ -396,8 +363,7 @@ func (a *SharedAggregation) OnBarrier(uint64, *spe.Emitter) []byte {
 // of the slice state, the versioned masks and both query tables after it.
 func (a *SharedAggregation) appendClock(b []byte) []byte {
 	b = wire.AppendU32(b, uint32(a.ports))
-	b = wire.AppendI64(b, int64(a.lastWM))
-	return wire.AppendI64(b, int64(a.evictedThru))
+	return a.win.appendClock(b)
 }
 
 func (a *SharedAggregation) appendWorkload(b []byte) []byte {
@@ -412,81 +378,8 @@ func (a *SharedAggregation) appendWorkload(b []byte) []byte {
 		b = wire.AppendBits(b, mv.selMask)
 		b = wire.AppendBits(b, mv.sessMask)
 	}
-	b = wire.AppendCount(b, len(a.activeOrdered))
-	for _, aq := range a.activeOrdered {
-		b = snapAggQuery(b, aq, true)
-	}
-	b = wire.AppendCount(b, len(a.selOrdered))
-	for _, sq := range a.selOrdered {
-		b = snapAggQuery(b, sq, false)
-	}
-	return b
-}
-
-func snapAggQuery(b []byte, aq *aggQuery, withSessions bool) []byte {
-	b = AppendQuery(b, aq.q)
-	b = wire.AppendU32(b, uint32(aq.slot))
-	b = wire.AppendU32(b, uint32(aq.port))
-	b = wire.AppendI64(b, int64(aq.since))
-	b = wire.AppendI64(b, int64(aq.until))
-	b = wire.AppendU64(b, aq.endEpoch)
-	if !withSessions {
-		return b
-	}
-	if aq.sessions == nil {
-		return wire.AppendBool(b, false)
-	}
-	b = wire.AppendBool(b, true)
-	b = wire.AppendCount(b, len(aq.sessKeys))
-	for _, key := range aq.sessKeys {
-		b = wire.AppendI64(b, key)
-		open := aq.sessions[key].OpenSessions()
-		b = wire.AppendCount(b, len(open))
-		for _, w := range open {
-			b = wire.AppendI64(b, int64(w.Start))
-			b = wire.AppendI64(b, int64(w.End))
-			b = wire.AppendI64(b, w.Sum)
-			b = wire.AppendI64(b, w.Count)
-		}
-	}
-	return b
-}
-
-func readAggQuery(r *wire.Reader, withSessions bool) *aggQuery {
-	aq := &aggQuery{
-		q:        ReadQuery(r),
-		slot:     readSlot(r, "agg query slot"),
-		port:     int(r.U32("agg query port")),
-		since:    event.Time(r.I64("agg query since")),
-		until:    event.Time(r.I64("agg query until")),
-		endEpoch: r.U64("agg query endEpoch"),
-	}
-	if !withSessions {
-		return aq
-	}
-	if !r.Bool("agg query sessions present") {
-		return aq
-	}
-	aq.sessions = make(map[int64]*window.SessionState)
-	nk := r.Count("session key count", 12)
-	for ki := 0; ki < nk && r.Err() == nil; ki++ {
-		key := r.I64("session key")
-		nw := r.Count("open session count", 32)
-		open := make([]window.OpenSession, 0, nw)
-		for wi := 0; wi < nw && r.Err() == nil; wi++ {
-			open = append(open, window.OpenSession{
-				Start: event.Time(r.I64("session start")),
-				End:   event.Time(r.I64("session end")),
-				Sum:   r.I64("session sum"),
-				Count: r.I64("session count"),
-			})
-		}
-		if r.Err() == nil {
-			aq.sessions[key] = window.RestoreSessionState(aq.spec().Gap, open)
-			aq.sessKeys = append(aq.sessKeys, key) // serialized in sorted order
-		}
-	}
-	return aq
+	b = a.win.queries.appendTo(b)
+	return a.selection.appendTo(b)
 }
 
 // Restore implements spe.Restorable.
@@ -494,8 +387,8 @@ func (a *SharedAggregation) Restore(snapshot []byte) error {
 	r := wire.NewReader(snapshot)
 	r.Version("aggregation snapshot version", opSnapshotVersion)
 	a.readClock(r)
-	a.table = readSnapTable(r)
-	restoreSlicer(r, a.sl, func(r *wire.Reader, sl *slice) {
+	a.win.table = readSnapTable(r)
+	a.win.readSlices(r, func(r *wire.Reader, sl *slice) {
 		sl.aggs = a.readAggIndex(r)
 	})
 	a.readWorkload(r)
@@ -506,8 +399,7 @@ func (a *SharedAggregation) readClock(r *wire.Reader) {
 	if ports := int(r.U32("agg ports")); r.Err() == nil && ports != a.ports {
 		r.Fail(fmt.Errorf("core: aggregation snapshot has %d ports, instance has %d", ports, a.ports))
 	}
-	a.lastWM = event.Time(r.I64("agg lastWM"))
-	a.evictedThru = event.Time(r.I64("agg evictedThru"))
+	a.win.readClock(r)
 }
 
 // readWorkload decodes appendWorkload and rebuilds what derives from it.
@@ -525,33 +417,9 @@ func (a *SharedAggregation) readWorkload(r *wire.Reader) {
 		mv.sessMask = r.Bits("sess mask")
 		a.maskVersions = append(a.maskVersions, mv)
 	}
-	na := r.Count("agg active count", queryMinSize)
-	a.active = make(map[int]*aggQuery, na)
-	a.activeOrdered = a.activeOrdered[:0]
-	for i := 0; i < na && r.Err() == nil; i++ {
-		aq := readAggQuery(r, true)
-		if r.Err() == nil && aq.port >= a.ports {
-			r.Fail(fmt.Errorf("core: aggregation snapshot binds query %d to port %d of %d", aq.q.ID, aq.port, a.ports))
-		}
-		if r.Err() == nil {
-			a.active[aq.q.ID] = aq
-			a.activeOrdered = insertBySlot(a.activeOrdered, aq)
-		}
-	}
-	ns := r.Count("agg selection count", queryMinSize)
-	a.selection = make(map[int]*aggQuery, ns)
-	a.selOrdered = a.selOrdered[:0]
-	for i := 0; i < ns && r.Err() == nil; i++ {
-		sq := readAggQuery(r, false)
-		if r.Err() == nil {
-			a.selection[sq.q.ID] = sq
-			a.selOrdered = insertBySlot(a.selOrdered, sq)
-		}
-	}
-	if r.Err() != nil {
-		return
-	}
-	if len(a.maskVersions) == 0 {
+	a.win.queries.readFrom(r, a.ports)
+	a.selection.readFrom(r, 1)
+	if r.Err() == nil && len(a.maskVersions) == 0 {
 		a.maskVersions = []maskVersion{{from: event.MinTime, portMasks: make([]bitset.Bits, a.ports)}}
 	}
 }

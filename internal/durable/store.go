@@ -30,7 +30,7 @@ const (
 // snapshot deposits, control blobs and WAL records, all internal/wire
 // compositions — so a state directory written by a build with other layouts
 // fails at open instead of at the first record that happens not to decode.
-const manifestVersion = 2
+const manifestVersion = 3
 
 type manifestData struct {
 	Version int

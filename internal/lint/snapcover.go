@@ -28,7 +28,11 @@ import (
 // encode path does serialize means either the annotation or the encoder is
 // lying, and once snapshots go durable that disagreement is permanent
 // corruption. Fields of empty struct types (spe.BaseLogic embeds) carry no
-// state and are skipped.
+// state and are skipped. A field whose type (by value or pointer) is a named,
+// non-empty struct declared in a scoped package is audited field by field and
+// reported as Outer.inner.field, unless the field carries an annotation of
+// its own (which then covers the whole struct) or the type is itself a state
+// pair (audited under its own name).
 func NewSnapCover(scope []string) *Analyzer {
 	a := &Analyzer{
 		Name: "snapcover",
@@ -45,45 +49,71 @@ func NewSnapCover(scope []string) *Analyzer {
 			ephByPkg[p] = dirs
 			diags = append(diags, bad...)
 		}
-		for _, pair := range findStatePairs(m, scope) {
-			strct := pair.typ.Underlying().(*types.Struct)
+		pairs := findStatePairs(m, scope)
+		// scoped resolves a type-checker package to its loaded, in-scope
+		// Package; paired holds the types audited as pairs of their own.
+		scoped := map[*types.Package]*Package{}
+		for p := range ephByPkg {
+			scoped[p.Types] = p
+		}
+		paired := map[*types.Named]bool{}
+		for _, pair := range pairs {
+			paired[pair.typ] = true
+		}
+		for _, pair := range pairs {
 			encTouch := fieldTouches(reachableFrom(pair.enc))
 			decTouch := fieldTouches(reachableFrom(pair.dec))
-			dirs := ephByPkg[pair.pkg]
-			for i := 0; i < strct.NumFields(); i++ {
-				f := strct.Field(i)
-				if emptyStruct(f.Type()) {
-					continue
-				}
-				pos := pair.pkg.Fset.Position(f.Pos())
-				dir := ephemeralFor(dirs, pos)
-				serialized, repopulated := encTouch[f], decTouch[f]
-				switch {
-				case dir == nil:
-					if !serialized {
-						diags = append(diags, a.Diag(pair.pkg, f.Pos(),
-							"field %s.%s is not serialized by %s and not annotated //lint:ephemeral",
-							pair.name, f.Name(), pair.enc.Fn.Name()))
+			// audit checks the fields of one struct declared in pkg; path
+			// names it from the state type down, onPath holds the nested
+			// types being descended (a recursive type is audited once).
+			var audit func(pkg *Package, strct *types.Struct, path string, onPath map[*types.Named]bool)
+			audit = func(pkg *Package, strct *types.Struct, path string, onPath map[*types.Named]bool) {
+				for i := 0; i < strct.NumFields(); i++ {
+					f := strct.Field(i)
+					if emptyStruct(f.Type()) {
+						continue
 					}
-					if !repopulated {
-						diags = append(diags, a.Diag(pair.pkg, f.Pos(),
-							"field %s.%s is not repopulated by %s and not annotated //lint:ephemeral",
-							pair.name, f.Name(), pair.dec.Fn.Name()))
+					dir := ephemeralFor(ephByPkg[pkg], pkg.Fset.Position(f.Pos()))
+					// An unannotated field holding a struct declared in scope
+					// is state of this pair, field by field: "touched" for the
+					// whole struct would hide a nested field the encoder
+					// skips, and leave nested annotations attached to nothing.
+					if inner := nestedState(f.Type()); dir == nil && inner != nil &&
+						scoped[inner.Obj().Pkg()] != nil && !paired[inner] && !onPath[inner] {
+						onPath[inner] = true
+						audit(scoped[inner.Obj().Pkg()], inner.Underlying().(*types.Struct), path+"."+f.Name(), onPath)
+						delete(onPath, inner)
+						continue
 					}
-				case serialized:
-					dir.used = true
-					diags = append(diags, a.Diag(pair.pkg, f.Pos(),
-						"field %s.%s is annotated //lint:ephemeral but %s serializes it; drop the annotation or the encoding",
-						pair.name, f.Name(), pair.enc.Fn.Name()))
-				case dir.derived && !repopulated:
-					dir.used = true
-					diags = append(diags, a.Diag(pair.pkg, f.Pos(),
-						"field %s.%s is annotated //lint:ephemeral derived but no function reachable from %s repopulates it",
-						pair.name, f.Name(), pair.dec.Fn.Name()))
-				default:
-					dir.used = true
+					serialized, repopulated := encTouch[f], decTouch[f]
+					switch {
+					case dir == nil:
+						if !serialized {
+							diags = append(diags, a.Diag(pkg, f.Pos(),
+								"field %s.%s is not serialized by %s and not annotated //lint:ephemeral",
+								path, f.Name(), pair.enc.Fn.Name()))
+						}
+						if !repopulated {
+							diags = append(diags, a.Diag(pkg, f.Pos(),
+								"field %s.%s is not repopulated by %s and not annotated //lint:ephemeral",
+								path, f.Name(), pair.dec.Fn.Name()))
+						}
+					case serialized:
+						dir.used = true
+						diags = append(diags, a.Diag(pkg, f.Pos(),
+							"field %s.%s is annotated //lint:ephemeral but %s serializes it; drop the annotation or the encoding",
+							path, f.Name(), pair.enc.Fn.Name()))
+					case dir.derived && !repopulated:
+						dir.used = true
+						diags = append(diags, a.Diag(pkg, f.Pos(),
+							"field %s.%s is annotated //lint:ephemeral derived but no function reachable from %s repopulates it",
+							path, f.Name(), pair.dec.Fn.Name()))
+					default:
+						dir.used = true
+					}
 				}
 			}
+			audit(pair.pkg, pair.typ.Underlying().(*types.Struct), pair.name, map[*types.Named]bool{pair.typ: true})
 		}
 		// A directive attached to nothing is a typo or a field that moved;
 		// report it so annotations cannot rot. Packages are visited in the
@@ -102,6 +132,24 @@ func NewSnapCover(scope []string) *Analyzer {
 		return diags
 	}
 	return a
+}
+
+// nestedState returns the named, non-empty, non-generic struct type a field
+// of type T or *T holds, or nil. (An instantiated generic's field objects are
+// not the ones selector expressions on other instantiations resolve to, so
+// its fields cannot be audited one by one.)
+func nestedState(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok || n.TypeArgs().Len() > 0 || n.Obj().Pkg() == nil {
+		return nil
+	}
+	if s, ok := n.Underlying().(*types.Struct); !ok || s.NumFields() == 0 {
+		return nil
+	}
+	return n
 }
 
 // emptyStruct reports whether t is a struct type with no fields (a pure
