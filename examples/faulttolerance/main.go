@@ -1,15 +1,13 @@
-// Faulttolerance demonstrates the exactly-once story of paper §3.3 twice
-// over. Act 1 is the in-memory machinery: input (tuples AND query changelog
-// events) is logged, checkpoints cut the log at barrier-aligned quiescent
-// points, and a crash between checkpoints loses only uncommitted results —
-// deterministic replay regenerates them, and committed epochs are never
-// exposed twice. Act 2 moves the same guarantee across a process restart:
-// the durable backend persists the log and snapshots under a state
-// directory, the "process" dies (store closed, every in-memory structure
-// dropped) with its final WAL append literally torn in half, and a fresh
-// open rebuilds from the directory alone — truncating the torn frame,
-// restoring the latest completed checkpoint, and replaying the surviving
-// suffix.
+// Faulttolerance demonstrates the exactly-once story of paper §3.3 as a
+// property of one state directory. Input (tuples AND query changelog events)
+// is logged to the directory's write-ahead log, checkpoints cut the log at
+// barrier-aligned quiescent points, and each result epoch commits in the
+// same manifest as the checkpoint that closes it. The job is killed twice —
+// once between checkpoints, once with its final WAL append literally torn in
+// half — and each successor is built from the directory path alone: it
+// truncates the torn frame, restores the latest completed checkpoint,
+// replays the surviving suffix, and regenerates only the results that had not
+// committed. The final output is checked against a run that never crashed.
 package main
 
 import (
@@ -24,6 +22,8 @@ import (
 	"astream/internal/durable"
 )
 
+var cfg = core.Config{Streams: 1, Parallelism: 2, WatermarkEvery: 1, SnapshotDeltaEvery: 3}
+
 func query() *core.Query {
 	return astream.NewAggregation(astream.Tumbling(10), astream.AggSum, 0, astream.True())
 }
@@ -34,136 +34,85 @@ func tuple(i int) astream.Tuple {
 	return t
 }
 
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// open starts an incarnation on the directory. The path is all it is given.
+func open(dir string) *checkpoint.Runner {
+	r, err := checkpoint.Open(cfg, dir, durable.Options{})
+	must(err)
+	return r
+}
+
+func ingest(r *checkpoint.Runner, from, to int) {
+	for i := from; i <= to; i++ {
+		must(r.Ingest(0, tuple(i)))
+	}
+}
+
+// status prints what the directory holds, as the incarnation sees it.
+func status(when string, r *checkpoint.Runner) {
+	k, _ := r.Store().LatestComplete()
+	committed, err := r.Store().Committed()
+	must(err)
+	fmt.Printf("%s: checkpoint %d, %d log records, %d results committed\n",
+		when, k, r.Store().WAL().Len(), len(committed))
+}
+
 func main() {
-	inMemoryAct()
-	durableAct()
-}
-
-// inMemoryAct: crash and recover inside one process.
-func inMemoryAct() {
-	fmt.Println("=== Act 1: crash and recover in-process ===")
-	log := &checkpoint.Log{}
-	sink := checkpoint.NewTxSink()
-	runner, err := checkpoint.NewRunner(core.Config{Streams: 1, Parallelism: 2, WatermarkEvery: 1}, log, sink)
-	if err != nil {
-		panic(err)
-	}
-	if err := runner.Submit(query()); err != nil {
-		panic(err)
-	}
-
-	ingest := func(from, to int) {
-		for i := from; i <= to; i++ {
-			if err := runner.Ingest(0, tuple(i)); err != nil {
-				panic(err)
-			}
-		}
-	}
-
-	ingest(1, 35)
-	id, err := runner.Checkpoint()
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("checkpoint %d: %d results committed, log at %d records\n",
-		id, len(sink.Committed()), log.Len())
-
-	ingest(36, 70)
-	fmt.Printf("pre-crash: %d uncommitted results buffered\n", sink.PendingCount())
-
-	// 💥 Crash: the process dies. The log and committed epochs survive;
-	// buffered results are lost.
-	committed := runner.Crash()
-	manifest := runner.Manifest()
-	fmt.Printf("CRASH — surviving state: %d committed epochs, %d log records\n",
-		len(committed), log.Len())
-
-	// Recovery: restore every operator from the snapshot store's latest
-	// completed checkpoint and replay only the log suffix past it. Epochs
-	// committed before the crash are deduplicated; the lost window results
-	// are regenerated. (checkpoint.Recover would replay the whole log
-	// instead — same output, cost proportional to job lifetime.)
-	recovered, err := checkpoint.RecoverFromStore(
-		core.Config{Streams: 1, Parallelism: 2, WatermarkEvery: 1},
-		log, manifest, committed, runner.Store())
-	if err != nil {
-		panic(err)
-	}
-	final := recovered.FinishReplay()
-	fmt.Printf("after recovery: %d results, exactly once\n", len(final))
-	for _, r := range final {
-		fmt.Println("  ", r)
-	}
-}
-
-// durableAct: the same guarantee across a process restart, with the final
-// WAL append torn mid-frame for good measure.
-func durableAct() {
-	fmt.Println("\n=== Act 2: process restart from the state directory ===")
 	dir, err := os.MkdirTemp("", "astream-faulttolerance-*")
-	if err != nil {
-		panic(err)
-	}
+	must(err)
 	defer os.RemoveAll(dir)
-	cfg := core.Config{
-		Streams: 1, Parallelism: 2, WatermarkEvery: 1,
-		StateDir: dir, SnapshotDeltaEvery: 3,
-	}
 
-	runner, store, err := durable.Open(cfg, nil, durable.Options{})
-	if err != nil {
-		panic(err)
-	}
-	if err := runner.Submit(query()); err != nil {
-		panic(err)
-	}
-	for i := 1; i <= 35; i++ {
-		if err := runner.Ingest(0, tuple(i)); err != nil {
-			panic(err)
-		}
-	}
-	id, err := runner.Checkpoint()
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("checkpoint %d durable: manifest renamed into place, WAL fsynced\n", id)
-	for i := 36; i <= 50; i++ {
-		if err := runner.Ingest(0, tuple(i)); err != nil {
-			panic(err)
-		}
-	}
+	// Incarnation 1: deploy the query, checkpoint once, run on.
+	r := open(dir)
+	must(r.Submit(query()))
+	ingest(r, 1, 35)
+	id, err := r.Checkpoint()
+	must(err)
+	fmt.Printf("checkpoint %d durable: epoch %d's results and the WAL fsynced, manifest renamed into place\n", id, id-1)
+	ingest(r, 36, 50)
+	status("incarnation 1 before the crash", r)
 
-	// 💥 The process dies mid-append. Closing the store stands in for the
-	// process being gone; tearing the last WAL frame reproduces what the
-	// filesystem may leave behind when the crash interrupts a write.
-	committed := runner.Crash()
-	if err := store.Close(); err != nil {
-		panic(err)
-	}
+	// 💥 The process dies between checkpoints. Results of the open epoch were
+	// only buffered: they are lost, and nothing else is.
+	r.Crash()
+	fmt.Println("CRASH — in-memory state gone")
+
+	// Incarnation 2 opens the directory cold: the latest completed checkpoint
+	// restores, the log suffix past it replays, and the window results the
+	// crash lost are regenerated — while epoch 0, already committed, is not
+	// exposed again.
+	r = open(dir)
+	status("incarnation 2 after reopen", r)
+	ingest(r, 51, 70)
+	id, err = r.Checkpoint()
+	must(err)
+	fmt.Printf("checkpoint %d durable\n", id)
+	ingest(r, 71, 85)
+
+	// 💥 This time the process dies mid-append: tearing the last WAL frame
+	// reproduces what the filesystem may leave behind when the crash
+	// interrupts a write.
+	r.Crash()
 	tearLastFrame(dir)
-	fmt.Printf("CRASH — in-memory state gone, final WAL append torn mid-frame\n")
+	fmt.Println("CRASH — final WAL append torn mid-frame")
 
-	// A new process opens the directory cold: the torn frame is truncated
-	// (it was never acknowledged durable — acknowledgment past the last
-	// checkpoint is opportunistic until the next one), the latest completed
-	// checkpoint restores, and the surviving suffix replays. The source
-	// re-sends the one tuple whose append tore.
-	runner2, store2, err := durable.Open(cfg, committed, durable.Options{})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("restart: recovered to checkpoint %d, %d log records survive\n",
-		mustLatest(store2), store2.WAL().Len())
-	if err := runner2.Ingest(0, tuple(50)); err != nil {
-		panic(err)
-	}
-	final := runner2.Finish()
-	if err := store2.Close(); err != nil {
-		panic(err)
-	}
+	// Incarnation 3: the torn frame is truncated (it was never acknowledged
+	// durable — acknowledgment past the last checkpoint is opportunistic
+	// until the next one) and the surviving suffix replays. The source
+	// re-sends the one tuple whose append tore, then the job finishes.
+	r = open(dir)
+	status("incarnation 3 after reopen", r)
+	ingest(r, 85, 85)
+	final, err := r.Finish()
+	must(err)
 
-	// Self-check: a clean, never-crashed run of the same input must produce
-	// byte-identical output.
+	// Self-check: a clean, never-crashed run of the same input, cut at the
+	// same two points, must produce byte-identical output.
 	want := cleanRun()
 	verdict := "EXACTLY ONCE — byte-identical to the clean run"
 	if len(final) != len(want) {
@@ -176,7 +125,7 @@ func durableAct() {
 			}
 		}
 	}
-	fmt.Printf("after restart: %d results — %s\n", len(final), verdict)
+	fmt.Printf("after two crashes: %d results — %s\n", len(final), verdict)
 	for _, r := range final {
 		fmt.Println("  ", r)
 	}
@@ -186,9 +135,7 @@ func durableAct() {
 // simulating an append the crash interrupted halfway.
 func tearLastFrame(dir string) {
 	entries, err := os.ReadDir(filepath.Join(dir, "wal"))
-	if err != nil {
-		panic(err)
-	}
+	must(err)
 	var names []string
 	for _, e := range entries {
 		names = append(names, e.Name())
@@ -196,37 +143,26 @@ func tearLastFrame(dir string) {
 	sort.Strings(names)
 	last := filepath.Join(dir, "wal", names[len(names)-1])
 	info, err := os.Stat(last)
-	if err != nil {
-		panic(err)
-	}
-	if err := os.Truncate(last, info.Size()-3); err != nil {
-		panic(err)
-	}
+	must(err)
+	must(os.Truncate(last, info.Size()-3))
 }
 
-func mustLatest(s *durable.Store) uint64 {
-	k, ok := s.LatestComplete()
-	if !ok {
-		panic("no completed checkpoint after restart")
-	}
-	return k
-}
-
-// cleanRun produces the reference output: the same 50 tuples, no crash.
+// cleanRun produces the reference output: the same 85 tuples and the same
+// two checkpoints on a fresh directory, no crash.
 func cleanRun() []string {
-	runner, err := checkpoint.NewRunner(
-		core.Config{Streams: 1, Parallelism: 2, WatermarkEvery: 1},
-		&checkpoint.Log{}, checkpoint.NewTxSink())
-	if err != nil {
-		panic(err)
-	}
-	if err := runner.Submit(query()); err != nil {
-		panic(err)
-	}
-	for i := 1; i <= 50; i++ {
-		if err := runner.Ingest(0, tuple(i)); err != nil {
-			panic(err)
-		}
-	}
-	return runner.Finish()
+	dir, err := os.MkdirTemp("", "astream-faulttolerance-clean-*")
+	must(err)
+	defer os.RemoveAll(dir)
+	r := open(dir)
+	must(r.Submit(query()))
+	ingest(r, 1, 35)
+	_, err = r.Checkpoint()
+	must(err)
+	ingest(r, 36, 70)
+	_, err = r.Checkpoint()
+	must(err)
+	ingest(r, 71, 85)
+	out, err := r.Finish()
+	must(err)
+	return out
 }

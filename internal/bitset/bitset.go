@@ -72,6 +72,16 @@ func FromWords(words []uint64) Bits {
 	return b
 }
 
+// View returns the set whose words are words, least-significant first,
+// without copying: the set shares the slice. It is for read-only sets laid
+// out in a caller-owned arena; mutating one writes through to the arena.
+func View(words []uint64) Bits {
+	if len(words) == 0 {
+		return Bits{}
+	}
+	return Bits{spill: words}
+}
+
 // FromIndexes returns a set with exactly the given bits set.
 func FromIndexes(idx ...int) Bits {
 	var b Bits

@@ -257,6 +257,24 @@ func TestWordsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestViewSharesWords: a View is the set FromWords would copy — equal to it
+// and to its inline or trimmed twins, trailing zero words and all — but reads
+// the caller's words in place.
+func TestViewSharesWords(t *testing.T) {
+	for _, words := range [][]uint64{nil, {0}, {5}, {5, 0, 0}, {1, 0, 1 << 63}, {0, 7, 0}} {
+		v, c := View(words), FromWords(words)
+		if !v.Equal(c) || v.Key() != c.Key() || v.WordCount() != c.WordCount() {
+			t.Fatalf("View(%v) = %v, FromWords gives %v", words, v.Words(), c.Words())
+		}
+	}
+	words := []uint64{1, 2}
+	v := View(words)
+	words[1] |= 1 << 4
+	if !v.Test(64 + 4) {
+		t.Fatal("View copied its words")
+	}
+}
+
 // TestWordAccessors pins Word/WordCount against Words(): the allocation-free
 // walk the snapshot encoders use must see exactly the copied view.
 func TestWordAccessors(t *testing.T) {

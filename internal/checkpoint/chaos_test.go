@@ -7,67 +7,95 @@ import (
 	"testing"
 
 	"astream/internal/core"
+	"astream/internal/durable"
 	"astream/internal/event"
+	"astream/internal/expr"
 	"astream/internal/fault"
+	"astream/internal/sqlstream"
+	"astream/internal/window"
 )
 
-// The chaos harness drives a fixed, deterministic workload twice: once clean
-// and once with a seeded fault plan injecting operator kills and exchange
-// batch faults. Failures surface only at checkpoints (a dead instance can
-// never pass its barrier); the harness then crashes the incarnation,
-// recovers from the snapshot store's latest completed checkpoint plus the
-// log suffix, resumes at the exact step that failed, and finally asserts the
-// committed output is identical to the fault-free run.
+// The DiskPlan satisfies the hook seam structurally; pin it here so a drift
+// in either signature fails compilation where both packages are visible.
+var _ durable.Hook = (*fault.DiskPlan)(nil)
 
-type chaosStepKind int
+// The chaos harness drives one deterministic workload twice: once fault-free
+// and never restarted, and once under a seeded plan of engine faults
+// (instance kills, exchange batch faults) and a seeded plan of disk faults
+// (torn writes, corrupted frames, lying fsyncs, crashes before rename). Every
+// failure is a process death: the runner is crashed, its store closed, and
+// the next incarnation is built by Open from the state directory — it is
+// handed nothing else. The committed output the last incarnation reads back
+// from the directory must be byte-identical to the clean run's.
+
+type stepKind int
 
 const (
-	stepSubmit chaosStepKind = iota
+	stepSubmit stepKind = iota
 	stepStop
 	stepIngest
 	stepCheckpoint
 )
 
-type chaosStep struct {
-	kind   chaosStepKind
+type step struct {
+	kind   stepKind
 	query  *core.Query
 	ord    int
 	stream int
 	tuple  event.Tuple
 }
 
-// chaosSteps is the workload. It must be identical across the clean run, the
+func testQuery(kind core.Kind) *core.Query {
+	switch kind {
+	case core.KindJoin:
+		return &core.Query{Kind: core.KindJoin, Arity: 2,
+			Predicates: []expr.Predicate{expr.True(), expr.True()},
+			Window:     window.TumblingSpec(8), AggField: -1}
+	default:
+		return &core.Query{Kind: core.KindAggregation, Arity: 1,
+			Predicates: []expr.Predicate{expr.True().And(expr.Comparison{Field: 0, Op: expr.GT, Value: 20})},
+			Window:     window.TumblingSpec(10), Agg: sqlstream.AggSum, AggField: 1}
+	}
+}
+
+// workload is the one step generator: the queries are submitted first, then
+// `phases` phases of `ticks` event-time ticks on 2 streams, each phase ending
+// in a checkpoint; the first query is stopped at the end of phase stopPhase
+// (none when negative). It must be identical across the clean run, the
 // chaotic run, and every recovery — all determinism lives here.
-func chaosSteps() []chaosStep {
-	rng := rand.New(rand.NewSource(97))
-	var steps []chaosStep
-	steps = append(steps,
-		chaosStep{kind: stepSubmit, query: testQuery(core.KindAggregation)},
-		chaosStep{kind: stepSubmit, query: testQuery(core.KindJoin)},
-	)
+func workload(seed int64, phases, ticks, stopPhase int, queries ...*core.Query) []step {
+	rng := rand.New(rand.NewSource(seed))
+	var steps []step
+	for _, q := range queries {
+		steps = append(steps, step{kind: stepSubmit, query: q})
+	}
 	now := event.Time(0)
-	for phase := 0; phase < 6; phase++ {
-		for i := 0; i < 25; i++ {
+	for phase := 0; phase < phases; phase++ {
+		for i := 0; i < ticks; i++ {
 			now++
 			for s := 0; s < 2; s++ {
 				tu := event.Tuple{Key: int64(rng.Intn(3)), Time: now}
 				for f := range tu.Fields {
 					tu.Fields[f] = int64(rng.Intn(100))
 				}
-				steps = append(steps, chaosStep{kind: stepIngest, stream: s, tuple: tu})
+				steps = append(steps, step{kind: stepIngest, stream: s, tuple: tu})
 			}
 		}
-		if phase == 2 {
-			steps = append(steps, chaosStep{kind: stepStop, ord: 1})
+		if phase == stopPhase {
+			steps = append(steps, step{kind: stepStop, ord: 1})
 		}
-		steps = append(steps, chaosStep{kind: stepCheckpoint})
+		steps = append(steps, step{kind: stepCheckpoint})
 	}
 	return steps
 }
 
-// applyChaosStep runs one step. Only checkpoint steps return recoverable
-// errors; everything else failing is a harness bug.
-func applyChaosStep(r *Runner, s chaosStep) error {
+// chaosSteps is the chaos suites' workload: a shared aggregation and a shared
+// join, 5 phases of 20 ticks, the aggregation stopped mid-run.
+func chaosSteps() []step {
+	return workload(41, 5, 20, 2, testQuery(core.KindAggregation), testQuery(core.KindJoin))
+}
+
+func apply(r *Runner, s step) error {
 	switch s.kind {
 	case stepSubmit:
 		return r.Submit(s.query)
@@ -81,79 +109,60 @@ func applyChaosStep(r *Runner, s chaosStep) error {
 	}
 }
 
-func chaosConfig(hook *fault.Plan) core.Config {
+// applyUntilError applies steps[from:] and returns the index of the first
+// step that failed with its error, or len(steps) and nil.
+func applyUntilError(r *Runner, steps []step, from int) (int, error) {
+	for i := from; i < len(steps); i++ {
+		if err := apply(r, steps[i]); err != nil {
+			return i, err
+		}
+	}
+	return len(steps), nil
+}
+
+func testConfig(plan *fault.Plan, deltaEvery int) core.Config {
 	cfg := core.Config{
 		Streams: 2, Parallelism: 2, Nodes: 2, WatermarkEvery: 1,
-		NowNanos: func() int64 { return 1 },
+		NowNanos:           func() int64 { return 1 },
+		SnapshotDeltaEvery: deltaEvery,
 	}
-	if hook != nil {
-		cfg.FaultHook = hook
+	if plan != nil {
+		cfg.FaultHook = plan
 	}
 	return cfg
 }
 
-// runChaosClean produces the fault-free reference output.
-func runChaosClean(t *testing.T, steps []chaosStep) []string {
+func mustOpen(t *testing.T, cfg core.Config, dir string, opts durable.Options) *Runner {
 	t.Helper()
-	r, err := NewRunner(chaosConfig(nil), &Log{}, NewTxSink())
+	r, err := Open(cfg, dir, opts)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("open %s: %v", dir, err)
 	}
-	for i, s := range steps {
-		if err := applyChaosStep(r, s); err != nil {
-			t.Fatalf("clean step %d: %v", i, err)
-		}
-	}
-	out := r.Finish()
-	if len(out) == 0 {
-		t.Fatal("clean run produced nothing")
+	return r
+}
+
+func mustFinish(t *testing.T, r *Runner) []string {
+	t.Helper()
+	out, err := r.Finish()
+	if err != nil {
+		t.Fatalf("finish: %v", err)
 	}
 	return out
 }
 
-// runChaotic drives the steps under the fault plan, recovering on every
-// failure, and returns the committed output plus how many recoveries ran.
-func runChaotic(t *testing.T, steps []chaosStep, plan *fault.Plan) ([]string, int) {
+// cleanRun produces the reference output: the fault-free, never-restarted
+// run of the steps on a fresh directory.
+func cleanRun(t *testing.T, steps []step) []string {
 	t.Helper()
-	log := &Log{}
-	store := NewSnapshotStore()
-	r, err := NewRunnerWithStore(chaosConfig(plan), log, NewTxSink(), store)
-	if err != nil {
-		t.Fatal(err)
+	r := mustOpen(t, testConfig(nil, 0), t.TempDir(), durable.Options{})
+	if i, err := applyUntilError(r, steps, 0); err != nil {
+		t.Fatalf("clean step %d: %v", i, err)
 	}
-	recoveries := 0
-	const maxRecoveries = 16
-	for i := 0; i < len(steps); {
-		stepErr := applyChaosStep(r, steps[i])
-		if stepErr == nil {
-			i++
-			continue
-		}
-		if steps[i].kind != stepCheckpoint {
-			t.Fatalf("non-checkpoint step %d failed: %v", i, stepErr)
-		}
-		// A checkpoint that cannot complete means an instance died: crash
-		// the incarnation and recover. Recovery itself can hit a pending
-		// injected fault (e.g. a kill scheduled past the crash point fires
-		// during suffix replay) — crash and recover again; fired one-shot
-		// ops never recur.
-		committed := r.Crash()
-		manifest := r.Manifest()
-		for {
-			recoveries++
-			if recoveries > maxRecoveries {
-				t.Fatalf("no stable recovery after %d attempts; last: %v", maxRecoveries, stepErr)
-			}
-			r2, err := RecoverFromStore(chaosConfig(plan), log, manifest, committed, store)
-			if err == nil {
-				r = r2
-				break
-			}
-		}
-		// Retry the same checkpoint step: it logs nothing, so the replto
-		// this point is exact.
+	out := mustFinish(t, r)
+	if len(out) == 0 {
+		t.Fatal("clean run produced nothing")
 	}
-	return r.Finish(), recoveries
+	return out
 }
 
 func assertSameOutput(t *testing.T, got, want []string) {
@@ -168,97 +177,219 @@ func assertSameOutput(t *testing.T, got, want []string) {
 	}
 }
 
-// TestChaosSeededSchedules runs randomized seeded fault schedules and
-// asserts exactly-once committed output under every one of them.
-func TestChaosSeededSchedules(t *testing.T) {
-	steps := chaosSteps()
-	want := runChaosClean(t, steps)
+// runChaos drives the steps and the final Finish under both fault plans
+// (either may be nil) on one fresh directory. Any failed call is a process
+// death — a failed ingest was never acknowledged into the log and is retried
+// by the next incarnation, a failed checkpoint or finish logged nothing — and
+// Open itself can hit a pending fault (a kill that comes due during suffix
+// replay, a disk fault while re-cutting): it is simply called again; fired
+// one-shot ops never recur. Returns the output the last incarnation committed
+// and the number of recoveries.
+func runChaos(t *testing.T, steps []step, plan *fault.Plan, disk *fault.DiskPlan, deltaEvery int) ([]string, int) {
+	t.Helper()
+	dir := t.TempDir()
+	cfg := testConfig(plan, deltaEvery)
+	opts := durable.Options{SegmentBytes: 1 << 10}
+	if disk != nil {
+		opts.Hook = disk
+	}
+	const maxRecoveries = 32
+	recoveries := 0
+	died := func(err error) {
+		if recoveries++; recoveries > maxRecoveries {
+			t.Fatalf("no stable incarnation after %d recoveries; last: %v", maxRecoveries, err)
+		}
+	}
+	var r *Runner
+	for i := 0; ; {
+		if r == nil {
+			var err error
+			if r, err = Open(cfg, dir, opts); err != nil {
+				r = nil
+				died(err)
+				continue
+			}
+		}
+		next, err := applyUntilError(r, steps, i)
+		if i = next; err == nil {
+			var out []string
+			if out, err = r.Finish(); err == nil {
+				return out, recoveries
+			}
+		}
+		r.Crash()
+		r = nil
+		died(err)
+	}
+}
 
-	// Ordered so the short-mode prefix covers schedules that actually fire:
-	// 23 drops two source batches, 42 kills a join instance mid-stream, 58
-	// kills an aggregate instance at barrier alignment. 11 and 77 draw
-	// schedules that never come due — kept as controls (a plan that does not
-	// fire must not perturb output either).
+// enginePlan is the seeded engine-fault schedule of the chaos suites.
+func enginePlan(seed int64) *fault.Plan {
+	return fault.RandomPlan(seed, fault.RandomConfig{
+		Ops:       []string{"src-0", "src-1", "select-0", "select-1", "join-0", "aggregate"},
+		Instances: 2, MaxTuples: 180, Barriers: 5, Batches: 30,
+		NumFaults: 3, AllowBatchFaults: true,
+	})
+}
+
+// TestDurableChaosSeededSchedules is the headline robustness test: seeded
+// engine-fault and disk-fault schedules run together, every incarnation is
+// rebuilt from the directory only, and the committed output stays
+// byte-identical to the fault-free run — under full snapshots and under
+// base+delta chains. The engine-only row of each seed is the same schedule
+// with no disk plan at all.
+//
+// Ordered so the short-mode prefix covers schedules that actually fire: 23
+// drops a source batch, 42 kills an aggregate instance mid-stream, 58 kills an
+// aggregate instance at barrier alignment — the dying incarnation deposits
+// snapshots for a barrier it never completes, and those orphans must not
+// reach the successor's retry of the same barrier.
+func TestDurableChaosSeededSchedules(t *testing.T) {
+	steps := chaosSteps()
+	want := cleanRun(t, steps)
+
 	seeds := []int64{23, 42, 58, 11, 77}
 	if testing.Short() {
 		seeds = seeds[:3]
 	}
 	for _, seed := range seeds {
 		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			plan := fault.RandomPlan(seed, fault.RandomConfig{
-				Ops:       []string{"src-0", "src-1", "select-0", "select-1", "join-0", "aggregate"},
-				Instances: 2, MaxTuples: 220, Barriers: 6, Batches: 30,
-				NumFaults: 4, AllowBatchFaults: true,
+		for _, deltaEvery := range []int{0, 3} {
+			deltaEvery := deltaEvery
+			t.Run(fmt.Sprintf("seed%d-delta%d", seed, deltaEvery), func(t *testing.T) {
+				plan := enginePlan(seed)
+				disk := fault.RandomDiskPlan(seed, fault.RandomDiskConfig{
+					NumFaults: 3, MaxWAL: 200, MaxSnap: 30, MaxManifest: 5,
+				})
+				got, recoveries := runChaos(t, steps, plan, disk, deltaEvery)
+				t.Logf("seed %d delta %d: %d recoveries, engine: %v, disk: %v",
+					seed, deltaEvery, recoveries, plan.Fired(), disk.Fired())
+				assertSameOutput(t, got, want)
 			})
-			got, recoveries := runChaotic(t, steps, plan)
+		}
+		t.Run(fmt.Sprintf("seed%d-engine-only", seed), func(t *testing.T) {
+			plan := enginePlan(seed)
+			got, recoveries := runChaos(t, steps, plan, nil, 0)
 			t.Logf("seed %d: %d recoveries, injections: %v", seed, recoveries, plan.Fired())
 			assertSameOutput(t, got, want)
 		})
 	}
 }
 
+// TestDurableChaosDiskOnly isolates the disk-fault axis: no engine faults at
+// all, a dense disk schedule, and the same byte-identity bar. This pins the
+// recovery semantics of each injected kind — a torn WAL append is truncated
+// and retried, a corrupted frame never acknowledges, a lying fsync loses only
+// unacknowledged state, an unpublished manifest leaves the previous
+// checkpoint authoritative.
+func TestDurableChaosDiskOnly(t *testing.T) {
+	steps := chaosSteps()
+	want := cleanRun(t, steps)
+	for _, seed := range []int64{7, 19, 31} {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			disk := fault.RandomDiskPlan(seed, fault.RandomDiskConfig{
+				NumFaults: 6, MaxWAL: 400, MaxSnap: 40, MaxManifest: 6,
+			})
+			got, recoveries := runChaos(t, steps, nil, disk, 3)
+			t.Logf("seed %d: %d recoveries, disk: %v", seed, recoveries, disk.Fired())
+			assertSameOutput(t, got, want)
+		})
+	}
+}
+
 // TestChaosKillRecoversFromSnapshot pins the headline scenario: a kill
-// mid-stream fails the next checkpoint, recovery restores operators from the
-// latest completed snapshot and replays only the log suffix, and the
+// mid-stream fails the next checkpoint, the successor restores operators from
+// the latest completed snapshot and replays only the log suffix, and the
 // committed output is byte-identical to the fault-free run.
 func TestChaosKillRecoversFromSnapshot(t *testing.T) {
 	steps := chaosSteps()
-	want := runChaosClean(t, steps)
+	want := cleanRun(t, steps)
 
 	// Kill one aggregate instance partway through the run (tuples are
 	// counted per instance; at least one checkpoint has completed by the
-	// 80th tuple that hashes to instance 0).
-	plan := fault.NewPlan(fault.Op{Kind: fault.KillAfterTuples, Op: "aggregate", Instance: 0, N: 80})
-
-	log := &Log{}
-	store := NewSnapshotStore()
-	r, err := NewRunnerWithStore(chaosConfig(plan), log, NewTxSink(), store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	i := 0
-	var ckptErr error
-	for ; i < len(steps); i++ {
-		if err := applyChaosStep(r, steps[i]); err != nil {
-			ckptErr = err
-			break
-		}
-	}
+	// 20th tuple that hashes to instance 0).
+	plan := fault.NewPlan(fault.Op{Kind: fault.KillAfterTuples, Op: "aggregate", Instance: 0, N: 20})
+	cfg, dir := testConfig(plan, 0), t.TempDir()
+	r := mustOpen(t, cfg, dir, durable.Options{})
+	i, ckptErr := applyUntilError(r, steps, 0)
 	if ckptErr == nil {
 		t.Fatal("injected kill never surfaced at a checkpoint")
 	}
-	if !strings.Contains(ckptErr.Error(), "injected fault") {
-		t.Fatalf("failure reason lost: %v", ckptErr)
+	if steps[i].kind != stepCheckpoint || !strings.Contains(ckptErr.Error(), "injected fault") {
+		t.Fatalf("step %d (kind %d): failure reason lost: %v", i, steps[i].kind, ckptErr)
 	}
-	k, ok := store.LatestComplete()
-	if !ok || k == 0 {
+	k, ok := r.Store().LatestComplete()
+	if !ok {
 		t.Fatal("no completed checkpoint to recover from")
 	}
-	committed := r.Crash()
-	manifest := r.Manifest()
-	if len(manifest.Offsets) != int(k) {
-		t.Fatalf("manifest has %d offsets, latest complete checkpoint is %d", len(manifest.Offsets), k)
+	offsets, logLen := r.Store().Offsets(), r.Store().WAL().Len()
+	if len(offsets) != int(k) {
+		t.Fatalf("store has %d offsets, latest complete checkpoint is %d", len(offsets), k)
 	}
-	suffix := log.Len() - manifest.Offsets[k-1]
-	if suffix <= 0 || suffix >= log.Len() {
-		t.Fatalf("suffix replay covers %d of %d records; want a strict suffix", suffix, log.Len())
+	if suffix := logLen - offsets[k-1]; suffix <= 0 || suffix >= logLen {
+		t.Fatalf("suffix replay covers %d of %d records; want a strict suffix", suffix, logLen)
 	}
-	r2, err := RecoverFromStore(chaosConfig(plan), log, manifest, committed, store)
-	if err != nil {
-		t.Fatalf("recovery: %v", err)
+	r.Crash()
+
+	r = mustOpen(t, cfg, dir, durable.Options{})
+	if k2, _ := r.Store().LatestComplete(); k2 != k {
+		t.Fatalf("successor restored checkpoint %d, want %d", k2, k)
 	}
 	// Resume from the failed checkpoint step.
-	r = r2
-	for ; i < len(steps); i++ {
-		if err := applyChaosStep(r, steps[i]); err != nil {
-			t.Fatalf("post-recovery step %d: %v", i, err)
-		}
+	if i, err := applyUntilError(r, steps, i); err != nil {
+		t.Fatalf("post-recovery step %d: %v", i, err)
 	}
-	assertSameOutput(t, r.Finish(), want)
+	assertSameOutput(t, mustFinish(t, r), want)
 	if len(plan.Fired()) != 1 {
 		t.Fatalf("expected exactly one injection, got %v", plan.Fired())
 	}
+}
+
+// TestChaosRunsTheIndex is the differential case for the selection index:
+// seed 42's engine plan over a workload whose two streams both carry a real
+// predicate for the whole run. The plan kills an instance, the successor
+// restores every selection from its snapshot with the fault hook installed,
+// and each restored instance must hold a compiled index with dispatch nodes —
+// the code production classifies through — while the committed output stays
+// byte-identical to the clean run, which has no hook at all.
+func TestChaosRunsTheIndex(t *testing.T) {
+	selective := testQuery(core.KindJoin)
+	selective.Predicates = []expr.Predicate{
+		expr.True().And(expr.Comparison{Field: 1, Op: expr.LT, Value: 70}),
+		expr.True().And(expr.Comparison{Field: 2, Op: expr.GE, Value: 15}),
+	}
+	steps := workload(41, 5, 20, 2, testQuery(core.KindAggregation), testQuery(core.KindJoin), selective)
+	want := cleanRun(t, steps)
+
+	plan := enginePlan(42)
+	cfg, dir := testConfig(plan, 0), t.TempDir()
+	r := mustOpen(t, cfg, dir, durable.Options{})
+	i, err := applyUntilError(r, steps, 0)
+	if err == nil || steps[i].kind != stepCheckpoint {
+		t.Fatalf("seed 42's kill never failed a checkpoint (stopped at step %d: %v)", i, err)
+	}
+	r.Crash()
+
+	r = mustOpen(t, cfg, dir, durable.Options{})
+	if k, ok := r.Store().LatestComplete(); !ok {
+		t.Fatalf("successor did not restore from a snapshot (latest %d)", k)
+	}
+	// The retried checkpoint is a quiescent point: every instance has passed
+	// its barrier and nothing is in flight.
+	if err := apply(r, steps[i]); err != nil {
+		t.Fatalf("retried checkpoint: %v", err)
+	}
+	for inst, st := range r.Engine().SelectionIndexStats() {
+		if st.Nodes == 0 {
+			t.Fatalf("restored selection instance %d classifies without a compiled index under the fault hook: %+v", inst, st)
+		}
+	}
+	if i, err := applyUntilError(r, steps, i+1); err != nil {
+		t.Fatalf("post-recovery step %d: %v", i, err)
+	}
+	assertSameOutput(t, mustFinish(t, r), want)
+	t.Logf("injections: %v", plan.Fired())
 }
 
 // TestChaosQuarantine: a query whose own predicate keeps panicking gets
@@ -267,10 +398,7 @@ func TestChaosKillRecoversFromSnapshot(t *testing.T) {
 func TestChaosQuarantine(t *testing.T) {
 	// Query IDs are assigned 1, 2, ... in submit order; panic query 1.
 	plan := fault.NewPlan(fault.Op{Kind: fault.PanicPredicate, QueryID: 1})
-	r, err := NewRunner(chaosConfig(plan), &Log{}, NewTxSink())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustOpen(t, testConfig(plan, 0), t.TempDir(), durable.Options{})
 	if err := r.Submit(testQuery(core.KindAggregation)); err != nil {
 		t.Fatal(err)
 	}
@@ -290,9 +418,19 @@ func TestChaosQuarantine(t *testing.T) {
 	if _, err := r.Checkpoint(); err != nil {
 		t.Fatalf("predicate panics must not kill instances: %v", err)
 	}
-	out := r.Finish()
+	for inst, st := range r.Engine().SelectionIndexStats() {
+		if inst < 2 && st.Nodes == 0 {
+			t.Fatalf("stream-0 selection instance %d has no compiled index under the fault hook: %+v", inst, st)
+		}
+	}
+	out := mustFinish(t, r)
 	if q := r.Engine().Quarantined(); len(q) != 1 || q[0] != 1 {
 		t.Fatalf("quarantined = %v, want [1]", q)
+	}
+	// The engine quarantines on the third strike; evaluations already in
+	// flight when the deletion lands may add more.
+	if hits := len(plan.Fired()); hits < 3 {
+		t.Fatalf("query 1 was quarantined after %d strikes, want at least 3", hits)
 	}
 	sawQ2 := false
 	for _, line := range out {

@@ -6,31 +6,23 @@ import (
 	"sync"
 
 	"astream/internal/core"
+	"astream/internal/durable"
 )
 
-// TxSink is a transactional result sink: results accumulate in the epoch
-// that is open when they arrive, and an epoch's results become visible only
-// when the epoch commits (its checkpoint completed). After a crash, replay
-// regenerates the uncommitted epochs; committed epochs are kept from the
-// previous incarnation, so every result is exposed exactly once.
+// txSink is the runner's transactional result sink: results accumulate in
+// the open epoch, and an epoch's results become visible only when the epoch
+// commits — written to the store, then published by the manifest of the
+// checkpoint that closes it. After a crash, replay regenerates the uncommitted epochs;
+// a regenerated epoch that is already on disk is dropped by the store, so
+// every result is exposed exactly once.
 //
 // Results within an epoch are canonicalized (sorted) before commit: the
 // engine's cross-instance delivery order is nondeterministic even though the
 // result multiset is deterministic.
-type TxSink struct {
-	mu        sync.Mutex
-	epoch     uint64
-	pending   map[uint64][]string
-	committed map[uint64][]string
-	order     []uint64 // committed epochs in commit order
-}
-
-// NewTxSink creates a sink starting at epoch 0.
-func NewTxSink() *TxSink {
-	return &TxSink{
-		pending:   map[uint64][]string{},
-		committed: map[uint64][]string{},
-	}
+type txSink struct {
+	mu      sync.Mutex
+	store   *durable.Store
+	pending []string
 }
 
 // Canon renders a result into its canonical string form.
@@ -46,117 +38,22 @@ func Canon(r core.Result) string {
 }
 
 // OnResult implements core.Sink.
-func (s *TxSink) OnResult(r core.Result) {
+func (s *txSink) OnResult(r core.Result) {
 	c := Canon(r)
 	s.mu.Lock()
-	s.pending[s.epoch] = append(s.pending[s.epoch], c)
+	s.pending = append(s.pending, c)
 	s.mu.Unlock()
 }
 
-// BeginEpoch opens a new epoch; subsequent results accumulate there. Called
-// by the coordinator immediately after injecting barrier `id`, so results
-// produced after the barrier land in epoch id.
-func (s *TxSink) BeginEpoch(id uint64) {
-	s.mu.Lock()
-	s.epoch = id
-	s.mu.Unlock()
-}
-
-// Commit finalizes every pending epoch strictly below `upTo` plus `upTo`
-// itself (checkpoint upTo completed: all results produced before its barrier
-// are durable).
-func (s *TxSink) Commit(upTo uint64) {
+// Commit closes the open epoch as epoch number `epoch`: its canonical results
+// go to the store, and later results accumulate in the next one. The runner
+// calls it at a quiescent point — every instance has passed the barrier that
+// ends the epoch, or the engine has drained.
+func (s *txSink) Commit(epoch uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var keys []uint64
-	for e := range s.pending {
-		if e <= upTo {
-			keys = append(keys, e)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, e := range keys {
-		rs := s.pending[e]
-		sort.Strings(rs)
-		s.committed[e] = rs
-		s.order = append(s.order, e)
-		delete(s.pending, e)
-	}
-}
-
-// SeedCommitted pre-loads committed epochs from a previous incarnation
-// (recovery): replayed results for those epochs are discarded.
-func (s *TxSink) SeedCommitted(prev map[uint64][]string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var keys []uint64
-	for e, rs := range prev {
-		cp := make([]string, len(rs))
-		copy(cp, rs)
-		s.committed[e] = cp
-		keys = append(keys, e)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	s.order = append(s.order, keys...)
-}
-
-// CommitReplayed finalizes a replayed epoch: if the epoch was already
-// committed before the crash, the replayed copy is discarded (dedup);
-// otherwise it commits normally.
-func (s *TxSink) CommitReplayed(upTo uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var keys []uint64
-	for e := range s.pending {
-		if e <= upTo {
-			keys = append(keys, e)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, e := range keys {
-		rs := s.pending[e]
-		delete(s.pending, e)
-		if _, done := s.committed[e]; done {
-			continue // exactly-once: drop the duplicate epoch
-		}
-		sort.Strings(rs)
-		s.committed[e] = rs
-		s.order = append(s.order, e)
-	}
-}
-
-// Committed returns all committed results in epoch order.
-func (s *TxSink) Committed() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for _, e := range s.order {
-		out = append(out, s.committed[e]...)
-	}
-	return out
-}
-
-// CommittedEpochs returns a copy of the committed epoch map.
-func (s *TxSink) CommittedEpochs() map[uint64][]string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[uint64][]string, len(s.committed))
-	for e, rs := range s.committed {
-		cp := make([]string, len(rs))
-		copy(cp, rs)
-		out[e] = cp
-	}
-	return out
-}
-
-// PendingCount reports buffered, uncommitted results (lost on crash, by
-// design — replay regenerates them).
-func (s *TxSink) PendingCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, rs := range s.pending {
-		n += len(rs)
-	}
-	return n
+	sort.Strings(s.pending)
+	err := s.store.CommitOutput(epoch, s.pending)
+	s.pending = s.pending[:0]
+	return err
 }

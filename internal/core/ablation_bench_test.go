@@ -168,15 +168,22 @@ func BenchmarkAblationSelectionIndex(b *testing.B) {
 			for _, mode := range []string{"index", "scan"} {
 				b.Run(fmt.Sprintf("%s/%dq/%s", wl.name, n, mode), func(b *testing.B) {
 					sel := NewSharedSelection(0, 0, NewOpMetrics(nil))
-					if mode == "scan" {
-						sel.faultHook = nopHook{}
-					}
 					sel.installTable(wl.mk(n))
 					em := &spe.Emitter{}
+					classify := func(t event.Tuple) { sel.OnTuple(0, t, em) }
+					if mode == "scan" {
+						classify = func(t event.Tuple) {
+							scanTuple(sel, t)
+							if !sel.qsTmp.IsEmpty() {
+								t.QuerySet = sel.qsTmp.Clone()
+								em.EmitTuple(t)
+							}
+						}
+					}
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						sel.OnTuple(0, benchTuple(i, bitset.Bits{}, 50), em)
+						classify(benchTuple(i, bitset.Bits{}, 50))
 					}
 				})
 			}

@@ -182,13 +182,11 @@ type SharedAggregation struct {
 	//lint:ephemeral per-tuple scratch
 	qsTmp bitset.Bits //lint:pooled scratch per-tuple query-set intersection scratch
 	//lint:ephemeral per-trigger scratch
-	capMask bitset.Bits //lint:pooled scratch per-cap-group slot mask scratch
+	caps []fireCap //lint:pooled scratch per-cap-group slot mask, per-slice relation and slot table, parallel to the trigger's cap groups
 	//lint:ephemeral per-trigger scratch
-	relTmp bitset.Bits //lint:pooled scratch per-slice masked epoch relation scratch
+	effTmp bitset.Bits //lint:pooled scratch per-(slice, group, cap group) effective-membership scratch
 	//lint:ephemeral per-trigger scratch
-	effTmp bitset.Bits //lint:pooled scratch per-(slice, group) effective-membership scratch
-	//lint:ephemeral per-trigger scratch
-	slotQ []int32 //lint:pooled scratch slot → trigger query index of the cap group being fired
+	met []metPair //lint:pooled scratch (slice, group) pairs pass one found effective for some cap group
 	//lint:ephemeral per-trigger scratch
 	blkOf []int32 //lint:pooled scratch trigger query index → equivalence block
 	//lint:ephemeral per-trigger scratch
@@ -217,6 +215,21 @@ type fireBlock struct {
 	round uint64 // last round (refine or merge) that touched the block
 	byKey map[int64]*aggVal
 	keys  []int64
+}
+
+// fireCap is one cap group's side of a fire. Slots are unique within a cap
+// group (a slot's previous tenant was deleted under an older cap), so slotQ
+// resolves every bit of an effective membership, which is masked to mask.
+type fireCap struct {
+	mask  bitset.Bits // slots of the cap group's queries; empty when the cap is compacted away
+	rel   bitset.Bits // Rel(epoch of the slice being walked, cap) ∧ mask
+	slotQ []int32     // slot → trigger query index
+}
+
+// metPair names one (slice, group) pair of a fire: the slice by its offset
+// in the extent's slice run, the group by its position in the slice's order.
+type metPair struct {
+	slice, group int32
 }
 
 // maskVersion is the slot-mask table in effect from a given event-time.
@@ -505,12 +518,14 @@ func (a *SharedAggregation) emitAccum(aq *liveQuery, ext window.Extent, keys []i
 
 // fireWindow combines slice partials for one window extent and emits one row
 // per (query, key) in (slot, ID, key) order; queries arrive in (slot, ID)
-// order. Per cap group it runs two passes over the extent's (slice, group)
-// pairs (DESIGN.md §15): the first partitions the group's queries into
+// order. It runs two passes over the extent's (slice, group) pairs, every cap
+// group taking its round at each pair (DESIGN.md §15): the first reads the
+// slices' sealed query-sets and partitions each cap group's queries into
 // equivalence blocks by exact refinement over the effective memberships, the
-// second merges every pair once into each block it covers. Work and
-// accumulator memory scale with blocks, not queries; a lone query is a lone
-// block and the fire is the plain per-slice scan.
+// second returns to the pairs that were effective and merges each once into
+// every block it covers. Work and accumulator memory scale with blocks, not
+// queries; a lone query is a lone block and the fire is the plain per-slice
+// scan.
 func (a *SharedAggregation) fireWindow(ext window.Extent, queries []*liveQuery) {
 	ring := a.win.sides[0]
 	lo, hi := ring.overlappingRange(ext)
@@ -526,54 +541,61 @@ func (a *SharedAggregation) fireWindow(ext window.Extent, queries []*liveQuery) 
 	}
 
 	tick := a.metrics.start()
-	for _, cg := range groups {
+	for len(a.caps) < len(groups) {
+		//lint:ignore hotalloc amortized: cap scratch grows to the widest trigger's cap-group count once
+		a.caps = append(a.caps, fireCap{})
+	}
+	for ci, cg := range groups {
+		fc := &a.caps[ci]
+		fc.mask.Reset()
 		if cg.cap < a.win.table.Base() {
 			// Every slice as old as this cap is gone: nothing left to emit.
 			continue
 		}
-		// All of the cap group's queries start in one block. Slots are
-		// unique within a cap group (a slot's previous tenant was deleted
-		// under an older cap), so slotQ resolves every bit of an effective
-		// membership, which is masked to these slots.
+		// All of the cap group's queries start in one block.
 		blk := a.newBlock(int32(len(cg.idxs)))
-		a.capMask.Reset()
 		for _, qi := range cg.idxs {
 			slot := queries[qi].slot
-			a.capMask.Set(slot)
-			for len(a.slotQ) <= slot {
+			fc.mask.Set(slot)
+			for len(fc.slotQ) <= slot {
 				//lint:ignore hotalloc amortized: slot table grows to the widest slot once
-				a.slotQ = append(a.slotQ, 0)
+				fc.slotQ = append(fc.slotQ, 0)
 			}
-			a.slotQ[slot] = int32(qi)
+			fc.slotQ[slot] = int32(qi)
 			a.blkOf[qi] = blk
 		}
-		for _, merge := range [2]bool{false, true} {
-			for _, sl := range ring.slices[lo:hi] {
-				if sl.aggs == nil {
-					continue
-				}
-				rel, err := a.win.table.Rel(sl.epoch, cg.cap)
-				if err != nil {
-					panic(fmt.Sprintf("core: agg rel: %v", err))
-				}
-				rel.AndInto(a.capMask, &a.relTmp)
-				if a.relTmp.IsEmpty() {
-					continue
-				}
-				for _, g := range sl.aggs.order {
-					g.qs.AndInto(a.relTmp, &a.effTmp)
-					if a.effTmp.IsEmpty() {
-						continue
-					}
-					a.round++
-					if merge {
-						a.mergeGroup(g)
-					} else {
-						a.refineBlocks()
-					}
-				}
+	}
+	// Pass one walks the run's query-sets, one array per slice, refining
+	// every cap group's blocks by each set, and remembers the pairs that were
+	// effective for any cap group; pass two touches exactly those groups.
+	a.met = a.met[:0]
+	for si, sl := range ring.slices[lo:hi] {
+		if sl.aggs == nil || !a.relate(sl, groups) {
+			continue
+		}
+		x := sl.aggs
+		if x.flat == nil {
+			sealSets(x)
+		}
+		from := int32(0)
+		for gi, to := range x.ends {
+			qs := bitset.View(x.flat[from:to])
+			from = to
+			if a.visit(qs, nil, len(groups)) {
+				//lint:ignore hotalloc amortized: met-pair scratch grows to the widest trigger's pair count once
+				a.met = append(a.met, metPair{slice: int32(si), group: int32(gi)})
 			}
 		}
+	}
+	at := int32(-1)
+	for _, p := range a.met {
+		sl := ring.slices[lo+int(p.slice)]
+		if p.slice != at {
+			at = p.slice
+			a.relate(sl, groups)
+		}
+		g := sl.aggs.order[p.group]
+		a.visit(g.qs, g, len(groups))
 	}
 	a.metrics.BitsetOps.observe(tick, a.metrics)
 
@@ -592,6 +614,75 @@ func (a *SharedAggregation) fireWindow(ext window.Extent, queries []*liveQuery) 
 		}
 		clear(blk.byKey)
 		blk.keys = blk.keys[:0]
+	}
+}
+
+// relate loads every cap group's rel for sl — the group's slots live from
+// sl's epoch through its cap — and reports whether any group has one.
+func (a *SharedAggregation) relate(sl *slice, groups []capGroup) (any bool) {
+	for ci, cg := range groups {
+		fc := &a.caps[ci]
+		if fc.mask.IsEmpty() {
+			fc.rel.Reset()
+			continue
+		}
+		rel, err := a.win.table.Rel(sl.epoch, cg.cap)
+		if err != nil {
+			panic(fmt.Sprintf("core: agg rel: %v", err))
+		}
+		rel.AndInto(fc.mask, &fc.rel)
+		any = any || !fc.rel.IsEmpty()
+	}
+	return any
+}
+
+// visit runs one round for every one of the first n cap groups the query-set
+// qs is effective for under the rels relate loaded, and reports whether there
+// was one: a refinement round while g is nil, a merge of g — whose set qs is
+// — once the blocks are final.
+func (a *SharedAggregation) visit(qs bitset.Bits, g *aggGroup, n int) (hit bool) {
+	for ci := range a.caps[:n] {
+		fc := &a.caps[ci]
+		qs.AndInto(fc.rel, &a.effTmp)
+		if a.effTmp.IsEmpty() {
+			continue
+		}
+		hit = true
+		a.round++
+		if g != nil {
+			a.mergeGroup(g, fc.slotQ)
+		} else {
+			a.refineBlocks(fc.slotQ)
+		}
+	}
+	return hit
+}
+
+// sealSets lays the query-sets of x's groups out back to back in x.flat and
+// re-points every spilled set at its words there, so the copy costs no
+// memory. It runs once per slice, at the first fire after the watermark
+// closed it: from then on no tuple adds a group (a late one that does makes
+// put drop the layout, and the next fire seals again).
+func sealSets(x *qsIndex[aggGroup]) {
+	n := 0
+	for _, g := range x.order {
+		n += g.qs.WordCount()
+	}
+	//lint:ignore hotalloc cold: once per slice, not per fire
+	x.flat = make([]uint64, n)
+	//lint:ignore hotalloc cold: once per slice, not per fire
+	x.ends = make([]int32, len(x.order))
+	to := 0
+	for i, g := range x.order {
+		from := to
+		for wi, nw := 0, g.qs.WordCount(); wi < nw; wi++ {
+			x.flat[to] = g.qs.Word(wi)
+			to++
+		}
+		x.ends[i] = int32(to)
+		if to-from > 1 {
+			g.qs = bitset.View(x.flat[from:to:to])
+		}
 	}
 }
 
@@ -619,11 +710,11 @@ func (a *SharedAggregation) newBlock(size int32) int32 {
 // block's inside members, then move them where the count fell short of the
 // block's size. Queries end up in one block exactly when no membership of
 // the run tells them apart.
-func (a *SharedAggregation) refineBlocks() {
+func (a *SharedAggregation) refineBlocks(slotQ []int32) {
 	a.cutTmp = a.cutTmp[:0]
 	for wi, nw := 0, a.effTmp.WordCount(); wi < nw; wi++ {
 		for w := a.effTmp.Word(wi); w != 0; w &= w - 1 {
-			b := a.blkOf[a.slotQ[wi*64+bits.TrailingZeros64(w)]]
+			b := a.blkOf[slotQ[wi*64+bits.TrailingZeros64(w)]]
 			blk := &a.blocks[b]
 			if blk.round != a.round {
 				blk.round, blk.hits = a.round, 0
@@ -649,7 +740,7 @@ func (a *SharedAggregation) refineBlocks() {
 	}
 	for wi, nw := 0, a.effTmp.WordCount(); wi < nw; wi++ {
 		for w := a.effTmp.Word(wi); w != 0; w &= w - 1 {
-			qi := a.slotQ[wi*64+bits.TrailingZeros64(w)]
+			qi := slotQ[wi*64+bits.TrailingZeros64(w)]
 			if nb := a.blocks[a.blkOf[qi]].split; nb >= 0 {
 				a.blkOf[qi] = nb
 			}
@@ -661,10 +752,10 @@ func (a *SharedAggregation) refineBlocks() {
 // effTmp. After refinement a block lies wholly inside or wholly outside any
 // membership of the run, so meeting one member decides for the block; the
 // round stamp keeps the block's other members from merging again.
-func (a *SharedAggregation) mergeGroup(g *aggGroup) {
+func (a *SharedAggregation) mergeGroup(g *aggGroup, slotQ []int32) {
 	for wi, nw := 0, a.effTmp.WordCount(); wi < nw; wi++ {
 		for w := a.effTmp.Word(wi); w != 0; w &= w - 1 {
-			blk := &a.blocks[a.blkOf[a.slotQ[wi*64+bits.TrailingZeros64(w)]]]
+			blk := &a.blocks[a.blkOf[slotQ[wi*64+bits.TrailingZeros64(w)]]]
 			if blk.round == a.round {
 				continue
 			}

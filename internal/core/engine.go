@@ -54,16 +54,10 @@ type Config struct {
 	// FaultHook, when set, threads deterministic fault injection through the
 	// deployment (tests only; see internal/fault).
 	FaultHook spe.FaultHook
-	// StateDir, when non-empty, selects the durable on-disk state backend
-	// rooted at this directory (internal/durable): the input log becomes a
-	// write-ahead log and checkpoints survive process restarts. Empty keeps
-	// the in-memory store. The engine itself never reads this field — it is
-	// plumbing for checkpoint runner constructors (see durable.Open).
-	StateDir string
 	// SnapshotDeltaEvery, when > 1, enables incremental snapshots: operators
 	// that support deltas emit a full snapshot every Nth barrier and deltas
-	// covering only dirtied state in between. Requires a snapshot store that
-	// can resolve base+delta chains; runners force it to 0 otherwise.
+	// covering only dirtied state in between. The SnapshotSink must resolve
+	// base+delta chains at restore, as internal/durable's store does.
 	SnapshotDeltaEvery int
 }
 

@@ -423,3 +423,80 @@ func TestFireBlocksAreExact(t *testing.T) {
 		}
 	}
 }
+
+// TestFireSealsSliceSets: the first fire over a slice lays its groups'
+// query-sets out back to back and re-points the wide ones at that layout (no
+// second copy); a late tuple that adds a group to such a slice drops the
+// layout, and the next fire — on the engine and on an instance restored from
+// its snapshot — builds it again and still matches the reference.
+func TestFireSealsSliceSets(t *testing.T) {
+	const n = 70
+	p := newFirePair(50, n)
+	qs := make([]*Query, n)
+	for i := range qs {
+		qs[i] = aggQ(window.SlidingSpec(400, 200), sqlstream.AggSum, 0, expr.True())
+	}
+	p.deploy(t, newCLBuilder(), 0, qs...)
+	feed := func(from, to event.Time) {
+		for at := from; at < to; at += 2 {
+			i := int(at)
+			tu := event.Tuple{Key: int64(i % 3), Time: at, IngestNanos: int64(i + 1)}
+			tu.QuerySet = bitset.FromIndexes(i%n, (i*7)%n)
+			tu.Fields[0] = int64(i)
+			p.tuple(tu)
+		}
+	}
+	feed(0, 400)
+	if p.watermark(t, "wm=400", 400) == 0 {
+		t.Fatal("no rows fired")
+	}
+
+	var sealed *slice
+	for _, sl := range p.eng.win.sides[0].slices {
+		if sl.ext.End == 400 {
+			sealed = sl
+		}
+	}
+	if sealed == nil || sealed.aggs.flat == nil {
+		t.Fatal("the fired slice [200,400) is gone or was not sealed")
+	}
+	x := sealed.aggs
+	from, wide := int32(0), 0
+	for i, to := range x.ends {
+		g := x.order[i]
+		if !bitset.View(x.flat[from:to]).Equal(g.qs) {
+			t.Fatalf("group %d: layout holds %v, group %v", i, x.flat[from:to], g.qs.Words())
+		}
+		if to-from > 1 {
+			wide++
+			// Setting a bit in the layout shows through the group's set:
+			// they are the same words.
+			x.flat[from] ^= 1 << 63
+			if g.qs.Word(0) != x.flat[from] {
+				t.Fatalf("group %d keeps a copy of its set beside the layout", i)
+			}
+			x.flat[from] ^= 1 << 63
+		}
+		from = to
+	}
+	if wide == 0 {
+		t.Fatal("no query-set wider than one word; the test proved nothing")
+	}
+
+	// Late, but inside the slice [200,400) that [200,600) still needs: a
+	// query-set no group there has yet.
+	late := event.Tuple{Key: 9, Time: 390, IngestNanos: 1000, QuerySet: bitset.FromIndexes(1, 2, 69)}
+	late.Fields[0] = 7
+	p.tuple(late)
+	if x.flat != nil {
+		t.Fatal("a group added after sealing left the stale layout in place")
+	}
+	p.restore(t, 50, n)
+	feed(400, 600)
+	if p.watermark(t, "wm=600", 600) == 0 {
+		t.Fatal("no rows fired")
+	}
+	if x.flat == nil || len(x.ends) != len(x.order) {
+		t.Fatalf("slice not sealed again: %d ends for %d groups", len(x.ends), len(x.order))
+	}
+}

@@ -232,3 +232,17 @@ func (e *Engine) RestoreOperators(fetch func(op string, instance int) ([][]byte,
 	}
 	return nil
 }
+
+// SelectionIndexStats reports the compiled-index composition of every shared
+// selection instance, stream by stream. Call at a quiescent point (tests:
+// the chaos harness checks that recovery under fault injection classifies
+// through the index).
+func (e *Engine) SelectionIndexStats() []SelIndexStats {
+	var out []SelIndexStats
+	for _, insts := range e.selLogics {
+		for _, l := range insts {
+			out = append(out, l.IndexStats())
+		}
+	}
+	return out
+}

@@ -70,10 +70,7 @@ type SharedSelection struct {
 	stream   int // which engine stream this instance filters
 	versions []selVersion
 	// indexes[i] is the compiled predicate index for versions[i] (DESIGN.md
-	// §14); the two slices always have equal length. A nil element means
-	// that version classifies through the naive per-entry scan — the only
-	// mode when fault injection is active, where the per-entry hook call is
-	// the contract.
+	// §14); the two slices always have equal length and no element is nil.
 	//lint:ephemeral derived compiled predicate index, recompiled from the versioned entry table by rebuildIndexes on Restore
 	indexes []*selIndex
 	// entryPool recycles entry-table backing arrays from watermark-pruned
@@ -100,8 +97,9 @@ type SharedSelection struct {
 	// letting one bad ad-hoc predicate take down the shared pipeline.
 	//lint:ephemeral supervision hook wired by the engine, not stream state
 	onPredPanic func(queryID int, v any)
-	// faultHook, when set, runs before each predicate evaluation (seeded
-	// fault injection).
+	// faultHook, when set, is called once per (tuple, active entry) (seeded
+	// fault injection); an entry whose call panics matches nothing on that
+	// tuple.
 	//lint:ephemeral test-only fault injection hook
 	faultHook predicateHook
 }
@@ -112,9 +110,8 @@ func NewSharedSelection(stream int, lateness event.Time, m *OpMetrics) *SharedSe
 		stream:   stream,
 		versions: []selVersion{{from: event.MinTime}},
 		// The empty initial table gets a (trivial) compiled index so the
-		// versions/indexes alignment invariant holds from birth; the fault
-		// hook, installed later, only affects tables built after it.
-		indexes: []*selIndex{buildSelIndex(nil)},
+		// versions/indexes alignment invariant holds from birth.
+		indexes:  []*selIndex{buildSelIndex(nil)},
 		metrics:  m,
 		lateness: lateness,
 		wm:       event.MinTime,
@@ -133,10 +130,11 @@ func (s *SharedSelection) versionAt(t event.Time) int {
 	return i
 }
 
-// OnTuple computes the tuple's query-set — through the version's compiled
-// predicate index when present, else the naive per-entry scan — and emits
-// the tuple with the set appended; tuples interesting to no query are
-// dropped at the earliest possible point.
+// OnTuple computes the tuple's query-set through the version's compiled
+// predicate index and emits the tuple with the set appended; tuples
+// interesting to no query are dropped at the earliest possible point. Fault
+// injection does not select the code that classifies: an installed hook is
+// consulted entry by entry afterwards, and an entry it strikes loses its bit.
 //
 //lint:hotpath
 func (s *SharedSelection) OnTuple(_ int, t event.Tuple, out *spe.Emitter) {
@@ -144,10 +142,13 @@ func (s *SharedSelection) OnTuple(_ int, t event.Tuple, out *spe.Emitter) {
 	vi := s.versionAt(t.Time)
 	v := &s.versions[vi]
 	s.qsTmp.Reset()
-	if ix := s.indexes[vi]; ix != nil {
-		ix.classify(s, v, &t, &s.qsTmp)
-	} else {
-		s.scanEntries(v, &t, &s.qsTmp)
+	s.indexes[vi].classify(s, v, &t, &s.qsTmp)
+	if s.faultHook != nil {
+		for i := range v.entries {
+			if e := &v.entries[i]; !s.hookEntry(e) {
+				s.qsTmp.Clear(e.slot)
+			}
+		}
 	}
 	s.metrics.QuerySetGen.observe(tick, s.metrics)
 	if s.qsTmp.IsEmpty() {
@@ -160,40 +161,32 @@ func (s *SharedSelection) OnTuple(_ int, t event.Tuple, out *spe.Emitter) {
 	out.EmitTuple(t)
 }
 
-// scanEntries is the naive per-entry classification: every active predicate
-// evaluated behind its own isolation boundary. Retained as the reference
-// implementation (the property tests assert the index agrees bit for bit)
-// and as the active path under fault injection, where the per-entry
-// BeforePredicate call is the contract.
-//
-//lint:hotpath
-func (s *SharedSelection) scanEntries(v *selVersion, t *event.Tuple, qs *bitset.Bits) {
-	for i := range v.entries {
-		e := &v.entries[i]
-		if s.evalEntry(e, t) {
-			qs.Set(e.slot)
-		}
-	}
+// evalEntry evaluates one predicate, converting a panic (a buggy ad-hoc
+// predicate) into a non-match reported to the engine. Functional isolation:
+// a panicking predicate affects only its own query's results, never the
+// co-hosted queries sharing this instance.
+func (s *SharedSelection) evalEntry(e *selEntry, t *event.Tuple) (matched bool) {
+	defer s.isolate(e, &matched)
+	return e.pred.Eval(t)
 }
 
-// evalEntry evaluates one predicate, converting a panic (a buggy ad-hoc
-// predicate or an injected fault) into a non-match reported to the engine.
-// Functional isolation: a panicking predicate affects only its own query's
-// results, never the co-hosted queries sharing this instance.
-func (s *SharedSelection) evalEntry(e *selEntry, t *event.Tuple) (matched bool) {
-	//lint:ignore hotalloc deliberate: the recover closure is the isolation boundary that keeps a panicking ad-hoc predicate from poisoning co-hosted queries; one closure per evaluation is the price of that containment
-	defer func() {
-		if pv := recover(); pv != nil {
-			matched = false
-			if s.onPredPanic != nil {
-				s.onPredPanic(e.id, pv)
-			}
+// hookEntry runs the injected fault hook for one entry behind the same
+// isolation boundary and reports whether the entry survived it.
+func (s *SharedSelection) hookEntry(e *selEntry) (ok bool) {
+	defer s.isolate(e, &ok)
+	s.faultHook.BeforePredicate(s.stream, e.id)
+	return true
+}
+
+// isolate is the deferred half of the boundary: a panic becomes a false
+// result and a strike against the entry's query.
+func (s *SharedSelection) isolate(e *selEntry, ok *bool) {
+	if pv := recover(); pv != nil {
+		*ok = false
+		if s.onPredPanic != nil {
+			s.onPredPanic(e.id, pv)
 		}
-	}()
-	if s.faultHook != nil {
-		s.faultHook.BeforePredicate(s.stream, e.id)
 	}
-	return e.pred.Eval(t)
 }
 
 // smallDeleteScan bounds the deletion-set size handled by a linear probe of
@@ -274,13 +267,8 @@ func (s *SharedSelection) takeEntries(capNeed int) []selEntry {
 	return make([]selEntry, 0, capNeed)
 }
 
-// buildIndex compiles entries into a predicate index, or nil when fault
-// injection is active: the injected hook must run before every per-entry
-// predicate evaluation, so the naive scan is the contract there.
+// buildIndex compiles entries into a predicate index.
 func (s *SharedSelection) buildIndex(entries []selEntry) *selIndex {
-	if s.faultHook != nil {
-		return nil
-	}
 	if s.metrics != nil {
 		atomic.AddUint64(&s.metrics.IndexBuilds, 1)
 	}
@@ -304,13 +292,10 @@ func (s *SharedSelection) installTable(entries []selEntry) {
 }
 
 // IndexStats reports the compiled-index composition of the newest table
-// version (zero when that version runs the scan path). Tests, benchmarks,
-// and QoS reporting; call at a quiescent point like ActiveEntries.
+// version. Tests, benchmarks, and QoS reporting; call at a quiescent point
+// like ActiveEntries.
 func (s *SharedSelection) IndexStats() SelIndexStats {
-	if ix := s.indexes[len(s.indexes)-1]; ix != nil {
-		return ix.stats
-	}
-	return SelIndexStats{}
+	return s.indexes[len(s.indexes)-1].stats
 }
 
 // OnWatermark prunes table versions that no in-flight tuple can reference,

@@ -252,7 +252,8 @@ func (s *ivSorter) Swap(i, j int) {
 }
 
 // classify computes the tuple's query-set into qs: the indexed equivalent
-// of scanEntries, bit-identical by construction (and property-tested).
+// of evaluating every entry in turn, bit-identical by construction (and
+// property-tested against exactly that scan).
 // Allocation-free in steady state.
 //
 //lint:hotpath

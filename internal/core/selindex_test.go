@@ -16,11 +16,37 @@ import (
 // classification produces the exact query-set and the exact quarantine
 // attributions of the naive per-entry scan it replaced.
 
-// nopHook forces an instance onto the naive scan path (a non-nil fault hook
-// disables index builds) without changing evaluation semantics.
-type nopHook struct{}
+// scanEntries is the naive per-entry classification the index replaced:
+// every active predicate evaluated behind its own isolation boundary. It is
+// the reference the index is held to, bit for bit.
+func scanEntries(s *SharedSelection, v *selVersion, t *event.Tuple, qs *bitset.Bits) {
+	for i := range v.entries {
+		e := &v.entries[i]
+		if s.evalEntry(e, t) {
+			qs.Set(e.slot)
+		}
+	}
+}
 
-func (nopHook) BeforePredicate(int, int) {}
+// scanTuple classifies t into s.qsTmp the way OnTuple does, through the
+// reference scan instead of the version's index.
+func scanTuple(s *SharedSelection, t event.Tuple) {
+	s.qsTmp.Reset()
+	scanEntries(s, &s.versions[s.versionAt(t.Time)], &t, &s.qsTmp)
+}
+
+// strikeHook is a fault hook that panics for one query and counts its calls.
+type strikeHook struct {
+	query int
+	calls map[int]int
+}
+
+func (h *strikeHook) BeforePredicate(_, queryID int) {
+	h.calls[queryID]++
+	if queryID == h.query {
+		panic("injected")
+	}
+}
 
 // randIndexPred draws predicates the way adversarial ad-hoc workloads look:
 // duplicated templates, contained intervals, contradictions, multi-field
@@ -110,8 +136,8 @@ func randIndexTuple(r *rand.Rand, tmax int) event.Tuple {
 	return t
 }
 
-// TestIndexedClassificationAgreesWithScan co-drives an indexed instance and
-// a scan-forced instance through identical changelog/tuple/watermark
+// TestIndexedClassificationAgreesWithScan co-drives an instance classifying
+// through its index and a twin classifying through the reference scan through identical changelog/tuple/watermark
 // sequences and requires bit-identical query-sets plus identical panic
 // attribution on every tuple, including out-of-order tuples that classify
 // against older table versions. Seed 0 swaps the indexed instance for one
@@ -125,7 +151,6 @@ func TestIndexedClassificationAgreesWithScan(t *testing.T) {
 
 			idx := NewSharedSelection(0, 50, NewOpMetrics(nil))
 			scan := NewSharedSelection(0, 50, NewOpMetrics(nil))
-			scan.faultHook = nopHook{}
 			var idxPanics, scanPanics []int
 			onIdxPanic := func(id int, _ any) { idxPanics = append(idxPanics, id) }
 			idx.onPredPanic = onIdxPanic
@@ -192,7 +217,7 @@ func TestIndexedClassificationAgreesWithScan(t *testing.T) {
 					tu := randIndexTuple(r, (step+1)*100+50)
 					idxPanics, scanPanics = idxPanics[:0], scanPanics[:0]
 					idx.OnTuple(0, tu, em)
-					scan.OnTuple(0, tu, em)
+					scanTuple(scan, tu)
 					if !idx.qsTmp.Equal(scan.qsTmp) {
 						t.Fatalf("step %d tuple %+v: indexed set %v != scan set %v",
 							step, tu, idx.qsTmp.Words(), scan.qsTmp.Words())
@@ -224,6 +249,77 @@ func TestIndexedClassificationAgreesWithScan(t *testing.T) {
 					sharedBucket, verifiedRange)
 			}
 		})
+	}
+}
+
+// TestFaultHookDoesNotSelectTheArm: with a fault hook installed the instance
+// still compiles and classifies through its index — before and after a
+// Snapshot → Restore — the hook is called exactly once per (tuple, active
+// entry), the struck query matches nothing and takes one strike per tuple,
+// and every other bit equals the reference scan's.
+func TestFaultHookDoesNotSelectTheArm(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	hook := &strikeHook{query: 3, calls: map[int]int{}}
+	strikes := 0
+	newSel := func() *SharedSelection {
+		s := NewSharedSelection(0, 50, NewOpMetrics(nil))
+		s.faultHook = hook
+		s.onPredPanic = func(id int, _ any) {
+			if id != hook.query {
+				t.Fatalf("strike against query %d, want only %d", id, hook.query)
+			}
+			strikes++
+		}
+		return s
+	}
+	sel := newSel()
+	ref := NewSharedSelection(0, 50, NewOpMetrics(nil))
+	b := newCLBuilder()
+	qs := make([]*Query, 12)
+	for i := range qs {
+		qs[i] = &Query{Kind: KindSelection, Arity: 1, Predicates: []expr.Predicate{randConjunction(r)}}
+	}
+	msg := b.create(t, 0, qs...)
+	sel.OnChangelog(msg, 0, nil)
+	ref.OnChangelog(msg, 0, nil)
+	var struckSlot int
+	for _, c := range msg.CL.Created {
+		if c.Query == hook.query {
+			struckSlot = c.Slot
+		}
+	}
+
+	em := &spe.Emitter{}
+	const tuples = 200
+	for i := 0; i < tuples; i++ {
+		if i == tuples/2 {
+			restored := newSel()
+			if err := restored.Restore(sel.OnBarrier(1, nil)); err != nil {
+				t.Fatal(err)
+			}
+			sel = restored
+		}
+		if st := sel.IndexStats(); st.Nodes == 0 || st.Entries != len(qs) {
+			t.Fatalf("tuple %d: index stats %+v under a fault hook, want a compiled index over %d entries", i, st, len(qs))
+		}
+		tu := randIndexTuple(r, 50)
+		sel.OnTuple(0, tu, em)
+		scanTuple(ref, tu)
+		if sel.qsTmp.Test(struckSlot) {
+			t.Fatalf("tuple %d: struck query kept its bit", i)
+		}
+		ref.qsTmp.Clear(struckSlot)
+		if !sel.qsTmp.Equal(ref.qsTmp) {
+			t.Fatalf("tuple %d: hooked set %v != reference %v", i, sel.qsTmp.Words(), ref.qsTmp.Words())
+		}
+	}
+	if strikes != tuples {
+		t.Fatalf("%d strikes over %d tuples, want one per tuple", strikes, tuples)
+	}
+	for _, q := range qs {
+		if hook.calls[q.ID] != tuples {
+			t.Fatalf("hook called %d times for query %d, want once per tuple (%d)", hook.calls[q.ID], q.ID, tuples)
+		}
 	}
 }
 
@@ -293,13 +389,12 @@ func TestOverlapIndexComposition(t *testing.T) {
 
 	// And the workload classifies identically to the scan.
 	scan := NewSharedSelection(0, 0, NewOpMetrics(nil))
-	scan.faultHook = nopHook{}
 	scan.installTable(overlapEntries(512))
 	em := &spe.Emitter{}
 	for i := 0; i < 4096; i++ {
 		tu := benchTuple(i, bitset.Bits{}, 50)
 		sel.OnTuple(0, tu, em)
-		scan.OnTuple(0, tu, em)
+		scanTuple(scan, tu)
 		if !sel.qsTmp.Equal(scan.qsTmp) {
 			t.Fatalf("tuple %d: indexed %v scan %v", i, sel.qsTmp.Words(), scan.qsTmp.Words())
 		}
@@ -352,7 +447,7 @@ func TestConjunctionDispatchWork(t *testing.T) {
 		got.Reset()
 		want.Reset()
 		ix.classify(sel, v, &tu, &got)
-		sel.scanEntries(v, &tu, &want)
+		scanEntries(sel, v, &tu, &want)
 		if !got.Equal(want) {
 			t.Fatalf("tuple %+v: indexed %v scan %v", tu, got.Words(), want.Words())
 		}

@@ -54,7 +54,14 @@ type qsIndex[G any] struct {
 	byStr  map[string]*G
 	order  []*G
 	keys   []bitset.Key // parallel to order, ascending by Key.Less
-	keyBuf []byte       //lint:pooled scratch reused key-encoding scratch buffer
+	// flat and ends, when non-nil, hold the groups' query-sets back to back:
+	// the significant words of order[i]'s set are flat[ends[i-1]:ends[i]]. A
+	// walk over every set then reads one array instead of chasing a pointer
+	// per group. The owner lays them out once the index has stopped growing
+	// (sealSets); put drops them.
+	flat   []uint64
+	ends   []int32
+	keyBuf []byte //lint:pooled scratch reused key-encoding scratch buffer
 }
 
 func newQSIndex[G any]() *qsIndex[G] {
@@ -77,6 +84,7 @@ func (x *qsIndex[G]) get(qs bitset.Bits) *G {
 // Called once per distinct query-set (cold path); allocates the string key
 // for wide sets here and only here.
 func (x *qsIndex[G]) put(qs bitset.Bits, g *G) {
+	x.flat = nil
 	k := qs.Key()
 	if k.S == "" {
 		x.byWord[k.W] = g

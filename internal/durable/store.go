@@ -1,3 +1,24 @@
+// Package durable is the crash-safe on-disk storage layer under the
+// checkpoint runner: a segmented CRC32C write-ahead log for the input stream,
+// snapshot deposits and committed result epochs written by atomic rename, and
+// a manifest that is the single commit record for both. A process that
+// crashes mid-append or mid-rename reopens to its latest completed
+// checkpoint, replays the log suffix, and produces byte-identical output —
+// the paper's recovery guarantee (§3.3) as a property of the state directory.
+//
+// Layout under the state directory:
+//
+//	wal/wal-<hex first record index>.seg   framed input records
+//	snap/snap-<hex barrier>-<op>-<inst>    one snapshot deposit per instance
+//	out/out-<hex epoch>                    one committed result epoch
+//	manifest                               JSON commit record, atomic rename
+//
+// Torn-write tolerance: snapshot deposits and result epochs are fsynced, but
+// either exists only once the manifest referencing it is renamed into place.
+// A torn WAL tail is truncated at the first bad frame; corruption in a sealed
+// (previously fsynced) region fails open loudly. A file whose size or CRC
+// disagrees with the manifest is rejected: for a deposit, recovery falls back
+// to the previous retained checkpoint.
 package durable
 
 import (
@@ -8,41 +29,51 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 
-	"astream/internal/checkpoint"
 	"astream/internal/spe"
+	"astream/internal/wire"
 )
 
 const (
 	snapDirName  = "snap"
+	outDirName   = "out"
 	walDirName   = "wal"
 	manifestName = "manifest"
 	tmpSuffix    = ".tmp"
+	snapPrefix   = "snap-"
 )
 
-// manifestData is the store's single source of truth on disk, rewritten
-// atomically (tmp + fsync + rename) only when a checkpoint completes. A
-// snapshot deposit therefore becomes real exactly when a manifest referencing
-// it is published; files a crashed incarnation wrote for a checkpoint that
-// never completed are unreferenced and swept as orphans on recovery.
 // manifestVersion names the layout of everything the manifest references —
-// snapshot deposits, control blobs and WAL records, all internal/wire
-// compositions — so a state directory written by a build with other layouts
-// fails at open instead of at the first record that happens not to decode.
-const manifestVersion = 3
+// snapshot deposits, control blobs, WAL records and result epochs, all
+// internal/wire compositions — so a state directory written by a build with
+// other layouts fails at open instead of at the first record that happens not
+// to decode.
+const manifestVersion = 4
 
+// manifestData is the store's single source of truth on disk, rewritten
+// atomically (tmp + fsync + rename) only when a checkpoint completes or the
+// final epoch commits. A snapshot deposit or a result epoch therefore becomes
+// real exactly when a manifest referencing it is published; files a crashed
+// incarnation wrote for a checkpoint that never completed are unreferenced
+// and swept as orphans at the next open.
 type manifestData struct {
 	Version int
 	// Latest is the newest completed barrier; 0 means none.
 	Latest uint64
-	// Offsets[i] is the input-log offset covered by barrier i+1, mirroring
-	// checkpoint.Manifest so a restarted process re-cuts identical epochs.
+	// Offsets[i] is the input-log offset covered by barrier i+1, so a
+	// restarted process re-cuts identical epochs. It may run past Latest:
+	// a demoted barrier keeps its offset and is re-cut there during replay.
 	Offsets []int
 	// Barriers holds the retained completed checkpoints: the latest, its
 	// predecessor (the fallback when the latest turns out corrupt), and any
 	// older barrier still serving as the full base of a delta chain.
 	Barriers []manifestBarrier
+	// Outputs[e] verifies out/out-<e>, the committed results of epoch e.
+	// Epoch e closes at barrier e+1, so every completed barrier k has
+	// Outputs[k-1]; one more entry is the final epoch of a finished job.
+	Outputs []manifestOutput
 }
 
 type manifestBarrier struct {
@@ -63,43 +94,45 @@ type manifestDeposit struct {
 	Delta    bool
 }
 
+type manifestOutput struct {
+	Size int64
+	CRC  uint32
+}
+
 type depKey struct {
 	op       string
 	instance int
 }
 
-// Store is the durable checkpoint store: snapshot deposits as individual
-// files committed by atomic rename, a JSON manifest as the commit record, and
-// a segmented WAL for the input log. It implements checkpoint.Store and
-// checkpoint.BackendHooks.
+// Store is the durable checkpoint store: snapshot deposits and result epochs
+// as individual files committed by atomic rename, a JSON manifest as the
+// commit record, and a segmented WAL for the input log. One Store serves one
+// engine incarnation: it is the incarnation's spe.SnapshotSink, and the
+// successor opens its own from the same directory.
 type Store struct {
 	dir     string
 	snapDir string
+	outDir  string
 	hook    Hook
 	wal     *WAL
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	gen    uint64
 	closed bool
 
-	// pending holds deposits and control blobs for barriers not yet marked
-	// complete; they move into the manifest at MarkComplete.
+	// pending holds deposits for barriers not yet marked complete; they move
+	// into the manifest at MarkComplete.
 	pending  map[uint64]map[depKey]manifestDeposit
 	expected map[uint64]int
-	controls map[uint64][]byte
 
-	// offsets is the in-memory master of the covered-offset array: loaded
-	// from the manifest, extended by NoteOffset, persisted at MarkComplete.
+	// offsets and outputs are the in-memory masters of the manifest's arrays:
+	// loaded from it, extended by MarkComplete and CommitOutput, persisted by
+	// the next publish.
 	offsets []int
+	outputs []manifestOutput
 	man     manifestData
 	failure error
 }
-
-var (
-	_ checkpoint.Store        = (*Store)(nil)
-	_ checkpoint.BackendHooks = (*Store)(nil)
-)
 
 // Options configures OpenStore.
 type Options struct {
@@ -112,56 +145,59 @@ type Options struct {
 
 // OpenStore opens (or initialises) the durable state directory: loads the
 // manifest, opens the WAL — truncating a torn tail, failing loudly on sealed
-// corruption — sweeps stray temp files, and validates that the retained log
-// still covers the latest completed checkpoint.
+// corruption — sweeps stray temp files and whatever a dead incarnation left
+// unreferenced, and validates that the retained log still covers the latest
+// completed checkpoint.
 func OpenStore(dir string, opts Options) (*Store, error) {
 	segMax := opts.SegmentBytes
 	if segMax <= 0 {
 		segMax = DefaultSegmentBytes
 	}
-	snapDir := filepath.Join(dir, snapDirName)
-	if err := os.MkdirAll(snapDir, 0o755); err != nil {
+	s := &Store{
+		dir:      dir,
+		snapDir:  filepath.Join(dir, snapDirName),
+		outDir:   filepath.Join(dir, outDirName),
+		hook:     opts.Hook,
+		pending:  map[uint64]map[depKey]manifestDeposit{},
+		expected: map[uint64]int{},
+	}
+	s.cond = sync.NewCond(&s.mu)
+	for _, d := range []string{s.snapDir, s.outDir} {
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			return nil, err
+		}
+	}
+	// No manifest at all is the fresh directory; anything else must parse.
+	s.man = manifestData{Version: manifestVersion}
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err == nil {
+		s.man, err = parseManifest(data)
+	}
+	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	man, err := loadManifest(filepath.Join(dir, manifestName))
-	if err != nil {
-		return nil, err
-	}
+	s.offsets = append([]int(nil), s.man.Offsets...)
+	s.outputs = append([]manifestOutput(nil), s.man.Outputs...)
 	// A crash between manifest prepare and rename leaves a stray temp file;
 	// the published manifest is still the old one, so just discard it.
 	if err := os.Remove(filepath.Join(dir, manifestName+tmpSuffix)); err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	wal, err := openWAL(filepath.Join(dir, walDirName), segMax, opts.Hook)
-	if err != nil {
+	if s.wal, err = openWAL(filepath.Join(dir, walDirName), segMax, opts.Hook); err != nil {
 		return nil, err
 	}
-	s := &Store{
-		dir:      dir,
-		snapDir:  snapDir,
-		hook:     opts.Hook,
-		wal:      wal,
-		pending:  map[uint64]map[depKey]manifestDeposit{},
-		expected: map[uint64]int{},
-		controls: map[uint64][]byte{},
-		offsets:  append([]int(nil), man.Offsets...),
-		man:      man,
-	}
-	s.cond = sync.NewCond(&s.mu)
 	if err := s.validateCoverage(s.man.Latest); err != nil {
 		return nil, err
 	}
-	return s, nil
+	// A dead incarnation's deposits for a barrier it never completed, and an
+	// epoch it wrote without publishing, are files no manifest references.
+	return s, s.sweepOrphansLocked()
 }
 
-func loadManifest(path string) (manifestData, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return manifestData{Version: manifestVersion}, nil
-	}
-	if err != nil {
-		return manifestData{}, err
-	}
+// parseManifest decodes and validates manifest bytes. Everything later code
+// indexes by — Latest into Offsets, barrier numbers, deposit file names — is
+// checked here, so a manifest that parses cannot panic a reader.
+func parseManifest(data []byte) (manifestData, error) {
 	var m manifestData
 	if err := json.Unmarshal(data, &m); err != nil {
 		// The manifest is renamed into place after an fsync; a parse failure
@@ -170,6 +206,24 @@ func loadManifest(path string) (manifestData, error) {
 	}
 	if m.Version != manifestVersion {
 		return manifestData{}, fmt.Errorf("durable: manifest version %d, want %d (state directory written by another build)", m.Version, manifestVersion)
+	}
+	if m.Latest > uint64(len(m.Offsets)) || m.Latest > uint64(len(m.Outputs)) {
+		return manifestData{}, fmt.Errorf("durable: manifest corrupt: checkpoint %d completed with %d offsets and %d result epochs", m.Latest, len(m.Offsets), len(m.Outputs))
+	}
+	for i, off := range m.Offsets {
+		if off < 0 || (i > 0 && off < m.Offsets[i-1]) {
+			return manifestData{}, fmt.Errorf("durable: manifest corrupt: offsets %v are not a non-decreasing sequence", m.Offsets)
+		}
+	}
+	for i, mb := range m.Barriers {
+		if mb.Barrier == 0 || mb.Barrier > m.Latest || (i > 0 && mb.Barrier <= m.Barriers[i-1].Barrier) {
+			return manifestData{}, fmt.Errorf("durable: manifest corrupt: retained barrier %d out of place (latest %d)", mb.Barrier, m.Latest)
+		}
+		for _, d := range mb.Deposits {
+			if d.File != filepath.Base(d.File) || !strings.HasPrefix(d.File, snapPrefix) {
+				return manifestData{}, fmt.Errorf("durable: manifest corrupt: deposit file name %q", d.File)
+			}
+		}
 	}
 	return m, nil
 }
@@ -184,9 +238,6 @@ func (s *Store) validateCoverage(k uint64) error {
 		}
 		return nil
 	}
-	if len(s.offsets) < int(k) {
-		return fmt.Errorf("durable: checkpoint %d completed but only %d offsets recorded", k, len(s.offsets))
-	}
 	replayFrom := s.offsets[k-1]
 	if s.wal.Len() < replayFrom {
 		return fmt.Errorf("durable: checkpoint %d covers %d log records but only %d survived (fsynced log region lost)", k, replayFrom, s.wal.Len())
@@ -200,41 +251,23 @@ func (s *Store) validateCoverage(k uint64) error {
 // WAL returns the store's input log for the runner.
 func (s *Store) WAL() *WAL { return s.wal }
 
-// Offsets returns a copy of the covered-offset array for checkpoint.Manifest.
+// Offsets returns a copy of the covered-offset array.
 func (s *Store) Offsets() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]int(nil), s.offsets...)
 }
 
-// storeGate is the spe.SnapshotSink handed to one engine incarnation.
-type storeGate struct {
-	s   *Store
-	gen uint64
-}
-
-// OnSnapshot implements spe.SnapshotSink.
-func (g storeGate) OnSnapshot(op string, instance int, barrier uint64, state []byte) {
-	g.s.onSnapshot(g.gen, op, instance, barrier, state)
-}
-
-// NewGate implements checkpoint.Store.
-func (s *Store) NewGate() spe.SnapshotSink {
+// OnSnapshot implements spe.SnapshotSink: the deposit is written and fsynced
+// by the calling instance goroutine, then recorded as pending.
+func (s *Store) OnSnapshot(op string, instance int, barrier uint64, state []byte) {
 	s.mu.Lock()
-	s.gen++
-	g := storeGate{s: s, gen: s.gen}
+	closed := s.closed
 	s.mu.Unlock()
-	return g
-}
-
-func (s *Store) onSnapshot(gen uint64, op string, instance int, barrier uint64, state []byte) {
-	s.mu.Lock()
-	stale := gen != s.gen || s.closed
-	s.mu.Unlock()
-	if stale {
-		return
+	if closed {
+		return // a dead incarnation draining out
 	}
-	name := fmt.Sprintf("snap-%016x-%s-%d", barrier, op, instance)
+	name := fmt.Sprintf("%s%016x-%s-%d", snapPrefix, barrier, op, instance)
 	if err := writeFileAtomic(filepath.Join(s.snapDir, name), state, s.hook); err != nil {
 		s.Fail(fmt.Errorf("durable: snapshot %s: %w", name, err))
 		return
@@ -248,7 +281,7 @@ func (s *Store) onSnapshot(gen uint64, op string, instance int, barrier uint64, 
 		Delta:    len(state) > 0 && state[0] == spe.DeltaSnapshotMagic,
 	}
 	s.mu.Lock()
-	if gen == s.gen && !s.closed {
+	if !s.closed {
 		m := s.pending[barrier]
 		if m == nil {
 			m = map[depKey]manifestDeposit{}
@@ -260,8 +293,9 @@ func (s *Store) onSnapshot(gen uint64, op string, instance int, barrier uint64, 
 	s.mu.Unlock()
 }
 
-// Await implements checkpoint.Store. Recording `total` here is what arms the
-// MarkComplete completeness assertion for the barrier.
+// Await blocks until `total` distinct instance snapshots have arrived for the
+// barrier, or a failure is reported (whichever first). Recording `total` here
+// is what arms the MarkComplete completeness assertion for the barrier.
 func (s *Store) Await(barrier uint64, total int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -275,35 +309,78 @@ func (s *Store) Await(barrier uint64, total int) error {
 	return s.failure
 }
 
-// SetControl implements checkpoint.Store.
-func (s *Store) SetControl(barrier uint64, b []byte) {
+// CommitOutput writes the canonical results of one epoch, fsynced, for the
+// next published manifest to reference. It is idempotent: an epoch already on
+// disk is dropped, which is how replay past a committed epoch — after a
+// crash, or after InvalidateLatest re-cuts a checkpoint whose epoch had
+// committed — exposes every result exactly once.
+func (s *Store) CommitOutput(epoch uint64, results []string) error {
 	s.mu.Lock()
-	s.controls[barrier] = append([]byte(nil), b...)
-	s.mu.Unlock()
-}
-
-// NoteOffset implements checkpoint.BackendHooks.
-func (s *Store) NoteOffset(barrier uint64, offset int) {
-	s.mu.Lock()
-	for len(s.offsets) < int(barrier) {
-		s.offsets = append(s.offsets, 0)
+	defer s.mu.Unlock()
+	if epoch < uint64(len(s.outputs)) {
+		return nil
 	}
-	s.offsets[barrier-1] = offset
-	s.mu.Unlock()
+	if epoch > uint64(len(s.outputs)) {
+		return fmt.Errorf("durable: result epoch %d committed with only %d epochs before it", epoch, len(s.outputs))
+	}
+	data := appendOutput(nil, results)
+	if err := writeFileAtomic(filepath.Join(s.outDir, outName(epoch)), data, s.hook); err != nil {
+		return err
+	}
+	s.outputs = append(s.outputs, manifestOutput{Size: int64(len(data)), CRC: crc32.Checksum(data, castagnoli)})
+	return nil
 }
 
-// SupportsDeltas implements checkpoint.BackendHooks: the manifest resolves
-// base+delta chains, so incremental snapshots are allowed.
-func (s *Store) SupportsDeltas() bool { return true }
+func outName(epoch uint64) string { return fmt.Sprintf("out-%016x", epoch) }
 
-// MarkComplete implements checkpoint.Store: the commit point of a checkpoint.
-// It refuses the mark unless every expected (op, instance) deposit, the
-// control blob, and the covered offset are present — a mark published without
-// them would name a checkpoint that cannot be restored. On success it fsyncs
-// the WAL, publishes a new manifest referencing the barrier, sweeps files the
-// new manifest no longer references, and truncates WAL segments below the
-// previous checkpoint's replay offset.
-func (s *Store) MarkComplete(barrier uint64) error {
+// appendOutput serializes one epoch's results onto b.
+func appendOutput(b []byte, results []string) []byte {
+	b = wire.AppendCount(b, len(results))
+	for _, r := range results {
+		b = wire.AppendBytes(b, []byte(r))
+	}
+	return b
+}
+
+// decodeOutput undoes appendOutput.
+func decodeOutput(data []byte) ([]string, error) {
+	r := wire.NewReader(data)
+	out := make([]string, r.Count("result count", 4))
+	for i := range out {
+		out[i] = string(r.Bytes("result"))
+	}
+	return out, r.Finish("result epoch")
+}
+
+// Committed returns every committed result in epoch order: exactly what the
+// published manifest references, verified by size and CRC.
+func (s *Store) Committed() ([]string, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []string
+	for e, o := range s.man.Outputs {
+		data, err := readVerified(filepath.Join(s.outDir, outName(uint64(e))), o.Size, o.CRC)
+		if err != nil {
+			return nil, err
+		}
+		rs, err := decodeOutput(data)
+		if err != nil {
+			return nil, fmt.Errorf("durable: result epoch %d: %w", e, err)
+		}
+		out = append(out, rs...)
+	}
+	return out, nil
+}
+
+// MarkComplete is the commit point of a checkpoint, and of the result epoch
+// the barrier closes. It refuses the mark unless the barrier was awaited,
+// every expected (op, instance) deposit is present, and epoch barrier-1 is on
+// disk — a mark published without them would name a checkpoint that cannot
+// be restored, or lose the epoch. On success it fsyncs the WAL, publishes a
+// new manifest referencing the barrier with its control blob and covered log
+// offset, sweeps files the new manifest no longer references, and truncates
+// WAL segments below the previous checkpoint's replay offset.
+func (s *Store) MarkComplete(barrier uint64, control []byte, offset int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	exp, awaited := s.expected[barrier]
@@ -313,12 +390,11 @@ func (s *Store) MarkComplete(barrier uint64) error {
 	if got := len(s.pending[barrier]); got != exp {
 		return fmt.Errorf("durable: barrier %d has %d of %d expected deposits; refusing completion mark", barrier, got, exp)
 	}
-	ctrl, ok := s.controls[barrier]
-	if !ok {
-		return fmt.Errorf("durable: barrier %d has no control snapshot; refusing completion mark", barrier)
+	if barrier == 0 || uint64(len(s.offsets)) < barrier-1 {
+		return fmt.Errorf("durable: barrier %d marked with only %d barriers before it; refusing completion mark", barrier, len(s.offsets))
 	}
-	if len(s.offsets) < int(barrier) {
-		return fmt.Errorf("durable: barrier %d has no covered log offset; refusing completion mark", barrier)
+	if uint64(len(s.outputs)) < barrier {
+		return fmt.Errorf("durable: barrier %d closes result epoch %d, which is not on disk; refusing completion mark", barrier, barrier-1)
 	}
 	if err := s.wal.Sync(); err != nil {
 		return err
@@ -329,12 +405,16 @@ func (s *Store) MarkComplete(barrier uint64) error {
 	if err := syncDir(s.snapDir); err != nil {
 		return err
 	}
+	if uint64(len(s.offsets)) < barrier {
+		s.offsets = append(s.offsets, 0)
+	}
+	s.offsets[barrier-1] = offset
 
 	byBarrier := map[uint64]manifestBarrier{}
 	for _, mb := range s.man.Barriers {
 		byBarrier[mb.Barrier] = mb
 	}
-	nb := manifestBarrier{Barrier: barrier, Control: ctrl}
+	nb := manifestBarrier{Barrier: barrier, Control: append([]byte(nil), control...)}
 	keys := make([]depKey, 0, exp)
 	for k := range s.pending[barrier] {
 		keys = append(keys, k)
@@ -350,16 +430,15 @@ func (s *Store) MarkComplete(barrier uint64) error {
 	}
 	byBarrier[barrier] = nb
 
-	m := manifestData{Version: manifestVersion, Latest: barrier, Offsets: append([]int(nil), s.offsets[:barrier]...)}
+	m := manifestData{Latest: barrier}
 	for b := retainFrom(byBarrier, barrier); b <= barrier; b++ {
 		if mb, ok := byBarrier[b]; ok {
 			m.Barriers = append(m.Barriers, mb)
 		}
 	}
-	if err := s.persistManifest(m); err != nil {
+	if err := s.publish(m); err != nil {
 		return err
 	}
-	s.man = m
 	for b := range s.pending {
 		if b <= barrier {
 			delete(s.pending, b)
@@ -370,17 +449,45 @@ func (s *Store) MarkComplete(barrier uint64) error {
 			delete(s.expected, b)
 		}
 	}
-	for b := range s.controls {
-		if b <= barrier {
-			delete(s.controls, b)
-		}
-	}
 	if err := s.sweepOrphansLocked(); err != nil {
 		return err
 	}
 	if barrier >= 2 {
 		return s.wal.Truncate(s.offsets[barrier-2])
 	}
+	return nil
+}
+
+// PublishOutput commits the result epochs written since the last manifest
+// without cutting a checkpoint: how a finished job's final epoch, which no
+// barrier closes, becomes part of the directory.
+func (s *Store) PublishOutput() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.publish(manifestData{Latest: s.man.Latest, Barriers: s.man.Barriers})
+}
+
+// publish completes m with the offset and output arrays and makes it the
+// manifest. The result files it references were fsynced when written; their
+// directory entries are made durable first. Requires s.mu held.
+func (s *Store) publish(m manifestData) error {
+	if err := syncDir(s.outDir); err != nil {
+		return err
+	}
+	m.Version = manifestVersion
+	m.Offsets = append([]int(nil), s.offsets...)
+	m.Outputs = append([]manifestOutput(nil), s.outputs...)
+	data, err := json.Marshal(m)
+	if err != nil {
+		return err
+	}
+	if err := writeFileAtomic(filepath.Join(s.dir, manifestName), data, s.hook); err != nil {
+		return err
+	}
+	if err := syncDir(s.dir); err != nil {
+		return err
+	}
+	s.man = m
 	return nil
 }
 
@@ -429,19 +536,9 @@ func depositAt(byBarrier map[uint64]manifestBarrier, b uint64, op string, instan
 	return manifestDeposit{}, false
 }
 
-func (s *Store) persistManifest(m manifestData) error {
-	data, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	if err := writeFileAtomic(filepath.Join(s.dir, manifestName), data, s.hook); err != nil {
-		return err
-	}
-	return syncDir(s.dir)
-}
-
 // sweepOrphansLocked deletes snapshot files neither the manifest nor a
-// pending (in-flight) deposit references. Requires s.mu held.
+// pending (in-flight) deposit references, and result files past the epochs
+// written so far. Requires s.mu held (or no other user yet).
 func (s *Store) sweepOrphansLocked() error {
 	referenced := map[string]bool{}
 	for _, mb := range s.man.Barriers {
@@ -454,58 +551,39 @@ func (s *Store) sweepOrphansLocked() error {
 			referenced[d.File] = true
 		}
 	}
-	entries, err := os.ReadDir(s.snapDir)
-	if err != nil {
-		return err
+	for e := range s.outputs {
+		referenced[outName(uint64(e))] = true
 	}
-	for _, e := range entries {
-		if e.IsDir() || referenced[e.Name()] {
-			continue
-		}
-		if err := os.Remove(filepath.Join(s.snapDir, e.Name())); err != nil {
+	for _, dir := range []string{s.snapDir, s.outDir} {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
 			return err
+		}
+		for _, e := range entries {
+			if e.IsDir() || referenced[e.Name()] {
+				continue
+			}
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// DropAfter implements checkpoint.Store: discard deposits above the barrier —
-// in-memory pending state directly, on-disk files via the orphan sweep (a
-// crashed incarnation's deposits were never referenced by a manifest).
-func (s *Store) DropAfter(barrier uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for b := range s.pending {
-		if b > barrier {
-			delete(s.pending, b)
-		}
-	}
-	for b := range s.expected {
-		if b > barrier {
-			delete(s.expected, b)
-		}
-	}
-	for b := range s.controls {
-		if b > barrier {
-			delete(s.controls, b)
-		}
-	}
-	if err := s.sweepOrphansLocked(); err != nil && s.failure == nil {
-		s.failure = err
-	}
-}
-
-// LatestComplete implements checkpoint.Store.
+// LatestComplete returns the newest completed barrier, if any.
 func (s *Store) LatestComplete() (uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.man.Latest, s.man.Latest > 0
 }
 
-// FetchChain implements checkpoint.Store: walk deposits backwards from the
-// barrier until a full snapshot anchors the chain, verifying each file's size
-// and CRC against the manifest. Any missing, torn, or rotted link fails the
-// whole chain, and recovery falls back to the previous checkpoint.
+// FetchChain returns one instance's snapshot chain at a completed barrier — a
+// full snapshot followed by zero or more incremental deltas, in application
+// order — walking deposits backwards from the barrier until a full snapshot
+// anchors the chain and verifying each file's size and CRC against the
+// manifest. Any missing, torn, or rotted link fails the whole chain, and
+// recovery falls back to the previous checkpoint.
 func (s *Store) FetchChain(barrier uint64, op string, instance int) ([][]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -519,11 +597,8 @@ func (s *Store) FetchChain(barrier uint64, op string, instance int) ([][]byte, b
 		if !ok {
 			return nil, false
 		}
-		data, err := os.ReadFile(filepath.Join(s.snapDir, dep.File))
+		data, err := readVerified(filepath.Join(s.snapDir, dep.File), dep.Size, dep.CRC)
 		if err != nil {
-			return nil, false
-		}
-		if int64(len(data)) != dep.Size || crc32.Checksum(data, castagnoli) != dep.CRC {
 			return nil, false
 		}
 		chain = append(chain, data)
@@ -540,13 +615,23 @@ func (s *Store) FetchChain(barrier uint64, op string, instance int) ([][]byte, b
 	return chain, true
 }
 
-// Control implements checkpoint.Store.
+// readVerified reads a file the manifest references and holds it to the
+// recorded size and CRC32C.
+func readVerified(path string, size int64, sum uint32) ([]byte, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(data)) != size || crc32.Checksum(data, castagnoli) != sum {
+		return nil, fmt.Errorf("durable: %s does not match the manifest (%d bytes, want %d, or CRC mismatch)", filepath.Base(path), len(data), size)
+	}
+	return data, nil
+}
+
+// Control returns the control blob of a retained completed barrier.
 func (s *Store) Control(barrier uint64) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if b, ok := s.controls[barrier]; ok {
-		return b, true
-	}
 	for _, mb := range s.man.Barriers {
 		if mb.Barrier == barrier {
 			return mb.Control, true
@@ -558,7 +643,9 @@ func (s *Store) Control(barrier uint64) ([]byte, bool) {
 // InvalidateLatest demotes the latest completed checkpoint — its deposits
 // failed verification — publishing a manifest whose Latest is the previous
 // retained barrier. The offsets array is kept whole so the demoted barrier is
-// re-cut at the same log offset during replay. Persisting the demotion means
+// re-cut at the same log offset during replay, and so are the result epochs:
+// the epoch that committed with the demoted barrier stays committed, and its
+// regenerated copy is dropped by CommitOutput. Persisting the demotion means
 // a crash during the retry does not loop on the same rotten checkpoint.
 func (s *Store) InvalidateLatest() error {
 	s.mu.Lock()
@@ -567,29 +654,25 @@ func (s *Store) InvalidateLatest() error {
 	if old == 0 {
 		return errors.New("durable: no completed checkpoint left to invalidate")
 	}
-	var next uint64
+	m := manifestData{}
 	for _, mb := range s.man.Barriers {
-		if mb.Barrier < old && mb.Barrier > next {
-			next = mb.Barrier
-		}
-	}
-	if err := s.validateCoverage(next); err != nil {
-		return err
-	}
-	m := manifestData{Version: manifestVersion, Latest: next, Offsets: append([]int(nil), s.man.Offsets...)}
-	for _, mb := range s.man.Barriers {
-		if mb.Barrier != old {
+		if mb.Barrier < old {
+			m.Latest = mb.Barrier
 			m.Barriers = append(m.Barriers, mb)
 		}
 	}
-	if err := s.persistManifest(m); err != nil {
+	if err := s.validateCoverage(m.Latest); err != nil {
 		return err
 	}
-	s.man = m
+	if err := s.publish(m); err != nil {
+		return err
+	}
 	return s.sweepOrphansLocked()
 }
 
-// Fail implements checkpoint.Store.
+// Fail records an instance failure and wakes any Await: the in-flight
+// checkpoint can never complete (a dead instance will not pass its barrier),
+// so the coordinator must stop waiting and start recovery.
 func (s *Store) Fail(err error) {
 	if err == nil {
 		err = errors.New("durable: unspecified instance failure")
@@ -602,22 +685,15 @@ func (s *Store) Fail(err error) {
 	s.mu.Unlock()
 }
 
-// Failure implements checkpoint.Store.
+// Failure returns the recorded failure, if any.
 func (s *Store) Failure() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.failure
 }
 
-// ClearFailure implements checkpoint.Store.
-func (s *Store) ClearFailure() {
-	s.mu.Lock()
-	s.failure = nil
-	s.mu.Unlock()
-}
-
 // Close detaches the store: subsequent deposit writes are dropped and the WAL
-// is sealed. A chaos test calls this on the dying incarnation's store so its
+// is sealed. The runner calls this on the dying incarnation's store so its
 // background drain stops touching the directory the next incarnation owns —
 // the in-process stand-in for the process actually being gone.
 func (s *Store) Close() error {

@@ -9,8 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"astream/internal/checkpoint"
 )
 
 // castagnoli is the CRC32C table every frame and deposit checksum uses.
@@ -37,7 +35,7 @@ type segInfo struct {
 }
 
 // WAL is the durable input log: an append-only sequence of CRC32C-framed
-// checkpoint.Records split across segment files named by the absolute index
+// Records split across segment files named by the absolute index
 // of their first record. Appends are buffered by the OS and fsynced only at
 // checkpoint boundaries (Store.MarkComplete); the tail written since the last
 // sync is allowed to tear on crash, because the runner replays acknowledged
@@ -59,7 +57,7 @@ type WAL struct {
 	// open; recs mirrors every record from base onward so Slice can serve
 	// replays without touching disk.
 	base int
-	recs []checkpoint.Record
+	recs []Record
 	segs []segInfo
 
 	f     *os.File // current segment, nil until first append after open/roll
@@ -69,8 +67,6 @@ type WAL struct {
 	//lint:pooled scratch frame-encode buffer recycled across appends
 	buf []byte
 }
-
-var _ checkpoint.InputLog = (*WAL)(nil)
 
 // openWAL opens dir, recovering from a torn tail and failing loudly on
 // mid-log corruption.
@@ -132,15 +128,12 @@ func openWAL(dir string, segMax int, hook Hook) (*WAL, error) {
 		w.segs = w.segs[:n-1]
 	}
 	if len(w.segs) == 0 {
-		w.base, w.recs = w.baseIfEmpty(), nil
+		// No segment survived, so there is no on-disk base marker: the log is
+		// only usable from record zero.
+		w.base, w.recs = 0, nil
 	}
 	return w, nil
 }
-
-// baseIfEmpty returns the base to resume at when no segment survived open.
-// With no segments there is no on-disk base marker; the log is only usable
-// from record zero.
-func (w *WAL) baseIfEmpty() int { return 0 }
 
 // decodeSegment walks the frames in one segment. It returns the byte offset
 // of the end of the last good frame and the decoded records. A bad frame —
@@ -148,9 +141,9 @@ func (w *WAL) baseIfEmpty() int { return 0 }
 // (returned as the truncation point) for the final segment's tail, an error
 // for a sealed segment. A frame whose CRC verifies but whose payload does not
 // decode is always an error: the bytes are intact, so the writer was broken.
-func decodeSegment(data []byte, tolerateTail bool) (int, []checkpoint.Record, error) {
+func decodeSegment(data []byte, tolerateTail bool) (int, []Record, error) {
 	good := 0
-	var recs []checkpoint.Record
+	var recs []Record
 	for {
 		rest := data[good:]
 		if len(rest) == 0 {
@@ -166,7 +159,7 @@ func decodeSegment(data []byte, tolerateTail bool) (int, []checkpoint.Record, er
 				if crc32.Checksum(payload, castagnoli) != sum {
 					bad = true
 				} else {
-					rec, err := checkpoint.DecodeRecord(payload)
+					rec, err := DecodeRecord(payload)
 					if err != nil {
 						return good, recs, fmt.Errorf("frame at byte %d passed CRC but did not decode: %w", good, err)
 					}
@@ -183,13 +176,13 @@ func decodeSegment(data []byte, tolerateTail bool) (int, []checkpoint.Record, er
 	}
 }
 
-// Append implements checkpoint.InputLog. The record is framed into the pooled
+// Append adds a record and returns its absolute offset. The record is framed into the pooled
 // scratch buffer and written to the current segment; the in-memory mirror and
 // the returned absolute index advance only if the write fully succeeded, so a
 // torn or failed write is never acknowledged.
-func (w *WAL) Append(r checkpoint.Record) (int, error) {
+func (w *WAL) Append(r Record) (int, error) {
 	w.buf = append(w.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-	w.buf = checkpoint.AppendRecord(w.buf, &r)
+	w.buf = AppendRecord(w.buf, &r)
 	payload := w.buf[frameHeader:]
 	binary.LittleEndian.PutUint32(w.buf, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(w.buf[4:], crc32.Checksum(payload, castagnoli))
@@ -221,17 +214,17 @@ func (w *WAL) Append(r checkpoint.Record) (int, error) {
 	return w.base + len(w.recs) - 1, nil
 }
 
-// Len implements checkpoint.InputLog: the absolute index one past the last
-// acknowledged record.
+// Len returns the absolute index one past the last acknowledged record.
 func (w *WAL) Len() int { return w.base + len(w.recs) }
 
-// Slice implements checkpoint.InputLog, serving from the in-memory mirror.
-// Offsets below the open-time base were truncated and are gone for good.
-func (w *WAL) Slice(from, to int) []checkpoint.Record {
+// Slice returns records [from, to) from the in-memory mirror. Offsets below
+// the open-time base were truncated and are gone for good; asking for them is
+// a bug (the store validates coverage before any replay).
+func (w *WAL) Slice(from, to int) []Record {
 	if from < w.base {
 		panic(fmt.Sprintf("durable: wal slice [%d,%d) below truncation point %d", from, to, w.base))
 	}
-	out := make([]checkpoint.Record, to-from)
+	out := make([]Record, to-from)
 	copy(out, w.recs[from-w.base:to-w.base])
 	return out
 }

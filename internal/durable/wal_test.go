@@ -8,14 +8,13 @@ import (
 	"strings"
 	"testing"
 
-	"astream/internal/checkpoint"
 	"astream/internal/event"
 )
 
-func walRecord(i int) checkpoint.Record {
+func walRecord(i int) Record {
 	tu := event.Tuple{Key: int64(i % 5), Time: event.Time(i + 1)}
 	tu.Fields[0] = int64(i * 7)
-	return checkpoint.Record{Kind: checkpoint.RecTuple, Stream: i % 2, Tuple: tu}
+	return Record{Kind: RecTuple, Stream: i % 2, Tuple: tu}
 }
 
 // appendN appends records [from, from+n) and syncs.
@@ -71,7 +70,7 @@ func TestWALRoundTripAcrossSegments(t *testing.T) {
 	if w2.Len() != 40 {
 		t.Fatalf("reopened Len %d, want 40", w2.Len())
 	}
-	want := make([]checkpoint.Record, 40)
+	want := make([]Record, 40)
 	for i := range want {
 		want[i] = walRecord(i)
 	}
@@ -131,7 +130,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 			}
 			// The torn record is gone; the survivors are intact and the log
 			// accepts appends at the reclaimed offset.
-			want := make([]checkpoint.Record, 9)
+			want := make([]Record, 9)
 			for i := range want {
 				want[i] = walRecord(i)
 			}

@@ -14,10 +14,11 @@ package lint
 // The state scope names the packages whose Snapshot/Restore pairs the
 // state-integrity analyzers (snapcover, snapshot-symmetry) audit before
 // any of that state goes durable. The errsink scope is the state scope
-// plus internal/durable: a dropped fsync or Close error on the durable
-// path is precisely the silent data loss the backend exists to prevent —
-// an unchecked Sync means the manifest may reference bytes the kernel
-// never promised. The lifetime analyzers (poolsafe, aliasescape,
+// plus internal/durable — the store, the WAL and the log-record codec, the
+// whole storage layer under the checkpoint runner: a dropped fsync or
+// Close error there is precisely the silent data loss the layer exists to
+// prevent — an unchecked Sync means the manifest may reference bytes the
+// kernel never promised. The lifetime analyzers (poolsafe, aliasescape,
 // scratchlocal) run module-wide: their registry is opt-in — a package
 // with no //lint:pooled directive early-outs for free — so scoping would
 // only exempt future pooled subsystems from the audit.

@@ -59,7 +59,7 @@ func WithFaultHook(h FaultHook) DeployOption {
 // DeltaSnapshotter take snapshots through OnBarrierDelta, emitting a full
 // snapshot at most every n barriers and deltas in between. n <= 1 disables
 // deltas (every barrier is a full snapshot). The snapshot sink must be able
-// to resolve base+delta chains (see checkpoint.BackendHooks.SupportsDeltas).
+// to resolve base+delta chains (see durable.Store.FetchChain).
 func WithDeltaSnapshots(n int) DeployOption {
 	return func(d *deployConfig) { d.deltaEvery = n }
 }
