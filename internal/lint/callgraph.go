@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
 	"sort"
 	"strings"
 )
@@ -105,6 +104,10 @@ type CallGraph struct {
 	// Nodes holds every function body in deterministic order: package
 	// path, then file name, then offset.
 	Nodes []*CGNode
+	// Bad collects //lint:hotpath directives attached to no function: a
+	// root that drifted off its literal would silently drop its 0-allocs
+	// region. hotalloc reports them.
+	Bad []Diagnostic
 
 	byObj map[*types.Func]*CGNode
 	byLit map[*ast.FuncLit]*CGNode
@@ -123,44 +126,6 @@ func (g *CallGraph) NodeFor(fn *types.Func) *CGNode {
 // NodeForLit returns the node of a function literal.
 func (g *CallGraph) NodeForLit(lit *ast.FuncLit) *CGNode { return g.byLit[lit] }
 
-var hotpathRe = regexp.MustCompile(`^//lint:hotpath(?:\s.*)?$`)
-
-// hotpathLines collects, per file, the lines carrying a //lint:hotpath
-// directive (for attaching to function literals by proximity).
-func hotpathLines(p *Package) map[string]map[int]bool {
-	out := map[string]map[int]bool{}
-	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !hotpathRe.MatchString(c.Text) {
-					continue
-				}
-				pos := p.Fset.Position(c.Pos())
-				m := out[pos.Filename]
-				if m == nil {
-					m = map[int]bool{}
-					out[pos.Filename] = m
-				}
-				m[pos.Line] = true
-			}
-		}
-	}
-	return out
-}
-
-// docIsHot reports whether a doc comment group carries //lint:hotpath.
-func docIsHot(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if hotpathRe.MatchString(c.Text) {
-			return true
-		}
-	}
-	return false
-}
-
 // BuildCallGraph constructs the call graph over every package of a load.
 func BuildCallGraph(pkgs []*Package) *CallGraph {
 	g := &CallGraph{
@@ -173,7 +138,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 	// Pass 1: one node per function body. Literals are named after their
 	// enclosing node with a $n suffix in source order.
 	for _, p := range sorted {
-		hot := hotpathLines(p)
+		hot := parseDirectives(p, "hotpath")
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -190,13 +155,14 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 					Name: declName(p, fd, fn),
 					Body: fd.Body,
 					Pos:  fd.Pos(),
-					Hot:  docIsHot(fd.Doc) || hotAtLine(p, hot, fd.Pos()),
+					Hot:  directiveFor(hot, p, fd.Pos(), fd.Doc) != nil,
 				}
 				g.byObj[fn] = n
 				g.Nodes = append(g.Nodes, n)
 				g.addLits(p, n, fd.Body, hot)
 			}
 		}
+		g.Bad = append(g.Bad, unattached(hot, "hotalloc", "does not attach to a function or function literal")...)
 	}
 	g.sortNodes()
 
@@ -231,21 +197,10 @@ func declName(p *Package, fd *ast.FuncDecl, fn *types.Func) string {
 	return p.Path + "." + recv + "." + fn.Name()
 }
 
-// hotAtLine reports whether a hotpath directive sits on the node's line or
-// the line directly above it.
-func hotAtLine(p *Package, hot map[string]map[int]bool, pos token.Pos) bool {
-	position := p.Fset.Position(pos)
-	m := hot[position.Filename]
-	if m == nil {
-		return false
-	}
-	return m[position.Line] || m[position.Line-1]
-}
-
 // addLits creates nodes for the function literals directly inside body
 // (literals nested in other literals recurse with the inner node as
 // parent, so names compose: Outer$1$2).
-func (g *CallGraph) addLits(p *Package, parent *CGNode, body *ast.BlockStmt, hot map[string]map[int]bool) {
+func (g *CallGraph) addLits(p *Package, parent *CGNode, body *ast.BlockStmt, hot []*directive) {
 	count := 0
 	ast.Inspect(body, func(node ast.Node) bool {
 		lit, ok := node.(*ast.FuncLit)
@@ -259,7 +214,7 @@ func (g *CallGraph) addLits(p *Package, parent *CGNode, body *ast.BlockStmt, hot
 			Name: fmt.Sprintf("%s$%d", parent.Name, count),
 			Body: lit.Body,
 			Pos:  lit.Pos(),
-			Hot:  hotAtLine(p, hot, lit.Pos()),
+			Hot:  directiveFor(hot, p, lit.Pos(), nil) != nil,
 		}
 		g.byLit[lit] = n
 		g.Nodes = append(g.Nodes, n)
@@ -335,68 +290,75 @@ func walkOwn(n *CGNode, fn func(ast.Node)) {
 	})
 }
 
+// calleeOf resolves the function expression of a call, looking through
+// parentheses and generic instantiation: fun is the stripped expression and
+// obj the object it names — a *types.Func (function or method, interface
+// methods included), a *types.Builtin, a *types.TypeName (conversion) or a
+// *types.Var (function value; for fs[i](…) the indexed table). obj is nil
+// when fun names nothing: a function literal, a call result.
+func calleeOf(p *Package, call *ast.CallExpr) (fun ast.Expr, obj types.Object) {
+	fun = call.Fun
+	for {
+		switch f := fun.(type) {
+		case *ast.ParenExpr:
+			fun = f.X
+		case *ast.IndexExpr:
+			fun = f.X
+		case *ast.IndexListExpr:
+			fun = f.X
+		case *ast.Ident:
+			return fun, p.Info.Uses[f]
+		case *ast.SelectorExpr:
+			return fun, p.Info.Uses[f.Sel] // qualified name, method or field
+		default:
+			return fun, nil
+		}
+	}
+}
+
+// calledFunc returns the *types.Func a call statically names, if any.
+func calledFunc(p *Package, call *ast.CallExpr) *types.Func {
+	_, obj := calleeOf(p, call)
+	fn, _ := obj.(*types.Func)
+	return fn
+}
+
+// builtinName returns the name of the builtin a call invokes, "" otherwise.
+func builtinName(p *Package, call *ast.CallExpr) string {
+	_, obj := calleeOf(p, call)
+	if b, ok := obj.(*types.Builtin); ok {
+		return b.Name()
+	}
+	return ""
+}
+
 // resolveCall resolves a call expression to its static callee node.
 // unknown=true means the callee is a function value or interface method
 // that static analysis cannot (and must not pretend to) resolve; both
 // return values zero means the call is a builtin, a type conversion, or a
 // function with no body in the load.
 func (g *CallGraph) resolveCall(p *Package, call *ast.CallExpr) (callee *CGNode, unknown bool) {
-	fun := call.Fun
-	for {
-		switch f := fun.(type) {
-		case *ast.ParenExpr:
-			fun = f.X
-			continue
-		case *ast.IndexExpr:
-			// Generic instantiation F[T](…) — unless X is itself a value
-			// (slice/map of funcs), which the resolution below reports as
-			// unknown via the *types.Var case.
-			fun = f.X
-			continue
-		case *ast.IndexListExpr:
-			fun = f.X
-			continue
-		}
-		break
-	}
 	if tv, ok := p.Info.Types[call.Fun]; ok && tv.IsType() {
 		return nil, false // conversion
 	}
-	switch f := fun.(type) {
-	case *ast.Ident:
-		switch o := p.Info.Uses[f].(type) {
-		case *types.Func:
-			return g.NodeFor(o), false
-		case *types.Builtin, *types.TypeName, nil:
-			return nil, false
-		default:
-			return nil, true // function-typed variable or parameter
-		}
-	case *ast.SelectorExpr:
-		if sel := p.Info.Selections[f]; sel != nil {
-			switch sel.Kind() {
-			case types.MethodVal, types.MethodExpr:
-				if types.IsInterface(sel.Recv()) {
-					return nil, true // dynamic dispatch
-				}
-				fn, _ := sel.Obj().(*types.Func)
-				return g.NodeFor(fn), false
-			default:
-				return nil, true // field of function type
+	fun, obj := calleeOf(p, call)
+	switch o := obj.(type) {
+	case *types.Func:
+		if sel, ok := fun.(*ast.SelectorExpr); ok {
+			if s := p.Info.Selections[sel]; s != nil && types.IsInterface(s.Recv()) {
+				return nil, true // dynamic dispatch
 			}
 		}
-		// Qualified identifier: pkg.Func or pkg.Var.
-		switch o := p.Info.Uses[f.Sel].(type) {
-		case *types.Func:
-			return g.NodeFor(o), false
-		case *types.TypeName, nil:
-			return nil, false
-		default:
-			return nil, true
+		return g.NodeFor(o), false
+	case *types.Builtin, *types.TypeName:
+		return nil, false
+	case nil:
+		switch f := fun.(type) {
+		case *ast.FuncLit:
+			return g.NodeForLit(f), false
+		case *ast.Ident, *ast.SelectorExpr:
+			return nil, false // unresolved name
 		}
-	case *ast.FuncLit:
-		return g.NodeForLit(f), false
-	default:
-		return nil, true
 	}
+	return nil, true // function-typed variable, parameter, field or result
 }

@@ -8,14 +8,13 @@ import (
 )
 
 // This file is the flow-sensitive dataflow IR under the lifetime analyzers
-// (DESIGN.md §16). Each function body is walked statement by statement over
-// an abstract state mapping local variables to sets of *cells* — one cell
-// per syntactic allocation/acquisition/load site — with per-path released,
-// escaped, and parked facts. Branches fork the state and join afterwards
-// (may-analysis: a fact on either arm survives the join), loops iterate the
-// body to a joined fixpoint (cells are per-site, so the universe is
-// finite), returns terminate their path, and deferred calls apply at every
-// exit in LIFO order.
+// (DESIGN.md §16). Each function body is walked by the flow engine (flow.go)
+// over an abstract state mapping local variables to sets of *cells* — one
+// cell per syntactic allocation/acquisition/load site — with per-path
+// released, escaped, and parked facts. The walker is a client of that
+// engine: it supplies the may-lattice (a fact on either arm survives a
+// join; cells are per-site, so the universe is finite and loops converge)
+// and the transfer functions of statements, expressions and deferred calls.
 //
 // The analysis is deliberately bounded, exactly like the call graph it sits
 // on: loads from the heap produce fresh cells (no strong updates through
@@ -92,7 +91,6 @@ type dfState struct {
 	// release (the `if ok { put(batch); batch = dec } else { put(dec) }`
 	// correlation) and must not be flagged.
 	relBound map[*dfCell]map[types.Object]bool
-	dead     bool // path terminated (return/branch)
 }
 
 func newDFState() *dfState {
@@ -134,7 +132,6 @@ func (s *dfState) clone() *dfState {
 		}
 		c.relBound[k] = cp
 	}
-	c.dead = s.dead
 	return c
 }
 
@@ -178,16 +175,8 @@ func (s *dfState) settleReleases() {
 	}
 }
 
-// join unions another path's state into s. Dead paths contribute nothing.
+// join unions another path's state into s.
 func (s *dfState) join(o *dfState) *dfState {
-	if o == nil || o.dead {
-		return s
-	}
-	if s.dead {
-		o = o.clone()
-		o.settleReleases()
-		return o
-	}
 	s.settleReleases()
 	o.settleReleases()
 	for k, v := range o.vars {
@@ -253,13 +242,6 @@ func unionCells(a, b []*dfCell) []*dfCell {
 	return a
 }
 
-// dfDefer is one recorded defer, with its argument cells captured at the
-// defer statement (Go evaluates defer arguments eagerly).
-type dfDefer struct {
-	call *ast.CallExpr
-	args [][]*dfCell
-}
-
 // dfWalker analyzes one CGNode body.
 type dfWalker struct {
 	eng      *lifetimeEngine
@@ -268,7 +250,8 @@ type dfWalker struct {
 	sum      *PoolSummary // summary being derived (nil in the report pass)
 	emit     bool         // report diagnostics (final pass only)
 	sites    map[ast.Node]*dfCell
-	defers   []*dfDefer
+	operand  map[ast.Expr][]*dfCell         // cells expr() evaluated; enter reads a range's
+	deferArg map[*ast.DeferStmt][][]*dfCell // cells captured at each defer
 	reported map[string]bool
 	paramsOf map[types.Object]int
 	retPool  bool // some return handed out a pooled cell
@@ -283,6 +266,8 @@ func newWalker(eng *lifetimeEngine, n *CGNode, sum *PoolSummary, emit bool) *dfW
 		sum:      sum,
 		emit:     emit,
 		sites:    map[ast.Node]*dfCell{},
+		operand:  map[ast.Expr][]*dfCell{},
+		deferArg: map[*ast.DeferStmt][][]*dfCell{},
 		reported: map[string]bool{},
 		paramsOf: map[types.Object]int{},
 	}
@@ -309,10 +294,7 @@ func (w *dfWalker) analyze() {
 			}
 		}
 	}
-	out := w.walkBody(w.node.Body, s)
-	if !out.dead {
-		w.exitPath(out, w.node.Body.Rbrace)
-	}
+	runFlow[*dfState](w.p, w, w.node.Body, s)
 	if w.sum != nil && w.retPool {
 		w.sum.Acquires = true
 	}
@@ -361,19 +343,17 @@ func (w *dfWalker) diag(analyzer string, pos token.Pos, key, format string, args
 	})
 }
 
-// ---- statement walk ----
+// ---- flow client ----
 
-func (w *dfWalker) walkBody(b *ast.BlockStmt, s *dfState) *dfState {
-	for _, st := range b.List {
-		if s.dead {
-			return s
-		}
-		s = w.walkStmt(st, s)
-	}
-	return s
+func (w *dfWalker) clone(s *dfState) *dfState { return s.clone() }
+
+func (w *dfWalker) join(dst, src *dfState, _ ast.Stmt) (*dfState, bool) {
+	before := dst.size()
+	dst = dst.join(src)
+	return dst, dst.size() != before
 }
 
-func (w *dfWalker) walkStmt(stmt ast.Stmt, s *dfState) *dfState {
+func (w *dfWalker) stmt(stmt ast.Stmt, s *dfState, _ bool) *dfState {
 	switch st := stmt.(type) {
 	case *ast.ExprStmt:
 		w.eval(st.X, s, true)
@@ -401,70 +381,6 @@ func (w *dfWalker) walkStmt(stmt ast.Stmt, s *dfState) *dfState {
 				}
 			}
 		}
-	case *ast.IfStmt:
-		if st.Init != nil {
-			s = w.walkStmt(st.Init, s)
-		}
-		w.eval(st.Cond, s, true)
-		thenIn := s.clone()
-		elseIn := s
-		// Nil-guard refinement: on the arm where `x` is nil, an
-		// acquisition attributed to x never happened (`if v :=
-		// pool.Get(); v != nil` acquires only on the hit path).
-		if x, nilThen, ok := w.nilCond(st.Cond); ok {
-			if nilThen {
-				w.unacquire(thenIn, x)
-			} else {
-				w.unacquire(elseIn, x)
-			}
-		}
-		then := w.walkBody(st.Body, thenIn)
-		var els *dfState
-		if st.Else != nil {
-			els = w.walkStmt(st.Else, elseIn)
-		} else {
-			els = elseIn
-		}
-		return els.join(then)
-	case *ast.BlockStmt:
-		return w.walkBody(st, s)
-	case *ast.ForStmt:
-		if st.Init != nil {
-			s = w.walkStmt(st.Init, s)
-		}
-		return w.walkLoop(s, func(cur *dfState) *dfState {
-			if st.Cond != nil {
-				w.eval(st.Cond, cur, true)
-			}
-			cur = w.walkBody(st.Body, cur)
-			if st.Post != nil && !cur.dead {
-				cur = w.walkStmt(st.Post, cur)
-			}
-			return cur
-		})
-	case *ast.RangeStmt:
-		xCells := w.eval(st.X, s, true)
-		return w.walkLoop(s, func(cur *dfState) *dfState {
-			w.bindRangeVar(cur, st.Key, xCells, true)
-			w.bindRangeVar(cur, st.Value, xCells, false)
-			return w.walkBody(st.Body, cur)
-		})
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			s = w.walkStmt(st.Init, s)
-		}
-		if st.Tag != nil {
-			w.eval(st.Tag, s, true)
-		}
-		return w.walkCases(st.Body, s)
-	case *ast.TypeSwitchStmt:
-		if st.Init != nil {
-			s = w.walkStmt(st.Init, s)
-		}
-		s = w.walkStmt(st.Assign, s)
-		return w.walkCases(st.Body, s)
-	case *ast.SelectStmt:
-		return w.walkCases(st.Body, s)
 	case *ast.ReturnStmt:
 		for _, r := range st.Results {
 			for _, c := range w.eval(r, s, true) {
@@ -474,25 +390,19 @@ func (w *dfWalker) walkStmt(stmt ast.Stmt, s *dfState) *dfState {
 				w.escape(s, c, escReturned, r.Pos(), "")
 			}
 		}
-		w.exitPath(s, st.Pos())
-		s.dead = true
-	case *ast.BranchStmt:
-		// break/continue/goto: the path leaves this straight-line region.
-		// Dropping the state is sound for may-facts and avoids phantom
-		// flows back into the loop body.
-		s.dead = true
 	case *ast.SendStmt:
 		w.eval(st.Chan, s, true)
 		for _, c := range w.eval(st.Value, s, true) {
 			w.escape(s, c, escSent, st.Value.Pos(), "")
 		}
 	case *ast.DeferStmt:
-		d := &dfDefer{call: st.Call}
+		// Go evaluates defer arguments eagerly: capture their cells here.
 		w.evalReceiver(st.Call, s)
+		var args [][]*dfCell
 		for _, a := range st.Call.Args {
-			d.args = append(d.args, w.eval(a, s, true))
+			args = append(args, w.eval(a, s, true))
 		}
-		w.defers = append(w.defers, d)
+		w.deferArg[st] = args
 	case *ast.GoStmt:
 		w.evalReceiver(st.Call, s)
 		for _, a := range st.Call.Args {
@@ -502,55 +412,42 @@ func (w *dfWalker) walkStmt(stmt ast.Stmt, s *dfState) *dfState {
 		}
 	case *ast.IncDecStmt:
 		w.eval(st.X, s, true)
-	case *ast.LabeledStmt:
-		return w.walkStmt(st.Stmt, s)
 	}
 	return s
 }
 
-// walkLoop iterates body to a joined fixpoint, bounded by the finite
-// per-site cell universe (hard iteration cap as a backstop).
-func (w *dfWalker) walkLoop(s *dfState, body func(*dfState) *dfState) *dfState {
-	cur := s.clone()
-	for i := 0; i < 10; i++ {
-		before := cur.size()
-		after := body(cur.clone())
-		cur = cur.join(after)
-		if cur.size() == before {
-			break
-		}
-	}
-	// The zero-iteration path joins back in.
-	return cur.join(s)
+func (w *dfWalker) expr(e ast.Expr, s *dfState) *dfState {
+	w.operand[e] = w.eval(e, s, true)
+	return s
 }
 
-// walkCases joins every case clause of a switch/select body.
-func (w *dfWalker) walkCases(body *ast.BlockStmt, s *dfState) *dfState {
-	out := s.clone() // no-clause-taken path
-	for _, cl := range body.List {
-		br := s.clone()
-		var stmts []ast.Stmt
-		switch c := cl.(type) {
-		case *ast.CaseClause:
-			for _, e := range c.List {
-				w.eval(e, br, true)
-			}
-			stmts = c.Body
-		case *ast.CommClause:
-			if c.Comm != nil {
-				br = w.walkStmt(c.Comm, br)
-			}
-			stmts = c.Body
+// cond applies the nil-guard refinement: on the arm where `x` is nil, an
+// acquisition attributed to x never happened (`if v := pool.Get(); v !=
+// nil` acquires only on the hit path).
+func (w *dfWalker) cond(e ast.Expr, s *dfState) (yes, no *dfState) {
+	w.eval(e, s, true)
+	yes, no = s.clone(), s
+	if x, nilThen, ok := w.nilCond(e); ok {
+		if nilThen {
+			w.unacquire(yes, x)
+		} else {
+			w.unacquire(no, x)
 		}
-		for _, st := range stmts {
-			if br.dead {
-				break
-			}
-			br = w.walkStmt(st, br)
-		}
-		out = out.join(br)
 	}
-	return out
+	return yes, no
+}
+
+func (w *dfWalker) enter(stmt ast.Stmt, s *dfState) *dfState {
+	if st, ok := stmt.(*ast.RangeStmt); ok {
+		w.bindRangeVar(s, st.Key, w.operand[st.X], true)
+		w.bindRangeVar(s, st.Value, w.operand[st.X], false)
+	}
+	return s
+}
+
+func (w *dfWalker) deferred(d *ast.DeferStmt, s *dfState) *dfState {
+	w.applyCallEffects(d.Call, w.deferArg[d], s)
+	return s
 }
 
 func (w *dfWalker) bindRangeVar(s *dfState, e ast.Expr, xCells []*dfCell, isKey bool) {
@@ -583,12 +480,8 @@ func (w *dfWalker) bindRangeVar(s *dfState, e ast.Expr, xCells []*dfCell, isKey 
 	s.vars[obj] = []*dfCell{c}
 }
 
-// exitPath applies deferred calls (LIFO) and runs the leak check for one
-// function exit.
-func (w *dfWalker) exitPath(s *dfState, pos token.Pos) {
-	for i := len(w.defers) - 1; i >= 0; i-- {
-		w.applyCallEffects(w.defers[i].call, w.defers[i].args, s)
-	}
+// exit runs the leak check for one function exit.
+func (w *dfWalker) exit(s *dfState, pos token.Pos) {
 	// Leak check: a pooled object acquired on this path that was never
 	// released, stored anywhere, or returned is gone when the function
 	// exits — its pool never sees it again.
@@ -1113,10 +1006,8 @@ func (w *dfWalker) evalCall(call *ast.CallExpr, s *dfState) []*dfCell {
 		}
 		return nil
 	}
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
-		if _, isBuiltin := w.p.Info.Uses[id].(*types.Builtin); isBuiltin {
-			return w.evalBuiltin(id.Name, call, s)
-		}
+	if name := builtinName(w.p, call); name != "" {
+		return w.evalBuiltin(name, call, s)
 	}
 	// sync.Pool endpoints on declared pools.
 	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
@@ -1151,7 +1042,7 @@ func (w *dfWalker) evalCall(call *ast.CallExpr, s *dfState) []*dfCell {
 // releasesArg reports whether the called function releases argument i, via
 // annotation or derived summary.
 func (w *dfWalker) releasesArg(call *ast.CallExpr, i int) bool {
-	fn := w.calledFunc(call)
+	fn := calledFunc(w.p, call)
 	if fn != nil && w.eng.reg.Releases[fn.Origin()] && i == 0 {
 		return true
 	}
@@ -1174,7 +1065,7 @@ func (w *dfWalker) releasesArg(call *ast.CallExpr, i int) bool {
 // effects to already-evaluated argument cells. Used both at call sites and
 // when deferred calls run at function exit.
 func (w *dfWalker) applyCallEffects(call *ast.CallExpr, args [][]*dfCell, s *dfState) []*dfCell {
-	fn := w.calledFunc(call)
+	fn := calledFunc(w.p, call)
 	if fn != nil && w.eng.reg.Releases[fn.Origin()] && len(args) > 0 {
 		var via types.Object
 		if len(call.Args) > 0 {
@@ -1227,7 +1118,7 @@ func (w *dfWalker) callResult(call *ast.CallExpr, s *dfState, sum *PoolSummary) 
 	c := w.siteCell(call, "result of "+render(call.Fun))
 	s.revive(c)
 	c.heap = true
-	if fn := w.calledFunc(call); fn != nil && w.eng.reg.Acquires[fn.Origin()] {
+	if fn := calledFunc(w.p, call); fn != nil && w.eng.reg.Acquires[fn.Origin()] {
 		w.acquire(s, c, &PoolDecl{Name: fn.Name(), Kind: roleFreelist}, call.Pos())
 		c.label = "value from " + fn.Name()
 	}
@@ -1241,11 +1132,6 @@ func (w *dfWalker) callResult(call *ast.CallExpr, s *dfState, sum *PoolSummary) 
 		}
 	}
 	return []*dfCell{c}
-}
-
-// calledFunc returns the static *types.Func a call invokes, if any.
-func (w *dfWalker) calledFunc(call *ast.CallExpr) *types.Func {
-	return staticFunc(w.p, call)
 }
 
 func (w *dfWalker) evalBuiltin(name string, call *ast.CallExpr, s *dfState) []*dfCell {

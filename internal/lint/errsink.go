@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 )
 
@@ -20,13 +21,18 @@ import (
 //     read, or still unread when the function ends.
 //
 // "Read" is any use of the variable — a comparison, a return, a wrapping
-// call, capture by a closure. Branches are walked against a copy of the
-// pending-error set and a read on any branch counts (the analysis is
-// deliberately permissive: it only reports errors no syntactic path
-// checks). Loop bodies are walked once; a variable the loop reassigns is
-// dropped from tracking, since a later iteration may read the value the
-// straight-line walk thinks is dead. Struct fields and package variables
-// are out of scope — only locals and named results are tracked.
+// call, capture by a closure. The walk is one client of the flow engine
+// (flow.go); the state is the set of tracked variables whose last
+// assignment no path into this point has read (must-pending: a join keeps a
+// variable only when every incoming path still has it pending, so a read on
+// any live arm counts). An overwrite is reported where it happens. "Never
+// checked" is deliberately permissive: an assignment still pending at some
+// exit is reported only when no statement anywhere read it, so a check on a
+// path that has already returned counts too. At a loop's head and exit a
+// variable declared inside the loop is pending when ANY path leaves it
+// pending — each iteration gets a fresh one and an unread value truly is
+// unread. Struct fields and package variables are out of scope — only
+// locals and named results are tracked.
 func NewErrSink(scope []string) *Analyzer {
 	a := &Analyzer{
 		Name: "errsink",
@@ -37,41 +43,44 @@ func NewErrSink(scope []string) *Analyzer {
 			return nil
 		}
 		var diags []Diagnostic
-		for _, f := range p.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch fn := n.(type) {
-				case *ast.FuncDecl:
-					if fn.Body != nil {
-						diags = append(diags, errSinkFunc(a, p, fn.Type, fn.Body)...)
-					}
-				case *ast.FuncLit:
-					diags = append(diags, errSinkFunc(a, p, fn.Type, fn.Body)...)
-				}
-				return true
-			})
-		}
+		forEachFunc(p, func(ftype *ast.FuncType, body *ast.BlockStmt) {
+			diags = append(diags, errSinkFunc(a, p, ftype, body)...)
+		})
 		return diags
 	}
 	return a
 }
 
-// errFlow is the per-function walk state.
+// errPending is the flow state: tracked variable → its last assignment,
+// unread on every path into this point.
+type errPending map[*types.Var]token.Pos
+
+// errFlow is the flow client walking one function body.
 type errFlow struct {
 	a *Analyzer
 	p *Package
 	// tracked holds the locals and named results of exact type error that
 	// the overwrite/unread checks apply to.
 	tracked map[*types.Var]bool
-	// pending maps a tracked variable to its last unread assignment.
-	pending map[*types.Var]token.Pos
-	diags   []Diagnostic
+	// checked holds the assignments some statement read.
+	checked map[token.Pos]bool
+	// unread holds the assignments still pending at some exit.
+	unread map[token.Pos]*types.Var
+	diags  []Diagnostic
+	seen   map[errDiagKey]bool // loop bodies are re-walked
+}
+
+type errDiagKey struct {
+	pos    token.Pos
+	format string
 }
 
 // errSinkFunc analyzes one function body. Nested function literals are
 // analyzed independently by the caller; here their interiors only count as
 // reads of the enclosing function's variables.
 func errSinkFunc(a *Analyzer, p *Package, ftype *ast.FuncType, body *ast.BlockStmt) []Diagnostic {
-	w := &errFlow{a: a, p: p, tracked: map[*types.Var]bool{}, pending: map[*types.Var]token.Pos{}}
+	w := &errFlow{a: a, p: p, tracked: map[*types.Var]bool{}, checked: map[token.Pos]bool{},
+		unread: map[token.Pos]*types.Var{}, seen: map[errDiagKey]bool{}}
 	if ftype.Results != nil {
 		for _, fld := range ftype.Results.List {
 			for _, name := range fld.Names {
@@ -81,139 +90,106 @@ func errSinkFunc(a *Analyzer, p *Package, ftype *ast.FuncType, body *ast.BlockSt
 			}
 		}
 	}
-	w.block(body)
-	var unread []*types.Var
-	for v := range w.pending {
-		unread = append(unread, v)
+	runFlow[errPending](p, w, body, errPending{})
+	var unread []token.Pos
+	for pos := range w.unread {
+		if !w.checked[pos] {
+			unread = append(unread, pos)
+		}
 	}
-	sort.Slice(unread, func(i, j int) bool { return w.pending[unread[i]] < w.pending[unread[j]] })
-	for _, v := range unread {
-		w.diags = append(w.diags, a.Diag(p, w.pending[v], "error assigned to %s is never checked", v.Name()))
+	sort.Slice(unread, func(i, j int) bool { return unread[i] < unread[j] })
+	for _, pos := range unread {
+		w.diag(pos, "error assigned to %s is never checked", w.unread[pos].Name())
 	}
 	return w.diags
 }
 
-func (w *errFlow) block(b *ast.BlockStmt) {
-	for _, s := range b.List {
-		w.stmt(s)
+func (w *errFlow) diag(pos token.Pos, format string, args ...any) {
+	if key := (errDiagKey{pos, format}); !w.seen[key] {
+		w.seen[key] = true
+		w.diags = append(w.diags, w.a.Diag(w.p, pos, format, args...))
 	}
 }
 
-func (w *errFlow) stmt(s ast.Stmt) {
-	switch x := s.(type) {
+func (w *errFlow) clone(s errPending) errPending { return maps.Clone(s) }
+
+// join keeps what is pending on both paths; a variable declared inside the
+// loop being joined is pending when either path says so.
+func (w *errFlow) join(dst, src errPending, loop ast.Stmt) (errPending, bool) {
+	changed := false
+	inLoop := func(v *types.Var) bool { return loop != nil && loop.Pos() <= v.Pos() && v.Pos() <= loop.End() }
+	for v := range dst {
+		if _, ok := src[v]; !ok && !inLoop(v) {
+			delete(dst, v)
+			changed = true
+		}
+	}
+	for v, pos := range src {
+		if _, ok := dst[v]; !ok && inLoop(v) {
+			dst[v] = pos
+			changed = true
+		}
+	}
+	return dst, changed
+}
+
+func (w *errFlow) stmt(st ast.Stmt, s errPending, _ bool) errPending {
+	switch x := st.(type) {
 	case *ast.AssignStmt:
-		w.assign(x)
+		w.assign(x, s)
 	case *ast.DeclStmt:
-		w.decl(x)
+		w.decl(x, s)
 	case *ast.ExprStmt:
-		w.reads(x.X)
+		w.reads(x.X, s)
 		if call, ok := unparen(x.X).(*ast.CallExpr); ok {
 			w.uncheckedCall(call, "call to")
 		}
 	case *ast.DeferStmt:
-		w.reads(x.Call)
+		w.reads(x.Call, s)
 		w.uncheckedCall(x.Call, "deferred call to")
 	case *ast.GoStmt:
-		w.reads(x.Call)
+		w.reads(x.Call, s)
 		w.uncheckedCall(x.Call, "go call to")
 	case *ast.ReturnStmt:
-		for _, e := range x.Results {
-			w.reads(e)
-		}
+		w.reads(x, s)
 		if len(x.Results) == 0 {
 			// A bare return hands the named results to the caller.
 			for v := range w.tracked {
-				delete(w.pending, v)
+				delete(s, v)
 			}
 		}
-	case *ast.IfStmt:
-		if x.Init != nil {
-			w.stmt(x.Init)
-		}
-		w.reads(x.Cond)
-		branches := []map[*types.Var]token.Pos{
-			w.branch(func() { w.block(x.Body) }),
-		}
-		if x.Else != nil {
-			branches = append(branches, w.branch(func() { w.stmt(x.Else) }))
-		}
-		w.mergeReads(branches)
-	case *ast.ForStmt:
-		if x.Init != nil {
-			w.stmt(x.Init)
-		}
-		w.reads(x.Cond)
-		before := copyPending(w.pending)
-		cl := w.branch(func() {
-			w.block(x.Body)
-			if x.Post != nil {
-				w.stmt(x.Post)
-			}
-		})
-		w.loopMerge(before, cl, x)
-	case *ast.RangeStmt:
-		w.reads(x.X)
-		before := copyPending(w.pending)
-		cl := w.branch(func() { w.block(x.Body) })
-		w.loopMerge(before, cl, x)
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			w.stmt(x.Init)
-		}
-		w.reads(x.Tag)
-		var branches []map[*types.Var]token.Pos
-		for _, c := range x.Body.List {
-			cc := c.(*ast.CaseClause)
-			for _, e := range cc.List {
-				w.reads(e)
-			}
-			branches = append(branches, w.branch(func() { w.stmtList(cc.Body) }))
-		}
-		w.mergeReads(branches)
-	case *ast.TypeSwitchStmt:
-		if x.Init != nil {
-			w.stmt(x.Init)
-		}
-		w.readsNode(x.Assign)
-		var branches []map[*types.Var]token.Pos
-		for _, c := range x.Body.List {
-			cc := c.(*ast.CaseClause)
-			branches = append(branches, w.branch(func() { w.stmtList(cc.Body) }))
-		}
-		w.mergeReads(branches)
-	case *ast.SelectStmt:
-		var branches []map[*types.Var]token.Pos
-		for _, c := range x.Body.List {
-			cc := c.(*ast.CommClause)
-			branches = append(branches, w.branch(func() {
-				if cc.Comm != nil {
-					w.stmt(cc.Comm)
-				}
-				w.stmtList(cc.Body)
-			}))
-		}
-		w.mergeReads(branches)
-	case *ast.BlockStmt:
-		w.block(x)
-	case *ast.LabeledStmt:
-		w.stmt(x.Stmt)
 	default:
-		// SendStmt, IncDecStmt, BranchStmt, EmptyStmt: plain reads.
-		w.readsNode(s)
+		// SendStmt, IncDecStmt, EmptyStmt: plain reads.
+		w.reads(st, s)
 	}
+	return s
 }
 
-func (w *errFlow) stmtList(list []ast.Stmt) {
-	for _, s := range list {
-		w.stmt(s)
+func (w *errFlow) expr(e ast.Expr, s errPending) errPending {
+	w.reads(e, s)
+	return s
+}
+
+func (w *errFlow) cond(e ast.Expr, s errPending) (yes, no errPending) {
+	w.reads(e, s)
+	return s, w.clone(s)
+}
+
+func (w *errFlow) enter(_ ast.Stmt, s errPending) errPending { return s }
+
+func (w *errFlow) deferred(_ *ast.DeferStmt, s errPending) errPending { return s }
+
+func (w *errFlow) exit(s errPending, _ token.Pos) {
+	for v, pos := range s {
+		w.unread[pos] = v
 	}
 }
 
 // assign handles = and := statements: blank discards, overwrites of
 // pending errors, and new pending assignments.
-func (w *errFlow) assign(as *ast.AssignStmt) {
+func (w *errFlow) assign(as *ast.AssignStmt, s errPending) {
 	for _, r := range as.Rhs {
-		w.reads(r)
+		w.reads(r, s)
 	}
 	if as.Tok != token.ASSIGN && as.Tok != token.DEFINE {
 		return // compound assignment ops never produce errors
@@ -229,29 +205,22 @@ func (w *errFlow) assign(as *ast.AssignStmt) {
 		if !ok {
 			// m[k] = ... reads m and k; a write through a selector or
 			// index is never a tracked local.
-			w.reads(l)
+			w.reads(l, s)
 			continue
 		}
 		if id.Name == "_" {
 			if t := w.assignType(as, i); t != nil && errorType(t) {
 				if callDesc != "" {
-					w.diags = append(w.diags, w.a.Diag(w.p, id.Pos(),
-						"error result of %s is discarded", callDesc))
+					w.diag(id.Pos(), "error result of %s is discarded", callDesc)
 				} else {
-					w.diags = append(w.diags, w.a.Diag(w.p, id.Pos(),
-						"error value is discarded"))
+					w.diag(id.Pos(), "error value is discarded")
 				}
 			}
 			continue
 		}
-		var v *types.Var
-		if as.Tok == token.DEFINE {
-			v, _ = w.p.Info.Defs[id].(*types.Var)
-			if v == nil {
-				// Redeclaration inside a multi-variable := resolves as a use.
-				v, _ = w.p.Info.Uses[id].(*types.Var)
-			}
-		} else {
+		// A redeclaration inside a multi-variable := resolves as a use.
+		v, fresh := w.p.Info.Defs[id].(*types.Var)
+		if !fresh {
 			v, _ = w.p.Info.Uses[id].(*types.Var)
 		}
 		if v == nil || !errorType(v.Type()) {
@@ -263,15 +232,17 @@ func (w *errFlow) assign(as *ast.AssignStmt) {
 		if !w.tracked[v] {
 			continue // parameter, package variable, or field: out of scope
 		}
-		if prev, ok := w.pending[v]; ok {
-			w.diags = append(w.diags, w.a.Diag(w.p, id.Pos(),
-				"%s is reassigned before the error assigned at line %d is checked",
-				v.Name(), w.p.Fset.Position(prev).Line))
+		// A fresh variable overwrites nothing: what a loop's previous
+		// iteration left pending under the same declaration is this
+		// assignment again.
+		if prev, ok := s[v]; ok && !fresh {
+			w.diag(id.Pos(), "%s is reassigned before the error assigned at line %d is checked",
+				v.Name(), w.p.Fset.Position(prev).Line)
 		}
 		if t := w.assignType(as, i); t != nil && isUntypedNil(t) {
-			delete(w.pending, v) // explicit reset, nothing left to check
+			delete(s, v) // explicit reset, nothing left to check
 		} else {
-			w.pending[v] = id.Pos()
+			s[v] = id.Pos()
 		}
 	}
 }
@@ -292,10 +263,10 @@ func (w *errFlow) assignType(as *ast.AssignStmt, i int) types.Type {
 
 // decl handles `var` statements, which can both declare tracked variables
 // and leave an initial error pending.
-func (w *errFlow) decl(ds *ast.DeclStmt) {
+func (w *errFlow) decl(ds *ast.DeclStmt, s errPending) {
 	gd, ok := ds.Decl.(*ast.GenDecl)
 	if !ok || gd.Tok != token.VAR {
-		w.readsNode(ds)
+		w.reads(ds, s)
 		return
 	}
 	for _, spec := range gd.Specs {
@@ -304,7 +275,7 @@ func (w *errFlow) decl(ds *ast.DeclStmt) {
 			continue
 		}
 		for _, val := range vs.Values {
-			w.reads(val)
+			w.reads(val, s)
 		}
 		for _, name := range vs.Names {
 			v, _ := w.p.Info.Defs[name].(*types.Var)
@@ -313,7 +284,7 @@ func (w *errFlow) decl(ds *ast.DeclStmt) {
 			}
 			w.tracked[v] = true
 			if len(vs.Values) > 0 {
-				w.pending[v] = name.Pos()
+				s[v] = name.Pos()
 			}
 		}
 	}
@@ -322,86 +293,26 @@ func (w *errFlow) decl(ds *ast.DeclStmt) {
 // uncheckedCall reports a statement-position call whose results include an
 // error nothing receives.
 func (w *errFlow) uncheckedCall(call *ast.CallExpr, what string) {
-	if !typeHasError(w.p.Info.Types[call].Type) {
-		return
+	if typeHasError(w.p.Info.Types[call].Type) {
+		w.diag(call.Pos(), "%s %s drops its error result", what, types.ExprString(call.Fun))
 	}
-	w.diags = append(w.diags, w.a.Diag(w.p, call.Pos(),
-		"%s %s drops its error result", what, types.ExprString(call.Fun)))
 }
 
-// reads marks every variable used anywhere inside e as read, function-
+// reads marks every variable used anywhere inside n as read, function-
 // literal interiors included: a captured error escapes the straight-line
 // view, so the closure must count as a potential check.
-func (w *errFlow) reads(e ast.Expr) {
-	if e == nil {
-		return
-	}
-	w.readsNode(e)
-}
-
-func (w *errFlow) readsNode(n ast.Node) {
+func (w *errFlow) reads(n ast.Node, s errPending) {
 	ast.Inspect(n, func(x ast.Node) bool {
 		if id, ok := x.(*ast.Ident); ok {
 			if v, ok := w.p.Info.Uses[id].(*types.Var); ok {
-				delete(w.pending, v)
+				if pos, pending := s[v]; pending {
+					w.checked[pos] = true
+					delete(s, v)
+				}
 			}
 		}
 		return true
 	})
-}
-
-// branch runs fn against a copy of the pending set and returns the copy;
-// diagnostics found inside the branch are kept.
-func (w *errFlow) branch(fn func()) map[*types.Var]token.Pos {
-	saved := w.pending
-	w.pending = copyPending(saved)
-	fn()
-	cl := w.pending
-	w.pending = saved
-	return cl
-}
-
-// mergeReads clears every pending variable that at least one branch read:
-// the analysis reports only errors no syntactic path checks.
-func (w *errFlow) mergeReads(branches []map[*types.Var]token.Pos) {
-	for v := range w.pending {
-		for _, b := range branches {
-			if _, ok := b[v]; !ok {
-				delete(w.pending, v)
-				break
-			}
-		}
-	}
-}
-
-// loopMerge folds one symbolic iteration of a loop body back into the live
-// set. Reads clear as usual. A variable the body reassigns leaves the walk:
-// a later iteration may read the value the straight-line view considers
-// dead — unless the variable is declared inside the body, where each
-// iteration gets a fresh one and an unread value truly is unread.
-func (w *errFlow) loopMerge(before, cl map[*types.Var]token.Pos, loop ast.Node) {
-	for v := range before {
-		if _, ok := cl[v]; !ok {
-			delete(w.pending, v)
-		}
-	}
-	for v, pos := range cl {
-		if bp, ok := before[v]; ok && bp == pos {
-			continue // untouched by the body
-		}
-		delete(w.pending, v)
-		if v.Pos() >= loop.Pos() && v.Pos() <= loop.End() {
-			w.pending[v] = pos
-		}
-	}
-}
-
-func copyPending(m map[*types.Var]token.Pos) map[*types.Var]token.Pos {
-	out := make(map[*types.Var]token.Pos, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // typeHasError reports whether t is, or is a tuple containing, the

@@ -67,7 +67,7 @@ func NewHotAlloc() *Analyzer {
 			}
 		}
 
-		var diags []Diagnostic
+		diags := append([]Diagnostic(nil), g.Bad...)
 		for _, n := range g.Nodes {
 			if _, hot := parent[n]; !hot {
 				continue
@@ -229,18 +229,16 @@ func scanCall(p *Package, call *ast.CallExpr, emit func(pos token.Pos, what stri
 		}
 		return
 	}
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
-		if b, isB := p.Info.Uses[id].(*types.Builtin); isB {
-			switch b.Name() {
-			case "make":
-				emit(call.Pos(), "make allocates")
-			case "new":
-				emit(call.Pos(), "new allocates")
-			case "append":
-				emit(call.Pos(), "append may grow its backing array")
-			}
-			return
+	if name := builtinName(p, call); name != "" {
+		switch name {
+		case "make":
+			emit(call.Pos(), "make allocates")
+		case "new":
+			emit(call.Pos(), "new allocates")
+		case "append":
+			emit(call.Pos(), "append may grow its backing array")
 		}
+		return
 	}
 
 	// Interface boxing: a concrete, non-pointer-shaped, non-constant

@@ -56,14 +56,7 @@ func closedChannelExprs(p *Package, f *ast.File) map[string]bool {
 	out := map[string]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) != 1 {
-			return true
-		}
-		id, ok := call.Fun.(*ast.Ident)
-		if !ok || id.Name != "close" {
-			return true
-		}
-		if b, ok := p.Info.Uses[id].(*types.Builtin); !ok || b.Name() != "close" {
+		if !ok || len(call.Args) != 1 || builtinName(p, call) != "close" {
 			return true
 		}
 		out[types.ExprString(call.Args[0])] = true

@@ -117,23 +117,6 @@ func NewScratchLocal(scope []string) *Analyzer {
 
 // ---- shared call/pool resolution ----
 
-// staticFunc returns the *types.Func a call statically invokes, if any.
-func staticFunc(p *Package, call *ast.CallExpr) *types.Func {
-	switch f := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := p.Info.Uses[f].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		if sel := p.Info.Selections[f]; sel != nil {
-			fn, _ := sel.Obj().(*types.Func)
-			return fn
-		}
-		fn, _ := p.Info.Uses[f.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
 // poolOfExpr resolves an expression to a declared pool/freelist: a bare
 // identifier, a package-qualified variable, or a field selector.
 func poolOfExpr(p *Package, reg *PoolRegistry, e ast.Expr) *PoolDecl {
@@ -205,7 +188,7 @@ func (eng *lifetimeEngine) stillReachable(n *CGNode) {
 			}
 		case *ast.CallExpr:
 			rs.scanClearing(st)
-			if fn := staticFunc(rs.p, st); fn != nil && eng.reg.Releases[fn.Origin()] && len(st.Args) > 0 {
+			if fn := calledFunc(rs.p, st); fn != nil && eng.reg.Releases[fn.Origin()] && len(st.Args) > 0 {
 				rels = append(rels, relEvent{pos: st, arg: st.Args[0]})
 			}
 			if sel, ok := unparen(st.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Put" && len(st.Args) == 1 {
@@ -213,12 +196,10 @@ func (eng *lifetimeEngine) stillReachable(n *CGNode) {
 					rels = append(rels, relEvent{pos: st, arg: st.Args[0]})
 				}
 			}
-			if id, ok := unparen(st.Fun).(*ast.Ident); ok && id.Name == "append" && len(st.Args) > 1 {
-				if _, isB := rs.p.Info.Uses[id].(*types.Builtin); isB {
-					if pd := poolOfExpr(rs.p, eng.reg, st.Args[0]); pd != nil && pd.Kind == roleFreelist {
-						for _, a := range st.Args[1:] {
-							rels = append(rels, relEvent{pos: st, arg: a})
-						}
+			if builtinName(rs.p, st) == "append" && len(st.Args) > 1 {
+				if pd := poolOfExpr(rs.p, eng.reg, st.Args[0]); pd != nil && pd.Kind == roleFreelist {
+					for _, a := range st.Args[1:] {
+						rels = append(rels, relEvent{pos: st, arg: a})
 					}
 				}
 			}
@@ -316,13 +297,10 @@ func (rs *reachScan) isLocal(obj types.Object) bool {
 // scanClearing records delete/clear builtins and clear/reset-style method
 // calls as severing statements.
 func (rs *reachScan) scanClearing(call *ast.CallExpr) {
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
-		if _, isB := rs.p.Info.Uses[id].(*types.Builtin); isB && (id.Name == "delete" || id.Name == "clear") && len(call.Args) > 0 {
-			if p, _ := rs.pathOf(call.Args[0], 0); p != "" {
-				rs.cleared = append(rs.cleared, p)
-			}
+	if name := builtinName(rs.p, call); (name == "delete" || name == "clear") && len(call.Args) > 0 {
+		if p, _ := rs.pathOf(call.Args[0], 0); p != "" {
+			rs.cleared = append(rs.cleared, p)
 		}
-		return
 	}
 	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
 		switch sel.Sel.Name {

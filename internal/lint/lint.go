@@ -20,7 +20,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
 	"sort"
 	"strings"
 	"time"
@@ -123,78 +122,35 @@ func (a *Analyzer) Diag(p *Package, pos token.Pos, format string, args ...any) D
 	return Diagnostic{Analyzer: a.Name, Pos: p.Fset.Position(pos), Message: fmt.Sprintf(format, args...)}
 }
 
-// ignoreDirective is one parsed //lint:ignore comment.
+// ignoreDirective is one well-formed //lint:ignore directive.
 type ignoreDirective struct {
-	file      string
-	line      int  // line the directive appears on
-	ownLine   bool // comment stands alone, so it covers line+1
+	*directive
 	analyzers []string
 	reason    string
 }
 
-var ignoreRe = regexp.MustCompile(`^//lint:ignore\s+(\S+)(?:\s+(.*))?$`)
-
-// collectIgnores parses every //lint:ignore directive in the package.
+// collectIgnores interprets every //lint:ignore directive in the package.
 // Malformed directives (no reason) are returned as diagnostics so they
 // cannot silently rot.
 func collectIgnores(p *Package) ([]ignoreDirective, []Diagnostic) {
 	var dirs []ignoreDirective
 	var bad []Diagnostic
-	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := ignoreRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				pos := p.Fset.Position(c.Pos())
-				if strings.TrimSpace(m[2]) == "" {
-					bad = append(bad, Diagnostic{
-						Analyzer: "lint",
-						Pos:      pos,
-						Message:  "//lint:ignore directive is missing a reason",
-					})
-					continue
-				}
-				// The directive stands alone when nothing but whitespace
-				// precedes it on its line.
-				ownLine := pos.Column == 1 || onlyWhitespaceBefore(p, c.Pos())
-				dirs = append(dirs, ignoreDirective{
-					file:      pos.Filename,
-					line:      pos.Line,
-					ownLine:   ownLine,
-					analyzers: strings.Split(m[1], ","),
-					reason:    strings.TrimSpace(m[2]),
-				})
-			}
+	for _, d := range parseDirectives(p, "ignore") {
+		names, reason := d.split()
+		if reason == "" {
+			bad = append(bad, d.missingReason("lint"))
+			continue
 		}
+		dirs = append(dirs, ignoreDirective{d, strings.Split(names, ","), reason})
 	}
 	return dirs, bad
-}
-
-// onlyWhitespaceBefore reports whether the comment at pos is the first
-// non-blank token on its line.
-func onlyWhitespaceBefore(p *Package, pos token.Pos) bool {
-	position := p.Fset.Position(pos)
-	src, ok := p.Src[position.Filename]
-	if !ok {
-		return false
-	}
-	lineStart := position.Offset - (position.Column - 1)
-	if lineStart < 0 || position.Offset > len(src) {
-		return false
-	}
-	return strings.TrimSpace(string(src[lineStart:position.Offset])) == ""
 }
 
 // suppressReason returns the reason of the first directive covering d,
 // and whether any directive does.
 func suppressReason(d Diagnostic, dirs []ignoreDirective) (string, bool) {
 	for _, dir := range dirs {
-		if dir.file != d.Pos.Filename {
-			continue
-		}
-		if dir.line != d.Pos.Line && !(dir.ownLine && dir.line == d.Pos.Line-1) {
+		if !dir.covers(d.Pos) {
 			continue
 		}
 		for _, name := range dir.analyzers {

@@ -4,7 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"maps"
 	"strings"
 )
 
@@ -16,10 +16,11 @@ import (
 // never releases, and every goroutine needing the lock wedges behind it
 // (cf. STRETCH's shared-window lock discipline).
 //
-// The scan is flow-sensitive within one function body. Branches are
-// explored independently and their exit states joined may-held (a lock
-// held on any fall-through path stays tracked), with two precision rules
-// the naive clone-and-discard scheme gets wrong:
+// The scan is one client of the flow engine (flow.go), which owns forking,
+// joining, loop fixpoints, break/continue and path termination. The state
+// is the set of locks that may be held (a lock held on any path into a
+// merge stays tracked — the analyzer reports possible deadlocks) plus the
+// locks with a pending deferred unlock:
 //
 //   - a branch that terminates (return / panic / goto) contributes nothing
 //     to the post-branch state, so `if cond { mu.Unlock(); return }` does
@@ -48,85 +49,67 @@ func NewLockHeldSend() *Analyzer {
 		sums := m.BlockSummaries()
 		var diags []Diagnostic
 		for _, n := range g.Nodes {
-			s := &lockScan{
-				node:  n,
+			seen := map[token.Pos]bool{} // loop bodies are walked to a fixpoint
+			c := &lockScan{
 				pkg:   n.Pkg,
 				graph: g,
 				sums:  sums,
-				held:  map[string]token.Pos{},
-				defUn: map[string]bool{},
 				report: func(pos token.Pos, chain []string, format string, args ...any) {
+					if seen[pos] {
+						return
+					}
+					seen[pos] = true
 					d := a.Diag(n.Pkg, pos, format, args...)
 					d.Chain = chain
 					diags = append(diags, d)
 				},
 			}
-			s.block(n.Body)
+			runFlow[*lockState](n.Pkg, c, n.Body, &lockState{held: map[string]bool{}, defUn: map[string]bool{}})
 		}
 		return diags
 	}
 	return a
 }
 
-// lockScan walks one function body tracking which mutexes are held.
+// lockScan is the flow client walking one function body.
 type lockScan struct {
-	node   *CGNode
 	pkg    *Package
 	graph  *CallGraph
 	sums   map[*CGNode]*BlockSummary
-	held   map[string]token.Pos // lock expr → acquisition position
-	defUn  map[string]bool      // locks with a pending deferred unlock
 	report func(pos token.Pos, chain []string, format string, args ...any)
 }
 
-// clone copies the scan state for a branch.
-func (s *lockScan) clone() *lockScan {
-	held := make(map[string]token.Pos, len(s.held))
-	for k, v := range s.held {
-		held[k] = v
-	}
-	defUn := make(map[string]bool, len(s.defUn))
-	for k := range s.defUn {
-		defUn[k] = true
-	}
-	return &lockScan{
-		node: s.node, pkg: s.pkg, graph: s.graph, sums: s.sums,
-		held: held, defUn: defUn, report: s.report,
-	}
+// lockState is the may-held lattice: set union at every join.
+type lockState struct {
+	held  map[string]bool // rendered lock expressions that may be held
+	defUn map[string]bool // locks with a pending deferred unlock
 }
 
-// join merges the exit states of the branches that fall through: a lock is
-// held after the branch point when any fall-through path holds it
-// (may-held — the analyzer reports possible deadlocks).
-func (s *lockScan) join(exits []*lockScan) {
-	held := map[string]token.Pos{}
-	defUn := map[string]bool{}
-	for _, e := range exits {
-		for k, v := range e.held {
-			if _, ok := held[k]; !ok {
-				held[k] = v
-			}
-		}
-		for k := range e.defUn {
-			defUn[k] = true
-		}
-	}
-	s.held = held
-	s.defUn = defUn
+func (c *lockScan) clone(s *lockState) *lockState {
+	return &lockState{held: maps.Clone(s.held), defUn: maps.Clone(s.defUn)}
 }
 
-// anyHeld returns the render of one held lock ("" when none); ties break
-// lexicographically so messages are deterministic.
-func (s *lockScan) anyHeld() string {
-	if len(s.held) == 0 {
-		return ""
+func (c *lockScan) join(dst, src *lockState, _ ast.Stmt) (*lockState, bool) {
+	before := len(dst.held) + len(dst.defUn)
+	for k := range src.held {
+		dst.held[k] = true
 	}
-	keys := make([]string, 0, len(s.held))
-	for k := range s.held {
-		keys = append(keys, k)
+	for k := range src.defUn {
+		dst.defUn[k] = true
 	}
-	sort.Strings(keys)
-	return keys[0]
+	return dst, len(dst.held)+len(dst.defUn) != before
+}
+
+// firstKey returns the lexicographically first key ("" when empty) so
+// messages naming one lock are deterministic.
+func firstKey(m map[string]bool) string {
+	first := ""
+	for k := range m {
+		if first == "" || k < first {
+			first = k
+		}
+	}
+	return first
 }
 
 // syncLockCall classifies a call as a sync Lock/Unlock method; it returns
@@ -150,304 +133,142 @@ func syncLockCall(p *Package, call *ast.CallExpr) (recv, method string, ok bool)
 	return "", "", false
 }
 
-// block scans a statement list; it reports whether control cannot fall out
-// of the end (the list terminates in return/panic/goto).
-func (s *lockScan) block(b *ast.BlockStmt) bool {
-	for _, st := range b.List {
-		if s.stmt(st) {
-			return true
-		}
-	}
-	return false
-}
-
-// isPanicCall reports whether e is a call to the panic builtin.
-func isPanicCall(p *Package, e ast.Expr) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, isBuiltin := p.Info.Uses[id].(*types.Builtin)
-	return isBuiltin && id.Name == "panic"
-}
-
-// stmt scans one statement; the return value reports termination (control
-// cannot reach the next statement).
-func (s *lockScan) stmt(st ast.Stmt) bool {
+// stmt is the leaf transfer function: lock and unlock calls move the
+// state, a send is the finding itself, and every other statement is scanned
+// for blocking receives and calls. The communication of a select clause
+// blocks only as the select does (enter reports that), so its own send or
+// receive is not flagged — its operands still are.
+func (c *lockScan) stmt(st ast.Stmt, s *lockState, comm bool) *lockState {
+	var skip ast.Node // the clause's own receive
 	switch st := st.(type) {
 	case *ast.ExprStmt:
 		if call, ok := st.X.(*ast.CallExpr); ok {
-			if recv, method, ok := syncLockCall(s.pkg, call); ok {
+			if recv, method, ok := syncLockCall(c.pkg, call); ok {
 				switch method {
 				case "Lock", "RLock":
-					s.held[recv] = call.Pos()
+					s.held[recv] = true
 				case "Unlock", "RUnlock":
 					delete(s.held, recv)
 					delete(s.defUn, recv)
 				}
-				return false
+				return s
 			}
 		}
-		s.expr(st.X)
-		return isPanicCall(s.pkg, st.X)
+		skip = unparen(st.X)
+	case *ast.AssignStmt:
+		if len(st.Rhs) == 1 {
+			skip = unparen(st.Rhs[0])
+		}
 	case *ast.DeferStmt:
-		if recv, method, ok := syncLockCall(s.pkg, st.Call); ok {
+		if recv, method, ok := syncLockCall(c.pkg, st.Call); ok {
 			if method == "Unlock" || method == "RUnlock" {
 				// defer x.Unlock() holds the lock to the end of the
 				// function: the held entry stays, and later deferred
 				// blocking calls are now dangerous (LIFO order).
 				s.defUn[recv] = true
 			}
-			return false
-		}
-		for _, arg := range st.Call.Args {
-			s.expr(arg)
+			return s
 		}
 		if len(s.defUn) > 0 {
-			if callee, _ := s.graph.resolveCall(s.pkg, st.Call); callee != nil {
-				if sum := s.sums[callee]; sum != nil && sum.Blocks {
-					chain, desc, site := BlockChain(callee, s.sums)
-					s.report(st.Call.Pos(), chain,
+			if callee, _ := c.graph.resolveCall(c.pkg, st.Call); callee != nil {
+				if sum := c.sums[callee]; sum != nil && sum.Blocks {
+					chain, desc, site := BlockChain(callee, c.sums)
+					c.report(st.Call.Pos(), chain,
 						"deferred call to %s runs before the deferred %s.Unlock and may block (%s; %s at %s); unlock explicitly before deferring it",
-						callee.DisplayName(), s.anyDeferred(), strings.Join(chain, " → "), desc, chainSite(site))
+						callee.DisplayName(), firstKey(s.defUn), strings.Join(chain, " → "), desc, chainSite(site))
 				}
 			}
 		}
-		return false
+		return c.scanArgs(st.Call, s)
 	case *ast.GoStmt:
 		// The goroutine body runs later without our locks; arguments are
 		// evaluated now.
-		for _, arg := range st.Call.Args {
-			s.expr(arg)
-		}
-		return false
+		return c.scanArgs(st.Call, s)
 	case *ast.SendStmt:
-		if lock := s.anyHeld(); lock != "" {
-			s.report(st.Arrow, nil, "channel send while %s is held can deadlock the engine; release the lock first", lock)
+		if lock := firstKey(s.held); lock != "" && !comm {
+			c.report(st.Arrow, nil, "channel send while %s is held can deadlock the engine; release the lock first", lock)
 		}
-		s.expr(st.Chan)
-		s.expr(st.Value)
-		return false
-	case *ast.AssignStmt:
-		for _, e := range st.Rhs {
-			s.expr(e)
-		}
-		for _, e := range st.Lhs {
-			s.expr(e)
-		}
-		return false
-	case *ast.DeclStmt:
-		if gd, ok := st.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						s.expr(v)
-					}
-				}
-			}
-		}
-		return false
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			s.expr(e)
-		}
-		return true
-	case *ast.BranchStmt:
-		// break/continue leave the enclosing construct with the current
-		// state; treating them as non-terminating keeps their exit state
-		// in the may-held join. goto is treated as terminating.
-		return st.Tok == token.GOTO
-	case *ast.IfStmt:
-		if st.Init != nil {
-			s.stmt(st.Init)
-		}
-		s.expr(st.Cond)
-		then := s.clone()
-		thenTerm := then.block(st.Body)
-		var exits []*lockScan
-		if !thenTerm {
-			exits = append(exits, then)
-		}
-		if st.Else != nil {
-			els := s.clone()
-			elseTerm := els.stmt(st.Else)
-			if !elseTerm {
-				exits = append(exits, els)
-			}
-			if thenTerm && elseTerm {
-				return true
-			}
-		} else {
-			exits = append(exits, s.clone()) // condition false: state unchanged
-		}
-		s.join(exits)
-		return false
-	case *ast.ForStmt:
-		if st.Init != nil {
-			s.stmt(st.Init)
-		}
-		if st.Cond != nil {
-			s.expr(st.Cond)
-		}
-		body := s.clone()
-		bodyTerm := body.block(st.Body)
-		exits := []*lockScan{s.clone()} // zero iterations
-		if !bodyTerm {
-			exits = append(exits, body)
-		}
-		s.join(exits)
-		return false
-	case *ast.RangeStmt:
-		s.expr(st.X)
-		if lock := s.anyHeld(); lock != "" {
-			if t := s.pkg.Info.Types[st.X].Type; t != nil {
-				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					s.report(st.For, nil, "range over channel while %s is held blocks between receives; release the lock first", lock)
-				}
-			}
-		}
-		body := s.clone()
-		bodyTerm := body.block(st.Body)
-		exits := []*lockScan{s.clone()}
-		if !bodyTerm {
-			exits = append(exits, body)
-		}
-		s.join(exits)
-		return false
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			s.stmt(st.Init)
-		}
-		if st.Tag != nil {
-			s.expr(st.Tag)
-		}
-		return s.caseBodies(st.Body, hasDefaultCase(st.Body))
-	case *ast.TypeSwitchStmt:
-		if st.Init != nil {
-			s.stmt(st.Init)
-		}
-		return s.caseBodies(st.Body, hasDefaultCase(st.Body))
+	}
+	if !comm {
+		skip = nil
+	}
+	c.scan(st, skip, s)
+	return s
+}
+
+func (c *lockScan) scanArgs(call *ast.CallExpr, s *lockState) *lockState {
+	for _, arg := range call.Args {
+		c.scan(arg, nil, s)
+	}
+	return s
+}
+
+func (c *lockScan) expr(e ast.Expr, s *lockState) *lockState {
+	c.scan(e, nil, s)
+	return s
+}
+
+func (c *lockScan) cond(e ast.Expr, s *lockState) (yes, no *lockState) {
+	c.scan(e, nil, s)
+	return s, c.clone(s)
+}
+
+// enter flags the two statements that block as a whole: a select with no
+// default, and a range over a channel (between every pair of receives).
+func (c *lockScan) enter(st ast.Stmt, s *lockState) *lockState {
+	lock := firstKey(s.held)
+	if lock == "" {
+		return s
+	}
+	switch st := st.(type) {
 	case *ast.SelectStmt:
-		hasDefault := false
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
+		if !hasDefaultComm(st) {
+			c.report(st.Select, nil, "select with no default blocks while %s is held; release the lock first", lock)
+		}
+	case *ast.RangeStmt:
+		if t := c.pkg.Info.Types[st.X].Type; t != nil {
+			if _, isChan := t.Underlying().(*types.Chan); isChan {
+				c.report(st.For, nil, "range over channel while %s is held blocks between receives; release the lock first", lock)
 			}
 		}
-		if lock := s.anyHeld(); lock != "" && !hasDefault {
-			s.report(st.Select, nil, "select with no default blocks while %s is held; release the lock first", lock)
-		}
-		var exits []*lockScan
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				br := s.clone()
-				term := false
-				for _, b := range cc.Body {
-					if term = br.stmt(b); term {
-						break
-					}
-				}
-				if !term {
-					exits = append(exits, br)
-				}
-			}
-		}
-		if len(exits) == 0 && len(st.Body.List) > 0 {
-			return true
-		}
-		s.join(exits)
-		return false
-	case *ast.BlockStmt:
-		return s.block(st)
-	case *ast.LabeledStmt:
-		return s.stmt(st.Stmt)
-	case *ast.IncDecStmt:
-		s.expr(st.X)
-		return false
 	}
-	return false
+	return s
 }
 
-// caseBodies explores switch clauses with cloned states and joins the
-// fall-out states; without a default clause the pre-switch state also
-// falls through.
-func (s *lockScan) caseBodies(body *ast.BlockStmt, hasDefault bool) bool {
-	var exits []*lockScan
-	for _, c := range body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		br := s.clone()
-		for _, e := range cc.List {
-			br.expr(e)
-		}
-		term := false
-		for _, b := range cc.Body {
-			if term = br.stmt(b); term {
-				break
-			}
-		}
-		if !term {
-			exits = append(exits, br)
-		}
-	}
-	if !hasDefault {
-		exits = append(exits, s.clone())
-	}
-	if len(exits) == 0 {
-		return true
-	}
-	s.join(exits)
-	return false
-}
+func (c *lockScan) deferred(_ *ast.DeferStmt, s *lockState) *lockState { return s }
 
-func hasDefaultCase(body *ast.BlockStmt) bool {
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok && cc.List == nil {
+func (c *lockScan) exit(*lockState, token.Pos) {}
+
+// hasDefaultComm reports whether a select has a default clause, i.e. never
+// blocks.
+func hasDefaultComm(sel *ast.SelectStmt) bool {
+	for _, cl := range sel.Body.List {
+		if cc, ok := cl.(*ast.CommClause); ok && cc.Comm == nil {
 			return true
 		}
 	}
 	return false
 }
 
-// anyDeferred returns one lock with a pending deferred unlock
-// (deterministic).
-func (s *lockScan) anyDeferred() string {
-	keys := make([]string, 0, len(s.defUn))
-	for k := range s.defUn {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	if len(keys) == 0 {
-		return ""
-	}
-	return keys[0]
-}
-
-// expr flags blocking receives — and calls to may-block functions — inside
-// an expression while locked; nested function literals are opaque (they
-// run with their own lock state).
-func (s *lockScan) expr(e ast.Expr) {
-	if e == nil {
+// scan flags blocking receives — and calls to may-block functions — inside
+// a statement or expression while locked; nested function literals are
+// opaque (they run with their own lock state), and skip is a select
+// clause's own receive.
+func (c *lockScan) scan(root, skip ast.Node, s *lockState) {
+	lock := firstKey(s.held)
+	if lock == "" {
 		return
 	}
-	ast.Inspect(e, func(n ast.Node) bool {
+	ast.Inspect(root, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				if lock := s.anyHeld(); lock != "" {
-					s.report(n.OpPos, nil, "blocking channel receive while %s is held can deadlock the engine; release the lock first", lock)
-				}
+			if n.Op == token.ARROW && n != skip {
+				c.report(n.OpPos, nil, "blocking channel receive while %s is held can deadlock the engine; release the lock first", lock)
 			}
 		case *ast.CallExpr:
-			s.checkCall(n)
+			c.checkCall(n, lock)
 		}
 		return true
 	})
@@ -456,40 +277,37 @@ func (s *lockScan) expr(e ast.Expr) {
 // checkCall consults the callee's blocking summary: a call that may block
 // while a lock is held is the interprocedural form of the lock-held send,
 // reported with the full witness call chain.
-func (s *lockScan) checkCall(call *ast.CallExpr) {
-	lock := s.anyHeld()
-	if lock == "" {
+func (c *lockScan) checkCall(call *ast.CallExpr, lock string) {
+	if _, _, isSync := syncLockCall(c.pkg, call); isSync {
 		return
 	}
-	if _, _, isSync := syncLockCall(s.pkg, call); isSync {
-		return
-	}
-	callee, _ := s.graph.resolveCall(s.pkg, call)
+	callee, _ := c.graph.resolveCall(c.pkg, call)
 	if callee == nil {
 		return // unknown or external callee: bounded, no finding
 	}
-	sum := s.sums[callee]
+	sum := c.sums[callee]
 	if sum == nil || !sum.Blocks {
 		return
 	}
-	chain, desc, site := BlockChain(callee, s.sums)
-	s.report(call.Pos(), chain,
+	chain, desc, site := BlockChain(callee, c.sums)
+	c.report(call.Pos(), chain,
 		"call to %s while %s is held may block (%s; %s at %s) and can deadlock the engine; release the lock first",
 		callee.DisplayName(), lock, strings.Join(chain, " → "), desc, chainSite(site))
 }
 
-// forEachFunc visits the body of every function and function literal in
-// the package, each exactly once (used by the per-package analyzers).
-func forEachFunc(p *Package, fn func(body *ast.BlockStmt)) {
+// forEachFunc visits the type and body of every function and function
+// literal in the package, each exactly once (used by the per-package
+// analyzers).
+func forEachFunc(p *Package, fn func(ftype *ast.FuncType, body *ast.BlockStmt)) {
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if n.Body != nil {
-					fn(n.Body)
+					fn(n.Type, n.Body)
 				}
 			case *ast.FuncLit:
-				fn(n.Body)
+				fn(n.Type, n.Body)
 			}
 			return true
 		})

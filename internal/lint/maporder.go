@@ -28,7 +28,7 @@ func NewMapOrder(scope []string) *Analyzer {
 			return nil
 		}
 		var diags []Diagnostic
-		forEachFunc(p, func(body *ast.BlockStmt) {
+		forEachFunc(p, func(_ *ast.FuncType, body *ast.BlockStmt) {
 			// Sort calls anywhere in this function, by position.
 			var sortEnds []ast.Node
 			ast.Inspect(body, func(n ast.Node) bool {

@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
-	"strings"
 )
 
 // This file parses the //lint:pooled directive, the declaration side of the
@@ -80,90 +78,34 @@ func (r *PoolRegistry) empty() bool {
 		len(r.Acquires) == 0 && len(r.Releases) == 0
 }
 
-var pooledRe = regexp.MustCompile(`^//lint:pooled(?:\s+(\S+))?(?:\s+(.*))?$`)
-
-// pooledDirective is one parsed //lint:pooled comment, before attachment.
-type pooledDirective struct {
-	file    string
-	line    int
-	ownLine bool
-	pos     token.Position
-	role    poolRole
-	used    bool
-}
-
-// collectPooled parses every //lint:pooled directive in a package.
+// collectPooled interprets every //lint:pooled directive in a package.
 // Malformed directives are reported immediately; well-formed ones are
 // returned for attachment.
-func collectPooled(p *Package) ([]*pooledDirective, []Diagnostic) {
-	var dirs []*pooledDirective
+func collectPooled(p *Package) ([]*directive, []Diagnostic) {
+	var dirs []*directive
 	var bad []Diagnostic
-	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := pooledRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				pos := p.Fset.Position(c.Pos())
-				role, ok := poolRoleNames[m[1]]
-				if !ok {
-					bad = append(bad, Diagnostic{
-						Analyzer: "poolsafe",
-						Pos:      pos,
-						Message:  "//lint:pooled directive needs a role: pool, freelist, scratch, acquire, or release",
-					})
-					continue
-				}
-				if strings.TrimSpace(m[2]) == "" {
-					bad = append(bad, Diagnostic{
-						Analyzer: "poolsafe",
-						Pos:      pos,
-						Message:  "//lint:pooled directive is missing a reason",
-					})
-					continue
-				}
-				dirs = append(dirs, &pooledDirective{
-					file:    pos.Filename,
-					line:    pos.Line,
-					ownLine: pos.Column == 1 || onlyWhitespaceBefore(p, c.Pos()),
-					pos:     pos,
-					role:    role,
-				})
-			}
+	for _, d := range parseDirectives(p, "pooled") {
+		word, reason := d.split()
+		switch _, ok := poolRoleNames[word]; {
+		case !ok:
+			bad = append(bad, Diagnostic{
+				Analyzer: "poolsafe",
+				Pos:      d.pos,
+				Message:  "//lint:pooled directive needs a role: pool, freelist, scratch, acquire, or release",
+			})
+		case reason == "":
+			bad = append(bad, d.missingReason("poolsafe"))
+		default:
+			dirs = append(dirs, d)
 		}
 	}
 	return dirs, bad
 }
 
-// directiveAt returns the directive covering a declaration at pos: same
-// line, or alone on the line directly above.
-func directiveAt(dirs []*pooledDirective, pos token.Position) *pooledDirective {
-	for _, d := range dirs {
-		if d.file != pos.Filename {
-			continue
-		}
-		if d.line == pos.Line || (d.ownLine && d.line == pos.Line-1) {
-			return d
-		}
-	}
-	return nil
-}
-
-// directiveInDoc returns a directive whose line falls inside a doc comment
-// group (function annotations live in the doc block, like //lint:hotpath).
-func directiveInDoc(dirs []*pooledDirective, p *Package, doc *ast.CommentGroup) *pooledDirective {
-	if doc == nil {
-		return nil
-	}
-	start := p.Fset.Position(doc.Pos())
-	end := p.Fset.Position(doc.End())
-	for _, d := range dirs {
-		if d.file == start.Filename && d.line >= start.Line && d.line <= end.Line {
-			return d
-		}
-	}
-	return nil
+// roleOf returns the role a well-formed //lint:pooled directive declares.
+func roleOf(d *directive) poolRole {
+	word, _ := d.split()
+	return poolRoleNames[word]
 }
 
 // isSyncPool reports whether t is sync.Pool or *sync.Pool.
@@ -219,15 +161,7 @@ func BuildPoolRegistry(m *Module) *PoolRegistry {
 				}
 			}
 		}
-		for _, d := range dirs {
-			if !d.used {
-				reg.Bad = append(reg.Bad, Diagnostic{
-					Analyzer: "poolsafe",
-					Pos:      d.pos,
-					Message:  "//lint:pooled directive does not attach to a declaration",
-				})
-			}
-		}
+		reg.Bad = append(reg.Bad, unattached(dirs, "poolsafe", "does not attach to a declaration")...)
 	}
 	return reg
 }
@@ -237,21 +171,17 @@ func (r *PoolRegistry) misuse(pos token.Position, msg string) {
 }
 
 // attachFunc attaches an acquire/release directive to a function decl.
-func (r *PoolRegistry) attachFunc(p *Package, dirs []*pooledDirective, fd *ast.FuncDecl) {
-	d := directiveInDoc(dirs, p, fd.Doc)
-	if d == nil {
-		d = directiveAt(dirs, p.Fset.Position(fd.Pos()))
-	}
+func (r *PoolRegistry) attachFunc(p *Package, dirs []*directive, fd *ast.FuncDecl) {
+	d := directiveFor(dirs, p, fd.Pos(), fd.Doc)
 	if d == nil {
 		return
 	}
-	d.used = true
 	fn, _ := p.Info.Defs[fd.Name].(*types.Func)
 	if fn == nil {
 		return
 	}
 	sig := fn.Type().(*types.Signature)
-	switch d.role {
+	switch role := roleOf(d); role {
 	case roleAcquire:
 		if sig.Results().Len() == 0 {
 			r.misuse(d.pos, "//lint:pooled acquire on a function with no results")
@@ -265,18 +195,17 @@ func (r *PoolRegistry) attachFunc(p *Package, dirs []*pooledDirective, fd *ast.F
 		}
 		r.Releases[fn] = true
 	default:
-		r.misuse(d.pos, "//lint:pooled "+roleName(d.role)+" cannot annotate a function (want acquire or release)")
+		r.misuse(d.pos, "//lint:pooled "+roleName(role)+" cannot annotate a function (want acquire or release)")
 	}
 }
 
 // attachValue attaches pool/freelist directives to package-level variables.
-func (r *PoolRegistry) attachValue(p *Package, dirs []*pooledDirective, sp *ast.ValueSpec) {
+func (r *PoolRegistry) attachValue(p *Package, dirs []*directive, sp *ast.ValueSpec) {
 	for _, name := range sp.Names {
-		d := directiveAt(dirs, p.Fset.Position(name.Pos()))
+		d := directiveFor(dirs, p, name.Pos(), nil)
 		if d == nil {
 			continue
 		}
-		d.used = true
 		obj := p.Info.Defs[name]
 		if obj == nil {
 			continue
@@ -286,14 +215,13 @@ func (r *PoolRegistry) attachValue(p *Package, dirs []*pooledDirective, sp *ast.
 }
 
 // attachFields attaches pool/freelist/scratch directives to struct fields.
-func (r *PoolRegistry) attachFields(p *Package, dirs []*pooledDirective, st *ast.StructType) {
+func (r *PoolRegistry) attachFields(p *Package, dirs []*directive, st *ast.StructType) {
 	for _, field := range st.Fields.List {
 		for _, name := range field.Names {
-			d := directiveAt(dirs, p.Fset.Position(name.Pos()))
+			d := directiveFor(dirs, p, name.Pos(), nil)
 			if d == nil {
 				continue
 			}
-			d.used = true
 			obj := p.Info.Defs[name]
 			if obj == nil {
 				continue
@@ -305,8 +233,8 @@ func (r *PoolRegistry) attachFields(p *Package, dirs []*pooledDirective, st *ast
 
 // attachObj validates one directive against the declared object's type and
 // records it.
-func (r *PoolRegistry) attachObj(d *pooledDirective, obj types.Object, name string) {
-	switch d.role {
+func (r *PoolRegistry) attachObj(d *directive, obj types.Object, name string) {
+	switch role := roleOf(d); role {
 	case roleSyncPool:
 		if !isSyncPool(obj.Type()) {
 			r.misuse(d.pos, "//lint:pooled pool on a non-sync.Pool declaration")
@@ -322,7 +250,7 @@ func (r *PoolRegistry) attachObj(d *pooledDirective, obj types.Object, name stri
 	case roleScratch:
 		r.Scratch[obj] = &ScratchDecl{Obj: obj, Name: name}
 	default:
-		r.misuse(d.pos, "//lint:pooled "+roleName(d.role)+" cannot annotate a variable or field (want pool, freelist, or scratch)")
+		r.misuse(d.pos, "//lint:pooled "+roleName(role)+" cannot annotate a variable or field (want pool, freelist, or scratch)")
 	}
 }
 

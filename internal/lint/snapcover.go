@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/token"
-	"go/types"
-)
+import "go/types"
 
 // NewSnapCover builds the snapshot field-coverage analyzer: for every
 // Snapshot/Restore pair (see statepair.go) declared in a scoped package,
@@ -40,14 +37,19 @@ func NewSnapCover(scope []string) *Analyzer {
 	}
 	a.RunModule = func(m *Module) []Diagnostic {
 		var diags []Diagnostic
-		ephByPkg := map[*Package][]*ephemeralDirective{}
+		ephByPkg := map[*Package][]*directive{}
 		for _, p := range m.Pkgs {
 			if len(scope) > 0 && !pathMatches(p.Path, scope) {
 				continue
 			}
-			dirs, bad := collectEphemerals(a, p)
-			ephByPkg[p] = dirs
-			diags = append(diags, bad...)
+			ephByPkg[p] = nil
+			for _, d := range parseDirectives(p, "ephemeral") {
+				if _, reason := ephemeralReason(d); reason == "" {
+					diags = append(diags, d.missingReason(a.Name))
+				} else {
+					ephByPkg[p] = append(ephByPkg[p], d)
+				}
+			}
 		}
 		pairs := findStatePairs(m, scope)
 		// scoped resolves a type-checker package to its loaded, in-scope
@@ -73,7 +75,7 @@ func NewSnapCover(scope []string) *Analyzer {
 					if emptyStruct(f.Type()) {
 						continue
 					}
-					dir := ephemeralFor(ephByPkg[pkg], pkg.Fset.Position(f.Pos()))
+					dir := directiveFor(ephByPkg[pkg], pkg, f.Pos(), nil)
 					// An unannotated field holding a struct declared in scope
 					// is state of this pair, field by field: "touched" for the
 					// whole struct would hide a nested field the encoder
@@ -99,17 +101,15 @@ func NewSnapCover(scope []string) *Analyzer {
 								path, f.Name(), pair.dec.Fn.Name()))
 						}
 					case serialized:
-						dir.used = true
 						diags = append(diags, a.Diag(pkg, f.Pos(),
 							"field %s.%s is annotated //lint:ephemeral but %s serializes it; drop the annotation or the encoding",
 							path, f.Name(), pair.enc.Fn.Name()))
-					case dir.derived && !repopulated:
-						dir.used = true
-						diags = append(diags, a.Diag(pkg, f.Pos(),
-							"field %s.%s is annotated //lint:ephemeral derived but no function reachable from %s repopulates it",
-							path, f.Name(), pair.dec.Fn.Name()))
 					default:
-						dir.used = true
+						if derived, _ := ephemeralReason(dir); derived && !repopulated {
+							diags = append(diags, a.Diag(pkg, f.Pos(),
+								"field %s.%s is annotated //lint:ephemeral derived but no function reachable from %s repopulates it",
+								path, f.Name(), pair.dec.Fn.Name()))
+						}
 					}
 				}
 			}
@@ -119,15 +119,7 @@ func NewSnapCover(scope []string) *Analyzer {
 		// report it so annotations cannot rot. Packages are visited in the
 		// module's deterministic order.
 		for _, p := range m.Pkgs {
-			for _, dir := range ephByPkg[p] {
-				if !dir.used {
-					diags = append(diags, Diagnostic{
-						Analyzer: a.Name,
-						Pos:      positionAt(dir),
-						Message:  "//lint:ephemeral directive does not annotate a field of any Snapshot/Restore state type",
-					})
-				}
-			}
+			diags = append(diags, unattached(ephByPkg[p], a.Name, "does not annotate a field of any Snapshot/Restore state type")...)
 		}
 		return diags
 	}
@@ -157,12 +149,4 @@ func nestedState(t types.Type) *types.Named {
 func emptyStruct(t types.Type) bool {
 	s, ok := t.Underlying().(*types.Struct)
 	return ok && s.NumFields() == 0
-}
-
-// positionAt rebuilds the token.Position of a directive for reporting.
-func positionAt(dir *ephemeralDirective) (pos token.Position) {
-	pos.Filename = dir.file
-	pos.Line = dir.line
-	pos.Column = 1
-	return pos
 }

@@ -266,7 +266,7 @@ func (sb *shapeBuilder) callShape(call *ast.CallExpr, bind bindings, out *[]*sha
 	for _, arg := range call.Args {
 		sb.exprShape(arg, bind, out)
 	}
-	obj := calleeObj(sb.p, call)
+	_, obj := calleeOf(sb.p, call)
 	if !sb.decode {
 		if b, ok := obj.(*types.Builtin); ok && b.Name() == "append" &&
 			len(call.Args) > 0 && byteSliceType(sb.typeOf(call.Args[0])) {
@@ -412,17 +412,6 @@ func (sb *shapeBuilder) advanceShape(as *ast.AssignStmt, out *[]*shapeNode) {
 
 func (sb *shapeBuilder) typeOf(e ast.Expr) types.Type {
 	return sb.p.Info.Types[e].Type
-}
-
-// calleeObj resolves the object a call invokes, if syntactically evident.
-func calleeObj(p *Package, call *ast.CallExpr) types.Object {
-	switch f := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return p.Info.Uses[f]
-	case *ast.SelectorExpr:
-		return p.Info.Uses[f.Sel]
-	}
-	return nil
 }
 
 // readerStruct reports whether t is (a pointer to) the byte-reader idiom: a

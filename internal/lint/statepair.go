@@ -2,9 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"regexp"
 	"sort"
 	"strings"
 )
@@ -194,69 +192,11 @@ func fieldTouches(nodes map[*CGNode]bool) map[*types.Var]bool {
 	return out
 }
 
-var ephemeralRe = regexp.MustCompile(`^//lint:ephemeral(?:\s+(.*))?$`)
-
-// ephemeralDirective is one parsed //lint:ephemeral annotation.
-type ephemeralDirective struct {
-	file    string
-	line    int
-	ownLine bool
-	derived bool
-	reason  string
-	used    bool
-}
-
-// collectEphemerals parses every //lint:ephemeral directive in a package.
-// Directives missing a reason are returned as diagnostics, mirroring
-// //lint:ignore.
-func collectEphemerals(a *Analyzer, p *Package) ([]*ephemeralDirective, []Diagnostic) {
-	var dirs []*ephemeralDirective
-	var bad []Diagnostic
-	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := ephemeralRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				pos := p.Fset.Position(c.Pos())
-				reason := strings.TrimSpace(m[1])
-				derived := false
-				if rest, ok := strings.CutPrefix(reason, "derived"); ok && (rest == "" || rest[0] == ' ' || rest[0] == ':') {
-					derived = true
-					reason = strings.TrimSpace(strings.TrimPrefix(rest, ":"))
-				}
-				if reason == "" {
-					bad = append(bad, Diagnostic{
-						Analyzer: a.Name,
-						Pos:      pos,
-						Message:  "//lint:ephemeral directive is missing a reason",
-					})
-					continue
-				}
-				dirs = append(dirs, &ephemeralDirective{
-					file:    pos.Filename,
-					line:    pos.Line,
-					ownLine: pos.Column == 1 || onlyWhitespaceBefore(p, c.Pos()),
-					derived: derived,
-					reason:  reason,
-				})
-			}
-		}
+// ephemeralReason interprets a //lint:ephemeral directive's text: whether
+// it is the "derived" form, and the reason that follows.
+func ephemeralReason(d *directive) (derived bool, reason string) {
+	if rest, ok := strings.CutPrefix(d.text, "derived"); ok && (rest == "" || rest[0] == ' ' || rest[0] == ':') {
+		return true, strings.TrimSpace(strings.TrimPrefix(rest, ":"))
 	}
-	return dirs, bad
-}
-
-// ephemeralFor returns the directive covering a field declared at pos, if
-// any: same line, or a directive alone on the line directly above.
-func ephemeralFor(dirs []*ephemeralDirective, pos token.Position) *ephemeralDirective {
-	for _, d := range dirs {
-		if d.file != pos.Filename {
-			continue
-		}
-		if d.line == pos.Line || (d.ownLine && d.line == pos.Line-1) {
-			return d
-		}
-	}
-	return nil
+	return false, d.text
 }

@@ -102,16 +102,7 @@ func directBlock(n *CGNode) (desc string, pos token.Pos, found bool) {
 	guarded := map[ast.Stmt]bool{}
 	walkOwn(n, func(node ast.Node) {
 		sel, ok := node.(*ast.SelectStmt)
-		if !ok {
-			return
-		}
-		hasDefault := false
-		for _, c := range sel.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if !hasDefault {
+		if !ok || !hasDefaultComm(sel) {
 			return
 		}
 		for _, c := range sel.Body.List {
@@ -145,13 +136,7 @@ func directBlock(n *CGNode) (desc string, pos token.Pos, found bool) {
 				desc, pos, found = "channel send", st.Arrow, true
 				return false
 			case *ast.SelectStmt:
-				hasDefault := false
-				for _, c := range st.Body.List {
-					if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-						hasDefault = true
-					}
-				}
-				if !hasDefault {
+				if !hasDefaultComm(st) {
 					desc, pos, found = "select with no default", st.Select, true
 					return false
 				}

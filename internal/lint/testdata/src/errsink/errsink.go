@@ -156,3 +156,42 @@ func closureChecked() func() error {
 	err := open()
 	return func() error { return err }
 }
+
+// breakRead: the only check of the first error sits on the path that
+// leaves the loop, so on the path that stays it is overwritten unchecked —
+// break carries its reads to the loop's exit, not past the if.
+func breakRead(xs []int) error {
+	var last error
+	for _, x := range xs {
+		err := open()
+		if x == 0 {
+			last = err
+			break
+		}
+		err = open() // want "err is reassigned before the error assigned at line \d+ is checked"
+		if err != nil {
+			return err
+		}
+	}
+	return last
+}
+
+// continueRead is the same shape through continue: the skipped iteration
+// read the error, the one that goes on did not.
+func continueRead(xs []int) (n int, err error) {
+	for _, x := range xs {
+		e := open()
+		if x == 0 {
+			n++
+			if e != nil {
+				n--
+			}
+			continue
+		}
+		e = open() // want "e is reassigned before the error assigned at line \d+ is checked"
+		if e != nil {
+			return n, e
+		}
+	}
+	return n, nil
+}

@@ -126,3 +126,10 @@ func recAlloc(n int) []int {
 
 var _ = allocHelper
 var _ = kernels
+
+// A root directive that drifted off its function is reported, not dropped:
+// the block-comment want keeps the directive from swallowing it.
+
+/* want "//lint:hotpath directive does not attach to a function or function literal" */ //lint:hotpath drifted a line off its literal
+
+var _ = box

@@ -158,3 +158,62 @@ func (e *engine) goodSwitchAllRelease(k int) {
 	}
 	e.out <- 1
 }
+
+// Every sub-part of a construct is scanned: the type-switch guard and the
+// for post statement run under the lock like any other statement.
+func (e *engine) badTypeSwitchGuard(in chan any) {
+	e.mu.Lock()
+	switch v := (<-in).(type) { // want "blocking channel receive while e\.mu is held"
+	case int:
+		_ = v
+	}
+	e.mu.Unlock()
+}
+
+func (e *engine) badForPost(n int) {
+	e.mu.Lock()
+	for i := 0; i < n; e.out <- i { // want "channel send while e\.mu is held"
+	}
+	e.mu.Unlock()
+}
+
+// break carries its state to the loop's exit, not into the statements
+// after the enclosing if: the path that breaks still holds the lock after
+// the loop, and the unlock below the if is not on it.
+func (e *engine) badBreakHolds(xs []int) {
+	for _, x := range xs {
+		e.mu.Lock()
+		if x == 0 {
+			break
+		}
+		e.mu.Unlock()
+	}
+	e.out <- 1 // want "channel send while e\.mu is held"
+}
+
+// continue carries its state to the loop head: the next iteration's send
+// runs under the lock the skipped unlock left held.
+func (e *engine) badContinueHolds(xs []int) {
+	for _, x := range xs {
+		e.out <- x // want "channel send while e\.mu is held"
+		e.mu.Lock()
+		if x == 0 {
+			continue
+		}
+		e.mu.Unlock()
+	}
+}
+
+// The break path released before leaving, and the fall-through path
+// releases below the if: nothing is held after the loop.
+func (e *engine) goodBreakReleased(xs []int) {
+	for _, x := range xs {
+		e.mu.Lock()
+		if x == 0 {
+			e.mu.Unlock()
+			break
+		}
+		e.mu.Unlock()
+	}
+	e.out <- 1
+}

@@ -132,3 +132,17 @@ func poolClean() {
 	b := bufPool.Get()
 	bufPool.Put(b)
 }
+
+// breakRelease releases on the path that breaks out of the loop: break
+// carries that state to the loop's exit, so the read after the loop is a
+// use-after-release on that path.
+func (o *op) breakRelease(keys []int) int {
+	v := o.getVal()
+	for _, k := range keys {
+		if k == 0 {
+			o.putVal(v)
+			break
+		}
+	}
+	return v.n // want "pooled v used after release"
+}
