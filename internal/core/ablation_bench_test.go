@@ -46,7 +46,7 @@ func BenchmarkAblationSliceStore(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					n := 0
-					joinStores(sa, sb, mask, func(event.JoinedTuple) { n++ })
+					joinedStores(sa, sb, mask, func(event.JoinedTuple) { n++ })
 					if n == 0 {
 						b.Fatal("join produced nothing")
 					}

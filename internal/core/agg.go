@@ -480,7 +480,7 @@ func (a *SharedAggregation) retire(wm event.Time) {
 	}
 
 	// Evicted slices return their partials to the freelist.
-	a.win.retire(wm, func(sl *slice) {
+	a.win.retire(wm, func(_ int, sl *slice) {
 		if sl.aggs != nil {
 			for _, g := range sl.aggs.order {
 				for _, key := range g.keys {

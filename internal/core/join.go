@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"astream/internal/bitset"
@@ -12,9 +13,9 @@ import (
 
 // SharedJoin is the shared windowed equi-join operator (paper §3.1.4). One
 // instance holds the slices of both input sides for its key partition, joins
-// overlapping slices exactly once, caches the per-pair results, and reuses
-// them for every query window that covers the pair — the incremental, delta
-// style of Figure 4f.
+// overlapping slices exactly once, caches each pair's rows on the left slice,
+// and reuses them for every query window that covers the pair — the
+// incremental, delta style of Figure 4f.
 type SharedJoin struct {
 	spe.BaseLogic
 	//lint:ephemeral topology constant fixed at construction
@@ -28,23 +29,40 @@ type SharedJoin struct {
 	//lint:ephemeral constructor wiring (metrics sink)
 	metrics *OpMetrics
 
-	//lint:ephemeral derived memoization over slice contents, reset by Restore and refilled on demand
-	pairCache map[uint64][]event.JoinedTuple
-	//lint:ephemeral derived eviction index for pairCache, reset alongside it
-	pairsBySlice map[uint64][]uint64 // slice id -> pair keys to drop on evict
-
 	// Steady-state scratch (owned by the instance goroutine, §3.2.2's
-	// no-allocation discipline): the slice ⋈ slice kernel index, the
-	// per-trigger pass-through masks, and the query-set intersection
-	// temporaries.
+	// no-allocation discipline): the trigger's delivery targets and
+	// pass-through slots per cap group, the one result row every delivery is
+	// a copy of, a pair's rows before they are cached at their exact size,
+	// and the query-set intersection temporaries.
 	//lint:ephemeral per-trigger scratch
-	scratch joinScratch //lint:pooled scratch slice-join kernel scratch arena
+	groups []fireGroup //lint:pooled scratch per-cap-group targets and pass-through slots of the trigger
 	//lint:ephemeral per-trigger scratch
-	passTmp []bitset.Bits //lint:pooled scratch per-cap-group slots of the trigger's pass-through queries
-	//lint:ephemeral per-trigger scratch
-	effTmp bitset.Bits //lint:pooled scratch per-trigger effective-query scratch
-	//lint:ephemeral per-trigger scratch
-	pmTmp bitset.Bits //lint:pooled scratch per-trigger port-mask scratch
+	res Result
+	//lint:ephemeral per-pair scratch
+	rowsTmp []pairRow //lint:pooled scratch a pair's rows while they are being joined
+	//lint:ephemeral per-pair scratch
+	qsTmp bitset.Bits //lint:pooled scratch slice-join kernel intersection scratch
+	//lint:ephemeral per-pair scratch
+	termTmp bitset.Bits //lint:pooled scratch a cap group's terminal slots still live under the pair's epochs
+	//lint:ephemeral per-pair scratch
+	passTmp bitset.Bits //lint:pooled scratch a cap group's pass-through slots still live under the pair's epochs
+	//lint:ephemeral per-row scratch
+	pmTmp bitset.Bits //lint:pooled scratch a row's pass-through slots
+}
+
+// fireGroup is what one cap group of a trigger delivers to: the slots of its
+// terminal queries, with each one's target by slot (slots are unique within a
+// cap group), and the slots of the others.
+type fireGroup struct {
+	term, pass bitset.Bits
+	bySlot     []joinTarget
+}
+
+// joinTarget is a terminal query of a trigger: its ID and its sink, resolved
+// once per trigger and nil if none is registered.
+type joinTarget struct {
+	id   int
+	sink Sink
 }
 
 // joinWindow is the window a join stage fires for q.
@@ -55,13 +73,11 @@ func NewSharedJoin(stage int, storeMode StoreMode, lateness event.Time, router *
 	return &SharedJoin{
 		stage:     stage,
 		storeMode: storeMode,
-		// Slice IDs are namespaced per side (even/odd) so the pair cache
-		// and eviction index never confuse a left slice with a right one.
-		win:          newWindowOp(lateness, joinWindow, newSlicerWithIDs(0, 2), newSlicerWithIDs(1, 2)),
-		router:       router,
-		metrics:      m,
-		pairCache:    make(map[uint64][]event.JoinedTuple),
-		pairsBySlice: make(map[uint64][]uint64),
+		// Slice IDs are namespaced per side (even/odd): no ID names a slice
+		// on both sides.
+		win:     newWindowOp(lateness, joinWindow, newSlicerWithIDs(0, 2), newSlicerWithIDs(1, 2)),
+		router:  router,
+		metrics: m,
 	}
 }
 
@@ -140,21 +156,32 @@ func (j *SharedJoin) OnWatermark(wm event.Time, out *spe.Emitter) {
 	j.retire(wm)
 }
 
-// retire finishes a watermark once its windows have fired; an evicted slice
-// takes its cached pairs with it.
+// retire finishes a watermark once its windows have fired. An evicted slice
+// takes its store with it — tuples, key index and, on the left, the pairs
+// cached there; what the left stores cached against an evicted right slice
+// goes here.
 func (j *SharedJoin) retire(wm event.Time) {
-	j.win.retire(wm, func(sl *slice) {
-		for _, pk := range j.pairsBySlice[sl.id] {
-			delete(j.pairCache, pk)
+	j.win.retire(wm, func(side int, sl *slice) {
+		if side == 0 {
+			return
 		}
-		delete(j.pairsBySlice, sl.id)
+		for _, sa := range j.win.sides[0].slices {
+			if sa.store != nil {
+				delete(sa.store.pairs, sl.id)
+			}
+		}
 	})
 }
 
 // fireWindow emits results for one window extent on behalf of the queries
-// listed: every result of every overlapping slice pair goes, per cap group,
-// to the sinks of the terminal queries it is effective for, in (slot, ID)
-// order, and once downstream carrying the slots of the others.
+// listed: every row of every overlapping slice pair goes, per cap group, to
+// the sinks of the terminal queries it is effective for, in (slot, ID) order,
+// and once downstream carrying the slots of the others. This is where the
+// joined tuple is built and where it is copied — once per delivery, into the
+// sink's argument (§3.2.2): the trigger fills Kind and Window of the one
+// result row, a pair row the join payload, a target the query ID.
+//
+//lint:hotpath
 func (j *SharedJoin) fireWindow(ext window.Extent, queries []*liveQuery, out *spe.Emitter) {
 	left, right := j.win.sides[0], j.win.sides[1]
 	llo, lhi := left.overlappingRange(ext)
@@ -162,19 +189,31 @@ func (j *SharedJoin) fireWindow(ext window.Extent, queries []*liveQuery, out *sp
 	if llo == lhi || rlo == rhi {
 		return
 	}
-	groups := j.win.capGroups(queries)
-	for len(j.passTmp) < len(groups) {
-		j.passTmp = append(j.passTmp, bitset.Bits{})
+	caps := j.win.capGroups(queries)
+	for len(j.groups) < len(caps) {
+		//lint:ignore hotalloc amortized: the scratch grows to the trigger's distinct cap count once
+		j.groups = append(j.groups, fireGroup{})
 	}
-	for gi, g := range groups {
-		pass := &j.passTmp[gi]
-		pass.Reset()
+	for gi, g := range caps {
+		fg := &j.groups[gi]
+		fg.term.Reset()
+		fg.pass.Reset()
 		for _, qi := range g.idxs {
-			if !queries[qi].terminal {
-				pass.Set(queries[qi].slot)
+			aq := queries[qi]
+			if !aq.terminal {
+				fg.pass.Set(aq.slot)
+				continue
 			}
+			fg.term.Set(aq.slot)
+			for len(fg.bySlot) <= aq.slot {
+				//lint:ignore hotalloc amortized: the target table grows to the highest slot once
+				fg.bySlot = append(fg.bySlot, joinTarget{})
+			}
+			fg.bySlot[aq.slot] = joinTarget{id: aq.q.ID, sink: j.router.SinkFor(aq.q.ID)}
 		}
 	}
+	res := &j.res
+	res.Kind, res.Window = KindJoin, ext
 
 	for _, sa := range left.slices[llo:lhi] {
 		if sa.store == nil || sa.store.Len() == 0 {
@@ -184,13 +223,14 @@ func (j *SharedJoin) fireWindow(ext window.Extent, queries []*liveQuery, out *sp
 			if sb.store == nil || sb.store.Len() == 0 {
 				continue
 			}
-			results := j.pairResults(sa, sb)
-			if len(results) == 0 {
+			rows := j.pairRows(sa, sb)
+			if len(rows) == 0 {
 				continue
 			}
+			lt, rt := sa.store.tuples, sb.store.tuples
 			newer := max(sa.epoch, sb.epoch)
-			tick := j.metrics.start()
-			for gi, g := range groups {
+			delivered := uint64(0)
+			for gi, g := range caps {
 				if g.cap < j.win.table.Base() {
 					// Every slice as old as this cap is gone: the group's
 					// queries have no data left anywhere.
@@ -200,74 +240,87 @@ func (j *SharedJoin) fireWindow(ext window.Extent, queries []*liveQuery, out *sp
 				if err != nil {
 					panic(fmt.Sprintf("core: join relNow: %v", err))
 				}
-				if relNow.IsEmpty() {
+				// A row is effective for the slots in row.qs ∩ relNow. relNow
+				// is the pair's, so it is applied to the group's slots once,
+				// and a row then walks the bits it shares with them, word by
+				// word, in slot order: nothing allocated per row.
+				fg := &j.groups[gi]
+				fg.term.AndInto(relNow, &j.termTmp)
+				fg.pass.AndInto(relNow, &j.passTmp)
+				anyPass := !j.passTmp.IsEmpty()
+				if !anyPass && j.termTmp.IsEmpty() {
 					continue
 				}
-				pass := j.passTmp[gi]
-				anyPass := !pass.IsEmpty()
-				for i := range results {
-					jt := &results[i]
-					// eff = jt.QuerySet ∩ relNow in scratch: nothing
-					// allocated per result.
-					jt.QuerySet.AndInto(relNow, &j.effTmp)
-					if j.effTmp.IsEmpty() {
+				for i := range rows {
+					row := &rows[i]
+					l, r := &lt[row.l], &rt[row.r]
+					filled := false
+					for wi, nw := 0, row.qs.WordCount(); wi < nw; wi++ {
+						for w := row.qs.Word(wi) & j.termTmp.Word(wi); w != 0; w &= w - 1 {
+							if !filled {
+								filled = true
+								jt := &res.Join
+								jt.Key, jt.Left, jt.Right, jt.QuerySet = l.Key, l.Fields, r.Fields, row.qs
+								jt.Time, jt.IngestNanos = max(l.Time, r.Time), max(l.IngestNanos, r.IngestNanos)
+								res.EventTime, res.IngestNanos = jt.Time, jt.IngestNanos
+							}
+							delivered++
+							if tg := &fg.bySlot[wi*64+bits.TrailingZeros64(w)]; tg.sink != nil {
+								res.QueryID = tg.id
+								tg.sink.OnResult(*res)
+							}
+						}
+					}
+					if !anyPass {
 						continue
 					}
-					for _, qi := range g.idxs {
-						if aq := queries[qi]; aq.terminal && j.effTmp.Test(aq.slot) {
-							atomic.AddUint64(&j.metrics.JoinedOut, 1)
-							j.router.Deliver(Result{
-								QueryID:     aq.q.ID,
-								Kind:        KindJoin,
-								Window:      ext,
-								Join:        *jt,
-								EventTime:   jt.Time,
-								IngestNanos: jt.IngestNanos,
-							})
-						}
-					}
-					if anyPass {
-						j.effTmp.AndInto(pass, &j.pmTmp)
-						if !j.pmTmp.IsEmpty() {
-							t := jt.AsTuple()
-							t.QuerySet = j.pmTmp.Clone()
-							// Re-timestamp to the window's max timestamp
-							// (as Flink does for window joins) so the
-							// result is never late for the downstream
-							// stage, whose watermark already trails this
-							// window's end.
-							t.Time = ext.End - 1
-							out.EmitTuple(t)
-						}
+					row.qs.AndInto(j.passTmp, &j.pmTmp)
+					if !j.pmTmp.IsEmpty() {
+						out.EmitTuple(event.Tuple{
+							Key: l.Key, Fields: l.Fields, IngestNanos: max(l.IngestNanos, r.IngestNanos),
+							//lint:ignore hotalloc pass-through clone: the emitted tuple owns its query-set (inline up to 64 slots)
+							QuerySet: j.pmTmp.Clone(),
+							// Re-timestamp to the window's max timestamp (as
+							// Flink does for window joins) so the result is
+							// never late for the downstream stage, whose
+							// watermark already trails this window's end.
+							Time: ext.End - 1,
+						})
 					}
 				}
 			}
-			j.metrics.BitsetOps.observe(tick, j.metrics)
+			atomic.AddUint64(&j.metrics.JoinedOut, delivered)
 		}
 	}
 }
 
-// pairResults returns the cached join of two slices, computing it on first
-// use (the computation history of §3.1.4).
-func (j *SharedJoin) pairResults(sa, sb *slice) []event.JoinedTuple {
-	pk := sa.id<<32 | sb.id
-	if res, ok := j.pairCache[pk]; ok {
+// pairRows returns the cached join of two slices, computing it on first use
+// (the computation history of §3.1.4) and again if either store has taken a
+// tuple since.
+func (j *SharedJoin) pairRows(sa, sb *slice) []pairRow {
+	a, b := sa.store, sb.store
+	if p, ok := a.pairs[sb.id]; ok && p.ln == len(a.tuples) && p.rn == len(b.tuples) {
 		atomic.AddUint64(&j.metrics.PairsReuse, 1)
-		return res
+		return p.rows
 	}
 	rel, err := j.win.table.Rel(sa.epoch, sb.epoch)
 	if err != nil {
 		panic(fmt.Sprintf("core: join rel: %v", err))
 	}
-	var results []event.JoinedTuple
-	if !rel.IsEmpty() {
-		j.scratch.join(sa.store, sb.store, rel, &results)
-	}
+	j.rowsTmp = joinStores(a, b, rel, &j.qsTmp, j.rowsTmp[:0])
 	atomic.AddUint64(&j.metrics.PairsDone, 1)
-	j.pairCache[pk] = results
-	j.pairsBySlice[sa.id] = append(j.pairsBySlice[sa.id], pk)
-	j.pairsBySlice[sb.id] = append(j.pairsBySlice[sb.id], pk)
-	return results
+	var rows []pairRow
+	if len(j.rowsTmp) > 0 {
+		//lint:ignore hotalloc first sight of a pair: its rows are cached at their exact size until either slice is evicted
+		rows = make([]pairRow, len(j.rowsTmp))
+		copy(rows, j.rowsTmp)
+	}
+	if a.pairs == nil {
+		//lint:ignore hotalloc first sight of a pair: one table per left slice
+		a.pairs = make(map[uint64]slicePair)
+	}
+	a.pairs[sb.id] = slicePair{ln: len(a.tuples), rn: len(b.tuples), rows: rows}
+	return rows
 }
 
 // ActiveQueries reports the number of queries registered at this stage.

@@ -261,9 +261,10 @@ func randJoinQuery(r *rand.Rand) *Query {
 // join through identical changelog/tuple/watermark sequences — deploy/delete
 // churn with slot reuse, pending-delete caps, tumbling and sliding specs that
 // share extents, all three initial store layouts with a SwitchList and a
-// SwitchGrouped marker mid-run, out-of-order and late tuples — and requires
-// the same rows at every sink, terminal results and pass-through tuples both,
-// at every watermark. Halfway through, the engine instance's snapshot is
+// SwitchGrouped marker mid-run, out-of-order tuples, tuples behind the
+// watermark that land in slices whose pairs are cached, and tuples behind the
+// eviction mark — and requires the same rows at every sink, terminal results
+// and pass-through tuples both, at every watermark. Halfway through, the engine instance's snapshot is
 // restored into a fresh instance that joins the comparison: the pair cache is
 // derived state a restore may lose.
 func TestJoinAgreesWithReference(t *testing.T) {
@@ -276,7 +277,7 @@ func TestJoinAgreesWithReference(t *testing.T) {
 			b := newCLBuilder()
 			var active []int
 			wm := event.MinTime
-			terminal, pass, late := 0, 0, 0
+			terminal, pass, late, retained := 0, 0, 0, 0
 			shared, capped := false, false
 
 			for step := 0; step < 40; step++ {
@@ -305,10 +306,12 @@ func TestJoinAgreesWithReference(t *testing.T) {
 				}
 				p.changelog(msg, at)
 
-				// Tuples land between the watermark and the next changelog:
-				// out of order, never behind the watermark's promise — except
-				// the few sent behind a side's eviction horizon, which every
-				// instance must drop.
+				// Tuples land between the watermark and the next changelog,
+				// out of order — except the few sent behind the watermark,
+				// within the lateness bound and not behind their side's
+				// eviction mark, which every instance must store and join
+				// like any other, and the few sent behind the eviction mark,
+				// which every instance must drop.
 				lo := max(wm, at-200, 0)
 				for i := 0; i < 40; i++ {
 					port := r.Intn(2)
@@ -317,7 +320,11 @@ func TestJoinAgreesWithReference(t *testing.T) {
 						Time:        lo + event.Time(r.Intn(int(at+100-lo))),
 						IngestNanos: int64(step*40 + i + 1),
 					}
-					if thru := p.eng.j.win.evictedThru[port]; thru > 0 && r.Intn(16) == 0 {
+					thru := p.eng.j.win.evictedThru[port]
+					if behind := max(thru, wm-lateness, 0); behind < wm && r.Intn(8) == 0 {
+						tu.Time = behind + event.Time(r.Intn(int(wm-behind)))
+						retained++
+					} else if thru > 0 && r.Intn(16) == 0 {
 						tu.Time = thru - 1 - event.Time(r.Intn(20))
 						late++
 					}
@@ -349,9 +356,9 @@ func TestJoinAgreesWithReference(t *testing.T) {
 			if got := p.eng.j.metrics.Late; got != uint64(late) || p.ref.metrics.Late != got {
 				t.Fatalf("late tuples: engine dropped %d, reference %d, sent %d", got, p.ref.metrics.Late, late)
 			}
-			if terminal == 0 || pass == 0 || late == 0 || !shared || !capped {
-				t.Fatalf("workload fired %d terminal and %d pass-through rows, %d late tuples, shared triggers: %v, pending-delete caps: %v; the test proved nothing",
-					terminal, pass, late, shared, capped)
+			if terminal == 0 || pass == 0 || late == 0 || retained == 0 || !shared || !capped {
+				t.Fatalf("workload fired %d terminal and %d pass-through rows, %d late and %d late-but-retained tuples, shared triggers: %v, pending-delete caps: %v; the test proved nothing",
+					terminal, pass, late, retained, shared, capped)
 			}
 		})
 	}
@@ -431,5 +438,239 @@ func TestJoinCoincidentExtents(t *testing.T) {
 			t.Fatalf("query %d produced no rows", id)
 		}
 		assertSameStrings(t, fmt.Sprintf("sink %d", id), gotOut[id], wantOut[id])
+	}
+}
+
+// The directed tests below pin what caching a slice pair's rows by reference
+// makes fragile: everything that happens to a store, or to the instance,
+// between two fires that share a pair. Each drives a joinPair, so every sink's
+// rows are held, window by window, to joinWindowScan's.
+
+// slidingJoins returns n binary joins the stage is terminal for and one
+// ternary join it passes rows down for, all over one sliding window: every
+// extent is one trigger, and consecutive extents share slice pairs.
+func slidingJoins(n int, length, slide event.Time) []*Query {
+	spec := window.SlidingSpec(length, slide)
+	qs := []*Query{joinQ(spec, gt(0, -1), gt(0, -1), gt(0, -1))}
+	for len(qs) <= n {
+		qs = append(qs, joinQ(spec, gt(0, -1), gt(0, -1)))
+	}
+	return qs
+}
+
+// feedJoin sends n tuples with event-times in [lo, hi) to port (either, if
+// negative), each selected by about half of the first slots slots.
+func feedJoin(p *joinPair, r *rand.Rand, port int, lo, hi event.Time, n, slots int) {
+	for i := 0; i < n; i++ {
+		tu := event.Tuple{Key: int64(r.Intn(4)), Time: lo + event.Time(r.Intn(int(hi-lo))), IngestNanos: int64(1 + r.Intn(1<<20))}
+		for s := 0; s < slots; s++ {
+			if r.Intn(2) == 0 {
+				tu.QuerySet.Set(s)
+			}
+		}
+		for f := range tu.Fields {
+			tu.Fields[f] = int64(r.Intn(40))
+		}
+		to := port
+		if to < 0 {
+			to = r.Intn(2)
+		}
+		p.tuple(to, tu)
+	}
+}
+
+// fired requires the watermark to have delivered rows to sinks and downstream.
+func (p *joinPair) fired(t *testing.T, what string, wm event.Time) {
+	t.Helper()
+	if terminal, pass := p.watermark(t, what, wm); terminal == 0 || pass == 0 {
+		t.Fatalf("%s fired %d terminal and %d pass-through rows; the test proved nothing", what, terminal, pass)
+	}
+}
+
+func (p *joinPair) reused() uint64 { return p.eng.j.metrics.PairsReuse }
+
+// TestJoinLateTupleReachesCachedPairs: a tuple behind the watermark but not
+// behind its side's eviction mark lands in a slice whose pairs are cached. It
+// must join through them as it does through pairs computed later — L@130 with
+// R@120 and with R@210 in [100,300) — on an instance that cached the pair and
+// on one restored from its snapshot, whose cache is empty.
+func TestJoinLateTupleReachesCachedPairs(t *testing.T) {
+	p, b := newJoinPair(StoreList, 0, 1), newCLBuilder()
+	p.changelog(b.create(t, 0, joinQ(window.SlidingSpec(200, 100), gt(0, -1), gt(0, -1))), 0)
+	at := func(port int, tm event.Time) {
+		p.tuple(port, event.Tuple{Key: 1, Time: tm, QuerySet: bitset.FromIndexes(0), IngestNanos: int64(tm)})
+	}
+	at(0, 110)
+	at(1, 120)
+	at(1, 210)
+	if terminal, _ := p.watermark(t, "wm 200", 200); terminal != 1 {
+		t.Fatalf("[0,200) fired %d rows, want L110×R120", terminal)
+	}
+	p.restore(t, 0, 1)
+	at(0, 130)
+	if late := p.eng.j.metrics.Late; late != 0 {
+		t.Fatalf("L@130 was dropped as late (%d); it is behind the watermark, not behind the eviction mark", late)
+	}
+	if terminal, _ := p.watermark(t, "wm 300", 300); terminal != 4 {
+		t.Fatalf("[100,300) fired %d rows, want all four of {L110,L130}×{R120,R210}", terminal)
+	}
+}
+
+// TestJoinPairsAcrossLayoutSwitch: a SwitchList marker moves every tuple of a
+// grouped store, a SwitchGrouped marker changes the order a store is probed
+// in; either arrives between two fires that share slice pairs.
+func TestJoinPairsAcrossLayoutSwitch(t *testing.T) {
+	for _, tc := range []struct {
+		from StoreMode
+		to   StoreSwitch
+	}{{StoreGrouped, SwitchList}, {StoreList, SwitchGrouped}} {
+		p, b := newJoinPair(tc.from, 0, 8), newCLBuilder()
+		r := rand.New(rand.NewSource(int64(tc.to)))
+		p.changelog(b.create(t, 0, slidingJoins(3, 300, 100)...), 0)
+		feedJoin(p, r, -1, 0, 250, 60, 4)
+		p.fired(t, "before the marker", 200)
+		msg := b.create(t, 250, joinQ(window.TumblingSpec(100), gt(0, -1), gt(0, -1)))
+		msg.Switch = tc.to
+		p.changelog(msg, 250)
+		if got := p.eng.j.win.sides[0].slices[0].store.Grouped(); got != (tc.to == SwitchGrouped) {
+			t.Fatalf("marker %v left the stores grouped=%v", tc.to, got)
+		}
+		feedJoin(p, r, -1, 250, 400, 30, 4)
+		p.fired(t, "after the marker", 300)
+		p.fired(t, "after the marker", 400)
+		if p.reused() == 0 {
+			t.Fatal("no fire reused a pair: the windows did not overlap as the test assumes")
+		}
+	}
+}
+
+// TestJoinPairsAcrossRestore: a snapshot taken between two fires that share
+// slice pairs restores the rows' inputs and neither the key indexes nor the
+// pairs; the restored instance rebuilds both and fires the same rows.
+func TestJoinPairsAcrossRestore(t *testing.T) {
+	for _, mode := range []StoreMode{StoreGrouped, StoreList} {
+		p, b := newJoinPair(mode, 0, 8), newCLBuilder()
+		r := rand.New(rand.NewSource(7))
+		p.changelog(b.create(t, 0, slidingJoins(3, 300, 100)...), 0)
+		feedJoin(p, r, -1, 0, 250, 60, 4)
+		p.fired(t, "before the snapshot", 200)
+		p.restore(t, 0, 8)
+		for _, side := range p.restored.j.win.sides {
+			for _, sl := range side.slices {
+				if sl.store != nil && (sl.store.heads != nil || sl.store.pairs != nil) {
+					t.Fatal("a restored store came back with an index or cached pairs")
+				}
+			}
+		}
+		feedJoin(p, r, -1, 250, 400, 30, 4)
+		p.fired(t, "after the snapshot", 300)
+		p.fired(t, "after the snapshot", 400)
+		if p.reused() == 0 || p.restored.j.metrics.PairsReuse == 0 {
+			t.Fatal("an instance never reused a pair: the windows did not overlap as the test assumes")
+		}
+	}
+}
+
+// TestJoinPairsWideQuerySets: past 64 slots a cached row's query-set owns a
+// spilled backing; the rows must keep their own bits through later joins
+// that reuse the kernel's scratch.
+func TestJoinPairsWideQuerySets(t *testing.T) {
+	for _, mode := range []StoreMode{StoreGrouped, StoreList} {
+		p, b := newJoinPair(mode, 0, 100), newCLBuilder()
+		r := rand.New(rand.NewSource(9))
+		p.changelog(b.create(t, 0, slidingJoins(90, 300, 100)...), 0)
+		feedJoin(p, r, -1, 0, 400, 60, 91)
+		for wm := event.Time(100); wm <= 500; wm += 100 {
+			p.fired(t, fmt.Sprintf("wm=%v", wm), wm)
+		}
+		if p.reused() == 0 {
+			t.Fatal("no fire reused a pair")
+		}
+		wide := false
+		for _, sl := range p.eng.j.win.sides[0].slices {
+			for _, pair := range sl.store.pairs {
+				for _, row := range pair.rows {
+					wide = wide || row.qs.WordCount() > 1
+				}
+			}
+		}
+		if !wide {
+			t.Fatal("no cached row carries a query-set beyond 64 slots")
+		}
+	}
+}
+
+// TestJoinPairsStoreGrowth: late tuples keep arriving in a list store after
+// its key index was built and its pairs cached — first until the tuples
+// reallocate, the index taking each one, then past the index's room, which
+// drops it. Cached rows name positions, so they survive the move; every pair
+// of the grown store is joined again and the late tuples are in it.
+func TestJoinPairsStoreGrowth(t *testing.T) {
+	p, b := newJoinPair(StoreList, 0, 8), newCLBuilder()
+	r := rand.New(rand.NewSource(11))
+	p.changelog(b.create(t, 0, slidingJoins(3, 400, 100)...), 0)
+	feedJoin(p, r, -1, 0, 400, 120, 4)
+	p.fired(t, "first fire", 200)
+	// The larger store of a pair is the one indexed.
+	port := 0
+	if p.eng.j.win.sides[1].sliceFor(150).store.heads != nil {
+		port = 1
+	}
+	st := p.eng.j.win.sides[port].sliceFor(150).store
+	if st.heads == nil {
+		t.Fatal("the first fire indexed neither side's [100,200)")
+	}
+	for before := cap(st.tuples); cap(st.tuples) == before; {
+		feedJoin(p, r, port, 100, 200, 1, 4)
+	}
+	if st.heads == nil || len(st.next) != len(st.tuples) {
+		t.Fatalf("the index did not take the late tuples: %d links for %d tuples", len(st.next), len(st.tuples))
+	}
+	p.fired(t, "after the tuples moved", 300)
+	feedJoin(p, r, port, 100, 200, len(st.heads), 4)
+	if st.heads != nil {
+		t.Fatal("the index outgrew its table and was kept")
+	}
+	p.fired(t, "after the index was dropped", 400)
+	if p.reused() == 0 {
+		t.Fatal("no fire reused a pair")
+	}
+}
+
+// TestJoinRowOrderSurvivesRestore: the order of a window's rows at a sink is
+// no part of the oracle's contract, but it is a function of the stored
+// content alone (replay determinism, §3.3) — an instance restored between two
+// fires, its indexes and pairs rebuilt from scratch, emits every sink's rows
+// in the order the instance that kept them does, late tuples into indexed
+// stores included.
+func TestJoinRowOrderSurvivesRestore(t *testing.T) {
+	for _, mode := range []StoreMode{StoreGrouped, StoreList, StoreAdaptive} {
+		p, b := newJoinPair(mode, 0, 8), newCLBuilder()
+		r := rand.New(rand.NewSource(13))
+		p.changelog(b.create(t, 0, slidingJoins(3, 300, 100)...), 0)
+		feedJoin(p, r, -1, 0, 300, 90, 4)
+		p.fired(t, "before the snapshot", 200)
+		p.restore(t, 0, 8)
+		feedJoin(p, r, -1, 100, 400, 60, 4)
+		for wm := event.Time(300); wm <= 500; wm += 100 {
+			p.eng.j.OnWatermark(wm, p.eng.pass)
+			p.restored.j.OnWatermark(wm, p.restored.pass)
+			if len(p.eng.out) == 0 {
+				t.Fatalf("%v wm=%v fired nothing", mode, wm)
+			}
+			for sink, rows := range p.eng.out {
+				got := p.restored.out[sink]
+				if len(got) != len(rows) {
+					t.Fatalf("%v wm=%v %s: restored instance fired %d rows, want %d", mode, wm, sink, len(got), len(rows))
+				}
+				for i := range rows {
+					if got[i] != rows[i] {
+						t.Fatalf("%v wm=%v %s row %d:\nrestored: %v\nkept:     %v", mode, wm, sink, i, got[i], rows[i])
+					}
+				}
+			}
+			clear(p.eng.out)
+			clear(p.restored.out)
+		}
 	}
 }

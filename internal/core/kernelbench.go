@@ -54,20 +54,58 @@ func benchStore(n, slotCount int) *sliceStore {
 func KernelBenchmarks() []KernelBench {
 	return []KernelBench{
 		{
+			// One slice pair joined from scratch against a standing key
+			// index: 512 probes into the other store's chains, the rows
+			// written over a reused buffer.
 			Name: "join-kernel-512x512-64q",
 			New: func() func(int) {
 				a := benchStore(512, 64)
 				b := benchStore(512, 64)
 				mask := bitset.AllUpTo(64)
-				var js joinScratch
-				var out []event.JoinedTuple
-				// Warm the scratch index and the output capacity once.
-				js.join(a, b, mask, &out)
+				var tmp bitset.Bits
+				// Build the index and warm the row capacity once.
+				rows := joinStores(a, b, mask, &tmp, nil)
 				//lint:hotpath join kernel steady state
 				return func(iters int) {
 					for i := 0; i < iters; i++ {
-						out = out[:0]
-						js.join(a, b, mask, &out)
+						rows = joinStores(a, b, mask, &tmp, rows[:0])
+					}
+				}
+			},
+		},
+		{
+			// The join's delivery path (DESIGN.md §15): one trigger of 16
+			// terminal queries over a 400/100 sliding window whose 16 slice
+			// pairs are cached — 128 pair rows, each effective for every
+			// query, so 2048 rows leave for counting sinks per iteration and
+			// nothing is joined.
+			Name: "join-fire-cached-16q",
+			New: func() func(int) {
+				router := NewRouter(NewOpMetrics(nil))
+				j := NewSharedJoin(0, StoreList, 0, router, NewOpMetrics(nil))
+				msg := benchChangelog(16, Query{
+					Kind: KindJoin, Arity: 2, AggField: -1,
+					Predicates: []expr.Predicate{expr.True(), expr.True()},
+					Window:     window.SlidingSpec(400, 100),
+				})
+				for id := range msg.Defs {
+					router.Register(id, NewCountingSink(func() int64 { return 0 }, 1))
+				}
+				j.OnChangelog(msg, 0, nil)
+				qs := bitset.AllUpTo(16)
+				for i := 0; i < 64; i++ {
+					t := benchTuple(i, qs, event.Time(i/2*25%400))
+					t.Key = int64(i / 2 % 8)
+					j.OnTuple(i%2, t, nil)
+				}
+				ext := window.Extent{Start: 0, End: 400}
+				queries := j.win.queries.ordered
+				// Join and cache the pairs, and warm the trigger scratch, once.
+				j.fireWindow(ext, queries, nil)
+				//lint:hotpath join fire kernel steady state
+				return func(iters int) {
+					for i := 0; i < iters; i++ {
+						j.fireWindow(ext, queries, nil)
 					}
 				}
 			},
@@ -327,26 +365,32 @@ func benchAgg(slots int) *SharedAggregation {
 func benchAggWindow(slots int, spec window.Spec) *SharedAggregation {
 	router := NewRouter(NewOpMetrics(nil))
 	agg := NewSharedAggregation(1, 0, router, NewOpMetrics(nil))
+	agg.OnChangelog(benchChangelog(slots, Query{
+		Kind:       KindAggregation,
+		Arity:      1,
+		Predicates: []expr.Predicate{expr.True()},
+		Window:     spec,
+		Agg:        sqlstream.AggSum,
+		AggField:   0,
+	}), 0, nil)
+	return agg
+}
+
+// benchChangelog is the changelog creating slots copies of proto, IDs 1 to
+// slots, at time 0.
+func benchChangelog(slots int, proto Query) *ChangelogMsg {
 	reg := changelog.NewRegistry(changelog.SlotReuse)
 	defs := map[int]*Query{}
 	ids := make([]int, slots)
-	for s := 0; s < slots; s++ {
-		q := &Query{
-			ID:         s + 1,
-			Kind:       KindAggregation,
-			Arity:      1,
-			Predicates: []expr.Predicate{expr.True()},
-			Window:     spec,
-			Agg:        sqlstream.AggSum,
-			AggField:   0,
-		}
-		defs[q.ID] = q
+	for s := range ids {
+		q := proto
+		q.ID = s + 1
+		defs[q.ID] = &q
 		ids[s] = q.ID
 	}
 	cl, err := reg.Apply(0, ids, nil)
 	if err != nil {
-		panic(fmt.Sprintf("core: benchAgg changelog: %v", err))
+		panic(fmt.Sprintf("core: bench changelog: %v", err))
 	}
-	agg.OnChangelog(&ChangelogMsg{CL: cl, Defs: defs}, 0, nil)
-	return agg
+	return &ChangelogMsg{CL: cl, Defs: defs}
 }

@@ -12,6 +12,7 @@ import (
 func TestKernelRegistryNames(t *testing.T) {
 	want := []string{
 		"join-kernel-512x512-64q",
+		"join-fire-cached-16q",
 		"selection-ontuple-64q",
 		"selection-512q-overlap",
 		"selection-512q-keyed",

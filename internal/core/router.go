@@ -86,8 +86,10 @@ func (c *CountingSink) MeanLatencyNanos() uint64 {
 }
 
 // Router delivers result rows to per-query output channels (paper §3.1.6).
-// This is the one place AStream copies data: a result matching k queries is
-// materialized k times, once per query channel (§3.2.2).
+// The hand-over to a sink is the one place AStream copies data: a result
+// matching k queries is materialized k times, once per query channel
+// (§3.2.2) — by Deliver, or by the join's fire, which resolves a trigger's
+// sinks here once (SinkFor) and hands each its rows directly.
 //
 // Registration is rare (once per query lifecycle) while delivery runs per
 // result on every operator goroutine, so the sink table is copy-on-write: an
@@ -164,7 +166,7 @@ func (r *Router) Each(fn func(queryID int, s Sink)) {
 	}
 }
 
-// SinkFor returns the sink registered for a query (tests).
+// SinkFor returns the sink registered for a query, nil if there is none.
 func (r *Router) SinkFor(queryID int) Sink {
 	return (*r.sinks.Load())[queryID]
 }

@@ -59,7 +59,7 @@ func TestAdaptiveStaysGroupedWhenGroupsAreFat(t *testing.T) {
 	}
 }
 
-// refJoin is the brute-force reference for joinStores.
+// refJoin is the brute-force reference for joinedStores.
 func refJoin(a, b []event.Tuple, mask bitset.Bits) []event.JoinedTuple {
 	var out []event.JoinedTuple
 	for _, x := range a {
@@ -134,7 +134,7 @@ func TestJoinStoresMatchesBruteForceAllModeCombos(t *testing.T) {
 					sb.Add(tu)
 				}
 				var got []event.JoinedTuple
-				joinStores(sa, sb, mask, func(j event.JoinedTuple) { got = append(got, j) })
+				joinedStores(sa, sb, mask, func(j event.JoinedTuple) { got = append(got, j) })
 				g := canonJoined(got)
 				if len(g) != len(want) {
 					t.Fatalf("trial %d modes %v×%v: %d results, want %d", trial, ma, mb, len(g), len(want))
@@ -154,7 +154,7 @@ func TestJoinStoresEmptyMask(t *testing.T) {
 	sa.Add(mkTuple(1, 0, 0))
 	sb.Add(mkTuple(1, 0, 0))
 	n := 0
-	joinStores(sa, sb, bitset.Bits{}, func(event.JoinedTuple) { n++ })
+	joinedStores(sa, sb, bitset.Bits{}, func(event.JoinedTuple) { n++ })
 	if n != 0 {
 		t.Fatal("empty mask must produce no results")
 	}
@@ -169,22 +169,27 @@ func TestStoreModeString(t *testing.T) {
 // All returns every stored tuple (grouped stores flatten in key order).
 func (s *sliceStore) All() []event.Tuple {
 	if !s.grouped {
-		return s.list
+		return s.tuples
 	}
-	out := make([]event.Tuple, 0, s.count)
+	out := make([]event.Tuple, 0, len(s.tuples))
 	for _, g := range s.groups.order {
-		out = append(out, g.tuples...)
+		for _, p := range g.pos {
+			out = append(out, s.tuples[p])
+		}
 	}
 	return out
 }
 
-// joinStores is the callback form of the kernel for tests and benchmarks;
-// the shared join itself calls joinScratch.join with a reused scratch.
-func joinStores(a, b *sliceStore, mask bitset.Bits, emit func(event.JoinedTuple)) {
-	var js joinScratch
-	var out []event.JoinedTuple
-	js.join(a, b, mask, &out)
-	for i := range out {
-		emit(out[i])
+// joinedStores is the materialising form of the kernel for tests and
+// benchmarks: every row of a ⋈ b as the joined tuple the fire path builds
+// from it.
+func joinedStores(a, b *sliceStore, mask bitset.Bits, emit func(event.JoinedTuple)) {
+	var tmp bitset.Bits
+	for _, row := range joinStores(a, b, mask, &tmp, nil) {
+		l, r := &a.tuples[row.l], &b.tuples[row.r]
+		emit(event.JoinedTuple{
+			Key: l.Key, Left: l.Fields, Right: r.Fields, QuerySet: row.qs,
+			Time: max(l.Time, r.Time), IngestNanos: max(l.IngestNanos, r.IngestNanos),
+		})
 	}
 }

@@ -51,21 +51,21 @@ func snapSliceStore(b []byte, s *sliceStore) []byte {
 	b = wire.AppendBool(b, true)
 	b = wire.AppendU8(b, uint8(s.mode))
 	b = wire.AppendBool(b, s.grouped)
-	b = wire.AppendU32(b, uint32(s.count))
+	b = wire.AppendU32(b, uint32(len(s.tuples)))
 	if s.grouped {
 		b = wire.AppendCount(b, s.groups.len())
 		for _, g := range s.groups.order {
 			b = wire.AppendBits(b, g.qs)
-			b = wire.AppendCount(b, len(g.tuples))
-			for i := range g.tuples {
-				b = wire.AppendTuple(b, &g.tuples[i])
+			b = wire.AppendCount(b, len(g.pos))
+			for _, p := range g.pos {
+				b = wire.AppendTuple(b, &s.tuples[p])
 			}
 		}
 		return b
 	}
-	b = wire.AppendCount(b, len(s.list))
-	for i := range s.list {
-		b = wire.AppendTuple(b, &s.list[i])
+	b = wire.AppendCount(b, len(s.tuples))
+	for i := range s.tuples {
+		b = wire.AppendTuple(b, &s.tuples[i])
 	}
 	return b
 }
@@ -77,8 +77,8 @@ func readSliceStore(r *wire.Reader) *sliceStore {
 	s := &sliceStore{
 		mode:    StoreMode(r.U8("store mode")),
 		grouped: r.Bool("store grouped"),
-		count:   int(r.U32("store count")),
 	}
+	r.U32("store count") // the store counts the tuples it reads
 	if s.grouped {
 		s.groups = newQSIndex[tupleGroup]()
 		ng := r.Count("store group count", 8)
@@ -86,7 +86,8 @@ func readSliceStore(r *wire.Reader) *sliceStore {
 			g := &tupleGroup{qs: r.Bits("group query-set")}
 			nt := r.Count("group tuple count", wire.TupleMinSize)
 			for ti := 0; ti < nt && r.Err() == nil; ti++ {
-				g.tuples = append(g.tuples, wire.ReadTuple(r))
+				g.pos = append(g.pos, uint32(len(s.tuples)))
+				s.tuples = append(s.tuples, wire.ReadTuple(r))
 			}
 			if r.Err() == nil {
 				s.groups.put(g.qs, g)
@@ -96,7 +97,7 @@ func readSliceStore(r *wire.Reader) *sliceStore {
 	}
 	nt := r.Count("store tuple count", wire.TupleMinSize)
 	for ti := 0; ti < nt && r.Err() == nil; ti++ {
-		s.list = append(s.list, wire.ReadTuple(r))
+		s.tuples = append(s.tuples, wire.ReadTuple(r))
 	}
 	return s
 }
@@ -311,8 +312,8 @@ func (s *SharedSelection) Restore(snapshot []byte) error {
 
 // OnBarrier implements spe.Logic: serialize both side slicers (with their
 // slice stores), the changelog-set table, and the active query table. The
-// pair cache is deliberately excluded — it is a pure memoization over slice
-// contents and rebuilds on demand.
+// stores' key indexes and cached pairs are deliberately excluded — both are
+// derived from the tuples and rebuild on demand.
 func (j *SharedJoin) OnBarrier(uint64, *spe.Emitter) []byte {
 	b := wire.AppendU8(nil, opSnapshotVersion)
 	b = wire.AppendU8(b, uint8(j.storeMode))
@@ -338,8 +339,6 @@ func (j *SharedJoin) Restore(snapshot []byte) error {
 	if err := r.Finish("join"); err != nil {
 		return err
 	}
-	j.pairCache = make(map[uint64][]event.JoinedTuple)
-	j.pairsBySlice = make(map[uint64][]uint64)
 	return nil
 }
 

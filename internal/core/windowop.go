@@ -26,10 +26,9 @@ type liveQuery struct {
 	spec window.Spec
 	// since is the query's activation event-time: windows ending at or
 	// before it hold nothing for the query and are skipped. Skipping them
-	// is also what keeps the join's pair cache sound: it guarantees every
-	// slice overlapping a fired window is already complete (its end is
-	// behind the watermark), so cached pair results are never computed from
-	// a half-filled slice.
+	// also guarantees every slice overlapping a fired window is already
+	// complete (its end is behind the watermark), so the join caches a
+	// slice pair once rather than once per tuple of a slice still filling.
 	since event.Time
 	// until is the query's deletion event-time (MaxTime while running).
 	// Deletion is deferred: windows ending at or before until still fire,
@@ -381,7 +380,7 @@ func (w *windowOp) capGroups(queries []*liveQuery) []capGroup {
 // queries whose deletion time has passed, eviction of the slices no window of
 // a remaining query can still need (onEvict releases what the operator keeps
 // per slice), and compaction of epoch and changelog history.
-func (w *windowOp) retire(wm event.Time, onEvict func(*slice)) {
+func (w *windowOp) retire(wm event.Time, onEvict func(side int, sl *slice)) {
 	w.queries.purge(wm)
 	// Retention includes pending-deleted queries: their final windows
 	// (ending ≤ until) may not have fired yet.
@@ -406,7 +405,7 @@ func (w *windowOp) retire(wm event.Time, onEvict func(*slice)) {
 	for side, s := range w.sides {
 		s.evict(wm, retain, func(sl *slice) {
 			w.evictedThru[side] = max(w.evictedThru[side], sl.ext.End)
-			onEvict(sl)
+			onEvict(side, sl)
 		})
 		s.pruneEpochs(horizon)
 		oldest = min(oldest, s.oldestEpochInUse(), s.epochAt(horizon).seq)
