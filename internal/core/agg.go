@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -102,14 +103,50 @@ func (v *aggVal) finalize(fn sqlstream.AggFunc, field int) int64 {
 	}
 }
 
-// aggGroup is a query-set group inside one slice: per-key shared partials.
-// keys records byKey's keys in arrival order so walking a group never
-// iterates the map (merge is commutative, so arrival order is fine there;
-// emission order comes from the accumulator's sorted keys).
+// aggGroup is a query-set group inside one slice. While the slice is open
+// its per-key partials are byKey's, and keys records them in arrival order
+// so walking a group never iterates the map; sealing moves the partials
+// into the slice's run and drops both (DESIGN.md §15).
 type aggGroup struct {
 	qs    bitset.Bits
 	byKey map[int64]*aggVal
 	keys  []int64
+	pos   int32 // position in the slice's order, kept while the slice is sealed
+}
+
+// aggIndex is one slice's partials: its query-set groups, and once a fire
+// has sealed the slice the run that holds their partials instead of the
+// groups' maps.
+type aggIndex struct {
+	qsIndex[aggGroup]
+	// run, non-nil while sealed, is every partial of the slice ordered by
+	// (key, group position): the order pass two of a fire reads.
+	run []aggPart
+}
+
+// aggPart is one partial of a sealed slice. rank is the key's arrival
+// position in its group — the order a snapshot writes and an unsealed
+// group's keys keep — so sealing changes no snapshot byte, and a delta chain
+// that still holds a slice's bytes from before its seal restores the state
+// a full snapshot after it does, byte for byte.
+type aggPart struct {
+	key   int64
+	group int32
+	rank  int32
+	v     *aggVal
+}
+
+// cmpPart orders a run by key, then group position.
+func cmpPart(p, q aggPart) int {
+	if c := cmp.Compare(p.key, q.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.group, q.group)
+}
+
+func newAggIndex() *aggIndex {
+	//lint:ignore hotalloc cold: one index per slice, created when the slice first sees data
+	return &aggIndex{qsIndex: qsIndex[aggGroup]{byWord: make(map[uint64]*aggGroup), byStr: make(map[string]*aggGroup)}}
 }
 
 // aggWindow is the window the aggregation fires for q: a complex query
@@ -190,31 +227,66 @@ type SharedAggregation struct {
 	//lint:ephemeral per-trigger scratch
 	blkOf []int32 //lint:pooled scratch trigger query index → equivalence block
 	//lint:ephemeral per-trigger scratch
-	blocks []fireBlock //lint:pooled scratch per-trigger equivalence blocks and their accumulators
+	blocks []fireBlock //lint:pooled scratch per-trigger equivalence blocks and their result rows
 	//lint:ephemeral per-trigger scratch
 	cutTmp []int32 //lint:pooled scratch blocks met by one refinement round
+	//lint:ephemeral per-trigger scratch
+	covers []int32 //lint:pooled scratch the blocks each effective (slice, group) pair merges into, back to back
+	//lint:ephemeral per-trigger scratch
+	spans []blockSpan //lint:pooled scratch per (merged slice, group position): its range of covers
+	//lint:ephemeral per-trigger scratch
+	cursors []runCursor //lint:pooled scratch the merged slices' unread runs
+	//lint:ephemeral per-barrier and per-unseal scratch
+	grpTmp []int32 //lint:pooled scratch per-group counts and offsets of one sealed slice
+	//lint:ephemeral per-barrier scratch
+	permTmp []int32 //lint:pooled scratch a sealed run's entries in (group, arrival) order
 	//lint:ephemeral fire-path round counter, bumped per (slice, group) visit: a block took part in the current round iff its stamp equals it
 	round uint64
 	//lint:ephemeral freelist, refills through steady-state recycling
 	valPool []*aggVal //lint:pooled freelist recycled aggVal backings
 	//lint:ephemeral unissued tail of the newest aggVal slab; getVal carves from it when the freelist is empty
 	valSlab []aggVal //lint:pooled freelist slab chunk fresh partials are carved from; they recycle through valPool
+	//lint:ephemeral freelist, refills as sealed slices are evicted or unsealed
+	runPool [][]aggPart //lint:pooled freelist recycled run backings
+	//lint:ephemeral freelist, refills as slices are sealed or evicted
+	mapPool []map[int64]*aggVal //lint:pooled freelist emptied group maps, at the size they grew to
+	//lint:ephemeral freelist, parallel to mapPool
+	keysPool [][]int64 //lint:pooled freelist emptied group key lists, parallel to mapPool
 }
 
 // fireBlock is one query-equivalence block of a fire: the queries of one cap
 // group whose effective membership (group query-set ∧ Rel(slice epoch, cap) ∧
 // the cap group's slot mask) coincides on every (slice, group) of the
 // trigger's slice run. Their window results are built from the same
-// partials, so the block merges each of them once into one accumulator that
-// every member finalizes from. keys collects byKey's keys in arrival order;
-// emission sorts them once per block.
+// partials, so the block merges each of them once into one row per key that
+// every member finalizes from. Pass two visits keys in ascending order, so
+// rows are appended sorted and a partial merges into the last one or starts
+// the next.
 type fireBlock struct {
-	size  int32  // member queries
-	hits  int32  // members met by refinement round `round`
-	split int32  // block those members move to in that round, -1 while whole
-	round uint64 // last round (refine or merge) that touched the block
-	byKey map[int64]*aggVal
-	keys  []int64
+	size  int32    // member queries
+	hits  int32    // members met by refinement round `round`
+	split int32    // block those members move to in that round, -1 while whole
+	round uint64   // last round (refinement, or pass two's cover listing) that touched the block
+	rows  []aggRow // the window's result for the block's members, ascending by key
+}
+
+// aggRow is one key's window result in a block.
+type aggRow struct {
+	key int64
+	v   aggVal
+}
+
+// blockSpan is the range of covers one (slice, group) pair merges into;
+// empty for a group no cap group is effective in.
+type blockSpan struct {
+	from, to int32
+}
+
+// runCursor is one merged slice's unread run in pass two; spans[base+g] is
+// the block range of the slice's group g.
+type runCursor struct {
+	run  []aggPart
+	base int32
 }
 
 // fireCap is one cap group's side of a fire. Slots are unique within a cap
@@ -323,8 +395,8 @@ func (a *SharedAggregation) OnChangelog(payload any, at event.Time, _ *spe.Emitt
 const aggSlabLen = 240
 
 // getVal pops a recycled partial or carves a fresh one from the newest slab.
-// Partials are never freed individually — they cycle between slices,
-// accumulators and the freelist — so slabs cost nothing in lifetime and save
+// Partials are never freed individually — they cycle between slices and the
+// freelist — so slabs cost nothing in lifetime and save
 // the per-object size-class rounding and GC bookkeeping of ~100 k separate
 // pointer-free objects.
 func (a *SharedAggregation) getVal() *aggVal {
@@ -347,6 +419,75 @@ func (a *SharedAggregation) getVal() *aggVal {
 func (a *SharedAggregation) putVal(v *aggVal) {
 	//lint:ignore hotalloc amortized: freelist grows to the steady-state partial count once
 	a.valPool = append(a.valPool, v)
+}
+
+// newGroup returns a group for qs holding a map and key list from takeMaps.
+func (a *SharedAggregation) newGroup(qs bitset.Bits) *aggGroup {
+	//lint:ignore hotalloc cold: runs once per first-seen query-set group per slice
+	g := &aggGroup{qs: qs.Clone()}
+	a.takeMaps(g)
+	return g
+}
+
+// takeMaps gives g an emptied map and key list from the freelists, or fresh
+// ones: sealed and evicted slices give theirs back, so an open group starts
+// at the size earlier ones grew to, and every group that takes maps, new or
+// unsealed, drains the freelists that sealing fills.
+func (a *SharedAggregation) takeMaps(g *aggGroup) {
+	if n := len(a.mapPool) - 1; n >= 0 {
+		g.byKey, g.keys = a.mapPool[n], a.keysPool[n]
+		a.mapPool[n], a.keysPool[n] = nil, nil
+		a.mapPool, a.keysPool = a.mapPool[:n], a.keysPool[:n]
+		return
+	}
+	//lint:ignore hotalloc cold: a group map is recycled across slices once allocated
+	g.byKey = make(map[int64]*aggVal)
+}
+
+// dropMaps empties g's map and key list into the freelists.
+func (a *SharedAggregation) dropMaps(g *aggGroup) {
+	clear(g.byKey)
+	//lint:ignore hotalloc amortized: freelists grow to the steady-state group count once
+	a.mapPool = append(a.mapPool, g.byKey)
+	//lint:ignore hotalloc amortized: freelists grow to the steady-state group count once
+	a.keysPool = append(a.keysPool, g.keys[:0])
+	g.byKey, g.keys = nil, nil
+}
+
+// takeRun returns an empty run backing with room for n partials: the
+// smallest recycled one large enough, else a fresh one of exactly n,
+// dropping a recycled backing too small for it, so the freelist cannot fill
+// with them. No spare room: a recycled run waits idle for the next seal, and
+// spare room in every live one cost more heap than the rare fresh backing.
+func (a *SharedAggregation) takeRun(n int) []aggPart {
+	best := -1
+	for i, run := range a.runPool {
+		if cap(run) >= n && (best < 0 || cap(run) < cap(a.runPool[best])) {
+			best = i
+		}
+	}
+	last := len(a.runPool) - 1
+	if best >= 0 {
+		run := a.runPool[best]
+		a.runPool[best] = a.runPool[last]
+		a.runPool[last] = nil
+		a.runPool = a.runPool[:last]
+		return run[:0]
+	}
+	if last >= 0 {
+		a.runPool[last] = nil
+		a.runPool = a.runPool[:last]
+	}
+	//lint:ignore hotalloc the seal: one backing per slice until eviction recycles them
+	return make([]aggPart, 0, n)
+}
+
+// putRun recycles a sealed slice's run backing; its partials have been
+// moved or returned already.
+func (a *SharedAggregation) putRun(run []aggPart) {
+	clear(run)
+	//lint:ignore hotalloc amortized: freelist grows to the steady-state count of runs awaiting reuse once
+	a.runPool = append(a.runPool, run[:0])
 }
 
 // OnTuple folds the tuple into slice partials (and serves selection queries
@@ -403,13 +544,25 @@ func (a *SharedAggregation) OnTuple(port int, t event.Tuple, _ *spe.Emitter) {
 	}
 	sl := a.win.sides[0].sliceFor(t.Time)
 	if sl.aggs == nil {
-		sl.aggs = newQSIndex[aggGroup]()
+		sl.aggs = newAggIndex()
 	}
-	g := sl.aggs.get(a.qsTmp)
+	x := sl.aggs
+	g := x.get(a.qsTmp)
+	if x.run != nil {
+		// A late tuple into a sealed slice folds in place when its partial
+		// exists; one that needs a new partial or group unseals the slice.
+		if g != nil {
+			if i, ok := slices.BinarySearchFunc(x.run, aggPart{key: t.Key, group: g.pos}, cmpPart); ok {
+				x.run[i].v.fold(&t)
+				sl.folds++
+				return
+			}
+		}
+		a.unseal(x)
+	}
 	if g == nil {
-		//lint:ignore hotalloc cold: runs once per first-seen query-set group per slice
-		g = &aggGroup{qs: a.qsTmp.Clone(), byKey: make(map[int64]*aggVal)}
-		sl.aggs.put(g.qs, g)
+		g = a.newGroup(a.qsTmp)
+		x.put(g.qs, g)
 	}
 	v := g.byKey[t.Key]
 	if v == nil {
@@ -479,15 +632,27 @@ func (a *SharedAggregation) retire(wm event.Time) {
 		aq.sessKeys = kept
 	}
 
-	// Evicted slices return their partials to the freelist.
+	// Evicted slices return their partials, and a sealed one its run, to the
+	// freelists.
 	a.win.retire(wm, func(_ int, sl *slice) {
-		if sl.aggs != nil {
-			for _, g := range sl.aggs.order {
-				for _, key := range g.keys {
-					a.putVal(g.byKey[key])
-				}
+		x := sl.aggs
+		if x == nil {
+			return
+		}
+		sl.aggs = nil
+		if x.run != nil {
+			for _, p := range x.run {
+				a.putVal(p.v)
 			}
-			sl.aggs = nil
+			a.putRun(x.run)
+			x.run = nil
+			return
+		}
+		for _, g := range x.order {
+			for _, key := range g.keys {
+				a.putVal(g.byKey[key])
+			}
+			a.dropMaps(g)
 		}
 	})
 	a.selection.purge(wm)
@@ -499,33 +664,34 @@ func (a *SharedAggregation) retire(wm event.Time) {
 	}
 }
 
-// emitAccum delivers one query's window rows from a sorted key list.
-func (a *SharedAggregation) emitAccum(aq *liveQuery, ext window.Extent, keys []int64, byKey map[int64]*aggVal) {
-	for _, key := range keys {
-		v := byKey[key]
-		atomic.AddUint64(&a.metrics.AggOut, 1)
+// emitRows delivers one query's window rows, ascending by key.
+func (a *SharedAggregation) emitRows(aq *liveQuery, ext window.Extent, rows []aggRow) {
+	atomic.AddUint64(&a.metrics.AggOut, uint64(len(rows)))
+	for i := range rows {
+		r := &rows[i]
 		a.router.Deliver(Result{
 			QueryID:     aq.q.ID,
 			Kind:        aq.q.Kind,
 			Window:      ext,
-			Key:         key,
-			Value:       v.finalize(aq.q.Agg, aq.q.AggField),
+			Key:         r.key,
+			Value:       r.v.finalize(aq.q.Agg, aq.q.AggField),
 			EventTime:   ext.End,
-			IngestNanos: v.IngestNanos,
+			IngestNanos: r.v.IngestNanos,
 		})
 	}
 }
 
 // fireWindow combines slice partials for one window extent and emits one row
 // per (query, key) in (slot, ID, key) order; queries arrive in (slot, ID)
-// order. It runs two passes over the extent's (slice, group) pairs, every cap
-// group taking its round at each pair (DESIGN.md §15): the first reads the
-// slices' sealed query-sets and partitions each cap group's queries into
-// equivalence blocks by exact refinement over the effective memberships, the
-// second returns to the pairs that were effective and merges each once into
-// every block it covers. Work and accumulator memory scale with blocks, not
-// queries; a lone query is a lone block and the fire is the plain per-slice
-// scan.
+// order. It runs two passes (DESIGN.md §15). The first walks the extent's
+// (slice, group) pairs, every cap group taking its round at each pair: it
+// seals the slices, reads their query-sets and partitions each cap group's
+// queries into equivalence blocks by exact refinement over the effective
+// memberships. The second lists, once per pair that was effective, the
+// blocks it covers, then walks the slices' runs in lockstep by key, merging
+// each partial into the current row of each of its blocks. Work and row
+// memory scale with blocks, not queries; a lone query is a lone block and
+// the fire is the plain per-slice scan.
 func (a *SharedAggregation) fireWindow(ext window.Extent, queries []*liveQuery) {
 	ring := a.win.sides[0]
 	lo, hi := ring.overlappingRange(ext)
@@ -567,54 +733,126 @@ func (a *SharedAggregation) fireWindow(ext window.Extent, queries []*liveQuery) 
 	}
 	// Pass one walks the run's query-sets, one array per slice, refining
 	// every cap group's blocks by each set, and remembers the pairs that were
-	// effective for any cap group; pass two touches exactly those groups.
+	// effective for any cap group. Pass two lists covers for exactly those
+	// pairs, and reads every partial of the slices holding them: one of a
+	// group without covers costs a look at its span, its aggVal untouched.
 	a.met = a.met[:0]
 	for si, sl := range ring.slices[lo:hi] {
 		if sl.aggs == nil || !a.relate(sl, groups) {
 			continue
 		}
 		x := sl.aggs
-		if x.flat == nil {
-			sealSets(x)
-		}
+		a.seal(x)
 		from := int32(0)
 		for gi, to := range x.ends {
 			qs := bitset.View(x.flat[from:to])
 			from = to
-			if a.visit(qs, nil, len(groups)) {
+			if a.visit(qs, len(groups)) {
 				//lint:ignore hotalloc amortized: met-pair scratch grows to the widest trigger's pair count once
 				a.met = append(a.met, metPair{slice: int32(si), group: int32(gi)})
 			}
 		}
 	}
-	at := int32(-1)
-	for _, p := range a.met {
-		sl := ring.slices[lo+int(p.slice)]
-		if p.slice != at {
-			at = p.slice
-			a.relate(sl, groups)
-		}
-		g := sl.aggs.order[p.group]
-		a.visit(g.qs, g, len(groups))
-	}
+	a.mergeRuns(ring.slices[lo:hi], groups)
 	a.metrics.BitsetOps.observe(tick, a.metrics)
 
-	for i := range a.blocks {
-		slices.Sort(a.blocks[i].keys)
-	}
 	for qi, aq := range queries {
 		if b := a.blkOf[qi]; b >= 0 {
-			a.emitAccum(aq, ext, a.blocks[b].keys, a.blocks[b].byKey)
+			a.emitRows(aq, ext, a.blocks[b].rows)
 		}
 	}
-	for i := range a.blocks {
-		blk := &a.blocks[i]
-		for _, key := range blk.keys {
-			a.putVal(blk.byKey[key])
+}
+
+// mergeRuns is pass two. Each effective pair gets its covers — the blocks
+// with a member in its membership for some cap group — listed once; after
+// refinement a block lies wholly inside or wholly outside any membership of
+// the run, so meeting one member decides for the block and the round stamp
+// skips its other members. Then the runs of the slices holding those pairs
+// are walked in lockstep by key, a k-way merge over k slices: every partial
+// of the smallest key left, from every run, merges into each of its group's
+// covers, where it lands on the block's last row or starts the next one. The
+// walk reads each of those slices' partials, including those of groups no
+// cap group is effective in, whose empty span merges them nowhere: its work
+// grows with the partials of the slices met, not only with the pairs.
+func (a *SharedAggregation) mergeRuns(run []*slice, groups []capGroup) {
+	a.covers, a.spans, a.cursors = a.covers[:0], a.spans[:0], a.cursors[:0]
+	at := int32(-1)
+	var x *aggIndex
+	for _, p := range a.met {
+		if p.slice != at {
+			at = p.slice
+			sl := run[p.slice]
+			a.relate(sl, groups)
+			x = sl.aggs
+			base := len(a.spans)
+			for range x.order {
+				//lint:ignore hotalloc amortized: span scratch grows to the widest trigger's group count once
+				a.spans = append(a.spans, blockSpan{})
+			}
+			//lint:ignore hotalloc amortized: cursor scratch grows to the widest trigger's slice count once
+			a.cursors = append(a.cursors, runCursor{run: x.run, base: int32(base)})
 		}
-		clear(blk.byKey)
-		blk.keys = blk.keys[:0]
+		from := int32(len(a.covers))
+		a.round++
+		qs := x.order[p.group].qs
+		for ci := range groups {
+			fc := &a.caps[ci]
+			qs.AndInto(fc.rel, &a.effTmp)
+			for wi, nw := 0, a.effTmp.WordCount(); wi < nw; wi++ {
+				for w := a.effTmp.Word(wi); w != 0; w &= w - 1 {
+					b := a.blkOf[fc.slotQ[wi*64+bits.TrailingZeros64(w)]]
+					if a.blocks[b].round != a.round {
+						a.blocks[b].round = a.round
+						//lint:ignore hotalloc amortized: cover scratch grows to the widest trigger's pair-block count once
+						a.covers = append(a.covers, b)
+					}
+				}
+			}
+		}
+		a.spans[a.cursors[len(a.cursors)-1].base+p.group] = blockSpan{from: from, to: int32(len(a.covers))}
 	}
+
+	// The lockstep walk: take the smallest head key, merge every slice's
+	// partials of it, drop the runs that ran out.
+	cs := a.cursors
+	for len(cs) > 0 {
+		key := cs[0].run[0].key
+		for i := 1; i < len(cs); i++ {
+			key = min(key, cs[i].run[0].key)
+		}
+		for i := 0; i < len(cs); {
+			c := &cs[i]
+			for ; len(c.run) > 0 && c.run[0].key == key; c.run = c.run[1:] {
+				sp := a.spans[c.base+c.run[0].group]
+				for _, b := range a.covers[sp.from:sp.to] {
+					a.blocks[b].merge(key, c.run[0].v)
+				}
+			}
+			if len(c.run) > 0 {
+				i++
+			} else {
+				cs[i] = cs[len(cs)-1]
+				cs = cs[:len(cs)-1]
+			}
+		}
+	}
+}
+
+// merge folds partial v of key into the block: into its last row when that
+// row is key's, else into a new last row.
+func (blk *fireBlock) merge(key int64, v *aggVal) {
+	n := len(blk.rows)
+	if n > 0 && blk.rows[n-1].key == key {
+		blk.rows[n-1].v.merge(v)
+		return
+	}
+	if n < cap(blk.rows) {
+		blk.rows = blk.rows[:n+1]
+	} else {
+		//lint:ignore hotalloc amortized: block rows grow to the window's key count once
+		blk.rows = append(blk.rows, aggRow{})
+	}
+	blk.rows[n].key, blk.rows[n].v = key, *v
 }
 
 // relate loads every cap group's rel for sl — the group's slots live from
@@ -636,11 +874,10 @@ func (a *SharedAggregation) relate(sl *slice, groups []capGroup) (any bool) {
 	return any
 }
 
-// visit runs one round for every one of the first n cap groups the query-set
-// qs is effective for under the rels relate loaded, and reports whether there
-// was one: a refinement round while g is nil, a merge of g — whose set qs is
-// — once the blocks are final.
-func (a *SharedAggregation) visit(qs bitset.Bits, g *aggGroup, n int) (hit bool) {
+// visit runs a refinement round for every one of the first n cap groups the
+// query-set qs is effective for under the rels relate loaded, and reports
+// whether there was one.
+func (a *SharedAggregation) visit(qs bitset.Bits, n int) (hit bool) {
 	for ci := range a.caps[:n] {
 		fc := &a.caps[ci]
 		qs.AndInto(fc.rel, &a.effTmp)
@@ -649,13 +886,77 @@ func (a *SharedAggregation) visit(qs bitset.Bits, g *aggGroup, n int) (hit bool)
 		}
 		hit = true
 		a.round++
-		if g != nil {
-			a.mergeGroup(g, fc.slotQ)
-		} else {
-			a.refineBlocks(fc.slotQ)
-		}
+		a.refineBlocks(fc.slotQ)
 	}
 	return hit
+}
+
+// seal lays a slice out for the fires over it, once: the first fire after
+// the watermark closed it finds it unsealed, and from then on no tuple adds
+// a group or a key to it (a late one that does unseals it, and the next fire
+// seals it again). Its groups' query-sets go back to back (sealSets) and its
+// partials into one run by (key, group position), the groups' maps and key
+// lists dropped: the run is the storage.
+func (a *SharedAggregation) seal(x *aggIndex) {
+	if x.flat == nil {
+		sealSets(&x.qsIndex)
+	}
+	if x.run != nil {
+		return
+	}
+	n := 0
+	for _, g := range x.order {
+		n += len(g.keys)
+	}
+	run := a.takeRun(n)
+	for gi, g := range x.order {
+		g.pos = int32(gi)
+		for rank, key := range g.keys {
+			//lint:ignore hotalloc the seal: takeRun gave the backing room for all n partials, so this never grows it
+			run = append(run, aggPart{key: key, group: int32(gi), rank: int32(rank), v: g.byKey[key]})
+		}
+		a.dropMaps(g)
+	}
+	slices.SortFunc(run, cmpPart)
+	x.run = run
+}
+
+// unseal gives a sealed slice's groups maps and arrival-ordered key lists
+// back from the run and recycles the run: a late tuple needs a partial or a
+// group the run has no room for.
+func (a *SharedAggregation) unseal(x *aggIndex) {
+	counts := a.groupCounts(x)
+	for gi, g := range x.order {
+		a.takeMaps(g)
+		n := int(counts[gi+1] - counts[gi])
+		//lint:ignore hotalloc cold: a late tuple unsealing a slice rebuilds its groups once
+		g.keys = slices.Grow(g.keys, n)[:n]
+	}
+	for _, p := range x.run {
+		g := x.order[p.group]
+		g.keys[p.rank] = p.key
+		g.byKey[p.key] = p.v
+	}
+	a.putRun(x.run)
+	x.run = nil
+}
+
+// groupCounts buckets a sealed slice's run by group: group g's partials
+// are the counts[g]..counts[g+1]-1th in (group, arrival) order.
+func (a *SharedAggregation) groupCounts(x *aggIndex) []int32 {
+	counts := a.grpTmp[:0]
+	for range len(x.order) + 1 {
+		//lint:ignore hotalloc amortized: group scratch grows to the widest slice's group count once
+		counts = append(counts, 0)
+	}
+	for _, p := range x.run {
+		counts[p.group+1]++
+	}
+	for g := 1; g < len(counts); g++ {
+		counts[g] += counts[g-1]
+	}
+	a.grpTmp = counts
+	return counts
 }
 
 // sealSets lays the query-sets of x's groups out back to back in x.flat and
@@ -696,11 +997,8 @@ func (a *SharedAggregation) newBlock(size int32) int32 {
 		a.blocks = append(a.blocks, fireBlock{})
 	}
 	blk := &a.blocks[n]
-	if blk.byKey == nil {
-		//lint:ignore hotalloc cold: block accumulators are recycled across fires once allocated
-		blk.byKey = make(map[int64]*aggVal)
-	}
 	blk.size = size
+	blk.rows = blk.rows[:0]
 	return int32(n)
 }
 
@@ -743,32 +1041,6 @@ func (a *SharedAggregation) refineBlocks(slotQ []int32) {
 			qi := slotQ[wi*64+bits.TrailingZeros64(w)]
 			if nb := a.blocks[a.blkOf[qi]].split; nb >= 0 {
 				a.blkOf[qi] = nb
-			}
-		}
-	}
-}
-
-// mergeGroup merges g's partials once into every block with a member in
-// effTmp. After refinement a block lies wholly inside or wholly outside any
-// membership of the run, so meeting one member decides for the block; the
-// round stamp keeps the block's other members from merging again.
-func (a *SharedAggregation) mergeGroup(g *aggGroup, slotQ []int32) {
-	for wi, nw := 0, a.effTmp.WordCount(); wi < nw; wi++ {
-		for w := a.effTmp.Word(wi); w != 0; w &= w - 1 {
-			blk := &a.blocks[a.blkOf[slotQ[wi*64+bits.TrailingZeros64(w)]]]
-			if blk.round == a.round {
-				continue
-			}
-			blk.round = a.round
-			for _, key := range g.keys {
-				acc := blk.byKey[key]
-				if acc == nil {
-					acc = a.getVal()
-					blk.byKey[key] = acc
-					//lint:ignore hotalloc amortized: accumulator key slices grow to the window's key count once
-					blk.keys = append(blk.keys, key)
-				}
-				acc.merge(g.byKey[key])
 			}
 		}
 	}

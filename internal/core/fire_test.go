@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -64,7 +65,17 @@ func (a *SharedAggregation) fireWindowScan(ext window.Extent, aq *liveQuery, cur
 		keys = append(keys, key)
 	}
 	slices.Sort(keys)
-	a.emitAccum(aq, ext, keys, acc)
+	for _, key := range keys {
+		a.router.Deliver(Result{
+			QueryID:     aq.q.ID,
+			Kind:        aq.q.Kind,
+			Window:      ext,
+			Key:         key,
+			Value:       acc[key].finalize(aq.q.Agg, aq.q.AggField),
+			EventTime:   ext.End,
+			IngestNanos: acc[key].IngestNanos,
+		})
+	}
 }
 
 // refWatermark is OnWatermark with the reference in place of fireWindow,
@@ -426,9 +437,11 @@ func TestFireBlocksAreExact(t *testing.T) {
 
 // TestFireSealsSliceSets: the first fire over a slice lays its groups'
 // query-sets out back to back and re-points the wide ones at that layout (no
-// second copy); a late tuple that adds a group to such a slice drops the
-// layout, and the next fire — on the engine and on an instance restored from
-// its snapshot — builds it again and still matches the reference.
+// second copy), and moves its partials into one run the groups keep no map
+// or key list beside; a late tuple that adds a group to such a slice drops
+// both layouts, and the next fire — on the engine and on an instance
+// restored from its snapshot — builds them again and still matches the
+// reference.
 func TestFireSealsSliceSets(t *testing.T) {
 	const n = 70
 	p := newFirePair(50, n)
@@ -436,7 +449,10 @@ func TestFireSealsSliceSets(t *testing.T) {
 	for i := range qs {
 		qs[i] = aggQ(window.SlidingSpec(400, 200), sqlstream.AggSum, 0, expr.True())
 	}
-	p.deploy(t, newCLBuilder(), 0, qs...)
+	// A query no tuple selects keeps [200,400) alive past the fire at 600,
+	// so its second seal can be looked at.
+	keeper := aggQ(window.SlidingSpec(600, 200), sqlstream.AggSum, 0, expr.True())
+	p.deploy(t, newCLBuilder(), 0, append(qs, keeper)...)
 	feed := func(from, to event.Time) {
 		for at := from; at < to; at += 2 {
 			i := int(at)
@@ -482,14 +498,20 @@ func TestFireSealsSliceSets(t *testing.T) {
 	if wide == 0 {
 		t.Fatal("no query-set wider than one word; the test proved nothing")
 	}
+	assertSealedRun(t, x)
 
 	// Late, but inside the slice [200,400) that [200,600) still needs: a
 	// query-set no group there has yet.
 	late := event.Tuple{Key: 9, Time: 390, IngestNanos: 1000, QuerySet: bitset.FromIndexes(1, 2, 69)}
 	late.Fields[0] = 7
 	p.tuple(late)
-	if x.flat != nil {
+	if x.flat != nil || x.run != nil {
 		t.Fatal("a group added after sealing left the stale layout in place")
+	}
+	for i, g := range x.order {
+		if g.byKey == nil || len(g.keys) == 0 {
+			t.Fatalf("group %d has no map back after the slice was unsealed", i)
+		}
 	}
 	p.restore(t, 50, n)
 	feed(400, 600)
@@ -498,5 +520,301 @@ func TestFireSealsSliceSets(t *testing.T) {
 	}
 	if x.flat == nil || len(x.ends) != len(x.order) {
 		t.Fatalf("slice not sealed again: %d ends for %d groups", len(x.ends), len(x.order))
+	}
+	assertSealedRun(t, x)
+}
+
+// assertSealedRun: a sealed slice keeps its partials in the run alone — no
+// group holds a map or a key list — ordered by (key, group position), with
+// a partial of every group.
+func assertSealedRun(t *testing.T, x *aggIndex) {
+	t.Helper()
+	if len(x.run) == 0 {
+		t.Fatal("sealed slice has no run")
+	}
+	for i, g := range x.order {
+		if g.byKey != nil || g.keys != nil {
+			t.Fatalf("group %d of a sealed slice still holds a map or key list", i)
+		}
+		if g.pos != int32(i) {
+			t.Fatalf("group %d records position %d", i, g.pos)
+		}
+	}
+	held := make([]bool, len(x.order))
+	for i, p := range x.run {
+		if i > 0 && cmpPart(x.run[i-1], p) >= 0 {
+			t.Fatalf("run out of (key, group) order at %d", i)
+		}
+		held[p.group] = true
+	}
+	if gi := slices.Index(held, false); gi >= 0 {
+		t.Fatalf("group %d has no partial in the run", gi)
+	}
+}
+
+// The tests below pin what a sealed slice must keep doing: take a late
+// tuple, survive a snapshot, serve wide query-sets and several cap groups,
+// and give every partial back at eviction. Each compares every row, in
+// order, with the reference, and passed on the parent of the key-major run
+// before that change.
+
+// sealQueries are four sliding windows over [200,400)'s slice for three
+// fires (ending 400, 600, 800), one per aggregate family.
+func sealQueries() []*Query {
+	spec := window.SlidingSpec(600, 200)
+	return []*Query{
+		aggQ(spec, sqlstream.AggSum, 0, expr.True()),
+		aggQ(spec, sqlstream.AggMax, 1, expr.True()),
+		aggQ(spec, sqlstream.AggCount, 0, expr.True()),
+		aggQ(spec, sqlstream.AggMin, 2, expr.True()),
+	}
+}
+
+// feedSeal folds tuples at every other time in [from, to) into p under three
+// query-set groups over slots 0–3, five keys each.
+func feedSeal(p *firePair, from, to event.Time) {
+	sets := []bitset.Bits{bitset.FromIndexes(0, 1), bitset.FromIndexes(2, 3), bitset.FromIndexes(0, 1, 2, 3)}
+	for at := from; at < to; at += 2 {
+		i := int(at)
+		tu := event.Tuple{Key: int64(i % 5), Time: at, IngestNanos: int64(i + 1), QuerySet: sets[i%3]}
+		for f := range tu.Fields {
+			tu.Fields[f] = int64((i*7+f*13)%50) - 25
+		}
+		p.tuple(tu)
+	}
+}
+
+// lateSeal is a tuple at 390 — behind watermark 400, inside the slice
+// [200,400) that two more windows need — whose key and query-set pick which
+// kind of late fold it is.
+func lateSeal(key int64, slots ...int) event.Tuple {
+	tu := event.Tuple{Key: key, Time: 390, IngestNanos: 9000, QuerySet: bitset.FromIndexes(slots...)}
+	tu.Fields = [event.NumFields]int64{100, -100, 77, 3, 4}
+	return tu
+}
+
+// TestFireLateIntoSealedSlice: a tuple behind the watermark but not behind
+// the eviction mark lands in a slice a fire has already sealed. Whether its
+// (key, group) partial exists, its key is new to the group, or its query-set
+// is a group of its own, the next two windows over the slice count it, once
+// each, as the reference does — and a second late tuple of the same kind,
+// arriving after the next fire sealed the slice again, too.
+func TestFireLateIntoSealedSlice(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		late event.Tuple
+	}{
+		{"existing partial", lateSeal(1, 0, 1)},
+		{"new key", lateSeal(99, 2, 3)},
+		{"new group", lateSeal(1, 1, 2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newFirePair(400, 4)
+			p.deploy(t, newCLBuilder(), 0, sealQueries()...)
+			feedSeal(p, 0, 400)
+			if p.watermark(t, "wm=400", 400) == 0 {
+				t.Fatal("no rows fired")
+			}
+			p.tuple(tc.late)
+			feedSeal(p, 400, 600)
+			if p.watermark(t, "wm=600", 600) == 0 {
+				t.Fatal("no rows fired")
+			}
+			p.tuple(tc.late)
+			feedSeal(p, 600, 800)
+			if p.watermark(t, "wm=800", 800) == 0 {
+				t.Fatal("no rows fired")
+			}
+			if late := p.eng.metrics.Late; late != 0 {
+				t.Fatalf("%d tuples dropped as late; the slice was meant to take them", late)
+			}
+		})
+	}
+}
+
+// TestFireSealRestoreLateFold: a snapshot cut after a fire sealed a slice
+// restores an instance whose slice is not sealed; late tuples of every kind
+// then fold into both, the two snapshots stay byte-identical, and the next
+// fires of the engine, the restored instance and the reference agree.
+func TestFireSealRestoreLateFold(t *testing.T) {
+	p := newFirePair(400, 4)
+	p.deploy(t, newCLBuilder(), 0, sealQueries()...)
+	feedSeal(p, 0, 400)
+	if p.watermark(t, "wm=400", 400) == 0 {
+		t.Fatal("no rows fired")
+	}
+	p.restore(t, 400, 4)
+	for _, late := range []event.Tuple{lateSeal(1, 0, 1), lateSeal(99, 2, 3), lateSeal(1, 1, 2), lateSeal(98, 0, 1)} {
+		p.tuple(late)
+		assertSameSnapshot(t, "after a late fold", p.eng.OnBarrier(2, nil), p.restored.OnBarrier(2, nil))
+	}
+	feedSeal(p, 400, 600)
+	if p.watermark(t, "wm=600", 600) == 0 {
+		t.Fatal("no rows fired")
+	}
+	p.tuple(lateSeal(97, 1, 2))
+	assertSameSnapshot(t, "after the next fire", p.eng.OnBarrier(3, nil), p.restored.OnBarrier(3, nil))
+	feedSeal(p, 600, 800)
+	if p.watermark(t, "wm=800", 800) == 0 {
+		t.Fatal("no rows fired")
+	}
+}
+
+// TestFireWideQuerySets: 150 queries, so query-sets span three words and
+// groups are found through the wide-set path, with late tuples of wide sets
+// into sealed slices and a restore halfway.
+func TestFireWideQuerySets(t *testing.T) {
+	const n = 150
+	p := newFirePair(300, n)
+	qs := make([]*Query, n)
+	fns := []sqlstream.AggFunc{sqlstream.AggSum, sqlstream.AggMax, sqlstream.AggCount, sqlstream.AggMin, sqlstream.AggAvg}
+	for i := range qs {
+		qs[i] = aggQ(window.SlidingSpec(400, 100), fns[i%len(fns)], i%event.NumFields, expr.True())
+	}
+	p.deploy(t, newCLBuilder(), 0, qs...)
+	r := rand.New(rand.NewSource(3))
+	wide := 0
+	for step := 1; step <= 12; step++ {
+		wm := event.Time(step * 100)
+		for i := 0; i < 80; i++ {
+			at := wm - 100 + event.Time(r.Intn(100))
+			if i%10 == 0 && step > 1 {
+				at = wm - 100 - event.Time(1+r.Intn(150)) // late: behind the last watermark
+			}
+			tu := event.Tuple{Key: int64(r.Intn(8)), Time: at, IngestNanos: int64(step*100 + i)}
+			for k := 0; k < 1+r.Intn(3); k++ {
+				tu.QuerySet.Set(r.Intn(n))
+			}
+			if tu.QuerySet.WordCount() > 2 {
+				wide++
+			}
+			for f := range tu.Fields {
+				tu.Fields[f] = int64(r.Intn(60)) - 30
+			}
+			p.tuple(tu)
+		}
+		if step == 6 {
+			p.restore(t, 300, n)
+		}
+		p.watermark(t, fmt.Sprintf("wm=%v", wm), wm)
+	}
+	if wide == 0 {
+		t.Fatal("no query-set beyond two words; the test proved nothing")
+	}
+}
+
+// TestFireTwoCapGroupsOneRun: a query deleted at 300 still fires its windows
+// ending by then, in the same triggers as a running query and the query that
+// re-uses its slot from 320 — two cap groups over runs of three slices.
+func TestFireTwoCapGroupsOneRun(t *testing.T) {
+	p := newFirePair(200, 8)
+	b := newCLBuilder()
+	spec := window.SlidingSpec(300, 100)
+	eng, _ := p.deploy(t, b, 0,
+		aggQ(spec, sqlstream.AggSum, 0, expr.True()),
+		aggQ(spec, sqlstream.AggMax, 0, expr.True()))
+	feed := func(from, to event.Time) {
+		for at := from; at < to; at++ {
+			tu := event.Tuple{Key: int64(at % 6), Time: at, IngestNanos: int64(at + 1), QuerySet: bitset.FromIndexes(0, 1)}
+			if at%3 == 0 {
+				tu.QuerySet = bitset.FromIndexes(0)
+			}
+			tu.Fields[0] = int64(at%17) - 8
+			p.tuple(tu)
+		}
+	}
+	feed(0, 300)
+	p.changelog(b.remove(t, 300, eng[0].q.ID), 300)
+	feed(300, 320)
+	e3, _ := p.deploy(t, b, 320, aggQ(spec, sqlstream.AggCount, 0, expr.True()))
+	if e3[0].slot != eng[0].slot {
+		t.Fatalf("query 3 took slot %d, want the freed slot %d", e3[0].slot, eng[0].slot)
+	}
+	feed(320, 400)
+	if p.watermark(t, "wm=400", 400) == 0 {
+		t.Fatal("no rows fired")
+	}
+	two := false
+	for _, tr := range p.eng.win.trig.list {
+		// [0,300) spans the slices [0,100), [100,200) and [200,300).
+		two = two || (len(p.eng.win.capGroups(tr.queries)) == 2 && tr.ext.Start == 0)
+	}
+	if !two {
+		t.Fatal("no trigger held two cap groups over three slices; the test proved nothing")
+	}
+	feed(400, 700)
+	if p.watermark(t, "wm=700", 700) == 0 {
+		t.Fatal("no rows fired")
+	}
+}
+
+// TestFireEvictionRecyclesPartials: once every slice is evicted, every
+// partial ever carved is back on the freelist — the slabs' carved values
+// add up to whole chunks — and a second identical round, late tuples
+// unsealing slices included, carves nothing and leaves as many group maps
+// and run backings pooled as the first.
+func TestFireEvictionRecyclesPartials(t *testing.T) {
+	p := newFirePair(400, 4)
+	p.deploy(t, newCLBuilder(), 0, sealQueries()...)
+	round := func(base event.Time) {
+		feedSeal(p, base, base+800)
+		for _, wm := range []event.Time{400, 800} {
+			p.watermark(t, fmt.Sprintf("wm=%v", base+wm), base+wm)
+			// Into the slice just sealed: an existing partial, then a new key.
+			for _, key := range []int64{1, int64(wm)} {
+				tu := lateSeal(key, 0, 1)
+				tu.Time = base + wm - 10
+				p.tuple(tu)
+			}
+		}
+		if late := p.eng.metrics.Late; late != 0 {
+			t.Fatalf("%d tuples dropped as late; the sealed slices were meant to take them", late)
+		}
+		p.watermark(t, "drain", base+2000)
+		if n := p.eng.LiveSlices(); n != 0 {
+			t.Fatalf("%d slices live after the drain watermark", n)
+		}
+	}
+	round(0)
+	pooled, slab := len(p.eng.valPool), len(p.eng.valSlab)
+	if pooled == 0 || (pooled+slab)%aggSlabLen != 0 {
+		t.Fatalf("%d partials pooled and %d uncarved: some carved partial never came back", pooled, slab)
+	}
+	maps, runs := len(p.eng.mapPool), len(p.eng.runPool)
+	if maps == 0 || runs == 0 {
+		t.Fatalf("%d group maps and %d runs pooled after the drain; the test proved nothing", maps, runs)
+	}
+	round(2000)
+	if got, gotSlab := len(p.eng.valPool), len(p.eng.valSlab); got != pooled || gotSlab != slab {
+		t.Fatalf("second round: %d pooled, %d uncarved; want %d and %d (a partial leaked and was carved again)", got, gotSlab, pooled, slab)
+	}
+	if got, gotRuns := len(p.eng.mapPool), len(p.eng.runPool); got != maps || gotRuns != runs {
+		t.Fatalf("second round: %d group maps and %d runs pooled; want %d and %d (a freelist grows every round)", got, gotRuns, maps, runs)
+	}
+}
+
+// TestFireSealOrdersAnyKeys: sealing orders a run by key whatever bytes the
+// keys differ in — negative keys, the extremes, keys apart in high bytes
+// only — and rows leave in ascending key order as the reference's do.
+func TestFireSealOrdersAnyKeys(t *testing.T) {
+	keys := []int64{math.MinInt64, -1 << 40, -70000, -3, -1, 0, 1, 255, 256, 65537, 1 << 33, 3 << 56, math.MaxInt64}
+	for _, keySet := range [][]int64{keys, {-2, -1}, {7, 7 + 1<<48}, {42}} {
+		p := newFirePair(0, 4)
+		p.deploy(t, newCLBuilder(), 0, sealQueries()...)
+		r := rand.New(rand.NewSource(int64(len(keySet))))
+		sets := []bitset.Bits{bitset.FromIndexes(0, 1), bitset.FromIndexes(2), bitset.FromIndexes(0, 1, 2, 3)}
+		for i := 0; i < 300; i++ {
+			tu := event.Tuple{Key: keySet[r.Intn(len(keySet))], Time: event.Time(r.Intn(200)), IngestNanos: int64(i + 1), QuerySet: sets[r.Intn(len(sets))]}
+			for f := range tu.Fields {
+				tu.Fields[f] = int64(r.Intn(90)) - 45
+			}
+			p.tuple(tu)
+		}
+		if p.watermark(t, fmt.Sprintf("keys %v", keySet), 200) == 0 {
+			t.Fatal("no rows fired")
+		}
+		for _, sl := range p.eng.win.sides[0].slices {
+			assertSealedRun(t, sl.aggs)
+		}
 	}
 }

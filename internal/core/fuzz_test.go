@@ -158,14 +158,23 @@ func fuzzAgg(f *testing.F) (full, delta []byte) {
 	return full, delta
 }
 
+// FuzzAggregationRestore also holds the decoder to canonical input: a
+// snapshot it accepts re-encodes to the same bytes, so no accepted shape —
+// a repeated key or query-set, groups out of order — means something an
+// encoder never wrote (only a non-canonical query-set may re-encode
+// shorter). The seed's slices are sealed, so the restored instance's
+// unsealed slices must re-encode what the sealed runs wrote.
 func FuzzAggregationRestore(f *testing.F) {
 	full, _ := fuzzAgg(f)
 	addCorruptions(f, full)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		wiretest.Bounded(t, in, func() {
 			fresh := NewSharedAggregation(1, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
-			if fresh.Restore(in) == nil {
-				fresh.OnBarrier(2, nil)
+			if fresh.Restore(in) != nil {
+				return
+			}
+			if back := fresh.OnBarrier(2, nil); !bytes.Equal(back, in) && len(back) >= len(in) {
+				t.Fatalf("accepted snapshot re-encodes differently:\n in %x\nout %x", in, back)
 			}
 		})
 	})

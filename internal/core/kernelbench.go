@@ -207,12 +207,57 @@ func KernelBenchmarks() []KernelBench {
 					agg.OnTuple(0, benchTuple(i, qs, event.Time(i%800)), em)
 				}
 				ext := window.Extent{Start: 0, End: 800}
-				// Warm the trigger, block, and accumulator pools once.
+				// Seal the slices and warm the trigger, block and row scratch.
 				agg.fireBench(ext)
 				//lint:hotpath window-fire kernel steady state
 				return func(iters int) {
 					for i := 0; i < iters; i++ {
 						agg.OnTuple(0, benchTuple(i, qs, 799), em)
+						agg.fireBench(ext)
+					}
+				}
+			},
+		},
+		{
+			// The fire in the ledger's shared64 shape: 64 SUM queries over a
+			// 2000/500 sliding window in eight predicate patterns of eight,
+			// tuples over 200 keys each selected by TRUE's pattern and a draw
+			// of the other seven — 32 query-set groups per slice, where
+			// windowfire-64q-slide8 has one. One trigger, eight blocks, four
+			// sealed slices merged key by key, 12 800 rows out; each
+			// iteration first folds a late tuple into a sealed slice.
+			Name: "windowfire-64q-200keys",
+			New: func() func(int) {
+				agg := benchAggWindow(64, window.SlidingSpec(2000, 500))
+				var sets [32]bitset.Bits
+				for m := range sets {
+					// Pattern p holds slots p, p+8, …, p+56; TRUE (p = 0)
+					// selects every tuple.
+					for p := 0; p < 8; p++ {
+						if p == 0 || (m*0x9E)>>p&1 == 1 {
+							for s := p; s < 64; s += 8 {
+								sets[m].Set(s)
+							}
+						}
+					}
+				}
+				tuple := func(i int, at event.Time) event.Tuple {
+					t := benchTuple(i, sets[(i*7+i/200)%len(sets)], at)
+					t.Key = int64(i % 200)
+					return t
+				}
+				em := &spe.Emitter{}
+				for i := 0; i < 4000; i++ {
+					agg.OnTuple(0, tuple(i, event.Time(i/2)), em)
+				}
+				ext := window.Extent{Start: 0, End: 2000}
+				// Seal the slices and warm the trigger, block and row scratch.
+				agg.fireBench(ext)
+				//lint:hotpath window-fire kernel steady state
+				return func(iters int) {
+					for i := 0; i < iters; i++ {
+						// A partial [1500,2000) holds since the fill.
+						agg.OnTuple(0, tuple(3000+i%1000, 1999), em)
 						agg.fireBench(ext)
 					}
 				}

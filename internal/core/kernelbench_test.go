@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"testing"
+	"time"
 )
 
 // TestKernelRegistryNames pins the kernel registry's exact name set, in
@@ -18,6 +19,7 @@ func TestKernelRegistryNames(t *testing.T) {
 		"selection-512q-keyed",
 		"agg-ontuple-64q",
 		"windowfire-64q-slide8",
+		"windowfire-64q-200keys",
 		"chain-sel-agg-64q",
 		"snapshot-delta-encode-64q",
 		"bitset-and-into-128bit",
@@ -37,13 +39,22 @@ func TestKernelRegistryNames(t *testing.T) {
 // allocator never bounds the shared data path. AllocsPerRun averages over
 // enough runs that amortized one-time growth (map resizes, slice doubling
 // during warm-up) rounds to zero; a per-tuple allocation reads ≥ 1 and fails.
+// A kernel whose operation is a whole window fire gets about a second of
+// warm-up and as many measured runs, not 2048 each (under -race one
+// windowfire-64q-200keys fire takes ~10 ms).
 func TestKernelAllocs(t *testing.T) {
 	for _, kb := range KernelBenchmarks() {
 		kb := kb
 		t.Run(kb.Name, func(t *testing.T) {
 			run := kb.New()
-			run(2048) // warm-up: populate scratch, pools, map capacity
-			if avg := testing.AllocsPerRun(2000, func() { run(1) }); avg > 0 {
+			start := time.Now()
+			run(1)
+			n := 2048
+			if per := time.Since(start); per > time.Second/time.Duration(n) {
+				n = max(64, int(time.Second/per))
+			}
+			run(n) // warm-up: populate scratch, pools, map capacity
+			if avg := testing.AllocsPerRun(n, func() { run(1) }); avg > 0 {
 				t.Errorf("%s: %.2f allocs/op in steady state, want 0", kb.Name, avg)
 			}
 		})

@@ -36,7 +36,7 @@ type slice struct {
 	epoch uint64 // changelog epoch in effect throughout the slice
 	// Payloads: a join side uses store; the aggregation uses aggs.
 	store *sliceStore
-	aggs  *qsIndex[aggGroup] // by canonical query-set key
+	aggs  *aggIndex
 	// folds counts aggregation folds absorbed by this slice; incremental
 	// snapshots compare it against the value at the previous barrier to
 	// re-encode only slices that changed (snapdelta.go). Derived activity

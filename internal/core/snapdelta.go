@@ -75,7 +75,7 @@ func (a *SharedAggregation) appendDelta(b []byte) []byte {
 		dirty := !ok || old != sl.folds
 		b = wire.AppendBool(b, dirty)
 		if dirty {
-			b = snapAggIndex(b, sl.aggs)
+			b = a.appendAggIndex(b, sl.aggs)
 		}
 		return b
 	})
@@ -101,7 +101,7 @@ func (a *SharedAggregation) RestoreDelta(snapshot []byte) error {
 	if err := a.win.table.ApplyDelta(tdelta); err != nil {
 		return err
 	}
-	prev := make(map[uint64]*qsIndex[aggGroup], len(a.win.sides[0].slices))
+	prev := make(map[uint64]*aggIndex, len(a.win.sides[0].slices))
 	for _, sl := range a.win.sides[0].slices {
 		prev[sl.id] = sl.aggs
 	}

@@ -263,6 +263,39 @@ func TestAggregationRestoreDeltaRejectsCorruptChains(t *testing.T) {
 	assertSameSnapshot(t, "chain vs original", agg.OnBarrier(99, nil), ok.OnBarrier(99, nil))
 }
 
+// TestAggregationDeltaChainAcrossSeal: a slice encoded open, then sealed by a
+// fire that folds nothing into it, stays clean, so the chain keeps its bytes
+// from before the seal. Restoring that chain must still land in the state —
+// the bytes — of a full snapshot of the sealed slice: a sealed slice writes
+// its keys in the order they arrived, not the run's key order.
+func TestAggregationDeltaChainAcrossSeal(t *testing.T) {
+	b := newCLBuilder()
+	msg := b.create(t, 0, aggQ(window.SlidingSpec(20, 10), sqlstream.AggSum, 0, gt(0, -1)))
+	slot := msg.CL.Created[0].Slot
+	agg := newDeltaAgg(&[]string{}, msg.CL.Created[0].Query)
+	agg.OnChangelog(msg, 0, nil)
+	for i, key := range []int64{5, 3, 9, 1} { // not ascending
+		agg.OnTuple(0, event.Tuple{Key: key, Time: event.Time(1 + i), Fields: [event.NumFields]int64{3}, QuerySet: bitset.FromIndexes(slot)}, nil)
+	}
+	base := agg.OnBarrierDelta(1, nil, 8)
+	agg.OnWatermark(10, nil)
+	if x := agg.win.sides[0].slices[0].aggs; x == nil || x.run == nil {
+		t.Fatal("the fire at 10 did not seal the slice; the test proved nothing")
+	}
+	delta := agg.OnBarrierDelta(2, nil, 8)
+	if dirty, _ := countDeltaSlices(t, delta); dirty != 0 {
+		t.Fatalf("the delta re-encoded %d slices; the sealed one was meant to stay clean", dirty)
+	}
+	fresh := newDeltaAgg(&[]string{}, msg.CL.Created[0].Query)
+	if err := fresh.Restore(base); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.RestoreDelta(delta); err != nil {
+		t.Fatal(err)
+	}
+	assertSameSnapshot(t, "chain across a seal", agg.OnBarrier(99, nil), fresh.OnBarrier(99, nil))
+}
+
 // TestAggregationDeltaVsFullRestoreEquivalence: restoring base+deltas and
 // restoring the contemporaneous full snapshot must land in byte-identical
 // state (the durable backend keeps both paths alive — recovery prefers the

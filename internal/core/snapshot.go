@@ -140,34 +140,74 @@ func (a *SharedAggregation) readAggVal(r *wire.Reader) *aggVal {
 	return v
 }
 
-func snapAggIndex(b []byte, x *qsIndex[aggGroup]) []byte {
+// appendAggIndex writes a slice's groups in order, each with its keys in
+// arrival order, from either layout: an unsealed slice's key lists, or a
+// sealed slice's run bucketed by group once and placed by arrival rank — the
+// same bytes either way.
+func (a *SharedAggregation) appendAggIndex(b []byte, x *aggIndex) []byte {
 	if x == nil {
 		return wire.AppendBool(b, false)
 	}
 	b = wire.AppendBool(b, true)
 	b = wire.AppendCount(b, x.len())
-	for _, g := range x.order {
+	if x.run == nil {
+		for _, g := range x.order {
+			b = wire.AppendBits(b, g.qs)
+			b = wire.AppendCount(b, len(g.keys))
+			for _, key := range g.keys {
+				b = wire.AppendI64(b, key)
+				b = snapAggVal(b, g.byKey[key])
+			}
+		}
+		return b
+	}
+	// The same framing as the open layout's loop, which snapshot-symmetry
+	// holds Restore to: the run's entries in (group, arrival) order first.
+	counts := a.groupCounts(x)
+	perm := a.permTmp[:0]
+	for range x.run {
+		perm = append(perm, 0)
+	}
+	for i, p := range x.run {
+		perm[counts[p.group]+p.rank] = int32(i)
+	}
+	a.permTmp = perm
+	for gi, g := range x.order {
 		b = wire.AppendBits(b, g.qs)
-		b = wire.AppendCount(b, len(g.keys))
-		for _, key := range g.keys {
-			b = wire.AppendI64(b, key)
-			b = snapAggVal(b, g.byKey[key])
+		b = wire.AppendCount(b, int(counts[gi+1]-counts[gi]))
+		for _, i := range perm[counts[gi]:counts[gi+1]] {
+			b = wire.AppendI64(b, x.run[i].key)
+			b = snapAggVal(b, x.run[i].v)
 		}
 	}
 	return b
 }
 
-func (a *SharedAggregation) readAggIndex(r *wire.Reader) *qsIndex[aggGroup] {
+// readAggIndex decodes appendAggIndex into an unsealed slice (its first
+// fire seals it). It accepts only what an encoder writes: groups in strictly
+// ascending canonical query-set order, each with at least one key and no
+// key twice — a repeated set or key would count its tuples twice.
+func (a *SharedAggregation) readAggIndex(r *wire.Reader) *aggIndex {
 	if !r.Bool("aggs present") {
 		return nil
 	}
-	x := newQSIndex[aggGroup]()
+	x := newAggIndex()
 	ng := r.Count("agg group count", 8)
 	for gi := 0; gi < ng && r.Err() == nil; gi++ {
 		g := &aggGroup{qs: r.Bits("agg group query-set"), byKey: make(map[int64]*aggVal)}
+		if k := g.qs.Key(); gi > 0 && !x.keys[gi-1].Less(k) {
+			r.Fail(fmt.Errorf("core: agg group query-sets out of order or repeated at group %d", gi))
+		}
 		nk := r.Count("agg key count", 8+aggValSize)
+		if nk == 0 && r.Err() == nil {
+			r.Fail(fmt.Errorf("core: agg group %d holds no key", gi))
+		}
 		for ki := 0; ki < nk && r.Err() == nil; ki++ {
 			key := r.I64("agg key")
+			if _, dup := g.byKey[key]; dup {
+				r.Fail(fmt.Errorf("core: agg group %d lists key %d twice", gi, key))
+				break
+			}
 			g.byKey[key] = a.readAggVal(r)
 			g.keys = append(g.keys, key)
 		}
@@ -352,7 +392,7 @@ func (a *SharedAggregation) OnBarrier(uint64, *spe.Emitter) []byte {
 	b = a.appendClock(b)
 	b = snapTable(b, a.win.table)
 	b = a.win.appendSlices(b, func(b []byte, sl *slice) []byte {
-		return snapAggIndex(b, sl.aggs)
+		return a.appendAggIndex(b, sl.aggs)
 	})
 	return a.appendWorkload(b)
 }
@@ -401,7 +441,8 @@ func (a *SharedAggregation) readClock(r *wire.Reader) {
 	a.win.readClock(r)
 }
 
-// readWorkload decodes appendWorkload and rebuilds what derives from it.
+// readWorkload decodes appendWorkload and rebuilds what derives from it. An
+// instance always holds a mask version, so a table without one is corrupt.
 func (a *SharedAggregation) readWorkload(r *wire.Reader) {
 	nmv := r.Count("mask version count", 20)
 	a.maskVersions = a.maskVersions[:0]
@@ -416,9 +457,9 @@ func (a *SharedAggregation) readWorkload(r *wire.Reader) {
 		mv.sessMask = r.Bits("sess mask")
 		a.maskVersions = append(a.maskVersions, mv)
 	}
+	if r.Err() == nil && nmv == 0 {
+		r.Fail(fmt.Errorf("core: aggregation snapshot has no mask version"))
+	}
 	a.win.queries.readFrom(r, a.ports)
 	a.selection.readFrom(r, 1)
-	if r.Err() == nil && len(a.maskVersions) == 0 {
-		a.maskVersions = []maskVersion{{from: event.MinTime, portMasks: make([]bitset.Bits, a.ports)}}
-	}
 }

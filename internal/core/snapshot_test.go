@@ -10,6 +10,7 @@ import (
 	"astream/internal/bitset"
 	"astream/internal/changelog"
 	"astream/internal/event"
+	"astream/internal/expr"
 	"astream/internal/spe"
 	"astream/internal/sqlstream"
 	"astream/internal/window"
@@ -403,5 +404,47 @@ func TestVersionSkewFailsLoudly(t *testing.T) {
 	}
 	if err := freshAgg().Restore(skew(aggSnap)); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("aggregation: skewed snapshot not rejected loudly: %v", err)
+	}
+}
+
+// forgeAggSnapshot folds a COUNT over three tuples of one key into one slice
+// group, lets forge edit that slice's index the way no fold can, and cuts
+// the snapshot: the encoder then writes the forged shape with valid framing.
+func forgeAggSnapshot(t *testing.T, forge func(x *aggIndex)) []byte {
+	t.Helper()
+	agg := NewSharedAggregation(1, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
+	agg.OnChangelog(newCLBuilder().create(t, 0, aggQ(window.TumblingSpec(10), sqlstream.AggCount, 0, expr.True())), 0, nil)
+	for tm := event.Time(1); tm <= 3; tm++ {
+		agg.OnTuple(0, event.Tuple{Key: 4, Time: tm, QuerySet: bitset.FromIndexes(0)}, nil)
+	}
+	sl := agg.win.sides[0].slices[0]
+	forge(sl.aggs)
+	return agg.OnBarrier(1, nil)
+}
+
+// TestAggregationRestoreRejectsRepeatedKey: a slice snapshot listing one key
+// twice in a group restored without error before, and the window's COUNT of
+// 3 fired as 6 while the second partial was orphaned from the freelist.
+func TestAggregationRestoreRejectsRepeatedKey(t *testing.T) {
+	snap := forgeAggSnapshot(t, func(x *aggIndex) {
+		g := x.order[0]
+		g.keys = append(g.keys, g.keys[0])
+	})
+	err := NewSharedAggregation(1, 10, NewRouter(&OpMetrics{}), &OpMetrics{}).Restore(snap)
+	if err == nil || !strings.Contains(err.Error(), "key 4 twice") {
+		t.Fatalf("a group listing key 4 twice restored: %v", err)
+	}
+}
+
+// TestAggregationRestoreRejectsRepeatedGroup: a slice snapshot listing one
+// query-set twice restored without error before and double-counted the same
+// way, through two groups under one set.
+func TestAggregationRestoreRejectsRepeatedGroup(t *testing.T) {
+	snap := forgeAggSnapshot(t, func(x *aggIndex) {
+		x.order = append(x.order, x.order[0])
+	})
+	err := NewSharedAggregation(1, 10, NewRouter(&OpMetrics{}), &OpMetrics{}).Restore(snap)
+	if err == nil || !strings.Contains(err.Error(), "out of order or repeated") {
+		t.Fatalf("a slice listing one query-set twice restored: %v", err)
 	}
 }

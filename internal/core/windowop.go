@@ -149,8 +149,10 @@ func (t *queryTable) appendTo(b []byte) []byte {
 	return b
 }
 
-// readFrom replaces the table with a decoded appendTo encoding; a record
-// bound to a port the operator does not have fails the reader.
+// readFrom replaces the table with a decoded appendTo encoding. Records out
+// of (slot, ID) order, session keys out of ascending order, and a record
+// bound to a port the operator does not have fail the reader: appendTo
+// writes none of them.
 func (t *queryTable) readFrom(r *wire.Reader, ports int) {
 	n := r.Count("query table size", queryMinSize+34)
 	t.byID = make(map[int]*liveQuery, n)
@@ -170,11 +172,19 @@ func (t *queryTable) readFrom(r *wire.Reader, ports int) {
 		if r.Err() == nil && lq.port >= ports {
 			r.Fail(fmt.Errorf("core: snapshot binds query %d to port %d of %d", q.ID, lq.port, ports))
 		}
+		if n := len(t.ordered); r.Err() == nil && n > 0 {
+			if prev := t.ordered[n-1]; prev.slot > lq.slot || prev.slot == lq.slot && prev.q.ID >= q.ID {
+				r.Fail(fmt.Errorf("core: snapshot lists query %d (slot %d) after query %d (slot %d)", q.ID, lq.slot, prev.q.ID, prev.slot))
+			}
+		}
 		if r.Bool("query sessions present") {
 			lq.sessions = make(map[int64]*window.SessionState)
 			nk := r.Count("session key count", 12)
 			for ki := 0; ki < nk && r.Err() == nil; ki++ {
 				key := r.I64("session key")
+				if ki > 0 && key <= lq.sessKeys[ki-1] && r.Err() == nil {
+					r.Fail(fmt.Errorf("core: query %d session keys out of order at %d", q.ID, key))
+				}
 				nw := r.Count("open session count", 32)
 				open := make([]window.OpenSession, 0, nw)
 				for wi := 0; wi < nw && r.Err() == nil; wi++ {

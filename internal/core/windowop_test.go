@@ -401,6 +401,10 @@ func TestQueryTableCodec(t *testing.T) {
 			if _, err := decode((&queryTable{ordered: []*liveQuery{&bad}}).appendTo(nil), ports); err == nil || !strings.Contains(err.Error(), "port") {
 				t.Fatalf("port %d of %d not rejected: %v", ports, ports, err)
 			}
+			swapped := &queryTable{ordered: []*liveQuery{tbl.ordered[1], tbl.ordered[0]}}
+			if _, err := decode(swapped.appendTo(nil), ports); err == nil || !strings.Contains(err.Error(), "after query") {
+				t.Fatalf("records out of (slot, ID) order not rejected: %v", err)
+			}
 		})
 	}
 }
