@@ -1,6 +1,7 @@
 package changelog
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -429,5 +430,84 @@ func TestSnapshotVersionSkew(t *testing.T) {
 	if _, err := TableFromSnapshot(append(tabSnap, 0xEE)); err == nil ||
 		!strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("skewed table snapshot not rejected loudly: %v", err)
+	}
+}
+
+// TestTableSnapshotRoundTrip: a table through creations, deletions, reused
+// slots and a compaction restores into one that relates every pair of
+// retained epochs as the original does and snapshots to the same bytes.
+func TestTableSnapshotRoundTrip(t *testing.T) {
+	reg := NewRegistry(SlotReuse)
+	tab := NewTable()
+	for i, step := range []struct{ create, del []int }{
+		{[]int{1, 2, 3}, nil}, {[]int{4}, []int{2}}, {nil, []int{1}}, {[]int{5, 6}, []int{4}},
+	} {
+		if err := tab.Add(mustApply(t, reg, event.Time(i), step.create, step.del)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab.Compact(2)
+	snap := tab.Snapshot()
+	back, err := TableFromSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back.Snapshot(), snap) {
+		t.Fatal("restored table snapshots differently")
+	}
+	for i := tab.Base(); i <= tab.Latest(); i++ {
+		for j := i; j <= tab.Latest(); j++ {
+			want, _ := tab.Rel(i, j)
+			if got, err := back.Rel(i, j); err != nil || !got.Equal(want) {
+				t.Fatalf("Rel(%d,%d) = %v (%v), want %v", i, j, got, err, want)
+			}
+		}
+	}
+}
+
+// TestRegistrySnapshotRoundTrip: a registry of either mode, with a deleted
+// query's slot free, restores into one that snapshots to the same bytes and
+// places the next query where the original does.
+func TestRegistrySnapshotRoundTrip(t *testing.T) {
+	for _, mode := range []Mode{SlotReuse, AppendOnly} {
+		reg := NewRegistry(mode)
+		mustApply(t, reg, 1, []int{1, 2, 3}, nil)
+		mustApply(t, reg, 2, nil, []int{2})
+		snap := reg.Snapshot()
+		back, err := RegistryFromSnapshot(snap)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if !bytes.Equal(back.Snapshot(), snap) {
+			t.Fatalf("%v: restored registry snapshots differently", mode)
+		}
+		want, got := mustApply(t, reg, 3, []int{4}, nil), mustApply(t, back, 3, []int{4}, nil)
+		if got.Created[0] != want.Created[0] || got.Seq != want.Seq || !bytes.Equal(back.Snapshot(), reg.Snapshot()) {
+			t.Fatalf("%v: restored registry placed query 4 as %+v (seq %d), want %+v (seq %d)", mode, got.Created[0], got.Seq, want.Created[0], want.Seq)
+		}
+	}
+}
+
+// TestRegistryRestoreRejectsForgedShapes: a registry snapshot with a slot
+// mode no Mode has (48 restored and behaved as AppendOnly), one query in two
+// slots, or one free slot listed twice (handed to two queries) restored
+// without error before; each re-encodes to itself.
+func TestRegistryRestoreRejectsForgedShapes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(r *Registry)
+		want string
+	}{
+		{"slot mode 48", func(r *Registry) { r.mode = 48 }, "slot mode 48"},
+		{"query in two slots", func(r *Registry) { r.slots[2] = r.slots[0] }, "in two slots"},
+		{"free slot twice", func(r *Registry) { r.free = append(r.free, r.free[0]) }, "listed twice"},
+	} {
+		reg := NewRegistry(SlotReuse)
+		mustApply(t, reg, 1, []int{1, 2, 3}, nil)
+		mustApply(t, reg, 2, nil, []int{2})
+		tc.edit(reg)
+		if _, err := RegistryFromSnapshot(reg.Snapshot()); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: restored (%v)", tc.name, err)
+		}
 	}
 }

@@ -209,23 +209,31 @@ func RegistryFromSnapshot(b []byte) (*Registry, error) {
 		started: rd.Bool("registry started"),
 		slotOf:  make(map[int]int),
 	}
+	if reg.mode > AppendOnly && rd.Err() == nil {
+		rd.Fail(fmt.Errorf("changelog: registry snapshot has slot mode %d", reg.mode))
+	}
 	ns := rd.Count("registry slot count", 8)
 	for i := 0; i < ns; i++ {
 		q := int(rd.I64("registry slot"))
 		reg.slots = append(reg.slots, q)
+		if _, dup := reg.slotOf[q]; dup && rd.Err() == nil {
+			rd.Fail(fmt.Errorf("changelog: registry snapshot runs query %d in two slots", q))
+		}
 		if q != NoQuery {
 			reg.slotOf[q] = i
 		}
 	}
 	nf := rd.Count("registry free count", 4)
+	var freed bitset.Bits
 	for i := 0; i < nf; i++ {
 		s := int(rd.U32("registry free slot"))
-		if s >= ns || reg.slots[s] != NoQuery {
+		if s >= ns || reg.slots[s] != NoQuery || freed.Test(s) {
 			// Apply would index the slot table with it, or hand an occupied
-			// slot to the next query.
-			rd.Fail(fmt.Errorf("changelog: registry snapshot lists slot %d as free; it is occupied or beyond the %d slots", s, ns))
+			// slot, or one slot twice, to the next queries.
+			rd.Fail(fmt.Errorf("changelog: registry snapshot lists slot %d as free; it is occupied, listed twice or beyond the %d slots", s, ns))
 			break
 		}
+		freed.Set(s)
 		reg.free = append(reg.free, s)
 	}
 	if err := rd.Finish("registry snapshot"); err != nil {

@@ -104,9 +104,9 @@ func (v *aggVal) finalize(fn sqlstream.AggFunc, field int) int64 {
 }
 
 // aggGroup is a query-set group inside one slice. While the slice is open
-// its per-key partials are byKey's, and keys records them in arrival order
-// so walking a group never iterates the map; sealing moves the partials
-// into the slice's run and drops both (DESIGN.md §15).
+// its per-key partials are byKey's, and keys lists them so walking a group
+// never iterates the map; sealing moves the partials into the slice's run
+// and drops both (DESIGN.md §15).
 type aggGroup struct {
 	qs    bitset.Bits
 	byKey map[int64]*aggVal
@@ -124,15 +124,10 @@ type aggIndex struct {
 	run []aggPart
 }
 
-// aggPart is one partial of a sealed slice. rank is the key's arrival
-// position in its group — the order a snapshot writes and an unsealed
-// group's keys keep — so sealing changes no snapshot byte, and a delta chain
-// that still holds a slice's bytes from before its seal restores the state
-// a full snapshot after it does, byte for byte.
+// aggPart is one partial of a sealed slice.
 type aggPart struct {
 	key   int64
 	group int32
-	rank  int32
 	v     *aggVal
 }
 
@@ -236,10 +231,6 @@ type SharedAggregation struct {
 	spans []blockSpan //lint:pooled scratch per (merged slice, group position): its range of covers
 	//lint:ephemeral per-trigger scratch
 	cursors []runCursor //lint:pooled scratch the merged slices' unread runs
-	//lint:ephemeral per-barrier and per-unseal scratch
-	grpTmp []int32 //lint:pooled scratch per-group counts and offsets of one sealed slice
-	//lint:ephemeral per-barrier scratch
-	permTmp []int32 //lint:pooled scratch a sealed run's entries in (group, arrival) order
 	//lint:ephemeral fire-path round counter, bumped per (slice, group) visit: a block took part in the current round iff its stamp equals it
 	round uint64
 	//lint:ephemeral freelist, refills through steady-state recycling
@@ -549,8 +540,9 @@ func (a *SharedAggregation) OnTuple(port int, t event.Tuple, _ *spe.Emitter) {
 	x := sl.aggs
 	g := x.get(a.qsTmp)
 	if x.run != nil {
-		// A late tuple into a sealed slice folds in place when its partial
-		// exists; one that needs a new partial or group unseals the slice.
+		// A tuple into a sealed slice (late, or into a slice a snapshot
+		// sealed) folds in place when its partial exists; one that needs a
+		// new partial or group unseals the slice.
 		if g != nil {
 			if i, ok := slices.BinarySearchFunc(x.run, aggPart{key: t.Key, group: g.pos}, cmpPart); ok {
 				x.run[i].v.fold(&t)
@@ -892,11 +884,12 @@ func (a *SharedAggregation) visit(qs bitset.Bits, n int) (hit bool) {
 }
 
 // seal lays a slice out for the fires over it, once: the first fire after
-// the watermark closed it finds it unsealed, and from then on no tuple adds
-// a group or a key to it (a late one that does unseals it, and the next fire
-// seals it again). Its groups' query-sets go back to back (sealSets) and its
-// partials into one run by (key, group position), the groups' maps and key
-// lists dropped: the run is the storage.
+// the watermark closed it, or a snapshot before that, finds it unsealed, and
+// from then on no tuple adds a group or a key to it (a tuple that does
+// unseals it, and the next fire or snapshot seals it again). Its groups'
+// query-sets go back to back (sealSets) and its partials into one run by
+// (key, group position), the groups' maps and key lists dropped: the run is
+// the storage.
 func (a *SharedAggregation) seal(x *aggIndex) {
 	if x.flat == nil {
 		sealSets(&x.qsIndex)
@@ -911,9 +904,9 @@ func (a *SharedAggregation) seal(x *aggIndex) {
 	run := a.takeRun(n)
 	for gi, g := range x.order {
 		g.pos = int32(gi)
-		for rank, key := range g.keys {
+		for _, key := range g.keys {
 			//lint:ignore hotalloc the seal: takeRun gave the backing room for all n partials, so this never grows it
-			run = append(run, aggPart{key: key, group: int32(gi), rank: int32(rank), v: g.byKey[key]})
+			run = append(run, aggPart{key: key, group: int32(gi), v: g.byKey[key]})
 		}
 		a.dropMaps(g)
 	}
@@ -921,42 +914,21 @@ func (a *SharedAggregation) seal(x *aggIndex) {
 	x.run = run
 }
 
-// unseal gives a sealed slice's groups maps and arrival-ordered key lists
-// back from the run and recycles the run: a late tuple needs a partial or a
-// group the run has no room for.
+// unseal gives a sealed slice's groups maps and key lists back from the run,
+// each group's keys in run order, and recycles the run: a tuple needs a
+// partial or a group the run has no room for.
 func (a *SharedAggregation) unseal(x *aggIndex) {
-	counts := a.groupCounts(x)
-	for gi, g := range x.order {
+	for _, g := range x.order {
 		a.takeMaps(g)
-		n := int(counts[gi+1] - counts[gi])
-		//lint:ignore hotalloc cold: a late tuple unsealing a slice rebuilds its groups once
-		g.keys = slices.Grow(g.keys, n)[:n]
 	}
 	for _, p := range x.run {
 		g := x.order[p.group]
-		g.keys[p.rank] = p.key
+		//lint:ignore hotalloc cold: a tuple unsealing a slice rebuilds its groups once
+		g.keys = append(g.keys, p.key)
 		g.byKey[p.key] = p.v
 	}
 	a.putRun(x.run)
 	x.run = nil
-}
-
-// groupCounts buckets a sealed slice's run by group: group g's partials
-// are the counts[g]..counts[g+1]-1th in (group, arrival) order.
-func (a *SharedAggregation) groupCounts(x *aggIndex) []int32 {
-	counts := a.grpTmp[:0]
-	for range len(x.order) + 1 {
-		//lint:ignore hotalloc amortized: group scratch grows to the widest slice's group count once
-		counts = append(counts, 0)
-	}
-	for _, p := range x.run {
-		counts[p.group+1]++
-	}
-	for g := 1; g < len(counts); g++ {
-		counts[g] += counts[g-1]
-	}
-	a.grpTmp = counts
-	return counts
 }
 
 // sealSets lays the query-sets of x's groups out back to back in x.flat and

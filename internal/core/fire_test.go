@@ -439,9 +439,9 @@ func TestFireBlocksAreExact(t *testing.T) {
 // query-sets out back to back and re-points the wide ones at that layout (no
 // second copy), and moves its partials into one run the groups keep no map
 // or key list beside; a late tuple that adds a group to such a slice drops
-// both layouts, and the next fire — on the engine and on an instance
-// restored from its snapshot — builds them again and still matches the
-// reference.
+// both layouts, a snapshot or the next fire builds them again, and the fires
+// of the engine and of an instance restored from that snapshot still match
+// the reference.
 func TestFireSealsSliceSets(t *testing.T) {
 	const n = 70
 	p := newFirePair(50, n)
@@ -633,7 +633,7 @@ func TestFireLateIntoSealedSlice(t *testing.T) {
 }
 
 // TestFireSealRestoreLateFold: a snapshot cut after a fire sealed a slice
-// restores an instance whose slice is not sealed; late tuples of every kind
+// restores an instance whose slice is sealed too; late tuples of every kind
 // then fold into both, the two snapshots stay byte-identical, and the next
 // fires of the engine, the restored instance and the reference agree.
 func TestFireSealRestoreLateFold(t *testing.T) {

@@ -17,8 +17,8 @@ import (
 
 // The fuzz targets below share one property: arbitrary bytes handed to a
 // decoder yield an error — never a panic, a hang, or an allocation out of
-// proportion to the input — and bytes a decoder accepts describe a state it
-// can serialize again. Seeds are valid encodings plus the torn, corrupt and
+// proportion to the input — and bytes a decoder accepts re-encode to
+// themselves (wiretest.Canonical). Seeds are valid encodings plus the torn, corrupt and
 // trailing-byte fixtures of the unit tests.
 
 func addCorruptions(f *testing.F, enc []byte) {
@@ -103,7 +103,7 @@ func FuzzSelectionRestore(f *testing.F) {
 			// nodes carry dense slot bitsets (DESIGN.md §14): entries ×
 			// slot-width, superlinear in the input by design. Everything
 			// that runs before an error is the decoder, and is linear.
-			fresh.OnBarrier(2, nil)
+			wiretest.Canonical(t, in, fresh.OnBarrier(2, nil))
 		} else if limit := wiretest.Limit(in); got > limit {
 			t.Fatalf("rejecting %d bytes allocated %d bytes (limit %d)", len(in), got, limit)
 		}
@@ -118,7 +118,7 @@ func FuzzJoinRestore(f *testing.F) {
 			joinQ(window.SlidingSpec(20, 5), gt(0, -1), gt(0, -1))), 0, nil)
 		out := tapEmitter(&[]string{})
 		for i := 0; i < 12; i++ {
-			join.OnTuple(i%2, event.Tuple{Key: int64(i % 3), Time: event.Time(1 + i), QuerySet: bitset.FromIndexes(i % 2)}, out)
+			join.OnTuple(i%2, event.Tuple{Key: int64(i % 3), Time: event.Time(1 + i), QuerySet: bitset.FromIndexes(i%2, i/2%2)}, out)
 		}
 		join.OnWatermark(9, out)
 		addCorruptions(f, join.OnBarrier(1, nil))
@@ -127,7 +127,7 @@ func FuzzJoinRestore(f *testing.F) {
 		wiretest.Bounded(t, in, func() {
 			fresh := NewSharedJoin(0, StoreList, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
 			if fresh.Restore(in) == nil {
-				fresh.OnBarrier(2, nil)
+				wiretest.Canonical(t, in, fresh.OnBarrier(2, nil))
 			}
 		})
 	})
@@ -158,23 +158,18 @@ func fuzzAgg(f *testing.F) (full, delta []byte) {
 	return full, delta
 }
 
-// FuzzAggregationRestore also holds the decoder to canonical input: a
-// snapshot it accepts re-encodes to the same bytes, so no accepted shape —
-// a repeated key or query-set, groups out of order — means something an
-// encoder never wrote (only a non-canonical query-set may re-encode
-// shorter). The seed's slices are sealed, so the restored instance's
-// unsealed slices must re-encode what the sealed runs wrote.
+// FuzzAggregationRestore: no accepted shape — a repeated partial or
+// query-set, partials out of (key, group) order — means something the
+// encoder never wrote. A slice's bytes are a function of its content, sealed
+// or not, so an accepted snapshot re-encodes to itself by construction.
 func FuzzAggregationRestore(f *testing.F) {
 	full, _ := fuzzAgg(f)
 	addCorruptions(f, full)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		wiretest.Bounded(t, in, func() {
 			fresh := NewSharedAggregation(1, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
-			if fresh.Restore(in) != nil {
-				return
-			}
-			if back := fresh.OnBarrier(2, nil); !bytes.Equal(back, in) && len(back) >= len(in) {
-				t.Fatalf("accepted snapshot re-encodes differently:\n in %x\nout %x", in, back)
+			if fresh.Restore(in) == nil {
+				wiretest.Canonical(t, in, fresh.OnBarrier(2, nil))
 			}
 		})
 	})
@@ -200,32 +195,15 @@ func FuzzAggregationRestoreDelta(f *testing.F) {
 }
 
 func FuzzRestoreControl(f *testing.F) {
-	newEngine := func(tb testing.TB) *Engine {
-		eng, err := NewEngine(Config{Streams: 2, Parallelism: 1, BatchSize: 1})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return eng
-	}
-	eng := newEngine(f)
-	for _, q := range []*Query{
-		aggQ(window.TumblingSpec(10), sqlstream.AggSum, 0, gt(0, 1)),
-		joinQ(window.TumblingSpec(10), expr.True(), gt(2, 4)),
-	} {
-		if _, _, err := eng.Submit(q, SinkFunc(func(Result) {})); err != nil {
-			f.Fatal(err)
-		}
-	}
-	eng.Ingest(0, event.Tuple{Key: 1, Time: 5})
-	eng.Ingest(1, event.Tuple{Key: 1, Time: 6})
+	eng := controlEngine(f)
 	addCorruptions(f, eng.ControlSnapshot())
 	eng.Drain()
 	f.Fuzz(func(t *testing.T, in []byte) {
-		fresh := newEngine(t)
+		fresh := newControlEngine(t)
 		defer fresh.Drain()
 		wiretest.Bounded(t, in, func() {
 			if fresh.RestoreControl(in) == nil {
-				fresh.ControlSnapshot()
+				wiretest.Canonical(t, in, fresh.ControlSnapshot())
 			}
 		})
 	})

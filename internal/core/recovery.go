@@ -152,11 +152,18 @@ func (e *Engine) RestoreControl(snapshot []byte) error {
 	nextID := r.I64("control nextID")
 	maxHorizon := r.I64("control maxHorizon")
 	storeHint := r.I64("control storeHint")
+	if (storeHint < int64(SwitchNone) || storeHint > int64(SwitchList)) && r.Err() == nil {
+		r.Fail(fmt.Errorf("core: control storeHint %d is no store marker", storeHint))
+	}
 	nq := r.Count("control query count", queryMinSize)
 	defs := make(map[int]*Query, nq)
+	prevID := 0
 	for i := 0; i < nq && r.Err() == nil; i++ {
 		q := ReadQuery(r)
-		defs[q.ID] = q
+		if i > 0 && q.ID <= prevID && r.Err() == nil {
+			r.Fail(fmt.Errorf("core: control snapshot lists query %d after query %d", q.ID, prevID))
+		}
+		defs[q.ID], prevID = q, q.ID
 	}
 	if err := r.Finish("control snapshot"); err != nil {
 		return err

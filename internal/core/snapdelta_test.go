@@ -263,11 +263,13 @@ func TestAggregationRestoreDeltaRejectsCorruptChains(t *testing.T) {
 	assertSameSnapshot(t, "chain vs original", agg.OnBarrier(99, nil), ok.OnBarrier(99, nil))
 }
 
-// TestAggregationDeltaChainAcrossSeal: a slice encoded open, then sealed by a
-// fire that folds nothing into it, stays clean, so the chain keeps its bytes
-// from before the seal. Restoring that chain must still land in the state —
-// the bytes — of a full snapshot of the sealed slice: a sealed slice writes
-// its keys in the order they arrived, not the run's key order.
+// TestAggregationDeltaChainAcrossSeal: a slice encoded before a fire, then
+// fired over without a fold, stays clean, so the chain keeps its bytes from
+// before the fire. Restoring that chain must still land in the state — the
+// bytes — of a full snapshot after it. They match by construction: a slice's
+// bytes are its run in (key, group) order, a function of its content alone,
+// whatever order its keys arrived in and whichever of a snapshot or a fire
+// sealed it first.
 func TestAggregationDeltaChainAcrossSeal(t *testing.T) {
 	b := newCLBuilder()
 	msg := b.create(t, 0, aggQ(window.SlidingSpec(20, 10), sqlstream.AggSum, 0, gt(0, -1)))

@@ -25,7 +25,7 @@ import (
 // instances that processed the same prefix produce byte-identical
 // snapshots.
 
-const opSnapshotVersion = 3
+const opSnapshotVersion = 4
 
 // readSlot reads a query slot, rejecting numbers no engine could have
 // assigned (changelog.MaxSlots) before anything is sized from them.
@@ -45,13 +45,9 @@ func readSlot(r *wire.Reader, what string) int {
 // than the original run did, and the layout must survive restores
 // byte-for-byte for replay determinism.
 func snapSliceStore(b []byte, s *sliceStore) []byte {
-	if s == nil {
-		return wire.AppendBool(b, false)
-	}
-	b = wire.AppendBool(b, true)
 	b = wire.AppendU8(b, uint8(s.mode))
 	b = wire.AppendBool(b, s.grouped)
-	b = wire.AppendU32(b, uint32(len(s.tuples)))
+	b = wire.AppendCount(b, len(s.tuples))
 	if s.grouped {
 		b = wire.AppendCount(b, s.groups.len())
 		for _, g := range s.groups.order {
@@ -63,43 +59,67 @@ func snapSliceStore(b []byte, s *sliceStore) []byte {
 		}
 		return b
 	}
-	b = wire.AppendCount(b, len(s.tuples))
 	for i := range s.tuples {
 		b = wire.AppendTuple(b, &s.tuples[i])
 	}
 	return b
 }
 
+// readSliceStore accepts only what snapSliceStore writes: a known mode and a
+// layout that mode can have, groups in strictly ascending canonical
+// query-set order, each holding at least one tuple and only tuples of its
+// set, and a store count equal to the tuples that follow.
 func readSliceStore(r *wire.Reader) *sliceStore {
-	if !r.Bool("store present") {
-		return nil
-	}
 	s := &sliceStore{
-		mode:    StoreMode(r.U8("store mode")),
+		mode:    readStoreMode(r, "store mode"),
 		grouped: r.Bool("store grouped"),
 	}
-	r.U32("store count") // the store counts the tuples it reads
+	if r.Err() == nil && s.grouped != (s.mode == StoreGrouped) && s.mode != StoreAdaptive {
+		r.Fail(fmt.Errorf("core: a %v store with grouped=%v", s.mode, s.grouped))
+	}
+	n := r.Count("store tuple count", wire.TupleMinSize)
 	if s.grouped {
 		s.groups = newQSIndex[tupleGroup]()
 		ng := r.Count("store group count", 8)
 		for gi := 0; gi < ng && r.Err() == nil; gi++ {
 			g := &tupleGroup{qs: r.Bits("group query-set")}
+			if k := g.qs.Key(); gi > 0 && !s.groups.keys[gi-1].Less(k) {
+				r.Fail(fmt.Errorf("core: store group query-sets out of order or repeated at group %d", gi))
+			}
 			nt := r.Count("group tuple count", wire.TupleMinSize)
+			if nt == 0 && r.Err() == nil {
+				r.Fail(fmt.Errorf("core: store group %d holds no tuple", gi))
+			}
 			for ti := 0; ti < nt && r.Err() == nil; ti++ {
+				t := wire.ReadTuple(r)
+				if r.Err() == nil && !t.QuerySet.Equal(g.qs) {
+					r.Fail(fmt.Errorf("core: store group %d holds a tuple of another query-set", gi))
+				}
 				g.pos = append(g.pos, uint32(len(s.tuples)))
-				s.tuples = append(s.tuples, wire.ReadTuple(r))
+				s.tuples = append(s.tuples, t)
 			}
 			if r.Err() == nil {
 				s.groups.put(g.qs, g)
 			}
 		}
-		return s
+	} else {
+		for ti := 0; ti < n && r.Err() == nil; ti++ {
+			s.tuples = append(s.tuples, wire.ReadTuple(r))
+		}
 	}
-	nt := r.Count("store tuple count", wire.TupleMinSize)
-	for ti := 0; ti < nt && r.Err() == nil; ti++ {
-		s.tuples = append(s.tuples, wire.ReadTuple(r))
+	if r.Err() == nil && n != len(s.tuples) {
+		r.Fail(fmt.Errorf("core: store counts %d tuples and holds %d", n, len(s.tuples)))
 	}
 	return s
+}
+
+// readStoreMode reads a StoreMode byte, rejecting values no StoreMode has.
+func readStoreMode(r *wire.Reader, what string) StoreMode {
+	m := StoreMode(r.U8(what))
+	if m > StoreList && r.Err() == nil {
+		r.Fail(fmt.Errorf("core: %s %d is no store mode", what, m))
+	}
+	return m
 }
 
 // --- aggregation slice payload ---
@@ -140,80 +160,69 @@ func (a *SharedAggregation) readAggVal(r *wire.Reader) *aggVal {
 	return v
 }
 
-// appendAggIndex writes a slice's groups in order, each with its keys in
-// arrival order, from either layout: an unsealed slice's key lists, or a
-// sealed slice's run bucketed by group once and placed by arrival rank — the
-// same bytes either way.
+// appendAggIndex seals the slice and writes its groups' query-sets, then its
+// run: every partial as (group, key, value) in (key, group) order. The bytes
+// are a function of the slice's content alone — not of the order its keys
+// arrived in, nor of whether a fire had sealed it before.
 func (a *SharedAggregation) appendAggIndex(b []byte, x *aggIndex) []byte {
-	if x == nil {
-		return wire.AppendBool(b, false)
-	}
-	b = wire.AppendBool(b, true)
+	a.seal(x)
 	b = wire.AppendCount(b, x.len())
-	if x.run == nil {
-		for _, g := range x.order {
-			b = wire.AppendBits(b, g.qs)
-			b = wire.AppendCount(b, len(g.keys))
-			for _, key := range g.keys {
-				b = wire.AppendI64(b, key)
-				b = snapAggVal(b, g.byKey[key])
-			}
-		}
-		return b
-	}
-	// The same framing as the open layout's loop, which snapshot-symmetry
-	// holds Restore to: the run's entries in (group, arrival) order first.
-	counts := a.groupCounts(x)
-	perm := a.permTmp[:0]
-	for range x.run {
-		perm = append(perm, 0)
-	}
-	for i, p := range x.run {
-		perm[counts[p.group]+p.rank] = int32(i)
-	}
-	a.permTmp = perm
-	for gi, g := range x.order {
+	for _, g := range x.order {
 		b = wire.AppendBits(b, g.qs)
-		b = wire.AppendCount(b, int(counts[gi+1]-counts[gi]))
-		for _, i := range perm[counts[gi]:counts[gi+1]] {
-			b = wire.AppendI64(b, x.run[i].key)
-			b = snapAggVal(b, x.run[i].v)
-		}
+	}
+	b = wire.AppendCount(b, len(x.run))
+	for _, p := range x.run {
+		b = wire.AppendU32(b, uint32(p.group))
+		b = wire.AppendI64(b, p.key)
+		b = snapAggVal(b, p.v)
 	}
 	return b
 }
 
-// readAggIndex decodes appendAggIndex into an unsealed slice (its first
-// fire seals it). It accepts only what an encoder writes: groups in strictly
-// ascending canonical query-set order, each with at least one key and no
-// key twice — a repeated set or key would count its tuples twice.
+// readAggIndex decodes appendAggIndex into a sealed slice. It accepts only
+// what the encoder writes: query-sets in strictly ascending canonical order,
+// partials in strictly ascending (key, group) order naming existing groups,
+// and a partial of every group — a repeated set or partial would count its
+// tuples twice.
 func (a *SharedAggregation) readAggIndex(r *wire.Reader) *aggIndex {
-	if !r.Bool("aggs present") {
-		return nil
-	}
 	x := newAggIndex()
-	ng := r.Count("agg group count", 8)
+	ng := r.Count("agg group count", 4)
 	for gi := 0; gi < ng && r.Err() == nil; gi++ {
-		g := &aggGroup{qs: r.Bits("agg group query-set"), byKey: make(map[int64]*aggVal)}
+		g := &aggGroup{qs: r.Bits("agg group query-set"), pos: int32(gi)}
 		if k := g.qs.Key(); gi > 0 && !x.keys[gi-1].Less(k) {
 			r.Fail(fmt.Errorf("core: agg group query-sets out of order or repeated at group %d", gi))
-		}
-		nk := r.Count("agg key count", 8+aggValSize)
-		if nk == 0 && r.Err() == nil {
-			r.Fail(fmt.Errorf("core: agg group %d holds no key", gi))
-		}
-		for ki := 0; ki < nk && r.Err() == nil; ki++ {
-			key := r.I64("agg key")
-			if _, dup := g.byKey[key]; dup {
-				r.Fail(fmt.Errorf("core: agg group %d lists key %d twice", gi, key))
-				break
-			}
-			g.byKey[key] = a.readAggVal(r)
-			g.keys = append(g.keys, key)
 		}
 		if r.Err() == nil {
 			x.put(g.qs, g)
 		}
+	}
+	n := r.Count("agg partial count", 4+8+aggValSize)
+	x.run = a.takeRun(n)
+	var held bitset.Bits
+	for i := 0; i < n && r.Err() == nil; i++ {
+		gi := r.U32("agg partial group")
+		p := aggPart{key: r.I64("agg partial key"), group: int32(gi)}
+		c := 1
+		if i > 0 {
+			c = cmpPart(p, x.run[i-1])
+		}
+		switch {
+		case gi >= uint32(ng):
+			r.Fail(fmt.Errorf("core: agg partial of key %d names group %d of %d", p.key, gi, ng))
+		case c == 0:
+			r.Fail(fmt.Errorf("core: agg group %d lists key %d twice", gi, p.key))
+		case c < 0:
+			r.Fail(fmt.Errorf("core: agg partials out of (key, group) order at key %d", p.key))
+		}
+		if r.Err() != nil {
+			break
+		}
+		held.Set(int(gi))
+		p.v = a.readAggVal(r)
+		x.run = append(x.run, p)
+	}
+	if r.Err() == nil && (n == 0 || held.Count() != ng) {
+		r.Fail(fmt.Errorf("core: agg slice holds %d groups but partials of %d", ng, held.Count()))
 	}
 	return x
 }
@@ -317,15 +326,23 @@ func (s *SharedSelection) OnBarrier(uint64, *spe.Emitter) []byte {
 	return b
 }
 
-// Restore implements spe.Restorable.
+// Restore implements spe.Restorable. An instance always holds a version, and
+// versionAt binary-searches them by from, so a table without one, or with
+// from decreasing, is corrupt (two changelogs at one event-time share it).
 func (s *SharedSelection) Restore(snapshot []byte) error {
 	r := wire.NewReader(snapshot)
 	r.Version("selection snapshot version", opSnapshotVersion)
 	wm := event.Time(r.I64("selection wm"))
 	nv := r.Count("selection version count", 12)
+	if nv == 0 && r.Err() == nil {
+		r.Fail(fmt.Errorf("core: selection snapshot has no table version"))
+	}
 	versions := make([]selVersion, 0, nv)
 	for i := 0; i < nv && r.Err() == nil; i++ {
 		v := selVersion{from: event.Time(r.I64("version from"))}
+		if i > 0 && v.from < versions[i-1].from && r.Err() == nil {
+			r.Fail(fmt.Errorf("core: selection version %d starts at %v, before version %d at %v", i, v.from, i-1, versions[i-1].from))
+		}
 		ne := r.Count("version entry count", 16)
 		for j := 0; j < ne && r.Err() == nil; j++ {
 			v.entries = append(v.entries, selEntry{
@@ -338,9 +355,6 @@ func (s *SharedSelection) Restore(snapshot []byte) error {
 	}
 	if err := r.Finish("selection"); err != nil {
 		return err
-	}
-	if len(versions) == 0 {
-		versions = []selVersion{{from: event.MinTime}}
 	}
 	s.wm = wm
 	s.versions = versions
@@ -369,7 +383,7 @@ func (j *SharedJoin) OnBarrier(uint64, *spe.Emitter) []byte {
 func (j *SharedJoin) Restore(snapshot []byte) error {
 	r := wire.NewReader(snapshot)
 	r.Version("join snapshot version", opSnapshotVersion)
-	j.storeMode = StoreMode(r.U8("join store mode"))
+	j.storeMode = readStoreMode(r, "join store mode")
 	j.win.readClock(r)
 	j.win.table = readSnapTable(r)
 	j.win.readSlices(r, func(r *wire.Reader, sl *slice) {
@@ -448,6 +462,9 @@ func (a *SharedAggregation) readWorkload(r *wire.Reader) {
 	a.maskVersions = a.maskVersions[:0]
 	for i := 0; i < nmv && r.Err() == nil; i++ {
 		mv := maskVersion{from: event.Time(r.I64("mask from"))}
+		if i > 0 && mv.from < a.maskVersions[i-1].from && r.Err() == nil {
+			r.Fail(fmt.Errorf("core: mask version %d starts at %v, before version %d at %v", i, mv.from, i-1, a.maskVersions[i-1].from))
+		}
 		np := r.Count("port mask count", 4)
 		mv.portMasks = make([]bitset.Bits, 0, np)
 		for p := 0; p < np && r.Err() == nil; p++ {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -320,13 +321,89 @@ func TestSliceStoreSnapshotRoundTrip(t *testing.T) {
 			}
 		})
 	}
-	t.Run("nil", func(t *testing.T) {
-		enc := snapSliceStore(nil, nil)
-		r := wire.NewReader(enc)
-		if back := readSliceStore(r); back != nil || r.Finish("store") != nil {
-			t.Fatalf("nil store round-trip: %v, %v", back, r.Err())
+}
+
+// TestSliceStoreRestoreRejectsForgedShapes: a join slice store restores
+// only from what snapSliceStore writes. Every shape below restored without
+// error before: the store count was read and ignored, any mode byte became
+// the store's mode, and groups were taken in any order — restored so, a
+// store re-encodes and is probed in another order than the one snapshotted.
+func TestSliceStoreRestoreRejectsForgedShapes(t *testing.T) {
+	grouped := func(forge func(s *sliceStore)) []byte {
+		s := newSliceStore(StoreGrouped)
+		for i := 0; i < 6; i++ {
+			s.Add(mkTuple(int64(i%2), event.Time(i), i%3))
 		}
-	})
+		forge(s)
+		return snapSliceStore(nil, s)
+	}
+	keep := func(*sliceStore) {}
+	patch := func(enc []byte, at int, v byte) []byte {
+		enc[at] = v
+		return enc
+	}
+	for _, tc := range []struct {
+		name string
+		enc  []byte
+		want string
+	}{
+		{"store count not the tuples'", patch(grouped(keep), 2, 7), "counts 7 tuples and holds 6"},
+		{"mode 9", patch(grouped(keep), 0, 9), "no store mode"},
+		{"mode 48", patch(grouped(keep), 0, 48), "no store mode"},
+		{"list-mode store in groups", patch(grouped(keep), 0, byte(StoreList)), "grouped=true"},
+		{"groups out of order", grouped(func(s *sliceStore) {
+			o := s.groups.order
+			o[0], o[1] = o[1], o[0]
+		}), "out of order or repeated"},
+		{"group with no tuple", grouped(func(s *sliceStore) {
+			g := &tupleGroup{qs: bitset.FromIndexes(40)}
+			s.groups.put(g.qs, g)
+		}), "holds no tuple"},
+		{"tuple of another query-set", grouped(func(s *sliceStore) {
+			s.tuples[0].QuerySet = bitset.FromIndexes(50)
+		}), "another query-set"},
+	} {
+		r := wire.NewReader(tc.enc)
+		readSliceStore(r)
+		if err := r.Finish("store"); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: restored (%v)", tc.name, err)
+		}
+	}
+}
+
+// TestJoinRestoreRejectsUnknownStoreMode: the join's own store mode byte
+// restored whatever it held before, and new slices took it as their mode.
+func TestJoinRestoreRejectsUnknownStoreMode(t *testing.T) {
+	snap := NewSharedJoin(0, StoreList, 10, NewRouter(&OpMetrics{}), &OpMetrics{}).OnBarrier(1, nil)
+	snap[1] = 48
+	err := NewSharedJoin(0, StoreList, 10, NewRouter(&OpMetrics{}), &OpMetrics{}).Restore(snap)
+	if err == nil || !strings.Contains(err.Error(), "no store mode") {
+		t.Fatalf("join store mode 48 restored: %v", err)
+	}
+}
+
+// TestSelectionRestoreRejectsForgedVersions: a selection table restored
+// from no version at all (it re-encoded as one) or from versions whose start
+// times fall — versionAt then binary-searched an unsorted table. Two
+// changelogs released at one event-time do share a start, and restore.
+func TestSelectionRestoreRejectsForgedVersions(t *testing.T) {
+	forge := func(edit func(s *SharedSelection)) error {
+		sel := NewSharedSelection(0, 10, &OpMetrics{})
+		b := newCLBuilder()
+		sel.OnChangelog(b.create(t, 5, selQ(gt(0, 50))), 5, nil)
+		sel.OnChangelog(b.create(t, 9, selQ(gt(1, 50))), 9, nil)
+		edit(sel)
+		return NewSharedSelection(0, 10, &OpMetrics{}).Restore(sel.OnBarrier(1, nil))
+	}
+	if err := forge(func(s *SharedSelection) { s.versions = nil }); err == nil || !strings.Contains(err.Error(), "no table version") {
+		t.Errorf("a table without a version restored: %v", err)
+	}
+	if err := forge(func(s *SharedSelection) { s.versions[1].from = 10 }); err == nil || !strings.Contains(err.Error(), "before version") {
+		t.Errorf("versions out of start order restored: %v", err)
+	}
+	if err := forge(func(s *SharedSelection) { s.versions[1].from = 9 }); err != nil {
+		t.Errorf("two versions starting together rejected: %v", err)
+	}
 }
 
 // TestOperatorRestoreRejectsCorruptSnapshots: truncation and version skew
@@ -408,9 +485,10 @@ func TestVersionSkewFailsLoudly(t *testing.T) {
 }
 
 // forgeAggSnapshot folds a COUNT over three tuples of one key into one slice
-// group, lets forge edit that slice's index the way no fold can, and cuts
-// the snapshot: the encoder then writes the forged shape with valid framing.
-func forgeAggSnapshot(t *testing.T, forge func(x *aggIndex)) []byte {
+// group, lets forge edit the instance and that slice's index the way no fold
+// can, and cuts the snapshot: the encoder then writes the forged shape with
+// valid framing.
+func forgeAggSnapshot(t *testing.T, forge func(a *SharedAggregation, x *aggIndex)) []byte {
 	t.Helper()
 	agg := NewSharedAggregation(1, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
 	agg.OnChangelog(newCLBuilder().create(t, 0, aggQ(window.TumblingSpec(10), sqlstream.AggCount, 0, expr.True())), 0, nil)
@@ -418,7 +496,7 @@ func forgeAggSnapshot(t *testing.T, forge func(x *aggIndex)) []byte {
 		agg.OnTuple(0, event.Tuple{Key: 4, Time: tm, QuerySet: bitset.FromIndexes(0)}, nil)
 	}
 	sl := agg.win.sides[0].slices[0]
-	forge(sl.aggs)
+	forge(agg, sl.aggs)
 	return agg.OnBarrier(1, nil)
 }
 
@@ -426,7 +504,7 @@ func forgeAggSnapshot(t *testing.T, forge func(x *aggIndex)) []byte {
 // twice in a group restored without error before, and the window's COUNT of
 // 3 fired as 6 while the second partial was orphaned from the freelist.
 func TestAggregationRestoreRejectsRepeatedKey(t *testing.T) {
-	snap := forgeAggSnapshot(t, func(x *aggIndex) {
+	snap := forgeAggSnapshot(t, func(_ *SharedAggregation, x *aggIndex) {
 		g := x.order[0]
 		g.keys = append(g.keys, g.keys[0])
 	})
@@ -440,11 +518,140 @@ func TestAggregationRestoreRejectsRepeatedKey(t *testing.T) {
 // query-set twice restored without error before and double-counted the same
 // way, through two groups under one set.
 func TestAggregationRestoreRejectsRepeatedGroup(t *testing.T) {
-	snap := forgeAggSnapshot(t, func(x *aggIndex) {
+	snap := forgeAggSnapshot(t, func(_ *SharedAggregation, x *aggIndex) {
 		x.order = append(x.order, x.order[0])
 	})
 	err := NewSharedAggregation(1, 10, NewRouter(&OpMetrics{}), &OpMetrics{}).Restore(snap)
 	if err == nil || !strings.Contains(err.Error(), "out of order or repeated") {
 		t.Fatalf("a slice listing one query-set twice restored: %v", err)
+	}
+}
+
+// TestAggregationRestoreRejectsForgedRuns: the rest of what the sealed run's
+// encoder never writes — a partial naming a group the slice does not have,
+// partials out of (key, group) order, a group without a partial — and mask
+// versions whose start times fall, which masksAt would binary-search.
+func TestAggregationRestoreRejectsForgedRuns(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		forge func(a *SharedAggregation, x *aggIndex)
+		want  string
+	}{
+		{"partial of a missing group", func(a *SharedAggregation, x *aggIndex) {
+			a.seal(x)
+			x.run[0].group = 1
+		}, "names group 1 of 1"},
+		{"partials out of order", func(a *SharedAggregation, x *aggIndex) {
+			a.seal(x)
+			x.run = append(x.run, aggPart{key: 1, v: a.getVal()})
+		}, "out of (key, group) order"},
+		{"group without a partial", func(a *SharedAggregation, x *aggIndex) {
+			a.seal(x)
+			g := &aggGroup{qs: bitset.FromIndexes(0, 1), pos: 1}
+			x.put(g.qs, g)
+		}, "holds 2 groups but partials of 1"},
+		{"mask versions out of order", func(a *SharedAggregation, _ *aggIndex) {
+			a.maskVersions[0].from = 5
+		}, "before version"},
+	} {
+		err := NewSharedAggregation(1, 10, NewRouter(&OpMetrics{}), &OpMetrics{}).Restore(forgeAggSnapshot(t, tc.forge))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: restored (%v)", tc.name, err)
+		}
+	}
+}
+
+// newControlEngine is an empty two-stream engine for control snapshots to
+// restore into.
+func newControlEngine(tb testing.TB) *Engine {
+	eng, err := NewEngine(Config{Streams: 2, Parallelism: 1, BatchSize: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return eng
+}
+
+// controlEngine is a control snapshot's source: an aggregation and a join
+// running, a third query stopped so the registry holds a free slot, and a
+// tuple ingested on each stream.
+func controlEngine(tb testing.TB) *Engine {
+	eng := newControlEngine(tb)
+	var ids []int
+	for _, q := range []*Query{
+		aggQ(window.TumblingSpec(10), sqlstream.AggSum, 0, gt(0, 1)),
+		selQ(gt(1, 3)),
+		joinQ(window.TumblingSpec(10), expr.True(), gt(2, 4)),
+	} {
+		id, ack, err := eng.Submit(q, SinkFunc(func(Result) {}))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		<-ack
+		ids = append(ids, id)
+	}
+	ack, err := eng.StopQuery(ids[1])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	<-ack
+	eng.Ingest(0, event.Tuple{Key: 1, Time: 5})
+	eng.Ingest(1, event.Tuple{Key: 1, Time: 6})
+	return eng
+}
+
+// TestControlSnapshotRoundTrip: the engine's control state — registry with a
+// free slot, changelog clock, ingress marks, ID counter, horizon, store
+// marker and query definitions — restores into a fresh engine that
+// snapshots to the same bytes and runs the same queries.
+func TestControlSnapshotRoundTrip(t *testing.T) {
+	eng := controlEngine(t)
+	defer eng.Drain()
+	snap := eng.ControlSnapshot()
+	fresh := newControlEngine(t)
+	defer fresh.Drain()
+	if err := fresh.RestoreControl(snap); err != nil {
+		t.Fatal(err)
+	}
+	assertSameSnapshot(t, "control", fresh.ControlSnapshot(), snap)
+	if got, want := fmt.Sprint(fresh.ActiveQueryIDs()), fmt.Sprint(eng.ActiveQueryIDs()); got != want || got != "[1 3]" {
+		t.Fatalf("restored queries %s, want %s = [1 3]", got, want)
+	}
+	if n := fresh.registry.NumSlots() - fresh.registry.ActiveCount(); n != 1 {
+		t.Fatalf("restored registry has %d free slots, want 1", n)
+	}
+}
+
+// TestRestoreControlRejectsForgedShapes: a store marker beyond any
+// StoreSwitch restored truncated to int32 (2^40+2 as 2), and query
+// definitions out of ID order re-encoded sorted.
+func TestRestoreControlRejectsForgedShapes(t *testing.T) {
+	eng := controlEngine(t)
+	eng.Drain() // the forgery below edits a query the operators hold
+	// storeHint follows the version, the registry, the stream count, three
+	// marks per stream, nextID and maxHorizon.
+	r := wire.NewReader(eng.ControlSnapshot())
+	r.U8("version")
+	at := 1 + 4 + len(r.Bytes("registry")) + 4 + 3*8*len(eng.ingress) + 2*8
+	for _, tc := range []struct {
+		name  string
+		forge func(snap []byte) []byte
+		want  string
+	}{
+		{"store marker 2^40+2", func(snap []byte) []byte {
+			binary.LittleEndian.PutUint64(snap[at:], 1<<40+2)
+			return snap
+		}, "no store marker"},
+		{"queries out of ID order", func([]byte) []byte {
+			eng.defs[1].ID = 9
+			defer func() { eng.defs[1].ID = 1 }()
+			return eng.ControlSnapshot()
+		}, "after query 9"},
+	} {
+		fresh := newControlEngine(t)
+		err := fresh.RestoreControl(tc.forge(eng.ControlSnapshot()))
+		fresh.Drain()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: restored (%v)", tc.name, err)
+		}
 	}
 }

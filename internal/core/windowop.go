@@ -150,8 +150,10 @@ func (t *queryTable) appendTo(b []byte) []byte {
 }
 
 // readFrom replaces the table with a decoded appendTo encoding. Records out
-// of (slot, ID) order, session keys out of ascending order, and a record
-// bound to a port the operator does not have fail the reader: appendTo
+// of (slot, ID) order, a record bound to a port the operator does not have,
+// sessions on a query whose window is not a session window, session keys out
+// of ascending order or with no open session, and open sessions that are
+// empty or not in ascending, gap-separated order fail the reader: appendTo
 // writes none of them.
 func (t *queryTable) readFrom(r *wire.Reader, ports int) {
 	n := r.Count("query table size", queryMinSize+34)
@@ -178,6 +180,9 @@ func (t *queryTable) readFrom(r *wire.Reader, ports int) {
 			}
 		}
 		if r.Bool("query sessions present") {
+			if lq.spec.Kind != window.Session && r.Err() == nil {
+				r.Fail(fmt.Errorf("core: snapshot holds sessions for query %d, whose window is %v", q.ID, lq.spec.Kind))
+			}
 			lq.sessions = make(map[int64]*window.SessionState)
 			nk := r.Count("session key count", 12)
 			for ki := 0; ki < nk && r.Err() == nil; ki++ {
@@ -186,14 +191,21 @@ func (t *queryTable) readFrom(r *wire.Reader, ports int) {
 					r.Fail(fmt.Errorf("core: query %d session keys out of order at %d", q.ID, key))
 				}
 				nw := r.Count("open session count", 32)
+				if nw == 0 && r.Err() == nil {
+					r.Fail(fmt.Errorf("core: query %d session key %d has no open session", q.ID, key))
+				}
 				open := make([]window.OpenSession, 0, nw)
 				for wi := 0; wi < nw && r.Err() == nil; wi++ {
-					open = append(open, window.OpenSession{
+					w := window.OpenSession{
 						Start: event.Time(r.I64("session start")),
 						End:   event.Time(r.I64("session end")),
 						Sum:   r.I64("session sum"),
 						Count: r.I64("session count"),
-					})
+					}
+					if w.End <= w.Start || wi > 0 && (w.Start <= open[wi-1].End || w.Start-open[wi-1].End < lq.spec.Gap) {
+						r.Fail(fmt.Errorf("core: query %d session key %d: open session [%v,%v) is empty or not gap-separated from the one before", q.ID, key, w.Start, w.End))
+					}
+					open = append(open, w)
 				}
 				lq.sessions[key] = window.RestoreSessionState(lq.spec.Gap, open)
 				lq.sessKeys = append(lq.sessKeys, key) // serialized in sorted order

@@ -407,4 +407,46 @@ func TestQueryTableCodec(t *testing.T) {
 			}
 		})
 	}
+
+	// Session state appendTo never writes, each shape re-encoding to itself:
+	// sessions on a query whose window is not a session window (its slot
+	// would join the session mask at the next changelog and its tuples stop
+	// folding into slices), open sessions that are empty, overlap, lie within
+	// the gap or out of order, and a key with no open session.
+	tbl := tableFixtures(t)["agg active"]
+	sess, tumbling := tbl.byID[3], tbl.byID[4]
+	forge := func(lq *liveQuery, open ...window.OpenSession) []byte {
+		bad := *lq
+		bad.sessions = map[int64]*window.SessionState{7: window.RestoreSessionState(lq.spec.Gap, open)}
+		bad.sessKeys = []int64{7}
+		return (&queryTable{ordered: []*liveQuery{&bad}}).appendTo(nil)
+	}
+	span := func(start, end event.Time) window.OpenSession {
+		return window.OpenSession{Start: start, End: end, Sum: 4, Count: 1}
+	}
+	decode := func(enc []byte) error {
+		back := newQueryTable(tbl.specOf)
+		r := wire.NewReader(enc)
+		back.readFrom(r, 2)
+		return r.Finish("query table")
+	}
+	if err := decode(forge(sess, span(3, 6), span(16, 17))); err != nil {
+		t.Fatalf("sessions exactly a gap apart rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		enc  []byte
+		want string
+	}{
+		{"sessions on a tumbling query", forge(tumbling, span(3, 6)), "whose window is"},
+		{"empty session", forge(sess, span(6, 6)), "empty or not gap-separated"},
+		{"overlapping sessions", forge(sess, span(3, 9), span(5, 12)), "empty or not gap-separated"},
+		{"sessions within the gap", forge(sess, span(3, 6), span(15, 16)), "empty or not gap-separated"},
+		{"sessions out of order", forge(sess, span(30, 31), span(3, 6)), "empty or not gap-separated"},
+		{"key with no open session", forge(sess), "no open session"},
+	} {
+		if err := decode(tc.enc); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: restored (%v)", tc.name, err)
+		}
+	}
 }

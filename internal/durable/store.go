@@ -50,7 +50,7 @@ const (
 // internal/wire compositions — so a state directory written by a build with
 // other layouts fails at open instead of at the first record that happens not
 // to decode.
-const manifestVersion = 4
+const manifestVersion = 5
 
 // manifestData is the store's single source of truth on disk, rewritten
 // atomically (tmp + fsync + rename) only when a checkpoint completes or the
@@ -119,6 +119,8 @@ type Store struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	closed bool
+	// writers counts the deposits being written; Close waits them out.
+	writers sync.WaitGroup
 
 	// pending holds deposits for barriers not yet marked complete; they move
 	// into the manifest at MarkComplete.
@@ -263,10 +265,14 @@ func (s *Store) Offsets() []int {
 func (s *Store) OnSnapshot(op string, instance int, barrier uint64, state []byte) {
 	s.mu.Lock()
 	closed := s.closed
+	if !closed {
+		s.writers.Add(1)
+	}
 	s.mu.Unlock()
 	if closed {
 		return // a dead incarnation draining out
 	}
+	defer s.writers.Done()
 	name := fmt.Sprintf("%s%016x-%s-%d", snapPrefix, barrier, op, instance)
 	if err := writeFileAtomic(filepath.Join(s.snapDir, name), state, s.hook); err != nil {
 		s.Fail(fmt.Errorf("durable: snapshot %s: %w", name, err))
@@ -692,15 +698,19 @@ func (s *Store) Failure() error {
 	return s.failure
 }
 
-// Close detaches the store: subsequent deposit writes are dropped and the WAL
-// is sealed. The runner calls this on the dying incarnation's store so its
-// background drain stops touching the directory the next incarnation owns —
-// the in-process stand-in for the process actually being gone.
+// Close detaches the store: subsequent deposit writes are dropped, the ones
+// already under way finish, and the WAL is sealed. The runner calls this on
+// the dying incarnation's store so its background drain stops touching the
+// directory the next incarnation owns — the in-process stand-in for the
+// process actually being gone. Without the wait, a deposit the drain had
+// begun could rename its temp file away under the successor writing the same
+// name.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	s.closed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
+	s.writers.Wait()
 	return s.wal.Close()
 }
 

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"astream/internal/baseline"
-	"astream/internal/cluster"
 	"astream/internal/core"
 	"astream/internal/driver"
 	"astream/internal/event"
@@ -86,8 +85,9 @@ func (k QueryKind) streams() int {
 type Params struct {
 	System System
 	Kind   QueryKind
-	// Nodes simulates the cluster size; Parallelism defaults to
-	// cluster.ScaleParallelism(Nodes, 2).
+	// Nodes simulates the cluster size; Parallelism defaults to two
+	// instances per simulated node (cores-per-node × nodes is out of reach
+	// on one machine, so parallelism scales linearly with nodes).
 	Nodes       int
 	Parallelism int
 	// Scenario: "SC1" (ramp to MaxParallelQ at QueriesPerSec) or "SC2"
@@ -127,7 +127,7 @@ func (p *Params) setDefaults() {
 		p.Nodes = 1
 	}
 	if p.Parallelism <= 0 {
-		p.Parallelism = cluster.ScaleParallelism(p.Nodes, 2)
+		p.Parallelism = 2 * p.Nodes
 	}
 	if p.Scenario == "" {
 		p.Scenario = "SC1"

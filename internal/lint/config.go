@@ -5,15 +5,16 @@ package lint
 // read the wall clock: metrics and benchmark harnesses (they measure real
 // elapsed time), the driver (queue-wait accounting), data generators, and
 // the CLI/example binaries. Everything else — the engine core, the SPE
-// runtime, windows, checkpointing, changelog, cluster — must use the
-// injected NowNanos clock. The maporder scope names the packages whose
-// outputs must be deterministic: checkpoint encoding, changelog emission,
-// result routing, and the runtime/cluster exchanges. The supervised-go
-// scope names the runtime packages whose goroutines must enter through the
+// runtime, windows, checkpointing, changelog — must use the injected
+// NowNanos clock. The maporder scope names the packages whose outputs must
+// be deterministic: checkpoint encoding, changelog emission, result
+// routing, and the runtime exchanges. The supervised-go scope names the
+// runtime packages whose goroutines must enter through the
 // panic-capturing supervisor, so no operator panic can kill the process.
-// The state scope names the packages whose Snapshot/Restore pairs the
-// state-integrity analyzers (snapcover, snapshot-symmetry) audit before
-// any of that state goes durable. The errsink scope is the state scope
+// The state scope names the packages whose Snapshot/Restore pairs snapcover
+// audits before any of that state goes durable (that every decoder accepts
+// exactly what its encoder writes is the fuzz targets' round-trip
+// property, not an analyzer's). The errsink scope is the state scope
 // plus internal/durable — the store, the WAL and the log-record codec, the
 // whole storage layer under the checkpoint runner: a dropped fsync or
 // Close error there is precisely the silent data loss the layer exists to
@@ -37,7 +38,6 @@ func ModuleAnalyzers(modPath string) []*Analyzer {
 		modPath + "/internal/changelog",
 		modPath + "/internal/core",
 		modPath + "/internal/spe",
-		modPath + "/internal/cluster",
 		// The durable manifest is itself a deterministic encoding: equal
 		// store states must serialize to byte-identical manifests or the
 		// chaos tests' byte-identity bar is unverifiable.
@@ -68,7 +68,6 @@ func ModuleAnalyzers(modPath string) []*Analyzer {
 		NewSupervisedGo(supervisedScope),
 		NewSnapCover(stateScope),
 		NewErrSink(errsinkScope),
-		NewSnapSymmetry(stateScope),
 		NewPoolSafe(nil),
 		NewAliasEscape(nil),
 		NewScratchLocal(nil),

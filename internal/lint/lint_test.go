@@ -30,23 +30,6 @@ func loadFixture(t *testing.T, name string) *Package {
 	return p
 }
 
-// fixtureImports names the sibling fixture packages a fixture imports. They
-// are loaded first (the loader resolves imports against what it has already
-// checked) and analyzed together with the fixture, so interprocedural
-// analyzers see the imported bodies.
-var fixtureImports = map[string][]string{"snapsym": {"wirefix"}}
-
-// loadFixtureModule loads a fixture and the fixtures it imports, the fixture
-// itself last.
-func loadFixtureModule(t *testing.T, name string) []*Package {
-	t.Helper()
-	var pkgs []*Package
-	for _, dep := range fixtureImports[name] {
-		pkgs = append(pkgs, loadFixture(t, dep))
-	}
-	return append(pkgs, loadFixture(t, name))
-}
-
 // want is one expected diagnostic, parsed from a fixture comment of the
 // form `// want "regex"` (or the block form `/* want "regex" */` where a
 // line comment would collide with a lint directive). The diagnostic must
@@ -98,9 +81,9 @@ func collectWants(t *testing.T, p *Package) []*want {
 // be hit.
 func checkFixture(t *testing.T, fixture string, analyzers []*Analyzer) []Diagnostic {
 	t.Helper()
-	pkgs := loadFixtureModule(t, fixture)
-	wants := collectWants(t, pkgs[len(pkgs)-1])
-	diags := Run(pkgs, analyzers)
+	p := loadFixture(t, fixture)
+	wants := collectWants(t, p)
+	diags := Run([]*Package{p}, analyzers)
 	for _, d := range diags {
 		hit := false
 		for _, w := range wants {
@@ -164,10 +147,6 @@ func TestErrSinkFixture(t *testing.T) {
 	checkFixture(t, "errsink", []*Analyzer{NewErrSink(nil)})
 }
 
-func TestSnapSymmetryFixture(t *testing.T) {
-	checkFixture(t, "snapsym", []*Analyzer{NewSnapSymmetry(nil)})
-}
-
 // TestStateScope verifies the state-integrity analyzers honor their
 // package scope: pointed at other packages, each fixture is silent.
 func TestStateScope(t *testing.T) {
@@ -175,9 +154,8 @@ func TestStateScope(t *testing.T) {
 	for fixture, mk := range map[string]func([]string) *Analyzer{
 		"snapcover": NewSnapCover,
 		"errsink":   NewErrSink,
-		"snapsym":   NewSnapSymmetry,
 	} {
-		diags := Run(loadFixtureModule(t, fixture), []*Analyzer{mk(otherScope)})
+		diags := Run([]*Package{loadFixture(t, fixture)}, []*Analyzer{mk(otherScope)})
 		if len(diags) != 0 {
 			t.Errorf("%s: out-of-scope package produced %d diagnostics: %v", fixture, len(diags), diags)
 		}

@@ -113,25 +113,6 @@ func nodeTouchesPools(n *CGNode, reg *PoolRegistry) bool {
 	return found
 }
 
-// paramCount is the summary width of a node (receiver excluded: receiver
-// effects are not summarized).
-func paramCount(n *CGNode) int {
-	if n.Fn != nil {
-		return n.Fn.Type().(*types.Signature).Params().Len()
-	}
-	if n.Lit != nil {
-		c := 0
-		for _, f := range n.Lit.Type.Params.List {
-			if len(f.Names) == 0 {
-				c++
-			}
-			c += len(f.Names)
-		}
-		return c
-	}
-	return 0
-}
-
 // computeSummaries runs the dataflow walker in silent summary mode over the
 // relevant nodes to a fixpoint, so wrapper chains (putVal → append →
 // freelist) resolve to release/acquire effects at their call sites.

@@ -7,10 +7,9 @@ import (
 	"strings"
 )
 
-// This file is the shared substrate of the state-integrity analyzers
-// (snapcover, snapshot-symmetry): discovery of Snapshot/Restore pairs, the
-// //lint:ephemeral field annotation, and receiver-field dataflow over the
-// module call graph.
+// This file is snapcover's substrate: discovery of Snapshot/Restore pairs,
+// the //lint:ephemeral field annotation, and receiver-field dataflow over
+// the module call graph.
 //
 // A *state pair* is a named struct type together with its serialization
 // couple:

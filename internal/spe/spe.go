@@ -8,8 +8,8 @@
 // goroutines, exchanges are bounded channels (so backpressure is real),
 // watermarks are the minimum over all upstream senders, and barriers align
 // before a snapshot is taken — the same mechanics a distributed SPE uses,
-// minus the network (which internal/cluster simulates by imposing
-// serialization costs on inter-node edges).
+// minus the network (simulated by imposing serialization costs on edges
+// between instances Node.AssignNodes places on different nodes).
 package spe
 
 import (

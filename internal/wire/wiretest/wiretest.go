@@ -1,10 +1,12 @@
-// Package wiretest holds the one property every decoder fuzz target in the
+// Package wiretest holds the two properties every decoder fuzz target in the
 // module asserts besides "no panic": decoding must not allocate more than a
 // small multiple of its input, i.e. no length prefix is trusted before
-// wire.Reader.Count has bounded it.
+// wire.Reader.Count has bounded it; and a decoder that has a paired encoder
+// accepts only what that encoder writes.
 package wiretest
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 )
@@ -29,5 +31,16 @@ func Bounded(t *testing.T, in []byte, decode func()) {
 	t.Helper()
 	if got, limit := Allocated(decode), Limit(in); got > limit {
 		t.Fatalf("decoding %d bytes allocated %d bytes (limit %d)", len(in), got, limit)
+	}
+}
+
+// Canonical fails t unless out, the encoder's bytes for the state a decoder
+// built from in, are in itself: accepted input must mean exactly what the
+// encoder would have written. The one allowance is a query-set written with
+// trailing zero words, which decodes to the same set and re-encodes shorter.
+func Canonical(t *testing.T, in, out []byte) {
+	t.Helper()
+	if !bytes.Equal(in, out) && len(out) >= len(in) {
+		t.Fatalf("accepted input re-encodes differently:\n in %x\nout %x", in, out)
 	}
 }
