@@ -110,7 +110,6 @@ type Engine struct {
 	router   *Router
 	metrics  *OpMetrics
 	session  *session
-	clTimes  *changelogTimes
 
 	srcNodes []*spe.Node
 	ingress  []*streamIngress
@@ -141,13 +140,16 @@ type Engine struct {
 // must be called from a single goroutine (the driver's pump), matching the
 // paper's driver design (Figure 5).
 type streamIngress struct {
-	sc       *spe.SourceContext
-	lastTime event.Time
+	sc *spe.SourceContext
+	// lastTime is the stream's high-water event-time, the one the session
+	// picks changelog times from. Only the ingest goroutine stores it, and
+	// only when a tuple advances it (see weaveChangelog for the ordering).
+	lastTime atomic.Int64
 	lastWM   event.Time
 
 	mu           sync.Mutex
 	pending      []pendingCL
-	pendingCount int32
+	pendingCount atomic.Int32
 }
 
 type pendingCL struct {
@@ -165,7 +167,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg:         cfg,
 		registry:    changelog.NewRegistry(changelog.SlotReuse),
 		metrics:     NewOpMetrics(cfg.NowNanos),
-		clTimes:     newChangelogTimes(cfg.Streams),
 		defs:        make(map[int]*Query),
 		strikes:     make(map[int]int),
 		quarantined: make(map[int]bool),
@@ -274,7 +275,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng.ingress[i] = &streamIngress{sc: sc, lastTime: event.MinTime, lastWM: event.MinTime}
+		eng.ingress[i] = &streamIngress{sc: sc, lastWM: event.MinTime}
+		eng.ingress[i].lastTime.Store(int64(event.MinTime))
 	}
 	return eng, nil
 }
@@ -376,18 +378,43 @@ func (e *Engine) trackHorizon(q *Query) {
 	}
 }
 
-// nextChangelogTime picks an event-time after everything already ingested so
-// the changelog weaves in cleanly on every stream.
-func (e *Engine) nextChangelogTime() event.Time { return e.clTimes.next() }
+// nextChangelogTime picks an event-time after everything already ingested
+// (and at least 1) so a changelog weaves in cleanly on every stream.
+func (e *Engine) nextChangelogTime() event.Time {
+	high := event.Time(0)
+	for _, ing := range e.ingress {
+		if h := event.Time(ing.lastTime.Load()); h > high {
+			high = h
+		}
+	}
+	return high + 1
+}
 
-// releaseChangelog queues the changelog for weaving into every stream.
-func (e *Engine) releaseChangelog(msg *ChangelogMsg, at event.Time) {
+// weaveChangelog picks a changelog's event-time and queues the changelog
+// that build makes for it on every stream; on build's error nothing is
+// queued. No tuple at or past that time may be emitted ahead of the
+// changelog, though Ingest keeps running on other goroutines. Dekker's
+// pairing guarantees it: this side raises every stream's pending count
+// before it reads the high-water marks, and Ingest stores its mark before
+// it loads the count. Either a tuple's mark was read, and the changelog's
+// time is past the tuple, or its ingest sees the raised count and waits in
+// drainPending on the stream lock, held here until the changelog is queued.
+func (e *Engine) weaveChangelog(build func(at event.Time) (*ChangelogMsg, error)) error {
 	for _, ing := range e.ingress {
 		ing.mu.Lock()
-		ing.pending = append(ing.pending, pendingCL{msg: msg, at: at})
-		atomic.AddInt32(&ing.pendingCount, 1)
+		ing.pendingCount.Add(1)
+	}
+	at := e.nextChangelogTime()
+	msg, err := build(at)
+	for _, ing := range e.ingress {
+		if err != nil {
+			ing.pendingCount.Add(-1)
+		} else {
+			ing.pending = append(ing.pending, pendingCL{msg: msg, at: at})
+		}
 		ing.mu.Unlock()
 	}
+	return err
 }
 
 func (e *Engine) recordSessionError(err error) {
@@ -413,20 +440,22 @@ func (e *Engine) Ingest(stream int, t event.Tuple) error {
 		return fmt.Errorf("core: no stream %d", stream)
 	}
 	ing := e.ingress[stream]
-	e.clTimes.observe(stream, t.Time)
 	if t.IngestNanos == 0 {
 		t.IngestNanos = e.cfg.NowNanos()
 	}
-	if atomic.LoadInt32(&ing.pendingCount) > 0 {
+	last := event.Time(ing.lastTime.Load())
+	if t.Time > last {
+		last = t.Time
+		// Stored before the pending count is loaded (weaveChangelog).
+		ing.lastTime.Store(int64(last))
+	}
+	if ing.pendingCount.Load() > 0 {
 		ing.drainPending(t.Time)
 	}
 	ing.sc.EmitTuple(t)
-	if t.Time > ing.lastTime {
-		ing.lastTime = t.Time
-	}
-	wm := ing.lastTime - e.cfg.Lateness
+	wm := last - e.cfg.Lateness
 	if wm >= ing.lastWM+e.cfg.WatermarkEvery {
-		if atomic.LoadInt32(&ing.pendingCount) > 0 {
+		if ing.pendingCount.Load() > 0 {
 			ing.drainPending(wm)
 		}
 		ing.sc.EmitWatermark(wm)
@@ -454,7 +483,7 @@ func (ing *streamIngress) drainPending(upTo event.Time) {
 			ing.pending[i] = pendingCL{}
 		}
 		ing.pending = ing.pending[:rest]
-		atomic.AddInt32(&ing.pendingCount, int32(-n))
+		ing.pendingCount.Add(int32(-n))
 	}
 	ing.mu.Unlock()
 	for _, p := range release {
@@ -564,7 +593,7 @@ func (e *Engine) Drain() {
 	}
 	e.stopped = true
 	e.session.close()
-	final := e.clTimes.next() + event.Time(atomic.LoadInt64(&e.maxHorizon))*2 + 2
+	final := e.nextChangelogTime() + event.Time(atomic.LoadInt64(&e.maxHorizon))*2 + 2
 	for _, ing := range e.ingress {
 		ing.drainPending(event.MaxTime)
 		if final > ing.lastWM {

@@ -102,12 +102,8 @@ func (e *Engine) ControlSnapshot() []byte {
 	b := wire.AppendU8(nil, opSnapshotVersion)
 	b = wire.AppendBytes(b, e.registry.Snapshot())
 	b = wire.AppendU32(b, uint32(len(e.ingress)))
-	e.clTimes.mu.Lock()
-	highs := append([]event.Time(nil), e.clTimes.highs...)
-	e.clTimes.mu.Unlock()
-	for i, ing := range e.ingress {
-		b = wire.AppendI64(b, int64(highs[i]))
-		b = wire.AppendI64(b, int64(ing.lastTime))
+	for _, ing := range e.ingress {
+		b = wire.AppendI64(b, ing.lastTime.Load())
 		b = wire.AppendI64(b, int64(ing.lastWM))
 	}
 	b = wire.AppendI64(b, atomic.LoadInt64(&e.nextID))
@@ -141,11 +137,9 @@ func (e *Engine) RestoreControl(snapshot []byte) error {
 	if n := int(r.U32("control stream count")); r.Err() == nil && n != len(e.ingress) {
 		return fmt.Errorf("core: control snapshot has %d streams, engine has %d", n, len(e.ingress))
 	}
-	highs := make([]event.Time, len(e.ingress))
 	lastTimes := make([]event.Time, len(e.ingress))
 	lastWMs := make([]event.Time, len(e.ingress))
 	for i := range e.ingress {
-		highs[i] = event.Time(r.I64("control high"))
 		lastTimes[i] = event.Time(r.I64("control lastTime"))
 		lastWMs[i] = event.Time(r.I64("control lastWM"))
 	}
@@ -170,11 +164,8 @@ func (e *Engine) RestoreControl(snapshot []byte) error {
 	}
 
 	e.registry = reg
-	e.clTimes.mu.Lock()
-	copy(e.clTimes.highs, highs)
-	e.clTimes.mu.Unlock()
 	for i, ing := range e.ingress {
-		ing.lastTime = lastTimes[i]
+		ing.lastTime.Store(int64(lastTimes[i]))
 		ing.lastWM = lastWMs[i]
 	}
 	atomic.StoreInt64(&e.nextID, nextID)

@@ -83,6 +83,9 @@ type SharedSelection struct {
 	delScratch map[int]struct{} //lint:pooled scratch per-changelog deletion lookup scratch
 	//lint:ephemeral constructor wiring (metrics sink)
 	metrics *OpMetrics
+	// cnt is what this instance counted since it last published to metrics.
+	//lint:ephemeral instance-owned counters, published at control callbacks, not stream state
+	cnt selCounters
 	//lint:ephemeral constructor wiring (allowed-lateness config)
 	lateness event.Time
 	wm       event.Time
@@ -135,10 +138,12 @@ func (s *SharedSelection) versionAt(t event.Time) int {
 // interesting to no query are dropped at the earliest possible point. Fault
 // injection does not select the code that classifies: an installed hook is
 // consulted entry by entry afterwards, and an entry it strikes loses its bit.
+// It counts into the instance's own counters, never into the shared metrics
+// block (see selCounters).
 //
 //lint:hotpath
 func (s *SharedSelection) OnTuple(_ int, t event.Tuple, out *spe.Emitter) {
-	tick := s.metrics.start()
+	tick := s.cnt.start(s.metrics)
 	vi := s.versionAt(t.Time)
 	v := &s.versions[vi]
 	s.qsTmp.Reset()
@@ -150,15 +155,64 @@ func (s *SharedSelection) OnTuple(_ int, t event.Tuple, out *spe.Emitter) {
 			}
 		}
 	}
-	s.metrics.QuerySetGen.observe(tick, s.metrics)
+	s.cnt.classified(tick, s.metrics)
 	if s.qsTmp.IsEmpty() {
-		atomic.AddUint64(&s.metrics.Dropped, 1)
+		s.cnt.dropped++
 		return
 	}
 	t.QuerySet = s.qsTmp.Clone()
 	t.Stream = uint8(s.stream)
-	atomic.AddUint64(&s.metrics.Selected, 1)
+	s.cnt.selected++
 	out.EmitTuple(t)
+}
+
+// selCounters is one selection instance's share of its OpMetrics block:
+// plain words only the instance's goroutine touches per tuple, added to the
+// block with one atomic add each by publish. Co-located instances share the
+// block, and a per-tuple atomic there would be a cross-core write to one
+// cache line for every tuple; adding deltas, not storing totals, keeps a
+// block shared by several logics correct.
+type selCounters struct {
+	ops      uint64 // sampling clock: every sampleEvery-th tuple is timed
+	selected uint64
+	dropped  uint64
+	qsCount  uint64 // QuerySetGen.Count
+	qsNanos  uint64 // QuerySetGen.Nanos, sampled and scaled
+}
+
+// start returns a clock tick on sampled tuples, else 0 (OpMetrics.start
+// with an instance-owned clock).
+func (c *selCounters) start(m *OpMetrics) int64 {
+	c.ops++
+	if m == nil || m.nowNanos == nil || c.ops%sampleEvery != 0 {
+		return 0
+	}
+	return m.nowNanos()
+}
+
+// classified counts one classification and, on a sampled tuple, its scaled
+// duration (componentTimer.observe without the atomics).
+func (c *selCounters) classified(tick int64, m *OpMetrics) {
+	c.qsCount++
+	if tick == 0 {
+		return
+	}
+	if d := m.nowNanos() - tick; d > 0 {
+		c.qsNanos += uint64(d) * sampleEvery
+	}
+}
+
+// publish adds what the instance counted since its last publish to m and
+// restarts the count; the sampling clock keeps running.
+func (c *selCounters) publish(m *OpMetrics) {
+	if m == nil || c.qsCount == 0 {
+		return
+	}
+	atomic.AddUint64(&m.Selected, c.selected)
+	atomic.AddUint64(&m.Dropped, c.dropped)
+	atomic.AddUint64(&m.QuerySetGen.Count, c.qsCount)
+	atomic.AddUint64(&m.QuerySetGen.Nanos, c.qsNanos)
+	*c = selCounters{ops: c.ops}
 }
 
 // evalEntry evaluates one predicate, converting a panic (a buggy ad-hoc
@@ -238,6 +292,7 @@ func (s *SharedSelection) OnChangelog(payload any, at event.Time, _ *spe.Emitter
 	}
 	s.versions = append(s.versions, next)
 	s.indexes = append(s.indexes, s.buildIndex(next.entries))
+	s.cnt.publish(s.metrics)
 }
 
 func slotDeleted(cl *changelog.Changelog, slot int) bool {
@@ -299,7 +354,9 @@ func (s *SharedSelection) IndexStats() SelIndexStats {
 }
 
 // OnWatermark prunes table versions that no in-flight tuple can reference,
-// recycling their entry backings into the changelog pool.
+// recycling their entry backings into the changelog pool, and publishes the
+// instance's counters: a mid-run reader of the metrics block lags this
+// instance by at most one watermark interval.
 func (s *SharedSelection) OnWatermark(wm event.Time, _ *spe.Emitter) {
 	s.wm = wm
 	horizon := wm - s.lateness
@@ -323,16 +380,27 @@ func (s *SharedSelection) OnWatermark(wm event.Time, _ *spe.Emitter) {
 		s.versions = s.versions[:n-i]
 		s.indexes = s.indexes[:n-i]
 	}
+	s.cnt.publish(s.metrics)
 }
+
+// OnEOS publishes the instance's last counts, so after Engine.Drain the
+// metrics block is exact.
+func (s *SharedSelection) OnEOS(*spe.Emitter) { s.cnt.publish(s.metrics) }
 
 // ActiveEntries reports the current predicate count (tests/metrics).
 func (s *SharedSelection) ActiveEntries() int {
 	return len(s.versions[len(s.versions)-1].entries)
 }
 
-// OpMetrics aggregates shared-operator cost counters across instances; all
-// exported fields are atomics. Component timings (Fig. 18a) are sampled:
-// every sampleEvery-th operation is timed and scaled up, using the engine's
+// OpMetrics aggregates shared-operator cost counters across instances; every
+// exported field is read and written through sync/atomic. Selected, Dropped
+// and QuerySetGen are counted by each selection instance on its own and
+// added here when it returns from a watermark, changelog or end-of-stream
+// callback: a reader during a run sees them as of each instance's last
+// control element, at most one watermark interval behind, and exactly after
+// Engine.Drain. The other counters move per fire, slice pair or result and
+// are added directly. Component timings (Fig. 18a) are sampled: every
+// sampleEvery-th operation is timed and scaled up, using the engine's
 // injected clock so simulated-time tests stay deterministic.
 type OpMetrics struct {
 	Selected   uint64 // tuples that matched ≥1 query
@@ -350,7 +418,7 @@ type OpMetrics struct {
 	BitsetOps   componentTimer // masking/intersection during triggers
 	RouterCopy  componentTimer // per-query result copying in the router
 
-	ops      uint64       // sampling clock
+	ops      uint64       // sampling clock of start (selection instances keep their own)
 	nowNanos func() int64 // injected clock; nil disables timing samples
 }
 

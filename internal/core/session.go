@@ -123,8 +123,13 @@ func (s *session) flushLocked() {
 		deleteIDs[i] = r.id
 	}
 
-	at := s.eng.nextChangelogTime()
-	cl, err := s.eng.registry.Apply(at, createIDs, deleteIDs)
+	err := s.eng.weaveChangelog(func(at event.Time) (*ChangelogMsg, error) {
+		cl, err := s.eng.registry.Apply(at, createIDs, deleteIDs)
+		if err != nil {
+			return nil, err
+		}
+		return &ChangelogMsg{CL: cl, Defs: defs, Switch: s.eng.storeSwitch()}, nil
+	})
 	if err != nil {
 		// Invalid batch members (duplicate create, unknown delete) fail
 		// the whole batch; acks still close so callers do not hang, and
@@ -138,8 +143,6 @@ func (s *session) flushLocked() {
 		}
 		return
 	}
-	msg := &ChangelogMsg{CL: cl, Defs: defs, Switch: s.eng.storeSwitch()}
-	s.eng.releaseChangelog(msg, at)
 	// Deliberately NOT unregistering deleted queries' sinks here: deletion
 	// is deferred to the query's event-time inside the operators, so final
 	// windows (ending at or before the deletion time) still produce
@@ -187,39 +190,4 @@ func (s *session) deployRecords() []DeployRecord {
 	out := make([]DeployRecord, len(s.records))
 	copy(out, s.records)
 	return out
-}
-
-// changelogTimes tracks per-stream high-water event times so the session can
-// pick a changelog time after everything already ingested.
-type changelogTimes struct {
-	mu    sync.Mutex
-	highs []event.Time
-}
-
-func newChangelogTimes(streams int) *changelogTimes {
-	c := &changelogTimes{highs: make([]event.Time, streams)}
-	for i := range c.highs {
-		c.highs[i] = event.MinTime
-	}
-	return c
-}
-
-func (c *changelogTimes) observe(stream int, t event.Time) {
-	c.mu.Lock()
-	if t > c.highs[stream] {
-		c.highs[stream] = t
-	}
-	c.mu.Unlock()
-}
-
-func (c *changelogTimes) next() event.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	max := event.Time(0)
-	for _, h := range c.highs {
-		if h > max {
-			max = h
-		}
-	}
-	return max + 1
 }

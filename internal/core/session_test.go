@@ -179,19 +179,28 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-// TestChangelogTimes covers the session's changelog-time tracker.
+// TestChangelogTimes covers how the session picks a changelog's time: one
+// past the highest event-time any stream ingested, at least 1, and not moved
+// by an out-of-order tuple.
 func TestChangelogTimes(t *testing.T) {
-	ct := newChangelogTimes(2)
-	if ct.next() != 1 {
-		t.Fatalf("empty next = %v, want 1", ct.next())
+	eng, err := NewEngine(Config{Streams: 2, BatchSize: 1, Lateness: 100})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ct.observe(0, 10)
-	ct.observe(1, 7)
-	if ct.next() != 11 {
-		t.Fatalf("next = %v, want 11", ct.next())
+	defer eng.Drain()
+	if got := eng.nextChangelogTime(); got != 1 {
+		t.Fatalf("empty next = %v, want 1", got)
 	}
-	ct.observe(1, event.Time(50))
-	if ct.next() != 51 {
-		t.Fatalf("next = %v, want 51", ct.next())
+	for _, in := range []struct {
+		stream int
+		at     event.Time
+		want   event.Time
+	}{{0, 10, 11}, {1, 7, 11}, {1, 50, 51}, {0, 20, 51}, {1, 30, 51}} {
+		if err := eng.Ingest(in.stream, event.Tuple{Time: in.at}); err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.nextChangelogTime(); got != in.want {
+			t.Fatalf("after t=%v on stream %d: next = %v, want %v", in.at, in.stream, got, in.want)
+		}
 	}
 }

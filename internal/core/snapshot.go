@@ -25,7 +25,7 @@ import (
 // instances that processed the same prefix produce byte-identical
 // snapshots.
 
-const opSnapshotVersion = 4
+const opSnapshotVersion = 5
 
 // readSlot reads a query slot, rejecting numbers no engine could have
 // assigned (changelog.MaxSlots) before anything is sized from them.

@@ -627,11 +627,11 @@ func TestControlSnapshotRoundTrip(t *testing.T) {
 func TestRestoreControlRejectsForgedShapes(t *testing.T) {
 	eng := controlEngine(t)
 	eng.Drain() // the forgery below edits a query the operators hold
-	// storeHint follows the version, the registry, the stream count, three
+	// storeHint follows the version, the registry, the stream count, two
 	// marks per stream, nextID and maxHorizon.
 	r := wire.NewReader(eng.ControlSnapshot())
 	r.U8("version")
-	at := 1 + 4 + len(r.Bytes("registry")) + 4 + 3*8*len(eng.ingress) + 2*8
+	at := 1 + 4 + len(r.Bytes("registry")) + 4 + 2*8*len(eng.ingress) + 2*8
 	for _, tc := range []struct {
 		name  string
 		forge func(snap []byte) []byte

@@ -267,15 +267,26 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchErrorReturnsBufferToPool pins DecodeBatch's error paths:
-// a decode that fails after acquiring a batch buffer must return that
-// buffer to the exchange pool instead of leaking it.
+// frameRewrite is a fault hook that replaces every coded batch frame.
+type frameRewrite struct{ frame []byte }
+
+func (frameRewrite) BeforeTuple(string, int)       {}
+func (frameRewrite) AtBarrier(string, int, uint64) {}
+func (h frameRewrite) OnBatch(string, int, []byte) ([]byte, BatchFault) {
+	return h.frame, BatchOK
+}
+
+// TestDecodeBatchErrorReturnsBufferToPool pins the coded flush's decode
+// error paths: a decode that fails after acquiring a pooled batch must
+// return that batch to the exchange pool instead of leaking it, and the
+// intact original ships on.
 func TestDecodeBatchErrorReturnsBufferToPool(t *testing.T) {
 	var c BinaryCodec
 	// The wide first tuple leaves room for the header's count check to pass
-	// when the tail is cut, so every case fails after the buffer was
+	// when the tail is cut, so every case fails after the batch was
 	// acquired, not before.
-	enc := c.EncodeBatch([]event.Tuple{{Key: 1, QuerySet: bitset.FromIndexes(1, 70)}, {Key: 3, Time: 4}})
+	in := []event.Tuple{{Key: 1, QuerySet: bitset.FromIndexes(1, 70)}, {Key: 3, Time: 4}}
+	enc := c.EncodeBatch(in)
 
 	// The last tuple carries no query-set, so its word count is the final
 	// u32 of the encoding; patching it to a count the remaining bytes cannot
@@ -293,36 +304,45 @@ func TestDecodeBatchErrorReturnsBufferToPool(t *testing.T) {
 	}
 	for _, tc := range cases {
 		// Under the race detector sync.Pool randomly discards Puts, so a
-		// single attempt can miss even when DecodeBatch recycles
-		// correctly. A leak never lands in the pool, so retrying only
-		// converts correct behavior into a pass, never a leak.
+		// single attempt can miss even when the flush recycles correctly.
+		// A leak never lands in the pool, so retrying only converts
+		// correct behavior into a pass, never a leak.
 		recycled := false
 		for attempt := 0; attempt < 32 && !recycled; attempt++ {
-			for tupleBatchPool.Get() != nil {
-				// Drain so the only possible pooled buffer afterwards is
-				// the one the failed decode acquired.
+			ch := make(chan message, 1)
+			em := &Emitter{
+				batchSize: len(in),
+				hook:      frameRewrite{tc.bad},
+				consumers: []consumer{{mode: Global, targets: []target{{ch: ch, coded: true}}}},
 			}
-			if _, err := c.DecodeBatch(tc.bad); err == nil {
-				t.Fatalf("%s batch must error", tc.name)
+			for tupleBatchPool.Get() != nil {
+				// Drain so the only possible pooled batch afterwards is the
+				// one the failed decode acquired.
+			}
+			for i := range in {
+				em.EmitTuple(in[i])
+			}
+			if em.Err() == nil {
+				t.Fatalf("%s batch must fail the emitter", tc.name)
 			}
 			recycled = tupleBatchPool.Get() != nil
+			if msg := <-ch; len(msg.batch.ts) != len(in) || msg.batch.ts[1].Key != 3 {
+				t.Fatalf("%s: shipped %+v, not the intact original", tc.name, msg.batch.ts)
+			}
 		}
 		if !recycled {
-			t.Errorf("%s: failed decode leaked the pooled batch buffer", tc.name)
+			t.Errorf("%s: failed decode leaked the pooled batch", tc.name)
 		}
 	}
 }
 
 // TestDecodeBatchBoundsCountByInput: the tuple count in a batch header is
 // checked against the bytes that follow before any buffer is sized from it.
-// A 5-byte frame claiming 65 536 tuples used to reach getBatch(65536) — a
-// 6.8 MB allocation per corrupt frame — and only then fail on the missing
-// body.
+// A 5-byte frame claiming 65 536 tuples once sized a 65 536-tuple buffer —
+// a 6.8 MB allocation per corrupt frame — and only then failed on the
+// missing body.
 func TestDecodeBatchBoundsCountByInput(t *testing.T) {
 	frame := binary.LittleEndian.AppendUint32([]byte{codecVersion}, 1<<16)
-	for tupleBatchPool.Get() != nil {
-		// Drain: a pooled buffer would hide the allocation.
-	}
 	wiretest.Bounded(t, frame, func() {
 		if _, err := (BinaryCodec{}).DecodeBatch(frame); err == nil {
 			t.Fatal("header-only frame claiming 65536 tuples must error")
@@ -339,7 +359,7 @@ func TestCodecRejectsTrailingBytes(t *testing.T) {
 	if _, err := c.DecodeBatch(batch); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("batch with a trailing byte: %v", err)
 	}
-	ctl := append(c.EncodeControl(event.NewWatermark(7)), 0xEE)
+	ctl := append(c.AppendControl(nil, event.NewWatermark(7)), 0xEE)
 	if _, err := c.DecodeControl(ctl); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("control element with a trailing byte: %v", err)
 	}
@@ -354,7 +374,9 @@ func fuzzBatch() []event.Tuple {
 
 // FuzzDecodeBatch: arbitrary frames yield an error or a batch that
 // re-encodes to the same bytes — never a panic or an allocation out of
-// proportion to the frame.
+// proportion to the frame. The exchange emitters' encoding, AppendBatch into
+// a reused frame whose stale bytes are still there, must write exactly what
+// EncodeBatch writes into a fresh one.
 func FuzzDecodeBatch(f *testing.F) {
 	var c BinaryCodec
 	enc := c.EncodeBatch(fuzzBatch())
@@ -370,14 +392,12 @@ func FuzzDecodeBatch(f *testing.F) {
 			if err != nil {
 				return
 			}
-			if back := c.EncodeBatch(ts); !bytes.Equal(back, in) {
-				// Only a non-canonical query-set (trailing zero words) may
-				// re-encode shorter.
-				if len(back) >= len(in) {
-					t.Fatalf("accepted frame re-encodes differently:\n in %x\nout %x", in, back)
-				}
+			back := c.EncodeBatch(ts)
+			wiretest.Canonical(t, in, back)
+			dirty := bytes.Repeat([]byte{0xA5}, len(back))
+			if reused := c.AppendBatch(dirty[:0], ts); !bytes.Equal(reused, back) {
+				t.Fatalf("AppendBatch into a reused frame wrote\n%x\nEncodeBatch wrote\n%x", reused, back)
 			}
-			putBatch(ts)
 		})
 	})
 }
@@ -386,7 +406,7 @@ func FuzzDecodeBatch(f *testing.F) {
 func FuzzDecodeControl(f *testing.F) {
 	var c BinaryCodec
 	for _, el := range []event.Element{event.NewWatermark(777), event.NewBarrier(3), event.EOS(), event.NewChangelog(nil, 55)} {
-		enc := c.EncodeControl(el)
+		enc := c.AppendControl(nil, el)
 		f.Add(enc)
 		f.Add(enc[:len(enc)-1])
 		f.Add(append(enc, 0xEE))
@@ -401,7 +421,7 @@ func FuzzDecodeControl(f *testing.F) {
 			if el.Kind == event.KindTuple {
 				t.Fatal("a tuple decoded as a control element")
 			}
-			if back := c.EncodeControl(el); !bytes.Equal(back, in) {
+			if back := c.AppendControl(nil, el); !bytes.Equal(back, in) {
 				t.Fatalf("accepted element re-encodes differently:\n in %x\nout %x", in, back)
 			}
 		})

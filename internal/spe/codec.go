@@ -2,6 +2,7 @@ package spe
 
 import (
 	"fmt"
+	"slices"
 
 	"astream/internal/event"
 	"astream/internal/wire"
@@ -9,9 +10,11 @@ import (
 
 // BinaryCodec is the edge codec the cluster simulation applies to inter-node
 // edges so shuffled data pays a realistic serialization cost. Tuples travel
-// as batch frames (EncodeBatch/DecodeBatch, tuples in wire.AppendTuple
+// as batch frames (AppendBatch/DecodeBatch, tuples in wire.AppendTuple
 // layout); control elements — watermarks, barriers, changelog envelopes, EOS
-// — as single elements (EncodeControl/DecodeControl).
+// — as single elements (AppendControl/DecodeControl). An exchange emitter
+// encodes both into one frame it reuses, so a coded edge allocates nothing
+// per batch once the frame has grown to the largest batch.
 //
 // Changelog payloads are NOT encoded (they are control-plane metadata whose
 // identity must be preserved for deduplication); cross-node changelog
@@ -20,24 +23,22 @@ type BinaryCodec struct{}
 
 const codecVersion = 2
 
-// EncodeControl serializes a control element. Tuples are not control
-// elements: they cross edges only inside batch frames.
-func (BinaryCodec) EncodeControl(e event.Element) []byte {
-	//lint:ignore hotalloc one small frame per control element per coded edge: the serialization cost the codec exists to charge
-	buf := make([]byte, 0, 10)
-	buf = wire.AppendU8(buf, codecVersion)
-	buf = wire.AppendU8(buf, uint8(e.Kind))
+// AppendControl appends the encoding of a control element to dst. Tuples
+// are not control elements: they cross edges only inside batch frames.
+func (BinaryCodec) AppendControl(dst []byte, e event.Element) []byte {
+	dst = wire.AppendU8(dst, codecVersion)
+	dst = wire.AppendU8(dst, uint8(e.Kind))
 	switch e.Kind {
 	case event.KindWatermark, event.KindChangelog:
 		// A changelog travels as its event-time envelope only.
-		buf = wire.AppendI64(buf, int64(e.Watermark))
+		dst = wire.AppendI64(dst, int64(e.Watermark))
 	case event.KindBarrier:
-		buf = wire.AppendU64(buf, e.Barrier)
+		dst = wire.AppendU64(dst, e.Barrier)
 	}
-	return buf
+	return dst
 }
 
-// DecodeControl deserializes an EncodeControl encoding. A changelog decodes
+// DecodeControl deserializes an AppendControl encoding. A changelog decodes
 // without its payload; the sender reattaches it.
 func (BinaryCodec) DecodeControl(b []byte) (event.Element, error) {
 	r := wire.NewReader(b)
@@ -59,37 +60,46 @@ func (BinaryCodec) DecodeControl(b []byte) (event.Element, error) {
 	return e, nil
 }
 
-// EncodeBatch serializes a vector of tuples in one pass, amortizing the
-// envelope over the vector: version, count, then each tuple.
-func (BinaryCodec) EncodeBatch(ts []event.Tuple) []byte {
-	//lint:ignore hotalloc one frame per cross-node batch: the serialization cost the codec exists to charge
-	buf := make([]byte, 0, 5+len(ts)*(wire.TupleMinSize+16))
-	buf = wire.AppendU8(buf, codecVersion)
-	buf = wire.AppendCount(buf, len(ts))
+// AppendBatch appends the batch frame of ts to dst in one pass, amortizing
+// the envelope over the vector: version, count, then each tuple.
+func (BinaryCodec) AppendBatch(dst []byte, ts []event.Tuple) []byte {
+	dst = wire.AppendU8(dst, codecVersion)
+	dst = wire.AppendCount(dst, len(ts))
 	for i := range ts {
-		buf = wire.AppendTuple(buf, &ts[i])
+		dst = wire.AppendTuple(dst, &ts[i])
 	}
-	return buf
+	return dst
 }
 
-// DecodeBatch deserializes a vector produced by EncodeBatch. The returned
-// slice comes from the exchange batch pool; on error it has already gone
-// back there.
-func (BinaryCodec) DecodeBatch(b []byte) ([]event.Tuple, error) {
+// EncodeBatch returns the batch frame of ts in a buffer of its own. No
+// exchange calls it: emitters append into their reused frame instead.
+func (c BinaryCodec) EncodeBatch(ts []event.Tuple) []byte {
+	return c.AppendBatch(make([]byte, 0, 5+len(ts)*(wire.TupleMinSize+16)), ts)
+}
+
+// DecodeBatch deserializes a batch frame into a slice of its own.
+func (c BinaryCodec) DecodeBatch(b []byte) ([]event.Tuple, error) {
+	ts, err := c.decodeInto(nil, b)
+	if err != nil {
+		return nil, err
+	}
+	return ts, nil
+}
+
+// decodeInto appends the tuples of batch frame b to dst, growing it at most
+// once, and only after the frame's count is bounded by its length. A coded
+// exchange decodes into a pooled batch this way.
+func (BinaryCodec) decodeInto(dst []event.Tuple, b []byte) ([]event.Tuple, error) {
 	r := wire.NewReader(b)
 	r.Version("batch codec version", codecVersion)
 	n := r.Count("batch tuple count", wire.TupleMinSize)
 	if err := r.Err(); err != nil {
-		return nil, err
+		return dst, err
 	}
-	out := getBatch(n)
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		//lint:ignore hotalloc appends into a pooled buffer; grows at most to the largest batch seen
-		out = append(out, wire.ReadTuple(r))
+		//lint:ignore hotalloc appends within the capacity reserved above
+		dst = append(dst, wire.ReadTuple(r))
 	}
-	if err := r.Finish("batch"); err != nil {
-		putBatch(out)
-		return nil, err
-	}
-	return out, nil
+	return dst, r.Finish("batch")
 }

@@ -28,7 +28,7 @@ type target struct {
 	sender int
 	port   int  // which input port of the receiver this edge feeds
 	coded  bool // crosses cluster nodes under an installed edge codec
-	buf    []event.Tuple
+	buf    *tupleBatch
 }
 
 // consumer groups the targets for one downstream operator. self is the
@@ -47,33 +47,37 @@ const (
 	flushCheckEvery = 16
 )
 
-// tupleBatchPool recycles exchange batch buffers between emitting and
-// receiving goroutines.
+// tupleBatch is one exchange batch: its tuples and the header the pool
+// holds. It travels by pointer — from getBatch through an emitter's edge
+// buffer and a channel message to the receiver, which hands it back to
+// putBatch — so recycling a batch allocates nothing.
+type tupleBatch struct {
+	ts []event.Tuple
+}
+
+// tupleBatchPool recycles exchange batches between emitting and receiving
+// goroutines; every batch in it is empty.
 //
 //lint:pooled pool recycled exchange batch backings
 var tupleBatchPool sync.Pool
 
-// getBatch returns an empty batch buffer, reusing a pooled one when
-// available.
+// getBatch returns an empty batch, reusing a pooled one when available.
 //
 //lint:pooled acquire hands out a pooled batch backing
-func getBatch(n int) []event.Tuple {
+func getBatch(n int) *tupleBatch {
 	if v := tupleBatchPool.Get(); v != nil {
-		return (*v.(*[]event.Tuple))[:0]
+		return v.(*tupleBatch)
 	}
-	//lint:ignore hotalloc pool miss: batch buffers are pooled and reused after the first flush cycle
-	return make([]event.Tuple, 0, n)
+	//lint:ignore hotalloc pool miss: batches are pooled and reused after the first flush cycle
+	return &tupleBatch{ts: make([]event.Tuple, 0, n)}
 }
 
-// putBatch returns a drained batch buffer to the pool.
+// putBatch empties a batch and returns it to the pool.
 //
 //lint:pooled release returns a batch backing to the pool
-func putBatch(b []event.Tuple) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:0]
-	tupleBatchPool.Put(&b)
+func putBatch(b *tupleBatch) {
+	b.ts = b.ts[:0]
+	tupleBatchPool.Put(b)
 }
 
 // Emitter sends elements to all downstream consumers of an operator
@@ -102,6 +106,11 @@ type Emitter struct {
 	nowNanos     func() int64 // nil disables the time-based flush
 	pendingSince int64        // first deadline check that observed pending batches
 	sinceCheck   int          // elements since the last deadline check
+
+	// frame is the one buffer every coded flush and control element of this
+	// emitter is encoded into and decoded from; the decode copies out
+	// everything a tuple keeps, so nothing references it after the send.
+	frame []byte //lint:pooled scratch reused codec frame for coded edges
 
 	// Failure surface: the first edge fault (codec round-trip failure,
 	// injected drop) sticks here; the owning instance checks Err after each
@@ -171,17 +180,18 @@ func (e *Emitter) append(tg *target, t event.Tuple) {
 		e.pending++
 	}
 	//lint:ignore hotalloc appends within the batch buffer's pooled capacity; flushed before it would grow
-	tg.buf = append(tg.buf, t)
-	if len(tg.buf) >= e.batchSize {
+	tg.buf.ts = append(tg.buf.ts, t)
+	if len(tg.buf.ts) >= e.batchSize {
 		e.flushTarget(tg)
 	}
 }
 
 // flushTarget ships one edge's pending batch downstream. Coded edges pay
 // the serialization cost batch-wise, amortizing the envelope over the whole
-// vector.
+// vector: the batch is encoded into the emitter's frame and decoded from it
+// into a fresh pooled batch, which is what travels on.
 func (e *Emitter) flushTarget(tg *target) {
-	if len(tg.buf) == 0 {
+	if tg.buf == nil {
 		return
 	}
 	batch := tg.buf
@@ -191,7 +201,8 @@ func (e *Emitter) flushTarget(tg *target) {
 		e.pendingSince = 0
 	}
 	if tg.coded {
-		enc := BinaryCodec{}.EncodeBatch(batch)
+		e.frame = BinaryCodec{}.AppendBatch(e.frame[:0], batch.ts)
+		enc := e.frame
 		if e.hook != nil {
 			var bf BatchFault
 			enc, bf = e.hook.OnBatch(e.opName, e.instance, enc)
@@ -206,19 +217,23 @@ func (e *Emitter) flushTarget(tg *target) {
 				e.fail(fmt.Errorf("spe: %s[%d] exchange batch dropped (injected link failure)", e.opName, e.instance))
 				return
 			case BatchDelay:
-				// Hold the batch one flush round. Per-edge order is
-				// preserved: broadcast re-flushes before sending any
-				// control element on this edge.
+				// Hold the tuples one flush round; the next flush encodes
+				// them again, so the hook never keeps the frame. Per-edge
+				// order is preserved: broadcast re-flushes before sending
+				// any control element on this edge.
 				tg.buf = batch
 				e.pending++
 				return
 			}
 		}
-		dec, err := BinaryCodec{}.DecodeBatch(enc)
+		dec := getBatch(len(batch.ts))
+		var err error
+		dec.ts, err = BinaryCodec{}.decodeInto(dec.ts, enc)
 		if err != nil {
 			// Ship the still-intact original so downstream stays
 			// consistent; the sticky error fails this instance and the
 			// job manager decides between recovery and teardown.
+			putBatch(dec)
 			//lint:ignore hotalloc cold failure path: formats once, when a corrupt frame has already doomed the epoch
 			e.fail(fmt.Errorf("spe: edge codec batch round-trip failed: %v", err))
 		} else {
@@ -318,7 +333,8 @@ func (e *Emitter) send(tg *target, el event.Element) {
 	if tg.coded {
 		// Pay the serialization cost a networked edge would: encode and
 		// decode the element (the decoded copy is what travels on).
-		dec, err := BinaryCodec{}.DecodeControl(BinaryCodec{}.EncodeControl(el))
+		e.frame = BinaryCodec{}.AppendControl(e.frame[:0], el)
+		dec, err := BinaryCodec{}.DecodeControl(e.frame)
 		if err != nil {
 			// Deliver the intact original so control flow is never lost;
 			// the sticky error still fails the instance.
@@ -504,11 +520,12 @@ func (rt *instanceRT) handle(msg message) error {
 	}
 	if msg.batch != nil {
 		head := &rt.members[0]
-		for i := range msg.batch {
+		ts := msg.batch.ts
+		for i := range ts {
 			if rt.hook != nil {
 				rt.hook.BeforeTuple(rt.op.name, rt.instance)
 			}
-			head.logic.OnTuple(msg.port, msg.batch[i], head.out)
+			head.logic.OnTuple(msg.port, ts[i], head.out)
 		}
 		putBatch(msg.batch)
 		return nil

@@ -58,14 +58,15 @@ func (m PartitionMode) String() string {
 
 // message is what travels between instances: either a batch of data tuples
 // (batch non-nil — the only tuple transport; one channel operation moves up
-// to a full network buffer's worth of tuples, Flink-style) or one control
-// element in elem, plus the sender's identity within the receiving inbox (for
-// per-sender watermark bookkeeping) and the input port it arrives on.
+// to a full network buffer's worth of tuples, Flink-style; the pooled batch
+// itself, which the receiver recycles) or one control element in elem, plus
+// the sender's identity within the receiving inbox (for per-sender watermark
+// bookkeeping) and the input port it arrives on.
 type message struct {
 	sender int
 	port   int
 	elem   event.Element // control elements only; never KindTuple
-	batch  []event.Tuple
+	batch  *tupleBatch
 }
 
 // hashKey spreads tuple keys over instances (Fibonacci hashing).

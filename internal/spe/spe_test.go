@@ -477,7 +477,7 @@ func TestControlCodecRoundTrip(t *testing.T) {
 		event.NewChangelog(nil, 55), // the envelope only; send reattaches the payload
 	}
 	for _, el := range els {
-		got, err := c.DecodeControl(c.EncodeControl(el))
+		got, err := c.DecodeControl(c.AppendControl(nil, el))
 		if err != nil {
 			t.Fatalf("decode(%v): %v", el.Kind, err)
 		}
@@ -486,7 +486,7 @@ func TestControlCodecRoundTrip(t *testing.T) {
 		}
 	}
 	// Corrupt inputs.
-	enc := c.EncodeControl(event.NewWatermark(777))
+	enc := c.AppendControl(nil, event.NewWatermark(777))
 	if _, err := c.DecodeControl(nil); err == nil {
 		t.Fatal("nil input must fail")
 	}

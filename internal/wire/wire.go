@@ -15,6 +15,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"astream/internal/bitset"
 	"astream/internal/event"
@@ -22,10 +23,19 @@ import (
 	"astream/internal/window"
 )
 
+// A tuple's fixed-width prefix: i64 key at 0, the i64 fields from 8, then
+// i64 time, i64 ingest nanos and u8 stream; its query-set follows.
+const (
+	tupleTimeAt   = 8 + 8*event.NumFields
+	tupleIngestAt = tupleTimeAt + 8
+	tupleStreamAt = tupleIngestAt + 8
+	tuplePrefix   = tupleStreamAt + 1
+)
+
 // Minimum encoded sizes, for Reader.Count units.
 const (
 	// TupleMinSize is a tuple with an empty query-set.
-	TupleMinSize = 8 + 8*event.NumFields + 8 + 8 + 1 + 4
+	TupleMinSize = tuplePrefix + 4
 	// SpecSize is the fixed size of a window spec.
 	SpecSize = 1 + 8 + 8 + 8
 	// comparisonSize is the fixed size of one predicate comparison.
@@ -77,29 +87,59 @@ func AppendBits(b []byte, bits bitset.Bits) []byte {
 
 // AppendTuple appends one tuple. This is the only tuple encoder in the
 // module: exchange batches, log records and join-store snapshots share it.
+// The buffer grows once for the whole tuple, and the fixed-width prefix is
+// written through one array view: one bounds check, not one per field.
 func AppendTuple(b []byte, t *event.Tuple) []byte {
-	b = AppendI64(b, t.Key)
-	for _, f := range t.Fields {
-		b = AppendI64(b, f)
+	n := len(b)
+	b = slices.Grow(b, TupleMinSize+8*t.QuerySet.WordCount())[:n+tuplePrefix]
+	p := (*[tuplePrefix]byte)(b[n:])
+	le := binary.LittleEndian
+	le.PutUint64(p[0:], uint64(t.Key))
+	for i, f := range t.Fields {
+		le.PutUint64(p[8+8*i:], uint64(f))
 	}
-	b = AppendI64(b, int64(t.Time))
-	b = AppendI64(b, t.IngestNanos)
-	b = AppendU8(b, t.Stream)
+	le.PutUint64(p[tupleTimeAt:], uint64(t.Time))
+	le.PutUint64(p[tupleIngestAt:], uint64(t.IngestNanos))
+	p[tupleStreamAt] = t.Stream
 	return AppendBits(b, t.QuerySet)
 }
 
-// ReadTuple decodes one AppendTuple encoding.
+// ReadTuple decodes one AppendTuple encoding. The prefix is checked once
+// and read through one array view; a cut inside it fails naming the field
+// the cut falls in.
 func ReadTuple(r *Reader) event.Tuple {
 	var t event.Tuple
-	t.Key = r.I64("tuple key")
-	for i := range t.Fields {
-		t.Fields[i] = r.I64("tuple field")
+	if len(r.b) < tuplePrefix {
+		r.truncated(tupleFieldAt(len(r.b)))
+		return t
 	}
-	t.Time = event.Time(r.I64("tuple time"))
-	t.IngestNanos = r.I64("tuple ingest")
-	t.Stream = r.U8("tuple stream")
+	p := (*[tuplePrefix]byte)(r.b)
+	r.b = r.b[tuplePrefix:]
+	le := binary.LittleEndian
+	t.Key = int64(le.Uint64(p[0:]))
+	for i := range t.Fields {
+		t.Fields[i] = int64(le.Uint64(p[8+8*i:]))
+	}
+	t.Time = event.Time(le.Uint64(p[tupleTimeAt:]))
+	t.IngestNanos = int64(le.Uint64(p[tupleIngestAt:]))
+	t.Stream = p[tupleStreamAt]
 	t.QuerySet = r.Bits("tuple query-set")
 	return t
+}
+
+// tupleFieldAt names the prefix field that byte offset off falls in.
+func tupleFieldAt(off int) string {
+	switch {
+	case off < 8:
+		return "tuple key"
+	case off < tupleTimeAt:
+		return "tuple field"
+	case off < tupleIngestAt:
+		return "tuple time"
+	case off < tupleStreamAt:
+		return "tuple ingest"
+	}
+	return "tuple stream"
 }
 
 // AppendSpec appends a window spec.

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"encoding/hex"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -48,11 +50,71 @@ func tuplesEqual(a, b event.Tuple) bool {
 		a.IngestNanos == b.IngestNanos && a.Stream == b.Stream && a.QuerySet.Equal(b.QuerySet)
 }
 
+// TestTupleEncodingGolden pins the tuple's bytes. WAL records, join-store
+// snapshots and exchange frames all carry them, so a faster encoder must
+// write exactly what earlier builds wrote: the hex below was captured from
+// the field-by-field encoder. Each tuple is appended after two bytes already
+// in the buffer, which must survive.
+func TestTupleEncodingGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tu   event.Tuple
+		hex  string
+	}{
+		{"empty query-set", event.Tuple{
+			Key: -1, Fields: [event.NumFields]int64{-2, 3, -4, 1 << 40, math.MinInt64},
+			Time: 12345, IngestNanos: -7, Stream: 3,
+		},
+			"abcdfffffffffffffffffeffffffffffffff0300000000000000fcffffffffffffff000000000001000000000000000000803930000000000000f9ffffffffffffff0300000000"},
+		{"one-word query-set", event.Tuple{
+			Key: 1<<62 + 5, Fields: [event.NumFields]int64{0, -1, math.MaxInt64, 7, -300},
+			Time: -1, IngestNanos: 1_700_000_000_000_000_000, Stream: 0,
+			QuerySet: bitset.FromIndexes(0, 5, 63),
+		},
+			"abcd05000000000000400000000000000000ffffffffffffffffffffffffffffff7f0700000000000000d4feffffffffffffffffffffffffffff00002a36fe9c971700010000002100000000000080"},
+		{"spilled query-set", event.Tuple{
+			Key: 0, Fields: [event.NumFields]int64{-9, -8, -7, -6, -5},
+			Time: event.MaxTime, IngestNanos: 0, Stream: 255,
+			QuerySet: bitset.FromIndexes(1, 64, 200),
+		},
+			"abcd0000000000000000f7fffffffffffffff8fffffffffffffff9fffffffffffffffafffffffffffffffbffffffffffffffffffffffffffff3f0000000000000000ff040000000200000000000000010000000000000000000000000000000001000000000000"},
+	} {
+		enc := AppendTuple([]byte{0xAB, 0xCD}, &tc.tu)
+		if got := hex.EncodeToString(enc); got != tc.hex {
+			t.Errorf("%s: encoding changed\n got %s\nwant %s", tc.name, got, tc.hex)
+			continue
+		}
+		r := NewReader(enc[2:])
+		if got := ReadTuple(r); r.Finish("tuple") != nil || !tuplesEqual(got, tc.tu) {
+			t.Errorf("%s: decoded %+v (err %v), want %+v", tc.name, got, r.Err(), tc.tu)
+		}
+	}
+}
+
 // The four round-trip properties below share one shape: a random value
 // re-decodes to itself, consumes exactly its own bytes (Finish accepts), and
 // no longer decodes once any suffix is cut off.
 
+// TestTupleRoundTrip cuts every encoding at every byte offset. Each cut must
+// fail, and name the field it falls in, as reading field by field does:
+// key at 0, five fields from 8, time at 48, ingest at 56, stream at 64,
+// query-set from 65.
 func TestTupleRoundTrip(t *testing.T) {
+	field := func(cut int) string {
+		switch {
+		case cut < 8:
+			return "truncated reading tuple key"
+		case cut < 48:
+			return "truncated reading tuple field"
+		case cut < 56:
+			return "truncated reading tuple time"
+		case cut < 64:
+			return "truncated reading tuple ingest"
+		case cut < 65:
+			return "truncated reading tuple stream"
+		}
+		return "tuple query-set"
+	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
 		want := randTuple(rng)
@@ -62,10 +124,12 @@ func TestTupleRoundTrip(t *testing.T) {
 		if err := r.Finish("tuple"); err != nil || !tuplesEqual(got, want) {
 			t.Fatalf("tuple %d: err %v\n got %+v\nwant %+v", i, err, got, want)
 		}
-		r = NewReader(enc[:rng.Intn(len(enc))])
-		ReadTuple(r)
-		if r.Err() == nil {
-			t.Fatalf("tuple %d: truncated encoding decoded", i)
+		for cut := 0; cut < len(enc); cut++ {
+			r = NewReader(enc[:cut])
+			ReadTuple(r)
+			if r.Err() == nil || !strings.Contains(r.Err().Error(), field(cut)) {
+				t.Fatalf("tuple %d cut at %d of %d bytes: error %v, want one naming %q", i, cut, len(enc), r.Err(), field(cut))
+			}
 		}
 	}
 }
