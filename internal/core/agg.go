@@ -103,46 +103,86 @@ func (v *aggVal) finalize(fn sqlstream.AggFunc, field int) int64 {
 	}
 }
 
-// aggGroup is a query-set group inside one slice. While the slice is open
-// its per-key partials are byKey's, and keys lists them so walking a group
-// never iterates the map; sealing moves the partials into the slice's run
-// and drops both (DESIGN.md §15).
+// aggGroup is a query-set group of an open slice: its per-key partials are
+// byKey's, and keys and vals list them so walking a group never touches the
+// map. A group is recycled whole, map and lists emptied, when its slice is
+// sealed or evicted.
 type aggGroup struct {
 	qs    bitset.Bits
 	byKey map[int64]*aggVal
 	keys  []int64
-	pos   int32 // position in the slice's order, kept while the slice is sealed
+	vals  []*aggVal // parallel to keys
 }
 
-// aggIndex is one slice's partials: its query-set groups, and once a fire
-// has sealed the slice the run that holds their partials instead of the
-// groups' maps.
+// add gives the group partial v for key.
+func (g *aggGroup) add(key int64, v *aggVal) {
+	g.byKey[key] = v
+	//lint:ignore hotalloc amortized: a recycled group's lists keep their capacity; they grow once per first-seen key
+	g.keys = append(g.keys, key)
+	//lint:ignore hotalloc amortized: a recycled group's lists keep their capacity; they grow once per first-seen key
+	g.vals = append(g.vals, v)
+}
+
+// aggIndex is one slice's partials. While the slice is open they sit in the
+// query-set groups of open. Sealing (DESIGN.md §15) replaces the groups by
+// slot classes — the slots every group of the slice either contains together
+// or excludes together — each holding one row per key any of those groups
+// has, merged over them: from then on the rows are the slice's only storage.
 type aggIndex struct {
-	qsIndex[aggGroup]
-	// run, non-nil while sealed, is every partial of the slice ordered by
-	// (key, group position): the order pass two of a fire reads.
-	run []aggPart
+	open *qsIndex[aggGroup] // nil while sealed
+	// classes[c] ends class c's slots in slots and its rows in rows. Classes
+	// are ordered by smallest slot, a class's slots ascend and its rows
+	// ascend by key.
+	classes []aggClass
+	slots   []int32
+	rows    []aggRow
 }
 
-// aggPart is one partial of a sealed slice.
+// aggClass is where one class's slots and rows end.
+type aggClass struct {
+	slotEnd, rowEnd int32
+}
+
+// classSlots returns class c's slots.
+func (x *aggIndex) classSlots(c int) []int32 {
+	from := int32(0)
+	if c > 0 {
+		from = x.classes[c-1].slotEnd
+	}
+	return x.slots[from:x.classes[c].slotEnd]
+}
+
+// classRows returns class c's rows.
+func (x *aggIndex) classRows(c int) []aggRow {
+	from := int32(0)
+	if c > 0 {
+		from = x.classes[c-1].rowEnd
+	}
+	return x.rows[from:x.classes[c].rowEnd]
+}
+
+// aggRow is one key's merged partial: a class's in a sealed slice, a block's
+// window result in a fire.
+type aggRow struct {
+	key int64
+	v   aggVal
+}
+
+// aggPart is one partial of a slice being sealed, its group named by position.
 type aggPart struct {
-	key   int64
 	group int32
 	v     *aggVal
 }
 
-// cmpPart orders a run by key, then group position.
-func cmpPart(p, q aggPart) int {
-	if c := cmp.Compare(p.key, q.key); c != 0 {
-		return c
-	}
-	return cmp.Compare(p.group, q.group)
+// keyChain is one distinct key of a slice being sealed and its last partial;
+// sealScratch.next chains the partials of the key.
+type keyChain struct {
+	key  int64
+	head int32
 }
 
-func newAggIndex() *aggIndex {
-	//lint:ignore hotalloc cold: one index per slice, created when the slice first sees data
-	return &aggIndex{qsIndex: qsIndex[aggGroup]{byWord: make(map[uint64]*aggGroup), byStr: make(map[string]*aggGroup)}}
-}
+// cmpKeyChain orders chains by key.
+func cmpKeyChain(p, q keyChain) int { return cmp.Compare(p.key, q.key) }
 
 // aggWindow is the window the aggregation fires for q: a complex query
 // aggregates its join's output over its second window.
@@ -209,90 +249,154 @@ type SharedAggregation struct {
 	tblScratch []byte //lint:pooled scratch table-delta encode buffer recycled across barriers
 
 	// Steady-state scratch (owned by the instance goroutine): query-set
-	// intersection temporaries and the fire path's equivalence blocks and
-	// partial-aggregate storage.
+	// intersection temporaries, the seal's, and the fire path's equivalence
+	// blocks and result rows.
 	//lint:ephemeral per-tuple scratch
 	qsTmp bitset.Bits //lint:pooled scratch per-tuple query-set intersection scratch
+	//lint:ephemeral per-tuple scratch
+	lateRows []int32 //lint:pooled scratch the rows of a sealed slice one tuple folds into
+	//lint:ephemeral per-seal scratch
+	sealTmp sealScratch //lint:pooled scratch the seal's slot partition, class numbering and key chains
 	//lint:ephemeral per-trigger scratch
 	caps []fireCap //lint:pooled scratch per-cap-group slot mask, per-slice relation and slot table, parallel to the trigger's cap groups
 	//lint:ephemeral per-trigger scratch
-	effTmp bitset.Bits //lint:pooled scratch per-(slice, group, cap group) effective-membership scratch
+	blocks partition //lint:pooled scratch the trigger's queries partitioned into equivalence blocks
 	//lint:ephemeral per-trigger scratch
-	met []metPair //lint:pooled scratch (slice, group) pairs pass one found effective for some cap group
+	blockRows [][]aggRow //lint:pooled scratch per block, its window result ascending by key; the buffers are reused across fires
 	//lint:ephemeral per-trigger scratch
-	blkOf []int32 //lint:pooled scratch trigger query index → equivalence block
+	rowTmp []aggRow //lint:pooled scratch merge output, swapped with the block rows it replaces
 	//lint:ephemeral per-trigger scratch
-	blocks []fireBlock //lint:pooled scratch per-trigger equivalence blocks and their result rows
+	members []int32 //lint:pooled scratch per effective (slice, class), the trigger queries in it, back to back
 	//lint:ephemeral per-trigger scratch
-	cutTmp []int32 //lint:pooled scratch blocks met by one refinement round
-	//lint:ephemeral per-trigger scratch
-	covers []int32 //lint:pooled scratch the blocks each effective (slice, group) pair merges into, back to back
-	//lint:ephemeral per-trigger scratch
-	spans []blockSpan //lint:pooled scratch per (merged slice, group position): its range of covers
-	//lint:ephemeral per-trigger scratch
-	cursors []runCursor //lint:pooled scratch the merged slices' unread runs
-	//lint:ephemeral fire-path round counter, bumped per (slice, group) visit: a block took part in the current round iff its stamp equals it
-	round uint64
+	met []metPair //lint:pooled scratch (slice, class) pairs pass one found effective for some cap group
 	//lint:ephemeral freelist, refills through steady-state recycling
 	valPool []*aggVal //lint:pooled freelist recycled aggVal backings
 	//lint:ephemeral unissued tail of the newest aggVal slab; getVal carves from it when the freelist is empty
 	valSlab []aggVal //lint:pooled freelist slab chunk fresh partials are carved from; they recycle through valPool
 	//lint:ephemeral freelist, refills as sealed slices are evicted or unsealed
-	runPool [][]aggPart //lint:pooled freelist recycled run backings
+	rowPool [][]aggRow //lint:pooled freelist recycled row backings
 	//lint:ephemeral freelist, refills as slices are sealed or evicted
-	mapPool []map[int64]*aggVal //lint:pooled freelist emptied group maps, at the size they grew to
-	//lint:ephemeral freelist, parallel to mapPool
-	keysPool [][]int64 //lint:pooled freelist emptied group key lists, parallel to mapPool
-}
-
-// fireBlock is one query-equivalence block of a fire: the queries of one cap
-// group whose effective membership (group query-set ∧ Rel(slice epoch, cap) ∧
-// the cap group's slot mask) coincides on every (slice, group) of the
-// trigger's slice run. Their window results are built from the same
-// partials, so the block merges each of them once into one row per key that
-// every member finalizes from. Pass two visits keys in ascending order, so
-// rows are appended sorted and a partial merges into the last one or starts
-// the next.
-type fireBlock struct {
-	size  int32    // member queries
-	hits  int32    // members met by refinement round `round`
-	split int32    // block those members move to in that round, -1 while whole
-	round uint64   // last round (refinement, or pass two's cover listing) that touched the block
-	rows  []aggRow // the window's result for the block's members, ascending by key
-}
-
-// aggRow is one key's window result in a block.
-type aggRow struct {
-	key int64
-	v   aggVal
-}
-
-// blockSpan is the range of covers one (slice, group) pair merges into;
-// empty for a group no cap group is effective in.
-type blockSpan struct {
-	from, to int32
-}
-
-// runCursor is one merged slice's unread run in pass two; spans[base+g] is
-// the block range of the slice's group g.
-type runCursor struct {
-	run  []aggPart
-	base int32
+	groupPool []*aggGroup //lint:pooled freelist emptied groups, map and lists at the size they grew to
+	//lint:ephemeral freelist, refills as slices are sealed or evicted
+	openPool []*qsIndex[aggGroup] //lint:pooled freelist emptied group indexes of sealed or evicted slices
+	//lint:ephemeral freelist, refills as slices are evicted
+	indexPool []*aggIndex //lint:pooled freelist evicted slices' indexes, their class and slot lists at the size they grew to
 }
 
 // fireCap is one cap group's side of a fire. Slots are unique within a cap
 // group (a slot's previous tenant was deleted under an older cap), so slotQ
-// resolves every bit of an effective membership, which is masked to mask.
+// resolves every slot of an effective membership, which is masked to mask.
 type fireCap struct {
 	mask  bitset.Bits // slots of the cap group's queries; empty when the cap is compacted away
 	rel   bitset.Bits // Rel(epoch of the slice being walked, cap) ∧ mask
 	slotQ []int32     // slot → trigger query index
 }
 
-// metPair names one (slice, group) pair of a fire: the slice by its offset
-// in the extent's slice run, the group by its position in the slice's order.
+// metPair names one effective (slice, class) pair of a fire — the slice by
+// its offset in the extent's slice run — and its queries, members[from:to].
 type metPair struct {
-	slice, group int32
+	slice, class, from, to int32
+}
+
+// partition is exact partition refinement by count and move. Elements are
+// small integers placed in parts by of; a refine round splits every part the
+// round's set cuts — some members inside, some outside — moving the inside
+// ones to a new part, in two walks over the set: count each met part's inside
+// members, then move them where the count fell short of the part's size.
+// Elements share a part exactly when no set of the rounds tells them apart,
+// and a round costs the set's size: nothing is hashed or compared pairwise.
+// The seal partitions a slice's slots by its groups' query-sets; the fire
+// partitions a trigger's queries by their effective memberships.
+type partition struct {
+	of    []int32 // element → part
+	parts []part
+	round uint64  // bumped per round: a part took part in the current one iff its stamp equals it
+	cut   []int32 // parts met by the current refine round
+}
+
+// part is one part of a partition.
+type part struct {
+	size  int32 // member elements
+	hits  int32 // members met by refine round `round`
+	split int32 // part those members move to in that round, -1 while whole
+	round uint64
+}
+
+// add appends an empty part expecting size elements; the caller places them.
+func (p *partition) add(size int32) int32 {
+	//lint:ignore hotalloc amortized: the part list grows to the widest partition once
+	p.parts = append(p.parts, part{size: size, split: -1})
+	return int32(len(p.parts) - 1)
+}
+
+// place grows of to cover element e and puts e in part pt.
+func (p *partition) place(e, pt int32) {
+	for int(e) >= len(p.of) {
+		//lint:ignore hotalloc amortized: the element table grows to the widest element once
+		p.of = append(p.of, -1)
+	}
+	p.of[e] = pt
+}
+
+// refine is one refinement round by set, a list of distinct placed elements.
+func (p *partition) refine(set []int32) {
+	p.round++
+	p.cut = p.cut[:0]
+	for _, e := range set {
+		pt := &p.parts[p.of[e]]
+		if pt.round != p.round {
+			pt.round, pt.hits = p.round, 0
+			//lint:ignore hotalloc amortized: met-part scratch grows to the widest partition once
+			p.cut = append(p.cut, p.of[e])
+		}
+		pt.hits++
+	}
+	cut := false
+	for _, b := range p.cut {
+		p.parts[b].split = -1
+		if hits := p.parts[b].hits; hits < p.parts[b].size {
+			nb := p.add(hits) // may move p.parts
+			p.parts[b].size -= hits
+			p.parts[b].split = nb
+			cut = true
+		}
+	}
+	if !cut {
+		return
+	}
+	for _, e := range set {
+		if nb := p.parts[p.of[e]].split; nb >= 0 {
+			p.of[e] = nb
+		}
+	}
+}
+
+// first reports whether part b is met for the first time in the current
+// round, and stamps it; a caller marking parts bumps round to open a round.
+func (p *partition) first(b int32) bool {
+	if p.parts[b].round == p.round {
+		return false
+	}
+	p.parts[b].round = p.round
+	return true
+}
+
+// sealScratch is the seal's scratch, reused across seals.
+type sealScratch struct {
+	parts    partition       // the slice's slots partitioned into classes
+	union    bitset.Bits     // every slot of any group
+	slots    []int32         // the union's slots, ascending
+	members  []int32         // every group's slots, back to back
+	memEnd   []int32         // per group, where its slots end in members
+	classOf  []int32         // part → class, classes numbered by smallest slot
+	cls      []int32         // per group, the classes it contains, back to back
+	clsEnd   []int32         // per group, where its classes end in cls
+	at       []int32         // per class, its next slot or row
+	seen     []int32         // per class, a stamp: the last group listing it, then the last key ordinal giving it a row
+	keyAt    map[int64]int32 // key → its chain while chaining
+	chains   []keyChain      // per distinct key, at keyAt[key]; then ascending by key
+	partials []aggPart       // every partial of the slice, group by group
+	next     []int32         // per partial, the key's partial before it, -1 for none
 }
 
 // maskVersion is the slot-mask table in effect from a given event-time.
@@ -412,73 +516,113 @@ func (a *SharedAggregation) putVal(v *aggVal) {
 	a.valPool = append(a.valPool, v)
 }
 
-// newGroup returns a group for qs holding a map and key list from takeMaps.
-func (a *SharedAggregation) newGroup(qs bitset.Bits) *aggGroup {
-	//lint:ignore hotalloc cold: runs once per first-seen query-set group per slice
-	g := &aggGroup{qs: qs.Clone()}
-	a.takeMaps(g)
+// takeGroup returns an empty group for qs: a recycled one, its map and key
+// list at the size an earlier slice's group grew them to, or a fresh one.
+func (a *SharedAggregation) takeGroup(qs bitset.Bits) *aggGroup {
+	var g *aggGroup
+	if n := len(a.groupPool) - 1; n >= 0 {
+		g = a.groupPool[n]
+		a.groupPool[n] = nil
+		a.groupPool = a.groupPool[:n]
+	} else {
+		//lint:ignore hotalloc cold: a group is recycled across slices once allocated
+		g = &aggGroup{byKey: make(map[int64]*aggVal)}
+	}
+	g.qs.CopyFrom(qs)
 	return g
 }
 
-// takeMaps gives g an emptied map and key list from the freelists, or fresh
-// ones: sealed and evicted slices give theirs back, so an open group starts
-// at the size earlier ones grew to, and every group that takes maps, new or
-// unsealed, drains the freelists that sealing fills.
-func (a *SharedAggregation) takeMaps(g *aggGroup) {
-	if n := len(a.mapPool) - 1; n >= 0 {
-		g.byKey, g.keys = a.mapPool[n], a.keysPool[n]
-		a.mapPool[n], a.keysPool[n] = nil, nil
-		a.mapPool, a.keysPool = a.mapPool[:n], a.keysPool[:n]
+// takeIndex returns an empty index for a slice: recycled, or fresh. It is
+// sealed (no open groups) until the caller opens it.
+func (a *SharedAggregation) takeIndex() *aggIndex {
+	if n := len(a.indexPool) - 1; n >= 0 {
+		x := a.indexPool[n]
+		a.indexPool[n] = nil
+		a.indexPool = a.indexPool[:n]
+		return x
+	}
+	//lint:ignore hotalloc cold: an index is recycled across slices once allocated
+	return &aggIndex{}
+}
+
+// openIndex gives x an empty group index, recycled or fresh.
+func (a *SharedAggregation) openIndex(x *aggIndex) {
+	if n := len(a.openPool) - 1; n >= 0 {
+		x.open = a.openPool[n]
+		a.openPool[n] = nil
+		a.openPool = a.openPool[:n]
 		return
 	}
-	//lint:ignore hotalloc cold: a group map is recycled across slices once allocated
-	g.byKey = make(map[int64]*aggVal)
+	x.open = newQSIndex[aggGroup]()
 }
 
-// dropMaps empties g's map and key list into the freelists.
-func (a *SharedAggregation) dropMaps(g *aggGroup) {
-	clear(g.byKey)
-	//lint:ignore hotalloc amortized: freelists grow to the steady-state group count once
-	a.mapPool = append(a.mapPool, g.byKey)
-	//lint:ignore hotalloc amortized: freelists grow to the steady-state group count once
-	a.keysPool = append(a.keysPool, g.keys[:0])
-	g.byKey, g.keys = nil, nil
+// dropGroups recycles x's open groups and their index, x's partials having
+// been returned already; x is sealed afterwards.
+func (a *SharedAggregation) dropGroups(x *aggIndex) {
+	for _, g := range x.open.order {
+		clear(g.byKey)
+		clear(g.vals)
+		g.keys, g.vals = g.keys[:0], g.vals[:0]
+		//lint:ignore hotalloc amortized: the freelist grows to the steady-state group count once
+		a.groupPool = append(a.groupPool, g)
+	}
+	x.open.reset()
+	//lint:ignore hotalloc amortized: the freelist grows to the steady-state open slice count once
+	a.openPool = append(a.openPool, x.open)
+	x.open = nil
 }
 
-// takeRun returns an empty run backing with room for n partials: the
-// smallest recycled one large enough, else a fresh one of exactly n,
-// dropping a recycled backing too small for it, so the freelist cannot fill
-// with them. No spare room: a recycled run waits idle for the next seal, and
-// spare room in every live one cost more heap than the rare fresh backing.
-func (a *SharedAggregation) takeRun(n int) []aggPart {
+// dropIndex recycles an evicted slice's index with everything it holds.
+func (a *SharedAggregation) dropIndex(x *aggIndex) {
+	if x.open != nil {
+		for _, g := range x.open.order {
+			for _, v := range g.vals {
+				a.putVal(v)
+			}
+		}
+		a.dropGroups(x)
+	}
+	a.dropRows(x)
+	//lint:ignore hotalloc amortized: the freelist grows to the steady-state slice count once
+	a.indexPool = append(a.indexPool, x)
+}
+
+// takeRows returns n rows: the smallest recycled backing large enough, else
+// a fresh one of exactly n, dropping a recycled backing too small for it so
+// the freelist cannot fill with them. No spare room: a recycled backing waits
+// idle for the next seal, and spare room in every live one would cost more
+// heap than the rare fresh backing.
+func (a *SharedAggregation) takeRows(n int) []aggRow {
 	best := -1
-	for i, run := range a.runPool {
-		if cap(run) >= n && (best < 0 || cap(run) < cap(a.runPool[best])) {
+	for i, rows := range a.rowPool {
+		if cap(rows) >= n && (best < 0 || cap(rows) < cap(a.rowPool[best])) {
 			best = i
 		}
 	}
-	last := len(a.runPool) - 1
+	last := len(a.rowPool) - 1
 	if best >= 0 {
-		run := a.runPool[best]
-		a.runPool[best] = a.runPool[last]
-		a.runPool[last] = nil
-		a.runPool = a.runPool[:last]
-		return run[:0]
+		rows := a.rowPool[best]
+		a.rowPool[best] = a.rowPool[last]
+		a.rowPool[last] = nil
+		a.rowPool = a.rowPool[:last]
+		return rows[:n]
 	}
 	if last >= 0 {
-		a.runPool[last] = nil
-		a.runPool = a.runPool[:last]
+		a.rowPool[last] = nil
+		a.rowPool = a.rowPool[:last]
 	}
-	//lint:ignore hotalloc the seal: one backing per slice until eviction recycles them
-	return make([]aggPart, 0, n)
+	//lint:ignore hotalloc the seal: one backing per slice until eviction or an unseal recycles it
+	return make([]aggRow, n)
 }
 
-// putRun recycles a sealed slice's run backing; its partials have been
-// moved or returned already.
-func (a *SharedAggregation) putRun(run []aggPart) {
-	clear(run)
-	//lint:ignore hotalloc amortized: freelist grows to the steady-state count of runs awaiting reuse once
-	a.runPool = append(a.runPool, run[:0])
+// dropRows recycles x's class rows and empties its class layout.
+func (a *SharedAggregation) dropRows(x *aggIndex) {
+	if x.rows != nil {
+		//lint:ignore hotalloc amortized: the freelist grows to the steady-state count of backings awaiting reuse once
+		a.rowPool = append(a.rowPool, x.rows[:0])
+	}
+	x.rows = nil
+	x.classes, x.slots = x.classes[:0], x.slots[:0]
 }
 
 // OnTuple folds the tuple into slice partials (and serves selection queries
@@ -535,36 +679,35 @@ func (a *SharedAggregation) OnTuple(port int, t event.Tuple, _ *spe.Emitter) {
 	}
 	sl := a.win.sides[0].sliceFor(t.Time)
 	if sl.aggs == nil {
-		sl.aggs = newAggIndex()
+		sl.aggs = a.takeIndex()
+		a.openIndex(sl.aggs)
 	}
-	x := sl.aggs
-	g := x.get(a.qsTmp)
-	if x.run != nil {
-		// A tuple into a sealed slice (late, or into a slice a snapshot
-		// sealed) folds in place when its partial exists; one that needs a
-		// new partial or group unseals the slice.
-		if g != nil {
-			if i, ok := slices.BinarySearchFunc(x.run, aggPart{key: t.Key, group: g.pos}, cmpPart); ok {
-				x.run[i].v.fold(&t)
-				sl.folds++
-				return
-			}
+	a.fold(sl.aggs, &t)
+	sl.folds++
+}
+
+// fold folds t, its masked query-set in qsTmp, into slice index x: into the
+// group of qsTmp, or — a tuple into a sealed slice, late or into a slice a
+// snapshot sealed — into the class rows in place when it can (foldSealed),
+// else into the group after unsealing the slice.
+func (a *SharedAggregation) fold(x *aggIndex, t *event.Tuple) {
+	if x.open == nil {
+		if a.foldSealed(x, t) {
+			return
 		}
 		a.unseal(x)
 	}
+	g := x.open.get(a.qsTmp)
 	if g == nil {
-		g = a.newGroup(a.qsTmp)
-		x.put(g.qs, g)
+		g = a.takeGroup(a.qsTmp)
+		x.open.put(g.qs, g)
 	}
 	v := g.byKey[t.Key]
 	if v == nil {
 		v = a.getVal()
-		g.byKey[t.Key] = v
-		//lint:ignore hotalloc cold: runs once per first-seen key within a group
-		g.keys = append(g.keys, t.Key)
+		g.add(t.Key, v)
 	}
-	v.fold(&t)
-	sl.folds++
+	v.fold(t)
 }
 
 func (a *SharedAggregation) valueOf(aq *liveQuery, t *event.Tuple) int64 {
@@ -624,27 +767,12 @@ func (a *SharedAggregation) retire(wm event.Time) {
 		aq.sessKeys = kept
 	}
 
-	// Evicted slices return their partials, and a sealed one its run, to the
-	// freelists.
+	// Evicted slices return their index, with its partials and groups or its
+	// rows, to the freelists.
 	a.win.retire(wm, func(_ int, sl *slice) {
-		x := sl.aggs
-		if x == nil {
-			return
-		}
-		sl.aggs = nil
-		if x.run != nil {
-			for _, p := range x.run {
-				a.putVal(p.v)
-			}
-			a.putRun(x.run)
-			x.run = nil
-			return
-		}
-		for _, g := range x.order {
-			for _, key := range g.keys {
-				a.putVal(g.byKey[key])
-			}
-			a.dropMaps(g)
+		if x := sl.aggs; x != nil {
+			sl.aggs = nil
+			a.dropIndex(x)
 		}
 	})
 	a.selection.purge(wm)
@@ -676,14 +804,13 @@ func (a *SharedAggregation) emitRows(aq *liveQuery, ext window.Extent, rows []ag
 // fireWindow combines slice partials for one window extent and emits one row
 // per (query, key) in (slot, ID, key) order; queries arrive in (slot, ID)
 // order. It runs two passes (DESIGN.md §15). The first walks the extent's
-// (slice, group) pairs, every cap group taking its round at each pair: it
-// seals the slices, reads their query-sets and partitions each cap group's
-// queries into equivalence blocks by exact refinement over the effective
-// memberships. The second lists, once per pair that was effective, the
-// blocks it covers, then walks the slices' runs in lockstep by key, merging
-// each partial into the current row of each of its blocks. Work and row
-// memory scale with blocks, not queries; a lone query is a lone block and
-// the fire is the plain per-slice scan.
+// (slice, class) pairs, sealing the slices it meets: for every pair it lists
+// the queries of any cap group the class is effective for, and refines the
+// queries into equivalence blocks by that list. After it, a block lies in at
+// most one class of any slice. The second merges each effective pair's rows
+// into each block it covers. Work and row memory scale with blocks and
+// classes, not queries and groups; a lone query is a lone block and the fire
+// is the plain per-slice scan.
 func (a *SharedAggregation) fireWindow(ext window.Extent, queries []*liveQuery) {
 	ring := a.win.sides[0]
 	lo, hi := ring.overlappingRange(ext)
@@ -691,11 +818,10 @@ func (a *SharedAggregation) fireWindow(ext window.Extent, queries []*liveQuery) 
 		return
 	}
 	groups := a.win.capGroups(queries)
-	a.blocks = a.blocks[:0]
-	a.blkOf = a.blkOf[:0]
-	for range queries {
-		//lint:ignore hotalloc amortized: block index grows to the trigger's query count once
-		a.blkOf = append(a.blkOf, -1)
+	bp := &a.blocks
+	bp.parts = bp.parts[:0]
+	for qi := range queries {
+		bp.place(int32(qi), -1)
 	}
 
 	tick := a.metrics.start()
@@ -711,7 +837,7 @@ func (a *SharedAggregation) fireWindow(ext window.Extent, queries []*liveQuery) 
 			continue
 		}
 		// All of the cap group's queries start in one block.
-		blk := a.newBlock(int32(len(cg.idxs)))
+		blk := bp.add(int32(len(cg.idxs)))
 		for _, qi := range cg.idxs {
 			slot := queries[qi].slot
 			fc.mask.Set(slot)
@@ -720,131 +846,113 @@ func (a *SharedAggregation) fireWindow(ext window.Extent, queries []*liveQuery) 
 				fc.slotQ = append(fc.slotQ, 0)
 			}
 			fc.slotQ[slot] = int32(qi)
-			a.blkOf[qi] = blk
+			bp.of[qi] = blk
 		}
 	}
-	// Pass one walks the run's query-sets, one array per slice, refining
-	// every cap group's blocks by each set, and remembers the pairs that were
-	// effective for any cap group. Pass two lists covers for exactly those
-	// pairs, and reads every partial of the slices holding them: one of a
-	// group without covers costs a look at its span, its aggVal untouched.
-	a.met = a.met[:0]
+	// Pass one. A class's members for one cap group are its slots in the
+	// group's rel, resolved to queries; blocks never span cap groups, so one
+	// round over every cap group's members refines each group by its own.
+	a.met, a.members = a.met[:0], a.members[:0]
 	for si, sl := range ring.slices[lo:hi] {
 		if sl.aggs == nil || !a.relate(sl, groups) {
 			continue
 		}
 		x := sl.aggs
 		a.seal(x)
-		from := int32(0)
-		for gi, to := range x.ends {
-			qs := bitset.View(x.flat[from:to])
-			from = to
-			if a.visit(qs, len(groups)) {
-				//lint:ignore hotalloc amortized: met-pair scratch grows to the widest trigger's pair count once
-				a.met = append(a.met, metPair{slice: int32(si), group: int32(gi)})
-			}
-		}
-	}
-	a.mergeRuns(ring.slices[lo:hi], groups)
-	a.metrics.BitsetOps.observe(tick, a.metrics)
-
-	for qi, aq := range queries {
-		if b := a.blkOf[qi]; b >= 0 {
-			a.emitRows(aq, ext, a.blocks[b].rows)
-		}
-	}
-}
-
-// mergeRuns is pass two. Each effective pair gets its covers — the blocks
-// with a member in its membership for some cap group — listed once; after
-// refinement a block lies wholly inside or wholly outside any membership of
-// the run, so meeting one member decides for the block and the round stamp
-// skips its other members. Then the runs of the slices holding those pairs
-// are walked in lockstep by key, a k-way merge over k slices: every partial
-// of the smallest key left, from every run, merges into each of its group's
-// covers, where it lands on the block's last row or starts the next one. The
-// walk reads each of those slices' partials, including those of groups no
-// cap group is effective in, whose empty span merges them nowhere: its work
-// grows with the partials of the slices met, not only with the pairs.
-func (a *SharedAggregation) mergeRuns(run []*slice, groups []capGroup) {
-	a.covers, a.spans, a.cursors = a.covers[:0], a.spans[:0], a.cursors[:0]
-	at := int32(-1)
-	var x *aggIndex
-	for _, p := range a.met {
-		if p.slice != at {
-			at = p.slice
-			sl := run[p.slice]
-			a.relate(sl, groups)
-			x = sl.aggs
-			base := len(a.spans)
-			for range x.order {
-				//lint:ignore hotalloc amortized: span scratch grows to the widest trigger's group count once
-				a.spans = append(a.spans, blockSpan{})
-			}
-			//lint:ignore hotalloc amortized: cursor scratch grows to the widest trigger's slice count once
-			a.cursors = append(a.cursors, runCursor{run: x.run, base: int32(base)})
-		}
-		from := int32(len(a.covers))
-		a.round++
-		qs := x.order[p.group].qs
-		for ci := range groups {
-			fc := &a.caps[ci]
-			qs.AndInto(fc.rel, &a.effTmp)
-			for wi, nw := 0, a.effTmp.WordCount(); wi < nw; wi++ {
-				for w := a.effTmp.Word(wi); w != 0; w &= w - 1 {
-					b := a.blkOf[fc.slotQ[wi*64+bits.TrailingZeros64(w)]]
-					if a.blocks[b].round != a.round {
-						a.blocks[b].round = a.round
-						//lint:ignore hotalloc amortized: cover scratch grows to the widest trigger's pair-block count once
-						a.covers = append(a.covers, b)
+		for c := range x.classes {
+			from := len(a.members)
+			for ci := range groups {
+				fc := &a.caps[ci]
+				if fc.rel.IsEmpty() {
+					continue
+				}
+				for _, s := range x.classSlots(c) {
+					if fc.rel.Test(int(s)) {
+						//lint:ignore hotalloc amortized: member scratch grows to the widest trigger's member count once
+						a.members = append(a.members, fc.slotQ[s])
 					}
 				}
 			}
+			if to := len(a.members); to > from {
+				bp.refine(a.members[from:to])
+				//lint:ignore hotalloc amortized: met-pair scratch grows to the widest trigger's pair count once
+				a.met = append(a.met, metPair{slice: int32(si), class: int32(c), from: int32(from), to: int32(to)})
+			}
 		}
-		a.spans[a.cursors[len(a.cursors)-1].base+p.group] = blockSpan{from: from, to: int32(len(a.covers))}
 	}
-
-	// The lockstep walk: take the smallest head key, merge every slice's
-	// partials of it, drop the runs that ran out.
-	cs := a.cursors
-	for len(cs) > 0 {
-		key := cs[0].run[0].key
-		for i := 1; i < len(cs); i++ {
-			key = min(key, cs[i].run[0].key)
+	// Pass two. A block lies wholly inside or wholly outside a pair's
+	// members, so the first member met decides and the round stamp skips the
+	// rest: each pair's rows merge into each block it covers once.
+	for len(a.blockRows) < len(bp.parts) {
+		//lint:ignore hotalloc amortized: row buffer list grows to the widest trigger's block count once
+		a.blockRows = append(a.blockRows, nil)
+	}
+	for b := range bp.parts {
+		a.blockRows[b] = a.blockRows[b][:0]
+	}
+	for _, m := range a.met {
+		rows := ring.slices[lo+int(m.slice)].aggs.classRows(int(m.class))
+		bp.round++
+		for _, qi := range a.members[m.from:m.to] {
+			if b := bp.of[qi]; bp.first(b) {
+				a.mergeRows(b, rows)
+			}
 		}
-		for i := 0; i < len(cs); {
-			c := &cs[i]
-			for ; len(c.run) > 0 && c.run[0].key == key; c.run = c.run[1:] {
-				sp := a.spans[c.base+c.run[0].group]
-				for _, b := range a.covers[sp.from:sp.to] {
-					a.blocks[b].merge(key, c.run[0].v)
-				}
-			}
-			if len(c.run) > 0 {
-				i++
-			} else {
-				cs[i] = cs[len(cs)-1]
-				cs = cs[:len(cs)-1]
-			}
+	}
+	a.metrics.BitsetOps.observe(tick, a.metrics)
+
+	for qi, aq := range queries {
+		if b := bp.of[qi]; b >= 0 {
+			a.emitRows(aq, ext, a.blockRows[b])
 		}
 	}
 }
 
-// merge folds partial v of key into the block: into its last row when that
-// row is key's, else into a new last row.
-func (blk *fireBlock) merge(key int64, v *aggVal) {
-	n := len(blk.rows)
-	if n > 0 && blk.rows[n-1].key == key {
-		blk.rows[n-1].v.merge(v)
+// mergeRows merges src, a class's rows, into block b's, both ascending by
+// key. Into an empty block it is a copy; while every key of src is the
+// block's already it is in place; from the first that is not, the rest goes
+// through rowTmp, which then swaps with the block's buffer, so both stay
+// allocated across fires.
+func (a *SharedAggregation) mergeRows(b int32, src []aggRow) {
+	dst := a.blockRows[b]
+	if len(dst) == 0 {
+		a.blockRows[b] = resize(dst, len(src))
+		copy(a.blockRows[b], src)
 		return
 	}
-	if n < cap(blk.rows) {
-		blk.rows = blk.rows[:n+1]
-	} else {
-		//lint:ignore hotalloc amortized: block rows grow to the window's key count once
-		blk.rows = append(blk.rows, aggRow{})
+	i := 0
+	for j := range src {
+		for i < len(dst) && dst[i].key < src[j].key {
+			i++
+		}
+		if i < len(dst) && dst[i].key == src[j].key {
+			dst[i].v.merge(&src[j].v)
+			i++
+			continue
+		}
+		// Rows move by copy: scratchlocal reads a row assigned out of one
+		// scratch buffer into another as an alias kept past the call.
+		out := resize(a.rowTmp, len(dst)+len(src)-j)
+		k := copy(out, dst[:i])
+		for ; i < len(dst) && j < len(src); k++ {
+			switch {
+			case dst[i].key < src[j].key:
+				copy(out[k:], dst[i:i+1])
+				i++
+			case dst[i].key > src[j].key:
+				out[k] = src[j]
+				j++
+			default:
+				copy(out[k:], dst[i:i+1])
+				out[k].v.merge(&src[j].v)
+				i, j = i+1, j+1
+			}
+		}
+		k += copy(out[k:], dst[i:])
+		k += copy(out[k:], src[j:])
+		a.blockRows[b], a.rowTmp = out[:k], dst[:0]
+		return
 	}
-	blk.rows[n].key, blk.rows[n].v = key, *v
 }
 
 // relate loads every cap group's rel for sl — the group's slots live from
@@ -866,156 +974,260 @@ func (a *SharedAggregation) relate(sl *slice, groups []capGroup) (any bool) {
 	return any
 }
 
-// visit runs a refinement round for every one of the first n cap groups the
-// query-set qs is effective for under the rels relate loaded, and reports
-// whether there was one.
-func (a *SharedAggregation) visit(qs bitset.Bits, n int) (hit bool) {
-	for ci := range a.caps[:n] {
-		fc := &a.caps[ci]
-		qs.AndInto(fc.rel, &a.effTmp)
-		if a.effTmp.IsEmpty() {
-			continue
-		}
-		hit = true
-		a.round++
-		a.refineBlocks(fc.slotQ)
+// resize returns s at length n: on its own backing when that is large
+// enough, else on a fresh one. The contents are the caller's to write.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		//lint:ignore hotalloc amortized: scratch grows to the widest use once
+		return make([]T, n)
 	}
-	return hit
+	return s[:n]
 }
 
-// seal lays a slice out for the fires over it, once: the first fire after
-// the watermark closed it, or a snapshot before that, finds it unsealed, and
-// from then on no tuple adds a group or a key to it (a tuple that does
-// unseals it, and the next fire or snapshot seals it again). Its groups'
-// query-sets go back to back (sealSets) and its partials into one run by
-// (key, group position), the groups' maps and key lists dropped: the run is
-// the storage.
-func (a *SharedAggregation) seal(x *aggIndex) {
-	if x.flat == nil {
-		sealSets(&x.qsIndex)
+// appendSlots appends qs's slots to dst, ascending.
+func appendSlots(dst []int32, qs bitset.Bits) []int32 {
+	for wi, nw := 0, qs.WordCount(); wi < nw; wi++ {
+		for w := qs.Word(wi); w != 0; w &= w - 1 {
+			//lint:ignore hotalloc appends into the caller's scratch; grows to the widest set once
+			dst = append(dst, int32(wi*64+bits.TrailingZeros64(w)))
+		}
 	}
-	if x.run != nil {
+	return dst
+}
+
+// seal lays an open slice out for the fires over it, once: the first fire
+// after the watermark closed it, or a snapshot before that, finds it open.
+// It partitions the slice's slots into classes by refinement over its
+// groups' query-sets — O(Σ popcount), the coarsest partition in which every
+// group is a union of classes — numbers the classes by smallest slot, walks
+// the partials key by key and gives each class one row per key any group
+// containing it has, merging those groups' partials. Then every partial,
+// group and the group index go back to the freelists: the rows are the
+// storage. A tuple the rows cannot take unseals the slice (unseal), and the
+// next fire or snapshot seals it again.
+func (a *SharedAggregation) seal(x *aggIndex) {
+	o := x.open
+	if o == nil {
 		return
 	}
-	n := 0
-	for _, g := range x.order {
+	st := &a.sealTmp
+	p := &st.parts
+	p.parts = p.parts[:0]
+	st.union.Reset()
+	for _, g := range o.order {
+		st.union.OrInPlace(g.qs)
+	}
+	st.slots = appendSlots(st.slots[:0], st.union)
+	all := p.add(int32(len(st.slots)))
+	for _, s := range st.slots {
+		p.place(s, all)
+	}
+	st.members, st.memEnd = st.members[:0], resize(st.memEnd, len(o.order))
+	for gi, g := range o.order {
+		from := len(st.members)
+		st.members = appendSlots(st.members, g.qs)
+		p.refine(st.members[from:])
+		st.memEnd[gi] = int32(len(st.members))
+	}
+
+	// Number the classes by smallest slot and lay their slots out ascending.
+	st.classOf = resize(st.classOf, len(p.parts))
+	for i := range st.classOf {
+		st.classOf[i] = -1
+	}
+	nc := 0
+	for _, s := range st.slots {
+		if pt := p.of[s]; st.classOf[pt] < 0 {
+			st.classOf[pt] = int32(nc)
+			nc++
+		}
+	}
+	x.classes, x.slots = resize(x.classes, nc), resize(x.slots, len(st.slots))
+	st.at, st.seen = resize(st.at, nc), resize(st.seen, nc)
+	clear(x.classes)
+	clear(st.seen)
+	for _, s := range st.slots {
+		x.classes[st.classOf[p.of[s]]].slotEnd++
+	}
+	end := int32(0)
+	for c := range x.classes {
+		st.at[c] = end
+		end += x.classes[c].slotEnd
+		x.classes[c].slotEnd = end
+	}
+	for _, s := range st.slots {
+		c := st.classOf[p.of[s]]
+		x.slots[st.at[c]] = s
+		st.at[c]++
+	}
+
+	// Each group's classes, found through its slots: a group holds whole
+	// classes, and the seen stamp lists each once.
+	st.cls, st.clsEnd = resize(st.cls, len(st.members)), resize(st.clsEnd, len(o.order))
+	n, from := 0, int32(0)
+	for gi, to := range st.memEnd {
+		for _, s := range st.members[from:to] {
+			if c := st.classOf[p.of[s]]; st.seen[c] != int32(gi+1) {
+				st.seen[c] = int32(gi + 1)
+				st.cls[n] = c
+				n++
+			}
+		}
+		from = to
+		st.clsEnd[gi] = int32(n)
+	}
+
+	// Chain the partials by key — one probe of a reused map each — and order
+	// the distinct keys. Walking the chains in key order visits the partials
+	// key by key, the order of groups within a key being one merging ignores:
+	// a first walk counts each class's rows, one per key it meets, a second
+	// fills them.
+	if st.keyAt == nil {
+		//lint:ignore hotalloc cold: the seal's key table is made once and cleared per seal
+		st.keyAt = make(map[int64]int32)
+	}
+	clear(st.keyAt)
+	n = 0
+	for _, g := range o.order {
 		n += len(g.keys)
 	}
-	run := a.takeRun(n)
-	for gi, g := range x.order {
-		g.pos = int32(gi)
-		for _, key := range g.keys {
-			//lint:ignore hotalloc the seal: takeRun gave the backing room for all n partials, so this never grows it
-			run = append(run, aggPart{key: key, group: int32(gi), v: g.byKey[key]})
+	st.chains, st.partials, st.next = st.chains[:0], resize(st.partials, n), resize(st.next, n)
+	n = 0
+	for gi, g := range o.order {
+		for j, key := range g.keys {
+			k, ok := st.keyAt[key]
+			if !ok {
+				k = int32(len(st.chains))
+				st.keyAt[key] = k
+				//lint:ignore hotalloc amortized: seal scratch grows to the widest slice's key count once
+				st.chains = append(st.chains, keyChain{key: key, head: -1})
+			}
+			st.next[n], st.chains[k].head = st.chains[k].head, int32(n)
+			st.partials[n] = aggPart{group: int32(gi), v: g.vals[j]}
+			n++
 		}
-		a.dropMaps(g)
 	}
-	slices.SortFunc(run, cmpPart)
-	x.run = run
+	slices.SortFunc(st.chains, cmpKeyChain)
+	clear(st.seen)
+	for i, ch := range st.chains {
+		ord := int32(i + 1)
+		for pi := ch.head; pi >= 0; pi = st.next[pi] {
+			for _, c := range st.groupClasses(st.partials[pi].group) {
+				if st.seen[c] != ord {
+					st.seen[c] = ord
+					x.classes[c].rowEnd++
+				}
+			}
+		}
+	}
+	end = 0
+	for c := range x.classes {
+		st.at[c] = end
+		end += x.classes[c].rowEnd
+		x.classes[c].rowEnd = end
+	}
+	x.rows = a.takeRows(int(end))
+	for i, ch := range st.chains {
+		ord := int32(len(st.chains) + i + 1)
+		for pi := ch.head; pi >= 0; pi = st.next[pi] {
+			v := st.partials[pi].v
+			for _, c := range st.groupClasses(st.partials[pi].group) {
+				if st.seen[c] != ord {
+					st.seen[c] = ord
+					r := &x.rows[st.at[c]]
+					r.key, r.v = ch.key, *v
+					st.at[c]++
+				} else {
+					x.rows[st.at[c]-1].v.merge(v)
+				}
+			}
+		}
+	}
+	for _, pt := range st.partials {
+		a.putVal(pt.v)
+	}
+	a.dropGroups(x)
 }
 
-// unseal gives a sealed slice's groups maps and key lists back from the run,
-// each group's keys in run order, and recycles the run: a tuple needs a
-// partial or a group the run has no room for.
+// groupClasses returns the classes group gi of the slice being sealed holds.
+func (st *sealScratch) groupClasses(gi int32) []int32 {
+	from := int32(0)
+	if gi > 0 {
+		from = st.clsEnd[gi-1]
+	}
+	return st.cls[from:st.clsEnd[gi]]
+}
+
+// foldSealed folds t — its masked query-set in qsTmp — into a sealed slice's
+// rows in place and reports true when every class qsTmp touches lies inside
+// it and has a row for t's key: then qsTmp is a union of classes, a group of
+// it would not change the partition, and the rows it would add to are
+// exactly those. It reports false, having folded nothing, otherwise: a slot
+// of no class, a class qsTmp cuts, a key new to a class.
+func (a *SharedAggregation) foldSealed(x *aggIndex, t *event.Tuple) bool {
+	a.lateRows = a.lateRows[:0]
+	covered := 0
+	for c := range x.classes {
+		slots := x.classSlots(c)
+		in := 0
+		for _, s := range slots {
+			if a.qsTmp.Test(int(s)) {
+				in++
+			}
+		}
+		if in == 0 {
+			continue
+		}
+		if in < len(slots) {
+			return false
+		}
+		rows := x.classRows(c)
+		i, ok := slices.BinarySearchFunc(rows, t.Key, cmpRowKey)
+		if !ok {
+			return false
+		}
+		covered += in
+		//lint:ignore hotalloc amortized: late-fold scratch grows to the widest slice's class count once
+		a.lateRows = append(a.lateRows, x.classes[c].rowEnd-int32(len(rows)-i))
+	}
+	if covered != a.qsTmp.Count() {
+		return false
+	}
+	for _, ri := range a.lateRows {
+		x.rows[ri].v.fold(t)
+	}
+	return true
+}
+
+// cmpRowKey orders a row against a key.
+func cmpRowKey(r aggRow, key int64) int { return cmp.Compare(r.key, key) }
+
+// unseal reopens a sealed slice for a tuple its rows cannot take: each class
+// becomes an open group whose query-set is the class's slots, holding one
+// partial per row, and the rows go back to the freelist. Sealing again, with
+// whatever groups tuples add meanwhile, gives what never sealing would have:
+// every original group was a union of classes, so refining by the classes
+// instead of by those groups separates exactly the same slots, the new
+// groups refine both alike, and a final class inside class c lies in an
+// original group iff c does, so its rows merge the same partials — c's rows
+// already merged them — plus the new groups' (aggVal merges commute).
 func (a *SharedAggregation) unseal(x *aggIndex) {
-	for _, g := range x.order {
-		a.takeMaps(g)
-	}
-	for _, p := range x.run {
-		g := x.order[p.group]
-		//lint:ignore hotalloc cold: a tuple unsealing a slice rebuilds its groups once
-		g.keys = append(g.keys, p.key)
-		g.byKey[p.key] = p.v
-	}
-	a.putRun(x.run)
-	x.run = nil
-}
-
-// sealSets lays the query-sets of x's groups out back to back in x.flat and
-// re-points every spilled set at its words there, so the copy costs no
-// memory. It runs once per slice, at the first fire after the watermark
-// closed it: from then on no tuple adds a group (a late one that does makes
-// put drop the layout, and the next fire seals again).
-func sealSets(x *qsIndex[aggGroup]) {
-	n := 0
-	for _, g := range x.order {
-		n += g.qs.WordCount()
-	}
-	//lint:ignore hotalloc cold: once per slice, not per fire
-	x.flat = make([]uint64, n)
-	//lint:ignore hotalloc cold: once per slice, not per fire
-	x.ends = make([]int32, len(x.order))
-	to := 0
-	for i, g := range x.order {
-		from := to
-		for wi, nw := 0, g.qs.WordCount(); wi < nw; wi++ {
-			x.flat[to] = g.qs.Word(wi)
-			to++
+	a.openIndex(x)
+	for c := range x.classes {
+		set := &a.sealTmp.union
+		set.Reset()
+		for _, s := range x.classSlots(c) {
+			set.Set(int(s))
 		}
-		x.ends[i] = int32(to)
-		if to-from > 1 {
-			g.qs = bitset.View(x.flat[from:to:to])
+		g := a.takeGroup(*set)
+		for _, r := range x.classRows(c) {
+			v := a.getVal()
+			*v = r.v
+			g.add(r.key, v)
 		}
+		x.open.put(g.qs, g)
 	}
-}
-
-// newBlock appends an empty block of size members from recycled storage.
-func (a *SharedAggregation) newBlock(size int32) int32 {
-	n := len(a.blocks)
-	if n < cap(a.blocks) {
-		a.blocks = a.blocks[:n+1]
-	} else {
-		//lint:ignore hotalloc amortized: block list grows to the widest trigger's block count once
-		a.blocks = append(a.blocks, fireBlock{})
-	}
-	blk := &a.blocks[n]
-	blk.size = size
-	blk.rows = blk.rows[:0]
-	return int32(n)
-}
-
-// refineBlocks is one round of partition refinement: every block that effTmp
-// cuts — some members inside, some outside — splits, the inside members
-// moving to a new block. Two walks over effTmp's set bits: count each met
-// block's inside members, then move them where the count fell short of the
-// block's size. Queries end up in one block exactly when no membership of
-// the run tells them apart.
-func (a *SharedAggregation) refineBlocks(slotQ []int32) {
-	a.cutTmp = a.cutTmp[:0]
-	for wi, nw := 0, a.effTmp.WordCount(); wi < nw; wi++ {
-		for w := a.effTmp.Word(wi); w != 0; w &= w - 1 {
-			b := a.blkOf[slotQ[wi*64+bits.TrailingZeros64(w)]]
-			blk := &a.blocks[b]
-			if blk.round != a.round {
-				blk.round, blk.hits = a.round, 0
-				//lint:ignore hotalloc amortized: met-block scratch grows to the widest trigger's block count once
-				a.cutTmp = append(a.cutTmp, b)
-			}
-			blk.hits++
-		}
-	}
-	cut := false
-	for _, b := range a.cutTmp {
-		hits := a.blocks[b].hits
-		a.blocks[b].split = -1
-		if hits < a.blocks[b].size {
-			nb := a.newBlock(hits) // may move a.blocks
-			a.blocks[b].size -= hits
-			a.blocks[b].split = nb
-			cut = true
-		}
-	}
-	if !cut {
-		return
-	}
-	for wi, nw := 0, a.effTmp.WordCount(); wi < nw; wi++ {
-		for w := a.effTmp.Word(wi); w != 0; w &= w - 1 {
-			qi := slotQ[wi*64+bits.TrailingZeros64(w)]
-			if nb := a.blocks[a.blkOf[qi]].split; nb >= 0 {
-				a.blkOf[qi] = nb
-			}
-		}
-	}
+	a.dropRows(x)
 }
 
 // fireBench drives one window fire for the benchmark harness: trigger

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -26,8 +28,10 @@ import (
 // fireWindowScan is the reference: one query, one extent, one private
 // accumulator that re-merges every group the query is effective in, slice by
 // slice. It shares no fire code with the engine — no triggers of several
-// queries, no cap groups, no blocks, no pooled partials — only the slice
-// ring and the changelog table it reads. (Until PR 14 a pooled variant of
+// queries, no cap groups, no blocks, no classes, no pooled partials — only the
+// slice ring and the changelog table it reads. It reads a slice's open
+// groups, so the instance it runs on never fires through fireWindow and never
+// snapshots: its slices are never sealed. (Until PR 14 a pooled variant of
 // this loop was the production scan arm.)
 func (a *SharedAggregation) fireWindowScan(ext window.Extent, aq *liveQuery, curEpoch uint64) {
 	capTo := curEpoch
@@ -47,7 +51,10 @@ func (a *SharedAggregation) fireWindowScan(ext window.Extent, aq *liveQuery, cur
 		if err != nil {
 			panic(fmt.Sprintf("reference rel: %v", err))
 		}
-		for _, g := range sl.aggs.order {
+		if sl.aggs.open == nil {
+			panic("reference: a slice of the reference instance was sealed")
+		}
+		for _, g := range sl.aggs.open.order {
 			if !g.qs.Test(aq.slot) || !rel.Test(aq.slot) {
 				continue
 			}
@@ -401,13 +408,13 @@ func TestFireManyMemberships(t *testing.T) {
 	if p.watermark(t, "wm=100", 100) == 0 {
 		t.Fatal("no rows fired")
 	}
-	if len(p.eng.blocks) <= 64 {
-		t.Fatalf("%d blocks for %d queries with pairwise distinct memberships", len(p.eng.blocks), n)
+	if len(p.eng.blocks.parts) <= 64 {
+		t.Fatalf("%d blocks for %d queries with pairwise distinct memberships", len(p.eng.blocks.parts), n)
 	}
 }
 
 // TestFireBlocksAreExact: two queries share a block exactly when no
-// (slice, group) of the run tells them apart — a single group in a single
+// (slice, class) of the run tells them apart — a single group in a single
 // slice that holds one and not the other separates them.
 func TestFireBlocksAreExact(t *testing.T) {
 	for _, odd := range []bool{false, true} {
@@ -425,7 +432,7 @@ func TestFireBlocksAreExact(t *testing.T) {
 			p.tuple(event.Tuple{Key: 1, Time: 70, QuerySet: bitset.FromIndexes(0)})
 		}
 		p.eng.fireWindow(window.Extent{Start: 0, End: 100}, eng)
-		blk := p.eng.blkOf
+		blk := p.eng.blocks.of
 		if blk[2] == blk[0] || blk[2] == blk[1] {
 			t.Fatalf("odd=%v: query 3 shares a block: %v", odd, blk)
 		}
@@ -435,13 +442,13 @@ func TestFireBlocksAreExact(t *testing.T) {
 	}
 }
 
-// TestFireSealsSliceSets: the first fire over a slice lays its groups'
-// query-sets out back to back and re-points the wide ones at that layout (no
-// second copy), and moves its partials into one run the groups keep no map
-// or key list beside; a late tuple that adds a group to such a slice drops
-// both layouts, a snapshot or the next fire builds them again, and the fires
-// of the engine and of an instance restored from that snapshot still match
-// the reference.
+// TestFireSealsSliceSets: the first fire over a slice seals it into the
+// classes a brute force over its groups predicts — wide query-sets included —
+// and keeps nothing open beside them: no group, no partial. A late tuple that
+// adds a group to such a slice unseals it; a snapshot or the next fire seals
+// it again into the classes of every group it has seen, and the fires of the
+// engine and of an instance restored from that snapshot still match the
+// reference.
 func TestFireSealsSliceSets(t *testing.T) {
 	const n = 70
 	p := newFirePair(50, n)
@@ -463,103 +470,134 @@ func TestFireSealsSliceSets(t *testing.T) {
 		}
 	}
 	feed(0, 400)
-	if p.watermark(t, "wm=400", 400) == 0 {
-		t.Fatal("no rows fired")
+	x := sliceAt(t, p.eng, 400).aggs
+	if x.open == nil {
+		t.Fatal("the slice [200,400) is sealed before any fire")
 	}
-
-	var sealed *slice
-	for _, sl := range p.eng.win.sides[0].slices {
-		if sl.ext.End == 400 {
-			sealed = sl
-		}
-	}
-	if sealed == nil || sealed.aggs.flat == nil {
-		t.Fatal("the fired slice [200,400) is gone or was not sealed")
-	}
-	x := sealed.aggs
-	from, wide := int32(0), 0
-	for i, to := range x.ends {
-		g := x.order[i]
-		if !bitset.View(x.flat[from:to]).Equal(g.qs) {
-			t.Fatalf("group %d: layout holds %v, group %v", i, x.flat[from:to], g.qs.Words())
-		}
-		if to-from > 1 {
+	wide := 0
+	for _, g := range x.open.order {
+		if g.qs.WordCount() > 1 {
 			wide++
-			// Setting a bit in the layout shows through the group's set:
-			// they are the same words.
-			x.flat[from] ^= 1 << 63
-			if g.qs.Word(0) != x.flat[from] {
-				t.Fatalf("group %d keeps a copy of its set beside the layout", i)
-			}
-			x.flat[from] ^= 1 << 63
 		}
-		from = to
 	}
 	if wide == 0 {
 		t.Fatal("no query-set wider than one word; the test proved nothing")
 	}
-	assertSealedRun(t, x)
+	want := bruteSeal(x)
+	if p.watermark(t, "wm=400", 400) == 0 {
+		t.Fatal("no rows fired")
+	}
+	assertSealed(t, x, want)
 
 	// Late, but inside the slice [200,400) that [200,600) still needs: a
 	// query-set no group there has yet.
 	late := event.Tuple{Key: 9, Time: 390, IngestNanos: 1000, QuerySet: bitset.FromIndexes(1, 2, 69)}
 	late.Fields[0] = 7
 	p.tuple(late)
-	if x.flat != nil || x.run != nil {
-		t.Fatal("a group added after sealing left the stale layout in place")
+	if x.open == nil || len(x.classes) != 0 || x.rows != nil {
+		t.Fatal("a tuple splitting the slice's classes left it sealed")
 	}
-	for i, g := range x.order {
-		if g.byKey == nil || len(g.keys) == 0 {
-			t.Fatalf("group %d has no map back after the slice was unsealed", i)
-		}
-	}
+	want = bruteSeal(x)
 	p.restore(t, 50, n)
+	assertSealed(t, x, want)
 	feed(400, 600)
 	if p.watermark(t, "wm=600", 600) == 0 {
 		t.Fatal("no rows fired")
 	}
-	if x.flat == nil || len(x.ends) != len(x.order) {
-		t.Fatalf("slice not sealed again: %d ends for %d groups", len(x.ends), len(x.order))
-	}
-	assertSealedRun(t, x)
+	assertSealed(t, x, want)
 }
 
-// assertSealedRun: a sealed slice keeps its partials in the run alone — no
-// group holds a map or a key list — ordered by (key, group position), with
-// a partial of every group.
-func assertSealedRun(t *testing.T, x *aggIndex) {
+// sealed is a sealed slice's layout in plain form: per class its slots and
+// its rows.
+type sealed struct {
+	slots [][]int32
+	rows  [][]aggRow
+}
+
+// bruteSeal is what sealing x's open groups must give, by brute force: the
+// slots grouped by the exact set of groups containing them, classes in
+// smallest-slot order, and per class and key the merge of the partials of
+// every group containing the class.
+func bruteSeal(x *aggIndex) sealed {
+	in := map[int][]int{} // slot → the groups containing it
+	for gi, g := range x.open.order {
+		for _, s := range g.qs.Indexes() {
+			in[s] = append(in[s], gi)
+		}
+	}
+	slots := make([]int, 0, len(in))
+	for s := range in {
+		slots = append(slots, s)
+	}
+	slices.Sort(slots)
+	var out sealed
+	class := map[string]int{}
+	for _, s := range slots {
+		sig := fmt.Sprint(in[s])
+		c, ok := class[sig]
+		if !ok {
+			c = len(out.slots)
+			class[sig] = c
+			out.slots = append(out.slots, nil)
+			acc := map[int64]*aggVal{}
+			for _, gi := range in[s] {
+				g := x.open.order[gi]
+				for _, key := range g.keys {
+					if acc[key] == nil {
+						acc[key] = &aggVal{}
+						acc[key].reset()
+					}
+					acc[key].merge(g.byKey[key])
+				}
+			}
+			var rows []aggRow
+			for key, v := range acc {
+				rows = append(rows, aggRow{key: key, v: *v})
+			}
+			slices.SortFunc(rows, func(a, b aggRow) int { return cmp.Compare(a.key, b.key) })
+			out.rows = append(out.rows, rows)
+		}
+		out.slots[c] = append(out.slots[c], int32(s))
+	}
+	return out
+}
+
+// layoutOf reads a sealed slice's layout.
+func layoutOf(x *aggIndex) sealed {
+	var out sealed
+	for c := range x.classes {
+		out.slots = append(out.slots, slices.Clone(x.classSlots(c)))
+		out.rows = append(out.rows, slices.Clone(x.classRows(c)))
+	}
+	return out
+}
+
+// assertSealed: a sealed slice keeps its class rows alone — no open group,
+// map or partial — laid out as want.
+func assertSealed(t *testing.T, x *aggIndex, want sealed) {
 	t.Helper()
-	if len(x.run) == 0 {
-		t.Fatal("sealed slice has no run")
+	if x.open != nil {
+		t.Fatal("the slice is not sealed")
 	}
-	for i, g := range x.order {
-		if g.byKey != nil || g.keys != nil {
-			t.Fatalf("group %d of a sealed slice still holds a map or key list", i)
-		}
-		if g.pos != int32(i) {
-			t.Fatalf("group %d records position %d", i, g.pos)
-		}
+	got := layoutOf(x)
+	if !reflect.DeepEqual(got.slots, want.slots) {
+		t.Fatalf("sealed classes differ from the brute force:\n got %v\nwant %v", got.slots, want.slots)
 	}
-	held := make([]bool, len(x.order))
-	for i, p := range x.run {
-		if i > 0 && cmpPart(x.run[i-1], p) >= 0 {
-			t.Fatalf("run out of (key, group) order at %d", i)
+	for c := range want.rows {
+		if !reflect.DeepEqual(got.rows[c], want.rows[c]) {
+			t.Fatalf("class %v: rows differ from the brute force:\n got %v\nwant %v", got.slots[c], got.rows[c], want.rows[c])
 		}
-		held[p.group] = true
-	}
-	if gi := slices.Index(held, false); gi >= 0 {
-		t.Fatalf("group %d has no partial in the run", gi)
 	}
 }
 
 // The tests below pin what a sealed slice must keep doing: take a late
 // tuple, survive a snapshot, serve wide query-sets and several cap groups,
-// and give every partial back at eviction. Each compares every row, in
-// order, with the reference, and passed on the parent of the key-major run
-// before that change.
+// and give every partial back. Each compares every row, in order, with the
+// reference.
 
 // sealQueries are four sliding windows over [200,400)'s slice for three
-// fires (ending 400, 600, 800), one per aggregate family.
+// fires (ending 400, 600, 800), one per aggregate family, and a fifth that
+// feedSeal never selects, so its slot is in no class.
 func sealQueries() []*Query {
 	spec := window.SlidingSpec(600, 200)
 	return []*Query{
@@ -567,11 +605,12 @@ func sealQueries() []*Query {
 		aggQ(spec, sqlstream.AggMax, 1, expr.True()),
 		aggQ(spec, sqlstream.AggCount, 0, expr.True()),
 		aggQ(spec, sqlstream.AggMin, 2, expr.True()),
+		aggQ(spec, sqlstream.AggAvg, 3, expr.True()),
 	}
 }
 
 // feedSeal folds tuples at every other time in [from, to) into p under three
-// query-set groups over slots 0–3, five keys each.
+// query-set groups over slots 0–3, five keys each: classes {0,1} and {2,3}.
 func feedSeal(p *firePair, from, to event.Time) {
 	sets := []bitset.Bits{bitset.FromIndexes(0, 1), bitset.FromIndexes(2, 3), bitset.FromIndexes(0, 1, 2, 3)}
 	for at := from; at < to; at += 2 {
@@ -593,37 +632,61 @@ func lateSeal(key int64, slots ...int) event.Tuple {
 	return tu
 }
 
+// lateSealCases are the kinds of tuple into the sealed slice [200,400): one
+// its rows take in place, and three that unseal it — a key new to a class, a
+// query-set cutting both classes, a slot of no class.
+var lateSealCases = []struct {
+	name    string
+	late    event.Tuple
+	inPlace bool
+}{
+	{"existing partial", lateSeal(1, 0, 1, 2, 3), true},
+	{"new key", lateSeal(99, 2, 3), false},
+	{"new group", lateSeal(1, 1, 2), false},
+	{"unclassed slot", lateSeal(1, 0, 1, 4), false},
+}
+
+// sliceAt returns a's slice ending at end.
+func sliceAt(t *testing.T, a *SharedAggregation, end event.Time) *slice {
+	t.Helper()
+	for _, sl := range a.win.sides[0].slices {
+		if sl.ext.End == end {
+			return sl
+		}
+	}
+	t.Fatalf("no slice ends at %v", end)
+	return nil
+}
+
 // TestFireLateIntoSealedSlice: a tuple behind the watermark but not behind
 // the eviction mark lands in a slice a fire has already sealed. Whether its
-// (key, group) partial exists, its key is new to the group, or its query-set
-// is a group of its own, the next two windows over the slice count it, once
-// each, as the reference does — and a second late tuple of the same kind,
-// arriving after the next fire sealed the slice again, too.
+// rows take it in place or it unseals the slice, the next two windows over
+// the slice count it, once each, as the reference does — and a second late
+// tuple of the same kind, arriving after the next fire sealed the slice
+// again, too.
 func TestFireLateIntoSealedSlice(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		late event.Tuple
-	}{
-		{"existing partial", lateSeal(1, 0, 1)},
-		{"new key", lateSeal(99, 2, 3)},
-		{"new group", lateSeal(1, 1, 2)},
-	} {
+	for _, tc := range lateSealCases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := newFirePair(400, 4)
+			p := newFirePair(400, 5)
 			p.deploy(t, newCLBuilder(), 0, sealQueries()...)
 			feedSeal(p, 0, 400)
 			if p.watermark(t, "wm=400", 400) == 0 {
 				t.Fatal("no rows fired")
 			}
-			p.tuple(tc.late)
-			feedSeal(p, 400, 600)
-			if p.watermark(t, "wm=600", 600) == 0 {
-				t.Fatal("no rows fired")
+			x := sliceAt(t, p.eng, 400).aggs
+			if x.open != nil || len(x.classes) != 2 {
+				t.Fatalf("the fire left [200,400) with %d classes, open %v; want 2, sealed", len(x.classes), x.open != nil)
 			}
-			p.tuple(tc.late)
-			feedSeal(p, 600, 800)
-			if p.watermark(t, "wm=800", 800) == 0 {
-				t.Fatal("no rows fired")
+			for round, wm := range []event.Time{600, 800} {
+				p.tuple(tc.late)
+				// The second arrival finds the rows the first one made.
+				if sealed := x.open == nil; sealed != (tc.inPlace || round > 0) {
+					t.Fatalf("round %d: slice sealed %v after the late tuple", round, sealed)
+				}
+				feedSeal(p, wm-200, wm)
+				if p.watermark(t, fmt.Sprintf("wm=%v", wm), wm) == 0 {
+					t.Fatal("no rows fired")
+				}
 			}
 			if late := p.eng.metrics.Late; late != 0 {
 				t.Fatalf("%d tuples dropped as late; the slice was meant to take them", late)
@@ -633,20 +696,23 @@ func TestFireLateIntoSealedSlice(t *testing.T) {
 }
 
 // TestFireSealRestoreLateFold: a snapshot cut after a fire sealed a slice
-// restores an instance whose slice is sealed too; late tuples of every kind
-// then fold into both, the two snapshots stay byte-identical, and the next
-// fires of the engine, the restored instance and the reference agree.
+// restores an instance whose slice is sealed into the same classes; late
+// tuples of every kind then fold into both, the two snapshots stay
+// byte-identical, and the next fires of the engine, the restored instance
+// and the reference agree.
 func TestFireSealRestoreLateFold(t *testing.T) {
-	p := newFirePair(400, 4)
+	p := newFirePair(400, 5)
 	p.deploy(t, newCLBuilder(), 0, sealQueries()...)
 	feedSeal(p, 0, 400)
 	if p.watermark(t, "wm=400", 400) == 0 {
 		t.Fatal("no rows fired")
 	}
-	p.restore(t, 400, 4)
-	for _, late := range []event.Tuple{lateSeal(1, 0, 1), lateSeal(99, 2, 3), lateSeal(1, 1, 2), lateSeal(98, 0, 1)} {
-		p.tuple(late)
-		assertSameSnapshot(t, "after a late fold", p.eng.OnBarrier(2, nil), p.restored.OnBarrier(2, nil))
+	p.restore(t, 400, 5)
+	want := layoutOf(sliceAt(t, p.eng, 400).aggs)
+	assertSealed(t, sliceAt(t, p.restored, 400).aggs, want)
+	for _, tc := range lateSealCases {
+		p.tuple(tc.late)
+		assertSameSnapshot(t, "after a late fold ("+tc.name+")", p.eng.OnBarrier(2, nil), p.restored.OnBarrier(2, nil))
 	}
 	feedSeal(p, 400, 600)
 	if p.watermark(t, "wm=600", 600) == 0 {
@@ -748,18 +814,38 @@ func TestFireTwoCapGroupsOneRun(t *testing.T) {
 	}
 }
 
-// TestFireEvictionRecyclesPartials: once every slice is evicted, every
-// partial ever carved is back on the freelist — the slabs' carved values
-// add up to whole chunks — and a second identical round, late tuples
-// unsealing slices included, carves nothing and leaves as many group maps
-// and run backings pooled as the first.
+// heldPartials counts the partials a's open slices hold.
+func heldPartials(a *SharedAggregation) (n int) {
+	for _, sl := range a.win.sides[0].slices {
+		if sl.aggs != nil && sl.aggs.open != nil {
+			for _, g := range sl.aggs.open.order {
+				n += len(g.keys)
+			}
+		}
+	}
+	return n
+}
+
+// TestFireEvictionRecyclesPartials: a partial lives only while its slice is
+// open — after every fire, each carved partial is on the freelist, uncarved,
+// or held by an open slice, the slabs adding up to whole chunks — and once
+// every slice is evicted all of them are back; a second identical round, late
+// tuples unsealing slices included, carves nothing and leaves as many groups,
+// group indexes, slice indexes and row backings pooled as the first.
 func TestFireEvictionRecyclesPartials(t *testing.T) {
-	p := newFirePair(400, 4)
+	p := newFirePair(400, 5)
 	p.deploy(t, newCLBuilder(), 0, sealQueries()...)
 	round := func(base event.Time) {
 		feedSeal(p, base, base+800)
 		for _, wm := range []event.Time{400, 800} {
 			p.watermark(t, fmt.Sprintf("wm=%v", base+wm), base+wm)
+			pooled, slab, held := len(p.eng.valPool), len(p.eng.valSlab), heldPartials(p.eng)
+			if (pooled+slab+held)%aggSlabLen != 0 {
+				t.Fatalf("wm=%v: %d partials pooled, %d uncarved, %d in open slices: a sealed slice kept one", base+wm, pooled, slab, held)
+			}
+			if x := sliceAt(t, p.eng, base+wm).aggs; x.open != nil {
+				t.Fatalf("wm=%v: the slice the fire closed is open", base+wm)
+			}
 			// Into the slice just sealed: an existing partial, then a new key.
 			for _, key := range []int64{1, int64(wm)} {
 				tu := lateSeal(key, 0, 1)
@@ -775,31 +861,33 @@ func TestFireEvictionRecyclesPartials(t *testing.T) {
 			t.Fatalf("%d slices live after the drain watermark", n)
 		}
 	}
-	round(0)
-	pooled, slab := len(p.eng.valPool), len(p.eng.valSlab)
-	if pooled == 0 || (pooled+slab)%aggSlabLen != 0 {
-		t.Fatalf("%d partials pooled and %d uncarved: some carved partial never came back", pooled, slab)
+	pools := func() [5]int {
+		a := p.eng
+		return [5]int{len(a.valPool), len(a.groupPool), len(a.openPool), len(a.indexPool), len(a.rowPool)}
 	}
-	maps, runs := len(p.eng.mapPool), len(p.eng.runPool)
-	if maps == 0 || runs == 0 {
-		t.Fatalf("%d group maps and %d runs pooled after the drain; the test proved nothing", maps, runs)
+	round(0)
+	first, slab := pools(), len(p.eng.valSlab)
+	if first[0] == 0 || (first[0]+slab)%aggSlabLen != 0 {
+		t.Fatalf("%d partials pooled and %d uncarved: some carved partial never came back", first[0], slab)
+	}
+	for i, n := range first {
+		if n == 0 {
+			t.Fatalf("freelist %d is empty after the drain; the test proved nothing", i)
+		}
 	}
 	round(2000)
-	if got, gotSlab := len(p.eng.valPool), len(p.eng.valSlab); got != pooled || gotSlab != slab {
-		t.Fatalf("second round: %d pooled, %d uncarved; want %d and %d (a partial leaked and was carved again)", got, gotSlab, pooled, slab)
-	}
-	if got, gotRuns := len(p.eng.mapPool), len(p.eng.runPool); got != maps || gotRuns != runs {
-		t.Fatalf("second round: %d group maps and %d runs pooled; want %d and %d (a freelist grows every round)", got, gotRuns, maps, runs)
+	if got := pools(); got != first || len(p.eng.valSlab) != slab {
+		t.Fatalf("second round: pooled %v with %d uncarved; want %v and %d (something leaked, or a freelist grows every round)", got, len(p.eng.valSlab), first, slab)
 	}
 }
 
-// TestFireSealOrdersAnyKeys: sealing orders a run by key whatever bytes the
-// keys differ in — negative keys, the extremes, keys apart in high bytes
+// TestFireSealOrdersAnyKeys: sealing orders class rows by key whatever bytes
+// the keys differ in — negative keys, the extremes, keys apart in high bytes
 // only — and rows leave in ascending key order as the reference's do.
 func TestFireSealOrdersAnyKeys(t *testing.T) {
 	keys := []int64{math.MinInt64, -1 << 40, -70000, -3, -1, 0, 1, 255, 256, 65537, 1 << 33, 3 << 56, math.MaxInt64}
 	for _, keySet := range [][]int64{keys, {-2, -1}, {7, 7 + 1<<48}, {42}} {
-		p := newFirePair(0, 4)
+		p := newFirePair(0, 5)
 		p.deploy(t, newCLBuilder(), 0, sealQueries()...)
 		r := rand.New(rand.NewSource(int64(len(keySet))))
 		sets := []bitset.Bits{bitset.FromIndexes(0, 1), bitset.FromIndexes(2), bitset.FromIndexes(0, 1, 2, 3)}
@@ -810,11 +898,110 @@ func TestFireSealOrdersAnyKeys(t *testing.T) {
 			}
 			p.tuple(tu)
 		}
+		var want []sealed
+		for _, sl := range p.eng.win.sides[0].slices {
+			want = append(want, bruteSeal(sl.aggs))
+		}
 		if p.watermark(t, fmt.Sprintf("keys %v", keySet), 200) == 0 {
 			t.Fatal("no rows fired")
 		}
-		for _, sl := range p.eng.win.sides[0].slices {
-			assertSealedRun(t, sl.aggs)
+		for i, sl := range p.eng.win.sides[0].slices {
+			assertSealed(t, sl.aggs, want[i])
 		}
+	}
+}
+
+// TestSealClassesArePartition: over random slices — wide and spilled
+// query-sets, one-slot groups, slots shared by many groups, one instance
+// sealing slice after slice through the same scratch — the seal's classes
+// are the coarsest partition of the slots by the groups containing them, in
+// smallest-slot order, and each class's rows merge its groups' partials
+// (bruteSeal). Unsealing and sealing again reproduces both; so does
+// unsealing, folding more tuples, and sealing, against a twin slice that
+// took the same tuples and never sealed — the rule unseal relies on.
+func TestSealClassesArePartition(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed))
+			a := NewSharedAggregation(1, 0, NewRouter(&OpMetrics{}), &OpMetrics{})
+			width := []int{8, 64, 200}[seed%3]
+			randSet := func() bitset.Bits {
+				var qs bitset.Bits
+				switch r.Intn(4) {
+				case 0: // one slot
+					qs.Set(r.Intn(width))
+				case 1: // a block of slots, shared by many groups
+					lo := r.Intn(width)
+					for s := lo; s < min(width, lo+1+r.Intn(70)); s++ {
+						qs.Set(s)
+					}
+				default:
+					for k := 0; k <= r.Intn(6); k++ {
+						qs.Set(r.Intn(width))
+					}
+				}
+				return qs
+			}
+			randTuple := func(sets []bitset.Bits) event.Tuple {
+				tu := event.Tuple{Key: int64(r.Intn(40)) - 20, IngestNanos: int64(r.Intn(1000)), QuerySet: sets[r.Intn(len(sets))]}
+				for f := range tu.Fields {
+					tu.Fields[f] = int64(r.Intn(100)) - 50
+				}
+				return tu
+			}
+			foldAll := func(tuples []event.Tuple, xs ...*aggIndex) {
+				for _, tu := range tuples {
+					for _, x := range xs {
+						a.qsTmp.CopyFrom(tu.QuerySet)
+						a.fold(x, &tu)
+					}
+				}
+			}
+			newSlice := func() *aggIndex {
+				x := a.takeIndex()
+				a.openIndex(x)
+				return x
+			}
+			for slice := 0; slice < 6; slice++ {
+				sets := make([]bitset.Bits, 1+r.Intn(40))
+				wide := false
+				for i := range sets {
+					sets[i] = randSet()
+					wide = wide || sets[i].WordCount() > 1
+				}
+				if width > 64 && !wide {
+					sets = append(sets, bitset.FromIndexes(width-1, 0))
+				}
+				tuples := make([]event.Tuple, 50+r.Intn(400))
+				for i := range tuples {
+					tuples[i] = randTuple(sets)
+				}
+				x, twin := newSlice(), newSlice()
+				foldAll(tuples, x, twin)
+				want := bruteSeal(x)
+				a.seal(x)
+				assertSealed(t, x, want)
+
+				a.unseal(x)
+				a.seal(x)
+				assertSealed(t, x, want)
+
+				// More tuples, some on new query-sets, into the sealed slice
+				// (in place or unsealing it) and into the twin.
+				sets = append(sets, randSet(), randSet())
+				more := make([]event.Tuple, 1+r.Intn(30))
+				for i := range more {
+					more[i] = randTuple(sets)
+				}
+				foldAll(more, x, twin)
+				want = bruteSeal(twin)
+				a.seal(x)
+				assertSealed(t, x, want)
+				a.seal(twin)
+				assertSealed(t, twin, want)
+				a.dropIndex(x)
+				a.dropIndex(twin)
+			}
+		})
 	}
 }

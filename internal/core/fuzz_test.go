@@ -158,10 +158,12 @@ func fuzzAgg(f *testing.F) (full, delta []byte) {
 	return full, delta
 }
 
-// FuzzAggregationRestore: no accepted shape — a repeated partial or
-// query-set, partials out of (key, group) order — means something the
-// encoder never wrote. A slice's bytes are a function of its content, sealed
-// or not, so an accepted snapshot re-encodes to itself by construction.
+// FuzzAggregationRestore: no accepted shape — overlapping classes, slots or
+// rows out of order, an empty class — means something the encoder never
+// wrote. A slice's bytes are a function of its content, sealed or not, so an
+// accepted snapshot re-encodes to itself by construction. The seeds are this
+// build's encoding and, under testdata, an earlier layout's (version 5),
+// which is rejected by its version byte.
 func FuzzAggregationRestore(f *testing.F) {
 	full, _ := fuzzAgg(f)
 	addCorruptions(f, full)
@@ -176,7 +178,8 @@ func FuzzAggregationRestore(f *testing.F) {
 }
 
 // FuzzAggregationRestoreDelta applies arbitrary bytes as the delta on top of
-// a restored base.
+// a restored base. A delta of the version-5 layout under testdata carries no
+// version byte of its own; its slices fail to decode as classes.
 func FuzzAggregationRestoreDelta(f *testing.F) {
 	full, delta := fuzzAgg(f)
 	addCorruptions(f, delta)

@@ -223,9 +223,10 @@ func KernelBenchmarks() []KernelBench {
 			// 2000/500 sliding window in eight predicate patterns of eight,
 			// tuples over 200 keys each selected by TRUE's pattern and a draw
 			// of the other seven — 32 query-set groups per slice, where
-			// windowfire-64q-slide8 has one. One trigger, eight blocks, four
-			// sealed slices merged key by key, 12 800 rows out; each
-			// iteration first folds a late tuple into a sealed slice.
+			// windowfire-64q-slide8 has one — sealed into eight classes. One
+			// trigger, eight blocks, four sealed slices each merging one
+			// class's rows into each block, 12 800 rows out; each iteration
+			// first folds a late tuple into a sealed slice's rows in place.
 			Name: "windowfire-64q-200keys",
 			New: func() func(int) {
 				agg := benchAggWindow(64, window.SlidingSpec(2000, 500))
@@ -261,6 +262,55 @@ func KernelBenchmarks() []KernelBench {
 						agg.fireBench(ext)
 					}
 				}
+			},
+		},
+		{
+			// The seal alone (DESIGN.md §15) on the ledger's shared64 shape:
+			// 72 query-set groups over the eight predicate patterns, TRUE's in
+			// every one, 180 of 200 keys each — 12 960 partials — partitioned
+			// into 8 classes, sorted by (key, group), merged into 1 600 class
+			// rows and recycled. Each iteration first re-opens the slice from
+			// the template through the freelists a fold draws on, then seals
+			// it and recycles the rows.
+			Name: "seal-64q-200keys",
+			New: func() func(int) {
+				agg := benchAgg(64)
+				var sets [72]bitset.Bits
+				for gi := range sets {
+					m := gi * 37 % 128 // 72 distinct subsets of the seven other patterns
+					for p := 0; p < 8; p++ {
+						if p == 0 || m>>(p-1)&1 == 1 {
+							for s := p; s < 64; s += 8 {
+								sets[gi].Set(s)
+							}
+						}
+					}
+				}
+				tuple := benchTuple(0, bitset.Bits{}, 0)
+				x := &aggIndex{}
+				//lint:hotpath seal kernel steady state
+				run := func(iters int) {
+					for i := 0; i < iters; i++ {
+						agg.openIndex(x)
+						for gi := range sets {
+							g := agg.takeGroup(sets[gi])
+							for key := int64(0); key < 200; key++ {
+								if (key*7+int64(gi))%10 == 0 {
+									continue
+								}
+								v := agg.getVal()
+								v.fold(&tuple)
+								g.add(key, v)
+							}
+							x.open.put(g.qs, g)
+						}
+						agg.seal(x)
+						agg.dropRows(x)
+					}
+				}
+				// Fill the freelists, group maps and seal scratch once.
+				run(1)
+				return run
 			},
 		},
 		{

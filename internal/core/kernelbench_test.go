@@ -20,6 +20,7 @@ func TestKernelRegistryNames(t *testing.T) {
 		"agg-ontuple-64q",
 		"windowfire-64q-slide8",
 		"windowfire-64q-200keys",
+		"seal-64q-200keys",
 		"chain-sel-agg-64q",
 		"snapshot-delta-encode-64q",
 		"bitset-and-into-128bit",

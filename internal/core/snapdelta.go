@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"astream/internal/spe"
 	"astream/internal/wire"
@@ -85,8 +86,10 @@ func (a *SharedAggregation) appendDelta(b []byte) []byte {
 // RestoreDelta implements spe.DeltaRestorable: advance a restored instance
 // by one appendDelta blob. Clean slices keep the aggregate index the base
 // (or previous delta) restored for the same slice id; dirty slices decode a
-// fresh one. Applying a delta to anything other than the exact state it was
-// encoded against is a chain-integrity error and fails loudly.
+// fresh one, and the index each replaces — like that of every slice the delta
+// no longer lists — goes back to the freelists. Applying a delta to anything
+// other than the exact state it was encoded against is a chain-integrity
+// error and fails loudly.
 func (a *SharedAggregation) RestoreDelta(snapshot []byte) error {
 	r := wire.NewReader(snapshot)
 	r.Version("aggregation delta magic", spe.DeltaSnapshotMagic)
@@ -101,8 +104,10 @@ func (a *SharedAggregation) RestoreDelta(snapshot []byte) error {
 	if err := a.win.table.ApplyDelta(tdelta); err != nil {
 		return err
 	}
-	prev := make(map[uint64]*aggIndex, len(a.win.sides[0].slices))
-	for _, sl := range a.win.sides[0].slices {
+	// The ring is rebuilt in place, so the slices it held are listed first.
+	old := slices.Clone(a.win.sides[0].slices)
+	prev := make(map[uint64]*aggIndex, len(old))
+	for _, sl := range old {
 		prev[sl.id] = sl.aggs
 	}
 	a.win.readSlices(r, func(r *wire.Reader, sl *slice) {
@@ -110,10 +115,16 @@ func (a *SharedAggregation) RestoreDelta(snapshot []byte) error {
 			sl.aggs = a.readAggIndex(r)
 		} else if aggs, ok := prev[sl.id]; ok {
 			sl.aggs = aggs
+			delete(prev, sl.id)
 		} else if r.Err() == nil {
 			r.Fail(fmt.Errorf("core: aggregation delta carries forward slice %d absent from the restored chain", sl.id))
 		}
 	})
+	for _, sl := range old {
+		if x := prev[sl.id]; x != nil {
+			a.dropIndex(x)
+		}
+	}
 	a.readWorkload(r)
 	return r.Finish("aggregation delta")
 }

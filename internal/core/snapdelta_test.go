@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"astream/internal/bitset"
 	"astream/internal/event"
@@ -263,32 +264,45 @@ func TestAggregationRestoreDeltaRejectsCorruptChains(t *testing.T) {
 	assertSameSnapshot(t, "chain vs original", agg.OnBarrier(99, nil), ok.OnBarrier(99, nil))
 }
 
-// TestAggregationDeltaChainAcrossSeal: a slice encoded before a fire, then
-// fired over without a fold, stays clean, so the chain keeps its bytes from
-// before the fire. Restoring that chain must still land in the state — the
-// bytes — of a full snapshot after it. They match by construction: a slice's
-// bytes are its run in (key, group) order, a function of its content alone,
-// whatever order its keys arrived in and whichever of a snapshot or a fire
-// sealed it first.
+// TestAggregationDeltaChainAcrossSeal: a slice's bytes are its classes and
+// their rows in key order, a function of its content alone — whatever order
+// its keys arrived in, whichever of a snapshot or a fire sealed it first,
+// however often a tuple unsealed it since. So a slice encoded at a barrier,
+// then fired over without a fold, stays clean and the chain keeps its bytes
+// from before the fire; one a new key unsealed in between is dirty, sealed
+// again and re-encoded by the next barrier; and restoring the chain lands in
+// the bytes of a full snapshot after it.
 func TestAggregationDeltaChainAcrossSeal(t *testing.T) {
 	b := newCLBuilder()
-	msg := b.create(t, 0, aggQ(window.SlidingSpec(20, 10), sqlstream.AggSum, 0, gt(0, -1)))
-	slot := msg.CL.Created[0].Slot
-	agg := newDeltaAgg(&[]string{}, msg.CL.Created[0].Query)
+	msg := b.create(t, 0,
+		aggQ(window.SlidingSpec(20, 10), sqlstream.AggSum, 0, gt(0, -1)),
+		aggQ(window.SlidingSpec(20, 10), sqlstream.AggMax, 1, gt(0, -1)))
+	s0, s1 := msg.CL.Created[0].Slot, msg.CL.Created[1].Slot
+	agg := newDeltaAgg(&[]string{}, msg.CL.Created[0].Query, msg.CL.Created[1].Query)
 	agg.OnChangelog(msg, 0, nil)
+	fold := func(key int64, at event.Time, slots ...int) {
+		agg.OnTuple(0, event.Tuple{Key: key, Time: at, Fields: [event.NumFields]int64{3, key}, QuerySet: bitset.FromIndexes(slots...)}, nil)
+	}
 	for i, key := range []int64{5, 3, 9, 1} { // not ascending
-		agg.OnTuple(0, event.Tuple{Key: key, Time: event.Time(1 + i), Fields: [event.NumFields]int64{3}, QuerySet: bitset.FromIndexes(slot)}, nil)
+		fold(key, event.Time(1+i), s0, s1) // [0,10): one class
+		fold(key, event.Time(11+i), s0)    // [10,20): two classes
+		fold(key, event.Time(15+i), s1)
 	}
 	base := agg.OnBarrierDelta(1, nil, 8)
-	agg.OnWatermark(10, nil)
-	if x := agg.win.sides[0].slices[0].aggs; x == nil || x.run == nil {
-		t.Fatal("the fire at 10 did not seal the slice; the test proved nothing")
+	older, newer := agg.win.sides[0].slices[0].aggs, agg.win.sides[0].slices[1].aggs
+	if older.open != nil || newer.open != nil || len(newer.classes) != 2 {
+		t.Fatal("the barrier did not seal both slices into their classes; the test proved nothing")
 	}
+	fold(7, 12, s0)
+	if newer.open == nil {
+		t.Fatal("a key new to its class left [10,20) sealed; the test proved nothing")
+	}
+	agg.OnWatermark(10, nil) // fires [-10,10) over the sealed [0,10)
 	delta := agg.OnBarrierDelta(2, nil, 8)
-	if dirty, _ := countDeltaSlices(t, delta); dirty != 0 {
-		t.Fatalf("the delta re-encoded %d slices; the sealed one was meant to stay clean", dirty)
+	if dirty, clean := countDeltaSlices(t, delta); dirty != 1 || clean != 1 {
+		t.Fatalf("the delta re-encoded %d slices and carried %d; want the unsealed one re-encoded, the fired one carried", dirty, clean)
 	}
-	fresh := newDeltaAgg(&[]string{}, msg.CL.Created[0].Query)
+	fresh := newDeltaAgg(&[]string{}, msg.CL.Created[0].Query, msg.CL.Created[1].Query)
 	if err := fresh.Restore(base); err != nil {
 		t.Fatal(err)
 	}
@@ -296,6 +310,68 @@ func TestAggregationDeltaChainAcrossSeal(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameSnapshot(t, "chain across a seal", agg.OnBarrier(99, nil), fresh.OnBarrier(99, nil))
+}
+
+// TestAggregationRestoreDeltaRecyclesReplaced: a delta that re-encodes a
+// slice, or no longer lists one the chain had, hands the restored instance's
+// old index for it back to the freelists. After a base and three deltas that
+// dirty and evict slices, every row backing the restored instance ever held
+// is held by a live slice or on its freelist. Every slice holds the same four
+// keys in one class, so any recycled backing fits any later slice and none is
+// dropped for being too small.
+func TestAggregationRestoreDeltaRecyclesReplaced(t *testing.T) {
+	b := newCLBuilder()
+	msg := b.create(t, 0, aggQ(window.TumblingSpec(10), sqlstream.AggSum, 0, gt(0, -1)))
+	slot, qid := msg.CL.Created[0].Slot, msg.CL.Created[0].Query
+	agg := newDeltaAgg(&[]string{}, qid)
+	agg.OnChangelog(msg, 0, nil)
+	fill := func(from event.Time) {
+		for key := int64(0); key < 4; key++ {
+			agg.OnTuple(0, event.Tuple{Key: key, Time: from + event.Time(key), Fields: [event.NumFields]int64{key}, QuerySet: bitset.FromIndexes(slot)}, nil)
+		}
+	}
+	fill(0)
+	fill(10)
+	fill(20)
+	chain := [][]byte{agg.OnBarrierDelta(1, nil, 8)}
+	for i, base := range []event.Time{20, 30, 40} {
+		// Dirty the newest slice with a key it has, open the next one, evict.
+		agg.OnTuple(0, event.Tuple{Key: 1, Time: base + 9, Fields: [event.NumFields]int64{5}, QuerySet: bitset.FromIndexes(slot)}, nil)
+		fill(base + 10)
+		agg.OnWatermark(base, nil)
+		chain = append(chain, agg.OnBarrierDelta(uint64(i+2), nil, 8))
+	}
+
+	fresh := newDeltaAgg(&[]string{}, qid)
+	held := map[*aggRow]bool{}
+	note := func() {
+		for _, sl := range fresh.win.sides[0].slices {
+			held[unsafe.SliceData(sl.aggs.rows)] = true
+		}
+	}
+	if err := fresh.Restore(chain[0]); err != nil {
+		t.Fatal(err)
+	}
+	note()
+	for i, d := range chain[1:] {
+		if err := fresh.RestoreDelta(d); err != nil {
+			t.Fatalf("delta %d: %v", i+1, err)
+		}
+		note()
+	}
+	if len(held) < 5 {
+		t.Fatalf("the chain restored %d row backings; the test proved nothing", len(held))
+	}
+	for _, sl := range fresh.win.sides[0].slices {
+		delete(held, unsafe.SliceData(sl.aggs.rows))
+	}
+	for _, rows := range fresh.rowPool {
+		delete(held, unsafe.SliceData(rows))
+	}
+	if len(held) != 0 {
+		t.Fatalf("%d row backings are neither held by a live slice nor on the freelist", len(held))
+	}
+	assertSameSnapshot(t, "chain vs original", agg.OnBarrier(99, nil), fresh.OnBarrier(99, nil))
 }
 
 // TestAggregationDeltaVsFullRestoreEquivalence: restoring base+deltas and

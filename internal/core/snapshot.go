@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"astream/internal/bitset"
 	"astream/internal/changelog"
@@ -25,7 +26,7 @@ import (
 // instances that processed the same prefix produce byte-identical
 // snapshots.
 
-const opSnapshotVersion = 5
+const opSnapshotVersion = 6
 
 // readSlot reads a query slot, rejecting numbers no engine could have
 // assigned (changelog.MaxSlots) before anything is sized from them.
@@ -142,10 +143,8 @@ func snapAggVal(b []byte, v *aggVal) []byte {
 	return b
 }
 
-// readAggVal decodes one partial into storage from the instance's freelist
-// and slabs, so restored state recycles exactly like folded state.
-func (a *SharedAggregation) readAggVal(r *wire.Reader) *aggVal {
-	v := a.getVal()
+// readAggVal decodes one partial into v.
+func readAggVal(r *wire.Reader, v *aggVal) {
 	v.Count = r.I64("aggval count")
 	for i := 0; i < event.NumFields; i++ {
 		v.Sum[i] = r.I64("aggval sum")
@@ -157,73 +156,96 @@ func (a *SharedAggregation) readAggVal(r *wire.Reader) *aggVal {
 		v.Max[i] = r.I64("aggval max")
 	}
 	v.IngestNanos = r.I64("aggval ingest")
-	return v
 }
 
-// appendAggIndex seals the slice and writes its groups' query-sets, then its
-// run: every partial as (group, key, value) in (key, group) order. The bytes
-// are a function of the slice's content alone — not of the order its keys
-// arrived in, nor of whether a fire had sealed it before.
+// appendAggIndex seals the slice and writes its classes: their count, then
+// per class its slots and its rows as (key, value). The bytes are a function
+// of the slice's content alone — not of the order its keys arrived in, nor of
+// whether a fire had sealed it before, nor of how often it was unsealed.
 func (a *SharedAggregation) appendAggIndex(b []byte, x *aggIndex) []byte {
 	a.seal(x)
-	b = wire.AppendCount(b, x.len())
-	for _, g := range x.order {
-		b = wire.AppendBits(b, g.qs)
-	}
-	b = wire.AppendCount(b, len(x.run))
-	for _, p := range x.run {
-		b = wire.AppendU32(b, uint32(p.group))
-		b = wire.AppendI64(b, p.key)
-		b = snapAggVal(b, p.v)
+	b = wire.AppendCount(b, len(x.classes))
+	for c := range x.classes {
+		slots := x.classSlots(c)
+		b = wire.AppendCount(b, len(slots))
+		for _, s := range slots {
+			b = wire.AppendU32(b, uint32(s))
+		}
+		rows := x.classRows(c)
+		b = wire.AppendCount(b, len(rows))
+		for i := range rows {
+			b = wire.AppendI64(b, rows[i].key)
+			b = snapAggVal(b, &rows[i].v)
+		}
 	}
 	return b
 }
 
+// aggRowSize is the encoded size of one class row.
+const aggRowSize = 8 + aggValSize
+
 // readAggIndex decodes appendAggIndex into a sealed slice. It accepts only
-// what the encoder writes: query-sets in strictly ascending canonical order,
-// partials in strictly ascending (key, group) order naming existing groups,
-// and a partial of every group — a repeated set or partial would count its
-// tuples twice.
+// what the encoder writes: at least one class; in each, at least one slot
+// below changelog.MaxSlots, slots strictly ascending, and at least one row,
+// keys strictly ascending; classes in strictly ascending order of smallest
+// slot and no slot in two of them — overlapping classes or a repeated row
+// would count tuples twice.
 func (a *SharedAggregation) readAggIndex(r *wire.Reader) *aggIndex {
-	x := newAggIndex()
-	ng := r.Count("agg group count", 4)
-	for gi := 0; gi < ng && r.Err() == nil; gi++ {
-		g := &aggGroup{qs: r.Bits("agg group query-set"), pos: int32(gi)}
-		if k := g.qs.Key(); gi > 0 && !x.keys[gi-1].Less(k) {
-			r.Fail(fmt.Errorf("core: agg group query-sets out of order or repeated at group %d", gi))
+	x := a.takeIndex()
+	rows := a.rowTmp[:0]
+	nc := r.Count("agg class count", 4+4+4+aggRowSize)
+	if nc == 0 && r.Err() == nil {
+		r.Fail(fmt.Errorf("core: agg slice holds no class"))
+	}
+	for c := 0; c < nc && r.Err() == nil; c++ {
+		ns := r.Count("agg class slot count", 4)
+		if ns == 0 && r.Err() == nil {
+			r.Fail(fmt.Errorf("core: agg class %d holds no slot", c))
 		}
-		if r.Err() == nil {
-			x.put(g.qs, g)
+		for i := 0; i < ns && r.Err() == nil; i++ {
+			s := int32(readSlot(r, "agg class slot"))
+			switch n := len(x.slots); {
+			case r.Err() != nil: // readSlot has failed the reader
+			case i > 0 && s <= x.slots[n-1]:
+				r.Fail(fmt.Errorf("core: agg class %d lists slot %d after slot %d", c, s, x.slots[n-1]))
+			case i == 0 && c > 0 && s <= x.classSlots(c - 1)[0]:
+				r.Fail(fmt.Errorf("core: agg classes out of order or repeated at class %d, which starts at slot %d", c, s))
+			}
+			x.slots = append(x.slots, s)
+		}
+		nr := r.Count("agg class row count", aggRowSize)
+		if nr == 0 && r.Err() == nil {
+			r.Fail(fmt.Errorf("core: agg class %d holds no row", c))
+		}
+		for i := 0; i < nr && r.Err() == nil; i++ {
+			row := aggRow{key: r.I64("agg row key")}
+			if n := len(rows); i > 0 && r.Err() == nil {
+				switch prev := rows[n-1].key; {
+				case row.key == prev:
+					r.Fail(fmt.Errorf("core: agg class %d lists key %d twice", c, row.key))
+				case row.key < prev:
+					r.Fail(fmt.Errorf("core: agg class %d lists key %d after key %d", c, row.key, prev))
+				}
+			}
+			readAggVal(r, &row.v)
+			rows = append(rows, row)
+		}
+		x.classes = append(x.classes, aggClass{slotEnd: int32(len(x.slots)), rowEnd: int32(len(rows))})
+	}
+	if r.Err() == nil {
+		sorted := slices.Clone(x.slots)
+		slices.Sort(sorted)
+		for i := 1; i < len(sorted); i++ {
+			if sorted[i] == sorted[i-1] {
+				r.Fail(fmt.Errorf("core: agg slot %d lies in two classes", sorted[i]))
+				break
+			}
 		}
 	}
-	n := r.Count("agg partial count", 4+8+aggValSize)
-	x.run = a.takeRun(n)
-	var held bitset.Bits
-	for i := 0; i < n && r.Err() == nil; i++ {
-		gi := r.U32("agg partial group")
-		p := aggPart{key: r.I64("agg partial key"), group: int32(gi)}
-		c := 1
-		if i > 0 {
-			c = cmpPart(p, x.run[i-1])
-		}
-		switch {
-		case gi >= uint32(ng):
-			r.Fail(fmt.Errorf("core: agg partial of key %d names group %d of %d", p.key, gi, ng))
-		case c == 0:
-			r.Fail(fmt.Errorf("core: agg group %d lists key %d twice", gi, p.key))
-		case c < 0:
-			r.Fail(fmt.Errorf("core: agg partials out of (key, group) order at key %d", p.key))
-		}
-		if r.Err() != nil {
-			break
-		}
-		held.Set(int(gi))
-		p.v = a.readAggVal(r)
-		x.run = append(x.run, p)
-	}
-	if r.Err() == nil && (n == 0 || held.Count() != ng) {
-		r.Fail(fmt.Errorf("core: agg slice holds %d groups but partials of %d", ng, held.Count()))
-	}
+	// The rows take a backing from the freelist, as a seal's do.
+	x.rows = a.takeRows(len(rows))
+	copy(x.rows, rows)
+	a.rowTmp = rows[:0]
 	return x
 }
 

@@ -230,21 +230,28 @@ func TestAggregationSnapshotRoundTrip(t *testing.T) {
 	b := newCLBuilder()
 	msg := b.create(t, 0,
 		aggQ(window.TumblingSpec(10), sqlstream.AggSum, 0, gt(0, -1)),
-		aggQ(window.SessionSpec(4), sqlstream.AggSum, 0, gt(0, -1)))
+		aggQ(window.SessionSpec(4), sqlstream.AggSum, 0, gt(0, -1)),
+		aggQ(window.TumblingSpec(10), sqlstream.AggMax, 0, gt(0, 20)))
 	tumID, tumSlot := msg.CL.Created[0].Query, msg.CL.Created[0].Slot
 	sessID, sessSlot := msg.CL.Created[1].Query, msg.CL.Created[1].Slot
+	maxID, maxSlot := msg.CL.Created[2].Query, msg.CL.Created[2].Slot
 
 	var gotO, gotF []string
-	orig := NewSharedAggregation(1, 10, captureRouter(&gotO, tumID, sessID), &OpMetrics{})
+	orig := NewSharedAggregation(1, 10, captureRouter(&gotO, tumID, sessID, maxID), &OpMetrics{})
 	orig.OnChangelog(msg, 0, nil)
 
 	// Bursty timeline: gaps > the session gap close sessions mid-stream, so
-	// the snapshot carries both closed history and open session state.
+	// the snapshot carries both closed history and open session state. The
+	// MAX query selects some tuples only, so slices hold two classes, one of
+	// them in two groups.
 	times := []event.Time{1, 2, 3, 9, 10, 11, 17, 18, 24, 25}
 	rng := rand.New(rand.NewSource(11))
 	mk := func(tm event.Time) event.Tuple {
 		tu := event.Tuple{Key: int64(rng.Intn(3)), Time: tm, QuerySet: bitset.FromIndexes(tumSlot, sessSlot)}
 		tu.Fields[0] = int64(rng.Intn(50))
+		if tu.Fields[0] > 20 {
+			tu.QuerySet.Set(maxSlot)
+		}
 		return tu
 	}
 	for _, tm := range times {
@@ -253,7 +260,7 @@ func TestAggregationSnapshotRoundTrip(t *testing.T) {
 	orig.OnWatermark(20, nil)
 
 	snap := orig.OnBarrier(1, nil)
-	fresh := NewSharedAggregation(1, 10, captureRouter(&gotF, tumID, sessID), &OpMetrics{})
+	fresh := NewSharedAggregation(1, 10, captureRouter(&gotF, tumID, sessID, maxID), &OpMetrics{})
 	if err := fresh.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -501,61 +508,84 @@ func forgeAggSnapshot(t *testing.T, forge func(a *SharedAggregation, x *aggIndex
 }
 
 // TestAggregationRestoreRejectsRepeatedKey: a slice snapshot listing one key
-// twice in a group restored without error before, and the window's COUNT of
-// 3 fired as 6 while the second partial was orphaned from the freelist.
+// twice in a class would fire the window's COUNT of 3 as 6.
 func TestAggregationRestoreRejectsRepeatedKey(t *testing.T) {
-	snap := forgeAggSnapshot(t, func(_ *SharedAggregation, x *aggIndex) {
-		g := x.order[0]
-		g.keys = append(g.keys, g.keys[0])
+	snap := forgeAggSnapshot(t, func(a *SharedAggregation, x *aggIndex) {
+		a.seal(x)
+		x.rows = append(x.rows, x.rows[len(x.rows)-1])
+		x.classes[len(x.classes)-1].rowEnd++
 	})
 	err := NewSharedAggregation(1, 10, NewRouter(&OpMetrics{}), &OpMetrics{}).Restore(snap)
 	if err == nil || !strings.Contains(err.Error(), "key 4 twice") {
-		t.Fatalf("a group listing key 4 twice restored: %v", err)
+		t.Fatalf("a class listing key 4 twice restored: %v", err)
 	}
 }
 
 // TestAggregationRestoreRejectsRepeatedGroup: a slice snapshot listing one
-// query-set twice restored without error before and double-counted the same
-// way, through two groups under one set.
+// class twice would double-count the same way, through two classes holding
+// one slot.
 func TestAggregationRestoreRejectsRepeatedGroup(t *testing.T) {
-	snap := forgeAggSnapshot(t, func(_ *SharedAggregation, x *aggIndex) {
-		x.order = append(x.order, x.order[0])
+	snap := forgeAggSnapshot(t, func(a *SharedAggregation, x *aggIndex) {
+		a.seal(x)
+		x.slots = append(x.slots, x.classSlots(0)...)
+		x.rows = append(x.rows, x.classRows(0)...)
+		x.classes = append(x.classes, aggClass{slotEnd: int32(len(x.slots)), rowEnd: int32(len(x.rows))})
 	})
 	err := NewSharedAggregation(1, 10, NewRouter(&OpMetrics{}), &OpMetrics{}).Restore(snap)
 	if err == nil || !strings.Contains(err.Error(), "out of order or repeated") {
-		t.Fatalf("a slice listing one query-set twice restored: %v", err)
+		t.Fatalf("a slice listing one class twice restored: %v", err)
 	}
 }
 
-// TestAggregationRestoreRejectsForgedRuns: the rest of what the sealed run's
-// encoder never writes — a partial naming a group the slice does not have,
-// partials out of (key, group) order, a group without a partial — and mask
-// versions whose start times fall, which masksAt would binary-search.
-func TestAggregationRestoreRejectsForgedRuns(t *testing.T) {
+// TestAggregationRestoreRejectsForgedClasses: the rest of what the class
+// encoder never writes — overlapping classes, slots out of order, classes out
+// of smallest-slot order, a class without rows or slots, a slice without
+// classes, rows out of key order or repeated, a slot no engine assigns — and
+// mask versions whose start times fall, which masksAt would binary-search. A
+// layout of the same shape that breaks no rule restores.
+func TestAggregationRestoreRejectsForgedClasses(t *testing.T) {
+	// layout replaces the slice's classes: per class its slots and row keys,
+	// every row the sealed slice's one value.
+	layout := func(slots [][]int32, keys [][]int64) func(*SharedAggregation, *aggIndex) {
+		return func(a *SharedAggregation, x *aggIndex) {
+			a.seal(x)
+			v := x.rows[0].v
+			x.classes, x.slots, x.rows = nil, nil, nil
+			for c := range slots {
+				x.slots = append(x.slots, slots[c]...)
+				for _, k := range keys[c] {
+					x.rows = append(x.rows, aggRow{key: k, v: v})
+				}
+				x.classes = append(x.classes, aggClass{slotEnd: int32(len(x.slots)), rowEnd: int32(len(x.rows))})
+			}
+		}
+	}
+	restore := func(forge func(*SharedAggregation, *aggIndex)) error {
+		return NewSharedAggregation(1, 10, NewRouter(&OpMetrics{}), &OpMetrics{}).Restore(forgeAggSnapshot(t, forge))
+	}
+	if err := restore(layout([][]int32{{0, 5}, {3}}, [][]int64{{1, 4}, {2}})); err != nil {
+		t.Fatalf("a well-formed layout was rejected: %v", err)
+	}
 	for _, tc := range []struct {
 		name  string
 		forge func(a *SharedAggregation, x *aggIndex)
 		want  string
 	}{
-		{"partial of a missing group", func(a *SharedAggregation, x *aggIndex) {
-			a.seal(x)
-			x.run[0].group = 1
-		}, "names group 1 of 1"},
-		{"partials out of order", func(a *SharedAggregation, x *aggIndex) {
-			a.seal(x)
-			x.run = append(x.run, aggPart{key: 1, v: a.getVal()})
-		}, "out of (key, group) order"},
-		{"group without a partial", func(a *SharedAggregation, x *aggIndex) {
-			a.seal(x)
-			g := &aggGroup{qs: bitset.FromIndexes(0, 1), pos: 1}
-			x.put(g.qs, g)
-		}, "holds 2 groups but partials of 1"},
+		{"slot in two classes", layout([][]int32{{0, 5}, {3, 5}}, [][]int64{{4}, {4}}), "slot 5 lies in two classes"},
+		{"slots out of order", layout([][]int32{{5, 3}}, [][]int64{{4}}), "lists slot 3 after slot 5"},
+		{"slot repeated in a class", layout([][]int32{{3, 3}}, [][]int64{{4}}), "lists slot 3 after slot 3"},
+		{"classes out of order", layout([][]int32{{3}, {1}}, [][]int64{{4}, {4}}), "out of order or repeated"},
+		{"class without rows", layout([][]int32{{0}}, [][]int64{{}}), "holds no row"},
+		{"class without slots", layout([][]int32{{}, {0}}, [][]int64{{4}, {4}}), "holds no slot"},
+		{"slice without classes", layout(nil, nil), "holds no class"},
+		{"rows out of order", layout([][]int32{{0}}, [][]int64{{4, 1}}), "lists key 1 after key 4"},
+		{"row key repeated", layout([][]int32{{0}}, [][]int64{{4, 4}}), "lists key 4 twice"},
+		{"slot beyond MaxSlots", layout([][]int32{{changelog.MaxSlots}}, [][]int64{{4}}), "beyond the"},
 		{"mask versions out of order", func(a *SharedAggregation, _ *aggIndex) {
 			a.maskVersions[0].from = 5
 		}, "before version"},
 	} {
-		err := NewSharedAggregation(1, 10, NewRouter(&OpMetrics{}), &OpMetrics{}).Restore(forgeAggSnapshot(t, tc.forge))
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
+		if err := restore(tc.forge); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: restored (%v)", tc.name, err)
 		}
 	}
