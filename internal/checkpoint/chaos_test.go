@@ -58,20 +58,39 @@ func testQuery(kind core.Kind) *core.Query {
 	}
 }
 
+// probeQuery is the selection query every phase of the workload starts and
+// stops: its changelogs create and delete no windowed query, so the windowed
+// operators relabel their slices instead of cutting them.
+func probeQuery() *core.Query {
+	return &core.Query{Kind: core.KindSelection, Arity: 1,
+		Predicates: []expr.Predicate{expr.True().And(expr.Comparison{Field: 2, Op: expr.GT, Value: 80})},
+		AggField:   -1}
+}
+
 // workload is the one step generator: the queries are submitted first, then
 // `phases` phases of `ticks` event-time ticks on 2 streams, each phase ending
-// in a checkpoint; the first query is stopped at the end of phase stopPhase
-// (none when negative). It must be identical across the clean run, the
-// chaotic run, and every recovery — all determinism lives here.
+// in a checkpoint. A selection probe is submitted at each phase's first tick
+// and stopped at its middle, so every phase crosses two non-cutting
+// changelogs; the first query is stopped at the end of phase stopPhase (none
+// when negative). It must be identical across the clean run, the chaotic run,
+// and every recovery — all determinism lives here.
 func workload(seed int64, phases, ticks, stopPhase int, queries ...*core.Query) []step {
 	rng := rand.New(rand.NewSource(seed))
 	var steps []step
 	for _, q := range queries {
 		steps = append(steps, step{kind: stepSubmit, query: q})
 	}
+	submitted := len(queries)
 	now := event.Time(0)
 	for phase := 0; phase < phases; phase++ {
 		for i := 0; i < ticks; i++ {
+			switch i {
+			case 0:
+				steps = append(steps, step{kind: stepSubmit, query: probeQuery()})
+				submitted++
+			case ticks / 2:
+				steps = append(steps, step{kind: stepStop, ord: submitted})
+			}
 			now++
 			for s := 0; s < 2; s++ {
 				tu := event.Tuple{Key: int64(rng.Intn(3)), Time: now}

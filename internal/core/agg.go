@@ -442,10 +442,12 @@ func aggPortOf(q *Query) int {
 	}
 }
 
-// OnChangelog updates active queries, port masks, epochs, and the table.
+// OnChangelog updates active queries, port masks, epochs, and the table. A
+// changelog cuts the slices only if it creates or deletes a windowed query;
+// the mask version is appended for every one, selection queries included.
 func (a *SharedAggregation) OnChangelog(payload any, at event.Time, _ *spe.Emitter) {
 	msg := payload.(*ChangelogMsg)
-	a.win.queries.markDeleted(msg.CL, at)
+	cut := a.win.queries.markDeleted(msg.CL, at)
 	a.selection.markDeleted(msg.CL, at)
 	for _, c := range msg.CL.Created {
 		q := msg.Defs[c.Query]
@@ -461,6 +463,7 @@ func (a *SharedAggregation) OnChangelog(payload any, at event.Time, _ *spe.Emitt
 			if lq.spec.Kind == window.Session {
 				lq.sessions = make(map[int64]*window.SessionState)
 			}
+			cut = true
 		}
 	}
 	// Append a new mask version effective from this changelog's time,
@@ -482,7 +485,7 @@ func (a *SharedAggregation) OnChangelog(payload any, at event.Time, _ *spe.Emitt
 		}
 	}
 	a.maskVersions = append(a.maskVersions, mv)
-	a.win.addEpoch(msg.CL, at)
+	a.win.addEpoch(msg.CL, at, cut)
 }
 
 // aggSlabLen is the number of partials in one slab chunk: 240 × 136 B fills

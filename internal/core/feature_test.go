@@ -273,7 +273,7 @@ func TestSlicerQuickBoundsContainT(t *testing.T) {
 				sl := event.Time(1 + rng.Intn(int(l)))
 				specs = append(specs, window.SlidingSpec(l, sl))
 			}
-			if err := s.addEpoch(at, seq, specs); err != nil {
+			if err := s.addEpoch(at, seq, specs, true); err != nil {
 				t.Fatal(err)
 			}
 			epochs = append(epochs, at)

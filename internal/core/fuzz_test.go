@@ -110,6 +110,9 @@ func FuzzSelectionRestore(f *testing.F) {
 	})
 }
 
+// FuzzJoinRestore: the seeds are this build's encoding in both store
+// layouts and, under testdata, two fuzzer finds and the forged slice rings
+// of TestSlicerRestoreRejectsForgedRings (ring-*).
 func FuzzJoinRestore(f *testing.F) {
 	for _, mode := range []StoreMode{StoreList, StoreGrouped} {
 		b := newCLBuilder()
@@ -163,7 +166,8 @@ func fuzzAgg(f *testing.F) (full, delta []byte) {
 // wrote. A slice's bytes are a function of its content, sealed or not, so an
 // accepted snapshot re-encodes to itself by construction. The seeds are this
 // build's encoding and, under testdata, an earlier layout's (version 5),
-// which is rejected by its version byte.
+// which is rejected by its version byte, and the forged slice rings of
+// TestSlicerRestoreRejectsForgedRings (ring-*), one per rejection.
 func FuzzAggregationRestore(f *testing.F) {
 	full, _ := fuzzAgg(f)
 	addCorruptions(f, full)
@@ -179,7 +183,8 @@ func FuzzAggregationRestore(f *testing.F) {
 
 // FuzzAggregationRestoreDelta applies arbitrary bytes as the delta on top of
 // a restored base. A delta of the version-5 layout under testdata carries no
-// version byte of its own; its slices fail to decode as classes.
+// version byte of its own; its slices fail to decode as classes. The ring-*
+// seeds are deltas over the same base whose slice ring is forged.
 func FuzzAggregationRestoreDelta(f *testing.F) {
 	full, delta := fuzzAgg(f)
 	addCorruptions(f, delta)

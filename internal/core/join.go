@@ -95,10 +95,12 @@ func queryAtStage(q *Query, stage int) (participates, terminal bool) {
 }
 
 // OnChangelog updates the active query set, registers the new epoch with
-// both side slicers, and extends the changelog-set table (Equation 1).
+// both side slicers — cutting their slices only if the changelog creates or
+// deletes a query of this stage — and extends the changelog-set table
+// (Equation 1).
 func (j *SharedJoin) OnChangelog(payload any, at event.Time, _ *spe.Emitter) {
 	msg := payload.(*ChangelogMsg)
-	j.win.queries.markDeleted(msg.CL, at)
+	cut := j.win.queries.markDeleted(msg.CL, at)
 	for _, c := range msg.CL.Created {
 		q := msg.Defs[c.Query]
 		if q == nil {
@@ -106,9 +108,10 @@ func (j *SharedJoin) OnChangelog(payload any, at event.Time, _ *spe.Emitter) {
 		}
 		if part, term := queryAtStage(q, j.stage); part {
 			j.win.queries.admit(q, c.Slot, at).terminal = term
+			cut = true
 		}
 	}
-	j.win.addEpoch(msg.CL, at)
+	j.win.addEpoch(msg.CL, at, cut)
 	// §3.2.3: the session's store marker switches every slice's data
 	// structure at once, and new slices follow suit.
 	switch msg.Switch {

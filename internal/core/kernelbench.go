@@ -206,6 +206,13 @@ func KernelBenchmarks() []KernelBench {
 				for i := 0; i < 512; i++ {
 					agg.OnTuple(0, benchTuple(i, qs, event.Time(i%800)), em)
 				}
+				// The timed tuples land in [700,800), which the fill above
+				// leaves empty: give it their 32 keys now, or each of the
+				// first 32 iterations brings a new key, unseals the slice and
+				// re-seals it into a fresh row backing.
+				for i := 0; i < 32; i++ {
+					agg.OnTuple(0, benchTuple(i, qs, 799), em)
+				}
 				ext := window.Extent{Start: 0, End: 800}
 				// Seal the slices and warm the trigger, block and row scratch.
 				agg.fireBench(ext)

@@ -10,7 +10,8 @@ import (
 
 // slicer cuts a stream's event-time axis into the dynamic slices of paper
 // §3.1.3. Slice boundaries are the union of (a) window edges of every query
-// active at that point in event-time and (b) changelog times. Boundaries are
+// active at that point in event-time and (b) the times of the changelogs that
+// create or delete one of the operator's windowed queries. Boundaries are
 // therefore a deterministic function of the changelog history, so every
 // operator instance — and every replay — cuts identical slices.
 //
@@ -59,23 +60,37 @@ func newSlicerWithIDs(offset, step uint64) *slicer {
 	}
 }
 
-// addEpoch registers a changelog boundary: from time at, the active
-// time-based specs are specs and the epoch is seq. Times must be
-// non-decreasing.
+// addEpoch registers changelog seq, applied at time at. Times must be
+// non-decreasing and seqs consecutive.
 //
-// An already-open slice can straddle the new boundary: it was created lazily
-// before the changelog arrived, when the epoch's window edges alone shaped
-// it. Every tuple it holds is older than `at` (the session picks changelog
-// times after everything ingested, and stream order delivers the marker
-// before any tuple at or past it), so truncating the slice at the boundary
-// is safe and restores the invariant that no slice spans two epochs.
-func (s *slicer) addEpoch(at event.Time, seq uint64, specs []window.Spec) error {
-	last := s.epochs[len(s.epochs)-1]
+// A cutting changelog opens an epoch: from at on, the active time-based specs
+// are specs. An already-open slice can straddle the new boundary: it was
+// created lazily before the changelog arrived, when the epoch's window edges
+// alone shaped it. Every tuple it holds is older than `at` (the session picks
+// changelog times after everything ingested, and stream order delivers the
+// marker before any tuple at or past it), so truncating the slice at the
+// boundary is safe and restores the invariant that no slice spans two epochs.
+//
+// A non-cutting changelog relabels instead: the newest epoch keeps its start
+// and specs and takes seq, and so does every slice carrying its old seq.
+// Slices therefore keep naming the newest table epoch, and the table compacts
+// past the changelogs they outlive.
+func (s *slicer) addEpoch(at event.Time, seq uint64, specs []window.Spec, cut bool) error {
+	last := &s.epochs[len(s.epochs)-1]
 	if at < last.from {
 		return fmt.Errorf("core: epoch time %v before previous %v", at, last.from)
 	}
 	if seq != last.seq+1 {
 		return fmt.Errorf("core: epoch seq %d after %d", seq, last.seq)
+	}
+	if !cut {
+		for _, sl := range s.slices {
+			if sl.epoch == last.seq {
+				sl.epoch = seq
+			}
+		}
+		last.seq = seq
+		return nil
 	}
 	if n := len(s.slices); n > 0 {
 		if sl := s.slices[n-1]; sl.ext.Start < at && at < sl.ext.End {

@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"astream/internal/bitset"
+	"astream/internal/changelog"
 	"astream/internal/event"
 	"astream/internal/spe"
 	"astream/internal/sqlstream"
@@ -144,7 +145,7 @@ func TestAggregationDeltaOmitsCleanSlices(t *testing.T) {
 	}
 
 	// Count dirty markers in the delta by re-decoding its slice section.
-	dirty, clean := countDeltaSlices(t, delta)
+	dirty, clean := countDeltaSlices(t, delta, agg.win.table)
 	if dirty != 1 {
 		t.Fatalf("delta re-serialized %d slices, want exactly 1", dirty)
 	}
@@ -154,16 +155,17 @@ func TestAggregationDeltaOmitsCleanSlices(t *testing.T) {
 
 	// An interval with no folds at all: every slice is clean.
 	empty := agg.OnBarrierDelta(3, nil, 8)
-	d0, _ := countDeltaSlices(t, empty)
+	d0, _ := countDeltaSlices(t, empty, agg.win.table)
 	if d0 != 0 {
 		t.Fatalf("idle delta re-serialized %d slices, want 0", d0)
 	}
 }
 
-// countDeltaSlices walks a delta blob's slice section and tallies dirty vs
+// countDeltaSlices walks a delta blob's slice section, against tbl, the
+// table of the instance that cut it, and tallies dirty vs
 // carried-forward entries, skipping dirty payloads via the same decoders the
 // restore path uses.
-func countDeltaSlices(t *testing.T, delta []byte) (dirty, clean int) {
+func countDeltaSlices(t *testing.T, delta []byte, tbl *changelog.Table) (dirty, clean int) {
 	t.Helper()
 	r := wire.NewReader(delta)
 	r.Version("magic", spe.DeltaSnapshotMagic)
@@ -171,7 +173,7 @@ func countDeltaSlices(t *testing.T, delta []byte) (dirty, clean int) {
 	r.I64("lastWM")
 	r.I64("evictedThru")
 	r.Bytes("table delta")
-	restoreSlicer(r, &slicer{}, func(r *wire.Reader, _ *slice) {
+	restoreSlicer(r, &slicer{}, tbl, func(r *wire.Reader, _ *slice) {
 		if r.Bool("dirty") {
 			dirty++
 			(&SharedAggregation{}).readAggIndex(r)
@@ -299,7 +301,7 @@ func TestAggregationDeltaChainAcrossSeal(t *testing.T) {
 	}
 	agg.OnWatermark(10, nil) // fires [-10,10) over the sealed [0,10)
 	delta := agg.OnBarrierDelta(2, nil, 8)
-	if dirty, clean := countDeltaSlices(t, delta); dirty != 1 || clean != 1 {
+	if dirty, clean := countDeltaSlices(t, delta, agg.win.table); dirty != 1 || clean != 1 {
 		t.Fatalf("the delta re-encoded %d slices and carried %d; want the unsealed one re-encoded, the fired one carried", dirty, clean)
 	}
 	fresh := newDeltaAgg(&[]string{}, msg.CL.Created[0].Query, msg.CL.Created[1].Query)

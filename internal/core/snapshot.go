@@ -275,21 +275,42 @@ func snapSlicer(b []byte, s *slicer, payload func([]byte, *slice) []byte) []byte
 	return b
 }
 
-func restoreSlicer(r *wire.Reader, s *slicer, payload func(*wire.Reader, *slice)) {
+// restoreSlicer decodes snapSlicer into s against tbl, the changelog-set
+// table the operator restored ahead of its slices (nil only once r has
+// failed). It accepts only the rings the encoder writes, which are the rings
+// the slicer can run: a non-zero stride; at least one epoch, starts
+// non-decreasing, seqs strictly increasing up to tbl.Latest(); slices
+// non-empty, strictly ascending and disjoint, each naming an epoch tbl
+// retains and an ID below nextID.
+func restoreSlicer(r *wire.Reader, s *slicer, tbl *changelog.Table, payload func(*wire.Reader, *slice)) {
 	s.nextID = r.U64("slicer nextID")
 	s.stride = r.U64("slicer stride")
+	if s.stride == 0 && r.Err() == nil {
+		r.Fail(fmt.Errorf("core: slicer slice-ID stride is 0"))
+	}
 	ne := r.Count("slicer epoch count", 20)
+	if ne == 0 && r.Err() == nil {
+		r.Fail(fmt.Errorf("core: slicer holds no epoch"))
+	}
 	s.epochs = s.epochs[:0]
 	for i := 0; i < ne && r.Err() == nil; i++ {
 		ep := epochInfo{
 			from: event.Time(r.I64("epoch from")),
 			seq:  r.U64("epoch seq"),
 		}
+		if i > 0 && r.Err() == nil {
+			if prev := &s.epochs[i-1]; ep.from < prev.from || ep.seq <= prev.seq {
+				r.Fail(fmt.Errorf("core: slicer epoch %d (seq %d from %v) does not follow epoch %d (seq %d from %v)", i, ep.seq, ep.from, i-1, prev.seq, prev.from))
+			}
+		}
 		ns := r.Count("epoch spec count", wire.SpecSize)
 		for j := 0; j < ns && r.Err() == nil; j++ {
 			ep.specs = append(ep.specs, wire.ReadSpec(r))
 		}
 		s.epochs = append(s.epochs, ep)
+	}
+	if r.Err() == nil && s.currentEpoch() != tbl.Latest() {
+		r.Fail(fmt.Errorf("core: slicer's newest epoch is %d, the changelog table's %d", s.currentEpoch(), tbl.Latest()))
 	}
 	nsl := r.Count("slicer slice count", 33)
 	s.slices = s.slices[:0]
@@ -302,7 +323,19 @@ func restoreSlicer(r *wire.Reader, s *slicer, payload func(*wire.Reader, *slice)
 			},
 			epoch: r.U64("slice epoch"),
 		}
-		payload(r, sl)
+		switch {
+		case r.Err() != nil:
+		case sl.ext.End <= sl.ext.Start:
+			r.Fail(fmt.Errorf("core: slice %d [%v,%v) is empty", sl.id, sl.ext.Start, sl.ext.End))
+		case i > 0 && sl.ext.Start < s.slices[i-1].ext.End:
+			r.Fail(fmt.Errorf("core: slice %d [%v,%v) starts before slice %d ends at %v", sl.id, sl.ext.Start, sl.ext.End, s.slices[i-1].id, s.slices[i-1].ext.End))
+		case sl.epoch < tbl.Base() || sl.epoch > tbl.Latest():
+			r.Fail(fmt.Errorf("core: slice %d names epoch %d outside the table's retained [%d,%d]", sl.id, sl.epoch, tbl.Base(), tbl.Latest()))
+		case sl.id >= s.nextID:
+			r.Fail(fmt.Errorf("core: slice id %d at or past the slicer's next id %d", sl.id, s.nextID))
+		default:
+			payload(r, sl)
+		}
 		if r.Err() == nil {
 			s.slices = append(s.slices, sl)
 		}

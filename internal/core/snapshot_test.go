@@ -591,6 +591,90 @@ func TestAggregationRestoreRejectsForgedClasses(t *testing.T) {
 	}
 }
 
+// ringForge edits a slicer and the operator's changelog table the way no
+// changelog, tuple or watermark can.
+type ringForge func(s *slicer, tbl *changelog.Table)
+
+// forgeRingSnapshot runs an operator through a windowed query created at 0,
+// tuples in three of its slices on every side and a selection query started
+// at 30 (a non-cutting changelog: the slices are relabeled to epoch 2), lets
+// forge edit one ring — the join's right side, whose slice IDs are odd — and
+// cuts the snapshot: the encoder then writes the forged ring with valid
+// framing. restore is a fresh instance's Restore.
+func forgeRingSnapshot(tb testing.TB, join bool, forge ringForge) (snap []byte, restore func([]byte) error) {
+	tb.Helper()
+	b := newCLBuilder()
+	var op spe.Logic
+	var win *windowOp
+	var q *Query
+	if join {
+		j := NewSharedJoin(0, StoreList, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
+		op, win, q = j, &j.win, joinQ(window.TumblingSpec(10), expr.True(), expr.True())
+		restore = NewSharedJoin(0, StoreList, 10, NewRouter(&OpMetrics{}), &OpMetrics{}).Restore
+	} else {
+		a := NewSharedAggregation(1, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
+		op, win, q = a, &a.win, aggQ(window.TumblingSpec(10), sqlstream.AggCount, 0, expr.True())
+		restore = NewSharedAggregation(1, 10, NewRouter(&OpMetrics{}), &OpMetrics{}).Restore
+	}
+	op.OnChangelog(b.create(tb, 0, q), 0, nil)
+	for tm := event.Time(1); tm < 30; tm += 4 {
+		for port := range win.sides {
+			op.OnTuple(port, event.Tuple{Key: 4, Time: tm, QuerySet: bitset.FromIndexes(0)}, nil)
+		}
+	}
+	op.OnChangelog(b.create(tb, 30, selQ(expr.True())), 30, nil)
+	forge(win.sides[len(win.sides)-1], win.table)
+	return op.OnBarrier(1, nil), restore
+}
+
+// ringForgeries are the rings snapSlicer never writes, each with the error
+// it must restore to: restored, each would panic in boundsAt, addEpoch or the
+// fire's Rel, or cut slices the fire double-counts.
+var ringForgeries = []struct {
+	name  string
+	forge ringForge
+	want  string
+}{
+	{"no epoch", func(s *slicer, _ *changelog.Table) { s.epochs = nil }, "holds no epoch"},
+	{"epoch starts falling", func(s *slicer, _ *changelog.Table) { s.epochs[0].from = 5 }, "does not follow"},
+	{"epoch seqs not rising", func(s *slicer, _ *changelog.Table) { s.epochs[0].seq = 2 }, "does not follow"},
+	{"newest epoch not the table's", func(s *slicer, _ *changelog.Table) { s.epochs[1].seq = 3 }, "newest epoch is 3"},
+	{"slices out of order", func(s *slicer, _ *changelog.Table) { s.slices[0], s.slices[1] = s.slices[1], s.slices[0] }, "starts before"},
+	{"slices overlapping", func(s *slicer, _ *changelog.Table) { s.slices[1].ext.Start-- }, "starts before"},
+	{"empty slice", func(s *slicer, _ *changelog.Table) { s.slices[1].ext.End = s.slices[1].ext.Start }, "is empty"},
+	{"slice epoch past the table", func(s *slicer, _ *changelog.Table) { s.slices[1].epoch = 3 }, "outside the table"},
+	{"slice epoch compacted away", func(s *slicer, tbl *changelog.Table) {
+		tbl.Compact(2)
+		s.slices[1].epoch = 1
+	}, "outside the table"},
+	{"stride 0", func(s *slicer, _ *changelog.Table) { s.stride = 0 }, "stride is 0"},
+	{"slice ID at nextID", func(s *slicer, _ *changelog.Table) { s.nextID = s.slices[2].id }, "at or past"},
+}
+
+// TestSlicerRestoreRejectsForgedRings: a slice ring restores, for either
+// operator, only from what snapSlicer writes. Before, every forgery below
+// decoded; the first tuple or fire then panicked or read another epoch's
+// changelog-set. A ring holding relabeled slices restores.
+func TestSlicerRestoreRejectsForgedRings(t *testing.T) {
+	for _, join := range []bool{false, true} {
+		snap, restore := forgeRingSnapshot(t, join, func(s *slicer, tbl *changelog.Table) {
+			if len(s.slices) != 3 || s.slices[0].epoch != 2 || tbl.Latest() != 2 || tbl.Base() != 0 {
+				t.Fatalf("join=%v: fixture ring has %d slices (first at epoch %d), table [%d,%d]; want 3 relabeled to epoch 2 of [0,2]",
+					join, len(s.slices), s.slices[0].epoch, tbl.Base(), tbl.Latest())
+			}
+		})
+		if err := restore(snap); err != nil {
+			t.Fatalf("join=%v: a well-formed ring was rejected: %v", join, err)
+		}
+		for _, tc := range ringForgeries {
+			snap, restore := forgeRingSnapshot(t, join, tc.forge)
+			if err := restore(snap); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("join=%v, %s: restored (%v)", join, tc.name, err)
+			}
+		}
+	}
+}
+
 // newControlEngine is an empty two-stream engine for control snapshots to
 // restore into.
 func newControlEngine(tb testing.TB) *Engine {

@@ -93,14 +93,17 @@ func (t *queryTable) admit(q *Query, slot int, at event.Time) *liveQuery {
 }
 
 // markDeleted ends the lifetime of cl's deleted queries at event-time at;
-// they stay in the table, capped at the epoch before cl, until purge.
-func (t *queryTable) markDeleted(cl *changelog.Changelog, at event.Time) {
+// they stay in the table, capped at the epoch before cl, until purge. It
+// reports whether cl deleted any query of the table.
+func (t *queryTable) markDeleted(cl *changelog.Changelog, at event.Time) (any bool) {
 	for _, d := range cl.Deleted {
 		if lq, ok := t.byID[d.Query]; ok {
 			lq.until = at
 			lq.endEpoch = cl.Seq - 1
+			any = true
 		}
 	}
+	return any
 }
 
 // purge drops the queries whose deletion time the watermark has reached:
@@ -317,18 +320,38 @@ func newWindowOp(lateness event.Time, specOf func(*Query) window.Spec, sides ...
 }
 
 // addEpoch registers cl, applied at event-time at, with every side's slicer
-// and extends the changelog-set table (Equation 1). Only queries running
-// after cl shape slicing going forward; the specs are stored by the slicers'
-// epoch history, so they are a fresh slice, not scratch.
-func (w *windowOp) addEpoch(cl *changelog.Changelog, at event.Time) {
-	specs := make([]window.Spec, 0, len(w.queries.ordered))
-	for _, lq := range w.queries.ordered {
-		if lq.until == event.MaxTime && lq.spec.IsTimeBased() {
-			specs = append(specs, lq.spec)
+// and extends the changelog-set table (Equation 1). cut is the operator's
+// decision, and it has one rule: cl cuts iff it creates or deletes a query of
+// w.queries. Only then do slices split at cl and the queries running after it
+// shape slicing going forward; the specs are stored by the slicers' epoch
+// history, so they are a fresh slice, not scratch.
+//
+// Any other changelog — a selection query started or stopped, a query of
+// another operator — relabels the slices of the newest epoch to cl's seq
+// instead (slicer.addEpoch). That changes no result: cl touches none of
+// the operator's slots, so cl.Set holds every one of them, and for every cap
+// c ≥ cl.Seq, Rel(cl.Seq-1, c) = Rel(cl.Seq, c) ∧ cl.Set agrees with
+// Rel(cl.Seq, c) on them. A pending-deleted query's cap lies below the
+// deletion changelog, which cut and so precedes the relabeled epoch: both
+// labels relate to it through that changelog's set, which clears its slot.
+// And a slice is only ever read on operator slots — the aggregation's
+// partials carry no others (it masks a tuple with masksAt(t.Time)), the join
+// delivers a row only to its cap groups' slots — so where the two labels
+// differ nothing is read. A join pair cached under the old label stays valid
+// for the same reason; only its rows' Join.QuerySet bits of other operators'
+// slots may differ from a fresh join's.
+func (w *windowOp) addEpoch(cl *changelog.Changelog, at event.Time, cut bool) {
+	var specs []window.Spec
+	if cut {
+		specs = make([]window.Spec, 0, len(w.queries.ordered))
+		for _, lq := range w.queries.ordered {
+			if lq.until == event.MaxTime && lq.spec.IsTimeBased() {
+				specs = append(specs, lq.spec)
+			}
 		}
 	}
 	for _, s := range w.sides {
-		if err := s.addEpoch(at, cl.Seq, specs); err != nil {
+		if err := s.addEpoch(at, cl.Seq, specs, cut); err != nil {
 			panic(fmt.Sprintf("core: window epoch: %v", err))
 		}
 	}
@@ -461,8 +484,10 @@ func (w *windowOp) appendSlices(b []byte, payload func([]byte, *slice) []byte) [
 	return b
 }
 
+// readSlices decodes the rings against w.table, which both operators restore
+// ahead of their slices.
 func (w *windowOp) readSlices(r *wire.Reader, payload func(*wire.Reader, *slice)) {
 	for _, s := range w.sides {
-		restoreSlicer(r, s, payload)
+		restoreSlicer(r, s, w.table, payload)
 	}
 }

@@ -450,3 +450,210 @@ func TestQueryTableCodec(t *testing.T) {
 		}
 	}
 }
+
+// churnClient is one operator, engine- and reference-fired, through the
+// selection-churn stream of TestSelectionChurnKeepsSlices.
+type churnClient interface {
+	changelog(msg *ChangelogMsg, at event.Time)
+	tuple(port int, tu event.Tuple)
+	// watermark advances every instance, holds the engine's rows to the
+	// reference's (and the restored instance's, once there is one) and
+	// returns them.
+	watermark(t *testing.T, what string, wm event.Time) []string
+	// link cuts the next snapshot of the chain; restore rebuilds a fresh
+	// instance from the chain, which then follows the stream.
+	link(t *testing.T)
+	restore(t *testing.T)
+	// wins lists the engine's driver, then the restored instance's.
+	wins() []*windowOp
+}
+
+// aggChurn is an aggregation client; its chain is a full snapshot and the
+// deltas on top of it.
+type aggChurn struct {
+	p     *firePair
+	chain [][]byte
+}
+
+func (c *aggChurn) changelog(msg *ChangelogMsg, at event.Time) { c.p.changelog(msg, at) }
+func (c *aggChurn) tuple(_ int, tu event.Tuple)                { c.p.tuple(tu) }
+
+func (c *aggChurn) watermark(t *testing.T, what string, wm event.Time) []string {
+	t.Helper()
+	p := c.p
+	p.eng.OnWatermark(wm, nil)
+	refWatermark(p.ref, wm)
+	assertSameStrings(t, what, p.engOut, p.refOut)
+	if p.restored != nil {
+		p.restored.OnWatermark(wm, nil)
+		assertSameStrings(t, what+" (restored)", p.restOut, p.refOut)
+	}
+	rows := append([]string(nil), p.engOut...)
+	p.engOut, p.refOut, p.restOut = p.engOut[:0], p.refOut[:0], p.restOut[:0]
+	return rows
+}
+
+func (c *aggChurn) link(*testing.T) {
+	c.chain = append(c.chain, c.p.eng.OnBarrierDelta(uint64(len(c.chain)+1), nil, 1<<20))
+}
+
+func (c *aggChurn) restore(t *testing.T) {
+	t.Helper()
+	lateness := c.p.eng.win.lateness
+	c.p.restored = NewSharedAggregation(1, lateness, fireRouter(&c.p.restOut, 1), NewOpMetrics(nil))
+	if err := c.p.restored.Restore(c.chain[0]); err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range c.chain[1:] {
+		if d[0] != spe.DeltaSnapshotMagic {
+			t.Fatalf("chain link %d is not a delta", i+1)
+		}
+		if err := c.p.restored.RestoreDelta(d); err != nil {
+			t.Fatalf("chain link %d: %v", i+1, err)
+		}
+	}
+}
+
+func (c *aggChurn) wins() []*windowOp {
+	if c.p.restored == nil {
+		return []*windowOp{&c.p.eng.win}
+	}
+	return []*windowOp{&c.p.eng.win, &c.p.restored.win}
+}
+
+// joinChurn is a join client; a join snapshots in full, so its chain is the
+// snapshot restore cuts.
+type joinChurn struct{ p *joinPair }
+
+func (c *joinChurn) changelog(msg *ChangelogMsg, at event.Time) { c.p.changelog(msg, at) }
+func (c *joinChurn) tuple(port int, tu event.Tuple)             { c.p.tuple(port, tu) }
+
+func (c *joinChurn) watermark(t *testing.T, what string, wm event.Time) []string {
+	t.Helper()
+	p := c.p
+	p.eng.j.OnWatermark(wm, p.eng.pass)
+	refJoinWatermark(p.ref, wm, p.refOut)
+	rows := p.eng.out.canon()
+	assertSameStrings(t, what, rows, p.refOut.canon())
+	if p.restored != nil {
+		p.restored.j.OnWatermark(wm, p.restored.pass)
+		assertSameStrings(t, what+" (restored)", p.restored.out.canon(), rows)
+		clear(p.restored.out)
+	}
+	clear(p.eng.out)
+	clear(p.refOut)
+	return rows
+}
+
+func (c *joinChurn) link(*testing.T) {}
+
+func (c *joinChurn) restore(t *testing.T) { c.p.restore(t, c.p.eng.j.win.lateness, 1) }
+
+func (c *joinChurn) wins() []*windowOp {
+	if c.p.restored == nil {
+		return []*windowOp{&c.p.eng.j.win}
+	}
+	return []*windowOp{&c.p.eng.j.win, &c.p.restored.j.win}
+}
+
+// ringExtents lists every side's slice extents.
+func ringExtents(w *windowOp) string {
+	var b strings.Builder
+	for side, s := range w.sides {
+		fmt.Fprintf(&b, "side %d:", side)
+		for _, sl := range s.slices {
+			fmt.Fprintf(&b, " %v", sl.ext)
+		}
+		b.WriteString("; ")
+	}
+	return b.String()
+}
+
+// TestSelectionChurnKeepsSlices: a changelog that creates or deletes none of
+// an operator's windowed queries cuts none of its slices. One tuple stream is
+// fed twice, plain and with a selection query swapped every other tick (a
+// stop and a start changelog per swap), to a sliding aggregation, a tumbling
+// aggregation and a sliding join. Every windowed query gets the same rows,
+// every side the same slice extents, the engine fire agrees with the
+// one-query reference (fireWindowScan, joinWindowScan), and a full snapshot
+// plus deltas cut between a swap's two changelogs restores to the same rows.
+// Over 10 000 swaps the changelog table retains no more epochs than the plain
+// run's: the relabeled slices keep naming the newest epoch, so compaction
+// passes the changelogs they outlive.
+func TestSelectionChurnKeepsSlices(t *testing.T) {
+	const (
+		lateness = 5
+		swaps    = 10_000
+		every    = 2 // ticks per swap
+	)
+	for _, tc := range []struct {
+		name  string
+		query func() *Query
+		new   func() churnClient
+		width int // slots the tuples carry: the windowed query's, plus the selection's for the aggregation
+	}{
+		{"sliding aggregation", func() *Query { return aggQ(window.SlidingSpec(40, 10), sqlstream.AggSum, 0, expr.True()) },
+			func() churnClient { return &aggChurn{p: newFirePair(lateness, 1)} }, 2},
+		{"tumbling aggregation", func() *Query { return aggQ(window.TumblingSpec(30), sqlstream.AggMax, 1, expr.True()) },
+			func() churnClient { return &aggChurn{p: newFirePair(lateness, 1)} }, 2},
+		// A join row's query-set keeps other operators' bits from the pair's
+		// epochs; the tuples carry only the join's slot, so the rows, query
+		// sets included, must match the plain run's exactly.
+		{"sliding join", func() *Query { return joinQ(window.SlidingSpec(20, 10), expr.True(), expr.True()) },
+			func() churnClient { return &joinChurn{p: newJoinPair(StoreList, lateness, 1)} }, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plain, churn := tc.new(), tc.new()
+			pb, cb := newCLBuilder(), newCLBuilder()
+			plain.changelog(pb.create(t, 0, tc.query()), 0)
+			churn.changelog(cb.create(t, 0, tc.query()), 0)
+			sides := len(plain.wins()[0].sides)
+			sel := 0 // the running selection query's ID, 0 for none
+			fired := 0
+			for tick := event.Time(1); tick <= swaps*every; tick++ {
+				if tick%every == 0 {
+					if sel != 0 {
+						churn.changelog(cb.remove(t, tick, sel), tick)
+					}
+					switch tick {
+					case 100, 114, 128: // the chain's links, between a stop and its start
+						churn.link(t)
+						if tick == 128 {
+							churn.restore(t)
+						}
+					}
+					msg := cb.create(t, tick, selQ(expr.True()))
+					sel = msg.CL.Created[0].Query
+					churn.changelog(msg, tick)
+				}
+				for port := 0; port < sides; port++ {
+					tu := event.Tuple{Key: int64(tick % 16), Time: tick, IngestNanos: int64(tick), QuerySet: bitset.AllUpTo(tc.width)}
+					tu.Fields[0], tu.Fields[1] = int64(tick%7), int64(port)
+					plain.tuple(port, tu)
+					churn.tuple(port, tu)
+				}
+				if tick <= 3 {
+					continue
+				}
+				what := fmt.Sprintf("wm=%v", tick-3)
+				want := plain.watermark(t, what+" plain", tick-3)
+				assertSameStrings(t, what+" churn vs plain", churn.watermark(t, what+" churn", tick-3), want)
+				fired += len(want)
+				pw := plain.wins()[0]
+				for i, w := range churn.wins() {
+					if got, want := ringExtents(w), ringExtents(pw); got != want {
+						t.Fatalf("%s: churned instance %d holds slices %s, the plain run %s", what, i, got, want)
+					}
+					// Until the horizon (wm − lateness) reaches the query's
+					// creation, neither run can compact past epoch 0.
+					if got, want := w.table.RetainedRows(), pw.table.RetainedRows(); got > want && tick-3 >= lateness {
+						t.Fatalf("%s: churned instance %d retains %d changelog epochs, the plain run %d", what, i, got, want)
+					}
+				}
+			}
+			if w := churn.wins(); fired == 0 || len(w) != 2 || w[0].table.Latest() != 2*swaps {
+				t.Fatalf("%d rows fired, %d instances, table at epoch %d; the test proved nothing", fired, len(w), w[0].table.Latest())
+			}
+		})
+	}
+}
