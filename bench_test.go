@@ -184,19 +184,6 @@ func BenchmarkFig17ParallelismSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkFig18ComponentOverhead reproduces Figure 18a: the share of each
-// sharing component.
-func BenchmarkFig18ComponentOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		shares := experiments.Fig18ComponentOverhead(benchScale(), []int{64})
-		s := shares[0]
-		b.ReportMetric(100*s.QuerySetGen, "qsgen-%")
-		b.ReportMetric(100*s.Bitset, "bitset-%")
-		b.ReportMetric(100*s.RouterC, "router-%")
-		b.ReportMetric(100*s.TotalShare, "total-%")
-	}
-}
-
 // BenchmarkFig18SharingOverhead reproduces Figure 18b: single-query overhead
 // of the sharing machinery.
 func BenchmarkFig18SharingOverhead(b *testing.B) {

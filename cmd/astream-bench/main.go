@@ -130,11 +130,6 @@ func main() {
 	})
 
 	run("fig18", func() {
-		fmt.Println("Figure 18a: component share of AStream overhead vs query parallelism")
-		for _, s := range experiments.Fig18ComponentOverhead(sc, []int{8, 64, 256}) {
-			fmt.Printf("  %4d queries: query-set %4.1f%%  bitset %4.1f%%  router-copy %4.1f%%  (total %.2f%% of budget)\n",
-				s.Queries, 100*s.QuerySetGen, 100*s.Bitset, 100*s.RouterC, 100*s.TotalShare)
-		}
 		fmt.Println("Figure 18b: single-query sharing overhead (AStream vs baseline)")
 		for _, kind := range []experiments.QueryKind{experiments.JoinK, experiments.AggK} {
 			a, b, ov := experiments.Fig18bSingleQueryOverhead(sc, kind)

@@ -299,25 +299,20 @@ func (l *aggLogic) OnTuple(_ int, t event.Tuple, _ *spe.Emitter) {
 // OnBarrier serializes the aggregation's accumulator state (savepoint).
 func (l *aggLogic) OnBarrier(_ uint64, _ *spe.Emitter) []byte {
 	var buf []byte
-	appendI64 := func(v int64) {
-		for i := 0; i < 8; i++ {
-			buf = append(buf, byte(v>>(8*i)))
-		}
-	}
 	for ext, byKey := range l.wins {
-		appendI64(int64(ext.Start))
-		appendI64(int64(ext.End))
+		buf = wire.AppendI64(buf, int64(ext.Start))
+		buf = wire.AppendI64(buf, int64(ext.End))
 		for key, a := range byKey {
-			appendI64(key)
-			appendI64(a.count)
-			appendI64(a.sum)
-			appendI64(a.min)
-			appendI64(a.max)
+			buf = wire.AppendI64(buf, key)
+			buf = wire.AppendI64(buf, a.count)
+			buf = wire.AppendI64(buf, a.sum)
+			buf = wire.AppendI64(buf, a.min)
+			buf = wire.AppendI64(buf, a.max)
 		}
 	}
 	for key, ss := range l.sessions {
-		appendI64(key)
-		appendI64(int64(ss.Open()))
+		buf = wire.AppendI64(buf, key)
+		buf = wire.AppendI64(buf, int64(ss.Open()))
 	}
 	return buf
 }

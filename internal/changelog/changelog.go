@@ -88,10 +88,9 @@ func (c *Changelog) String() string {
 // shared session and its changelogs are broadcast to operators, which keep
 // their own copies of the active-query table.
 type Registry struct {
-	mode  Mode
-	slots []int // slot -> query ID or NoQuery
-	//lint:ephemeral derived inverse of the serialized slots table
-	slotOf  map[int]int // query ID -> slot
+	mode    Mode
+	slots   []int       // slot -> query ID or NoQuery
+	slotOf  map[int]int // query ID -> slot: the inverse of slots, rebuilt on restore
 	free    []int       // free slots, LIFO (only in SlotReuse mode)
 	seq     uint64
 	lastAt  event.Time

@@ -3,6 +3,7 @@ package changelog
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -462,12 +463,28 @@ func TestTableSnapshotRoundTrip(t *testing.T) {
 				t.Fatalf("Rel(%d,%d) = %v (%v), want %v", i, j, got, err, want)
 			}
 		}
+		if i == tab.Base() {
+			continue
+		}
+		// Every retained changelog comes back whole, its time and active
+		// set included, not only the parts Rel is built from.
+		want, _ := tab.Log(i)
+		got, err := back.Log(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Seq != want.Seq || got.Time != want.Time || got.Slots != want.Slots ||
+			!slices.Equal(got.Created, want.Created) || !slices.Equal(got.Deleted, want.Deleted) ||
+			!got.Set.Equal(want.Set) || !got.Active.Equal(want.Active) {
+			t.Fatalf("Log(%d) = %v active %v, want %v active %v", i, got, got.Active, want, want.Active)
+		}
 	}
 }
 
 // TestRegistrySnapshotRoundTrip: a registry of either mode, with a deleted
-// query's slot free, restores into one that snapshots to the same bytes and
-// places the next query where the original does.
+// query's slot free, restores into one that snapshots to the same bytes,
+// refuses what the original refuses and places the next queries where the
+// original does.
 func TestRegistrySnapshotRoundTrip(t *testing.T) {
 	for _, mode := range []Mode{SlotReuse, AppendOnly} {
 		reg := NewRegistry(mode)
@@ -481,9 +498,22 @@ func TestRegistrySnapshotRoundTrip(t *testing.T) {
 		if !bytes.Equal(back.Snapshot(), snap) {
 			t.Fatalf("%v: restored registry snapshots differently", mode)
 		}
-		want, got := mustApply(t, reg, 3, []int{4}, nil), mustApply(t, back, 3, []int{4}, nil)
-		if got.Created[0] != want.Created[0] || got.Seq != want.Seq || !bytes.Equal(back.Snapshot(), reg.Snapshot()) {
-			t.Fatalf("%v: restored registry placed query 4 as %+v (seq %d), want %+v (seq %d)", mode, got.Created[0], got.Seq, want.Created[0], want.Seq)
+		// A changelog behind the last one is refused by both.
+		_, errO := reg.Apply(1, []int{9}, nil)
+		_, errB := back.Apply(1, []int{9}, nil)
+		if errO == nil || errB == nil || errO.Error() != errB.Error() {
+			t.Fatalf("%v: a changelog at time 1 after one at 2: original %v, restored %v", mode, errO, errB)
+		}
+		// Query 5 follows a deletion: SlotReuse hands it 1's slot,
+		// AppendOnly a new one.
+		for _, step := range []struct {
+			at          event.Time
+			create, del []int
+		}{{3, []int{4}, []int{1}}, {4, []int{5}, nil}} {
+			want, got := mustApply(t, reg, step.at, step.create, step.del), mustApply(t, back, step.at, step.create, step.del)
+			if got.Created[0] != want.Created[0] || got.Seq != want.Seq || !bytes.Equal(back.Snapshot(), reg.Snapshot()) {
+				t.Fatalf("%v: restored registry placed query %d as %+v (seq %d), want %+v (seq %d)", mode, step.create[0], got.Created[0], got.Seq, want.Created[0], want.Seq)
+			}
 		}
 	}
 }

@@ -113,7 +113,6 @@ func readTable(r *wire.Reader) *Table {
 	t := &Table{base: r.U64("table base")}
 	root := r.Bits("table root row")
 	t.rows = append(t.rows, []bitset.Bits{root})
-	t.slots = append(t.slots, root.Len())
 	t.addChangelogs(r, r.Count("table log count", changelogMinSize))
 	return t
 }

@@ -29,15 +29,12 @@ type Table struct {
 	// carry rows[0][0] only; the rest is Equation 1's recurrence over logs,
 	// rebuilt by TableFromSnapshot via Add.
 	rows [][]bitset.Bits
-	//lint:ephemeral derived slots[i] = slot-count at epoch base+i: the root row's length, then each log's Slots; rebuilt by TableFromSnapshot via Add
-	slots []int
 }
 
 // NewTable creates a table rooted at epoch 0 (empty workload, zero slots).
 func NewTable() *Table {
 	t := &Table{}
 	t.rows = append(t.rows, []bitset.Bits{bitset.AllUpTo(0)})
-	t.slots = append(t.slots, 0)
 	return t
 }
 
@@ -56,7 +53,6 @@ func (t *Table) Add(cl *Changelog) error {
 	row[len(prev)] = bitset.AllUpTo(cl.Slots)
 	t.rows = append(t.rows, row)
 	t.logs = append(t.logs, cl)
-	t.slots = append(t.slots, cl.Slots)
 	return nil
 }
 
@@ -78,14 +74,6 @@ func (t *Table) Rel(i, j uint64) (bitset.Bits, error) {
 		return bitset.Bits{}, fmt.Errorf("changelog: Rel(%d,%d) outside retained [%d,%d]", i, j, t.base, t.Latest())
 	}
 	return t.rows[i-t.base][j-t.base], nil
-}
-
-// SlotsAt returns the slot count at an epoch.
-func (t *Table) SlotsAt(e uint64) (int, error) {
-	if e < t.base || e > t.Latest() {
-		return 0, fmt.Errorf("changelog: epoch %d outside retained [%d,%d]", e, t.base, t.Latest())
-	}
-	return t.slots[e-t.base], nil
 }
 
 // Log returns the changelog that produced epoch e (Base < e ≤ Latest).
@@ -112,7 +100,6 @@ func (t *Table) Compact(keepFrom uint64) {
 		t.rows[i] = t.rows[i][drop:]
 	}
 	t.logs = t.logs[drop:]
-	t.slots = t.slots[drop:]
 	t.base = keepFrom
 }
 

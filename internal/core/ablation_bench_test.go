@@ -13,9 +13,10 @@ import (
 	"astream/internal/window"
 )
 
-// BenchmarkAblationSliceStore contrasts the grouped, list, and adaptive
-// slice stores on the slice-join kernel (paper §3.1.4's data-structure
-// heuristic). Few distinct query-sets favour grouping; many favour the list.
+// BenchmarkAblationSliceStore contrasts the grouped and list slice stores on
+// the slice-join kernel (paper §3.1.4's data-structure heuristic; an
+// adaptive store is grouped until the session's first marker). Few distinct
+// query-sets favour grouping; many favour the list.
 func BenchmarkAblationSliceStore(b *testing.B) {
 	scenarios := []struct {
 		name     string
@@ -24,7 +25,7 @@ func BenchmarkAblationSliceStore(b *testing.B) {
 		{"fewGroups", 4},
 		{"manyGroups", 512},
 	}
-	modes := []StoreMode{StoreGrouped, StoreList, StoreAdaptive}
+	modes := []StoreMode{StoreGrouped, StoreList}
 	for _, sc := range scenarios {
 		for _, mode := range modes {
 			b.Run(sc.name+"/"+mode.String(), func(b *testing.B) {

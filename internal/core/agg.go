@@ -228,10 +228,8 @@ type SharedAggregation struct {
 	// tuple's event-time removes the ambiguity, exactly as the shared
 	// selection resolves its predicate table.
 	maskVersions []maskVersion
-	//lint:ephemeral constructor wiring (result router)
-	router *Router
-	//lint:ephemeral constructor wiring (metrics sink)
-	metrics *OpMetrics
+	router       *Router
+	metrics      *OpMetrics
 
 	// Incremental-snapshot bookkeeping (OnBarrierDelta): per-slice fold
 	// counts captured at the last snapshot, the changelog epoch that
@@ -239,48 +237,29 @@ type SharedAggregation struct {
 	// describes snapshots already taken, never live state — a recovered
 	// instance is freshly constructed, so snapFolds starts nil and the
 	// first delta-mode snapshot after recovery is always full.
-	//lint:ephemeral snapshot bookkeeping; nil forces the next delta-mode snapshot to be full
-	snapFolds map[uint64]uint64
-	//lint:ephemeral snapshot bookkeeping paired with snapFolds
+	snapFolds    map[uint64]uint64
 	snapTableSeq uint64
-	//lint:ephemeral snapshot bookkeeping paired with snapFolds
-	sinceFull int
-	//lint:ephemeral snapshot encoding scratch
-	tblScratch []byte //lint:pooled scratch table-delta encode buffer recycled across barriers
+	sinceFull    int
+	tblScratch   []byte //lint:pooled scratch table-delta encode buffer recycled across barriers
 
 	// Steady-state scratch (owned by the instance goroutine): query-set
 	// intersection temporaries, the seal's, and the fire path's equivalence
 	// blocks and result rows.
-	//lint:ephemeral per-tuple scratch
-	qsTmp bitset.Bits //lint:pooled scratch per-tuple query-set intersection scratch
-	//lint:ephemeral per-tuple scratch
-	lateRows []int32 //lint:pooled scratch the rows of a sealed slice one tuple folds into
-	//lint:ephemeral per-seal scratch
-	sealTmp sealScratch //lint:pooled scratch the seal's slot partition, class numbering and key chains
-	//lint:ephemeral per-trigger scratch
-	caps []fireCap //lint:pooled scratch per-cap-group slot mask, per-slice relation and slot table, parallel to the trigger's cap groups
-	//lint:ephemeral per-trigger scratch
-	blocks partition //lint:pooled scratch the trigger's queries partitioned into equivalence blocks
-	//lint:ephemeral per-trigger scratch
-	blockRows [][]aggRow //lint:pooled scratch per block, its window result ascending by key; the buffers are reused across fires
-	//lint:ephemeral per-trigger scratch
-	rowTmp []aggRow //lint:pooled scratch merge output, swapped with the block rows it replaces
-	//lint:ephemeral per-trigger scratch
-	members []int32 //lint:pooled scratch per effective (slice, class), the trigger queries in it, back to back
-	//lint:ephemeral per-trigger scratch
-	met []metPair //lint:pooled scratch (slice, class) pairs pass one found effective for some cap group
-	//lint:ephemeral freelist, refills through steady-state recycling
-	valPool []*aggVal //lint:pooled freelist recycled aggVal backings
-	//lint:ephemeral unissued tail of the newest aggVal slab; getVal carves from it when the freelist is empty
-	valSlab []aggVal //lint:pooled freelist slab chunk fresh partials are carved from; they recycle through valPool
-	//lint:ephemeral freelist, refills as sealed slices are evicted or unsealed
-	rowPool [][]aggRow //lint:pooled freelist recycled row backings
-	//lint:ephemeral freelist, refills as slices are sealed or evicted
-	groupPool []*aggGroup //lint:pooled freelist emptied groups, map and lists at the size they grew to
-	//lint:ephemeral freelist, refills as slices are sealed or evicted
-	openPool []*qsIndex[aggGroup] //lint:pooled freelist emptied group indexes of sealed or evicted slices
-	//lint:ephemeral freelist, refills as slices are evicted
-	indexPool []*aggIndex //lint:pooled freelist evicted slices' indexes, their class and slot lists at the size they grew to
+	qsTmp     bitset.Bits          //lint:pooled scratch per-tuple query-set intersection scratch
+	lateRows  []int32              //lint:pooled scratch the rows of a sealed slice one tuple folds into
+	sealTmp   sealScratch          //lint:pooled scratch the seal's slot partition, class numbering and key chains
+	caps      []fireCap            //lint:pooled scratch per-cap-group slot mask, per-slice relation and slot table, parallel to the trigger's cap groups
+	blocks    partition            //lint:pooled scratch the trigger's queries partitioned into equivalence blocks
+	blockRows [][]aggRow           //lint:pooled scratch per block, its window result ascending by key; the buffers are reused across fires
+	rowTmp    []aggRow             //lint:pooled scratch merge output, swapped with the block rows it replaces
+	members   []int32              //lint:pooled scratch per effective (slice, class), the trigger queries in it, back to back
+	met       []metPair            //lint:pooled scratch (slice, class) pairs pass one found effective for some cap group
+	valPool   []*aggVal            //lint:pooled freelist recycled aggVal backings
+	valSlab   []aggVal             //lint:pooled freelist slab chunk fresh partials are carved from; they recycle through valPool
+	rowPool   [][]aggRow           //lint:pooled freelist recycled row backings
+	groupPool []*aggGroup          //lint:pooled freelist emptied groups, map and lists at the size they grew to
+	openPool  []*qsIndex[aggGroup] //lint:pooled freelist emptied group indexes of sealed or evicted slices
+	indexPool []*aggIndex          //lint:pooled freelist evicted slices' indexes, their class and slot lists at the size they grew to
 }
 
 // fireCap is one cap group's side of a fire. Slots are unique within a cap
@@ -827,7 +806,6 @@ func (a *SharedAggregation) fireWindow(ext window.Extent, queries []*liveQuery) 
 		bp.place(int32(qi), -1)
 	}
 
-	tick := a.metrics.start()
 	for len(a.caps) < len(groups) {
 		//lint:ignore hotalloc amortized: cap scratch grows to the widest trigger's cap-group count once
 		a.caps = append(a.caps, fireCap{})
@@ -902,7 +880,6 @@ func (a *SharedAggregation) fireWindow(ext window.Extent, queries []*liveQuery) 
 			}
 		}
 	}
-	a.metrics.BitsetOps.observe(tick, a.metrics)
 
 	for qi, aq := range queries {
 		if b := bp.of[qi]; b >= 0 {

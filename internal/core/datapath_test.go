@@ -164,8 +164,8 @@ func countedRun(t *testing.T, parallelism, nodes int, poll func(e *Engine, stop 
 const countedTuples = 20_000
 
 // selectionCounts reads the selection's counters from a metrics block.
-func selectionCounts(m *OpMetrics) (selected, dropped, classified uint64) {
-	return atomic.LoadUint64(&m.Selected), atomic.LoadUint64(&m.Dropped), atomic.LoadUint64(&m.QuerySetGen.Count)
+func selectionCounts(m *OpMetrics) (selected, dropped uint64) {
+	return atomic.LoadUint64(&m.Selected), atomic.LoadUint64(&m.Dropped)
 }
 
 // TestSelectionCountersExactAtP2: two selection instances on two nodes count
@@ -173,11 +173,11 @@ func selectionCounts(m *OpMetrics) (selected, dropped, classified uint64) {
 // the shared block is exact — every ingested tuple classified once, selected
 // or dropped — and selects what one instance selects alone.
 func TestSelectionCountersExactAtP2(t *testing.T) {
-	sel, drop, classified := selectionCounts(countedRun(t, 2, 2, nil).Metrics())
-	if sel+drop != countedTuples || classified != countedTuples {
-		t.Fatalf("P=2: selected %d + dropped %d, classified %d; want %d tuples each way", sel, drop, classified, countedTuples)
+	sel, drop := selectionCounts(countedRun(t, 2, 2, nil).Metrics())
+	if sel+drop != countedTuples {
+		t.Fatalf("P=2: selected %d + dropped %d; want %d tuples", sel, drop, countedTuples)
 	}
-	if want, _, _ := selectionCounts(countedRun(t, 1, 1, nil).Metrics()); sel != want || sel == 0 || drop == 0 {
+	if want, _ := selectionCounts(countedRun(t, 1, 1, nil).Metrics()); sel != want || sel == 0 || drop == 0 {
 		t.Fatalf("P=2 selected %d (dropped %d), P=1 selected %d", sel, drop, want)
 	}
 }
@@ -188,7 +188,7 @@ func TestSelectionCountersExactAtP2(t *testing.T) {
 func TestSelectionCountersPolledDuringRun(t *testing.T) {
 	var reads atomic.Int64
 	eng := countedRun(t, 2, 2, func(e *Engine, stop <-chan struct{}) {
-		var prev [6]uint64
+		var prev [5]uint64
 		for {
 			select {
 			case <-stop:
@@ -196,9 +196,9 @@ func TestSelectionCountersPolledDuringRun(t *testing.T) {
 			default:
 			}
 			q := e.QoS()
-			var cur [6]uint64
+			var cur [5]uint64
 			cur[0], cur[1], cur[2] = q.Selected, q.Dropped, q.AggResults
-			cur[3], cur[4], cur[5] = selectionCounts(e.Metrics())
+			cur[3], cur[4] = selectionCounts(e.Metrics())
 			for i := range cur {
 				if cur[i] < prev[i] {
 					t.Errorf("counter %d fell from %d to %d", i, prev[i], cur[i])
@@ -224,19 +224,18 @@ func TestSelectionCountersPolledDuringRun(t *testing.T) {
 // returns from a watermark, changelog or end-of-stream callback, so the
 // block then holds their exact sum — and no tuple writes it before.
 func TestSelectionCountersSharedBlock(t *testing.T) {
-	var clock atomic.Int64
-	m := NewOpMetrics(func() int64 { return clock.Add(100) })
+	m := NewOpMetrics(nil)
 	out := spe.NewChainedEmitter(&spe.SinkLogic{}, nil)
 	var sels [2]*SharedSelection
 	for s := range sels {
 		sels[s] = NewSharedSelection(s, 0, m)
 		sels[s].installTable([]selEntry{{slot: s, id: s + 1, pred: gt(s, 500)}})
 	}
-	block := func() (b [3]uint64) {
-		b[0], b[1], b[2] = selectionCounts(m)
+	block := func() (b [2]uint64) {
+		b[0], b[1] = selectionCounts(m)
 		return b
 	}
-	var want [3]uint64 // selected, dropped, classified
+	var want [2]uint64 // selected, dropped
 	feed := func(s, n int, at event.Time, control string) {
 		published := block()
 		for i := 0; i < n; i++ {
@@ -249,7 +248,6 @@ func TestSelectionCountersSharedBlock(t *testing.T) {
 			} else {
 				want[1]++
 			}
-			want[2]++
 		}
 		if got := block(); got != published {
 			t.Fatalf("instance %d's tuples moved the block from %v to %v before its %s", s, published, got, control)
@@ -271,7 +269,4 @@ func TestSelectionCountersSharedBlock(t *testing.T) {
 	feed(0, 150, 2, "changelog")
 	feed(1, 1000, 2, "end of stream")
 	feed(0, 70, 3, "end of stream")
-	if atomic.LoadUint64(&m.QuerySetGen.Nanos) == 0 {
-		t.Fatal("no sampled classification time published")
-	}
 }

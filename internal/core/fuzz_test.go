@@ -111,8 +111,10 @@ func FuzzSelectionRestore(f *testing.F) {
 }
 
 // FuzzJoinRestore: the seeds are this build's encoding in both store
-// layouts and, under testdata, two fuzzer finds and the forged slice rings
-// of TestSlicerRestoreRejectsForgedRings (ring-*).
+// layouts and, under testdata, two fuzzer finds, an earlier layout's
+// (version 6, whose stores each carried a mode byte), which is rejected by
+// its version byte, and the forged slice rings of
+// TestSlicerRestoreRejectsForgedRings (ring-*).
 func FuzzJoinRestore(f *testing.F) {
 	for _, mode := range []StoreMode{StoreList, StoreGrouped} {
 		b := newCLBuilder()

@@ -18,15 +18,12 @@ import (
 // incremental, delta style of Figure 4f.
 type SharedJoin struct {
 	spe.BaseLogic
-	//lint:ephemeral topology constant fixed at construction
 	stage     int // 0 joins streams 0⋈1; stage k joins (stage k-1)⋈(stream k+1)
 	storeMode StoreMode
 	// win drives both sides' slice rings (tuples in slice.store) and the
 	// queries active at this stage.
-	win windowOp
-	//lint:ephemeral constructor wiring (result router)
-	router *Router
-	//lint:ephemeral constructor wiring (metrics sink)
+	win     windowOp
+	router  *Router
 	metrics *OpMetrics
 
 	// Steady-state scratch (owned by the instance goroutine, §3.2.2's
@@ -34,20 +31,13 @@ type SharedJoin struct {
 	// pass-through slots per cap group, the one result row every delivery is
 	// a copy of, a pair's rows before they are cached at their exact size,
 	// and the query-set intersection temporaries.
-	//lint:ephemeral per-trigger scratch
-	groups []fireGroup //lint:pooled scratch per-cap-group targets and pass-through slots of the trigger
-	//lint:ephemeral per-trigger scratch
-	res Result
-	//lint:ephemeral per-pair scratch
-	rowsTmp []pairRow //lint:pooled scratch a pair's rows while they are being joined
-	//lint:ephemeral per-pair scratch
-	qsTmp bitset.Bits //lint:pooled scratch slice-join kernel intersection scratch
-	//lint:ephemeral per-pair scratch
+	groups  []fireGroup //lint:pooled scratch per-cap-group targets and pass-through slots of the trigger
+	res     Result
+	rowsTmp []pairRow   //lint:pooled scratch a pair's rows while they are being joined
+	qsTmp   bitset.Bits //lint:pooled scratch slice-join kernel intersection scratch
 	termTmp bitset.Bits //lint:pooled scratch a cap group's terminal slots still live under the pair's epochs
-	//lint:ephemeral per-pair scratch
 	passTmp bitset.Bits //lint:pooled scratch a cap group's pass-through slots still live under the pair's epochs
-	//lint:ephemeral per-row scratch
-	pmTmp bitset.Bits //lint:pooled scratch a row's pass-through slots
+	pmTmp   bitset.Bits //lint:pooled scratch a row's pass-through slots
 }
 
 // fireGroup is what one cap group of a trigger delivers to: the slots of its

@@ -97,14 +97,14 @@ func (c *CountingSink) MeanLatencyNanos() uint64 {
 // an uncontended map read; writers copy the map under a mutex that only
 // serializes other writers.
 type Router struct {
-	sinks   atomic.Pointer[map[int]Sink]
-	wmu     sync.Mutex // serializes Register/Unregister copies
-	metrics *OpMetrics
+	sinks atomic.Pointer[map[int]Sink]
+	wmu   sync.Mutex // serializes Register/Unregister copies
 }
 
-// NewRouter creates an empty router.
-func NewRouter(m *OpMetrics) *Router {
-	r := &Router{metrics: m}
+// NewRouter creates an empty router. The metrics block is unused: delivery
+// counts nothing.
+func NewRouter(*OpMetrics) *Router {
+	r := &Router{}
 	r.publish(make(map[int]Sink))
 	return r
 }
@@ -151,12 +151,9 @@ func (r *Router) Unregister(queryID int) {
 //
 //lint:hotpath
 func (r *Router) Deliver(res Result) {
-	tick := r.metrics.start()
-	s := (*r.sinks.Load())[res.QueryID]
-	if s != nil {
+	if s := (*r.sinks.Load())[res.QueryID]; s != nil {
 		s.OnResult(res)
 	}
-	r.metrics.RouterCopy.observe(tick, r.metrics)
 }
 
 // Each visits every registered (query, sink) pair.

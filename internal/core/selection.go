@@ -66,44 +66,33 @@ type selVersion struct {
 // out-of-order processing consistent (§3.3).
 type SharedSelection struct {
 	spe.BaseLogic
-	//lint:ephemeral constructor wiring, identical on the recovered instance
 	stream   int // which engine stream this instance filters
 	versions []selVersion
 	// indexes[i] is the compiled predicate index for versions[i] (DESIGN.md
 	// §14); the two slices always have equal length and no element is nil.
-	//lint:ephemeral derived compiled predicate index, recompiled from the versioned entry table by rebuildIndexes on Restore
 	indexes []*selIndex
 	// entryPool recycles entry-table backing arrays from watermark-pruned
 	// versions into future changelogs, bounding control-path churn.
-	//lint:ephemeral control-path scratch: recycled entry-slice capacity, content dead
 	entryPool [][]selEntry //lint:pooled freelist recycled entry-slice backings
 	// delScratch is the deletion lookup reused across changelogs with large
 	// Deleted sets; cleared after each use.
-	//lint:ephemeral control-path scratch, cleared after every changelog
 	delScratch map[int]struct{} //lint:pooled scratch per-changelog deletion lookup scratch
-	//lint:ephemeral constructor wiring (metrics sink)
-	metrics *OpMetrics
+	metrics    *OpMetrics
 	// cnt is what this instance counted since it last published to metrics.
-	//lint:ephemeral instance-owned counters, published at control callbacks, not stream state
-	cnt selCounters
-	//lint:ephemeral constructor wiring (allowed-lateness config)
+	cnt      selCounters
 	lateness event.Time
-	wm       event.Time
 	// qsTmp is the per-tuple query-set scratch: predicates set bits here
 	// and the emitted tuple gets a right-sized Clone, so wide query sets
 	// (>64 slots) cost one allocation per emitted tuple instead of one per
 	// spill growth, and narrow sets cost none.
-	//lint:ephemeral per-tuple scratch, rebuilt from zero on the next tuple
 	qsTmp bitset.Bits //lint:pooled scratch per-tuple query-set scratch
 	// onPredPanic, when set, receives predicate-evaluation panics so the
 	// engine can count strikes and quarantine the offending query instead of
 	// letting one bad ad-hoc predicate take down the shared pipeline.
-	//lint:ephemeral supervision hook wired by the engine, not stream state
 	onPredPanic func(queryID int, v any)
 	// faultHook, when set, is called once per (tuple, active entry) (seeded
 	// fault injection); an entry whose call panics matches nothing on that
 	// tuple.
-	//lint:ephemeral test-only fault injection hook
 	faultHook predicateHook
 }
 
@@ -117,7 +106,6 @@ func NewSharedSelection(stream int, lateness event.Time, m *OpMetrics) *SharedSe
 		indexes:  []*selIndex{buildSelIndex(nil)},
 		metrics:  m,
 		lateness: lateness,
-		wm:       event.MinTime,
 	}
 }
 
@@ -143,7 +131,6 @@ func (s *SharedSelection) versionAt(t event.Time) int {
 //
 //lint:hotpath
 func (s *SharedSelection) OnTuple(_ int, t event.Tuple, out *spe.Emitter) {
-	tick := s.cnt.start(s.metrics)
 	vi := s.versionAt(t.Time)
 	v := &s.versions[vi]
 	s.qsTmp.Reset()
@@ -155,7 +142,6 @@ func (s *SharedSelection) OnTuple(_ int, t event.Tuple, out *spe.Emitter) {
 			}
 		}
 	}
-	s.cnt.classified(tick, s.metrics)
 	if s.qsTmp.IsEmpty() {
 		s.cnt.dropped++
 		return
@@ -173,46 +159,19 @@ func (s *SharedSelection) OnTuple(_ int, t event.Tuple, out *spe.Emitter) {
 // cache line for every tuple; adding deltas, not storing totals, keeps a
 // block shared by several logics correct.
 type selCounters struct {
-	ops      uint64 // sampling clock: every sampleEvery-th tuple is timed
 	selected uint64
 	dropped  uint64
-	qsCount  uint64 // QuerySetGen.Count
-	qsNanos  uint64 // QuerySetGen.Nanos, sampled and scaled
-}
-
-// start returns a clock tick on sampled tuples, else 0 (OpMetrics.start
-// with an instance-owned clock).
-func (c *selCounters) start(m *OpMetrics) int64 {
-	c.ops++
-	if m == nil || m.nowNanos == nil || c.ops%sampleEvery != 0 {
-		return 0
-	}
-	return m.nowNanos()
-}
-
-// classified counts one classification and, on a sampled tuple, its scaled
-// duration (componentTimer.observe without the atomics).
-func (c *selCounters) classified(tick int64, m *OpMetrics) {
-	c.qsCount++
-	if tick == 0 {
-		return
-	}
-	if d := m.nowNanos() - tick; d > 0 {
-		c.qsNanos += uint64(d) * sampleEvery
-	}
 }
 
 // publish adds what the instance counted since its last publish to m and
-// restarts the count; the sampling clock keeps running.
+// restarts the count.
 func (c *selCounters) publish(m *OpMetrics) {
-	if m == nil || c.qsCount == 0 {
+	if m == nil || c.selected+c.dropped == 0 {
 		return
 	}
 	atomic.AddUint64(&m.Selected, c.selected)
 	atomic.AddUint64(&m.Dropped, c.dropped)
-	atomic.AddUint64(&m.QuerySetGen.Count, c.qsCount)
-	atomic.AddUint64(&m.QuerySetGen.Nanos, c.qsNanos)
-	*c = selCounters{ops: c.ops}
+	*c = selCounters{}
 }
 
 // evalEntry evaluates one predicate, converting a panic (a buggy ad-hoc
@@ -358,7 +317,6 @@ func (s *SharedSelection) IndexStats() SelIndexStats {
 // instance's counters: a mid-run reader of the metrics block lags this
 // instance by at most one watermark interval.
 func (s *SharedSelection) OnWatermark(wm event.Time, _ *spe.Emitter) {
-	s.wm = wm
 	horizon := wm - s.lateness
 	// Keep the last version with from ≤ horizon and everything later.
 	i := sort.Search(len(s.versions), func(i int) bool { return s.versions[i].from > horizon }) - 1
@@ -393,15 +351,12 @@ func (s *SharedSelection) ActiveEntries() int {
 }
 
 // OpMetrics aggregates shared-operator cost counters across instances; every
-// exported field is read and written through sync/atomic. Selected, Dropped
-// and QuerySetGen are counted by each selection instance on its own and
-// added here when it returns from a watermark, changelog or end-of-stream
-// callback: a reader during a run sees them as of each instance's last
-// control element, at most one watermark interval behind, and exactly after
-// Engine.Drain. The other counters move per fire, slice pair or result and
-// are added directly. Component timings (Fig. 18a) are sampled: every
-// sampleEvery-th operation is timed and scaled up, using the engine's
-// injected clock so simulated-time tests stay deterministic.
+// field is read and written through sync/atomic. Selected and Dropped are
+// counted by each selection instance on its own and added here when it
+// returns from a watermark, changelog or end-of-stream callback: a reader
+// during a run sees them as of each instance's last control element, at most
+// one watermark interval behind, and exactly after Engine.Drain. The other
+// counters move per fire, slice pair or result and are added directly.
 type OpMetrics struct {
 	Selected   uint64 // tuples that matched ≥1 query
 	Dropped    uint64 // tuples matching no query
@@ -413,54 +368,8 @@ type OpMetrics struct {
 	// IndexBuilds counts predicate-index compilations (changelog/restore):
 	// all index construction cost lands here, never on the tuple path.
 	IndexBuilds uint64
-
-	QuerySetGen componentTimer // shared selection predicate evaluation
-	BitsetOps   componentTimer // masking/intersection during triggers
-	RouterCopy  componentTimer // per-query result copying in the router
-
-	ops      uint64       // sampling clock of start (selection instances keep their own)
-	nowNanos func() int64 // injected clock; nil disables timing samples
 }
 
-// NewOpMetrics creates a metrics block sampling component timings with the
-// given clock (the engine passes its Config.NowNanos). A zero-value
-// OpMetrics still counts but never samples timings.
-func NewOpMetrics(nowNanos func() int64) *OpMetrics {
-	return &OpMetrics{nowNanos: nowNanos}
-}
-
-const sampleEvery = 64
-
-// start returns a clock tick on sampled operations, else 0.
-func (m *OpMetrics) start() int64 {
-	if m == nil || m.nowNanos == nil {
-		return 0
-	}
-	if atomic.AddUint64(&m.ops, 1)%sampleEvery != 0 {
-		return 0
-	}
-	return m.nowNanos()
-}
-
-type componentTimer struct {
-	Nanos uint64 // sampled nanos, scaled by sampleEvery
-	Count uint64
-}
-
-func (c *componentTimer) observe(tick int64, m *OpMetrics) {
-	if m == nil {
-		return
-	}
-	atomic.AddUint64(&c.Count, 1)
-	if tick == 0 {
-		return
-	}
-	d := m.nowNanos() - tick
-	if d < 0 {
-		d = 0
-	}
-	atomic.AddUint64(&c.Nanos, uint64(d)*sampleEvery)
-}
-
-// NanosEstimate returns the scaled nanosecond estimate for the component.
-func (c *componentTimer) NanosEstimate() uint64 { return atomic.LoadUint64(&c.Nanos) }
+// NewOpMetrics creates a metrics block. The argument is unused: the block
+// counts and keeps no clock.
+func NewOpMetrics(func() int64) *OpMetrics { return &OpMetrics{} }

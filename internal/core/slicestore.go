@@ -12,10 +12,12 @@ import (
 type StoreMode uint8
 
 const (
-	// StoreAdaptive starts grouped and switches to a flat list when the
-	// average group size drops below two — the paper's heuristic: with
-	// many concurrent queries the number of distinct query-sets explodes
-	// and most groups hold a single tuple.
+	// StoreAdaptive lets the session's §3.2.3 markers decide: stores are
+	// grouped until the first marker, then follow each one. The session
+	// sends a list marker when the active-query count crosses
+	// Config.GroupedThreshold — the paper's heuristic: with many concurrent
+	// queries the number of distinct query-sets explodes and most groups
+	// hold a single tuple.
 	StoreAdaptive StoreMode = iota
 	// StoreGrouped always groups tuples by query-set.
 	StoreGrouped
@@ -35,13 +37,6 @@ func (m StoreMode) String() string {
 		return "store?"
 	}
 }
-
-// adaptiveSwitchThreshold is the mean-group-size below which an adaptive
-// store degenerates to a list (paper: "if the average is less than two").
-const adaptiveSwitchThreshold = 2.0
-
-// minTuplesForSwitch avoids flapping on nearly-empty slices.
-const minTuplesForSwitch = 16
 
 // qsIndex maps canonical query-set keys to group payloads. Lookups on the
 // hot path are allocation-free: single-word query-sets (≤64 slots) index a
@@ -137,7 +132,6 @@ type slicePair struct {
 // name the groups, the key index and the cached pair rows know it by.
 // Positions survive growth and regrouping; degenerate reassigns them.
 type sliceStore struct {
-	mode    StoreMode
 	grouped bool
 	groups  *qsIndex[tupleGroup] // nil when list mode
 	tuples  []event.Tuple
@@ -155,8 +149,9 @@ type sliceStore struct {
 	pairs map[uint64]slicePair
 }
 
+// newSliceStore creates an empty store in the layout mode starts with.
 func newSliceStore(mode StoreMode) *sliceStore {
-	s := &sliceStore{mode: mode}
+	s := &sliceStore{}
 	if mode != StoreList {
 		s.grouped = true
 		s.groups = newQSIndex[tupleGroup]()
@@ -187,13 +182,8 @@ func (s *sliceStore) Add(t event.Tuple) {
 		// store is next probed.
 		s.heads, s.next = nil, nil
 	}
-	if !s.grouped {
-		return
-	}
-	s.group(p)
-	if s.mode == StoreAdaptive && len(s.tuples) >= minTuplesForSwitch &&
-		float64(len(s.tuples)) < adaptiveSwitchThreshold*float64(s.groups.len()) {
-		s.degenerate()
+	if s.grouped {
+		s.group(p)
 	}
 }
 
@@ -329,7 +319,6 @@ func (s *sliceStore) regroup() {
 // holds drops every pair whose rows a moved tuple, or a changed probe order,
 // would contradict.
 func (s *sliceStore) setMode(m StoreMode) {
-	s.mode = m
 	s.pairs = nil
 	switch m {
 	case StoreList:
@@ -344,16 +333,14 @@ func (s *sliceStore) setMode(m StoreMode) {
 // tuples are rewritten group by group in canonical key order — a pure
 // function of the stored content, so flattening is replay-deterministic — and
 // that moves them: the key index goes, and so must every pair cached over the
-// store (setMode, or the tuple count when an adaptive store flattens itself).
+// store (setMode drops them).
 func (s *sliceStore) degenerate() {
 	if !s.grouped {
 		return
 	}
-	//lint:ignore hotalloc marker transition: rebuilding the layout is a one-off O(n) event, not steady state
 	list := make([]event.Tuple, 0, len(s.tuples))
 	for _, g := range s.groups.order {
 		for _, p := range g.pos {
-			//lint:ignore hotalloc appends within the exact capacity reserved above
 			list = append(list, s.tuples[p])
 		}
 	}

@@ -35,20 +35,6 @@ func TestStoreModes(t *testing.T) {
 	}
 }
 
-func TestAdaptiveSwitchesToList(t *testing.T) {
-	s := newSliceStore(StoreAdaptive)
-	// Every tuple gets a unique query-set → mean group size 1 < 2.
-	for i := 0; i < minTuplesForSwitch+4; i++ {
-		s.Add(mkTuple(1, event.Time(i), i, i+100))
-	}
-	if s.Grouped() {
-		t.Fatalf("adaptive store should have degenerated to list (%d tuples, %d groups)", s.Len(), s.GroupCount())
-	}
-	if s.Len() != minTuplesForSwitch+4 {
-		t.Fatal("tuples lost in degeneration")
-	}
-}
-
 func TestAdaptiveStaysGroupedWhenGroupsAreFat(t *testing.T) {
 	s := newSliceStore(StoreAdaptive)
 	for i := 0; i < 200; i++ {

@@ -26,7 +26,7 @@ import (
 // instances that processed the same prefix produce byte-identical
 // snapshots.
 
-const opSnapshotVersion = 6
+const opSnapshotVersion = 7
 
 // readSlot reads a query slot, rejecting numbers no engine could have
 // assigned (changelog.MaxSlots) before anything is sized from them.
@@ -40,13 +40,12 @@ func readSlot(r *wire.Reader, what string) int {
 
 // --- slice store ---
 
-// snapSliceStore serializes the exact store representation (mode, layout,
-// and group structure), not just the tuples: re-inserting tuples through
-// Add could cross the adaptive degenerate threshold at a different point
-// than the original run did, and the layout must survive restores
-// byte-for-byte for replay determinism.
+// snapSliceStore serializes the exact store representation (layout and group
+// structure), not just the tuples: a list holds its tuples in the order the
+// last flattening left them, which re-inserting them through Add would not
+// reproduce, and the layout must survive restores byte-for-byte for replay
+// determinism.
 func snapSliceStore(b []byte, s *sliceStore) []byte {
-	b = wire.AppendU8(b, uint8(s.mode))
 	b = wire.AppendBool(b, s.grouped)
 	b = wire.AppendCount(b, len(s.tuples))
 	if s.grouped {
@@ -66,18 +65,11 @@ func snapSliceStore(b []byte, s *sliceStore) []byte {
 	return b
 }
 
-// readSliceStore accepts only what snapSliceStore writes: a known mode and a
-// layout that mode can have, groups in strictly ascending canonical
-// query-set order, each holding at least one tuple and only tuples of its
-// set, and a store count equal to the tuples that follow.
+// readSliceStore accepts only what snapSliceStore writes: groups in strictly
+// ascending canonical query-set order, each holding at least one tuple and
+// only tuples of its set, and a store count equal to the tuples that follow.
 func readSliceStore(r *wire.Reader) *sliceStore {
-	s := &sliceStore{
-		mode:    readStoreMode(r, "store mode"),
-		grouped: r.Bool("store grouped"),
-	}
-	if r.Err() == nil && s.grouped != (s.mode == StoreGrouped) && s.mode != StoreAdaptive {
-		r.Fail(fmt.Errorf("core: a %v store with grouped=%v", s.mode, s.grouped))
-	}
+	s := &sliceStore{grouped: r.Bool("store grouped")}
 	n := r.Count("store tuple count", wire.TupleMinSize)
 	if s.grouped {
 		s.groups = newQSIndex[tupleGroup]()
@@ -366,7 +358,6 @@ func readSnapTable(r *wire.Reader) *changelog.Table {
 // OnBarrier implements spe.Logic: serialize the versioned predicate table.
 func (s *SharedSelection) OnBarrier(uint64, *spe.Emitter) []byte {
 	b := wire.AppendU8(nil, opSnapshotVersion)
-	b = wire.AppendI64(b, int64(s.wm))
 	b = wire.AppendCount(b, len(s.versions))
 	for i := range s.versions {
 		v := &s.versions[i]
@@ -387,7 +378,6 @@ func (s *SharedSelection) OnBarrier(uint64, *spe.Emitter) []byte {
 func (s *SharedSelection) Restore(snapshot []byte) error {
 	r := wire.NewReader(snapshot)
 	r.Version("selection snapshot version", opSnapshotVersion)
-	wm := event.Time(r.I64("selection wm"))
 	nv := r.Count("selection version count", 12)
 	if nv == 0 && r.Err() == nil {
 		r.Fail(fmt.Errorf("core: selection snapshot has no table version"))
@@ -411,7 +401,6 @@ func (s *SharedSelection) Restore(snapshot []byte) error {
 	if err := r.Finish("selection"); err != nil {
 		return err
 	}
-	s.wm = wm
 	s.versions = versions
 	s.rebuildIndexes()
 	return nil

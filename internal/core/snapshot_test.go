@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -189,30 +190,38 @@ func TestJoinSnapshotRoundTrip(t *testing.T) {
 			rng = rand.New(rand.NewSource(7))
 			var sink []string
 			feed(orig, 1, 22, tapEmitter(&sink), 5)
+			// A second query starting at 25, ahead of the watermark (18): its
+			// windows ending by then hold nothing for it and are skipped.
+			orig.OnChangelog(b.create(t, 25, joinQ(window.TumblingSpec(4), gt(0, -1), gt(0, -1))), 25, nil)
 
 			snap := orig.OnBarrier(1, nil)
+			lookups := func(j *SharedJoin) uint64 { return j.metrics.PairsDone + j.metrics.PairsReuse }
+			origLookups := lookups(orig)
 			fresh := NewSharedJoin(0, mode, 10, captureRouter(&gotF, qid), &OpMetrics{})
 			if err := fresh.Restore(snap); err != nil {
 				t.Fatal(err)
 			}
 			gotO = gotO[:0] // compare suffix emissions only
 
-			// Identical suffix into both, driven by one rng so tuples match.
+			// Identical suffix into both, driven by one rng so tuples match;
+			// it opens with a tuple per side behind the evicted [0,10), which
+			// both must drop as late. Both snapshot alike after every tuple.
 			rng = rand.New(rand.NewSource(9))
-			suffix := make([]event.Tuple, 0, 20)
+			suffix := []event.Tuple{mk(4), mk(5)}
 			for i := 23; i <= 42; i++ {
 				suffix = append(suffix, mk(i))
 			}
 			var sinkO, sinkF []string
 			outO, outF := tapEmitter(&sinkO), tapEmitter(&sinkF)
 			for i, tu := range suffix {
-				n := 23 + i
+				n := 21 + i
 				orig.OnTuple(n%2, tu, outO)
 				fresh.OnTuple(n%2, tu, outF)
 				if n%5 == 0 {
 					orig.OnWatermark(event.Time(n-2), outO)
 					fresh.OnWatermark(event.Time(n-2), outF)
 				}
+				assertSameSnapshot(t, fmt.Sprintf("join, suffix tuple %d", i), orig.OnBarrier(2, nil), fresh.OnBarrier(2, nil))
 			}
 			orig.OnWatermark(45, outO)
 			fresh.OnWatermark(45, outF)
@@ -221,6 +230,12 @@ func TestJoinSnapshotRoundTrip(t *testing.T) {
 			}
 			assertSameStrings(t, "join results", gotF, gotO)
 			assertSameStrings(t, "join passthrough", sinkF, sinkO)
+			// The pair cache is not persisted, so the restored join computes
+			// pairs the original reuses; it looks up as many, firing no window
+			// the original skips.
+			if o, f := lookups(orig)-origLookups, lookups(fresh); o != f {
+				t.Fatalf("restored join looked up %d slice pairs, the original %d", f, o)
+			}
 			assertSameSnapshot(t, "join", orig.OnBarrier(2, nil), fresh.OnBarrier(2, nil))
 		})
 	}
@@ -300,11 +315,84 @@ func TestAggregationSnapshotRoundTrip(t *testing.T) {
 	}
 	assertSameStrings(t, "aggregation", gotF, gotO)
 	assertSameSnapshot(t, "aggregation", orig.OnBarrier(2, nil), fresh.OnBarrier(2, nil))
+
+	// Selection, session and second-port queries across a restore and slot
+	// reuse. At 0 a COUNT query, selection A, session C and two-stream P (fed
+	// on port 1) start; A and C are deleted at 12, and at 14 session D and
+	// selection B take C's and A's slots. The snapshot falls after the
+	// watermark evicted [0,10) and before it passes the deletions. After it:
+	// a tuple behind the evicted slice (late), one of A's and C's time on the
+	// reused slots (theirs alone), one of B's and D's time (theirs alone), a
+	// changelog rebuilding the port masks, and a tuple for P on port 1. Both
+	// instances snapshot alike after every step.
+	b = newCLBuilder()
+	msg0 := b.create(t, 0,
+		aggQ(window.TumblingSpec(10), sqlstream.AggCount, 0, expr.True()),
+		selQ(expr.True()),
+		aggQ(window.SessionSpec(4), sqlstream.AggCount, 0, expr.True()),
+		complexQ(window.TumblingSpec(10), window.TumblingSpec(10), sqlstream.AggCount, -1, expr.True(), expr.True()))
+	cntID, aID, cID, pID := msg0.CL.Created[0].Query, msg0.CL.Created[1].Query, msg0.CL.Created[2].Query, msg0.CL.Created[3].Query
+	delAC := b.remove(t, 12, aID, cID)
+	msgDB := b.create(t, 14,
+		aggQ(window.SessionSpec(4), sqlstream.AggCount, 0, expr.True()),
+		selQ(expr.True()))
+	dID, bID := msgDB.CL.Created[0].Query, msgDB.CL.Created[1].Query
+	slot := map[int]int{} // query ID -> slot
+	for _, c := range slices.Concat(msg0.CL.Created, msgDB.CL.Created) {
+		slot[c.Query] = c.Slot
+	}
+	if slot[dID] != slot[cID] || slot[bID] != slot[aID] || slot[aID] == 0 {
+		t.Fatalf("slots %v: D must reuse C's, B A's, and A's must not be 0", slot)
+	}
+	tuple := func(tm event.Time, ids ...int) event.Tuple {
+		tu := event.Tuple{Key: int64(tm % 3), Time: tm}
+		for _, id := range ids {
+			tu.QuerySet.Set(slot[id])
+		}
+		return tu
+	}
+	ids := []int{cntID, aID, cID, pID, dID, bID}
+	gotO, gotF = nil, nil
+	orig = NewSharedAggregation(2, 10, captureRouter(&gotO, ids...), &OpMetrics{})
+	orig.OnChangelog(msg0, 0, nil)
+	for tm := event.Time(1); tm < 10; tm += 2 {
+		orig.OnTuple(0, tuple(tm, cntID, aID, cID), nil)
+	}
+	orig.OnTuple(1, tuple(4, pID), nil)
+	orig.OnWatermark(10, nil)
+	orig.OnChangelog(delAC, 12, nil)
+	orig.OnChangelog(msgDB, 14, nil)
+	orig.OnTuple(0, tuple(15, cntID, bID, dID), nil)
+	fresh = NewSharedAggregation(2, 10, captureRouter(&gotF, ids...), &OpMetrics{})
+	if err := fresh.Restore(orig.OnBarrier(3, nil)); err != nil {
+		t.Fatal(err)
+	}
+	gotO = gotO[:0]
+	delB := b.remove(t, 18, bID)
+	for i, step := range []func(op *SharedAggregation){
+		func(op *SharedAggregation) { op.OnTuple(0, tuple(5, cntID), nil) },
+		func(op *SharedAggregation) { op.OnTuple(0, tuple(11, cntID, aID, cID), nil) },
+		func(op *SharedAggregation) { op.OnTuple(0, tuple(16, bID, dID), nil) },
+		func(op *SharedAggregation) { op.OnChangelog(delB, 18, nil) },
+		func(op *SharedAggregation) { op.OnTuple(1, tuple(19, pID), nil) },
+		func(op *SharedAggregation) { op.OnTuple(0, tuple(19, cntID), nil) },
+		func(op *SharedAggregation) { op.OnWatermark(30, nil) },
+	} {
+		step(orig)
+		step(fresh)
+		assertSameSnapshot(t, fmt.Sprintf("aggregation queries, step %d", i), orig.OnBarrier(4, nil), fresh.OnBarrier(4, nil))
+	}
+	for _, id := range []int{bID, dID, pID} {
+		if !slices.ContainsFunc(gotO, func(s string) bool { return strings.HasPrefix(s, fmt.Sprintf("q%d ", id)) }) {
+			t.Fatalf("query %d received nothing after the restore: %v", id, gotO)
+		}
+	}
+	assertSameStrings(t, "aggregation queries", gotF, gotO)
 }
 
 // TestSliceStoreSnapshotRoundTrip pins the store encoding for both layouts:
-// the restored store must reproduce the exact representation (mode, layout,
-// group structure), not just the same tuple multiset.
+// the restored store must reproduce the exact representation (layout, group
+// structure), not just the same tuple multiset.
 func TestSliceStoreSnapshotRoundTrip(t *testing.T) {
 	for _, mode := range []StoreMode{StoreList, StoreGrouped, StoreAdaptive} {
 		mode := mode
@@ -332,9 +420,9 @@ func TestSliceStoreSnapshotRoundTrip(t *testing.T) {
 
 // TestSliceStoreRestoreRejectsForgedShapes: a join slice store restores
 // only from what snapSliceStore writes. Every shape below restored without
-// error before: the store count was read and ignored, any mode byte became
-// the store's mode, and groups were taken in any order — restored so, a
-// store re-encodes and is probed in another order than the one snapshotted.
+// error before: the store count was read and ignored, and groups were taken
+// in any order — restored so, a store re-encodes and is probed in another
+// order than the one snapshotted.
 func TestSliceStoreRestoreRejectsForgedShapes(t *testing.T) {
 	grouped := func(forge func(s *sliceStore)) []byte {
 		s := newSliceStore(StoreGrouped)
@@ -354,10 +442,7 @@ func TestSliceStoreRestoreRejectsForgedShapes(t *testing.T) {
 		enc  []byte
 		want string
 	}{
-		{"store count not the tuples'", patch(grouped(keep), 2, 7), "counts 7 tuples and holds 6"},
-		{"mode 9", patch(grouped(keep), 0, 9), "no store mode"},
-		{"mode 48", patch(grouped(keep), 0, 48), "no store mode"},
-		{"list-mode store in groups", patch(grouped(keep), 0, byte(StoreList)), "grouped=true"},
+		{"store count not the tuples'", patch(grouped(keep), 1, 7), "counts 7 tuples and holds 6"},
 		{"groups out of order", grouped(func(s *sliceStore) {
 			o := s.groups.order
 			o[0], o[1] = o[1], o[0]
@@ -434,6 +519,9 @@ func TestOperatorRestoreRejectsCorruptSnapshots(t *testing.T) {
 		if err := fresh.Restore(tc.b); err == nil {
 			t.Fatalf("%s: Restore accepted a corrupt snapshot", tc.name)
 		}
+	}
+	if err := NewSharedAggregation(2, 10, NewRouter(&OpMetrics{}), &OpMetrics{}).Restore(snap); err == nil || !strings.Contains(err.Error(), "ports") {
+		t.Fatalf("a one-port snapshot restored into a two-port aggregation (%v)", err)
 	}
 	sel := NewSharedSelection(0, 10, &OpMetrics{})
 	if err := sel.Restore([]byte{99}); err == nil {

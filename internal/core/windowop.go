@@ -58,10 +58,8 @@ type liveQuery struct {
 // deterministic (replay determinism, §3.3) without per-emission sorts or map
 // ranges.
 type queryTable struct {
-	//lint:ephemeral constructor wiring: which of a query's windows the owning operator fires
-	specOf func(*Query) window.Spec
-	//lint:ephemeral derived index over the serialized ordered list
-	byID    map[int]*liveQuery
+	specOf  func(*Query) window.Spec
+	byID    map[int]*liveQuery // index over ordered, rebuilt on restore
 	ordered []*liveQuery
 }
 
@@ -289,10 +287,9 @@ type capGroup struct {
 // or two (the join's sides). All sides share the changelog-set table, the
 // query table and the watermark.
 type windowOp struct {
-	sides   []*slicer
-	table   *changelog.Table
-	queries queryTable
-	//lint:ephemeral constructor wiring (allowed-lateness config)
+	sides    []*slicer
+	table    *changelog.Table
+	queries  queryTable
 	lateness event.Time
 	lastWM   event.Time
 	// evictedThru is, per side, the end of the newest evicted slice: a tuple
@@ -300,11 +297,8 @@ type windowOp struct {
 	evictedThru [2]event.Time
 
 	// Steady-state scratch, owned by the instance goroutine.
-	//lint:ephemeral per-watermark scratch
-	trig triggerList //lint:pooled scratch per-watermark trigger scratch
-	//lint:ephemeral per-trigger scratch
-	caps []capGroup //lint:pooled scratch per-trigger cap-grouping scratch
-	//lint:ephemeral per-watermark scratch
+	trig     triggerList   //lint:pooled scratch per-watermark trigger scratch
+	caps     []capGroup    //lint:pooled scratch per-trigger cap-grouping scratch
 	specsTmp []window.Spec //lint:pooled scratch per-watermark window-spec scratch
 }
 

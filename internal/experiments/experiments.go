@@ -189,10 +189,6 @@ type Measurement struct {
 	DeployMean    time.Duration
 	DeployMax     time.Duration
 	Sustainable   bool
-	// Component nanos (Fig 18, AStream only): sampled estimates.
-	QuerySetGenNanos uint64
-	BitsetNanos      uint64
-	RouterCopyNanos  uint64
 	// Results delivered per second (sanity signal).
 	ResultsPerSec float64
 }
@@ -213,7 +209,7 @@ func (m Measurement) Row() string {
 // sut unifies the engines.
 type sut = driver.SUT
 
-func buildSUT(p Params) (sut, *core.Engine, error) {
+func buildSUT(p Params) (sut, error) {
 	streams := p.Kind.streams()
 	switch p.System {
 	case Baseline:
@@ -223,7 +219,7 @@ func buildSUT(p Params) (sut, *core.Engine, error) {
 			Nodes:          p.Nodes,
 			WatermarkEvery: 10,
 		})
-		return e, nil, err
+		return e, err
 	default:
 		e, err := core.NewEngine(core.Config{
 			Streams:        streams,
@@ -233,7 +229,7 @@ func buildSUT(p Params) (sut, *core.Engine, error) {
 			BatchTimeout:   time.Duration(float64(time.Second) / p.Compression),
 			WatermarkEvery: 10,
 		})
-		return e, e, err
+		return e, err
 	}
 }
 
@@ -268,7 +264,7 @@ func nextQuery(g *gen.Queries, k QueryKind) *core.Query {
 // Run executes one scenario and reports the paper's metrics.
 func Run(p Params) Measurement {
 	p.setDefaults()
-	s, eng, err := buildSUT(p)
+	s, err := buildSUT(p)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
@@ -306,7 +302,6 @@ func Run(p Params) Measurement {
 	start := time.Now()
 	deadline := start.Add(p.Warmup + p.Measure)
 	var measStartIngest, measStartResults uint64
-	var comps0 [3]uint64
 	var activeSamples []float64
 	var sustain metrics.Sustainability
 	measuring := false
@@ -330,12 +325,6 @@ func Run(p Params) Measurement {
 			measStart = now
 			measStartIngest = d.Ingested.Total()
 			measStartResults = d.Results.Total()
-			if eng != nil {
-				om := eng.Metrics()
-				comps0[0] = om.QuerySetGen.NanosEstimate()
-				comps0[1] = om.BitsetOps.NanosEstimate()
-				comps0[2] = om.RouterCopy.NanosEstimate()
-			}
 		}
 		if now.After(nextSample) {
 			nextSample = now.Add(50 * time.Millisecond)
@@ -383,15 +372,6 @@ func Run(p Params) Measurement {
 	measured := time.Since(measStart)
 	ingested := d.Ingested.Total() - measStartIngest
 	results := d.Results.Total() - measStartResults
-	// Component counters are captured at the measurement boundary, before
-	// the drain adds post-measurement work.
-	var comps [3]uint64
-	if eng != nil {
-		om := eng.Metrics()
-		comps[0] = om.QuerySetGen.NanosEstimate() - comps0[0]
-		comps[1] = om.BitsetOps.NanosEstimate() - comps0[1]
-		comps[2] = om.RouterCopy.NanosEstimate() - comps0[2]
-	}
 	wg.Wait()
 	d.Finish()
 
@@ -418,11 +398,6 @@ func Run(p Params) Measurement {
 		DeployMax:     d.DeployLat.Max(),
 		Sustainable:   sustain.Sustainable() && d.PendingRequests() == 0 && dropOK,
 		ResultsPerSec: float64(results) / measured.Seconds(),
-	}
-	if eng != nil {
-		m.QuerySetGenNanos = comps[0]
-		m.BitsetNanos = comps[1]
-		m.RouterCopyNanos = comps[2]
 	}
 	return m
 }

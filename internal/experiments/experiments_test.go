@@ -168,19 +168,6 @@ func TestFig16TimelinePhases(t *testing.T) {
 	}
 }
 
-func TestFig18Shares(t *testing.T) {
-	sc := tinyScale()
-	shares := Fig18ComponentOverhead(sc, []int{4})
-	if len(shares) != 1 {
-		t.Fatalf("shares = %+v", shares)
-	}
-	s := shares[0]
-	sum := s.QuerySetGen + s.Bitset + s.RouterC
-	if sum < 0.99 || sum > 1.01 {
-		t.Fatalf("component fractions sum to %.3f: %+v", sum, s)
-	}
-}
-
 func TestFig19Impact(t *testing.T) {
 	sc := tinyScale()
 	pts := Fig19Impact(sc, "SC1", []int{5}, []int{5})

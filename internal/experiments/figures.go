@@ -121,7 +121,7 @@ func Fig10DeployTimeline(sys System, upTo int, sc Scale) []DeployPoint {
 	p.setDefaults()
 	p.Warmup = sc.Warmup
 	p.Measure = sc.Measure + time.Duration(upTo)*100*time.Millisecond
-	s, _, err := buildSUT(p)
+	s, err := buildSUT(p)
 	if err != nil {
 		panic(err)
 	}
@@ -190,7 +190,7 @@ func Fig13To15SC2(sc Scale, nodes []int) []Measurement {
 func Fig16Timeline(sc Scale) []metrics.TimePoint {
 	p := Params{System: AStream, Kind: ComplexK, Scenario: "SC1", MaxParallelQ: 1, QueriesPerSec: 1}
 	p.setDefaults()
-	s, _, err := buildSUT(p)
+	s, err := buildSUT(p)
 	if err != nil {
 		panic(err)
 	}
@@ -257,38 +257,6 @@ func Fig17ParallelismSweep(sc Scale, kind QueryKind, nodes int, maxQ int) []Meas
 	return out
 }
 
-// OverheadShare is Figure 18a's datum: the share of AStream's added work
-// attributable to each component.
-type OverheadShare struct {
-	Queries                      int
-	QuerySetGen, Bitset, RouterC float64 // fractions of component total
-	TotalShare                   float64 // component total / (measure × parallelism)
-}
-
-// Fig18ComponentOverhead reproduces Figure 18: the proportion of AStream's
-// sharing machinery (query-set generation, bitset operations, router copy)
-// at growing query parallelism, plus its share of total processing time.
-func Fig18ComponentOverhead(sc Scale, counts []int) []OverheadShare {
-	var out []OverheadShare
-	for _, q := range counts {
-		p := Params{Scenario: "SC1", QueriesPerSec: 100, MaxParallelQ: q}
-		m := Run(apply(p, AggK, AStream, 1, sc, 5))
-		total := float64(m.QuerySetGenNanos + m.BitsetNanos + m.RouterCopyNanos)
-		sh := OverheadShare{Queries: q}
-		if total > 0 {
-			sh.QuerySetGen = float64(m.QuerySetGenNanos) / total
-			sh.Bitset = float64(m.BitsetNanos) / total
-			sh.RouterC = float64(m.RouterCopyNanos) / total
-		}
-		// Budget: measured wall time × operator instances (2 streams? the agg
-		// workload has S selections + agg = 2 stages × parallelism).
-		budget := float64(m.Params.Measure.Nanoseconds()) * float64(2*m.Params.Parallelism)
-		sh.TotalShare = total / budget
-		out = append(out, sh)
-	}
-	return out
-}
-
 // Fig18bSingleQueryOverhead measures the sharing overhead the paper bounds
 // at ~10 %: single-query AStream throughput vs single-query baseline.
 func Fig18bSingleQueryOverhead(sc Scale, kind QueryKind) (astream, baseline Measurement, overhead float64) {
@@ -330,7 +298,7 @@ func runImpact(sc Scale, scenario string, L, A int) ImpactPoint {
 	p.setDefaults()
 	p.Warmup = sc.Warmup
 	p.Measure = sc.Measure
-	s, _, err := buildSUT(p)
+	s, err := buildSUT(p)
 	if err != nil {
 		panic(err)
 	}

@@ -11,12 +11,9 @@ package lint
 // routing, and the runtime exchanges. The supervised-go scope names the
 // runtime packages whose goroutines must enter through the
 // panic-capturing supervisor, so no operator panic can kill the process.
-// The state scope names the packages whose Snapshot/Restore pairs snapcover
-// audits before any of that state goes durable (that every decoder accepts
-// exactly what its encoder writes is the fuzz targets' round-trip
-// property, not an analyzer's). The errsink scope is the state scope
-// plus internal/durable — the store, the WAL and the log-record codec, the
-// whole storage layer under the checkpoint runner: a dropped fsync or
+// The errsink scope names the packages whose state goes durable — the
+// operators, the checkpoint runner, the changelog — plus internal/durable,
+// the store, the WAL and the log-record codec under them: a dropped fsync or
 // Close error there is precisely the silent data loss the layer exists to
 // prevent — an unchecked Sync means the manifest may reference bytes the
 // kernel never promised. The lifetime analyzers (poolsafe, aliasescape,
@@ -50,14 +47,12 @@ func ModuleAnalyzers(modPath string) []*Analyzer {
 		modPath + "/internal/spe",
 		modPath + "/internal/core",
 	}
-	stateScope := []string{
+	errsinkScope := []string{
 		modPath + "/internal/core",
 		modPath + "/internal/checkpoint",
 		modPath + "/internal/changelog",
+		modPath + "/internal/durable",
 	}
-	errsinkScope := append(append([]string(nil), stateScope...),
-		modPath+"/internal/durable",
-	)
 	return []*Analyzer{
 		NewWallclock(wallclockAllow),
 		NewLockHeldSend(),
@@ -66,7 +61,6 @@ func ModuleAnalyzers(modPath string) []*Analyzer {
 		NewLeakyGo(),
 		NewNakedAtomic(),
 		NewSupervisedGo(supervisedScope),
-		NewSnapCover(stateScope),
 		NewErrSink(errsinkScope),
 		NewPoolSafe(nil),
 		NewAliasEscape(nil),

@@ -12,12 +12,13 @@ import (
 //
 //	//lint:<name> [<word>] [<reason…>]
 //
-// with <name> one of ignore, hotpath, pooled, ephemeral. A directive covers
-// its own line and, when it stands alone on its line, the line directly
-// below; on a function declaration it may also sit anywhere in the doc
-// comment. Every name shares these rules, the missing-reason finding, and
-// the attached-to-nothing finding, so an annotation that drifts off its
-// declaration is reported instead of silently switching a check off.
+// with <name> one of ignore, hotpath, pooled; any other name is a finding, so
+// a typo cannot silently drop a check. A directive covers its own line and,
+// when it stands alone on its line, the line directly below; on a function
+// declaration it may also sit anywhere in the doc comment. Every name shares
+// these rules, the missing-reason finding, and the attached-to-nothing
+// finding, so an annotation that drifts off its declaration is reported
+// instead of silently switching a check off.
 
 var directiveRe = regexp.MustCompile(`^//lint:([a-z]+)(?:\s+(.*))?$`)
 
@@ -30,8 +31,11 @@ type directive struct {
 	used    bool   // attached to a declaration (set by the consumer)
 }
 
-// parseDirectives returns every //lint:<name> directive of the package, in
-// source order.
+// directiveNames are the names some consumer reads.
+var directiveNames = map[string]bool{"ignore": true, "hotpath": true, "pooled": true}
+
+// parseDirectives returns every //lint:<name> directive of the package (of
+// any name when name is ""), in source order.
 func parseDirectives(p *Package, name string) []*directive {
 	var out []*directive
 	prefix := "//lint:" + name // skips the regexp on ordinary comments
@@ -42,19 +46,30 @@ func parseDirectives(p *Package, name string) []*directive {
 					continue
 				}
 				m := directiveRe.FindStringSubmatch(c.Text)
-				if m == nil || m[1] != name {
+				if m == nil || (name != "" && m[1] != name) {
 					continue
 				}
 				pos := p.Fset.Position(c.Pos())
 				src := p.Src[pos.Filename]
 				start := pos.Offset - (pos.Column - 1)
 				out = append(out, &directive{
-					name:    name,
+					name:    m[1],
 					pos:     pos,
 					ownLine: start >= 0 && pos.Offset <= len(src) && strings.TrimSpace(string(src[start:pos.Offset])) == "",
 					text:    strings.TrimSpace(m[2]),
 				})
 			}
+		}
+	}
+	return out
+}
+
+// unknownDirectives reports every directive whose name no consumer reads.
+func unknownDirectives(p *Package) []Diagnostic {
+	var out []Diagnostic
+	for _, d := range parseDirectives(p, "") {
+		if !directiveNames[d.name] {
+			out = append(out, Diagnostic{Analyzer: "lint", Pos: d.pos, Message: "unknown directive //lint:" + d.name + " (known: ignore, hotpath, pooled)"})
 		}
 	}
 	return out

@@ -332,6 +332,11 @@ func typeHasError(t types.Type) bool {
 	return errorType(t)
 }
 
+// errorType reports whether t is the built-in error interface.
+func errorType(t types.Type) bool {
+	return types.Identical(t, types.Universe.Lookup("error").Type())
+}
+
 // isUntypedNil reports whether t is the type of a literal nil.
 func isUntypedNil(t types.Type) bool {
 	b, ok := t.(*types.Basic)

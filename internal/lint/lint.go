@@ -130,11 +130,11 @@ type ignoreDirective struct {
 }
 
 // collectIgnores interprets every //lint:ignore directive in the package.
-// Malformed directives (no reason) are returned as diagnostics so they
-// cannot silently rot.
+// Malformed directives (no reason) and directives of unknown name are
+// returned as diagnostics so they cannot silently rot.
 func collectIgnores(p *Package) ([]ignoreDirective, []Diagnostic) {
 	var dirs []ignoreDirective
-	var bad []Diagnostic
+	bad := unknownDirectives(p)
 	for _, d := range parseDirectives(p, "ignore") {
 		names, reason := d.split()
 		if reason == "" {

@@ -23,7 +23,7 @@ import (
 //
 // The directive goes on the declaration's line, alone on the line directly
 // above it, or (for functions) anywhere in the doc comment — the same
-// placement rules as //lint:ephemeral and //lint:hotpath. The reason is
+// placement rules as //lint:ignore and //lint:hotpath. The reason is
 // mandatory. Helper endpoints (getVal/putVal-style wrappers) usually need no
 // explicit acquire/release annotation: touching an annotated pool or
 // freelist inside a function body derives its summary interprocedurally.

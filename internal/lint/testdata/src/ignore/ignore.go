@@ -1,6 +1,7 @@
 // Package ignore is a lint fixture for the //lint:ignore directive: the
 // same-line, own-line, and "all" forms must suppress; a wrong analyzer
-// name must not; a directive with no reason is itself a finding.
+// name must not; a directive with no reason is itself a finding, and so is a
+// directive whose name no consumer reads (a typo, or a retired name).
 package ignore
 
 import "time"
@@ -26,4 +27,9 @@ func wrongAnalyzer() int64 {
 func missingReason() int64 {
 	/* want "directive is missing a reason" */ //lint:ignore wallclock
 	return time.Now().UnixNano()               // want "time\.Now reads the wall clock"
+}
+
+func unknownName() int64 {
+	/* want "unknown directive //lint:hotpth" */ //lint:hotpth misspelt, so no hot-path root
+	return 0
 }

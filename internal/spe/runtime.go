@@ -165,10 +165,6 @@ func (e *Emitter) EmitTuple(t event.Tuple) {
 			e.append(&c.targets[0], t)
 		case Forward:
 			e.append(&c.targets[c.self], t)
-		case Broadcast:
-			for ti := range c.targets {
-				e.append(&c.targets[ti], t)
-			}
 		}
 	}
 }

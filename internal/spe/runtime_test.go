@@ -108,7 +108,7 @@ func TestRuntimeDuplicateEOSIgnored(t *testing.T) {
 }
 
 func TestPartitionModeStrings(t *testing.T) {
-	if Keyed.String() != "keyed" || Broadcast.String() != "broadcast" || Global.String() != "global" {
+	if Keyed.String() != "keyed" || Global.String() != "global" {
 		t.Fatal("PartitionMode strings")
 	}
 	if Forward.String() != "forward" {

@@ -26,8 +26,6 @@ const (
 	// Keyed routes each tuple by hash of its key: the "common partitioning
 	// key" assumption under which operators can be shared (paper §2).
 	Keyed PartitionMode = iota
-	// Broadcast delivers every tuple to every instance.
-	Broadcast
 	// Global delivers every tuple to instance 0.
 	Global
 	// Forward delivers every tuple from upstream instance i to downstream
@@ -45,8 +43,6 @@ func (m PartitionMode) String() string {
 	switch m {
 	case Keyed:
 		return "keyed"
-	case Broadcast:
-		return "broadcast"
 	case Global:
 		return "global"
 	case Forward:

@@ -111,9 +111,6 @@ type Input struct {
 // KeyedInput routes tuples by key hash.
 func KeyedInput(from *Node) Input { return Input{From: from, Mode: Keyed} }
 
-// BroadcastInput delivers all tuples to all instances.
-func BroadcastInput(from *Node) Input { return Input{From: from, Mode: Broadcast} }
-
 // GlobalInput delivers all tuples to instance 0.
 func GlobalInput(from *Node) Input { return Input{From: from, Mode: Global} }
 
