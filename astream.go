@@ -194,19 +194,6 @@ type QoSReport = core.QoSReport
 // QueryQoS is one query's service-level snapshot inside a QoSReport.
 type QueryQoS = core.QueryQoS
 
-// StoreMode selects the shared join's slice data structure (paper §3.1.4
-// and §3.2.3): adaptive (default; switches between grouped and list via
-// session markers at Config.GroupedThreshold), always-grouped, or
-// always-list.
-type StoreMode = core.StoreMode
-
-// Store modes.
-const (
-	StoreAdaptive = core.StoreAdaptive
-	StoreGrouped  = core.StoreGrouped
-	StoreList     = core.StoreList
-)
-
 // BaselineConfig parameterizes the query-at-a-time comparison engine.
 type BaselineConfig = baseline.Config
 

@@ -61,8 +61,6 @@ type Changelog struct {
 	Set bitset.Bits
 	// Slots is the number of slot positions in use after the change.
 	Slots int
-	// Active is the set of occupied slots after the change.
-	Active bitset.Bits
 }
 
 // MaxSlots bounds the slot numbers snapshot decoders accept. A slot is a bit
@@ -211,7 +209,6 @@ func (r *Registry) Apply(at event.Time, create, del []int) (*Changelog, error) {
 
 	cl.Slots = len(r.slots)
 	cl.Set = bitset.AllUpTo(cl.Slots).AndNot(changed)
-	cl.Active = r.ActiveSlots()
 	r.seq = cl.Seq
 	r.lastAt = at
 	r.started = true

@@ -37,7 +37,9 @@ func fuzzTable(f *testing.F, n int) (*Table, *Registry) {
 const maxTableFuzzInput = 2 << 10
 
 // FuzzTableFromSnapshot: arbitrary bytes yield an error or a table whose
-// snapshot is exactly those bytes.
+// snapshot is exactly those bytes. Under testdata, an earlier layout's seed
+// (version 2, whose changelogs carried their active set) is rejected by its
+// version byte.
 func FuzzTableFromSnapshot(f *testing.F) {
 	tab, _ := fuzzTable(f, 6)
 	snap := tab.Snapshot()

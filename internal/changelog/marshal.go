@@ -14,10 +14,10 @@ import (
 // at the barrier, or replayed changelogs would hit the runtime's gap check.
 // Layouts are compositions of internal/wire (DESIGN.md "Wire format").
 
-const snapshotVersion = 2
+const snapshotVersion = 3
 
 // changelogMinSize is a changelog with no assignments and empty sets.
-const changelogMinSize = 8 + 8 + 4 + 4 + 4 + 4 + 4
+const changelogMinSize = 8 + 8 + 4 + 4 + 4 + 4
 
 func appendAssignments(b []byte, as []Assignment) []byte {
 	b = wire.AppendCount(b, len(as))
@@ -43,8 +43,7 @@ func appendChangelog(b []byte, cl *Changelog) []byte {
 	b = wire.AppendU32(b, uint32(cl.Slots))
 	b = appendAssignments(b, cl.Created)
 	b = appendAssignments(b, cl.Deleted)
-	b = wire.AppendBits(b, cl.Set)
-	return wire.AppendBits(b, cl.Active)
+	return wire.AppendBits(b, cl.Set)
 }
 
 func readChangelog(r *wire.Reader) *Changelog {
@@ -55,7 +54,6 @@ func readChangelog(r *wire.Reader) *Changelog {
 		Created: readAssignments(r, "changelog created"),
 		Deleted: readAssignments(r, "changelog deleted"),
 		Set:     r.Bits("changelog set"),
-		Active:  r.Bits("changelog active"),
 	}
 	// Every slot is either unchanged (in Set) or named by an assignment
 	// (Registry.Apply). A count the rest of the changelog cannot account

@@ -13,50 +13,6 @@ import (
 	"astream/internal/window"
 )
 
-// BenchmarkAblationSliceStore contrasts the grouped and list slice stores on
-// the slice-join kernel (paper §3.1.4's data-structure heuristic; an
-// adaptive store is grouped until the session's first marker). Few distinct
-// query-sets favour grouping; many favour the list.
-func BenchmarkAblationSliceStore(b *testing.B) {
-	scenarios := []struct {
-		name     string
-		distinct int // distinct query-sets among tuples
-	}{
-		{"fewGroups", 4},
-		{"manyGroups", 512},
-	}
-	modes := []StoreMode{StoreGrouped, StoreList}
-	for _, sc := range scenarios {
-		for _, mode := range modes {
-			b.Run(sc.name+"/"+mode.String(), func(b *testing.B) {
-				// Single-bit query-sets: two groups join only when they
-				// share the bit, so group-level pruning can skip
-				// (distinct-1)/distinct of all group pairs.
-				mkStore := func(seed int64) *sliceStore {
-					r := rand.New(rand.NewSource(seed))
-					s := newSliceStore(mode)
-					for i := 0; i < 2000; i++ {
-						qs := bitset.FromIndexes(r.Intn(sc.distinct))
-						s.Add(event.Tuple{Key: int64(r.Intn(100)), Time: event.Time(i), QuerySet: qs})
-					}
-					return s
-				}
-				sa, sb := mkStore(2), mkStore(3)
-				mask := bitset.AllUpTo(sc.distinct)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					n := 0
-					joinedStores(sa, sb, mask, func(event.JoinedTuple) { n++ })
-					if n == 0 {
-						b.Fatal("join produced nothing")
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkAblationChangelogDP contrasts Equation 1's DP table against
 // recomputing AND-chains for non-adjacent slice relations.
 func BenchmarkAblationChangelogDP(b *testing.B) {

@@ -211,7 +211,7 @@ func insertSortedInt64(s []int64, v int64) []int64 {
 // SharedAggregation is the shared windowed aggregation operator (§3.1.5).
 // Port 0 carries raw stream-0 tuples (arity-1 aggregations and selections);
 // port k ≥ 1 carries the output of join stage k-1 (complex queries of arity
-// k+1). Tuples fold into query-set-grouped partial aggregates per slice and
+// k+1). Tuples fold into per-query-set partial aggregates of their slice and
 // are then discarded; window results combine slice partials.
 type SharedAggregation struct {
 	spe.BaseLogic

@@ -25,8 +25,6 @@ type Config struct {
 	// Nodes simulates a cluster of this many nodes; with Nodes > 1 an edge
 	// codec charges serialization on inter-node exchanges.
 	Nodes int
-	// StoreMode selects the join slice store (adaptive/grouped/list).
-	StoreMode StoreMode
 	// BatchSize and BatchTimeout configure the shared session's changelog
 	// batching (paper §4.4: batch-size 100, timeout 1 s).
 	BatchSize    int
@@ -36,11 +34,7 @@ type Config struct {
 	Lateness event.Time
 	// WatermarkEvery controls watermark cadence in event-time units.
 	WatermarkEvery event.Time
-	// GroupedThreshold is the active-query count above which the shared
-	// session sends the §3.2.3 marker switching join slice stores from
-	// query-set grouping to flat lists (the paper's heuristic: beyond ~10
-	// concurrent queries most groups hold a single tuple). Only applies
-	// when StoreMode is StoreAdaptive.
+	// GroupedThreshold is unread: kept so cmd/ledger builds.
 	GroupedThreshold int
 	// NowNanos is the wall clock (injectable for tests).
 	NowNanos func() int64
@@ -80,9 +74,6 @@ func (c *Config) setDefaults() {
 	if c.WatermarkEvery <= 0 {
 		c.WatermarkEvery = 10
 	}
-	if c.GroupedThreshold <= 0 {
-		c.GroupedThreshold = 10
-	}
 	if c.NowNanos == nil {
 		// The one place the engine touches the wall clock: the default
 		// when no clock is injected.
@@ -120,7 +111,6 @@ type Engine struct {
 
 	nextID     int64
 	maxHorizon int64 // max window reach, for the drain watermark
-	storeHint  int32 // last §3.2.3 store marker sent (StoreSwitch)
 	errMu      sync.Mutex
 	sessErrs   []error
 	defsMu     sync.RWMutex
@@ -216,7 +206,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		k := k
 		eng.joinLogics[k] = make([]*SharedJoin, P)
 		jn := topo.AddOperator(fmt.Sprintf("join-%d", k), P, func(inst int) spe.Logic {
-			l := NewSharedJoin(k, cfg.StoreMode, cfg.Lateness, eng.router, eng.metrics)
+			l := NewSharedJoin(k, 0, cfg.Lateness, eng.router, eng.metrics)
 			eng.joinLogics[k][inst] = l
 			return l
 		}, spe.KeyedInput(left), spe.KeyedInput(sels[k+1]))
@@ -503,24 +493,6 @@ func (e *Engine) Checkpoint(id uint64) {
 
 // DeployRecords returns per-query deployment latency records.
 func (e *Engine) DeployRecords() []DeployRecord { return e.session.deployRecords() }
-
-// storeSwitch decides whether this changelog carries the §3.2.3 data-
-// structure marker: in adaptive mode, crossing GroupedThreshold in either
-// direction switches every join slice store between grouped and list
-// layout. Called under the session lock, after the registry was updated.
-func (e *Engine) storeSwitch() StoreSwitch {
-	if e.cfg.StoreMode != StoreAdaptive {
-		return SwitchNone
-	}
-	want := SwitchGrouped
-	if e.registry.ActiveCount() > e.cfg.GroupedThreshold {
-		want = SwitchList
-	}
-	if StoreSwitch(atomic.SwapInt32(&e.storeHint, int32(want))) == want {
-		return SwitchNone // no crossing since the last changelog
-	}
-	return want
-}
 
 // QueryQoS is one query's service-level snapshot (paper §3.4).
 type QueryQoS struct {

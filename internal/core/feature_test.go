@@ -12,15 +12,14 @@ import (
 	"astream/internal/window"
 )
 
-// TestStoreSwitchMarker verifies the §3.2.3 marker: crossing the grouped
-// threshold flips every live join slice store to list layout (and back).
-// Each phase runs to Drain so the operator state reads are race-free; the
-// harness reference check keeps results correct throughout.
+// TestStoreSwitchMarker: a join engine holds its results to the reference
+// with 2 queries, with 5, and with 5 of which 3 stop mid-run. Each run drains
+// before its results are checked.
 func TestStoreSwitchMarker(t *testing.T) {
-	run := func(create int, stopFirst int) StoreMode {
+	run := func(create int, stopFirst int) {
 		eng, err := NewEngine(Config{
 			Streams: 2, Parallelism: 1, BatchSize: 1, BatchTimeout: time.Hour,
-			WatermarkEvery: 1, StoreMode: StoreAdaptive, GroupedThreshold: 3,
+			WatermarkEvery: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -49,41 +48,10 @@ func TestStoreSwitchMarker(t *testing.T) {
 			h.ingest(1, int64(i%3), event.Time(i))
 		}
 		h.finish() // drains and checks results against the reference
-		return eng.joinLogics[0][0].storeMode
 	}
-
-	if got := run(2, 0); got == StoreList {
-		t.Fatalf("2 queries under threshold 3 must not switch to list (got %v)", got)
-	}
-	if got := run(5, 0); got != StoreList {
-		t.Fatalf("5 queries over threshold 3 should switch to list, got %v", got)
-	}
-	if got := run(5, 3); got != StoreGrouped {
-		t.Fatalf("dropping back to 2 queries should regroup, got %v", got)
-	}
-}
-
-func TestSliceStoreSetModeRoundTrip(t *testing.T) {
-	s := newSliceStore(StoreGrouped)
-	for i := 0; i < 50; i++ {
-		s.Add(mkTuple(int64(i%5), event.Time(i), i%3))
-	}
-	if !s.Grouped() || s.Len() != 50 {
-		t.Fatal("setup wrong")
-	}
-	s.setMode(StoreList)
-	if s.Grouped() || s.Len() != 50 {
-		t.Fatalf("degenerate lost tuples: grouped=%v len=%d", s.Grouped(), s.Len())
-	}
-	s.setMode(StoreGrouped)
-	if !s.Grouped() || s.Len() != 50 || s.GroupCount() != 3 {
-		t.Fatalf("regroup wrong: grouped=%v len=%d groups=%d", s.Grouped(), s.Len(), s.GroupCount())
-	}
-	// Idempotent.
-	s.setMode(StoreGrouped)
-	if s.Len() != 50 {
-		t.Fatal("idempotent regroup lost tuples")
-	}
+	run(2, 0)
+	run(5, 0)
+	run(5, 3)
 }
 
 // TestEngineQoS exercises the §3.4 QoS report. The injected clock advances

@@ -110,27 +110,34 @@ func FuzzSelectionRestore(f *testing.F) {
 	})
 }
 
-// FuzzJoinRestore: the seeds are this build's encoding in both store
-// layouts and, under testdata, two fuzzer finds, an earlier layout's
-// (version 6, whose stores each carried a mode byte), which is rejected by
-// its version byte, and the forged slice rings of
+// FuzzJoinRestore: the seeds are this build's encoding at two barriers — the
+// second after a query's deletion and an eviction — and, under testdata, two
+// fuzzer finds, two earlier layouts' (version 6, whose stores each carried a
+// mode byte, and version 7, whose join and stores did), which are rejected by
+// their version byte, and the forged slice rings of
 // TestSlicerRestoreRejectsForgedRings (ring-*).
 func FuzzJoinRestore(f *testing.F) {
-	for _, mode := range []StoreMode{StoreList, StoreGrouped} {
-		b := newCLBuilder()
-		join := NewSharedJoin(0, mode, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
-		join.OnChangelog(b.create(f, 0, joinQ(window.TumblingSpec(10), gt(0, -1), gt(0, -1)),
-			joinQ(window.SlidingSpec(20, 5), gt(0, -1), gt(0, -1))), 0, nil)
-		out := tapEmitter(&[]string{})
-		for i := 0; i < 12; i++ {
+	b := newCLBuilder()
+	join := NewSharedJoin(0, 0, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
+	msg := b.create(f, 0, joinQ(window.TumblingSpec(10), gt(0, -1), gt(0, -1)),
+		joinQ(window.SlidingSpec(20, 5), gt(0, -1), gt(0, -1)))
+	join.OnChangelog(msg, 0, nil)
+	out := tapEmitter(&[]string{})
+	feed := func(from, to int) {
+		for i := from; i < to; i++ {
 			join.OnTuple(i%2, event.Tuple{Key: int64(i % 3), Time: event.Time(1 + i), QuerySet: bitset.FromIndexes(i%2, i/2%2)}, out)
 		}
-		join.OnWatermark(9, out)
-		addCorruptions(f, join.OnBarrier(1, nil))
 	}
+	feed(0, 12)
+	join.OnWatermark(9, out)
+	addCorruptions(f, join.OnBarrier(1, nil))
+	join.OnChangelog(b.remove(f, 14, msg.CL.Created[0].Query), 14, nil)
+	feed(12, 40)
+	join.OnWatermark(35, out)
+	addCorruptions(f, join.OnBarrier(2, nil))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		wiretest.Bounded(t, in, func() {
-			fresh := NewSharedJoin(0, StoreList, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
+			fresh := NewSharedJoin(0, 0, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
 			if fresh.Restore(in) == nil {
 				wiretest.Canonical(t, in, fresh.OnBarrier(2, nil))
 			}
@@ -204,6 +211,9 @@ func FuzzAggregationRestoreDelta(f *testing.F) {
 	})
 }
 
+// FuzzRestoreControl: the seeds are this build's encoding and, under
+// testdata, four fuzzer finds and an earlier layout's (version 7, which
+// carried the session's store marker), which is rejected by its version byte.
 func FuzzRestoreControl(f *testing.F) {
 	eng := controlEngine(f)
 	addCorruptions(f, eng.ControlSnapshot())

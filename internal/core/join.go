@@ -18,8 +18,7 @@ import (
 // incremental, delta style of Figure 4f.
 type SharedJoin struct {
 	spe.BaseLogic
-	stage     int // 0 joins streams 0⋈1; stage k joins (stage k-1)⋈(stream k+1)
-	storeMode StoreMode
+	stage int // 0 joins streams 0⋈1; stage k joins (stage k-1)⋈(stream k+1)
 	// win drives both sides' slice rings (tuples in slice.store) and the
 	// queries active at this stage.
 	win     windowOp
@@ -58,11 +57,16 @@ type joinTarget struct {
 // joinWindow is the window a join stage fires for q.
 func joinWindow(q *Query) window.Spec { return q.Window }
 
+// StoreMode is NewSharedJoin's second parameter, unread: kept so cmd/ledger builds.
+type StoreMode uint8
+
+// StoreAdaptive is the StoreMode cmd/ledger passes, unread: kept so it builds.
+const StoreAdaptive StoreMode = 0
+
 // NewSharedJoin constructs the logic for one join-stage instance.
-func NewSharedJoin(stage int, storeMode StoreMode, lateness event.Time, router *Router, m *OpMetrics) *SharedJoin {
+func NewSharedJoin(stage int, _ StoreMode, lateness event.Time, router *Router, m *OpMetrics) *SharedJoin {
 	return &SharedJoin{
-		stage:     stage,
-		storeMode: storeMode,
+		stage: stage,
 		// Slice IDs are namespaced per side (even/odd): no ID names a slice
 		// on both sides.
 		win:     newWindowOp(lateness, joinWindow, newSlicerWithIDs(0, 2), newSlicerWithIDs(1, 2)),
@@ -102,23 +106,6 @@ func (j *SharedJoin) OnChangelog(payload any, at event.Time, _ *spe.Emitter) {
 		}
 	}
 	j.win.addEpoch(msg.CL, at, cut)
-	// §3.2.3: the session's store marker switches every slice's data
-	// structure at once, and new slices follow suit.
-	switch msg.Switch {
-	case SwitchList:
-		j.storeMode = StoreList
-	case SwitchGrouped:
-		j.storeMode = StoreGrouped
-	default:
-		return
-	}
-	for _, side := range j.win.sides {
-		for _, sl := range side.slices {
-			if sl.store != nil {
-				sl.store.setMode(j.storeMode)
-			}
-		}
-	}
 }
 
 // OnTuple stores the tuple in its side's slice. Tuples are saved exactly
@@ -130,7 +117,7 @@ func (j *SharedJoin) OnTuple(port int, t event.Tuple, _ *spe.Emitter) {
 	}
 	sl := j.win.sides[port].sliceFor(t.Time)
 	if sl.store == nil {
-		sl.store = newSliceStore(j.storeMode)
+		sl.store = &sliceStore{}
 	}
 	sl.store.Add(t)
 }

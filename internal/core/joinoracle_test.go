@@ -14,9 +14,9 @@ import (
 )
 
 // These tests pin the shared join's fire path the way fire_test.go pins the
-// aggregation's: for every changelog history, store layout and watermark
-// schedule, every sink receives from OnWatermark exactly the rows the
-// reference below computes for it, window by window.
+// aggregation's: for every changelog history and watermark schedule, every
+// sink receives from OnWatermark exactly the rows the reference below
+// computes for it, window by window.
 
 // joinSink collects rows per sink — "q<ID>" for a query this stage is terminal
 // for, "slot<N>" for the pass-through tuples carrying slot N downstream — as
@@ -96,8 +96,8 @@ func (j *SharedJoin) joinWindowScan(ext window.Extent, aq *liveQuery, curEpoch u
 			if !pair.Test(aq.slot) || !rel(max(sa.epoch, sb.epoch), capTo).Test(aq.slot) {
 				continue
 			}
-			for _, ta := range sa.store.All() {
-				for _, tb := range sb.store.All() {
+			for _, ta := range sa.store.tuples {
+				for _, tb := range sb.store.tuples {
 					if ta.Key != tb.Key || !ta.QuerySet.Test(aq.slot) || !tb.QuerySet.Test(aq.slot) {
 						continue
 					}
@@ -154,7 +154,7 @@ func (p passTap) OnTuple(_ int, t event.Tuple, _ *spe.Emitter) {
 	}
 }
 
-func newJoinEngine(mode StoreMode, lateness event.Time, maxID int) *joinEngine {
+func newJoinEngine(lateness event.Time, maxID int) *joinEngine {
 	e := &joinEngine{out: joinSink{}}
 	r := NewRouter(&OpMetrics{})
 	for id := 1; id <= maxID; id++ {
@@ -166,7 +166,7 @@ func newJoinEngine(mode StoreMode, lateness event.Time, maxID int) *joinEngine {
 			e.out.add(sink, res.Window.String(), joinRow(&res.Join))
 		}))
 	}
-	e.j = NewSharedJoin(0, mode, lateness, r, NewOpMetrics(nil))
+	e.j = NewSharedJoin(0, 0, lateness, r, NewOpMetrics(nil))
 	e.pass = spe.NewChainedEmitter(passTap{out: e.out}, nil)
 	return e
 }
@@ -180,18 +180,17 @@ type joinPair struct {
 	refOut        joinSink
 }
 
-func newJoinPair(mode StoreMode, lateness event.Time, maxID int) *joinPair {
+func newJoinPair(lateness event.Time, maxID int) *joinPair {
 	return &joinPair{
-		eng:    newJoinEngine(mode, lateness, maxID),
-		ref:    NewSharedJoin(0, mode, lateness, NewRouter(&OpMetrics{}), NewOpMetrics(nil)),
+		eng:    newJoinEngine(lateness, maxID),
+		ref:    NewSharedJoin(0, 0, lateness, NewRouter(&OpMetrics{}), NewOpMetrics(nil)),
 		refOut: joinSink{},
 	}
 }
 
 func (p *joinPair) restore(t *testing.T, lateness event.Time, maxID int) {
 	t.Helper()
-	// The constructor's layout is overwritten by the snapshot's.
-	p.restored = newJoinEngine(StoreAdaptive, lateness, maxID)
+	p.restored = newJoinEngine(lateness, maxID)
 	if err := p.restored.j.Restore(p.eng.j.OnBarrier(1, nil)); err != nil {
 		t.Fatal(err)
 	}
@@ -260,8 +259,7 @@ func randJoinQuery(r *rand.Rand) *Query {
 // TestJoinAgreesWithReference co-drives an engine-fired and a reference-fired
 // join through identical changelog/tuple/watermark sequences — deploy/delete
 // churn with slot reuse, pending-delete caps, tumbling and sliding specs that
-// share extents, all three initial store layouts with a SwitchList and a
-// SwitchGrouped marker mid-run, out-of-order tuples, tuples behind the
+// share extents, out-of-order tuples, tuples behind the
 // watermark that land in slices whose pairs are cached, and tuples behind the
 // eviction mark — and requires the same rows at every sink, terminal results
 // and pass-through tuples both, at every watermark. Halfway through, the engine instance's snapshot is
@@ -273,7 +271,7 @@ func TestJoinAgreesWithReference(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			const lateness, maxID = 50, 256
 			r := rand.New(rand.NewSource(seed))
-			p := newJoinPair([]StoreMode{StoreAdaptive, StoreGrouped, StoreList}[seed%3], lateness, maxID)
+			p := newJoinPair(lateness, maxID)
 			b := newCLBuilder()
 			var active []int
 			wm := event.MinTime
@@ -297,12 +295,6 @@ func TestJoinAgreesWithReference(t *testing.T) {
 					for _, q := range qs {
 						active = append(active, q.ID)
 					}
-				}
-				switch step {
-				case 12:
-					msg.Switch = SwitchList
-				case 27:
-					msg.Switch = SwitchGrouped
 				}
 				p.changelog(msg, at)
 
@@ -393,8 +385,8 @@ func TestJoinCoincidentExtents(t *testing.T) {
 		return r
 	}
 	var gotOut, wantOut [n + 1][]string
-	got := NewSharedJoin(0, StoreGrouped, 0, sinks(&gotOut), &OpMetrics{})
-	want := NewSharedJoin(0, StoreGrouped, 0, sinks(&wantOut), &OpMetrics{})
+	got := NewSharedJoin(0, 0, 0, sinks(&gotOut), &OpMetrics{})
+	want := NewSharedJoin(0, 0, 0, sinks(&wantOut), &OpMetrics{})
 	got.OnChangelog(msg, 0, nil)
 	want.OnChangelog(msg, 0, nil)
 
@@ -495,7 +487,7 @@ func (p *joinPair) reused() uint64 { return p.eng.j.metrics.PairsReuse }
 // R@120 and with R@210 in [100,300) — on an instance that cached the pair and
 // on one restored from its snapshot, whose cache is empty.
 func TestJoinLateTupleReachesCachedPairs(t *testing.T) {
-	p, b := newJoinPair(StoreList, 0, 1), newCLBuilder()
+	p, b := newJoinPair(0, 1), newCLBuilder()
 	p.changelog(b.create(t, 0, joinQ(window.SlidingSpec(200, 100), gt(0, -1), gt(0, -1))), 0)
 	at := func(port int, tm event.Time) {
 		p.tuple(port, event.Tuple{Key: 1, Time: tm, QuerySet: bitset.FromIndexes(0), IngestNanos: int64(tm)})
@@ -516,58 +508,28 @@ func TestJoinLateTupleReachesCachedPairs(t *testing.T) {
 	}
 }
 
-// TestJoinPairsAcrossLayoutSwitch: a SwitchList marker moves every tuple of a
-// grouped store, a SwitchGrouped marker changes the order a store is probed
-// in; either arrives between two fires that share slice pairs.
-func TestJoinPairsAcrossLayoutSwitch(t *testing.T) {
-	for _, tc := range []struct {
-		from StoreMode
-		to   StoreSwitch
-	}{{StoreGrouped, SwitchList}, {StoreList, SwitchGrouped}} {
-		p, b := newJoinPair(tc.from, 0, 8), newCLBuilder()
-		r := rand.New(rand.NewSource(int64(tc.to)))
-		p.changelog(b.create(t, 0, slidingJoins(3, 300, 100)...), 0)
-		feedJoin(p, r, -1, 0, 250, 60, 4)
-		p.fired(t, "before the marker", 200)
-		msg := b.create(t, 250, joinQ(window.TumblingSpec(100), gt(0, -1), gt(0, -1)))
-		msg.Switch = tc.to
-		p.changelog(msg, 250)
-		if got := p.eng.j.win.sides[0].slices[0].store.Grouped(); got != (tc.to == SwitchGrouped) {
-			t.Fatalf("marker %v left the stores grouped=%v", tc.to, got)
-		}
-		feedJoin(p, r, -1, 250, 400, 30, 4)
-		p.fired(t, "after the marker", 300)
-		p.fired(t, "after the marker", 400)
-		if p.reused() == 0 {
-			t.Fatal("no fire reused a pair: the windows did not overlap as the test assumes")
-		}
-	}
-}
-
 // TestJoinPairsAcrossRestore: a snapshot taken between two fires that share
 // slice pairs restores the rows' inputs and neither the key indexes nor the
 // pairs; the restored instance rebuilds both and fires the same rows.
 func TestJoinPairsAcrossRestore(t *testing.T) {
-	for _, mode := range []StoreMode{StoreGrouped, StoreList} {
-		p, b := newJoinPair(mode, 0, 8), newCLBuilder()
-		r := rand.New(rand.NewSource(7))
-		p.changelog(b.create(t, 0, slidingJoins(3, 300, 100)...), 0)
-		feedJoin(p, r, -1, 0, 250, 60, 4)
-		p.fired(t, "before the snapshot", 200)
-		p.restore(t, 0, 8)
-		for _, side := range p.restored.j.win.sides {
-			for _, sl := range side.slices {
-				if sl.store != nil && (sl.store.heads != nil || sl.store.pairs != nil) {
-					t.Fatal("a restored store came back with an index or cached pairs")
-				}
+	p, b := newJoinPair(0, 8), newCLBuilder()
+	r := rand.New(rand.NewSource(7))
+	p.changelog(b.create(t, 0, slidingJoins(3, 300, 100)...), 0)
+	feedJoin(p, r, -1, 0, 250, 60, 4)
+	p.fired(t, "before the snapshot", 200)
+	p.restore(t, 0, 8)
+	for _, side := range p.restored.j.win.sides {
+		for _, sl := range side.slices {
+			if sl.store != nil && (sl.store.heads != nil || sl.store.pairs != nil) {
+				t.Fatal("a restored store came back with an index or cached pairs")
 			}
 		}
-		feedJoin(p, r, -1, 250, 400, 30, 4)
-		p.fired(t, "after the snapshot", 300)
-		p.fired(t, "after the snapshot", 400)
-		if p.reused() == 0 || p.restored.j.metrics.PairsReuse == 0 {
-			t.Fatal("an instance never reused a pair: the windows did not overlap as the test assumes")
-		}
+	}
+	feedJoin(p, r, -1, 250, 400, 30, 4)
+	p.fired(t, "after the snapshot", 300)
+	p.fired(t, "after the snapshot", 400)
+	if p.reused() == 0 || p.restored.j.metrics.PairsReuse == 0 {
+		t.Fatal("an instance never reused a pair: the windows did not overlap as the test assumes")
 	}
 }
 
@@ -575,38 +537,36 @@ func TestJoinPairsAcrossRestore(t *testing.T) {
 // spilled backing; the rows must keep their own bits through later joins
 // that reuse the kernel's scratch.
 func TestJoinPairsWideQuerySets(t *testing.T) {
-	for _, mode := range []StoreMode{StoreGrouped, StoreList} {
-		p, b := newJoinPair(mode, 0, 100), newCLBuilder()
-		r := rand.New(rand.NewSource(9))
-		p.changelog(b.create(t, 0, slidingJoins(90, 300, 100)...), 0)
-		feedJoin(p, r, -1, 0, 400, 60, 91)
-		for wm := event.Time(100); wm <= 500; wm += 100 {
-			p.fired(t, fmt.Sprintf("wm=%v", wm), wm)
-		}
-		if p.reused() == 0 {
-			t.Fatal("no fire reused a pair")
-		}
-		wide := false
-		for _, sl := range p.eng.j.win.sides[0].slices {
-			for _, pair := range sl.store.pairs {
-				for _, row := range pair.rows {
-					wide = wide || row.qs.WordCount() > 1
-				}
+	p, b := newJoinPair(0, 100), newCLBuilder()
+	r := rand.New(rand.NewSource(9))
+	p.changelog(b.create(t, 0, slidingJoins(90, 300, 100)...), 0)
+	feedJoin(p, r, -1, 0, 400, 60, 91)
+	for wm := event.Time(100); wm <= 500; wm += 100 {
+		p.fired(t, fmt.Sprintf("wm=%v", wm), wm)
+	}
+	if p.reused() == 0 {
+		t.Fatal("no fire reused a pair")
+	}
+	wide := false
+	for _, sl := range p.eng.j.win.sides[0].slices {
+		for _, pair := range sl.store.pairs {
+			for _, row := range pair.rows {
+				wide = wide || row.qs.WordCount() > 1
 			}
 		}
-		if !wide {
-			t.Fatal("no cached row carries a query-set beyond 64 slots")
-		}
+	}
+	if !wide {
+		t.Fatal("no cached row carries a query-set beyond 64 slots")
 	}
 }
 
-// TestJoinPairsStoreGrowth: late tuples keep arriving in a list store after
+// TestJoinPairsStoreGrowth: late tuples keep arriving in a store after
 // its key index was built and its pairs cached — first until the tuples
 // reallocate, the index taking each one, then past the index's room, which
 // drops it. Cached rows name positions, so they survive the move; every pair
 // of the grown store is joined again and the late tuples are in it.
 func TestJoinPairsStoreGrowth(t *testing.T) {
-	p, b := newJoinPair(StoreList, 0, 8), newCLBuilder()
+	p, b := newJoinPair(0, 8), newCLBuilder()
 	r := rand.New(rand.NewSource(11))
 	p.changelog(b.create(t, 0, slidingJoins(3, 400, 100)...), 0)
 	feedJoin(p, r, -1, 0, 400, 120, 4)
@@ -644,33 +604,31 @@ func TestJoinPairsStoreGrowth(t *testing.T) {
 // in the order the instance that kept them does, late tuples into indexed
 // stores included.
 func TestJoinRowOrderSurvivesRestore(t *testing.T) {
-	for _, mode := range []StoreMode{StoreGrouped, StoreList, StoreAdaptive} {
-		p, b := newJoinPair(mode, 0, 8), newCLBuilder()
-		r := rand.New(rand.NewSource(13))
-		p.changelog(b.create(t, 0, slidingJoins(3, 300, 100)...), 0)
-		feedJoin(p, r, -1, 0, 300, 90, 4)
-		p.fired(t, "before the snapshot", 200)
-		p.restore(t, 0, 8)
-		feedJoin(p, r, -1, 100, 400, 60, 4)
-		for wm := event.Time(300); wm <= 500; wm += 100 {
-			p.eng.j.OnWatermark(wm, p.eng.pass)
-			p.restored.j.OnWatermark(wm, p.restored.pass)
-			if len(p.eng.out) == 0 {
-				t.Fatalf("%v wm=%v fired nothing", mode, wm)
-			}
-			for sink, rows := range p.eng.out {
-				got := p.restored.out[sink]
-				if len(got) != len(rows) {
-					t.Fatalf("%v wm=%v %s: restored instance fired %d rows, want %d", mode, wm, sink, len(got), len(rows))
-				}
-				for i := range rows {
-					if got[i] != rows[i] {
-						t.Fatalf("%v wm=%v %s row %d:\nrestored: %v\nkept:     %v", mode, wm, sink, i, got[i], rows[i])
-					}
-				}
-			}
-			clear(p.eng.out)
-			clear(p.restored.out)
+	p, b := newJoinPair(0, 8), newCLBuilder()
+	r := rand.New(rand.NewSource(13))
+	p.changelog(b.create(t, 0, slidingJoins(3, 300, 100)...), 0)
+	feedJoin(p, r, -1, 0, 300, 90, 4)
+	p.fired(t, "before the snapshot", 200)
+	p.restore(t, 0, 8)
+	feedJoin(p, r, -1, 100, 400, 60, 4)
+	for wm := event.Time(300); wm <= 500; wm += 100 {
+		p.eng.j.OnWatermark(wm, p.eng.pass)
+		p.restored.j.OnWatermark(wm, p.restored.pass)
+		if len(p.eng.out) == 0 {
+			t.Fatalf("wm=%v fired nothing", wm)
 		}
+		for sink, rows := range p.eng.out {
+			got := p.restored.out[sink]
+			if len(got) != len(rows) {
+				t.Fatalf("wm=%v %s: restored instance fired %d rows, want %d", wm, sink, len(got), len(rows))
+			}
+			for i := range rows {
+				if got[i] != rows[i] {
+					t.Fatalf("wm=%v %s row %d:\nrestored: %v\nkept:     %v", wm, sink, i, got[i], rows[i])
+				}
+			}
+		}
+		clear(p.eng.out)
+		clear(p.restored.out)
 	}
 }

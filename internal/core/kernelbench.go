@@ -35,10 +35,10 @@ func benchTuple(i int, qs bitset.Bits, at event.Time) event.Tuple {
 	return t
 }
 
-// benchStore fills a grouped slice store with n tuples spread over
-// query-set groups drawn from slotCount slots.
+// benchStore fills a slice store with n tuples whose query-sets are drawn
+// from slotCount slots.
 func benchStore(n, slotCount int) *sliceStore {
-	s := newSliceStore(StoreGrouped)
+	s := &sliceStore{}
 	for i := 0; i < n; i++ {
 		var qs bitset.Bits
 		qs.Set(i % slotCount)
@@ -82,7 +82,7 @@ func KernelBenchmarks() []KernelBench {
 			Name: "join-fire-cached-16q",
 			New: func() func(int) {
 				router := NewRouter(NewOpMetrics(nil))
-				j := NewSharedJoin(0, StoreList, 0, router, NewOpMetrics(nil))
+				j := NewSharedJoin(0, 0, 0, router, NewOpMetrics(nil))
 				msg := benchChangelog(16, Query{
 					Kind: KindJoin, Arity: 2, AggField: -1,
 					Predicates: []expr.Predicate{expr.True(), expr.True()},

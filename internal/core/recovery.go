@@ -108,7 +108,6 @@ func (e *Engine) ControlSnapshot() []byte {
 	}
 	b = wire.AppendI64(b, atomic.LoadInt64(&e.nextID))
 	b = wire.AppendI64(b, atomic.LoadInt64(&e.maxHorizon))
-	b = wire.AppendI64(b, int64(atomic.LoadInt32(&e.storeHint)))
 	ids := e.ActiveQueryIDs()
 	b = wire.AppendCount(b, len(ids))
 	e.defsMu.RLock()
@@ -145,10 +144,6 @@ func (e *Engine) RestoreControl(snapshot []byte) error {
 	}
 	nextID := r.I64("control nextID")
 	maxHorizon := r.I64("control maxHorizon")
-	storeHint := r.I64("control storeHint")
-	if (storeHint < int64(SwitchNone) || storeHint > int64(SwitchList)) && r.Err() == nil {
-		r.Fail(fmt.Errorf("core: control storeHint %d is no store marker", storeHint))
-	}
 	nq := r.Count("control query count", queryMinSize)
 	defs := make(map[int]*Query, nq)
 	prevID := 0
@@ -170,7 +165,6 @@ func (e *Engine) RestoreControl(snapshot []byte) error {
 	}
 	atomic.StoreInt64(&e.nextID, nextID)
 	atomic.StoreInt64(&e.maxHorizon, maxHorizon)
-	atomic.StoreInt32(&e.storeHint, int32(storeHint))
 	e.defsMu.Lock()
 	e.defs = defs
 	e.defsMu.Unlock()

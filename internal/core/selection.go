@@ -11,17 +11,12 @@ import (
 	"astream/internal/spe"
 )
 
-// StoreSwitch is the §3.2.3 marker the shared session attaches to a
-// changelog when the active-query count crosses the grouped-store threshold:
-// downstream joins switch every slice's data structure and resume.
+// StoreSwitch is the type of ChangelogMsg.Switch, unread: kept so cmd/ledger builds.
 type StoreSwitch uint8
 
+// SwitchGrouped and SwitchList are the values cmd/ledger sets, unread: kept so it builds.
 const (
-	// SwitchNone leaves slice stores as they are.
-	SwitchNone StoreSwitch = iota
-	// SwitchGrouped switches slice stores to query-set grouping.
-	SwitchGrouped
-	// SwitchList switches slice stores to flat lists.
+	SwitchGrouped StoreSwitch = iota + 1
 	SwitchList
 )
 
@@ -32,7 +27,7 @@ type ChangelogMsg struct {
 	CL *changelog.Changelog
 	// Defs maps created query IDs to their compiled definitions.
 	Defs map[int]*Query
-	// Switch, when not SwitchNone, is the §3.2.3 store-layout marker.
+	// Switch is unread: kept so cmd/ledger builds.
 	Switch StoreSwitch
 }
 

@@ -128,7 +128,7 @@ func (s *session) flushLocked() {
 		if err != nil {
 			return nil, err
 		}
-		return &ChangelogMsg{CL: cl, Defs: defs, Switch: s.eng.storeSwitch()}, nil
+		return &ChangelogMsg{CL: cl, Defs: defs}, nil
 	})
 	if err != nil {
 		// Invalid batch members (duplicate create, unknown delete) fail

@@ -8,43 +8,13 @@ import (
 	"astream/internal/event"
 )
 
-// StoreMode selects how a slice stores its tuples (paper §3.1.4, §3.2.3).
-type StoreMode uint8
-
-const (
-	// StoreAdaptive lets the session's §3.2.3 markers decide: stores are
-	// grouped until the first marker, then follow each one. The session
-	// sends a list marker when the active-query count crosses
-	// Config.GroupedThreshold — the paper's heuristic: with many concurrent
-	// queries the number of distinct query-sets explodes and most groups
-	// hold a single tuple.
-	StoreAdaptive StoreMode = iota
-	// StoreGrouped always groups tuples by query-set.
-	StoreGrouped
-	// StoreList always keeps a flat list.
-	StoreList
-)
-
-func (m StoreMode) String() string {
-	switch m {
-	case StoreAdaptive:
-		return "adaptive"
-	case StoreGrouped:
-		return "grouped"
-	case StoreList:
-		return "list"
-	default:
-		return "store?"
-	}
-}
-
 // qsIndex maps canonical query-set keys to group payloads. Lookups on the
 // hot path are allocation-free: single-word query-sets (≤64 slots) index a
 // uint64 map directly; wider sets encode into a reused scratch buffer and
 // use the compiler's m[string(buf)] no-alloc map access. The group list is
 // kept in canonical key order incrementally (binary insert on the rare
-// group-creation path) so every iteration over groups — join kernels, store
-// flattening, window firing — is deterministic without per-emission sorts.
+// group-creation path) so every iteration over an aggregation slice's groups
+// is deterministic without per-emission sorts.
 type qsIndex[G any] struct {
 	byWord map[uint64]*G
 	byStr  map[string]*G
@@ -57,8 +27,6 @@ func newQSIndex[G any]() *qsIndex[G] {
 	//lint:ignore hotalloc cold: one index per slice payload, created when the slice first sees data
 	return &qsIndex[G]{byWord: make(map[uint64]*G), byStr: make(map[string]*G)}
 }
-
-func (x *qsIndex[G]) len() int { return len(x.order) }
 
 // reset empties the index for reuse, keeping its maps and lists at the size
 // they grew to.
@@ -101,14 +69,6 @@ func (x *qsIndex[G]) put(qs bitset.Bits, g *G) {
 	x.order[i] = g
 }
 
-// tupleGroup is one query-set group inside a grouped slice store: the
-// positions of its tuples, in arrival order. Grouping lets the join skip whole
-// groups whose query-sets cannot intersect.
-type tupleGroup struct {
-	qs  bitset.Bits
-	pos []uint32
-}
-
 // pairRow is one row of a slice pair's join, held by reference: the
 // positions of the two tuples in their stores and the intersected query-set.
 // The joined tuple itself is built where it leaves the operator (§3.2.2:
@@ -127,41 +87,28 @@ type slicePair struct {
 	rows   []pairRow
 }
 
-// sliceStore holds the tuples of one slice on one side of a shared join.
-// Every tuple is saved once, in tuples; its index there is its position, the
-// name the groups, the key index and the cached pair rows know it by.
-// Positions survive growth and regrouping; degenerate reassigns them.
+// sliceStore holds the tuples of one slice on one side of a shared join as
+// one flat list: a join is a windowed aggregate whose accumulator is the
+// tuple list. Every tuple is saved once, in tuples; its index there is its
+// position, the name the key index and the cached pair rows know it by.
+// Positions never change.
 type sliceStore struct {
-	grouped bool
-	groups  *qsIndex[tupleGroup] // nil when list mode
-	tuples  []event.Tuple
+	tuples []event.Tuple
 	// heads and next are the key index, built the first time the store is
 	// probed and then kept: heads[bucket(key)] is the position last chained
 	// into the key's hash bucket, next[p] the one chained there before p, -1
 	// ends a chain. len(heads) is a power of two, more than twice the tuples
 	// it was built over. Derived from tuples, so not in the snapshot: a
-	// restored store, like one whose layout changed, rebuilds it on demand.
+	// restored store rebuilds it on demand.
 	heads, next []int32
 	// pairs caches, on a left store, its join with each right store by that
 	// slice's ID (the computation history of §3.1.4). Derived from the two
-	// stores' tuples, and like the index neither snapshotted nor kept across
-	// a layout change.
+	// stores' tuples, and like the index not snapshotted.
 	pairs map[uint64]slicePair
 }
 
-// newSliceStore creates an empty store in the layout mode starts with.
-func newSliceStore(mode StoreMode) *sliceStore {
-	s := &sliceStore{}
-	if mode != StoreList {
-		s.grouped = true
-		s.groups = newQSIndex[tupleGroup]()
-	}
-	return s
-}
-
 // Add inserts a tuple (saved once — no copies inside a slice, paper §3.2.2).
-// Steady state allocates nothing: group lookup is key-scratch based and the
-// appends are amortized.
+// Steady state allocates nothing: the appends are amortized.
 //
 //lint:hotpath
 func (s *sliceStore) Add(t event.Tuple) {
@@ -170,34 +117,16 @@ func (s *sliceStore) Add(t event.Tuple) {
 	s.tuples = append(s.tuples, t)
 	switch {
 	case s.heads == nil:
-	case !s.grouped && len(s.tuples) <= len(s.heads):
-		// A late tuple: a list's index takes it, at the end, where a rebuild
+	case len(s.tuples) <= len(s.heads):
+		// A late tuple: the index takes it, at the end, where a rebuild
 		// would put it.
 		//lint:ignore hotalloc late tuple into an indexed store; growth is amortized like the tuples'
 		s.next = append(s.next, 0)
 		s.link(p)
 	default:
-		// The index is full, or — a grouped store chains positions group by
-		// group — would hold this tuple out of place: it is rebuilt when the
-		// store is next probed.
+		// The index is full: it is rebuilt when the store is next probed.
 		s.heads, s.next = nil, nil
 	}
-	if s.grouped {
-		s.group(p)
-	}
-}
-
-// group files position p under its tuple's query-set.
-func (s *sliceStore) group(p uint32) {
-	qs := s.tuples[p].QuerySet
-	g := s.groups.get(qs)
-	if g == nil {
-		//lint:ignore hotalloc cold: runs once per distinct query-set group per slice
-		g = &tupleGroup{qs: qs.Clone()}
-		s.groups.put(g.qs, g)
-	}
-	//lint:ignore hotalloc per-group positions; growth is amortized over the slice's lifetime
-	g.pos = append(g.pos, p)
 }
 
 // bucket is key's slot in heads (Fibonacci hashing).
@@ -212,9 +141,8 @@ func (s *sliceStore) link(p uint32) {
 	s.heads[b] = int32(p)
 }
 
-// index builds the key index if the store has none. Positions are linked in
-// the order a probe of this store walks them — group by group, or down the
-// list — so a chain's order is a function of the stored content.
+// index builds the key index if the store has none, linking positions in
+// list order, so a chain's order is a function of the stored content.
 func (s *sliceStore) index() {
 	if s.heads != nil {
 		return
@@ -226,26 +154,17 @@ func (s *sliceStore) index() {
 	}
 	//lint:ignore hotalloc once per slice: the index stands until the slice is evicted
 	s.next = make([]int32, len(s.tuples))
-	if !s.grouped {
-		for p := range s.tuples {
-			s.link(uint32(p))
-		}
-		return
-	}
-	for _, g := range s.groups.order {
-		for _, p := range g.pos {
-			s.link(p)
-		}
+	for p := range s.tuples {
+		s.link(uint32(p))
 	}
 }
 
 // joinStores appends to rows one row for every key-equal pair of a's and b's
 // tuples whose query-sets intersect under mask; the row carries qsA ∩ qsB ∩
 // mask. This is the slice ⋈ slice kernel: the smaller store is probed, tuple by
-// tuple, into the other's standing key index, and where the probing store has
-// groups their query-sets prune it wholesale (paper §3.1.4). Probe order and
-// chain order are functions of the stored content, so row order is too. tmp
-// is the caller's intersection scratch.
+// tuple, into the other's standing key index. Probe order and chain order are
+// functions of the stored content, so row order is too. tmp is the caller's
+// intersection scratch.
 //
 //lint:hotpath
 func joinStores(a, b *sliceStore, mask bitset.Bits, tmp *bitset.Bits, rows []pairRow) []pairRow {
@@ -257,19 +176,9 @@ func joinStores(a, b *sliceStore, mask bitset.Bits, tmp *bitset.Bits, rows []pai
 		probe, build = b, a
 	}
 	build.index()
-	if !probe.grouped {
-		for p := range probe.tuples {
-			if probe.tuples[p].QuerySet.Intersects(mask) {
-				rows = build.matches(&probe.tuples[p], uint32(p), probe == b, mask, tmp, rows)
-			}
-		}
-		return rows
-	}
-	for _, g := range probe.groups.order {
-		if g.qs.Intersects(mask) {
-			for _, p := range g.pos {
-				rows = build.matches(&probe.tuples[p], p, probe == b, mask, tmp, rows)
-			}
+	for p := range probe.tuples {
+		if probe.tuples[p].QuerySet.Intersects(mask) {
+			rows = build.matches(&probe.tuples[p], uint32(p), probe == b, mask, tmp, rows)
 		}
 	}
 	return rows
@@ -298,68 +207,5 @@ func (s *sliceStore) matches(pt *event.Tuple, p uint32, probeRight bool, mask bi
 	return rows
 }
 
-// regroup rebuilds the query-set groups of a list-mode store (the inverse
-// marker transition of §3.2.3, taken when the active query count drops back
-// under the threshold). Positions stay; the key index, whose chains follow
-// the layout, goes.
-func (s *sliceStore) regroup() {
-	if s.grouped {
-		return
-	}
-	s.groups = newQSIndex[tupleGroup]()
-	s.grouped = true
-	s.heads, s.next = nil, nil
-	for p := range s.tuples {
-		s.group(uint32(p))
-	}
-}
-
-// setMode switches the store's layout to match a session marker (§3.2.3). The
-// marker reaches every store of both sides, so each dropping the pairs it
-// holds drops every pair whose rows a moved tuple, or a changed probe order,
-// would contradict.
-func (s *sliceStore) setMode(m StoreMode) {
-	s.pairs = nil
-	switch m {
-	case StoreList:
-		s.degenerate()
-	case StoreGrouped:
-		s.regroup()
-	}
-}
-
-// degenerate flattens a grouped store into list mode (the marker-triggered
-// data-structure change of §3.2.3 applies this to all slices at once). The
-// tuples are rewritten group by group in canonical key order — a pure
-// function of the stored content, so flattening is replay-deterministic — and
-// that moves them: the key index goes, and so must every pair cached over the
-// store (setMode drops them).
-func (s *sliceStore) degenerate() {
-	if !s.grouped {
-		return
-	}
-	list := make([]event.Tuple, 0, len(s.tuples))
-	for _, g := range s.groups.order {
-		for _, p := range g.pos {
-			list = append(list, s.tuples[p])
-		}
-	}
-	s.tuples = list
-	s.groups = nil
-	s.grouped = false
-	s.heads, s.next = nil, nil
-}
-
 // Len returns the number of stored tuples.
 func (s *sliceStore) Len() int { return len(s.tuples) }
-
-// Grouped reports whether the store is currently in grouped mode.
-func (s *sliceStore) Grouped() bool { return s.grouped }
-
-// GroupCount returns the number of query-set groups (0 in list mode).
-func (s *sliceStore) GroupCount() int {
-	if s.groups == nil {
-		return 0
-	}
-	return s.groups.len()
-}

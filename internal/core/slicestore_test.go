@@ -13,38 +13,6 @@ func mkTuple(key int64, tm event.Time, qs ...int) event.Tuple {
 	return event.Tuple{Key: key, Time: tm, QuerySet: bitset.FromIndexes(qs...)}
 }
 
-func TestStoreModes(t *testing.T) {
-	g := newSliceStore(StoreGrouped)
-	l := newSliceStore(StoreList)
-	for i := 0; i < 100; i++ {
-		tu := mkTuple(int64(i%5), event.Time(i), i%3)
-		g.Add(tu)
-		l.Add(tu)
-	}
-	if !g.Grouped() || l.Grouped() {
-		t.Fatal("mode flags wrong")
-	}
-	if g.GroupCount() != 3 {
-		t.Fatalf("grouped store has %d groups, want 3", g.GroupCount())
-	}
-	if g.Len() != 100 || l.Len() != 100 {
-		t.Fatal("Len mismatch")
-	}
-	if len(g.All()) != 100 || len(l.All()) != 100 {
-		t.Fatal("All() length mismatch")
-	}
-}
-
-func TestAdaptiveStaysGroupedWhenGroupsAreFat(t *testing.T) {
-	s := newSliceStore(StoreAdaptive)
-	for i := 0; i < 200; i++ {
-		s.Add(mkTuple(int64(i), event.Time(i), i%4)) // 4 groups of 50
-	}
-	if !s.Grouped() {
-		t.Fatal("adaptive store should stay grouped with mean group size 50")
-	}
-}
-
 // refJoin is the brute-force reference for joinedStores.
 func refJoin(a, b []event.Tuple, mask bitset.Bits) []event.JoinedTuple {
 	var out []event.JoinedTuple
@@ -86,7 +54,6 @@ func canonJoined(js []event.JoinedTuple) []string {
 
 func TestJoinStoresMatchesBruteForceAllModeCombos(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	modes := []StoreMode{StoreGrouped, StoreList, StoreAdaptive}
 	for trial := 0; trial < 60; trial++ {
 		na, nb := rng.Intn(40), rng.Intn(40)
 		var ta, tb []event.Tuple
@@ -110,33 +77,29 @@ func TestJoinStoresMatchesBruteForceAllModeCombos(t *testing.T) {
 			}
 		}
 		want := canonJoined(refJoin(ta, tb, mask))
-		for _, ma := range modes {
-			for _, mb := range modes {
-				sa, sb := newSliceStore(ma), newSliceStore(mb)
-				for _, tu := range ta {
-					sa.Add(tu)
-				}
-				for _, tu := range tb {
-					sb.Add(tu)
-				}
-				var got []event.JoinedTuple
-				joinedStores(sa, sb, mask, func(j event.JoinedTuple) { got = append(got, j) })
-				g := canonJoined(got)
-				if len(g) != len(want) {
-					t.Fatalf("trial %d modes %v×%v: %d results, want %d", trial, ma, mb, len(g), len(want))
-				}
-				for i := range want {
-					if g[i] != want[i] {
-						t.Fatalf("trial %d modes %v×%v: result mismatch at %d", trial, ma, mb, i)
-					}
-				}
+		sa, sb := &sliceStore{}, &sliceStore{}
+		for _, tu := range ta {
+			sa.Add(tu)
+		}
+		for _, tu := range tb {
+			sb.Add(tu)
+		}
+		var got []event.JoinedTuple
+		joinedStores(sa, sb, mask, func(j event.JoinedTuple) { got = append(got, j) })
+		g := canonJoined(got)
+		if len(g) != len(want) {
+			t.Fatalf("trial %d: %d results, want %d", trial, len(g), len(want))
+		}
+		for i := range want {
+			if g[i] != want[i] {
+				t.Fatalf("trial %d: result mismatch at %d", trial, i)
 			}
 		}
 	}
 }
 
 func TestJoinStoresEmptyMask(t *testing.T) {
-	sa, sb := newSliceStore(StoreGrouped), newSliceStore(StoreGrouped)
+	sa, sb := &sliceStore{}, &sliceStore{}
 	sa.Add(mkTuple(1, 0, 0))
 	sb.Add(mkTuple(1, 0, 0))
 	n := 0
@@ -144,26 +107,6 @@ func TestJoinStoresEmptyMask(t *testing.T) {
 	if n != 0 {
 		t.Fatal("empty mask must produce no results")
 	}
-}
-
-func TestStoreModeString(t *testing.T) {
-	if StoreAdaptive.String() != "adaptive" || StoreGrouped.String() != "grouped" || StoreList.String() != "list" {
-		t.Fatal("StoreMode strings")
-	}
-}
-
-// All returns every stored tuple (grouped stores flatten in key order).
-func (s *sliceStore) All() []event.Tuple {
-	if !s.grouped {
-		return s.tuples
-	}
-	out := make([]event.Tuple, 0, len(s.tuples))
-	for _, g := range s.groups.order {
-		for _, p := range g.pos {
-			out = append(out, s.tuples[p])
-		}
-	}
-	return out
 }
 
 // joinedStores is the materialising form of the kernel for tests and

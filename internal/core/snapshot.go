@@ -26,7 +26,7 @@ import (
 // instances that processed the same prefix produce byte-identical
 // snapshots.
 
-const opSnapshotVersion = 7
+const opSnapshotVersion = 8
 
 // readSlot reads a query slot, rejecting numbers no engine could have
 // assigned (changelog.MaxSlots) before anything is sized from them.
@@ -40,79 +40,23 @@ func readSlot(r *wire.Reader, what string) int {
 
 // --- slice store ---
 
-// snapSliceStore serializes the exact store representation (layout and group
-// structure), not just the tuples: a list holds its tuples in the order the
-// last flattening left them, which re-inserting them through Add would not
-// reproduce, and the layout must survive restores byte-for-byte for replay
-// determinism.
+// snapSliceStore serializes a store's tuples in position order, which the
+// key index and the cached pair rows are rebuilt against.
 func snapSliceStore(b []byte, s *sliceStore) []byte {
-	b = wire.AppendBool(b, s.grouped)
 	b = wire.AppendCount(b, len(s.tuples))
-	if s.grouped {
-		b = wire.AppendCount(b, s.groups.len())
-		for _, g := range s.groups.order {
-			b = wire.AppendBits(b, g.qs)
-			b = wire.AppendCount(b, len(g.pos))
-			for _, p := range g.pos {
-				b = wire.AppendTuple(b, &s.tuples[p])
-			}
-		}
-		return b
-	}
 	for i := range s.tuples {
 		b = wire.AppendTuple(b, &s.tuples[i])
 	}
 	return b
 }
 
-// readSliceStore accepts only what snapSliceStore writes: groups in strictly
-// ascending canonical query-set order, each holding at least one tuple and
-// only tuples of its set, and a store count equal to the tuples that follow.
 func readSliceStore(r *wire.Reader) *sliceStore {
-	s := &sliceStore{grouped: r.Bool("store grouped")}
+	s := &sliceStore{}
 	n := r.Count("store tuple count", wire.TupleMinSize)
-	if s.grouped {
-		s.groups = newQSIndex[tupleGroup]()
-		ng := r.Count("store group count", 8)
-		for gi := 0; gi < ng && r.Err() == nil; gi++ {
-			g := &tupleGroup{qs: r.Bits("group query-set")}
-			if k := g.qs.Key(); gi > 0 && !s.groups.keys[gi-1].Less(k) {
-				r.Fail(fmt.Errorf("core: store group query-sets out of order or repeated at group %d", gi))
-			}
-			nt := r.Count("group tuple count", wire.TupleMinSize)
-			if nt == 0 && r.Err() == nil {
-				r.Fail(fmt.Errorf("core: store group %d holds no tuple", gi))
-			}
-			for ti := 0; ti < nt && r.Err() == nil; ti++ {
-				t := wire.ReadTuple(r)
-				if r.Err() == nil && !t.QuerySet.Equal(g.qs) {
-					r.Fail(fmt.Errorf("core: store group %d holds a tuple of another query-set", gi))
-				}
-				g.pos = append(g.pos, uint32(len(s.tuples)))
-				s.tuples = append(s.tuples, t)
-			}
-			if r.Err() == nil {
-				s.groups.put(g.qs, g)
-			}
-		}
-	} else {
-		for ti := 0; ti < n && r.Err() == nil; ti++ {
-			s.tuples = append(s.tuples, wire.ReadTuple(r))
-		}
-	}
-	if r.Err() == nil && n != len(s.tuples) {
-		r.Fail(fmt.Errorf("core: store counts %d tuples and holds %d", n, len(s.tuples)))
+	for ti := 0; ti < n && r.Err() == nil; ti++ {
+		s.tuples = append(s.tuples, wire.ReadTuple(r))
 	}
 	return s
-}
-
-// readStoreMode reads a StoreMode byte, rejecting values no StoreMode has.
-func readStoreMode(r *wire.Reader, what string) StoreMode {
-	m := StoreMode(r.U8(what))
-	if m > StoreList && r.Err() == nil {
-		r.Fail(fmt.Errorf("core: %s %d is no store mode", what, m))
-	}
-	return m
 }
 
 // --- aggregation slice payload ---
@@ -414,7 +358,6 @@ func (s *SharedSelection) Restore(snapshot []byte) error {
 // derived from the tuples and rebuild on demand.
 func (j *SharedJoin) OnBarrier(uint64, *spe.Emitter) []byte {
 	b := wire.AppendU8(nil, opSnapshotVersion)
-	b = wire.AppendU8(b, uint8(j.storeMode))
 	b = j.win.appendClock(b)
 	b = snapTable(b, j.win.table)
 	b = j.win.appendSlices(b, func(b []byte, sl *slice) []byte {
@@ -427,7 +370,6 @@ func (j *SharedJoin) OnBarrier(uint64, *spe.Emitter) []byte {
 func (j *SharedJoin) Restore(snapshot []byte) error {
 	r := wire.NewReader(snapshot)
 	r.Version("join snapshot version", opSnapshotVersion)
-	j.storeMode = readStoreMode(r, "join store mode")
 	j.win.readClock(r)
 	j.win.table = readSnapTable(r)
 	j.win.readSlices(r, func(r *wire.Reader, sl *slice) {

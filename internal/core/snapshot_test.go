@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -159,86 +160,83 @@ func TestSelectionSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestJoinSnapshotRoundTrip(t *testing.T) {
-	for _, mode := range []StoreMode{StoreList, StoreGrouped} {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
-			b := newCLBuilder()
-			msg := b.create(t, 0, joinQ(window.TumblingSpec(10), gt(0, -1), gt(0, -1)))
-			qid := msg.CL.Created[0].Query
-			slot := msg.CL.Created[0].Slot
+	t.Run("list", func(t *testing.T) {
+		b := newCLBuilder()
+		msg := b.create(t, 0, joinQ(window.TumblingSpec(10), gt(0, -1), gt(0, -1)))
+		qid := msg.CL.Created[0].Query
+		slot := msg.CL.Created[0].Slot
 
-			var gotO, gotF []string
-			orig := NewSharedJoin(0, mode, 10, captureRouter(&gotO, qid), &OpMetrics{})
-			orig.OnChangelog(msg, 0, nil)
+		var gotO, gotF []string
+		orig := NewSharedJoin(0, 0, 10, captureRouter(&gotO, qid), &OpMetrics{})
+		orig.OnChangelog(msg, 0, nil)
 
-			rng := rand.New(rand.NewSource(7))
-			mk := func(i int) event.Tuple {
-				tu := event.Tuple{Key: int64(i % 3), Time: event.Time(i), QuerySet: bitset.FromIndexes(slot)}
-				tu.Fields[0] = int64(rng.Intn(100))
-				return tu
-			}
-			feed := func(j *SharedJoin, from, to int, out *spe.Emitter, wmEvery int) {
-				for i := from; i <= to; i++ {
-					tu := mk(i)
-					j.OnTuple(i%2, tu, out)
-					if i%wmEvery == 0 {
-						j.OnWatermark(event.Time(i-2), out)
-					}
+		rng := rand.New(rand.NewSource(7))
+		mk := func(i int) event.Tuple {
+			tu := event.Tuple{Key: int64(i % 3), Time: event.Time(i), QuerySet: bitset.FromIndexes(slot)}
+			tu.Fields[0] = int64(rng.Intn(100))
+			return tu
+		}
+		feed := func(j *SharedJoin, from, to int, out *spe.Emitter, wmEvery int) {
+			for i := from; i <= to; i++ {
+				tu := mk(i)
+				j.OnTuple(i%2, tu, out)
+				if i%wmEvery == 0 {
+					j.OnWatermark(event.Time(i-2), out)
 				}
 			}
-			// Prefix: two windows' worth of pairs, some already fired.
-			rng = rand.New(rand.NewSource(7))
-			var sink []string
-			feed(orig, 1, 22, tapEmitter(&sink), 5)
-			// A second query starting at 25, ahead of the watermark (18): its
-			// windows ending by then hold nothing for it and are skipped.
-			orig.OnChangelog(b.create(t, 25, joinQ(window.TumblingSpec(4), gt(0, -1), gt(0, -1))), 25, nil)
+		}
+		// Prefix: two windows' worth of pairs, some already fired.
+		rng = rand.New(rand.NewSource(7))
+		var sink []string
+		feed(orig, 1, 22, tapEmitter(&sink), 5)
+		// A second query starting at 25, ahead of the watermark (18): its
+		// windows ending by then hold nothing for it and are skipped.
+		orig.OnChangelog(b.create(t, 25, joinQ(window.TumblingSpec(4), gt(0, -1), gt(0, -1))), 25, nil)
 
-			snap := orig.OnBarrier(1, nil)
-			lookups := func(j *SharedJoin) uint64 { return j.metrics.PairsDone + j.metrics.PairsReuse }
-			origLookups := lookups(orig)
-			fresh := NewSharedJoin(0, mode, 10, captureRouter(&gotF, qid), &OpMetrics{})
-			if err := fresh.Restore(snap); err != nil {
-				t.Fatal(err)
-			}
-			gotO = gotO[:0] // compare suffix emissions only
+		snap := orig.OnBarrier(1, nil)
+		lookups := func(j *SharedJoin) uint64 { return j.metrics.PairsDone + j.metrics.PairsReuse }
+		origLookups := lookups(orig)
+		fresh := NewSharedJoin(0, 0, 10, captureRouter(&gotF, qid), &OpMetrics{})
+		if err := fresh.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		gotO = gotO[:0] // compare suffix emissions only
 
-			// Identical suffix into both, driven by one rng so tuples match;
-			// it opens with a tuple per side behind the evicted [0,10), which
-			// both must drop as late. Both snapshot alike after every tuple.
-			rng = rand.New(rand.NewSource(9))
-			suffix := []event.Tuple{mk(4), mk(5)}
-			for i := 23; i <= 42; i++ {
-				suffix = append(suffix, mk(i))
+		// Identical suffix into both, driven by one rng so tuples match;
+		// it opens with a tuple per side behind the evicted [0,10), which
+		// both must drop as late. Both snapshot alike after every tuple.
+		rng = rand.New(rand.NewSource(9))
+		suffix := []event.Tuple{mk(4), mk(5)}
+		for i := 23; i <= 42; i++ {
+			suffix = append(suffix, mk(i))
+		}
+		var sinkO, sinkF []string
+		outO, outF := tapEmitter(&sinkO), tapEmitter(&sinkF)
+		for i, tu := range suffix {
+			n := 21 + i
+			orig.OnTuple(n%2, tu, outO)
+			fresh.OnTuple(n%2, tu, outF)
+			if n%5 == 0 {
+				orig.OnWatermark(event.Time(n-2), outO)
+				fresh.OnWatermark(event.Time(n-2), outF)
 			}
-			var sinkO, sinkF []string
-			outO, outF := tapEmitter(&sinkO), tapEmitter(&sinkF)
-			for i, tu := range suffix {
-				n := 21 + i
-				orig.OnTuple(n%2, tu, outO)
-				fresh.OnTuple(n%2, tu, outF)
-				if n%5 == 0 {
-					orig.OnWatermark(event.Time(n-2), outO)
-					fresh.OnWatermark(event.Time(n-2), outF)
-				}
-				assertSameSnapshot(t, fmt.Sprintf("join, suffix tuple %d", i), orig.OnBarrier(2, nil), fresh.OnBarrier(2, nil))
-			}
-			orig.OnWatermark(45, outO)
-			fresh.OnWatermark(45, outF)
-			if len(gotO) == 0 {
-				t.Fatal("suffix fired no join windows; test exercises nothing")
-			}
-			assertSameStrings(t, "join results", gotF, gotO)
-			assertSameStrings(t, "join passthrough", sinkF, sinkO)
-			// The pair cache is not persisted, so the restored join computes
-			// pairs the original reuses; it looks up as many, firing no window
-			// the original skips.
-			if o, f := lookups(orig)-origLookups, lookups(fresh); o != f {
-				t.Fatalf("restored join looked up %d slice pairs, the original %d", f, o)
-			}
-			assertSameSnapshot(t, "join", orig.OnBarrier(2, nil), fresh.OnBarrier(2, nil))
-		})
-	}
+			assertSameSnapshot(t, fmt.Sprintf("join, suffix tuple %d", i), orig.OnBarrier(2, nil), fresh.OnBarrier(2, nil))
+		}
+		orig.OnWatermark(45, outO)
+		fresh.OnWatermark(45, outF)
+		if len(gotO) == 0 {
+			t.Fatal("suffix fired no join windows; test exercises nothing")
+		}
+		assertSameStrings(t, "join results", gotF, gotO)
+		assertSameStrings(t, "join passthrough", sinkF, sinkO)
+		// The pair cache is not persisted, so the restored join computes
+		// pairs the original reuses; it looks up as many, firing no window
+		// the original skips.
+		if o, f := lookups(orig)-origLookups, lookups(fresh); o != f {
+			t.Fatalf("restored join looked up %d slice pairs, the original %d", f, o)
+		}
+		assertSameSnapshot(t, "join", orig.OnBarrier(2, nil), fresh.OnBarrier(2, nil))
+	})
 }
 
 func TestAggregationSnapshotRoundTrip(t *testing.T) {
@@ -390,51 +388,41 @@ func TestAggregationSnapshotRoundTrip(t *testing.T) {
 	assertSameStrings(t, "aggregation queries", gotF, gotO)
 }
 
-// TestSliceStoreSnapshotRoundTrip pins the store encoding for both layouts:
-// the restored store must reproduce the exact representation (layout, group
-// structure), not just the same tuple multiset.
+// TestSliceStoreSnapshotRoundTrip pins the store encoding: the restored
+// store holds the same tuples at the same positions.
 func TestSliceStoreSnapshotRoundTrip(t *testing.T) {
-	for _, mode := range []StoreMode{StoreList, StoreGrouped, StoreAdaptive} {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
-			s := newSliceStore(mode)
-			for i := 0; i < 150; i++ {
-				s.Add(mkTuple(int64(i%5), event.Time(i), i%4))
-			}
-			enc := snapSliceStore(nil, s)
-			r := wire.NewReader(enc)
-			back := readSliceStore(r)
-			if err := r.Finish("store"); err != nil {
-				t.Fatal(err)
-			}
-			if back.Grouped() != s.Grouped() || back.Len() != s.Len() {
-				t.Fatalf("restored store: grouped=%v len=%d, want grouped=%v len=%d",
-					back.Grouped(), back.Len(), s.Grouped(), s.Len())
-			}
-			if !bytes.Equal(snapSliceStore(nil, back), enc) {
-				t.Fatal("re-encoding the restored store diverged")
-			}
-		})
-	}
+	t.Run("list", func(t *testing.T) {
+		s := &sliceStore{}
+		for i := 0; i < 150; i++ {
+			s.Add(mkTuple(int64(i%5), event.Time(i), i%4))
+		}
+		enc := snapSliceStore(nil, s)
+		r := wire.NewReader(enc)
+		back := readSliceStore(r)
+		if err := r.Finish("store"); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back.tuples, s.tuples) {
+			t.Fatalf("restored store holds %d tuples, not the %d snapshotted in order", back.Len(), s.Len())
+		}
+		if !bytes.Equal(snapSliceStore(nil, back), enc) {
+			t.Fatal("re-encoding the restored store diverged")
+		}
+	})
 }
 
 // TestSliceStoreRestoreRejectsForgedShapes: a join slice store restores
-// only from what snapSliceStore writes. Every shape below restored without
-// error before: the store count was read and ignored, and groups were taken
-// in any order — restored so, a store re-encodes and is probed in another
-// order than the one snapshotted.
+// only from what snapSliceStore writes — a store count that is not the
+// number of tuples that follow fails, fewer as trailing bytes, more as a
+// count the input cannot back.
 func TestSliceStoreRestoreRejectsForgedShapes(t *testing.T) {
-	grouped := func(forge func(s *sliceStore)) []byte {
-		s := newSliceStore(StoreGrouped)
+	counted := func(n uint32) []byte {
+		s := &sliceStore{}
 		for i := 0; i < 6; i++ {
 			s.Add(mkTuple(int64(i%2), event.Time(i), i%3))
 		}
-		forge(s)
-		return snapSliceStore(nil, s)
-	}
-	keep := func(*sliceStore) {}
-	patch := func(enc []byte, at int, v byte) []byte {
-		enc[at] = v
+		enc := snapSliceStore(nil, s)
+		binary.LittleEndian.PutUint32(enc, n)
 		return enc
 	}
 	for _, tc := range []struct {
@@ -442,35 +430,14 @@ func TestSliceStoreRestoreRejectsForgedShapes(t *testing.T) {
 		enc  []byte
 		want string
 	}{
-		{"store count not the tuples'", patch(grouped(keep), 1, 7), "counts 7 tuples and holds 6"},
-		{"groups out of order", grouped(func(s *sliceStore) {
-			o := s.groups.order
-			o[0], o[1] = o[1], o[0]
-		}), "out of order or repeated"},
-		{"group with no tuple", grouped(func(s *sliceStore) {
-			g := &tupleGroup{qs: bitset.FromIndexes(40)}
-			s.groups.put(g.qs, g)
-		}), "holds no tuple"},
-		{"tuple of another query-set", grouped(func(s *sliceStore) {
-			s.tuples[0].QuerySet = bitset.FromIndexes(50)
-		}), "another query-set"},
+		{"store count under the tuples'", counted(5), "trailing"},
+		{"store count over the tuples'", counted(7), "store tuple count"},
 	} {
 		r := wire.NewReader(tc.enc)
 		readSliceStore(r)
 		if err := r.Finish("store"); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: restored (%v)", tc.name, err)
 		}
-	}
-}
-
-// TestJoinRestoreRejectsUnknownStoreMode: the join's own store mode byte
-// restored whatever it held before, and new slices took it as their mode.
-func TestJoinRestoreRejectsUnknownStoreMode(t *testing.T) {
-	snap := NewSharedJoin(0, StoreList, 10, NewRouter(&OpMetrics{}), &OpMetrics{}).OnBarrier(1, nil)
-	snap[1] = 48
-	err := NewSharedJoin(0, StoreList, 10, NewRouter(&OpMetrics{}), &OpMetrics{}).Restore(snap)
-	if err == nil || !strings.Contains(err.Error(), "no store mode") {
-		t.Fatalf("join store mode 48 restored: %v", err)
 	}
 }
 
@@ -527,7 +494,7 @@ func TestOperatorRestoreRejectsCorruptSnapshots(t *testing.T) {
 	if err := sel.Restore([]byte{99}); err == nil {
 		t.Fatal("selection accepted a bad version byte")
 	}
-	join := NewSharedJoin(0, StoreList, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
+	join := NewSharedJoin(0, 0, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
 	if err := join.Restore([]byte{1, 0}); err == nil {
 		t.Fatal("join accepted a truncated snapshot")
 	}
@@ -554,11 +521,11 @@ func TestVersionSkewFailsLoudly(t *testing.T) {
 		t.Fatalf("selection: skewed snapshot not rejected loudly: %v", err)
 	}
 
-	join := NewSharedJoin(0, StoreList, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
+	join := NewSharedJoin(0, 0, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
 	join.OnChangelog(newCLBuilder().create(t, 0, joinQ(window.TumblingSpec(10), gt(0, -1), gt(0, -1))), 0, nil)
 	join.OnTuple(0, event.Tuple{Key: 1, Time: 3, QuerySet: bitset.FromIndexes(0)}, tapEmitter(&[]string{}))
 	joinSnap := join.OnBarrier(1, nil)
-	fresh := func() *SharedJoin { return NewSharedJoin(0, StoreList, 10, NewRouter(&OpMetrics{}), &OpMetrics{}) }
+	fresh := func() *SharedJoin { return NewSharedJoin(0, 0, 10, NewRouter(&OpMetrics{}), &OpMetrics{}) }
 	if err := fresh().Restore(joinSnap); err != nil {
 		t.Fatalf("join: clean snapshot rejected: %v", err)
 	}
@@ -696,9 +663,9 @@ func forgeRingSnapshot(tb testing.TB, join bool, forge ringForge) (snap []byte, 
 	var win *windowOp
 	var q *Query
 	if join {
-		j := NewSharedJoin(0, StoreList, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
+		j := NewSharedJoin(0, 0, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
 		op, win, q = j, &j.win, joinQ(window.TumblingSpec(10), expr.True(), expr.True())
-		restore = NewSharedJoin(0, StoreList, 10, NewRouter(&OpMetrics{}), &OpMetrics{}).Restore
+		restore = NewSharedJoin(0, 0, 10, NewRouter(&OpMetrics{}), &OpMetrics{}).Restore
 	} else {
 		a := NewSharedAggregation(1, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
 		op, win, q = a, &a.win, aggQ(window.TumblingSpec(10), sqlstream.AggCount, 0, expr.True())
@@ -802,8 +769,8 @@ func controlEngine(tb testing.TB) *Engine {
 }
 
 // TestControlSnapshotRoundTrip: the engine's control state — registry with a
-// free slot, changelog clock, ingress marks, ID counter, horizon, store
-// marker and query definitions — restores into a fresh engine that
+// free slot, changelog clock, ingress marks, ID counter, horizon and query
+// definitions — restores into a fresh engine that
 // snapshots to the same bytes and runs the same queries.
 func TestControlSnapshotRoundTrip(t *testing.T) {
 	eng := controlEngine(t)
@@ -823,37 +790,18 @@ func TestControlSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoreControlRejectsForgedShapes: a store marker beyond any
-// StoreSwitch restored truncated to int32 (2^40+2 as 2), and query
-// definitions out of ID order re-encoded sorted.
+// TestRestoreControlRejectsForgedShapes: query definitions out of ID order
+// re-encoded sorted.
 func TestRestoreControlRejectsForgedShapes(t *testing.T) {
 	eng := controlEngine(t)
 	eng.Drain() // the forgery below edits a query the operators hold
-	// storeHint follows the version, the registry, the stream count, two
-	// marks per stream, nextID and maxHorizon.
-	r := wire.NewReader(eng.ControlSnapshot())
-	r.U8("version")
-	at := 1 + 4 + len(r.Bytes("registry")) + 4 + 2*8*len(eng.ingress) + 2*8
-	for _, tc := range []struct {
-		name  string
-		forge func(snap []byte) []byte
-		want  string
-	}{
-		{"store marker 2^40+2", func(snap []byte) []byte {
-			binary.LittleEndian.PutUint64(snap[at:], 1<<40+2)
-			return snap
-		}, "no store marker"},
-		{"queries out of ID order", func([]byte) []byte {
-			eng.defs[1].ID = 9
-			defer func() { eng.defs[1].ID = 1 }()
-			return eng.ControlSnapshot()
-		}, "after query 9"},
-	} {
-		fresh := newControlEngine(t)
-		err := fresh.RestoreControl(tc.forge(eng.ControlSnapshot()))
-		fresh.Drain()
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: restored (%v)", tc.name, err)
-		}
+	eng.defs[1].ID = 9
+	snap := eng.ControlSnapshot()
+	eng.defs[1].ID = 1
+	fresh := newControlEngine(t)
+	err := fresh.RestoreControl(snap)
+	fresh.Drain()
+	if err == nil || !strings.Contains(err.Error(), "after query 9") {
+		t.Fatalf("queries out of ID order: restored (%v)", err)
 	}
 }

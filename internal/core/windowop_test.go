@@ -43,7 +43,7 @@ var drivenOps = []struct {
 	}},
 	{"join", func() drivenOp {
 		m := NewOpMetrics(nil)
-		j := NewSharedJoin(0, StoreGrouped, 0, NewRouter(&OpMetrics{}), m)
+		j := NewSharedJoin(0, 0, 0, NewRouter(&OpMetrics{}), m)
 		return drivenOp{op: j, win: &j.win, late: &m.Late, query: func(sp window.Spec) *Query {
 			return joinQ(sp, expr.True(), expr.True())
 		}}
@@ -325,7 +325,7 @@ func tableFixtures(t *testing.T) map[string]*queryTable {
 		selQ(gt(2, 7)), selQ(expr.True()),
 	)
 	del := b.remove(t, 40, 1, 4, 5)
-	j := NewSharedJoin(0, StoreList, 0, NewRouter(&OpMetrics{}), &OpMetrics{})
+	j := NewSharedJoin(0, 0, 0, NewRouter(&OpMetrics{}), &OpMetrics{})
 	a := NewSharedAggregation(2, 0, NewRouter(&OpMetrics{}), &OpMetrics{})
 	for _, op := range []spe.Logic{j, a} {
 		op.OnChangelog(msg, 0, nil)
@@ -600,7 +600,7 @@ func TestSelectionChurnKeepsSlices(t *testing.T) {
 		// epochs; the tuples carry only the join's slot, so the rows, query
 		// sets included, must match the plain run's exactly.
 		{"sliding join", func() *Query { return joinQ(window.SlidingSpec(20, 10), expr.True(), expr.True()) },
-			func() churnClient { return &joinChurn{p: newJoinPair(StoreList, lateness, 1)} }, 1},
+			func() churnClient { return &joinChurn{p: newJoinPair(lateness, 1)} }, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plain, churn := tc.new(), tc.new()

@@ -9,16 +9,11 @@ import (
 	"astream/internal/metrics"
 )
 
-// Scale multiplies every experiment's measurement window; 1 is the quick
-// bench default, larger values approach the paper's long steady states.
+// Scale is every experiment's warm-up and measurement window; longer windows
+// approach the paper's long steady states.
 type Scale struct {
 	Warmup  time.Duration
 	Measure time.Duration
-}
-
-// QuickScale is the default seconds-long scale.
-func QuickScale() Scale {
-	return Scale{Warmup: 300 * time.Millisecond, Measure: 700 * time.Millisecond}
 }
 
 // sc1Grid is the paper's SC1 workload grid (Figures 9, 11, 12).

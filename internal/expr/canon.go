@@ -30,9 +30,6 @@ func (iv Interval) Unbounded() bool {
 	return iv.Lo == math.MinInt64 && iv.Hi == math.MaxInt64
 }
 
-// ContainsValue reports whether v lies in the interval.
-func (iv Interval) ContainsValue(v int64) bool { return v >= iv.Lo && v <= iv.Hi }
-
 // FieldConstraint restricts one tuple column to an interval minus holes.
 type FieldConstraint struct {
 	// Field is the payload field index, or KeyField for the tuple key.
@@ -42,19 +39,6 @@ type FieldConstraint struct {
 	// (Lo, Hi). Only NE comparisons produce holes; the paper's templates
 	// never do.
 	Holes []int64
-}
-
-// accepts reports whether v satisfies the constraint.
-func (fc *FieldConstraint) accepts(v int64) bool {
-	if v < fc.Iv.Lo || v > fc.Iv.Hi {
-		return false
-	}
-	for _, h := range fc.Holes {
-		if h >= v {
-			return h != v
-		}
-	}
-	return true
 }
 
 // Canonical is the normal form of a conjunction of comparisons: one

@@ -345,9 +345,6 @@ func (e *Emitter) send(tg *target, el event.Element) {
 	tg.ch <- message{sender: tg.sender, port: tg.port, elem: el}
 }
 
-// hasConsumers reports whether anything is downstream (sinks have none).
-func (e *Emitter) hasConsumers() bool { return len(e.consumers) > 0 }
-
 // chainMember is one fused operator within an instance: its topology node
 // (which names its snapshots), its logic, and the emitter that logic's
 // callbacks receive — a direct-call link to the next member, or the real
