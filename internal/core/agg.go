@@ -240,26 +240,26 @@ type SharedAggregation struct {
 	snapFolds    map[uint64]uint64
 	snapTableSeq uint64
 	sinceFull    int
-	tblScratch   []byte //lint:pooled scratch table-delta encode buffer recycled across barriers
+	tblScratch   []byte // table-delta encode buffer recycled across barriers
 
 	// Steady-state scratch (owned by the instance goroutine): query-set
 	// intersection temporaries, the seal's, and the fire path's equivalence
 	// blocks and result rows.
-	qsTmp     bitset.Bits          //lint:pooled scratch per-tuple query-set intersection scratch
-	lateRows  []int32              //lint:pooled scratch the rows of a sealed slice one tuple folds into
-	sealTmp   sealScratch          //lint:pooled scratch the seal's slot partition, class numbering and key chains
-	caps      []fireCap            //lint:pooled scratch per-cap-group slot mask, per-slice relation and slot table, parallel to the trigger's cap groups
-	blocks    partition            //lint:pooled scratch the trigger's queries partitioned into equivalence blocks
-	blockRows [][]aggRow           //lint:pooled scratch per block, its window result ascending by key; the buffers are reused across fires
-	rowTmp    []aggRow             //lint:pooled scratch merge output, swapped with the block rows it replaces
-	members   []int32              //lint:pooled scratch per effective (slice, class), the trigger queries in it, back to back
-	met       []metPair            //lint:pooled scratch (slice, class) pairs pass one found effective for some cap group
-	valPool   []*aggVal            //lint:pooled freelist recycled aggVal backings
-	valSlab   []aggVal             //lint:pooled freelist slab chunk fresh partials are carved from; they recycle through valPool
-	rowPool   [][]aggRow           //lint:pooled freelist recycled row backings
-	groupPool []*aggGroup          //lint:pooled freelist emptied groups, map and lists at the size they grew to
-	openPool  []*qsIndex[aggGroup] //lint:pooled freelist emptied group indexes of sealed or evicted slices
-	indexPool []*aggIndex          //lint:pooled freelist evicted slices' indexes, their class and slot lists at the size they grew to
+	qsTmp     bitset.Bits          // per-tuple query-set intersection scratch
+	lateRows  []int32              // the rows of a sealed slice one tuple folds into
+	sealTmp   sealScratch          // the seal's slot partition, class numbering and key chains
+	caps      []fireCap            // per-cap-group slot mask, per-slice relation and slot table, parallel to the trigger's cap groups
+	blocks    partition            // the trigger's queries partitioned into equivalence blocks
+	blockRows [][]aggRow           // per block, its window result ascending by key; the buffers are reused across fires
+	rowTmp    []aggRow             // merge output, swapped with the block rows it replaces
+	members   []int32              // per effective (slice, class), the trigger queries in it, back to back
+	met       []metPair            // (slice, class) pairs pass one found effective for some cap group
+	valPool   []*aggVal            // recycled aggVal backings
+	valSlab   []aggVal             // slab chunk fresh partials are carved from; they recycle through valPool
+	rowPool   [][]aggRow           // recycled row backings
+	groupPool []*aggGroup          // emptied groups, map and lists at the size they grew to
+	openPool  []*qsIndex[aggGroup] // emptied group indexes of sealed or evicted slices
+	indexPool []*aggIndex          // evicted slices' indexes, their class and slot lists at the size they grew to
 }
 
 // fireCap is one cap group's side of a fire. Slots are unique within a cap
@@ -910,8 +910,6 @@ func (a *SharedAggregation) mergeRows(b int32, src []aggRow) {
 			i++
 			continue
 		}
-		// Rows move by copy: scratchlocal reads a row assigned out of one
-		// scratch buffer into another as an alias kept past the call.
 		out := resize(a.rowTmp, len(dst)+len(src)-j)
 		k := copy(out, dst[:i])
 		for ; i < len(dst) && j < len(src); k++ {

@@ -778,13 +778,27 @@ func TestEngineSessionChurn(t *testing.T) {
 
 func TestEngineManyQueriesWideBitsets(t *testing.T) {
 	// 80 concurrent queries force multi-word query-sets through the whole
-	// pipeline (slot indexes past 64).
-	h := newHarness(t, 1, 2)
+	// pipeline (slot indexes past 64). With two streams the selection feeds
+	// the aggregation over a keyed exchange (one stream fuses the two
+	// operators). Six tuples share each event time, so no watermark flushes
+	// between them and several sit in one exchange batch before the
+	// aggregation reads them; their fields differ, and so do their wide
+	// query-sets. Three complex queries past slot 80 join the streams with
+	// nested predicates, so the pass-through tuples one join fire batches
+	// for the aggregation carry different wide query-sets too.
+	h := newHarness(t, 2, 2)
 	for i := 0; i < 80; i++ {
 		h.submit(aggQ(window.TumblingSpec(10), sqlstream.AggCount, -1, gt(i%5, int64(10*(i%8)))))
 	}
+	for i := 0; i < 3; i++ {
+		h.submit(complexQ(window.TumblingSpec(10), window.TumblingSpec(10), sqlstream.AggCount, -1, gt(4, int64(5*i)), expr.True()))
+	}
 	for i := 1; i <= 60; i++ {
-		h.ingest(0, int64(i%4), event.Time(i), int64(i%100), int64(i%80), int64(i%60), int64(i%40), int64(i%20))
+		for k := 0; k < 6; k++ {
+			j := 6*i + k
+			h.ingest(0, int64(k), event.Time(i), int64(j%100), int64(j%80), int64(j%60), int64(j%40), int64(j%20))
+			h.ingest(1, int64(k), event.Time(i), int64(j%7))
+		}
 	}
 	h.finish()
 }

@@ -415,7 +415,9 @@ func TestFireManyMemberships(t *testing.T) {
 
 // TestFireBlocksAreExact: two queries share a block exactly when no
 // (slice, class) of the run tells them apart — a single group in a single
-// slice that holds one and not the other separates them.
+// slice that holds one and not the other separates them. A second fire over
+// the same extent finds the same blocks from scratch holding only its own
+// memberships.
 func TestFireBlocksAreExact(t *testing.T) {
 	for _, odd := range []bool{false, true} {
 		p := newFirePair(0, 4)
@@ -438,6 +440,12 @@ func TestFireBlocksAreExact(t *testing.T) {
 		}
 		if same := blk[0] == blk[1]; same == odd {
 			t.Fatalf("odd=%v: queries 1 and 2 share a block: %v (blocks %v)", odd, same, blk)
+		}
+		blk, members := slices.Clone(blk), len(p.eng.members)
+		p.eng.fireWindow(window.Extent{Start: 0, End: 100}, eng)
+		if !slices.Equal(p.eng.blocks.of, blk) || len(p.eng.members) != members {
+			t.Fatalf("odd=%v: the second fire found blocks %v from %d memberships, the first %v from %d",
+				odd, p.eng.blocks.of, len(p.eng.members), blk, members)
 		}
 	}
 }
@@ -831,10 +839,13 @@ func heldPartials(a *SharedAggregation) (n int) {
 // or held by an open slice, the slabs adding up to whole chunks — and once
 // every slice is evicted all of them are back; a second identical round, late
 // tuples unsealing slices included, carves nothing and leaves as many groups,
-// group indexes, slice indexes and row backings pooled as the first.
+// group indexes, slice indexes and row backings pooled as the first. A slice
+// its queries stop inside is evicted open, never sealed, and its partials
+// come back as well.
 func TestFireEvictionRecyclesPartials(t *testing.T) {
 	p := newFirePair(400, 5)
-	p.deploy(t, newCLBuilder(), 0, sealQueries()...)
+	b := newCLBuilder()
+	live, _ := p.deploy(t, b, 0, sealQueries()...)
 	round := func(base event.Time) {
 		feedSeal(p, base, base+800)
 		for _, wm := range []event.Time{400, 800} {
@@ -878,6 +889,25 @@ func TestFireEvictionRecyclesPartials(t *testing.T) {
 	round(2000)
 	if got := pools(); got != first || len(p.eng.valSlab) != slab {
 		t.Fatalf("second round: pooled %v with %d uncarved; want %v and %d (something leaked, or a freelist grows every round)", got, len(p.eng.valSlab), first, slab)
+	}
+
+	// Every query stops at 4100: no window of theirs ends in (4000, 4100],
+	// so the slice holding [4000, 4100) is never sealed.
+	feedSeal(p, 4000, 4100)
+	var ids []int
+	for _, lq := range live {
+		ids = append(ids, lq.q.ID)
+	}
+	p.changelog(b.remove(t, 4100, ids...), 4100)
+	if held := heldPartials(p.eng); held == 0 {
+		t.Fatal("no partial in an open slice before the stop; the test proved nothing")
+	}
+	p.watermark(t, "after the stop", 6000)
+	if n, held := p.eng.LiveSlices(), heldPartials(p.eng); n != 0 || held != 0 {
+		t.Fatalf("%d slices live, %d partials held after the queries stopped", n, held)
+	}
+	if pooled, slab := len(p.eng.valPool), len(p.eng.valSlab); (pooled+slab)%aggSlabLen != 0 {
+		t.Fatalf("%d partials pooled and %d uncarved: the slice evicted open kept some", pooled, slab)
 	}
 }
 

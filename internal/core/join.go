@@ -30,13 +30,13 @@ type SharedJoin struct {
 	// pass-through slots per cap group, the one result row every delivery is
 	// a copy of, a pair's rows before they are cached at their exact size,
 	// and the query-set intersection temporaries.
-	groups  []fireGroup //lint:pooled scratch per-cap-group targets and pass-through slots of the trigger
+	groups  []fireGroup // per-cap-group targets and pass-through slots of the trigger
 	res     Result
-	rowsTmp []pairRow   //lint:pooled scratch a pair's rows while they are being joined
-	qsTmp   bitset.Bits //lint:pooled scratch slice-join kernel intersection scratch
-	termTmp bitset.Bits //lint:pooled scratch a cap group's terminal slots still live under the pair's epochs
-	passTmp bitset.Bits //lint:pooled scratch a cap group's pass-through slots still live under the pair's epochs
-	pmTmp   bitset.Bits //lint:pooled scratch a row's pass-through slots
+	rowsTmp []pairRow   // a pair's rows while they are being joined
+	qsTmp   bitset.Bits // slice-join kernel intersection scratch
+	termTmp bitset.Bits // a cap group's terminal slots still live under the pair's epochs
+	passTmp bitset.Bits // a cap group's pass-through slots still live under the pair's epochs
+	pmTmp   bitset.Bits // a row's pass-through slots
 }
 
 // fireGroup is what one cap group of a trigger delivers to: the slots of its

@@ -68,10 +68,10 @@ type SharedSelection struct {
 	indexes []*selIndex
 	// entryPool recycles entry-table backing arrays from watermark-pruned
 	// versions into future changelogs, bounding control-path churn.
-	entryPool [][]selEntry //lint:pooled freelist recycled entry-slice backings
+	entryPool [][]selEntry
 	// delScratch is the deletion lookup reused across changelogs with large
 	// Deleted sets; cleared after each use.
-	delScratch map[int]struct{} //lint:pooled scratch per-changelog deletion lookup scratch
+	delScratch map[int]struct{}
 	metrics    *OpMetrics
 	// cnt is what this instance counted since it last published to metrics.
 	cnt      selCounters
@@ -80,7 +80,7 @@ type SharedSelection struct {
 	// and the emitted tuple gets a right-sized Clone, so wide query sets
 	// (>64 slots) cost one allocation per emitted tuple instead of one per
 	// spill growth, and narrow sets cost none.
-	qsTmp bitset.Bits //lint:pooled scratch per-tuple query-set scratch
+	qsTmp bitset.Bits
 	// onPredPanic, when set, receives predicate-evaluation panics so the
 	// engine can count strikes and quarantine the offending query instead of
 	// letting one bad ad-hoc predicate take down the shared pipeline.

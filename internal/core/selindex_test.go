@@ -208,6 +208,11 @@ func TestIndexedClassificationAgreesWithScan(t *testing.T) {
 				if len(idx.versions) != len(idx.indexes) {
 					t.Fatalf("step %d: %d versions but %d indexes", step, len(idx.versions), len(idx.indexes))
 				}
+				// Both instances share the changelog path, so the count is
+				// held to the builder's: every active query has its entry.
+				if n := idx.ActiveEntries(); n != len(active) {
+					t.Fatalf("step %d: %d entries for %d active queries", step, n, len(active))
+				}
 				shared, ranged := verifyCoverage(idx.indexes[len(idx.indexes)-1])
 				sharedBucket, verifiedRange = sharedBucket || shared, verifiedRange || ranged
 

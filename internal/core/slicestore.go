@@ -20,7 +20,7 @@ type qsIndex[G any] struct {
 	byStr  map[string]*G
 	order  []*G
 	keys   []bitset.Key // parallel to order, ascending by Key.Less
-	keyBuf []byte       //lint:pooled scratch reused key-encoding scratch buffer
+	keyBuf []byte       // reused key-encoding scratch buffer
 }
 
 func newQSIndex[G any]() *qsIndex[G] {

@@ -297,9 +297,9 @@ type windowOp struct {
 	evictedThru [2]event.Time
 
 	// Steady-state scratch, owned by the instance goroutine.
-	trig     triggerList   //lint:pooled scratch per-watermark trigger scratch
-	caps     []capGroup    //lint:pooled scratch per-trigger cap-grouping scratch
-	specsTmp []window.Spec //lint:pooled scratch per-watermark window-spec scratch
+	trig     triggerList   // per-watermark trigger scratch
+	caps     []capGroup    // per-trigger cap-grouping scratch
+	specsTmp []window.Spec // per-watermark window-spec scratch
 }
 
 func newWindowOp(lateness event.Time, specOf func(*Query) window.Spec, sides ...*slicer) windowOp {

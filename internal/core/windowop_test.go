@@ -308,6 +308,25 @@ func TestWindowDriverEviction(t *testing.T) {
 		if *d.late != uint64(len(tc.late)) || stored != len(tc.onTime) {
 			t.Fatalf("%d late tuples counted and %d slices opened, want %d and %d", *d.late, stored, len(tc.late), len(tc.onTime))
 		}
+
+		// A query with longer windows keeps the slice at 300 past the
+		// tumbling query's need only while it lives: once it is deleted and
+		// purged, every slice goes.
+		msg := b.create(t, 300, d.query(window.SlidingSpec(400, 100)))
+		d.op.OnChangelog(msg, 300, nil)
+		kept := func() (n int) {
+			for _, s := range d.win.sides {
+				n += len(s.slices)
+			}
+			return n
+		}
+		if d.op.OnWatermark(400, nil); kept() == 0 {
+			t.Fatal("the longer query kept no slice; the check below proves nothing")
+		}
+		d.op.OnChangelog(b.remove(t, 400, msg.CL.Created[0].Query), 400, nil)
+		if d.op.OnWatermark(500, nil); kept() != 0 {
+			t.Fatalf("%d slices kept after the longer query was purged", kept())
+		}
 	})
 }
 

@@ -64,7 +64,7 @@ type WAL struct {
 	fname string
 	fsize int
 
-	//lint:pooled scratch frame-encode buffer recycled across appends
+	// buf is the frame-encode buffer, recycled across appends.
 	buf []byte
 }
 

@@ -316,13 +316,6 @@ func calleeOf(p *Package, call *ast.CallExpr) (fun ast.Expr, obj types.Object) {
 	}
 }
 
-// calledFunc returns the *types.Func a call statically names, if any.
-func calledFunc(p *Package, call *ast.CallExpr) *types.Func {
-	_, obj := calleeOf(p, call)
-	fn, _ := obj.(*types.Func)
-	return fn
-}
-
 // builtinName returns the name of the builtin a call invokes, "" otherwise.
 func builtinName(p *Package, call *ast.CallExpr) string {
 	_, obj := calleeOf(p, call)

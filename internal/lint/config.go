@@ -16,10 +16,7 @@ package lint
 // the store, the WAL and the log-record codec under them: a dropped fsync or
 // Close error there is precisely the silent data loss the layer exists to
 // prevent — an unchecked Sync means the manifest may reference bytes the
-// kernel never promised. The lifetime analyzers (poolsafe, aliasescape,
-// scratchlocal) run module-wide: their registry is opt-in — a package
-// with no //lint:pooled directive early-outs for free — so scoping would
-// only exempt future pooled subsystems from the audit.
+// kernel never promised.
 func ModuleAnalyzers(modPath string) []*Analyzer {
 	wallclockAllow := []string{
 		modPath + "/internal/metrics",
@@ -62,8 +59,5 @@ func ModuleAnalyzers(modPath string) []*Analyzer {
 		NewNakedAtomic(),
 		NewSupervisedGo(supervisedScope),
 		NewErrSink(errsinkScope),
-		NewPoolSafe(nil),
-		NewAliasEscape(nil),
-		NewScratchLocal(nil),
 	}
 }

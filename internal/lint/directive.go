@@ -12,7 +12,7 @@ import (
 //
 //	//lint:<name> [<word>] [<reason…>]
 //
-// with <name> one of ignore, hotpath, pooled; any other name is a finding, so
+// with <name> one of ignore, hotpath; any other name is a finding, so
 // a typo cannot silently drop a check. A directive covers its own line and,
 // when it stands alone on its line, the line directly below; on a function
 // declaration it may also sit anywhere in the doc comment. Every name shares
@@ -32,7 +32,7 @@ type directive struct {
 }
 
 // directiveNames are the names some consumer reads.
-var directiveNames = map[string]bool{"ignore": true, "hotpath": true, "pooled": true}
+var directiveNames = map[string]bool{"ignore": true, "hotpath": true}
 
 // parseDirectives returns every //lint:<name> directive of the package (of
 // any name when name is ""), in source order.
@@ -69,7 +69,7 @@ func unknownDirectives(p *Package) []Diagnostic {
 	var out []Diagnostic
 	for _, d := range parseDirectives(p, "") {
 		if !directiveNames[d.name] {
-			out = append(out, Diagnostic{Analyzer: "lint", Pos: d.pos, Message: "unknown directive //lint:" + d.name + " (known: ignore, hotpath, pooled)"})
+			out = append(out, Diagnostic{Analyzer: "lint", Pos: d.pos, Message: "unknown directive //lint:" + d.name + " (known: ignore, hotpath)"})
 		}
 	}
 	return out

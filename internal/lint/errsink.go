@@ -177,8 +177,6 @@ func (w *errFlow) cond(e ast.Expr, s errPending) (yes, no errPending) {
 
 func (w *errFlow) enter(_ ast.Stmt, s errPending) errPending { return s }
 
-func (w *errFlow) deferred(_ *ast.DeferStmt, s errPending) errPending { return s }
-
 func (w *errFlow) exit(s errPending, _ token.Pos) {
 	for v, pos := range s {
 		w.unread[pos] = v

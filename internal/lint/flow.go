@@ -6,9 +6,9 @@ import (
 )
 
 // This file is the one control-flow engine under the flow-sensitive
-// analyzers (DESIGN.md §8, "The flow engine"): lockheld-send, errsink and
-// the lifetime IR are clients that bring a lattice and leaf transfer
-// functions, and every rule about control lives here, once:
+// analyzers (DESIGN.md §8, "The flow engine"): lockheld-send and errsink
+// are clients that bring a lattice and leaf transfer functions, and every
+// rule about control lives here, once:
 //
 //   - if / switch / type switch / select fork the state, one copy per arm,
 //     and join the arms that fall out; the pre-state falls through only when
@@ -21,8 +21,8 @@ import (
 //     condition's false outcome at that fixpoint, joined with every break;
 //   - break and continue (labels included) carry their state to the
 //     construct's exit and the loop head; return, goto and panic end the
-//     path; return and falling off the end run the deferred calls seen so
-//     far, LIFO, and then the client's exit hook;
+//     path; return and falling off the end run the client's exit hook (a
+//     defer reaches the client as a statement, where it stands);
 //   - every sub-part of every construct — init, cond, post, tag, type-switch
 //     guard, case expressions, comm statements, range operand — reaches the
 //     client exactly once per walk of its construct.
@@ -52,9 +52,7 @@ type flowClient[S any] interface {
 	// enter runs where a select waits (once) and where a range fetches its
 	// next element and assigns key and value (every iteration).
 	enter(st ast.Stmt, s S) S
-	// deferred applies one deferred call at a function exit.
-	deferred(d *ast.DeferStmt, s S) S
-	// exit observes the state at a function exit, after the deferred calls.
+	// exit observes the state at a function exit.
 	exit(s S, pos token.Pos)
 }
 
@@ -80,7 +78,6 @@ type flow[S any] struct {
 	p      *Package
 	c      flowClient[S]
 	frames []*flowFrame[S]
-	defers []*ast.DeferStmt
 	label  string // label of the statement about to be walked
 }
 
@@ -88,7 +85,7 @@ type flow[S any] struct {
 func runFlow[S any](p *Package, c flowClient[S], body *ast.BlockStmt, entry S) {
 	f := &flow[S]{p: p, c: c}
 	if end := f.block(body.List, entry); end.live {
-		f.leave(end.s, body.Rbrace)
+		f.c.exit(end.s, body.Rbrace)
 	}
 }
 
@@ -103,13 +100,6 @@ func (f *flow[S]) merge(dst, src flowPath[S], loop ast.Stmt) flowPath[S] {
 	}
 	dst.s, _ = f.c.join(dst.s, src.s, loop)
 	return dst
-}
-
-func (f *flow[S]) leave(s S, pos token.Pos) {
-	for i := len(f.defers) - 1; i >= 0; i-- {
-		s = f.c.deferred(f.defers[i], s)
-	}
-	f.c.exit(s, pos)
 }
 
 func (f *flow[S]) block(list []ast.Stmt, s S) flowPath[S] {
@@ -179,16 +169,8 @@ func (f *flow[S]) stmt(st ast.Stmt, s S) flowPath[S] {
 		}
 		return flowPath[S]{} // goto ends the path
 	case *ast.ReturnStmt:
-		f.leave(f.c.stmt(st, s, false), st.Pos())
+		f.c.exit(f.c.stmt(st, s, false), st.Pos())
 		return flowPath[S]{}
-	case *ast.DeferStmt:
-		seen := false
-		for _, d := range f.defers {
-			seen = seen || d == st
-		}
-		if !seen {
-			f.defers = append(f.defers, st)
-		}
 	case *ast.ExprStmt:
 		if isPanicCall(f.p, st.X) {
 			f.c.stmt(st, s, false)

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"bytes"
-	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/printer"
@@ -21,13 +20,11 @@ type toyPaths map[string]bool
 
 // toyFlow is a flow client that assigns variables and keeps a record: the
 // order it first saw each sub-part in, how often it saw each, and per exit
-// line the deferred calls run there and the paths that reached it.
+// line the paths that reached it.
 type toyFlow struct {
 	fset   *token.FileSet
 	order  []string
 	visits map[ast.Node]int
-	ran    []string         // deferred calls since the last exit
-	defers map[int][]string // exit line → deferred calls, in run order
 	exits  map[int]toyPaths // exit line → paths
 }
 
@@ -101,14 +98,8 @@ func (t *toyFlow) enter(st ast.Stmt, s toyPaths) toyPaths {
 	return s
 }
 
-func (t *toyFlow) deferred(d *ast.DeferStmt, s toyPaths) toyPaths {
-	t.ran = append(t.ran, t.src(d.Call))
-	return s
-}
-
 func (t *toyFlow) exit(s toyPaths, pos token.Pos) {
 	line := t.fset.Position(pos).Line
-	t.defers[line], t.ran = t.ran, nil
 	if t.exits[line] == nil {
 		t.exits[line] = toyPaths{}
 	}
@@ -117,85 +108,84 @@ func (t *toyFlow) exit(s toyPaths, pos token.Pos) {
 
 // TestFlowContract pins the engine's control rules construct by construct:
 // each row is one function body (its first statement on line 1), the order
-// the client must first see its sub-parts in, and per exit line the
-// deferred calls run there (LIFO) and the paths that reach it. Loop-free
-// rows also assert the exactly-once rule.
+// the client must first see its sub-parts in, and per exit line the paths
+// that reach it. Loop-free rows also assert the exactly-once rule.
 func TestFlowContract(t *testing.T) {
 	rows := []struct {
 		name  string
 		body  string
 		order []string
-		exits map[int]string // line → "deferred calls | paths"
+		exits map[int]string // line → paths
 		loops bool
 	}{
 		{
 			name:  "if / else-if chain: one arm each, no fall-through past a final else",
 			body:  `if a = 1; c { x = 1 } else if d { y = 1 } else { z = 1 }`,
 			order: []string{"a = 1", "cond c", "x = 1", "cond d", "y = 1", "z = 1"},
-			exits: map[int]string{1: " | {a,x} {a,y} {a,z}"},
+			exits: map[int]string{1: "{a,x} {a,y} {a,z}"},
 		},
 		{
 			name:  "if without else: the pre-state falls through",
 			body:  `if c { x = 1 }`,
 			order: []string{"cond c", "x = 1"},
-			exits: map[int]string{1: " | {} {x}"},
+			exits: map[int]string{1: "{} {x}"},
 		},
 		{
 			name:  "for with post: init once, cond-body-post per round, exit is the cond's false outcome",
 			body:  `for i = 0; i < n; i++ { x = 1 }`,
 			order: []string{"i = 0", "cond i < n", "x = 1", "i++"},
-			exits: map[int]string{1: " | {i} {i,x}"},
+			exits: map[int]string{1: "{i} {i,x}"},
 			loops: true,
 		},
 		{
 			name:  "range: operand once, key/value at the head of every round",
 			body:  `for k, e := range xs { x = 1 }`,
 			order: []string{"expr xs", "enter range", "x = 1"},
-			exits: map[int]string{1: " | {} {e,k,x}"},
+			exits: map[int]string{1: "{} {e,k,x}"},
 			loops: true,
 		},
 		{
 			name:  "switch with default: init, tag, case expressions in order, no fall-through of the pre-state",
 			body:  `switch a = 1; n { case 1, 2: x = 1; default: y = 1 }`,
 			order: []string{"a = 1", "expr n", "expr 1", "expr 2", "x = 1", "y = 1"},
-			exits: map[int]string{1: " | {a,x} {a,y}"},
+			exits: map[int]string{1: "{a,x} {a,y}"},
 		},
 		{
 			name:  "switch without default: the pre-state falls through",
 			body:  `switch n { case 1: x = 1 }`,
 			order: []string{"expr n", "expr 1", "x = 1"},
-			exits: map[int]string{1: " | {} {x}"},
+			exits: map[int]string{1: "{} {x}"},
 		},
 		{
 			name:  "default first with fallthrough: case expressions precede the default body, its exit enters the next clause",
 			body:  `switch n { default: x = 1; fallthrough; case 1: y = 1 }`,
 			order: []string{"expr n", "expr 1", "x = 1", "y = 1"},
-			exits: map[int]string{1: " | {y} {x,y}"},
+			exits: map[int]string{1: "{y} {x,y}"},
 		},
 		{
 			name:  "type switch: the guard is a statement, the case lists are types",
 			body:  `switch t := v.(type) { case int: x = 1; case nil: }`,
 			order: []string{"t := v.(type)", "x = 1"},
-			exits: map[int]string{1: " | {t} {t,x}"},
+			exits: map[int]string{1: "{t} {t,x}"},
 		},
 		{
 			name:  "select without default: it blocks, so the pre-state does not fall through",
 			body:  `select { case x = <-ch: y = 1; case ch <- 1: z = 1 }`,
 			order: []string{"enter select", "comm x = <-ch", "comm ch <- 1", "y = 1", "z = 1"},
-			exits: map[int]string{1: " | {z} {x,y}"},
+			exits: map[int]string{1: "{z} {x,y}"},
 		},
 		{
 			name:  "select with default",
 			body:  `select { case x = <-ch: default: y = 1 }`,
 			order: []string{"enter select", "comm x = <-ch", "y = 1"},
-			exits: map[int]string{1: " | {x} {y}"},
+			exits: map[int]string{1: "{x} {y}"},
 		},
 		{
 			name: "labeled break out of a nested loop: {x} reaches the exit without y",
 			body: `outer:
 for c { for d { x = 1; break outer }; y = 1 }`,
 			order: []string{"cond c", "cond d", "x = 1", "y = 1"},
-			exits: map[int]string{2: " | {} {x} {y} {x,y}"},
+			exits: map[int]string{2: "{} {x} {y} {x,y}"},
 			loops: true,
 		},
 		{
@@ -203,34 +193,34 @@ for c { for d { x = 1; break outer }; y = 1 }`,
 			body: `outer:
 for c { for d { x = 1; continue outer }; y = 1 }`,
 			order: []string{"cond c", "cond d", "x = 1", "y = 1"},
-			exits: map[int]string{2: " | {} {x} {y} {x,y}"},
+			exits: map[int]string{2: "{} {x} {y} {x,y}"},
 			loops: true,
 		},
 		{
 			name:  "unlabeled break in a switch leaves the switch, not the loop",
 			body:  `for c { switch n { case 1: x = 1; break }; y = 1 }`,
 			order: []string{"cond c", "expr n", "expr 1", "x = 1", "y = 1"},
-			exits: map[int]string{1: " | {} {y} {x,y}"},
+			exits: map[int]string{1: "{} {y} {x,y}"},
 			loops: true,
 		},
 		{
 			name:  "condition-less for: only a break leaves it",
 			body:  `for { x = 1; if c { break } }`,
 			order: []string{"x = 1", "cond c"},
-			exits: map[int]string{1: " | {x}"},
+			exits: map[int]string{1: "{x}"},
 			loops: true,
 		},
 		{
 			name:  "goto ends its path",
 			body:  `x = 1; if c { goto done }; y = 1; done: z = 1`,
 			order: []string{"x = 1", "cond c", "y = 1", "z = 1"},
-			exits: map[int]string{1: " | {x,y,z}"},
+			exits: map[int]string{1: "{x,y,z}"},
 		},
 		{
 			name:  "panic ends its path without an exit",
 			body:  `if c { panic("boom") }; y = 1`,
 			order: []string{"cond c", `panic("boom")`, "y = 1"},
-			exits: map[int]string{1: " | {y}"},
+			exits: map[int]string{1: "{y}"},
 		},
 		{
 			name: "return inside a loop: an exit per return, the loop's own exit after",
@@ -239,17 +229,17 @@ if d { return }
 y = 1 }
 z = 1`,
 			order: []string{"cond c", "x = 1", "cond d", "return", "y = 1", "z = 1"},
-			exits: map[int]string{2: " | {x} {x,y}", 4: " | {z} {x,y,z}"},
+			exits: map[int]string{2: "{x} {x,y}", 4: "{z} {x,y,z}"},
 			loops: true,
 		},
 		{
-			name: "two defers: LIFO at every exit, and only those already seen",
+			name: "two defers: each a statement in order, neither ends a path",
 			body: `defer g()
 if c { return }
 defer h()
 x = 1`,
 			order: []string{"defer g()", "cond c", "return", "defer h()", "x = 1"},
-			exits: map[int]string{2: "g() | {}", 4: "h() g() | {x}"},
+			exits: map[int]string{2: "{}", 4: "{x}"},
 		},
 	}
 	for _, row := range rows {
@@ -266,7 +256,7 @@ x = 1`,
 			conf.Check("p", fset, []*ast.File{file}, info)
 			body := file.Decls[0].(*ast.FuncDecl).Body
 			body.List = body.List[2:] // the declarations are not part of the row
-			toy := &toyFlow{fset: fset, visits: map[ast.Node]int{}, defers: map[int][]string{}, exits: map[int]toyPaths{}}
+			toy := &toyFlow{fset: fset, visits: map[ast.Node]int{}, exits: map[int]toyPaths{}}
 			runFlow[toyPaths](&Package{Fset: fset, Info: info}, toy, body, toyPaths{"{}": true})
 
 			if !reflect.DeepEqual(toy.order, row.order) {
@@ -281,7 +271,7 @@ x = 1`,
 				sort.Slice(ps, func(i, j int) bool { // fewest assignments first
 					return len(ps[i]) < len(ps[j]) || len(ps[i]) == len(ps[j]) && ps[i] < ps[j]
 				})
-				got[line] = fmt.Sprintf("%s | %s", strings.Join(toy.defers[line], " "), strings.Join(ps, " "))
+				got[line] = strings.Join(ps, " ")
 			}
 			if !reflect.DeepEqual(got, row.exits) {
 				t.Errorf("exits:\n got %v\nwant %v", got, row.exits)

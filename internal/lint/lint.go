@@ -84,7 +84,6 @@ type Module struct {
 
 	graph *CallGraph
 	sums  map[*CGNode]*BlockSummary
-	lt    *lifetimeResult
 }
 
 // NewModule wraps a set of loaded packages into one analysis scope.
@@ -105,16 +104,6 @@ func (m *Module) BlockSummaries() map[*CGNode]*BlockSummary {
 		m.sums = ComputeBlockSummaries(m.Graph())
 	}
 	return m.sums
-}
-
-// lifetime returns the shared lifetime-layer run (registry, summaries,
-// poolsafe/aliasescape/scratchlocal findings), computing it on first use so
-// the three analyzers share one pass.
-func (m *Module) lifetime() *lifetimeResult {
-	if m.lt == nil {
-		m.lt = computeLifetime(m)
-	}
-	return m.lt
 }
 
 // Diag builds a Diagnostic for the analyzer at pos.
@@ -189,9 +178,8 @@ func RunAll(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []SuppressedD
 
 // AnalyzerTiming is one analyzer's wall-clock cost over a RunAllTimed
 // invocation, summed across packages (and the module pass for module
-// analyzers). Shared infrastructure built lazily — the call graph, block
-// summaries, the lifetime dataflow — is billed to the first analyzer that
-// demands it.
+// analyzers). Shared infrastructure built lazily — the call graph and block
+// summaries — is billed to the first analyzer that demands it.
 type AnalyzerTiming struct {
 	Name    string
 	Elapsed time.Duration

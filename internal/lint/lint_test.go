@@ -156,37 +156,6 @@ func TestStateScope(t *testing.T) {
 // the JSON schema: RunAll returns each silenced finding with its
 // directive's reason, Run stays the unsuppressed projection, and
 // SuppressedFindings carries the reason into the Report.
-// The lifetime fixtures run under all three lifetime analyzers at once:
-// each fixture asserts its own analyzer's findings and the absence of
-// cross-findings from the other two (they share one dataflow run).
-func lifetimeAnalyzers(scope []string) []*Analyzer {
-	return []*Analyzer{NewPoolSafe(scope), NewAliasEscape(scope), NewScratchLocal(scope)}
-}
-
-func TestPoolSafeFixture(t *testing.T) {
-	checkFixture(t, "poolsafe", lifetimeAnalyzers(nil))
-}
-
-func TestAliasEscapeFixture(t *testing.T) {
-	checkFixture(t, "aliasescape", lifetimeAnalyzers(nil))
-}
-
-func TestScratchLocalFixture(t *testing.T) {
-	checkFixture(t, "scratchlocal", lifetimeAnalyzers(nil))
-}
-
-// TestLifetimeScope verifies the lifetime analyzers honor their package
-// scope: pointed at other packages, each fixture is silent.
-func TestLifetimeScope(t *testing.T) {
-	for _, fixture := range []string{"poolsafe", "aliasescape", "scratchlocal"} {
-		p := loadFixture(t, fixture)
-		diags := Run([]*Package{p}, lifetimeAnalyzers([]string{"mod/internal/other"}))
-		if len(diags) != 0 {
-			t.Errorf("%s: out-of-scope package produced %d diagnostics: %v", fixture, len(diags), diags)
-		}
-	}
-}
-
 func TestSuppressedReasons(t *testing.T) {
 	p := loadFixture(t, "ignore")
 	analyzers := []*Analyzer{NewWallclock(nil)}
@@ -266,8 +235,8 @@ func TestModuleClean(t *testing.T) {
 // BenchmarkVetFullRepo measures the full analyzer suite over the whole
 // module — the cost CI pays per run. The module load (parse + type-check)
 // happens once outside the timed loop; each iteration rebuilds the call
-// graph, summaries, and lifetime dataflow from scratch, which is what
-// RunAll does for a fresh invocation.
+// graph and summaries from scratch, which is what RunAll does for a fresh
+// invocation.
 func BenchmarkVetFullRepo(b *testing.B) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {

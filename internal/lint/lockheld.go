@@ -235,8 +235,6 @@ func (c *lockScan) enter(st ast.Stmt, s *lockState) *lockState {
 	return s
 }
 
-func (c *lockScan) deferred(_ *ast.DeferStmt, s *lockState) *lockState { return s }
-
 func (c *lockScan) exit(*lockState, token.Pos) {}
 
 // hasDefaultComm reports whether a select has a default clause, i.e. never

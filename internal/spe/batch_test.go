@@ -267,19 +267,25 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// frameRewrite is a fault hook that replaces every coded batch frame.
-type frameRewrite struct{ frame []byte }
+// frameRewrite is a fault hook that replaces every coded batch frame, or
+// answers every batch with fault.
+type frameRewrite struct {
+	frame []byte
+	fault BatchFault
+}
 
 func (frameRewrite) BeforeTuple(string, int)       {}
 func (frameRewrite) AtBarrier(string, int, uint64) {}
 func (h frameRewrite) OnBatch(string, int, []byte) ([]byte, BatchFault) {
-	return h.frame, BatchOK
+	return h.frame, h.fault
 }
 
-// TestDecodeBatchErrorReturnsBufferToPool pins the coded flush's decode
-// error paths: a decode that fails after acquiring a pooled batch must
-// return that batch to the exchange pool instead of leaking it, and the
-// intact original ships on.
+// TestDecodeBatchErrorReturnsBufferToPool pins the coded flush's failure
+// paths: a decode that fails after acquiring a pooled batch must return
+// that batch to the exchange pool once, instead of leaking it or returning
+// it twice, and the intact original ships on. A batch the link drops, and
+// one a delay still holds when the instance tears down (discardPending),
+// go back to the pool once, and nothing ships.
 func TestDecodeBatchErrorReturnsBufferToPool(t *testing.T) {
 	var c BinaryCodec
 	// The wide first tuple leaves room for the header's count check to pass
@@ -295,12 +301,15 @@ func TestDecodeBatchErrorReturnsBufferToPool(t *testing.T) {
 	binary.LittleEndian.PutUint32(oversized[len(oversized)-4:], 1)
 
 	cases := []struct {
-		name string
-		bad  []byte
+		name  string
+		bad   []byte
+		fault BatchFault
 	}{
-		{"truncated body", enc[:len(enc)-2]},
-		{"oversized query-set", oversized},
-		{"trailing byte", append(append([]byte(nil), enc...), 0xEE)},
+		{"truncated body", enc[:len(enc)-2], BatchOK},
+		{"oversized query-set", oversized, BatchOK},
+		{"trailing byte", append(append([]byte(nil), enc...), 0xEE), BatchOK},
+		{"dropped batch", nil, BatchDrop},
+		{"delayed batch at teardown", nil, BatchDelay},
 	}
 	for _, tc := range cases {
 		// Under the race detector sync.Pool randomly discards Puts, so a
@@ -312,27 +321,66 @@ func TestDecodeBatchErrorReturnsBufferToPool(t *testing.T) {
 			ch := make(chan message, 1)
 			em := &Emitter{
 				batchSize: len(in),
-				hook:      frameRewrite{tc.bad},
+				hook:      frameRewrite{frame: tc.bad, fault: tc.fault},
 				consumers: []consumer{{mode: Global, targets: []target{{ch: ch, coded: true}}}},
 			}
 			for tupleBatchPool.Get() != nil {
 				// Drain so the only possible pooled batch afterwards is the
-				// one the failed decode acquired.
+				// one the failed flush acquired.
 			}
 			for i := range in {
 				em.EmitTuple(in[i])
 			}
-			if em.Err() == nil {
+			if tc.fault == BatchDelay {
+				if em.Err() != nil || em.pending != 1 {
+					t.Fatalf("%s: a delay must hold the batch (err %v, %d pending)", tc.name, em.Err(), em.pending)
+				}
+				em.discardPending()
+				if em.consumers[0].targets[0].buf != nil || em.pending != 0 {
+					t.Fatalf("%s: teardown kept the batch it released", tc.name)
+				}
+			} else if em.Err() == nil {
 				t.Fatalf("%s batch must fail the emitter", tc.name)
 			}
 			recycled = tupleBatchPool.Get() != nil
+			if recycled && tupleBatchPool.Get() != nil {
+				t.Fatalf("%s: the failed flush returned its batch to the pool twice", tc.name)
+			}
+			if tc.fault != BatchOK {
+				if len(ch) != 0 {
+					t.Fatalf("%s: a held or dropped batch was shipped", tc.name)
+				}
+				continue
+			}
 			if msg := <-ch; len(msg.batch.ts) != len(in) || msg.batch.ts[1].Key != 3 {
 				t.Fatalf("%s: shipped %+v, not the intact original", tc.name, msg.batch.ts)
 			}
 		}
 		if !recycled {
-			t.Errorf("%s: failed decode leaked the pooled batch", tc.name)
+			t.Errorf("%s: failed flush leaked the pooled batch", tc.name)
 		}
+	}
+
+	// The receiving side: a failed instance drains its inbox until every
+	// sender's EOS, and each batch it discards goes back to the pool once.
+	recycled := false
+	for attempt := 0; attempt < 32 && !recycled; attempt++ {
+		for tupleBatchPool.Get() != nil {
+		}
+		rt := newBareRT(1, &recording{})
+		b := &tupleBatch{ts: append([]event.Tuple(nil), in...)}
+		rt.inbox <- message{batch: b}
+		rt.inbox <- message{elem: event.EOS()}
+		rt.drainDiscard()
+		if got := tupleBatchPool.Get(); got != nil {
+			if got != b || len(b.ts) != 0 || tupleBatchPool.Get() != nil {
+				t.Fatal("draining a failed instance's inbox must return each discarded batch to the pool once, emptied")
+			}
+			recycled = true
+		}
+	}
+	if !recycled {
+		t.Error("draining a failed instance's inbox leaked the discarded batch")
 	}
 }
 

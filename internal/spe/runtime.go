@@ -57,13 +57,9 @@ type tupleBatch struct {
 
 // tupleBatchPool recycles exchange batches between emitting and receiving
 // goroutines; every batch in it is empty.
-//
-//lint:pooled pool recycled exchange batch backings
 var tupleBatchPool sync.Pool
 
 // getBatch returns an empty batch, reusing a pooled one when available.
-//
-//lint:pooled acquire hands out a pooled batch backing
 func getBatch(n int) *tupleBatch {
 	if v := tupleBatchPool.Get(); v != nil {
 		return v.(*tupleBatch)
@@ -73,8 +69,6 @@ func getBatch(n int) *tupleBatch {
 }
 
 // putBatch empties a batch and returns it to the pool.
-//
-//lint:pooled release returns a batch backing to the pool
 func putBatch(b *tupleBatch) {
 	b.ts = b.ts[:0]
 	tupleBatchPool.Put(b)
@@ -110,7 +104,7 @@ type Emitter struct {
 	// frame is the one buffer every coded flush and control element of this
 	// emitter is encoded into and decoded from; the decode copies out
 	// everything a tuple keeps, so nothing references it after the send.
-	frame []byte //lint:pooled scratch reused codec frame for coded edges
+	frame []byte
 
 	// Failure surface: the first edge fault (codec round-trip failure,
 	// injected drop) sticks here; the owning instance checks Err after each
