@@ -1,9 +1,9 @@
 // Command astream-vet runs AStream's invariant analyzers over the module:
 // event-time purity (wallclock), interprocedural lock discipline
-// (lockheld-send), hot-path allocation freedom (hotalloc), deterministic
-// iteration (maporder), goroutine teardown (leakygo), and consistent
-// atomics (naked-atomic). It is stdlib-only — go/parser, go/types, and
-// go/importer, no x/tools.
+// (lockheld-send), deterministic iteration (maporder), goroutine teardown
+// (leakygo), consistent atomics (naked-atomic), supervised goroutines
+// (supervised-go) and error-path soundness (errsink). It is stdlib-only —
+// go/parser, go/types, and go/importer, no x/tools.
 //
 // Usage:
 //

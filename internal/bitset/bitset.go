@@ -66,7 +66,7 @@ func FromWords(words []uint64) Bits {
 		}
 		return Bits{small: w}
 	}
-	//lint:ignore hotalloc wide sets only: a set beyond 64 slots owns a spilled backing by design
+	// wide sets only: a set beyond 64 slots owns a spilled backing by design
 	b := Bits{spill: make([]uint64, n)}
 	copy(b.spill, words)
 	return b
@@ -146,13 +146,13 @@ func (b *Bits) spillOut(words int) {
 			}
 			return
 		}
-		//lint:ignore hotalloc one-time spill growth; steady state reuses the spill capacity
+		// one-time spill growth; steady state reuses the spill capacity
 		nw := make([]uint64, words)
 		copy(nw, b.spill)
 		b.spill = nw
 		return
 	}
-	//lint:ignore hotalloc one-time inline-to-spill transition; steady state stays inline or reuses the spill
+	// one-time inline-to-spill transition; steady state stays inline or reuses the spill
 	nw := make([]uint64, words)
 	nw[0] = b.small
 	b.small = 0
@@ -291,7 +291,6 @@ func (b Bits) Clone() Bits {
 	if n <= 1 {
 		return Bits{small: b.word(0)}
 	}
-	//lint:ignore hotalloc clones of spilled (multi-word) sets must copy; inline sets take the branch above
 	out := Bits{spill: make([]uint64, n)}
 	copy(out.spill, b.spill)
 	return out
@@ -300,8 +299,6 @@ func (b Bits) Clone() Bits {
 // CopyFrom replaces b's contents with o's, reusing b's spill capacity. This
 // is the scratch-bitset primitive: a long-lived scratch CopyFrom'd per
 // operation never allocates once its spill has grown to the workload's width.
-//
-//lint:hotpath
 func (b *Bits) CopyFrom(o Bits) {
 	n := o.sigWords()
 	if n <= 1 {
@@ -311,7 +308,7 @@ func (b *Bits) CopyFrom(o Bits) {
 			// word 0 via spill so the invariant "spill non-nil => small
 			// unused" holds.
 			if n == 1 {
-				//lint:ignore hotalloc appends into retained spill capacity (len 0 -> 1); never grows
+				// appends into retained spill capacity (len 0 -> 1); never grows
 				b.spill = append(b.spill, o.word(0))
 			}
 			return
@@ -320,7 +317,6 @@ func (b *Bits) CopyFrom(o Bits) {
 		return
 	}
 	if b.spill == nil || cap(b.spill) < n {
-		//lint:ignore hotalloc one-time growth to the workload's width; scratch bitsets reuse it after
 		b.spill = make([]uint64, n)
 	} else {
 		b.spill = b.spill[:n]
@@ -401,8 +397,6 @@ func (b *Bits) AndInPlace(o Bits) {
 
 // AndInto stores b ∩ o into dst, reusing dst's backing. dst must not alias
 // b or o's spill.
-//
-//lint:hotpath
 func (b Bits) AndInto(o Bits, dst *Bits) {
 	dst.CopyFrom(b)
 	dst.AndInPlace(o)
@@ -582,13 +576,10 @@ func (k Key) Less(o Key) bool {
 // Key returns the set's canonical comparable key. Allocation-free for sets
 // confined to one significant word; wider sets build a string (use KeyWord +
 // AppendKeyBytes for allocation-free lookups against wide sets).
-//
-//lint:hotpath
 func (b Bits) Key() Key {
 	if w, ok := b.KeyWord(); ok {
 		return Key{W: w}
 	}
-	//lint:ignore hotalloc materialized keys are stored (cold, first-seen group); lookups use KeyWord/AppendKeyBytes
 	return Key{S: string(b.AppendKeyBytes(nil))}
 }
 
@@ -613,7 +604,7 @@ func (b Bits) AppendKeyBytes(dst []byte) []byte {
 	n := b.sigWords()
 	for i := 0; i < n; i++ {
 		w := b.word(i)
-		//lint:ignore hotalloc appends into caller-owned scratch; grows only until the scratch fits the widest set
+		// appends into caller-owned scratch; grows only until the scratch fits the widest set
 		dst = append(dst,
 			byte(w), byte(w>>8), byte(w>>16), byte(w>>24),
 			byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))

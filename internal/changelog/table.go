@@ -70,7 +70,6 @@ func (t *Table) Rel(i, j uint64) (bitset.Bits, error) {
 		i, j = j, i
 	}
 	if j < t.base || i > t.Latest() {
-		//lint:ignore hotalloc error path: boxing happens only when an epoch is outside the retained range, which callers treat as fatal
 		return bitset.Bits{}, fmt.Errorf("changelog: Rel(%d,%d) outside retained [%d,%d]", i, j, t.base, t.Latest())
 	}
 	return t.rows[i-t.base][j-t.base], nil

@@ -117,9 +117,8 @@ type aggGroup struct {
 // add gives the group partial v for key.
 func (g *aggGroup) add(key int64, v *aggVal) {
 	g.byKey[key] = v
-	//lint:ignore hotalloc amortized: a recycled group's lists keep their capacity; they grow once per first-seen key
+	// amortized: a recycled group's lists keep their capacity; they grow once per first-seen key
 	g.keys = append(g.keys, key)
-	//lint:ignore hotalloc amortized: a recycled group's lists keep their capacity; they grow once per first-seen key
 	g.vals = append(g.vals, v)
 }
 
@@ -196,12 +195,11 @@ func aggWindow(q *Query) window.Spec {
 // insertSortedInt64 inserts v into ascending s, keeping it sorted (no-op if
 // already present).
 func insertSortedInt64(s []int64, v int64) []int64 {
-	//lint:ignore hotalloc sort.Search does not retain its predicate; the closure is stack-allocated
 	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
 	if i < len(s) && s[i] == v {
 		return s
 	}
-	//lint:ignore hotalloc session path: sorted-times slice growth is amortized per new session element
+	// session path: sorted-times slice growth is amortized per new session element
 	s = append(s, 0)
 	copy(s[i+1:], s[i:])
 	s[i] = v
@@ -303,7 +301,7 @@ type part struct {
 
 // add appends an empty part expecting size elements; the caller places them.
 func (p *partition) add(size int32) int32 {
-	//lint:ignore hotalloc amortized: the part list grows to the widest partition once
+	// amortized: the part list grows to the widest partition once
 	p.parts = append(p.parts, part{size: size, split: -1})
 	return int32(len(p.parts) - 1)
 }
@@ -311,7 +309,7 @@ func (p *partition) add(size int32) int32 {
 // place grows of to cover element e and puts e in part pt.
 func (p *partition) place(e, pt int32) {
 	for int(e) >= len(p.of) {
-		//lint:ignore hotalloc amortized: the element table grows to the widest element once
+		// amortized: the element table grows to the widest element once
 		p.of = append(p.of, -1)
 	}
 	p.of[e] = pt
@@ -325,7 +323,7 @@ func (p *partition) refine(set []int32) {
 		pt := &p.parts[p.of[e]]
 		if pt.round != p.round {
 			pt.round, pt.hits = p.round, 0
-			//lint:ignore hotalloc amortized: met-part scratch grows to the widest partition once
+			// amortized: met-part scratch grows to the widest partition once
 			p.cut = append(p.cut, p.of[e])
 		}
 		pt.hits++
@@ -400,7 +398,6 @@ func NewSharedAggregation(ports int, lateness event.Time, router *Router, m *OpM
 
 // masksAt returns the mask table in effect at event-time t.
 func (a *SharedAggregation) masksAt(t event.Time) *maskVersion {
-	//lint:ignore hotalloc sort.Search does not retain its predicate; the closure is stack-allocated
 	i := sort.Search(len(a.maskVersions), func(i int) bool { return a.maskVersions[i].from > t }) - 1
 	if i < 0 {
 		i = 0
@@ -483,7 +480,7 @@ func (a *SharedAggregation) getVal() *aggVal {
 		a.valPool = a.valPool[:n-1]
 	} else {
 		if len(a.valSlab) == 0 {
-			//lint:ignore hotalloc amortized: one chunk per aggSlabLen first-seen (group, key) pairs; steady state reuses pooled values
+			// amortized: one chunk per aggSlabLen first-seen (group, key) pairs; steady state reuses pooled values
 			a.valSlab = make([]aggVal, aggSlabLen)
 		}
 		v = &a.valSlab[0]
@@ -494,7 +491,7 @@ func (a *SharedAggregation) getVal() *aggVal {
 }
 
 func (a *SharedAggregation) putVal(v *aggVal) {
-	//lint:ignore hotalloc amortized: freelist grows to the steady-state partial count once
+	// amortized: freelist grows to the steady-state partial count once
 	a.valPool = append(a.valPool, v)
 }
 
@@ -507,7 +504,6 @@ func (a *SharedAggregation) takeGroup(qs bitset.Bits) *aggGroup {
 		a.groupPool[n] = nil
 		a.groupPool = a.groupPool[:n]
 	} else {
-		//lint:ignore hotalloc cold: a group is recycled across slices once allocated
 		g = &aggGroup{byKey: make(map[int64]*aggVal)}
 	}
 	g.qs.CopyFrom(qs)
@@ -523,7 +519,6 @@ func (a *SharedAggregation) takeIndex() *aggIndex {
 		a.indexPool = a.indexPool[:n]
 		return x
 	}
-	//lint:ignore hotalloc cold: an index is recycled across slices once allocated
 	return &aggIndex{}
 }
 
@@ -545,11 +540,11 @@ func (a *SharedAggregation) dropGroups(x *aggIndex) {
 		clear(g.byKey)
 		clear(g.vals)
 		g.keys, g.vals = g.keys[:0], g.vals[:0]
-		//lint:ignore hotalloc amortized: the freelist grows to the steady-state group count once
+		// amortized: the freelist grows to the steady-state group count once
 		a.groupPool = append(a.groupPool, g)
 	}
 	x.open.reset()
-	//lint:ignore hotalloc amortized: the freelist grows to the steady-state open slice count once
+	// amortized: the freelist grows to the steady-state open slice count once
 	a.openPool = append(a.openPool, x.open)
 	x.open = nil
 }
@@ -565,7 +560,7 @@ func (a *SharedAggregation) dropIndex(x *aggIndex) {
 		a.dropGroups(x)
 	}
 	a.dropRows(x)
-	//lint:ignore hotalloc amortized: the freelist grows to the steady-state slice count once
+	// amortized: the freelist grows to the steady-state slice count once
 	a.indexPool = append(a.indexPool, x)
 }
 
@@ -593,14 +588,14 @@ func (a *SharedAggregation) takeRows(n int) []aggRow {
 		a.rowPool[last] = nil
 		a.rowPool = a.rowPool[:last]
 	}
-	//lint:ignore hotalloc the seal: one backing per slice until eviction or an unseal recycles it
+	// the seal: one backing per slice until eviction or an unseal recycles it
 	return make([]aggRow, n)
 }
 
 // dropRows recycles x's class rows and empties its class layout.
 func (a *SharedAggregation) dropRows(x *aggIndex) {
 	if x.rows != nil {
-		//lint:ignore hotalloc amortized: the freelist grows to the steady-state count of backings awaiting reuse once
+		// amortized: the freelist grows to the steady-state count of backings awaiting reuse once
 		a.rowPool = append(a.rowPool, x.rows[:0])
 	}
 	x.rows = nil
@@ -611,8 +606,6 @@ func (a *SharedAggregation) dropRows(x *aggIndex) {
 // and session windows directly). Steady state allocates nothing: the masked
 // query-set lands in a scratch bitset, group lookup is key-scratch based, and
 // per-key partials come from the freelist.
-//
-//lint:hotpath
 func (a *SharedAggregation) OnTuple(port int, t event.Tuple, _ *spe.Emitter) {
 	mv := a.masksAt(t.Time)
 	// Selection queries: terminal, stateless, port 0 only.
@@ -807,7 +800,7 @@ func (a *SharedAggregation) fireWindow(ext window.Extent, queries []*liveQuery) 
 	}
 
 	for len(a.caps) < len(groups) {
-		//lint:ignore hotalloc amortized: cap scratch grows to the widest trigger's cap-group count once
+		// amortized: cap scratch grows to the widest trigger's cap-group count once
 		a.caps = append(a.caps, fireCap{})
 	}
 	for ci, cg := range groups {
@@ -823,7 +816,7 @@ func (a *SharedAggregation) fireWindow(ext window.Extent, queries []*liveQuery) 
 			slot := queries[qi].slot
 			fc.mask.Set(slot)
 			for len(fc.slotQ) <= slot {
-				//lint:ignore hotalloc amortized: slot table grows to the widest slot once
+				// amortized: slot table grows to the widest slot once
 				fc.slotQ = append(fc.slotQ, 0)
 			}
 			fc.slotQ[slot] = int32(qi)
@@ -849,14 +842,14 @@ func (a *SharedAggregation) fireWindow(ext window.Extent, queries []*liveQuery) 
 				}
 				for _, s := range x.classSlots(c) {
 					if fc.rel.Test(int(s)) {
-						//lint:ignore hotalloc amortized: member scratch grows to the widest trigger's member count once
+						// amortized: member scratch grows to the widest trigger's member count once
 						a.members = append(a.members, fc.slotQ[s])
 					}
 				}
 			}
 			if to := len(a.members); to > from {
 				bp.refine(a.members[from:to])
-				//lint:ignore hotalloc amortized: met-pair scratch grows to the widest trigger's pair count once
+				// amortized: met-pair scratch grows to the widest trigger's pair count once
 				a.met = append(a.met, metPair{slice: int32(si), class: int32(c), from: int32(from), to: int32(to)})
 			}
 		}
@@ -865,7 +858,7 @@ func (a *SharedAggregation) fireWindow(ext window.Extent, queries []*liveQuery) 
 	// members, so the first member met decides and the round stamp skips the
 	// rest: each pair's rows merge into each block it covers once.
 	for len(a.blockRows) < len(bp.parts) {
-		//lint:ignore hotalloc amortized: row buffer list grows to the widest trigger's block count once
+		// amortized: row buffer list grows to the widest trigger's block count once
 		a.blockRows = append(a.blockRows, nil)
 	}
 	for b := range bp.parts {
@@ -915,13 +908,13 @@ func (a *SharedAggregation) mergeRows(b int32, src []aggRow) {
 		for ; i < len(dst) && j < len(src); k++ {
 			switch {
 			case dst[i].key < src[j].key:
-				copy(out[k:], dst[i:i+1])
+				out[k] = dst[i]
 				i++
 			case dst[i].key > src[j].key:
 				out[k] = src[j]
 				j++
 			default:
-				copy(out[k:], dst[i:i+1])
+				out[k] = dst[i]
 				out[k].v.merge(&src[j].v)
 				i, j = i+1, j+1
 			}
@@ -956,7 +949,7 @@ func (a *SharedAggregation) relate(sl *slice, groups []capGroup) (any bool) {
 // enough, else on a fresh one. The contents are the caller's to write.
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		//lint:ignore hotalloc amortized: scratch grows to the widest use once
+		// amortized: scratch grows to the widest use once
 		return make([]T, n)
 	}
 	return s[:n]
@@ -966,7 +959,7 @@ func resize[T any](s []T, n int) []T {
 func appendSlots(dst []int32, qs bitset.Bits) []int32 {
 	for wi, nw := 0, qs.WordCount(); wi < nw; wi++ {
 		for w := qs.Word(wi); w != 0; w &= w - 1 {
-			//lint:ignore hotalloc appends into the caller's scratch; grows to the widest set once
+			// appends into the caller's scratch; grows to the widest set once
 			dst = append(dst, int32(wi*64+bits.TrailingZeros64(w)))
 		}
 	}
@@ -1061,7 +1054,7 @@ func (a *SharedAggregation) seal(x *aggIndex) {
 	// a first walk counts each class's rows, one per key it meets, a second
 	// fills them.
 	if st.keyAt == nil {
-		//lint:ignore hotalloc cold: the seal's key table is made once and cleared per seal
+		// cold: the seal's key table is made once and cleared per seal
 		st.keyAt = make(map[int64]int32)
 	}
 	clear(st.keyAt)
@@ -1077,7 +1070,7 @@ func (a *SharedAggregation) seal(x *aggIndex) {
 			if !ok {
 				k = int32(len(st.chains))
 				st.keyAt[key] = k
-				//lint:ignore hotalloc amortized: seal scratch grows to the widest slice's key count once
+				// amortized: seal scratch grows to the widest slice's key count once
 				st.chains = append(st.chains, keyChain{key: key, head: -1})
 			}
 			st.next[n], st.chains[k].head = st.chains[k].head, int32(n)
@@ -1165,7 +1158,7 @@ func (a *SharedAggregation) foldSealed(x *aggIndex, t *event.Tuple) bool {
 			return false
 		}
 		covered += in
-		//lint:ignore hotalloc amortized: late-fold scratch grows to the widest slice's class count once
+		// amortized: late-fold scratch grows to the widest slice's class count once
 		a.lateRows = append(a.lateRows, x.classes[c].rowEnd-int32(len(rows)-i))
 	}
 	if covered != a.qsTmp.Count() {
@@ -1212,8 +1205,6 @@ func (a *SharedAggregation) unseal(x *aggIndex) {
 // collection plus the fire itself, without OnWatermark's harvest/purge/evict
 // bookkeeping, so per-op cost is the fire path. Fires all registered
 // time-window queries.
-//
-//lint:hotpath window-fire kernel steady state
 func (a *SharedAggregation) fireBench(ext window.Extent) {
 	a.win.trig.reset()
 	for _, aq := range a.win.queries.ordered {

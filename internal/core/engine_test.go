@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"astream/internal/bitset"
 	"astream/internal/event"
 	"astream/internal/expr"
 	"astream/internal/sqlstream"
@@ -437,6 +438,27 @@ func TestEngineSessionAggregation(t *testing.T) {
 		h.ingest(0, tm.Millis()%2, tm, 7)
 	}
 	h.finish()
+
+	// A tuple folding into a key's open session allocates nothing: the
+	// operator's session mask, the query's fold and the tracker's merge all
+	// work in place, a later session of the key moving up behind the merged
+	// one. Starting a session (a new key, or one after a harvest) allocates
+	// its tracker, by design.
+	agg := benchAggWindow(1, window.SessionSpec(5))
+	tu := benchTuple(0, bitset.FromIndexes(0), 0)
+	later := tu
+	later.Time = 1000
+	agg.OnTuple(0, later, nil)
+	agg.OnTuple(0, tu, nil)
+	if avg := testing.AllocsPerRun(100, func() {
+		tu.Time++
+		agg.OnTuple(0, tu, nil)
+	}); avg != 0 {
+		t.Errorf("a fold into an open session allocated %.1f times per tuple, want 0", avg)
+	}
+	if ss := agg.win.queries.ordered[0].sessions[tu.Key]; ss == nil || ss.Open() != 2 {
+		t.Fatalf("the folds left %v, want the merged session and the later one open", ss)
+	}
 }
 
 func TestEngineAdHocCreateDelete(t *testing.T) {

@@ -775,6 +775,24 @@ func TestFireWideQuerySets(t *testing.T) {
 	if wide == 0 {
 		t.Fatal("no query-set beyond two words; the test proved nothing")
 	}
+
+	// A tuple whose query-set spans three words, and one whose set fits one,
+	// fold into their groups' partials without allocating: the masked set
+	// lands in the operator's scratch, spilled or not, and a wide group is
+	// found by the scratch bytes of its key.
+	wideTu, narrowTu := event.Tuple{Key: 3, Time: 1250}, event.Tuple{Key: 3, Time: 1250}
+	for _, q := range []int{1, 70, 140} {
+		wideTu.QuerySet.Set(q)
+	}
+	narrowTu.QuerySet.Set(1)
+	fold := func() {
+		p.eng.OnTuple(0, wideTu, nil)
+		p.eng.OnTuple(0, narrowTu, nil)
+	}
+	fold()
+	if avg := testing.AllocsPerRun(100, fold); avg != 0 {
+		t.Errorf("a wide and a narrow tuple's folds allocated %.1f times, want 0", avg)
+	}
 }
 
 // TestFireTwoCapGroupsOneRun: a query deleted at 300 still fires its windows
@@ -908,6 +926,37 @@ func TestFireEvictionRecyclesPartials(t *testing.T) {
 	}
 	if pooled, slab := len(p.eng.valPool), len(p.eng.valSlab); (pooled+slab)%aggSlabLen != 0 {
 		t.Fatalf("%d partials pooled and %d uncarved: the slice evicted open kept some", pooled, slab)
+	}
+
+	// In steady state a slice's whole life — opened by a tuple, filled,
+	// sealed by the watermark that fires it, unsealed by a late tuple with a
+	// new key, evicted — takes everything off the freelists. What it
+	// allocates is by design: the slice's header (slicer.sliceFor) and the
+	// watermark's list of windows ending (window.Spec.WindowsEndingIn).
+	agg := benchAggWindow(1, window.SlidingSpec(200, 100))
+	qs := bitset.FromIndexes(0)
+	at, unseals := event.Time(0), 0
+	life := func() {
+		for k := range 4 {
+			agg.OnTuple(0, benchTuple(k, qs, at+event.Time(k)), nil)
+		}
+		at += 100
+		agg.OnWatermark(at, nil)
+		x := agg.win.sides[0].sliceFor(at - 50).aggs
+		sealed := x.open == nil
+		agg.OnTuple(0, benchTuple(9, qs, at-50), nil)
+		if sealed && x.open != nil {
+			unseals++
+		}
+	}
+	for range 8 {
+		life()
+	}
+	if avg := testing.AllocsPerRun(100, life); avg > 2 {
+		t.Errorf("a slice's life allocated %.1f times, want at most 2 (its header and the watermark's window list)", avg)
+	}
+	if unseals == 0 || agg.metrics.Late != 0 {
+		t.Fatalf("%d late tuples unsealed a slice, %d were dropped; the check above proves less than it says", unseals, agg.metrics.Late)
 	}
 }
 

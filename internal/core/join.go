@@ -160,8 +160,6 @@ func (j *SharedJoin) retire(wm event.Time) {
 // joined tuple is built and where it is copied — once per delivery, into the
 // sink's argument (§3.2.2): the trigger fills Kind and Window of the one
 // result row, a pair row the join payload, a target the query ID.
-//
-//lint:hotpath
 func (j *SharedJoin) fireWindow(ext window.Extent, queries []*liveQuery, out *spe.Emitter) {
 	left, right := j.win.sides[0], j.win.sides[1]
 	llo, lhi := left.overlappingRange(ext)
@@ -171,7 +169,7 @@ func (j *SharedJoin) fireWindow(ext window.Extent, queries []*liveQuery, out *sp
 	}
 	caps := j.win.capGroups(queries)
 	for len(j.groups) < len(caps) {
-		//lint:ignore hotalloc amortized: the scratch grows to the trigger's distinct cap count once
+		// amortized: the scratch grows to the trigger's distinct cap count once
 		j.groups = append(j.groups, fireGroup{})
 	}
 	for gi, g := range caps {
@@ -186,7 +184,7 @@ func (j *SharedJoin) fireWindow(ext window.Extent, queries []*liveQuery, out *sp
 			}
 			fg.term.Set(aq.slot)
 			for len(fg.bySlot) <= aq.slot {
-				//lint:ignore hotalloc amortized: the target table grows to the highest slot once
+				// amortized: the target table grows to the highest slot once
 				fg.bySlot = append(fg.bySlot, joinTarget{})
 			}
 			fg.bySlot[aq.slot] = joinTarget{id: aq.q.ID, sink: j.router.SinkFor(aq.q.ID)}
@@ -258,7 +256,7 @@ func (j *SharedJoin) fireWindow(ext window.Extent, queries []*liveQuery, out *sp
 					if !j.pmTmp.IsEmpty() {
 						out.EmitTuple(event.Tuple{
 							Key: l.Key, Fields: l.Fields, IngestNanos: max(l.IngestNanos, r.IngestNanos),
-							//lint:ignore hotalloc pass-through clone: the emitted tuple owns its query-set (inline up to 64 slots)
+							// pass-through clone: the emitted tuple owns its query-set (inline up to 64 slots)
 							QuerySet: j.pmTmp.Clone(),
 							// Re-timestamp to the window's max timestamp (as
 							// Flink does for window joins) so the result is
@@ -291,12 +289,12 @@ func (j *SharedJoin) pairRows(sa, sb *slice) []pairRow {
 	atomic.AddUint64(&j.metrics.PairsDone, 1)
 	var rows []pairRow
 	if len(j.rowsTmp) > 0 {
-		//lint:ignore hotalloc first sight of a pair: its rows are cached at their exact size until either slice is evicted
+		// first sight of a pair: its rows are cached at their exact size until either slice is evicted
 		rows = make([]pairRow, len(j.rowsTmp))
 		copy(rows, j.rowsTmp)
 	}
 	if a.pairs == nil {
-		//lint:ignore hotalloc first sight of a pair: one table per left slice
+		// first sight of a pair: one table per left slice
 		a.pairs = make(map[uint64]slicePair)
 	}
 	a.pairs[sb.id] = slicePair{ln: len(a.tuples), rn: len(b.tuples), rows: rows}

@@ -558,7 +558,42 @@ func TestJoinPairsWideQuerySets(t *testing.T) {
 	if !wide {
 		t.Fatal("no cached row carries a query-set beyond 64 slots")
 	}
+
+	// A fire over cached pairs allocates nothing: terminal rows go to the
+	// sinks, and pass-through rows downstream, each with a query-set of its
+	// own that fits inline.
+	router := NewRouter(NewOpMetrics(nil))
+	j := NewSharedJoin(0, 0, 0, router, NewOpMetrics(nil))
+	msg := newCLBuilder().create(t, 0, slidingJoins(90, 300, 100)...)
+	for id := range msg.Defs {
+		router.Register(id, NewCountingSink(func() int64 { return 0 }, 1))
+	}
+	j.OnChangelog(msg, 0, nil)
+	for i := 0; i < 60; i++ {
+		tu := event.Tuple{Key: int64(r.Intn(4)), Time: event.Time(r.Intn(300))}
+		for s := 0; s < 91; s++ {
+			if r.Intn(2) == 0 {
+				tu.QuerySet.Set(s)
+			}
+		}
+		j.OnTuple(r.Intn(2), tu, nil)
+	}
+	passed := 0
+	down := spe.NewChainedEmitter(countTuples{n: &passed}, nil)
+	ext, queries := window.Extent{Start: 0, End: 300}, j.win.queries.ordered
+	j.fireWindow(ext, queries, down)
+	if avg := testing.AllocsPerRun(20, func() { j.fireWindow(ext, queries, down) }); avg != 0 || passed == 0 {
+		t.Errorf("a fire over cached pairs allocated %.1f times (%d rows passed down), want 0", avg, passed)
+	}
 }
+
+// countTuples counts the tuples a stage passes downstream.
+type countTuples struct {
+	spe.BaseLogic
+	n *int
+}
+
+func (c countTuples) OnTuple(int, event.Tuple, *spe.Emitter) { *c.n++ }
 
 // TestJoinPairsStoreGrowth: late tuples keep arriving in a store after
 // its key index was built and its pairs cached — first until the tuples

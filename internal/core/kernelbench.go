@@ -65,7 +65,6 @@ func KernelBenchmarks() []KernelBench {
 				var tmp bitset.Bits
 				// Build the index and warm the row capacity once.
 				rows := joinStores(a, b, mask, &tmp, nil)
-				//lint:hotpath join kernel steady state
 				return func(iters int) {
 					for i := 0; i < iters; i++ {
 						rows = joinStores(a, b, mask, &tmp, rows[:0])
@@ -102,7 +101,6 @@ func KernelBenchmarks() []KernelBench {
 				queries := j.win.queries.ordered
 				// Join and cache the pairs, and warm the trigger scratch, once.
 				j.fireWindow(ext, queries, nil)
-				//lint:hotpath join fire kernel steady state
 				return func(iters int) {
 					for i := 0; i < iters; i++ {
 						j.fireWindow(ext, queries, nil)
@@ -123,7 +121,6 @@ func KernelBenchmarks() []KernelBench {
 				}
 				sel.installTable(entries)
 				em := &spe.Emitter{}
-				//lint:hotpath selection kernel steady state
 				return func(iters int) {
 					for i := 0; i < iters; i++ {
 						sel.OnTuple(0, benchTuple(i, bitset.Bits{}, 50), em)
@@ -144,7 +141,6 @@ func KernelBenchmarks() []KernelBench {
 				sel := NewSharedSelection(0, 0, NewOpMetrics(nil))
 				sel.installTable(overlapEntries(512))
 				em := &spe.Emitter{}
-				//lint:hotpath selection index kernel steady state
 				return func(iters int) {
 					for i := 0; i < iters; i++ {
 						sel.OnTuple(0, benchTuple(i, bitset.Bits{}, 50), em)
@@ -164,7 +160,6 @@ func KernelBenchmarks() []KernelBench {
 				sel := NewSharedSelection(0, 0, NewOpMetrics(nil))
 				sel.installTable(keyedEntries(512))
 				em := &spe.Emitter{}
-				//lint:hotpath selection index kernel steady state
 				return func(iters int) {
 					for i := 0; i < iters; i++ {
 						t := benchTuple(i, bitset.Bits{}, 50)
@@ -180,7 +175,6 @@ func KernelBenchmarks() []KernelBench {
 				agg := benchAgg(64)
 				var qs bitset.Bits
 				em := &spe.Emitter{}
-				//lint:hotpath aggregation kernel steady state
 				return func(iters int) {
 					for i := 0; i < iters; i++ {
 						qs.Reset()
@@ -216,7 +210,6 @@ func KernelBenchmarks() []KernelBench {
 				ext := window.Extent{Start: 0, End: 800}
 				// Seal the slices and warm the trigger, block and row scratch.
 				agg.fireBench(ext)
-				//lint:hotpath window-fire kernel steady state
 				return func(iters int) {
 					for i := 0; i < iters; i++ {
 						agg.OnTuple(0, benchTuple(i, qs, 799), em)
@@ -261,7 +254,6 @@ func KernelBenchmarks() []KernelBench {
 				ext := window.Extent{Start: 0, End: 2000}
 				// Seal the slices and warm the trigger, block and row scratch.
 				agg.fireBench(ext)
-				//lint:hotpath window-fire kernel steady state
 				return func(iters int) {
 					for i := 0; i < iters; i++ {
 						// A partial [1500,2000) holds since the fill.
@@ -295,7 +287,6 @@ func KernelBenchmarks() []KernelBench {
 				}
 				tuple := benchTuple(0, bitset.Bits{}, 0)
 				x := &aggIndex{}
-				//lint:hotpath seal kernel steady state
 				run := func(iters int) {
 					for i := 0; i < iters; i++ {
 						agg.openIndex(x)
@@ -338,7 +329,6 @@ func KernelBenchmarks() []KernelBench {
 				sel.installTable(entries)
 				agg := benchAgg(64)
 				em := spe.NewChainedEmitter(agg, &spe.Emitter{})
-				//lint:hotpath fused chain kernel steady state
 				return func(iters int) {
 					for i := 0; i < iters; i++ {
 						sel.OnTuple(0, benchTuple(i, bitset.Bits{}, 50), em)
@@ -349,11 +339,10 @@ func KernelBenchmarks() []KernelBench {
 		{
 			// The incremental-snapshot encoder at a durable checkpoint: one
 			// slice dirtied since the previous barrier, everything else
-			// carried forward by identity. Deliberately NOT //lint:hotpath:
-			// the encoder runs once per barrier, not per tuple, so the
-			// hotalloc analyzer's per-tuple allocation rules do not apply —
-			// the steady-state allocation bar is pinned by TestKernelAllocs
-			// instead (the delta must not grow with barriers, only with
+			// carried forward by identity. The encoder runs once per
+			// barrier, not per tuple, so its allocations are outside the
+			// per-tuple contract; TestKernelAllocs still pins its steady
+			// state at 0 (the delta must not grow with barriers, only with
 			// dirtied state).
 			Name: "snapshot-delta-encode-64q",
 			New: func() func(int) {
@@ -381,7 +370,6 @@ func KernelBenchmarks() []KernelBench {
 				a := bitset.FromIndexes(1, 3, 64, 90, 120)
 				b := bitset.FromIndexes(3, 64, 119, 120)
 				var dst bitset.Bits
-				//lint:hotpath bitset kernel steady state
 				return func(iters int) {
 					for i := 0; i < iters; i++ {
 						a.AndInto(b, &dst)
@@ -396,7 +384,6 @@ func KernelBenchmarks() []KernelBench {
 				var n uint64
 				r.Register(7, SinkFunc(func(Result) { n++ }))
 				res := Result{QueryID: 7, Kind: KindSelection}
-				//lint:hotpath router kernel steady state
 				return func(iters int) {
 					for i := 0; i < iters; i++ {
 						r.Deliver(res)

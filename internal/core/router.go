@@ -148,8 +148,6 @@ func (r *Router) Unregister(queryID int) {
 
 // Deliver routes one result row to its query's sink. The per-query copy has
 // already happened by value in res; no lock is taken on this path.
-//
-//lint:hotpath
 func (r *Router) Deliver(res Result) {
 	if s := (*r.sinks.Load())[res.QueryID]; s != nil {
 		s.OnResult(res)

@@ -105,10 +105,7 @@ func NewSharedSelection(stream int, lateness event.Time, m *OpMetrics) *SharedSe
 }
 
 // versionAt locates the table version in effect at event-time t.
-//
-//lint:hotpath
 func (s *SharedSelection) versionAt(t event.Time) int {
-	//lint:ignore hotalloc sort.Search does not retain its predicate; the closure is stack-allocated
 	i := sort.Search(len(s.versions), func(i int) bool { return s.versions[i].from > t }) - 1
 	if i < 0 {
 		i = 0
@@ -123,8 +120,6 @@ func (s *SharedSelection) versionAt(t event.Time) int {
 // consulted entry by entry afterwards, and an entry it strikes loses its bit.
 // It counts into the instance's own counters, never into the shared metrics
 // block (see selCounters).
-//
-//lint:hotpath
 func (s *SharedSelection) OnTuple(_ int, t event.Tuple, out *spe.Emitter) {
 	vi := s.versionAt(t.Time)
 	v := &s.versions[vi]

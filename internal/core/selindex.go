@@ -255,8 +255,6 @@ func (s *ivSorter) Swap(i, j int) {
 // of evaluating every entry in turn, bit-identical by construction (and
 // property-tested against exactly that scan).
 // Allocation-free in steady state.
-//
-//lint:hotpath
 func (ix *selIndex) classify(s *SharedSelection, v *selVersion, t *event.Tuple, qs *bitset.Bits) {
 	qs.OrInPlace(ix.always)
 	for f := 0; f < len(ix.dispatch); f++ {
@@ -294,8 +292,6 @@ func (ix *selIndex) classify(s *SharedSelection, v *selVersion, t *event.Tuple, 
 // midpoint decomposition. The subtree-max prunes regions whose every
 // interval ends below v; the Lo sort order prunes a subtree whose first
 // interval starts above v, and right subtrees once Lo exceeds v.
-//
-//lint:hotpath
 func (iv *ivIndex) stab(nodes []selNode, l, r int, v int64, t *event.Tuple, qs *bitset.Bits) {
 	for l <= r && iv.lo[l] <= v {
 		m := int(uint(l+r) >> 1)

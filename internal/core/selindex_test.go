@@ -457,6 +457,21 @@ func TestConjunctionDispatchWork(t *testing.T) {
 			t.Fatalf("tuple %+v: indexed %v scan %v", tu, got.Words(), want.Words())
 		}
 	}
+
+	// A tuple whose key's node carries a residual is verified against it
+	// without allocating, into a set one word wide or, past slot 64, two.
+	for _, slot := range []int{1, 65} {
+		tu := event.Tuple{Key: keyedKey(slot)}
+		if n := &ix.nodes[ix.dispatch[0].eq[tu.Key][0]]; !n.verify {
+			t.Fatalf("key %d's node has no residual to verify", tu.Key)
+		}
+		if avg := testing.AllocsPerRun(100, func() {
+			got.Reset()
+			ix.classify(sel, v, &tu, &got)
+		}); avg != 0 || !got.Test(slot) {
+			t.Errorf("a verified classification allocated %.1f times (slot %d selected: %v), want 0", avg, slot, got.Test(slot))
+		}
+	}
 }
 
 // TestChangelogReusesEntryCapacity pins the control-path churn fix: a

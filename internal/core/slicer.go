@@ -118,7 +118,6 @@ func (s *slicer) currentEpoch() uint64 { return s.epochs[len(s.epochs)-1].seq }
 // both sides, where boundaries are window edges of the epoch's specs plus
 // epoch transition times.
 func (s *slicer) boundsAt(t event.Time) (window.Extent, uint64) {
-	//lint:ignore hotalloc sort.Search does not retain its predicate; the closure is stack-allocated
 	i := sort.Search(len(s.epochs), func(i int) bool { return s.epochs[i].from > t }) - 1
 	if i < 0 {
 		i = 0
@@ -138,7 +137,6 @@ func (s *slicer) boundsAt(t event.Time) (window.Extent, uint64) {
 // sliceFor returns the slice containing t, creating it if necessary.
 func (s *slicer) sliceFor(t event.Time) *slice {
 	// Binary search: first slice with Start > t, step back one.
-	//lint:ignore hotalloc sort.Search does not retain its predicate; the closure is stack-allocated
 	i := sort.Search(len(s.slices), func(i int) bool { return s.slices[i].ext.Start > t }) - 1
 	if i >= 0 && s.slices[i].ext.Contains(t) {
 		return s.slices[i]
@@ -154,10 +152,10 @@ func (s *slicer) sliceFor(t event.Time) *slice {
 	if i+1 < len(s.slices) && s.slices[i+1].ext.Start < ext.End {
 		ext.End = s.slices[i+1].ext.Start
 	}
-	//lint:ignore hotalloc cold: runs once per newly opened window slice
+	// cold: runs once per newly opened window slice
 	sl := &slice{id: s.nextID, ext: ext, epoch: epoch}
 	s.nextID += s.stride
-	//lint:ignore hotalloc cold: slice list grows once per newly opened window slice
+	// cold: slice list grows once per newly opened window slice
 	s.slices = append(s.slices, nil)
 	copy(s.slices[i+2:], s.slices[i+1:])
 	s.slices[i+1] = sl
@@ -168,7 +166,6 @@ func (s *slicer) sliceFor(t event.Time) *slice {
 // overlapping [ext.Start, ext.End). It allocates nothing, which the
 // window-fire paths rely on.
 func (s *slicer) overlappingRange(ext window.Extent) (int, int) {
-	//lint:ignore hotalloc sort.Search does not retain its predicate; the closure is stack-allocated
 	lo := sort.Search(len(s.slices), func(i int) bool { return s.slices[i].ext.End > ext.Start })
 	hi := lo
 	for hi < len(s.slices) && s.slices[hi].ext.Start < ext.End {

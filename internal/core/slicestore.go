@@ -24,7 +24,7 @@ type qsIndex[G any] struct {
 }
 
 func newQSIndex[G any]() *qsIndex[G] {
-	//lint:ignore hotalloc cold: one index per slice payload, created when the slice first sees data
+	// cold: one index per slice payload, created when the slice first sees data
 	return &qsIndex[G]{byWord: make(map[uint64]*G), byStr: make(map[string]*G)}
 }
 
@@ -57,13 +57,10 @@ func (x *qsIndex[G]) put(qs bitset.Bits, g *G) {
 	} else {
 		x.byStr[k.S] = g
 	}
-	//lint:ignore hotalloc sort.Search does not retain its predicate; the closure is stack-allocated
 	i := sort.Search(len(x.keys), func(i int) bool { return k.Less(x.keys[i]) })
-	//lint:ignore hotalloc cold: put runs once per distinct query-set group
 	x.keys = append(x.keys, bitset.Key{})
 	copy(x.keys[i+1:], x.keys[i:])
 	x.keys[i] = k
-	//lint:ignore hotalloc cold: put runs once per distinct query-set group
 	x.order = append(x.order, nil)
 	copy(x.order[i+1:], x.order[i:])
 	x.order[i] = g
@@ -109,18 +106,14 @@ type sliceStore struct {
 
 // Add inserts a tuple (saved once — no copies inside a slice, paper §3.2.2).
 // Steady state allocates nothing: the appends are amortized.
-//
-//lint:hotpath
 func (s *sliceStore) Add(t event.Tuple) {
 	p := uint32(len(s.tuples))
-	//lint:ignore hotalloc the store owns the tuples; growth is amortized over the slice's lifetime
 	s.tuples = append(s.tuples, t)
 	switch {
 	case s.heads == nil:
 	case len(s.tuples) <= len(s.heads):
 		// A late tuple: the index takes it, at the end, where a rebuild
 		// would put it.
-		//lint:ignore hotalloc late tuple into an indexed store; growth is amortized like the tuples'
 		s.next = append(s.next, 0)
 		s.link(p)
 	default:
@@ -147,12 +140,10 @@ func (s *sliceStore) index() {
 	if s.heads != nil {
 		return
 	}
-	//lint:ignore hotalloc once per slice: the index stands until the slice is evicted
 	s.heads = make([]int32, 1<<bits.Len(uint(2*len(s.tuples))))
 	for b := range s.heads {
 		s.heads[b] = -1
 	}
-	//lint:ignore hotalloc once per slice: the index stands until the slice is evicted
 	s.next = make([]int32, len(s.tuples))
 	for p := range s.tuples {
 		s.link(uint32(p))
@@ -165,8 +156,6 @@ func (s *sliceStore) index() {
 // tuple, into the other's standing key index. Probe order and chain order are
 // functions of the stored content, so row order is too. tmp is the caller's
 // intersection scratch.
-//
-//lint:hotpath
 func joinStores(a, b *sliceStore, mask bitset.Bits, tmp *bitset.Bits, rows []pairRow) []pairRow {
 	if len(a.tuples) == 0 || len(b.tuples) == 0 || mask.IsEmpty() {
 		return rows
@@ -196,12 +185,12 @@ func (s *sliceStore) matches(pt *event.Tuple, p uint32, probeRight bool, mask bi
 		if tmp.IsEmpty() {
 			continue
 		}
-		//lint:ignore hotalloc first sight of a pair: a query-set beyond 64 slots owns its spill, narrower ones are inline
+		// first sight of a pair: a query-set beyond 64 slots owns its spill, narrower ones are inline
 		row := pairRow{l: uint32(q), r: p, qs: tmp.Clone()}
 		if !probeRight {
 			row.l, row.r = p, uint32(q)
 		}
-		//lint:ignore hotalloc appends into the caller's reused buffer; grows only to the high-water mark
+		// appends into the caller's reused buffer; grows only to the high-water mark
 		rows = append(rows, row)
 	}
 	return rows

@@ -96,6 +96,23 @@ func TestJoinStoresMatchesBruteForceAllModeCombos(t *testing.T) {
 			}
 		}
 	}
+
+	// Ingest into a store that keeps its capacity allocates nothing: a
+	// tuple into an unindexed store, and a late tuple the standing index
+	// takes too (its chain array grows only as a slice does, amortized).
+	tu := mkTuple(3, 7, 1, 4)
+	open := &sliceStore{tuples: make([]event.Tuple, 0, 256)}
+	if avg := testing.AllocsPerRun(200, func() { open.Add(tu) }); avg != 0 {
+		t.Errorf("Add into an unindexed store allocated %.1f times per tuple, want 0", avg)
+	}
+	indexed := &sliceStore{}
+	for i := range 64 {
+		indexed.Add(mkTuple(int64(i%8), event.Time(i), i%5))
+	}
+	indexed.index()
+	if avg := testing.AllocsPerRun(100, func() { indexed.Add(tu) }); avg != 0 || indexed.heads == nil {
+		t.Errorf("Add into an indexed store allocated %.1f times per tuple (index kept: %v), want 0", avg, indexed.heads != nil)
+	}
 }
 
 func TestJoinStoresEmptyMask(t *testing.T) {

@@ -239,7 +239,6 @@ func (l *triggerList) reset() { l.list = l.list[:0] }
 
 // add appends q to ext's trigger, creating the trigger on first use.
 func (l *triggerList) add(ext window.Extent, q *liveQuery) {
-	//lint:ignore hotalloc sort.Search does not retain its predicate; the closure is stack-allocated
 	i := sort.Search(len(l.list), func(i int) bool {
 		t := l.list[i]
 		if t.ext.End != ext.End {
@@ -251,7 +250,7 @@ func (l *triggerList) add(ext window.Extent, q *liveQuery) {
 	// trigger, if any, sits just before it.
 	if i > 0 && l.list[i-1].ext == ext {
 		tr := l.list[i-1]
-		//lint:ignore hotalloc amortized: trigger query lists grow to the extent's query count once
+		// amortized: trigger query lists grow to the extent's query count once
 		tr.queries = append(tr.queries, q)
 		return
 	}
@@ -262,16 +261,16 @@ func (l *triggerList) add(ext window.Extent, q *liveQuery) {
 		l.list = l.list[:n+1]
 		tr = l.list[n]
 	} else {
-		//lint:ignore hotalloc amortized: trigger list grows to the per-watermark extent count once
+		// amortized: trigger list grows to the per-watermark extent count once
 		l.list = append(l.list, nil)
 	}
 	if tr == nil {
-		//lint:ignore hotalloc cold: trigger objects are recycled across watermarks once allocated
+		// cold: trigger objects are recycled across watermarks once allocated
 		tr = &trigger{}
 	}
 	copy(l.list[i+1:], l.list[i:])
 	tr.ext = ext
-	//lint:ignore hotalloc amortized: trigger query lists grow to the extent's query count once
+	// amortized: trigger query lists grow to the extent's query count once
 	tr.queries = append(tr.queries[:0], q)
 	l.list[i] = tr
 }
@@ -402,13 +401,13 @@ func (w *windowOp) capGroups(queries []*liveQuery) []capGroup {
 			if gi < cap(groups) {
 				groups = groups[:gi+1] // recycles the parked group's index slice
 			} else {
-				//lint:ignore hotalloc amortized: cap-group list grows to the trigger's distinct cap count once
+				// amortized: cap-group list grows to the trigger's distinct cap count once
 				groups = append(groups, capGroup{})
 			}
 			groups[gi].cap = capTo
 			groups[gi].idxs = groups[gi].idxs[:0]
 		}
-		//lint:ignore hotalloc amortized: cap-group index slices grow to the trigger's query count once
+		// amortized: cap-group index slices grow to the trigger's query count once
 		groups[gi].idxs = append(groups[gi].idxs, qi)
 	}
 	w.caps = groups

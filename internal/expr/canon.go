@@ -193,8 +193,6 @@ func normalizeConstraint(field int, iv Interval, holes []int64) (FieldConstraint
 // property-tested); unlike Eval it cannot panic, which is what lets the
 // shared-selection index evaluate deduplicated predicates outside the
 // per-entry panic isolation boundary.
-//
-//lint:hotpath
 func (c *Canonical) Match(t *event.Tuple) bool {
 	if c.False {
 		return false

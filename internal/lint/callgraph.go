@@ -12,8 +12,7 @@ import (
 // This file builds the type-resolved static call graph the interprocedural
 // analyzers run on. Nodes are function bodies: every declared function and
 // method, and every function literal (literals are analysis units of their
-// own — they run with their own lock state and may be hot roots). Edges are
-// static calls:
+// own — they run with their own lock state). Edges are static calls:
 //
 //   - package-level functions and qualified pkg.Func calls resolve through
 //     go/types object identity;
@@ -26,11 +25,6 @@ import (
 // than guessed at: the analyzers treat unknown callees as silent (bounded
 // analysis — no finding is ever produced through an edge that cannot be
 // proven), which is the same trade go vet makes.
-//
-// Hot-path roots are declared in source with a //lint:hotpath directive: in
-// the doc comment of a declared function, or on the line of (or the line
-// directly above) a function literal — the latter is how the kernel run
-// closures in core.KernelBenchmarks() are annotated.
 
 // CallKind distinguishes how a call site transfers control.
 type CallKind uint8
@@ -39,7 +33,7 @@ const (
 	// CallSync is an ordinary call: the caller blocks until it returns.
 	CallSync CallKind = iota
 	// CallGo spawns the callee on a new goroutine; it cannot block the
-	// caller and does not extend the caller's hot path.
+	// caller.
 	CallGo
 	// CallDefer runs the callee when the caller returns; it still runs on
 	// the caller's goroutine (and under any still-held locks).
@@ -72,8 +66,6 @@ type CGNode struct {
 	Body *ast.BlockStmt
 	// Pos is the function's position.
 	Pos token.Pos
-	// Hot marks a //lint:hotpath annotation.
-	Hot bool
 	// Out lists static call edges in source order.
 	Out []*CGEdge
 	// In lists incoming edges, sorted by caller name then position.
@@ -104,10 +96,6 @@ type CallGraph struct {
 	// Nodes holds every function body in deterministic order: package
 	// path, then file name, then offset.
 	Nodes []*CGNode
-	// Bad collects //lint:hotpath directives attached to no function: a
-	// root that drifted off its literal would silently drop its 0-allocs
-	// region. hotalloc reports them.
-	Bad []Diagnostic
 
 	byObj map[*types.Func]*CGNode
 	byLit map[*ast.FuncLit]*CGNode
@@ -138,7 +126,6 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 	// Pass 1: one node per function body. Literals are named after their
 	// enclosing node with a $n suffix in source order.
 	for _, p := range sorted {
-		hot := parseDirectives(p, "hotpath")
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -155,14 +142,12 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 					Name: declName(p, fd, fn),
 					Body: fd.Body,
 					Pos:  fd.Pos(),
-					Hot:  directiveFor(hot, p, fd.Pos(), fd.Doc) != nil,
 				}
 				g.byObj[fn] = n
 				g.Nodes = append(g.Nodes, n)
-				g.addLits(p, n, fd.Body, hot)
+				g.addLits(p, n, fd.Body)
 			}
 		}
-		g.Bad = append(g.Bad, unattached(hot, "hotalloc", "does not attach to a function or function literal")...)
 	}
 	g.sortNodes()
 
@@ -200,7 +185,7 @@ func declName(p *Package, fd *ast.FuncDecl, fn *types.Func) string {
 // addLits creates nodes for the function literals directly inside body
 // (literals nested in other literals recurse with the inner node as
 // parent, so names compose: Outer$1$2).
-func (g *CallGraph) addLits(p *Package, parent *CGNode, body *ast.BlockStmt, hot []*directive) {
+func (g *CallGraph) addLits(p *Package, parent *CGNode, body *ast.BlockStmt) {
 	count := 0
 	ast.Inspect(body, func(node ast.Node) bool {
 		lit, ok := node.(*ast.FuncLit)
@@ -214,11 +199,10 @@ func (g *CallGraph) addLits(p *Package, parent *CGNode, body *ast.BlockStmt, hot
 			Name: fmt.Sprintf("%s$%d", parent.Name, count),
 			Body: lit.Body,
 			Pos:  lit.Pos(),
-			Hot:  directiveFor(hot, p, lit.Pos(), nil) != nil,
 		}
 		g.byLit[lit] = n
 		g.Nodes = append(g.Nodes, n)
-		g.addLits(p, n, lit.Body, hot)
+		g.addLits(p, n, lit.Body)
 		return false // inner literals handled by the recursion above
 	})
 }
@@ -313,6 +297,17 @@ func calleeOf(p *Package, call *ast.CallExpr) (fun ast.Expr, obj types.Object) {
 		default:
 			return fun, nil
 		}
+	}
+}
+
+// unparen strips parentheses from an expression.
+func unparen(e ast.Expr) ast.Expr {
+	for {
+		pe, ok := e.(*ast.ParenExpr)
+		if !ok {
+			return e
+		}
+		e = pe.X
 	}
 }
 

@@ -110,7 +110,7 @@ func TestCallGraphDeterminism(t *testing.T) {
 	render := func(g *CallGraph) string {
 		var b strings.Builder
 		for _, n := range g.Nodes {
-			fmt.Fprintf(&b, "%s hot=%v unknown=%v -> %v\n", n.Name, n.Hot, n.CallsUnknown, outEdges(n))
+			fmt.Fprintf(&b, "%s unknown=%v -> %v\n", n.Name, n.CallsUnknown, outEdges(n))
 		}
 		return b.String()
 	}
@@ -182,10 +182,6 @@ func TestBlockSummaryDeterminism(t *testing.T) {
 	}
 }
 
-func TestHotAllocFixture(t *testing.T) {
-	checkFixture(t, "hotalloc", []*Analyzer{NewHotAlloc()})
-}
-
 func TestLockHeldProcFixture(t *testing.T) {
 	diags := checkFixture(t, "lockheldproc", []*Analyzer{NewLockHeldSend()})
 	// The two-hop finding must carry the machine-readable chain.
@@ -202,7 +198,7 @@ func TestLockHeldProcFixture(t *testing.T) {
 
 func TestFindingsJSONRoundTrip(t *testing.T) {
 	diags := []Diagnostic{
-		{Analyzer: "hotalloc", Pos: token.Position{Filename: "/repo/internal/core/agg.go", Line: 10, Column: 3}, Message: "make allocates", Chain: []string{"a", "b"}},
+		{Analyzer: "lockheld-send", Pos: token.Position{Filename: "/repo/internal/core/agg.go", Line: 10, Column: 3}, Message: "call to may-block b under lock", Chain: []string{"a", "b"}},
 		{Analyzer: "lockheld-send", Pos: token.Position{Filename: "/repo/internal/spe/runtime.go", Line: 4, Column: 1}, Message: "send under lock"},
 	}
 	r := NewReport("/repo", diags)
@@ -224,15 +220,15 @@ func TestFindingsJSONRoundTrip(t *testing.T) {
 
 func TestBaselineSubtract(t *testing.T) {
 	mk := func(file, msg string, line int) Finding {
-		return Finding{Analyzer: "hotalloc", File: file, Line: line, Col: 1, Message: msg}
+		return Finding{Analyzer: "errsink", File: file, Line: line, Col: 1, Message: msg}
 	}
 	current := Report{Version: ReportVersion, Findings: []Finding{
-		mk("a.go", "make allocates", 10),
-		mk("a.go", "make allocates", 20), // duplicate message, second instance
-		mk("b.go", "append may grow", 5),
+		mk("a.go", "error discarded", 10),
+		mk("a.go", "error discarded", 20), // duplicate message, second instance
+		mk("b.go", "error overwritten", 5),
 	}}
 	baseline := Report{Version: ReportVersion, Findings: []Finding{
-		mk("a.go", "make allocates", 99), // line differs: still absorbs one
+		mk("a.go", "error discarded", 99), // line differs: still absorbs one
 	}}
 	fresh := current.Subtract(baseline)
 	if len(fresh) != 2 {

@@ -53,7 +53,6 @@ func ModuleAnalyzers(modPath string) []*Analyzer {
 	return []*Analyzer{
 		NewWallclock(wallclockAllow),
 		NewLockHeldSend(),
-		NewHotAlloc(),
 		NewMapOrder(mapOrderScope),
 		NewLeakyGo(),
 		NewNakedAtomic(),

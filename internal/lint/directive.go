@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"go/ast"
 	"go/token"
 	"regexp"
 	"strings"
@@ -12,13 +11,9 @@ import (
 //
 //	//lint:<name> [<word>] [<reason…>]
 //
-// with <name> one of ignore, hotpath; any other name is a finding, so
-// a typo cannot silently drop a check. A directive covers its own line and,
-// when it stands alone on its line, the line directly below; on a function
-// declaration it may also sit anywhere in the doc comment. Every name shares
-// these rules, the missing-reason finding, and the attached-to-nothing
-// finding, so an annotation that drifts off its declaration is reported
-// instead of silently switching a check off.
+// with <name> ignore; any other name is a finding, so a typo or a retired
+// name cannot silently drop a check. A directive covers its own line and,
+// when it stands alone on its line, the line directly below.
 
 var directiveRe = regexp.MustCompile(`^//lint:([a-z]+)(?:\s+(.*))?$`)
 
@@ -28,11 +23,10 @@ type directive struct {
 	pos     token.Position
 	ownLine bool   // nothing but whitespace precedes it on its line
 	text    string // everything after the name, trimmed
-	used    bool   // attached to a declaration (set by the consumer)
 }
 
 // directiveNames are the names some consumer reads.
-var directiveNames = map[string]bool{"ignore": true, "hotpath": true}
+var directiveNames = map[string]bool{"ignore": true}
 
 // parseDirectives returns every //lint:<name> directive of the package (of
 // any name when name is ""), in source order.
@@ -69,7 +63,7 @@ func unknownDirectives(p *Package) []Diagnostic {
 	var out []Diagnostic
 	for _, d := range parseDirectives(p, "") {
 		if !directiveNames[d.name] {
-			out = append(out, Diagnostic{Analyzer: "lint", Pos: d.pos, Message: "unknown directive //lint:" + d.name + " (known: ignore, hotpath)"})
+			out = append(out, Diagnostic{Analyzer: "lint", Pos: d.pos, Message: "unknown directive //lint:" + d.name + " (known: ignore)"})
 		}
 	}
 	return out
@@ -91,37 +85,8 @@ func (d *directive) covers(pos token.Position) bool {
 		(d.pos.Line == pos.Line || (d.ownLine && d.pos.Line == pos.Line-1))
 }
 
-// directiveFor returns the first directive covering the declaration at pos
-// or sitting inside its doc comment (nil for declarations without one), and
-// marks it used.
-func directiveFor(dirs []*directive, p *Package, pos token.Pos, doc *ast.CommentGroup) *directive {
-	at := p.Fset.Position(pos)
-	var from, to int
-	if doc != nil {
-		from, to = p.Fset.Position(doc.Pos()).Line, p.Fset.Position(doc.End()).Line
-	}
-	for _, d := range dirs {
-		if d.covers(at) || (d.pos.Filename == at.Filename && from <= d.pos.Line && d.pos.Line <= to) {
-			d.used = true
-			return d
-		}
-	}
-	return nil
-}
-
 // missingReason is the finding for a directive whose mandatory reason is
 // empty.
 func (d *directive) missingReason(analyzer string) Diagnostic {
 	return Diagnostic{Analyzer: analyzer, Pos: d.pos, Message: "//lint:" + d.name + " directive is missing a reason"}
-}
-
-// unattached reports every directive no declaration claimed.
-func unattached(dirs []*directive, analyzer, what string) []Diagnostic {
-	var out []Diagnostic
-	for _, d := range dirs {
-		if !d.used {
-			out = append(out, Diagnostic{Analyzer: analyzer, Pos: d.pos, Message: "//lint:" + d.name + " directive " + what})
-		}
-	}
-	return out
 }

@@ -62,7 +62,7 @@ func (d Diagnostic) String() string {
 // Analyzer is one pluggable invariant check. Exactly one of Run and
 // RunModule is set: Run sees one package at a time; RunModule sees the
 // whole load at once with the shared call graph, which is what the
-// interprocedural analyzers (lockheld-send, hotalloc) need.
+// interprocedural analyzer (lockheld-send) needs.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and ignore directives.
 	Name string

@@ -30,6 +30,11 @@ func missingReason() int64 {
 }
 
 func unknownName() int64 {
-	/* want "unknown directive //lint:hotpth" */ //lint:hotpth misspelt, so no hot-path root
+	/* want "unknown directive //lint:hotpth \(known: ignore\)" */ //lint:hotpth misspelt
+	return 0
+}
+
+func retiredName() int64 {
+	/* want "unknown directive //lint:hotpath" */ //lint:hotpath retired with the hotalloc analyzer
 	return 0
 }

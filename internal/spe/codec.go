@@ -51,7 +51,6 @@ func (BinaryCodec) DecodeControl(b []byte) (event.Element, error) {
 		e.Barrier = r.U64("element barrier")
 	case event.KindEOS:
 	default:
-		//lint:ignore hotalloc cold: formats once, when a corrupt frame has already doomed the instance
 		r.Fail(fmt.Errorf("spe: element kind %d is not a control element", e.Kind))
 	}
 	if err := r.Finish("element"); err != nil {
@@ -98,7 +97,7 @@ func (BinaryCodec) decodeInto(dst []event.Tuple, b []byte) ([]event.Tuple, error
 	}
 	dst = slices.Grow(dst, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		//lint:ignore hotalloc appends within the capacity reserved above
+		// appends within the capacity reserved above
 		dst = append(dst, wire.ReadTuple(r))
 	}
 	return dst, r.Finish("batch")

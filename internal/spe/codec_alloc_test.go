@@ -11,10 +11,11 @@ import (
 
 // TestCodedFlushAllocs: a full batch through an edge — on a coded edge
 // encoded into the emitter's frame and decoded into a pooled batch — then
-// received by the instance runtime's handle, which recycles it, allocates
-// nothing once the frame and the pool are warm. The race detector drops a
-// quarter of all sync.Pool puts on purpose, so this file is built without
-// -race only.
+// received by the instance runtime's handle, which recycles it, and a
+// watermark after it, which handle advances and the instance's emitter
+// forwards on an edge of the same kind, allocate nothing once the frames and
+// the pool are warm. The race detector drops a quarter of all sync.Pool puts
+// on purpose, so this file is built without -race only.
 func TestCodedFlushAllocs(t *testing.T) {
 	in := make([]event.Tuple, DefaultExchangeBatch)
 	for i := range in {
@@ -29,21 +30,34 @@ func TestCodedFlushAllocs(t *testing.T) {
 		}
 		rec := &recording{}
 		rt := newBareRT(1, rec)
+		down := make(chan message, 1)
+		rt.emitter.consumers = []consumer{{mode: Keyed, targets: []target{{ch: down, coded: coded}}}}
+		var wm event.Time
 		flush := func() {
 			for i := range in {
 				em.EmitTuple(in[i])
 			}
-			rec.tuples = rec.tuples[:0]
+			rec.tuples, rec.wms = rec.tuples[:0], rec.wms[:0]
 			if err := rt.handle(<-ch); err != nil {
 				t.Fatal(err)
+			}
+			wm++
+			if err := rt.handle(message{elem: event.NewWatermark(wm)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.emitter.Err(); err != nil { // as run checks after every element
+				t.Fatal(err)
+			}
+			if got := <-down; got.elem.Kind != event.KindWatermark || got.elem.Watermark != wm {
+				t.Fatalf("coded=%v: forwarded %+v, want watermark %v", coded, got.elem, wm)
 			}
 		}
 		flush()
 		if n := testing.AllocsPerRun(100, flush); n != 0 {
-			t.Fatalf("coded=%v: a flush allocated %v times per batch, want 0", coded, n)
+			t.Fatalf("coded=%v: a flush and a watermark allocated %v times per batch, want 0", coded, n)
 		}
-		if em.Err() != nil || len(rec.tuples) != len(in) {
-			t.Fatalf("coded=%v: received %d of %d tuples (err %v)", coded, len(rec.tuples), len(in), em.Err())
+		if em.Err() != nil || len(rec.tuples) != len(in) || len(rec.wms) != 1 || rec.wms[0] != wm {
+			t.Fatalf("coded=%v: received %d of %d tuples and watermarks %v (err %v)", coded, len(rec.tuples), len(in), rec.wms, em.Err())
 		}
 		for i := range in {
 			if a, b := in[i], rec.tuples[i]; a.Key != b.Key || a.Fields != b.Fields || a.Time != b.Time ||

@@ -64,7 +64,6 @@ func getBatch(n int) *tupleBatch {
 	if v := tupleBatchPool.Get(); v != nil {
 		return v.(*tupleBatch)
 	}
-	//lint:ignore hotalloc pool miss: batches are pooled and reused after the first flush cycle
 	return &tupleBatch{ts: make([]event.Tuple, 0, n)}
 }
 
@@ -143,8 +142,6 @@ func NewChainedEmitter(next Logic, downstream *Emitter) *Emitter {
 }
 
 // EmitTuple routes a tuple downstream.
-//
-//lint:hotpath
 func (e *Emitter) EmitTuple(t event.Tuple) {
 	if e.direct != nil {
 		e.direct.logic.OnTuple(0, t, e.direct.out)
@@ -169,7 +166,7 @@ func (e *Emitter) append(tg *target, t event.Tuple) {
 		tg.buf = getBatch(e.batchSize)
 		e.pending++
 	}
-	//lint:ignore hotalloc appends within the batch buffer's pooled capacity; flushed before it would grow
+	// appends within the batch buffer's pooled capacity; flushed before it would grow
 	tg.buf.ts = append(tg.buf.ts, t)
 	if len(tg.buf.ts) >= e.batchSize {
 		e.flushTarget(tg)
@@ -203,7 +200,6 @@ func (e *Emitter) flushTarget(tg *target) {
 				// from ever committing, and recovery re-delivers from
 				// the log.
 				putBatch(batch)
-				//lint:ignore hotalloc cold failure path: the boxing happens once, when an injected link fault has already doomed the epoch
 				e.fail(fmt.Errorf("spe: %s[%d] exchange batch dropped (injected link failure)", e.opName, e.instance))
 				return
 			case BatchDelay:
@@ -224,7 +220,6 @@ func (e *Emitter) flushTarget(tg *target) {
 			// consistent; the sticky error fails this instance and the
 			// job manager decides between recovery and teardown.
 			putBatch(dec)
-			//lint:ignore hotalloc cold failure path: formats once, when a corrupt frame has already doomed the epoch
 			e.fail(fmt.Errorf("spe: edge codec batch round-trip failed: %v", err))
 		} else {
 			putBatch(batch)
@@ -444,7 +439,6 @@ func (rt *instanceRT) runCaptured() (f *InstanceFailure) {
 // discarded: the failed epoch never commits, and recovery re-delivers its
 // input from the checkpoint log.
 func (rt *instanceRT) drainDiscard() {
-	//lint:ignore hotalloc teardown path: runs once per instance failure
 	defer func() { _ = recover() }() // teardown must not re-panic
 	for rt.doneCount < rt.senders {
 		msg := <-rt.inbox
@@ -498,10 +492,9 @@ func (rt *instanceRT) finish() {
 	rt.emitter.broadcast(event.EOS())
 }
 
-//lint:hotpath
 func (rt *instanceRT) handle(msg message) error {
 	if rt.aligning && rt.blocked[msg.sender] {
-		//lint:ignore hotalloc barrier alignment only: buffering happens while a checkpoint is in flight
+		// barrier alignment only: buffering happens while a checkpoint is in flight
 		rt.buffered = append(rt.buffered, msg)
 		return nil
 	}
@@ -573,7 +566,6 @@ func (rt *instanceRT) onChangelog(el event.Element) error {
 		return nil // duplicate from another sender
 	}
 	if seq != rt.clSeq+1 {
-		//lint:ignore hotalloc cold error path: formats once on a changelog sequence gap, which fails the instance
 		return fmt.Errorf("spe: %s[%d] changelog gap: have %d, got %d", rt.op.name, rt.instance, rt.clSeq, seq)
 	}
 	rt.clSeq = seq
@@ -594,7 +586,6 @@ func (rt *instanceRT) onBarrier(sender int, id uint64) error {
 		}
 	}
 	if id != rt.barrierID {
-		//lint:ignore hotalloc cold error path: formats once on a barrier protocol violation, which fails the instance
 		return fmt.Errorf("spe: %s[%d] overlapping barriers %d and %d", rt.op.name, rt.instance, rt.barrierID, id)
 	}
 	rt.blocked[sender] = true

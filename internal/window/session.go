@@ -27,7 +27,7 @@ type sessionWindow struct {
 
 // NewSessionState creates a tracker with the given gap.
 func NewSessionState(gap event.Time) *SessionState {
-	//lint:ignore hotalloc cold: one tracker per (group, key) session stream
+	// cold: one tracker per (group, key) session stream
 	return &SessionState{gap: gap}
 }
 
@@ -36,7 +36,6 @@ func NewSessionState(gap event.Time) *SessionState {
 func (s *SessionState) Add(t event.Time, v int64) {
 	nw := sessionWindow{Start: t, End: t + 1, Sum: v, Count: 1}
 	// Find insertion point: first session with Start > t.
-	//lint:ignore hotalloc sort.Search does not retain its predicate; the closure is stack-allocated
 	i := sort.Search(len(s.sessions), func(i int) bool { return s.sessions[i].Start > t })
 	// Merge with predecessor if within gap.
 	lo := i
@@ -50,7 +49,7 @@ func (s *SessionState) Add(t event.Time, v int64) {
 	}
 	if lo == hi {
 		// No merge: insert.
-		//lint:ignore hotalloc session path: open-session list growth is amortized per new session
+		// session path: open-session list growth is amortized per new session
 		s.sessions = append(s.sessions, sessionWindow{})
 		copy(s.sessions[i+1:], s.sessions[i:])
 		s.sessions[i] = nw
@@ -69,7 +68,7 @@ func (s *SessionState) Add(t event.Time, v int64) {
 		merged.Count += w.Count
 	}
 	s.sessions[lo] = merged
-	//lint:ignore hotalloc merge shrinks the list in place; append never exceeds existing capacity
+	// merge shrinks the list in place; append never exceeds existing capacity
 	s.sessions = append(s.sessions[:lo+1], s.sessions[hi:]...)
 }
 

@@ -44,7 +44,7 @@ const (
 
 // AppendU8 appends one byte.
 func AppendU8(b []byte, v uint8) []byte {
-	//lint:ignore hotalloc appends into the caller's buffer; hot callers reuse or pre-size it
+	// appends into the caller's buffer; hot callers reuse or pre-size it
 	return append(b, v)
 }
 
@@ -71,7 +71,7 @@ func AppendCount(b []byte, n int) []byte { return AppendU32(b, uint32(n)) }
 // AppendBytes appends a length-prefixed byte string.
 func AppendBytes(b, p []byte) []byte {
 	b = AppendCount(b, len(p))
-	//lint:ignore hotalloc appends into the caller's buffer; hot callers reuse or pre-size it
+	// appends into the caller's buffer; hot callers reuse or pre-size it
 	return append(b, p...)
 }
 
@@ -197,7 +197,7 @@ type Reader struct {
 
 // NewReader returns a reader over b. Bytes handed out by Bytes alias b.
 func NewReader(b []byte) *Reader {
-	//lint:ignore hotalloc inlined into every decoder, where the reader does not escape and lives on the stack
+	// inlined into every decoder, where the reader does not escape and lives on the stack
 	return &Reader{b: b}
 }
 
@@ -218,14 +218,12 @@ func (r *Reader) Fail(err error) {
 // construction: only the first failure of a reader formats anything.
 func (r *Reader) truncated(what string) {
 	if r.err == nil {
-		//lint:ignore hotalloc cold: formats once per reader, on corrupt input
 		r.Fail(fmt.Errorf("wire: truncated reading %s", what))
 	}
 }
 
 func (r *Reader) bad(what string, v uint64) {
 	if r.err == nil {
-		//lint:ignore hotalloc cold: formats once per reader, on corrupt input
 		r.Fail(fmt.Errorf("wire: bad %s %d (corrupt, or written by another build)", what, v))
 	}
 }
@@ -312,11 +310,11 @@ func (r *Reader) Bits(what string) bitset.Bits {
 	var inline [4]uint64 // query-sets up to 256 slots decode without a scratch allocation
 	words := inline[:0]
 	if n > len(inline) {
-		//lint:ignore hotalloc wide query-sets only: the decoded set owns spilled words anyway
+		// wide query-sets only: the decoded set owns spilled words anyway
 		words = make([]uint64, 0, n)
 	}
 	for i := 0; i < n; i++ {
-		//lint:ignore hotalloc appends within the capacity reserved above
+		// appends within the capacity reserved above
 		words = append(words, r.U64(what))
 	}
 	return bitset.FromWords(words)
@@ -331,7 +329,6 @@ func (r *Reader) Finish(what string) error {
 		return r.err
 	}
 	if len(r.b) != 0 {
-		//lint:ignore hotalloc cold: formats once per decode, on corrupt input
 		return fmt.Errorf("wire: %s has %d trailing bytes (corrupt, or written by another build)", what, len(r.b))
 	}
 	return nil
