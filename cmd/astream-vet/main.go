@@ -1,8 +1,7 @@
 // Command astream-vet runs AStream's invariant analyzers over the module:
 // event-time purity (wallclock), interprocedural lock discipline
-// (lockheld-send), deterministic iteration (maporder), goroutine teardown
-// (leakygo), consistent atomics (naked-atomic), supervised goroutines
-// (supervised-go) and error-path soundness (errsink). It is stdlib-only —
+// (lockheld-send), deterministic iteration (maporder), consistent atomics
+// (naked-atomic) and error-path soundness (errsink). It is stdlib-only —
 // go/parser, go/types, and go/importer, no x/tools.
 //
 // Usage:

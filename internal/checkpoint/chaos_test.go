@@ -3,8 +3,10 @@ package checkpoint
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"astream/internal/core"
 	"astream/internal/durable"
@@ -264,6 +266,7 @@ func enginePlan(seed int64) *fault.Plan {
 // snapshots for a barrier it never completes, and those orphans must not
 // reach the successor's retry of the same barrier.
 func TestDurableChaosSeededSchedules(t *testing.T) {
+	defer noGoroutineLeft(t)()
 	steps := chaosSteps()
 	want := cleanRun(t, steps)
 
@@ -292,6 +295,25 @@ func TestDurableChaosSeededSchedules(t *testing.T) {
 			t.Logf("seed %d: %d recoveries, injections: %v", seed, recoveries, plan.Fired())
 			assertSameOutput(t, got, want)
 		})
+	}
+}
+
+// noGoroutineLeft returns a check, to defer at a test's start, that the
+// goroutine count is back to its value at the start within a deadline. Every
+// dead incarnation — crashed, or failed inside Open — drains its engine in
+// the background; by the end of the test all of those goroutines must have
+// exited.
+func noGoroutineLeft(t *testing.T) func() {
+	before := runtime.NumGoroutine()
+	return func() {
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("%d goroutines left behind by dead incarnations:\n%s", runtime.NumGoroutine()-before, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
 	}
 }
 

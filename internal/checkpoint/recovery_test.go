@@ -149,6 +149,7 @@ func TestDurableDeltaChainsOnDisk(t *testing.T) {
 // byte-identical, and the epoch that had committed together with the rotten
 // checkpoint is exposed exactly once.
 func TestDurableCorruptLatestFallsBack(t *testing.T) {
+	defer noGoroutineLeft(t)()
 	steps := chaosSteps()
 	want := cleanRun(t, steps)
 	for _, tc := range []struct {
@@ -347,6 +348,7 @@ func TestOpenDemotesOnlyBadCheckpoints(t *testing.T) {
 // checkpoint restores. (The third wrap site, an operator Restore rejecting
 // bytes that passed their CRC, has no directed case.)
 func TestBadCheckpointSentinel(t *testing.T) {
+	defer noGoroutineLeft(t)()
 	steps := chaosSteps()
 	cfg := testConfig(nil, 0)
 	build := func(t *testing.T) string {

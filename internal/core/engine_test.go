@@ -262,7 +262,7 @@ func forEachWindow(sp window.Spec, tuples []event.Tuple, cap event.Time, fn func
 			hi = t.Time
 		}
 	}
-	for _, ext := range sp.WindowsEndingIn(lo-1, hi+sp.Length) {
+	for _, ext := range sp.WindowsEndingIn(lo-1, hi+sp.Length, nil) {
 		if ext.End <= cap {
 			fn(ext)
 		}

@@ -296,9 +296,10 @@ type windowOp struct {
 	evictedThru [2]event.Time
 
 	// Steady-state scratch, owned by the instance goroutine.
-	trig     triggerList   // per-watermark trigger scratch
-	caps     []capGroup    // per-trigger cap-grouping scratch
-	specsTmp []window.Spec // per-watermark window-spec scratch
+	trig     triggerList     // per-watermark trigger scratch
+	caps     []capGroup      // per-trigger cap-grouping scratch
+	specsTmp []window.Spec   // per-watermark window-spec scratch
+	extTmp   []window.Extent // per-query window-list scratch of collectTriggers
 }
 
 func newWindowOp(lateness event.Time, specOf func(*Query) window.Spec, sides ...*slicer) windowOp {
@@ -376,7 +377,8 @@ func (w *windowOp) collectTriggers(wm event.Time) {
 		}
 		// Pre-activation windows are empty for lq; windows ending after
 		// until close after its deletion.
-		for _, ext := range lq.spec.WindowsEndingIn(max(lo, lq.since), wm) {
+		w.extTmp = lq.spec.WindowsEndingIn(max(lo, lq.since), wm, w.extTmp[:0])
+		for _, ext := range w.extTmp {
 			if ext.End <= lq.until {
 				w.trig.add(ext, lq)
 			}

@@ -8,15 +8,12 @@ package lint
 // runtime, windows, checkpointing, changelog — must use the injected
 // NowNanos clock. The maporder scope names the packages whose outputs must
 // be deterministic: checkpoint encoding, changelog emission, result
-// routing, and the runtime exchanges. The supervised-go scope names the
-// runtime packages whose goroutines must enter through the
-// panic-capturing supervisor, so no operator panic can kill the process.
-// The errsink scope names the packages whose state goes durable — the
-// operators, the checkpoint runner, the changelog — plus internal/durable,
-// the store, the WAL and the log-record codec under them: a dropped fsync or
-// Close error there is precisely the silent data loss the layer exists to
-// prevent — an unchecked Sync means the manifest may reference bytes the
-// kernel never promised.
+// routing, and the runtime exchanges. The errsink scope names the packages
+// whose state goes durable — the operators, the checkpoint runner, the
+// changelog — plus internal/durable, the store, the WAL and the log-record
+// codec under them: a dropped fsync or Close error there is precisely the
+// silent data loss the layer exists to prevent — an unchecked Sync means
+// the manifest may reference bytes the kernel never promised.
 func ModuleAnalyzers(modPath string) []*Analyzer {
 	wallclockAllow := []string{
 		modPath + "/internal/metrics",
@@ -40,10 +37,6 @@ func ModuleAnalyzers(modPath string) []*Analyzer {
 		// self-check runs astream-vet over internal/lint).
 		modPath + "/internal/lint",
 	}
-	supervisedScope := []string{
-		modPath + "/internal/spe",
-		modPath + "/internal/core",
-	}
 	errsinkScope := []string{
 		modPath + "/internal/core",
 		modPath + "/internal/checkpoint",
@@ -54,9 +47,7 @@ func ModuleAnalyzers(modPath string) []*Analyzer {
 		NewWallclock(wallclockAllow),
 		NewLockHeldSend(),
 		NewMapOrder(mapOrderScope),
-		NewLeakyGo(),
 		NewNakedAtomic(),
-		NewSupervisedGo(supervisedScope),
 		NewErrSink(errsinkScope),
 	}
 }

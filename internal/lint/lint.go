@@ -119,18 +119,29 @@ type ignoreDirective struct {
 }
 
 // collectIgnores interprets every //lint:ignore directive in the package.
-// Malformed directives (no reason) and directives of unknown name are
-// returned as diagnostics so they cannot silently rot.
+// Malformed directives (no reason), directives of unknown name and ignores
+// naming an analyzer outside the module's suite (a typo, or a retired
+// analyzer) are returned as diagnostics so they cannot silently rot.
 func collectIgnores(p *Package) ([]ignoreDirective, []Diagnostic) {
 	var dirs []ignoreDirective
 	bad := unknownDirectives(p)
+	known := map[string]bool{"all": true}
+	for _, a := range ModuleAnalyzers("") {
+		known[a.Name] = true
+	}
 	for _, d := range parseDirectives(p, "ignore") {
 		names, reason := d.split()
 		if reason == "" {
 			bad = append(bad, d.missingReason("lint"))
 			continue
 		}
-		dirs = append(dirs, ignoreDirective{d, strings.Split(names, ","), reason})
+		dir := ignoreDirective{d, strings.Split(names, ","), reason}
+		for _, name := range dir.analyzers {
+			if !known[name] {
+				bad = append(bad, Diagnostic{Analyzer: "lint", Pos: d.pos, Message: "unknown analyzer " + name + " in //lint:ignore"})
+			}
+		}
+		dirs = append(dirs, dir)
 	}
 	return dirs, bad
 }

@@ -117,26 +117,8 @@ func TestMapOrderFixture(t *testing.T) {
 	checkFixture(t, "maporder", []*Analyzer{NewMapOrder(nil)})
 }
 
-func TestLeakyGoFixture(t *testing.T) {
-	checkFixture(t, "leakygo", []*Analyzer{NewLeakyGo()})
-}
-
 func TestNakedAtomicFixture(t *testing.T) {
 	checkFixture(t, "nakedatomic", []*Analyzer{NewNakedAtomic()})
-}
-
-func TestSupervisedGoFixture(t *testing.T) {
-	checkFixture(t, "supervisedgo", []*Analyzer{NewSupervisedGo(nil)})
-}
-
-// TestSupervisedGoScope verifies the path scoping: the same fixture is
-// silent when the analyzer is scoped to other packages.
-func TestSupervisedGoScope(t *testing.T) {
-	p := loadFixture(t, "supervisedgo")
-	diags := Run([]*Package{p}, []*Analyzer{NewSupervisedGo([]string{"mod/internal/spe"})})
-	if len(diags) != 0 {
-		t.Errorf("out-of-scope package produced %d diagnostics: %v", len(diags), diags)
-	}
 }
 
 func TestErrSinkFixture(t *testing.T) {
@@ -186,16 +168,17 @@ func TestSuppressedReasons(t *testing.T) {
 // same-line, own-line, and "all" directives suppress their findings (no
 // want comment, so any survivor fails as unexpected), a directive naming a
 // different analyzer does not, a reason-less directive is itself reported
-// alongside the finding it failed to suppress, and so is a directive of
-// unknown name, the retired hotpath included.
+// alongside the finding it failed to suppress, and so are a directive of
+// unknown name, the retired hotpath included, and an ignore naming an
+// analyzer outside the suite, a retired one included.
 func TestIgnoreFixture(t *testing.T) {
 	diags := checkFixture(t, "ignore", []*Analyzer{NewWallclock(nil)})
 	byAnalyzer := map[string]int{}
 	for _, d := range diags {
 		byAnalyzer[d.Analyzer]++
 	}
-	if byAnalyzer["wallclock"] != 2 || byAnalyzer["lint"] != 3 {
-		t.Errorf("diagnostic mix = %v, want 2 wallclock + 3 lint", byAnalyzer)
+	if byAnalyzer["wallclock"] != 2 || byAnalyzer["lint"] != 5 {
+		t.Errorf("diagnostic mix = %v, want 2 wallclock + 5 lint", byAnalyzer)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package ignore is a lint fixture for the //lint:ignore directive: the
 // same-line, own-line, and "all" forms must suppress; a wrong analyzer
-// name must not; a directive with no reason is itself a finding, and so is a
-// directive whose name no consumer reads (a typo, or a retired name).
+// name must not; a directive with no reason is itself a finding, and so are a
+// directive whose name no consumer reads (a typo, or a retired name) and an
+// ignore naming an analyzer outside the suite (a retired one included).
 package ignore
 
 import "time"
@@ -37,4 +38,13 @@ func unknownName() int64 {
 func retiredName() int64 {
 	/* want "unknown directive //lint:hotpath" */ //lint:hotpath retired with the hotalloc analyzer
 	return 0
+}
+
+func retiredAnalyzer() int64 {
+	/* want "unknown analyzer hotalloc in //lint:ignore" */ //lint:ignore hotalloc retired with its analyzer
+	return 0
+}
+
+func retiredAnalyzerInList() int64 {
+	return time.Now().UnixNano() /* want "unknown analyzer leakygo in //lint:ignore" */ //lint:ignore wallclock,leakygo the wallclock name still suppresses
 }

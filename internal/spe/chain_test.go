@@ -65,6 +65,91 @@ func TestChainFusionNoChannelHop(t *testing.T) {
 	}
 }
 
+// TestEmbeddedChainPanicBecomesFailure pins the supervisor of a chain that
+// runs embedded in its source: a panicking logic becomes one InstanceFailure
+// for the failure sink, not a panic out of EmitTuple, the source discards
+// what it is given afterwards, and closing it still sends EOS downstream,
+// so the job stops.
+func TestEmbeddedChainPanicBecomesFailure(t *testing.T) {
+	topo := NewTopology()
+	src := topo.AddSource("src", 1)
+	stage := topo.AddOperator("stage", 1, NewMapLogic(func(tu *event.Tuple) bool {
+		if tu.Key == 1 {
+			panic("injected")
+		}
+		return true
+	}), ForwardInput(src))
+	var col collector
+	topo.AddOperator("sink", 1, col.sinkFactory(), KeyedInput(stage))
+	var failures []InstanceFailure
+	job, err := Deploy(topo, WithFailureSink(FailureFunc(func(f InstanceFailure) { failures = append(failures, f) })))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := job.SourceContext(src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 3; i++ {
+		sc.EmitTuple(tupleAt(i, event.Time(i)))
+	}
+	stopWithin(t, job, "the failed source never sent EOS")
+	if len(failures) != 1 || failures[0].Panic != "injected" {
+		t.Fatalf("failures = %+v, want one carrying the injected panic", failures)
+	}
+	if col.eos != 1 {
+		t.Fatalf("%d EOS at the sink, want 1", col.eos)
+	}
+}
+
+// stopWithin stops the job, failing the test if that takes more than ten
+// seconds: some instance never saw EOS from all of its senders.
+func stopWithin(t *testing.T, job *Job, why string) {
+	t.Helper()
+	stopped := make(chan struct{})
+	go func() {
+		job.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the job did not stop: " + why)
+	}
+}
+
+// TestFailedInstanceStillEndsDownstream pins the supervisor's teardown: an
+// instance whose logic panics keeps draining its inbox and, once its senders
+// are done, forwards EOS, so its downstream instance ends and the job stops.
+func TestFailedInstanceStillEndsDownstream(t *testing.T) {
+	topo := NewTopology()
+	src := topo.AddSource("src", 1)
+	boom := topo.AddOperator("boom", 1, NewMapLogic(func(tu *event.Tuple) bool {
+		if tu.Key == 1 {
+			panic("injected")
+		}
+		return true
+	}), KeyedInput(src))
+	var col collector
+	topo.AddOperator("sink", 1, col.sinkFactory(), KeyedInput(boom))
+	var failures atomic.Int32
+	job, err := Deploy(topo, WithFailureSink(FailureFunc(func(InstanceFailure) { failures.Add(1) })))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := job.SourceContext(src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 4; i++ {
+		sc.EmitTuple(tupleAt(i, event.Time(i)))
+	}
+	stopWithin(t, job, "the failed instance never forwarded EOS")
+	if failures.Load() != 1 || col.eos != 1 {
+		t.Fatalf("%d failures and %d EOS at the sink, want 1 and 1", failures.Load(), col.eos)
+	}
+}
+
 // TestChainOperatorHeadedFusion fuses a forward edge between two parallel
 // operators downstream of a keyed shuffle: the pair shares instances (the
 // downstream operator has none of its own) and results flow end to end.

@@ -394,7 +394,7 @@ func newInstanceRT(op *Node, instance int, members []chainMember, senders int, i
 }
 
 // runSupervised is the per-instance supervisor: the goroutine entry point
-// Deploy starts (astream-vet's supervised-go check keys on this name). Any
+// Deploy starts (mutation row G1 spawns the loop without it). Any
 // panic or propagated invariant violation in the main loop becomes a
 // structured InstanceFailure, after which the instance keeps draining its
 // inbox so upstream senders never block and downstream still observes EOS —

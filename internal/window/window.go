@@ -157,19 +157,19 @@ func (s Spec) Assign(t event.Time) []Extent {
 	return out
 }
 
-// WindowsEndingIn returns the windows whose end lies in (lo, hi], ascending.
-// Shared operators use this to find windows to trigger when the watermark
-// advances from lo to hi.
-func (s Spec) WindowsEndingIn(lo, hi event.Time) []Extent {
+// WindowsEndingIn appends to dst the windows whose end lies in (lo, hi],
+// ascending, and returns the extended slice. Shared operators use this to
+// find windows to trigger when the watermark advances from lo to hi, into a
+// scratch they reuse across watermarks.
+func (s Spec) WindowsEndingIn(lo, hi event.Time, dst []Extent) []Extent {
 	sl := int64(s.slide())
 	l := int64(s.Length)
 	// Window ends are k*sl + l. Find smallest end > lo.
 	kLo := floorDiv(int64(lo)-l, sl) + 1
-	var out []Extent
 	for k := kLo; k*sl+l <= int64(hi); k++ {
-		out = append(out, Extent{Start: event.Time(k * sl), End: event.Time(k*sl + l)})
+		dst = append(dst, Extent{Start: event.Time(k * sl), End: event.Time(k*sl + l)})
 	}
-	return out
+	return dst
 }
 
 // NextEdge returns the smallest window boundary (window start or end)

@@ -93,7 +93,7 @@ func TestAssignSliding(t *testing.T) {
 
 func TestWindowsEndingIn(t *testing.T) {
 	s := SlidingSpec(10, 5)
-	got := s.WindowsEndingIn(10, 25)
+	got := s.WindowsEndingIn(10, 25, nil)
 	// Ends at 15, 20, 25 → windows [5,15) [10,20) [15,25).
 	want := []Extent{{5, 15}, {10, 20}, {15, 25}}
 	if len(got) != len(want) {
@@ -104,15 +104,15 @@ func TestWindowsEndingIn(t *testing.T) {
 			t.Fatalf("WindowsEndingIn = %v, want %v", got, want)
 		}
 	}
-	if ws := s.WindowsEndingIn(10, 10); len(ws) != 0 {
+	if ws := s.WindowsEndingIn(10, 10, nil); len(ws) != 0 {
 		t.Fatalf("empty interval should yield no windows, got %v", ws)
 	}
 	// Boundary semantics: (lo, hi] — a window ending exactly at lo is
 	// excluded, at hi included.
-	if ws := s.WindowsEndingIn(15, 15); len(ws) != 0 {
+	if ws := s.WindowsEndingIn(15, 15, nil); len(ws) != 0 {
 		t.Fatalf("(15,15] should be empty, got %v", ws)
 	}
-	if ws := s.WindowsEndingIn(14, 15); len(ws) != 1 || ws[0] != (Extent{5, 15}) {
+	if ws := s.WindowsEndingIn(14, 15, nil); len(ws) != 1 || ws[0] != (Extent{5, 15}) {
 		t.Fatalf("(14,15] = %v", ws)
 	}
 }
