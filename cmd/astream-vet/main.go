@@ -1,8 +1,9 @@
 // Command astream-vet runs AStream's invariant analyzers over the module:
 // event-time purity (wallclock), interprocedural lock discipline
-// (lockheld-send), deterministic iteration (maporder), consistent atomics
-// (naked-atomic) and error-path soundness (errsink). It is stdlib-only —
-// go/parser, go/types, and go/importer, no x/tools.
+// (lockheld-send), deterministic iteration (maporder) and consistent
+// atomics (naked-atomic). Error paths on durable state are guarded by the E
+// rows of cmd/astream-mutate instead. It is stdlib-only — go/parser,
+// go/types, and go/importer, no x/tools.
 //
 // Usage:
 //

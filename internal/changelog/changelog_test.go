@@ -202,36 +202,33 @@ func TestTableEquation1(t *testing.T) {
 	// Figure 4c column T1 (epoch 2 here): Rel(3,2)=101; Rel(4,2)=011&101=001;
 	// Rel(5,2)=001&set5. set5: slot2 replaced, slot3 new -> 1100... our
 	// epoch5 set: slots 0,1 unchanged, slot 2 replaced, slot 3 new => 1100.
-	rel32, _ := tb.Rel(3, 2)
+	rel32 := tb.Rel(3, 2)
 	if !rel32.Equal(bitsOf("101")) {
 		t.Errorf("Rel(3,2) = %s, want 101", rel32)
 	}
-	rel42, _ := tb.Rel(4, 2)
+	rel42 := tb.Rel(4, 2)
 	if !rel42.Equal(bitsOf("001")) {
 		t.Errorf("Rel(4,2) = %s, want 001", rel42)
 	}
-	rel52, _ := tb.Rel(5, 2)
+	rel52 := tb.Rel(5, 2)
 	if !rel52.IsEmpty() {
 		t.Errorf("Rel(5,2) = %s, want 0 (no shared queries)", rel52)
 	}
 	// Same epoch: all-unchanged.
-	rel55, _ := tb.Rel(5, 5)
+	rel55 := tb.Rel(5, 5)
 	if !rel55.Equal(bitset.AllUpTo(4)) {
 		t.Errorf("Rel(5,5) = %s, want 1111", rel55)
 	}
 	// Symmetry.
-	relA, _ := tb.Rel(2, 4)
-	relB, _ := tb.Rel(4, 2)
+	relA := tb.Rel(2, 4)
+	relB := tb.Rel(4, 2)
 	if !relA.Equal(relB) {
 		t.Errorf("Rel not symmetric: %s vs %s", relA, relB)
 	}
 	// Against the reference chain for all pairs.
 	for i := uint64(0); i <= tb.Latest(); i++ {
 		for j := uint64(0); j <= i; j++ {
-			got, err := tb.Rel(i, j)
-			if err != nil {
-				t.Fatalf("Rel(%d,%d): %v", i, j, err)
-			}
+			got := tb.Rel(i, j)
 			want := RelChain(logs, i, j)
 			if !got.Equal(want) {
 				t.Errorf("Rel(%d,%d) = %s, chain says %s", i, j, got, want)
@@ -271,13 +268,15 @@ func TestTableCompact(t *testing.T) {
 	if tb.RetainedRows() != 6 {
 		t.Fatalf("RetainedRows = %d, want 6", tb.RetainedRows())
 	}
-	if _, err := tb.Rel(7, 4); err == nil {
-		t.Error("Rel touching dropped epoch must fail")
-	}
-	got, err := tb.Rel(9, 5)
-	if err != nil {
-		t.Fatalf("Rel(9,5): %v", err)
-	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Rel touching a dropped epoch must panic")
+			}
+		}()
+		tb.Rel(7, 4)
+	}()
+	got := tb.Rel(9, 5)
 	if want := RelChain(logs, 9, 5); !got.Equal(want) {
 		t.Errorf("post-compact Rel(9,5) = %s, want %s", got, want)
 	}
@@ -346,10 +345,7 @@ func TestRandomWorkloadDPvsChain(t *testing.T) {
 		}
 		for i := uint64(0); i <= tb.Latest(); i += 3 {
 			for j := uint64(0); j <= i; j += 2 {
-				got, err := tb.Rel(i, j)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := tb.Rel(i, j)
 				if want := RelChain(logs, i, j); !got.Equal(want) {
 					t.Fatalf("mode %v: Rel(%d,%d) = %s, chain %s", mode, i, j, got, want)
 				}
@@ -458,9 +454,8 @@ func TestTableSnapshotRoundTrip(t *testing.T) {
 	}
 	for i := tab.Base(); i <= tab.Latest(); i++ {
 		for j := i; j <= tab.Latest(); j++ {
-			want, _ := tab.Rel(i, j)
-			if got, err := back.Rel(i, j); err != nil || !got.Equal(want) {
-				t.Fatalf("Rel(%d,%d) = %v (%v), want %v", i, j, got, err, want)
+			if got, want := back.Rel(i, j), tab.Rel(i, j); !got.Equal(want) {
+				t.Fatalf("Rel(%d,%d) = %v, want %v", i, j, got, want)
 			}
 		}
 		if i == tab.Base() {
@@ -478,6 +473,26 @@ func TestTableSnapshotRoundTrip(t *testing.T) {
 			!got.Set.Equal(want.Set) {
 			t.Fatalf("Log(%d) = %v, want %v", i, got, want)
 		}
+	}
+}
+
+// TestTableFromSnapshotRejectsSeqGap: the retained changelogs are re-added
+// through Add, so a snapshot whose changelogs skip a seq fails to restore
+// instead of restoring a table with a hole in it.
+func TestTableFromSnapshotRejectsSeqGap(t *testing.T) {
+	reg := NewRegistry(SlotReuse)
+	tab := NewTable()
+	first := mustApply(t, reg, 0, []int{1}, nil)
+	second := mustApply(t, reg, 1, []int{2}, nil)
+	if err := tab.Add(first); err != nil {
+		t.Fatal(err)
+	}
+	b := tab.Snapshot()
+	// The count of retained changelogs is the last thing before them.
+	b = append(b[:len(b)-len(appendChangelog(nil, first))-4], 1, 0, 0, 0)
+	b = appendChangelog(b, second)
+	if _, err := TableFromSnapshot(b); err == nil || !strings.Contains(err.Error(), "expected seq 1, got 2") {
+		t.Fatalf("table snapshot skipping changelog 1: %v", err)
 	}
 }
 

@@ -64,15 +64,16 @@ func (t *Table) Base() uint64 { return t.base }
 
 // Rel returns the changelog-set of epoch i with respect to epoch j
 // (Equation 1). Rel is symmetric: Rel(i,j) == Rel(j,i). Both epochs must be
-// retained (≥ Base) and ≤ Latest.
-func (t *Table) Rel(i, j uint64) (bitset.Bits, error) {
+// retained (≥ Base) and ≤ Latest: the operators compact only epochs no live
+// slice holds, so asking for another is a bug, and Rel panics.
+func (t *Table) Rel(i, j uint64) bitset.Bits {
 	if j > i {
 		i, j = j, i
 	}
 	if j < t.base || i > t.Latest() {
-		return bitset.Bits{}, fmt.Errorf("changelog: Rel(%d,%d) outside retained [%d,%d]", i, j, t.base, t.Latest())
+		panic(fmt.Sprintf("changelog: Rel(%d,%d) outside retained [%d,%d]", i, j, t.base, t.Latest()))
 	}
-	return t.rows[i-t.base][j-t.base], nil
+	return t.rows[i-t.base][j-t.base]
 }
 
 // Log returns the changelog that produced epoch e (Base < e ≤ Latest).

@@ -17,14 +17,10 @@ import (
 	"astream/internal/window"
 )
 
-// The DiskPlan satisfies the hook seam structurally; pin it here so a drift
-// in either signature fails compilation where both packages are visible.
-var _ durable.Hook = (*fault.DiskPlan)(nil)
-
 // The chaos harness drives one deterministic workload twice: once fault-free
 // and never restarted, and once under a seeded plan of engine faults
 // (instance kills, exchange batch faults) and a seeded plan of disk faults
-// (torn writes, corrupted frames, lying fsyncs, crashes before rename). Every
+// (torn writes, corrupted frames, a crash at any disk operation). Every
 // failure is a process death: the runner is crashed, its store closed, and
 // the next incarnation is built by Open from the state directory — it is
 // handed nothing else. The committed output the last incarnation reads back
@@ -320,9 +316,9 @@ func noGoroutineLeft(t *testing.T) func() {
 // TestDurableChaosDiskOnly isolates the disk-fault axis: no engine faults at
 // all, a dense disk schedule, and the same byte-identity bar. This pins the
 // recovery semantics of each injected kind — a torn WAL append is truncated
-// and retried, a corrupted frame never acknowledges, a lying fsync loses only
-// unacknowledged state, an unpublished manifest leaves the previous
-// checkpoint authoritative.
+// and retried, a corrupted frame never acknowledges, a crash at an fsync
+// loses only unacknowledged state, an unpublished manifest leaves the
+// previous checkpoint authoritative.
 func TestDurableChaosDiskOnly(t *testing.T) {
 	steps := chaosSteps()
 	want := cleanRun(t, steps)

@@ -9,6 +9,7 @@ import (
 	"astream/internal/core"
 	"astream/internal/durable"
 	"astream/internal/event"
+	"astream/internal/fault"
 )
 
 // TestControlBlobRejectsTrailingBytes: a control blob decodes only when every
@@ -182,4 +183,63 @@ func TestCheckpointEpochBoundaries(t *testing.T) {
 		t.Fatalf("offsets = %v, log len %d", offs, n)
 	}
 	mustFinish(t, r)
+}
+
+// TestRejectedCallsAreNotLogged: a submit, stop or ingest the engine rejects
+// fails before the log holds it — a logged record that does not apply would
+// fail every replay — so the log does not grow and the directory reopens.
+func TestRejectedCallsAreNotLogged(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig(nil, 0)
+	r := mustOpen(t, cfg, dir, durable.Options{})
+	if err := r.Submit(testQuery(core.KindAggregation)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.StopOrdinal(1); err != nil {
+		t.Fatal(err)
+	}
+	bad := testQuery(core.KindAggregation)
+	bad.Arity = 3
+	logged := r.Store().WAL().Len()
+	for name, err := range map[string]error{
+		"submit of a 3-stream query": r.Submit(bad),
+		"stop of a stopped query":    r.StopOrdinal(1),
+		"stop of no query":           r.StopOrdinal(2),
+		"ingest into stream 2":       r.Ingest(2, event.Tuple{Time: 1}),
+		"ingest into stream -1":      r.Ingest(-1, event.Tuple{Time: 1}),
+	} {
+		if err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	if n := r.Store().WAL().Len(); n != logged {
+		t.Fatalf("rejected calls logged %d records", n-logged)
+	}
+	r.Crash()
+	mustOpen(t, cfg, dir, durable.Options{}).Crash()
+}
+
+// TestFinishFailsAfterInstanceDeath: an instance that died after the last
+// checkpoint took its share of the final epoch with it, so Finish refuses to
+// commit that epoch and the directory keeps only what checkpoints committed.
+func TestFinishFailsAfterInstanceDeath(t *testing.T) {
+	plan := fault.NewPlan(fault.Op{Kind: fault.KillAfterTuples, Op: "aggregate", Instance: 0, N: 1})
+	dir := t.TempDir()
+	r := mustOpen(t, testConfig(plan, 0), dir, durable.Options{})
+	if err := r.Submit(testQuery(core.KindAggregation)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 40; i++ {
+		tu := event.Tuple{Key: int64(i % 4), Time: event.Time(i)}
+		tu.Fields[0] = 50
+		if err := r.Ingest(0, tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if out, err := r.Finish(); err == nil || !strings.Contains(err.Error(), "injected fault") {
+		t.Fatalf("finish after a kill: %d results, %v", len(out), err)
+	}
+	if k := latestOnDisk(t, dir); k != 0 {
+		t.Fatalf("latest checkpoint %d, want none", k)
+	}
 }

@@ -1,12 +1,15 @@
 package checkpoint
 
 import (
+	"encoding/base64"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"astream/internal/core"
 	"astream/internal/durable"
@@ -132,9 +135,9 @@ func TestDurableDeltaChainsOnDisk(t *testing.T) {
 	if deltaSize*2 > fullSize {
 		t.Fatalf("delta deposit %dB vs full %dB: delta must persist only dirtied slices", deltaSize, fullSize)
 	}
-	chain, ok := r.Store().FetchChain(k, "aggregate", 0)
-	if !ok || len(chain) != 2 {
-		t.Fatalf("chain at barrier %d has %d links, want base+delta", k, len(chain))
+	chain, err := r.Store().FetchChain(k, "aggregate", 0)
+	if err != nil || len(chain) != 2 {
+		t.Fatalf("chain at barrier %d has %d links (%v), want base+delta", k, len(chain), err)
 	}
 	r.Crash()
 
@@ -208,14 +211,10 @@ func damageDeposit(t *testing.T, dir string, barrier uint64, damage func([]byte)
 	}
 }
 
-// renameHook is a fault hook that can crash chosen renames.
-type renameHook struct {
-	beforeRename func(from, to string) error
-}
+// hookFunc is a fault hook written as one function.
+type hookFunc func(op durable.Op, path string, b []byte) ([]byte, error)
 
-func (h *renameHook) BeforeWrite(_ string, b []byte) ([]byte, error) { return b, nil }
-func (h *renameHook) BeforeSync(string) error                        { return nil }
-func (h *renameHook) BeforeRename(from, to string) error             { return h.beforeRename(from, to) }
+func (f hookFunc) Disk(op durable.Op, path string, b []byte) ([]byte, error) { return f(op, path, b) }
 
 // TestDurableCrashBeforeManifestRename: a crash after the epoch's results and
 // the manifest temp file are written but before the rename publishes them
@@ -227,14 +226,14 @@ func TestDurableCrashBeforeManifestRename(t *testing.T) {
 	dir := t.TempDir()
 
 	marks := 0
-	hook := &renameHook{beforeRename: func(from, to string) error {
-		if filepath.Base(to) == "manifest" {
+	hook := hookFunc(func(op durable.Op, path string, b []byte) ([]byte, error) {
+		if op == durable.OpRename && filepath.Base(path) == "manifest" {
 			if marks++; marks == 3 {
-				return durable.ErrInjectedCrash
+				return nil, fmt.Errorf("%w: third manifest rename", durable.ErrInjectedCrash)
 			}
 		}
-		return nil
-	}}
+		return b, nil
+	})
 	cfg := testConfig(nil, 0)
 	r := mustOpen(t, cfg, dir, durable.Options{Hook: hook})
 	var committed []string // what the directory exposes after the last good mark
@@ -343,8 +342,9 @@ func TestOpenDemotesOnlyBadCheckpoints(t *testing.T) {
 	assertSameOutput(t, mustFinish(t, r2), want)
 }
 
-// TestBadCheckpointSentinel: a snapshot chain that does not resolve and a
-// control blob that does not decode wrap errBadCheckpoint; an intact
+// TestBadCheckpointSentinel: a snapshot chain that does not resolve, a
+// control blob that does not decode and an engine control snapshot the
+// engine does not restore wrap errBadCheckpoint; an intact
 // checkpoint restores. (The third wrap site, an operator Restore rejecting
 // bytes that passed their CRC, has no directed case.)
 func TestBadCheckpointSentinel(t *testing.T) {
@@ -391,6 +391,19 @@ func TestBadCheckpointSentinel(t *testing.T) {
 			t.Fatalf("missing deposit: %v", err)
 		}
 	})
+	t.Run("undecodable-engine-control", func(t *testing.T) { // RestoreControl
+		dir := build(t)
+		rewriteControls(t, dir, func(blob []byte) {
+			_, eng, err := splitControlBlob(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob[len(blob)-len(eng)] ^= 0xFF // the engine snapshot's version byte
+		})
+		if err := attempt(t, dir); !errors.Is(err, errBadCheckpoint) {
+			t.Fatalf("undecodable engine control snapshot: %v", err)
+		}
+	})
 	t.Run("undecodable-control", func(t *testing.T) { // control blob
 		dir := build(t)
 		path := filepath.Join(dir, "manifest")
@@ -407,8 +420,92 @@ func TestBadCheckpointSentinel(t *testing.T) {
 		if err := os.WriteFile(path, []byte(mangled), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := attempt(t, dir); !errors.Is(err, errBadCheckpoint) {
+		if err := attempt(t, dir); !errors.Is(err, errBadCheckpoint) || !strings.Contains(err.Error(), "control blob version") {
 			t.Fatalf("undecodable control blob: %v", err)
 		}
 	})
+}
+
+// rewriteControls rewrites every control blob the manifest holds in place.
+func rewriteControls(t *testing.T, dir string, edit func(blob []byte)) {
+	t.Helper()
+	path := filepath.Join(dir, "manifest")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range m["Barriers"].([]any) {
+		mb := b.(map[string]any)
+		blob, err := base64.StdEncoding.DecodeString(mb["Control"].(string))
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(blob)
+		mb["Control"] = base64.StdEncoding.EncodeToString(blob)
+	}
+	if data, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplayRejectsRecordsThatDoNotApply: the runner logs only what the
+// engine accepts, but a log holding a record that does not apply — a query
+// the engine rejects, a stop of a stopped query, a tuple for a stream the
+// job lacks — fails the open with the record's error instead of hanging on
+// it or skipping it.
+func TestReplayRejectsRecordsThatDoNotApply(t *testing.T) {
+	bad := testQuery(core.KindAggregation)
+	bad.Arity = 3
+	for _, tc := range []struct {
+		name string
+		recs []durable.Record
+		want string
+	}{
+		{"rejected-query", []durable.Record{{Kind: durable.RecSubmit, Query: bad}}, "arity"},
+		{"stopped-query", []durable.Record{
+			{Kind: durable.RecSubmit, Query: testQuery(core.KindAggregation)},
+			{Kind: durable.RecStop, Ordinal: 1}, {Kind: durable.RecStop, Ordinal: 1},
+		}, "not running"},
+		{"no-ordinal", []durable.Record{{Kind: durable.RecStop, Ordinal: 1}}, "ordinal"},
+		{"no-stream", []durable.Record{{Kind: durable.RecTuple, Stream: 2}}, "stream"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := durable.OpenStore(dir, durable.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range tc.recs {
+				if _, err := s.WAL().Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				r, err := Open(testConfig(nil, 0), dir, durable.Options{})
+				if err == nil {
+					r.Crash()
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("open replaying %v: %v", tc.recs, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("open hangs replaying a record that does not apply")
+			}
+		})
+	}
 }

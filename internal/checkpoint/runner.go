@@ -18,6 +18,7 @@ package checkpoint
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"astream/internal/core"
@@ -45,6 +46,7 @@ type Runner struct {
 	sink     *txSink
 	ordinals []int // created query IDs, by submit order
 	barrier  uint64
+	streams  int
 }
 
 // Open opens the state directory and returns a runner on it: empty on a fresh
@@ -97,7 +99,7 @@ func newRunner(cfg core.Config, s *durable.Store) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.eng = eng
+	r.eng, r.streams = eng, eng.Config().Streams
 	if err := r.restoreAndReplay(); err != nil {
 		// Let the abandoned engine's goroutines exit; the caller closes the
 		// store, which drops anything they still deposit.
@@ -128,9 +130,20 @@ func (r *Runner) restoreAndReplay() error {
 		if err := r.eng.RestoreControl(engCtrl); err != nil {
 			return bad(err)
 		}
-		if err := r.eng.RestoreOperators(func(op string, instance int) ([][]byte, bool) {
-			return r.store.FetchChain(k, op, instance)
-		}); err != nil {
+		// A chain that fails its verification demotes K; a read the disk
+		// failed says nothing about K and fails the open as it is.
+		var readErr error
+		err = r.eng.RestoreOperators(func(op string, instance int) ([][]byte, bool) {
+			chain, err := r.store.FetchChain(k, op, instance)
+			if err != nil && !errors.Is(err, durable.ErrDamaged) {
+				readErr = err
+			}
+			return chain, err == nil
+		})
+		if readErr != nil {
+			return readErr
+		}
+		if err != nil {
 			return bad(err)
 		}
 		// Re-register the transactional sink for every query ever created:
@@ -178,8 +191,13 @@ func (r *Runner) Engine() *core.Engine { return r.eng }
 // committed results).
 func (r *Runner) Store() *durable.Store { return r.store }
 
-// Submit logs and submits a query creation.
+// Submit logs and submits a query creation. Like every logging call, it
+// refuses what the engine would reject before the log holds it: a logged
+// record that does not apply would fail every replay of the log.
 func (r *Runner) Submit(q *core.Query) error {
+	if err := q.Validate(r.streams); err != nil {
+		return err
+	}
 	if _, err := r.store.WAL().Append(durable.Record{Kind: durable.RecSubmit, Query: q}); err != nil {
 		return err
 	}
@@ -198,6 +216,9 @@ func (r *Runner) applySubmit(q *core.Query) error {
 
 // StopOrdinal logs and applies a stop of the n-th created query (1-based).
 func (r *Runner) StopOrdinal(ord int) error {
+	if ord < 1 || ord > len(r.ordinals) || !slices.Contains(r.eng.ActiveQueryIDs(), r.ordinals[ord-1]) {
+		return fmt.Errorf("checkpoint: no running query with ordinal %d", ord)
+	}
 	if _, err := r.store.WAL().Append(durable.Record{Kind: durable.RecStop, Ordinal: ord}); err != nil {
 		return err
 	}
@@ -219,6 +240,9 @@ func (r *Runner) applyStop(ord int) error {
 // Ingest logs and pushes one tuple. A failed append was never acknowledged:
 // the tuple is not applied, and the source re-sends it after recovery.
 func (r *Runner) Ingest(stream int, t event.Tuple) error {
+	if stream < 0 || stream >= r.streams {
+		return fmt.Errorf("checkpoint: no stream %d", stream)
+	}
 	if _, err := r.store.WAL().Append(durable.Record{Kind: durable.RecTuple, Stream: stream, Tuple: t}); err != nil {
 		return err
 	}
@@ -283,7 +307,8 @@ func splitControlBlob(b []byte) (ordinals []int, engine []byte, err error) {
 // uncommitted results are lost; what the state directory holds survives, and
 // the directory is all a successor is given.
 func (r *Runner) Crash() {
-	//lint:ignore errsink sealing a dying incarnation's log may fail like any last write of a crashing process; the successor reads whatever reached the disk
+	// Sealing a dying incarnation's log may fail like any last write of a
+	// crashing process; the successor reads whatever reached the disk.
 	_ = r.store.Close()
 	// Drain in the background so goroutines exit; the closed store drops any
 	// snapshots this drain still completes, and the results it produces stay

@@ -39,9 +39,7 @@ func BenchmarkAblationChangelogDP(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for j := uint64(1); j < 256; j += 17 {
-				if _, err := tb.Rel(256, j); err != nil {
-					b.Fatal(err)
-				}
+				tb.Rel(256, j)
 			}
 		}
 	})

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"fmt"
 	"math/bits"
 	"slices"
 	"sort"
@@ -935,10 +934,7 @@ func (a *SharedAggregation) relate(sl *slice, groups []capGroup) (any bool) {
 			fc.rel.Reset()
 			continue
 		}
-		rel, err := a.win.table.Rel(sl.epoch, cg.cap)
-		if err != nil {
-			panic(fmt.Sprintf("core: agg rel: %v", err))
-		}
+		rel := a.win.table.Rel(sl.epoch, cg.cap)
 		rel.AndInto(fc.mask, &fc.rel)
 		any = any || !fc.rel.IsEmpty()
 	}

@@ -735,6 +735,22 @@ func TestEngineValidationErrors(t *testing.T) {
 			t.Errorf("bad query %d accepted", i)
 		}
 	}
+	zero := window.Spec{Kind: window.Tumbling}
+	for _, tc := range []struct {
+		name string
+		q    *Query
+		want string
+	}{
+		{"a predicate on no field", selQ(expr.True().And(expr.Comparison{Field: 99})), "field index"},
+		{"a join window of length 0", joinQ(zero, expr.True(), expr.True()), "window:"},
+		{"an aggregation window of length 0", aggQ(zero, sqlstream.AggSum, 0, expr.True()), "window:"},
+		{"a complex join window of length 0", complexQ(zero, window.TumblingSpec(5), sqlstream.AggSum, 0, expr.True(), expr.True()), "window:"},
+		{"a complex aggregation window of length 0", complexQ(window.TumblingSpec(5), zero, sqlstream.AggSum, 0, expr.True(), expr.True()), "window:"},
+	} {
+		if _, _, err := h.eng.Submit(tc.q, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
 	if _, err := h.eng.StopQuery(999); err == nil {
 		t.Error("stopping unknown query must fail")
 	}
@@ -765,6 +781,9 @@ func TestEngineSubmitSQL(t *testing.T) {
 
 	if _, _, err := h.eng.SubmitSQL(`SELECT garbage`, nil); err == nil {
 		t.Error("bad SQL accepted")
+	}
+	if _, _, err := h.eng.SubmitSQL(`SELECT * FROM A, B [RANGE 10] WHERE A.F0 = B.F0`, nil); err == nil || !strings.Contains(err.Error(), "KEY = KEY") {
+		t.Errorf("SQL that parses but joins on a field: %v", err)
 	}
 }
 

@@ -47,10 +47,7 @@ func (a *SharedAggregation) fireWindowScan(ext window.Extent, aq *liveQuery, cur
 		if sl.aggs == nil {
 			continue
 		}
-		rel, err := a.win.table.Rel(sl.epoch, capTo)
-		if err != nil {
-			panic(fmt.Sprintf("reference rel: %v", err))
-		}
+		rel := a.win.table.Rel(sl.epoch, capTo)
 		if sl.aggs.open == nil {
 			panic("reference: a slice of the reference instance was sealed")
 		}

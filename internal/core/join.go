@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 	"sync/atomic"
 
@@ -214,10 +213,7 @@ func (j *SharedJoin) fireWindow(ext window.Extent, queries []*liveQuery, out *sp
 					// queries have no data left anywhere.
 					continue
 				}
-				relNow, err := j.win.table.Rel(newer, g.cap)
-				if err != nil {
-					panic(fmt.Sprintf("core: join relNow: %v", err))
-				}
+				relNow := j.win.table.Rel(newer, g.cap)
 				// A row is effective for the slots in row.qs ∩ relNow. relNow
 				// is the pair's, so it is applied to the group's slots once,
 				// and a row then walks the bits it shares with them, word by
@@ -281,10 +277,7 @@ func (j *SharedJoin) pairRows(sa, sb *slice) []pairRow {
 		atomic.AddUint64(&j.metrics.PairsReuse, 1)
 		return p.rows
 	}
-	rel, err := j.win.table.Rel(sa.epoch, sb.epoch)
-	if err != nil {
-		panic(fmt.Sprintf("core: join rel: %v", err))
-	}
+	rel := j.win.table.Rel(sa.epoch, sb.epoch)
 	j.rowsTmp = joinStores(a, b, rel, &j.qsTmp, j.rowsTmp[:0])
 	atomic.AddUint64(&j.metrics.PairsDone, 1)
 	var rows []pairRow

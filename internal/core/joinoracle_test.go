@@ -77,13 +77,7 @@ func (j *SharedJoin) joinWindowScan(ext window.Extent, aq *liveQuery, curEpoch u
 	if capTo < j.win.table.Base() {
 		return
 	}
-	rel := func(a, b uint64) bitset.Bits {
-		bits, err := j.win.table.Rel(a, b)
-		if err != nil {
-			panic(fmt.Sprintf("reference rel: %v", err))
-		}
-		return bits
-	}
+	rel := j.win.table.Rel
 	left, right := j.win.sides[0], j.win.sides[1]
 	llo, lhi := left.overlappingRange(ext)
 	rlo, rhi := right.overlappingRange(ext)

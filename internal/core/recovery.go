@@ -64,8 +64,8 @@ func (e *Engine) predicatePanicked(queryID int, _ any) {
 	e.quarantined[queryID] = true
 	e.failMu.Unlock()
 	// Already-stopped is fine; the strike count only grows while the
-	// query's entries are still installed.
-	//lint:ignore errsink quarantine is best-effort: a concurrent StopQuery losing the race is the desired end state
+	// query's entries are still installed. Quarantine is best-effort: a
+	// concurrent StopQuery losing the race is the desired end state.
 	_, _ = e.StopQuery(queryID)
 }
 

@@ -473,18 +473,22 @@ func TestOperatorRestoreRejectsCorruptSnapshots(t *testing.T) {
 	agg.OnChangelog(b.create(t, 0, aggQ(window.TumblingSpec(10), sqlstream.AggSum, 0, gt(0, -1))), 0, nil)
 	agg.OnTuple(0, event.Tuple{Key: 1, Time: 5, QuerySet: bitset.FromIndexes(0)}, nil)
 	snap := agg.OnBarrier(1, nil)
+	badTable := append([]byte(nil), snap...)
+	badTable[bytes.Index(snap, agg.win.table.Snapshot())] ^= 0xFF // the table's version byte
 
 	for _, tc := range []struct {
 		name string
 		b    []byte
+		want string
 	}{
-		{"empty", nil},
-		{"bad version", append([]byte{99}, snap[1:]...)},
-		{"truncated", snap[:len(snap)/2]},
+		{"empty", nil, ""},
+		{"bad version", append([]byte{99}, snap[1:]...), ""},
+		{"truncated", snap[:len(snap)/2], ""},
+		{"undecodable changelog table", badTable, "changelog table snapshot version"},
 	} {
 		fresh := NewSharedAggregation(1, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
-		if err := fresh.Restore(tc.b); err == nil {
-			t.Fatalf("%s: Restore accepted a corrupt snapshot", tc.name)
+		if err := fresh.Restore(tc.b); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Restore accepted a corrupt snapshot (%v)", tc.name, err)
 		}
 	}
 	if err := NewSharedAggregation(2, 10, NewRouter(&OpMetrics{}), &OpMetrics{}).Restore(snap); err == nil || !strings.Contains(err.Error(), "ports") {

@@ -344,13 +344,13 @@ func (w *windowOp) addEpoch(cl *changelog.Changelog, at event.Time, cut bool) {
 			}
 		}
 	}
+	if err := w.table.Add(cl); err != nil {
+		panic(fmt.Sprintf("core: window table: %v", err))
+	}
 	for _, s := range w.sides {
 		if err := s.addEpoch(at, cl.Seq, specs, cut); err != nil {
 			panic(fmt.Sprintf("core: window epoch: %v", err))
 		}
-	}
-	if err := w.table.Add(cl); err != nil {
-		panic(fmt.Sprintf("core: window table: %v", err))
 	}
 }
 

@@ -676,3 +676,34 @@ func TestSelectionChurnKeepsSlices(t *testing.T) {
 		})
 	}
 }
+
+// TestWindowDriverRejectsChangelogsOutOfOrder: changelogs reach an operator
+// in seq and event-time order, and the driver asserts both — a changelog
+// skipping a seq, or one behind the last epoch's time, panics the operator
+// (its supervisor turns that into an instance failure) instead of slicing
+// on.
+func TestWindowDriverRejectsChangelogsOutOfOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		skip   bool // apply the third changelog instead of the second
+		at     event.Time
+		panics string
+	}{
+		{"skipping a seq", true, 300, "core: window table"},
+		{"behind the last epoch", false, 50, "core: window epoch"},
+	} {
+		forEachDrivenOp(t, func(t *testing.T, _ string, d drivenOp, b *clBuilder) {
+			d.op.OnChangelog(b.create(t, 100, d.query(window.TumblingSpec(100))), 100, nil)
+			cl := b.create(t, 200, d.query(window.TumblingSpec(100)))
+			if tc.skip {
+				cl = b.create(t, 300, d.query(window.TumblingSpec(100)))
+			}
+			defer func() {
+				if p := fmt.Sprint(recover()); !strings.Contains(p, tc.panics) {
+					t.Errorf("%s: panic %q, want %q", tc.name, p, tc.panics)
+				}
+			}()
+			d.op.OnChangelog(cl, tc.at, nil)
+		})
+	}
+}

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -113,7 +114,7 @@ type Store struct {
 	dir     string
 	snapDir string
 	outDir  string
-	hook    Hook
+	disk    disk
 	wal     *WAL
 
 	mu     sync.Mutex
@@ -138,7 +139,8 @@ type Store struct {
 
 // Options configures OpenStore.
 type Options struct {
-	// Hook injects faults into every disk mutation; nil in production.
+	// Hook is consulted on every disk operation, for fault injection; nil
+	// in production.
 	Hook Hook
 	// SegmentBytes is the WAL segment roll threshold (DefaultSegmentBytes
 	// when zero).
@@ -159,19 +161,19 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 		dir:      dir,
 		snapDir:  filepath.Join(dir, snapDirName),
 		outDir:   filepath.Join(dir, outDirName),
-		hook:     opts.Hook,
+		disk:     disk{hook: opts.Hook},
 		pending:  map[uint64]map[depKey]manifestDeposit{},
 		expected: map[uint64]int{},
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for _, d := range []string{s.snapDir, s.outDir} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
+		if err := s.disk.mkdir(d); err != nil {
 			return nil, err
 		}
 	}
 	// No manifest at all is the fresh directory; anything else must parse.
 	s.man = manifestData{Version: manifestVersion}
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	data, err := s.disk.readFile(filepath.Join(dir, manifestName))
 	if err == nil {
 		s.man, err = parseManifest(data)
 	}
@@ -182,10 +184,10 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 	s.outputs = append([]manifestOutput(nil), s.man.Outputs...)
 	// A crash between manifest prepare and rename leaves a stray temp file;
 	// the published manifest is still the old one, so just discard it.
-	if err := os.Remove(filepath.Join(dir, manifestName+tmpSuffix)); err != nil && !os.IsNotExist(err) {
+	if err := s.disk.remove(filepath.Join(dir, manifestName+tmpSuffix)); err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	if s.wal, err = openWAL(filepath.Join(dir, walDirName), segMax, opts.Hook); err != nil {
+	if s.wal, err = openWAL(filepath.Join(dir, walDirName), segMax, s.disk); err != nil {
 		return nil, err
 	}
 	if err := s.validateCoverage(s.man.Latest); err != nil {
@@ -274,7 +276,7 @@ func (s *Store) OnSnapshot(op string, instance int, barrier uint64, state []byte
 	}
 	defer s.writers.Done()
 	name := fmt.Sprintf("%s%016x-%s-%d", snapPrefix, barrier, op, instance)
-	if err := writeFileAtomic(filepath.Join(s.snapDir, name), state, s.hook); err != nil {
+	if err := s.disk.writeFileAtomic(filepath.Join(s.snapDir, name), state); err != nil {
 		s.Fail(fmt.Errorf("durable: snapshot %s: %w", name, err))
 		return
 	}
@@ -330,7 +332,7 @@ func (s *Store) CommitOutput(epoch uint64, results []string) error {
 		return fmt.Errorf("durable: result epoch %d committed with only %d epochs before it", epoch, len(s.outputs))
 	}
 	data := appendOutput(nil, results)
-	if err := writeFileAtomic(filepath.Join(s.outDir, outName(epoch)), data, s.hook); err != nil {
+	if err := s.disk.writeFileAtomic(filepath.Join(s.outDir, outName(epoch)), data); err != nil {
 		return err
 	}
 	s.outputs = append(s.outputs, manifestOutput{Size: int64(len(data)), CRC: crc32.Checksum(data, castagnoli)})
@@ -365,7 +367,7 @@ func (s *Store) Committed() ([]string, error) {
 	defer s.mu.Unlock()
 	var out []string
 	for e, o := range s.man.Outputs {
-		data, err := readVerified(filepath.Join(s.outDir, outName(uint64(e))), o.Size, o.CRC)
+		data, err := s.disk.readVerified(filepath.Join(s.outDir, outName(uint64(e))), o.Size, o.CRC)
 		if err != nil {
 			return nil, err
 		}
@@ -408,7 +410,7 @@ func (s *Store) MarkComplete(barrier uint64, control []byte, offset int) error {
 	// The barrier's deposits were renamed into the snapshot directory by the
 	// instance goroutines; make those directory entries durable before a
 	// manifest referencing them is published.
-	if err := syncDir(s.snapDir); err != nil {
+	if err := s.disk.syncDir(s.snapDir); err != nil {
 		return err
 	}
 	if uint64(len(s.offsets)) < barrier {
@@ -477,7 +479,7 @@ func (s *Store) PublishOutput() error {
 // manifest. The result files it references were fsynced when written; their
 // directory entries are made durable first. Requires s.mu held.
 func (s *Store) publish(m manifestData) error {
-	if err := syncDir(s.outDir); err != nil {
+	if err := s.disk.syncDir(s.outDir); err != nil {
 		return err
 	}
 	m.Version = manifestVersion
@@ -487,10 +489,10 @@ func (s *Store) publish(m manifestData) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(filepath.Join(s.dir, manifestName), data, s.hook); err != nil {
+	if err := s.disk.writeFileAtomic(filepath.Join(s.dir, manifestName), data); err != nil {
 		return err
 	}
-	if err := syncDir(s.dir); err != nil {
+	if err := s.disk.syncDir(s.dir); err != nil {
 		return err
 	}
 	s.man = m
@@ -561,7 +563,7 @@ func (s *Store) sweepOrphansLocked() error {
 		referenced[outName(uint64(e))] = true
 	}
 	for _, dir := range []string{s.snapDir, s.outDir} {
-		entries, err := os.ReadDir(dir)
+		entries, err := s.disk.readDir(dir)
 		if err != nil {
 			return err
 		}
@@ -569,7 +571,7 @@ func (s *Store) sweepOrphansLocked() error {
 			if e.IsDir() || referenced[e.Name()] {
 				continue
 			}
-			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+			if err := s.disk.remove(filepath.Join(dir, e.Name())); err != nil {
 				return err
 			}
 		}
@@ -588,9 +590,11 @@ func (s *Store) LatestComplete() (uint64, bool) {
 // full snapshot followed by zero or more incremental deltas, in application
 // order — walking deposits backwards from the barrier until a full snapshot
 // anchors the chain and verifying each file's size and CRC against the
-// manifest. Any missing, torn, or rotted link fails the whole chain, and
-// recovery falls back to the previous checkpoint.
-func (s *Store) FetchChain(barrier uint64, op string, instance int) ([][]byte, bool) {
+// manifest. Any missing, torn, or rotted link fails the whole chain with an
+// error wrapping ErrDamaged, and recovery falls back to the previous
+// checkpoint; any other error is the disk failing the read, which says
+// nothing about the checkpoint.
+func (s *Store) FetchChain(barrier uint64, op string, instance int) ([][]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	byBarrier := map[uint64]manifestBarrier{}
@@ -601,35 +605,39 @@ func (s *Store) FetchChain(barrier uint64, op string, instance int) ([][]byte, b
 	for b := barrier; ; b-- {
 		dep, ok := depositAt(byBarrier, b, op, instance)
 		if !ok {
-			return nil, false
+			return nil, fmt.Errorf("%w: no deposit of %s[%d] at barrier %d", ErrDamaged, op, instance, b)
 		}
-		data, err := readVerified(filepath.Join(s.snapDir, dep.File), dep.Size, dep.CRC)
+		data, err := s.disk.readVerified(filepath.Join(s.snapDir, dep.File), dep.Size, dep.CRC)
 		if err != nil {
-			return nil, false
+			return nil, err
 		}
 		chain = append(chain, data)
 		if !dep.Delta {
 			break
 		}
-		if b == 0 {
-			return nil, false
-		}
 	}
 	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
 		chain[i], chain[j] = chain[j], chain[i]
 	}
-	return chain, true
+	return chain, nil
 }
+
+// ErrDamaged marks a file the manifest references that is missing from the
+// directory, or whose size or CRC32C disagrees with the manifest.
+var ErrDamaged = errors.New("durable: file does not match the manifest")
 
 // readVerified reads a file the manifest references and holds it to the
 // recorded size and CRC32C.
-func readVerified(path string, size int64, sum uint32) ([]byte, error) {
-	data, err := os.ReadFile(path)
+func (d disk) readVerified(path string, size int64, sum uint32) ([]byte, error) {
+	data, err := d.readFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("%w: %s is missing", ErrDamaged, filepath.Base(path))
+	}
 	if err != nil {
 		return nil, err
 	}
 	if int64(len(data)) != size || crc32.Checksum(data, castagnoli) != sum {
-		return nil, fmt.Errorf("durable: %s does not match the manifest (%d bytes, want %d, or CRC mismatch)", filepath.Base(path), len(data), size)
+		return nil, fmt.Errorf("%w: %s has %d bytes, want %d, or a CRC mismatch", ErrDamaged, filepath.Base(path), len(data), size)
 	}
 	return data, nil
 }
@@ -712,57 +720,4 @@ func (s *Store) Close() error {
 	s.mu.Unlock()
 	s.writers.Wait()
 	return s.wal.Close()
-}
-
-// writeFileAtomic publishes b at path via the classic crash-safe sequence:
-// write a temp file, fsync it, close it, rename over path. Every step runs
-// through the fault hook. The containing directory is fsynced by the caller
-// (once per checkpoint) rather than per file.
-func writeFileAtomic(path string, b []byte, hook Hook) error {
-	tmp := path + tmpSuffix
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	towrite := b
-	var inject error
-	if hook != nil {
-		towrite, inject = hook.BeforeWrite(tmp, b)
-	}
-	if len(towrite) > 0 {
-		if _, err := f.Write(towrite); err != nil {
-			return errors.Join(err, f.Close())
-		}
-	}
-	if inject != nil {
-		return errors.Join(inject, f.Close())
-	}
-	if hook != nil {
-		if err := hook.BeforeSync(tmp); err != nil {
-			return errors.Join(err, f.Close())
-		}
-	}
-	if err := f.Sync(); err != nil {
-		return errors.Join(err, f.Close())
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if hook != nil {
-		if err := hook.BeforeRename(tmp, path); err != nil {
-			return err
-		}
-	}
-	return os.Rename(tmp, path)
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		return errors.Join(err, d.Close())
-	}
-	return d.Close()
 }

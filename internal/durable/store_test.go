@@ -3,6 +3,8 @@ package durable
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -127,9 +129,9 @@ func TestStoreSurvivesReopen(t *testing.T) {
 	if k, ok := s2.LatestComplete(); !ok || k != 1 {
 		t.Fatalf("LatestComplete = %d,%v across reopen", k, ok)
 	}
-	chain, ok := s2.FetchChain(1, "agg", 0)
-	if !ok || len(chain) != 1 || !bytes.Equal(chain[0], []byte{1, 10, 20}) {
-		t.Fatalf("FetchChain across reopen = %v,%v", chain, ok)
+	chain, err := s2.FetchChain(1, "agg", 0)
+	if err != nil || len(chain) != 1 || !bytes.Equal(chain[0], []byte{1, 10, 20}) {
+		t.Fatalf("FetchChain across reopen = %v, %v", chain, err)
 	}
 	ctrl, ok := s2.Control(1)
 	if !ok || !bytes.Equal(ctrl, []byte{0xC0}) {
@@ -141,8 +143,8 @@ func TestStoreSurvivesReopen(t *testing.T) {
 	if got, err := s2.Committed(); err != nil || !reflect.DeepEqual(got, []string{"a", "b"}) {
 		t.Fatalf("Committed across reopen = %v, %v", got, err)
 	}
-	if _, ok := s2.FetchChain(2, "agg", 0); ok {
-		t.Fatal("never-completed barrier resolvable after reopen")
+	if _, err := s2.FetchChain(2, "agg", 0); !errors.Is(err, ErrDamaged) {
+		t.Fatalf("never-completed barrier resolved after reopen: %v", err)
 	}
 	for _, sub := range []string{snapDirName, outDirName} {
 		entries, err := os.ReadDir(filepath.Join(dir, sub))
@@ -206,12 +208,133 @@ func TestFetchChainRejectsDamagedDeposits(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, ok := s.FetchChain(1, "agg", 0); ok {
-				t.Fatal("damaged deposit resolved")
+			if _, err := s.FetchChain(1, "agg", 0); !errors.Is(err, ErrDamaged) {
+				t.Fatalf("damaged deposit resolved: %v", err)
 			}
 			if out, err := s.Committed(); err == nil {
 				t.Fatalf("damaged result epoch read back as %v", out)
 			}
 		})
+	}
+}
+
+// markOne completes barrier k on s with one deposit, epoch k-1 and the log
+// as it stands.
+func markOne(t *testing.T, s *Store, k uint64) {
+	t.Helper()
+	s.OnSnapshot("agg", 0, k, []byte{1, byte(k)})
+	if err := s.Await(k, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CommitOutput(k-1, []string{fmt.Sprint(k)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MarkComplete(k, []byte{0xC0}, s.WAL().Len()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenStoreRejectsDamagedDirectories: a manifest that does not parse, and
+// a log that lost records a completed checkpoint covers, fail the open with
+// their own error instead of opening a store that cannot recover.
+func TestOpenStoreRejectsDamagedDirectories(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("{\"Version\":"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenStore(dir, Options{}); err == nil || !strings.Contains(err.Error(), "manifest corrupt") {
+		t.Fatalf("open with an unparseable manifest: %v", err)
+	}
+
+	dir = t.TempDir()
+	s, err := OpenStore(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := s.WAL().Append(walRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	markOne(t, s, 1)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, walDirName, segPrefix+"*"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments %v, %v", segs, err)
+	}
+	for _, seg := range segs {
+		if err := os.Remove(seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := OpenStore(dir, Options{}); err == nil || !strings.Contains(err.Error(), "covers 5 log records") {
+		t.Fatalf("open with the covered log gone: %v", err)
+	}
+}
+
+// TestInvalidateLatestKeepsCoverage: demoting past the oldest checkpoint the
+// truncated log still covers is refused, and the manifest keeps naming the
+// checkpoint it had.
+func TestInvalidateLatestKeepsCoverage(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, Options{SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); k <= 3; k++ {
+		for i := 0; i < 4; i++ {
+			if _, err := s.WAL().Append(walRecord(s.WAL().Len())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		markOne(t, s, k)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = OpenStore(dir, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if s.WAL().DiskBase() == 0 {
+		t.Fatal("the log was not truncated below checkpoint 2")
+	}
+	if err := s.InvalidateLatest(); err != nil {
+		t.Fatalf("demoting checkpoint 3 to 2: %v", err)
+	}
+	if err := s.InvalidateLatest(); err == nil || !strings.Contains(err.Error(), "no completed checkpoint") {
+		t.Fatalf("demoting checkpoint 2 past the truncated log: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenStore(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k, _ := s2.LatestComplete(); k != 2 {
+		t.Fatalf("latest %d after a refused demotion, want 2", k)
+	}
+}
+
+// TestCommittedRejectsUndecodableEpoch: a result epoch whose bytes match the
+// manifest but do not decode fails Committed.
+func TestCommittedRejectsUndecodableEpoch(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := []byte{0xFF, 0xFF}
+	if err := os.WriteFile(filepath.Join(dir, outDirName, outName(0)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s.outputs = append(s.outputs, manifestOutput{Size: int64(len(data)), CRC: crc32.Checksum(data, castagnoli)})
+	if err := s.PublishOutput(); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := s.Committed(); err == nil || !strings.Contains(err.Error(), "result epoch 0") {
+		t.Fatalf("undecodable epoch read back as %v, %v", out, err)
 	}
 }

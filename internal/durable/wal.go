@@ -2,6 +2,7 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -46,11 +47,15 @@ type segInfo struct {
 // sealed, previously-fsynced region rotted, and open fails loudly rather than
 // silently dropping acknowledged history.
 //
+// A write that fails part-way poisons the log: its torn bytes sit where the
+// next frame would go, so every later Append and Sync returns the failure
+// until the log is closed and reopened, whose tail scan cuts them off.
+//
 // A WAL is single-writer: the runner appends, checkpoints, and truncates from
 // one goroutine, so no locking is done here.
 type WAL struct {
 	dir    string
-	hook   Hook
+	disk   disk
 	segMax int
 
 	// base is the absolute index of the first record retained on disk at
@@ -61,24 +66,29 @@ type WAL struct {
 	segs []segInfo
 
 	f     *os.File // current segment, nil until first append after open/roll
-	fname string
 	fsize int
 
 	// buf is the frame-encode buffer, recycled across appends.
 	buf []byte
+
+	// err is the failed write that poisoned the log, if any.
+	err error
+	// dirDirty says a segment was created or removed since the directory
+	// was last synced; Sync makes those entries durable.
+	dirDirty bool
 }
 
 // openWAL opens dir, recovering from a torn tail and failing loudly on
 // mid-log corruption.
-func openWAL(dir string, segMax int, hook Hook) (*WAL, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func openWAL(dir string, segMax int, d disk) (*WAL, error) {
+	if err := d.mkdir(dir); err != nil {
 		return nil, err
 	}
-	entries, err := os.ReadDir(dir)
+	entries, err := d.readDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	w := &WAL{dir: dir, hook: hook, segMax: segMax}
+	w := &WAL{dir: dir, disk: d, segMax: segMax}
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
@@ -95,7 +105,7 @@ func openWAL(dir string, segMax int, hook Hook) (*WAL, error) {
 	for i := range w.segs {
 		si := &w.segs[i]
 		path := filepath.Join(dir, si.name)
-		data, err := os.ReadFile(path)
+		data, err := d.readFile(path)
 		if err != nil {
 			return nil, err
 		}
@@ -111,7 +121,7 @@ func openWAL(dir string, segMax int, hook Hook) (*WAL, error) {
 			return nil, fmt.Errorf("durable: wal segment %s: %w", si.name, err)
 		}
 		if last && good < len(data) {
-			if err := os.Truncate(path, int64(good)); err != nil {
+			if err := d.truncate(path, int64(good)); err != nil {
 				return nil, err
 			}
 		}
@@ -122,10 +132,10 @@ func openWAL(dir string, segMax int, hook Hook) (*WAL, error) {
 	// process died before the first append survived). Leaving them would
 	// collide with the name of the next segment created at the same index.
 	for n := len(w.segs); n > 0 && w.segs[n-1].count == 0; n = len(w.segs) {
-		if err := os.Remove(filepath.Join(dir, w.segs[n-1].name)); err != nil {
+		if err := d.remove(filepath.Join(dir, w.segs[n-1].name)); err != nil {
 			return nil, err
 		}
-		w.segs = w.segs[:n-1]
+		w.segs, w.dirDirty = w.segs[:n-1], true
 	}
 	if len(w.segs) == 0 {
 		// No segment survived, so there is no on-disk base marker: the log is
@@ -179,8 +189,11 @@ func decodeSegment(data []byte, tolerateTail bool) (int, []Record, error) {
 // Append adds a record and returns its absolute offset. The record is framed into the pooled
 // scratch buffer and written to the current segment; the in-memory mirror and
 // the returned absolute index advance only if the write fully succeeded, so a
-// torn or failed write is never acknowledged.
+// torn or failed write is never acknowledged, and poisons the log.
 func (w *WAL) Append(r Record) (int, error) {
+	if w.err != nil {
+		return 0, w.err
+	}
 	w.buf = append(w.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0)
 	w.buf = AppendRecord(w.buf, &r)
 	payload := w.buf[frameHeader:]
@@ -194,20 +207,14 @@ func (w *WAL) Append(r Record) (int, error) {
 	if err := w.ensureSegment(); err != nil {
 		return 0, err
 	}
-	towrite := w.buf
-	var inject error
-	if w.hook != nil {
-		towrite, inject = w.hook.BeforeWrite(w.fname, w.buf)
-	}
-	if len(towrite) > 0 {
-		n, err := w.f.Write(towrite)
-		w.fsize += n
-		if err != nil {
-			return 0, err
-		}
-	}
-	if inject != nil {
-		return 0, inject
+	n, err := w.disk.write(w.f, w.buf)
+	w.fsize += n
+	if err != nil {
+		// Whatever landed ends the segment: nothing may follow it.
+		w.err = err
+		err = errors.Join(err, w.disk.close(w.f))
+		w.f = nil
+		return 0, err
 	}
 	w.recs = append(w.recs, r)
 	w.segs[len(w.segs)-1].count++
@@ -229,31 +236,40 @@ func (w *WAL) Slice(from, to int) []Record {
 	return out
 }
 
-// Sync fsyncs the current segment. Called by the store when a checkpoint
-// completes: everything at or below the checkpoint's offset becomes durable
-// before the completion mark is published.
+// Sync fsyncs the current segment, and the log directory when a segment was
+// created or removed since its last sync. Called by the store when a
+// checkpoint completes: everything at or below the checkpoint's offset, and
+// the directory entries of the segments holding it, become durable before
+// the completion mark is published.
 func (w *WAL) Sync() error {
-	if w.f == nil {
-		return nil
+	if w.err != nil {
+		return w.err
 	}
-	if w.hook != nil {
-		if err := w.hook.BeforeSync(w.fname); err != nil {
+	if w.f != nil {
+		if err := w.disk.sync(w.f); err != nil {
 			return err
 		}
 	}
-	return w.f.Sync()
+	if w.dirDirty {
+		if err := w.disk.syncDir(w.dir); err != nil {
+			return err
+		}
+		w.dirDirty = false
+	}
+	return nil
 }
 
 // Truncate deletes segments that lie entirely below keepFrom — the replay
 // offset of the checkpoint before the latest, the oldest point recovery can
 // ever need. The final segment is never deleted: its name carries the log's
-// base index across reopen.
+// base index across reopen. The removals become durable at the next Sync.
 func (w *WAL) Truncate(keepFrom int) error {
 	for len(w.segs) > 1 && w.segs[0].base+w.segs[0].count <= keepFrom {
-		if err := os.Remove(filepath.Join(w.dir, w.segs[0].name)); err != nil {
+		if err := w.disk.remove(filepath.Join(w.dir, w.segs[0].name)); err != nil {
 			return err
 		}
 		w.segs = w.segs[1:]
+		w.dirDirty = true
 	}
 	return nil
 }
@@ -276,7 +292,7 @@ func (w *WAL) roll() error {
 	if err := w.Sync(); err != nil {
 		return err
 	}
-	if err := w.f.Close(); err != nil {
+	if err := w.disk.close(w.f); err != nil {
 		return err
 	}
 	w.f = nil
@@ -290,11 +306,11 @@ func (w *WAL) ensureSegment() error {
 	base := w.base + len(w.recs)
 	name := fmt.Sprintf("%s%016x%s", segPrefix, base, segSuffix)
 	path := filepath.Join(w.dir, name)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := w.disk.create(path)
 	if err != nil {
 		return err
 	}
-	w.f, w.fname, w.fsize = f, path, 0
+	w.f, w.fsize, w.dirDirty = f, 0, true
 	w.segs = append(w.segs, segInfo{name: name, base: base})
 	return nil
 }

@@ -1,6 +1,10 @@
 package durable
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -52,7 +56,7 @@ func segFiles(t *testing.T, dir string) []string {
 
 func TestWALRoundTripAcrossSegments(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir, 256, nil)
+	w, err := openWAL(dir, 256, disk{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +67,7 @@ func TestWALRoundTripAcrossSegments(t *testing.T) {
 	if n := len(segFiles(t, dir)); n < 2 {
 		t.Fatalf("expected multiple segments at 256-byte roll, got %d", n)
 	}
-	w2, err := openWAL(dir, 256, nil)
+	w2, err := openWAL(dir, 256, disk{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +115,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			w, err := openWAL(dir, 1<<20, nil)
+			w, err := openWAL(dir, 1<<20, disk{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +125,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 			}
 			names := segFiles(t, dir)
 			tc.tear(t, filepath.Join(dir, names[len(names)-1]))
-			w2, err := openWAL(dir, 1<<20, nil)
+			w2, err := openWAL(dir, 1<<20, disk{})
 			if err != nil {
 				t.Fatalf("torn tail must be recoverable: %v", err)
 			}
@@ -146,7 +150,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 
 func TestWALSealedCorruptionFatal(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir, 256, nil)
+	w, err := openWAL(dir, 256, disk{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,14 +171,14 @@ func TestWALSealedCorruptionFatal(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openWAL(dir, 256, nil); err == nil || !strings.Contains(err.Error(), "sealed") {
+	if _, err := openWAL(dir, 256, disk{}); err == nil || !strings.Contains(err.Error(), "sealed") {
 		t.Fatalf("sealed-segment corruption must fail open loudly, got %v", err)
 	}
 }
 
 func TestWALTruncateDropsWholeSegments(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir, 256, nil)
+	w, err := openWAL(dir, 256, disk{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +203,7 @@ func TestWALTruncateDropsWholeSegments(t *testing.T) {
 	}
 	// Reopen: the base is now the oldest surviving segment, and slicing below
 	// it panics (recovery validates coverage before replaying).
-	w2, err := openWAL(dir, 256, nil)
+	w2, err := openWAL(dir, 256, disk{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,4 +221,64 @@ func TestWALTruncateDropsWholeSegments(t *testing.T) {
 		}()
 		w2.Slice(0, 40)
 	}()
+}
+
+// TestWALRejectsForeignSegments: a segment whose name carries no record
+// index, and a frame whose CRC verifies over bytes that are no record, fail
+// the open loudly — neither is a torn write.
+func TestWALRejectsForeignSegments(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segPrefix+"zz"+segSuffix), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openWAL(dir, 256, disk{}); err == nil || !strings.Contains(err.Error(), "unparseable") {
+		t.Fatalf("segment named without an index: %v", err)
+	}
+
+	dir = t.TempDir()
+	payload := []byte{0xEE, 1, 2}
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
+	frame = append(frame, payload...)
+	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%s%016x%s", segPrefix, 0, segSuffix)), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openWAL(dir, 256, disk{}); err == nil || !strings.Contains(err.Error(), "did not decode") {
+		t.Fatalf("frame that passes its CRC but is no record: %v", err)
+	}
+}
+
+// TestWALDropsEmptyTailSegment: a segment created by a roll whose first
+// append never landed is removed at open — its name would collide with the
+// next segment's — and an open that cannot remove it fails.
+func TestWALDropsEmptyTailSegment(t *testing.T) {
+	dir := t.TempDir()
+	w, err := openWAL(dir, 1<<20, disk{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, w, 0, 3)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	empty := filepath.Join(dir, fmt.Sprintf("%s%016x%s", segPrefix, 3, segSuffix))
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	failRemove := hookFunc(func(op Op, _ string, b []byte) ([]byte, error) {
+		if op == OpRemove {
+			return nil, ErrInjectedCrash
+		}
+		return b, nil
+	})
+	if _, err := openWAL(dir, 1<<20, disk{hook: failRemove}); !errors.Is(err, ErrInjectedCrash) {
+		t.Fatalf("open that could not remove the empty tail segment: %v", err)
+	}
+	w2, err := openWAL(dir, 1<<20, disk{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := segFiles(t, dir); w2.Len() != 3 || len(got) != 1 {
+		t.Fatalf("after reopen: %d records in %v", w2.Len(), got)
+	}
 }

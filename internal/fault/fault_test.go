@@ -1,10 +1,12 @@
 package fault
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
+	"astream/internal/durable"
 	"astream/internal/spe"
 )
 
@@ -108,5 +110,78 @@ func TestRandomPlanDeterministic(t *testing.T) {
 		if o.Kind != KillAfterTuples && o.Kind != KillAtBarrier {
 			t.Fatalf("unexpected kind %v without AllowBatchFaults", o.Kind)
 		}
+	}
+}
+
+// TestRandomPlanDiskDeterministic: equal seeds draw equal disk schedules,
+// different seeds different ones, and the draw reaches every operation class
+// and every write fault.
+func TestRandomPlanDiskDeterministic(t *testing.T) {
+	cfg := RandomDiskConfig{NumFaults: 200, MaxWAL: 100, MaxSnap: 20, MaxManifest: 5}
+	a, b := RandomDiskPlan(42, cfg), RandomDiskPlan(42, cfg)
+	if !reflect.DeepEqual(a.Ops(), b.Ops()) {
+		t.Fatalf("same seed diverged:\n%v\n%v", a.Ops(), b.Ops())
+	}
+	if reflect.DeepEqual(a.Ops(), RandomDiskPlan(43, cfg).Ops()) {
+		t.Fatal("different seeds produced identical schedules")
+	}
+	classes, kinds := map[durable.Op]bool{}, map[DiskOpKind]bool{}
+	for _, o := range a.Ops() {
+		classes[o.class()], kinds[o.Kind] = true, true
+		if o.Kind != CrashAt && o.class() != durable.OpWrite {
+			t.Fatalf("%v damages the bytes of a %v", o.Kind, o.Class)
+		}
+	}
+	if len(classes) != durable.NumOps || len(kinds) != 3 {
+		t.Fatalf("200 draws reached classes %v and kinds %v", classes, kinds)
+	}
+}
+
+// TestDiskPlanFiresOnce: an op fires at the N-th operation of its class on
+// its target — tearing, corrupting or withholding a write's bytes — with an
+// error wrapping durable.ErrInjectedCrash, and never again; Seen lists every
+// operation as the op that would fail exactly it.
+func TestDiskPlanFiresOnce(t *testing.T) {
+	p := NewDiskPlan(
+		DiskOp{Kind: TornWriteAt, Target: TargetWAL, N: 2},
+		DiskOp{Kind: CorruptCRC, Target: TargetSnap, N: 1},
+		DiskOp{Kind: CrashAt, Class: durable.OpRename, Target: TargetManifest, N: 1},
+		DiskOp{Kind: CrashAt, Class: durable.OpWrite, Target: TargetAny, N: 4},
+	)
+	data := []byte{1, 2, 3, 4}
+	for i, tc := range []struct {
+		op   durable.Op
+		path string
+		want []byte
+		hit  bool
+	}{
+		{durable.OpWrite, "d/wal/wal-00.seg", data, false},
+		{durable.OpRename, "d/snap/snap-01", nil, false},
+		{durable.OpWrite, "d/wal/wal-00.seg", data[:2], true},
+		{durable.OpWrite, "d/snap/snap-01.tmp", []byte{1, 2, 3, 4 ^ 0xA5}, true},
+		{durable.OpRename, "d/manifest", nil, true},
+		{durable.OpRename, "d/manifest", nil, false},
+		{durable.OpWrite, "d/out/out-00.tmp", nil, true},
+		{durable.OpWrite, "d/wal/wal-00.seg", data, false},
+	} {
+		in := data
+		if tc.op != durable.OpWrite {
+			in = nil
+		}
+		got, err := p.Disk(tc.op, tc.path, in)
+		if hit := err != nil; hit != tc.hit || !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("operation %d (%v %s): %v, %v", i, tc.op, tc.path, got, err)
+		}
+		if tc.hit && !errors.Is(err, durable.ErrInjectedCrash) {
+			t.Fatalf("operation %d: %v does not wrap the injected-crash sentinel", i, err)
+		}
+	}
+	if n := len(p.Fired()); n != 4 {
+		t.Fatalf("fired %v", p.Fired())
+	}
+	seen := p.Seen()
+	want := DiskOp{Kind: CrashAt, Class: durable.OpRename, Target: TargetManifest, N: 2}
+	if len(seen) != 8 || seen[5] != want {
+		t.Fatalf("seen %v", seen)
 	}
 }

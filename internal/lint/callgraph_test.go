@@ -220,7 +220,7 @@ func TestFindingsJSONRoundTrip(t *testing.T) {
 
 func TestBaselineSubtract(t *testing.T) {
 	mk := func(file, msg string, line int) Finding {
-		return Finding{Analyzer: "errsink", File: file, Line: line, Col: 1, Message: msg}
+		return Finding{Analyzer: "maporder", File: file, Line: line, Col: 1, Message: msg}
 	}
 	current := Report{Version: ReportVersion, Findings: []Finding{
 		mk("a.go", "error discarded", 10),

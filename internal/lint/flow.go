@@ -5,10 +5,10 @@ import (
 	"go/token"
 )
 
-// This file is the one control-flow engine under the flow-sensitive
-// analyzers (DESIGN.md §8, "The flow engine"): lockheld-send and errsink
-// are clients that bring a lattice and leaf transfer functions, and every
-// rule about control lives here, once:
+// This file is the control-flow engine under the flow-sensitive analyzer
+// (DESIGN.md §8, "The flow engine"): lockheld-send is its client, bringing a
+// lattice and leaf transfer functions, and every rule about control lives
+// here, once:
 //
 //   - if / switch / type switch / select fork the state, one copy per arm,
 //     and join the arms that fall out; the pre-state falls through only when
@@ -36,9 +36,8 @@ import (
 type flowClient[S any] interface {
 	clone(s S) S
 	// join folds src into dst at a merge point and reports whether dst
-	// changed. loop is the loop statement when the merge is a loop's head or
-	// exit, nil at every other merge.
-	join(dst, src S, loop ast.Stmt) (S, bool)
+	// changed.
+	join(dst, src S) (S, bool)
 	// stmt is the transfer function of one statement that is not control
 	// flow (return and defer included: their operands are evaluated here).
 	// comm marks the communication of a select clause, which runs in that
@@ -56,7 +55,7 @@ type flowClient[S any] interface {
 	exit(s S, pos token.Pos)
 }
 
-// flowMaxIter bounds the loop fixpoint; the clients' lattices are finite
+// flowMaxIter bounds the loop fixpoint; the client lattices are finite
 // and converge in two or three rounds.
 const flowMaxIter = 10
 
@@ -91,14 +90,14 @@ func runFlow[S any](p *Package, c flowClient[S], body *ast.BlockStmt, entry S) {
 
 func live[S any](s S) flowPath[S] { return flowPath[S]{s: s, live: true} }
 
-func (f *flow[S]) merge(dst, src flowPath[S], loop ast.Stmt) flowPath[S] {
+func (f *flow[S]) merge(dst, src flowPath[S]) flowPath[S] {
 	switch {
 	case !src.live:
 		return dst
 	case !dst.live:
 		return src
 	}
-	dst.s, _ = f.c.join(dst.s, src.s, loop)
+	dst.s, _ = f.c.join(dst.s, src.s)
 	return dst
 }
 
@@ -135,9 +134,9 @@ func (f *flow[S]) stmt(st ast.Stmt, s S) flowPath[S] {
 		if st.Else != nil {
 			els = f.stmt(st.Else, no)
 		}
-		return f.merge(els, then, nil)
+		return f.merge(els, then)
 	case *ast.ForStmt:
-		return f.loop(st, label, f.simple(st.Init, s), st.Body, st.Post, func(head S) (S, flowPath[S]) {
+		return f.loop(label, f.simple(st.Init, s), st.Body, st.Post, func(head S) (S, flowPath[S]) {
 			if st.Cond == nil {
 				return head, flowPath[S]{}
 			}
@@ -145,7 +144,7 @@ func (f *flow[S]) stmt(st ast.Stmt, s S) flowPath[S] {
 			return yes, live(no)
 		})
 	case *ast.RangeStmt:
-		return f.loop(st, label, f.c.expr(st.X, s), st.Body, nil, func(head S) (S, flowPath[S]) {
+		return f.loop(label, f.c.expr(st.X, s), st.Body, nil, func(head S) (S, flowPath[S]) {
 			return f.c.enter(st, f.c.clone(head)), live(head)
 		})
 	case *ast.SwitchStmt:
@@ -209,7 +208,7 @@ func (f *flow[S]) push(label string, loop bool) *flowFrame[S] {
 // loop iterates one for/range to the head-state fixpoint. head maps the
 // state at the loop head to the body's entry and the no-more-iterations
 // exit (a dead path for a condition-less for).
-func (f *flow[S]) loop(st ast.Stmt, label string, h S, body *ast.BlockStmt, post ast.Stmt,
+func (f *flow[S]) loop(label string, h S, body *ast.BlockStmt, post ast.Stmt,
 	head func(S) (S, flowPath[S])) flowPath[S] {
 	fr := f.push(label, true)
 	var exit flowPath[S]
@@ -219,19 +218,19 @@ func (f *flow[S]) loop(st ast.Stmt, label string, h S, body *ast.BlockStmt, post
 		in, exit = head(f.c.clone(h))
 		back := f.block(body.List, in)
 		for _, c := range fr.continues {
-			back = f.merge(back, live(c), st)
+			back = f.merge(back, live(c))
 		}
 		if !back.live {
 			break
 		}
 		var changed bool
-		if h, changed = f.c.join(h, f.simple(post, back.s), st); !changed {
+		if h, changed = f.c.join(h, f.simple(post, back.s)); !changed {
 			break
 		}
 	}
 	f.frames = f.frames[:len(f.frames)-1]
 	for _, b := range fr.breaks {
-		exit = f.merge(exit, live(b), st)
+		exit = f.merge(exit, live(b))
 	}
 	return exit
 }
@@ -276,7 +275,7 @@ func (f *flow[S]) clauses(st ast.Stmt, body *ast.BlockStmt, label string, s S) f
 		out = live(s)
 	}
 	for i, list := range bodies {
-		end := f.block(list, f.merge(live(entries[i]), through, nil).s)
+		end := f.block(list, f.merge(live(entries[i]), through).s)
 		through = flowPath[S]{}
 		if n := len(list); n > 0 && end.live {
 			if br, ok := list[n-1].(*ast.BranchStmt); ok && br.Tok == token.FALLTHROUGH {
@@ -284,11 +283,11 @@ func (f *flow[S]) clauses(st ast.Stmt, body *ast.BlockStmt, label string, s S) f
 				continue
 			}
 		}
-		out = f.merge(out, end, nil)
+		out = f.merge(out, end)
 	}
 	f.frames = f.frames[:len(f.frames)-1]
 	for _, b := range fr.breaks {
-		out = f.merge(out, live(b), nil)
+		out = f.merge(out, live(b))
 	}
 	return out
 }

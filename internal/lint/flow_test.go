@@ -57,7 +57,7 @@ func (t *toyFlow) assign(s toyPaths, names ...string) toyPaths {
 
 func (t *toyFlow) clone(s toyPaths) toyPaths { return t.assign(s) }
 
-func (t *toyFlow) join(dst, src toyPaths, _ ast.Stmt) (toyPaths, bool) {
+func (t *toyFlow) join(dst, src toyPaths) (toyPaths, bool) {
 	before := len(dst)
 	for p := range src {
 		dst[p] = true
@@ -103,7 +103,7 @@ func (t *toyFlow) exit(s toyPaths, pos token.Pos) {
 	if t.exits[line] == nil {
 		t.exits[line] = toyPaths{}
 	}
-	t.join(t.exits[line], s, nil)
+	t.join(t.exits[line], s)
 }
 
 // TestFlowContract pins the engine's control rules construct by construct:

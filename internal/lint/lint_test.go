@@ -121,14 +121,10 @@ func TestNakedAtomicFixture(t *testing.T) {
 	checkFixture(t, "nakedatomic", []*Analyzer{NewNakedAtomic()})
 }
 
-func TestErrSinkFixture(t *testing.T) {
-	checkFixture(t, "errsink", []*Analyzer{NewErrSink(nil)})
-}
-
-// TestStateScope verifies errsink honors its package scope: pointed at
+// TestStateScope verifies maporder honors its package scope: pointed at
 // other packages, its fixture is silent.
 func TestStateScope(t *testing.T) {
-	diags := Run([]*Package{loadFixture(t, "errsink")}, []*Analyzer{NewErrSink([]string{"mod/internal/other"})})
+	diags := Run([]*Package{loadFixture(t, "maporder")}, []*Analyzer{NewMapOrder([]string{"mod/internal/other"})})
 	if len(diags) != 0 {
 		t.Errorf("out-of-scope package produced %d diagnostics: %v", len(diags), diags)
 	}

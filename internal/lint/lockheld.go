@@ -89,7 +89,7 @@ func (c *lockScan) clone(s *lockState) *lockState {
 	return &lockState{held: maps.Clone(s.held), defUn: maps.Clone(s.defUn)}
 }
 
-func (c *lockScan) join(dst, src *lockState, _ ast.Stmt) (*lockState, bool) {
+func (c *lockScan) join(dst, src *lockState) (*lockState, bool) {
 	before := len(dst.held) + len(dst.defUn)
 	for k := range src.held {
 		dst.held[k] = true
