@@ -223,8 +223,8 @@ func writeJSON(dir string, sc experiments.Scale, nodes []int) error {
 		return fmt.Errorf("recovery benchmark: %w", err)
 	}
 	printRow := func(label string, row recoveryRow) {
-		fmt.Printf("recovery %-22s %2d ckpts delta=%d  reopen %7.2fms [%.2f–%.2f]  +finish %7.2fms [%.2f–%.2f]  wal %7d B  snap %7d B (%d/%d records replayed)\n",
-			label, row.Checkpoints, row.DeltaEvery,
+		fmt.Printf("recovery %-22s %2d ckpts  reopen %7.2fms [%.2f–%.2f]  +finish %7.2fms [%.2f–%.2f]  wal %7d B  snap %7d B (%d/%d records replayed)\n",
+			label, row.Checkpoints,
 			float64(row.Reopen.MedianNanos)/1e6, float64(row.Reopen.MinNanos)/1e6, float64(row.Reopen.MaxNanos)/1e6,
 			float64(row.ReopenAndFinish.MedianNanos)/1e6, float64(row.ReopenAndFinish.MinNanos)/1e6, float64(row.ReopenAndFinish.MaxNanos)/1e6,
 			row.WALBytes, row.SnapBytes, row.SuffixRecords, row.LogRecords)
@@ -297,7 +297,6 @@ func newTiming(samples []int64) timing {
 // replayed suffix fully processed and the final epoch committed).
 type recoveryRow struct {
 	Checkpoints     int    `json:"checkpoints"`
-	DeltaEvery      int    `json:"delta_every"`
 	LogRecords      int    `json:"log_records"`
 	SuffixRecords   int    `json:"suffix_records"`
 	WALBytes        int64  `json:"wal_bytes"`
@@ -334,11 +333,11 @@ func benchRecovery() (recoveryReport, error) {
 		Reps: recoveryReps,
 	}
 	const phases = 20
-	ckpt, ckptOut, err := recoveryScenario(phases, true, 0, agg, join)
+	ckpt, ckptOut, err := recoveryScenario(phases, true, agg, join)
 	if err != nil {
 		return rep, err
 	}
-	never, neverOut, err := recoveryScenario(phases, false, 0, agg, join)
+	never, neverOut, err := recoveryScenario(phases, false, agg, join)
 	if err != nil {
 		return rep, err
 	}
@@ -352,20 +351,11 @@ func benchRecovery() (recoveryReport, error) {
 		Speedup: float64(never.ReopenAndFinish.MedianNanos) / float64(ckpt.ReopenAndFinish.MedianNanos),
 	}
 	for _, ckpts := range []int{5, 20} {
-		var want []string
-		for _, deltaEvery := range []int{0, 3} {
-			row, out, err := recoveryScenario(ckpts, true, deltaEvery, agg, long, join)
-			if err != nil {
-				return rep, err
-			}
-			// Within a sweep point the delta modes cut identical epochs.
-			if want == nil {
-				want = out
-			} else if err := sameOutput(out, want); err != nil {
-				return rep, fmt.Errorf("reopen sweep at %d checkpoints, across delta modes: %w", ckpts, err)
-			}
-			rep.ReopenSweep = append(rep.ReopenSweep, row)
+		row, _, err := recoveryScenario(ckpts, true, agg, long, join)
+		if err != nil {
+			return rep, err
 		}
+		rep.ReopenSweep = append(rep.ReopenSweep, row)
 	}
 	return rep, nil
 }
@@ -391,12 +381,12 @@ func sameOutput(got, want []string) error {
 // recoveryScenario repeats recoveryRun on recoveryReps fresh directories and
 // reports the median reopen times with their spread. Every repetition must
 // commit the same output or the measurement is meaningless.
-func recoveryScenario(phases int, cut bool, deltaEvery int, queries ...*core.Query) (recoveryRow, []string, error) {
+func recoveryScenario(phases int, cut bool, queries ...*core.Query) (recoveryRow, []string, error) {
 	var row recoveryRow
 	var out []string
 	var reopen, finish []int64
 	for rep := 0; rep < recoveryReps; rep++ {
-		r, o, err := recoveryRun(phases, cut, deltaEvery, queries)
+		r, o, err := recoveryRun(phases, cut, queries)
 		if err != nil {
 			return row, nil, err
 		}
@@ -417,7 +407,7 @@ func recoveryScenario(phases int, cut bool, deltaEvery int, queries ...*core.Que
 // cold, once: finishing publishes the final epoch, so a directory is good for
 // one measurement. It returns what the directory held, with the one sample of
 // each wall time, and the committed output.
-func recoveryRun(phases int, cut bool, deltaEvery int, queries []*core.Query) (row recoveryRow, out []string, err error) {
+func recoveryRun(phases int, cut bool, queries []*core.Query) (row recoveryRow, out []string, err error) {
 	dir, err := os.MkdirTemp("", "astream-bench-recovery-*")
 	if err != nil {
 		return row, nil, err
@@ -425,8 +415,7 @@ func recoveryRun(phases int, cut bool, deltaEvery int, queries []*core.Query) (r
 	defer os.RemoveAll(dir)
 	cfg := core.Config{
 		Streams: 2, Parallelism: 2, Nodes: 2, WatermarkEvery: 1,
-		NowNanos:           func() int64 { return 1 },
-		SnapshotDeltaEvery: deltaEvery,
+		NowNanos: func() int64 { return 1 },
 	}
 	r, err := checkpoint.Open(cfg, dir, durable.Options{})
 	if err != nil {
@@ -460,7 +449,7 @@ func recoveryRun(phases int, cut bool, deltaEvery int, queries []*core.Query) (r
 		return nil
 	}
 	err = script()
-	row = recoveryRow{DeltaEvery: deltaEvery, LogRecords: r.Store().WAL().Len()}
+	row = recoveryRow{LogRecords: r.Store().WAL().Len()}
 	if offs := r.Store().Offsets(); len(offs) > 0 {
 		row.Checkpoints = len(offs)
 		row.SuffixRecords = row.LogRecords - offs[len(offs)-1]

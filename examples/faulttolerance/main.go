@@ -22,7 +22,7 @@ import (
 	"astream/internal/durable"
 )
 
-var cfg = core.Config{Streams: 1, Parallelism: 2, WatermarkEvery: 1, SnapshotDeltaEvery: 3}
+var cfg = core.Config{Streams: 1, Parallelism: 2, WatermarkEvery: 1}
 
 func query() *core.Query {
 	return astream.NewAggregation(astream.Tumbling(10), astream.AggSum, 0, astream.True())

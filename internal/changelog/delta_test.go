@@ -2,6 +2,7 @@ package changelog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 )
@@ -128,5 +129,12 @@ func TestTableDeltaRejectsOutOfOrderAndCorrupt(t *testing.T) {
 	}
 	if err := fresh(t).ApplyDelta(nil); err == nil {
 		t.Fatal("empty delta accepted")
+	}
+	// A compaction point past the newest epoch, which Compact would clamp:
+	// the delta would restore, and re-encode as another.
+	past := append([]byte(nil), delta...)
+	binary.LittleEndian.PutUint64(past[9:], sender.Latest()+1)
+	if err := fresh(t).ApplyDelta(past); err == nil || !strings.Contains(err.Error(), "compacts to epoch") {
+		t.Fatalf("compaction past the newest epoch accepted: %v", err)
 	}
 }

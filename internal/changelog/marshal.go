@@ -169,6 +169,11 @@ func (t *Table) ApplyDelta(b []byte) error {
 		if err := r.Finish("changelog table delta"); err != nil {
 			return err
 		}
+		// The sender's compaction point lies in the table the receiver now
+		// holds: a base only rises, and never past the newest epoch.
+		if newBase < t.base || newBase > t.Latest() {
+			return fmt.Errorf("changelog: table delta compacts to epoch %d, outside the table's [%d,%d]", newBase, t.base, t.Latest())
+		}
 		t.Compact(newBase)
 		return nil
 	default:

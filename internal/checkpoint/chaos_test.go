@@ -137,11 +137,10 @@ func applyUntilError(r *Runner, steps []step, from int) (int, error) {
 	return len(steps), nil
 }
 
-func testConfig(plan *fault.Plan, deltaEvery int) core.Config {
+func testConfig(plan *fault.Plan) core.Config {
 	cfg := core.Config{
 		Streams: 2, Parallelism: 2, Nodes: 2, WatermarkEvery: 1,
-		NowNanos:           func() int64 { return 1 },
-		SnapshotDeltaEvery: deltaEvery,
+		NowNanos: func() int64 { return 1 },
 	}
 	if plan != nil {
 		cfg.FaultHook = plan
@@ -171,7 +170,7 @@ func mustFinish(t *testing.T, r *Runner) []string {
 // run of the steps on a fresh directory.
 func cleanRun(t *testing.T, steps []step) []string {
 	t.Helper()
-	r := mustOpen(t, testConfig(nil, 0), t.TempDir(), durable.Options{})
+	r := mustOpen(t, testConfig(nil), t.TempDir(), durable.Options{})
 	if i, err := applyUntilError(r, steps, 0); err != nil {
 		t.Fatalf("clean step %d: %v", i, err)
 	}
@@ -202,10 +201,10 @@ func assertSameOutput(t *testing.T, got, want []string) {
 // replay, a disk fault while re-cutting): it is simply called again; fired
 // one-shot ops never recur. Returns the output the last incarnation committed
 // and the number of recoveries.
-func runChaos(t *testing.T, steps []step, plan *fault.Plan, disk *fault.DiskPlan, deltaEvery int) ([]string, int) {
+func runChaos(t *testing.T, steps []step, plan *fault.Plan, disk *fault.DiskPlan) ([]string, int) {
 	t.Helper()
 	dir := t.TempDir()
-	cfg := testConfig(plan, deltaEvery)
+	cfg := testConfig(plan)
 	opts := durable.Options{SegmentBytes: 1 << 10}
 	if disk != nil {
 		opts.Hook = disk
@@ -252,9 +251,11 @@ func enginePlan(seed int64) *fault.Plan {
 // TestDurableChaosSeededSchedules is the headline robustness test: seeded
 // engine-fault and disk-fault schedules run together, every incarnation is
 // rebuilt from the directory only, and the committed output stays
-// byte-identical to the fault-free run — under full snapshots and under
-// base+delta chains. The engine-only row of each seed is the same schedule
-// with no disk plan at all.
+// byte-identical to the fault-free run, the windowed operators restoring
+// through chains of a full snapshot and deltas. A seed's run is named
+// -delta3 for that chain, a full snapshot every third barrier, which became
+// the only one the engine cuts. The engine-only row of each seed is the same
+// schedule with no disk plan at all.
 //
 // Ordered so the short-mode prefix covers schedules that actually fire: 23
 // drops a source batch, 42 kills an aggregate instance mid-stream, 58 kills an
@@ -272,22 +273,19 @@ func TestDurableChaosSeededSchedules(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		seed := seed
-		for _, deltaEvery := range []int{0, 3} {
-			deltaEvery := deltaEvery
-			t.Run(fmt.Sprintf("seed%d-delta%d", seed, deltaEvery), func(t *testing.T) {
-				plan := enginePlan(seed)
-				disk := fault.RandomDiskPlan(seed, fault.RandomDiskConfig{
-					NumFaults: 3, MaxWAL: 200, MaxSnap: 30, MaxManifest: 5,
-				})
-				got, recoveries := runChaos(t, steps, plan, disk, deltaEvery)
-				t.Logf("seed %d delta %d: %d recoveries, engine: %v, disk: %v",
-					seed, deltaEvery, recoveries, plan.Fired(), disk.Fired())
-				assertSameOutput(t, got, want)
+		t.Run(fmt.Sprintf("seed%d-delta3", seed), func(t *testing.T) {
+			plan := enginePlan(seed)
+			disk := fault.RandomDiskPlan(seed, fault.RandomDiskConfig{
+				NumFaults: 3, MaxWAL: 200, MaxSnap: 30, MaxManifest: 5,
 			})
-		}
+			got, recoveries := runChaos(t, steps, plan, disk)
+			t.Logf("seed %d: %d recoveries, engine: %v, disk: %v",
+				seed, recoveries, plan.Fired(), disk.Fired())
+			assertSameOutput(t, got, want)
+		})
 		t.Run(fmt.Sprintf("seed%d-engine-only", seed), func(t *testing.T) {
 			plan := enginePlan(seed)
-			got, recoveries := runChaos(t, steps, plan, nil, 0)
+			got, recoveries := runChaos(t, steps, plan, nil)
 			t.Logf("seed %d: %d recoveries, injections: %v", seed, recoveries, plan.Fired())
 			assertSameOutput(t, got, want)
 		})
@@ -328,7 +326,7 @@ func TestDurableChaosDiskOnly(t *testing.T) {
 			disk := fault.RandomDiskPlan(seed, fault.RandomDiskConfig{
 				NumFaults: 6, MaxWAL: 400, MaxSnap: 40, MaxManifest: 6,
 			})
-			got, recoveries := runChaos(t, steps, nil, disk, 3)
+			got, recoveries := runChaos(t, steps, nil, disk)
 			t.Logf("seed %d: %d recoveries, disk: %v", seed, recoveries, disk.Fired())
 			assertSameOutput(t, got, want)
 		})
@@ -347,7 +345,7 @@ func TestChaosKillRecoversFromSnapshot(t *testing.T) {
 	// counted per instance; at least one checkpoint has completed by the
 	// 20th tuple that hashes to instance 0).
 	plan := fault.NewPlan(fault.Op{Kind: fault.KillAfterTuples, Op: "aggregate", Instance: 0, N: 20})
-	cfg, dir := testConfig(plan, 0), t.TempDir()
+	cfg, dir := testConfig(plan), t.TempDir()
 	r := mustOpen(t, cfg, dir, durable.Options{})
 	i, ckptErr := applyUntilError(r, steps, 0)
 	if ckptErr == nil {
@@ -400,7 +398,7 @@ func TestChaosRunsTheIndex(t *testing.T) {
 	want := cleanRun(t, steps)
 
 	plan := enginePlan(42)
-	cfg, dir := testConfig(plan, 0), t.TempDir()
+	cfg, dir := testConfig(plan), t.TempDir()
 	r := mustOpen(t, cfg, dir, durable.Options{})
 	i, err := applyUntilError(r, steps, 0)
 	if err == nil || steps[i].kind != stepCheckpoint {
@@ -435,7 +433,7 @@ func TestChaosRunsTheIndex(t *testing.T) {
 func TestChaosQuarantine(t *testing.T) {
 	// Query IDs are assigned 1, 2, ... in submit order; panic query 1.
 	plan := fault.NewPlan(fault.Op{Kind: fault.PanicPredicate, QueryID: 1})
-	r := mustOpen(t, testConfig(plan, 0), t.TempDir(), durable.Options{})
+	r := mustOpen(t, testConfig(plan), t.TempDir(), durable.Options{})
 	if err := r.Submit(testQuery(core.KindAggregation)); err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func TestExactlyOnceUnderCrash(t *testing.T) {
 			checkpoints = append(checkpoints, i+1)
 		}
 	}
-	cfg := testConfig(nil, 0)
+	cfg := testConfig(nil)
 	for crashAt := 1; crashAt <= 4; crashAt++ {
 		cut := checkpoints[crashAt-1]
 		t.Run(fmt.Sprintf("crashAfterCkpt%d", crashAt), func(t *testing.T) {
@@ -121,7 +121,7 @@ func TestCleanRunMatchesReplayedRun(t *testing.T) {
 	steps := crashSteps()
 	want := cleanRun(t, steps)
 
-	cfg, dir := testConfig(nil, 0), t.TempDir()
+	cfg, dir := testConfig(nil), t.TempDir()
 	r := mustOpen(t, cfg, dir, durable.Options{})
 	for i, s := range steps {
 		if s.kind == stepCheckpoint {
@@ -190,7 +190,7 @@ func TestCheckpointEpochBoundaries(t *testing.T) {
 // fail every replay — so the log does not grow and the directory reopens.
 func TestRejectedCallsAreNotLogged(t *testing.T) {
 	dir := t.TempDir()
-	cfg := testConfig(nil, 0)
+	cfg := testConfig(nil)
 	r := mustOpen(t, cfg, dir, durable.Options{})
 	if err := r.Submit(testQuery(core.KindAggregation)); err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestRejectedCallsAreNotLogged(t *testing.T) {
 func TestFinishFailsAfterInstanceDeath(t *testing.T) {
 	plan := fault.NewPlan(fault.Op{Kind: fault.KillAfterTuples, Op: "aggregate", Instance: 0, N: 1})
 	dir := t.TempDir()
-	r := mustOpen(t, testConfig(plan, 0), dir, durable.Options{})
+	r := mustOpen(t, testConfig(plan), dir, durable.Options{})
 	if err := r.Submit(testQuery(core.KindAggregation)); err != nil {
 		t.Fatal(err)
 	}

@@ -22,14 +22,14 @@ import (
 // directory — the only thing handed to the successor — and assert the final
 // committed output is byte-identical to the fault-free, never-restarted run.
 // The log suffix past the last completed checkpoint is replayed from the WAL;
-// operators restore from deposit files (full snapshots or base+delta chains
-// when SnapshotDeltaEvery is set).
+// operators restore from deposit files: the selections' full snapshots, and
+// the windowed operators' chains of a full snapshot and deltas.
 
 // runWithRestarts drives steps on dir, crashing the incarnation at each index
 // in cuts and reopening.
-func runWithRestarts(t *testing.T, dir string, deltaEvery int, steps []step, cuts []int) []string {
+func runWithRestarts(t *testing.T, dir string, steps []step, cuts []int) []string {
 	t.Helper()
-	cfg := testConfig(nil, deltaEvery)
+	cfg := testConfig(nil)
 	r := mustOpen(t, cfg, dir, durable.Options{})
 	next := 0
 	for _, cut := range append(cuts, len(steps)) {
@@ -57,22 +57,21 @@ func TestDurableRestartResumesByteIdentical(t *testing.T) {
 	steps := chaosSteps()
 	want := cleanRun(t, steps)
 	// Cut mid-phase (suffix replay from the WAL) and right after a
-	// checkpoint, for both full-only and incremental snapshots.
-	for _, deltaEvery := range []int{0, 3} {
-		t.Run(fmt.Sprintf("deltaEvery%d", deltaEvery), func(t *testing.T) {
-			dir := t.TempDir()
-			cuts := []int{len(steps) / 3, 2 * len(steps) / 3}
-			got := runWithRestarts(t, dir, deltaEvery, steps, cuts)
-			assertSameOutput(t, got, want)
+	// checkpoint. The subtest is named for the chain the engine cuts, a full
+	// snapshot every third barrier.
+	t.Run("deltaEvery3", func(t *testing.T) {
+		dir := t.TempDir()
+		cuts := []int{len(steps) / 3, 2 * len(steps) / 3}
+		got := runWithRestarts(t, dir, steps, cuts)
+		assertSameOutput(t, got, want)
 
-			// The output is in the directory, not in the incarnation that
-			// produced it: one more incarnation, which ingests nothing, reads
-			// back the same results.
-			third := mustOpen(t, testConfig(nil, deltaEvery), dir, durable.Options{})
-			assertSameOutput(t, mustCommitted(t, third), got)
-			third.Crash()
-		})
-	}
+		// The output is in the directory, not in the incarnation that
+		// produced it: one more incarnation, which ingests nothing, reads
+		// back the same results.
+		third := mustOpen(t, testConfig(nil), dir, durable.Options{})
+		assertSameOutput(t, mustCommitted(t, third), got)
+		third.Crash()
+	})
 }
 
 // depositFiles returns the snapshot deposit files under dir whose name has
@@ -86,63 +85,65 @@ func depositFiles(t *testing.T, dir, prefix string) []string {
 	return paths
 }
 
-// TestDurableDeltaChainsOnDisk asserts the incremental path actually persists
+// TestDurableDeltaChainsOnDisk asserts the windowed operators persist
 // deltas: deposits are classified by their leading byte, delta deposits are
 // materially smaller than their full base, chains resolve through FetchChain,
 // and a restore through a base+delta chain equals a full-snapshot restore.
 func TestDurableDeltaChainsOnDisk(t *testing.T) {
-	// A second aggregation over a window far longer than the run keeps every
-	// shared slice alive (a slice serving an unfired window cannot evict), so
-	// the slice ring grows all run and a barrier interval dirties only its
-	// newest few slices.
-	long := testQuery(core.KindAggregation)
-	long.Window = window.TumblingSpec(500)
-	steps := workload(43, 8, 20, -1, testQuery(core.KindAggregation), long)
+	// A second aggregation and a second join over a window far longer than
+	// the run keep every shared slice alive (a slice serving an unfired
+	// window cannot evict), so the slice rings grow all run and a barrier
+	// interval dirties only their newest few slices.
+	long, longJoin := testQuery(core.KindAggregation), testQuery(core.KindJoin)
+	long.Window, longJoin.Window = window.TumblingSpec(500), window.TumblingSpec(500)
+	steps := workload(43, 8, 20, -1, testQuery(core.KindAggregation), long, testQuery(core.KindJoin), longJoin)
 	want := cleanRun(t, steps)
 	dir := t.TempDir()
-	cfg := testConfig(nil, 3)
+	cfg := testConfig(nil)
 	r := mustOpen(t, cfg, dir, durable.Options{})
 	if i, err := applyUntilError(r, steps, 0); err != nil {
 		t.Fatalf("step %d: %v", i, err)
 	}
 
-	// Eight checkpoints at fullEvery=3 give the aggregation the chain shape
+	// Eight checkpoints give a windowed operator the chain shape
 	// F d d F d d F d: barrier 8 is a delta anchored at barrier 7's full
 	// snapshot, and the store retains both.
 	k, ok := r.Store().LatestComplete()
 	if !ok || k != 8 {
 		t.Fatalf("LatestComplete = %d,%v, want 8", k, ok)
 	}
-	var fullSize, deltaSize int
-	for barrier, wantDelta := range map[uint64]bool{7: false, 8: true} {
-		paths := depositFiles(t, dir, fmt.Sprintf("snap-%016x-aggregate-0", barrier))
-		if len(paths) != 1 {
-			t.Fatalf("barrier %d: aggregate[0] deposits on disk: %v", barrier, paths)
+	for _, op := range []string{"aggregate", "join-0"} {
+		var fullSize, deltaSize int
+		for barrier, wantDelta := range map[uint64]bool{7: false, 8: true} {
+			paths := depositFiles(t, dir, fmt.Sprintf("snap-%016x-%s-0", barrier, op))
+			if len(paths) != 1 {
+				t.Fatalf("barrier %d: %s[0] deposits on disk: %v", barrier, op, paths)
+			}
+			data, err := os.ReadFile(paths[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if isDelta := data[0] == spe.DeltaSnapshotMagic; isDelta != wantDelta {
+				t.Fatalf("barrier %d: %s[0] deposit is delta=%v, want %v", barrier, op, isDelta, wantDelta)
+			}
+			if wantDelta {
+				deltaSize = len(data)
+			} else {
+				fullSize = len(data)
+			}
 		}
-		data, err := os.ReadFile(paths[0])
-		if err != nil {
-			t.Fatal(err)
+		if deltaSize*2 > fullSize {
+			t.Fatalf("%s: delta deposit %dB vs full %dB: delta must persist only dirtied slices", op, deltaSize, fullSize)
 		}
-		if isDelta := data[0] == spe.DeltaSnapshotMagic; isDelta != wantDelta {
-			t.Fatalf("barrier %d: aggregate[0] deposit is delta=%v, want %v", barrier, isDelta, wantDelta)
+		chain, err := r.Store().FetchChain(k, op, 0)
+		if err != nil || len(chain) != 2 {
+			t.Fatalf("%s: chain at barrier %d has %d links (%v), want base+delta", op, k, len(chain), err)
 		}
-		if wantDelta {
-			deltaSize = len(data)
-		} else {
-			fullSize = len(data)
-		}
-	}
-	if deltaSize*2 > fullSize {
-		t.Fatalf("delta deposit %dB vs full %dB: delta must persist only dirtied slices", deltaSize, fullSize)
-	}
-	chain, err := r.Store().FetchChain(k, "aggregate", 0)
-	if err != nil || len(chain) != 2 {
-		t.Fatalf("chain at barrier %d has %d links (%v), want base+delta", k, len(chain), err)
 	}
 	r.Crash()
 
 	// Chain restore: the resumed runner must finish with output identical to
-	// the clean run, which only ever took full snapshots.
+	// the clean run, which never restored.
 	assertSameOutput(t, mustFinish(t, mustOpen(t, cfg, dir, durable.Options{})), want)
 }
 
@@ -164,7 +165,7 @@ func TestDurableCorruptLatestFallsBack(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			cfg := testConfig(nil, 0)
+			cfg := testConfig(nil)
 			r := mustOpen(t, cfg, dir, durable.Options{})
 			cut := 2 * len(steps) / 3
 			if i, err := applyUntilError(r, steps[:cut], 0); err != nil {
@@ -234,7 +235,7 @@ func TestDurableCrashBeforeManifestRename(t *testing.T) {
 		}
 		return b, nil
 	})
-	cfg := testConfig(nil, 0)
+	cfg := testConfig(nil)
 	r := mustOpen(t, cfg, dir, durable.Options{Hook: hook})
 	var committed []string // what the directory exposes after the last good mark
 	i := 0
@@ -294,7 +295,7 @@ func TestOpenDemotesOnlyBadCheckpoints(t *testing.T) {
 	steps := chaosSteps()
 	want := cleanRun(t, steps)
 	dir := t.TempDir()
-	cfg := testConfig(nil, 0)
+	cfg := testConfig(nil)
 	r := mustOpen(t, cfg, dir, durable.Options{})
 	cut := 2 * len(steps) / 3 // past the third checkpoint, inside phase 3
 	if i, err := applyUntilError(r, steps[:cut], 0); err != nil {
@@ -320,7 +321,7 @@ func TestOpenDemotesOnlyBadCheckpoints(t *testing.T) {
 	// the dead instance never passes. That failure is not checkpoint 2's.
 	damageDeposit(t, dir, 3, func(b []byte) []byte { b[len(b)/2] ^= 0xFF; return b })
 	plan := fault.NewPlan(fault.Op{Kind: fault.KillAfterTuples, Op: "select-0", Instance: 0, N: 1})
-	if _, err := Open(testConfig(plan, 0), dir, durable.Options{}); err == nil || !strings.Contains(err.Error(), "injected fault") {
+	if _, err := Open(testConfig(plan), dir, durable.Options{}); err == nil || !strings.Contains(err.Error(), "injected fault") {
 		t.Fatalf("open with a kill due during replay: %v", err)
 	}
 	if len(plan.Fired()) != 1 {
@@ -332,7 +333,7 @@ func TestOpenDemotesOnlyBadCheckpoints(t *testing.T) {
 
 	// The kill is spent: the next open succeeds, re-cuts barrier 3, and the
 	// run finishes byte-identical.
-	r2 := mustOpen(t, testConfig(plan, 0), dir, durable.Options{})
+	r2 := mustOpen(t, testConfig(plan), dir, durable.Options{})
 	if k, _ := r2.Store().LatestComplete(); k != 3 {
 		t.Fatalf("latest = %d after replay re-cut, want 3", k)
 	}
@@ -350,7 +351,7 @@ func TestOpenDemotesOnlyBadCheckpoints(t *testing.T) {
 func TestBadCheckpointSentinel(t *testing.T) {
 	defer noGoroutineLeft(t)()
 	steps := chaosSteps()
-	cfg := testConfig(nil, 0)
+	cfg := testConfig(nil)
 	build := func(t *testing.T) string {
 		dir := t.TempDir()
 		r := mustOpen(t, cfg, dir, durable.Options{})
@@ -492,7 +493,7 @@ func TestReplayRejectsRecordsThatDoNotApply(t *testing.T) {
 			}
 			done := make(chan error, 1)
 			go func() {
-				r, err := Open(testConfig(nil, 0), dir, durable.Options{})
+				r, err := Open(testConfig(nil), dir, durable.Options{})
 				if err == nil {
 					r.Crash()
 				}

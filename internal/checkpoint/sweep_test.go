@@ -93,7 +93,7 @@ func (s *sweepRun) runScript(acts []sweepAct, from int) (int, error) {
 }
 
 func sweepConfig() core.Config {
-	cfg := testConfig(nil, 0)
+	cfg := testConfig(nil)
 	cfg.Parallelism, cfg.Nodes = 1, 1
 	return cfg
 }

@@ -228,17 +228,6 @@ type SharedAggregation struct {
 	router       *Router
 	metrics      *OpMetrics
 
-	// Incremental-snapshot bookkeeping (OnBarrierDelta): per-slice fold
-	// counts captured at the last snapshot, the changelog epoch that
-	// snapshot held, and the current delta-chain length. All of it
-	// describes snapshots already taken, never live state — a recovered
-	// instance is freshly constructed, so snapFolds starts nil and the
-	// first delta-mode snapshot after recovery is always full.
-	snapFolds    map[uint64]uint64
-	snapTableSeq uint64
-	sinceFull    int
-	tblScratch   []byte // table-delta encode buffer recycled across barriers
-
 	// Steady-state scratch (owned by the instance goroutine): query-set
 	// intersection temporaries, the seal's, and the fire path's equivalence
 	// blocks and result rows.
@@ -651,13 +640,12 @@ func (a *SharedAggregation) OnTuple(port int, t event.Tuple, _ *spe.Emitter) {
 			return
 		}
 	}
-	sl := a.win.sides[0].sliceFor(t.Time)
+	sl := a.win.writeSlice(0, t.Time)
 	if sl.aggs == nil {
 		sl.aggs = a.takeIndex()
 		a.openIndex(sl.aggs)
 	}
 	a.fold(sl.aggs, &t)
-	sl.folds++
 }
 
 // fold folds t, its masked query-set in qsTmp, into slice index x: into the

@@ -39,6 +39,9 @@ type Config struct {
 	// NowNanos is the wall clock (injectable for tests).
 	NowNanos func() int64
 	// SnapshotSink, when set, receives operator snapshots on checkpoints.
+	// A windowed operator's are a chain — a full snapshot every third
+	// barrier, deltas between — which the sink resolves at restore, as
+	// internal/durable's store does.
 	SnapshotSink spe.SnapshotSink
 	// OnInstanceFailure, when set, is called (from the failing instance's
 	// goroutine) for every supervised operator failure, after the engine has
@@ -48,11 +51,6 @@ type Config struct {
 	// FaultHook, when set, threads deterministic fault injection through the
 	// deployment (tests only; see internal/fault).
 	FaultHook spe.FaultHook
-	// SnapshotDeltaEvery, when > 1, enables incremental snapshots: operators
-	// that support deltas emit a full snapshot every Nth barrier and deltas
-	// covering only dirtied state in between. The SnapshotSink must resolve
-	// base+delta chains at restore, as internal/durable's store does.
-	SnapshotDeltaEvery int
 }
 
 func (c *Config) setDefaults() {
@@ -242,9 +240,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	if cfg.SnapshotSink != nil {
 		opts = append(opts, spe.WithSnapshotSink(cfg.SnapshotSink))
-	}
-	if cfg.SnapshotDeltaEvery > 1 {
-		opts = append(opts, spe.WithDeltaSnapshots(cfg.SnapshotDeltaEvery))
 	}
 	// The engine always supervises its instances: an operator panic surfaces
 	// as a recorded InstanceFailure (and the optional callback), never as a

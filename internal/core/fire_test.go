@@ -717,14 +717,14 @@ func TestFireSealRestoreLateFold(t *testing.T) {
 	assertSealed(t, sliceAt(t, p.restored, 400).aggs, want)
 	for _, tc := range lateSealCases {
 		p.tuple(tc.late)
-		assertSameSnapshot(t, "after a late fold ("+tc.name+")", p.eng.OnBarrier(2, nil), p.restored.OnBarrier(2, nil))
+		assertSameSnapshot(t, "after a late fold ("+tc.name+")", fullLink(p.eng), fullLink(p.restored))
 	}
 	feedSeal(p, 400, 600)
 	if p.watermark(t, "wm=600", 600) == 0 {
 		t.Fatal("no rows fired")
 	}
 	p.tuple(lateSeal(97, 1, 2))
-	assertSameSnapshot(t, "after the next fire", p.eng.OnBarrier(3, nil), p.restored.OnBarrier(3, nil))
+	assertSameSnapshot(t, "after the next fire", fullLink(p.eng), fullLink(p.restored))
 	feedSeal(p, 600, 800)
 	if p.watermark(t, "wm=800", 800) == 0 {
 		t.Fatal("no rows fired")

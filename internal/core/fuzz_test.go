@@ -161,9 +161,9 @@ func fuzzAgg(f *testing.F) (full, delta []byte) {
 	}
 	fold(0, 12)
 	agg.OnWatermark(8, nil)
-	full = agg.OnBarrierDelta(1, nil, 8)
+	full = agg.OnBarrier(1, nil)
 	fold(12, 4)
-	delta = agg.OnBarrierDelta(2, nil, 8)
+	delta = agg.OnBarrier(2, nil)
 	if full[0] == spe.DeltaSnapshotMagic || delta[0] != spe.DeltaSnapshotMagic {
 		f.Fatal("fuzz seeds are not a full snapshot followed by a delta")
 	}
@@ -206,6 +206,45 @@ func FuzzAggregationRestoreDelta(f *testing.F) {
 		wiretest.Bounded(t, in, func() {
 			if base.RestoreDelta(in) == nil {
 				base.OnBarrier(3, nil)
+			}
+		})
+	})
+}
+
+// FuzzJoinRestoreDelta applies arbitrary bytes as the delta on top of a
+// restored join base, through the decoder the aggregation's deltas take. A
+// delta the join accepts re-encodes to itself: cut against the base's table,
+// with the stores the delta decoded marked dirty and the ones it carried
+// forward clean, the restored instance's delta is the input. The seeds under
+// testdata are deltas over the same base whose slice ring is forged (ring-*,
+// one per rejection of TestSlicerRestoreRejectsForgedRings), one that
+// carries forward a store the base never held, and one whose changelog-table
+// suffix compacts past the table it lands on.
+func FuzzJoinRestoreDelta(f *testing.F) {
+	full, delta := joinChain(f)
+	addCorruptions(f, delta)
+	f.Add(full) // a full snapshot where a delta belongs
+	f.Fuzz(func(t *testing.T, in []byte) {
+		j := NewSharedJoin(0, 0, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
+		if err := j.Restore(full); err != nil {
+			t.Fatal(err)
+		}
+		held := map[*sliceStore]bool{}
+		for _, s := range j.win.sides {
+			for _, sl := range s.slices {
+				held[sl.store] = true
+			}
+		}
+		since := j.win.table.Latest()
+		wiretest.Bounded(t, in, func() {
+			if j.RestoreDelta(in) == nil {
+				for _, s := range j.win.sides {
+					for _, sl := range s.slices {
+						sl.dirty = !held[sl.store]
+					}
+				}
+				j.win.chainSeq = since
+				wiretest.Canonical(t, in, j.appendLink(nil, false))
 			}
 		})
 	})

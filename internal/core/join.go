@@ -114,7 +114,7 @@ func (j *SharedJoin) OnTuple(port int, t event.Tuple, _ *spe.Emitter) {
 		atomic.AddUint64(&j.metrics.Late, 1)
 		return
 	}
-	sl := j.win.sides[port].sliceFor(t.Time)
+	sl := j.win.writeSlice(port, t.Time)
 	if sl.store == nil {
 		sl.store = &sliceStore{}
 	}

@@ -352,14 +352,14 @@ func KernelBenchmarks() []KernelBench {
 				for i := 0; i < 512; i++ {
 					agg.OnTuple(0, benchTuple(i, qs, event.Time(i%100)), em)
 				}
-				// Anchor the chain as OnBarrierDelta would: baseline every
-				// slice's fold counter, then warm the buffer capacity once.
-				agg.noteSnapshot(true)
-				buf := agg.appendDelta(nil)
+				// Anchor the chain with a full link, then warm the buffer
+				// capacity once.
+				buf := agg.appendLink(nil, true)
+				buf = agg.appendLink(buf[:0], false)
 				return func(iters int) {
 					for i := 0; i < iters; i++ {
 						agg.OnTuple(0, benchTuple(i, qs, 50), em)
-						buf = agg.appendDelta(buf[:0])
+						buf = agg.appendLink(buf[:0], false)
 					}
 				}
 			},

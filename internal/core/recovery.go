@@ -175,8 +175,9 @@ func (e *Engine) RestoreControl(snapshot []byte) error {
 // RestoreOperators restores every shared-operator instance from fetched
 // snapshot chains, keyed exactly as the runtime reported them: (node name,
 // instance). A chain is one full snapshot followed by zero or more
-// incremental deltas in application order (the in-memory store always
-// fetches length-one chains; the durable backend resolves base + deltas).
+// incremental deltas in application order: a selection's is its full
+// snapshot, a windowed operator's reaches back to its last full link
+// (durable.Store.FetchChain resolves both).
 // Must be called before any input is pushed; the instance goroutines only
 // touch their logic after their first inbox receive, so the channel send
 // orders these writes safely (embedded chains are driven by the ingestion

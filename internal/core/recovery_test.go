@@ -50,7 +50,7 @@ func (s *depositSink) await(t *testing.T, n int) {
 // fails the whole restore naming that instance.
 func TestRestoreOperatorsRejectsBadChains(t *testing.T) {
 	sink := &depositSink{got: map[string][]byte{}}
-	cfg := Config{Streams: 2, Parallelism: 1, BatchSize: 1, SnapshotSink: sink, SnapshotDeltaEvery: 3}
+	cfg := Config{Streams: 2, Parallelism: 1, BatchSize: 1, SnapshotSink: sink}
 	eng, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -109,8 +109,10 @@ func TestRestoreOperatorsRejectsBadChains(t *testing.T) {
 	if err := restore(func(_ string, _ int, c [][]byte) [][]byte { return c }); err != nil {
 		t.Fatalf("intact chains: %v", err)
 	}
-	if c := chain("aggregate", 0); len(c) != 2 {
-		t.Fatalf("the aggregation's chain at barrier 2 has %d links, want a full snapshot and a delta", len(c))
+	for _, op := range []string{"aggregate", "join-0"} {
+		if c := chain(op, 0); len(c) != 2 {
+			t.Fatalf("%s's chain at barrier 2 has %d links, want a full snapshot and a delta", op, len(c))
+		}
 	}
 	for _, op := range []string{"select-0", "select-1", "join-0", "aggregate"} {
 		err := restore(func(o string, _ int, c [][]byte) [][]byte {
@@ -125,14 +127,16 @@ func TestRestoreOperatorsRejectsBadChains(t *testing.T) {
 	}
 	// The delta applied twice: its changelog-table delta no longer follows
 	// the table it lands on.
-	err = restore(func(o string, _ int, c [][]byte) [][]byte {
-		if o == "aggregate" {
-			return append(c, c[1])
+	for _, op := range []string{"aggregate", "join-0"} {
+		err := restore(func(o string, _ int, c [][]byte) [][]byte {
+			if o == op {
+				return append(c, c[1])
+			}
+			return c
+		})
+		if err == nil || !strings.Contains(err.Error(), "restore "+op+"[0] delta 2/2") {
+			t.Errorf("%s's delta applied twice: %v", op, err)
 		}
-		return c
-	})
-	if err == nil || !strings.Contains(err.Error(), "restore aggregate[0] delta 2/2") {
-		t.Errorf("a delta applied twice: %v", err)
 	}
 }
 

@@ -38,12 +38,10 @@ type slice struct {
 	// Payloads: a join side uses store; the aggregation uses aggs.
 	store *sliceStore
 	aggs  *aggIndex
-	// folds counts aggregation folds absorbed by this slice; incremental
-	// snapshots compare it against the value at the previous barrier to
-	// re-encode only slices that changed (snapdelta.go). Derived activity
-	// counter: it is not snapshotted and restarts at zero after Restore,
-	// whose first delta-mode snapshot is always full.
-	folds uint64
+	// dirty says the payload was written since the operator's last snapshot
+	// link (windowOp.writeSlice), so the next delta re-encodes it. It is not
+	// snapshotted: a restored instance's next link is full.
+	dirty bool
 }
 
 func newSlicer() *slicer {

@@ -8,21 +8,28 @@ import (
 	"unsafe"
 
 	"astream/internal/bitset"
-	"astream/internal/changelog"
 	"astream/internal/event"
+	"astream/internal/expr"
 	"astream/internal/spe"
 	"astream/internal/sqlstream"
 	"astream/internal/window"
 	"astream/internal/wire"
 )
 
-// These tests pin the incremental-snapshot contract of the shared
-// aggregation: a chain of one full snapshot plus deltas restores to the
-// bit-identical state a full snapshot at the chain's end would, deltas
+// These tests pin the snapshot chain of the windowed operators
+// (windowOp.appendLink): a chain of one full snapshot plus deltas restores to
+// the bit-identical state a full snapshot at the chain's end would, deltas
 // re-serialize only dirtied slices, and every chain-integrity violation
 // fails loudly.
 
-const deltaFullEvery = 4
+// linker is a windowed operator: appendLink writes one link of its chain.
+type linker interface {
+	appendLink(b []byte, full bool) []byte
+}
+
+// fullLink cuts a full snapshot of op wherever its chain stands; the next
+// link is a delta on top of it.
+func fullLink(op linker) []byte { return op.appendLink(nil, true) }
 
 func newDeltaAgg(out *[]string, ids ...int) *SharedAggregation {
 	return NewSharedAggregation(1, 10, captureRouter(out, ids...), &OpMetrics{})
@@ -65,7 +72,7 @@ func TestAggregationDeltaChainBitIdentical(t *testing.T) {
 			msg2 := b.create(t, tm-6, aggQ(window.TumblingSpec(5), sqlstream.AggCount, 0, gt(0, 10)))
 			orig.OnChangelog(msg2, tm-6, nil)
 		}
-		chain = append(chain, orig.OnBarrierDelta(uint64(seg+1), nil, deltaFullEvery))
+		chain = append(chain, orig.OnBarrier(uint64(seg+1), nil))
 	}
 	if chain[0][0] != opSnapshotVersion {
 		t.Fatalf("first chain snapshot should be full, got leading byte %#x", chain[0][0])
@@ -85,7 +92,7 @@ func TestAggregationDeltaChainBitIdentical(t *testing.T) {
 			t.Fatalf("delta %d: %v", i+1, err)
 		}
 	}
-	assertSameSnapshot(t, "aggregation chain", orig.OnBarrier(99, nil), fresh.OnBarrier(99, nil))
+	assertSameSnapshot(t, "aggregation chain", fullLink(orig), fullLink(fresh))
 
 	// Identical suffix into both must emit identically.
 	gotO = gotO[:0]
@@ -125,7 +132,7 @@ func TestAggregationDeltaOmitsCleanSlices(t *testing.T) {
 		tu.Fields[0] = int64(rng.Intn(50))
 		agg.OnTuple(0, tu, nil)
 	}
-	full := agg.OnBarrierDelta(1, nil, 8)
+	full := agg.OnBarrier(1, nil)
 	if full[0] != opSnapshotVersion {
 		t.Fatalf("first snapshot should be full, leading byte %#x", full[0])
 	}
@@ -136,7 +143,7 @@ func TestAggregationDeltaOmitsCleanSlices(t *testing.T) {
 
 	// One tuple into the newest slice, then a delta.
 	agg.OnTuple(0, event.Tuple{Key: 1, Time: 601, Fields: [event.NumFields]int64{7}, QuerySet: bitset.FromIndexes(slot)}, nil)
-	delta := agg.OnBarrierDelta(2, nil, 8)
+	delta := agg.OnBarrier(2, nil)
 	if delta[0] != spe.DeltaSnapshotMagic {
 		t.Fatalf("second snapshot should be a delta, leading byte %#x", delta[0])
 	}
@@ -145,7 +152,7 @@ func TestAggregationDeltaOmitsCleanSlices(t *testing.T) {
 	}
 
 	// Count dirty markers in the delta by re-decoding its slice section.
-	dirty, clean := countDeltaSlices(t, delta, agg.win.table)
+	dirty, clean := countDeltaSlices(t, delta, &agg.win)
 	if dirty != 1 {
 		t.Fatalf("delta re-serialized %d slices, want exactly 1", dirty)
 	}
@@ -154,42 +161,55 @@ func TestAggregationDeltaOmitsCleanSlices(t *testing.T) {
 	}
 
 	// An interval with no folds at all: every slice is clean.
-	empty := agg.OnBarrierDelta(3, nil, 8)
-	d0, _ := countDeltaSlices(t, empty, agg.win.table)
+	empty := agg.OnBarrier(3, nil)
+	d0, _ := countDeltaSlices(t, empty, &agg.win)
 	if d0 != 0 {
 		t.Fatalf("idle delta re-serialized %d slices, want 0", d0)
 	}
 }
 
-// countDeltaSlices walks a delta blob's slice section, against tbl, the
-// table of the instance that cut it, and tallies dirty vs
-// carried-forward entries, skipping dirty payloads via the same decoders the
-// restore path uses.
-func countDeltaSlices(t *testing.T, delta []byte, tbl *changelog.Table) (dirty, clean int) {
+// countDeltaSlices walks a delta link's slice rings against w, the driver of
+// the instance that cut it, and tallies dirty vs carried-forward entries,
+// skipping dirty payloads via the decoders the restore path uses: a join's
+// driver has two sides and stores, the aggregation's one side, indexes and a
+// port count ahead of the clock.
+func countDeltaSlices(t *testing.T, delta []byte, w *windowOp) (dirty, clean int) {
 	t.Helper()
+	join := len(w.sides) == 2
 	r := wire.NewReader(delta)
 	r.Version("magic", spe.DeltaSnapshotMagic)
-	r.U32("ports")
+	if !join {
+		r.U32("ports")
+	}
 	r.I64("lastWM")
-	r.I64("evictedThru")
+	for range w.sides {
+		r.I64("evictedThru")
+	}
 	r.Bytes("table delta")
-	restoreSlicer(r, &slicer{}, tbl, func(r *wire.Reader, _ *slice) {
-		if r.Bool("dirty") {
-			dirty++
-			(&SharedAggregation{}).readAggIndex(r)
-		} else {
-			clean++
-		}
-	})
+	for range w.sides {
+		restoreSlicer(r, &slicer{}, w.table, func(r *wire.Reader, _ *slice) {
+			switch {
+			case !r.Bool("dirty"):
+				clean++
+			case join:
+				dirty++
+				readSliceStore(r)
+			default:
+				dirty++
+				(&SharedAggregation{}).readAggIndex(r)
+			}
+		})
+	}
 	if r.Err() != nil {
 		t.Fatalf("delta decode: %v", r.Err())
 	}
 	return dirty, clean
 }
 
-// TestAggregationDeltaChainLengthBound: the fullEvery knob caps how many
-// deltas separate full snapshots, and a restored instance always reopens its
-// chain with a full snapshot (its dirtiness baseline died with the crash).
+// TestAggregationDeltaChainLengthBound: every snapFullEvery-th link is a full
+// snapshot, so a chain restores from at most snapFullEvery links, and a
+// restored instance always reopens its chain with a full snapshot (its
+// dirtiness baseline died with the crash).
 func TestAggregationDeltaChainLengthBound(t *testing.T) {
 	b := newCLBuilder()
 	msg := b.create(t, 0, aggQ(window.TumblingSpec(10), sqlstream.AggSum, 0, gt(0, -1)))
@@ -200,22 +220,22 @@ func TestAggregationDeltaChainLengthBound(t *testing.T) {
 	kinds := ""
 	for i := 0; i < 8; i++ {
 		agg.OnTuple(0, event.Tuple{Key: 1, Time: event.Time(1 + i), Fields: [event.NumFields]int64{3}, QuerySet: bitset.FromIndexes(slot)}, nil)
-		s := agg.OnBarrierDelta(uint64(i+1), nil, 3)
+		s := agg.OnBarrier(uint64(i+1), nil)
 		if s[0] == spe.DeltaSnapshotMagic {
 			kinds += "d"
 		} else {
 			kinds += "F"
 		}
 	}
-	if kinds != "FddFddFd" {
-		t.Fatalf("chain shape %q, want FddFddFd (fullEvery=3)", kinds)
+	if kinds != "FddFddFd" || snapFullEvery != 3 {
+		t.Fatalf("chain shape %q, want FddFddFd (a full link every %d)", kinds, snapFullEvery)
 	}
 
 	fresh := newDeltaAgg(&[]string{}, msg.CL.Created[0].Query)
-	if err := fresh.Restore(agg.OnBarrier(99, nil)); err != nil {
+	if err := fresh.Restore(fullLink(agg)); err != nil {
 		t.Fatal(err)
 	}
-	if s := fresh.OnBarrierDelta(100, nil, 3); s[0] == spe.DeltaSnapshotMagic {
+	if s := fresh.OnBarrier(100, nil); s[0] == spe.DeltaSnapshotMagic {
 		t.Fatal("restored instance opened with a delta; chain base must be a full snapshot")
 	}
 }
@@ -230,9 +250,9 @@ func TestAggregationRestoreDeltaRejectsCorruptChains(t *testing.T) {
 	agg := newDeltaAgg(&[]string{}, msg.CL.Created[0].Query)
 	agg.OnChangelog(msg, 0, nil)
 	agg.OnTuple(0, event.Tuple{Key: 1, Time: 5, Fields: [event.NumFields]int64{3}, QuerySet: bitset.FromIndexes(slot)}, nil)
-	base := agg.OnBarrierDelta(1, nil, 4)
+	base := agg.OnBarrier(1, nil)
 	agg.OnTuple(0, event.Tuple{Key: 2, Time: 6, Fields: [event.NumFields]int64{4}, QuerySet: bitset.FromIndexes(slot)}, nil)
-	delta := agg.OnBarrierDelta(2, nil, 4)
+	delta := agg.OnBarrier(2, nil)
 
 	restored := func() *SharedAggregation {
 		fresh := newDeltaAgg(&[]string{}, msg.CL.Created[0].Query)
@@ -263,7 +283,7 @@ func TestAggregationRestoreDeltaRejectsCorruptChains(t *testing.T) {
 	if err := ok.RestoreDelta(delta); err != nil {
 		t.Fatalf("clean chain rejected: %v", err)
 	}
-	assertSameSnapshot(t, "chain vs original", agg.OnBarrier(99, nil), ok.OnBarrier(99, nil))
+	assertSameSnapshot(t, "chain vs original", fullLink(agg), fullLink(ok))
 }
 
 // TestAggregationDeltaChainAcrossSeal: a slice's bytes are its classes and
@@ -290,7 +310,7 @@ func TestAggregationDeltaChainAcrossSeal(t *testing.T) {
 		fold(key, event.Time(11+i), s0)    // [10,20): two classes
 		fold(key, event.Time(15+i), s1)
 	}
-	base := agg.OnBarrierDelta(1, nil, 8)
+	base := agg.OnBarrier(1, nil)
 	older, newer := agg.win.sides[0].slices[0].aggs, agg.win.sides[0].slices[1].aggs
 	if older.open != nil || newer.open != nil || len(newer.classes) != 2 {
 		t.Fatal("the barrier did not seal both slices into their classes; the test proved nothing")
@@ -300,8 +320,8 @@ func TestAggregationDeltaChainAcrossSeal(t *testing.T) {
 		t.Fatal("a key new to its class left [10,20) sealed; the test proved nothing")
 	}
 	agg.OnWatermark(10, nil) // fires [-10,10) over the sealed [0,10)
-	delta := agg.OnBarrierDelta(2, nil, 8)
-	if dirty, clean := countDeltaSlices(t, delta, agg.win.table); dirty != 1 || clean != 1 {
+	delta := agg.OnBarrier(2, nil)
+	if dirty, clean := countDeltaSlices(t, delta, &agg.win); dirty != 1 || clean != 1 {
 		t.Fatalf("the delta re-encoded %d slices and carried %d; want the unsealed one re-encoded, the fired one carried", dirty, clean)
 	}
 	fresh := newDeltaAgg(&[]string{}, msg.CL.Created[0].Query, msg.CL.Created[1].Query)
@@ -311,7 +331,7 @@ func TestAggregationDeltaChainAcrossSeal(t *testing.T) {
 	if err := fresh.RestoreDelta(delta); err != nil {
 		t.Fatal(err)
 	}
-	assertSameSnapshot(t, "chain across a seal", agg.OnBarrier(99, nil), fresh.OnBarrier(99, nil))
+	assertSameSnapshot(t, "chain across a seal", fullLink(agg), fullLink(fresh))
 }
 
 // TestAggregationRestoreDeltaRecyclesReplaced: a delta that re-encodes a
@@ -335,13 +355,15 @@ func TestAggregationRestoreDeltaRecyclesReplaced(t *testing.T) {
 	fill(0)
 	fill(10)
 	fill(20)
-	chain := [][]byte{agg.OnBarrierDelta(1, nil, 8)}
-	for i, base := range []event.Time{20, 30, 40} {
+	chain := [][]byte{agg.OnBarrier(1, nil)}
+	for _, base := range []event.Time{20, 30, 40} {
 		// Dirty the newest slice with a key it has, open the next one, evict.
 		agg.OnTuple(0, event.Tuple{Key: 1, Time: base + 9, Fields: [event.NumFields]int64{5}, QuerySet: bitset.FromIndexes(slot)}, nil)
 		fill(base + 10)
 		agg.OnWatermark(base, nil)
-		chain = append(chain, agg.OnBarrierDelta(uint64(i+2), nil, 8))
+		// Three deltas in a row: a chain longer than snapFullEvery links
+		// restores like any other.
+		chain = append(chain, agg.appendLink(nil, false))
 	}
 
 	fresh := newDeltaAgg(&[]string{}, qid)
@@ -373,7 +395,7 @@ func TestAggregationRestoreDeltaRecyclesReplaced(t *testing.T) {
 	if len(held) != 0 {
 		t.Fatalf("%d row backings are neither held by a live slice nor on the freelist", len(held))
 	}
-	assertSameSnapshot(t, "chain vs original", agg.OnBarrier(99, nil), fresh.OnBarrier(99, nil))
+	assertSameSnapshot(t, "chain vs original", fullLink(agg), fullLink(fresh))
 }
 
 // TestAggregationDeltaVsFullRestoreEquivalence: restoring base+deltas and
@@ -398,9 +420,10 @@ func TestAggregationDeltaVsFullRestoreEquivalence(t *testing.T) {
 			tm += 3
 		}
 		agg.OnWatermark(tm-9, nil)
-		chain = append(chain, agg.OnBarrierDelta(uint64(seg+1), nil, 8))
+		// A base and three deltas: longer than any chain OnBarrier cuts.
+		chain = append(chain, agg.appendLink(nil, seg == 0))
 	}
-	fullNow := agg.OnBarrier(99, nil)
+	fullNow := fullLink(agg)
 
 	viaChain := newDeltaAgg(&[]string{}, msg.CL.Created[0].Query)
 	if err := viaChain.Restore(chain[0]); err != nil {
@@ -415,8 +438,172 @@ func TestAggregationDeltaVsFullRestoreEquivalence(t *testing.T) {
 	if err := viaFull.Restore(fullNow); err != nil {
 		t.Fatal(err)
 	}
-	a, bb := viaChain.OnBarrier(100, nil), viaFull.OnBarrier(100, nil)
+	a, bb := fullLink(viaChain), fullLink(viaFull)
 	if !bytes.Equal(a, bb) {
 		t.Fatalf("chain restore and full restore diverged (%d vs %d bytes)", len(a), len(bb))
 	}
+}
+
+// TestJoinDeltaChainBitIdentical is the join's TestAggregationDeltaChainBitIdentical
+// and TestAggregationDeltaVsFullRestoreEquivalence: the join's links come
+// from the same driver, with its slice stores as the payload. A join with a
+// window longer than the run keeps every slice; it is driven through a
+// full+delta+delta chain with a workload change inside, each delta
+// re-encoding only the stores written since the link before. Restoring the
+// chain and restoring a full snapshot at its end land in the bytes of the
+// original's full snapshot, and the same suffix into all three emits alike.
+func TestJoinDeltaChainBitIdentical(t *testing.T) {
+	b := newCLBuilder()
+	msg := b.create(t, 0,
+		joinQ(window.TumblingSpec(1000), gt(0, -1), gt(0, -1)),
+		joinQ(window.SlidingSpec(20, 10), gt(0, 20), gt(0, -1)))
+	q1, s1 := msg.CL.Created[0].Query, msg.CL.Created[0].Slot
+	q2, s2 := msg.CL.Created[1].Query, msg.CL.Created[1].Slot
+	var q3 int
+
+	var gotO, gotC, gotF []string
+	newJoin := func(out *[]string) *SharedJoin {
+		return NewSharedJoin(0, 0, 10, captureRouter(out, q1, q2), &OpMetrics{})
+	}
+	orig := newJoin(&gotO)
+	orig.OnChangelog(msg, 0, nil)
+	rng := rand.New(rand.NewSource(31))
+	mk := func(tm event.Time) event.Tuple {
+		tu := event.Tuple{Key: int64(rng.Intn(3)), Time: tm, QuerySet: bitset.FromIndexes(s1, s2)}
+		tu.Fields[0] = int64(rng.Intn(50))
+		return tu
+	}
+
+	var chain [][]byte
+	tm := event.Time(1)
+	for seg, n := range []int{150, 8, 8} {
+		for i := 0; i < n; i++ {
+			orig.OnTuple(i%2, mk(tm), nil)
+			tm += 2
+		}
+		orig.OnWatermark(tm-6, nil)
+		if seg == 1 {
+			msg2 := b.create(t, tm-6, joinQ(window.TumblingSpec(10), gt(0, 10), gt(0, -1)))
+			q3 = msg2.CL.Created[0].Query
+			orig.OnChangelog(msg2, tm-6, nil)
+		}
+		link := orig.OnBarrier(uint64(seg+1), nil)
+		if seg > 0 {
+			if link[0] != spe.DeltaSnapshotMagic {
+				t.Fatalf("link %d should be a delta, leading byte %#x", seg, link[0])
+			}
+			dirty, clean := countDeltaSlices(t, link, &orig.win)
+			if dirty == 0 || clean == 0 || dirty > 6 {
+				t.Fatalf("delta %d re-encoded %d stores and carried %d; want only the few the segment wrote", seg, dirty, clean)
+			}
+			if len(link)*2 > len(chain[0]) {
+				t.Fatalf("delta %d is %d bytes vs %d full: clean stores are being re-encoded", seg, len(link), len(chain[0]))
+			}
+		} else if link[0] != opSnapshotVersion {
+			t.Fatalf("first link should be full, leading byte %#x", link[0])
+		}
+		chain = append(chain, link)
+	}
+	fullNow := fullLink(orig)
+
+	viaChain := newJoin(&gotC)
+	if err := viaChain.Restore(chain[0]); err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range chain[1:] {
+		if err := viaChain.RestoreDelta(d); err != nil {
+			t.Fatalf("delta %d: %v", i+1, err)
+		}
+	}
+	viaFull := newJoin(&gotF)
+	if err := viaFull.Restore(fullNow); err != nil {
+		t.Fatal(err)
+	}
+	assertSameSnapshot(t, "join chain", fullLink(viaChain), fullNow)
+	assertSameSnapshot(t, "join full", fullLink(viaFull), fullNow)
+
+	for _, j := range []*SharedJoin{orig, viaChain, viaFull} {
+		j.router.Register(q3, SinkFunc(func(Result) {}))
+	}
+	gotO = gotO[:0]
+	suffix := make([]event.Tuple, 0, 10)
+	for i := 0; i < 10; i++ {
+		suffix = append(suffix, mk(tm+event.Time(i*3)))
+	}
+	for _, j := range []*SharedJoin{orig, viaChain, viaFull} {
+		for i, tu := range suffix {
+			j.OnTuple(i%2, tu, nil)
+		}
+		for wm := tm; wm <= tm+60; wm += 5 {
+			j.OnWatermark(wm, nil)
+		}
+	}
+	if len(gotO) == 0 {
+		t.Fatal("suffix fired no join windows; test exercises nothing")
+	}
+	assertSameStrings(t, "join chain suffix", gotC, gotO)
+	assertSameStrings(t, "join full suffix", gotF, gotO)
+}
+
+// TestJoinRestoreDeltaRejectsCorruptChains: the join's deltas go through the
+// driver's decoder and its checks — a full snapshot where a delta belongs,
+// trailing bytes, a delta cut short, a delta carrying forward stores the
+// instance never restored, and a delta applied twice all fail.
+func TestJoinRestoreDeltaRejectsCorruptChains(t *testing.T) {
+	base, delta := joinChain(t)
+	restored := func() *SharedJoin {
+		fresh := NewSharedJoin(0, 0, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
+		if err := fresh.Restore(base); err != nil {
+			t.Fatal(err)
+		}
+		return fresh
+	}
+	if err := restored().RestoreDelta(base); err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("full snapshot accepted as delta: %v", err)
+	}
+	if err := restored().RestoreDelta(append(append([]byte(nil), delta...), 0xEE)); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Fatalf("trailing bytes not rejected: %v", err)
+	}
+	if err := restored().RestoreDelta(delta[:len(delta)/2]); err == nil {
+		t.Fatal("truncated delta accepted")
+	}
+	if err := NewSharedJoin(0, 0, 10, NewRouter(&OpMetrics{}), &OpMetrics{}).RestoreDelta(delta); err == nil {
+		t.Fatal("delta applied before a base was accepted")
+	}
+	twice := restored()
+	if err := twice.RestoreDelta(delta); err != nil {
+		t.Fatalf("clean chain rejected: %v", err)
+	}
+	// Applied again, its table suffix no longer follows the table.
+	if err := twice.RestoreDelta(delta); err == nil || !strings.Contains(err.Error(), "encoded against epoch") {
+		t.Fatalf("a delta applied twice: %v", err)
+	}
+}
+
+// joinChain runs a join through a windowed query, tuples on both sides and a
+// watermark, and cuts a full link and a delta on top of it, across a second
+// query's creation, in which a few new tuples dirty the newest stores. It
+// seeds FuzzJoinRestoreDelta too.
+func joinChain(tb testing.TB) (full, delta []byte) {
+	tb.Helper()
+	b := newCLBuilder()
+	msg := b.create(tb, 0, joinQ(window.SlidingSpec(20, 5), gt(0, -1), gt(1, 3)))
+	j := NewSharedJoin(0, 0, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
+	j.OnChangelog(msg, 0, nil)
+	feed := func(from, n int) {
+		for i := from; i < from+n; i++ {
+			j.OnTuple(i%2, event.Tuple{Key: int64(i % 3), Time: event.Time(1 + i),
+				Fields: [event.NumFields]int64{int64(i), 4}, QuerySet: bitset.FromIndexes(0)}, nil)
+		}
+	}
+	feed(0, 24)
+	j.OnWatermark(8, nil)
+	full = j.OnBarrier(1, nil)
+	j.OnChangelog(b.create(tb, 25, joinQ(window.TumblingSpec(10), expr.True(), expr.True())), 25, nil)
+	feed(24, 4)
+	delta = j.OnBarrier(2, nil)
+	if full[0] == spe.DeltaSnapshotMagic || delta[0] != spe.DeltaSnapshotMagic {
+		tb.Fatal("the join's links are not a full snapshot followed by a delta")
+	}
+	return full, delta
 }

@@ -352,29 +352,34 @@ func (s *SharedSelection) Restore(snapshot []byte) error {
 
 // --- SharedJoin ---
 
-// OnBarrier implements spe.Logic: serialize both side slicers (with their
-// slice stores), the changelog-set table, and the active query table. The
+// OnBarrier implements spe.Logic: the next link of the join's snapshot chain
+// (windowOp.appendLink), whose slice payload is the slice's store. The
 // stores' key indexes and cached pairs are deliberately excluded — both are
 // derived from the tuples and rebuild on demand.
 func (j *SharedJoin) OnBarrier(uint64, *spe.Emitter) []byte {
-	b := wire.AppendU8(nil, opSnapshotVersion)
-	b = j.win.appendClock(b)
-	b = snapTable(b, j.win.table)
-	b = j.win.appendSlices(b, func(b []byte, sl *slice) []byte {
+	return j.appendLink(nil, j.win.nextLinkFull())
+}
+
+func (j *SharedJoin) appendLink(b []byte, full bool) []byte {
+	b = beginLink(b, full)
+	b = j.win.appendLink(b, full, func(b []byte, sl *slice) []byte {
 		return snapSliceStore(b, sl.store)
 	})
 	return j.win.queries.appendTo(b)
 }
 
-// Restore implements spe.Restorable.
-func (j *SharedJoin) Restore(snapshot []byte) error {
+// Restore implements spe.Restorable and RestoreDelta spe.DeltaRestorable:
+// each applies one link of the join's chain.
+func (j *SharedJoin) Restore(snapshot []byte) error      { return j.restoreLink(snapshot, false) }
+func (j *SharedJoin) RestoreDelta(snapshot []byte) error { return j.restoreLink(snapshot, true) }
+
+func (j *SharedJoin) restoreLink(snapshot []byte, delta bool) error {
 	r := wire.NewReader(snapshot)
-	r.Version("join snapshot version", opSnapshotVersion)
-	j.win.readClock(r)
-	j.win.table = readSnapTable(r)
-	j.win.readSlices(r, func(r *wire.Reader, sl *slice) {
-		sl.store = readSliceStore(r)
-	})
+	readLinkVersion(r, delta, "join")
+	payload := func(r *wire.Reader, sl *slice) { sl.store = readSliceStore(r) }
+	if err := j.win.readLink(r, delta, payload, func(*slice) {}); err != nil {
+		return err
+	}
 	j.win.queries.readFrom(r, 1)
 	if err := r.Finish("join"); err != nil {
 		return err
@@ -384,27 +389,25 @@ func (j *SharedJoin) Restore(snapshot []byte) error {
 
 // --- SharedAggregation ---
 
-// OnBarrier implements spe.Logic: serialize the slicer (with per-slice
-// partials), the changelog-set table, the versioned masks, and both query
-// tables including open session windows.
+// OnBarrier implements spe.Logic: the next link of the aggregation's
+// snapshot chain (windowOp.appendLink), whose slice payload is the slice's
+// sealed aggregate index. The port count leads; the versioned masks and both
+// query tables, open session windows included, follow the rings.
 func (a *SharedAggregation) OnBarrier(uint64, *spe.Emitter) []byte {
-	b := wire.AppendU8(nil, opSnapshotVersion)
-	b = a.appendClock(b)
-	b = snapTable(b, a.win.table)
-	b = a.win.appendSlices(b, func(b []byte, sl *slice) []byte {
+	return a.appendLink(nil, a.win.nextLinkFull())
+}
+
+func (a *SharedAggregation) appendLink(b []byte, full bool) []byte {
+	b = beginLink(b, full)
+	b = wire.AppendU32(b, uint32(a.ports))
+	b = a.win.appendLink(b, full, func(b []byte, sl *slice) []byte {
 		return a.appendAggIndex(b, sl.aggs)
 	})
 	return a.appendWorkload(b)
 }
 
-// appendClock and appendWorkload write the parts full and delta snapshots
-// (snapdelta.go) share verbatim: the port count and event-time marks ahead
-// of the slice state, the versioned masks and both query tables after it.
-func (a *SharedAggregation) appendClock(b []byte) []byte {
-	b = wire.AppendU32(b, uint32(a.ports))
-	return a.win.appendClock(b)
-}
-
+// appendWorkload writes what follows the slice rings in every link: the
+// versioned masks and both query tables.
 func (a *SharedAggregation) appendWorkload(b []byte) []byte {
 	b = wire.AppendCount(b, len(a.maskVersions))
 	for i := range a.maskVersions {
@@ -421,24 +424,24 @@ func (a *SharedAggregation) appendWorkload(b []byte) []byte {
 	return a.selection.appendTo(b)
 }
 
-// Restore implements spe.Restorable.
-func (a *SharedAggregation) Restore(snapshot []byte) error {
-	r := wire.NewReader(snapshot)
-	r.Version("aggregation snapshot version", opSnapshotVersion)
-	a.readClock(r)
-	a.win.table = readSnapTable(r)
-	a.win.readSlices(r, func(r *wire.Reader, sl *slice) {
-		sl.aggs = a.readAggIndex(r)
-	})
-	a.readWorkload(r)
-	return r.Finish("aggregation snapshot")
-}
+// Restore implements spe.Restorable and RestoreDelta spe.DeltaRestorable:
+// each applies one link of the aggregation's chain. The index of a slice the
+// link re-encodes or no longer lists goes back to the freelists.
+func (a *SharedAggregation) Restore(snapshot []byte) error      { return a.restoreLink(snapshot, false) }
+func (a *SharedAggregation) RestoreDelta(snapshot []byte) error { return a.restoreLink(snapshot, true) }
 
-func (a *SharedAggregation) readClock(r *wire.Reader) {
+func (a *SharedAggregation) restoreLink(snapshot []byte, delta bool) error {
+	r := wire.NewReader(snapshot)
+	readLinkVersion(r, delta, "aggregation")
 	if ports := int(r.U32("agg ports")); r.Err() == nil && ports != a.ports {
 		r.Fail(fmt.Errorf("core: aggregation snapshot has %d ports, instance has %d", ports, a.ports))
 	}
-	a.win.readClock(r)
+	payload := func(r *wire.Reader, sl *slice) { sl.aggs = a.readAggIndex(r) }
+	if err := a.win.readLink(r, delta, payload, func(sl *slice) { a.dropIndex(sl.aggs) }); err != nil {
+		return err
+	}
+	a.readWorkload(r)
+	return r.Finish("aggregation snapshot")
 }
 
 // readWorkload decodes appendWorkload and rebuilds what derives from it. An

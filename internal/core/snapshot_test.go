@@ -220,7 +220,7 @@ func TestJoinSnapshotRoundTrip(t *testing.T) {
 				orig.OnWatermark(event.Time(n-2), outO)
 				fresh.OnWatermark(event.Time(n-2), outF)
 			}
-			assertSameSnapshot(t, fmt.Sprintf("join, suffix tuple %d", i), orig.OnBarrier(2, nil), fresh.OnBarrier(2, nil))
+			assertSameSnapshot(t, fmt.Sprintf("join, suffix tuple %d", i), fullLink(orig), fullLink(fresh))
 		}
 		orig.OnWatermark(45, outO)
 		fresh.OnWatermark(45, outF)
@@ -235,7 +235,7 @@ func TestJoinSnapshotRoundTrip(t *testing.T) {
 		if o, f := lookups(orig)-origLookups, lookups(fresh); o != f {
 			t.Fatalf("restored join looked up %d slice pairs, the original %d", f, o)
 		}
-		assertSameSnapshot(t, "join", orig.OnBarrier(2, nil), fresh.OnBarrier(2, nil))
+		assertSameSnapshot(t, "join", fullLink(orig), fullLink(fresh))
 	})
 }
 
@@ -312,7 +312,7 @@ func TestAggregationSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("suffix fired no aggregation windows; test exercises nothing")
 	}
 	assertSameStrings(t, "aggregation", gotF, gotO)
-	assertSameSnapshot(t, "aggregation", orig.OnBarrier(2, nil), fresh.OnBarrier(2, nil))
+	assertSameSnapshot(t, "aggregation", fullLink(orig), fullLink(fresh))
 
 	// Selection, session and second-port queries across a restore and slot
 	// reuse. At 0 a COUNT query, selection A, session C and two-stream P (fed
@@ -362,7 +362,7 @@ func TestAggregationSnapshotRoundTrip(t *testing.T) {
 	orig.OnChangelog(msgDB, 14, nil)
 	orig.OnTuple(0, tuple(15, cntID, bID, dID), nil)
 	fresh = NewSharedAggregation(2, 10, captureRouter(&gotF, ids...), &OpMetrics{})
-	if err := fresh.Restore(orig.OnBarrier(3, nil)); err != nil {
+	if err := fresh.Restore(fullLink(orig)); err != nil {
 		t.Fatal(err)
 	}
 	gotO = gotO[:0]
@@ -378,7 +378,7 @@ func TestAggregationSnapshotRoundTrip(t *testing.T) {
 	} {
 		step(orig)
 		step(fresh)
-		assertSameSnapshot(t, fmt.Sprintf("aggregation queries, step %d", i), orig.OnBarrier(4, nil), fresh.OnBarrier(4, nil))
+		assertSameSnapshot(t, fmt.Sprintf("aggregation queries, step %d", i), fullLink(orig), fullLink(fresh))
 	}
 	for _, id := range []int{bID, dID, pID} {
 		if !slices.ContainsFunc(gotO, func(s string) bool { return strings.HasPrefix(s, fmt.Sprintf("q%d ", id)) }) {

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"astream/internal/changelog"
 	"astream/internal/event"
+	"astream/internal/spe"
 	"astream/internal/window"
 	"astream/internal/wire"
 )
@@ -16,7 +18,8 @@ import (
 // epoch registration, trigger collection at the watermark, cap grouping, and
 // retirement (purge, slice eviction, history compaction). The operators
 // differ in what a slice stores, what a fire does with a trigger's cap groups
-// and what an evicted slice releases; everything else is here, once.
+// and what an evicted slice releases; everything else is here, once — the
+// snapshot chain included (DESIGN.md §13).
 
 // liveQuery is one query live at a windowed operator.
 type liveQuery struct {
@@ -295,11 +298,20 @@ type windowOp struct {
 	// older than its side's mark is late and dropped.
 	evictedThru [2]event.Time
 
+	// The snapshot chain: the links written since the newest full
+	// snapshot, that one included (0 while no link anchors a chain: before
+	// the first barrier and after a restore), and the changelog table's
+	// newest epoch at the last link, which the next delta's table suffix
+	// follows.
+	chainLen int
+	chainSeq uint64
+
 	// Steady-state scratch, owned by the instance goroutine.
-	trig     triggerList     // per-watermark trigger scratch
-	caps     []capGroup      // per-trigger cap-grouping scratch
-	specsTmp []window.Spec   // per-watermark window-spec scratch
-	extTmp   []window.Extent // per-query window-list scratch of collectTriggers
+	tblScratch []byte          // table-delta encode buffer recycled across barriers
+	trig       triggerList     // per-watermark trigger scratch
+	caps       []capGroup      // per-trigger cap-grouping scratch
+	specsTmp   []window.Spec   // per-watermark window-spec scratch
+	extTmp     []window.Extent // per-query window-list scratch of collectTriggers
 }
 
 func newWindowOp(lateness event.Time, specOf func(*Query) window.Spec, sides ...*slicer) windowOp {
@@ -352,6 +364,15 @@ func (w *windowOp) addEpoch(cl *changelog.Changelog, at event.Time, cut bool) {
 			panic(fmt.Sprintf("core: window epoch: %v", err))
 		}
 	}
+}
+
+// writeSlice returns side's slice holding event-time t, created if need be,
+// and marks it written since the last link: the caller is about to store
+// into it, so the next delta re-encodes it.
+func (w *windowOp) writeSlice(side int, t event.Time) *slice {
+	sl := w.sides[side].sliceFor(t)
+	sl.dirty = true
+	return sl
 }
 
 // collectTriggers fills w.trig with the time-window extents ending in
@@ -454,9 +475,125 @@ func (w *windowOp) retire(wm event.Time, onEvict func(side int, sl *slice)) {
 	w.lastWM = wm
 }
 
-// appendClock and readClock carry the driver's event-time marks; appendSlices
-// and readSlices every side's slice ring, payload encoding what the operator
-// keeps per slice.
+// snapFullEvery is the period of the snapshot chain: every third link is a
+// full snapshot, the two between are deltas.
+const snapFullEvery = 3
+
+// nextLinkFull reports whether the next barrier's link is a full snapshot:
+// when no link anchors a chain (the first barrier, the first after a
+// restore) or the chain is snapFullEvery links long. A chain therefore
+// restores from at most snapFullEvery links.
+func (w *windowOp) nextLinkFull() bool {
+	return w.chainLen == 0 || w.chainLen >= snapFullEvery
+}
+
+// beginLink writes a link's leading byte: a full snapshot's version, or the
+// magic by which a snapshot store tells a delta from a base without reading
+// further. readLinkVersion reads it back.
+func beginLink(b []byte, full bool) []byte {
+	if full {
+		return wire.AppendU8(b, opSnapshotVersion)
+	}
+	return wire.AppendU8(b, spe.DeltaSnapshotMagic)
+}
+
+func readLinkVersion(r *wire.Reader, delta bool, op string) {
+	if delta {
+		r.Version(op+" delta magic", spe.DeltaSnapshotMagic)
+	} else {
+		r.Version(op+" snapshot version", opSnapshotVersion)
+	}
+}
+
+// appendLink writes the driver's part of a link, after the operator's head:
+// the event-time marks, the changelog table — whole in a full link, the
+// suffix since the previous link in a delta — and every side's slice ring.
+// A full link encodes every slice's payload; a delta flags each slice and
+// encodes the payloads of the slices written since the previous link only,
+// carrying the others forward by ID. Either way every slice is clean
+// afterwards and the link extends the chain, a full one starting a new chain.
+// Extents and epochs are always written: an epoch transition may truncate or
+// relabel a slice without writing it.
+func (w *windowOp) appendLink(b []byte, full bool, payload func([]byte, *slice) []byte) []byte {
+	b = w.appendClock(b)
+	if full {
+		b = snapTable(b, w.table)
+		w.chainLen = 0
+	} else {
+		w.tblScratch = w.table.AppendDelta(w.tblScratch[:0], w.chainSeq)
+		b = wire.AppendBytes(b, w.tblScratch)
+	}
+	for _, s := range w.sides {
+		b = snapSlicer(b, s, func(b []byte, sl *slice) []byte {
+			dirty := full || sl.dirty
+			if !full {
+				b = wire.AppendBool(b, dirty)
+			}
+			if dirty {
+				b = payload(b, sl)
+			}
+			sl.dirty = false
+			return b
+		})
+	}
+	w.chainLen++
+	w.chainSeq = w.table.Latest()
+	return b
+}
+
+// readLink decodes appendLink into the instance. A full link replaces its
+// state; a delta advances the state the links before it restored: the
+// table by its suffix, each dirty slice by its payload, each clean one
+// carried forward by ID from the ring it lands on. payload decodes a slice's
+// payload; release frees the payload of a slice the link re-encoded or no
+// longer lists. A delta applied to any state but the one it was cut against
+// fails: its table suffix does not follow the table, or it carries forward a
+// slice the ring does not hold. The restored instance anchors no chain: its
+// next link is full.
+func (w *windowOp) readLink(r *wire.Reader, delta bool, payload func(*wire.Reader, *slice), release func(*slice)) error {
+	w.readClock(r)
+	w.chainLen = 0
+	if !delta {
+		w.table = readSnapTable(r)
+	} else {
+		tdelta := r.Bytes("snapshot delta table")
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if w.table == nil {
+			return fmt.Errorf("core: snapshot delta applied before a restored base")
+		}
+		if err := w.table.ApplyDelta(tdelta); err != nil {
+			return err
+		}
+	}
+	for _, s := range w.sides {
+		// The ring is rebuilt in place, so the slices it held are listed first.
+		old := slices.Clone(s.slices)
+		prev := make(map[uint64]*slice, len(old))
+		for _, sl := range old {
+			prev[sl.id] = sl
+		}
+		restoreSlicer(r, s, w.table, func(r *wire.Reader, sl *slice) {
+			if !delta || r.Bool("snapshot delta slice dirty") {
+				payload(r, sl)
+			} else if p := prev[sl.id]; p != nil {
+				sl.store, sl.aggs = p.store, p.aggs
+				delete(prev, sl.id)
+			} else if r.Err() == nil {
+				r.Fail(fmt.Errorf("core: snapshot delta carries forward slice %d absent from the restored chain", sl.id))
+			}
+		})
+		for _, sl := range old {
+			if prev[sl.id] != nil {
+				release(sl)
+			}
+		}
+	}
+	return nil
+}
+
+// appendClock and readClock carry the driver's event-time marks.
 func (w *windowOp) appendClock(b []byte) []byte {
 	b = wire.AppendI64(b, int64(w.lastWM))
 	for side := range w.sides {
@@ -469,20 +606,5 @@ func (w *windowOp) readClock(r *wire.Reader) {
 	w.lastWM = event.Time(r.I64("window lastWM"))
 	for side := range w.sides {
 		w.evictedThru[side] = event.Time(r.I64("window evictedThru"))
-	}
-}
-
-func (w *windowOp) appendSlices(b []byte, payload func([]byte, *slice) []byte) []byte {
-	for _, s := range w.sides {
-		b = snapSlicer(b, s, payload)
-	}
-	return b
-}
-
-// readSlices decodes the rings against w.table, which both operators restore
-// ahead of their slices.
-func (w *windowOp) readSlices(r *wire.Reader, payload func(*wire.Reader, *slice)) {
-	for _, s := range w.sides {
-		restoreSlicer(r, s, w.table, payload)
 	}
 }

@@ -513,21 +513,30 @@ func (c *aggChurn) watermark(t *testing.T, what string, wm event.Time) []string 
 }
 
 func (c *aggChurn) link(*testing.T) {
-	c.chain = append(c.chain, c.p.eng.OnBarrierDelta(uint64(len(c.chain)+1), nil, 1<<20))
+	c.chain = append(c.chain, c.p.eng.OnBarrier(uint64(len(c.chain)+1), nil))
 }
 
 func (c *aggChurn) restore(t *testing.T) {
 	t.Helper()
 	lateness := c.p.eng.win.lateness
 	c.p.restored = NewSharedAggregation(1, lateness, fireRouter(&c.p.restOut, 1), NewOpMetrics(nil))
-	if err := c.p.restored.Restore(c.chain[0]); err != nil {
+	restoreChain(t, c.p.restored, c.chain)
+}
+
+// restoreChain restores op from a chain: a full snapshot, then deltas.
+func restoreChain(t *testing.T, op interface {
+	spe.Restorable
+	spe.DeltaRestorable
+}, chain [][]byte) {
+	t.Helper()
+	if err := op.Restore(chain[0]); err != nil {
 		t.Fatal(err)
 	}
-	for i, d := range c.chain[1:] {
+	for i, d := range chain[1:] {
 		if d[0] != spe.DeltaSnapshotMagic {
 			t.Fatalf("chain link %d is not a delta", i+1)
 		}
-		if err := c.p.restored.RestoreDelta(d); err != nil {
+		if err := op.RestoreDelta(d); err != nil {
 			t.Fatalf("chain link %d: %v", i+1, err)
 		}
 	}
@@ -540,9 +549,12 @@ func (c *aggChurn) wins() []*windowOp {
 	return []*windowOp{&c.p.eng.win, &c.p.restored.win}
 }
 
-// joinChurn is a join client; a join snapshots in full, so its chain is the
-// snapshot restore cuts.
-type joinChurn struct{ p *joinPair }
+// joinChurn is a join client; its chain, too, is a full snapshot and the
+// deltas on top of it.
+type joinChurn struct {
+	p     *joinPair
+	chain [][]byte
+}
 
 func (c *joinChurn) changelog(msg *ChangelogMsg, at event.Time) { c.p.changelog(msg, at) }
 func (c *joinChurn) tuple(port int, tu event.Tuple)             { c.p.tuple(port, tu) }
@@ -564,9 +576,15 @@ func (c *joinChurn) watermark(t *testing.T, what string, wm event.Time) []string
 	return rows
 }
 
-func (c *joinChurn) link(*testing.T) {}
+func (c *joinChurn) link(*testing.T) {
+	c.chain = append(c.chain, c.p.eng.j.OnBarrier(uint64(len(c.chain)+1), nil))
+}
 
-func (c *joinChurn) restore(t *testing.T) { c.p.restore(t, c.p.eng.j.win.lateness, 1) }
+func (c *joinChurn) restore(t *testing.T) {
+	t.Helper()
+	c.p.restored = newJoinEngine(c.p.eng.j.win.lateness, 1)
+	restoreChain(t, c.p.restored.j, c.chain)
+}
 
 func (c *joinChurn) wins() []*windowOp {
 	if c.p.restored == nil {
@@ -594,8 +612,9 @@ func ringExtents(w *windowOp) string {
 // stop and a start changelog per swap), to a sliding aggregation, a tumbling
 // aggregation and a sliding join. Every windowed query gets the same rows,
 // every side the same slice extents, the engine fire agrees with the
-// one-query reference (fireWindowScan, joinWindowScan), and a full snapshot
-// plus deltas cut between a swap's two changelogs restores to the same rows.
+// one-query reference (fireWindowScan, joinWindowScan), and for either
+// operator a full snapshot plus deltas cut between a swap's two changelogs
+// restores to the same rows.
 // Over 10 000 swaps the changelog table retains no more epochs than the plain
 // run's: the relabeled slices keep naming the newest epoch, so compaction
 // passes the changelogs they outlive.

@@ -116,6 +116,18 @@ func (d disk) sync(f *os.File) error {
 	return f.Sync()
 }
 
+// syncFile fsyncs the file at path, which no handle of the caller holds open.
+func (d disk) syncFile(path string) error {
+	if _, err := d.consult(OpSync, path, nil); err != nil {
+		return err
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	return errors.Join(f.Sync(), f.Close())
+}
+
 func (d disk) close(f *os.File) error {
 	if _, err := d.consult(OpClose, f.Name(), nil); err != nil {
 		return err

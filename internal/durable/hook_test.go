@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -33,6 +34,7 @@ func TestDiskReportsRealFailures(t *testing.T) {
 		{"rename", d.rename(missing, missing+"2")},
 		{"remove", d.remove(missing)},
 		{"truncate", d.truncate(missing, 0)},
+		{"sync-file", d.syncFile(missing)},
 		{"sync-dir", d.syncDir(missing)},
 		{"write-file-atomic", d.writeFileAtomic(missing, []byte{1})},
 	} {
@@ -176,5 +178,66 @@ func TestWALDirectorySyncedBeforeManifest(t *testing.T) {
 	}
 	if creates < 4 || removes == 0 || marks != 5 {
 		t.Fatalf("%d segments created, %d removed, %d manifests: the log must roll and truncate between marks", creates, removes, marks)
+	}
+}
+
+// TestWALTornTailCutSyncedBeforeAppend reads the seam's operation log: a
+// reopen that cuts a torn tail off the final segment fsyncs the cut before
+// the first append after it, which creates the next segment and so seals the
+// cut one. Unsynced, a power loss could bring the torn bytes back inside a
+// sealed segment, and every later open would fail on them.
+func TestWALTornTailCutSyncedBeforeAppend(t *testing.T) {
+	dir := t.TempDir()
+	w, err := openWAL(dir, 1<<20, disk{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, w, 0, 4)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one segment, have %v (%v)", segs, err)
+	}
+	f, err := os.OpenFile(segs[0], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A frame header promising 16 bytes, then 2 of them.
+	if _, err := f.Write([]byte{16, 0, 0, 0, 1, 2, 3, 4, 5, 6}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var ops []string
+	cut := false // a truncation is not yet durable
+	log := hookFunc(func(op Op, path string, b []byte) ([]byte, error) {
+		ops = append(ops, fmt.Sprintf("%v %s", op, filepath.Base(path)))
+		switch {
+		case op == OpTruncate && path == segs[0]:
+			cut = true
+		case op == OpSync && path == segs[0]:
+			cut = false
+		case (op == OpCreate || op == OpWrite) && cut:
+			t.Errorf("%v %s while the cut of %s was not durable; ops: %v", op, filepath.Base(path), filepath.Base(segs[0]), ops)
+		}
+		return b, nil
+	})
+	w, err = openWAL(dir, 1<<20, disk{hook: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Len() != 4 {
+		t.Fatalf("reopened log holds %d records, want 4", w.Len())
+	}
+	appendN(t, w, 4, 1)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(ops, "truncate "+filepath.Base(segs[0])) {
+		t.Fatalf("the reopen cut nothing; the test proved nothing: %v", ops)
 	}
 }

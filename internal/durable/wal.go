@@ -121,7 +121,14 @@ func openWAL(dir string, segMax int, d disk) (*WAL, error) {
 			return nil, fmt.Errorf("durable: wal segment %s: %w", si.name, err)
 		}
 		if last && good < len(data) {
+			// The cut is made durable before anything is appended: the next
+			// append opens a segment after this one, which seals it, and a
+			// sealed segment whose torn bytes came back would fail every
+			// later open.
 			if err := d.truncate(path, int64(good)); err != nil {
+				return nil, err
+			}
+			if err := d.syncFile(path); err != nil {
 				return nil, err
 			}
 		}

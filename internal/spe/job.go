@@ -23,11 +23,10 @@ type Job struct {
 type DeployOption func(*deployConfig)
 
 type deployConfig struct {
-	codec      bool
-	snapSink   SnapshotSink
-	failSink   FailureSink
-	hook       FaultHook
-	deltaEvery int
+	codec    bool
+	snapSink SnapshotSink
+	failSink FailureSink
+	hook     FaultHook
 }
 
 // WithEdgeCodec charges the codec on every batch and control element that
@@ -53,15 +52,6 @@ func WithFailureSink(s FailureSink) DeployOption {
 // instance and exchange emitter (tests only; nil in production).
 func WithFaultHook(h FaultHook) DeployOption {
 	return func(d *deployConfig) { d.hook = h }
-}
-
-// WithDeltaSnapshots enables incremental snapshots: logics implementing
-// DeltaSnapshotter take snapshots through OnBarrierDelta, emitting a full
-// snapshot at most every n barriers and deltas in between. n <= 1 disables
-// deltas (every barrier is a full snapshot). The snapshot sink must be able
-// to resolve base+delta chains (see durable.Store.FetchChain).
-func WithDeltaSnapshots(n int) DeployOption {
-	return func(d *deployConfig) { d.deltaEvery = n }
 }
 
 // Deploy validates the topology, plans operator chains, builds every
@@ -127,7 +117,6 @@ func Deploy(t *Topology, opts ...DeployOption) (*Job, error) {
 			rt.snapSink = cfg.snapSink
 			rt.failSink = cfg.failSink
 			rt.hook = cfg.hook
-			rt.deltaEvery = cfg.deltaEvery
 			rts[i] = rt
 		}
 		j.insts[n] = rts
@@ -149,7 +138,6 @@ func Deploy(t *Topology, opts ...DeployOption) (*Job, error) {
 			rt.snapSink = cfg.snapSink
 			rt.failSink = cfg.failSink
 			rt.hook = cfg.hook
-			rt.deltaEvery = cfg.deltaEvery
 			rts[i] = rt
 		}
 		embedded[n] = rts

@@ -351,16 +351,15 @@ type chainMember struct {
 // during a control callback reach member j+1's OnTuple before j+1's own
 // callback runs — exactly the order an unfused deployment delivers.
 type instanceRT struct {
-	op         *Node // chain head (names the instance in diagnostics)
-	instance   int
-	members    []chainMember
-	inbox      chan message // nil for chains embedded in a source (see SourceContext)
-	senders    int
-	emitter    *Emitter // the chain tail's exchange emitter
-	snapSink   SnapshotSink
-	failSink   FailureSink // nil: failures re-panic (bare deployments stay fail-fast)
-	hook       FaultHook   // nil in production
-	deltaEvery int         // >1: DeltaSnapshotter logics snapshot incrementally
+	op       *Node // chain head (names the instance in diagnostics)
+	instance int
+	members  []chainMember
+	inbox    chan message // nil for chains embedded in a source (see SourceContext)
+	senders  int
+	emitter  *Emitter // the chain tail's exchange emitter
+	snapSink SnapshotSink
+	failSink FailureSink // nil: failures re-panic (bare deployments stay fail-fast)
+	hook     FaultHook   // nil in production
 
 	wms        []event.Time // per-sender watermark
 	done       []bool       // per-sender EOS
@@ -613,12 +612,7 @@ func (rt *instanceRT) completeBarrier(id uint64) error {
 	}
 	for i := range rt.members {
 		m := &rt.members[i]
-		var state []byte
-		if ds, ok := m.logic.(DeltaSnapshotter); ok && rt.deltaEvery > 1 {
-			state = ds.OnBarrierDelta(id, m.out, rt.deltaEvery)
-		} else {
-			state = m.logic.OnBarrier(id, m.out)
-		}
+		state := m.logic.OnBarrier(id, m.out)
 		if rt.snapSink != nil {
 			rt.snapSink.OnSnapshot(m.node.name, rt.instance, id, state)
 		}

@@ -111,25 +111,16 @@ type Restorable interface {
 }
 
 // DeltaSnapshotMagic is the mandatory first byte of every incremental
-// snapshot blob. Full operator snapshots start with a small version byte;
-// the distinguished magic lets a snapshot store classify a deposit as
-// base or delta without understanding the operator's encoding.
+// snapshot blob. A logic's OnBarrier may return a delta — only the state
+// dirtied since its previous barrier — instead of a full snapshot, which
+// starts with a small version byte; the distinguished magic lets a snapshot
+// store classify a deposit as base or delta without understanding the
+// operator's encoding.
 const DeltaSnapshotMagic byte = 0xD5
 
-// DeltaSnapshotter is implemented by logics that can produce incremental
-// snapshots. When a deployment enables deltas (WithDeltaSnapshots), the
-// runtime calls OnBarrierDelta instead of OnBarrier at barrier alignment;
-// the logic decides per barrier whether to emit a full snapshot or a delta
-// covering only state dirtied since the previous barrier, keeping chains
-// no longer than fullEvery-1 deltas between full snapshots. Delta blobs
-// must start with DeltaSnapshotMagic; full blobs must not.
-type DeltaSnapshotter interface {
-	OnBarrierDelta(id uint64, out *Emitter, fullEvery int) []byte
-}
-
-// DeltaRestorable is implemented by logics whose incremental snapshots can
-// be re-applied on top of a restored base during recovery. RestoreDelta is
-// called once per delta, in chain order, after Restore.
+// DeltaRestorable is implemented by logics whose OnBarrier returns deltas:
+// during recovery each delta is re-applied on top of a restored base.
+// RestoreDelta is called once per delta, in chain order, after Restore.
 type DeltaRestorable interface {
 	RestoreDelta(snapshot []byte) error
 }
