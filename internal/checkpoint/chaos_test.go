@@ -199,9 +199,12 @@ func assertSameOutput(t *testing.T, got, want []string) {
 // by the next incarnation, a failed checkpoint or finish logged nothing — and
 // Open itself can hit a pending fault (a kill that comes due during suffix
 // replay, a disk fault while re-cutting): it is simply called again; fired
-// one-shot ops never recur. Returns the output the last incarnation committed
-// and the number of recoveries.
-func runChaos(t *testing.T, steps []step, plan *fault.Plan, disk *fault.DiskPlan) ([]string, int) {
+// one-shot ops never recur. With restartEach, an incarnation is also crashed
+// after every checkpoint it completes, so the barrier each incarnation cuts
+// is its first after a restore and the windowed operators write full
+// snapshots, no deltas; those planned restarts are not counted. Returns the
+// output the last incarnation committed and the number of recoveries.
+func runChaos(t *testing.T, steps []step, plan *fault.Plan, disk *fault.DiskPlan, restartEach bool) ([]string, int) {
 	t.Helper()
 	dir := t.TempDir()
 	cfg := testConfig(plan)
@@ -226,8 +229,17 @@ func runChaos(t *testing.T, steps []step, plan *fault.Plan, disk *fault.DiskPlan
 				continue
 			}
 		}
-		next, err := applyUntilError(r, steps, i)
-		if i = next; err == nil {
+		end := len(steps)
+		if restartEach {
+			end = afterCheckpoint(steps, i)
+		}
+		next, err := applyUntilError(r, steps[:end], i)
+		if i = next; err == nil && i < len(steps) {
+			r.Crash()
+			r = nil
+			continue
+		}
+		if err == nil {
 			var out []string
 			if out, err = r.Finish(); err == nil {
 				return out, recoveries
@@ -237,6 +249,17 @@ func runChaos(t *testing.T, steps []step, plan *fault.Plan, disk *fault.DiskPlan
 		r = nil
 		died(err)
 	}
+}
+
+// afterCheckpoint returns the index just past the first checkpoint step at
+// or after from, or len(steps) if there is none.
+func afterCheckpoint(steps []step, from int) int {
+	for i := from; i < len(steps); i++ {
+		if steps[i].kind == stepCheckpoint {
+			return i + 1
+		}
+	}
+	return len(steps)
 }
 
 // enginePlan is the seeded engine-fault schedule of the chaos suites.
@@ -251,11 +274,12 @@ func enginePlan(seed int64) *fault.Plan {
 // TestDurableChaosSeededSchedules is the headline robustness test: seeded
 // engine-fault and disk-fault schedules run together, every incarnation is
 // rebuilt from the directory only, and the committed output stays
-// byte-identical to the fault-free run, the windowed operators restoring
-// through chains of a full snapshot and deltas. A seed's run is named
-// -delta3 for that chain, a full snapshot every third barrier, which became
-// the only one the engine cuts. The engine-only row of each seed is the same
-// schedule with no disk plan at all.
+// byte-identical to the fault-free run. Each seed runs its schedule twice
+// with its disk plan: -delta3 restores the windowed operators through the
+// chains the engine cuts, a full snapshot every third barrier and deltas
+// between; -delta0 restarts after every checkpoint, so the operators cut
+// and restore full snapshots only. The engine-only row of each seed is the
+// -delta3 run with no disk plan at all.
 //
 // Ordered so the short-mode prefix covers schedules that actually fire: 23
 // drops a source batch, 42 kills an aggregate instance mid-stream, 58 kills an
@@ -273,19 +297,26 @@ func TestDurableChaosSeededSchedules(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		seed := seed
-		t.Run(fmt.Sprintf("seed%d-delta3", seed), func(t *testing.T) {
-			plan := enginePlan(seed)
-			disk := fault.RandomDiskPlan(seed, fault.RandomDiskConfig{
-				NumFaults: 3, MaxWAL: 200, MaxSnap: 30, MaxManifest: 5,
+		for _, restartEach := range []bool{true, false} {
+			restartEach := restartEach
+			name := fmt.Sprintf("seed%d-delta3", seed)
+			if restartEach {
+				name = fmt.Sprintf("seed%d-delta0", seed)
+			}
+			t.Run(name, func(t *testing.T) {
+				plan := enginePlan(seed)
+				disk := fault.RandomDiskPlan(seed, fault.RandomDiskConfig{
+					NumFaults: 3, MaxWAL: 200, MaxSnap: 30, MaxManifest: 5,
+				})
+				got, recoveries := runChaos(t, steps, plan, disk, restartEach)
+				t.Logf("seed %d: %d recoveries, engine: %v, disk: %v",
+					seed, recoveries, plan.Fired(), disk.Fired())
+				assertSameOutput(t, got, want)
 			})
-			got, recoveries := runChaos(t, steps, plan, disk)
-			t.Logf("seed %d: %d recoveries, engine: %v, disk: %v",
-				seed, recoveries, plan.Fired(), disk.Fired())
-			assertSameOutput(t, got, want)
-		})
+		}
 		t.Run(fmt.Sprintf("seed%d-engine-only", seed), func(t *testing.T) {
 			plan := enginePlan(seed)
-			got, recoveries := runChaos(t, steps, plan, nil)
+			got, recoveries := runChaos(t, steps, plan, nil, false)
 			t.Logf("seed %d: %d recoveries, injections: %v", seed, recoveries, plan.Fired())
 			assertSameOutput(t, got, want)
 		})
@@ -326,7 +357,7 @@ func TestDurableChaosDiskOnly(t *testing.T) {
 			disk := fault.RandomDiskPlan(seed, fault.RandomDiskConfig{
 				NumFaults: 6, MaxWAL: 400, MaxSnap: 40, MaxManifest: 6,
 			})
-			got, recoveries := runChaos(t, steps, nil, disk)
+			got, recoveries := runChaos(t, steps, nil, disk, false)
 			t.Logf("seed %d: %d recoveries, disk: %v", seed, recoveries, disk.Fired())
 			assertSameOutput(t, got, want)
 		})

@@ -56,22 +56,54 @@ func mustCommitted(t *testing.T, r *Runner) []string {
 func TestDurableRestartResumesByteIdentical(t *testing.T) {
 	steps := chaosSteps()
 	want := cleanRun(t, steps)
-	// Cut mid-phase (suffix replay from the WAL) and right after a
-	// checkpoint. The subtest is named for the chain the engine cuts, a full
-	// snapshot every third barrier.
-	t.Run("deltaEvery3", func(t *testing.T) {
-		dir := t.TempDir()
-		cuts := []int{len(steps) / 3, 2 * len(steps) / 3}
-		got := runWithRestarts(t, dir, steps, cuts)
-		assertSameOutput(t, got, want)
+	// deltaEvery3 cuts mid-phase (suffix replay from the WAL), and the
+	// windowed operators restore through the chains the engine cuts, a full
+	// snapshot every third barrier and deltas between. deltaEvery0 cuts right
+	// after every checkpoint, so each barrier is the first after a restore
+	// and every snapshot on disk is a full one.
+	var everyCheckpoint []int
+	for i := afterCheckpoint(steps, 0); i < len(steps); i = afterCheckpoint(steps, i) {
+		everyCheckpoint = append(everyCheckpoint, i)
+	}
+	for _, tc := range []struct {
+		name      string
+		cuts      []int
+		wantDelta bool
+	}{
+		{"deltaEvery0", everyCheckpoint, false},
+		{"deltaEvery3", []int{len(steps) / 3, 2 * len(steps) / 3}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			got := runWithRestarts(t, dir, steps, tc.cuts)
+			assertSameOutput(t, got, want)
+			if hasDelta := deltaOnDisk(t, dir); hasDelta != tc.wantDelta {
+				t.Fatalf("cuts %v: a delta deposit on disk = %v, want %v", tc.cuts, hasDelta, tc.wantDelta)
+			}
 
-		// The output is in the directory, not in the incarnation that
-		// produced it: one more incarnation, which ingests nothing, reads
-		// back the same results.
-		third := mustOpen(t, testConfig(nil), dir, durable.Options{})
-		assertSameOutput(t, mustCommitted(t, third), got)
-		third.Crash()
-	})
+			// The output is in the directory, not in the incarnation that
+			// produced it: one more incarnation, which ingests nothing, reads
+			// back the same results.
+			third := mustOpen(t, testConfig(nil), dir, durable.Options{})
+			assertSameOutput(t, mustCommitted(t, third), got)
+			third.Crash()
+		})
+	}
+}
+
+// deltaOnDisk reports whether any snapshot deposit under dir is a delta.
+func deltaOnDisk(t *testing.T, dir string) bool {
+	t.Helper()
+	for _, path := range depositFiles(t, dir, "snap-") {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) > 0 && data[0] == spe.DeltaSnapshotMagic {
+			return true
+		}
+	}
+	return false
 }
 
 // depositFiles returns the snapshot deposit files under dir whose name has
