@@ -4,14 +4,16 @@
 // replacement), a package, the tests that must fail, and whether they run
 // with -race. Each row runs, from the module root and one per CPU, as
 //
-//	go test -vet=off -overlay <json> -count 1 -timeout 2m -run '^(<tests>)$' <pkg> [-race]
+//	go test -vet=off -overlay <json> -count 1 -timeout 2m -v -run '^(<tests>)$' <pkg> [-race]
 //
-// so the tree is never copied or edited. A row is caught when that exits
-// non-zero without a build failure (a hang is caught by the timeout), and
-// stale when an anchor matches zero or several times, a named test is not
-// declared as `func TestX(` in the package's _test.go files, or the mutated
-// package does not build. The exit status is 1 when a selected row is stale
-// or survives.
+// so the tree is never copied or edited. A test may be named Test/Sub, one
+// subtest of it; a row names either top-level tests only or subtests of one
+// test only, and runs with -run '^(Test)$/^(<subs>)$'. A row is caught when
+// go test exits non-zero without a build failure (a hang is caught by the
+// timeout), and stale when an anchor matches zero or several times, a named
+// test is not declared as `func TestX(` in the package's _test.go files, a
+// named subtest did not run, or the mutated package does not build. The exit
+// status is 1 when a selected row is stale or survives.
 //
 // With no flags every row runs. -id selects rows by ID, -file every row that
 // edits one of the files (paths from the module root, separated by commas or
@@ -28,6 +30,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"time"
@@ -78,6 +81,9 @@ func mutate(root string, r row) (map[string]string, error) {
 		}
 		out[e.File] = strings.Replace(src, e.Anchor, e.Replace, 1)
 	}
+	if _, err := runPattern(r.Tests); err != nil {
+		return nil, err
+	}
 	tests, _ := filepath.Glob(filepath.Join(root, r.Pkg, "*_test.go"))
 	var decl strings.Builder
 	for _, f := range tests {
@@ -88,11 +94,35 @@ func mutate(root string, r row) (map[string]string, error) {
 		decl.Write(b)
 	}
 	for _, name := range r.Tests {
+		name, _, _ = strings.Cut(name, "/")
 		if !strings.Contains(decl.String(), "func "+name+"(") {
 			return nil, fmt.Errorf("test %s is not declared in %s", name, r.Pkg)
 		}
 	}
 	return out, nil
+}
+
+// runPattern returns the -run pattern of a row's tests: top-level names, or
+// Test/Sub names of one test.
+func runPattern(tests []string) (string, error) {
+	var top, subs []string
+	for i, name := range tests {
+		t, sub, nested := strings.Cut(name, "/")
+		if i > 0 && (nested != (len(subs) > 0) || nested && t != top[0]) {
+			return "", fmt.Errorf("tests %v mix top-level tests and subtests, or subtests of two tests", tests)
+		}
+		if !nested || i == 0 {
+			top = append(top, t)
+		}
+		if nested {
+			subs = append(subs, regexp.QuoteMeta(sub))
+		}
+	}
+	p := "^(" + strings.Join(top, "|") + ")$"
+	if len(subs) > 0 {
+		p += "/^(" + strings.Join(subs, "|") + ")$"
+	}
+	return p, nil
 }
 
 // runRow runs one row's tests against its mutated files, written under tmp,
@@ -115,8 +145,9 @@ func runRow(root, tmp string, r row) (string, string) {
 	if err = errors.Join(err, os.WriteFile(ovPath, overlay, 0o644)); err != nil {
 		return "STALE", err.Error()
 	}
-	args := []string{"test", "-vet=off", "-overlay", ovPath, "-count", "1", "-timeout", "2m",
-		"-run", "^(" + strings.Join(r.Tests, "|") + ")$", "./" + r.Pkg}
+	pattern, _ := runPattern(r.Tests)
+	args := []string{"test", "-vet=off", "-overlay", ovPath, "-count", "1", "-timeout", "2m", "-v",
+		"-run", pattern, "./" + r.Pkg}
 	if r.Race {
 		args = append(args, "-race")
 	}
@@ -125,6 +156,11 @@ func runRow(root, tmp string, r row) (string, string) {
 	out, err := cmd.CombinedOutput()
 	switch {
 	case err == nil:
+		for _, name := range r.Tests {
+			if strings.Contains(name, "/") && !strings.Contains(string(out), "--- PASS: "+name+" ") {
+				return "STALE", "subtest " + name + " did not run"
+			}
+		}
 		return "SURVIVES", "the tests pass"
 	case strings.Contains(string(out), "[build failed]") || strings.Contains(string(out), "[setup failed]"):
 		return "STALE", "does not build:\n" + string(out)

@@ -65,3 +65,26 @@ func TestSelectRows(t *testing.T) {
 		t.Error("an unknown ID selected no error")
 	}
 }
+
+// TestRunPattern pins the -run patterns of top-level names and of subtests of
+// one test, and the rejection of rows that mix the two or name subtests of
+// two tests.
+func TestRunPattern(t *testing.T) {
+	for _, tc := range []struct {
+		tests []string
+		want  string
+	}{
+		{[]string{"TestA"}, "^(TestA)$"},
+		{[]string{"TestA", "TestB"}, "^(TestA|TestB)$"},
+		{[]string{"TestA/sync", "TestA/read-file"}, "^(TestA)$/^(sync|read-file)$"},
+	} {
+		if got, err := runPattern(tc.tests); err != nil || got != tc.want {
+			t.Errorf("runPattern(%q) = %q, %v; want %q", tc.tests, got, err, tc.want)
+		}
+	}
+	for _, tests := range [][]string{{"TestA", "TestA/sync"}, {"TestA/sync", "TestA"}, {"TestA/sync", "TestB/sync"}} {
+		if p, err := runPattern(tests); err == nil {
+			t.Errorf("runPattern(%q) = %q, want an error", tests, p)
+		}
+	}
+}

@@ -7,23 +7,16 @@
 //
 // Usage:
 //
-//	astream-vet [-list] [-run name,name] [-format text|json] [-timing]
-//	            [-baseline file] [-write-baseline file] [packages]
+//	astream-vet [-list] [-run name,name] [packages]
 //
 // Package arguments filter by import-path suffix; "./..." (or no
-// argument) means the whole module.
+// argument) means the whole module. -run selects a subset of analyzers by
+// name (default all).
 //
-// -run selects a subset of analyzers by name (default all). -format json
-// emits the stable machine-readable schema (see internal/lint.Report):
-// analyzer, repo-relative file, line/col, message, the witness call chain
-// for interprocedural findings, and the //lint:ignore-suppressed findings
-// with their stated reasons.
-// -baseline subtracts a committed findings file so CI fails only on new
-// findings (matched by analyzer+file+message, line-insensitive);
-// -write-baseline records the current findings as that file (suppressions
-// excluded — they are not regressions). -timing prints each analyzer's
-// wall-clock cost to stderr. Exit status is 1 when any non-baselined
-// diagnostic survives //lint:ignore suppression.
+// Each finding that survives //lint:ignore suppression prints as
+// `file:line:col: analyzer: message`, the file relative to the module root.
+// Exit status is 0 when none does, 1 when any does, and 2 on a usage or
+// load error.
 package main
 
 import (
@@ -39,16 +32,7 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	run := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	format := flag.String("format", "text", "output format: text or json")
-	baseline := flag.String("baseline", "", "baseline findings file to subtract (fail only on new findings)")
-	writeBaseline := flag.String("write-baseline", "", "write current findings to this baseline file and exit")
-	timing := flag.Bool("timing", false, "print per-analyzer wall-clock timings to stderr")
 	flag.Parse()
-
-	if *format != "text" && *format != "json" {
-		fmt.Fprintf(os.Stderr, "astream-vet: unknown format %q (want text or json)\n", *format)
-		os.Exit(2)
-	}
 
 	root, err := moduleRoot()
 	if err != nil {
@@ -94,57 +78,16 @@ func main() {
 		}
 	}
 
-	diags, suppressed, timings := lint.RunAllTimed(pkgs, analyzers)
-	if *timing {
-		for _, tm := range timings {
-			fmt.Fprintf(os.Stderr, "astream-vet: %-14s %8.1fms\n", tm.Name, float64(tm.Elapsed.Microseconds())/1000)
+	diags := lint.Run(pkgs, analyzers)
+	for _, d := range diags {
+		file := d.Pos.Filename
+		if rel, err := filepath.Rel(root, file); err == nil && !filepath.IsAbs(rel) {
+			file = rel
 		}
+		fmt.Printf("%s:%d:%d: %s: %s\n", filepath.ToSlash(file), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 	}
-	report := lint.NewReport(root, diags)
-
-	if *writeBaseline != "" {
-		b, err := report.WriteJSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "astream-vet:", err)
-			os.Exit(2)
-		}
-		if err := os.WriteFile(*writeBaseline, b, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "astream-vet:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "astream-vet: wrote %d finding(s) to %s\n", len(report.Findings), *writeBaseline)
-		return
-	}
-
-	findings := report.Findings
-	if *baseline != "" {
-		base, err := lint.LoadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "astream-vet:", err)
-			os.Exit(2)
-		}
-		findings = report.Subtract(base)
-	}
-
-	if *format == "json" {
-		out := lint.Report{
-			Version:    lint.ReportVersion,
-			Findings:   findings,
-			Suppressed: lint.SuppressedFindings(root, suppressed),
-		}
-		b, err := out.WriteJSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "astream-vet:", err)
-			os.Exit(2)
-		}
-		os.Stdout.Write(b)
-	} else {
-		for _, f := range findings {
-			fmt.Printf("%s:%d:%d: %s: %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
-		}
-	}
-	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "astream-vet: %d problem(s)\n", len(findings))
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "astream-vet: %d problem(s)\n", len(diags))
 		os.Exit(1)
 	}
 }

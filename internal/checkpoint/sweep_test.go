@@ -99,12 +99,15 @@ func sweepConfig() core.Config {
 }
 
 // TestDiskSweepFailsEveryOperation runs the script once with a plan that only
-// counts, listing every (class, target, N) the durable layer performs; then,
-// for each, reruns the script with exactly that operation crashing. The
-// public call that performed it must return an error wrapping
+// counts, listing every (class, target, N) the durable layer performs, and
+// asserts that the script performs every class. Then, one subtest per class
+// (named as the class prints: mkdir, read-file, ..., sync-dir), it reruns the
+// script for each operation of that class with exactly that operation
+// crashing. The public call that performed it must return an error wrapping
 // durable.ErrInjectedCrash, and a fault-free successor — opened on the
 // directory, resuming at that call — must finish with the same committed
-// output as the run that never faulted.
+// output as the run that never faulted. A mutation row names the classes
+// that reach its check, as TestDiskSweepFailsEveryOperation/<class>.
 func TestDiskSweepFailsEveryOperation(t *testing.T) {
 	defer noGoroutineLeft(t)()
 	acts := sweepScript()
@@ -117,55 +120,65 @@ func TestDiskSweepFailsEveryOperation(t *testing.T) {
 		t.Fatal("counting run committed nothing")
 	}
 	entries := counting.Seen()
-	per := map[durable.Op]int{}
+	per := map[durable.Op][]fault.DiskOp{}
 	walCreates := 0
 	for _, e := range entries {
-		per[e.Class]++
+		per[e.Class] = append(per[e.Class], e)
 		if e.Class == durable.OpCreate && e.Target == fault.TargetWAL {
 			walCreates++
 		}
 	}
 	for op := durable.Op(0); op < durable.NumOps; op++ {
-		if per[op] == 0 {
+		if len(per[op]) == 0 {
 			t.Errorf("the script performs no %v", op)
 		}
 	}
 	if walCreates < 3 {
 		t.Errorf("the script created %d WAL segments; it must ingest across rolls", walCreates)
 	}
-	t.Logf("%d operations: %v", len(entries), per)
+	t.Logf("%d operations", len(entries))
 
-	for _, e := range entries {
-		plan := fault.NewDiskPlan(e)
-		s := &sweepRun{t: t, cfg: sweepConfig(), dir: t.TempDir(), opts: durable.Options{Hook: plan, SegmentBytes: 256}}
-		at, err := s.runScript(acts, 0)
-		if len(plan.Fired()) != 1 || err == nil {
-			t.Errorf("%v: fired %v, and the script failed at %d of %d: %v", e, plan.Fired(), at, len(acts), err)
-			continue
+	for op := durable.Op(0); op < durable.NumOps; op++ {
+		t.Run(op.String(), func(t *testing.T) {
+			for _, e := range per[op] {
+				sweepOne(t, acts, e, clean.out)
+			}
+		})
+	}
+}
+
+// sweepOne reruns the script with operation e crashing, resumes it fault-free
+// on the same directory, and compares what it committed with want.
+func sweepOne(t *testing.T, acts []sweepAct, e fault.DiskOp, want []string) {
+	plan := fault.NewDiskPlan(e)
+	s := &sweepRun{t: t, cfg: sweepConfig(), dir: t.TempDir(), opts: durable.Options{Hook: plan, SegmentBytes: 256}}
+	at, err := s.runScript(acts, 0)
+	if len(plan.Fired()) != 1 || err == nil {
+		t.Errorf("%v: fired %v, and the script failed at %d of %d: %v", e, plan.Fired(), at, len(acts), err)
+		return
+	}
+	if !errors.Is(err, durable.ErrInjectedCrash) {
+		t.Errorf("%v: %s failed without the injected crash: %v", e, acts[at].name, err)
+	}
+	if s.r != nil {
+		s.r.Crash()
+		s.r = nil
+	}
+	s.opts.Hook = nil
+	if acts[at].name != "open" {
+		if err := acts[0].run(s); err != nil {
+			t.Errorf("%v: fault-free reopen after %s: %v", e, acts[at].name, err)
+			return
 		}
-		if !errors.Is(err, durable.ErrInjectedCrash) {
-			t.Errorf("%v: %s failed without the injected crash: %v", e, acts[at].name, err)
-		}
+	}
+	if i, err := s.runScript(acts, at); err != nil {
+		t.Errorf("%v: fault-free resume at %s: %s: %v", e, acts[at].name, acts[i].name, err)
 		if s.r != nil {
 			s.r.Crash()
-			s.r = nil
 		}
-		s.opts.Hook = nil
-		if acts[at].name != "open" {
-			if err := acts[0].run(s); err != nil {
-				t.Errorf("%v: fault-free reopen after %s: %v", e, acts[at].name, err)
-				continue
-			}
-		}
-		if i, err := s.runScript(acts, at); err != nil {
-			t.Errorf("%v: fault-free resume at %s: %s: %v", e, acts[at].name, acts[i].name, err)
-			if s.r != nil {
-				s.r.Crash()
-			}
-			continue
-		}
-		if fmt.Sprint(s.out) != fmt.Sprint(clean.out) {
-			t.Errorf("%v: crashed at %s, the directory committed %d results, want the %d of the run that never faulted", e, acts[at].name, len(s.out), len(clean.out))
-		}
+		return
+	}
+	if fmt.Sprint(s.out) != fmt.Sprint(want) {
+		t.Errorf("%v: crashed at %s, the directory committed %d results, want the %d of the run that never faulted", e, acts[at].name, len(s.out), len(want))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"astream/internal/bitset"
 	"astream/internal/changelog"
 	"astream/internal/event"
 	"astream/internal/expr"
@@ -256,7 +257,7 @@ func TestSelectionCountersSharedBlock(t *testing.T) {
 		case "watermark":
 			sels[s].OnWatermark(at, out)
 		case "changelog":
-			sels[s].OnChangelog(&ChangelogMsg{CL: &changelog.Changelog{Seq: 1, Time: at}}, at, out)
+			sels[s].OnChangelog(&ChangelogMsg{CL: &changelog.Changelog{Seq: 1, Time: at, Set: bitset.AllUpTo(2), Slots: 2}}, at, out)
 		case "end of stream":
 			sels[s].OnEOS(out)
 		}

@@ -282,10 +282,6 @@ func (e *Engine) InstanceCount() int {
 // Router returns the engine's result router.
 func (e *Engine) Router() *Router { return e.router }
 
-// TopologyDot renders the deployed shared topology as Graphviz, with fused
-// operator chains boxed as subgraphs.
-func (e *Engine) TopologyDot() string { return e.topo.Dot() }
-
 // Chains returns the operator chains the deployment fused (name lists,
 // head first); empty when every edge is a real exchange.
 func (e *Engine) Chains() [][]string { return e.topo.Chains() }

@@ -48,10 +48,12 @@ type predicateHook interface {
 	BeforePredicate(stream, queryID int)
 }
 
-// selVersion is the query table in effect from a given event-time.
+// selVersion is the query table in effect from a given event-time, with its
+// compiled predicate index (DESIGN.md §14).
 type selVersion struct {
 	from    event.Time
 	entries []selEntry
+	index   *selIndex
 }
 
 // SharedSelection computes each tuple's query-set and appends it as the
@@ -63,16 +65,7 @@ type SharedSelection struct {
 	spe.BaseLogic
 	stream   int // which engine stream this instance filters
 	versions []selVersion
-	// indexes[i] is the compiled predicate index for versions[i] (DESIGN.md
-	// §14); the two slices always have equal length and no element is nil.
-	indexes []*selIndex
-	// entryPool recycles entry-table backing arrays from watermark-pruned
-	// versions into future changelogs, bounding control-path churn.
-	entryPool [][]selEntry
-	// delScratch is the deletion lookup reused across changelogs with large
-	// Deleted sets; cleared after each use.
-	delScratch map[int]struct{}
-	metrics    *OpMetrics
+	metrics  *OpMetrics
 	// cnt is what this instance counted since it last published to metrics.
 	cnt      selCounters
 	lateness event.Time
@@ -95,10 +88,7 @@ type SharedSelection struct {
 func NewSharedSelection(stream int, lateness event.Time, m *OpMetrics) *SharedSelection {
 	return &SharedSelection{
 		stream:   stream,
-		versions: []selVersion{{from: event.MinTime}},
-		// The empty initial table gets a (trivial) compiled index so the
-		// versions/indexes alignment invariant holds from birth.
-		indexes:  []*selIndex{buildSelIndex(nil)},
+		versions: []selVersion{{from: event.MinTime, index: buildSelIndex(nil)}},
 		metrics:  m,
 		lateness: lateness,
 	}
@@ -124,7 +114,7 @@ func (s *SharedSelection) OnTuple(_ int, t event.Tuple, out *spe.Emitter) {
 	vi := s.versionAt(t.Time)
 	v := &s.versions[vi]
 	s.qsTmp.Reset()
-	s.indexes[vi].classify(s, v, &t, &s.qsTmp)
+	v.index.classify(s, v, &t, &s.qsTmp)
 	if s.faultHook != nil {
 		for i := range v.entries {
 			if e := &v.entries[i]; !s.hookEntry(e) {
@@ -192,83 +182,29 @@ func (s *SharedSelection) isolate(e *selEntry, ok *bool) {
 	}
 }
 
-// smallDeleteScan bounds the deletion-set size handled by a linear probe of
-// the Deleted slice; larger sets build the reusable lookup map instead.
-const smallDeleteScan = 8
-
-// entryPoolCap bounds how many pruned entry-table backings are kept for
-// reuse.
-const entryPoolCap = 8
-
 // OnChangelog installs the new query table version and compiles its
 // predicate index (control path: the index build runs here, never per
-// tuple). The common ad-hoc case — creations only, no deletions — copies
-// the previous table without building any deletion set, into capacity
-// recycled from watermark-pruned versions.
+// tuple). An entry carries over iff the changelog-set holds its slot — the
+// set holds exactly the slots whose query is the same before and after —
+// and each created query reading this stream adds one.
 func (s *SharedSelection) OnChangelog(payload any, at event.Time, _ *spe.Emitter) {
 	msg := payload.(*ChangelogMsg)
-	cur := &s.versions[len(s.versions)-1]
-	next := selVersion{from: at, entries: s.takeEntries(len(cur.entries) + len(msg.CL.Created))}
-	switch {
-	case len(msg.CL.Deleted) == 0:
-		next.entries = append(next.entries, cur.entries...)
-	case len(msg.CL.Deleted) <= smallDeleteScan:
-		for _, e := range cur.entries {
-			if !slotDeleted(msg.CL, e.slot) {
-				next.entries = append(next.entries, e)
-			}
+	cur := s.versions[len(s.versions)-1].entries
+	next := make([]selEntry, 0, len(cur)+len(msg.CL.Created))
+	for _, e := range cur {
+		if msg.CL.Set.Test(e.slot) {
+			next = append(next, e)
 		}
-	default:
-		if s.delScratch == nil {
-			s.delScratch = make(map[int]struct{}, len(msg.CL.Deleted))
-		}
-		for _, d := range msg.CL.Deleted {
-			s.delScratch[d.Slot] = struct{}{}
-		}
-		for _, e := range cur.entries {
-			if _, del := s.delScratch[e.slot]; !del {
-				next.entries = append(next.entries, e)
-			}
-		}
-		clear(s.delScratch)
 	}
 	for _, c := range msg.CL.Created {
 		q := msg.Defs[c.Query]
 		if q == nil || s.stream >= q.Arity {
 			continue // query does not read this stream
 		}
-		next.entries = append(next.entries, selEntry{slot: c.Slot, id: c.Query, pred: q.Predicates[s.stream]})
+		next = append(next, selEntry{slot: c.Slot, id: c.Query, pred: q.Predicates[s.stream]})
 	}
-	s.versions = append(s.versions, next)
-	s.indexes = append(s.indexes, s.buildIndex(next.entries))
+	s.versions = append(s.versions, selVersion{from: at, entries: next, index: s.buildIndex(next)})
 	s.cnt.publish(s.metrics)
-}
-
-func slotDeleted(cl *changelog.Changelog, slot int) bool {
-	for _, d := range cl.Deleted {
-		if d.Slot == slot {
-			return true
-		}
-	}
-	return false
-}
-
-// takeEntries returns an empty entry slice with at least the given
-// capacity, recycling a pruned version's backing when one fits.
-func (s *SharedSelection) takeEntries(capNeed int) []selEntry {
-	for i := len(s.entryPool) - 1; i >= 0; i-- {
-		if cap(s.entryPool[i]) >= capNeed {
-			e := s.entryPool[i][:0]
-			s.entryPool[i] = s.entryPool[len(s.entryPool)-1]
-			s.entryPool[len(s.entryPool)-1] = nil
-			s.entryPool = s.entryPool[:len(s.entryPool)-1]
-			return e
-		}
-	}
-	if capNeed < 4 {
-		capNeed = 4
-	}
-	return make([]selEntry, 0, capNeed)
 }
 
 // buildIndex compiles entries into a predicate index.
@@ -280,11 +216,10 @@ func (s *SharedSelection) buildIndex(entries []selEntry) *selIndex {
 }
 
 // rebuildIndexes recompiles every version's index from its entry table:
-// the repopulation path for the derived indexes field, called by Restore.
+// the repopulation path for the derived index field, called by Restore.
 func (s *SharedSelection) rebuildIndexes() {
-	s.indexes = make([]*selIndex, len(s.versions))
 	for i := range s.versions {
-		s.indexes[i] = s.buildIndex(s.versions[i].entries)
+		s.versions[i].index = s.buildIndex(s.versions[i].entries)
 	}
 }
 
@@ -296,37 +231,22 @@ func (s *SharedSelection) installTable(entries []selEntry) {
 }
 
 // IndexStats reports the compiled-index composition of the newest table
-// version. Tests, benchmarks, and QoS reporting; call at a quiescent point
-// like ActiveEntries.
+// version. Tests, benchmarks, and QoS reporting; call at a quiescent point.
 func (s *SharedSelection) IndexStats() SelIndexStats {
-	return s.indexes[len(s.indexes)-1].stats
+	return s.versions[len(s.versions)-1].index.stats
 }
 
-// OnWatermark prunes table versions that no in-flight tuple can reference,
-// recycling their entry backings into the changelog pool, and publishes the
-// instance's counters: a mid-run reader of the metrics block lags this
-// instance by at most one watermark interval.
+// OnWatermark prunes table versions that no in-flight tuple can reference
+// and publishes the instance's counters: a mid-run reader of the metrics
+// block lags this instance by at most one watermark interval.
 func (s *SharedSelection) OnWatermark(wm event.Time, _ *spe.Emitter) {
 	horizon := wm - s.lateness
 	// Keep the last version with from ≤ horizon and everything later.
 	i := sort.Search(len(s.versions), func(i int) bool { return s.versions[i].from > horizon }) - 1
 	if i > 0 {
-		n := len(s.versions)
-		for j := 0; j < i; j++ {
-			if e := s.versions[j].entries; cap(e) > 0 && len(s.entryPool) < entryPoolCap {
-				clear(e[:cap(e)])
-				s.entryPool = append(s.entryPool, e[:0])
-			}
-			s.versions[j] = selVersion{}
-		}
-		copy(s.versions, s.versions[i:])
-		copy(s.indexes, s.indexes[i:])
-		for j := n - i; j < n; j++ {
-			s.versions[j] = selVersion{}
-			s.indexes[j] = nil
-		}
-		s.versions = s.versions[:n-i]
-		s.indexes = s.indexes[:n-i]
+		n := copy(s.versions, s.versions[i:])
+		clear(s.versions[n:])
+		s.versions = s.versions[:n]
 	}
 	s.cnt.publish(s.metrics)
 }
@@ -334,11 +254,6 @@ func (s *SharedSelection) OnWatermark(wm event.Time, _ *spe.Emitter) {
 // OnEOS publishes the instance's last counts, so after Engine.Drain the
 // metrics block is exact.
 func (s *SharedSelection) OnEOS(*spe.Emitter) { s.cnt.publish(s.metrics) }
-
-// ActiveEntries reports the current predicate count (tests/metrics).
-func (s *SharedSelection) ActiveEntries() int {
-	return len(s.versions[len(s.versions)-1].entries)
-}
 
 // OpMetrics aggregates shared-operator cost counters across instances; every
 // field is read and written through sync/atomic. Selected and Dropped are

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"astream/internal/bitset"
@@ -161,8 +163,9 @@ func TestIndexedClassificationAgreesWithScan(t *testing.T) {
 			var active []int
 			em := &spe.Emitter{}
 			// Non-vacuity: the run must build an eq bucket shared by two
-			// residuals and a residual behind the stabbing index.
-			var sharedBucket, verifiedRange bool
+			// residuals and a residual behind the stabbing index, and create
+			// a query into a slot its own changelog freed.
+			var sharedBucket, verifiedRange, reusedSlot bool
 
 			apply := func(msg *ChangelogMsg, at event.Time) {
 				idx.OnChangelog(msg, at, nil)
@@ -178,12 +181,44 @@ func TestIndexedClassificationAgreesWithScan(t *testing.T) {
 					restored.onPredPanic = onIdxPanic
 					idx = restored
 				}
+				newQueries := func(n int) []*Query {
+					qs := make([]*Query, n)
+					for i := range qs {
+						p := randIndexPred(r, templates)
+						templates = append(templates, p)
+						qs[i] = &Query{Kind: KindSelection, Arity: 1, Predicates: []expr.Predicate{p}}
+					}
+					return qs
+				}
 				// Mutate the workload: mostly creations, sometimes deletions
-				// (occasionally enough of them to exercise the map-based path).
-				if len(active) > 4 && r.Intn(100) < 35 {
+				// (occasionally more than eight at once). Step 30 deletes nine
+				// queries and creates three in one changelog, which hands the
+				// created queries slots it frees.
+				switch {
+				case step == 30:
+					if n := 9 - len(active); n > 0 {
+						msg := b.create(t, at, newQueries(n)...)
+						for _, c := range msg.CL.Created {
+							active = append(active, c.Query)
+						}
+						apply(msg, at)
+					}
+					r.Shuffle(len(active), func(i, j int) { active[i], active[j] = active[j], active[i] })
+					msg := b.apply(t, at, active[:9], newQueries(3)...)
+					freed := map[int]bool{}
+					for _, d := range msg.CL.Deleted {
+						freed[d.Slot] = true
+					}
+					active = active[9:]
+					for _, c := range msg.CL.Created {
+						active = append(active, c.Query)
+						reusedSlot = reusedSlot || freed[c.Slot]
+					}
+					apply(msg, at)
+				case len(active) > 4 && r.Intn(100) < 35:
 					ndel := 1 + r.Intn(3)
 					if r.Intn(100) < 25 {
-						ndel = len(active)/2 + smallDeleteScan // force delScratch
+						ndel = len(active)/2 + 9
 					}
 					if ndel > len(active) {
 						ndel = len(active)
@@ -191,29 +226,28 @@ func TestIndexedClassificationAgreesWithScan(t *testing.T) {
 					r.Shuffle(len(active), func(i, j int) { active[i], active[j] = active[j], active[i] })
 					apply(b.remove(t, at, active[:ndel]...), at)
 					active = active[ndel:]
-				} else {
-					nq := 1 + r.Intn(6)
-					qs := make([]*Query, nq)
-					for i := range qs {
-						p := randIndexPred(r, templates)
-						templates = append(templates, p)
-						qs[i] = &Query{Kind: KindSelection, Arity: 1, Predicates: []expr.Predicate{p}}
-					}
-					msg := b.create(t, at, qs...)
-					for _, q := range qs {
-						active = append(active, q.ID)
+				default:
+					msg := b.create(t, at, newQueries(1+r.Intn(6))...)
+					for _, c := range msg.CL.Created {
+						active = append(active, c.Query)
 					}
 					apply(msg, at)
 				}
-				if len(idx.versions) != len(idx.indexes) {
-					t.Fatalf("step %d: %d versions but %d indexes", step, len(idx.versions), len(idx.indexes))
+				// Both instances share the changelog path, so the table is
+				// held to the builder's: exactly the active queries have an
+				// entry.
+				newest := idx.versions[len(idx.versions)-1]
+				var ids []int
+				for _, e := range newest.entries {
+					ids = append(ids, e.id)
 				}
-				// Both instances share the changelog path, so the count is
-				// held to the builder's: every active query has its entry.
-				if n := idx.ActiveEntries(); n != len(active) {
-					t.Fatalf("step %d: %d entries for %d active queries", step, n, len(active))
+				sort.Ints(ids)
+				want := append([]int(nil), active...)
+				sort.Ints(want)
+				if !slices.Equal(ids, want) {
+					t.Fatalf("step %d: entries for queries %v, want the active %v", step, ids, want)
 				}
-				shared, ranged := verifyCoverage(idx.indexes[len(idx.indexes)-1])
+				shared, ranged := verifyCoverage(newest.index)
 				sharedBucket, verifiedRange = sharedBucket || shared, verifiedRange || ranged
 
 				// Tuples spanning every live version, including times far
@@ -239,8 +273,7 @@ func TestIndexedClassificationAgreesWithScan(t *testing.T) {
 					}
 				}
 
-				// Occasionally advance the watermark so versions get pruned
-				// (and the indexed instance recycles entry backings).
+				// Occasionally advance the watermark so versions get pruned.
 				if r.Intn(100) < 40 {
 					wm := at - event.Time(r.Intn(200))
 					if wm > 0 {
@@ -249,9 +282,9 @@ func TestIndexedClassificationAgreesWithScan(t *testing.T) {
 					}
 				}
 			}
-			if !sharedBucket || !verifiedRange {
-				t.Fatalf("generator never exercised residual verify: shared eq bucket %v, verified range %v",
-					sharedBucket, verifiedRange)
+			if !sharedBucket || !verifiedRange || !reusedSlot {
+				t.Fatalf("generator never exercised residual verify or slot reuse: shared eq bucket %v, verified range %v, reused slot %v",
+					sharedBucket, verifiedRange, reusedSlot)
 			}
 		})
 	}
@@ -351,14 +384,14 @@ func TestIndexSurvivesSnapshotRestore(t *testing.T) {
 	if err := restored.Restore(sel.OnBarrier(1, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if len(restored.indexes) != len(restored.versions) {
-		t.Fatalf("restored %d versions but %d indexes", len(restored.versions), len(restored.indexes))
+	if len(restored.versions) != len(sel.versions) {
+		t.Fatalf("restored %d versions, want %d", len(restored.versions), len(sel.versions))
 	}
-	for i, ix := range restored.indexes {
-		if ix == nil {
+	for i, v := range restored.versions {
+		if v.index == nil {
 			t.Fatalf("restored version %d has no compiled index", i)
 		}
-		if got, want := ix.stats, sel.indexes[i].stats; got != want {
+		if got, want := v.index.stats, sel.versions[i].index.stats; got != want {
 			t.Fatalf("version %d stats diverge after restore: %+v vs %+v", i, got, want)
 		}
 	}
@@ -414,7 +447,7 @@ func TestOverlapIndexComposition(t *testing.T) {
 func TestConjunctionDispatchWork(t *testing.T) {
 	sel := NewSharedSelection(0, 0, NewOpMetrics(nil))
 	sel.installTable(keyedEntries(512))
-	ix := sel.indexes[0]
+	ix := sel.versions[0].index
 	if st := ix.stats; st.EqDispatch != 512 || st.RangeDispatch != 0 || st.Lattice != 0 || st.Verified != 256 {
 		t.Fatalf("keyed index stats = %+v, want 512 eq-dispatched nodes, 256 of them verified", st)
 	}
@@ -471,50 +504,5 @@ func TestConjunctionDispatchWork(t *testing.T) {
 		}); avg != 0 || !got.Test(slot) {
 			t.Errorf("a verified classification allocated %.1f times (slot %d selected: %v), want 0", avg, slot, got.Test(slot))
 		}
-	}
-}
-
-// TestChangelogReusesEntryCapacity pins the control-path churn fix: a
-// changelog with no deletions must not rebuild a deletion set, and entry
-// backings from watermark-pruned versions are recycled into later tables.
-func TestChangelogReusesEntryCapacity(t *testing.T) {
-	sel := NewSharedSelection(0, 0, NewOpMetrics(nil))
-	b := newCLBuilder()
-	mk := func(n int) []*Query {
-		qs := make([]*Query, n)
-		for i := range qs {
-			qs[i] = &Query{Kind: KindSelection, Arity: 1, Predicates: []expr.Predicate{
-				expr.True().And(expr.Comparison{Field: 0, Op: expr.LT, Value: 500}),
-			}}
-		}
-		return qs
-	}
-	first := b.create(t, 0, mk(16)...)
-	ids := make([]int, 0, 8)
-	for _, c := range first.CL.Created {
-		if len(ids) < 8 {
-			ids = append(ids, c.Query)
-		}
-	}
-	sel.OnChangelog(first, 0, nil)
-	sel.OnChangelog(b.remove(t, 100, ids...), 100, nil)
-	if got := sel.ActiveEntries(); got != 8 {
-		t.Fatalf("active entries = %d, want 8", got)
-	}
-	// Prune the first two versions; the 16-entry backing goes to the pool.
-	sel.OnWatermark(250, nil)
-	if len(sel.versions) != 1 || len(sel.indexes) != 1 {
-		t.Fatalf("after prune: %d versions, %d indexes", len(sel.versions), len(sel.indexes))
-	}
-	pooled := len(sel.entryPool)
-	if pooled == 0 {
-		t.Fatalf("pruned entry backings were not pooled")
-	}
-	sel.OnChangelog(b.create(t, 300, mk(2)...), 300, nil)
-	if len(sel.entryPool) >= pooled {
-		t.Fatalf("changelog did not draw from the entry pool (%d -> %d)", pooled, len(sel.entryPool))
-	}
-	if got := sel.ActiveEntries(); got != 10 {
-		t.Fatalf("active entries = %d, want 10", got)
 	}
 }

@@ -40,6 +40,18 @@ func newCLBuilder() *clBuilder {
 
 func (b *clBuilder) create(t testing.TB, at event.Time, qs ...*Query) *ChangelogMsg {
 	t.Helper()
+	return b.apply(t, at, nil, qs...)
+}
+
+func (b *clBuilder) remove(t testing.TB, at event.Time, ids ...int) *ChangelogMsg {
+	t.Helper()
+	return b.apply(t, at, ids)
+}
+
+// apply weaves one changelog that deletes del and creates qs; the registry
+// hands the slots del frees to qs first.
+func (b *clBuilder) apply(t testing.TB, at event.Time, del []int, qs ...*Query) *ChangelogMsg {
+	t.Helper()
 	ids := make([]int, 0, len(qs))
 	for _, q := range qs {
 		b.nextID++
@@ -47,16 +59,7 @@ func (b *clBuilder) create(t testing.TB, at event.Time, qs ...*Query) *Changelog
 		b.defs[q.ID] = q
 		ids = append(ids, q.ID)
 	}
-	cl, err := b.reg.Apply(at, ids, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &ChangelogMsg{CL: cl, Defs: b.defs}
-}
-
-func (b *clBuilder) remove(t testing.TB, at event.Time, ids ...int) *ChangelogMsg {
-	t.Helper()
-	cl, err := b.reg.Apply(at, nil, ids)
+	cl, err := b.reg.Apply(at, ids, del)
 	if err != nil {
 		t.Fatal(err)
 	}

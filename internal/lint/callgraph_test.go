@@ -1,9 +1,7 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
-	"go/token"
 	"reflect"
 	"strings"
 	"testing"
@@ -184,69 +182,13 @@ func TestBlockSummaryDeterminism(t *testing.T) {
 
 func TestLockHeldProcFixture(t *testing.T) {
 	diags := checkFixture(t, "lockheldproc", []*Analyzer{NewLockHeldSend()})
-	// The two-hop finding must carry the machine-readable chain.
+	// The two-hop finding's message must carry its whole witness chain.
+	const chain = "(*node).forward2 → (*node).forward → (*node).send"
 	found := false
 	for _, d := range diags {
-		if len(d.Chain) == 3 {
-			found = true
-		}
+		found = found || strings.Contains(d.Message, chain)
 	}
 	if !found {
-		t.Error("no diagnostic carried a three-element call chain")
-	}
-}
-
-func TestFindingsJSONRoundTrip(t *testing.T) {
-	diags := []Diagnostic{
-		{Analyzer: "lockheld-send", Pos: token.Position{Filename: "/repo/internal/core/agg.go", Line: 10, Column: 3}, Message: "call to may-block b under lock", Chain: []string{"a", "b"}},
-		{Analyzer: "lockheld-send", Pos: token.Position{Filename: "/repo/internal/spe/runtime.go", Line: 4, Column: 1}, Message: "send under lock"},
-	}
-	r := NewReport("/repo", diags)
-	if r.Findings[0].File != "internal/core/agg.go" {
-		t.Errorf("path not relativized: %q", r.Findings[0].File)
-	}
-	b, err := r.WriteJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Report
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r, back) {
-		t.Errorf("round trip mismatch:\n%+v\nvs\n%+v", r, back)
-	}
-}
-
-func TestBaselineSubtract(t *testing.T) {
-	mk := func(file, msg string, line int) Finding {
-		return Finding{Analyzer: "maporder", File: file, Line: line, Col: 1, Message: msg}
-	}
-	current := Report{Version: ReportVersion, Findings: []Finding{
-		mk("a.go", "error discarded", 10),
-		mk("a.go", "error discarded", 20), // duplicate message, second instance
-		mk("b.go", "error overwritten", 5),
-	}}
-	baseline := Report{Version: ReportVersion, Findings: []Finding{
-		mk("a.go", "error discarded", 99), // line differs: still absorbs one
-	}}
-	fresh := current.Subtract(baseline)
-	if len(fresh) != 2 {
-		t.Fatalf("fresh = %d findings (%v), want 2", len(fresh), fresh)
-	}
-	if fresh[0].File != "a.go" || fresh[0].Line != 20 {
-		t.Errorf("multiset matching should absorb only the first duplicate, got %+v", fresh[0])
-	}
-	if fresh[1].File != "b.go" {
-		t.Errorf("unbaselined finding missing, got %+v", fresh[1])
-	}
-
-	// An empty baseline subtracts nothing; empty current yields empty
-	// non-nil slice (marshals as []).
-	if got := current.Subtract(Report{Version: ReportVersion}); len(got) != 3 {
-		t.Errorf("empty baseline absorbed findings: %v", got)
-	}
-	if got := (Report{Version: ReportVersion}).Subtract(baseline); got == nil || len(got) != 0 {
-		t.Errorf("empty current should give empty non-nil slice, got %#v", got)
+		t.Errorf("no diagnostic carried the chain %q", chain)
 	}
 }

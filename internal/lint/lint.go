@@ -2,8 +2,7 @@
 // stdlib-only (go/parser + go/ast + go/types + go/importer) vet-style
 // harness enforcing engine invariants the Go type system cannot express —
 // event-time purity, lock discipline around shared state, deterministic
-// iteration on encode paths, goroutine-teardown hygiene, and consistent
-// atomic access. The driver lives in cmd/astream-vet; each analyzer is a
+// iteration on encode paths, and consistent atomic access. The driver lives in cmd/astream-vet; each analyzer is a
 // pluggable unit implementing Analyzer.
 //
 // Diagnostics may be suppressed in source with
@@ -22,7 +21,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Package is one loaded, type-checked package as seen by analyzers.
@@ -43,15 +41,12 @@ type Package struct {
 	Src map[string][]byte
 }
 
-// Diagnostic is one finding, anchored to an exact source position.
+// Diagnostic is one finding, anchored to an exact source position. An
+// interprocedural finding's Message carries its witness call chain.
 type Diagnostic struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
-	// Chain is the call chain behind an interprocedural finding, outermost
-	// first (empty for intraprocedural findings). The human-readable Message
-	// already embeds it; Chain is the machine-readable copy for -format json.
-	Chain []string
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
@@ -115,7 +110,6 @@ func (a *Analyzer) Diag(p *Package, pos token.Pos, format string, args ...any) D
 type ignoreDirective struct {
 	*directive
 	analyzers []string
-	reason    string
 }
 
 // collectIgnores interprets every //lint:ignore directive in the package.
@@ -135,7 +129,7 @@ func collectIgnores(p *Package) ([]ignoreDirective, []Diagnostic) {
 			bad = append(bad, d.missingReason("lint"))
 			continue
 		}
-		dir := ignoreDirective{d, strings.Split(names, ","), reason}
+		dir := ignoreDirective{d, strings.Split(names, ",")}
 		for _, name := range dir.analyzers {
 			if !known[name] {
 				bad = append(bad, Diagnostic{Analyzer: "lint", Pos: d.pos, Message: "unknown analyzer " + name + " in //lint:ignore"})
@@ -146,68 +140,32 @@ func collectIgnores(p *Package) ([]ignoreDirective, []Diagnostic) {
 	return dirs, bad
 }
 
-// suppressReason returns the reason of the first directive covering d,
-// and whether any directive does.
-func suppressReason(d Diagnostic, dirs []ignoreDirective) (string, bool) {
+// suppressed reports whether a directive covers d.
+func suppressed(d Diagnostic, dirs []ignoreDirective) bool {
 	for _, dir := range dirs {
 		if !dir.covers(d.Pos) {
 			continue
 		}
 		for _, name := range dir.analyzers {
 			if name == "all" || name == d.Analyzer {
-				return dir.reason, true
+				return true
 			}
 		}
 	}
-	return "", false
-}
-
-// SuppressedDiagnostic is a diagnostic silenced by a //lint:ignore
-// directive, together with the directive's stated reason. Suppressions are
-// reported alongside live findings in -format json so the justifications
-// stay auditable without grepping the source.
-type SuppressedDiagnostic struct {
-	Diagnostic
-	Reason string
+	return false
 }
 
 // Run executes every analyzer over every package, applies //lint:ignore
 // suppression, and returns the surviving diagnostics in file/line order.
 // Module analyzers (RunModule) execute once over the whole load.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunAll(pkgs, analyzers)
-	return diags
-}
-
-// RunAll is Run plus the suppressed diagnostics: every finding silenced by
-// a //lint:ignore directive is returned separately with the directive's
-// reason, in the same file/line order.
-func RunAll(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []SuppressedDiagnostic) {
-	diags, sup, _ := RunAllTimed(pkgs, analyzers)
-	return diags, sup
-}
-
-// AnalyzerTiming is one analyzer's wall-clock cost over a RunAllTimed
-// invocation, summed across packages (and the module pass for module
-// analyzers). Shared infrastructure built lazily — the call graph and block
-// summaries — is billed to the first analyzer that demands it.
-type AnalyzerTiming struct {
-	Name    string
-	Elapsed time.Duration
-}
-
-// RunAllTimed is RunAll plus per-analyzer timings, in the analyzers'
-// given order.
-func RunAllTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []SuppressedDiagnostic, []AnalyzerTiming) {
 	var out []Diagnostic
-	var sup []SuppressedDiagnostic
 	var allDirs []ignoreDirective
-	elapsed := make(map[string]time.Duration, len(analyzers))
-	keep := func(d Diagnostic, dirs []ignoreDirective) {
-		if reason, ok := suppressReason(d, dirs); ok {
-			sup = append(sup, SuppressedDiagnostic{Diagnostic: d, Reason: reason})
-		} else {
-			out = append(out, d)
+	keep := func(ds []Diagnostic, dirs []ignoreDirective) {
+		for _, d := range ds {
+			if !suppressed(d, dirs) {
+				out = append(out, d)
+			}
 		}
 	}
 	for _, p := range pkgs {
@@ -215,38 +173,19 @@ func RunAllTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Suppre
 		out = append(out, bad...)
 		allDirs = append(allDirs, dirs...)
 		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			//lint:ignore wallclock analyzer timing instrumentation, not event-time logic
-			start := time.Now()
-			ds := a.Run(p)
-			//lint:ignore wallclock analyzer timing instrumentation, not event-time logic
-			elapsed[a.Name] += time.Since(start)
-			for _, d := range ds {
-				keep(d, dirs)
+			if a.Run != nil {
+				keep(a.Run(p), dirs)
 			}
 		}
 	}
 	mod := NewModule(pkgs)
 	for _, a := range analyzers {
-		if a.RunModule == nil {
-			continue
-		}
-		//lint:ignore wallclock analyzer timing instrumentation, not event-time logic
-		start := time.Now()
-		ds := a.RunModule(mod)
-		//lint:ignore wallclock analyzer timing instrumentation, not event-time logic
-		elapsed[a.Name] += time.Since(start)
-		for _, d := range ds {
-			keep(d, allDirs)
+		if a.RunModule != nil {
+			keep(a.RunModule(mod), allDirs)
 		}
 	}
-	var timings []AnalyzerTiming
-	for _, a := range analyzers {
-		timings = append(timings, AnalyzerTiming{Name: a.Name, Elapsed: elapsed[a.Name]})
-	}
-	byPos := func(a, b Diagnostic) bool {
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
 		}
@@ -257,10 +196,8 @@ func RunAllTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Suppre
 			return a.Pos.Column < b.Pos.Column
 		}
 		return a.Analyzer < b.Analyzer
-	}
-	sort.Slice(out, func(i, j int) bool { return byPos(out[i], out[j]) })
-	sort.Slice(sup, func(i, j int) bool { return byPos(sup[i].Diagnostic, sup[j].Diagnostic) })
-	return out, sup, timings
+	})
+	return out
 }
 
 // pathMatches reports whether an import path matches any pattern. A

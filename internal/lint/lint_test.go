@@ -130,36 +130,6 @@ func TestStateScope(t *testing.T) {
 	}
 }
 
-// TestSuppressedReasons proves //lint:ignore justifications survive into
-// the JSON schema: RunAll returns each silenced finding with its
-// directive's reason, Run stays the unsuppressed projection, and
-// SuppressedFindings carries the reason into the Report.
-func TestSuppressedReasons(t *testing.T) {
-	p := loadFixture(t, "ignore")
-	analyzers := []*Analyzer{NewWallclock(nil)}
-	diags, sup := RunAll([]*Package{p}, analyzers)
-	if len(sup) == 0 {
-		t.Fatal("ignore fixture produced no suppressed findings")
-	}
-	for _, s := range sup {
-		if s.Reason == "" {
-			t.Errorf("suppressed finding without a reason: %s", s.Diagnostic)
-		}
-	}
-	if plain := Run([]*Package{p}, analyzers); len(plain) != len(diags) {
-		t.Errorf("Run returned %d diagnostics, RunAll %d", len(plain), len(diags))
-	}
-	fs := SuppressedFindings("", sup)
-	r := Report{Version: ReportVersion, Findings: []Finding{}, Suppressed: fs}
-	b, err := r.WriteJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(b), `"reason": "`+sup[0].Reason+`"`) {
-		t.Errorf("JSON report does not carry the suppression reason:\n%s", b)
-	}
-}
-
 // TestIgnoreFixture proves the //lint:ignore machinery end to end: the
 // same-line, own-line, and "all" directives suppress their findings (no
 // want comment, so any survivor fails as unexpected), a directive naming a
@@ -214,7 +184,7 @@ func TestModuleClean(t *testing.T) {
 // BenchmarkVetFullRepo measures the full analyzer suite over the whole
 // module — the cost CI pays per run. The module load (parse + type-check)
 // happens once outside the timed loop; each iteration rebuilds the call
-// graph and summaries from scratch, which is what RunAll does for a fresh
+// graph and summaries from scratch, which is what Run does for a fresh
 // invocation.
 func BenchmarkVetFullRepo(b *testing.B) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
@@ -232,7 +202,7 @@ func BenchmarkVetFullRepo(b *testing.B) {
 	analyzers := ModuleAnalyzers(modPath)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		diags, _, _ := RunAllTimed(pkgs, analyzers)
+		diags := Run(pkgs, analyzers)
 		if len(diags) != 0 {
 			b.Fatalf("module not lint-clean: %s", diags[0])
 		}

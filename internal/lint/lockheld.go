@@ -54,14 +54,12 @@ func NewLockHeldSend() *Analyzer {
 				pkg:   n.Pkg,
 				graph: g,
 				sums:  sums,
-				report: func(pos token.Pos, chain []string, format string, args ...any) {
+				report: func(pos token.Pos, format string, args ...any) {
 					if seen[pos] {
 						return
 					}
 					seen[pos] = true
-					d := a.Diag(n.Pkg, pos, format, args...)
-					d.Chain = chain
-					diags = append(diags, d)
+					diags = append(diags, a.Diag(n.Pkg, pos, format, args...))
 				},
 			}
 			runFlow[*lockState](n.Pkg, c, n.Body, &lockState{held: map[string]bool{}, defUn: map[string]bool{}})
@@ -76,7 +74,7 @@ type lockScan struct {
 	pkg    *Package
 	graph  *CallGraph
 	sums   map[*CGNode]*BlockSummary
-	report func(pos token.Pos, chain []string, format string, args ...any)
+	report func(pos token.Pos, format string, args ...any)
 }
 
 // lockState is the may-held lattice: set union at every join.
@@ -173,7 +171,7 @@ func (c *lockScan) stmt(st ast.Stmt, s *lockState, comm bool) *lockState {
 			if callee, _ := c.graph.resolveCall(c.pkg, st.Call); callee != nil {
 				if sum := c.sums[callee]; sum != nil && sum.Blocks {
 					chain, desc, site := BlockChain(callee, c.sums)
-					c.report(st.Call.Pos(), chain,
+					c.report(st.Call.Pos(),
 						"deferred call to %s runs before the deferred %s.Unlock and may block (%s; %s at %s); unlock explicitly before deferring it",
 						callee.DisplayName(), firstKey(s.defUn), strings.Join(chain, " → "), desc, chainSite(site))
 				}
@@ -186,7 +184,7 @@ func (c *lockScan) stmt(st ast.Stmt, s *lockState, comm bool) *lockState {
 		return c.scanArgs(st.Call, s)
 	case *ast.SendStmt:
 		if lock := firstKey(s.held); lock != "" && !comm {
-			c.report(st.Arrow, nil, "channel send while %s is held can deadlock the engine; release the lock first", lock)
+			c.report(st.Arrow, "channel send while %s is held can deadlock the engine; release the lock first", lock)
 		}
 	}
 	if !comm {
@@ -223,12 +221,12 @@ func (c *lockScan) enter(st ast.Stmt, s *lockState) *lockState {
 	switch st := st.(type) {
 	case *ast.SelectStmt:
 		if !hasDefaultComm(st) {
-			c.report(st.Select, nil, "select with no default blocks while %s is held; release the lock first", lock)
+			c.report(st.Select, "select with no default blocks while %s is held; release the lock first", lock)
 		}
 	case *ast.RangeStmt:
 		if t := c.pkg.Info.Types[st.X].Type; t != nil {
 			if _, isChan := t.Underlying().(*types.Chan); isChan {
-				c.report(st.For, nil, "range over channel while %s is held blocks between receives; release the lock first", lock)
+				c.report(st.For, "range over channel while %s is held blocks between receives; release the lock first", lock)
 			}
 		}
 	}
@@ -263,7 +261,7 @@ func (c *lockScan) scan(root, skip ast.Node, s *lockState) {
 			return false
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW && n != skip {
-				c.report(n.OpPos, nil, "blocking channel receive while %s is held can deadlock the engine; release the lock first", lock)
+				c.report(n.OpPos, "blocking channel receive while %s is held can deadlock the engine; release the lock first", lock)
 			}
 		case *ast.CallExpr:
 			c.checkCall(n, lock)
@@ -288,7 +286,7 @@ func (c *lockScan) checkCall(call *ast.CallExpr, lock string) {
 		return
 	}
 	chain, desc, site := BlockChain(callee, c.sums)
-	c.report(call.Pos(), chain,
+	c.report(call.Pos(),
 		"call to %s while %s is held may block (%s; %s at %s) and can deadlock the engine; release the lock first",
 		callee.DisplayName(), lock, strings.Join(chain, " → "), desc, chainSite(site))
 }

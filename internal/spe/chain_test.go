@@ -439,28 +439,3 @@ func TestFlushOnIdleShipsPartialBatch(t *testing.T) {
 	}
 	job.Stop()
 }
-
-func TestTopologyDotRendersChains(t *testing.T) {
-	topo := NewTopology()
-	src := topo.AddSource("src", 1)
-	a := topo.AddOperator("a", 1, NewMapLogic(passThrough), ForwardInput(src))
-	topo.AddOperator("b", 1, NewMapLogic(passThrough), ForwardInput(a))
-	other := topo.AddSource("other", 1)
-	topo.AddOperator("lone", 2, NewMapLogic(passThrough), KeyedInput(other))
-	dot := topo.Dot()
-	for _, want := range []string{
-		"subgraph cluster_chain_0",
-		`label="chain"`,
-		`"src" -> "a" [label="chained",style=dashed]`,
-		`"a" -> "b" [label="chained",style=dashed]`,
-		`"other" -> "lone" [label="keyed"]`,
-	} {
-		if !strings.Contains(dot, want) {
-			t.Fatalf("Dot() missing %q:\n%s", want, dot)
-		}
-	}
-	// Chain members are declared inside the subgraph, not at top level too.
-	if strings.Count(dot, `"a" [shape=box`) != 1 {
-		t.Fatalf("chain member declared more than once:\n%s", dot)
-	}
-}

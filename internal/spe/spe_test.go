@@ -2,7 +2,6 @@ package spe
 
 import (
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
@@ -543,19 +542,6 @@ func TestDeterministicOrderPerKeySingleChain(t *testing.T) {
 			if times[i] <= times[i-1] {
 				t.Fatalf("key %d out of order: %v", k, times[:i+1])
 			}
-		}
-	}
-}
-
-func TestTopologyDot(t *testing.T) {
-	topo := NewTopology()
-	src := topo.AddSource("src", 2)
-	mid := topo.AddOperator("mid", 4, NewMapLogic(func(*event.Tuple) bool { return true }), KeyedInput(src))
-	topo.AddOperator("sink", 1, NewSinkLogic(nil), GlobalInput(mid))
-	dot := topo.Dot()
-	for _, want := range []string{"digraph", `"src" [shape=ellipse`, `"mid" [shape=box`, `"src" -> "mid" [label="keyed"]`, `"mid" -> "sink" [label="global"]`} {
-		if !strings.Contains(dot, want) {
-			t.Fatalf("Dot() missing %q:\n%s", want, dot)
 		}
 	}
 }

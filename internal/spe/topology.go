@@ -1,9 +1,6 @@
 package spe
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // DefaultChannelCap is the bounded capacity of exchange channels; bounded
 // channels are what make backpressure (and therefore sustainable-throughput
@@ -244,55 +241,4 @@ func (t *Topology) Chains() [][]string {
 		chains = append(chains, names)
 	}
 	return chains
-}
-
-// Dot renders the topology as a Graphviz digraph (operators as nodes,
-// exchanges as labelled edges) — handy for documentation and debugging.
-// Operators that Deploy would fuse into one chain are boxed together in a
-// cluster subgraph, and the fused edges are dashed and labelled "chained"
-// so the rendering matches what actually runs.
-func (t *Topology) Dot() string {
-	next := t.chainNext()
-	prev := make(map[*Node]*Node, len(next))
-	for _, n := range t.nodes {
-		if d := next[n]; d != nil {
-			prev[d] = n
-		}
-	}
-	decl := func(sb *strings.Builder, indent string, n *Node) {
-		shape := "box"
-		if n.isSource {
-			shape = "ellipse"
-		}
-		fmt.Fprintf(sb, "%s%q [shape=%s,label=\"%s ×%d\"];\n", indent, n.name, shape, n.name, n.parallelism)
-	}
-	var sb strings.Builder
-	sb.WriteString("digraph topology {\n  rankdir=LR;\n")
-	chainID := 0
-	for _, n := range t.nodes {
-		if prev[n] != nil {
-			continue // declared inside its chain head's subgraph
-		}
-		if next[n] == nil {
-			decl(&sb, "  ", n)
-			continue
-		}
-		fmt.Fprintf(&sb, "  subgraph cluster_chain_%d {\n    label=\"chain\";\n    style=\"rounded,dashed\";\n", chainID)
-		chainID++
-		for m := n; m != nil; m = next[m] {
-			decl(&sb, "    ", m)
-		}
-		sb.WriteString("  }\n")
-	}
-	for _, n := range t.nodes {
-		for _, in := range n.inputs {
-			if next[in.from] == n {
-				fmt.Fprintf(&sb, "  %q -> %q [label=\"chained\",style=dashed];\n", in.from.name, n.name)
-				continue
-			}
-			fmt.Fprintf(&sb, "  %q -> %q [label=%q];\n", in.from.name, n.name, in.mode.String())
-		}
-	}
-	sb.WriteString("}\n")
-	return sb.String()
 }
