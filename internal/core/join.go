@@ -25,11 +25,13 @@ type SharedJoin struct {
 	metrics *OpMetrics
 
 	// Steady-state scratch (owned by the instance goroutine, §3.2.2's
-	// no-allocation discipline): the trigger's delivery targets and
-	// pass-through slots per cap group, the one result row every delivery is
-	// a copy of, a pair's rows before they are cached at their exact size,
-	// and the query-set intersection temporaries.
-	groups  []fireGroup // per-cap-group targets and pass-through slots of the trigger
+	// no-allocation discipline): a window end's queries, slice ranges and
+	// per-cap-group targets and slots, the one result row every delivery is a
+	// copy of, a pair's rows before they are cached at their exact size, and
+	// the query-set intersection temporaries.
+	endQs   []*liveQuery // the end's trigger queries, trigger after trigger
+	lows    [2][]int     // per side, each trigger's first overlapping slice
+	groups  []fireGroup  // per-cap-group targets and pass-through slots of the end
 	res     Result
 	rowsTmp []pairRow   // a pair's rows while they are being joined
 	qsTmp   bitset.Bits // slice-join kernel intersection scratch
@@ -38,19 +40,20 @@ type SharedJoin struct {
 	pmTmp   bitset.Bits // a row's pass-through slots
 }
 
-// fireGroup is what one cap group of a trigger delivers to: the slots of its
-// terminal queries, with each one's target by slot (slots are unique within a
-// cap group), and the slots of the others.
+// fireGroup is what one cap group of a window end delivers to: per trigger k,
+// the slots of triggers 0..k's terminal queries, each one's target by slot
+// (slots are unique within a cap group), and the slots of the others.
 type fireGroup struct {
-	term, pass bitset.Bits
+	term, pass []bitset.Bits
 	bySlot     []joinTarget
 }
 
-// joinTarget is a terminal query of a trigger: its ID and its sink, resolved
-// once per trigger and nil if none is registered.
+// joinTarget is a terminal query of a window end: its ID, its sink (resolved
+// once per end, nil if none is registered) and the extent it fires.
 type joinTarget struct {
 	id   int
 	sink Sink
+	ext  window.Extent
 }
 
 // joinWindow is the window a join stage fires for q.
@@ -129,8 +132,14 @@ func (j *SharedJoin) OnWatermark(wm event.Time, out *spe.Emitter) {
 		return
 	}
 	j.win.collectTriggers(wm)
-	for _, tr := range j.win.trig.list {
-		j.fireWindow(tr.ext, tr.queries, out)
+	// Triggers come in (End, Start) order: each End's run fires in one walk.
+	for trs := j.win.trig.list; len(trs) > 0; {
+		n := 1
+		for n < len(trs) && trs[n].ext.End == trs[0].ext.End {
+			n++
+		}
+		j.fireEnd(trs[:n], out)
+		trs = trs[n:]
 	}
 	j.retire(wm)
 }
@@ -152,51 +161,90 @@ func (j *SharedJoin) retire(wm event.Time) {
 	})
 }
 
-// fireWindow emits results for one window extent on behalf of the queries
-// listed: every row of every overlapping slice pair goes, per cap group, to
-// the sinks of the terminal queries it is effective for, in (slot, ID) order,
-// and once downstream carrying the slots of the others. This is where the
-// joined tuple is built and where it is copied — once per delivery, into the
-// sink's argument (§3.2.2): the trigger fills Kind and Window of the one
-// result row, a pair row the join payload, a target the query ID.
-func (j *SharedJoin) fireWindow(ext window.Extent, queries []*liveQuery, out *spe.Emitter) {
+// fireEnd emits results for the triggers of one window end, widest extent
+// first, on behalf of their queries: every row of every slice pair the
+// widest extent overlaps goes, per cap group, to the sinks of the terminal
+// queries it is effective for, in (slot, ID) order, and once downstream
+// carrying the slots of the others. The triggers covering a pair are a
+// prefix of the list, so a pair is looked up, and each of its rows built,
+// once per end. This is where the joined tuple is built and where it is
+// copied — once per delivery, into the sink's argument (§3.2.2): a pair row
+// fills the join payload of the one result row, a target its query ID and
+// Window.
+func (j *SharedJoin) fireEnd(trigs []*trigger, out *spe.Emitter) {
 	left, right := j.win.sides[0], j.win.sides[1]
-	llo, lhi := left.overlappingRange(ext)
-	rlo, rhi := right.overlappingRange(ext)
-	if llo == lhi || rlo == rhi {
-		return
+	j.endQs, j.lows[0], j.lows[1] = j.endQs[:0], j.lows[0][:0], j.lows[1][:0]
+	var lhi, rhi int
+	for k, tr := range trigs {
+		ll, lh := left.overlappingRange(tr.ext)
+		rl, rh := right.overlappingRange(tr.ext)
+		if k == 0 && (ll == lh || rl == rh) {
+			return // no extent of the end overlaps a slice on that side
+		}
+		// amortized: the end scratch grows to the end's trigger and query counts once
+		j.lows[0], j.lows[1] = append(j.lows[0], ll), append(j.lows[1], rl)
+		j.endQs = append(j.endQs, tr.queries...)
+		// The extents share the range's upper bound, the first slice starting
+		// at or after the end: no extent's first slice lies past it.
+		lhi, rhi = lh, rh
 	}
-	caps := j.win.capGroups(queries)
+	llo, rlo := j.lows[0], j.lows[1]
+
+	caps := j.win.capGroups(j.endQs)
 	for len(j.groups) < len(caps) {
-		// amortized: the scratch grows to the trigger's distinct cap count once
+		// amortized: the scratch grows to the end's distinct cap count once
 		j.groups = append(j.groups, fireGroup{})
 	}
 	for gi, g := range caps {
 		fg := &j.groups[gi]
-		fg.term.Reset()
-		fg.pass.Reset()
-		for _, qi := range g.idxs {
-			aq := queries[qi]
-			if !aq.terminal {
-				fg.pass.Set(aq.slot)
-				continue
+		for len(fg.term) < len(trigs) {
+			// amortized: the masks grow to the end's trigger count once
+			fg.term, fg.pass = append(fg.term, bitset.Bits{}), append(fg.pass, bitset.Bits{})
+		}
+		idxs, next := g.idxs, 0 // idxs ascend: trigger k's run ends before next
+		for k, tr := range trigs {
+			next += len(tr.queries)
+			if k == 0 {
+				fg.term[0].Reset()
+				fg.pass[0].Reset()
+			} else {
+				fg.term[k].CopyFrom(fg.term[k-1])
+				fg.pass[k].CopyFrom(fg.pass[k-1])
 			}
-			fg.term.Set(aq.slot)
-			for len(fg.bySlot) <= aq.slot {
-				// amortized: the target table grows to the highest slot once
-				fg.bySlot = append(fg.bySlot, joinTarget{})
+			for ; len(idxs) > 0 && idxs[0] < next; idxs = idxs[1:] {
+				aq := j.endQs[idxs[0]]
+				if !aq.terminal {
+					fg.pass[k].Set(aq.slot)
+					continue
+				}
+				fg.term[k].Set(aq.slot)
+				for len(fg.bySlot) <= aq.slot {
+					// amortized: the target table grows to the highest slot once
+					fg.bySlot = append(fg.bySlot, joinTarget{})
+				}
+				fg.bySlot[aq.slot] = joinTarget{id: aq.q.ID, sink: j.router.SinkFor(aq.q.ID), ext: tr.ext}
 			}
-			fg.bySlot[aq.slot] = joinTarget{id: aq.q.ID, sink: j.router.SinkFor(aq.q.ID)}
 		}
 	}
-	res := &j.res
-	res.Kind, res.Window = KindJoin, ext
+	res, end := &j.res, trigs[0].ext.End
+	res.Kind = KindJoin
 
-	for _, sa := range left.slices[llo:lhi] {
+	for li := llo[0]; li < lhi; li++ {
+		sa := left.slices[li]
 		if sa.store == nil || sa.store.Len() == 0 {
 			continue
 		}
-		for _, sb := range right.slices[rlo:rhi] {
+		// Triggers [0, ml) overlap the left slice, [0, mr) the right one.
+		ml := 1
+		for ml < len(trigs) && llo[ml] <= li {
+			ml++
+		}
+		mr := 1
+		for ri := rlo[0]; ri < rhi; ri++ {
+			for mr < len(trigs) && rlo[mr] <= ri {
+				mr++
+			}
+			sb := right.slices[ri]
 			if sb.store == nil || sb.store.Len() == 0 {
 				continue
 			}
@@ -204,6 +252,8 @@ func (j *SharedJoin) fireWindow(ext window.Extent, queries []*liveQuery, out *sp
 			if len(rows) == 0 {
 				continue
 			}
+			// The pair's queries are those of the triggers covering it.
+			cover := min(ml, mr) - 1
 			lt, rt := sa.store.tuples, sb.store.tuples
 			newer := max(sa.epoch, sb.epoch)
 			delivered := uint64(0)
@@ -219,8 +269,8 @@ func (j *SharedJoin) fireWindow(ext window.Extent, queries []*liveQuery, out *sp
 				// and a row then walks the bits it shares with them, word by
 				// word, in slot order: nothing allocated per row.
 				fg := &j.groups[gi]
-				fg.term.AndInto(relNow, &j.termTmp)
-				fg.pass.AndInto(relNow, &j.passTmp)
+				fg.term[cover].AndInto(relNow, &j.termTmp)
+				fg.pass[cover].AndInto(relNow, &j.passTmp)
 				anyPass := !j.passTmp.IsEmpty()
 				if !anyPass && j.termTmp.IsEmpty() {
 					continue
@@ -240,7 +290,7 @@ func (j *SharedJoin) fireWindow(ext window.Extent, queries []*liveQuery, out *sp
 							}
 							delivered++
 							if tg := &fg.bySlot[wi*64+bits.TrailingZeros64(w)]; tg.sink != nil {
-								res.QueryID = tg.id
+								res.QueryID, res.Window = tg.id, tg.ext
 								tg.sink.OnResult(*res)
 							}
 						}
@@ -254,11 +304,11 @@ func (j *SharedJoin) fireWindow(ext window.Extent, queries []*liveQuery, out *sp
 							Key: l.Key, Fields: l.Fields, IngestNanos: max(l.IngestNanos, r.IngestNanos),
 							// pass-through clone: the emitted tuple owns its query-set (inline up to 64 slots)
 							QuerySet: j.pmTmp.Clone(),
-							// Re-timestamp to the window's max timestamp (as
+							// Re-timestamp to the windows' max timestamp (as
 							// Flink does for window joins) so the result is
 							// never late for the downstream stage, whose
-							// watermark already trails this window's end.
-							Time: ext.End - 1,
+							// watermark already trails this end.
+							Time: end - 1,
 						})
 					}
 				}

@@ -112,7 +112,7 @@ func (j *SharedJoin) joinWindowScan(ext window.Extent, aq *liveQuery, curEpoch u
 	}
 }
 
-// refJoinWatermark is OnWatermark with the reference in place of fireWindow,
+// refJoinWatermark is OnWatermark with the reference in place of fireEnd,
 // firing every (extent, query) on its own.
 func refJoinWatermark(j *SharedJoin, wm event.Time, out joinSink) {
 	if wm <= j.win.lastWM {
@@ -414,7 +414,7 @@ func TestJoinCoincidentExtents(t *testing.T) {
 		want.win.collectTriggers(wm)
 		for _, tr := range want.win.trig.list {
 			for _, aq := range tr.queries {
-				want.fireWindow(tr.ext, []*liveQuery{aq}, nil)
+				want.fireEnd([]*trigger{{ext: tr.ext, queries: []*liveQuery{aq}}}, nil)
 			}
 		}
 		want.retire(wm)
@@ -574,9 +574,9 @@ func TestJoinPairsWideQuerySets(t *testing.T) {
 	}
 	passed := 0
 	down := spe.NewChainedEmitter(countTuples{n: &passed}, nil)
-	ext, queries := window.Extent{Start: 0, End: 300}, j.win.queries.ordered
-	j.fireWindow(ext, queries, down)
-	if avg := testing.AllocsPerRun(20, func() { j.fireWindow(ext, queries, down) }); avg != 0 || passed == 0 {
+	trigs := []*trigger{{ext: window.Extent{Start: 0, End: 300}, queries: j.win.queries.ordered}}
+	j.fireEnd(trigs, down)
+	if avg := testing.AllocsPerRun(20, func() { j.fireEnd(trigs, down) }); avg != 0 || passed == 0 {
 		t.Errorf("a fire over cached pairs allocated %.1f times (%d rows passed down), want 0", avg, passed)
 	}
 }
@@ -659,5 +659,76 @@ func TestJoinRowOrderSurvivesRestore(t *testing.T) {
 		}
 		clear(p.eng.out)
 		clear(p.restored.out)
+	}
+}
+
+// TestJoinFiresEachEndOnce: the windows closing at one end are nested
+// suffixes — here [300,600), [400,600) and [500,600) — and fire in one walk
+// over the widest one's slice pairs. Terminal joins, the pass-through rows
+// of a ternary join and of a complex query, and a pending-deleted query
+// whose slot a new query has taken (a second cap group at the end) all get
+// the reference's rows, and every non-empty pair of the widest extent is
+// looked up once, not once per extent that covers it.
+func TestJoinFiresEachEndOnce(t *testing.T) {
+	p, b := newJoinPair(0, 8), newCLBuilder()
+	r := rand.New(rand.NewSource(17))
+	gone := joinQ(window.SlidingSpec(300, 100), gt(0, -1), gt(0, -1))
+	p.changelog(b.create(t, 0,
+		gone,
+		joinQ(window.SlidingSpec(300, 100), gt(0, -1), gt(0, -1)),
+		joinQ(window.SlidingSpec(200, 100), gt(0, -1), gt(0, -1)),
+		joinQ(window.SlidingSpec(200, 100), gt(0, -1), gt(0, -1), gt(0, -1)),
+		complexQ(window.SlidingSpec(300, 100), window.TumblingSpec(100), sqlstream.AggSum, 0, gt(0, -1), gt(0, -1)),
+	), 0)
+	feedJoin(p, r, -1, 0, 200, 40, 7)
+	// The narrowest query starts at 200: the ends up to it close two
+	// extents, the later ones three.
+	p.changelog(b.create(t, 200, joinQ(window.TumblingSpec(100), gt(0, -1), gt(0, -1))), 200)
+	feedJoin(p, r, -1, 200, 600, 110, 7)
+	p.fired(t, "ends 100-500", 500)
+	// gone's last window ends at 600, and its slot goes to a new query there.
+	j := p.eng.j
+	lq := j.win.queries.byID[gone.ID]
+	fresh := joinQ(window.SlidingSpec(300, 100), gt(0, -1), gt(0, -1))
+	p.changelog(b.apply(t, 600, []int{gone.ID}, fresh), 600)
+	if slot := j.win.queries.byID[fresh.ID].slot; slot != lq.slot {
+		t.Fatalf("the new query took slot %d, not the pending-deleted query's %d", slot, lq.slot)
+	}
+	feedJoin(p, r, -1, 600, 700, 20, 7)
+
+	widest := window.Extent{Start: 300, End: 600}
+	goneRows := joinSink{}
+	p.ref.joinWindowScan(widest, p.ref.win.queries.byID[gone.ID], p.ref.win.table.Latest(), goneRows)
+	if len(goneRows) == 0 {
+		t.Fatal("the pending-deleted query has no rows in its last window; the test proved nothing")
+	}
+	pairs := uint64(0)
+	llo, lhi := j.win.sides[0].overlappingRange(widest)
+	rlo, rhi := j.win.sides[1].overlappingRange(widest)
+	for _, sa := range j.win.sides[0].slices[llo:lhi] {
+		for _, sb := range j.win.sides[1].slices[rlo:rhi] {
+			if sa.store != nil && sa.store.Len() > 0 && sb.store != nil && sb.store.Len() > 0 {
+				pairs++
+			}
+		}
+	}
+	looked := j.metrics.PairsDone + j.metrics.PairsReuse
+	p.fired(t, "end 600", 600)
+
+	trs := j.win.trig.list
+	caps := map[uint64]bool{}
+	for i, tr := range trs {
+		if tr.ext.End != 600 || i > 0 && tr.ext.Start <= trs[i-1].ext.Start {
+			t.Fatalf("trigger %d is [%v,%v): the watermark did not close nested extents at one end", i, tr.ext.Start, tr.ext.End)
+		}
+		for _, aq := range tr.queries {
+			caps[min(j.win.table.Latest(), aq.endEpoch)] = true
+		}
+	}
+	if len(trs) < 3 || len(caps) != 2 {
+		t.Fatalf("end 600 closed %d extents under %d caps, want at least 3 under 2", len(trs), len(caps))
+	}
+	if got := j.metrics.PairsDone + j.metrics.PairsReuse - looked; got != pairs || pairs < 4 {
+		t.Fatalf("end 600 looked up %d slice pairs, want each of the widest extent's %d non-empty pairs once", got, pairs)
 	}
 }

@@ -97,13 +97,12 @@ func KernelBenchmarks() []KernelBench {
 					t.Key = int64(i / 2 % 8)
 					j.OnTuple(i%2, t, nil)
 				}
-				ext := window.Extent{Start: 0, End: 400}
-				queries := j.win.queries.ordered
-				// Join and cache the pairs, and warm the trigger scratch, once.
-				j.fireWindow(ext, queries, nil)
+				trigs := []*trigger{{ext: window.Extent{Start: 0, End: 400}, queries: j.win.queries.ordered}}
+				// Join and cache the pairs, and warm the fire scratch, once.
+				j.fireEnd(trigs, nil)
 				return func(iters int) {
 					for i := 0; i < iters; i++ {
-						j.fireWindow(ext, queries, nil)
+						j.fireEnd(trigs, nil)
 					}
 				}
 			},
