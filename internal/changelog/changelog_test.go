@@ -420,7 +420,7 @@ func TestSnapshotVersionSkew(t *testing.T) {
 		t.Fatalf("skewed registry snapshot not rejected loudly: %v", err)
 	}
 
-	tabSnap := tab.Snapshot()
+	tabSnap := tab.AppendSnapshot(nil)
 	if _, err := TableFromSnapshot(tabSnap); err != nil {
 		t.Fatalf("clean table snapshot rejected: %v", err)
 	}
@@ -444,12 +444,12 @@ func TestTableSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	tab.Compact(2)
-	snap := tab.Snapshot()
+	snap := tab.AppendSnapshot(nil)
 	back, err := TableFromSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(back.Snapshot(), snap) {
+	if !bytes.Equal(back.AppendSnapshot(nil), snap) {
 		t.Fatal("restored table snapshots differently")
 	}
 	for i := tab.Base(); i <= tab.Latest(); i++ {
@@ -487,7 +487,7 @@ func TestTableFromSnapshotRejectsSeqGap(t *testing.T) {
 	if err := tab.Add(first); err != nil {
 		t.Fatal(err)
 	}
-	b := tab.Snapshot()
+	b := tab.AppendSnapshot(nil)
 	// The count of retained changelogs is the last thing before them.
 	b = append(b[:len(b)-len(appendChangelog(nil, first))-4], 1, 0, 0, 0)
 	b = appendChangelog(b, second)

@@ -42,13 +42,13 @@ const maxTableFuzzInput = 2 << 10
 // version byte.
 func FuzzTableFromSnapshot(f *testing.F) {
 	tab, _ := fuzzTable(f, 6)
-	snap := tab.Snapshot()
+	snap := tab.AppendSnapshot(nil)
 	f.Add(snap)
 	f.Add(snap[:len(snap)/2])
 	f.Add(append(append([]byte(nil), snap...), 0xEE))
 	tab.Compact(4)
-	f.Add(tab.Snapshot())
-	f.Add(NewTable().Snapshot())
+	f.Add(tab.AppendSnapshot(nil))
+	f.Add(NewTable().AppendSnapshot(nil))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) > maxTableFuzzInput {
 			t.Skip()
@@ -58,49 +58,7 @@ func FuzzTableFromSnapshot(f *testing.F) {
 			if err != nil {
 				return
 			}
-			wiretest.Canonical(t, in, got.Snapshot())
-		})
-	})
-}
-
-// FuzzTableApplyDelta applies arbitrary bytes as a delta to a table restored
-// at a fixed epoch: an error, or a table that still snapshots and restores.
-func FuzzTableApplyDelta(f *testing.F) {
-	sender, reg := fuzzTable(f, 4)
-	base := sender.Snapshot()
-	since := sender.Latest()
-	for i := 0; i < 2; i++ {
-		cl, err := reg.Apply(event.Time(10+i), []int{50 + i}, nil)
-		if err != nil {
-			f.Fatal(err)
-		}
-		if err := sender.Add(cl); err != nil {
-			f.Fatal(err)
-		}
-	}
-	sender.Compact(3)
-	incr := sender.AppendDelta(nil, since)
-	f.Add(incr)
-	f.Add(incr[:len(incr)-3])
-	f.Add(append(append([]byte(nil), incr...), 0xEE))
-	sender.Compact(6)
-	f.Add(sender.AppendDelta(nil, since)) // compacted past the receiver: full mode
-	f.Add([]byte{7})
-	f.Fuzz(func(t *testing.T, in []byte) {
-		if len(in) > maxTableFuzzInput {
-			t.Skip()
-		}
-		receiver, err := TableFromSnapshot(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wiretest.Bounded(t, in, func() {
-			if receiver.ApplyDelta(in) != nil {
-				return
-			}
-			if _, err := TableFromSnapshot(receiver.Snapshot()); err != nil {
-				t.Fatalf("table accepted a delta and no longer round-trips: %v", err)
-			}
+			wiretest.Canonical(t, in, got.AppendSnapshot(nil))
 		})
 	})
 }

@@ -78,14 +78,12 @@ func (t *Table) addChangelogs(r *wire.Reader, n int) {
 	}
 }
 
-// Snapshot serializes the table. Only the root row (all slots of the base
-// epoch, which also carries that epoch's slot count) and the retained
-// changelogs are written: the remaining rows are a pure function of those
-// (Equation 1's recurrence), so TableFromSnapshot rebuilds them with Add,
-// which also re-verifies seq continuity.
-func (t *Table) Snapshot() []byte { return t.appendSnapshot(nil) }
-
-func (t *Table) appendSnapshot(b []byte) []byte {
+// AppendSnapshot appends the table's serialization to b. Only the root row
+// (all slots of the base epoch, which also carries that epoch's slot count)
+// and the retained changelogs are written: the remaining rows are a pure
+// function of those (Equation 1's recurrence), so ReadTable rebuilds them
+// with Add, which also re-verifies seq continuity.
+func (t *Table) AppendSnapshot(b []byte) []byte {
 	b = wire.AppendU8(b, snapshotVersion)
 	b = wire.AppendU64(b, t.base)
 	b = wire.AppendBits(b, t.rows[0][0])
@@ -96,89 +94,25 @@ func (t *Table) appendSnapshot(b []byte) []byte {
 	return b
 }
 
-// TableFromSnapshot reconstructs a table from Snapshot output.
+// TableFromSnapshot reconstructs a table from AppendSnapshot output.
 func TableFromSnapshot(b []byte) (*Table, error) {
 	r := wire.NewReader(b)
-	t := readTable(r)
+	t := ReadTable(r)
 	if err := r.Finish("changelog table snapshot"); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-func readTable(r *wire.Reader) *Table {
+// ReadTable decodes an AppendSnapshot encoding from r; the table it returns
+// is meaningless once r has failed.
+func ReadTable(r *wire.Reader) *Table {
 	r.Version("changelog table snapshot version", snapshotVersion)
 	t := &Table{base: r.U64("table base")}
 	root := r.Bits("table root row")
 	t.rows = append(t.rows, []bitset.Bits{root})
 	t.addChangelogs(r, r.Count("table log count", changelogMinSize))
 	return t
-}
-
-// Table delta modes. A delta is normally incremental — the changelogs the
-// receiver has not seen plus the sender's new base — but falls back to a
-// full snapshot when compaction has advanced the sender's base past the
-// receiver's latest epoch (the incremental suffix alone could no longer
-// reproduce the retained window).
-const (
-	tableDeltaFull        = 0
-	tableDeltaIncremental = 1
-)
-
-// AppendDelta serializes the table's change since a previous snapshot whose
-// Latest() was sinceLatest. Applying the result with ApplyDelta to a table
-// restored at exactly that epoch reproduces this table bit-for-bit.
-func (t *Table) AppendDelta(b []byte, sinceLatest uint64) []byte {
-	if sinceLatest < t.base || sinceLatest > t.Latest() {
-		return t.appendSnapshot(wire.AppendU8(b, tableDeltaFull))
-	}
-	b = wire.AppendU8(b, tableDeltaIncremental)
-	b = wire.AppendU64(b, sinceLatest)
-	b = wire.AppendU64(b, t.base)
-	b = wire.AppendCount(b, int(t.Latest()-sinceLatest))
-	for _, cl := range t.logs {
-		if cl.Seq > sinceLatest {
-			b = appendChangelog(b, cl)
-		}
-	}
-	return b
-}
-
-// ApplyDelta advances the table by one AppendDelta blob: new changelogs are
-// appended through Add (re-verifying seq continuity) and the sender's
-// compaction point is replayed. The table must be at exactly the epoch the
-// delta was encoded against; chains therefore apply strictly in order.
-func (t *Table) ApplyDelta(b []byte) error {
-	r := wire.NewReader(b)
-	switch mode := r.U8("table delta mode"); mode {
-	case tableDeltaFull:
-		nt := readTable(r)
-		if err := r.Finish("changelog table delta"); err != nil {
-			return err
-		}
-		*t = *nt
-		return nil
-	case tableDeltaIncremental:
-		since := r.U64("table delta since")
-		newBase := r.U64("table delta base")
-		n := r.Count("table delta log count", changelogMinSize)
-		if r.Err() == nil && t.Latest() != since {
-			return fmt.Errorf("changelog: table delta encoded against epoch %d, table is at %d (chain applied out of order?)", since, t.Latest())
-		}
-		t.addChangelogs(r, n)
-		if err := r.Finish("changelog table delta"); err != nil {
-			return err
-		}
-		// The sender's compaction point lies in the table the receiver now
-		// holds: a base only rises, and never past the newest epoch.
-		if newBase < t.base || newBase > t.Latest() {
-			return fmt.Errorf("changelog: table delta compacts to epoch %d, outside the table's [%d,%d]", newBase, t.base, t.Latest())
-		}
-		t.Compact(newBase)
-		return nil
-	default:
-		return fmt.Errorf("changelog: unknown table delta mode %d", mode)
-	}
 }
 
 // Snapshot serializes the registry: mode, counters, the full slot table,

@@ -40,8 +40,9 @@ type Config struct {
 	NowNanos func() int64
 	// SnapshotSink, when set, receives operator snapshots on checkpoints.
 	// A windowed operator's are a chain — a full snapshot every third
-	// barrier, deltas between — which the sink resolves at restore, as
-	// internal/durable's store does.
+	// barrier, deltas between, each naming the barrier of the link it
+	// extends — which the sink resolves at restore, as internal/durable's
+	// store does; RestoreOperators applies it one Restore per link.
 	SnapshotSink spe.SnapshotSink
 	// OnInstanceFailure, when set, is called (from the failing instance's
 	// goroutine) for every supervised operator failure, after the engine has
@@ -472,8 +473,9 @@ func (ing *streamIngress) drainPending(upTo event.Time) {
 	}
 }
 
-// Checkpoint injects a checkpoint barrier into every stream (after flushing
-// pending changelogs). Returns the barrier id. Must be called from the
+// Checkpoint injects checkpoint barrier id into every stream (after flushing
+// pending changelogs). Ids are non-zero: a windowed operator's delta names
+// the id of the link it extends, and 0 names none. Must be called from the
 // ingestion goroutine's quiescent point (no concurrent Ingest).
 func (e *Engine) Checkpoint(id uint64) {
 	for _, ing := range e.ingress {

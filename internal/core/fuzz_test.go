@@ -112,10 +112,10 @@ func FuzzSelectionRestore(f *testing.F) {
 
 // FuzzJoinRestore: the seeds are this build's encoding at two barriers — the
 // second after a query's deletion and an eviction — and, under testdata, two
-// fuzzer finds, two earlier layouts' (version 6, whose stores each carried a
-// mode byte, and version 7, whose join and stores did), which are rejected by
-// their version byte, and the forged slice rings of
-// TestSlicerRestoreRejectsForgedRings (ring-*).
+// fuzzer finds, three earlier layouts' (version 6, whose stores each carried
+// a mode byte, version 7, whose join and stores did, and version 8, whose
+// links named no barrier), which are rejected by their version byte, and the
+// forged slice rings of TestSlicerRestoreRejectsForgedRings (ring-*).
 func FuzzJoinRestore(f *testing.F) {
 	b := newCLBuilder()
 	join := NewSharedJoin(0, 0, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
@@ -139,7 +139,7 @@ func FuzzJoinRestore(f *testing.F) {
 		wiretest.Bounded(t, in, func() {
 			fresh := NewSharedJoin(0, 0, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
 			if fresh.Restore(in) == nil {
-				wiretest.Canonical(t, in, fresh.OnBarrier(2, nil))
+				wiretest.Canonical(t, in, fresh.OnBarrier(fresh.win.lastLink, nil))
 			}
 		})
 	})
@@ -174,9 +174,9 @@ func fuzzAgg(f *testing.F) (full, delta []byte) {
 // rows out of order, an empty class — means something the encoder never
 // wrote. A slice's bytes are a function of its content, sealed or not, so an
 // accepted snapshot re-encodes to itself by construction. The seeds are this
-// build's encoding and, under testdata, an earlier layout's (version 5),
-// which is rejected by its version byte, and the forged slice rings of
-// TestSlicerRestoreRejectsForgedRings (ring-*), one per rejection.
+// build's encoding and, under testdata, two earlier layouts' (versions 5
+// and 8), which are rejected by their version byte, and the forged slice
+// rings of TestSlicerRestoreRejectsForgedRings (ring-*), one per rejection.
 func FuzzAggregationRestore(f *testing.F) {
 	full, _ := fuzzAgg(f)
 	addCorruptions(f, full)
@@ -184,46 +184,47 @@ func FuzzAggregationRestore(f *testing.F) {
 		wiretest.Bounded(t, in, func() {
 			fresh := NewSharedAggregation(1, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
 			if fresh.Restore(in) == nil {
-				wiretest.Canonical(t, in, fresh.OnBarrier(2, nil))
+				wiretest.Canonical(t, in, fresh.OnBarrier(fresh.win.lastLink, nil))
 			}
 		})
 	})
 }
 
-// FuzzAggregationRestoreDelta applies arbitrary bytes as the delta on top of
-// a restored base. A delta of the version-5 layout under testdata carries no
-// version byte of its own; its slices fail to decode as classes. The ring-*
-// seeds are deltas over the same base whose slice ring is forged.
+// FuzzAggregationRestoreDelta feeds arbitrary bytes to Restore on a restored
+// base, the way recovery applies a chain's next link. Under testdata, a delta
+// of the version-5 layout carries no version byte of its own, and one of the
+// version-8 layout names no predecessor; both fail the predecessor check. The
+// ring-* seeds are deltas over the same base whose slice ring is forged.
 func FuzzAggregationRestoreDelta(f *testing.F) {
 	full, delta := fuzzAgg(f)
 	addCorruptions(f, delta)
-	f.Add(full) // a full snapshot where a delta belongs
+	f.Add(full) // a full snapshot where a delta belongs: it replaces the base
 	f.Fuzz(func(t *testing.T, in []byte) {
 		base := NewSharedAggregation(1, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
 		if err := base.Restore(full); err != nil {
 			t.Fatal(err)
 		}
 		wiretest.Bounded(t, in, func() {
-			if base.RestoreDelta(in) == nil {
+			if base.Restore(in) == nil {
 				base.OnBarrier(3, nil)
 			}
 		})
 	})
 }
 
-// FuzzJoinRestoreDelta applies arbitrary bytes as the delta on top of a
-// restored join base, through the decoder the aggregation's deltas take. A
-// delta the join accepts re-encodes to itself: cut against the base's table,
-// with the stores the delta decoded marked dirty and the ones it carried
-// forward clean, the restored instance's delta is the input. The seeds under
-// testdata are deltas over the same base whose slice ring is forged (ring-*,
-// one per rejection of TestSlicerRestoreRejectsForgedRings), one that
-// carries forward a store the base never held, and one whose changelog-table
-// suffix compacts past the table it lands on.
+// FuzzJoinRestoreDelta feeds arbitrary bytes to Restore on a restored join
+// base, through the decoder the aggregation's links take. A link the join
+// accepts re-encodes to itself: a full one as the full link it replaced the
+// base with; a delta cut after the base, with the stores it decoded marked
+// dirty and the ones it carried forward clean. The seeds under testdata are
+// deltas over the same base whose slice ring is forged (ring-*, one per
+// rejection of TestSlicerRestoreRejectsForgedRings), one that carries forward
+// a store the base never held, one whose changelog table is compacted past
+// the epochs its ring names, and one of the version-8 layout.
 func FuzzJoinRestoreDelta(f *testing.F) {
 	full, delta := joinChain(f)
 	addCorruptions(f, delta)
-	f.Add(full) // a full snapshot where a delta belongs
+	f.Add(full) // a full snapshot where a delta belongs: it replaces the base
 	f.Fuzz(func(t *testing.T, in []byte) {
 		j := NewSharedJoin(0, 0, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
 		if err := j.Restore(full); err != nil {
@@ -235,16 +236,17 @@ func FuzzJoinRestoreDelta(f *testing.F) {
 				held[sl.store] = true
 			}
 		}
-		since := j.win.table.Latest()
+		base := j.win.lastLink
 		wiretest.Bounded(t, in, func() {
-			if j.RestoreDelta(in) == nil {
+			if j.Restore(in) == nil {
 				for _, s := range j.win.sides {
 					for _, sl := range s.slices {
 						sl.dirty = !held[sl.store]
 					}
 				}
-				j.win.chainSeq = since
-				wiretest.Canonical(t, in, j.appendLink(nil, false))
+				barrier := j.win.lastLink
+				j.win.lastLink = base
+				wiretest.Canonical(t, in, j.appendLink(nil, barrier, in[0] != spe.DeltaSnapshotMagic))
 			}
 		})
 	})

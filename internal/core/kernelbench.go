@@ -353,12 +353,14 @@ func KernelBenchmarks() []KernelBench {
 				}
 				// Anchor the chain with a full link, then warm the buffer
 				// capacity once.
-				buf := agg.appendLink(nil, true)
-				buf = agg.appendLink(buf[:0], false)
+				buf := agg.appendLink(nil, 1, true)
+				buf = agg.appendLink(buf[:0], 2, false)
+				barrier := uint64(2)
 				return func(iters int) {
 					for i := 0; i < iters; i++ {
 						agg.OnTuple(0, benchTuple(i, qs, 50), em)
-						buf = agg.appendLink(buf[:0], false)
+						barrier++
+						buf = agg.appendLink(buf[:0], barrier, false)
 					}
 				}
 			},

@@ -175,9 +175,9 @@ func (e *Engine) RestoreControl(snapshot []byte) error {
 // RestoreOperators restores every shared-operator instance from fetched
 // snapshot chains, keyed exactly as the runtime reported them: (node name,
 // instance). A chain is one full snapshot followed by zero or more
-// incremental deltas in application order: a selection's is its full
-// snapshot, a windowed operator's reaches back to its last full link
-// (durable.Store.FetchChain resolves both).
+// incremental deltas in the order they were cut, and each is one Restore: a
+// selection's chain is its full snapshot, a windowed operator's reaches back
+// to its last full link (durable.Store.FetchChain resolves both).
 // Must be called before any input is pushed; the instance goroutines only
 // touch their logic after their first inbox receive, so the channel send
 // orders these writes safely (embedded chains are driven by the ingestion
@@ -188,16 +188,12 @@ func (e *Engine) RestoreOperators(fetch func(op string, instance int) ([][]byte,
 		if !ok || len(chain) == 0 {
 			return fmt.Errorf("core: no snapshot for %s[%d]", op, instance)
 		}
-		if err := l.Restore(chain[0]); err != nil {
-			return fmt.Errorf("core: restore %s[%d]: %w", op, instance, err)
-		}
-		for i, delta := range chain[1:] {
-			dr, ok := l.(spe.DeltaRestorable)
-			if !ok {
-				return fmt.Errorf("core: %s[%d] snapshot chain has %d deltas but the operator cannot apply them", op, instance, len(chain)-1)
-			}
-			if err := dr.RestoreDelta(delta); err != nil {
-				return fmt.Errorf("core: restore %s[%d] delta %d/%d: %w", op, instance, i+1, len(chain)-1, err)
+		for i, link := range chain {
+			if err := l.Restore(link); err != nil {
+				if i > 0 {
+					return fmt.Errorf("core: restore %s[%d] delta %d/%d: %w", op, instance, i, len(chain)-1, err)
+				}
+				return fmt.Errorf("core: restore %s[%d]: %w", op, instance, err)
 			}
 		}
 		return nil

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"astream/internal/bitset"
 	"astream/internal/event"
 	"astream/internal/expr"
 	"astream/internal/spe"
@@ -74,8 +76,8 @@ func TestRestoreOperatorsRejectsBadChains(t *testing.T) {
 			}
 		}
 		if barrier == 2 {
-			// A changelog between the barriers, so barrier 2's table delta
-			// holds one.
+			// A changelog between the barriers, so barrier 2's delta carries
+			// a grown table.
 			submit(aggQ(window.TumblingSpec(5), sqlstream.AggCount, -1, expr.True()))
 		}
 		eng.Checkpoint(barrier)
@@ -125,8 +127,8 @@ func TestRestoreOperatorsRejectsBadChains(t *testing.T) {
 			t.Errorf("%s's full snapshot undecodable: %v", op, err)
 		}
 	}
-	// The delta applied twice: its changelog-table delta no longer follows
-	// the table it lands on.
+	// The delta applied twice: it names a predecessor the instance has
+	// moved past.
 	for _, op := range []string{"aggregate", "join-0"} {
 		err := restore(func(o string, _ int, c [][]byte) [][]byte {
 			if o == op {
@@ -137,6 +139,81 @@ func TestRestoreOperatorsRejectsBadChains(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "restore "+op+"[0] delta 2/2") {
 			t.Errorf("%s's delta applied twice: %v", op, err)
 		}
+	}
+}
+
+// TestRestoreRejectsSkippedLink: each delta names the barrier of the link it
+// extends, and Restore applies it only on top of that link. A chain of a
+// full link and two deltas, with no changelog anywhere between them, each
+// delta writing a slice the full link already holds, restores whole; with
+// its middle delta skipped, a delta applied twice, or a delta applied to an
+// instance that holds no link, it fails — for the
+// aggregation and the join alike, whose links share the driver's decoder.
+// Nothing else can tell: the skipped delta's table and ring are the ones the
+// next delta carries.
+func TestRestoreRejectsSkippedLink(t *testing.T) {
+	type windowed interface {
+		spe.Logic
+		spe.Restorable
+		linker
+	}
+	for _, op := range []string{"aggregation", "join"} {
+		t.Run(op, func(t *testing.T) {
+			q, ports := aggQ(window.TumblingSpec(10), sqlstream.AggSum, 0, expr.True()), 1
+			newOp := func() windowed { return NewSharedAggregation(1, 10, NewRouter(&OpMetrics{}), &OpMetrics{}) }
+			if op == "join" {
+				q, ports = joinQ(window.TumblingSpec(10), expr.True(), expr.True()), 2
+				newOp = func() windowed { return NewSharedJoin(0, 0, 10, NewRouter(&OpMetrics{}), &OpMetrics{}) }
+			}
+			orig := newOp()
+			orig.OnChangelog(newCLBuilder().create(t, 0, q), 0, nil)
+			write := func(at event.Time) {
+				for port := 0; port < ports; port++ {
+					orig.OnTuple(port, event.Tuple{Key: 1, Time: at, Fields: [event.NumFields]int64{int64(at)}, QuerySet: bitset.FromIndexes(0)}, nil)
+				}
+			}
+			write(5)
+			write(15)
+			var chain [][]byte
+			for _, at := range []event.Time{25, 6, 16} {
+				write(at)
+				chain = append(chain, orig.OnBarrier(uint64(len(chain)+1), nil))
+			}
+			if chain[0][0] == spe.DeltaSnapshotMagic || chain[1][0] != spe.DeltaSnapshotMagic || chain[2][0] != spe.DeltaSnapshotMagic {
+				t.Fatal("the links are not a full snapshot and two deltas; the test proved nothing")
+			}
+			apply := func(links ...[]byte) (windowed, error) {
+				fresh := newOp()
+				for _, link := range links {
+					if err := fresh.Restore(link); err != nil {
+						return fresh, err
+					}
+				}
+				return fresh, nil
+			}
+			// A fresh instance has applied no link, which a delta naming
+			// barrier 0 as its predecessor must not be taken for.
+			noBase := append([]byte(nil), chain[1]...)
+			binary.LittleEndian.PutUint64(noBase[1+8:], 0)
+			whole, err := apply(chain...)
+			if err != nil {
+				t.Fatalf("the whole chain: %v", err)
+			}
+			assertSameSnapshot(t, "whole chain", fullLink(whole), fullLink(orig))
+			for _, tc := range []struct {
+				name  string
+				links [][]byte
+			}{
+				{"middle delta skipped", [][]byte{chain[0], chain[2]}},
+				{"delta applied twice", [][]byte{chain[0], chain[1], chain[1]}},
+				{"last delta applied twice", [][]byte{chain[0], chain[1], chain[2], chain[2]}},
+				{"delta naming barrier 0 on a fresh instance", [][]byte{noBase}},
+			} {
+				if _, err := apply(tc.links...); err == nil || !strings.Contains(err.Error(), "last link applied") {
+					t.Errorf("%s: restored (%v)", tc.name, err)
+				}
+			}
+		})
 	}
 }
 

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"strings"
 	"testing"
 	"unsafe"
 
 	"astream/internal/bitset"
+	"astream/internal/changelog"
 	"astream/internal/event"
 	"astream/internal/expr"
 	"astream/internal/spe"
@@ -22,14 +24,19 @@ import (
 // re-serialize only dirtied slices, and every chain-integrity violation
 // fails loudly.
 
-// linker is a windowed operator: appendLink writes one link of its chain.
+// linker is a windowed operator: appendLink writes the link of its chain a
+// barrier cuts.
 type linker interface {
-	appendLink(b []byte, full bool) []byte
+	appendLink(b []byte, barrier uint64, full bool) []byte
 }
+
+// probeBarrier is the barrier fullLink cuts at, past any a test's chain
+// reaches, so two instances' probes compare byte for byte.
+const probeBarrier = 1 << 20
 
 // fullLink cuts a full snapshot of op wherever its chain stands; the next
 // link is a delta on top of it.
-func fullLink(op linker) []byte { return op.appendLink(nil, true) }
+func fullLink(op linker) []byte { return op.appendLink(nil, probeBarrier, true) }
 
 func newDeltaAgg(out *[]string, ids ...int) *SharedAggregation {
 	return NewSharedAggregation(1, 10, captureRouter(out, ids...), &OpMetrics{})
@@ -66,8 +73,8 @@ func TestAggregationDeltaChainBitIdentical(t *testing.T) {
 			tm += 2
 		}
 		orig.OnWatermark(tm-6, nil)
-		// A workload change inside the chain: deltas must carry the table
-		// suffix and query-set masks forward correctly.
+		// A workload change inside the chain: deltas must carry the grown
+		// table and query-set masks forward correctly.
 		if seg == 1 {
 			msg2 := b.create(t, tm-6, aggQ(window.TumblingSpec(5), sqlstream.AggCount, 0, gt(0, 10)))
 			orig.OnChangelog(msg2, tm-6, nil)
@@ -88,7 +95,7 @@ func TestAggregationDeltaChainBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, d := range chain[1:] {
-		if err := fresh.RestoreDelta(d); err != nil {
+		if err := fresh.Restore(d); err != nil {
 			t.Fatalf("delta %d: %v", i+1, err)
 		}
 	}
@@ -168,26 +175,25 @@ func TestAggregationDeltaOmitsCleanSlices(t *testing.T) {
 	}
 }
 
-// countDeltaSlices walks a delta link's slice rings against w, the driver of
-// the instance that cut it, and tallies dirty vs carried-forward entries,
-// skipping dirty payloads via the decoders the restore path uses: a join's
-// driver has two sides and stores, the aggregation's one side, indexes and a
-// port count ahead of the clock.
+// countDeltaSlices walks a delta link's slice rings against the changelog
+// table it carries and tallies dirty vs carried-forward entries, skipping
+// dirty payloads via the decoders the restore path uses. w is the driver of
+// the instance that cut it: a join's has two sides and stores, the
+// aggregation's one side and indexes.
 func countDeltaSlices(t *testing.T, delta []byte, w *windowOp) (dirty, clean int) {
 	t.Helper()
 	join := len(w.sides) == 2
 	r := wire.NewReader(delta)
 	r.Version("magic", spe.DeltaSnapshotMagic)
-	if !join {
-		r.U32("ports")
-	}
+	r.U64("barrier")
+	r.U64("predecessor")
 	r.I64("lastWM")
 	for range w.sides {
 		r.I64("evictedThru")
 	}
-	r.Bytes("table delta")
+	tbl := changelog.ReadTable(r)
 	for range w.sides {
-		restoreSlicer(r, &slicer{}, w.table, func(r *wire.Reader, _ *slice) {
+		restoreSlicer(r, &slicer{}, tbl, func(r *wire.Reader, _ *slice) {
 			switch {
 			case !r.Bool("dirty"):
 				clean++
@@ -240,8 +246,9 @@ func TestAggregationDeltaChainLengthBound(t *testing.T) {
 	}
 }
 
-// TestAggregationRestoreDeltaRejectsCorruptChains: magic mismatch, trailing
-// bytes, and carry-forward of slices the chain never restored all fail
+// TestAggregationRestoreDeltaRejectsCorruptChains: a leading byte of
+// another layout, trailing bytes, a delta cut short, a delta applied before
+// its base and a delta carrying forward a slice its base lacks all fail
 // loudly instead of producing silently wrong state.
 func TestAggregationRestoreDeltaRejectsCorruptChains(t *testing.T) {
 	b := newCLBuilder()
@@ -262,28 +269,39 @@ func TestAggregationRestoreDeltaRejectsCorruptChains(t *testing.T) {
 		return fresh
 	}
 
-	if err := restored().RestoreDelta(base); err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Fatalf("full snapshot accepted as delta: %v", err)
+	// A link that leads with neither a full snapshot's version nor the
+	// delta magic: one of another layout.
+	if err := restored().Restore(append([]byte{opSnapshotVersion - 1}, delta[1:]...)); err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("a link of another layout accepted: %v", err)
 	}
 	skewed := append(append([]byte(nil), delta...), 0xEE)
-	if err := restored().RestoreDelta(skewed); err == nil || !strings.Contains(err.Error(), "trailing") {
+	if err := restored().Restore(skewed); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("trailing bytes not rejected: %v", err)
 	}
-	if err := restored().RestoreDelta(delta[:len(delta)/2]); err == nil {
+	if err := restored().Restore(delta[:len(delta)/2]); err == nil {
 		t.Fatal("truncated delta accepted")
 	}
-	// A clean delta applied out of order (to an instance that never restored
-	// the base's slices) must fail on the carried-forward slice.
+	// A delta applied to an instance that never restored its base must fail
+	// on the predecessor it names.
 	empty := newDeltaAgg(&[]string{}, msg.CL.Created[0].Query)
-	if err := empty.RestoreDelta(delta); err == nil {
+	if err := empty.Restore(delta); err == nil {
 		t.Fatal("delta applied before a base was accepted")
 	}
 	// The happy path still works, proving the guards only fire on corruption.
 	ok := restored()
-	if err := ok.RestoreDelta(delta); err != nil {
+	if err := ok.Restore(delta); err != nil {
 		t.Fatalf("clean chain rejected: %v", err)
 	}
 	assertSameSnapshot(t, "chain vs original", fullLink(agg), fullLink(ok))
+	// A delta forged to name the base as its predecessor, carrying forward
+	// a slice cut after the base, must fail on the slice the ring lacks.
+	agg.OnTuple(0, event.Tuple{Key: 3, Time: 15, Fields: [event.NumFields]int64{5}, QuerySet: bitset.FromIndexes(slot)}, nil)
+	agg.OnBarrier(3, nil)
+	forged := agg.appendLink(nil, 4, false)
+	binary.LittleEndian.PutUint64(forged[1+8:], 1)
+	if err := restored().Restore(forged); err == nil || !strings.Contains(err.Error(), "absent from the restored chain") {
+		t.Fatalf("a delta carrying forward a slice the base lacks: %v", err)
+	}
 }
 
 // TestAggregationDeltaChainAcrossSeal: a slice's bytes are its classes and
@@ -328,7 +346,7 @@ func TestAggregationDeltaChainAcrossSeal(t *testing.T) {
 	if err := fresh.Restore(base); err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.RestoreDelta(delta); err != nil {
+	if err := fresh.Restore(delta); err != nil {
 		t.Fatal(err)
 	}
 	assertSameSnapshot(t, "chain across a seal", fullLink(agg), fullLink(fresh))
@@ -363,7 +381,7 @@ func TestAggregationRestoreDeltaRecyclesReplaced(t *testing.T) {
 		agg.OnWatermark(base, nil)
 		// Three deltas in a row: a chain longer than snapFullEvery links
 		// restores like any other.
-		chain = append(chain, agg.appendLink(nil, false))
+		chain = append(chain, agg.appendLink(nil, uint64(len(chain)+1), false))
 	}
 
 	fresh := newDeltaAgg(&[]string{}, qid)
@@ -378,7 +396,7 @@ func TestAggregationRestoreDeltaRecyclesReplaced(t *testing.T) {
 	}
 	note()
 	for i, d := range chain[1:] {
-		if err := fresh.RestoreDelta(d); err != nil {
+		if err := fresh.Restore(d); err != nil {
 			t.Fatalf("delta %d: %v", i+1, err)
 		}
 		note()
@@ -421,7 +439,7 @@ func TestAggregationDeltaVsFullRestoreEquivalence(t *testing.T) {
 		}
 		agg.OnWatermark(tm-9, nil)
 		// A base and three deltas: longer than any chain OnBarrier cuts.
-		chain = append(chain, agg.appendLink(nil, seg == 0))
+		chain = append(chain, agg.appendLink(nil, uint64(seg+1), seg == 0))
 	}
 	fullNow := fullLink(agg)
 
@@ -430,7 +448,7 @@ func TestAggregationDeltaVsFullRestoreEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range chain[1:] {
-		if err := viaChain.RestoreDelta(d); err != nil {
+		if err := viaChain.Restore(d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -511,7 +529,7 @@ func TestJoinDeltaChainBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, d := range chain[1:] {
-		if err := viaChain.RestoreDelta(d); err != nil {
+		if err := viaChain.Restore(d); err != nil {
 			t.Fatalf("delta %d: %v", i+1, err)
 		}
 	}
@@ -546,9 +564,9 @@ func TestJoinDeltaChainBitIdentical(t *testing.T) {
 }
 
 // TestJoinRestoreDeltaRejectsCorruptChains: the join's deltas go through the
-// driver's decoder and its checks — a full snapshot where a delta belongs,
-// trailing bytes, a delta cut short, a delta carrying forward stores the
-// instance never restored, and a delta applied twice all fail.
+// driver's decoder and its checks — a leading byte of another layout,
+// trailing bytes, a delta cut short, a delta applied before its base, and a
+// delta applied twice all fail.
 func TestJoinRestoreDeltaRejectsCorruptChains(t *testing.T) {
 	base, delta := joinChain(t)
 	restored := func() *SharedJoin {
@@ -558,24 +576,24 @@ func TestJoinRestoreDeltaRejectsCorruptChains(t *testing.T) {
 		}
 		return fresh
 	}
-	if err := restored().RestoreDelta(base); err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Fatalf("full snapshot accepted as delta: %v", err)
+	if err := restored().Restore(append([]byte{opSnapshotVersion - 1}, delta[1:]...)); err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("a link of another layout accepted: %v", err)
 	}
-	if err := restored().RestoreDelta(append(append([]byte(nil), delta...), 0xEE)); err == nil || !strings.Contains(err.Error(), "trailing") {
+	if err := restored().Restore(append(append([]byte(nil), delta...), 0xEE)); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("trailing bytes not rejected: %v", err)
 	}
-	if err := restored().RestoreDelta(delta[:len(delta)/2]); err == nil {
+	if err := restored().Restore(delta[:len(delta)/2]); err == nil {
 		t.Fatal("truncated delta accepted")
 	}
-	if err := NewSharedJoin(0, 0, 10, NewRouter(&OpMetrics{}), &OpMetrics{}).RestoreDelta(delta); err == nil {
+	if err := NewSharedJoin(0, 0, 10, NewRouter(&OpMetrics{}), &OpMetrics{}).Restore(delta); err == nil {
 		t.Fatal("delta applied before a base was accepted")
 	}
 	twice := restored()
-	if err := twice.RestoreDelta(delta); err != nil {
+	if err := twice.Restore(delta); err != nil {
 		t.Fatalf("clean chain rejected: %v", err)
 	}
-	// Applied again, its table suffix no longer follows the table.
-	if err := twice.RestoreDelta(delta); err == nil || !strings.Contains(err.Error(), "encoded against epoch") {
+	// Applied again, it names a predecessor the instance has moved past.
+	if err := twice.Restore(delta); err == nil || !strings.Contains(err.Error(), "last link applied") {
 		t.Fatalf("a delta applied twice: %v", err)
 	}
 }

@@ -26,7 +26,7 @@ import (
 // instances that processed the same prefix produce byte-identical
 // snapshots.
 
-const opSnapshotVersion = 8
+const opSnapshotVersion = 9
 
 // readSlot reads a query slot, rejecting numbers no engine could have
 // assigned (changelog.MaxSlots) before anything is sized from them.
@@ -212,12 +212,11 @@ func snapSlicer(b []byte, s *slicer, payload func([]byte, *slice) []byte) []byte
 }
 
 // restoreSlicer decodes snapSlicer into s against tbl, the changelog-set
-// table the operator restored ahead of its slices (nil only once r has
-// failed). It accepts only the rings the encoder writes, which are the rings
-// the slicer can run: a non-zero stride; at least one epoch, starts
-// non-decreasing, seqs strictly increasing up to tbl.Latest(); slices
-// non-empty, strictly ascending and disjoint, each naming an epoch tbl
-// retains and an ID below nextID.
+// table the operator restored ahead of its slices. It accepts only the rings
+// the encoder writes, which are the rings the slicer can run: a non-zero
+// stride; at least one epoch, starts non-decreasing, seqs strictly
+// increasing up to tbl.Latest(); slices non-empty, strictly ascending and
+// disjoint, each naming an epoch tbl retains and an ID below nextID.
 func restoreSlicer(r *wire.Reader, s *slicer, tbl *changelog.Table, payload func(*wire.Reader, *slice)) {
 	s.nextID = r.U64("slicer nextID")
 	s.stride = r.U64("slicer stride")
@@ -276,25 +275,6 @@ func restoreSlicer(r *wire.Reader, s *slicer, tbl *changelog.Table, payload func
 			s.slices = append(s.slices, sl)
 		}
 	}
-}
-
-// --- changelog table (length-prefixed passthrough) ---
-
-func snapTable(b []byte, t *changelog.Table) []byte {
-	return wire.AppendBytes(b, t.Snapshot())
-}
-
-func readSnapTable(r *wire.Reader) *changelog.Table {
-	enc := r.Bytes("changelog table")
-	if r.Err() != nil {
-		return nil
-	}
-	t, err := changelog.TableFromSnapshot(enc)
-	if err != nil {
-		r.Fail(err)
-		return nil
-	}
-	return t
 }
 
 // --- SharedSelection ---
@@ -356,59 +336,47 @@ func (s *SharedSelection) Restore(snapshot []byte) error {
 // (windowOp.appendLink), whose slice payload is the slice's store. The
 // stores' key indexes and cached pairs are deliberately excluded — both are
 // derived from the tuples and rebuild on demand.
-func (j *SharedJoin) OnBarrier(uint64, *spe.Emitter) []byte {
-	return j.appendLink(nil, j.win.nextLinkFull())
+func (j *SharedJoin) OnBarrier(id uint64, _ *spe.Emitter) []byte {
+	return j.appendLink(nil, id, j.win.nextLinkFull())
 }
 
-func (j *SharedJoin) appendLink(b []byte, full bool) []byte {
-	b = beginLink(b, full)
-	b = j.win.appendLink(b, full, func(b []byte, sl *slice) []byte {
+func (j *SharedJoin) appendLink(b []byte, barrier uint64, full bool) []byte {
+	b = j.win.appendLink(b, barrier, full, func(b []byte, sl *slice) []byte {
 		return snapSliceStore(b, sl.store)
 	})
 	return j.win.queries.appendTo(b)
 }
 
-// Restore implements spe.Restorable and RestoreDelta spe.DeltaRestorable:
-// each applies one link of the join's chain.
-func (j *SharedJoin) Restore(snapshot []byte) error      { return j.restoreLink(snapshot, false) }
-func (j *SharedJoin) RestoreDelta(snapshot []byte) error { return j.restoreLink(snapshot, true) }
-
-func (j *SharedJoin) restoreLink(snapshot []byte, delta bool) error {
+// Restore implements spe.Restorable: it applies one link of the join's
+// chain, a full one or a delta.
+func (j *SharedJoin) Restore(snapshot []byte) error {
 	r := wire.NewReader(snapshot)
-	readLinkVersion(r, delta, "join")
-	payload := func(r *wire.Reader, sl *slice) { sl.store = readSliceStore(r) }
-	if err := j.win.readLink(r, delta, payload, func(*slice) {}); err != nil {
-		return err
-	}
+	j.win.readLink(r, "join", func(r *wire.Reader, sl *slice) { sl.store = readSliceStore(r) }, func(*slice) {})
 	j.win.queries.readFrom(r, 1)
-	if err := r.Finish("join"); err != nil {
-		return err
-	}
-	return nil
+	return r.Finish("join")
 }
 
 // --- SharedAggregation ---
 
 // OnBarrier implements spe.Logic: the next link of the aggregation's
 // snapshot chain (windowOp.appendLink), whose slice payload is the slice's
-// sealed aggregate index. The port count leads; the versioned masks and both
+// sealed aggregate index. The port count, the versioned masks and both
 // query tables, open session windows included, follow the rings.
-func (a *SharedAggregation) OnBarrier(uint64, *spe.Emitter) []byte {
-	return a.appendLink(nil, a.win.nextLinkFull())
+func (a *SharedAggregation) OnBarrier(id uint64, _ *spe.Emitter) []byte {
+	return a.appendLink(nil, id, a.win.nextLinkFull())
 }
 
-func (a *SharedAggregation) appendLink(b []byte, full bool) []byte {
-	b = beginLink(b, full)
-	b = wire.AppendU32(b, uint32(a.ports))
-	b = a.win.appendLink(b, full, func(b []byte, sl *slice) []byte {
+func (a *SharedAggregation) appendLink(b []byte, barrier uint64, full bool) []byte {
+	b = a.win.appendLink(b, barrier, full, func(b []byte, sl *slice) []byte {
 		return a.appendAggIndex(b, sl.aggs)
 	})
 	return a.appendWorkload(b)
 }
 
-// appendWorkload writes what follows the slice rings in every link: the
-// versioned masks and both query tables.
+// appendWorkload writes what follows the slice rings in every link: the port
+// count, the versioned masks and both query tables.
 func (a *SharedAggregation) appendWorkload(b []byte) []byte {
+	b = wire.AppendU32(b, uint32(a.ports))
 	b = wire.AppendCount(b, len(a.maskVersions))
 	for i := range a.maskVersions {
 		mv := &a.maskVersions[i]
@@ -424,22 +392,12 @@ func (a *SharedAggregation) appendWorkload(b []byte) []byte {
 	return a.selection.appendTo(b)
 }
 
-// Restore implements spe.Restorable and RestoreDelta spe.DeltaRestorable:
-// each applies one link of the aggregation's chain. The index of a slice the
-// link re-encodes or no longer lists goes back to the freelists.
-func (a *SharedAggregation) Restore(snapshot []byte) error      { return a.restoreLink(snapshot, false) }
-func (a *SharedAggregation) RestoreDelta(snapshot []byte) error { return a.restoreLink(snapshot, true) }
-
-func (a *SharedAggregation) restoreLink(snapshot []byte, delta bool) error {
+// Restore implements spe.Restorable: it applies one link of the
+// aggregation's chain, a full one or a delta. The index of a slice the link
+// re-encodes or no longer lists goes back to the freelists.
+func (a *SharedAggregation) Restore(snapshot []byte) error {
 	r := wire.NewReader(snapshot)
-	readLinkVersion(r, delta, "aggregation")
-	if ports := int(r.U32("agg ports")); r.Err() == nil && ports != a.ports {
-		r.Fail(fmt.Errorf("core: aggregation snapshot has %d ports, instance has %d", ports, a.ports))
-	}
-	payload := func(r *wire.Reader, sl *slice) { sl.aggs = a.readAggIndex(r) }
-	if err := a.win.readLink(r, delta, payload, func(sl *slice) { a.dropIndex(sl.aggs) }); err != nil {
-		return err
-	}
+	a.win.readLink(r, "aggregation", func(r *wire.Reader, sl *slice) { sl.aggs = a.readAggIndex(r) }, func(sl *slice) { a.dropIndex(sl.aggs) })
 	a.readWorkload(r)
 	return r.Finish("aggregation snapshot")
 }
@@ -447,6 +405,9 @@ func (a *SharedAggregation) restoreLink(snapshot []byte, delta bool) error {
 // readWorkload decodes appendWorkload and rebuilds what derives from it. An
 // instance always holds a mask version, so a table without one is corrupt.
 func (a *SharedAggregation) readWorkload(r *wire.Reader) {
+	if ports := int(r.U32("agg ports")); r.Err() == nil && ports != a.ports {
+		r.Fail(fmt.Errorf("core: aggregation snapshot has %d ports, instance has %d", ports, a.ports))
+	}
 	nmv := r.Count("mask version count", 20)
 	a.maskVersions = a.maskVersions[:0]
 	for i := 0; i < nmv && r.Err() == nil; i++ {

@@ -477,7 +477,7 @@ func TestOperatorRestoreRejectsCorruptSnapshots(t *testing.T) {
 	agg.OnTuple(0, event.Tuple{Key: 1, Time: 5, QuerySet: bitset.FromIndexes(0)}, nil)
 	snap := agg.OnBarrier(1, nil)
 	badTable := append([]byte(nil), snap...)
-	badTable[bytes.Index(snap, agg.win.table.Snapshot())] ^= 0xFF // the table's version byte
+	badTable[bytes.Index(snap, agg.win.table.AppendSnapshot(nil))] ^= 0xFF // the table's version byte
 
 	for _, tc := range []struct {
 		name string

@@ -300,18 +300,17 @@ type windowOp struct {
 
 	// The snapshot chain: the links written since the newest full
 	// snapshot, that one included (0 while no link anchors a chain: before
-	// the first barrier and after a restore), and the changelog table's
-	// newest epoch at the last link, which the next delta's table suffix
-	// follows.
+	// the first barrier and after a restore), and the barrier that cut the
+	// last link the instance wrote or applied (0 before any: barriers count
+	// from 1), which the next delta names as its predecessor.
 	chainLen int
-	chainSeq uint64
+	lastLink uint64
 
 	// Steady-state scratch, owned by the instance goroutine.
-	tblScratch []byte          // table-delta encode buffer recycled across barriers
-	trig       triggerList     // per-watermark trigger scratch
-	caps       []capGroup      // per-trigger cap-grouping scratch
-	specsTmp   []window.Spec   // per-watermark window-spec scratch
-	extTmp     []window.Extent // per-query window-list scratch of collectTriggers
+	trig     triggerList     // per-watermark trigger scratch
+	caps     []capGroup      // per-trigger cap-grouping scratch
+	specsTmp []window.Spec   // per-watermark window-spec scratch
+	extTmp   []window.Extent // per-query window-list scratch of collectTriggers
 }
 
 func newWindowOp(lateness event.Time, specOf func(*Query) window.Spec, sides ...*slicer) windowOp {
@@ -487,42 +486,30 @@ func (w *windowOp) nextLinkFull() bool {
 	return w.chainLen == 0 || w.chainLen >= snapFullEvery
 }
 
-// beginLink writes a link's leading byte: a full snapshot's version, or the
-// magic by which a snapshot store tells a delta from a base without reading
-// further. readLinkVersion reads it back.
-func beginLink(b []byte, full bool) []byte {
-	if full {
-		return wire.AppendU8(b, opSnapshotVersion)
-	}
-	return wire.AppendU8(b, spe.DeltaSnapshotMagic)
-}
-
-func readLinkVersion(r *wire.Reader, delta bool, op string) {
-	if delta {
-		r.Version(op+" delta magic", spe.DeltaSnapshotMagic)
-	} else {
-		r.Version(op+" snapshot version", opSnapshotVersion)
-	}
-}
-
-// appendLink writes the driver's part of a link, after the operator's head:
-// the event-time marks, the changelog table — whole in a full link, the
-// suffix since the previous link in a delta — and every side's slice ring.
+// appendLink writes the driver's part of the link barrier cuts: its leading
+// byte — a full snapshot's version, or the magic by which a snapshot store
+// tells a delta from a base without reading further — the barrier, in a
+// delta the barrier of the link it extends, the event-time marks, the whole
+// changelog table and every side's slice ring. The operator's part follows.
 // A full link encodes every slice's payload; a delta flags each slice and
 // encodes the payloads of the slices written since the previous link only,
 // carrying the others forward by ID. Either way every slice is clean
 // afterwards and the link extends the chain, a full one starting a new chain.
 // Extents and epochs are always written: an epoch transition may truncate or
 // relabel a slice without writing it.
-func (w *windowOp) appendLink(b []byte, full bool, payload func([]byte, *slice) []byte) []byte {
-	b = w.appendClock(b)
+func (w *windowOp) appendLink(b []byte, barrier uint64, full bool, payload func([]byte, *slice) []byte) []byte {
 	if full {
-		b = snapTable(b, w.table)
+		b = wire.AppendU8(b, opSnapshotVersion)
 		w.chainLen = 0
 	} else {
-		w.tblScratch = w.table.AppendDelta(w.tblScratch[:0], w.chainSeq)
-		b = wire.AppendBytes(b, w.tblScratch)
+		b = wire.AppendU8(b, spe.DeltaSnapshotMagic)
 	}
+	b = wire.AppendU64(b, barrier)
+	if !full {
+		b = wire.AppendU64(b, w.lastLink)
+	}
+	b = w.appendClock(b)
+	b = w.table.AppendSnapshot(b)
 	for _, s := range w.sides {
 		b = snapSlicer(b, s, func(b []byte, sl *slice) []byte {
 			dirty := full || sl.dirty
@@ -537,36 +524,36 @@ func (w *windowOp) appendLink(b []byte, full bool, payload func([]byte, *slice) 
 		})
 	}
 	w.chainLen++
-	w.chainSeq = w.table.Latest()
+	w.lastLink = barrier
 	return b
 }
 
-// readLink decodes appendLink into the instance. A full link replaces its
-// state; a delta advances the state the links before it restored: the
-// table by its suffix, each dirty slice by its payload, each clean one
-// carried forward by ID from the ring it lands on. payload decodes a slice's
-// payload; release frees the payload of a slice the link re-encoded or no
-// longer lists. A delta applied to any state but the one it was cut against
-// fails: its table suffix does not follow the table, or it carries forward a
-// slice the ring does not hold. The restored instance anchors no chain: its
-// next link is full.
-func (w *windowOp) readLink(r *wire.Reader, delta bool, payload func(*wire.Reader, *slice), release func(*slice)) error {
-	w.readClock(r)
-	w.chainLen = 0
-	if !delta {
-		w.table = readSnapTable(r)
-	} else {
-		tdelta := r.Bytes("snapshot delta table")
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if w.table == nil {
-			return fmt.Errorf("core: snapshot delta applied before a restored base")
-		}
-		if err := w.table.ApplyDelta(tdelta); err != nil {
-			return err
+// readLink decodes appendLink into the instance of operator op. A full link
+// replaces its state; a delta advances the state the links before it
+// restored: each dirty slice by its payload, each clean one carried forward
+// by ID from the ring it lands on. payload decodes a slice's payload;
+// release frees the payload of a slice the link re-encoded or no longer
+// lists. A delta applied to any state but the one it was cut against fails:
+// it names a predecessor other than the last link the instance applied, or
+// it carries forward a slice the ring does not hold. Every rejection fails
+// r, which the operator's Finish reports. The restored instance anchors no
+// chain: its next link is full.
+func (w *windowOp) readLink(r *wire.Reader, op string, payload func(*wire.Reader, *slice), release func(*slice)) {
+	lead := r.U8(op + " snapshot version")
+	delta := lead == spe.DeltaSnapshotMagic
+	if !delta && lead != opSnapshotVersion && r.Err() == nil {
+		r.Fail(fmt.Errorf("core: bad %s snapshot version %d: neither %d nor the delta magic %#x (corrupt, or written by another build)", op, lead, opSnapshotVersion, spe.DeltaSnapshotMagic))
+	}
+	barrier := r.U64(op + " link barrier")
+	if delta {
+		if pred := r.U64(op + " link predecessor"); (w.lastLink == 0 || pred != w.lastLink) && r.Err() == nil {
+			r.Fail(fmt.Errorf("core: %s delta of barrier %d extends barrier %d, but the last link applied is barrier %d (0: none)", op, barrier, pred, w.lastLink))
 		}
 	}
+	w.readClock(r)
+	w.chainLen = 0
+	w.lastLink = barrier
+	w.table = changelog.ReadTable(r)
 	for _, s := range w.sides {
 		// The ring is rebuilt in place, so the slices it held are listed first.
 		old := slices.Clone(s.slices)
@@ -590,7 +577,6 @@ func (w *windowOp) readLink(r *wire.Reader, delta bool, payload func(*wire.Reade
 			}
 		}
 	}
-	return nil
 }
 
 // appendClock and readClock carry the driver's event-time marks.

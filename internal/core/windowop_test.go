@@ -524,20 +524,14 @@ func (c *aggChurn) restore(t *testing.T) {
 }
 
 // restoreChain restores op from a chain: a full snapshot, then deltas.
-func restoreChain(t *testing.T, op interface {
-	spe.Restorable
-	spe.DeltaRestorable
-}, chain [][]byte) {
+func restoreChain(t *testing.T, op spe.Restorable, chain [][]byte) {
 	t.Helper()
-	if err := op.Restore(chain[0]); err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range chain[1:] {
-		if d[0] != spe.DeltaSnapshotMagic {
-			t.Fatalf("chain link %d is not a delta", i+1)
+	for i, link := range chain {
+		if i > 0 && link[0] != spe.DeltaSnapshotMagic {
+			t.Fatalf("chain link %d is not a delta", i)
 		}
-		if err := op.RestoreDelta(d); err != nil {
-			t.Fatalf("chain link %d: %v", i+1, err)
+		if err := op.Restore(link); err != nil {
+			t.Fatalf("chain link %d: %v", i, err)
 		}
 	}
 }

@@ -105,7 +105,10 @@ func (BaseLogic) OnBarrier(uint64, *Emitter) []byte     { return nil }
 func (BaseLogic) OnEOS(*Emitter)                        {}
 
 // Restorable is implemented by logics that participate in checkpoint
-// recovery.
+// recovery. Restore applies one snapshot the logic's OnBarrier returned: a
+// full one replaces the logic's state, a delta (DeltaSnapshotMagic first)
+// advances the state the snapshots before it restored. Recovery calls it
+// once per snapshot of a chain, in the order they were cut.
 type Restorable interface {
 	Restore(snapshot []byte) error
 }
@@ -117,10 +120,3 @@ type Restorable interface {
 // store classify a deposit as base or delta without understanding the
 // operator's encoding.
 const DeltaSnapshotMagic byte = 0xD5
-
-// DeltaRestorable is implemented by logics whose OnBarrier returns deltas:
-// during recovery each delta is re-applied on top of a restored base.
-// RestoreDelta is called once per delta, in chain order, after Restore.
-type DeltaRestorable interface {
-	RestoreDelta(snapshot []byte) error
-}
