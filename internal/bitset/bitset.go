@@ -13,7 +13,7 @@
 // Bits is a value type with a small-set fast path: sets confined to slots
 // [0,64) — every benchmark grid in the paper's evaluation — live in one
 // inline uint64 and never touch the heap. Larger sets spill to a []uint64.
-// The hot-path operations (And, Or, Intersects, Test, Key) are
+// The hot-path operations (And, Or, Intersects, Test, Equal) are
 // allocation-free on the inline representation, and the *Into/*InPlace
 // variants reuse a caller-owned spill so even wide sets stay allocation-free
 // in steady state.
@@ -22,7 +22,7 @@
 // and grow the backing storage on demand; query methods tolerate any length
 // difference by treating missing words as zero. Observers never depend on a
 // canonical backing length: a spilled set whose high words are zero compares
-// Equal (and produces the same Key) as its inline twin.
+// Equal to its inline twin.
 package bitset
 
 import (
@@ -547,69 +547,6 @@ func (b Bits) Indexes() []int {
 		return true
 	})
 	return out
-}
-
-// Key is a comparable, canonical identity of a bit set, usable directly as a
-// map key. Single-word sets (the common case: ≤64 query slots) are carried
-// in W with S empty — computing such a key allocates nothing. Wider sets
-// carry their little-endian word bytes in S with W zero; the two forms can
-// never collide because S is only used when at least two words are
-// significant. Two sets have equal Keys iff Equal reports true.
-type Key struct {
-	W uint64
-	S string
-}
-
-// Less orders keys: single-word keys first by word value, then multi-word
-// keys by byte string. Any fixed total order works for the determinism
-// contract; this one is cheap.
-func (k Key) Less(o Key) bool {
-	if (k.S == "") != (o.S == "") {
-		return k.S == ""
-	}
-	if k.S == "" {
-		return k.W < o.W
-	}
-	return k.S < o.S
-}
-
-// Key returns the set's canonical comparable key. Allocation-free for sets
-// confined to one significant word; wider sets build a string (use KeyWord +
-// AppendKeyBytes for allocation-free lookups against wide sets).
-func (b Bits) Key() Key {
-	if w, ok := b.KeyWord(); ok {
-		return Key{W: w}
-	}
-	return Key{S: string(b.AppendKeyBytes(nil))}
-}
-
-// KeyWord returns the single-word key and true when the set has at most one
-// significant word (allocation-free), or (0, false) when the set is wider.
-func (b Bits) KeyWord() (uint64, bool) {
-	if b.spill == nil {
-		return b.small, true
-	}
-	n := b.sigWords()
-	if n <= 1 {
-		return b.word(0), true
-	}
-	return 0, false
-}
-
-// AppendKeyBytes appends the canonical multi-word key encoding (significant
-// words, little-endian) to dst and returns it. Only meaningful when KeyWord
-// reported false; callers use it with dst scratch for allocation-free
-// map[string] lookups via the compiler's m[string(buf)] optimization.
-func (b Bits) AppendKeyBytes(dst []byte) []byte {
-	n := b.sigWords()
-	for i := 0; i < n; i++ {
-		w := b.word(i)
-		// appends into caller-owned scratch; grows only until the scratch fits the widest set
-		dst = append(dst,
-			byte(w), byte(w>>8), byte(w>>16), byte(w>>24),
-			byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
-	}
-	return dst
 }
 
 // String renders the set in the paper's convention: slot 0 (query index 1)

@@ -210,20 +210,19 @@ func TestAllUpTo(t *testing.T) {
 	}
 }
 
-func TestKeyEqualEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 300; trial++ {
-		a := randomBits(rng, 130)
-		b := randomBits(rng, 130)
-		if (a.Key() == b.Key()) != a.Equal(b) {
-			t.Fatalf("Key equality disagrees with Equal: %s vs %s", a, b)
+// TestEqualIgnoresTrailingWords: Equal compares bits, not representations
+// or backing lengths.
+func TestEqualIgnoresTrailingWords(t *testing.T) {
+	inline := FromWords([]uint64{5})
+	var spilled Bits
+	spilled.Set(130)
+	spilled.Clear(130)
+	spilled.Set(0)
+	spilled.Set(2)
+	for _, b := range []Bits{View([]uint64{5, 0, 0}), spilled} {
+		if !b.Equal(inline) || !inline.Equal(b) {
+			t.Fatalf("%v must equal its inline twin", b.Words())
 		}
-	}
-	// Different backing lengths, same bits.
-	a := FromWords([]uint64{5, 0, 0})
-	b := FromWords([]uint64{5})
-	if a.Key() != b.Key() || !a.Equal(b) {
-		t.Fatal("trailing zero words must not affect Key or Equal")
 	}
 }
 
@@ -263,7 +262,7 @@ func TestWordsRoundTrip(t *testing.T) {
 func TestViewSharesWords(t *testing.T) {
 	for _, words := range [][]uint64{nil, {0}, {5}, {5, 0, 0}, {1, 0, 1 << 63}, {0, 7, 0}} {
 		v, c := View(words), FromWords(words)
-		if !v.Equal(c) || v.Key() != c.Key() || v.WordCount() != c.WordCount() {
+		if !v.Equal(c) || v.WordCount() != c.WordCount() {
 			t.Fatalf("View(%v) = %v, FromWords gives %v", words, v.Words(), c.Words())
 		}
 	}

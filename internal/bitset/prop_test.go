@@ -42,9 +42,6 @@ func agree(t *testing.T, ctx string, a, b Bits) {
 	if !a.Equal(b) || !b.Equal(a) {
 		t.Fatalf("%s: Equal disagrees: %s vs %s", ctx, a, b)
 	}
-	if a.Key() != b.Key() {
-		t.Fatalf("%s: Key disagrees: %v vs %v", ctx, a.Key(), b.Key())
-	}
 	if a.Count() != b.Count() || a.Len() != b.Len() || a.IsEmpty() != b.IsEmpty() {
 		t.Fatalf("%s: Count/Len/IsEmpty disagree: %s vs %s", ctx, a, b)
 	}
@@ -194,71 +191,6 @@ func TestPropBinaryOpsRepresentation(t *testing.T) {
 			p.x.AndInto(p.y, &dstReused)
 			if !dstReused.Equal(refAnd) {
 				t.Fatalf("%s: AndInto(reused dst) = %s, want %s", p.name, dstReused, refAnd)
-			}
-		}
-	}
-}
-
-// TestPropKeyEqualIffEqual checks the Key contract: two sets — in any mix of
-// representations and backing lengths — have equal Keys exactly when Equal
-// reports true, and Key.Less is a strict total order consistent with it.
-func TestPropKeyEqualIffEqual(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	widths := []int{0, 1, 64, 65, 128, 130}
-	var sets []Bits
-	for trial := 0; trial < 300; trial++ {
-		b := randBits(rng, widths[rng.Intn(len(widths))])
-		sets = append(sets, b, forceSpill(t, b))
-	}
-	for i := range sets {
-		for j := range sets {
-			ki, kj := sets[i].Key(), sets[j].Key()
-			if eq := sets[i].Equal(sets[j]); (ki == kj) != eq {
-				t.Fatalf("Key equality (%v) disagrees with Equal (%v): %s vs %s",
-					ki == kj, eq, sets[i], sets[j])
-			}
-			switch {
-			case ki == kj:
-				if ki.Less(kj) || kj.Less(ki) {
-					t.Fatalf("equal keys ordered: %v", ki)
-				}
-			case ki.Less(kj) == kj.Less(ki):
-				t.Fatalf("Less not antisymmetric for %v, %v", ki, kj)
-			}
-		}
-	}
-}
-
-// TestPropKeyForms pins the two Key encodings to their representation rule:
-// W-form for at most one significant word, S-form (matching AppendKeyBytes)
-// beyond — so the forms can never collide, and the scratch-buffer lookup path
-// (KeyWord + AppendKeyBytes) always lands on the same map entry as Key().
-func TestPropKeyForms(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 500; trial++ {
-		b := randBits(rng, 1+rng.Intn(160))
-		if rng.Intn(2) == 0 {
-			b = forceSpill(t, b)
-		}
-		k := b.Key()
-		w, ok := b.KeyWord()
-		if wide := b.Len() > wordBits; wide == ok {
-			t.Fatalf("KeyWord ok=%v for Len=%d (%s)", ok, b.Len(), b)
-		}
-		if ok {
-			if k.S != "" || k.W != w {
-				t.Fatalf("narrow set key %+v mismatches KeyWord %d (%s)", k, w, b)
-			}
-		} else {
-			if k.W != 0 || k.S == "" {
-				t.Fatalf("wide set key %+v not in S-form (%s)", k, b)
-			}
-			if got := string(b.AppendKeyBytes(nil)); got != k.S {
-				t.Fatalf("AppendKeyBytes %x != Key.S %x", got, k.S)
-			}
-			buf := b.AppendKeyBytes(make([]byte, 0, 64))
-			if string(buf) != k.S {
-				t.Fatalf("AppendKeyBytes with scratch %x != Key.S %x", buf, k.S)
 			}
 		}
 	}

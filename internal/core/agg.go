@@ -127,7 +127,7 @@ func (g *aggGroup) add(key int64, v *aggVal) {
 // or excludes together — each holding one row per key any of those groups
 // has, merged over them: from then on the rows are the slice's only storage.
 type aggIndex struct {
-	open *qsIndex[aggGroup] // nil while sealed
+	open *qsIndex // nil while sealed
 	// classes[c] ends class c's slots in slots and its rows in rows. Classes
 	// are ordered by smallest slot, a class's slots ascend and its rows
 	// ascend by key.
@@ -182,6 +182,9 @@ type keyChain struct {
 // cmpKeyChain orders chains by key.
 func cmpKeyChain(p, q keyChain) int { return cmp.Compare(p.key, q.key) }
 
+// cmpGroupSets orders groups by their query-sets' first words.
+func cmpGroupSets(g, h *aggGroup) int { return cmp.Compare(g.qs.Word(0), h.qs.Word(0)) }
+
 // aggWindow is the window the aggregation fires for q: a complex query
 // aggregates its join's output over its second window.
 func aggWindow(q *Query) window.Spec {
@@ -231,21 +234,21 @@ type SharedAggregation struct {
 	// Steady-state scratch (owned by the instance goroutine): query-set
 	// intersection temporaries, the seal's, and the fire path's equivalence
 	// blocks and result rows.
-	qsTmp     bitset.Bits          // per-tuple query-set intersection scratch
-	lateRows  []int32              // the rows of a sealed slice one tuple folds into
-	sealTmp   sealScratch          // the seal's slot partition, class numbering and key chains
-	caps      []fireCap            // per-cap-group slot mask, per-slice relation and slot table, parallel to the trigger's cap groups
-	blocks    partition            // the trigger's queries partitioned into equivalence blocks
-	blockRows [][]aggRow           // per block, its window result ascending by key; the buffers are reused across fires
-	rowTmp    []aggRow             // merge output, swapped with the block rows it replaces
-	members   []int32              // per effective (slice, class), the trigger queries in it, back to back
-	met       []metPair            // (slice, class) pairs pass one found effective for some cap group
-	valPool   []*aggVal            // recycled aggVal backings
-	valSlab   []aggVal             // slab chunk fresh partials are carved from; they recycle through valPool
-	rowPool   [][]aggRow           // recycled row backings
-	groupPool []*aggGroup          // emptied groups, map and lists at the size they grew to
-	openPool  []*qsIndex[aggGroup] // emptied group indexes of sealed or evicted slices
-	indexPool []*aggIndex          // evicted slices' indexes, their class and slot lists at the size they grew to
+	qsTmp     bitset.Bits // per-tuple query-set intersection scratch
+	lateRows  []int32     // the rows of a sealed slice one tuple folds into
+	sealTmp   sealScratch // the seal's slot partition, class numbering and key chains
+	caps      []fireCap   // per-cap-group slot mask, per-slice relation and slot table, parallel to the trigger's cap groups
+	blocks    partition   // the trigger's queries partitioned into equivalence blocks
+	blockRows [][]aggRow  // per block, its window result ascending by key; the buffers are reused across fires
+	rowTmp    []aggRow    // merge output, swapped with the block rows it replaces
+	members   []int32     // per effective (slice, class), the trigger queries in it, back to back
+	met       []metPair   // (slice, class) pairs pass one found effective for some cap group
+	valPool   []*aggVal   // recycled aggVal backings
+	valSlab   []aggVal    // slab chunk fresh partials are carved from; they recycle through valPool
+	rowPool   [][]aggRow  // recycled row backings
+	groupPool []*aggGroup // emptied groups, map and lists at the size they grew to
+	openPool  []*qsIndex  // emptied group indexes of sealed or evicted slices
+	indexPool []*aggIndex // evicted slices' indexes, their class and slot lists at the size they grew to
 }
 
 // fireCap is one cap group's side of a fire. Slots are unique within a cap
@@ -518,7 +521,8 @@ func (a *SharedAggregation) openIndex(x *aggIndex) {
 		a.openPool = a.openPool[:n]
 		return
 	}
-	x.open = newQSIndex[aggGroup]()
+	// cold: one index per open slice, recycled through openPool
+	x.open = &qsIndex{}
 }
 
 // dropGroups recycles x's open groups and their index, x's partials having
@@ -662,7 +666,7 @@ func (a *SharedAggregation) fold(x *aggIndex, t *event.Tuple) {
 	g := x.open.get(a.qsTmp)
 	if g == nil {
 		g = a.takeGroup(a.qsTmp)
-		x.open.put(g.qs, g)
+		x.open.put(g)
 	}
 	v := g.byKey[t.Key]
 	if v == nil {
@@ -965,6 +969,9 @@ func (a *SharedAggregation) seal(x *aggIndex) {
 	if o == nil {
 		return
 	}
+	// Any order would do, but over sorted groups a key's partials, which the
+	// rows merge group by group, meet neighbours that share most classes.
+	slices.SortFunc(o.order, cmpGroupSets)
 	st := &a.sealTmp
 	p := &st.parts
 	p.parts = p.parts[:0]
@@ -1180,7 +1187,7 @@ func (a *SharedAggregation) unseal(x *aggIndex) {
 			*v = r.v
 			g.add(r.key, v)
 		}
-		x.open.put(g.qs, g)
+		x.open.put(g)
 	}
 	a.dropRows(x)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -544,7 +543,6 @@ func (e *Engine) QoS() QoSReport {
 			})
 		}
 	})
-	sort.Slice(r.Queries, func(i, j int) bool { return r.Queries[i].ID < r.Queries[j].ID })
 	return r
 }
 

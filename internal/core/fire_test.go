@@ -391,12 +391,12 @@ func TestFireManyMemberships(t *testing.T) {
 		qs[i] = aggQ(window.TumblingSpec(100), sqlstream.AggSum, 0, expr.True())
 	}
 	p.deploy(t, newCLBuilder(), 0, qs...)
-	distinct := map[bitset.Key]bool{}
+	distinct := map[string]bool{}
 	for i := 0; i < 700; i++ {
 		tu := event.Tuple{Key: int64(i % 5), Time: event.Time(i % 100), IngestNanos: int64(i + 1)}
 		tu.QuerySet = bitset.FromIndexes(i%n, (i*7)%n, (i*13+1)%n)
 		tu.Fields[0] = int64(i)
-		distinct[tu.QuerySet.Key()] = true
+		distinct[tu.QuerySet.String()] = true
 		p.tuple(tu)
 	}
 	if len(distinct) <= 64 {
@@ -775,8 +775,8 @@ func TestFireWideQuerySets(t *testing.T) {
 
 	// A tuple whose query-set spans three words, and one whose set fits one,
 	// fold into their groups' partials without allocating: the masked set
-	// lands in the operator's scratch, spilled or not, and a wide group is
-	// found by the scratch bytes of its key.
+	// lands in the operator's scratch, spilled or not, and a group of either
+	// width is found by its set's hash.
 	wideTu, narrowTu := event.Tuple{Key: 3, Time: 1250}, event.Tuple{Key: 3, Time: 1250}
 	for _, q := range []int{1, 70, 140} {
 		wideTu.QuerySet.Set(q)
@@ -1079,5 +1079,99 @@ func TestSealClassesArePartition(t *testing.T) {
 				a.dropIndex(twin)
 			}
 		})
+	}
+}
+
+// TestSealIgnoresGroupOrder: an open slice's groups come in whatever order
+// their query-sets first arrive, so the same partials fed in another order
+// can list the same groups in another order. Seal numbers classes by
+// smallest slot and orders rows by key, so the sealed classes, slots and
+// rows, the fired results and the snapshot bytes must not change with it.
+func TestSealIgnoresGroupOrder(t *testing.T) {
+	const n = 130 // query-sets up to three words wide
+	r := rand.New(rand.NewSource(21))
+	sets := make([]bitset.Bits, 24)
+	for i := range sets {
+		for k := 0; k <= r.Intn(4); k++ {
+			sets[i].Set(r.Intn(n))
+		}
+	}
+	tuples := make([]event.Tuple, 300)
+	for i := range tuples {
+		// a hundred tuples for each of the slices [0,200), [200,400) and
+		// [400,600), in slice order: the orders below permute each slice's
+		// tuples, not the order the slices open in
+		at := event.Time(i/100*200 + r.Intn(200))
+		tu := event.Tuple{Key: int64(r.Intn(9)), Time: at, IngestNanos: int64(i + 1), QuerySet: sets[r.Intn(len(sets))]}
+		for f := range tu.Fields {
+			tu.Fields[f] = int64(r.Intn(100)) - 50
+		}
+		tuples[i] = tu
+	}
+	fns := []sqlstream.AggFunc{sqlstream.AggSum, sqlstream.AggMax, sqlstream.AggCount, sqlstream.AggMin, sqlstream.AggAvg}
+	type run struct {
+		arrival string // per slice, the query-sets in the order they first arrive
+		layouts []sealed
+		snap    []byte
+		fired   []string
+	}
+	feed := func(order []event.Tuple) run {
+		var out run
+		seen := map[string]bool{}
+		for s := event.Time(0); s < 600; s += 200 {
+			for _, tu := range order {
+				if k := fmt.Sprint(s, tu.QuerySet); tu.Time >= s && tu.Time < s+200 && !seen[k] {
+					seen[k] = true
+					out.arrival += k + " "
+				}
+			}
+		}
+		qs := make([]*Query, n)
+		for i := range qs {
+			qs[i] = aggQ(window.SlidingSpec(400, 200), fns[i%len(fns)], i%event.NumFields, expr.True())
+		}
+		a := NewSharedAggregation(1, 1000, fireRouter(&out.fired, n), NewOpMetrics(nil))
+		a.OnChangelog(newCLBuilder().create(t, 0, qs...), 0, nil)
+		for _, tu := range order {
+			a.OnTuple(0, tu, &spe.Emitter{})
+		}
+		out.snap = a.OnBarrier(1, nil)
+		for _, sl := range a.win.sides[0].slices {
+			if sl.aggs != nil {
+				out.layouts = append(out.layouts, layoutOf(sl.aggs))
+			}
+		}
+		a.OnWatermark(1000, nil)
+		return out
+	}
+	want := feed(tuples)
+	if len(want.layouts) != 3 || len(want.fired) == 0 {
+		t.Fatalf("%d sealed slices and %d fired rows; the test proved nothing", len(want.layouts), len(want.fired))
+	}
+	reordered := 0
+	for trial := 0; trial < 5; trial++ {
+		order := slices.Clone(tuples)
+		for s := 0; s < len(order); s += 100 {
+			block := order[s : s+100]
+			if trial == 0 {
+				slices.Reverse(block)
+			} else {
+				r.Shuffle(len(block), func(i, j int) { block[i], block[j] = block[j], block[i] })
+			}
+		}
+		got := feed(order)
+		if got.arrival != want.arrival {
+			reordered++
+		}
+		if !reflect.DeepEqual(got.layouts, want.layouts) {
+			t.Fatalf("order %d: sealed layouts differ:\n got %v\nwant %v", trial, got.layouts, want.layouts)
+		}
+		if !slices.Equal(got.snap, want.snap) {
+			t.Fatalf("order %d: snapshot bytes differ", trial)
+		}
+		assertSameStrings(t, fmt.Sprintf("order %d", trial), got.fired, want.fired)
+	}
+	if reordered == 0 {
+		t.Fatal("no order changed which query-set arrives first; the test proved nothing")
 	}
 }

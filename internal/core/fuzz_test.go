@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"astream/internal/bitset"
@@ -87,6 +91,9 @@ func FuzzReadQuery(f *testing.F) {
 	})
 }
 
+// FuzzSelectionRestore: the seeds are this build's encoding and, under
+// testdata, a fuzzer find (version byte moved to this layout's) whose version
+// count runs past the input.
 func FuzzSelectionRestore(f *testing.F) {
 	b := newCLBuilder()
 	sel := NewSharedSelection(0, 10, &OpMetrics{})
@@ -112,7 +119,8 @@ func FuzzSelectionRestore(f *testing.F) {
 
 // FuzzJoinRestore: the seeds are this build's encoding at two barriers — the
 // second after a query's deletion and an eviction — and, under testdata, two
-// fuzzer finds, three earlier layouts' (version 6, whose stores each carried
+// fuzzer finds (version bytes moved to this layout's, so they reach a table
+// check), three earlier layouts' (version 6, whose stores each carried
 // a mode byte, version 7, whose join and stores did, and version 8, whose
 // links named no barrier), which are rejected by their version byte, and the
 // forged slice rings of TestSlicerRestoreRejectsForgedRings (ring-*).
@@ -147,9 +155,9 @@ func FuzzJoinRestore(f *testing.F) {
 
 // fuzzAgg builds an aggregation with a sliding and a session query, a few
 // folded slices and one delta on top of a full snapshot.
-func fuzzAgg(f *testing.F) (full, delta []byte) {
+func fuzzAgg(tb testing.TB) (full, delta []byte) {
 	b := newCLBuilder()
-	msg := b.create(f, 0, aggQ(window.SlidingSpec(20, 5), sqlstream.AggAvg, 0, gt(0, -1)),
+	msg := b.create(tb, 0, aggQ(window.SlidingSpec(20, 5), sqlstream.AggAvg, 0, gt(0, -1)),
 		aggQ(window.SessionSpec(4), sqlstream.AggSum, 1, expr.True()))
 	agg := newDeltaAgg(&[]string{}, msg.CL.Created[0].Query, msg.CL.Created[1].Query)
 	agg.OnChangelog(msg, 0, nil)
@@ -165,7 +173,7 @@ func fuzzAgg(f *testing.F) (full, delta []byte) {
 	fold(12, 4)
 	delta = agg.OnBarrier(2, nil)
 	if full[0] == spe.DeltaSnapshotMagic || delta[0] != spe.DeltaSnapshotMagic {
-		f.Fatal("fuzz seeds are not a full snapshot followed by a delta")
+		tb.Fatal("fuzz seeds are not a full snapshot followed by a delta")
 	}
 	return full, delta
 }
@@ -253,8 +261,9 @@ func FuzzJoinRestoreDelta(f *testing.F) {
 }
 
 // FuzzRestoreControl: the seeds are this build's encoding and, under
-// testdata, four fuzzer finds and an earlier layout's (version 7, which
-// carried the session's store marker), which is rejected by its version byte.
+// testdata, four fuzzer finds (version bytes moved to this layout's, so they
+// reach the query list) and an earlier layout's (version 7, which carried the
+// session's store marker), which is rejected by its version byte.
 func FuzzRestoreControl(f *testing.F) {
 	eng := controlEngine(f)
 	addCorruptions(f, eng.ControlSnapshot())
@@ -268,4 +277,81 @@ func FuzzRestoreControl(f *testing.F) {
 			}
 		})
 	})
+}
+
+// TestCommittedSeedsPassTheirVersionBytes: a seed committed under
+// testdata/fuzz, unless it is named version*, was found or forged to reach
+// a check past its decoder's version bytes. Once a version bump has the
+// decoder reject it at one of them — the leading byte or a nested table's —
+// it replays nothing it was committed for, and the fuzz target, which only
+// requires an error, would not notice.
+func TestCommittedSeedsPassTheirVersionBytes(t *testing.T) {
+	aggFull, _ := fuzzAgg(t)
+	joinFull, _ := joinChain(t)
+	decoders := map[string]func(in []byte) error{
+		"FuzzSelectionRestore": func(in []byte) error { return NewSharedSelection(0, 10, &OpMetrics{}).Restore(in) },
+		"FuzzJoinRestore": func(in []byte) error {
+			return NewSharedJoin(0, 0, 10, NewRouter(&OpMetrics{}), &OpMetrics{}).Restore(in)
+		},
+		"FuzzAggregationRestore": func(in []byte) error {
+			return NewSharedAggregation(1, 10, NewRouter(&OpMetrics{}), &OpMetrics{}).Restore(in)
+		},
+		"FuzzAggregationRestoreDelta": func(in []byte) error {
+			a := NewSharedAggregation(1, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
+			if err := a.Restore(aggFull); err != nil {
+				t.Fatal(err)
+			}
+			return a.Restore(in)
+		},
+		"FuzzJoinRestoreDelta": func(in []byte) error {
+			j := NewSharedJoin(0, 0, 10, NewRouter(&OpMetrics{}), &OpMetrics{})
+			if err := j.Restore(joinFull); err != nil {
+				t.Fatal(err)
+			}
+			return j.Restore(in)
+		},
+		"FuzzRestoreControl": func(in []byte) error {
+			eng := newControlEngine(t)
+			defer eng.Drain()
+			return eng.RestoreControl(in)
+		},
+	}
+	targets, err := os.ReadDir("testdata/fuzz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := 0
+	for _, target := range targets {
+		decode := decoders[target.Name()]
+		if decode == nil {
+			t.Fatalf("testdata/fuzz/%s: no decoder to replay its seeds through", target.Name())
+		}
+		files, err := os.ReadDir(filepath.Join("testdata/fuzz", target.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			if strings.HasPrefix(f.Name(), "version") {
+				continue
+			}
+			path := filepath.Join("testdata/fuzz", target.Name(), f.Name())
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lit, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
+			lit, ok2 := strings.CutSuffix(strings.TrimSpace(lit), ")")
+			in, err := strconv.Unquote(lit)
+			if !ok || !ok2 || err != nil {
+				t.Fatalf("%s: not one []byte seed", path)
+			}
+			seeds++
+			if err := decode([]byte(in)); err != nil && strings.Contains(err.Error(), "snapshot version") {
+				t.Errorf("%s is rejected at a version byte: %v", path, err)
+			}
+		}
+	}
+	if seeds == 0 {
+		t.Fatal("no committed seed replayed")
+	}
 }

@@ -168,22 +168,10 @@ func KernelBenchmarks() []KernelBench {
 				}
 			},
 		},
-		{
-			Name: "agg-ontuple-64q",
-			New: func() func(int) {
-				agg := benchAgg(64)
-				var qs bitset.Bits
-				em := &spe.Emitter{}
-				return func(iters int) {
-					for i := 0; i < iters; i++ {
-						qs.Reset()
-						qs.Set(i % 64)
-						qs.Set((i * 5) % 64)
-						agg.OnTuple(0, benchTuple(i, qs, 50), em)
-					}
-				}
-			},
-		},
+		{Name: "agg-ontuple-64q", New: aggOnTuple(64, false)},
+		// Query-sets up to eight words wide: 512 groups in the one open
+		// slice, each tuple finding its group by hash and Bits.Equal.
+		{Name: "agg-ontuple-512q-wide", New: aggOnTuple(512, true)},
 		{
 			// The window-fire path (DESIGN.md §15) in a sliding regime: 64
 			// SUM queries over an 800/100 sliding window (slide ratio 8),
@@ -299,7 +287,7 @@ func KernelBenchmarks() []KernelBench {
 								v.fold(&tuple)
 								g.add(key, v)
 							}
-							x.open.put(g.qs, g)
+							x.open.put(g)
 						}
 						agg.seal(x)
 						agg.dropRows(x)
@@ -442,6 +430,27 @@ func keyedEntries(n int) []selEntry {
 		entries[i] = selEntry{slot: i, id: i + 1, pred: p}
 	}
 	return entries
+}
+
+// aggOnTuple folds the i-th tuple, selected by slots i and 5i and, if wide,
+// 11i+300 (mod slots, a power of two), into slots SUM queries' open slice.
+func aggOnTuple(slots int, wide bool) func() func(int) {
+	return func() func(int) {
+		agg := benchAgg(slots)
+		var qs bitset.Bits
+		em := &spe.Emitter{}
+		return func(iters int) {
+			for i := 0; i < iters; i++ {
+				qs.Reset()
+				qs.Set(i & (slots - 1))
+				qs.Set(i * 5 & (slots - 1))
+				if wide {
+					qs.Set((i*11 + 300) & (slots - 1))
+				}
+				agg.OnTuple(0, benchTuple(i, qs, 50), em)
+			}
+		}
+	}
 }
 
 // benchAgg builds a SharedAggregation with slots tumbling-window SUM queries

@@ -18,6 +18,7 @@ func TestKernelRegistryNames(t *testing.T) {
 		"selection-512q-overlap",
 		"selection-512q-keyed",
 		"agg-ontuple-64q",
+		"agg-ontuple-512q-wide",
 		"windowfire-64q-slide8",
 		"windowfire-64q-200keys",
 		"seal-64q-200keys",

@@ -91,28 +91,43 @@ func (c *CountingSink) MeanLatencyNanos() uint64 {
 // (§3.2.2) — by Deliver, or by the join's fire, which resolves a trigger's
 // sinks here once (SinkFor) and hands each its rows directly.
 //
-// Registration is rare (once per query lifecycle) while delivery runs per
-// result on every operator goroutine, so the sink table is copy-on-write: an
-// immutable map behind an atomic pointer. Deliver does one atomic load and
-// an uncontended map read; writers copy the map under a mutex that only
-// serializes other writers.
+// Delivery takes no lock: the sink table is a slice indexed by query ID
+// (dense from 1) behind an atomic pointer, its published length beside it.
+// Every ID ever created keeps its slot (stopped queries' sinks serve QoS and
+// recovery), so Register writes a new ID's slot past the published length,
+// then publishes the longer length: amortised O(1). Only doubling the
+// capacity or rewriting a published slot copies the table.
 type Router struct {
-	sinks atomic.Pointer[map[int]Sink]
-	wmu   sync.Mutex // serializes Register/Unregister copies
+	tab atomic.Pointer[sinkTable]
+	wmu sync.Mutex // serializes writers
+}
+
+// sinkTable is one backing: sinks[:n] published, sinks[n:] nil (no gap to clear).
+type sinkTable struct {
+	sinks []Sink
+	n     atomic.Int64
 }
 
 // NewRouter creates an empty router. The metrics block is unused: delivery
 // counts nothing.
 func NewRouter(*OpMetrics) *Router {
 	r := &Router{}
-	r.publish(make(map[int]Sink))
+	r.publish(&sinkTable{}, 0)
 	return r
 }
 
-// publish installs a sink table. The map must not be mutated after this
-// call: readers access it lock-free.
-func (r *Router) publish(m map[int]Sink) {
-	r.sinks.Store(&m)
+// publish makes t.sinks[:n] the sink table. Those slots must not be written
+// after this call: readers index them lock-free.
+func (r *Router) publish(t *sinkTable, n int) {
+	t.n.Store(int64(n))
+	r.tab.Store(t)
+}
+
+// copy returns a private table of size slots holding t's published ones.
+func (t *sinkTable) copy(size int) *sinkTable {
+	c := &sinkTable{sinks: make([]Sink, size)}
+	copy(c.sinks, t.sinks[:t.n.Load()])
+	return c
 }
 
 // Register attaches the sink for a query. Registration happens before the
@@ -120,48 +135,49 @@ func (r *Router) publish(m map[int]Sink) {
 func (r *Router) Register(queryID int, s Sink) {
 	r.wmu.Lock()
 	defer r.wmu.Unlock()
-	cur := *r.sinks.Load()
-	next := make(map[int]Sink, len(cur)+1)
-	for id, sk := range cur {
-		next[id] = sk
+	t := r.tab.Load()
+	n := int(t.n.Load())
+	switch {
+	case queryID < n:
+		// a published slot: readers may be reading it
+		t = t.copy(len(t.sinks))
+	case queryID >= len(t.sinks):
+		t = t.copy(max(2*len(t.sinks), queryID+1))
 	}
-	next[queryID] = s
-	r.publish(next)
+	t.sinks[queryID] = s
+	r.publish(t, max(n, queryID+1))
 }
 
 // Unregister detaches a stopped query's sink.
 func (r *Router) Unregister(queryID int) {
-	r.wmu.Lock()
-	defer r.wmu.Unlock()
-	cur := *r.sinks.Load()
-	if _, ok := cur[queryID]; !ok {
-		return
+	if r.SinkFor(queryID) != nil {
+		r.Register(queryID, nil)
 	}
-	next := make(map[int]Sink, len(cur))
-	for id, sk := range cur {
-		if id != queryID {
-			next[id] = sk
-		}
-	}
-	r.publish(next)
 }
 
 // Deliver routes one result row to its query's sink. The per-query copy has
 // already happened by value in res; no lock is taken on this path.
 func (r *Router) Deliver(res Result) {
-	if s := (*r.sinks.Load())[res.QueryID]; s != nil {
+	if s := r.SinkFor(res.QueryID); s != nil {
 		s.OnResult(res)
 	}
 }
 
-// Each visits every registered (query, sink) pair.
+// Each visits every registered (query, sink) pair in ascending query ID.
 func (r *Router) Each(fn func(queryID int, s Sink)) {
-	for id, s := range *r.sinks.Load() {
-		fn(id, s)
+	t := r.tab.Load()
+	for id, s := range t.sinks[:t.n.Load()] {
+		if s != nil {
+			fn(id, s)
+		}
 	}
 }
 
 // SinkFor returns the sink registered for a query, nil if there is none.
 func (r *Router) SinkFor(queryID int) Sink {
-	return (*r.sinks.Load())[queryID]
+	t := r.tab.Load()
+	if uint(queryID) < uint(t.n.Load()) {
+		return t.sinks[queryID]
+	}
+	return nil
 }

@@ -39,6 +39,24 @@ type selEntry struct {
 	slot int
 	id   int // engine query ID, for quarantine attribution
 	pred expr.Predicate
+	form *selForm // pred compiled where the entry is created, shared by every version carrying it
+}
+
+// selForm is a compiled predicate: canonical form and dedup key, or the
+// error that sends its entry to the fallback path.
+type selForm struct {
+	canon expr.Canonical
+	key   string
+	err   error
+}
+
+// newSelEntry creates an entry and compiles its predicate.
+func newSelEntry(slot, id int, pred expr.Predicate) selEntry {
+	f := &selForm{}
+	if f.canon, f.err = expr.Canonicalize(pred); f.err == nil {
+		f.key = string(f.canon.AppendKey(nil))
+	}
+	return selEntry{slot: slot, id: id, pred: pred, form: f}
 }
 
 // predicateHook is the fault-injection seam for predicate evaluation: the
@@ -184,9 +202,9 @@ func (s *SharedSelection) isolate(e *selEntry, ok *bool) {
 
 // OnChangelog installs the new query table version and compiles its
 // predicate index (control path: the index build runs here, never per
-// tuple). An entry carries over iff the changelog-set holds its slot — the
-// set holds exactly the slots whose query is the same before and after —
-// and each created query reading this stream adds one.
+// tuple). An entry carries over, compiled form and all, iff the changelog-set
+// holds its slot — the slots whose query is the same before and after — and
+// each created query reading this stream adds one, compiled here.
 func (s *SharedSelection) OnChangelog(payload any, at event.Time, _ *spe.Emitter) {
 	msg := payload.(*ChangelogMsg)
 	cur := s.versions[len(s.versions)-1].entries
@@ -201,7 +219,7 @@ func (s *SharedSelection) OnChangelog(payload any, at event.Time, _ *spe.Emitter
 		if q == nil || s.stream >= q.Arity {
 			continue // query does not read this stream
 		}
-		next = append(next, selEntry{slot: c.Slot, id: c.Query, pred: q.Predicates[s.stream]})
+		next = append(next, newSelEntry(c.Slot, c.Query, q.Predicates[s.stream]))
 	}
 	s.versions = append(s.versions, selVersion{from: at, entries: next, index: s.buildIndex(next)})
 	s.cnt.publish(s.metrics)
@@ -223,9 +241,12 @@ func (s *SharedSelection) rebuildIndexes() {
 	}
 }
 
-// installTable replaces the whole table with one version active from
-// MinTime (benchmarks and tests; production tables arrive via OnChangelog).
+// installTable compiles entries into the whole table, one version active
+// from MinTime (benchmarks and tests; production tables arrive via OnChangelog).
 func (s *SharedSelection) installTable(entries []selEntry) {
+	for i, e := range entries {
+		entries[i] = newSelEntry(e.slot, e.id, e.pred)
+	}
 	s.versions = []selVersion{{from: event.MinTime, entries: entries}}
 	s.rebuildIndexes()
 }

@@ -132,17 +132,17 @@ func accessConstraint(c *expr.Canonical) *expr.FieldConstraint {
 	return best
 }
 
-// buildSelIndex compiles a version's entry table into an index. Control
+// buildSelIndex compiles a version's entry table into an index from its
+// entries' compiled forms, so no predicate is canonicalized here. Control
 // path: runs at changelog/restore time, never per tuple.
 func buildSelIndex(entries []selEntry) *selIndex {
 	ix := &selIndex{}
 	ix.stats.Entries = len(entries)
 	byKey := make(map[string]int32, len(entries))
-	var keyBuf []byte
 	for i := range entries {
 		e := &entries[i]
-		canon, err := expr.Canonicalize(e.pred)
-		if err != nil {
+		canon := e.form.canon
+		if e.form.err != nil {
 			// Non-canonicalizable (out-of-range field): the only predicate
 			// class that can panic, so it keeps its per-entry isolation
 			// boundary and exact quarantine attribution.
@@ -159,8 +159,7 @@ func buildSelIndex(entries []selEntry) *selIndex {
 			ix.stats.AlwaysTrue++
 			continue
 		}
-		keyBuf = canon.AppendKey(keyBuf[:0])
-		if ni, ok := byKey[string(keyBuf)]; ok {
+		if ni, ok := byKey[e.form.key]; ok {
 			ix.nodes[ni].bits.Set(e.slot)
 			ix.stats.Deduped++
 			continue
@@ -169,7 +168,7 @@ func buildSelIndex(entries []selEntry) *selIndex {
 		var bits bitset.Bits
 		bits.Set(e.slot)
 		ix.nodes = append(ix.nodes, selNode{canon: canon, bits: bits})
-		byKey[string(keyBuf)] = ni
+		byKey[e.form.key] = ni
 	}
 	ix.stats.Nodes = len(ix.nodes)
 

@@ -506,3 +506,54 @@ func TestConjunctionDispatchWork(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectionFormSharedAcrossVersions: a query's predicate compiles once,
+// when its entry is created. Every later version that keeps the entry holds
+// the same compiled form — the canonical one and the fallback's
+// canonicalization error alike — so a changelog compiles only the queries
+// it creates, and the index built from the shared forms still classifies as
+// the scan does.
+func TestSelectionFormSharedAcrossVersions(t *testing.T) {
+	b := newCLBuilder()
+	sel := NewSharedSelection(0, 1000, &OpMetrics{})
+	bad := gt(event.NumFields+1, 3) // out of range: the fallback path
+	sel.OnChangelog(b.create(t, 0, selQ(gt(0, 5)), selQ(bad), selQ(gt(1, 7)), selQ(gt(0, 5))), 0, nil)
+	first := b.nextID
+	sel.OnChangelog(b.create(t, 10, selQ(gt(2, 1))), 10, nil)
+	sel.OnChangelog(b.remove(t, 20, first-1), 20, nil)
+	sel.OnChangelog(b.create(t, 30, selQ(bad), selQ(gt(3, 9))), 30, nil)
+	if len(sel.versions) != 5 {
+		t.Fatalf("%d versions, want 5", len(sel.versions))
+	}
+	created := map[int]*selForm{} // query ID → the form its entry was created with
+	for vi, v := range sel.versions {
+		for _, e := range v.entries {
+			if e.form == nil {
+				t.Fatalf("version %d: query %d has no compiled form", vi, e.id)
+			}
+			if f, ok := created[e.id]; ok && f != e.form {
+				t.Fatalf("version %d: query %d's predicate compiled again", vi, e.id)
+			}
+			created[e.id] = e.form
+		}
+	}
+	if len(created) != 7 {
+		t.Fatalf("%d queries compiled, want 7", len(created))
+	}
+	if st := sel.IndexStats(); st.Fallback != 2 || st.Deduped != 1 || st.Entries != 6 {
+		t.Fatalf("newest index %+v, want 6 entries, 2 of them fallback and 1 deduplicated", st)
+	}
+	twin := NewSharedSelection(0, 1000, &OpMetrics{})
+	twin.versions = sel.versions
+	r := rand.New(rand.NewSource(4))
+	for i := 0; i < 500; i++ {
+		tu := randIndexTuple(r, 40)
+		sel.qsTmp.Reset()
+		v := &sel.versions[sel.versionAt(tu.Time)]
+		v.index.classify(sel, v, &tu, &sel.qsTmp)
+		scanTuple(twin, tu)
+		if !sel.qsTmp.Equal(twin.qsTmp) {
+			t.Fatalf("tuple %+v: index %v, scan %v", tu, sel.qsTmp, twin.qsTmp)
+		}
+	}
+}

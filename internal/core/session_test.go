@@ -1,7 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"math/bits"
+	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -122,6 +127,119 @@ func TestRouterDelivery(t *testing.T) {
 	}
 	if r.SinkFor(2) == nil || r.SinkFor(1) != nil {
 		t.Fatal("SinkFor wrong")
+	}
+}
+
+// TestRouterRegisterAppendsInPlace: a query past the end of the sink table
+// is appended in place, so registering IDs 1..N allocates only when the
+// table's capacity doubles; a table a reader holds reads unchanged after an
+// append, the rewrite of a published slot, or an Unregister; and Each visits
+// IDs ascending.
+func TestRouterRegisterAppendsInPlace(t *testing.T) {
+	const n = 1000
+	sink := SinkFunc(func(Result) {})
+	allocs := testing.AllocsPerRun(5, func() {
+		r := NewRouter(nil)
+		for id := 1; id <= n; id++ {
+			r.Register(id, sink)
+		}
+	})
+	// The router and its empty table, then a table and its backing at each
+	// doubling: 2, 4, ..., 1024 slots.
+	if budget := 2 + 2*bits.Len(n); allocs > float64(budget) {
+		t.Fatalf("registering IDs 1..%d allocated %.0f times, want at most %d", n, allocs, budget)
+	}
+
+	r := NewRouter(nil)
+	own := make([]Sink, 40)
+	for id := range own {
+		own[id] = NewCountingSink(nil, 1)
+	}
+	// held is the table as a reader holds it between its two loads.
+	held := func() []Sink {
+		tab := r.tab.Load()
+		return tab.sinks[:tab.n.Load()]
+	}
+	unchanged := func(what string, change func()) {
+		t.Helper()
+		before := held()
+		want := slices.Clone(before)
+		change()
+		if !slices.Equal(before, want) {
+			t.Fatalf("%s changed a published table: %v, was %v", what, before, want)
+		}
+	}
+	inPlace := 0
+	for id := 1; id < len(own); id++ {
+		before := r.tab.Load()
+		unchanged(fmt.Sprintf("appending %d", id), func() { r.Register(id, own[id]) })
+		if r.tab.Load() == before {
+			inPlace++
+		}
+		if r.SinkFor(id) != own[id] {
+			t.Fatalf("SinkFor(%d) is not its sink", id)
+		}
+	}
+	if doublings := bits.Len(uint(len(own) - 1)); inPlace != len(own)-1-doublings {
+		t.Fatalf("%d of %d appends in place, want all but the %d doublings", inPlace, len(own)-1, doublings)
+	}
+	unchanged("rewriting slot 5", func() { r.Register(5, own[0]) })
+	unchanged("unregistering 7", func() { r.Unregister(7) })
+	if r.SinkFor(5) != own[0] || r.SinkFor(7) != nil {
+		t.Fatal("a rewritten or unregistered slot reads its old sink")
+	}
+	var ids []int
+	r.Each(func(id int, _ Sink) { ids = append(ids, id) })
+	if len(ids) != len(own)-2 || !slices.IsSorted(ids) {
+		t.Fatalf("Each visited %v", ids)
+	}
+}
+
+// TestRouterDeliverDuringRegister: delivery, SinkFor and Each run lock-free
+// while another goroutine registers; under -race, any slot a reader can
+// index being written is a reported race. Every result reaches its own
+// query's sink.
+func TestRouterDeliverDuringRegister(t *testing.T) {
+	const n = 2000
+	r := NewRouter(nil)
+	var got [n + 1]atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for id := 1; id <= n; id++ {
+			r.Register(id, SinkFunc(func(res Result) {
+				if res.QueryID != id {
+					t.Errorf("query %d's sink got a result of query %d", id, res.QueryID)
+				}
+				got[id].Add(1)
+			}))
+		}
+	}()
+	rng := rand.New(rand.NewSource(1))
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		id := 1 + rng.Intn(n)
+		r.Deliver(Result{QueryID: id})
+		if s := r.SinkFor(id); s != nil {
+			s.OnResult(Result{QueryID: id})
+		}
+		last := 0
+		r.Each(func(id int, _ Sink) {
+			if id <= last {
+				t.Errorf("Each visited %d after %d", id, last)
+			}
+			last = id
+		})
+	}
+	for id := 1; id <= n; id++ {
+		r.Deliver(Result{QueryID: id})
+		if got[id].Load() == 0 {
+			t.Fatalf("query %d's sink got nothing", id)
+		}
 	}
 }
 

@@ -2,68 +2,84 @@ package core
 
 import (
 	"math/bits"
-	"sort"
 
 	"astream/internal/bitset"
 	"astream/internal/event"
 )
 
-// qsIndex maps canonical query-set keys to group payloads. Lookups on the
-// hot path are allocation-free: single-word query-sets (≤64 slots) index a
-// uint64 map directly; wider sets encode into a reused scratch buffer and
-// use the compiler's m[string(buf)] no-alloc map access. The group list is
-// kept in canonical key order incrementally (binary insert on the rare
-// group-creation path) so every iteration over an aggregation slice's groups
-// is deterministic without per-emission sorts.
-type qsIndex[G any] struct {
-	byWord map[uint64]*G
-	byStr  map[string]*G
-	order  []*G
-	keys   []bitset.Key // parallel to order, ascending by Key.Less
-	keyBuf []byte       // reused key-encoding scratch buffer
+// qsIndex maps an open aggregation slice's query-sets, of any width, to its
+// groups: an open-addressed table (linear probing, at most half full) keyed by
+// a hash of the set's significant words, a hit confirmed by Bits.Equal. order
+// lists the groups as inserted; no output of the seal depends on that order.
+type qsIndex struct {
+	slots []qsSlot
+	shift uint // 64 - log2(len(slots)): a hash's top bits pick its first slot
+	order []*aggGroup
 }
 
-func newQSIndex[G any]() *qsIndex[G] {
-	// cold: one index per slice payload, created when the slice first sees data
-	return &qsIndex[G]{byWord: make(map[uint64]*G), byStr: make(map[string]*G)}
+// qsSlot is one table slot; a nil group marks it empty.
+type qsSlot struct {
+	h uint64
+	g *aggGroup
 }
 
-// reset empties the index for reuse, keeping its maps and lists at the size
-// they grew to.
-func (x *qsIndex[G]) reset() {
-	clear(x.byWord)
-	clear(x.byStr)
+// fibMul is Fibonacci hashing's multiplier: a product's top bits pick a bucket.
+const fibMul = 0x9E3779B97F4A7C15
+
+// qsHash hashes qs's significant words, so a set hashes alike in any
+// representation or backing length, as Bits.Equal compares it.
+func qsHash(qs bitset.Bits) uint64 {
+	var h uint64
+	for i, n := 0, qs.WordCount(); i < n; i++ {
+		h = (h ^ qs.Word(i)) * fibMul
+	}
+	return h
+}
+
+// reset empties the index for reuse, keeping its table's and list's size.
+func (x *qsIndex) reset() {
+	clear(x.slots)
 	clear(x.order)
-	clear(x.keys)
-	x.order, x.keys = x.order[:0], x.keys[:0]
+	x.order = x.order[:0]
 }
 
 // get returns the group for qs, or nil. Allocation-free.
-func (x *qsIndex[G]) get(qs bitset.Bits) *G {
-	if w, ok := qs.KeyWord(); ok {
-		return x.byWord[w]
+func (x *qsIndex) get(qs bitset.Bits) *aggGroup {
+	if len(x.slots) == 0 {
+		return nil
 	}
-	x.keyBuf = qs.AppendKeyBytes(x.keyBuf[:0])
-	return x.byStr[string(x.keyBuf)]
+	h := qsHash(qs)
+	for i := h >> x.shift; ; i = (i + 1) & uint64(len(x.slots)-1) {
+		if s := &x.slots[i]; s.g == nil || s.h == h && s.g.qs.Equal(qs) {
+			return s.g
+		}
+	}
 }
 
-// put inserts the group under qs's canonical key, keeping order sorted.
-// Called once per distinct query-set (cold path); allocates the string key
-// for wide sets here and only here.
-func (x *qsIndex[G]) put(qs bitset.Bits, g *G) {
-	k := qs.Key()
-	if k.S == "" {
-		x.byWord[k.W] = g
-	} else {
-		x.byStr[k.S] = g
+// put adds g, whose query-set x does not hold yet. Called once per distinct
+// query-set (cold path); the table doubles before it passes half full.
+func (x *qsIndex) put(g *aggGroup) {
+	if 2*(len(x.order)+1) > len(x.slots) {
+		// amortized: the table grows to the widest slice's group count once
+		x.slots = make([]qsSlot, max(8, 2*len(x.slots)))
+		x.shift = uint(64 - bits.TrailingZeros(uint(len(x.slots))))
+		for _, o := range x.order {
+			x.insert(o)
+		}
 	}
-	i := sort.Search(len(x.keys), func(i int) bool { return k.Less(x.keys[i]) })
-	x.keys = append(x.keys, bitset.Key{})
-	copy(x.keys[i+1:], x.keys[i:])
-	x.keys[i] = k
-	x.order = append(x.order, nil)
-	copy(x.order[i+1:], x.order[i:])
-	x.order[i] = g
+	x.insert(g)
+	// amortized: a recycled index keeps its list's capacity
+	x.order = append(x.order, g)
+}
+
+// insert places g in the first empty slot of its probe sequence.
+func (x *qsIndex) insert(g *aggGroup) {
+	h := qsHash(g.qs)
+	i := h >> x.shift
+	for x.slots[i].g != nil {
+		i = (i + 1) & uint64(len(x.slots)-1)
+	}
+	x.slots[i] = qsSlot{h: h, g: g}
 }
 
 // pairRow is one row of a slice pair's join, held by reference: the
@@ -124,7 +140,7 @@ func (s *sliceStore) Add(t event.Tuple) {
 
 // bucket is key's slot in heads (Fibonacci hashing).
 func (s *sliceStore) bucket(key int64) int {
-	return int(uint64(key) * 0x9E3779B97F4A7C15 >> (64 - bits.Len(uint(len(s.heads)-1))))
+	return int(uint64(key) * fibMul >> (64 - bits.Len(uint(len(s.heads)-1))))
 }
 
 // link puts position p at the head of its bucket's chain.

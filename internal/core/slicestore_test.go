@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -137,5 +139,80 @@ func joinedStores(a, b *sliceStore, mask bitset.Bits, emit func(event.JoinedTupl
 			Key: l.Key, Left: l.Fields, Right: r.Fields, QuerySet: row.qs,
 			Time: max(l.Time, r.Time), IngestNanos: max(l.IngestNanos, r.IngestNanos),
 		})
+	}
+}
+
+// TestQSIndexAgreesWithMap: the group index finds what a map keyed by the
+// set's significant words finds — over narrow and wide sets, inline, spilled
+// or padded with zero words, across table growth and reset — lists its
+// groups in insertion order, spreads them over the table, and keeps apart
+// two sets whose hashes collide.
+func TestQSIndexAgreesWithMap(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	randSet := func() bitset.Bits {
+		var b bitset.Bits
+		width := []int{8, 64, 65, 200}[r.Intn(4)]
+		for k := 0; k <= r.Intn(4); k++ {
+			b.Set(r.Intn(width))
+		}
+		if r.Intn(3) == 0 {
+			b = bitset.View(append(b.Words(), 0, 0))
+		}
+		return b
+	}
+	x := &qsIndex{}
+	for round := 0; round < 4; round++ {
+		ref := map[string]*aggGroup{}
+		var order []*aggGroup
+		for op := 0; op < 300*(round+1); op++ {
+			qs := randSet()
+			k := fmt.Sprint(qs.Words())
+			if got := x.get(qs); got != ref[k] {
+				t.Fatalf("round %d: get(%v) = %p, the map holds %p", round, qs.Words(), got, ref[k])
+			}
+			if ref[k] == nil {
+				g := &aggGroup{qs: qs.Clone()}
+				x.put(g)
+				ref[k] = g
+				order = append(order, g)
+			}
+		}
+		if !slices.Equal(x.order, order) {
+			t.Fatalf("round %d: the index lists %d groups, not the %d put, in insertion order", round, len(x.order), len(order))
+		}
+		// The hash spreads the sets: at most half full, a linear probe
+		// finds a group about one slot past where its hash points.
+		displaced := 0
+		for i, sl := range x.slots {
+			if sl.g != nil {
+				displaced += (i - int(qsHash(sl.g.qs)>>x.shift)) & (len(x.slots) - 1)
+			}
+		}
+		if mean := float64(displaced) / float64(len(order)); mean > 2 {
+			t.Fatalf("round %d: groups sit %.1f slots past their hash's on average", round, mean)
+		}
+		x.reset()
+		for _, g := range order {
+			if x.get(g.qs) != nil {
+				t.Fatalf("round %d: reset kept %v", round, g.qs.Words())
+			}
+		}
+	}
+
+	// Two-word sets of equal hash: (w0·m ⊕ w1)·m is the hash of {w0, w1}.
+	w0, w1, w0b := uint64(5), uint64(9), uint64(17)
+	a := bitset.FromWords([]uint64{w0, w1})
+	b := bitset.FromWords([]uint64{w0b, w0*fibMul ^ w1 ^ w0b*fibMul})
+	if qsHash(a) != qsHash(b) || a.Equal(b) || b.WordCount() != 2 {
+		t.Fatalf("%v and %v are not distinct sets of one hash", a.Words(), b.Words())
+	}
+	ga, gb := &aggGroup{qs: a}, &aggGroup{qs: b}
+	x.put(ga)
+	if x.get(b) != nil {
+		t.Fatal("a set found the group of another set of its hash")
+	}
+	x.put(gb)
+	if x.get(a) != ga || x.get(b) != gb {
+		t.Fatal("two sets of one hash do not find their own groups")
 	}
 }

@@ -314,11 +314,8 @@ func (s *SharedSelection) Restore(snapshot []byte) error {
 		}
 		ne := r.Count("version entry count", 16)
 		for j := 0; j < ne && r.Err() == nil; j++ {
-			v.entries = append(v.entries, selEntry{
-				slot: readSlot(r, "entry slot"),
-				id:   int(r.I64("entry id")),
-				pred: wire.ReadPredicate(r),
-			})
+			slot, id := readSlot(r, "entry slot"), int(r.I64("entry id"))
+			v.entries = append(v.entries, newSelEntry(slot, id, wire.ReadPredicate(r)))
 		}
 		versions = append(versions, v)
 	}
