@@ -209,27 +209,22 @@ func insertSortedInt64(s []int64, v int64) []int64 {
 }
 
 // SharedAggregation is the shared windowed aggregation operator (§3.1.5).
-// Port 0 carries raw stream-0 tuples (arity-1 aggregations and selections);
-// port k ≥ 1 carries the output of join stage k-1 (complex queries of arity
-// k+1). Tuples fold into per-query-set partial aggregates of their slice and
-// are then discarded; window results combine slice partials.
+// Port 0 carries selected stream-0 tuples (arity-1 aggregations); port k ≥ 1
+// carries the output of join stage k-1 (complex queries of arity k+1).
+// Tuples fold into per-query-set partial aggregates of their slice and are
+// then discarded; window results combine slice partials.
 type SharedAggregation struct {
 	spe.BaseLogic
-	ports int
 	// win drives the slice ring (per-slice partials in slice.aggs) and the
-	// windowed queries; selection holds the selection queries, terminal at
-	// port 0, which need a lifetime but no window.
-	win       windowOp
-	selection queryTable
-	// maskVersions holds the per-port/selection/session slot masks,
-	// versioned by event-time. Slot reuse makes a bare slot ambiguous (the
-	// same bit can mean "aggregation input" in one epoch and "join input
-	// of a complex query" in the next); resolving masks against the
-	// tuple's event-time removes the ambiguity, exactly as the shared
-	// selection resolves its predicate table.
-	maskVersions []maskVersion
-	router       *Router
-	metrics      *OpMetrics
+	// windowed queries. Its epochs carry the per-port and session slot
+	// masks: slot reuse makes a bare slot ambiguous (the same bit can mean
+	// "aggregation input" in one epoch and "join input of a complex query"
+	// in the next), and resolving the masks against the tuple's event-time
+	// removes the ambiguity, as the shared selection resolves its predicate
+	// table.
+	win     windowOp
+	router  *Router
+	metrics *OpMetrics
 
 	// Steady-state scratch (owned by the instance goroutine): query-set
 	// intersection temporaries, the seal's, and the fire path's equivalence
@@ -367,33 +362,13 @@ type sealScratch struct {
 	next     []int32         // per partial, the key's partial before it, -1 for none
 }
 
-// maskVersion is the slot-mask table in effect from a given event-time.
-type maskVersion struct {
-	from      event.Time
-	portMasks []bitset.Bits
-	selMask   bitset.Bits
-	sessMask  bitset.Bits
-}
-
 // NewSharedAggregation constructs the logic for one instance.
 func NewSharedAggregation(ports int, lateness event.Time, router *Router, m *OpMetrics) *SharedAggregation {
 	return &SharedAggregation{
-		ports:        ports,
-		win:          newWindowOp(lateness, aggWindow, newSlicer()),
-		selection:    newQueryTable(aggWindow),
-		maskVersions: []maskVersion{{from: event.MinTime, portMasks: make([]bitset.Bits, ports)}},
-		router:       router,
-		metrics:      m,
+		win:     newWindowOp(lateness, ports, aggWindow, newSlicer()),
+		router:  router,
+		metrics: m,
 	}
-}
-
-// masksAt returns the mask table in effect at event-time t.
-func (a *SharedAggregation) masksAt(t event.Time) *maskVersion {
-	i := sort.Search(len(a.maskVersions), func(i int) bool { return a.maskVersions[i].from > t }) - 1
-	if i < 0 {
-		i = 0
-	}
-	return &a.maskVersions[i]
 }
 
 // aggPortOf returns the input port whose tuples feed q's aggregation, or -1
@@ -409,22 +384,18 @@ func aggPortOf(q *Query) int {
 	}
 }
 
-// OnChangelog updates active queries, port masks, epochs, and the table. A
-// changelog cuts the slices only if it creates or deletes a windowed query;
-// the mask version is appended for every one, selection queries included.
+// OnChangelog updates active queries, epochs, and the table. A changelog
+// cuts the slices, and opens an epoch with its own slot masks, only if it
+// creates or deletes a windowed query.
 func (a *SharedAggregation) OnChangelog(payload any, at event.Time, _ *spe.Emitter) {
 	msg := payload.(*ChangelogMsg)
 	cut := a.win.queries.markDeleted(msg.CL, at)
-	a.selection.markDeleted(msg.CL, at)
 	for _, c := range msg.CL.Created {
 		q := msg.Defs[c.Query]
 		if q == nil {
 			continue
 		}
-		switch port := aggPortOf(q); {
-		case q.Kind == KindSelection:
-			a.selection.admit(q, c.Slot, at)
-		case port >= 0 && port < a.ports:
+		if port := aggPortOf(q); port >= 0 && port < a.win.ports {
 			lq := a.win.queries.admit(q, c.Slot, at)
 			lq.port = port
 			if lq.spec.Kind == window.Session {
@@ -433,25 +404,6 @@ func (a *SharedAggregation) OnChangelog(payload any, at event.Time, _ *spe.Emitt
 			cut = true
 		}
 	}
-	// Append a new mask version effective from this changelog's time,
-	// built from the queries running after it (pending-deleted queries
-	// keep their bits in OLDER versions, where in-flight pre-deletion
-	// tuples resolve).
-	mv := maskVersion{from: at, portMasks: make([]bitset.Bits, a.ports)}
-	for _, lq := range a.win.queries.ordered {
-		if lq.until == event.MaxTime {
-			mv.portMasks[lq.port].Set(lq.slot)
-			if lq.sessions != nil {
-				mv.sessMask.Set(lq.slot)
-			}
-		}
-	}
-	for _, sq := range a.selection.ordered {
-		if sq.until == event.MaxTime {
-			mv.selMask.Set(sq.slot)
-		}
-	}
-	a.maskVersions = append(a.maskVersions, mv)
 	a.win.addEpoch(msg.CL, at, cut)
 }
 
@@ -594,30 +546,17 @@ func (a *SharedAggregation) dropRows(x *aggIndex) {
 	x.classes, x.slots = x.classes[:0], x.slots[:0]
 }
 
-// OnTuple folds the tuple into slice partials (and serves selection queries
-// and session windows directly). Steady state allocates nothing: the masked
-// query-set lands in a scratch bitset, group lookup is key-scratch based, and
-// per-key partials come from the freelist.
+// OnTuple folds the tuple into slice partials (and serves session windows
+// directly), masked to the port's queries of the epoch in effect at the
+// tuple's time. Steady state allocates nothing: the masked query-set lands
+// in a scratch bitset, group lookup is key-scratch based, and per-key
+// partials come from the freelist.
 func (a *SharedAggregation) OnTuple(port int, t event.Tuple, _ *spe.Emitter) {
-	mv := a.masksAt(t.Time)
-	// Selection queries: terminal, stateless, port 0 only.
-	if port == 0 && t.QuerySet.Intersects(mv.selMask) {
-		for _, sq := range a.selection.ordered {
-			if t.QuerySet.Test(sq.slot) && t.Time >= sq.since && t.Time < sq.until {
-				a.router.Deliver(Result{
-					QueryID:     sq.q.ID,
-					Kind:        KindSelection,
-					Tuple:       t,
-					EventTime:   t.Time,
-					IngestNanos: t.IngestNanos,
-				})
-			}
-		}
-	}
-	if port >= len(mv.portMasks) {
+	ep := a.win.sides[0].epochAt(t.Time)
+	if port >= len(ep.portMasks) {
 		return
 	}
-	t.QuerySet.AndInto(mv.portMasks[port], &a.qsTmp)
+	t.QuerySet.AndInto(ep.portMasks[port], &a.qsTmp)
 	if a.qsTmp.IsEmpty() {
 		return
 	}
@@ -626,7 +565,7 @@ func (a *SharedAggregation) OnTuple(port int, t event.Tuple, _ *spe.Emitter) {
 		return
 	}
 	// Session-window queries keep per-key data-driven state.
-	if a.qsTmp.Intersects(mv.sessMask) {
+	if a.qsTmp.Intersects(ep.sessMask) {
 		for _, aq := range a.win.queries.ordered {
 			if aq.sessions == nil || !a.qsTmp.Test(aq.slot) || t.Time < aq.since || t.Time >= aq.until {
 				continue
@@ -639,7 +578,7 @@ func (a *SharedAggregation) OnTuple(port int, t event.Tuple, _ *spe.Emitter) {
 			}
 			ss.Add(t.Time, a.valueOf(aq, &t))
 		}
-		a.qsTmp.AndNotInPlace(mv.sessMask)
+		a.qsTmp.AndNotInPlace(ep.sessMask)
 		if a.qsTmp.IsEmpty() {
 			return
 		}
@@ -741,13 +680,6 @@ func (a *SharedAggregation) retire(wm event.Time) {
 			a.dropIndex(x)
 		}
 	})
-	a.selection.purge(wm)
-	// Prune mask versions no in-flight tuple can reference.
-	horizon := wm - a.win.lateness
-	i := sort.Search(len(a.maskVersions), func(i int) bool { return a.maskVersions[i].from > horizon }) - 1
-	if i > 0 {
-		a.maskVersions = append(a.maskVersions[:0], a.maskVersions[i:]...)
-	}
 }
 
 // emitRows delivers one query's window rows, ascending by key.

@@ -81,7 +81,8 @@ func TestChangelogNeverBehindItsTime(t *testing.T) {
 // TestRejectedBatchQueuesNothing: a session batch the registry rejects (a
 // query created and stopped in one batch) raises no stream's pending count
 // for good, so ingest does not take the stream lock for every later tuple,
-// and the next batch weaves in as usual.
+// and the next batch weaves in as usual. Its query is an aggregation, so
+// the tuple after it crosses the keyed exchange from the selection.
 func TestRejectedBatchQueuesNothing(t *testing.T) {
 	eng, err := NewEngine(Config{Streams: 2, BatchSize: 2, BatchTimeout: time.Hour})
 	if err != nil {
@@ -105,7 +106,7 @@ func TestRejectedBatchQueuesNothing(t *testing.T) {
 		}
 	}
 	sink := &collectSink{}
-	if _, _, err = eng.Submit(selQ(expr.True()), sink); err != nil {
+	if _, _, err = eng.Submit(aggQ(window.TumblingSpec(10), sqlstream.AggCount, 0, expr.True()), sink); err != nil {
 		t.Fatal(err)
 	}
 	eng.session.flushNow()

@@ -186,6 +186,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		}
 		sels[i] = topo.AddOperator(fmt.Sprintf("select-%d", i), P, func(inst int) spe.Logic {
 			l := NewSharedSelection(i, cfg.Lateness, eng.metrics)
+			l.router = eng.router
 			l.onPredPanic = eng.predicatePanicked
 			l.faultHook, _ = cfg.FaultHook.(predicateHook)
 			eng.selLogics[i][inst] = l
@@ -213,7 +214,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		left = jn
 	}
 
-	// Shared aggregation: port 0 = stream 0 selection, port k = join k-1.
+	// Shared aggregation: port 0 = stream 0 selection (its tuples wanted by
+	// some query past the selection), port k = join k-1.
 	// With a single stream the aggregation is selection's only consumer and
 	// both route by the same key at the same parallelism, so keyed routing
 	// is the identity — declare the edge forward and the two operators fuse

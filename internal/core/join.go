@@ -71,7 +71,7 @@ func NewSharedJoin(stage int, _ StoreMode, lateness event.Time, router *Router, 
 		stage: stage,
 		// Slice IDs are namespaced per side (even/odd): no ID names a slice
 		// on both sides.
-		win:     newWindowOp(lateness, joinWindow, newSlicerWithIDs(0, 2), newSlicerWithIDs(1, 2)),
+		win:     newWindowOp(lateness, 1, joinWindow, newSlicerWithIDs(0, 2), newSlicerWithIDs(1, 2)),
 		router:  router,
 		metrics: m,
 	}

@@ -168,6 +168,35 @@ func KernelBenchmarks() []KernelBench {
 				}
 			},
 		},
+		{
+			// The selection answering its own queries (DESIGN.md §14): 64
+			// entries, the even slots selection queries on F0 and the odd
+			// ones aggregation queries on F1. A tuple delivers one result
+			// per selection query it matches through the router to counting
+			// sinks; one no aggregation query wants stops there, the others
+			// are emitted with their whole set.
+			Name: "selection-serve-64q",
+			New: func() func(int) {
+				router := NewRouter(NewOpMetrics(nil))
+				sel := NewSharedSelection(0, 0, NewOpMetrics(nil))
+				sel.router = router
+				entries := make([]selEntry, 64)
+				for s := range entries {
+					entries[s] = selEntry{slot: s, id: s + 1, serve: s%2 == 0,
+						pred: expr.True().And(expr.Comparison{Field: s % 2, Op: expr.LT, Value: int64(300 + 10*s)})}
+					if entries[s].serve {
+						router.Register(s+1, NewCountingSink(func() int64 { return 0 }, 64))
+					}
+				}
+				em := &spe.Emitter{}
+				sel.installTable(entries)
+				return func(iters int) {
+					for i := 0; i < iters; i++ {
+						sel.OnTuple(0, benchTuple(i, bitset.Bits{}, 50), em)
+					}
+				}
+			},
+		},
 		{Name: "agg-ontuple-64q", New: aggOnTuple(64, false)},
 		// Query-sets up to eight words wide: 512 groups in the one open
 		// slice, each tuple finding its group by hash and Bits.Equal.

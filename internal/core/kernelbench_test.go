@@ -17,6 +17,7 @@ func TestKernelRegistryNames(t *testing.T) {
 		"selection-ontuple-64q",
 		"selection-512q-overlap",
 		"selection-512q-keyed",
+		"selection-serve-64q",
 		"agg-ontuple-64q",
 		"agg-ontuple-512q-wide",
 		"windowfire-64q-slide8",

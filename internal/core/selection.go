@@ -36,10 +36,11 @@ func (m *ChangelogMsg) ChangelogSeq() uint64 { return m.CL.Seq }
 
 // selEntry is one active query's predicate on this stream.
 type selEntry struct {
-	slot int
-	id   int // engine query ID, for quarantine attribution
-	pred expr.Predicate
-	form *selForm // pred compiled where the entry is created, shared by every version carrying it
+	slot  int
+	id    int  // engine query ID, for quarantine attribution and result delivery
+	serve bool // a selection query: this instance delivers its results
+	pred  expr.Predicate
+	form  *selForm // pred compiled where the entry is created, shared by every version carrying it
 }
 
 // selForm is a compiled predicate: canonical form and dedup key, or the
@@ -51,12 +52,12 @@ type selForm struct {
 }
 
 // newSelEntry creates an entry and compiles its predicate.
-func newSelEntry(slot, id int, pred expr.Predicate) selEntry {
+func newSelEntry(slot, id int, serve bool, pred expr.Predicate) selEntry {
 	f := &selForm{}
 	if f.canon, f.err = expr.Canonicalize(pred); f.err == nil {
 		f.key = string(f.canon.AppendKey(nil))
 	}
-	return selEntry{slot: slot, id: id, pred: pred, form: f}
+	return selEntry{slot: slot, id: id, serve: serve, pred: pred, form: f}
 }
 
 // predicateHook is the fault-injection seam for predicate evaluation: the
@@ -67,23 +68,29 @@ type predicateHook interface {
 }
 
 // selVersion is the query table in effect from a given event-time, with its
-// compiled predicate index (DESIGN.md §14).
+// compiled predicate index (DESIGN.md §14) and the selection queries it
+// answers: served lists their entries in slot order, serveMask their slots.
 type selVersion struct {
-	from    event.Time
-	entries []selEntry
-	index   *selIndex
+	from      event.Time
+	entries   []selEntry
+	index     *selIndex
+	served    []selEntry
+	serveMask bitset.Bits
 }
 
 // SharedSelection computes each tuple's query-set and appends it as the
-// extra column (paper §3.1.2). It keeps the query table versioned by
-// event-time so out-of-order tuples are classified against the workload
-// that was active at *their* time, which is what makes replays and
-// out-of-order processing consistent (§3.3).
+// extra column (paper §3.1.2), and answers the selection queries itself. It
+// keeps the query table versioned by event-time so out-of-order tuples are
+// classified against the workload that was active at *their* time, which is
+// what makes replays and out-of-order processing consistent (§3.3).
 type SharedSelection struct {
 	spe.BaseLogic
 	stream   int // which engine stream this instance filters
 	versions []selVersion
 	metrics  *OpMetrics
+	// router, when set, receives the selection queries' results; without
+	// one the instance serves nothing and emits every selected tuple.
+	router *Router
 	// cnt is what this instance counted since it last published to metrics.
 	cnt      selCounters
 	lateness event.Time
@@ -122,8 +129,9 @@ func (s *SharedSelection) versionAt(t event.Time) int {
 }
 
 // OnTuple computes the tuple's query-set through the version's compiled
-// predicate index and emits the tuple with the set appended; tuples
-// interesting to no query are dropped at the earliest possible point. Fault
+// predicate index, delivers one result per selection query in the set, in
+// slot order, and emits the tuple with the set appended; tuples interesting
+// to no query downstream are dropped at the earliest possible point. Fault
 // injection does not select the code that classifies: an installed hook is
 // consulted entry by entry afterwards, and an entry it strikes loses its bit.
 // It counts into the instance's own counters, never into the shared metrics
@@ -147,6 +155,16 @@ func (s *SharedSelection) OnTuple(_ int, t event.Tuple, out *spe.Emitter) {
 	t.QuerySet = s.qsTmp.Clone()
 	t.Stream = uint8(s.stream)
 	s.cnt.selected++
+	if s.router != nil && s.qsTmp.Intersects(v.serveMask) {
+		for i := range v.served {
+			if e := &v.served[i]; s.qsTmp.Test(e.slot) {
+				s.router.Deliver(Result{QueryID: e.id, Kind: KindSelection, Tuple: t, EventTime: t.Time, IngestNanos: t.IngestNanos})
+			}
+		}
+		if s.qsTmp.AndNotInPlace(v.serveMask); s.qsTmp.IsEmpty() {
+			return
+		}
+	}
 	out.EmitTuple(t)
 }
 
@@ -219,25 +237,34 @@ func (s *SharedSelection) OnChangelog(payload any, at event.Time, _ *spe.Emitter
 		if q == nil || s.stream >= q.Arity {
 			continue // query does not read this stream
 		}
-		next = append(next, newSelEntry(c.Slot, c.Query, q.Predicates[s.stream]))
+		next = append(next, newSelEntry(c.Slot, c.Query, q.Kind == KindSelection, q.Predicates[s.stream]))
 	}
-	s.versions = append(s.versions, selVersion{from: at, entries: next, index: s.buildIndex(next)})
+	s.versions = append(s.versions, selVersion{from: at, entries: next})
+	s.compile(&s.versions[len(s.versions)-1])
 	s.cnt.publish(s.metrics)
 }
 
-// buildIndex compiles entries into a predicate index.
-func (s *SharedSelection) buildIndex(entries []selEntry) *selIndex {
+// compile derives a new version's predicate index and served entries from
+// its entry table.
+func (s *SharedSelection) compile(v *selVersion) {
 	if s.metrics != nil {
 		atomic.AddUint64(&s.metrics.IndexBuilds, 1)
 	}
-	return buildSelIndex(entries)
+	v.index = buildSelIndex(v.entries)
+	for _, e := range v.entries {
+		if e.serve {
+			v.served = append(v.served, e)
+			v.serveMask.Set(e.slot)
+		}
+	}
+	sort.Slice(v.served, func(i, j int) bool { return v.served[i].slot < v.served[j].slot })
 }
 
-// rebuildIndexes recompiles every version's index from its entry table:
-// the repopulation path for the derived index field, called by Restore.
+// rebuildIndexes recompiles every version from its entry table: the
+// repopulation path for the derived fields, called by Restore.
 func (s *SharedSelection) rebuildIndexes() {
 	for i := range s.versions {
-		s.versions[i].index = s.buildIndex(s.versions[i].entries)
+		s.compile(&s.versions[i])
 	}
 }
 
@@ -245,7 +272,7 @@ func (s *SharedSelection) rebuildIndexes() {
 // from MinTime (benchmarks and tests; production tables arrive via OnChangelog).
 func (s *SharedSelection) installTable(entries []selEntry) {
 	for i, e := range entries {
-		entries[i] = newSelEntry(e.slot, e.id, e.pred)
+		entries[i] = newSelEntry(e.slot, e.id, e.serve, e.pred)
 	}
 	s.versions = []selVersion{{from: event.MinTime, entries: entries}}
 	s.rebuildIndexes()

@@ -186,7 +186,7 @@ func TestIndexedClassificationAgreesWithScan(t *testing.T) {
 					for i := range qs {
 						p := randIndexPred(r, templates)
 						templates = append(templates, p)
-						qs[i] = &Query{Kind: KindSelection, Arity: 1, Predicates: []expr.Predicate{p}}
+						qs[i] = &Query{Kind: KindAggregation, Arity: 1, Predicates: []expr.Predicate{p}}
 					}
 					return qs
 				}
@@ -315,7 +315,7 @@ func TestFaultHookDoesNotSelectTheArm(t *testing.T) {
 	b := newCLBuilder()
 	qs := make([]*Query, 12)
 	for i := range qs {
-		qs[i] = &Query{Kind: KindSelection, Arity: 1, Predicates: []expr.Predicate{randConjunction(r)}}
+		qs[i] = &Query{Kind: KindAggregation, Arity: 1, Predicates: []expr.Predicate{randConjunction(r)}}
 	}
 	msg := b.create(t, 0, qs...)
 	sel.OnChangelog(msg, 0, nil)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"astream/internal/bitset"
 	"astream/internal/event"
 	"astream/internal/window"
 )
@@ -24,10 +25,16 @@ type slicer struct {
 	stride uint64 // slice-ID step (namespacing across slicers)
 }
 
+// epochInfo is the operator's workload from one cutting changelog to the
+// next: its time-based window specs, and the slots of its queries per input
+// port and of its session-window queries. The join records the masks too,
+// unread.
 type epochInfo struct {
-	from  event.Time
-	seq   uint64
-	specs []window.Spec // time-based window specs active during this epoch
+	from      event.Time
+	seq       uint64
+	specs     []window.Spec
+	portMasks []bitset.Bits
+	sessMask  bitset.Bits
 }
 
 // slice is one disjoint segment of stream time under a single epoch.
@@ -58,44 +65,44 @@ func newSlicerWithIDs(offset, step uint64) *slicer {
 	}
 }
 
-// addEpoch registers changelog seq, applied at time at. Times must be
+// addEpoch registers changelog ep.seq, applied at time ep.from. Times must be
 // non-decreasing and seqs consecutive.
 //
-// A cutting changelog opens an epoch: from at on, the active time-based specs
-// are specs. An already-open slice can straddle the new boundary: it was
+// A cutting changelog opens ep: from ep.from on, its specs and masks are the
+// operator's. An already-open slice can straddle the new boundary: it was
 // created lazily before the changelog arrived, when the epoch's window edges
-// alone shaped it. Every tuple it holds is older than `at` (the session picks
+// alone shaped it. Every tuple it holds is older than ep.from (the session picks
 // changelog times after everything ingested, and stream order delivers the
 // marker before any tuple at or past it), so truncating the slice at the
 // boundary is safe and restores the invariant that no slice spans two epochs.
 //
-// A non-cutting changelog relabels instead: the newest epoch keeps its start
-// and specs and takes seq, and so does every slice carrying its old seq.
-// Slices therefore keep naming the newest table epoch, and the table compacts
-// past the changelogs they outlive.
-func (s *slicer) addEpoch(at event.Time, seq uint64, specs []window.Spec, cut bool) error {
+// A non-cutting changelog relabels instead: the newest epoch keeps its start,
+// specs and masks and takes ep.seq, and so does every slice carrying its old
+// seq. Slices therefore keep naming the newest table epoch, and the table
+// compacts past the changelogs they outlive.
+func (s *slicer) addEpoch(ep epochInfo, cut bool) error {
 	last := &s.epochs[len(s.epochs)-1]
-	if at < last.from {
-		return fmt.Errorf("core: epoch time %v before previous %v", at, last.from)
+	if ep.from < last.from {
+		return fmt.Errorf("core: epoch time %v before previous %v", ep.from, last.from)
 	}
-	if seq != last.seq+1 {
-		return fmt.Errorf("core: epoch seq %d after %d", seq, last.seq)
+	if ep.seq != last.seq+1 {
+		return fmt.Errorf("core: epoch seq %d after %d", ep.seq, last.seq)
 	}
 	if !cut {
 		for _, sl := range s.slices {
 			if sl.epoch == last.seq {
-				sl.epoch = seq
+				sl.epoch = ep.seq
 			}
 		}
-		last.seq = seq
+		last.seq = ep.seq
 		return nil
 	}
 	if n := len(s.slices); n > 0 {
-		if sl := s.slices[n-1]; sl.ext.Start < at && at < sl.ext.End {
-			sl.ext.End = at
+		if sl := s.slices[n-1]; sl.ext.Start < ep.from && ep.from < sl.ext.End {
+			sl.ext.End = ep.from
 		}
 	}
-	s.epochs = append(s.epochs, epochInfo{from: at, seq: seq, specs: specs})
+	s.epochs = append(s.epochs, ep)
 	return nil
 }
 

@@ -21,11 +21,11 @@ func TestSlicerNoQueriesOneBigSliceUntilEpoch(t *testing.T) {
 func TestSlicerCutsAtWindowEdgesAndEpochs(t *testing.T) {
 	s := newSlicer()
 	// Epoch 1 at t=10 with a tumbling(10) query.
-	if err := s.addEpoch(10, 1, []window.Spec{window.TumblingSpec(10)}, true); err != nil {
+	if err := s.addEpoch(epochInfo{from: 10, seq: 1, specs: []window.Spec{window.TumblingSpec(10)}}, true); err != nil {
 		t.Fatal(err)
 	}
 	// Epoch 2 at t=35 adds a sliding(10,5) query.
-	if err := s.addEpoch(35, 2, []window.Spec{window.TumblingSpec(10), window.SlidingSpec(10, 5)}, true); err != nil {
+	if err := s.addEpoch(epochInfo{from: 35, seq: 2, specs: []window.Spec{window.TumblingSpec(10), window.SlidingSpec(10, 5)}}, true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -68,7 +68,7 @@ func TestSlicerCutsAtWindowEdgesAndEpochs(t *testing.T) {
 func TestSlicerLazyCreationOrderIndependent(t *testing.T) {
 	build := func(times []event.Time) []window.Extent {
 		s := newSlicer()
-		if err := s.addEpoch(0, 1, []window.Spec{window.SlidingSpec(6, 3)}, true); err != nil {
+		if err := s.addEpoch(epochInfo{from: 0, seq: 1, specs: []window.Spec{window.SlidingSpec(6, 3)}}, true); err != nil {
 			t.Fatal(err)
 		}
 		for _, tm := range times {
@@ -94,7 +94,7 @@ func TestSlicerLazyCreationOrderIndependent(t *testing.T) {
 
 func TestSlicerOverlapping(t *testing.T) {
 	s := newSlicer()
-	if err := s.addEpoch(0, 1, []window.Spec{window.TumblingSpec(10)}, true); err != nil {
+	if err := s.addEpoch(epochInfo{from: 0, seq: 1, specs: []window.Spec{window.TumblingSpec(10)}}, true); err != nil {
 		t.Fatal(err)
 	}
 	for _, tm := range []event.Time{5, 15, 25, 35} {
@@ -111,7 +111,7 @@ func TestSlicerOverlapping(t *testing.T) {
 
 func TestSlicerEvict(t *testing.T) {
 	s := newSlicer()
-	if err := s.addEpoch(0, 1, []window.Spec{window.TumblingSpec(10)}, true); err != nil {
+	if err := s.addEpoch(epochInfo{from: 0, seq: 1, specs: []window.Spec{window.TumblingSpec(10)}}, true); err != nil {
 		t.Fatal(err)
 	}
 	for _, tm := range []event.Time{5, 15, 25} {
@@ -126,7 +126,7 @@ func TestSlicerEvict(t *testing.T) {
 	// A slice whose end is past the watermark is never evicted even if its
 	// retention horizon has passed.
 	s2 := newSlicer()
-	if err := s2.addEpoch(0, 1, []window.Spec{window.TumblingSpec(10)}, true); err != nil {
+	if err := s2.addEpoch(epochInfo{from: 0, seq: 1, specs: []window.Spec{window.TumblingSpec(10)}}, true); err != nil {
 		t.Fatal(err)
 	}
 	s2.sliceFor(5)
@@ -138,16 +138,16 @@ func TestSlicerEpochBookkeeping(t *testing.T) {
 	if s.currentEpoch() != 0 {
 		t.Fatal("fresh slicer epoch should be 0")
 	}
-	if err := s.addEpoch(10, 1, nil, true); err != nil {
+	if err := s.addEpoch(epochInfo{from: 10, seq: 1}, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.addEpoch(5, 2, nil, true); err == nil {
+	if err := s.addEpoch(epochInfo{from: 5, seq: 2}, true); err == nil {
 		t.Fatal("epoch time regression must fail")
 	}
-	if err := s.addEpoch(20, 3, nil, true); err == nil {
+	if err := s.addEpoch(epochInfo{from: 20, seq: 3}, true); err == nil {
 		t.Fatal("epoch seq gap must fail")
 	}
-	if err := s.addEpoch(20, 2, nil, true); err != nil {
+	if err := s.addEpoch(epochInfo{from: 20, seq: 2}, true); err != nil {
 		t.Fatal(err)
 	}
 	if s.epochAt(15).seq != 1 || s.epochAt(25).seq != 2 || s.epochAt(0).seq != 0 {
@@ -161,13 +161,13 @@ func TestSlicerEpochBookkeeping(t *testing.T) {
 	// A non-cutting changelog is checked like a cut, then relabels: the
 	// newest epoch keeps its start and specs and takes the seq, so does the
 	// slice carrying the old one, and nothing is truncated.
-	if err := s.addEpoch(5, 3, nil, false); err == nil {
+	if err := s.addEpoch(epochInfo{from: 5, seq: 3}, false); err == nil {
 		t.Fatal("relabel: epoch time regression must fail")
 	}
-	if err := s.addEpoch(30, 4, nil, false); err == nil {
+	if err := s.addEpoch(epochInfo{from: 30, seq: 4}, false); err == nil {
 		t.Fatal("relabel: epoch seq gap must fail")
 	}
-	if err := s.addEpoch(30, 3, nil, false); err != nil {
+	if err := s.addEpoch(epochInfo{from: 30, seq: 3}, false); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.epochs) != 3 || s.epochs[2].from != 20 || s.currentEpoch() != 3 {
@@ -181,14 +181,14 @@ func TestSlicerEpochBookkeeping(t *testing.T) {
 	}
 	// An older slice keeps its epoch through the next relabel.
 	older := s.sliceFor(15)
-	if err := s.addEpoch(35, 4, nil, false); err != nil {
+	if err := s.addEpoch(epochInfo{from: 35, seq: 4}, false); err != nil {
 		t.Fatal(err)
 	}
 	if older.epoch != 1 || newest.epoch != 4 || s.epochAt(25).seq != 4 || s.epochAt(15).seq != 1 {
 		t.Fatalf("after a second relabel: older slice epoch %d, newest %d; want 1 and 4", older.epoch, newest.epoch)
 	}
 	// The next cut truncates the relabeled slice at its time.
-	if err := s.addEpoch(40, 5, nil, true); err != nil {
+	if err := s.addEpoch(epochInfo{from: 40, seq: 5}, true); err != nil {
 		t.Fatal(err)
 	}
 	if newest.ext.End != 40 || newest.epoch != 4 || s.currentEpoch() != 5 {

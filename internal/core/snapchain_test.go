@@ -193,7 +193,7 @@ func countDeltaSlices(t *testing.T, delta []byte, w *windowOp) (dirty, clean int
 	}
 	tbl := changelog.ReadTable(r)
 	for range w.sides {
-		restoreSlicer(r, &slicer{}, tbl, func(r *wire.Reader, _ *slice) {
+		restoreSlicer(r, &slicer{}, tbl, w.ports, func(r *wire.Reader, _ *slice) {
 			switch {
 			case !r.Bool("dirty"):
 				clean++

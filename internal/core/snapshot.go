@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"astream/internal/bitset"
 	"astream/internal/changelog"
 	"astream/internal/event"
 	"astream/internal/spe"
@@ -26,7 +25,7 @@ import (
 // instances that processed the same prefix produce byte-identical
 // snapshots.
 
-const opSnapshotVersion = 9
+const opSnapshotVersion = 10
 
 // readSlot reads a query slot, rejecting numbers no engine could have
 // assigned (changelog.MaxSlots) before anything is sized from them.
@@ -199,6 +198,11 @@ func snapSlicer(b []byte, s *slicer, payload func([]byte, *slice) []byte) []byte
 		for _, sp := range ep.specs {
 			b = wire.AppendSpec(b, sp)
 		}
+		b = wire.AppendCount(b, len(ep.portMasks))
+		for _, m := range ep.portMasks {
+			b = wire.AppendBits(b, m)
+		}
+		b = wire.AppendBits(b, ep.sessMask)
 	}
 	b = wire.AppendCount(b, len(s.slices))
 	for _, sl := range s.slices {
@@ -212,18 +216,19 @@ func snapSlicer(b []byte, s *slicer, payload func([]byte, *slice) []byte) []byte
 }
 
 // restoreSlicer decodes snapSlicer into s against tbl, the changelog-set
-// table the operator restored ahead of its slices. It accepts only the rings
-// the encoder writes, which are the rings the slicer can run: a non-zero
-// stride; at least one epoch, starts non-decreasing, seqs strictly
-// increasing up to tbl.Latest(); slices non-empty, strictly ascending and
+// table the operator restored ahead of its slices, for an operator of ports
+// input ports. It accepts only the rings the encoder writes, which are the
+// rings the slicer can run: a non-zero stride; at least one epoch, starts
+// non-decreasing, seqs strictly increasing up to tbl.Latest(), no port mask
+// past the operator's ports; slices non-empty, strictly ascending and
 // disjoint, each naming an epoch tbl retains and an ID below nextID.
-func restoreSlicer(r *wire.Reader, s *slicer, tbl *changelog.Table, payload func(*wire.Reader, *slice)) {
+func restoreSlicer(r *wire.Reader, s *slicer, tbl *changelog.Table, ports int, payload func(*wire.Reader, *slice)) {
 	s.nextID = r.U64("slicer nextID")
 	s.stride = r.U64("slicer stride")
 	if s.stride == 0 && r.Err() == nil {
 		r.Fail(fmt.Errorf("core: slicer slice-ID stride is 0"))
 	}
-	ne := r.Count("slicer epoch count", 20)
+	ne := r.Count("slicer epoch count", 28)
 	if ne == 0 && r.Err() == nil {
 		r.Fail(fmt.Errorf("core: slicer holds no epoch"))
 	}
@@ -242,6 +247,14 @@ func restoreSlicer(r *wire.Reader, s *slicer, tbl *changelog.Table, payload func
 		for j := 0; j < ns && r.Err() == nil; j++ {
 			ep.specs = append(ep.specs, wire.ReadSpec(r))
 		}
+		np := r.Count("epoch port mask count", 4)
+		if np > ports && r.Err() == nil {
+			r.Fail(fmt.Errorf("core: slicer epoch %d masks %d ports, the operator has %d", i, np, ports))
+		}
+		for p := 0; p < np && r.Err() == nil; p++ {
+			ep.portMasks = append(ep.portMasks, r.Bits("epoch port mask"))
+		}
+		ep.sessMask = r.Bits("epoch session mask")
 		s.epochs = append(s.epochs, ep)
 	}
 	if r.Err() == nil && s.currentEpoch() != tbl.Latest() {
@@ -279,7 +292,8 @@ func restoreSlicer(r *wire.Reader, s *slicer, tbl *changelog.Table, payload func
 
 // --- SharedSelection ---
 
-// OnBarrier implements spe.Logic: serialize the versioned predicate table.
+// OnBarrier implements spe.Logic: serialize the versioned predicate table,
+// each entry with whether the instance serves its query.
 func (s *SharedSelection) OnBarrier(uint64, *spe.Emitter) []byte {
 	b := wire.AppendU8(nil, opSnapshotVersion)
 	b = wire.AppendCount(b, len(s.versions))
@@ -290,6 +304,7 @@ func (s *SharedSelection) OnBarrier(uint64, *spe.Emitter) []byte {
 		for _, e := range v.entries {
 			b = wire.AppendU32(b, uint32(e.slot))
 			b = wire.AppendI64(b, int64(e.id))
+			b = wire.AppendBool(b, e.serve)
 			b = wire.AppendPredicate(b, e.pred)
 		}
 	}
@@ -312,10 +327,10 @@ func (s *SharedSelection) Restore(snapshot []byte) error {
 		if i > 0 && v.from < versions[i-1].from && r.Err() == nil {
 			r.Fail(fmt.Errorf("core: selection version %d starts at %v, before version %d at %v", i, v.from, i-1, versions[i-1].from))
 		}
-		ne := r.Count("version entry count", 16)
+		ne := r.Count("version entry count", 17)
 		for j := 0; j < ne && r.Err() == nil; j++ {
-			slot, id := readSlot(r, "entry slot"), int(r.I64("entry id"))
-			v.entries = append(v.entries, newSelEntry(slot, id, wire.ReadPredicate(r)))
+			slot, id, serve := readSlot(r, "entry slot"), int(r.I64("entry id")), r.Bool("entry serve")
+			v.entries = append(v.entries, newSelEntry(slot, id, serve, wire.ReadPredicate(r)))
 		}
 		versions = append(versions, v)
 	}
@@ -349,7 +364,7 @@ func (j *SharedJoin) appendLink(b []byte, barrier uint64, full bool) []byte {
 func (j *SharedJoin) Restore(snapshot []byte) error {
 	r := wire.NewReader(snapshot)
 	j.win.readLink(r, "join", func(r *wire.Reader, sl *slice) { sl.store = readSliceStore(r) }, func(*slice) {})
-	j.win.queries.readFrom(r, 1)
+	j.win.queries.readFrom(r, j.win.ports)
 	return r.Finish("join")
 }
 
@@ -357,8 +372,8 @@ func (j *SharedJoin) Restore(snapshot []byte) error {
 
 // OnBarrier implements spe.Logic: the next link of the aggregation's
 // snapshot chain (windowOp.appendLink), whose slice payload is the slice's
-// sealed aggregate index. The port count, the versioned masks and both
-// query tables, open session windows included, follow the rings.
+// sealed aggregate index. The port count and the query table, open session
+// windows included, follow the rings.
 func (a *SharedAggregation) OnBarrier(id uint64, _ *spe.Emitter) []byte {
 	return a.appendLink(nil, id, a.win.nextLinkFull())
 }
@@ -371,22 +386,10 @@ func (a *SharedAggregation) appendLink(b []byte, barrier uint64, full bool) []by
 }
 
 // appendWorkload writes what follows the slice rings in every link: the port
-// count, the versioned masks and both query tables.
+// count and the query table.
 func (a *SharedAggregation) appendWorkload(b []byte) []byte {
-	b = wire.AppendU32(b, uint32(a.ports))
-	b = wire.AppendCount(b, len(a.maskVersions))
-	for i := range a.maskVersions {
-		mv := &a.maskVersions[i]
-		b = wire.AppendI64(b, int64(mv.from))
-		b = wire.AppendCount(b, len(mv.portMasks))
-		for _, pm := range mv.portMasks {
-			b = wire.AppendBits(b, pm)
-		}
-		b = wire.AppendBits(b, mv.selMask)
-		b = wire.AppendBits(b, mv.sessMask)
-	}
-	b = a.win.queries.appendTo(b)
-	return a.selection.appendTo(b)
+	b = wire.AppendU32(b, uint32(a.win.ports))
+	return a.win.queries.appendTo(b)
 }
 
 // Restore implements spe.Restorable: it applies one link of the
@@ -399,31 +402,10 @@ func (a *SharedAggregation) Restore(snapshot []byte) error {
 	return r.Finish("aggregation snapshot")
 }
 
-// readWorkload decodes appendWorkload and rebuilds what derives from it. An
-// instance always holds a mask version, so a table without one is corrupt.
+// readWorkload decodes appendWorkload.
 func (a *SharedAggregation) readWorkload(r *wire.Reader) {
-	if ports := int(r.U32("agg ports")); r.Err() == nil && ports != a.ports {
-		r.Fail(fmt.Errorf("core: aggregation snapshot has %d ports, instance has %d", ports, a.ports))
+	if ports := int(r.U32("agg ports")); r.Err() == nil && ports != a.win.ports {
+		r.Fail(fmt.Errorf("core: aggregation snapshot has %d ports, instance has %d", ports, a.win.ports))
 	}
-	nmv := r.Count("mask version count", 20)
-	a.maskVersions = a.maskVersions[:0]
-	for i := 0; i < nmv && r.Err() == nil; i++ {
-		mv := maskVersion{from: event.Time(r.I64("mask from"))}
-		if i > 0 && mv.from < a.maskVersions[i-1].from && r.Err() == nil {
-			r.Fail(fmt.Errorf("core: mask version %d starts at %v, before version %d at %v", i, mv.from, i-1, a.maskVersions[i-1].from))
-		}
-		np := r.Count("port mask count", 4)
-		mv.portMasks = make([]bitset.Bits, 0, np)
-		for p := 0; p < np && r.Err() == nil; p++ {
-			mv.portMasks = append(mv.portMasks, r.Bits("port mask"))
-		}
-		mv.selMask = r.Bits("sel mask")
-		mv.sessMask = r.Bits("sess mask")
-		a.maskVersions = append(a.maskVersions, mv)
-	}
-	if r.Err() == nil && nmv == 0 {
-		r.Fail(fmt.Errorf("core: aggregation snapshot has no mask version"))
-	}
-	a.win.queries.readFrom(r, a.ports)
-	a.selection.readFrom(r, 1)
+	a.win.queries.readFrom(r, a.win.ports)
 }

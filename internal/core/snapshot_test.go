@@ -113,11 +113,25 @@ func assertSameSnapshot(t *testing.T, what string, a, b []byte) {
 	}
 }
 
+// TestSelectionSnapshotRoundTrip: a restored selection classifies, serves
+// and emits like the original. Selection queries A and B and an
+// aggregation query start at 0; at 15 A is deleted and selection D takes
+// its slot, right before the barrier, so the snapshot must carry the
+// versioned table, not just the live predicates, and which entries the
+// instance serves. The suffix holds tuples from before the deletion, which
+// A serves.
 func TestSelectionSnapshotRoundTrip(t *testing.T) {
 	b := newCLBuilder()
-	orig := NewSharedSelection(0, 10, &OpMetrics{})
-	msg := b.create(t, 0, selQ(gt(0, 50)), selQ(gt(1, 30)))
+	msg := b.create(t, 0, selQ(gt(0, 50)), selQ(gt(1, 30)), aggQ(window.TumblingSpec(10), sqlstream.AggSum, 0, gt(0, 20)))
 	firstID := msg.CL.Created[0].Query
+	reuse := b.apply(t, 15, []int{firstID}, selQ(gt(1, 60)))
+	if reuse.CL.Created[0].Slot != msg.CL.Created[0].Slot {
+		t.Fatal("D does not reuse A's slot")
+	}
+	ids := []int{firstID, msg.CL.Created[1].Query, msg.CL.Created[2].Query, reuse.CL.Created[0].Query}
+	var servedO, servedF []string
+	orig := NewSharedSelection(0, 10, &OpMetrics{})
+	orig.router = servedRouter(&servedO, ids...)
 	orig.OnChangelog(msg, 0, nil)
 
 	rng := rand.New(rand.NewSource(5))
@@ -133,19 +147,22 @@ func TestSelectionSnapshotRoundTrip(t *testing.T) {
 		orig.OnTuple(0, mk(i), preOut)
 	}
 	orig.OnWatermark(15, nil)
-	// A deletion right before the barrier: the snapshot must carry the
-	// versioned table, not just the live predicates.
-	orig.OnChangelog(b.remove(t, 15, firstID), 15, nil)
+	orig.OnChangelog(reuse, 15, nil)
 
 	snap := orig.OnBarrier(1, nil)
 	fresh := NewSharedSelection(0, 10, &OpMetrics{})
+	fresh.router = servedRouter(&servedF, ids...)
 	if err := fresh.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
+	servedO = servedO[:0]
 
 	var gotO, gotF []string
 	outO, outF := tapEmitter(&gotO), tapEmitter(&gotF)
-	suffix := make([]event.Tuple, 0, 20)
+	late := func(tm event.Time) event.Tuple {
+		return event.Tuple{Key: 1, Time: tm, Fields: [event.NumFields]int64{90, 10}}
+	}
+	suffix := []event.Tuple{late(12), late(14)}
 	for i := 16; i <= 35; i++ {
 		suffix = append(suffix, mk(i))
 	}
@@ -158,6 +175,12 @@ func TestSelectionSnapshotRoundTrip(t *testing.T) {
 	if len(gotO) == 0 {
 		t.Fatal("suffix produced no emissions; test exercises nothing")
 	}
+	for _, id := range []int{firstID, ids[1], ids[3]} {
+		if !slices.ContainsFunc(servedO, func(s string) bool { return strings.HasPrefix(s, fmt.Sprintf("q%d ", id)) }) {
+			t.Fatalf("selection query %d was served nothing after the barrier: %v", id, servedO)
+		}
+	}
+	assertSameStrings(t, "selection served", servedF, servedO)
 	assertSameStrings(t, "selection", gotF, gotO)
 	assertSameSnapshot(t, "selection", orig.OnBarrier(2, nil), fresh.OnBarrier(2, nil))
 }
@@ -317,26 +340,28 @@ func TestAggregationSnapshotRoundTrip(t *testing.T) {
 	assertSameStrings(t, "aggregation", gotF, gotO)
 	assertSameSnapshot(t, "aggregation", fullLink(orig), fullLink(fresh))
 
-	// Selection, session and second-port queries across a restore and slot
-	// reuse. At 0 a COUNT query, selection A, session C and two-stream P (fed
-	// on port 1) start; A and C are deleted at 12, and at 14 session D and
-	// selection B take C's and A's slots. The snapshot falls after the
-	// watermark evicted [0,10) and before it passes the deletions. After it:
-	// a tuple behind the evicted slice (late), one of A's and C's time on the
-	// reused slots (theirs alone), one of B's and D's time (theirs alone), a
-	// changelog rebuilding the port masks, and a tuple for P on port 1. Both
-	// instances snapshot alike after every step.
+	// Tumbling, session and second-port queries across a restore and slot
+	// reuse. At 0 a COUNT query, two-slice tumbling A, session C and
+	// two-stream P (fed on port 1) start; A and C are deleted at 12, and at
+	// 14 session D and tumbling B take C's and A's slots. The snapshot falls
+	// after the watermark evicted [0,10) and before it passes the deletions.
+	// After it: a tuple behind the evicted slice (late), one of A's and C's
+	// time on the reused slots (theirs alone), one of B's and D's time
+	// (theirs alone), a changelog opening an epoch with new port masks, and
+	// a tuple for P on port 1. Both instances snapshot alike after every
+	// step. (The selection's own round trip covers selection queries on a
+	// reused slot.)
 	b = newCLBuilder()
 	msg0 := b.create(t, 0,
 		aggQ(window.TumblingSpec(10), sqlstream.AggCount, 0, expr.True()),
-		selQ(expr.True()),
+		aggQ(window.TumblingSpec(2), sqlstream.AggCount, 0, expr.True()),
 		aggQ(window.SessionSpec(4), sqlstream.AggCount, 0, expr.True()),
 		complexQ(window.TumblingSpec(10), window.TumblingSpec(10), sqlstream.AggCount, -1, expr.True(), expr.True()))
 	cntID, aID, cID, pID := msg0.CL.Created[0].Query, msg0.CL.Created[1].Query, msg0.CL.Created[2].Query, msg0.CL.Created[3].Query
 	delAC := b.remove(t, 12, aID, cID)
 	msgDB := b.create(t, 14,
 		aggQ(window.SessionSpec(4), sqlstream.AggCount, 0, expr.True()),
-		selQ(expr.True()))
+		aggQ(window.TumblingSpec(2), sqlstream.AggCount, 0, expr.True()))
 	dID, bID := msgDB.CL.Created[0].Query, msgDB.CL.Created[1].Query
 	slot := map[int]int{} // query ID -> slot
 	for _, c := range slices.Concat(msg0.CL.Created, msgDB.CL.Created) {
@@ -554,7 +579,7 @@ func TestVersionSkewFailsLoudly(t *testing.T) {
 }
 
 // forgeAggSnapshot folds a COUNT over three tuples of one key into one slice
-// group, lets forge edit the instance and that slice's index the way no fold
+// group and one tuple into the next, lets forge edit the instance and that slice's index the way no fold
 // can, and cuts the snapshot: the encoder then writes the forged shape with
 // valid framing.
 func forgeAggSnapshot(t *testing.T, forge func(a *SharedAggregation, x *aggIndex)) []byte {
@@ -564,6 +589,9 @@ func forgeAggSnapshot(t *testing.T, forge func(a *SharedAggregation, x *aggIndex
 	for tm := event.Time(1); tm <= 3; tm++ {
 		agg.OnTuple(0, event.Tuple{Key: 4, Time: tm, QuerySet: bitset.FromIndexes(0)}, nil)
 	}
+	// A second slice leaves input behind the forged one, so a count there
+	// meets the check it forges rather than the input's end.
+	agg.OnTuple(0, event.Tuple{Key: 4, Time: 12, QuerySet: bitset.FromIndexes(0)}, nil)
 	sl := agg.win.sides[0].slices[0]
 	forge(agg, sl.aggs)
 	return agg.OnBarrier(1, nil)
@@ -603,8 +631,9 @@ func TestAggregationRestoreRejectsRepeatedGroup(t *testing.T) {
 // encoder never writes — overlapping classes, slots out of order, classes out
 // of smallest-slot order, a class without rows or slots, a slice without
 // classes, rows out of key order or repeated, a slot no engine assigns — and
-// mask versions whose start times fall, which masksAt would binary-search. A
-// layout of the same shape that breaks no rule restores.
+// an epoch whose port masks name a port the aggregation does not have, which
+// OnTuple would index. A layout of the same shape that breaks no rule
+// restores.
 func TestAggregationRestoreRejectsForgedClasses(t *testing.T) {
 	// layout replaces the slice's classes: per class its slots and row keys,
 	// every row the sealed slice's one value.
@@ -643,9 +672,10 @@ func TestAggregationRestoreRejectsForgedClasses(t *testing.T) {
 		{"rows out of order", layout([][]int32{{0}}, [][]int64{{4, 1}}), "lists key 1 after key 4"},
 		{"row key repeated", layout([][]int32{{0}}, [][]int64{{4, 4}}), "lists key 4 twice"},
 		{"slot beyond MaxSlots", layout([][]int32{{changelog.MaxSlots}}, [][]int64{{4}}), "beyond the"},
-		{"mask versions out of order", func(a *SharedAggregation, _ *aggIndex) {
-			a.maskVersions[0].from = 5
-		}, "before version"},
+		{"epoch masks a port the aggregation lacks", func(a *SharedAggregation, _ *aggIndex) {
+			ep := &a.win.sides[0].epochs[len(a.win.sides[0].epochs)-1]
+			ep.portMasks = append(ep.portMasks, bitset.FromIndexes(0))
+		}, "masks 2 ports, the operator has 1"},
 	} {
 		if err := restore(tc.forge); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: restored (%v)", tc.name, err)

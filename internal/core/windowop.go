@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"astream/internal/bitset"
 	"astream/internal/changelog"
 	"astream/internal/event"
 	"astream/internal/spe"
@@ -292,6 +293,7 @@ type windowOp struct {
 	sides    []*slicer
 	table    *changelog.Table
 	queries  queryTable
+	ports    int // input ports a query can be bound to (liveQuery.port)
 	lateness event.Time
 	lastWM   event.Time
 	// evictedThru is, per side, the end of the newest evicted slice: a tuple
@@ -313,11 +315,12 @@ type windowOp struct {
 	extTmp   []window.Extent // per-query window-list scratch of collectTriggers
 }
 
-func newWindowOp(lateness event.Time, specOf func(*Query) window.Spec, sides ...*slicer) windowOp {
+func newWindowOp(lateness event.Time, ports int, specOf func(*Query) window.Spec, sides ...*slicer) windowOp {
 	return windowOp{
 		sides:       sides,
 		table:       changelog.NewTable(),
 		queries:     newQueryTable(specOf),
+		ports:       ports,
 		lateness:    lateness,
 		lastWM:      event.MinTime,
 		evictedThru: [2]event.Time{event.MinTime, event.MinTime},
@@ -327,9 +330,12 @@ func newWindowOp(lateness event.Time, specOf func(*Query) window.Spec, sides ...
 // addEpoch registers cl, applied at event-time at, with every side's slicer
 // and extends the changelog-set table (Equation 1). cut is the operator's
 // decision, and it has one rule: cl cuts iff it creates or deletes a query of
-// w.queries. Only then do slices split at cl and the queries running after it
-// shape slicing going forward; the specs are stored by the slicers' epoch
-// history, so they are a fresh slice, not scratch.
+// w.queries. Only then do slices split at cl, and the queries running after
+// it — their time-based specs, their slots per port and their session slots —
+// shape the epoch it opens; the slicers' epoch history stores them, so they
+// are fresh, not scratch. These are the only changelogs that change the
+// masks, so an epoch's masks hold throughout it, and a pending-deleted
+// query's slot stays in the older epochs, where its in-flight tuples resolve.
 //
 // Any other changelog — a selection query started or stopped, a query of
 // another operator — relabels the slices of the newest epoch to cl's seq
@@ -340,18 +346,26 @@ func newWindowOp(lateness event.Time, specOf func(*Query) window.Spec, sides ...
 // deletion changelog, which cut and so precedes the relabeled epoch: both
 // labels relate to it through that changelog's set, which clears its slot.
 // And a slice is only ever read on operator slots — the aggregation's
-// partials carry no others (it masks a tuple with masksAt(t.Time)), the join
+// partials carry no others (it masks a tuple with its epoch's port mask), the join
 // delivers a row only to its cap groups' slots — so where the two labels
 // differ nothing is read. A join pair cached under the old label stays valid
 // for the same reason; only its rows' Join.QuerySet bits of other operators'
 // slots may differ from a fresh join's.
 func (w *windowOp) addEpoch(cl *changelog.Changelog, at event.Time, cut bool) {
-	var specs []window.Spec
+	ep := epochInfo{from: at, seq: cl.Seq}
 	if cut {
-		specs = make([]window.Spec, 0, len(w.queries.ordered))
+		ep.specs = make([]window.Spec, 0, len(w.queries.ordered))
+		ep.portMasks = make([]bitset.Bits, w.ports)
 		for _, lq := range w.queries.ordered {
-			if lq.until == event.MaxTime && lq.spec.IsTimeBased() {
-				specs = append(specs, lq.spec)
+			if lq.until != event.MaxTime {
+				continue
+			}
+			if lq.spec.IsTimeBased() {
+				ep.specs = append(ep.specs, lq.spec)
+			}
+			ep.portMasks[lq.port].Set(lq.slot)
+			if lq.sessions != nil {
+				ep.sessMask.Set(lq.slot)
 			}
 		}
 	}
@@ -359,7 +373,7 @@ func (w *windowOp) addEpoch(cl *changelog.Changelog, at event.Time, cut bool) {
 		panic(fmt.Sprintf("core: window table: %v", err))
 	}
 	for _, s := range w.sides {
-		if err := s.addEpoch(at, cl.Seq, specs, cut); err != nil {
+		if err := s.addEpoch(ep, cut); err != nil {
 			panic(fmt.Sprintf("core: window epoch: %v", err))
 		}
 	}
@@ -561,7 +575,7 @@ func (w *windowOp) readLink(r *wire.Reader, op string, payload func(*wire.Reader
 		for _, sl := range old {
 			prev[sl.id] = sl
 		}
-		restoreSlicer(r, s, w.table, func(r *wire.Reader, sl *slice) {
+		restoreSlicer(r, s, w.table, w.ports, func(r *wire.Reader, sl *slice) {
 			if !delta || r.Bool("snapshot delta slice dirty") {
 				payload(r, sl)
 			} else if p := prev[sl.id]; p != nil {

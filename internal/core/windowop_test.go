@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -330,10 +331,10 @@ func TestWindowDriverEviction(t *testing.T) {
 	})
 }
 
-// tableFixtures builds the three query tables an engine snapshots: a join
-// stage's (terminal and pass-through queries, one pending-deleted), the
-// aggregation's active table (two ports, open session windows) and its
-// selection table.
+// tableFixtures builds the two query tables an engine snapshots: a join
+// stage's (terminal and pass-through queries, one pending-deleted) and the
+// aggregation's (two ports, open session windows). The selection queries
+// of the changelog are in neither.
 func tableFixtures(t *testing.T) map[string]*queryTable {
 	b := newCLBuilder()
 	msg := b.create(t, 0,
@@ -358,7 +359,7 @@ func tableFixtures(t *testing.T) map[string]*queryTable {
 	if sess := a.win.queries.byID[3].sessions; len(sess) != 2 || sess[7].Open() != 2 {
 		t.Fatalf("fixture has no open sessions: %v", sess)
 	}
-	return map[string]*queryTable{"join": &j.win.queries, "agg active": &a.win.queries, "agg selection": &a.selection}
+	return map[string]*queryTable{"join": &j.win.queries, "agg active": &a.win.queries}
 }
 
 // TestQueryTableCodec: every table an engine snapshots round-trips through
@@ -719,4 +720,147 @@ func TestWindowDriverRejectsChangelogsOutOfOrder(t *testing.T) {
 			d.op.OnChangelog(cl, tc.at, nil)
 		})
 	}
+}
+
+// TestEpochMasksAgreeWithLifetimes is the oracle of the aggregation's slot
+// masks: over seeded changelog scripts — aggregation, session, complex and
+// selection queries created and deleted, slots reused, several changelogs
+// at one event-time, a complex query of a port the operator lacks — the
+// epoch in effect at any time t a tuple may still carry masks, per port,
+// exactly the slots of the queries whose lifetime since ≤ t < until holds
+// and that the aggregation serves on that port, and as sessions exactly the
+// session-window ones among them. A snapshot restored mid-script is held to
+// the same.
+func TestEpochMasksAgreeWithLifetimes(t *testing.T) {
+	type life struct {
+		slot, port   int
+		session      bool
+		since, until event.Time
+	}
+	const ports, lateness = 2, 30
+	for seed := int64(0); seed < 6; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		b := newCLBuilder()
+		a := NewSharedAggregation(ports, lateness, NewRouter(&OpMetrics{}), &OpMetrics{})
+		lives := map[int]*life{}
+		var active []int
+		at, wm := event.Time(0), event.MinTime
+		newQuery := func() *Query {
+			switch r.Intn(6) {
+			case 0:
+				return aggQ(window.SessionSpec(4), sqlstream.AggCount, 0, expr.True())
+			case 1:
+				return complexQ(window.TumblingSpec(10), window.TumblingSpec(20), sqlstream.AggCount, -1, expr.True(), expr.True())
+			case 2:
+				return complexQ(window.TumblingSpec(10), window.TumblingSpec(20), sqlstream.AggCount, -1, expr.True(), expr.True(), expr.True())
+			case 3:
+				return selQ(expr.True())
+			default:
+				return aggQ(window.SlidingSpec(20, 5), sqlstream.AggSum, 0, expr.True())
+			}
+		}
+		check := func(step int) {
+			t.Helper()
+			lo := event.Time(0)
+			if wm != event.MinTime {
+				lo = max(lo, wm-lateness)
+			}
+			for tm := lo; tm <= at+2; tm++ {
+				var want [ports]bitset.Bits
+				var sess bitset.Bits
+				for _, l := range lives {
+					if l.port >= 0 && l.port < ports && l.since <= tm && tm < l.until {
+						want[l.port].Set(l.slot)
+						if l.session {
+							sess.Set(l.slot)
+						}
+					}
+				}
+				ep := a.win.sides[0].epochAt(tm)
+				for p := range want {
+					var got bitset.Bits
+					if p < len(ep.portMasks) {
+						got = ep.portMasks[p]
+					}
+					if !got.Equal(want[p]) {
+						t.Fatalf("seed %d step %d: port %d mask at %v is %v, the lifetimes give %v", seed, step, p, tm, got, want[p])
+					}
+				}
+				if !ep.sessMask.Equal(sess) {
+					t.Fatalf("seed %d step %d: session mask at %v is %v, the lifetimes give %v", seed, step, tm, ep.sessMask, sess)
+				}
+			}
+		}
+		for step := 0; step < 60; step++ {
+			at += event.Time(r.Intn(3)) // 0: a second changelog at one time
+			var del []int
+			if len(active) > 0 && r.Intn(3) == 0 {
+				r.Shuffle(len(active), func(i, j int) { active[i], active[j] = active[j], active[i] })
+				n := 1 + r.Intn(min(3, len(active)))
+				del, active = active[:n:n], active[n:]
+			}
+			qs := make([]*Query, r.Intn(3))
+			for i := range qs {
+				qs[i] = newQuery()
+			}
+			msg := b.apply(t, at, del, qs...)
+			for _, d := range del {
+				lives[d].until = at
+			}
+			for i, c := range msg.CL.Created {
+				q := qs[i]
+				lives[c.Query] = &life{slot: c.Slot, port: aggPortOf(q), session: q.Window.Kind == window.Session,
+					since: at, until: event.MaxTime}
+				active = append(active, c.Query)
+			}
+			a.OnChangelog(msg, at, nil)
+			if r.Intn(4) == 0 && at-5 > a.win.lastWM {
+				wm = at - 5
+				a.OnWatermark(wm, nil)
+			}
+			if step == 30 {
+				restored := NewSharedAggregation(ports, lateness, NewRouter(&OpMetrics{}), &OpMetrics{})
+				if err := restored.Restore(a.OnBarrier(1, nil)); err != nil {
+					t.Fatal(err)
+				}
+				a = restored
+			}
+			check(step)
+		}
+	}
+}
+
+// TestLateTupleUsesTheMasksOfItsTime: a tuple is masked with the epoch in
+// effect at its own time, not the newest. Tumbling query T holds slot s
+// until 8, where one changelog deletes it and hands s to session query S;
+// then a tuple from 5 arrives. At 5, s is T's, a slice query's: the tuple
+// counts in T's window [4,8), and S, which starts at 8, never sees it.
+func TestLateTupleUsesTheMasksOfItsTime(t *testing.T) {
+	b := newCLBuilder()
+	msgT := b.create(t, 0, aggQ(window.TumblingSpec(4), sqlstream.AggCount, 0, expr.True()))
+	tID, slot := msgT.CL.Created[0].Query, msgT.CL.Created[0].Slot
+	msgS := b.apply(t, 8, []int{tID}, aggQ(window.SessionSpec(4), sqlstream.AggCount, 0, expr.True()))
+	sID := msgS.CL.Created[0].Query
+	if msgS.CL.Created[0].Slot != slot {
+		t.Fatal("S does not take T's slot")
+	}
+	var got []string
+	a := NewSharedAggregation(1, 10, captureRouter(&got, tID, sID), &OpMetrics{})
+	a.OnChangelog(msgT, 0, nil)
+	tuple := func(tm event.Time) event.Tuple {
+		return event.Tuple{Key: 1, Time: tm, QuerySet: bitset.FromIndexes(slot)}
+	}
+	for _, tm := range []event.Time{1, 2, 3} {
+		a.OnTuple(0, tuple(tm), nil)
+	}
+	a.OnChangelog(msgS, 8, nil)
+	a.OnTuple(0, tuple(5), nil) // late
+	a.OnTuple(0, tuple(9), nil)
+	a.OnWatermark(30, nil)
+	want := []string{
+		fmt.Sprintf("q%d aggregation w=[t0,t4) key=1 val=3 join={0 [0 0 0 0 0] [0 0 0 0 0] t0 0 0} et=t4", tID),
+		fmt.Sprintf("q%d aggregation w=[t4,t8) key=1 val=1 join={0 [0 0 0 0 0] [0 0 0 0 0] t0 0 0} et=t8", tID),
+		fmt.Sprintf("q%d aggregation w=[t9,t10) key=1 val=1 join={0 [0 0 0 0 0] [0 0 0 0 0] t0 0 0} et=t10", sID),
+	}
+	assertSameStrings(t, "results", got, want)
 }

@@ -51,7 +51,7 @@ const (
 // internal/wire compositions — so a state directory written by a build with
 // other layouts fails at open instead of at the first record that happens not
 // to decode.
-const manifestVersion = 10
+const manifestVersion = 11
 
 // manifestData is the store's single source of truth on disk, rewritten
 // atomically (tmp + fsync + rename) only when a checkpoint completes or the
