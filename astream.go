@@ -64,11 +64,13 @@ type Engine = core.Engine
 // Query is a compiled query; build one with the helpers below or via SQL.
 type Query = core.Query
 
-// Result is one query-addressed output row.
+// Result is one query-addressed output row: eight words that reach a sink
+// in registers. Its Tuple or Join row is borrowed from the operator for the
+// duration of the OnResult call; a sink that keeps a result keeps r.Own().
 type Result = core.Result
 
 // Sink consumes one query's results; implementations must be safe for
-// concurrent use.
+// concurrent use, and copy (Result.Own) what they keep past the call.
 type Sink = core.Sink
 
 // SinkFunc adapts a function to a Sink.

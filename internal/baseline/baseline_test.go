@@ -21,6 +21,7 @@ type collectSink struct {
 }
 
 func (c *collectSink) OnResult(r core.Result) {
+	r = r.Own() // kept past the call
 	c.mu.Lock()
 	c.results = append(c.results, r)
 	c.mu.Unlock()

@@ -162,6 +162,7 @@ type selectionSink struct {
 	q        *core.Query
 	wrap     *sinkWrapper
 	instance int
+	row      event.Tuple // the delivered tuple, lent to the sink for the call
 }
 
 func newSelectionSink(q *core.Query, wrap *sinkWrapper, instances, instance int) *selectionSink {
@@ -170,10 +171,8 @@ func newSelectionSink(q *core.Query, wrap *sinkWrapper, instances, instance int)
 }
 
 func (s *selectionSink) OnTuple(_ int, t event.Tuple, _ *spe.Emitter) {
-	s.wrap.deliver(core.Result{
-		QueryID: s.q.ID, Kind: core.KindSelection, Tuple: t,
-		EventTime: t.Time, IngestNanos: t.IngestNanos,
-	})
+	s.row = t
+	s.wrap.deliver(core.Result{QueryID: s.q.ID, Kind: core.KindSelection, Tuple: &s.row})
 }
 
 func (s *selectionSink) OnWatermark(wm event.Time, _ *spe.Emitter) {
@@ -241,6 +240,7 @@ type aggLogic struct {
 	lastWM   event.Time
 	floor    event.Time // earliest data time, clamps first trigger sweep
 	hasData  bool
+	row      event.Tuple // a result's key, window end and freshest ingest time, lent to the sink
 }
 
 func newAggLogic(q *core.Query, wrap *sinkWrapper, instances, instance int) *aggLogic {
@@ -330,9 +330,10 @@ func (l *aggLogic) OnWatermark(wm event.Time, _ *spe.Emitter) {
 						val = cs.Sum / cs.Count
 					}
 				}
+				l.row.Key, l.row.Time, l.row.IngestNanos = key, cs.Extent.End, 0
 				l.wrap.deliver(core.Result{
 					QueryID: l.q.ID, Kind: l.q.Kind, Window: cs.Extent,
-					Key: key, Value: val, EventTime: cs.Extent.End,
+					Key: key, Value: val, Tuple: &l.row,
 				})
 			}
 			if ss.Open() == 0 {
@@ -348,10 +349,10 @@ func (l *aggLogic) OnWatermark(wm event.Time, _ *spe.Emitter) {
 			continue
 		}
 		for key, a := range byKey {
+			l.row.Key, l.row.Time, l.row.IngestNanos = key, ext.End, a.ingestNanos
 			l.wrap.deliver(core.Result{
 				QueryID: l.q.ID, Kind: l.q.Kind, Window: ext,
-				Key: key, Value: a.finalize(l.q.Agg), EventTime: ext.End,
-				IngestNanos: a.ingestNanos,
+				Key: key, Value: a.finalize(l.q.Agg), Tuple: &l.row,
 			})
 		}
 		delete(l.wins, ext)
@@ -374,6 +375,7 @@ type joinLogic struct {
 	instance int
 	wins     map[window.Extent]*joinBuf
 	lastWM   event.Time
+	row      event.JoinedTuple // the joined row being delivered, lent to the sink
 }
 
 type joinBuf struct {
@@ -446,7 +448,8 @@ func (l *joinLogic) fire(ext window.Extent, buf *joinBuf, out *spe.Emitter) {
 	for i := range buf.right {
 		r := &buf.right[i]
 		for _, lft := range idx[r.Key] {
-			jt := event.JoinedTuple{Key: r.Key, Left: lft.Fields, Right: r.Fields}
+			jt := &l.row
+			*jt = event.JoinedTuple{Key: r.Key, Left: lft.Fields, Right: r.Fields}
 			jt.Time = lft.Time
 			if r.Time > jt.Time {
 				jt.Time = r.Time
@@ -458,7 +461,7 @@ func (l *joinLogic) fire(ext window.Extent, buf *joinBuf, out *spe.Emitter) {
 			if l.terminal {
 				l.wrap.deliver(core.Result{
 					QueryID: l.q.ID, Kind: core.KindJoin, Window: ext,
-					Join: jt, EventTime: jt.Time, IngestNanos: jt.IngestNanos,
+					Join: jt,
 				})
 			} else {
 				t := jt.AsTuple()

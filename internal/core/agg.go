@@ -227,9 +227,10 @@ type SharedAggregation struct {
 	metrics *OpMetrics
 
 	// Steady-state scratch (owned by the instance goroutine): query-set
-	// intersection temporaries, the seal's, and the fire path's equivalence
-	// blocks and result rows.
+	// intersection temporaries, the seal's, the fire path's equivalence
+	// blocks and result rows, and the row a delivered result borrows.
 	qsTmp     bitset.Bits // per-tuple query-set intersection scratch
+	row       event.Tuple // a result's key, window end and freshest ingest time, lent to its sink
 	lateRows  []int32     // the rows of a sealed slice one tuple folds into
 	sealTmp   sealScratch // the seal's slot partition, class numbering and key chains
 	caps      []fireCap   // per-cap-group slot mask, per-slice relation and slot table, parallel to the trigger's cap groups
@@ -654,13 +655,14 @@ func (a *SharedAggregation) retire(wm event.Time) {
 				}
 				atomic.AddUint64(&a.metrics.AggOut, 1)
 				val := finalizeCountSum(aq.q.Agg, cs.Count, cs.Sum)
+				a.row.Key, a.row.Time, a.row.IngestNanos = key, cs.Extent.End, 0
 				a.router.Deliver(Result{
-					QueryID:   aq.q.ID,
-					Kind:      aq.q.Kind,
-					Window:    cs.Extent,
-					Key:       key,
-					Value:     val,
-					EventTime: cs.Extent.End,
+					QueryID: aq.q.ID,
+					Kind:    aq.q.Kind,
+					Window:  cs.Extent,
+					Key:     key,
+					Value:   val,
+					Tuple:   &a.row,
 				})
 			}
 			if ss.Open() == 0 {
@@ -687,14 +689,14 @@ func (a *SharedAggregation) emitRows(aq *liveQuery, ext window.Extent, rows []ag
 	atomic.AddUint64(&a.metrics.AggOut, uint64(len(rows)))
 	for i := range rows {
 		r := &rows[i]
+		a.row.Key, a.row.Time, a.row.IngestNanos = r.key, ext.End, r.v.IngestNanos
 		a.router.Deliver(Result{
-			QueryID:     aq.q.ID,
-			Kind:        aq.q.Kind,
-			Window:      ext,
-			Key:         r.key,
-			Value:       r.v.finalize(aq.q.Agg, aq.q.AggField),
-			EventTime:   ext.End,
-			IngestNanos: r.v.IngestNanos,
+			QueryID: aq.q.ID,
+			Kind:    aq.q.Kind,
+			Window:  ext,
+			Key:     r.key,
+			Value:   r.v.finalize(aq.q.Agg, aq.q.AggField),
+			Tuple:   &a.row,
 		})
 	}
 }

@@ -186,7 +186,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		}
 		sels[i] = topo.AddOperator(fmt.Sprintf("select-%d", i), P, func(inst int) spe.Logic {
 			l := NewSharedSelection(i, cfg.Lateness, eng.metrics)
-			l.router = eng.router
+			l.SetRouter(eng.router)
 			l.onPredPanic = eng.predicatePanicked
 			l.faultHook, _ = cfg.FaultHook.(predicateHook)
 			eng.selLogics[i][inst] = l

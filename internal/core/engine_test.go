@@ -16,13 +16,15 @@ import (
 	"astream/internal/window"
 )
 
-// collectSink gathers results thread-safely.
+// collectSink gathers results thread-safely. It keeps them past the call,
+// so it keeps owned copies.
 type collectSink struct {
 	mu      sync.Mutex
 	results []Result
 }
 
 func (c *collectSink) OnResult(r Result) {
+	r = r.Own()
 	c.mu.Lock()
 	c.results = append(c.results, r)
 	c.mu.Unlock()
@@ -198,7 +200,7 @@ func matching(in []event.Tuple, p expr.Predicate, ta, td event.Time) []event.Tup
 func refSelection(in []event.Tuple, q *Query, ta, td event.Time) []Result {
 	var out []Result
 	for _, t := range matching(in, q.Predicates[0], ta, td) {
-		out = append(out, Result{QueryID: q.ID, Kind: KindSelection, Tuple: t})
+		out = append(out, Result{QueryID: q.ID, Kind: KindSelection, Tuple: &t})
 	}
 	return out
 }
@@ -227,7 +229,7 @@ func refJoinRows(inputs [][]event.Tuple, q *Query, ta, td event.Time) ([]Result,
 						if b.Time > jt.Time {
 							jt.Time = b.Time
 						}
-						results = append(results, Result{QueryID: q.ID, Kind: KindJoin, Window: ext, Join: jt})
+						results = append(results, Result{QueryID: q.ID, Kind: KindJoin, Window: ext, Join: &jt})
 					} else {
 						nt := event.Tuple{Key: a.Key, Fields: a.Fields, Time: ext.End - 1}
 						next = append(next, nt)

@@ -71,13 +71,12 @@ func (a *SharedAggregation) fireWindowScan(ext window.Extent, aq *liveQuery, cur
 	slices.Sort(keys)
 	for _, key := range keys {
 		a.router.Deliver(Result{
-			QueryID:     aq.q.ID,
-			Kind:        aq.q.Kind,
-			Window:      ext,
-			Key:         key,
-			Value:       acc[key].finalize(aq.q.Agg, aq.q.AggField),
-			EventTime:   ext.End,
-			IngestNanos: acc[key].IngestNanos,
+			QueryID: aq.q.ID,
+			Kind:    aq.q.Kind,
+			Window:  ext,
+			Key:     key,
+			Value:   acc[key].finalize(aq.q.Agg, aq.q.AggField),
+			Tuple:   &event.Tuple{Key: key, Time: ext.End, IngestNanos: acc[key].IngestNanos},
 		})
 	}
 }
@@ -107,7 +106,7 @@ func fireRouter(out *[]string, maxID int) *Router {
 		r.Register(id, SinkFunc(func(res Result) {
 			*out = append(*out, fmt.Sprintf("q%d %v w=[%v,%v) key=%d val=%d et=%v in=%d",
 				res.QueryID, res.Kind, res.Window.Start, res.Window.End,
-				res.Key, res.Value, res.EventTime, res.IngestNanos))
+				res.Key, res.Value, res.EventTime(), res.IngestNanos()))
 		}))
 	}
 	return r

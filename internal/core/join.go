@@ -26,13 +26,13 @@ type SharedJoin struct {
 
 	// Steady-state scratch (owned by the instance goroutine, §3.2.2's
 	// no-allocation discipline): a window end's queries, slice ranges and
-	// per-cap-group targets and slots, the one result row every delivery is a
-	// copy of, a pair's rows before they are cached at their exact size, and
-	// the query-set intersection temporaries.
+	// per-cap-group targets and slots, the one joined row every delivery of a
+	// pair row borrows, a pair's rows before they are cached at their exact
+	// size, and the query-set intersection temporaries.
 	endQs   []*liveQuery // the end's trigger queries, trigger after trigger
 	lows    [2][]int     // per side, each trigger's first overlapping slice
 	groups  []fireGroup  // per-cap-group targets and pass-through slots of the end
-	res     Result
+	row     event.JoinedTuple
 	rowsTmp []pairRow   // a pair's rows while they are being joined
 	qsTmp   bitset.Bits // slice-join kernel intersection scratch
 	termTmp bitset.Bits // a cap group's terminal slots still live under the pair's epochs
@@ -167,10 +167,10 @@ func (j *SharedJoin) retire(wm event.Time) {
 // queries it is effective for, in (slot, ID) order, and once downstream
 // carrying the slots of the others. The triggers covering a pair are a
 // prefix of the list, so a pair is looked up, and each of its rows built,
-// once per end. This is where the joined tuple is built and where it is
-// copied — once per delivery, into the sink's argument (§3.2.2): a pair row
-// fills the join payload of the one result row, a target its query ID and
-// Window.
+// once per end. This is where the joined tuple is built, once per pair row
+// into the instance's row, and each delivery lends it to the sink (§3.2.2):
+// the Result, eight words, carries a target's query ID and Window and a
+// pointer to the row, in registers — nothing is copied per delivery.
 func (j *SharedJoin) fireEnd(trigs []*trigger, out *spe.Emitter) {
 	left, right := j.win.sides[0], j.win.sides[1]
 	j.endQs, j.lows[0], j.lows[1] = j.endQs[:0], j.lows[0][:0], j.lows[1][:0]
@@ -226,8 +226,7 @@ func (j *SharedJoin) fireEnd(trigs []*trigger, out *spe.Emitter) {
 			}
 		}
 	}
-	res, end := &j.res, trigs[0].ext.End
-	res.Kind = KindJoin
+	res, end := Result{Kind: KindJoin, Join: &j.row}, trigs[0].ext.End
 
 	for li := llo[0]; li < lhi; li++ {
 		sa := left.slices[li]
@@ -283,15 +282,14 @@ func (j *SharedJoin) fireEnd(trigs []*trigger, out *spe.Emitter) {
 						for w := row.qs.Word(wi) & j.termTmp.Word(wi); w != 0; w &= w - 1 {
 							if !filled {
 								filled = true
-								jt := &res.Join
+								jt := &j.row
 								jt.Key, jt.Left, jt.Right, jt.QuerySet = l.Key, l.Fields, r.Fields, row.qs
 								jt.Time, jt.IngestNanos = max(l.Time, r.Time), max(l.IngestNanos, r.IngestNanos)
-								res.EventTime, res.IngestNanos = jt.Time, jt.IngestNanos
 							}
 							delivered++
 							if tg := &fg.bySlot[wi*64+bits.TrailingZeros64(w)]; tg.sink != nil {
 								res.QueryID, res.Window = tg.id, tg.ext
-								tg.sink.OnResult(*res)
+								tg.sink.OnResult(res)
 							}
 						}
 					}

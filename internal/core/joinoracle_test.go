@@ -154,10 +154,10 @@ func newJoinEngine(lateness event.Time, maxID int) *joinEngine {
 	for id := 1; id <= maxID; id++ {
 		sink := fmt.Sprintf("q%d", id)
 		r.Register(id, SinkFunc(func(res Result) {
-			if res.EventTime != res.Join.Time || res.IngestNanos != res.Join.IngestNanos || res.Kind != KindJoin {
-				panic(fmt.Sprintf("join result header disagrees with its tuple: %+v", res))
+			if res.Kind != KindJoin || res.Join == nil || res.Tuple != nil || res.EventTime() != res.Join.Time {
+				panic(fmt.Sprintf("join result is not a join row: %+v", res))
 			}
-			e.out.add(sink, res.Window.String(), joinRow(&res.Join))
+			e.out.add(sink, res.Window.String(), joinRow(res.Join))
 		}))
 	}
 	e.j = NewSharedJoin(0, 0, lateness, r, NewOpMetrics(nil))
@@ -373,7 +373,7 @@ func TestJoinCoincidentExtents(t *testing.T) {
 		for id := 1; id <= n; id++ {
 			id := id
 			r.Register(id, SinkFunc(func(res Result) {
-				out[id] = append(out[id], fmt.Sprintf("w=[%v,%v) join=%v et=%v", res.Window.Start, res.Window.End, res.Join, res.EventTime))
+				out[id] = append(out[id], fmt.Sprintf("w=[%v,%v) join=%v et=%v", res.Window.Start, res.Window.End, *res.Join, res.EventTime()))
 			}))
 		}
 		return r

@@ -179,7 +179,7 @@ func KernelBenchmarks() []KernelBench {
 			New: func() func(int) {
 				router := NewRouter(NewOpMetrics(nil))
 				sel := NewSharedSelection(0, 0, NewOpMetrics(nil))
-				sel.router = router
+				sel.SetRouter(router)
 				entries := make([]selEntry, 64)
 				for s := range entries {
 					entries[s] = selEntry{slot: s, id: s + 1, serve: s%2 == 0,

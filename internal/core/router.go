@@ -8,30 +8,72 @@ import (
 	"astream/internal/window"
 )
 
-// Result is one query-addressed output row leaving the engine.
+// Result is one query-addressed output row leaving the engine. It is eight
+// machine words of integers and pointers, so an interface call to
+// Sink.OnResult passes it whole in registers: no copy of the row is made on
+// the way to a sink.
+//
+// Tuple and Join borrow a row the delivering operator owns, valid only for
+// the duration of the OnResult call; the operator overwrites it for its next
+// delivery. A sink that keeps a result past the call keeps r.Own().
 type Result struct {
 	QueryID int
 	Kind    Kind
 	// Window is the triggering window for windowed kinds.
 	Window window.Extent
-	// Tuple is set for selection results.
-	Tuple event.Tuple
-	// Join is set for join results.
-	Join event.JoinedTuple
 	// Key/Value are set for aggregation results.
 	Key   int64
 	Value int64
-	// EventTime is the result's event-time (tuple time, join max-time, or
-	// window end for aggregations).
-	EventTime event.Time
-	// IngestNanos is the ingestion wall-clock of the freshest contributing
-	// tuple; sinks subtract it from time.Now() for end-to-end latency
-	// (paper §3.4 samples latency at sinks).
-	IngestNanos int64
+	// Tuple is the selected tuple of a selection result; for an aggregation
+	// result it carries the row's key, its window end as Time and the
+	// freshest contributing tuple's ingest time.
+	Tuple *event.Tuple
+	// Join is the joined row of a join result.
+	Join *event.JoinedTuple
+}
+
+// EventTime is the result's event-time: the tuple's time, the join's
+// max-time, or the window end for aggregations; 0 for a result without a row.
+func (r Result) EventTime() event.Time {
+	switch {
+	case r.Join != nil:
+		return r.Join.Time
+	case r.Tuple != nil:
+		return r.Tuple.Time
+	}
+	return 0
+}
+
+// IngestNanos is the ingestion wall-clock of the freshest contributing
+// tuple, 0 when unknown; sinks subtract it from time.Now() for end-to-end
+// latency (paper §3.4 samples latency at sinks).
+func (r Result) IngestNanos() int64 {
+	switch {
+	case r.Join != nil:
+		return r.Join.IngestNanos
+	case r.Tuple != nil:
+		return r.Tuple.IngestNanos
+	}
+	return 0
+}
+
+// Own returns a copy of r whose rows it owns: what a sink keeps past its
+// OnResult call.
+func (r Result) Own() Result {
+	if r.Tuple != nil {
+		t := *r.Tuple
+		r.Tuple = &t
+	}
+	if r.Join != nil {
+		j := *r.Join
+		r.Join = &j
+	}
+	return r
 }
 
 // Sink consumes one query's results. OnResult is called from operator
-// goroutines and must be safe for concurrent use.
+// goroutines and must be safe for concurrent use. The result's rows are
+// borrowed for the call (see Result): a sink that keeps one calls Own.
 type Sink interface {
 	OnResult(r Result)
 }
@@ -63,8 +105,8 @@ func NewCountingSink(nowNanos func() int64, sampleEvery int) *CountingSink {
 // OnResult implements Sink.
 func (c *CountingSink) OnResult(r Result) {
 	n := atomic.AddUint64(&c.Count, 1)
-	if r.IngestNanos > 0 && n%c.sampleEvery == 0 {
-		d := c.nowNanos() - r.IngestNanos
+	if in := r.IngestNanos(); in > 0 && n%c.sampleEvery == 0 {
+		d := c.nowNanos() - in
 		if d > 0 {
 			atomic.AddUint64(&c.latSum, uint64(d))
 			atomic.AddUint64(&c.latN, 1)
@@ -86,10 +128,11 @@ func (c *CountingSink) MeanLatencyNanos() uint64 {
 }
 
 // Router delivers result rows to per-query output channels (paper §3.1.6).
-// The hand-over to a sink is the one place AStream copies data: a result
-// matching k queries is materialized k times, once per query channel
+// A result matching k queries is handed over k times, once per query channel
 // (§3.2.2) — by Deliver, or by the join's fire, which resolves a trigger's
-// sinks here once (SinkFor) and hands each its rows directly.
+// sinks here once (SinkFor) and hands each its rows directly. The hand-over
+// copies nothing: the Result travels in registers and borrows its row from
+// the operator for the call; only a sink that keeps it copies it (Own).
 //
 // Delivery takes no lock: the sink table is a slice indexed by query ID
 // (dense from 1) behind an atomic pointer, its published length beside it.
@@ -155,8 +198,8 @@ func (r *Router) Unregister(queryID int) {
 	}
 }
 
-// Deliver routes one result row to its query's sink. The per-query copy has
-// already happened by value in res; no lock is taken on this path.
+// Deliver routes one result row to its query's sink; no lock is taken on
+// this path.
 func (r *Router) Deliver(res Result) {
 	if s := r.SinkFor(res.QueryID); s != nil {
 		s.OnResult(res)

@@ -88,9 +88,14 @@ type SharedSelection struct {
 	stream   int // which engine stream this instance filters
 	versions []selVersion
 	metrics  *OpMetrics
-	// router, when set, receives the selection queries' results; without
-	// one the instance serves nothing and emits every selected tuple.
+	// router, when set (SetRouter), receives the selection queries'
+	// results; without one the instance serves nothing and emits every
+	// selected tuple.
 	router *Router
+	// row is the served tuple every selection result of one OnTuple
+	// borrows: the tuple is copied here once, never addressed itself (a
+	// pointer to the argument would move it to the heap on every call).
+	row event.Tuple
 	// cnt is what this instance counted since it last published to metrics.
 	cnt      selCounters
 	lateness event.Time
@@ -118,6 +123,12 @@ func NewSharedSelection(stream int, lateness event.Time, m *OpMetrics) *SharedSe
 		lateness: lateness,
 	}
 }
+
+// SetRouter makes the instance answer its selection queries: their results
+// go to r's sinks, and a tuple only they match is dropped. The engine wires
+// its instances through it; an instance built on its own gets one the same
+// way.
+func (s *SharedSelection) SetRouter(r *Router) { s.router = r }
 
 // versionAt locates the table version in effect at event-time t.
 func (s *SharedSelection) versionAt(t event.Time) int {
@@ -156,9 +167,10 @@ func (s *SharedSelection) OnTuple(_ int, t event.Tuple, out *spe.Emitter) {
 	t.Stream = uint8(s.stream)
 	s.cnt.selected++
 	if s.router != nil && s.qsTmp.Intersects(v.serveMask) {
+		s.row = t
 		for i := range v.served {
 			if e := &v.served[i]; s.qsTmp.Test(e.slot) {
-				s.router.Deliver(Result{QueryID: e.id, Kind: KindSelection, Tuple: t, EventTime: t.Time, IngestNanos: t.IngestNanos})
+				s.router.Deliver(Result{QueryID: e.id, Kind: KindSelection, Tuple: &s.row})
 			}
 		}
 		if s.qsTmp.AndNotInPlace(v.serveMask); s.qsTmp.IsEmpty() {

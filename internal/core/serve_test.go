@@ -18,7 +18,7 @@ import (
 func formatServed(r Result) string {
 	return fmt.Sprintf("q%d %v k=%d t=%v s=%d qs=%v f=%v in=%d et=%v rin=%d w=%v key=%d val=%d join=%v",
 		r.QueryID, r.Kind, r.Tuple.Key, r.Tuple.Time, r.Tuple.Stream, r.Tuple.QuerySet.Words(),
-		r.Tuple.Fields, r.Tuple.IngestNanos, r.EventTime, r.IngestNanos, r.Window, r.Key, r.Value, r.Join)
+		r.Tuple.Fields, r.Tuple.IngestNanos, r.EventTime(), r.IngestNanos(), r.Window, r.Key, r.Value, r.Join)
 }
 
 // servedRouter registers one formatting sink per query ID, all appending to
@@ -52,7 +52,7 @@ func TestSelectionServesItsQueries(t *testing.T) {
 	}
 	var served, emitted []string
 	sel := NewSharedSelection(0, 10, &OpMetrics{})
-	sel.router = servedRouter(&served, append(ids, newID)...)
+	sel.SetRouter(servedRouter(&served, append(ids, newID)...))
 	sel.OnChangelog(msg, 0, nil)
 	sel.OnChangelog(re, 5, nil)
 	if v := sel.versions[len(sel.versions)-1]; v.entries[len(v.entries)-1].id != newID {
@@ -69,9 +69,9 @@ func TestSelectionServesItsQueries(t *testing.T) {
 	sel.OnTuple(0, tuple(2, 35), out)
 	early := emittedAs(tuple(2, 35), 0, 1, 2)
 	want := []string{
-		formatServed(Result{QueryID: ids[0], Kind: KindSelection, Tuple: early, EventTime: 2, IngestNanos: 77}),
-		formatServed(Result{QueryID: ids[1], Kind: KindSelection, Tuple: early, EventTime: 2, IngestNanos: 77}),
-		formatServed(Result{QueryID: ids[2], Kind: KindSelection, Tuple: early, EventTime: 2, IngestNanos: 77}),
+		formatServed(Result{QueryID: ids[0], Kind: KindSelection, Tuple: &early}),
+		formatServed(Result{QueryID: ids[1], Kind: KindSelection, Tuple: &early}),
+		formatServed(Result{QueryID: ids[2], Kind: KindSelection, Tuple: &early}),
 	}
 	assertSameStrings(t, "served before the reuse", served, want)
 	if len(emitted) != 0 {
@@ -84,9 +84,9 @@ func TestSelectionServesItsQueries(t *testing.T) {
 	sel.OnTuple(0, tuple(7, 45), out)
 	full := emittedAs(tuple(7, 45), 0, 1, 2, 3)
 	want = []string{
-		formatServed(Result{QueryID: newID, Kind: KindSelection, Tuple: full, EventTime: 7, IngestNanos: 77}),
-		formatServed(Result{QueryID: ids[1], Kind: KindSelection, Tuple: full, EventTime: 7, IngestNanos: 77}),
-		formatServed(Result{QueryID: ids[2], Kind: KindSelection, Tuple: full, EventTime: 7, IngestNanos: 77}),
+		formatServed(Result{QueryID: newID, Kind: KindSelection, Tuple: &full}),
+		formatServed(Result{QueryID: ids[1], Kind: KindSelection, Tuple: &full}),
+		formatServed(Result{QueryID: ids[2], Kind: KindSelection, Tuple: &full}),
 	}
 	assertSameStrings(t, "served after the reuse", served, want)
 	assertSameStrings(t, "emitted", emitted, []string{fmt.Sprintf("k=%d t=%v s=%d qs=%v f=%v",
@@ -94,7 +94,7 @@ func TestSelectionServesItsQueries(t *testing.T) {
 
 	// No router: the instance serves nothing and emits what it selects.
 	served, emitted = served[:0], emitted[:0]
-	sel.router = nil
+	sel.SetRouter(nil)
 	sel.OnTuple(0, tuple(8, 35), out)
 	if len(served) != 0 || len(emitted) != 1 {
 		t.Fatalf("without a router: served %v, emitted %v; want nothing served and the tuple emitted", served, emitted)

@@ -249,7 +249,7 @@ func TestCountingSink(t *testing.T) {
 	now := int64(1000)
 	s := NewCountingSink(func() int64 { return now }, 1)
 	for i := 0; i < 10; i++ {
-		s.OnResult(Result{IngestNanos: 400})
+		s.OnResult(Result{Tuple: &event.Tuple{IngestNanos: 400}})
 	}
 	if s.Results() != 10 {
 		t.Fatalf("results = %d", s.Results())
@@ -265,7 +265,7 @@ func TestCountingSink(t *testing.T) {
 	}
 	// sampleEvery < 1 clamps to 1.
 	s3 := NewCountingSink(func() int64 { return now }, 0)
-	s3.OnResult(Result{IngestNanos: 999})
+	s3.OnResult(Result{Join: &event.JoinedTuple{IngestNanos: 999}})
 	if s3.Results() != 1 {
 		t.Fatal("clamped sink broken")
 	}

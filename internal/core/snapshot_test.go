@@ -88,7 +88,7 @@ func captureRouter(out *[]string, ids ...int) *Router {
 		r.Register(id, SinkFunc(func(res Result) {
 			*out = append(*out, fmt.Sprintf("q%d %v w=[%v,%v) key=%d val=%d join=%v et=%v",
 				res.QueryID, res.Kind, res.Window.Start, res.Window.End,
-				res.Key, res.Value, res.Join, res.EventTime))
+				res.Key, res.Value, res.Join, res.EventTime()))
 		}))
 	}
 	return r
@@ -131,7 +131,7 @@ func TestSelectionSnapshotRoundTrip(t *testing.T) {
 	ids := []int{firstID, msg.CL.Created[1].Query, msg.CL.Created[2].Query, reuse.CL.Created[0].Query}
 	var servedO, servedF []string
 	orig := NewSharedSelection(0, 10, &OpMetrics{})
-	orig.router = servedRouter(&servedO, ids...)
+	orig.SetRouter(servedRouter(&servedO, ids...))
 	orig.OnChangelog(msg, 0, nil)
 
 	rng := rand.New(rand.NewSource(5))
@@ -151,7 +151,7 @@ func TestSelectionSnapshotRoundTrip(t *testing.T) {
 
 	snap := orig.OnBarrier(1, nil)
 	fresh := NewSharedSelection(0, 10, &OpMetrics{})
-	fresh.router = servedRouter(&servedF, ids...)
+	fresh.SetRouter(servedRouter(&servedF, ids...))
 	if err := fresh.Restore(snap); err != nil {
 		t.Fatal(err)
 	}

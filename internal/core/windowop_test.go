@@ -858,9 +858,9 @@ func TestLateTupleUsesTheMasksOfItsTime(t *testing.T) {
 	a.OnTuple(0, tuple(9), nil)
 	a.OnWatermark(30, nil)
 	want := []string{
-		fmt.Sprintf("q%d aggregation w=[t0,t4) key=1 val=3 join={0 [0 0 0 0 0] [0 0 0 0 0] t0 0 0} et=t4", tID),
-		fmt.Sprintf("q%d aggregation w=[t4,t8) key=1 val=1 join={0 [0 0 0 0 0] [0 0 0 0 0] t0 0 0} et=t8", tID),
-		fmt.Sprintf("q%d aggregation w=[t9,t10) key=1 val=1 join={0 [0 0 0 0 0] [0 0 0 0 0] t0 0 0} et=t10", sID),
+		fmt.Sprintf("q%d aggregation w=[t0,t4) key=1 val=3 join=<nil> et=t4", tID),
+		fmt.Sprintf("q%d aggregation w=[t4,t8) key=1 val=1 join=<nil> et=t8", tID),
+		fmt.Sprintf("q%d aggregation w=[t9,t10) key=1 val=1 join=<nil> et=t10", sID),
 	}
 	assertSameStrings(t, "results", got, want)
 }

@@ -127,8 +127,8 @@ func (d *Driver) sinkFor() (core.Sink, *uint64) {
 	return core.SinkFunc(func(r core.Result) {
 		d.Results.Add(1)
 		k := atomic.AddUint64(cnt, 1)
-		if r.IngestNanos > 0 && k%sample == 0 {
-			lat := d.cfg.Now().UnixNano() - r.IngestNanos
+		if in := r.IngestNanos(); in > 0 && k%sample == 0 {
+			lat := d.cfg.Now().UnixNano() - in
 			if lat > 0 {
 				d.EventTimeLat.Observe(time.Duration(lat))
 			}
