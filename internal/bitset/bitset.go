@@ -421,8 +421,18 @@ func (b Bits) Or(o Bits) Bits {
 	return out
 }
 
-// OrInPlace replaces b with b ∪ o.
+// OrInPlace replaces b with b ∪ o. Two inline sets take the first branch,
+// which is small enough for the compiler to inline at the call site.
 func (b *Bits) OrInPlace(o Bits) {
+	if b.spill == nil && o.spill == nil {
+		b.small |= o.small
+		return
+	}
+	b.orSpilled(o)
+}
+
+// orSpilled is OrInPlace once either side has spilled.
+func (b *Bits) orSpilled(o Bits) {
 	n := o.sigWords()
 	if b.spill == nil && n <= 1 {
 		b.small |= o.word(0)

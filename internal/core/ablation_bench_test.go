@@ -60,7 +60,7 @@ func BenchmarkAblationChangelogDP(b *testing.B) {
 // 512q kernel population (few templates, many subscribers — the index's
 // best case), "random" mirrors the §4.2.2 generator (uniform field/op/
 // constant with the 0.2-selectivity floor — little dedup, mostly one-sided
-// ranges on the stabbing index), "conj" is all two-field conjunctions: even
+// ranges on the cut tables), "conj" is all two-field conjunctions: even
 // slots a key equality ∧ range (the ledger's churn512 shape), odd slots
 // range ∧ range from the same generator with two comparisons — dispatched on
 // one constraint, verified on the other. The scan arm is forced by

@@ -131,8 +131,8 @@ func KernelBenchmarks() []KernelBench {
 			// The paper's high-query-count regime: 512 ad-hoc queries drawn
 			// from a handful of templates, exercising every index layer —
 			// 64-way duplication folded to one node, point predicates on the
-			// hash dispatch, one-sided ranges on the stabbing index, and a
-			// multi-field containment chain pruned at its root. Matching
+			// hash dispatch, one-sided ranges on a cut table, and a
+			// two-field chain verified on a segment no tuple reaches. Matching
 			// tuples select only slots 0–63 so the emitted query-set stays on
 			// the inline (allocation-free) path.
 			Name: "selection-512q-overlap",
@@ -417,9 +417,9 @@ func KernelBenchmarks() []KernelBench {
 // share one wide range template (matches ~90% of bench tuples; folds to a
 // single index node). The rest never match a bench tuple but must be
 // proven non-matching cheaply: a point-template group on the hash
-// dispatch, a one-sided-range group on the stabbing index, and a
+// dispatch, a one-sided-range group on a cut table, and a
 // two-field chain P₀ ⊇ P₁ ⊇ … ⊇ P₇ whose links all dispatch on the same
-// F3 interval, which no bench tuple stabs.
+// F3 interval, which no bench tuple reaches.
 func overlapEntries(n int) []selEntry {
 	entries := make([]selEntry, n)
 	for s := range entries {

@@ -130,8 +130,12 @@ func NewSharedSelection(stream int, lateness event.Time, m *OpMetrics) *SharedSe
 // way.
 func (s *SharedSelection) SetRouter(r *Router) { s.router = r }
 
-// versionAt locates the table version in effect at event-time t.
+// versionAt locates the table version in effect at event-time t: the newest
+// one, unless t precedes it, and only then a binary search.
 func (s *SharedSelection) versionAt(t event.Time) int {
+	if last := len(s.versions) - 1; s.versions[last].from <= t {
+		return last
+	}
 	i := sort.Search(len(s.versions), func(i int) bool { return s.versions[i].from > t }) - 1
 	if i < 0 {
 		i = 0

@@ -1,7 +1,9 @@
 package core
 
 import (
-	"sort"
+	"math"
+	"math/bits"
+	"slices"
 
 	"astream/internal/bitset"
 	"astream/internal/event"
@@ -15,21 +17,20 @@ import (
 // (control path, allocation allowed); classification (hot path) then runs
 // in three steps:
 //
-//  1. always-true predicates are a precomputed bitset OR — zero evaluation;
+//  1. always-true predicates are a precomputed bitset OR — zero evaluation —
+//     and always-false ones are excluded from evaluation entirely;
 //  2. structurally equal predicates (canonical-form dedup) share one node
 //     that fans its result into every subscriber slot via a bitset OR, and
 //     every node is dispatched on the tuple's value of its access
 //     constraint — its equality if it has one, else its narrowest interval:
-//     exact points through a hash map, intervals through a sorted stabbing
-//     index. A node whose access constraint is not its whole predicate
-//     verifies the residual on a hit, so a tuple touches the nodes pinned
-//     to its own values instead of a list that grows with the query count;
+//     exact points through a hash map, intervals through the column's cut
+//     table. A node whose access constraint is not its whole predicate
+//     verifies the residual on a hit, so a tuple's cost follows the nodes
+//     pinned to its own values, not a list that grows with the query count;
 //  3. entries whose predicates cannot be canonicalized (out-of-range field —
 //     the only way a predicate can panic data-dependently) stay on the
 //     guarded per-entry path so panic isolation and quarantine attribution
 //     are preserved exactly.
-//
-// Always-false predicates are excluded from evaluation entirely.
 
 // SelIndexStats summarizes one compiled index's composition (tests, QoS,
 // benchmarks). Entries = AlwaysTrue + AlwaysFalse + Deduped + Fallback +
@@ -41,7 +42,7 @@ type SelIndexStats struct {
 	AlwaysFalse   int // contradictory entries excluded from evaluation
 	Deduped       int // entries folded into an existing node's fan-out
 	EqDispatch    int // nodes served by the per-field point hash
-	RangeDispatch int // nodes served by the interval-stabbing index
+	RangeDispatch int // nodes served by the per-column cut tables
 	Verified      int // dispatched nodes that check a residual on a hit
 	// Lattice is 0 for every index this code can build: every node is
 	// dispatched. The field remains only because cmd/ledger reports it as
@@ -75,24 +76,28 @@ type selNode struct {
 	verify bool
 }
 
-// ivIndex is a static interval-stabbing index: intervals sorted by Lo with
-// an implicit balanced BST (midpoint recursion) augmented by the subtree's
-// maximum Hi. stab visits O(log n + matches) nodes for the workload's
-// one-sided intervals (general two-sided worst case O(matches · log n)).
-type ivIndex struct {
-	lo, hi []int64
-	// maxHi[m] is the maximum hi over the subtree whose midpoint is m in
-	// the stab recursion.
-	maxHi []int64
-	node  []int32
-}
-
 // fieldDispatch routes one tuple column to the nodes whose access constraint
-// is on that column.
+// is on it: exact points through a hash map, intervals through a cut table.
 type fieldDispatch struct {
+	field int // expr.KeyField or a payload field index
 	// eq maps an exact access point to the nodes pinned to it.
 	eq map[int64][]int32
-	iv ivIndex
+	cutTable
+}
+
+// cutTable serves a column's interval-dispatched nodes in one probe. The
+// sorted cuts split the int64 domain into segments, each from its cut to the
+// next: cuts[0] is MinInt64 and every other cut is a node's Lo or Hi+1, so
+// every value of a segment is covered by the same nodes. Memory is
+// O(segments × words): per segment, the OR of the covering unverified nodes'
+// slot bits, and a bitset naming the covering verified nodes. A column with
+// no interval node has one segment, and its lookup ORs an empty set.
+type cutTable struct {
+	cuts []int64
+	hits []bitset.Bits // per segment: the covering unverified nodes' slots
+	// check[i] indexes into verified the verified nodes covering segment i.
+	check    []bitset.Bits
+	verified []int32
 }
 
 // selIndex is the compiled classification plan for one selVersion.
@@ -100,8 +105,8 @@ type selIndex struct {
 	// always is the union of every always-true entry's slot bit.
 	always bitset.Bits
 	nodes  []selNode
-	// dispatch[0] serves the tuple key, dispatch[f+1] payload field f.
-	dispatch [event.NumFields + 1]fieldDispatch
+	// cols holds only the columns some node is dispatched on.
+	cols []fieldDispatch
 	// fallback indexes (into the version's entry table) the entries that
 	// must evaluate through the guarded per-entry path.
 	fallback []int32
@@ -164,16 +169,15 @@ func buildSelIndex(entries []selEntry) *selIndex {
 			ix.stats.Deduped++
 			continue
 		}
-		ni := int32(len(ix.nodes))
-		var bits bitset.Bits
-		bits.Set(e.slot)
-		ix.nodes = append(ix.nodes, selNode{canon: canon, bits: bits})
-		byKey[e.form.key] = ni
+		byKey[e.form.key] = int32(len(ix.nodes))
+		ix.nodes = append(ix.nodes, selNode{canon: canon, bits: bitset.FromIndexes(e.slot)})
 	}
 	ix.stats.Nodes = len(ix.nodes)
 
-	// Register every node under its access constraint's field. Every node
-	// has at least one constraint (always-true forms were taken above).
+	// Register every node under its access constraint's column: col[0] is
+	// the tuple key, col[f+1] payload field f.
+	var col [event.NumFields + 1]fieldDispatch
+	var ranged [event.NumFields + 1][]int32
 	for ni := range ix.nodes {
 		n := &ix.nodes[ni]
 		fc := accessConstraint(&n.canon)
@@ -181,7 +185,7 @@ func buildSelIndex(entries []selEntry) *selIndex {
 			n.verify = true
 			ix.stats.Verified++
 		}
-		d := &ix.dispatch[fc.Field+1]
+		d := &col[fc.Field+1]
 		if fc.Iv.Lo == fc.Iv.Hi {
 			if d.eq == nil {
 				d.eq = make(map[int64][]int32)
@@ -189,83 +193,93 @@ func buildSelIndex(entries []selEntry) *selIndex {
 			d.eq[fc.Iv.Lo] = append(d.eq[fc.Iv.Lo], int32(ni))
 			ix.stats.EqDispatch++
 		} else {
-			d.iv.lo = append(d.iv.lo, fc.Iv.Lo)
-			d.iv.hi = append(d.iv.hi, fc.Iv.Hi)
-			d.iv.node = append(d.iv.node, int32(ni))
+			ranged[fc.Field+1] = append(ranged[fc.Field+1], int32(ni))
 			ix.stats.RangeDispatch++
 		}
 	}
-	for f := range ix.dispatch {
-		ix.dispatch[f].iv.build()
+	for f := range col {
+		if col[f].eq != nil || ranged[f] != nil {
+			col[f].field = f - 1
+			col[f].build(ix.nodes, ranged[f])
+			ix.cols = append(ix.cols, col[f])
+		}
 	}
 	return ix
 }
 
-// build finalizes the stabbing index: co-sorts the interval arrays by
-// (Lo, Hi, node) and computes the subtree-max augmentation along the same
-// midpoint decomposition stab descends.
-func (iv *ivIndex) build() {
-	if len(iv.node) == 0 {
-		return
+// build compiles the column's range nodes into its cut table: the cuts, then
+// every segment's sets in one sweep. A node's bits (a verified node's: its
+// index into verified) switch on at its Lo and off at its Hi+1, if any.
+func (c *cutTable) build(nodes []selNode, ranged []int32) {
+	c.cuts = []int64{math.MinInt64}
+	for _, ni := range ranged {
+		iv := accessConstraint(&nodes[ni].canon).Iv
+		c.cuts = append(c.cuts, iv.Lo)
+		if iv.Hi != math.MaxInt64 {
+			c.cuts = append(c.cuts, iv.Hi+1)
+		}
 	}
-	sort.Sort((*ivSorter)(iv))
-	iv.maxHi = make([]int64, len(iv.node))
-	iv.fillMax(0, len(iv.node)-1)
+	slices.Sort(c.cuts)
+	c.cuts = slices.Compact(c.cuts)
+	n := len(c.cuts) + 1 // switch row n-1 is past the last segment: it is never read
+	hitOn, hitOff := make([]bitset.Bits, n), make([]bitset.Bits, n)
+	chkOn, chkOff := make([]bitset.Bits, n), make([]bitset.Bits, n)
+	for _, ni := range ranged {
+		nd, iv := &nodes[ni], accessConstraint(&nodes[ni].canon).Iv
+		from, to := c.seg(iv.Lo), n-1
+		if iv.Hi != math.MaxInt64 {
+			to = c.seg(iv.Hi + 1)
+		}
+		on, off, b := hitOn, hitOff, nd.bits
+		if nd.verify {
+			on, off, b = chkOn, chkOff, bitset.FromIndexes(len(c.verified))
+			c.verified = append(c.verified, ni)
+		}
+		on[from].OrInPlace(b)
+		off[to].OrInPlace(b)
+	}
+	c.hits, c.check = sweep(hitOn, hitOff), sweep(chkOn, chkOff)
 }
 
-func (iv *ivIndex) fillMax(l, r int) int64 {
-	if l > r {
-		return minInt64
+// sweep turns switches into per-segment sets: on[i] and off[i] hold the bits
+// that start and stop at segment i. Nodes' bits are disjoint, so switching
+// one node off clears no other's.
+func sweep(on, off []bitset.Bits) []bitset.Bits {
+	sets := make([]bitset.Bits, len(on)-1)
+	var run bitset.Bits
+	for i := range sets {
+		run.OrInPlace(on[i])
+		run.AndNotInPlace(off[i])
+		sets[i] = run.Clone()
 	}
-	m := int(uint(l+r) >> 1)
-	mx := iv.hi[m]
-	if v := iv.fillMax(l, m-1); v > mx {
-		mx = v
-	}
-	if v := iv.fillMax(m+1, r); v > mx {
-		mx = v
-	}
-	iv.maxHi[m] = mx
-	return mx
+	return sets
 }
 
-const minInt64 = -1 << 63
-
-// ivSorter co-sorts the parallel interval arrays.
-type ivSorter ivIndex
-
-func (s *ivSorter) Len() int { return len(s.node) }
-func (s *ivSorter) Less(i, j int) bool {
-	if s.lo[i] != s.lo[j] {
-		return s.lo[i] < s.lo[j]
+// seg returns the segment holding v, the last cut ≤ v, in log2(len(cuts))
+// rounds whatever v is. A round compares without a branch, which the
+// compiler keeps for an index feeding a load: the sign-flipped subtraction
+// borrows iff v < the cut.
+func (c *cutTable) seg(v int64) int {
+	i, n := 0, len(c.cuts)
+	for n > 1 {
+		half := n >> 1
+		_, lt := bits.Sub64(uint64(v)^1<<63, uint64(c.cuts[i+half])^1<<63, 0)
+		i += half & int(lt-1)
+		n -= half
 	}
-	if s.hi[i] != s.hi[j] {
-		return s.hi[i] < s.hi[j]
-	}
-	return s.node[i] < s.node[j]
-}
-func (s *ivSorter) Swap(i, j int) {
-	s.lo[i], s.lo[j] = s.lo[j], s.lo[i]
-	s.hi[i], s.hi[j] = s.hi[j], s.hi[i]
-	s.node[i], s.node[j] = s.node[j], s.node[i]
+	return i
 }
 
-// classify computes the tuple's query-set into qs: the indexed equivalent
-// of evaluating every entry in turn, bit-identical by construction (and
-// property-tested against exactly that scan).
-// Allocation-free in steady state.
+// classify computes the tuple's query-set into qs, bit-identical to the
+// per-entry scan (property-tested) and allocation-free: per column, a hash
+// probe, a segment search, an OR, and a Match per verified node covering it.
 func (ix *selIndex) classify(s *SharedSelection, v *selVersion, t *event.Tuple, qs *bitset.Bits) {
 	qs.OrInPlace(ix.always)
-	for f := 0; f < len(ix.dispatch); f++ {
-		d := &ix.dispatch[f]
-		if d.eq == nil && len(d.iv.node) == 0 {
-			continue
-		}
-		var val int64
-		if f == 0 {
-			val = t.Key
-		} else {
-			val = t.Fields[f-1]
+	for ci := range ix.cols {
+		d := &ix.cols[ci]
+		val := t.Key
+		if d.field != expr.KeyField {
+			val = t.Fields[d.field]
 		}
 		if d.eq != nil {
 			for _, ni := range d.eq[val] {
@@ -274,8 +288,18 @@ func (ix *selIndex) classify(s *SharedSelection, v *selVersion, t *event.Tuple, 
 				}
 			}
 		}
-		if len(d.iv.node) > 0 {
-			d.iv.stab(ix.nodes, 0, len(d.iv.node)-1, val, t, qs)
+		seg := d.seg(val)
+		qs.OrInPlace(d.hits[seg])
+		if len(d.verified) == 0 {
+			continue
+		}
+		ck := d.check[seg]
+		for w := range ck.WordCount() {
+			for word := ck.Word(w); word != 0; word &= word - 1 {
+				if n := &ix.nodes[d.verified[w<<6|bits.TrailingZeros64(word)]]; n.canon.Match(t) {
+					qs.OrInPlace(n.bits)
+				}
+			}
 		}
 	}
 	for _, ei := range ix.fallback {
@@ -283,31 +307,5 @@ func (ix *selIndex) classify(s *SharedSelection, v *selVersion, t *event.Tuple, 
 		if s.evalEntry(e, t) {
 			qs.Set(e.slot)
 		}
-	}
-}
-
-// stab fans the bits of every node whose access interval contains v (and
-// whose residual, if any, accepts t) within the subtree [l, r] of the
-// midpoint decomposition. The subtree-max prunes regions whose every
-// interval ends below v; the Lo sort order prunes a subtree whose first
-// interval starts above v, and right subtrees once Lo exceeds v.
-func (iv *ivIndex) stab(nodes []selNode, l, r int, v int64, t *event.Tuple, qs *bitset.Bits) {
-	for l <= r && iv.lo[l] <= v {
-		m := int(uint(l+r) >> 1)
-		if iv.maxHi[m] < v {
-			return
-		}
-		if m > l {
-			iv.stab(nodes, l, m-1, v, t, qs)
-		}
-		if iv.lo[m] > v {
-			return
-		}
-		if iv.hi[m] >= v {
-			if n := &nodes[iv.node[m]]; !n.verify || n.canon.Match(t) {
-				qs.OrInPlace(n.bits)
-			}
-		}
-		l = m + 1
 	}
 }

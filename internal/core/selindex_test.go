@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -107,10 +108,10 @@ func randConjunction(r *rand.Rand) expr.Predicate {
 }
 
 // verifyCoverage reports whether ix holds an eq bucket with two verified
-// nodes, and a verified node on a stabbing index.
+// nodes, and a cut-table segment that checks a verified node.
 func verifyCoverage(ix *selIndex) (sharedBucket, verifiedRange bool) {
-	for f := range ix.dispatch {
-		d := &ix.dispatch[f]
+	for f := range ix.cols {
+		d := &ix.cols[f]
 		for _, bucket := range d.eq {
 			verified := 0
 			for _, ni := range bucket {
@@ -120,8 +121,8 @@ func verifyCoverage(ix *selIndex) (sharedBucket, verifiedRange bool) {
 			}
 			sharedBucket = sharedBucket || verified >= 2
 		}
-		for _, ni := range d.iv.node {
-			verifiedRange = verifiedRange || ix.nodes[ni].verify
+		for _, ck := range d.check {
+			verifiedRange = verifiedRange || !ck.IsEmpty()
 		}
 	}
 	return sharedBucket, verifiedRange
@@ -163,7 +164,7 @@ func TestIndexedClassificationAgreesWithScan(t *testing.T) {
 			var active []int
 			em := &spe.Emitter{}
 			// Non-vacuity: the run must build an eq bucket shared by two
-			// residuals and a residual behind the stabbing index, and create
+			// residuals and a residual behind a cut table, and create
 			// a query into a slot its own changelog freed.
 			var sharedBucket, verifiedRange, reusedSlot bool
 
@@ -408,7 +409,7 @@ func TestIndexSurvivesSnapshotRestore(t *testing.T) {
 
 // TestOverlapIndexComposition pins how the 512-query overlap workload
 // compiles: heavy dedup, both dispatch structures populated, and the
-// two-field chain registered on the stabbing index behind a verify.
+// two-field chain registered on a cut table behind a verify.
 func TestOverlapIndexComposition(t *testing.T) {
 	sel := NewSharedSelection(0, 0, NewOpMetrics(nil))
 	sel.installTable(overlapEntries(512))
@@ -451,7 +452,11 @@ func TestConjunctionDispatchWork(t *testing.T) {
 	if st := ix.stats; st.EqDispatch != 512 || st.RangeDispatch != 0 || st.Lattice != 0 || st.Verified != 256 {
 		t.Fatalf("keyed index stats = %+v, want 512 eq-dispatched nodes, 256 of them verified", st)
 	}
-	for key, bucket := range ix.dispatch[0].eq {
+	keys := ix.cols[0]
+	if len(ix.cols) != 1 || keys.field != expr.KeyField {
+		t.Fatalf("index dispatches on %d columns, want the key alone", len(ix.cols))
+	}
+	for key, bucket := range keys.eq {
 		if len(bucket) != 1 {
 			t.Fatalf("key %d bucket holds %d nodes, want 1", key, len(bucket))
 		}
@@ -466,17 +471,15 @@ func TestConjunctionDispatchWork(t *testing.T) {
 			tu.Fields[f] = int64(r.Intn(1000))
 		}
 		candidates := 0
-		for f := range ix.dispatch {
-			d := &ix.dispatch[f]
+		for f := range ix.cols {
+			d := &ix.cols[f]
 			val := tu.Key
-			if f > 0 {
-				val = tu.Fields[f-1]
+			if d.field != expr.KeyField {
+				val = tu.Fields[d.field]
 			}
 			candidates += len(d.eq[val])
-			for m := range d.iv.node {
-				if d.iv.lo[m] <= val && val <= d.iv.hi[m] {
-					candidates++
-				}
+			if len(d.verified) > 0 {
+				candidates += d.check[d.seg(val)].Count()
 			}
 		}
 		if candidates > 1 {
@@ -495,7 +498,7 @@ func TestConjunctionDispatchWork(t *testing.T) {
 	// without allocating, into a set one word wide or, past slot 64, two.
 	for _, slot := range []int{1, 65} {
 		tu := event.Tuple{Key: keyedKey(slot)}
-		if n := &ix.nodes[ix.dispatch[0].eq[tu.Key][0]]; !n.verify {
+		if n := &ix.nodes[keys.eq[tu.Key][0]]; !n.verify {
 			t.Fatalf("key %d's node has no residual to verify", tu.Key)
 		}
 		if avg := testing.AllocsPerRun(100, func() {
@@ -555,5 +558,147 @@ func TestSelectionFormSharedAcrossVersions(t *testing.T) {
 		if !sel.qsTmp.Equal(twin.qsTmp) {
 			t.Fatalf("tuple %+v: index %v, scan %v", tu, sel.qsTmp, twin.qsTmp)
 		}
+	}
+}
+
+// TestCutTableEdgesAgreeWithScan holds the cut tables to the scan where a
+// segment search can slip: intervals reaching MinInt64 and MaxInt64 (where
+// Hi+1 would overflow), holes at Lo+1, at Hi-1 and next to each other,
+// equal, nested and touching intervals, verified and unverified nodes on
+// the same segments, and slots past 64. Every tuple sits at a cut, one
+// below it or one above it, on every column the index dispatches on, and a
+// twin restored from the instance's snapshot classifies it too.
+func TestCutTableEdgesAgreeWithScan(t *testing.T) {
+	const minV, maxV = math.MinInt64, math.MaxInt64
+	c := func(field int, op expr.Op, v int64) expr.Comparison {
+		return expr.Comparison{Field: field, Op: op, Value: v}
+	}
+	and := func(cs ...expr.Comparison) expr.Predicate {
+		p := expr.True()
+		for _, cmp := range cs {
+			p = p.And(cmp)
+		}
+		return p
+	}
+	preds := []expr.Predicate{
+		and(c(0, expr.LE, minV+1)), // [Min, Min+1]
+		and(c(0, expr.LT, 5)),      // [Min, 4]
+		and(c(0, expr.GE, 10), c(0, expr.LE, 20)),
+		and(c(0, expr.GT, 9), c(0, expr.LT, 21)),  // equal: one node, two slots
+		and(c(0, expr.GE, 12), c(0, expr.LE, 18)), // nested
+		and(c(0, expr.GE, 10), c(0, expr.LE, 15)), // touching the next
+		and(c(0, expr.GE, 15), c(0, expr.LE, 20)),
+		and(c(0, expr.GE, 10), c(0, expr.LE, 20), c(0, expr.NE, 11), c(0, expr.NE, 19)), // holes at Lo+1, Hi-1
+		and(c(0, expr.GE, 10), c(0, expr.LE, 20), c(0, expr.NE, 14), c(0, expr.NE, 15)), // adjacent holes
+		and(c(0, expr.GE, 10), c(0, expr.LE, 20), c(0, expr.NE, 10)),                    // a hole at Lo moves Lo
+		and(c(0, expr.GE, 10), c(0, expr.LE, 20), c(1, expr.LT, 500)),                   // verified on [10, 20]
+		and(c(0, expr.GE, 10), c(0, expr.LE, 12), c(1, expr.GE, 500)),
+		and(c(0, expr.NE, 7)),                     // [Min, Max] minus a hole
+		and(c(0, expr.GT, maxV-2)),                // [Max-1, Max]
+		and(c(0, expr.GE, 30)),                    // [30, Max]
+		and(c(0, expr.GE, 30), c(0, expr.NE, 31)), // [30, Max], hole at Lo+1
+		and(c(0, expr.LE, 4), c(0, expr.NE, 3)),   // [Min, 4], hole at Hi-1
+		and(c(0, expr.GT, minV)),                  // [Min+1, Max]
+		and(c(0, expr.LT, maxV)),                  // [Min, Max-1]
+		and(c(0, expr.EQ, 15)),                    // a point on a column with a cut table
+		and(c(0, expr.EQ, maxV)),
+		and(c(0, expr.EQ, minV)),
+		and(c(expr.KeyField, expr.GE, 3), c(expr.KeyField, expr.LE, 6)),
+		and(c(expr.KeyField, expr.GE, 5), c(2, expr.LT, 100)), // verified on the key
+		and(c(2, expr.LT, 100)),
+		and(c(2, expr.GE, 100)), // one cut ends one node and starts the other
+		and(c(2, expr.GE, 100), c(2, expr.NE, 101), c(2, expr.NE, 102)),
+	}
+	// Every predicate twice, the second copy past slot 64.
+	var entries []selEntry
+	for i, p := range preds {
+		entries = append(entries, selEntry{slot: 2 * i, id: i + 1, pred: p})
+		entries = append(entries, selEntry{slot: 64 + 3*i, id: 100 + i, pred: p})
+	}
+	sel := NewSharedSelection(0, 0, NewOpMetrics(nil))
+	sel.installTable(entries)
+	restored := NewSharedSelection(0, 0, NewOpMetrics(nil))
+	if err := restored.Restore(sel.OnBarrier(1, nil)); err != nil {
+		t.Fatal(err)
+	}
+	v, rv := &sel.versions[0], &restored.versions[0]
+	ix := v.index
+	var cutCols, verified, fullDomain int
+	for i := range ix.cols {
+		d := &ix.cols[i]
+		if len(d.cuts) > 0 {
+			cutCols++
+		}
+		verified += len(d.verified)
+		for _, ni := range d.verified {
+			if iv := accessConstraint(&ix.nodes[ni].canon).Iv; iv.Lo == minV && iv.Hi == maxV {
+				fullDomain++
+			}
+		}
+	}
+	if cutCols != 3 || verified < 8 || fullDomain != 1 {
+		t.Fatalf("index has %d cut tables, %d verified range nodes, %d over the whole domain; want 3, at least 8, 1",
+			cutCols, verified, fullDomain)
+	}
+
+	var got, again, want bitset.Bits
+	classify := func(tu event.Tuple) {
+		got.Reset()
+		again.Reset()
+		want.Reset()
+		ix.classify(sel, v, &tu, &got)
+		rv.index.classify(restored, rv, &tu, &again)
+		scanEntries(sel, v, &tu, &want)
+		if !got.Equal(want) || !again.Equal(want) {
+			t.Fatalf("tuple %+v: indexed %v, restored %v, scan %v", tu, got, again, want)
+		}
+	}
+	tuples := 0
+	for i := range ix.cols {
+		d := &ix.cols[i]
+		for _, cut := range d.cuts {
+			for _, val := range []int64{cut - 1, cut, cut + 1} { // wraps at the domain's ends
+				for _, f1 := range []int64{0, 499, 500, maxV} {
+					tu := event.Tuple{Key: 4}
+					tu.Fields = [event.NumFields]int64{50, f1, 50, 50, 50}
+					if d.field == expr.KeyField {
+						tu.Key = val
+					} else {
+						tu.Fields[d.field] = val
+					}
+					classify(tu)
+					tuples++
+				}
+			}
+		}
+	}
+	if tuples < 100 {
+		t.Fatalf("only %d tuples classified", tuples)
+	}
+}
+
+// TestVersionAtResolvesEveryTime: the version lookup answers the newest
+// version without a search and every earlier time through one, and the
+// search for an out-of-order tuple allocates nothing.
+func TestVersionAtResolvesEveryTime(t *testing.T) {
+	b := newCLBuilder()
+	sel := NewSharedSelection(0, 1000, NewOpMetrics(nil))
+	for _, at := range []event.Time{10, 20, 40} {
+		sel.OnChangelog(b.create(t, at, selQ(gt(0, int64(at)))), at, nil)
+	}
+	froms := []event.Time{event.MinTime, 10, 20, 40}
+	for _, tm := range []event.Time{event.MinTime, 0, 9, 10, 11, 19, 20, 39, 40, 41, event.MaxTime} {
+		want := 0
+		for i, f := range froms {
+			if f <= tm {
+				want = i
+			}
+		}
+		if got := sel.versionAt(tm); got != want {
+			t.Fatalf("versionAt(%v) = %d, want %d", tm, got, want)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() { sel.versionAt(15) }); avg != 0 {
+		t.Fatalf("an older version's lookup allocated %.1f times, want 0", avg)
 	}
 }
